@@ -173,10 +173,7 @@ func TestCoreSpeedup(t *testing.T) {
 		rep.IndexedAllocs, rep.IndexedAllocBytes, rep.LegacyAllocs, rep.LegacyAllocBytes,
 		rep.InternDevices, rep.InternLinks, rep.InternPrefixes, rep.InternTableBytes)
 
-	// The race detector instruments the two paths unevenly (the indexed
-	// arenas are pointer-dense), so the ratio is only meaningful uninstrumented;
-	// `make bench-core` and the plain `go test` tier enforce the floor.
-	if rep.Speedup < 3 && !raceEnabled {
+	if rep.Speedup < 3 && enforceFloors() {
 		t.Errorf("indexed route sim only %.2fx faster than string-keyed reference, want >=3x", rep.Speedup)
 	}
 

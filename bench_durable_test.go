@@ -91,7 +91,7 @@ func TestDurableOverhead(t *testing.T) {
 	t.Logf("memory %v, disk(interval) %v (%.2fx), disk(always) %v, %d B on disk per run",
 		rep.MemoryNs, rep.DiskIntervalNs, rep.Overhead, rep.DiskAlwaysNs, rep.DataDirBytes)
 
-	if rep.Overhead > 1.25 && !raceEnabled {
+	if rep.Overhead > 1.25 && enforceFloors() {
 		t.Errorf("disk-backed run %.2fx slower than in-memory, want <= 1.25x", rep.Overhead)
 	}
 

@@ -139,11 +139,7 @@ func TestServeWarmSpeedup(t *testing.T) {
 	}
 	t.Logf("warm query %s vs cold CLI %s: %.1fx",
 		time.Duration(warmNs), time.Duration(coldNs), rep.Speedup)
-	// Like TestCoreSpeedup: the race detector instruments the two paths
-	// unevenly (the cold path's parse/build stage is far more pointer-dense
-	// than the warm fork), so the floor is only meaningful uninstrumented;
-	// `make bench-serve` and the plain `go test` tier enforce it.
-	if rep.Speedup < 3 && !raceEnabled {
+	if rep.Speedup < 3 && enforceFloors() {
 		t.Errorf("warm query speedup %.2fx < 3x floor (warm %s, cold %s)",
 			rep.Speedup, time.Duration(warmNs), time.Duration(coldNs))
 	}

@@ -197,10 +197,7 @@ func TestShardSpeedup(t *testing.T) {
 		rep.Devices, rep.Scenarios, float64(rep.ShardedNs)/1e6, float64(rep.WholeNs)/1e6,
 		rep.Speedup, rep.ContractRoutes, rep.BaseRounds)
 
-	// The race detector serializes the fleet's hot paths unevenly, so the
-	// ratio floor is enforced only uninstrumented (`make bench-shard` and the
-	// plain `go test` tier).
-	if rep.Speedup < 2 && !raceEnabled {
+	if rep.Speedup < 2 && enforceFloors() {
 		t.Errorf("sharded scenario sweep only %.2fx faster than whole-network, want >=2x", rep.Speedup)
 	}
 

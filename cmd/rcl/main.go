@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"hoyan/internal/core"
 	"hoyan/internal/netmodel"
@@ -82,6 +83,11 @@ func loadRIB(path string) (*netmodel.GlobalRIB, error) {
 	rows, err := core.DecodeRoutes(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	// Result files are written in canonical order; only a foreign file
+	// needs sorting.
+	if slices.IsSortedFunc(rows, netmodel.CompareRoutes) {
+		return netmodel.NewGlobalRIBFromSorted(rows), nil
 	}
 	return netmodel.NewGlobalRIB(rows), nil
 }

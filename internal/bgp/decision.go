@@ -346,7 +346,7 @@ func (s *sim) better(a, b cand) bool {
 	}
 	if ra.Protocol != netmodel.ProtoBGP || rb.Protocol != netmodel.ProtoBGP {
 		// Same preference, non-BGP: deterministic order.
-		return netmodel.CompareRoutes(ra, rb) < 0
+		return netmodel.CompareRouteKeys(ra, rb) < 0
 	}
 	if ra.Weight != rb.Weight {
 		return ra.Weight > rb.Weight
@@ -375,7 +375,7 @@ func (s *sim) better(a, b cand) bool {
 	if ia != ib {
 		return ia.Less(ib)
 	}
-	return netmodel.CompareRoutes(ra, rb) < 0
+	return netmodel.CompareRouteKeys(ra, rb) < 0
 }
 
 // equalCost reports whether b ties with a through the IGP-cost step
@@ -636,7 +636,7 @@ func (s *sim) cmpCand(a, b *cand) int {
 		return 1
 	}
 	if ra.Protocol != netmodel.ProtoBGP || rb.Protocol != netmodel.ProtoBGP {
-		return netmodel.CompareRoutes(*ra, *rb)
+		return netmodel.CompareRouteKeys(*ra, *rb)
 	}
 	if ra.Weight != rb.Weight {
 		if ra.Weight > rb.Weight {
@@ -687,7 +687,7 @@ func (s *sim) cmpCand(a, b *cand) int {
 		}
 		return 1
 	}
-	return netmodel.CompareRoutes(*ra, *rb)
+	return netmodel.CompareRouteKeys(*ra, *rb)
 }
 
 // shouldPropagate implements BGP propagation rules including route

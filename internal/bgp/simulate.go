@@ -83,6 +83,9 @@ type Result struct {
 	// Par reports how much of the run executed on the striped parallel path
 	// (all zero for sequential and legacy runs).
 	Par ParStats
+	// parallelism is the Options.Parallelism of the run; GlobalRIB fills
+	// tables under the same bound.
+	parallelism int
 }
 
 // ParStats counts the striped-fixpoint work of one run: rounds that actually
@@ -147,13 +150,24 @@ func (r *Result) SetRIB(device, vrf string, t *netmodel.RIB) {
 	r.ribs[tableKey{device, vrf}] = t
 }
 
-// GlobalRIB flattens every table into the paper's global RIB abstraction.
+// GlobalRIB flattens every table into the paper's global RIB abstraction,
+// sorted by construction: tables are disjoint (device, VRF) blocks, so each
+// is emitted in canonical order (netmodel.RIB.AppendSorted) at its
+// precomputed offset of one exact-size slice, with no sort over the whole.
+// Tables fill concurrently, bounded by the Parallelism of the run.
 func (r *Result) GlobalRIB() *netmodel.GlobalRIB {
-	var rows []netmodel.Route
-	for _, t := range r.ribs {
-		rows = append(rows, t.All()...)
+	tables := r.Tables()
+	ribs := make([]*netmodel.RIB, len(tables))
+	offs := make([]int, len(tables)+1)
+	for i, t := range tables {
+		ribs[i] = r.ribs[tableKey{t.Device, t.VRF}]
+		offs[i+1] = offs[i] + ribs[i].Len()
 	}
-	return netmodel.NewGlobalRIB(rows)
+	rows := make([]netmodel.Route, offs[len(tables)])
+	par.ForEach(r.parallelism, len(ribs), func(i int) {
+		ribs[i].AppendSorted(rows[offs[i]:offs[i]:offs[i+1]])
+	})
+	return netmodel.NewGlobalRIBFromSorted(rows)
 }
 
 // cand is one candidate route in a device table's adj-RIB-in.
@@ -370,7 +384,7 @@ func (s *sim) run(dirty map[tableKey]map[netip.Prefix]bool) *Result {
 			dirty = s.legacyDeliver(pending)
 			pending = s.legacyDecideAndAdvertise(dirty)
 		}
-		return &Result{ribs: s.ribs, Rounds: rounds, Converged: converged, Messages: s.messages}
+		return &Result{ribs: s.ribs, Rounds: rounds, Converged: converged, Messages: s.messages, parallelism: s.opts.Parallelism}
 	}
 	// Indexed path: convert the seed dirty set into the dense representation
 	// once; rounds then track dirtiness with interned IDs only.
@@ -400,7 +414,7 @@ func (s *sim) runDense() *Result {
 		s.deliver(pending)
 		pending = s.decideAndAdvertise()
 	}
-	res := &Result{ribs: s.ribs, Rounds: rounds, Converged: converged, Messages: s.messages, Par: s.par}
+	res := &Result{ribs: s.ribs, Rounds: rounds, Converged: converged, Messages: s.messages, Par: s.par, parallelism: s.opts.Parallelism}
 	if s.opts.Seal != nil {
 		res.BoundaryOut = s.boundaryOut()
 	}

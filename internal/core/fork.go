@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"net/netip"
-	"slices"
 
 	"hoyan/internal/bgp"
 	"hoyan/internal/config"
@@ -437,56 +436,41 @@ func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, para
 	return &Result{Routes: routes, Traffic: tr}, stats, nil
 }
 
-// mergedGlobalRIB builds a fork's global RIB by merging the changed tables'
-// rows into the base global RIB. CompareRoutes orders by device first, so
-// rows group per device and the merge reproduces a full re-sort exactly:
-// every device's block is taken wholesale from either the base rows or the
-// freshly sorted changed rows.
+// mergedGlobalRIB builds a fork's global RIB by merging the changed devices'
+// tables into the base global RIB. The canonical order is by device first,
+// so rows group per device and the merge reproduces a full re-sort exactly:
+// every device's block is either copied wholesale from the base rows or
+// emitted in canonical order from the fork's tables (a purged device simply
+// contributes nothing).
 func (e *Engine) mergedGlobalRIB(bres *bgp.Result, changed map[string]bool) *netmodel.GlobalRIB {
-	byDev := make(map[string][]netmodel.Route, len(changed))
+	var tables []*netmodel.RIB // of changed devices, in (device, VRF) order
 	total := 0
 	for _, t := range bres.Tables() {
 		if changed[t.Device] {
-			rows := bres.RIB(t.Device, t.VRF).All()
-			byDev[t.Device] = append(byDev[t.Device], rows...)
-			total += len(rows)
-		}
-	}
-	names := make([]string, 0, len(changed))
-	for dev := range changed {
-		names = append(names, dev)
-	}
-	slices.Sort(names)
-	for _, dev := range names {
-		if rows := byDev[dev]; len(rows) > 0 {
-			slices.SortFunc(rows, netmodel.CompareRoutes)
+			rt := bres.RIB(t.Device, t.VRF)
+			tables = append(tables, rt)
+			total += rt.Len()
 		}
 	}
 	baseRows := e.base.routes.GlobalRIB().Rows()
 	out := make([]netmodel.Route, 0, len(baseRows)+total)
-	ci := 0
-	i := 0
-	for i < len(baseRows) {
+	ti := 0
+	for i := 0; i < len(baseRows); {
 		dev := baseRows[i].Device
 		j := i + 1
 		for j < len(baseRows) && baseRows[j].Device == dev {
 			j++
 		}
-		if changed[dev] {
-			// This device's block is replaced by its fork rows (emitted below
-			// in name order; a purged device simply contributes nothing).
-			i = j
-			continue
+		if !changed[dev] {
+			for ; ti < len(tables) && tables[ti].Device < dev; ti++ {
+				out = tables[ti].AppendSorted(out)
+			}
+			out = append(out, baseRows[i:j]...)
 		}
-		for ci < len(names) && names[ci] < dev {
-			out = append(out, byDev[names[ci]]...)
-			ci++
-		}
-		out = append(out, baseRows[i:j]...)
 		i = j
 	}
-	for ; ci < len(names); ci++ {
-		out = append(out, byDev[names[ci]]...)
+	for ; ti < len(tables); ti++ {
+		out = tables[ti].AppendSorted(out)
 	}
 	return netmodel.NewGlobalRIBFromSorted(out)
 }

@@ -1,0 +1,76 @@
+package dsim
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"hoyan/internal/core"
+	"hoyan/internal/gen"
+	"hoyan/internal/netmodel"
+)
+
+// TestCollectRouteResultsOverlappingSubtasks: the merge-and-adjacent-dedupe
+// collection returns exactly what the collection it replaced returned —
+// concatenate every subtask file, keep the first row per signature, sort the
+// lot — on a run whose subtask files overlap (every subtask derives the same
+// local routes) and whose inputs carry duplicates, so key ties and Identical
+// rows both occur; and a second run returns the same rows at the same
+// positions.
+func TestCollectRouteResultsOverlappingSubtasks(t *testing.T) {
+	out := gen.Generate(gen.WAN(2))
+	inputs := gen.WithDuplicateInputs(out.Inputs)
+	c := StartLocal(4)
+	defer c.Stop()
+	snapKey, err := c.Master.UploadSnapshot("t", out.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect := func(taskID string) (*RouteTask, []netmodel.Route) {
+		task, err := c.Master.StartRouteSimulation(taskID, snapKey, inputs, 8, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Master.Wait(taskID, "route", task.Subtasks); err != nil {
+			t.Fatal(err)
+		}
+		g, err := c.Master.CollectRouteResults(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return task, g.Rows()
+	}
+	task, got := collect("t1")
+
+	var concat []netmodel.Route
+	for i := 0; i < task.Subtasks; i++ {
+		data, err := c.Svc.Store.Get(resultKey(task.ID, "route", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := core.DecodeRoutes(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		concat = append(concat, rows...)
+	}
+	want := dedupe(netmodel.NewGlobalRIBFromSorted(concat)).Rows()
+	if len(want) == len(concat) {
+		t.Fatal("subtask files do not overlap; the dedupe went untested")
+	}
+	if !slices.EqualFunc(got, want, netmodel.Route.Identical) {
+		t.Fatalf("collected %d rows, reference (seen-map + full sort) %d, or positions differ", len(got), len(want))
+	}
+	ties := 0
+	for i := 1; i < len(got); i++ {
+		if netmodel.CompareRouteKeys(got[i-1], got[i]) == 0 {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no key ties among the collected rows; the total order went untested")
+	}
+	if _, again := collect("t2"); !slices.EqualFunc(got, again, netmodel.Route.Identical) {
+		t.Fatal("a second run's collected rows differ positionally from the first's")
+	}
+}

@@ -147,7 +147,7 @@ func splitRoutes(inputs []netmodel.Route, n int) []routeSubset {
 		if c := netmodel.LastAddr(a.Prefix).Compare(netmodel.LastAddr(b.Prefix)); c != 0 {
 			return c
 		}
-		return netmodel.CompareRoutes(a, b)
+		return netmodel.CompareRouteKeys(a, b)
 	})
 	if n < 1 {
 		n = 1

@@ -22,7 +22,7 @@ func dedupe(g *netmodel.GlobalRIB) *netmodel.GlobalRIB {
 	seen := map[string]bool{}
 	var rows []netmodel.Route
 	for _, r := range g.Rows() {
-		sig := rowSignature(r)
+		sig := string(r.AppendSignature(nil))
 		if !seen[sig] {
 			seen[sig] = true
 			rows = append(rows, r)

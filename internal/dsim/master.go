@@ -8,6 +8,7 @@ import (
 	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/netmodel"
+	"hoyan/internal/par"
 	"hoyan/internal/taskdb"
 	"hoyan/internal/telemetry"
 	"hoyan/internal/traffic"
@@ -396,52 +397,31 @@ func (m *Master) reenqueue(rec taskdb.Record, causeCount *telemetry.Counter, cau
 }
 
 // CollectRouteResults merges the RIB rows of all route subtasks into one
-// global RIB, deduplicating rows that multiple subtasks derived (e.g. the
-// same aggregate generated by two contributor subsets).
+// global RIB. Every result file is written in canonical order, so the files
+// are decoded concurrently and k-way merged; rows that several subtasks
+// derived identically (e.g. the same aggregate generated by two contributor
+// subsets) land adjacent in the total order and collapse to one. A single
+// result file (a stitched sharded run) is the RIB as it stands.
 func (m *Master) CollectRouteResults(t *RouteTask) (*netmodel.GlobalRIB, error) {
-	if t.Subtasks == 1 {
-		// Single result file (a stitched sharded run): no overlapping subsets
-		// to dedupe, and the rows are already in CompareRoutes order.
-		data, err := m.svc.Store.Get(resultKey(t.ID, "route", 0))
-		if err != nil {
-			return nil, err
-		}
-		rows, err := core.DecodeRoutes(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		return netmodel.NewGlobalRIBFromSorted(rows), nil
-	}
-	seen := make(map[string]bool)
-	var rows []netmodel.Route
-	sigBuf := netmodel.GetSigBuf()
-	defer netmodel.PutSigBuf(sigBuf)
-	sig := *sigBuf
-	defer func() { *sigBuf = sig }()
-	for i := 0; i < t.Subtasks; i++ {
+	segs := make([][]netmodel.Route, t.Subtasks)
+	errs := make([]error, t.Subtasks)
+	par.ForEach(0, t.Subtasks, func(i int) {
 		data, err := m.svc.Store.Get(resultKey(t.ID, "route", i))
+		if err == nil {
+			segs[i], err = core.DecodeRoutes(bytes.NewReader(data))
+		}
+		errs[i] = err
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-		sub, err := core.DecodeRoutes(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range sub {
-			sig = r.AppendSignature(sig[:0])
-			if !seen[string(sig)] {
-				seen[string(sig)] = true
-				rows = append(rows, r)
-			}
 		}
 	}
-	return netmodel.NewGlobalRIB(rows), nil
-}
-
-// rowSignature is one route's injective dedupe key: overlapping subtasks
-// recompute boundary prefixes identically, so equal keys mean equal rows.
-func rowSignature(r netmodel.Route) string {
-	return string(r.AppendSignature(nil))
+	if len(segs) == 1 {
+		return netmodel.NewGlobalRIBFromSorted(segs[0]), nil
+	}
+	rows := slices.CompactFunc(netmodel.MergeSortedRoutes(segs), netmodel.Route.Identical)
+	return netmodel.NewGlobalRIBFromSorted(rows), nil
 }
 
 // TrafficSummary is the aggregated result of a distributed traffic

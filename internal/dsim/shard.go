@@ -200,10 +200,9 @@ func (v *ShardVerifier) Base(taskID string, fallbackSubtasks int) (*RouteTask, e
 	v.baseExpanded = make([][]netmodel.Route, st.NumShards)
 	var preRows []netmodel.Route
 	for i := range st.Rows {
-		// Each cached segment is sorted once here so every later stitch is a
-		// merge of sorted runs instead of a full re-sort.
+		// Each cached segment is canonical (ExpandRows keeps the order), so
+		// every later stitch is a merge of sorted runs.
 		v.baseExpanded[i] = shard.ExpandRows(v.ecs, st.Rows[i])
-		slices.SortFunc(v.baseExpanded[i], netmodel.CompareRoutes)
 		preRows = append(preRows, st.Rows[i]...)
 	}
 	v.ownersByDev = shard.NextHopOwners(v.net.Topo, preRows)
@@ -276,7 +275,6 @@ func (v *ShardVerifier) WhatIf(scenTaskID string, delta core.Delta) (*RouteTask,
 			continue
 		}
 		segs[i] = shard.ExpandRows(v.ecs, st.Rows[i])
-		slices.SortFunc(segs[i], netmodel.CompareRoutes)
 	}
 	v.LastReused = reused
 	return v.writeRouteResult(scenTaskID, netmodel.MergeSortedRoutes(segs))

@@ -121,6 +121,21 @@ func Generate(p Profile) *Output {
 	return &Output{Net: b.net, Inputs: b.inputs, Flows: flows, Prefixes: b.prefixes}
 }
 
+// WithDuplicateInputs returns the inputs plus a copy of every fifth one that
+// carries one more community: the duplicate input keys WAN(k) has from k = 9
+// up, on a fixture of any size. After EC expansion they leave RIB rows that
+// tie on every column netmodel.CompareRouteKeys reads, and rows that are
+// fully Identical — what the tests of the canonical order need.
+func WithDuplicateInputs(inputs []netmodel.Route) []netmodel.Route {
+	out := append([]netmodel.Route(nil), inputs...)
+	for i := 0; i < len(inputs); i += 5 {
+		dup := inputs[i]
+		dup.Communities = dup.Communities.Add(netmodel.NewCommunity(65000, 777))
+		out = append(out, dup)
+	}
+	return out
+}
+
 // ConfigTexts serializes every device into its vendor dialect — the input of
 // the network-model-building service.
 func (o *Output) ConfigTexts() map[string]string {

@@ -175,15 +175,24 @@ func (t *RIB) Len() int {
 	return n
 }
 
-// All returns every row in deterministic order.
+// All returns every row in canonical order.
 func (t *RIB) All() []Route {
-	out := make([]Route, 0, t.Len())
+	return t.AppendSorted(make([]Route, 0, t.Len()))
+}
+
+// AppendSorted appends every row of the table to dst in canonical
+// (CompareRoutes) order and returns the extended slice: prefixes in order,
+// and within a prefix only that prefix's few rows are sorted, in place in
+// dst. It is the one emitter behind every global RIB: tables hold disjoint
+// (device, VRF) blocks, so appending them in (device, VRF) order yields a
+// globally sorted RIB with no sort over the whole.
+func (t *RIB) AppendSorted(dst []Route) []Route {
 	for _, p := range t.Prefixes() {
-		rows := append([]Route(nil), t.byPrefix[p]...)
-		slices.SortFunc(rows, CompareRoutes)
-		out = append(out, rows...)
+		start := len(dst)
+		dst = append(dst, t.byPrefix[p]...)
+		slices.SortFunc(dst[start:], CompareRoutes)
 	}
-	return out
+	return dst
 }
 
 // lpmIndex is the longest-prefix-match index over a RIB's best routes:
@@ -319,8 +328,9 @@ type GlobalRIB struct {
 	rows []Route
 }
 
-// NewGlobalRIB builds a global RIB from the given rows. Rows are copied and
-// kept in deterministic order.
+// NewGlobalRIB builds a global RIB from rows in any order: they are copied
+// and sorted into canonical order. Producers that emit rows in canonical
+// order already use NewGlobalRIBFromSorted.
 func NewGlobalRIB(rows []Route) *GlobalRIB {
 	out := append([]Route(nil), rows...)
 	slices.SortFunc(out, CompareRoutes)
@@ -334,10 +344,13 @@ func NewGlobalRIBFromSorted(rows []Route) *GlobalRIB {
 }
 
 // MergeSortedRoutes merges route slices — each already in CompareRoutes
-// order — into one sorted slice. Sharded verification stitches per-shard
-// segments with it instead of re-sorting the concatenation: shards hold
-// disjoint device sets, so the merge reproduces exactly the order
-// NewGlobalRIB would produce, at a fraction of the comparisons.
+// order — into one sorted slice, exactly the rows NewGlobalRIB would
+// produce from their concatenation at a fraction of the comparisons. Rows
+// are copied a run at a time: the longest stretch of the smallest-headed
+// segment that stays below every other head. Runs are whole device blocks
+// when segments hold disjoint devices (shard stitching) and per-table prefix
+// ranges when they interleave (fleet route subtasks).
+// Rows equal across segments are all kept, adjacent.
 func MergeSortedRoutes(segs [][]Route) []Route {
 	n, live := 0, 0
 	for _, s := range segs {
@@ -356,8 +369,7 @@ func MergeSortedRoutes(segs [][]Route) []Route {
 	idx := make([]int, len(segs))
 	for len(out) < n {
 		// Pick the segment with the smallest head, remembering the runner-up
-		// head as the bound up to which the winner's run can be copied whole
-		// (runs are long: each shard holds contiguous device blocks).
+		// head as the bound below which the winner's run is copied whole.
 		best, second := -1, -1
 		for i, s := range segs {
 			if idx[i] >= len(s) {
@@ -366,17 +378,17 @@ func MergeSortedRoutes(segs [][]Route) []Route {
 			switch {
 			case best < 0:
 				best = i
-			case CompareRoutes(s[idx[i]], segs[best][idx[best]]) < 0:
+			case compareRoutePtr(&s[idx[i]], &segs[best][idx[best]]) < 0:
 				best, second = i, best
-			case second < 0 || CompareRoutes(s[idx[i]], segs[second][idx[second]]) < 0:
+			case second < 0 || compareRoutePtr(&s[idx[i]], &segs[second][idx[second]]) < 0:
 				second = i
 			}
 		}
 		s := segs[best]
 		j := idx[best] + 1
 		if second >= 0 {
-			bound := segs[second][idx[second]]
-			for j < len(s) && CompareRoutes(s[j], bound) < 0 {
+			bound := &segs[second][idx[second]]
+			for j < len(s) && compareRoutePtr(&s[j], bound) < 0 {
 				j++
 			}
 		} else {
@@ -386,17 +398,6 @@ func MergeSortedRoutes(segs [][]Route) []Route {
 		idx[best] = j
 	}
 	return out
-}
-
-// Merge combines per-device RIBs into one global RIB.
-func Merge(ribs ...*RIB) *GlobalRIB {
-	var rows []Route
-	for _, t := range ribs {
-		if t != nil {
-			rows = append(rows, t.All()...)
-		}
-	}
-	return NewGlobalRIB(rows)
 }
 
 // Rows returns all rows in deterministic order. Callers must not modify the
@@ -553,7 +554,7 @@ func (s *RIBSet) Rows() []Route {
 	})
 	var out []Route
 	for _, k := range keys {
-		out = append(out, s.m[k].All()...)
+		out = s.m[k].AppendSorted(out)
 	}
 	return out
 }

@@ -1,10 +1,7 @@
 package netmodel
 
 import (
-	"fmt"
-	"math/rand"
 	"net/netip"
-	"slices"
 	"testing"
 )
 
@@ -112,20 +109,6 @@ func TestGlobalRIBEqualAndDiff(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	ra := NewRIB("A", DefaultVRF)
-	ra.Add(mkRoute("A", DefaultVRF, "10.0.0.0/24", "2.0.0.1", RouteBest))
-	rb := NewRIB("B", "vrf1")
-	rb.Add(mkRoute("B", "vrf1", "20.0.0.0/24", "3.0.0.1", RouteBest))
-	g := Merge(ra, rb, nil)
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	if g.Rows()[0].Device != "A" || g.Rows()[1].VRF != "vrf1" {
-		t.Errorf("rows = %v", g.Rows())
-	}
-}
-
 func TestGlobalRIBFilter(t *testing.T) {
 	g := NewGlobalRIB([]Route{
 		mkRoute("A", DefaultVRF, "10.0.0.0/24", "2.0.0.1", RouteBest),
@@ -229,43 +212,5 @@ func TestLinkLoadAdd(t *testing.T) {
 	a.Add(b)
 	if a[LinkID{A: "A", B: "B"}] != 12 || a[LinkID{A: "B", B: "C"}] != 1 {
 		t.Errorf("Add: %v", a)
-	}
-}
-
-// TestMergeSortedRoutes checks the stitch merge against NewGlobalRIB on
-// randomized disjoint-device segments: merging per-segment sorted runs must
-// reproduce the full sort exactly.
-func TestMergeSortedRoutes(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		nseg := 1 + rnd.Intn(5)
-		segs := make([][]Route, nseg)
-		var all []Route
-		for i := range segs {
-			for j, n := 0, rnd.Intn(6); j < n; j++ {
-				// Unique (device, prefix) per row: CompareRoutes is a total
-				// order over the set, so sorted order is unambiguous and the
-				// MED payload checks rows, not just keys.
-				r := Route{
-					Device: fmt.Sprintf("d%d-%d", i, rnd.Intn(3)), // devices disjoint across segments
-					VRF:    "global",
-					Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), byte(j), 0}), 24),
-					MED:    uint32(rnd.Intn(100)),
-				}
-				segs[i] = append(segs[i], r)
-				all = append(all, r)
-			}
-			slices.SortFunc(segs[i], CompareRoutes)
-		}
-		got := MergeSortedRoutes(segs)
-		want := NewGlobalRIB(all).Rows()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: merged %d rows, want %d", trial, len(got), len(want))
-		}
-		for k := range got {
-			if CompareRoutes(got[k], want[k]) != 0 || got[k].MED != want[k].MED {
-				t.Fatalf("trial %d row %d: merge order diverged from full sort", trial, k)
-			}
-		}
 	}
 }

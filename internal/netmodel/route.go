@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -175,9 +176,39 @@ func LastAddr(p netip.Prefix) netip.Addr {
 	return out
 }
 
-// CompareRoutes provides a deterministic total ordering over route rows so
-// RIB files, global RIBs, and counterexamples are stable across runs.
+// CompareRoutes is the canonical total order of route rows: RIB files,
+// global RIBs and counterexamples are sorted by it, so they are positionally
+// stable across runs. Rows order by CompareRouteKeys; rows that tie there
+// (same location, key, type and peer, different attributes) order by
+// bytes.Compare of their AppendSignature encodings, which is injective, so
+// only Identical rows compare equal. The signatures are built on ties only.
 func CompareRoutes(a, b Route) int {
+	return compareRoutePtr(&a, &b)
+}
+
+func compareRoutePtr(a, b *Route) int {
+	if c := compareRouteKeyPtr(a, b); c != 0 {
+		return c
+	}
+	sa, sb := GetSigBuf(), GetSigBuf()
+	*sa = a.AppendSignature((*sa)[:0])
+	*sb = b.AppendSignature((*sb)[:0])
+	c := bytes.Compare(*sa, *sb)
+	PutSigBuf(sa)
+	PutSigBuf(sb)
+	return c
+}
+
+// CompareRouteKeys orders rows by device, VRF, prefix, protocol, next hop,
+// route type and peer, ignoring every other attribute. It is the last step
+// of stable sorts whose ties must keep input order (the BGP decision
+// process, input-route splitting); anything that fixes row positions in a
+// RIB uses CompareRoutes.
+func CompareRouteKeys(a, b Route) int {
+	return compareRouteKeyPtr(&a, &b)
+}
+
+func compareRouteKeyPtr(a, b *Route) int {
 	if c := strings.Compare(a.Device, b.Device); c != 0 {
 		return c
 	}

@@ -109,6 +109,12 @@ type Query struct {
 	startedAt  time.Time
 	finishedAt time.Time
 
+	// finishing is set by the finish call that owns the terminal transition;
+	// persist, when set, is how that call stores the final status in the run
+	// history before the terminal state becomes visible.
+	finishing bool
+	persist   func(Status)
+
 	cancel context.CancelFunc
 	done   chan struct{}
 }
@@ -168,31 +174,53 @@ func (q *Query) Subscribe() ([]Event, chan Event, func()) {
 	}
 }
 
-func (q *Query) terminalLocked() bool {
-	return q.state == StateDone || q.state == StateFailed || q.state == StateCanceled
+func (q *Query) terminalLocked() bool { return terminal(q.state) }
+
+func terminal(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCanceled
 }
 
-// setRunning marks the query started.
-func (q *Query) setRunning() {
+// setRunning marks the query started. It reports false, changing nothing,
+// when the query already finished (canceled while queued).
+func (q *Query) setRunning() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.finishing {
+		return false
+	}
 	q.state = StateRunning
 	q.startedAt = time.Now()
 	q.emitLocked("state", map[string]string{"state": StateRunning})
+	return true
 }
 
 // finish moves the query to a terminal state, emits the result event, and
-// closes Done. Idempotent: only the first call wins.
+// closes Done. Idempotent: only the first call wins, and a losing call
+// returns only once the winner has published, so the query reads as terminal
+// after any finish (or Cancel) returns. The final status is persisted before
+// it is published — whoever sees the terminal state, a closed Done or the
+// result event also finds the query in the run history — and outside the
+// lock, so status polls are not held up by disk writes; until then the query
+// still reads as pending or running.
 func (q *Query) finish(state string, res *QueryResult, errMsg string) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.terminalLocked() {
+	if q.finishing {
+		q.mu.Unlock()
+		<-q.done
 		return
 	}
+	q.finishing = true
+	q.result, q.err, q.finishedAt = res, errMsg, time.Now()
+	final := q.statusLocked(state)
+	q.mu.Unlock()
+
+	if q.persist != nil {
+		q.persist(final)
+	}
+
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.state = state
-	q.result = res
-	q.err = errMsg
-	q.finishedAt = time.Now()
 	q.emitLocked("state", map[string]string{"state": state})
 	if res != nil {
 		q.emitLocked("result", res)
@@ -225,13 +253,17 @@ type Status struct {
 func (q *Query) Snapshot() Status {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	return q.statusLocked(q.state)
+}
+
+// statusLocked is the query's status as of lifecycle state `state`; the
+// outcome fields appear only once that state is terminal.
+func (q *Query) statusLocked(state string) Status {
 	st := Status{
 		ID:         q.ID,
 		Tenant:     q.Tenant.cfg.Name,
 		Kind:       q.Req.Kind,
-		State:      q.state,
-		Error:      q.err,
-		Result:     q.result,
+		State:      state,
 		EnqueuedAt: q.enqueuedAt,
 	}
 	if !q.startedAt.IsZero() {
@@ -241,7 +273,8 @@ func (q *Query) Snapshot() Status {
 	} else {
 		st.QueueWaitMS = float64(time.Since(q.enqueuedAt)) / float64(time.Millisecond)
 	}
-	if !q.finishedAt.IsZero() {
+	if terminal(state) {
+		st.Error, st.Result = q.err, q.result
 		t := q.finishedAt
 		st.FinishedAt = &t
 		if !q.startedAt.IsZero() {
@@ -251,7 +284,9 @@ func (q *Query) Snapshot() Status {
 	return st
 }
 
-// Cancel cancels a pending or running query.
+// Cancel cancels a pending or running query and returns once it is terminal
+// (for a queued query that includes the history write, done on the caller's
+// goroutine).
 func (q *Query) Cancel() {
 	q.mu.Lock()
 	cancel := q.cancel
@@ -271,10 +306,3 @@ func (q *Query) setCancel(c context.CancelFunc) {
 
 // Done returns a channel closed when the query reaches a terminal state.
 func (q *Query) Done() <-chan struct{} { return q.done }
-
-// State returns the current lifecycle state.
-func (q *Query) State() string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.state
-}

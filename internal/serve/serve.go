@@ -440,6 +440,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	id := fmt.Sprintf("q-%06d", s.nextID.Add(1))
 	qu := newQuery(id, t, req)
+	qu.persist = func(st Status) { s.record(qu, st) }
 	s.queriesWG.Add(1)
 	if err := s.queue.Push(t, qu); err != nil {
 		s.queriesWG.Done()

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -490,6 +491,128 @@ func TestServeHistoryPersists(t *testing.T) {
 	}
 	if res2, err := h2.Result(id); err != nil || res2.RIBDigest != done.Result.RIBDigest {
 		t.Fatalf("replayed result: %+v err=%v", res2, err)
+	}
+}
+
+// TestServeHistoryBeforeTerminalState pins persist-before-publish: while the
+// history write of a finished query is held up the query must not read as
+// terminal, and once it does /v1/history lists it. The write is held up by
+// holding the history mutex, and the test waits on events (the result blob
+// appearing, Done closing), never on time, so it decides the same way at
+// every GOMAXPROCS.
+func TestServeHistoryBeforeTerminalState(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			h := newHarness(t, Config{Workers: 2, HistoryDir: t.TempDir(), HistorySize: 64})
+			hist := h.srv.hist
+			hist.mu.Lock()
+			defer func() {
+				if hist != nil {
+					hist.mu.Unlock()
+				}
+			}()
+			l := h.out.Net.Topo.Links()[0]
+			id, _ := h.submitRetrying("alice", QueryRequest{
+				Kind:      "whatif",
+				FailLinks: []LinkRef{{A: l.A, B: l.B}},
+			})
+			h.srv.mu.Lock()
+			qu := h.srv.queries[id]
+			h.srv.mu.Unlock()
+
+			awaitHistoryWrite(t, hist, qu)
+			select {
+			case <-qu.Done():
+				t.Fatal("query reached a terminal state while its history write was held up")
+			default:
+			}
+			if st := qu.Snapshot(); st.State != StateRunning || st.Result != nil {
+				t.Fatalf("status during the history write = %s (result %v), want running without result", st.State, st.Result != nil)
+			}
+			hist.mu.Unlock()
+			hist = nil
+
+			<-qu.Done()
+			resp, body := h.do("alice", "GET", "/v1/history", nil)
+			var entries []HistoryEntry
+			if err := json.Unmarshal(body, &entries); err != nil {
+				t.Fatalf("history: status %d: %v", resp.StatusCode, err)
+			}
+			if len(entries) != 1 || entries[0].ID != id || entries[0].State != StateDone {
+				t.Fatalf("history after done = %+v, want the one done entry %s", entries, id)
+			}
+		})
+	}
+}
+
+// awaitHistoryWrite returns once the history write of qu is under way:
+// record stores the result blob and then blocks on hist.mu, which the caller
+// holds, so the blob appearing marks it. Event-driven, no sleeps.
+func awaitHistoryWrite(t *testing.T, hist *history, qu *Query) {
+	t.Helper()
+	for deadline := time.Now().Add(60 * time.Second); ; runtime.Gosched() {
+		if _, err := hist.store.Get("result/" + qu.ID); err == nil {
+			return
+		}
+		select {
+		case <-qu.Done():
+			t.Fatal("query reached a terminal state before its history write began")
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("history write never began")
+		}
+	}
+}
+
+// TestServeCancelDuringHistoryWrite pins that a Cancel racing the worker's
+// finish still returns a terminal query: the worker owns the transition and
+// is held up in its history write, so Cancel must wait for it to publish
+// rather than return while the query still reads as running.
+func TestServeCancelDuringHistoryWrite(t *testing.T) {
+	h := newHarness(t, Config{Workers: 2, HistoryDir: t.TempDir(), HistorySize: 64})
+	hist := h.srv.hist
+	hist.mu.Lock()
+	held := true
+	defer func() {
+		if held {
+			hist.mu.Unlock()
+		}
+	}()
+	l := h.out.Net.Topo.Links()[0]
+	id, _ := h.submitRetrying("alice", QueryRequest{
+		Kind:      "whatif",
+		FailLinks: []LinkRef{{A: l.A, B: l.B}},
+	})
+	h.srv.mu.Lock()
+	qu := h.srv.queries[id]
+	h.srv.mu.Unlock()
+	awaitHistoryWrite(t, hist, qu)
+
+	// The run is over, so the context cancel func is free to mark the moment
+	// Cancel is past its first step and about to call finish.
+	inCancel := make(chan struct{})
+	qu.setCancel(func() { close(inCancel) })
+	after := make(chan Status, 1)
+	go func() {
+		qu.Cancel()
+		after <- qu.Snapshot()
+	}()
+	<-inCancel
+	for i := 0; i < 1000; i++ {
+		runtime.Gosched() // let a Cancel that does not wait return and snapshot
+	}
+	hist.mu.Unlock()
+	held = false
+
+	if st := <-after; st.State != StateDone || st.Result == nil {
+		t.Fatalf("status after Cancel returned = %s (result %v), want the worker's done result", st.State, st.Result != nil)
+	}
+	select {
+	case <-qu.Done():
+	default:
+		t.Fatal("Cancel returned before Done closed")
 	}
 }
 

@@ -33,12 +33,9 @@ func (s *Server) execute(qu *Query) {
 	defer qu.Tenant.release()
 	s.mQueueDepth.Set(float64(s.queue.Depth()))
 
-	if qu.State() == StateCanceled {
-		s.record(qu)
-		return
+	if !qu.setRunning() {
+		return // canceled while queued
 	}
-
-	qu.setRunning()
 	s.mInflight.Add(1)
 	defer s.mInflight.Add(-1)
 	wait := time.Since(qu.enqueuedAt)
@@ -69,15 +66,14 @@ func (s *Server) execute(qu *Query) {
 	default:
 		qu.finish(StateFailed, nil, err.Error())
 	}
-	s.record(qu)
 }
 
-// record persists the finished query to the run-history store.
-func (s *Server) record(qu *Query) {
+// record persists a query's final status to the run-history store; it is
+// the persist hook of every admitted query.
+func (s *Server) record(qu *Query, st Status) {
 	if s.hist == nil {
 		return
 	}
-	st := qu.Snapshot()
 	e := HistoryEntry{
 		ID:          st.ID,
 		Tenant:      st.Tenant,

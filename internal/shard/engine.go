@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"slices"
 
 	"hoyan/internal/bgp"
 	"hoyan/internal/config"
@@ -158,10 +157,9 @@ func (e *Engine) Base() (*netmodel.GlobalRIB, error) {
 	e.baseExpanded = make([][]netmodel.Route, st.NumShards)
 	var preRows []netmodel.Route
 	for i := range st.Rows {
-		// Each cached segment is sorted once here so every later stitch is a
-		// merge of sorted runs instead of a full re-sort.
+		// Each cached segment is canonical (ExpandRows keeps the order), so
+		// every later stitch is a merge of sorted runs.
 		e.baseExpanded[i] = ExpandRows(e.ecs, st.Rows[i])
-		slices.SortFunc(e.baseExpanded[i], netmodel.CompareRoutes)
 		preRows = append(preRows, st.Rows[i]...)
 	}
 	e.baseRIB = netmodel.NewGlobalRIBFromSorted(netmodel.MergeSortedRoutes(e.baseExpanded))
@@ -233,7 +231,6 @@ func (e *Engine) WhatIf(scratch *config.Network, delta core.Delta) (*Result, err
 			continue
 		}
 		segs[i] = ExpandRows(e.ecs, st.Rows[i])
-		slices.SortFunc(segs[i], netmodel.CompareRoutes)
 	}
 	return &Result{
 		RIB:          netmodel.NewGlobalRIBFromSorted(netmodel.MergeSortedRoutes(segs)),
@@ -255,7 +252,10 @@ func SameRows(a, b []netmodel.Route) bool {
 // ExpandRows applies the EC expansion to flat per-shard rows by
 // reconstructing the per-(device, vrf) tables and expanding each — the same
 // clones core.Engine.RouteSimulation installs on its live tables, so the
-// stitched multiset matches the whole-network run's.
+// stitched multiset matches the whole-network run's. rows must be in
+// canonical order (every sealed run emits them so); the result then is too:
+// tables come back in the order they first appear and each is emitted
+// through RIB.AppendSorted, so no stitch path sorts a segment again.
 func ExpandRows(ecs *ec.RouteECs, rows []netmodel.Route) []netmodel.Route {
 	if ecs == nil || len(rows) == 0 {
 		return rows
@@ -277,7 +277,7 @@ func ExpandRows(ecs *ec.RouteECs, rows []netmodel.Route) []netmodel.Route {
 	for _, k := range order {
 		t := ribs[k]
 		ecs.ExpandRIB(t)
-		out = append(out, t.All()...)
+		out = t.AppendSorted(out)
 	}
 	return out
 }
