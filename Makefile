@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle vet race bench-smoke bench-core bench-wire bench-incr bench-durable bench-shard bench-serve chaos chaos-restart trace check
+.PHONY: all build test test-shuffle test-procs vet race bench-smoke bench-core bench-wire bench-incr bench-durable bench-shard bench-serve chaos chaos-restart trace check
 
 all: check
 
@@ -17,6 +17,12 @@ test:
 # assumptions that a single in-order pass hides.
 test-shuffle:
 	$(GO) test -count=2 -shuffle=on ./...
+
+# The packages whose goroutine schedule depends on the core count — the cold
+# fixpoint's work units, concurrent forks, scenario and shard fan-out — at 1,
+# 2 and 8 procs: results must not depend on how the units interleave.
+test-procs:
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/shard || exit 1; done
 
 # Race-detector pass over every package: the parallel engine hot paths (SPF,
 # forwarding, ECs, config parse) and the concurrent-engine tests must stay
@@ -42,8 +48,8 @@ bench-core bench-wire bench-incr bench-durable bench-shard bench-serve: export H
 # BENCH_core.json; the one-shot Benchmark{Core,RouteSim}* pass catches
 # bench bit-rot.
 bench-core:
-	CORE_BENCH_JSON=BENCH_core.json $(GO) test -run '^Test(CoreSpeedup|ParallelFixpointSpeedup)$$' -v .
-	$(GO) test -run '^$$' -bench '^Benchmark(Core|RouteSim)' -benchtime 1x -cpu 1,4 .
+	CORE_BENCH_JSON=BENCH_core.json $(GO) test -run '^TestCoreSpeedup$$' -v .
+	$(GO) test -run '^$$' -bench '^Benchmark(Core|RouteSim)' -benchtime 1x .
 
 # Wire-codec size/speed measurement: binary format vs the legacy JSON
 # encoding on the gen.WAN(2) fixture. Asserts the >=3x size / >=2x decode
@@ -55,9 +61,10 @@ bench-wire:
 
 # Incremental what-if engine measurement: the warm-started k=1 link-failure
 # sweep vs from-scratch re-simulation of every scenario on the gen.WAN(1)
-# fixture. Asserts the >=3x scenario-throughput floor and writes the
-# measured numbers (plus work-avoidance counters) to BENCH_incremental.json;
-# the one-shot BenchmarkKFail* pass catches bench bit-rot.
+# fixture. Asserts the work the warm path avoids (exact counts; the timed
+# comparison is `bash benchmark/run.sh --workload kfail_sweep`) and writes
+# the measured numbers to BENCH_incremental.json; the one-shot
+# BenchmarkKFail* pass catches bench bit-rot.
 bench-incr:
 	INCR_BENCH_JSON=BENCH_incremental.json $(GO) test -run '^TestIncrementalSpeedup$$' -v .
 	$(GO) test -run '^$$' -bench '^BenchmarkKFail' -benchtime 1x .
@@ -83,8 +90,9 @@ bench-durable:
 # Verification-as-a-service measurement: a warm synchronous what-if query
 # against a running hoyand (HTTP submit with ?wait=1, engine fork, digest,
 # delta) vs the cold CLI path (re-parse configs, rebuild the engine,
-# simulate from scratch) on the gen.WAN(1) fixture. Asserts the >=3x
-# warm-query latency floor and writes the measured numbers to
+# simulate from scratch) on the gen.WAN(1) fixture. Asserts the work the
+# query's fork avoids (exact counts; client-visible latency is `bash
+# benchmark/run.sh --workload serve_mix`) and writes the measured numbers to
 # BENCH_serve.json; the one-shot BenchmarkServe* pass catches bench bit-rot.
 bench-serve:
 	SERVE_BENCH_JSON=BENCH_serve.json $(GO) test -run '^TestServeWarmSpeedup$$' -v .

@@ -37,7 +37,7 @@ func main() {
 	tasksAddr := flag.String("tasks", "127.0.0.1:7103", "task DB address")
 	httpAddr := flag.String("http", "", "ops HTTP listen address for /metrics, /healthz, /debug/pprof (empty = off)")
 	stale := flag.Duration("stale", 15*time.Second, "substrate-contact staleness after which /healthz reports unhealthy")
-	parallelism := flag.Int("parallelism", 0, "pin intra-engine parallelism per subtask (0 = use each task's own setting)")
+	parallelism := flag.Int("parallelism", 0, "pin intra-engine parallelism per subtask: SPF, ECs, the cold BGP fixpoint's work units, forwarding (0 = use each task's own setting)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "lease heartbeat interval while executing a subtask")
 	ribCache := flag.Int("ribcache", 0, "route-RIB file cache size in entries (0 = default, negative = disabled)")
 	flag.Parse()

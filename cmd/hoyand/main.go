@@ -51,8 +51,8 @@ func main() {
 	dataDir := flag.String("data-dir", "", "persist the run history under this directory (empty = no history)")
 	fsyncMode := flag.String("fsync", "interval", "history WAL durability with -data-dir: always, interval, or never")
 	historySize := flag.Int("history", 1024, "retained run-history entries")
-	parallelism := flag.Int("parallelism", 0, "intra-engine parallelism for the base simulation, including the striped BGP fixpoint (0 = all cores)")
-	queryParallelism := flag.Int("query-parallelism", 0, "max simulation cores per query, so one tenant's sweep cannot starve others (0 = NumCPU/workers)")
+	parallelism := flag.Int("parallelism", 0, "intra-engine parallelism for the base simulation: SPF, ECs, the cold BGP fixpoint's work units, forwarding (0 = all cores)")
+	queryParallelism := flag.Int("query-parallelism", 0, "max simulation cores per query (SPF, ECs, forwarding; a warm fork's BGP fixpoint is sequential), so one tenant's sweep cannot starve others (0 = NumCPU/workers)")
 	flag.Parse()
 
 	fsync, err := durable.ParsePolicy(*fsyncMode)

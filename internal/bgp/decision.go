@@ -30,14 +30,8 @@ func (s *sim) decideAndAdvertise() []msg {
 		// growing there doubles through several copies of a large msg slice.
 		s.msgScratch = make([]msg, 0, 1024)
 	}
-	if s.parWorkers > 1 {
-		if out, ok := s.decideAndAdvertiseParallel(); ok {
-			return out
-		}
-	}
 	out := s.msgScratch[:0]
-	sc := s.stripe(0)
-	sc.advUsed = 0 // last round's messages were consumed; recycle the arena
+	s.advUsed = 0 // last round's messages were consumed; recycle the arena
 
 	// Deterministic iteration order: tables in (device, vrf) lexical order
 	// via the interned rank array, prefixes in LastAddr order via the
@@ -59,6 +53,7 @@ func (s *sim) decideAndAdvertise() []msg {
 		}
 		s.own(k)
 		pids := s.dirtyPids[tid]
+		s.decided += len(pids)
 		slices.SortFunc(pids, func(a, b int32) int {
 			if c := s.lastAddrs[a].Compare(s.lastAddrs[b]); c != 0 {
 				return c
@@ -85,6 +80,11 @@ func (s *sim) decideAndAdvertise() []msg {
 			s.lastAdv[k] = la
 		}
 		lk := s.locals[k]
+		if len(ti.aggs) > 0 {
+			// refreshAggregate installs aggregate candidates mid-round; they
+			// must land in the map hoisted here, not in one it creates.
+			lk = s.localsOf(k)
+		}
 		ai := s.adjIn[k]
 		rib := s.ribs[k]
 		if rib == nil {
@@ -93,16 +93,16 @@ func (s *sim) decideAndAdvertise() []msg {
 		}
 		for _, pid := range pids {
 			p := s.pfxs[pid]
-			best, sorted, rows := s.decide(sc, ti, lk, ai, p)
+			best, sorted, rows := s.decide(ti, lk, ai, p)
 			rib.ReplaceOwned(p, rows)
-			sig := appendAdvSignature(sc.sigScratch[:0], sorted)
-			sc.sigScratch = sig
+			sig := appendAdvSignature(s.sigScratch[:0], sorted)
+			s.sigScratch = sig
 			if la[p] == string(sig) { // alloc-free comparison
 				continue // steady state for this prefix
 			}
 			la[p] = string(sig)
-			out = s.advertiseInto(sc, out, ti, p, pid, best, sorted)
-			out = s.leakInto(sc, out, ti, p, pid, best)
+			out = s.advertiseInto(out, ti, p, pid, best, sorted)
+			out = s.leakInto(out, ti, p, pid, best)
 			out = s.updateAggregatesInto(out, ti, tid, p)
 		}
 		// Clear this table's dirty marks for the next round.
@@ -120,20 +120,19 @@ func (s *sim) decideAndAdvertise() []msg {
 // decide runs best-path selection for one (table, prefix). It returns the
 // best (possibly ECMP) candidates, the full resolved candidate list in
 // preference order (for add-path), and the finished RIB rows; best and
-// sorted point into sc's scratch buffers that the next decide call
-// overwrites, while rows are carved from sc's grow-only row arena and belong
-// to the caller (the RIB adopts them via ReplaceOwned — the sequential loop
-// installs immediately, the striped loop at merge time).
-func (s *sim) decide(sc *stripeCtx, ti *tableInfo, lk map[netip.Prefix][]cand, ai map[netip.Prefix]map[string][]cand, p netip.Prefix) (best, sorted []cand, rows []netmodel.Route) {
-	cands := sc.candScratch[:0]
+// sorted point into the sim's scratch buffers that the next decide call
+// overwrites, while rows are carved from the grow-only row arena and belong
+// to the caller (the RIB adopts them via ReplaceOwned).
+func (s *sim) decide(ti *tableInfo, lk map[netip.Prefix][]cand, ai map[netip.Prefix]map[string][]cand, p netip.Prefix) (best, sorted []cand, rows []netmodel.Route) {
+	cands := s.candScratch[:0]
 	cands = append(cands, lk[p]...)
 	byFrom := ai[p]
-	froms := sc.fromScratch[:0]
+	froms := s.fromScratch[:0]
 	for from := range byFrom {
 		froms = append(froms, from)
 	}
 	slices.Sort(froms)
-	sc.fromScratch = froms
+	s.fromScratch = froms
 	for _, from := range froms {
 		cands = append(cands, byFrom[from]...)
 	}
@@ -142,7 +141,7 @@ func (s *sim) decide(sc *stripeCtx, ti *tableInfo, lk map[netip.Prefix][]cand, a
 	// place (a cand embeds a full Route, so by-value resolve cost three big
 	// copies per candidate). The stable compaction keeps the resolved
 	// candidates in arrival order, matching the legacy partition.
-	unresolved := sc.unresScratch[:0]
+	unresolved := s.unresScratch[:0]
 	w := 0
 	for i := range cands {
 		s.resolve(ti, &cands[i])
@@ -156,21 +155,21 @@ func (s *sim) decide(sc *stripeCtx, ti *tableInfo, lk map[netip.Prefix][]cand, a
 		}
 	}
 	cands = cands[:w]
-	sc.unresScratch = unresolved
-	sc.candScratch = cands[:0]
+	s.unresScratch = unresolved
+	s.candScratch = cands[:0]
 
 	// Sort an index permutation instead of the candidates themselves: the
 	// comparator then shuffles int32s rather than copying a ~200-byte struct
 	// pair per comparison. A stable sort of indices initialized in slice order
 	// is equivalent to a stable sort of the elements.
-	ord := sc.ordScratch[:0]
+	ord := s.ordScratch[:0]
 	for i := range cands {
 		ord = append(ord, int32(i))
 	}
 	if len(cands) > 1 {
 		slices.SortStableFunc(ord, func(x, y int32) int { return s.cmpCand(&cands[x], &cands[y]) })
 	}
-	sc.ordScratch = ord
+	s.ordScratch = ord
 	identity := true
 	for i, ix := range ord {
 		if ix != int32(i) {
@@ -183,22 +182,22 @@ func (s *sim) decide(sc *stripeCtx, ti *tableInfo, lk map[netip.Prefix][]cand, a
 		// state): skip materializing the permutation.
 		sorted = cands
 	} else {
-		sorted = sc.sortScratch[:0]
+		sorted = s.sortScratch[:0]
 		for _, ix := range ord {
 			sorted = append(sorted, cands[ix])
 		}
-		sc.sortScratch = sorted
+		s.sortScratch = sorted
 	}
 
 	// Mark best + ECMP. Non-BGP protocols win on Preference alone: the
 	// comparator sorts by preference first, so the top candidate's protocol
 	// group takes the table.
 	maxPaths := ti.maxPaths
-	best = sc.bestScratch[:0]
+	best = s.bestScratch[:0]
 	// Exact-size carve from the grow-only row arena; the RIB adopts it in
 	// place of Replace's copy (ReplaceOwned).
 	if n := len(sorted) + len(unresolved); n > 0 {
-		rows = sc.takeRows(n)
+		rows = s.takeRows(n)
 	}
 	for i := range sorted {
 		c := &sorted[i]
@@ -216,7 +215,7 @@ func (s *sim) decide(sc *stripeCtx, ti *tableInfo, lk map[netip.Prefix][]cand, a
 		}
 		rows = append(rows, r)
 	}
-	sc.bestScratch = best
+	s.bestScratch = best
 	// Unresolved candidates stay visible as candidates for diagnosis.
 	for i := range unresolved {
 		r := unresolved[i].route
@@ -525,9 +524,9 @@ func appendAdvSignature(dst []byte, best []cand) []byte {
 // the full sorted candidate list; plain sessions advertise only the best
 // route. The table's sessions (pre-filtered to its VRF, with export policies
 // resolved once per run) come from the cached tableInfo; per-session
-// advertisement slices are carved from sc's per-round route arena, and a
+// advertisement slices are carved from the per-round route arena, and a
 // withdrawal (empty adv) allocates nothing. The original is legacyAdvertise.
-func (s *sim) advertiseInto(sc *stripeCtx, out []msg, ti *tableInfo, p netip.Prefix, pid int32, best, sorted []cand) []msg {
+func (s *sim) advertiseInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32, best, sorted []cand) []msg {
 	d := ti.dev
 	// VSB: policy-isolated devices keep learning but stop advertising.
 	if d == nil || !ti.advertise {
@@ -596,23 +595,21 @@ func (s *sim) advertiseInto(sc *stripeCtx, out []msg, ti *tableInfo, p netip.Pre
 			r.ViaSR = false
 			r.RouteType = netmodel.RouteCandidate
 			if adv == nil {
-				adv = sc.takeAdv(min(limit, len(pool)))
+				adv = s.takeAdv(min(limit, len(pool)))
 			}
 			adv = append(adv, r)
 		}
 		// Sealed runs capture seam-crossing advertisements into the boundary
 		// contract instead of delivering them: the receiver lives in another
-		// shard and replays them from its own inbound contract. Striped
-		// workers defer the capture — sealOut is shared — and the merge pass
-		// applies it; the adv slice stays valid until the stripe's arena is
-		// recycled next round, after the merge.
+		// shard and replays them from its own inbound contract.
 		if seal := s.opts.Seal; seal != nil && !seal.Inside[sess.remote] {
-			if sc.deferCaps {
-				sc.caps = append(sc.caps, capRec{from: ti.k.dev, sess: sess, p: p, adv: adv})
-			} else {
-				s.captureBoundary(ti.k.dev, sess, p, adv)
-			}
+			s.captureBoundary(ti.k.dev, sess, p, adv)
 			continue
+		}
+		if len(out) == cap(out) {
+			// Double: the runtime grows a large slice by a quarter, which
+			// copies the peak round's batch five times over on its way up.
+			out = slices.Grow(out, len(out))
 		}
 		out = append(out, msg{
 			to: sess.remote, vrf: sess.vrf, from: ti.k.dev,

@@ -192,11 +192,40 @@ func (s *sim) tableRank() []int32 {
 	return rank
 }
 
+// scratch is the reusable working memory of one sim's indexed loop: the
+// decision buffers and the advertisement/candidate/row arenas.
+type scratch struct {
+	// Decision scratch reused across decide calls. Each is fully consumed
+	// before its next reuse: decide's outputs feed advertise within the same
+	// prefix iteration.
+	candScratch  []cand
+	unresScratch []cand
+	bestScratch  []cand
+	sortScratch  []cand
+	ordScratch   []int32
+	fromScratch  []string
+	sigScratch   []byte
+
+	// advArena backs msg route slices for one round (see takeAdv).
+	advArena []netmodel.Route
+	advUsed  int
+
+	// candArena backs the adj-RIB-in candidate slices deliver installs
+	// (see takeCands; grow-only, never reset).
+	candArena []cand
+	candUsed  int
+
+	// rowsArena likewise backs the RIB row slices decide carves
+	// (see takeRows; grow-only, never reset).
+	rowsArena []netmodel.Route
+	rowsUsed  int
+}
+
 // takeRows carves an exact-capacity row slice for one decision out of the
-// stripe's grow-only row arena. Rows are adopted by the RIB (ReplaceOwned),
+// grow-only row arena. Rows are adopted by the RIB (ReplaceOwned),
 // so like the candidate arena this one is never reset — it only amortizes
 // allocation count.
-func (sc *stripeCtx) takeRows(n int) []netmodel.Route {
+func (sc *scratch) takeRows(n int) []netmodel.Route {
 	const chunk = 1024
 	if n > chunk/4 {
 		return make([]netmodel.Route, 0, n)
@@ -210,12 +239,12 @@ func (sc *stripeCtx) takeRows(n int) []netmodel.Route {
 	return out
 }
 
-// takeAdv carves a zero-length, capacity-n route slice out of the stripe's
-// per-round advertisement arena. Messages built in one round are fully
+// takeAdv carves a zero-length, capacity-n route slice out of the per-round
+// advertisement arena. Messages built in one round are fully
 // consumed by deliver before the next decideAndAdvertise call resets the
 // arena, so the backing array is reused round over round instead of being
 // reallocated per session.
-func (sc *stripeCtx) takeAdv(n int) []netmodel.Route {
+func (sc *scratch) takeAdv(n int) []netmodel.Route {
 	if sc.advUsed+n > len(sc.advArena) {
 		size := 2 * (sc.advUsed + n)
 		if size < 256 {
@@ -232,11 +261,11 @@ func (sc *stripeCtx) takeAdv(n int) []netmodel.Route {
 }
 
 // takeCands carves a zero-length, capacity-n candidate slice out of the
-// stripe's grow-only arena backing adj-RIB-in entries. Unlike the
+// grow-only arena backing adj-RIB-in entries. Unlike the
 // advertisement arena, this one is never reset: installed slices stay live
 // in adjIn (and in captured States), so the arena exists purely to turn
 // thousands of small per-message allocations into a few chunk allocations.
-func (sc *stripeCtx) takeCands(n int) []cand {
+func (sc *scratch) takeCands(n int) []cand {
 	const chunk = 1024
 	if n > chunk/4 {
 		return make([]cand, 0, n)
@@ -252,7 +281,7 @@ func (sc *stripeCtx) takeCands(n int) []cand {
 
 // giveBackCands returns the tail of the most recent takeCands carve when the
 // caller ended up installing nothing (all routes rejected).
-func (sc *stripeCtx) giveBackCands(n int) {
+func (sc *scratch) giveBackCands(n int) {
 	if n <= chunkGiveBackMax && sc.candUsed >= n {
 		sc.candUsed -= n
 	}
@@ -264,9 +293,9 @@ const chunkGiveBackMax = 1024 / 4
 
 // leakInto is leak() on the cached tableInfo: the export RT set, targets and
 // source policy name were resolved at intern time, and advertisement slices
-// come from sc's arena. pid is p's interned ID, stamped on the outgoing
-// messages so delivery skips the prefix hash.
-func (s *sim) leakInto(sc *stripeCtx, out []msg, ti *tableInfo, p netip.Prefix, pid int32, best []cand) []msg {
+// come from the per-round arena. pid is p's interned ID, stamped on the
+// outgoing messages so delivery skips the prefix hash.
+func (s *sim) leakInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32, best []cand) []msg {
 	if len(ti.leakTargets) == 0 {
 		return out
 	}
@@ -315,7 +344,7 @@ func (s *sim) leakInto(sc *stripeCtx, out []msg, ti *tableInfo, p netip.Prefix, 
 			}
 			r.RouteType = netmodel.RouteCandidate
 			if adv == nil {
-				adv = sc.takeAdv(len(best))
+				adv = s.takeAdv(len(best))
 			}
 			adv = append(adv, r)
 		}

@@ -3,6 +3,7 @@ package bgp
 import (
 	"context"
 	"net/netip"
+	"sync"
 
 	"hoyan/internal/config"
 	"hoyan/internal/isis"
@@ -27,6 +28,12 @@ type State struct {
 	ribs     map[tableKey]*netmodel.RIB
 	lastAdv  map[tableKey]map[netip.Prefix]string
 	aggOn    map[tableKey]map[netip.Prefix]bool
+
+	// units holds the captured work units of a multi-unit run until the first
+	// warm restart unions them into the maps above (merge): a one-shot audit
+	// never pays for a State it does not use.
+	units []*State
+	merge sync.Once
 }
 
 // Delta tells Resimulate what changed relative to the base run. The network
@@ -63,24 +70,33 @@ type ResimStats struct {
 // SimulateWithState runs a full simulation and captures its converged state
 // for later warm restarts.
 func SimulateWithState(net *config.Network, igp *isis.Result, inputs []netmodel.Route, opts Options) (*Result, *State) {
-	s := newSim(net, igp, opts)
-	s.originateLocals(inputs)
-	res := s.run(s.allDirty())
+	res, sims := simulate(net, igp, inputs, opts)
+	units := make([]*State, len(sims))
+	for i, u := range sims {
+		units[i] = u.capture()
+	}
+	if len(units) == 1 {
+		// The result hands out this sim's tables, which callers expand in
+		// place; the State keeps pristine clones.
+		units[0].ribs = cloneRIBs(units[0].ribs)
+		return res, units[0]
+	}
+	// A multi-unit result holds unions of the units' tables, so the units'
+	// own stay pristine.
+	return res, &State{opts: units[0].opts, sessions: units[0].sessions, units: units}
+}
+
+// capture wraps the sim's converged maps as a State.
+func (s *sim) capture() *State {
 	// A captured State never retains the originating run's context: a later
 	// warm restart must not observe a long-cancelled deadline. ResimulateCtx
 	// installs the restart's own context instead.
-	capturedOpts := s.opts
-	capturedOpts.Ctx = nil
-	st := &State{
-		opts:     capturedOpts,
-		sessions: s.sessions,
-		adjIn:    s.adjIn,
-		locals:   s.locals,
-		ribs:     cloneRIBs(s.ribs),
-		lastAdv:  s.lastAdv,
-		aggOn:    s.aggOn,
+	opts := s.opts
+	opts.Ctx = nil
+	return &State{
+		opts: opts, sessions: s.sessions,
+		adjIn: s.adjIn, locals: s.locals, ribs: s.ribs, lastAdv: s.lastAdv, aggOn: s.aggOn,
 	}
-	return res, st
 }
 
 // Resimulate re-runs the fixpoint warm-started from the captured state: it
@@ -97,24 +113,18 @@ func SimulateWithState(net *config.Network, igp *isis.Result, inputs []netmodel.
 // here, and changed decisions always re-advertise (advSignature covers all
 // exported fields), so changes cascade exactly as they would from scratch.
 func (st *State) Resimulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (*Result, *ResimStats) {
-	return st.ResimulateCtx(nil, net, igp, inputs, d, 0)
+	return st.ResimulateCtx(nil, net, igp, inputs, d)
 }
 
 // ResimulateCtx is Resimulate with a cancellation context: the warm-started
 // fixpoint polls ctx between rounds and bails out early once it is done. The
 // caller must discard the (incomplete) result whenever ctx.Err() != nil. A nil
-// ctx disables polling.
-//
-// parallelism overrides the captured Options.Parallelism for this restart
-// when non-zero: serve's query workers cap warm forks below the engine-wide
-// setting so one tenant's queries cannot occupy every core. Zero keeps the
-// captured setting. The result is byte-identical at every value.
-func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta, parallelism int) (*Result, *ResimStats) {
+// ctx disables polling. The restart is one sequential fixpoint: forks scale
+// across scenarios, shards and queries instead.
+func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (*Result, *ResimStats) {
+	st.merge.Do(st.mergeUnits)
 	opts := st.opts
 	opts.Ctx = ctx
-	if parallelism != 0 {
-		opts.Parallelism = parallelism
-	}
 	s := newSim(net, igp, opts)
 	// Copy-on-write: only the outer maps are copied here; each table's inner
 	// maps stay shared with the captured state until the first write to that
@@ -236,7 +246,7 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 	// the captured ones: input-route changes, direct/redistributed routes
 	// that appear or vanish with topology state. Aggregate candidates are
 	// maintained by the fixpoint itself and carried over unchanged.
-	fresh := newSim(net, igp, st.opts)
+	fresh := s.sibling()
 	fresh.originateLocals(inputs)
 	for _, k := range unionKeys(s.locals, fresh.locals) {
 		if down[k.dev] {

@@ -1,9 +1,12 @@
 package bgp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,11 +16,10 @@ import (
 	"hoyan/internal/netmodel"
 )
 
-// parallelFixture builds a network exercising every in-round dependency the
-// striping rule must respect — two aggregates on one table (one summary-only,
-// which suppresses other prefixes of that table), VRF leaking, route
-// reflection — plus enough distinct prefixes that rounds actually split into
-// several stripes.
+// parallelFixture builds a network exercising every coupling the grouping rule
+// must respect — two nested aggregates on one table (one summary-only, which
+// suppresses other prefixes of that table), VRF leaking, route reflection —
+// plus enough uncovered prefixes that a run splits into several work units.
 func parallelFixture() (*netBuilder, []netmodel.Route) {
 	b := newBuilder()
 	b.device("E", "alpha", 64999, "1.0.0.1")
@@ -70,77 +72,81 @@ func parallelFixture() (*netBuilder, []netmodel.Route) {
 	return b, inputs
 }
 
+// sameRun fails unless got reproduces want exactly: convergence metadata and
+// the global RIB row by row, position by position.
+func sameRun(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got.Rounds != want.Rounds || got.Messages != want.Messages || got.Converged != want.Converged {
+		t.Errorf("%s: rounds/messages/converged %d/%d/%v, want %d/%d/%v", label,
+			got.Rounds, got.Messages, got.Converged, want.Rounds, want.Messages, want.Converged)
+	}
+	g, w := got.GlobalRIB().Rows(), want.GlobalRIB().Rows()
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d RIB rows, want %d", label, len(g), len(w))
+	}
+	for i := range g {
+		if !g[i].Identical(w[i]) {
+			t.Fatalf("%s: RIB row %d is %v, want %v", label, i, g[i], w[i])
+		}
+	}
+}
+
+// checkParallelisms runs one scenario at parallelism 1, 2, 8 and on the legacy
+// path and requires all of them to agree; units reports whether the fixture
+// is expected to split (then parallelism >= 2 must have run several units).
+func checkParallelisms(t *testing.T, label string, net *config.Network, igp *isis.Result, inputs []netmodel.Route, units bool) {
+	t.Helper()
+	seq := Simulate(net, igp, inputs, Options{Parallelism: 1})
+	if !seq.Converged {
+		t.Fatalf("%s: did not converge in %d rounds", label, seq.Rounds)
+	}
+	if seq.Par != (ParStats{}) {
+		t.Errorf("%s: sequential run reported unit stats %+v", label, seq.Par)
+	}
+	sameRun(t, label+", sequential vs legacy", seq, Simulate(net, igp, inputs, Options{Legacy: true}))
+	for _, p := range []int{2, 8} {
+		res := Simulate(net, igp, inputs, Options{Parallelism: p})
+		sameRun(t, fmt.Sprintf("%s, parallelism %d", label, p), res, seq)
+		switch {
+		case !units && res.Par != (ParStats{}):
+			t.Errorf("%s, parallelism %d: one group reported unit stats %+v", label, p, res.Par)
+		case units && (res.Par.Stripes < 2 || res.Par.Stripes > p):
+			t.Errorf("%s, parallelism %d: ran %d units", label, p, res.Par.Stripes)
+		case units && (res.Par.ParallelRounds < res.Rounds || res.Par.MaxStripePairs > res.Par.SumStripePairs):
+			t.Errorf("%s, parallelism %d: inconsistent unit stats %+v", label, p, res.Par)
+		}
+	}
+}
+
 // TestParallelFixpointEquivalence pins the tentpole invariant on the
-// dependency-rich fixture: the striped fixpoint is byte-identical to the
-// sequential indexed path and the legacy reference at every parallelism, with
-// the same round and message counts, and parallelism >= 2 actually stripes.
+// dependency-rich fixture: a multi-unit run is identical — rounds, messages,
+// convergence, positional global RIB — to the sequential indexed fixpoint at
+// every parallelism, and that one to the legacy reference; also with
+// duplicate input keys, whose rows tie in the canonical order.
 func TestParallelFixpointEquivalence(t *testing.T) {
 	b, inputs := parallelFixture()
 	igp := isis.Compute(b.net.Topo, isis.Options{})
-
-	seq := Simulate(b.net, igp, inputs, Options{Parallelism: 1})
-	if !seq.Converged {
-		t.Fatalf("fixture did not converge in %d rounds", seq.Rounds)
-	}
-	if seq.Par.ParallelRounds != 0 {
-		t.Errorf("sequential run reported %d parallel rounds", seq.Par.ParallelRounds)
-	}
-	seqRIB := seq.GlobalRIB()
-
-	leg := Simulate(b.net, igp, inputs, Options{Legacy: true})
-	if !seqRIB.Equal(leg.GlobalRIB()) {
-		t.Fatal("sequential indexed RIB differs from legacy reference")
-	}
-
-	for _, p := range []int{2, 8} {
-		res := Simulate(b.net, igp, inputs, Options{Parallelism: p})
-		if res.Rounds != seq.Rounds || res.Messages != seq.Messages {
-			t.Errorf("parallelism %d: rounds/messages %d/%d, want %d/%d",
-				p, res.Rounds, res.Messages, seq.Rounds, seq.Messages)
-		}
-		if !res.GlobalRIB().Equal(seqRIB) {
-			t.Errorf("parallelism %d: RIB differs from sequential", p)
-		}
-		if res.Par.ParallelRounds == 0 {
-			t.Errorf("parallelism %d: no round striped; fixture too small to exercise the parallel path", p)
-		}
-		if res.Par.MaxStripePairs > res.Par.SumStripePairs {
-			t.Errorf("parallelism %d: inconsistent stripe stats %+v", p, res.Par)
-		}
-	}
+	checkParallelisms(t, "fixture", b.net, igp, inputs, true)
+	checkParallelisms(t, "fixture with duplicate inputs", b.net, igp, gen.WithDuplicateInputs(inputs), true)
 }
 
-// TestParallelFixpointEquivalenceWAN re-checks byte-identity at gen.WAN(1)
-// scale, including the Parallelism 0 (= GOMAXPROCS) convention.
+// TestParallelFixpointEquivalenceWAN re-checks it at gen.WAN scale, where the
+// per-region aggregates form the groups, including the Parallelism 0
+// (= GOMAXPROCS) convention.
 func TestParallelFixpointEquivalenceWAN(t *testing.T) {
-	out := gen.Generate(gen.WAN(1))
-	igp := isis.Compute(out.Net.Topo, isis.Options{})
-
-	seq := Simulate(out.Net, igp, out.Inputs, Options{Parallelism: 1})
-	seqRIB := seq.GlobalRIB()
-	leg := Simulate(out.Net, igp, out.Inputs, Options{Legacy: true})
-	if !seqRIB.Equal(leg.GlobalRIB()) {
-		t.Fatal("sequential indexed RIB differs from legacy reference")
-	}
-
-	for _, p := range []int{0, 2, 8} {
-		res := Simulate(out.Net, igp, out.Inputs, Options{Parallelism: p})
-		if res.Rounds != seq.Rounds || res.Messages != seq.Messages {
-			t.Errorf("parallelism %d: rounds/messages %d/%d, want %d/%d",
-				p, res.Rounds, res.Messages, seq.Rounds, seq.Messages)
-		}
-		if !res.GlobalRIB().Equal(seqRIB) {
-			t.Errorf("parallelism %d: RIB differs from sequential", p)
-		}
-		if p >= 2 && res.Par.ParallelRounds == 0 {
-			t.Errorf("parallelism %d: no round striped on the WAN fixture", p)
-		}
+	for _, scale := range []int{1, 2} {
+		out := gen.Generate(gen.WAN(scale))
+		igp := isis.Compute(out.Net.Topo, isis.Options{})
+		label := fmt.Sprintf("WAN(%d)", scale)
+		checkParallelisms(t, label, out.Net, igp, out.Inputs, true)
+		checkParallelisms(t, label+" with duplicate inputs", out.Net, igp, gen.WithDuplicateInputs(out.Inputs), true)
+		seq := Simulate(out.Net, igp, out.Inputs, Options{Parallelism: 1})
+		sameRun(t, label+", parallelism 0", Simulate(out.Net, igp, out.Inputs, Options{}), seq)
 	}
 }
 
-// TestParallelSealedEquivalence covers the sealed (sharded) fixpoint: seam
-// captures are deferred per stripe and merged in stripe order, so the
-// boundary contract and inside RIBs must match the sequential sealed run.
+// TestParallelSealedEquivalence covers the sealed (sharded) fixpoint: it is
+// one sequential fixpoint whatever the parallelism.
 func TestParallelSealedEquivalence(t *testing.T) {
 	b, inputs := parallelFixture()
 	igp := isis.Compute(b.net.Topo, isis.Options{})
@@ -157,15 +163,16 @@ func TestParallelSealedEquivalence(t *testing.T) {
 		if !netmodel.BoundarySetsEqual(seq.BoundaryOut, res.BoundaryOut) {
 			t.Errorf("parallelism %d: sealed boundary contract differs", p)
 		}
-		if !res.GlobalRIB().Equal(seq.GlobalRIB()) {
-			t.Errorf("parallelism %d: sealed RIB differs", p)
+		sameRun(t, fmt.Sprintf("sealed, parallelism %d", p), res, seq)
+		if res.Par != (ParStats{}) {
+			t.Errorf("parallelism %d: sealed run reported unit stats %+v", p, res.Par)
 		}
 	}
 }
 
 // allDistChanged marks every device's distance to every destination as
 // changed — a deliberately conservative warm-restart delta that is always
-// correct, so the test isolates the striped fixpoint rather than delta
+// correct, so the test isolates the captured state rather than delta
 // computation.
 func allDistChanged(net *config.Network) map[string]map[string]bool {
 	names := net.Topo.NodeNames()
@@ -180,9 +187,10 @@ func allDistChanged(net *config.Network) map[string]map[string]bool {
 	return out
 }
 
-// TestParallelResimulateEquivalence pins the warm-restart path: a captured
-// state re-simulated at any parallelism (including ResimulateCtx's per-fork
-// override) matches a from-scratch sequential run of the changed scenario.
+// TestParallelResimulateEquivalence pins the warm-restart path: the State of
+// a multi-unit run, merged on first use, holds what a single sim's holds, and
+// restarts from it — several at once, as concurrent forks do — match a
+// from-scratch sequential run of the changed scenario.
 func TestParallelResimulateEquivalence(t *testing.T) {
 	b, inputs := parallelFixture()
 	igp := isis.Compute(b.net.Topo, isis.Options{})
@@ -190,7 +198,7 @@ func TestParallelResimulateEquivalence(t *testing.T) {
 	// Input delta: drop some routes, add a fresh one.
 	inputs2 := append([]netmodel.Route(nil), inputs[:len(inputs)-6]...)
 	inputs2 = append(inputs2, inputRoute("E", "10.0.200.0/24", 65100, 65999))
-	refInputs := Simulate(b.net, igp, inputs2, Options{Parallelism: 1}).GlobalRIB()
+	refInputs := Simulate(b.net, igp, inputs2, Options{Parallelism: 1})
 
 	// Topology delta: RR-C1 link down (kills the iBGP session to C1).
 	net2 := b.net.Clone()
@@ -203,34 +211,74 @@ func TestParallelResimulateEquivalence(t *testing.T) {
 		ChangedLinks: []netmodel.LinkID{link.ID()},
 		DistChanged:  allDistChanged(net2),
 	}
-	refTopo := Simulate(net2, igp2, inputs, Options{Parallelism: 1}).GlobalRIB()
+	refTopo := Simulate(net2, igp2, inputs, Options{Parallelism: 1})
 
+	_, single := SimulateWithState(b.net, igp, inputs, Options{Parallelism: 1})
 	for _, p := range []int{1, 2, 8} {
 		_, st := SimulateWithState(b.net, igp, inputs, Options{Parallelism: p})
-
-		res, _ := st.Resimulate(b.net, igp, inputs2, Delta{})
-		if !res.GlobalRIB().Equal(refInputs) {
-			t.Errorf("parallelism %d: warm input-delta RIB differs from scratch", p)
+		if (st.units != nil) != (p > 1) {
+			t.Fatalf("parallelism %d: state holds %d units", p, len(st.units))
 		}
-
-		res2, _ := st.Resimulate(net2, igp2, inputs, delta)
-		if !res2.GlobalRIB().Equal(refTopo) {
-			t.Errorf("parallelism %d: warm topology-delta RIB differs from scratch", p)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, _ := st.Resimulate(b.net, igp, inputs2, Delta{})
+				if !res.GlobalRIB().Equal(refInputs.GlobalRIB()) {
+					t.Errorf("parallelism %d: warm input-delta RIB differs from scratch", p)
+				}
+				res2, _ := st.Resimulate(net2, igp2, inputs, delta)
+				if !res2.GlobalRIB().Equal(refTopo.GlobalRIB()) {
+					t.Errorf("parallelism %d: warm topology-delta RIB differs from scratch", p)
+				}
+			}()
 		}
-	}
-
-	// Per-restart override: a state captured sequential, restarted striped.
-	_, st := SimulateWithState(b.net, igp, inputs, Options{Parallelism: 1})
-	res, _ := st.ResimulateCtx(nil, net2, igp2, inputs, delta, 8)
-	if !res.GlobalRIB().Equal(refTopo) {
-		t.Error("ResimulateCtx parallelism override differs from scratch")
+		wg.Wait()
+		assertSameState(t, fmt.Sprintf("parallelism %d", p), st, single)
 	}
 }
 
-// TestParallelSimulateRace exercises the striped fixpoint under the race
-// detector: several goroutines simulate the same shared network (lazy
-// topology indexes, interner, policy caches) with Parallelism 8 each, and
-// every result must still match the sequential reference.
+// assertSameState compares two captured (merged) states map by map; a table
+// without entries may be absent on one side and empty on the other.
+func assertSameState(t *testing.T, label string, got, want *State) {
+	t.Helper()
+	if got.units != nil {
+		t.Fatalf("%s: state still holds unmerged units", label)
+	}
+	if !reflect.DeepEqual(got.adjIn, want.adjIn) {
+		t.Errorf("%s: adj-RIB-ins differ", label)
+	}
+	if !reflect.DeepEqual(got.lastAdv, want.lastAdv) {
+		t.Errorf("%s: advertisement signatures differ", label)
+	}
+	if !reflect.DeepEqual(got.aggOn, want.aggOn) {
+		t.Errorf("%s: aggregate activation differs", label)
+	}
+	for k, m := range want.locals {
+		if len(m) > 0 && !reflect.DeepEqual(got.locals[k], m) {
+			t.Errorf("%s: local candidates of %v differ", label, k)
+		}
+	}
+	for k, m := range got.locals {
+		if len(m) > 0 && len(want.locals[k]) == 0 {
+			t.Errorf("%s: unexpected local candidates at %v", label, k)
+		}
+	}
+	if len(got.ribs) != len(want.ribs) {
+		t.Errorf("%s: %d tables, want %d", label, len(got.ribs), len(want.ribs))
+	}
+	for k, rib := range want.ribs {
+		if g := got.ribs[k]; g == nil || !g.EqualContent(rib) {
+			t.Errorf("%s: table %v differs", label, k)
+		}
+	}
+}
+
+// TestParallelSimulateRace exercises multi-unit runs under the race detector:
+// several goroutines simulate the same shared network (lazy topology indexes,
+// interner, policy caches) with Parallelism 8 each, and every result must
+// still match the sequential reference.
 func TestParallelSimulateRace(t *testing.T) {
 	b, inputs := parallelFixture()
 	igp := isis.Compute(b.net.Topo, isis.Options{})
@@ -244,7 +292,7 @@ func TestParallelSimulateRace(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				res := Simulate(b.net, igp, inputs, Options{Parallelism: 8})
 				if !res.GlobalRIB().Equal(ref) {
-					t.Error("concurrent striped run differs from sequential")
+					t.Error("concurrent multi-unit run differs from sequential")
 				}
 			}
 		}()
@@ -252,9 +300,52 @@ func TestParallelSimulateRace(t *testing.T) {
 	wg.Wait()
 }
 
+// TestParallelCancelledContext: every unit polls the run's context, so a
+// cancelled multi-unit run stops before its first round in all of them.
+func TestParallelCancelledContext(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	igp := isis.Compute(out.Net.Topo, isis.Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := Simulate(out.Net, igp, out.Inputs, Options{Parallelism: 8, Ctx: ctx})
+	if res.Par.Stripes < 2 {
+		t.Fatalf("fixture ran %d units; the test needs several", res.Par.Stripes)
+	}
+	if res.Converged || res.Par.ParallelRounds != 0 {
+		t.Errorf("cancelled run: converged=%v, %d rounds inside units; want every unit stopped at round 0",
+			res.Converged, res.Par.ParallelRounds)
+	}
+}
+
+// TestParallelAllocBytesBoundedByUnits pins what the units share and what they
+// do not redo: a cold two-unit run allocates the bytes of the sequential run
+// plus a small budget per unit (arena chunks, the first message buffer,
+// per-table bookkeeping, its share of the result-table union — one map entry
+// per decided pair), nothing per round or per message. Per-round striping
+// re-grew message buffers and copied every batch in the ordered merge — a
+// third more bytes on this fixture (38 MB on 111 MB), for under 1 % more
+// allocations, which is why this counts bytes and not testing.AllocsPerRun.
+func TestParallelAllocBytesBoundedByUnits(t *testing.T) {
+	out := gen.Generate(gen.WAN(4))
+	igp := isis.Compute(out.Net.Topo, isis.Options{})
+	allocated := func(p int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Simulate(out.Net, igp, out.Inputs, Options{Parallelism: p})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const perUnit = 4 << 20
+	seq, two := allocated(1), allocated(2)
+	if two > seq+2*perUnit {
+		t.Errorf("two units allocated %d bytes, sequential %d: more than %d per unit on top", two, seq, perUnit)
+	}
+	t.Logf("allocated: sequential %d bytes, two units %d bytes", seq, two)
+}
+
 // FuzzParallelFixpointEquivalence drives randomized scenarios — seeded input
-// subsets and link failures — through parallelism 1, 2, and 8 plus the legacy
-// reference, asserting byte-identical global RIBs throughout.
+// subsets with duplicate keys and link failures — through parallelism 1, 2,
+// and 8 plus the legacy reference, asserting identical runs throughout.
 func FuzzParallelFixpointEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(2), uint8(1))
@@ -264,7 +355,7 @@ func FuzzParallelFixpointEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		b, inputs := parallelFixture()
 		keep := inputs[:0:0]
-		for _, r := range inputs {
+		for _, r := range gen.WithDuplicateInputs(inputs) {
 			if rng.Intn(4) > 0 {
 				keep = append(keep, r)
 			}
@@ -275,16 +366,14 @@ func FuzzParallelFixpointEquivalence(f *testing.F) {
 		}
 		igp := isis.Compute(b.net.Topo, isis.Options{})
 
-		ref := Simulate(b.net, igp, keep, Options{Parallelism: 1}).GlobalRIB()
+		ref := Simulate(b.net, igp, keep, Options{Parallelism: 1})
 		leg := Simulate(b.net, igp, keep, Options{Legacy: true}).GlobalRIB()
-		if !ref.Equal(leg) {
+		if !ref.GlobalRIB().Equal(leg) {
 			t.Fatal("sequential indexed RIB differs from legacy reference")
 		}
 		for _, p := range []int{2, 8} {
-			got := Simulate(b.net, igp, keep, Options{Parallelism: p}).GlobalRIB()
-			if !got.Equal(ref) {
-				t.Fatalf("parallelism %d: RIB differs from sequential (seed %d, downs %d)", p, seed, downs)
-			}
+			got := Simulate(b.net, igp, keep, Options{Parallelism: p})
+			sameRun(t, fmt.Sprintf("parallelism %d (seed %d, downs %d)", p, seed, downs), got, ref)
 		}
 	})
 }

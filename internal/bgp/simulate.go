@@ -42,13 +42,14 @@ type Options struct {
 	// (see Seal). Forces the indexed path; unsupported by SimulateWithState.
 	Seal *Seal
 
-	// Parallelism fans the indexed fixpoint out over prefix-range stripes
-	// (parallel.go), following the engine-wide par convention: 0 means
-	// runtime.GOMAXPROCS(0) workers, 1 runs the sequential reference path,
-	// n > 1 uses n workers. Results are byte-identical at every setting —
-	// stripes merge in deterministic prefix order — so the knob trades only
-	// wall-clock for cores. The legacy path ignores it. Captured States carry
-	// it into warm restarts (ResimulateCtx can override per fork).
+	// Parallelism bounds the workers of a cold indexed run, following the
+	// engine-wide par convention (0 means runtime.GOMAXPROCS(0) workers, 1 is
+	// the sequential reference path, n > 1 uses n workers): the originated
+	// prefixes are split into independence groups, packed into work units,
+	// and each unit runs its own sequential fixpoint (units.go). It also
+	// bounds Result.GlobalRIB's table fill. Results are byte-identical at
+	// every setting. Legacy and sealed runs and warm restarts
+	// (State.Resimulate) always run one sequential fixpoint.
 	Parallelism int
 
 	// Ctx, when non-nil, is polled between fixpoint rounds and periodically
@@ -80,35 +81,25 @@ type Result struct {
 	// sealed run (nil without Options.Seal): every advertisement the shard's
 	// converged state sends across its seams.
 	BoundaryOut []netmodel.BoundaryAdv
-	// Par reports how much of the run executed on the striped parallel path
-	// (all zero for sequential and legacy runs).
+	// Par reports how the run was split into concurrently running work units
+	// (all zero when one sequential fixpoint ran).
 	Par ParStats
 	// parallelism is the Options.Parallelism of the run; GlobalRIB fills
 	// tables under the same bound.
 	parallelism int
 }
 
-// ParStats counts the striped-fixpoint work of one run: rounds that actually
-// fanned out, total stripes executed, and the dirty-pair balance across them
-// (MaxStripePairs/SumStripePairs expose worst-stripe skew; a perfectly
-// balanced round has Max ≈ Sum/Stripes).
+// ParStats counts the work units of one multi-unit run. The field names date
+// from the per-round striping this replaced and are read by the benchmark and
+// the telemetry series: Stripes is the number of units run, ParallelRounds
+// the fixpoint rounds executed inside them (summed), and Sum/MaxStripePairs
+// the (table, prefix) decisions made by all units / by the busiest one, so
+// Max·Stripes/Sum is the worst unit over the mean unit.
 type ParStats struct {
 	ParallelRounds int
 	Stripes        int
 	MaxStripePairs int
 	SumStripePairs int
-}
-
-// add accumulates one parallel round's stripe accounting.
-func (p *ParStats) add(stripePairs []int) {
-	p.ParallelRounds++
-	p.Stripes += len(stripePairs)
-	for _, n := range stripePairs {
-		p.SumStripePairs += n
-		if n > p.MaxStripePairs {
-			p.MaxStripePairs = n
-		}
-	}
 }
 
 type tableKey struct {
@@ -155,7 +146,12 @@ func (r *Result) SetRIB(device, vrf string, t *netmodel.RIB) {
 // is emitted in canonical order (netmodel.RIB.AppendSorted) at its
 // precomputed offset of one exact-size slice, with no sort over the whole.
 // Tables fill concurrently, bounded by the Parallelism of the run.
-func (r *Result) GlobalRIB() *netmodel.GlobalRIB {
+func (r *Result) GlobalRIB() *netmodel.GlobalRIB { return r.GlobalRIBN(r.parallelism) }
+
+// GlobalRIBN is GlobalRIB with the fill bounded by parallelism (par
+// convention) instead of the run's own: a warm restart carries the captured
+// engine-wide setting, and a capped fork must stay below it.
+func (r *Result) GlobalRIBN(parallelism int) *netmodel.GlobalRIB {
 	tables := r.Tables()
 	ribs := make([]*netmodel.RIB, len(tables))
 	offs := make([]int, len(tables)+1)
@@ -164,7 +160,7 @@ func (r *Result) GlobalRIB() *netmodel.GlobalRIB {
 		offs[i+1] = offs[i] + ribs[i].Len()
 	}
 	rows := make([]netmodel.Route, offs[len(tables)])
-	par.ForEach(r.parallelism, len(ribs), func(i int) {
+	par.ForEach(parallelism, len(ribs), func(i int) {
 		ribs[i].AppendSorted(rows[offs[i]:offs[i]:offs[i+1]])
 	})
 	return netmodel.NewGlobalRIBFromSorted(rows)
@@ -241,23 +237,11 @@ type sim struct {
 	// decideAndAdvertise call refills it.
 	msgScratch []msg
 
-	// stripes holds the per-worker scratch contexts (decision scratch,
-	// advertisement/candidate/row arenas, stripe-local outputs). The
-	// sequential path runs entirely on stripe 0; the parallel path hands
-	// stripe i to worker i so workers never share mutable scratch. Grown
-	// lazily by stripe().
-	stripes []*stripeCtx
+	// scratch holds the decision buffers and arenas of the indexed loop.
+	scratch
 
-	// parWorkers caches par.Workers(opts.Parallelism) for the indexed path
-	// (1 disables the striped path entirely).
-	parWorkers int
-
-	// deliverScratch holds the per-message acceptance results of one parallel
-	// delivery batch, reused across rounds.
-	deliverScratch [][]cand
-
-	// par accumulates the striped-path accounting reported on Result.
-	par ParStats
+	// decided counts the (table, prefix) decisions of the indexed loop.
+	decided int
 
 	// Dense table/prefix interning for the indexed fixpoint (dense.go): every
 	// (device, vrf) table and every prefix the run touches gets a small
@@ -286,16 +270,32 @@ func Simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, op
 		// Sealed runs exist only on the indexed path.
 		opts.Legacy = false
 	}
+	res, _ := simulate(net, igp, inputs, opts)
+	return res
+}
+
+// simulate is the cold run behind Simulate and SimulateWithState. It returns
+// the converged simulations next to the result: one, or the work units of a
+// multi-unit run (units.go).
+func simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, opts Options) (*Result, []*sim) {
 	s := newSim(net, igp, opts)
 	s.originateLocals(inputs)
 	if s.opts.Legacy {
-		return s.run(s.allDirty())
+		return s.run(s.allDirty()), []*sim{s}
 	}
 	if s.opts.Seal != nil {
 		s.seedBoundary()
+	} else if units := s.splitUnits(par.Workers(s.opts.Parallelism)); len(units) > 1 {
+		return runUnits(units), units
 	}
-	// Indexed path: seed the dense dirty set straight from the originated
-	// state instead of materializing the nested legacy dirty maps.
+	s.seedDirty()
+	return s.runDense(), []*sim{s}
+}
+
+// seedDirty marks everything the originated state holds a candidate for.
+// Indexed path: the dense dirty set is seeded straight from it instead of
+// materializing the nested legacy dirty maps.
+func (s *sim) seedDirty() {
 	for k, m := range s.locals {
 		tid := s.tidOf(k)
 		for p := range m {
@@ -308,33 +308,36 @@ func Simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, op
 			s.markDirty(tid, s.pidOf(p))
 		}
 	}
-	return s.runDense()
 }
 
 // newSim builds an empty simulation with its session graph.
 func newSim(net *config.Network, igp *isis.Result, opts Options) *sim {
-	s := &sim{
-		net:     net,
-		igp:     igp,
-		opts:    opts.withDefaults(),
-		adjIn:   make(map[tableKey]map[netip.Prefix]map[string][]cand),
-		locals:  make(map[tableKey]map[netip.Prefix][]cand),
-		ribs:    make(map[tableKey]*netmodel.RIB),
-		lastAdv: make(map[tableKey]map[netip.Prefix]string),
-		aggOn:   make(map[tableKey]map[netip.Prefix]bool),
-	}
+	s := &sim{net: net, igp: igp, opts: opts.withDefaults()}
 	s.sessions = buildSessions(net, igp, func(dev string) bool {
 		return !s.profileOf(dev).IsolationViaPolicy
 	})
 	if !s.opts.Legacy {
 		s.topoIdx = net.Topo.Index()
 		s.igpIdxOK = igp != nil && igp.EdgeIndex() == s.topoIdx
-		s.parWorkers = par.Workers(s.opts.Parallelism)
 	}
 	if s.opts.Seal != nil {
 		s.sealOut = make(map[boundaryKey]netmodel.BoundaryAdv)
 	}
-	return s
+	return s.sibling()
+}
+
+// sibling returns an empty simulation over the same read-only inputs:
+// network, IGP result, options, session graph and topology index.
+func (s *sim) sibling() *sim {
+	return &sim{
+		net: s.net, igp: s.igp, opts: s.opts,
+		sessions: s.sessions, topoIdx: s.topoIdx, igpIdxOK: s.igpIdxOK, sealOut: s.sealOut,
+		adjIn:   make(map[tableKey]map[netip.Prefix]map[string][]cand),
+		locals:  make(map[tableKey]map[netip.Prefix][]cand),
+		ribs:    make(map[tableKey]*netmodel.RIB),
+		lastAdv: make(map[tableKey]map[netip.Prefix]string),
+		aggOn:   make(map[tableKey]map[netip.Prefix]bool),
+	}
 }
 
 // ctxDone reports whether the caller's context (if any) has been cancelled;
@@ -414,7 +417,7 @@ func (s *sim) runDense() *Result {
 		s.deliver(pending)
 		pending = s.decideAndAdvertise()
 	}
-	res := &Result{ribs: s.ribs, Rounds: rounds, Converged: converged, Messages: s.messages, Par: s.par, parallelism: s.opts.Parallelism}
+	res := &Result{ribs: s.ribs, Rounds: rounds, Converged: converged, Messages: s.messages, parallelism: s.opts.Parallelism}
 	if s.opts.Seal != nil {
 		res.BoundaryOut = s.boundaryOut()
 	}
@@ -639,27 +642,13 @@ func (s *sim) directRoutes(d *config.Device, prof vsb.Profile, forRedist bool) [
 }
 
 // deliver processes a batch of messages: ingress policy, loop prevention,
-// adj-RIB-in update. Large batches fan the per-message compute (policy,
-// AS-loop check, candidate construction) out over the stripe workers
-// (parallel.go); small batches, sequential runs, and batches carrying
-// unresolved table IDs (boundary seeding) take the sequential path.
+// adj-RIB-in update. Allocation-lean variant: the accepted slice is sized
+// exactly once per message, withdrawals allocate nothing (not even the inner
+// adj-RIB-in map the legacy path creates eagerly), the per-device
+// profile/env/session lookups come from the interned tableInfo, and the
+// import policy is resolved once per message instead of once per route. The
+// original is legacyDeliver.
 func (s *sim) deliver(msgs []msg) {
-	if s.parWorkers > 1 && len(msgs) >= 2*minMsgsPerDeliverChunk {
-		if s.deliverParallel(msgs) {
-			return
-		}
-	}
-	s.deliverSeq(msgs)
-}
-
-// deliverSeq is the sequential delivery loop. Allocation-lean variant: the
-// accepted slice is sized exactly once per message, withdrawals allocate
-// nothing (not even the inner adj-RIB-in map the legacy path creates
-// eagerly), the per-device profile/env/session lookups come from the
-// interned tableInfo, and the import policy is resolved once per message
-// instead of once per route. The original is legacyDeliver.
-func (s *sim) deliverSeq(msgs []msg) {
-	sc := s.stripe(0)
 	for i := range msgs {
 		m := &msgs[i]
 		s.messages++
@@ -671,17 +660,14 @@ func (s *sim) deliverSeq(msgs []msg) {
 		if ti.dev == nil {
 			continue
 		}
-		s.commitDelivery(sc, m, tid, ti, s.acceptedFor(sc, m, ti))
+		s.commitDelivery(m, tid, ti, s.acceptedFor(m, ti))
 	}
 }
 
 // acceptedFor computes the candidate set one message installs into its
 // table's adj-RIB-in cell: import policy, AS-loop prevention, session-type
-// defaults. It reads only pre-round state (the message, the interned
-// tableInfo, the session graph, configuration) and writes only into sc's
-// candidate arena, so the parallel delivery path runs it concurrently across
-// messages before the sequential commit.
-func (s *sim) acceptedFor(sc *stripeCtx, m *msg, ti *tableInfo) []cand {
+// defaults.
+func (s *sim) acceptedFor(m *msg, ti *tableInfo) []cand {
 	if len(m.routes) == 0 {
 		return nil
 	}
@@ -696,7 +682,7 @@ func (s *sim) acceptedFor(sc *stripeCtx, m *msg, ti *tableInfo) []cand {
 	if !ok {
 		return nil
 	}
-	accepted := sc.takeCands(len(m.routes))
+	accepted := s.takeCands(len(m.routes))
 	for _, r := range m.routes {
 		r.Device, r.VRF = m.to, m.vrf
 		r.Peer = m.from
@@ -728,12 +714,10 @@ func (s *sim) acceptedFor(sc *stripeCtx, m *msg, ti *tableInfo) []cand {
 	return accepted
 }
 
-// commitDelivery installs one message's precomputed acceptance result into
-// the adj-RIB-in and marks the (table, prefix) dirty when the cell changed.
-// Always sequential (it writes shared maps); sc, when non-nil, receives
-// unused candidate-arena tails back — the parallel path passes nil because
-// the accepted slice came from another stripe's arena.
-func (s *sim) commitDelivery(sc *stripeCtx, m *msg, tid int32, ti *tableInfo, accepted []cand) {
+// commitDelivery installs one message's acceptance result into the
+// adj-RIB-in and marks the (table, prefix) dirty when the cell changed;
+// unused candidate-arena tails go back to the arena.
+func (s *sim) commitDelivery(m *msg, tid int32, ti *tableInfo, accepted []cand) {
 	k := ti.k
 	s.own(k)
 	ai := s.adjIn[k]
@@ -745,8 +729,8 @@ func (s *sim) commitDelivery(sc *stripeCtx, m *msg, tid int32, ti *tableInfo, ac
 	// set was mutated in place.
 	changed := m.from == "agg:refresh"
 	if len(accepted) == 0 {
-		if sc != nil && cap(accepted) > 0 {
-			sc.giveBackCands(cap(accepted))
+		if cap(accepted) > 0 {
+			s.giveBackCands(cap(accepted))
 		}
 		// Withdrawal: only touch maps that already exist.
 		if byFrom := ai[m.prefix]; byFrom != nil {
@@ -772,8 +756,8 @@ func (s *sim) commitDelivery(sc *stripeCtx, m *msg, tid int32, ti *tableInfo, ac
 		if old, had := byFrom[m.from]; !had || !candsSame(old, accepted) {
 			byFrom[m.from] = accepted
 			changed = true
-		} else if sc != nil {
-			sc.giveBackCands(cap(accepted))
+		} else {
+			s.giveBackCands(cap(accepted))
 		}
 	}
 	if changed {

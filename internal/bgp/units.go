@@ -1,0 +1,211 @@
+package bgp
+
+import (
+	"cmp"
+	"net/netip"
+	"slices"
+
+	"hoyan/internal/config"
+	"hoyan/internal/netmodel"
+	"hoyan/internal/par"
+)
+
+// This file founds the parallel cold fixpoint on prefix independence, the
+// fact behind the paper's per-prefix route subtasks (§3): a decision for
+// (table, prefix) reads that prefix's candidates only, its advertisements
+// and VRF leaks carry the same prefix, and next hops resolve through the IGP,
+// never through another BGP route. The one coupling between prefixes is
+// aggregation — an aggregate's activation and AS path are computed from the
+// more-specific routes of its table (aggregate.go contributors), refreshed
+// whenever one of them is decided (dense.go updateAggregatesInto), and a
+// summary-only aggregate suppresses their advertisement (decision.go
+// suppressedByAggregate). So the originated prefixes fall into independence
+// groups: everything covered by one outermost configured aggregate prefix is
+// a group (nested aggregates lie inside their outermost one), every other
+// prefix is a group of its own. Groups are packed into work units, each unit
+// runs the unchanged sequential fixpoint to convergence in a sim of its own,
+// and the units' per-table maps — disjoint by prefix — are unioned.
+//
+// The result is byte-identical to one sequential fixpoint over all prefixes:
+// that loop visits a table's dirty prefixes in an order of the prefixes alone
+// and keeps every group's relative order, each round's messages for a prefix
+// depend only on its group's state, so each group passes through the same
+// states round by round whichever other groups share its sim.
+
+// aggRoots is the set of configured aggregate prefixes not covered by another
+// configured aggregate, over all devices and VRFs (a leaked or advertised
+// route keeps its prefix, so a prefix is grouped alike everywhere).
+type aggRoots struct {
+	set  map[netip.Prefix]bool
+	bits []int // distinct lengths in set, ascending
+}
+
+func aggregateRoots(net *config.Network) aggRoots {
+	var all []netip.Prefix
+	for _, d := range net.Devices {
+		for _, a := range d.Aggregates {
+			all = append(all, a.Prefix.Masked())
+		}
+	}
+	slices.SortFunc(all, func(a, b netip.Prefix) int { return a.Bits() - b.Bits() })
+	r := aggRoots{set: make(map[netip.Prefix]bool)}
+	for _, a := range all {
+		if r.groupOf(a) != a || r.set[a] {
+			continue // nested in, or a repeat of, an earlier root
+		}
+		r.set[a] = true
+		if len(r.bits) == 0 || r.bits[len(r.bits)-1] != a.Bits() {
+			r.bits = append(r.bits, a.Bits())
+		}
+	}
+	return r
+}
+
+// groupOf returns the independence group of p: the root aggregate prefix that
+// covers or equals it, else p itself.
+func (r aggRoots) groupOf(p netip.Prefix) netip.Prefix {
+	for _, b := range r.bits {
+		if b > p.Bits() {
+			break
+		}
+		if root, err := p.Addr().Prefix(b); err == nil && r.set[root] {
+			return root
+		}
+	}
+	return p
+}
+
+// splitUnits distributes the originated candidates of s over at most one
+// sibling sim per worker, whole groups at a time, largest group first onto
+// the least loaded unit (a group weighs its seeded (table, prefix) pairs). It
+// returns nil when there is nothing to run concurrently: one worker, or fewer
+// than two groups.
+func (s *sim) splitUnits(workers int) []*sim {
+	if workers < 2 {
+		return nil
+	}
+	roots := aggregateRoots(s.net)
+	weight := make(map[netip.Prefix]int)
+	for _, m := range s.locals {
+		for p := range m {
+			weight[roots.groupOf(p)]++
+		}
+	}
+	if len(weight) < 2 {
+		return nil
+	}
+	groups := make([]netip.Prefix, 0, len(weight))
+	for g := range weight {
+		groups = append(groups, g)
+	}
+	slices.SortFunc(groups, func(a, b netip.Prefix) int {
+		return cmp.Or(weight[b]-weight[a], a.Addr().Compare(b.Addr()), a.Bits()-b.Bits())
+	})
+	units := make([]*sim, min(len(groups), workers))
+	load := make([]int, len(units))
+	unitOf := make(map[netip.Prefix]*sim, len(groups))
+	for _, g := range groups {
+		least := 0
+		for i := range load {
+			if load[i] < load[least] {
+				least = i
+			}
+		}
+		if units[least] == nil {
+			units[least] = s.sibling()
+		}
+		load[least] += weight[g]
+		unitOf[g] = units[least]
+	}
+	for k, m := range s.locals {
+		for p, cs := range m {
+			unitOf[roots.groupOf(p)].localsOf(k)[p] = cs
+		}
+	}
+	return units
+}
+
+// runUnits converges every unit concurrently, bounded by the run's
+// Parallelism, and unions their results.
+func runUnits(units []*sim) *Result {
+	parallelism := units[0].opts.Parallelism
+	results := par.Map(parallelism, len(units), func(i int) *Result {
+		units[i].seedDirty()
+		return units[i].runDense()
+	})
+	res := &Result{Converged: true, parallelism: parallelism, Par: ParStats{Stripes: len(units)}}
+	ribs := make([]map[tableKey]*netmodel.RIB, len(units))
+	for i, r := range results {
+		ribs[i] = r.ribs
+		res.Rounds = max(res.Rounds, r.Rounds)
+		res.Messages += r.Messages
+		res.Converged = res.Converged && r.Converged
+		res.Par.ParallelRounds += r.Rounds
+		res.Par.SumStripePairs += units[i].decided
+		res.Par.MaxStripePairs = max(res.Par.MaxStripePairs, units[i].decided)
+	}
+	res.ribs = unionTables(parallelism, ribs, netmodel.UnionRIBs)
+	return res
+}
+
+// mergeUnits unions the captured units of a multi-unit run into one State a
+// warm restart cannot tell from a single sim's.
+func (st *State) mergeUnits() {
+	if st.units == nil {
+		return
+	}
+	var (
+		adjIn   []map[tableKey]map[netip.Prefix]map[string][]cand
+		locals  []map[tableKey]map[netip.Prefix][]cand
+		ribs    []map[tableKey]*netmodel.RIB
+		lastAdv []map[tableKey]map[netip.Prefix]string
+		aggOn   []map[tableKey]map[netip.Prefix]bool
+	)
+	for _, u := range st.units {
+		adjIn, locals, ribs = append(adjIn, u.adjIn), append(locals, u.locals), append(ribs, u.ribs)
+		lastAdv, aggOn = append(lastAdv, u.lastAdv), append(aggOn, u.aggOn)
+	}
+	p := st.opts.Parallelism
+	st.adjIn = unionTables(p, adjIn, unionMaps)
+	st.locals = unionTables(p, locals, unionMaps)
+	st.ribs = unionTables(p, ribs, netmodel.UnionRIBs)
+	st.lastAdv = unionTables(p, lastAdv, unionMaps)
+	st.aggOn = unionTables(p, aggOn, unionMaps)
+	st.units = nil
+}
+
+// unionTables unions per-table values across units: a table present in
+// several units gets union of its values, computed concurrently per table.
+func unionTables[V any](parallelism int, units []map[tableKey]V, union func([]V) V) map[tableKey]V {
+	parts := make(map[tableKey][]V)
+	for _, m := range units {
+		for k, v := range m {
+			parts[k] = append(parts[k], v)
+		}
+	}
+	keys := make([]tableKey, 0, len(parts))
+	for k := range parts {
+		keys = append(keys, k)
+	}
+	vals := par.Map(parallelism, len(keys), func(i int) V { return union(parts[keys[i]]) })
+	out := make(map[tableKey]V, len(keys))
+	for i, k := range keys {
+		out[k] = vals[i]
+	}
+	return out
+}
+
+// unionMaps unions maps over disjoint key sets.
+func unionMaps[K comparable, V any](parts []map[K]V) map[K]V {
+	n := 0
+	for _, m := range parts {
+		n += len(m)
+	}
+	out := make(map[K]V, n)
+	for _, m := range parts {
+		for k, v := range m {
+			out[k] = v
+		}
+	}
+	return out
+}

@@ -46,11 +46,12 @@ type Options struct {
 	DisableIncremental bool
 
 	// Parallelism bounds the worker pools behind the engine's data-parallel
-	// hot paths — per-source SPF, the striped BGP fixpoint (cold, warm, and
-	// sealed), per-flow forwarding, EC classification, and config parsing
-	// when restoring snapshots. 0 (the default) uses runtime.GOMAXPROCS(0)
-	// workers; 1 forces the sequential reference path; results are
-	// byte-identical at every setting.
+	// hot paths — per-source SPF, the work units of the cold BGP fixpoint
+	// (warm restarts and sealed runs are one sequential fixpoint), the
+	// global-RIB table fill, per-flow forwarding, EC classification, and
+	// config parsing when restoring snapshots. 0 (the default) uses
+	// runtime.GOMAXPROCS(0) workers; 1 forces the sequential reference path;
+	// results are byte-identical at every setting.
 	Parallelism int
 
 	// DisableIndex switches every subsystem to its original string-keyed

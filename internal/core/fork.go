@@ -230,10 +230,11 @@ func (e *Engine) ForkCtx(ctx context.Context, net *config.Network, d Delta) (*Re
 	return e.forkCtx(ctx, net, d, 0)
 }
 
-// ForkCtxN is ForkCtx with a per-fork parallelism cap: every stage of this
-// fork (SPF recompute, warm BGP fixpoint, EC recomputation, flow
-// re-forwarding, and the from-scratch fallback) runs with at most
-// parallelism workers instead of the engine-wide setting. Zero or negative
+// ForkCtxN is ForkCtx with a per-fork parallelism cap: every parallel stage
+// of this fork (SPF recompute, EC recomputation, global-RIB fill, flow
+// re-forwarding, and the from-scratch fallback; the warm BGP fixpoint is
+// sequential) runs with at most parallelism workers instead of the
+// engine-wide setting. Zero or negative
 // keeps the engine's own Options.Parallelism. serve uses this to cap each
 // tenant query at a fraction of the machine while the base engine keeps its
 // full fan-out. Results are byte-identical at every setting.
@@ -312,7 +313,7 @@ func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, para
 		DistChanged:  distChanged,
 		ChangedLinks: d.links(),
 		NodesDown:    d.NodesDown,
-	}, parallelism)
+	})
 	stats.BGPTablesTotal = rstats.TablesTotal
 	stats.BGPTablesDirty = rstats.TablesDirty
 	stats.BGPRounds = rstats.Rounds
@@ -343,6 +344,9 @@ func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, para
 		e.expandRIB(routeECs, rt)
 	}
 	routes := &RouteResult{BGP: bres, ECStats: routeECs}
+	// The warm restart carries the engine-wide parallelism; the fork's cap
+	// bounds its global-RIB fill.
+	routes.globalFn = func() *netmodel.GlobalRIB { return bres.GlobalRIBN(parallelism) }
 	// ribDiff narrows flow invalidation from "visited a changed device" to
 	// "a changed prefix at a visited device covers the flow's destination":
 	// per changed device, the prefixes whose expanded rows differ from base.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -174,27 +175,31 @@ func TestForkDisableIncremental(t *testing.T) {
 
 // TestForkRandomizedDeltas throws seeded random deltas (multiple links and
 // nodes at once, with and without input changes) at the incremental engine
-// and checks byte-identity against the reference on every one.
+// and checks byte-identity against the reference on every one — with the base
+// converged sequentially and as 2 and 8 work units, whose merged warm-restart
+// state must fork exactly like a single sim's.
 func TestForkRandomizedDeltas(t *testing.T) {
-	out := gen.Generate(gen.WAN(1))
-	eng := NewEngine(out.Net, Options{})
-	eng.BaseRun(out.Inputs, out.Flows)
-	links := out.Net.Topo.Links()
-	names := out.Net.Topo.NodeNames()
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 15; trial++ {
-		var d Delta
-		nLinks := 1 + rng.Intn(3)
-		for j := 0; j < nLinks; j++ {
-			d.LinksDown = append(d.LinksDown, links[rng.Intn(len(links))].ID())
+	for _, p := range []int{1, 2, 8} {
+		out := gen.Generate(gen.WAN(1))
+		eng := NewEngine(out.Net, Options{Parallelism: p})
+		eng.BaseRun(out.Inputs, out.Flows)
+		links := out.Net.Topo.Links()
+		names := out.Net.Topo.NodeNames()
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 15; trial++ {
+			var d Delta
+			nLinks := 1 + rng.Intn(3)
+			for j := 0; j < nLinks; j++ {
+				d.LinksDown = append(d.LinksDown, links[rng.Intn(len(links))].ID())
+			}
+			if rng.Intn(3) == 0 {
+				d.NodesDown = append(d.NodesDown, names[rng.Intn(len(names))])
+			}
+			if rng.Intn(3) == 0 {
+				d.DropInputs = append(d.DropInputs, out.Inputs[rng.Intn(len(out.Inputs))])
+			}
+			checkFork(t, eng, out.Net, out.Inputs, out.Flows, d, fmt.Sprintf("base parallelism %d, random trial %d", p, trial))
 		}
-		if rng.Intn(3) == 0 {
-			d.NodesDown = append(d.NodesDown, names[rng.Intn(len(names))])
-		}
-		if rng.Intn(3) == 0 {
-			d.DropInputs = append(d.DropInputs, out.Inputs[rng.Intn(len(out.Inputs))])
-		}
-		checkFork(t, eng, out.Net, out.Inputs, out.Flows, d, "random trial")
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"hoyan/internal/telemetry"
 )
 
-// stripeImbalanceBuckets grade the max/mean dirty-pair ratio across a BGP
-// run's stripes: 1.0 is perfectly balanced, anything past ~2 means one
-// stripe (usually a big aggregation dependency group) dominated wall time.
+// stripeImbalanceBuckets grade the worst/mean decision count across a BGP
+// run's work units: 1.0 is perfectly balanced, anything past ~2 means one
+// unit (usually a big aggregation independence group) dominated wall time.
 var stripeImbalanceBuckets = []float64{1, 1.1, 1.25, 1.5, 2, 3, 5}
 
 // WorkerMetrics are one worker's pre-registered telemetry instruments. Every
@@ -43,9 +43,10 @@ type WorkerMetrics struct {
 	InternPrefixes   *telemetry.Gauge
 	InternTableBytes *telemetry.Gauge
 
-	// Striped-fixpoint activity of the worker's BGP runs (see bgp.ParStats):
-	// rounds that actually fanned out, stripes they used, and the per-run
-	// max/mean dirty-pair imbalance ratio.
+	// Work-unit activity of the worker's cold BGP runs (see bgp.ParStats; the
+	// series keep the names of the per-round striping they used to count):
+	// rounds run inside units, units run, and the per-run worst/mean ratio
+	// of (table, prefix) decisions per unit.
 	BGPParallelRounds  *telemetry.Counter   // bgp_parallel_rounds_total
 	BGPStripes         *telemetry.Counter   // bgp_stripes_total
 	BGPStripeImbalance *telemetry.Histogram // bgp_stripe_imbalance_ratio
@@ -95,10 +96,10 @@ func NewWorkerMetrics(reg *telemetry.Registry) *WorkerMetrics {
 		InternPrefixes:   reg.Gauge("hoyan_intern_prefixes", "prefixes interned into dense IDs"),
 		InternTableBytes: reg.Gauge("hoyan_intern_table_bytes", "approximate bytes held by the interner's two-way ID tables"),
 
-		BGPParallelRounds: reg.Counter("bgp_parallel_rounds_total", "BGP fixpoint rounds run striped across the par pool"),
-		BGPStripes:        reg.Counter("bgp_stripes_total", "stripes executed across all parallel fixpoint rounds"),
+		BGPParallelRounds: reg.Counter("bgp_parallel_rounds_total", "BGP fixpoint rounds run inside concurrently running work units"),
+		BGPStripes:        reg.Counter("bgp_stripes_total", "work units run by multi-unit BGP fixpoints"),
 		BGPStripeImbalance: reg.Histogram("bgp_stripe_imbalance_ratio",
-			"max/mean dirty (table, prefix) pairs per stripe, one sample per run", stripeImbalanceBuckets),
+			"worst/mean (table, prefix) decisions per work unit, one sample per multi-unit run", stripeImbalanceBuckets),
 
 		QueueWaitSeconds: stage("mq_wait"),
 		DecodeSeconds:    stage("decode"),
@@ -164,9 +165,9 @@ func (m *WorkerMetrics) RecordIntern(st *netmodel.InternStats) {
 	m.InternTableBytes.Set(float64(st.TableBytes))
 }
 
-// RecordBGPPar folds one BGP run's striped-fixpoint stats into the worker
-// counters. Runs whose rounds all stayed sequential (too small, Parallelism
-// 1) contribute nothing.
+// RecordBGPPar folds one BGP run's work-unit stats into the worker counters.
+// Runs of one sequential fixpoint (Parallelism 1, one independence group,
+// warm, sealed) contribute nothing.
 func (m *WorkerMetrics) RecordBGPPar(p bgp.ParStats) {
 	if p.ParallelRounds == 0 {
 		return

@@ -69,9 +69,10 @@ func PrintReport(w io.Writer, r *ReportResult) {
 			}
 		}
 	}
-	// Striped BGP fixpoint activity. Zero counters mean every round stayed
-	// sequential (single-core host, Parallelism 1, or tiny dirty sets); the
-	// imbalance histogram only prints once at least one run striped.
+	// Work units of the cold BGP fixpoints. Zero counters mean every run was
+	// one sequential fixpoint (single-core host, Parallelism 1, or a single
+	// independence group); the imbalance histogram only prints once at least
+	// one run split into units.
 	for _, m := range r.Report.Metrics {
 		switch m.Name {
 		case "bgp_parallel_rounds_total", "bgp_stripes_total":

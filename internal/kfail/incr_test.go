@@ -1,6 +1,7 @@
 package kfail
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -37,7 +38,9 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 
 // TestIncrementalMatchesFromScratch pins the correctness bar: the incremental
 // fork path and the DisableIncremental reference path must return identical
-// violations over a K=2 sweep that mixes link and node failures.
+// violations over a K=2 sweep that mixes link and node failures — also when
+// the scenarios fork, concurrently, off a base engine that converged as 2 or
+// 8 work units and merges its warm-restart state on the first fork.
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	out, intents := wanCheckInputs()
 	elems := []Element{{Node: "dc-0-0"}}
@@ -60,6 +63,15 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 	sameResult(t, "incremental vs from-scratch", inc, ref)
 	if inc.OK() {
 		t.Error("sweep should find at least one violation (double uplink cut)")
+	}
+	for _, p := range []int{2, 8} {
+		eng := core.NewEngine(out.Net, core.Options{Parallelism: p})
+		eng.BaseRun(out.Inputs, out.Flows)
+		warm, err := Check(out.Net, out.Inputs, out.Flows, intents, Options{K: 2, Elements: elems, Engine: eng, Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("forks off a %d-unit base vs from-scratch", p), warm, ref)
 	}
 }
 

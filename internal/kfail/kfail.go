@@ -56,11 +56,13 @@ type Options struct {
 	// oversubscribed. Violation order is deterministic at any setting.
 	Parallelism int
 	// EngineParallelism caps the cores each scenario simulation may use when
-	// the sweep itself is sequential (Parallelism 1): serve sets it to the
-	// tenant's query budget so one kfail sweep cannot occupy the machine. 0
-	// keeps the engine's own setting; with scenario workers > 1 it is
-	// ignored — per-scenario simulation is always sequential then, including
-	// warm forks off Options.Engine. Results are byte-identical regardless.
+	// the sweep itself is sequential (Parallelism 1) — SPF, ECs, forwarding,
+	// and the cold fixpoint's work units of a from-scratch scenario; a warm
+	// fork's fixpoint is sequential anyway. serve sets it to the tenant's
+	// query budget so one kfail sweep cannot occupy the machine. 0 keeps the
+	// engine's own setting; with scenario workers > 1 it is ignored —
+	// per-scenario simulation is always sequential then, including warm
+	// forks off Options.Engine. Results are byte-identical regardless.
 	EngineParallelism int
 	// Shards, when > 1, routes contained scenarios through the sharded
 	// verifier (internal/shard): a delta whose effects provably stay inside

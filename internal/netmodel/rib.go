@@ -19,6 +19,11 @@ type RIB struct {
 	// it; LongestMatch rebuilds on first use. Safe for concurrent readers
 	// (traffic simulation looks up flows in parallel against converged RIBs).
 	lpm atomic.Pointer[lpmIndex]
+	// sorted memoizes Prefixes(). Only a mutation that changes the key set
+	// (a new prefix or a delete) clears it, so the aggregate refreshes of a
+	// fixpoint round and every emitter of a converged table share one sort.
+	// Atomic for the same reason as lpm: concurrent forks read base tables.
+	sorted atomic.Pointer[[]netip.Prefix]
 }
 
 // NewRIB creates an empty RIB for device/vrf.
@@ -37,24 +42,16 @@ func NewRIBSized(device, vrf string, hint int) *RIB {
 // Add installs a route row. The row's Device/VRF are forced to the RIB's.
 func (t *RIB) Add(r Route) {
 	r.Device, r.VRF = t.Device, t.VRF
+	n := len(t.byPrefix)
 	t.byPrefix[r.Prefix] = append(t.byPrefix[r.Prefix], r)
-	t.invalidateLPM()
+	t.invalidate(n)
 }
 
 // Replace substitutes all rows for prefix with rs.
 func (t *RIB) Replace(prefix netip.Prefix, rs []Route) {
-	if len(rs) == 0 {
-		delete(t.byPrefix, prefix)
-		t.invalidateLPM()
-		return
-	}
 	rows := make([]Route, len(rs))
-	for i, r := range rs {
-		r.Device, r.VRF = t.Device, t.VRF
-		rows[i] = r
-	}
-	t.byPrefix[prefix] = rows
-	t.invalidateLPM()
+	copy(rows, rs)
+	t.ReplaceOwned(prefix, rows)
 }
 
 // ReplaceOwned is Replace for callers that hand over ownership of rs: the
@@ -62,16 +59,16 @@ func (t *RIB) Replace(prefix netip.Prefix, rs []Route) {
 // copied. The caller must not retain or modify rs afterwards. This is the
 // allocation-free install path of the indexed BGP decision loop.
 func (t *RIB) ReplaceOwned(prefix netip.Prefix, rs []Route) {
+	n := len(t.byPrefix)
 	if len(rs) == 0 {
 		delete(t.byPrefix, prefix)
-		t.invalidateLPM()
-		return
+	} else {
+		for i := range rs {
+			rs[i].Device, rs[i].VRF = t.Device, t.VRF
+		}
+		t.byPrefix[prefix] = rs
 	}
-	for i := range rs {
-		rs[i].Device, rs[i].VRF = t.Device, t.VRF
-	}
-	t.byPrefix[prefix] = rs
-	t.invalidateLPM()
+	t.invalidate(n)
 }
 
 // ShallowClone returns a RIB with a fresh prefix map sharing the row slices.
@@ -136,7 +133,26 @@ func (t *RIB) ShallowClone() *RIB {
 	for p, rows := range t.byPrefix {
 		cp.byPrefix[p] = rows
 	}
+	cp.sorted.Store(t.sorted.Load()) // same key set
 	return cp
+}
+
+// UnionRIBs returns one table holding every part's prefixes, sharing their
+// row slices like ShallowClone. The parts are tables of the same (device,
+// VRF) over disjoint prefix sets: the per-unit results of the parallel BGP
+// fixpoint.
+func UnionRIBs(parts []*RIB) *RIB {
+	n := 0
+	for _, t := range parts {
+		n += len(t.byPrefix)
+	}
+	out := NewRIBSized(parts[0].Device, parts[0].VRF, n)
+	for _, t := range parts {
+		for p, rows := range t.byPrefix {
+			out.byPrefix[p] = rows
+		}
+	}
+	return out
 }
 
 // Routes returns the rows for prefix (shared slice; callers must not modify).
@@ -156,13 +172,18 @@ func (t *RIB) Best(prefix netip.Prefix) []Route {
 	return out
 }
 
-// Prefixes returns all prefixes in deterministic order.
+// Prefixes returns all prefixes in deterministic order. The slice is
+// memoized and shared; callers must not modify it.
 func (t *RIB) Prefixes() []netip.Prefix {
+	if memo := t.sorted.Load(); memo != nil {
+		return *memo
+	}
 	out := make([]netip.Prefix, 0, len(t.byPrefix))
 	for p := range t.byPrefix {
 		out = append(out, p)
 	}
 	slices.SortFunc(out, comparePrefix)
+	t.sorted.Store(&out)
 	return out
 }
 
@@ -214,14 +235,53 @@ type lpmEntry struct {
 	best   []Route
 }
 
-// invalidateLPM drops the memoized longest-prefix-match index after a write.
-// The nil check matters: during route simulation every decision writes the
-// RIB and nothing queries LPM, so skipping the atomic store (and its write
-// barrier) on an already-nil index keeps the hot install path cheap.
-func (t *RIB) invalidateLPM() {
+// invalidate drops the memoized longest-prefix-match index after a write,
+// and the sorted prefix list when the write changed the key set (the table
+// held keysBefore prefixes). The nil checks matter: during route simulation
+// every decision writes the RIB and nothing queries LPM, so skipping the
+// atomic store (and its write barrier) on an already-nil memo keeps the hot
+// install path cheap.
+func (t *RIB) invalidate(keysBefore int) {
 	if t.lpm.Load() != nil {
 		t.lpm.Store(nil)
 	}
+	if len(t.byPrefix) != keysBefore && t.sorted.Load() != nil {
+		t.sorted.Store(nil)
+	}
+}
+
+// bestRows returns the RouteBest rows of one prefix in CompareRoutes order:
+// a sub-slice of rows when they are adjacent and already ordered (one best
+// row, or an ECMP set as the decision process leaves it), a sorted copy
+// otherwise.
+func bestRows(rows []Route) []Route {
+	lo, hi, n := 0, 0, 0
+	for i := range rows {
+		if rows[i].RouteType == RouteBest {
+			if n == 0 {
+				lo = i
+			}
+			hi = i + 1
+			n++
+		}
+	}
+	if n == hi-lo {
+		ordered := true
+		for i := lo + 1; i < hi && ordered; i++ {
+			ordered = compareRoutePtr(&rows[i-1], &rows[i]) <= 0
+		}
+		if ordered {
+			return rows[lo:hi:hi]
+		}
+	}
+	sel := make([]Route, 0, n)
+	for i := lo; i < hi; i++ {
+		if rows[i].RouteType == RouteBest {
+			sel = append(sel, rows[i])
+		}
+	}
+	slices.SortFunc(sel, CompareRoutes)
+	return sel
 }
 
 func (t *RIB) buildLPM() *lpmIndex {
@@ -233,16 +293,10 @@ func (t *RIB) buildLPM() *lpmIndex {
 		if !p.IsValid() {
 			continue
 		}
-		var sel []Route
-		for _, r := range rows {
-			if r.RouteType == RouteBest {
-				sel = append(sel, r)
-			}
-		}
+		sel := bestRows(rows)
 		if len(sel) == 0 {
 			continue
 		}
-		slices.SortFunc(sel, CompareRoutes)
 		m := ix.v6
 		if p.Addr().Is4() {
 			m = ix.v4

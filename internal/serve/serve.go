@@ -36,7 +36,9 @@ type Config struct {
 	QueueDepth int
 	// Workers sizes the execution pool (default 4).
 	Workers int
-	// QueryParallelism caps the simulation cores any single query may use.
+	// QueryParallelism caps the simulation cores any single query may use
+	// (SPF, ECs, forwarding, global-RIB fill, and the cold fixpoint's work
+	// units of a plan query; a warm fork's fixpoint is sequential).
 	// Without a cap, every query forks with the engine's full parallelism,
 	// so one tenant's kfail sweep can occupy the whole machine while other
 	// tenants' queries — admitted and nominally running — crawl. Default

@@ -97,7 +97,7 @@ func (e *Engine) splitReps(reps []netmodel.Route) [][]netmodel.Route {
 // one contract round are mutually independent (each reads only its frozen
 // inbound contract and writes its own indexed slot), so they fan out on the
 // par pool under Options.Sim.Parallelism; within a shard, the sealed BGP
-// fixpoint stripes on the same setting. Slot-indexed results keep the round
+// fixpoint is sequential. Slot-indexed results keep the round
 // outcome byte-identical however the shards interleave. Parallelism 1 is
 // the sequential reference; the per-shard fleet parallelism of dsim is
 // unaffected.

@@ -9,11 +9,10 @@ import (
 )
 
 // TestShardParallelEquivalence runs the contract fixpoint with the dirty
-// shards of each round simulated concurrently and every sealed BGP fixpoint
-// striped (Sim.Parallelism 2), and pins byte-identity with the sequential
-// whole-network engine. Under -race this doubles as the concurrent
-// sealed-run check: the shards share one base engine's interner, lazy
-// topology indexes, and policy caches.
+// shards of each round simulated concurrently (Sim.Parallelism 2), and pins
+// byte-identity with the sequential whole-network engine. Under -race this
+// doubles as the concurrent sealed-run check: the shards share one base
+// engine's interner, lazy topology indexes, and policy caches.
 func TestShardParallelEquivalence(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	eng := New(out.Net, out.Inputs, Options{Shards: 3, Sim: core.Options{Parallelism: 2}})
@@ -27,7 +26,7 @@ func TestShardParallelEquivalence(t *testing.T) {
 			got.Len(), ref.Len(), diffStr(got, ref))
 	}
 
-	// One contained what-if through the warm contract path, still striped.
+	// One contained what-if through the warm contract path.
 	contained := 0
 	for _, l := range out.Net.Topo.Links() {
 		id := l.ID()
