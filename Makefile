@@ -19,10 +19,12 @@ test-shuffle:
 	$(GO) test -count=2 -shuffle=on ./...
 
 # The packages whose goroutine schedule depends on the core count — the cold
-# fixpoint's work units, concurrent forks, scenario and shard fan-out — at 1,
-# 2 and 8 procs: results must not depend on how the units interleave.
+# fixpoint's work units, concurrent forks, scenario and shard fan-out, and
+# the global-RIB blocks concurrent queries share with their base (netmodel,
+# intent, serve) — at 1, 2 and 8 procs: results must not depend on how the
+# units interleave.
 test-procs:
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/shard || exit 1; done
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/shard ./internal/netmodel ./internal/intent ./internal/serve || exit 1; done
 
 # Race-detector pass over every package: the parallel engine hot paths (SPF,
 # forwarding, ECs, config parse) and the concurrent-engine tests must stay
@@ -80,8 +82,9 @@ bench-shard:
 	$(GO) test -run '^$$' -bench '^Benchmark(ShardWhatIf|WholeNetworkScenario)$$' -benchtime 1x .
 
 # Durable-substrate measurement: the distributed pipeline over WAL-backed
-# disk substrates vs in-memory ones. Asserts the <=1.25x fsync=interval
-# overhead floor and writes the measured wall times to BENCH_durable.json;
+# disk substrates vs in-memory ones. Asserts what durability costs a run (WAL
+# records, bytes and fsyncs per substrate: exact or bounded counts), logs the
+# fsync=interval wall-clock overhead, and writes both to BENCH_durable.json;
 # the one-shot BenchmarkDurable* pass catches bench bit-rot.
 bench-durable:
 	DURABLE_BENCH_JSON=BENCH_durable.json $(GO) test -run '^TestDurableOverhead$$' -v .

@@ -143,8 +143,8 @@ type RouteResult struct {
 	ECStats *ec.RouteECs
 
 	// global memoizes the flattened global RIB. globalFn, when set, builds it
-	// on first use (forks install a merge against the base global RIB there,
-	// so scenarios whose intents never read the global RIB skip the merge).
+	// on first use (forks install a view of the base global RIB there, so
+	// scenarios whose intents never read the global RIB build no blocks).
 	global   *netmodel.GlobalRIB
 	globalFn func() *netmodel.GlobalRIB
 }

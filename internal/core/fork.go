@@ -69,8 +69,8 @@ type baseCapture struct {
 	bgpState *bgp.State
 
 	// routes is the base run's result: its expanded tables are shared into
-	// forks verbatim for unchanged devices, and its global RIB is the merge
-	// base for fork global RIBs.
+	// forks verbatim for unchanged devices, and its global RIB lends its
+	// device blocks to fork global RIBs.
 	routes *RouteResult
 
 	// basePrefixCount maps each prefix of the base global RIB to the number
@@ -143,8 +143,8 @@ func (e *Engine) baseRun(ctx context.Context, inputs []netmodel.Route, flows []n
 	}
 	routes := &RouteResult{BGP: bres, ECStats: bc.routeECs}
 	bc.routes = routes
-	// Materialize the global RIB now: forks (possibly concurrent) merge
-	// against it.
+	// Materialize the global RIB now: forks (possibly concurrent) reference
+	// its blocks.
 	routes.GlobalRIB()
 
 	var tr *TrafficResult
@@ -323,8 +323,8 @@ func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, para
 	// With an unchanged input set the EC partition — and therefore the
 	// expansion of an unchanged table — matches the base run exactly, so
 	// unchanged devices share the base's already-expanded tables and only
-	// changed ones expand. The fork's global RIB then comes from a sorted
-	// merge against the base instead of a full rebuild.
+	// changed ones expand. The fork's global RIB is then a view of the base's:
+	// its blocks for unchanged devices, new blocks for the changed ones.
 	share := !d.inputsChanged() && e.base.routes != nil
 	for _, t := range bres.Tables() {
 		if share && !rstats.ChangedDevices[t.Device] {
@@ -409,8 +409,8 @@ func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, para
 		flowECs := e.base.flowECs
 		repFlows := e.base.repFlows
 		if !samePartition && !e.opts.DisableFlowECs {
-			rows := routes.GlobalRIB().Rows()
-			flowECs = ec.ComputeFlowECs(net, ec.RIBPrefixes(rows), flows, parallelism)
+			// Block by block: a shared fork's RIB is a view, never flattened here.
+			flowECs = ec.ComputeFlowECs(net, ec.RIBPrefixes(routes.GlobalRIB().Blocks()...), flows, parallelism)
 			repFlows = flowECs.Representatives()
 		}
 		fw := e.forwarderCtxN(ctx, net, igp, routes, parallelism)
@@ -440,12 +440,12 @@ func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, para
 	return &Result{Routes: routes, Traffic: tr}, stats, nil
 }
 
-// mergedGlobalRIB builds a fork's global RIB by merging the changed devices'
-// tables into the base global RIB. The canonical order is by device first,
-// so rows group per device and the merge reproduces a full re-sort exactly:
-// every device's block is either copied wholesale from the base rows or
-// emitted in canonical order from the fork's tables (a purged device simply
-// contributes nothing).
+// mergedGlobalRIB builds a fork's global RIB as a view of the base global
+// RIB: the changed devices' tables are emitted in canonical order into one
+// new slice and replace those devices' blocks (a purged device has no table
+// and simply drops out); every other device's block is the base's own. It
+// costs O(changed rows) and reproduces a full re-sort exactly, because the
+// canonical order is by device first.
 func (e *Engine) mergedGlobalRIB(bres *bgp.Result, changed map[string]bool) *netmodel.GlobalRIB {
 	var tables []*netmodel.RIB // of changed devices, in (device, VRF) order
 	total := 0
@@ -456,27 +456,11 @@ func (e *Engine) mergedGlobalRIB(bres *bgp.Result, changed map[string]bool) *net
 			total += rt.Len()
 		}
 	}
-	baseRows := e.base.routes.GlobalRIB().Rows()
-	out := make([]netmodel.Route, 0, len(baseRows)+total)
-	ti := 0
-	for i := 0; i < len(baseRows); {
-		dev := baseRows[i].Device
-		j := i + 1
-		for j < len(baseRows) && baseRows[j].Device == dev {
-			j++
-		}
-		if !changed[dev] {
-			for ; ti < len(tables) && tables[ti].Device < dev; ti++ {
-				out = tables[ti].AppendSorted(out)
-			}
-			out = append(out, baseRows[i:j]...)
-		}
-		i = j
+	fresh := make([]netmodel.Route, 0, total)
+	for _, rt := range tables {
+		fresh = rt.AppendSorted(fresh)
 	}
-	for ; ti < len(tables); ti++ {
-		out = tables[ti].AppendSorted(out)
-	}
-	return netmodel.NewGlobalRIBFromSorted(out)
+	return e.base.routes.GlobalRIB().ReplaceDevices(changed, fresh)
 }
 
 // forwarderCtx builds a traffic forwarder over an arbitrary snapshot/IGP

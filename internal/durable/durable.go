@@ -107,6 +107,13 @@ type Metrics struct {
 	Replayed *telemetry.Counter
 	// Compactions counts snapshot compactions (wal_compactions_total).
 	Compactions *telemetry.Counter
+	// Appended, AppendedBytes and Fsyncs are the log's write cost: records
+	// appended (wal_records_appended_total), their framed bytes
+	// (wal_bytes_appended_total), and fsyncs issued by the sync policy, Sync
+	// and Compact (wal_fsyncs_total).
+	Appended      *telemetry.Counter
+	AppendedBytes *telemetry.Counter
+	Fsyncs        *telemetry.Counter
 }
 
 // NewMetrics registers the durability counters in reg under the given
@@ -120,6 +127,12 @@ func NewMetrics(reg *telemetry.Registry, component string) *Metrics {
 			"WAL records replayed at recovery", l),
 		Compactions: reg.Counter("wal_compactions_total",
 			"WAL snapshot compactions", l),
+		Appended: reg.Counter("wal_records_appended_total",
+			"WAL records appended", l),
+		AppendedBytes: reg.Counter("wal_bytes_appended_total",
+			"framed bytes of the WAL records appended", l),
+		Fsyncs: reg.Counter("wal_fsyncs_total",
+			"fsyncs of the WAL file (sync policy, explicit Sync, compaction)", l),
 	}
 }
 
@@ -131,5 +144,8 @@ func (m *Metrics) rebind(reg *telemetry.Registry, component string) *Metrics {
 	n.WriteFailures.Add(m.WriteFailures.Value())
 	n.Replayed.Add(m.Replayed.Value())
 	n.Compactions.Add(m.Compactions.Value())
+	n.Appended.Add(m.Appended.Value())
+	n.AppendedBytes.Add(m.AppendedBytes.Value())
+	n.Fsyncs.Add(m.Fsyncs.Value())
 	return n
 }

@@ -208,6 +208,8 @@ func (w *WAL) Append(payload []byte) error {
 		return fmt.Errorf("durable: WAL append: %w", err)
 	}
 	w.size += int64(len(frame))
+	w.metrics.Appended.Inc()
+	w.metrics.AppendedBytes.Add(int64(len(frame)))
 	if err := w.maybeSyncLocked(); err != nil {
 		w.noteWrite(err)
 		return err
@@ -231,18 +233,24 @@ func (w *WAL) stateErrLocked() error {
 func (w *WAL) maybeSyncLocked() error {
 	switch w.opts.Fsync {
 	case SyncAlways:
-		if err := w.f.Sync(); err != nil {
+		if err := w.fsyncLocked(); err != nil {
 			return fmt.Errorf("durable: WAL fsync: %w", err)
 		}
 	case SyncInterval:
 		if time.Since(w.lastSync) >= w.opts.Interval {
-			if err := w.f.Sync(); err != nil {
+			if err := w.fsyncLocked(); err != nil {
 				return fmt.Errorf("durable: WAL fsync: %w", err)
 			}
 			w.lastSync = time.Now()
 		}
 	}
 	return nil
+}
+
+// fsyncLocked syncs the log file and counts the fsync.
+func (w *WAL) fsyncLocked() error {
+	w.metrics.Fsyncs.Inc()
+	return w.f.Sync()
 }
 
 // Sync forces an fsync regardless of policy.
@@ -252,7 +260,7 @@ func (w *WAL) Sync() error {
 	if err := w.stateErrLocked(); err != nil {
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.fsyncLocked(); err != nil {
 		w.noteWrite(err)
 		return fmt.Errorf("durable: WAL fsync: %w", err)
 	}
@@ -293,6 +301,7 @@ func (w *WAL) Compact(records [][]byte) error {
 			w.noteWrite(err)
 			return fmt.Errorf("durable: WAL compact fsync: %w", err)
 		}
+		w.metrics.Fsyncs.Inc()
 	}
 	if err := tmp.Close(); err != nil {
 		w.noteWrite(err)
@@ -334,7 +343,7 @@ func (w *WAL) Close() error {
 	}
 	w.closed = true
 	if w.opts.Fsync != SyncNever {
-		w.f.Sync()
+		w.fsyncLocked()
 	}
 	return w.f.Close()
 }

@@ -240,14 +240,17 @@ func bucketOf(boundaries []uint16, port uint16) int {
 }
 
 // RIBPrefixes collects the distinct prefixes of a set of routes — the input
-// the flow-EC computation needs.
-func RIBPrefixes(routes []netmodel.Route) []netip.Prefix {
+// the flow-EC computation needs — in order of first appearance. The routes
+// come as one slice or as the blocks of a global RIB, read in turn.
+func RIBPrefixes(routes ...[]netmodel.Route) []netip.Prefix {
 	seen := map[netip.Prefix]bool{}
 	var out []netip.Prefix
-	for _, r := range routes {
-		if !seen[r.Prefix] {
-			seen[r.Prefix] = true
-			out = append(out, r.Prefix)
+	for _, rows := range routes {
+		for i := range rows {
+			if p := rows[i].Prefix; !seen[p] {
+				seen[p] = true
+				out = append(out, p)
+			}
 		}
 	}
 	return out

@@ -26,7 +26,7 @@ import (
 type Snapshot struct {
 	RIB *netmodel.GlobalRIB
 	// RIBFn lazily builds the global RIB when RIB is nil. Callers that check
-	// only path and load intents then never pay for the flattened table.
+	// only path and load intents then never pay for building it.
 	RIBFn func() *netmodel.GlobalRIB
 	Paths []traffic.FlowPath
 	Load  netmodel.LinkLoad
@@ -135,27 +135,20 @@ func (i ReachIntent) Describe() string {
 	return fmt.Sprintf("reach: %s %s %s", i.Prefix, verb, where)
 }
 
-// Check implements Intent.
+// Check implements Intent. It reads the RIB through its per-device blocks:
+// the device list comes from the block heads and each (device, prefix) is a
+// binary search, so checking a what-if fork never flattens its RIB.
 func (i ReachIntent) Check(ctx *Context) Report {
 	rep := Report{Intent: i.Describe(), Satisfied: true}
+	rib := ctx.Updated.GlobalRIB()
 	devices := i.Devices
 	if len(devices) == 0 {
-		seen := map[string]bool{}
-		for _, r := range ctx.Updated.GlobalRIB().Rows() {
-			if !seen[r.Device] {
-				seen[r.Device] = true
-				devices = append(devices, r.Device)
-			}
-		}
-	}
-	has := map[string]bool{}
-	for _, r := range ctx.Updated.GlobalRIB().Rows() {
-		if r.Prefix == i.Prefix && r.RouteType == netmodel.RouteBest {
-			has[r.Device] = true
+		for _, b := range rib.Blocks() {
+			devices = append(devices, b[0].Device)
 		}
 	}
 	for _, d := range devices {
-		if has[d] != i.Want {
+		if hasBest(rib, d, i.Prefix) != i.Want {
 			rep.Satisfied = false
 			if i.Want {
 				rep.Violations = append(rep.Violations, fmt.Sprintf("%s has no best route for %s", d, i.Prefix))
@@ -165,6 +158,17 @@ func (i ReachIntent) Check(ctx *Context) Report {
 		}
 	}
 	return rep
+}
+
+// hasBest reports whether device holds a best route for prefix in any VRF.
+func hasBest(rib *netmodel.GlobalRIB, device string, prefix netip.Prefix) bool {
+	found := false
+	rib.Lookup(device, prefix, func(rows []netmodel.Route) {
+		for k := range rows {
+			found = found || rows[k].RouteType == netmodel.RouteBest
+		}
+	})
+	return found
 }
 
 // ---- flow path change intents ----

@@ -1,7 +1,10 @@
 package intent
 
 import (
+	"fmt"
+	"math/rand"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -158,5 +161,94 @@ func TestDescribeStrings(t *testing.T) {
 	}
 	if !strings.Contains(descs[3], "via A-B") {
 		t.Errorf("path describe: %q", descs[3])
+	}
+}
+
+// reachByScan is ReachIntent.Check as it was before the global RIB had
+// blocks: one scan over all rows for the device list, one for the devices
+// holding a best route — the reference for the block lookups.
+func reachByScan(i ReachIntent, ctx *Context) Report {
+	rep := Report{Intent: i.Describe(), Satisfied: true}
+	devices := i.Devices
+	if len(devices) == 0 {
+		seen := map[string]bool{}
+		for _, r := range ctx.Updated.GlobalRIB().Rows() {
+			if !seen[r.Device] {
+				seen[r.Device] = true
+				devices = append(devices, r.Device)
+			}
+		}
+	}
+	has := map[string]bool{}
+	for _, r := range ctx.Updated.GlobalRIB().Rows() {
+		if r.Prefix == i.Prefix && r.RouteType == netmodel.RouteBest {
+			has[r.Device] = true
+		}
+	}
+	for _, d := range devices {
+		if has[d] != i.Want {
+			rep.Satisfied = false
+			if i.Want {
+				rep.Violations = append(rep.Violations, fmt.Sprintf("%s has no best route for %s", d, i.Prefix))
+			} else {
+				rep.Violations = append(rep.Violations, fmt.Sprintf("%s still has a route for %s", d, i.Prefix))
+			}
+		}
+	}
+	return rep
+}
+
+// TestReachIntentBlockLookupMatchesScan checks the block-lookup Check against
+// the two-scan one on random RIBs — flat ones and fork-style views with
+// replaced and purged devices — for prefixes present, absent and present
+// with candidate rows only, in either VRF, with Want true and false, explicit
+// device lists (including purged and unknown devices) and the empty list.
+func TestReachIntentBlockLookupMatchesScan(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	devices := []string{"A", "A1", "B", "C", "D", "E"}
+	prefixes := []netip.Prefix{
+		netip.MustParsePrefix("10.0.0.0/8"), netip.MustParsePrefix("10.0.0.0/24"),
+		netip.MustParsePrefix("10.0.1.0/24"), netip.MustParsePrefix("2001:db8::/32"),
+	}
+	absent := netip.MustParsePrefix("172.16.0.0/12")
+	randRows := func(devs []string, n int) []netmodel.Route {
+		rows := make([]netmodel.Route, n)
+		for k := range rows {
+			rows[k] = route(devs[rnd.Intn(len(devs))], "10.0.0.0/8", "1.1.1.1", rnd.Intn(3) == 0)
+			rows[k].Prefix = prefixes[rnd.Intn(len(prefixes))]
+			rows[k].VRF = []string{netmodel.DefaultVRF, "vrf1", "vrf2"}[rnd.Intn(3)]
+			rows[k].NextHop = netip.AddrFrom4([4]byte{1, 1, 1, byte(rnd.Intn(4))})
+		}
+		return rows
+	}
+	for trial := 0; trial < 300; trial++ {
+		rib := netmodel.NewGlobalRIB(randRows(devices, rnd.Intn(60)))
+		if trial%2 == 1 { // a fork's view: one device replaced, one purged
+			replaced := map[string]bool{devices[rnd.Intn(len(devices))]: true}
+			purged := devices[rnd.Intn(len(devices))]
+			var freshDevs []string
+			for d := range replaced {
+				if d != purged {
+					freshDevs = append(freshDevs, d)
+				}
+			}
+			replaced[purged] = true
+			var fresh []netmodel.Route
+			if len(freshDevs) > 0 {
+				fresh = netmodel.NewGlobalRIB(randRows(freshDevs, rnd.Intn(12))).Rows()
+			}
+			rib = rib.ReplaceDevices(replaced, fresh)
+		}
+		ctx := &Context{Updated: Snapshot{RIB: rib}}
+		for _, p := range append([]netip.Prefix{absent}, prefixes...) {
+			for _, want := range []bool{true, false} {
+				for _, devs := range [][]string{nil, {"A"}, {"B", "A1", "E"}, {"nope", "C", "C"}, devices} {
+					in := ReachIntent{Prefix: p, Devices: devs, Want: want}
+					if got, ref := in.Check(ctx), reachByScan(in, ctx); !reflect.DeepEqual(got, ref) {
+						t.Fatalf("trial %d: %s:\n block lookup %+v\n two scans    %+v", trial, in.Describe(), got, ref)
+					}
+				}
+			}
+		}
 	}
 }

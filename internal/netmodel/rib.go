@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"net/netip"
 	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -378,8 +380,26 @@ func (t *RIB) LongestMatchScan(addr netip.Addr) (prefix netip.Prefix, best []Rou
 
 // GlobalRIB is the paper's global RIB abstraction: all routes from all
 // routers collected into a single table with device and vrf columns.
+//
+// It is held as a sequence of per-device blocks. CompareRoutes orders by
+// device first, so a RIB's rows group into one run per device and the runs,
+// concatenated in device order, are the canonical row order. A cold RIB is
+// one backing slice cut at the device boundaries; a what-if fork's RIB
+// (ReplaceDevices) references its base's blocks for the devices the change
+// left alone and owns only the blocks of the devices it touched. Consumers
+// that compare two RIBs (Diff, Equal, serve's digest) skip the blocks both
+// reference — SameBlock — so they cost O(rows of the devices that differ).
 type GlobalRIB struct {
-	rows []Route
+	// blocks: one non-empty run per device, devices strictly ascending, each
+	// run in CompareRoutes order.
+	blocks [][]Route
+	n      int // rows over all blocks
+
+	// rows is the concatenation of blocks: the backing slice itself when the
+	// RIB was built from one (set at construction), otherwise copied together
+	// by the first Rows call.
+	flatten sync.Once
+	rows    []Route
 }
 
 // NewGlobalRIB builds a global RIB from rows in any order: they are copied
@@ -388,13 +408,125 @@ type GlobalRIB struct {
 func NewGlobalRIB(rows []Route) *GlobalRIB {
 	out := append([]Route(nil), rows...)
 	slices.SortFunc(out, CompareRoutes)
-	return &GlobalRIB{rows: out}
+	return NewGlobalRIBFromSorted(out)
 }
 
 // NewGlobalRIBFromSorted wraps rows already in CompareRoutes order, without
 // copying or re-sorting. Callers must not modify rows afterwards.
 func NewGlobalRIBFromSorted(rows []Route) *GlobalRIB {
-	return &GlobalRIB{rows: rows}
+	return &GlobalRIB{blocks: deviceBlocks(rows), n: len(rows), rows: rows}
+}
+
+// deviceBlocks cuts rows, sorted by device, into one sub-slice per device.
+// Each boundary is found by binary search, so a RIB of n rows over d devices
+// costs d·log n device comparisons, not n.
+func deviceBlocks(rows []Route) [][]Route {
+	var blocks [][]Route
+	for len(rows) > 0 {
+		dev := rows[0].Device
+		end := sort.Search(len(rows), func(i int) bool { return rows[i].Device != dev })
+		blocks = append(blocks, rows[:end:end])
+		rows = rows[end:]
+	}
+	return blocks
+}
+
+// ReplaceDevices returns the RIB that holds fresh's rows for every device in
+// replaced and g's rows for every other device. It references g's blocks for
+// the devices it keeps and copies nothing: the cost is O(blocks), whatever
+// the RIBs' size. fresh must be in CompareRoutes order and hold rows of
+// replaced devices only (devices g does not know are fine); a replaced device
+// without rows in fresh is absent from the result. Callers must not modify
+// fresh afterwards.
+func (g *GlobalRIB) ReplaceDevices(replaced map[string]bool, fresh []Route) *GlobalRIB {
+	fb := deviceBlocks(fresh)
+	out := &GlobalRIB{blocks: make([][]Route, 0, len(g.blocks)+len(fb))}
+	add := func(b []Route) {
+		out.blocks = append(out.blocks, b)
+		out.n += len(b)
+	}
+	for _, b := range g.blocks {
+		dev := b[0].Device
+		for ; len(fb) > 0 && fb[0][0].Device < dev; fb = fb[1:] {
+			add(fb[0])
+		}
+		if replaced[dev] {
+			continue // its fresh block, if any, sorts before g's next device
+		}
+		if len(fb) > 0 && fb[0][0].Device == dev {
+			panic("netmodel: ReplaceDevices: fresh rows for " + dev + ", which is not replaced")
+		}
+		add(b)
+	}
+	for _, b := range fb {
+		add(b)
+	}
+	if len(fresh) == 0 && out.n == g.n {
+		return g // nothing replaced had rows on either side
+	}
+	return out
+}
+
+// Blocks returns the per-device blocks in device order: each is one device's
+// rows in canonical order and is never empty. Callers must not modify them.
+func (g *GlobalRIB) Blocks() [][]Route { return g.blocks }
+
+// SameBlock reports whether a and b are the same stretch of the same backing
+// slice, which is how a fork's RIB holds the blocks it shares with its base:
+// rows behind a true result need no comparing. Nil blocks are never the same.
+func SameBlock(a, b []Route) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
+// JoinBlocks walks both RIBs' blocks in device order and calls fn once per
+// device present in either, with the device's block on each side (nil where
+// the device has no rows).
+func JoinBlocks(g, o *GlobalRIB, fn func(gb, ob []Route)) {
+	gi, oi := 0, 0
+	for gi < len(g.blocks) || oi < len(o.blocks) {
+		var c int
+		switch {
+		case oi == len(o.blocks):
+			c = -1
+		case gi == len(g.blocks):
+			c = 1
+		default:
+			c = strings.Compare(g.blocks[gi][0].Device, o.blocks[oi][0].Device)
+		}
+		var gb, ob []Route
+		if c <= 0 {
+			gb = g.blocks[gi]
+			gi++
+		}
+		if c >= 0 {
+			ob = o.blocks[oi]
+			oi++
+		}
+		fn(gb, ob)
+	}
+}
+
+// Lookup calls fn with device's rows for prefix, one call per VRF that holds
+// the prefix, each a run in canonical order. The device's block and the
+// prefix's place in each VRF are found by binary search; no other row is read.
+func (g *GlobalRIB) Lookup(device string, prefix netip.Prefix, fn func(rows []Route)) {
+	i, ok := sort.Find(len(g.blocks), func(i int) int { return strings.Compare(device, g.blocks[i][0].Device) })
+	if !ok {
+		return
+	}
+	for b := g.blocks[i]; len(b) > 0; {
+		vrf := b[0].VRF
+		end := sort.Search(len(b), func(i int) bool { return b[i].VRF != vrf })
+		lo := sort.Search(end, func(i int) bool { return comparePrefix(b[i].Prefix, prefix) >= 0 })
+		hi := lo
+		for hi < end && b[hi].Prefix == prefix {
+			hi++
+		}
+		if hi > lo {
+			fn(b[lo:hi])
+		}
+		b = b[end:]
+	}
 }
 
 // MergeSortedRoutes merges route slices — each already in CompareRoutes
@@ -455,32 +587,60 @@ func MergeSortedRoutes(segs [][]Route) []Route {
 }
 
 // Rows returns all rows in deterministic order. Callers must not modify the
-// returned slice.
-func (g *GlobalRIB) Rows() []Route { return g.rows }
+// returned slice. A RIB built from one slice returns that slice; a RIB made
+// by ReplaceDevices copies its blocks together on the first call (safe to
+// call concurrently) and returns the same copy from then on — consumers on a
+// what-if's hot path read Blocks, Lookup, Diff or Equal instead.
+func (g *GlobalRIB) Rows() []Route {
+	g.flatten.Do(func() {
+		if g.rows != nil || g.n == 0 {
+			return
+		}
+		rows := make([]Route, 0, g.n)
+		for _, b := range g.blocks {
+			rows = append(rows, b...)
+		}
+		g.rows = rows
+	})
+	return g.rows
+}
 
 // Len returns the number of rows.
-func (g *GlobalRIB) Len() int { return len(g.rows) }
+func (g *GlobalRIB) Len() int { return g.n }
 
 // Filter returns a new global RIB with only the rows where keep returns true.
 func (g *GlobalRIB) Filter(keep func(Route) bool) *GlobalRIB {
 	var rows []Route
-	for _, r := range g.rows {
-		if keep(r) {
-			rows = append(rows, r)
+	for _, b := range g.blocks {
+		for _, r := range b {
+			if keep(r) {
+				rows = append(rows, r)
+			}
 		}
 	}
-	return &GlobalRIB{rows: rows}
+	return NewGlobalRIBFromSorted(rows)
 }
 
 // Equal reports whether two global RIBs contain exactly the same rows with
-// identical attributes. Both are already in deterministic order.
+// identical attributes. Both are in canonical order and AttrsEqual compares
+// the device, so equal RIBs have equal block boundaries: blocks compare
+// pairwise, and a block both RIBs reference is equal without being read.
 func (g *GlobalRIB) Equal(o *GlobalRIB) bool {
-	if len(g.rows) != len(o.rows) {
+	if g.n != o.n || len(g.blocks) != len(o.blocks) {
 		return false
 	}
-	for i := range g.rows {
-		if !g.rows[i].AttrsEqual(o.rows[i]) {
+	for i, gb := range g.blocks {
+		ob := o.blocks[i]
+		if SameBlock(gb, ob) {
+			continue
+		}
+		if len(gb) != len(ob) {
 			return false
+		}
+		for j := range gb {
+			if !gb[j].AttrsEqual(ob[j]) {
+				return false
+			}
 		}
 	}
 	return true
@@ -491,10 +651,32 @@ func (g *GlobalRIB) Equal(o *GlobalRIB) bool {
 // comparison deliberately excludes provenance fields (Peer, Source, IGPCost,
 // ViaSR): a simulated route and a monitored route that agree on the
 // key and BGP attributes must not diff.
+//
+// The device is part of what is compared, so the multiset subtraction splits
+// exactly into one subtraction per device, and walking the devices in order
+// keeps both outputs in their RIB's row order. A block both RIBs reference
+// subtracts to nothing and is skipped unread — a what-if fork diffed against
+// its base pays only for the devices the failure changed.
 func (g *GlobalRIB) Diff(o *GlobalRIB) (onlyG, onlyO []Route) {
+	JoinBlocks(g, o, func(gb, ob []Route) {
+		switch {
+		case SameBlock(gb, ob):
+		case ob == nil:
+			onlyG = append(onlyG, gb...)
+		case gb == nil:
+			onlyO = append(onlyO, ob...)
+		default:
+			onlyG, onlyO = diffBlock(gb, ob, onlyG, onlyO)
+		}
+	})
+	return onlyG, onlyO
+}
+
+// diffBlock appends to onlyG the rows of gb that ob lacks and to onlyO the
+// rows of ob that gb lacks, counting duplicates.
+func diffBlock(gb, ob, onlyG, onlyO []Route) ([]Route, []Route) {
 	// One binary signature per row, computed once; the multiset subtraction
-	// below is then pure map traffic. This sits on the what-if serving hot
-	// path, where every query diffs the forked RIB against the base.
+	// below is then pure map traffic.
 	sigsOf := func(rows []Route) []string {
 		out := make([]string, len(rows))
 		buf := GetSigBuf()
@@ -505,8 +687,8 @@ func (g *GlobalRIB) Diff(o *GlobalRIB) (onlyG, onlyO []Route) {
 		}
 		return out
 	}
-	gSigs, oSigs := sigsOf(g.rows), sigsOf(o.rows)
-	inO := make(map[string]int, len(o.rows))
+	gSigs, oSigs := sigsOf(gb), sigsOf(ob)
+	inO := make(map[string]int, len(ob))
 	for _, s := range oSigs {
 		inO[s]++
 	}
@@ -514,10 +696,10 @@ func (g *GlobalRIB) Diff(o *GlobalRIB) (onlyG, onlyO []Route) {
 		if inO[s] > 0 {
 			inO[s]--
 		} else {
-			onlyG = append(onlyG, g.rows[i])
+			onlyG = append(onlyG, gb[i])
 		}
 	}
-	inG := make(map[string]int, len(g.rows))
+	inG := make(map[string]int, len(gb))
 	for _, s := range gSigs {
 		inG[s]++
 	}
@@ -525,7 +707,7 @@ func (g *GlobalRIB) Diff(o *GlobalRIB) (onlyG, onlyO []Route) {
 		if inG[s] > 0 {
 			inG[s]--
 		} else {
-			onlyO = append(onlyO, o.rows[i])
+			onlyO = append(onlyO, ob[i])
 		}
 	}
 	return onlyG, onlyO

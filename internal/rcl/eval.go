@@ -2,6 +2,7 @@ package rcl
 
 import (
 	"fmt"
+	"net/netip"
 	"regexp"
 	"strconv"
 	"strings"
@@ -65,6 +66,9 @@ func (e *EvalError) Error() string {
 type checker struct {
 	ctx        []string
 	violations []Violation
+	// regexps holds each matches-predicate's pattern, compiled at its first
+	// row and reused for every other row of the check.
+	regexps map[*MatchesPred]*regexp.Regexp
 }
 
 func (c *checker) context() string { return strings.Join(c.ctx, " > ") }
@@ -238,7 +242,7 @@ func (c *checker) transform(t Transform, M, N []netmodel.Route) ([]netmodel.Rout
 func (c *checker) filter(rows []netmodel.Route, p Predicate) ([]netmodel.Route, error) {
 	var out []netmodel.Route
 	for _, r := range rows {
-		ok, err := evalPredicate(p, r)
+		ok, err := c.evalPredicate(p, r)
 		if err != nil {
 			return nil, err
 		}
@@ -251,14 +255,19 @@ func (c *checker) filter(rows []netmodel.Route, p Predicate) ([]netmodel.Route, 
 
 // ---- predicates (Figure 11 (a)) ----
 
-func evalPredicate(p Predicate, r netmodel.Route) (bool, error) {
+// evalPredicate runs once per row of every filtered RIB, so it builds a
+// predicate's text only when it has an error to report.
+func (c *checker) evalPredicate(p Predicate, r netmodel.Route) (bool, error) {
 	switch p := p.(type) {
 	case *CmpPred:
+		if p.Field == netmodel.FieldPrefix {
+			return comparePrefixText(p.Op, r.Prefix, p.Value), nil
+		}
 		fv, ok := r.Field(p.Field)
 		if !ok {
 			return false, &EvalError{Expr: p.predString(), Reason: "unknown field"}
 		}
-		return compareFieldValue(p.Op, fv, p.Value, p.predString())
+		return compareFieldValue(p, fv)
 	case *ContainsPred:
 		fv, ok := r.Field(p.Field)
 		if !ok {
@@ -291,17 +300,24 @@ func evalPredicate(p Predicate, r netmodel.Route) (bool, error) {
 		if !ok {
 			return false, &EvalError{Expr: p.predString(), Reason: "unknown field"}
 		}
-		re, err := regexp.Compile("^(?:" + p.Regex + ")$")
-		if err != nil {
-			return false, &EvalError{Expr: p.predString(), Reason: err.Error()}
+		re := c.regexps[p]
+		if re == nil {
+			var err error
+			if re, err = regexp.Compile("^(?:" + p.Regex + ")$"); err != nil {
+				return false, &EvalError{Expr: p.predString(), Reason: err.Error()}
+			}
+			if c.regexps == nil {
+				c.regexps = map[*MatchesPred]*regexp.Regexp{}
+			}
+			c.regexps[p] = re
 		}
 		return re.MatchString(fieldString(fv)), nil
 	case *BoolPred:
-		l, err := evalPredicate(p.L, r)
+		l, err := c.evalPredicate(p.L, r)
 		if err != nil {
 			return false, err
 		}
-		rr, err := evalPredicate(p.R, r)
+		rr, err := c.evalPredicate(p.R, r)
 		if err != nil {
 			return false, err
 		}
@@ -315,35 +331,58 @@ func evalPredicate(p Predicate, r netmodel.Route) (bool, error) {
 		}
 		return false, &EvalError{Expr: p.predString(), Reason: "unknown operator"}
 	case *NotPred:
-		v, err := evalPredicate(p.P, r)
+		v, err := c.evalPredicate(p.P, r)
 		return !v, err
 	}
 	return false, &EvalError{Expr: fmt.Sprintf("%T", p), Reason: "unknown predicate node"}
 }
 
-// compareFieldValue compares a route field against a literal: numerically
+// compareFieldValue compares a route field against p's literal: numerically
 // when both sides are numeric, textually otherwise.
-func compareFieldValue(op CmpOp, fv any, lit string, expr string) (bool, error) {
+func compareFieldValue(p *CmpPred, fv any) (bool, error) {
 	switch v := fv.(type) {
 	case int64:
-		n, err := strconv.ParseInt(lit, 10, 64)
+		n, err := strconv.ParseInt(p.Value, 10, 64)
 		if err != nil {
-			return false, &EvalError{Expr: expr, Reason: fmt.Sprintf("numeric field compared to %q", lit)}
+			return false, &EvalError{Expr: p.predString(), Reason: fmt.Sprintf("numeric field compared to %q", p.Value)}
 		}
-		return cmpOrdered(op, v, n), nil
+		return cmpOrdered(p.Op, v, n), nil
 	case string:
-		return cmpOrdered(op, v, lit), nil
+		return cmpOrdered(p.Op, v, p.Value), nil
 	case []string:
 		joined := strings.Join(v, ",")
-		switch op {
+		switch p.Op {
 		case OpEq:
-			return joined == lit, nil
+			return joined == p.Value, nil
 		case OpNeq:
-			return joined != lit, nil
+			return joined != p.Value, nil
 		}
-		return false, &EvalError{Expr: expr, Reason: "relational comparison on a set-valued field"}
+		return false, &EvalError{Expr: p.predString(), Reason: "relational comparison on a set-valued field"}
 	}
-	return false, &EvalError{Expr: expr, Reason: "unsupported field type"}
+	return false, &EvalError{Expr: p.predString(), Reason: "unsupported field type"}
+}
+
+// comparePrefixText is cmpOrdered(op, pfx.String(), lit) — the prefix column
+// compares as text like every string column — with the text rendered into a
+// stack buffer: "prefix = …" opens most specifications and meets every row,
+// and Route.Field would allocate the string and box it each time.
+func comparePrefixText(op CmpOp, pfx netip.Prefix, lit string) bool {
+	var buf [64]byte // the longest rendering, an IPv6 /128, is 43 bytes
+	// String's text for a zero Prefix; AppendTo appends nothing for one.
+	text := append(buf[:0], "invalid Prefix"...)
+	if pfx.IsValid() {
+		text = pfx.AppendTo(buf[:0])
+	}
+	// Comparing string(text) in place borrows the buffer; handing the string
+	// to cmpOrdered would copy it to the heap first.
+	var c int64
+	switch {
+	case string(text) < lit:
+		c = -1
+	case string(text) > lit:
+		c = 1
+	}
+	return cmpOrdered(op, c, 0)
 }
 
 func cmpOrdered[T int64 | string](op CmpOp, a, b T) bool {

@@ -373,3 +373,64 @@ func TestEvalErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixPredicateAllocs pins the per-row cost of the predicate that opens
+// most specifications: a prefix comparison that does not match allocates
+// nothing — no error text built in advance, no prefix string, no boxed field.
+func TestPrefixPredicateAllocs(t *testing.T) {
+	c := &checker{}
+	p := &CmpPred{Field: netmodel.FieldPrefix, Op: OpEq, Value: "255.255.255.255/32"}
+	r := netmodel.Route{Device: "A", VRF: "global", Prefix: netip.MustParsePrefix("2001:db8:aaaa:bbbb:cccc:dddd:eeee:0/112")}
+	allocs := testing.AllocsPerRun(100, func() {
+		if ok, err := c.evalPredicate(p, r); ok || err != nil {
+			t.Fatalf("evalPredicate = %v, %v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a non-matching prefix comparison allocates %v times per row, want 0", allocs)
+	}
+}
+
+// TestPrefixPredicateIsTextual checks the stack-buffer comparison against the
+// definition it replaces, cmpOrdered over Prefix.String(), for every operator.
+func TestPrefixPredicateIsTextual(t *testing.T) {
+	prefixes := []netip.Prefix{
+		{}, netip.MustParsePrefix("10.0.0.0/8"), netip.MustParsePrefix("10.0.0.0/24"),
+		netip.MustParsePrefix("9.255.0.1/32"), netip.MustParsePrefix("::ffff:10.0.0.0/104"),
+		netip.MustParsePrefix("2001:db8::/32"),
+	}
+	lits := []string{"10.0.0.0/24", "10.0.0.0/8", "2001:db8::/32", "invalid Prefix", "", "zzz", "::ffff:10.0.0.0/104"}
+	for _, pfx := range prefixes {
+		for _, lit := range lits {
+			for _, op := range []CmpOp{OpEq, OpNeq, OpLt, OpLe, OpGt, OpGe} {
+				if got, want := comparePrefixText(op, pfx, lit), cmpOrdered(op, pfx.String(), lit); got != want {
+					t.Errorf("%q %s %q = %v, want %v", pfx.String(), op, lit, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRegexCompiledOncePerCheck: a matches-predicate's pattern is compiled at
+// its first row and the error of a bad pattern still names the predicate.
+func TestRegexCompiledOncePerCheck(t *testing.T) {
+	base, updated := figure6()
+	g, err := Parse(`POST||(device matches "A|B") |> count() = 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &checker{}
+	if holds, err := c.intent(g, base.Rows(), updated.Rows()); err != nil || !holds {
+		t.Fatalf("intent = %v, %v", holds, err)
+	}
+	if len(c.regexps) != 1 {
+		t.Errorf("%d compiled patterns cached for one predicate over 3 rows, want 1", len(c.regexps))
+	}
+	bad, err := Parse(`POST||(device matches "(") |> count() = 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Check(bad, base, updated); err == nil || !strings.Contains(err.Error(), `device matches "("`) {
+		t.Errorf("bad pattern: err = %v, want one naming the predicate", err)
+	}
+}

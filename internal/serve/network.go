@@ -19,15 +19,20 @@ import (
 // completed BaseRun, the base state's digest, and a pool of scratch network
 // clones so concurrent what-if queries never pay the full clone cost twice.
 type Network struct {
-	ID       string
-	net      *config.Network
-	inputs   []netmodel.Route
-	flows    []netmodel.Flow
-	eng      *core.Engine
-	base     *core.Result
-	baseDig  string
-	bw       map[netmodel.LinkID]float64
-	loadedAt time.Time
+	ID      string
+	net     *config.Network
+	inputs  []netmodel.Route
+	flows   []netmodel.Flow
+	eng     *core.Engine
+	base    *core.Result
+	baseDig string
+	// baseSum is the base digest before encoding; blockSums holds each base
+	// block's share of it, keyed by the block's first row. A query's digest
+	// starts from baseSum and exchanges only the blocks its RIB replaced.
+	baseSum   laneSum
+	blockSums map[*netmodel.Route]laneSum
+	bw        map[netmodel.LinkID]float64
+	loadedAt  time.Time
 
 	clones sync.Pool
 }
@@ -40,17 +45,24 @@ func loadNetwork(id string, net *config.Network, inputs []netmodel.Route, flows 
 	if err != nil {
 		return nil, fmt.Errorf("serve: base run: %w", err)
 	}
+	blocks := base.Routes.GlobalRIB().Blocks()
 	n := &Network{
-		ID:       id,
-		net:      net,
-		inputs:   inputs,
-		flows:    flows,
-		eng:      eng,
-		base:     base,
-		baseDig:  ribDigest(base.Routes.GlobalRIB()),
-		bw:       make(map[netmodel.LinkID]float64),
-		loadedAt: time.Now(),
+		ID:        id,
+		net:       net,
+		inputs:    inputs,
+		flows:     flows,
+		eng:       eng,
+		base:      base,
+		blockSums: make(map[*netmodel.Route]laneSum, len(blocks)),
+		bw:        make(map[netmodel.LinkID]float64),
+		loadedAt:  time.Now(),
 	}
+	for _, b := range blocks {
+		sum := sumRows(b)
+		n.blockSums[&b[0]] = sum
+		n.baseSum.add(sum)
+	}
+	n.baseDig = n.baseSum.String()
 	for _, l := range net.Topo.Links() {
 		if l.Bandwidth > 0 {
 			n.bw[l.ID()] = l.Bandwidth
@@ -83,30 +95,80 @@ func (n *Network) resolveLinks(refs []LinkRef) ([]netmodel.LinkID, error) {
 	return ids, nil
 }
 
-// ribDigest reduces a global RIB to an order-independent digest: each row's
-// signature is sha256-hashed and the per-row hashes are summed lane-wise
-// (sums, unlike XOR, don't cancel duplicate rows). Two states with equal
-// digests carry byte-identical RIB row sets regardless of row order — this
-// is the equivalence the e2e test checks against the batch CLI path. The
-// digest runs on every query response, so it avoids the sort and the
-// per-row allocations a canonical-order hash would need.
-func ribDigest(g *netmodel.GlobalRIB) string {
-	rows := g.Rows()
-	var acc [4]uint64
+// laneSum accumulates the RIB digest: each row's signature is sha256-hashed
+// and the per-row hashes are summed lane-wise (sums, unlike XOR, don't cancel
+// duplicate rows). Two states with equal digests carry byte-identical RIB row
+// sets regardless of row order — this is the equivalence the e2e test checks
+// against the batch CLI path. The sum is additive over any split of the rows
+// and wraps, so a block's share can be taken out again by subtraction: the
+// digest of a what-if's RIB is the base sum with the replaced blocks' shares
+// exchanged, bit for bit what hashing every row afresh gives.
+type laneSum [4]uint64
+
+func (a *laneSum) add(b laneSum) {
+	for lane := range a {
+		a[lane] += b[lane]
+	}
+}
+
+func (a *laneSum) sub(b laneSum) {
+	for lane := range a {
+		a[lane] -= b[lane]
+	}
+}
+
+func (a laneSum) String() string {
+	var out [32]byte
+	for lane, v := range a {
+		binary.BigEndian.PutUint64(out[lane*8:], v)
+	}
+	return hex.EncodeToString(out[:])
+}
+
+// sumRows hashes rows into a laneSum. It avoids the sort and the per-row
+// allocations a canonical-order hash would need.
+func sumRows(rows []netmodel.Route) laneSum {
+	var acc laneSum
 	buf := netmodel.GetSigBuf()
 	defer netmodel.PutSigBuf(buf)
 	for i := range rows {
 		*buf = rows[i].AppendSignature((*buf)[:0])
 		sum := sha256.Sum256(*buf)
-		for lane := 0; lane < 4; lane++ {
+		for lane := range acc {
 			acc[lane] += binary.BigEndian.Uint64(sum[lane*8:])
 		}
 	}
-	var out [32]byte
-	for lane := 0; lane < 4; lane++ {
-		binary.BigEndian.PutUint64(out[lane*8:], acc[lane])
-	}
-	return hex.EncodeToString(out[:])
+	return acc
+}
+
+// ribWork is what digesting and diffing one query's RIB against the base
+// cost, in rows, and how many base blocks it shared and so never read.
+type ribWork struct {
+	hashed, unshared, sharedBlocks int
+}
+
+// digestAgainstBase digests updated by exchanging, in the base sum, the share
+// of every base block updated does not reference for the hash of the block
+// updated holds instead. A RIB that shares nothing (a cold plan run) hashes
+// every row; the base itself hashes none.
+func (n *Network) digestAgainstBase(updated *netmodel.GlobalRIB) (string, ribWork) {
+	acc := n.baseSum
+	var w ribWork
+	netmodel.JoinBlocks(n.base.Routes.GlobalRIB(), updated, func(b, u []netmodel.Route) {
+		if netmodel.SameBlock(b, u) {
+			w.sharedBlocks++
+			return
+		}
+		if b != nil {
+			acc.sub(n.blockSums[&b[0]])
+		}
+		if u != nil {
+			acc.add(sumRows(u))
+			w.hashed += len(u)
+		}
+		w.unshared += len(b) + len(u)
+	})
+	return acc.String(), w
 }
 
 // RIBRow is one route row of GET /v1/networks/{id}/rib.

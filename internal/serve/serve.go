@@ -85,6 +85,11 @@ type Server struct {
 	mQueueDepth *telemetry.Gauge
 	mInflight   *telemetry.Gauge
 	mQueueWait  *telemetry.Histogram
+	// Work a query's digest and diff did and avoided: rows of its RIB hashed,
+	// rows of both RIBs diffed, and base blocks shared and therefore skipped.
+	mRowsHashed   *telemetry.Counter
+	mRowsDiffed   *telemetry.Counter
+	mBlocksShared *telemetry.Counter
 }
 
 // NewServer builds the service and starts its worker pool.
@@ -127,6 +132,9 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mInflight = s.reg.Gauge("serve_inflight_queries", "queries currently executing")
 	s.mQueueWait = s.reg.Histogram("serve_queue_wait_seconds",
 		"time from admission to execution start", telemetry.DurationBuckets)
+	s.mRowsHashed = s.reg.Counter("serve_rib_rows_hashed_total", "RIB rows hashed for query digests (rows of blocks not shared with the base)")
+	s.mRowsDiffed = s.reg.Counter("serve_rib_rows_diffed_total", "RIB rows diffed against the base, both sides (rows of blocks not shared)")
+	s.mBlocksShared = s.reg.Counter("serve_rib_blocks_shared_total", "device blocks a query's RIB shared with the base, skipped by digest and diff")
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.workerLoop()

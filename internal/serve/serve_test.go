@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -395,9 +396,13 @@ func TestServeDeadlineAndCancel(t *testing.T) {
 		t.Fatalf("deadline query: state %s, want failed/canceled", st.State)
 	}
 
-	// Cancel a pending query (single worker busy behind a sweep).
+	// Cancel a pending query (single worker busy behind a sweep). The sweep
+	// is a K=2 one of 512 scenarios, a second or more of work, so that it
+	// still holds the worker when the DELETE below arrives — at GOMAXPROCS=1
+	// the two HTTP round trips wait for time slices the sweep is using — and
+	// it is cancelled itself once the victim has been checked.
 	busy, _ := h.submitRetrying("alice", QueryRequest{
-		Kind: "kfail", K: 1, MaxScenarios: 200,
+		Kind: "kfail", K: 2, MaxScenarios: 512,
 		Specs: []string{"prefix = 255.255.255.255/32 => PRE = POST"},
 	})
 	l := h.out.Net.Topo.Links()[0]
@@ -412,6 +417,7 @@ func TestServeDeadlineAndCancel(t *testing.T) {
 	if st := h.await("alice", victim); st.State != StateCanceled {
 		t.Fatalf("cancelled query state %s", st.State)
 	}
+	h.do("alice", "DELETE", "/v1/queries/"+busy, nil)
 	h.await("alice", busy)
 }
 
@@ -785,4 +791,142 @@ func mathCeilSeconds(d time.Duration) int64 {
 		s++
 	}
 	return int64(s)
+}
+
+// ribDigest digests a global RIB from its flat rows alone, the way the
+// service did before RIBs had blocks: the reference for digestAgainstBase.
+func ribDigest(g *netmodel.GlobalRIB) string {
+	return sumRows(g.Rows()).String()
+}
+
+// bareServer loads out into a one-worker server whose executors the tests
+// call directly, without HTTP.
+func bareServer(t *testing.T, out *gen.Output, cfg Config) (*Server, *Network) {
+	t.Helper()
+	cfg.Tenants = []TenantConfig{{Name: "t", APIKey: "k"}}
+	cfg.Workers = 1
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	n, err := srv.LoadNetwork("n", out.Net, out.Inputs, out.Flows, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, n
+}
+
+// TestServeDigestAndDeltaMatchFlatRIB: under random link, multi-link and
+// device failures, with the base converged at parallelism 1, 0 and 8, a
+// what-if's rib_digest (base sum with the replaced blocks exchanged) and
+// route_delta (block-wise Diff) are what hashing and diffing flat copies of
+// both RIBs — which share no block — give.
+func TestServeDigestAndDeltaMatchFlatRIB(t *testing.T) {
+	out := gen.Generate(gen.WAN(2))
+	links, names := out.Net.Topo.Links(), out.Net.DeviceNames()
+	rnd := rand.New(rand.NewSource(21))
+	for _, p := range []int{1, 0, 8} {
+		srv, n := bareServer(t, out, Config{Sim: core.Options{Parallelism: p}})
+		flatBase := netmodel.NewGlobalRIB(n.base.Routes.GlobalRIB().Rows())
+		if got := ribDigest(flatBase); got != n.baseDig {
+			t.Fatalf("parallelism %d: base digest from block sums %s, from flat rows %s", p, n.baseDig, got)
+		}
+		for trial := 0; trial < 8; trial++ {
+			var req QueryRequest
+			scratch := out.Net.Clone()
+			for j := 1 + rnd.Intn(2); j > 0 && trial%4 != 3; j-- {
+				l := links[rnd.Intn(len(links))]
+				req.FailLinks = append(req.FailLinks, LinkRef{A: l.A, B: l.B})
+				scratch.Topo.SetLinkUp(l.ID(), false)
+			}
+			if trial%4 >= 2 {
+				d := names[rnd.Intn(len(names))]
+				req.FailDevices = []string{d}
+				scratch.Topo.SetNodeUp(d, false)
+			}
+			got, err := srv.runWhatIf(context.Background(), n, &Query{Req: req})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold := core.NewEngine(scratch, core.Options{}).Run(out.Inputs, out.Flows).Routes.GlobalRIB()
+			onlyBase, onlyCold := flatBase.Diff(cold)
+			if want := ribDigest(cold); got.RIBDigest != want {
+				t.Fatalf("parallelism %d, %+v: rib_digest %s, flat rows of a cold run hash to %s", p, req, got.RIBDigest, want)
+			}
+			if want := len(onlyBase) + len(onlyCold); got.RouteDelta != want {
+				t.Fatalf("parallelism %d, %+v: route_delta %d, flat diff %d", p, req, got.RouteDelta, want)
+			}
+		}
+	}
+}
+
+// TestServeRIBWorkCounters pins the work-avoided counters on one link
+// failure: the rows hashed are exactly the rows of the blocks the fork does
+// not share with the base, the rows diffed those plus the base's rows for the
+// same devices, and every other block is counted as shared — most of the RIB
+// on this fixture. A verify query, whose state is the base, hashes and diffs
+// nothing.
+func TestServeRIBWorkCounters(t *testing.T) {
+	out := gen.Generate(gen.WAN(2))
+	reg := telemetry.NewRegistry()
+	srv, n := bareServer(t, out, Config{Registry: reg})
+	read := func() (hashed, diffed, shared int) {
+		snap := reg.Gather()
+		get := func(name string) int {
+			s, ok := snap.Find(name)
+			if !ok {
+				t.Fatalf("counter %s is not registered", name)
+			}
+			return int(s.Value)
+		}
+		return get("serve_rib_rows_hashed_total"), get("serve_rib_rows_diffed_total"), get("serve_rib_blocks_shared_total")
+	}
+
+	l := out.Net.Topo.Links()[0]
+	scratch := out.Net.Clone()
+	scratch.Topo.SetLinkUp(l.ID(), false)
+	fork, _, err := n.eng.ForkCtx(context.Background(), scratch, core.Delta{LinksDown: []netmodel.LinkID{l.ID()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := n.base.Routes.GlobalRIB()
+	var wantHashed, wantDiffed, wantShared int
+	netmodel.JoinBlocks(base, fork.Routes.GlobalRIB(), func(b, u []netmodel.Route) {
+		if netmodel.SameBlock(b, u) {
+			wantShared++
+			return
+		}
+		wantHashed += len(u)
+		wantDiffed += len(b) + len(u)
+	})
+	if wantHashed == 0 || wantHashed*2 > base.Len() || wantShared == 0 {
+		t.Fatalf("fixture: link %s changes %d of %d rows and shares %d blocks; want some, under half, and some", l.ID(), wantHashed, base.Len(), wantShared)
+	}
+
+	res, err := srv.runWhatIf(context.Background(), n, &Query{Req: QueryRequest{FailLinks: []LinkRef{{A: l.A, B: l.B}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RIBDigest == res.BaseDigest {
+		t.Fatal("fixture: the failure leaves the RIB as it was, so nothing is diffed")
+	}
+	hashed, diffed, shared := read()
+	if hashed != wantHashed || diffed != wantDiffed || shared != wantShared {
+		t.Fatalf("what-if: hashed %d diffed %d shared %d, want %d %d %d (RIB has %d rows in %d blocks)",
+			hashed, diffed, shared, wantHashed, wantDiffed, wantShared, base.Len(), len(base.Blocks()))
+	}
+
+	if _, err := srv.runVerify(n, &Query{Req: QueryRequest{Kind: "verify", Specs: []string{"prefix = 255.255.255.255/32 => PRE = POST"}}}); err != nil {
+		t.Fatal(err)
+	}
+	hashed2, diffed2, shared2 := read()
+	if hashed2 != hashed || diffed2 != diffed || shared2 != shared+len(base.Blocks()) {
+		t.Fatalf("verify: hashed +%d diffed +%d shared +%d, want +0 +0 +%d", hashed2-hashed, diffed2-diffed, shared2-shared, len(base.Blocks()))
+	}
+	t.Logf("link %s: %d of %d rows hashed, %d diffed, %d of %d blocks shared", l.ID(), hashed, base.Len(), diffed, shared, len(base.Blocks()))
 }

@@ -282,16 +282,20 @@ func (s *Server) runPlan(ctx context.Context, n *Network, qu *Query) (*QueryResu
 func (s *Server) assemble(n *Network, res *core.Result, specs []string) (*QueryResult, error) {
 	updated := res.Routes.GlobalRIB()
 	baseRIB := n.base.Routes.GlobalRIB()
+	digest, work := n.digestAgainstBase(updated)
 	out := &QueryResult{
-		RIBDigest:  ribDigest(updated),
+		RIBDigest:  digest,
 		BaseDigest: n.baseDig,
 		SpecsOK:    true,
 	}
+	s.mRowsHashed.Add(int64(work.hashed))
+	s.mBlocksShared.Add(int64(work.sharedBlocks))
 	// Equal digests mean identical row sets — skip the Diff. Failures that
 	// leave routing untouched are common enough to fast-path.
 	if out.RIBDigest != out.BaseDigest {
 		onlyBase, onlyUpdated := baseRIB.Diff(updated)
 		out.RouteDelta = len(onlyBase) + len(onlyUpdated)
+		s.mRowsDiffed.Add(int64(work.unshared))
 	}
 	if len(specs) > 0 {
 		intents := make([]intent.Intent, 0, len(specs))
