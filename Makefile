@@ -19,12 +19,13 @@ test-shuffle:
 	$(GO) test -count=2 -shuffle=on ./...
 
 # The packages whose goroutine schedule depends on the core count — the cold
-# fixpoint's work units, concurrent forks, scenario and shard fan-out, and
-# the global-RIB blocks concurrent queries share with their base (netmodel,
-# intent, serve) — at 1, 2 and 8 procs: results must not depend on how the
-# units interleave.
+# fixpoint's work units, concurrent forks, scenario and shard fan-out, the
+# global-RIB blocks concurrent queries share with their base (netmodel,
+# intent, serve), and what concurrent forks read of one base while patching
+# their own tables (ec's memoized expansion index, traffic's base traces) — at
+# 1, 2 and 8 procs: results must not depend on how the units interleave.
 test-procs:
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/shard ./internal/netmodel ./internal/intent ./internal/serve || exit 1; done
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/shard ./internal/netmodel ./internal/intent ./internal/serve ./internal/ec ./internal/traffic || exit 1; done
 
 # Race-detector pass over every package: the parallel engine hot paths (SPF,
 # forwarding, ECs, config parse) and the concurrent-engine tests must stay

@@ -48,9 +48,6 @@ func (s *sim) decideAndAdvertise() []msg {
 		}
 		ti := s.tinfo[tid]
 		k := ti.k
-		if s.dirtyDevs != nil {
-			s.dirtyDevs[k.dev] = true
-		}
 		s.own(k)
 		pids := s.dirtyPids[tid]
 		s.decided += len(pids)
@@ -95,6 +92,7 @@ func (s *sim) decideAndAdvertise() []msg {
 			p := s.pfxs[pid]
 			best, sorted, rows := s.decide(ti, lk, ai, p)
 			rib.ReplaceOwned(p, rows)
+			s.noteInstall(k, p, rows)
 			sig := appendAdvSignature(s.sigScratch[:0], sorted)
 			s.sigScratch = sig
 			if la[p] == string(sig) { // alloc-free comparison

@@ -2,7 +2,9 @@ package bgp
 
 import (
 	"context"
+	"maps"
 	"net/netip"
+	"slices"
 	"sync"
 
 	"hoyan/internal/config"
@@ -29,9 +31,14 @@ type State struct {
 	lastAdv  map[tableKey]map[netip.Prefix]string
 	aggOn    map[tableKey]map[netip.Prefix]bool
 
+	// owners indexes, per table, the prefixes holding a candidate whose next
+	// hop resolves through the IGP, by the device owning that next hop: a
+	// changed distance dirties its prefixes by lookup (markDistAffected).
+	owners map[tableKey]map[string][]netip.Prefix
+
 	// units holds the captured work units of a multi-unit run until the first
-	// warm restart unions them into the maps above (merge): a one-shot audit
-	// never pays for a State it does not use.
+	// warm restart unions them into the maps above and builds owners (merge):
+	// a one-shot audit never pays for a State it does not use.
 	units []*State
 	merge sync.Once
 }
@@ -62,8 +69,14 @@ type ResimStats struct {
 	TablesTotal int
 	// Rounds is the number of fixpoint rounds the warm restart ran.
 	Rounds int
-	// ChangedDevices is every device whose table content actually differs
-	// from the base state (purged or re-decided to different rows).
+	// ChangedPrefixes holds, per table, the prefixes whose rows differ from
+	// the base state: each decision compares the rows it installs with the
+	// base table's (O(decisions), not O(tables)). A table listed here was
+	// written by the restart and never aliases the State; any other table of
+	// the result may. A purged device's tables are in neither.
+	ChangedPrefixes map[Table]map[netip.Prefix]bool
+	// ChangedDevices is every device whose table content differs from the
+	// base state: the devices of ChangedPrefixes plus the purged ones.
 	ChangedDevices map[string]bool
 }
 
@@ -122,51 +135,86 @@ func (st *State) Resimulate(net *config.Network, igp *isis.Result, inputs []netm
 // ctx disables polling. The restart is one sequential fixpoint: forks scale
 // across scenarios, shards and queries instead.
 func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (*Result, *ResimStats) {
-	st.merge.Do(st.mergeUnits)
+	st.merge.Do(func() {
+		st.mergeUnits()
+		st.indexOwners(net)
+	})
+	s := st.warmSim(ctx, net, igp)
+	dirty := make(dirtySet)
+	purged := st.seedChanges(s, inputs, d, dirty)
+	st.seedResolution(s, d, dirty)
+	stats := &ResimStats{TablesTotal: len(st.ribs), ChangedDevices: purged}
+	stats.TablesDirty = len(dirty)
+	res := s.run(dirty)
+	stats.Rounds = res.Rounds
+
+	// Many seeded-dirty tables re-decide to exactly their base rows; what is
+	// left in s.changed is what the downstream stages (expansion, global-RIB
+	// emission, flow re-forwarding) have to redo.
+	stats.ChangedPrefixes = make(map[Table]map[netip.Prefix]bool, len(s.changed))
+	for k, ps := range s.changed {
+		if len(ps) > 0 {
+			stats.ChangedPrefixes[Table{k.dev, k.vrf}] = ps
+			stats.ChangedDevices[k.dev] = true
+		}
+	}
+	return res, stats
+}
+
+// warmSim returns a simulation over net that holds the captured state
+// copy-on-write: only the outer maps are copied here; each table's inner maps
+// stay shared with the State until the first write to that table privatizes
+// them (sim.own), and an adj-RIB-in cell until its own first write
+// (sim.ownFroms). Warm restarts typically write a small fraction of the
+// tables, and few prefixes of those.
+func (st *State) warmSim(ctx context.Context, net *config.Network, igp *isis.Result) *sim {
 	opts := st.opts
 	opts.Ctx = ctx
 	s := newSim(net, igp, opts)
-	// Copy-on-write: only the outer maps are copied here; each table's inner
-	// maps stay shared with the captured state until the first write to that
-	// table privatizes them (sim.own). Warm restarts typically write a small
-	// fraction of the tables, so this skips most of the cloning work.
-	s.adjIn = outerCopy(st.adjIn)
-	s.locals = outerCopy(st.locals)
-	s.ribs = outerCopy(st.ribs)
-	s.lastAdv = outerCopy(st.lastAdv)
-	s.aggOn = outerCopy(st.aggOn)
+	s.adjIn = maps.Clone(st.adjIn)
+	s.locals = maps.Clone(st.locals)
+	s.ribs = maps.Clone(st.ribs)
+	s.lastAdv = maps.Clone(st.lastAdv)
+	s.aggOn = maps.Clone(st.aggOn)
 	s.shared = make(map[tableKey]bool, len(st.ribs))
 	for _, k := range s.tableKeys() {
 		s.shared[k] = true
 	}
+	s.privIn = make(map[tableKey]map[netip.Prefix]bool)
+	s.baseRIBs = st.ribs
+	s.changed = make(map[tableKey]map[netip.Prefix]bool)
+	return s
+}
 
-	changed := make(map[string]bool)
-	s.dirtyDevs = changed
+// dirtySet is the seed of a fixpoint: the (table, prefix) pairs to decide.
+type dirtySet map[tableKey]map[netip.Prefix]bool
 
-	dirty := make(map[tableKey]map[netip.Prefix]bool)
-	mark := func(k tableKey, p netip.Prefix) {
-		if dirty[k] == nil {
-			dirty[k] = make(map[netip.Prefix]bool)
-		}
-		dirty[k][p] = true
+func (ds dirtySet) mark(k tableKey, p netip.Prefix) {
+	if ds[k] == nil {
+		ds[k] = make(map[netip.Prefix]bool)
 	}
-	// markTable dirties every prefix the table has any state for.
-	markTable := func(k tableKey) {
-		for p := range s.locals[k] {
-			mark(k, p)
-		}
-		for p := range s.adjIn[k] {
-			mark(k, p)
-		}
-		if rib := s.ribs[k]; rib != nil {
-			for _, p := range rib.Prefixes() {
-				mark(k, p)
-			}
+	ds[k][p] = true
+}
+
+// markTable dirties every prefix the table has any state for.
+func (ds dirtySet) markTable(s *sim, k tableKey) {
+	for p := range s.locals[k] {
+		ds.mark(k, p)
+	}
+	for p := range s.adjIn[k] {
+		ds.mark(k, p)
+	}
+	if rib := s.ribs[k]; rib != nil {
+		for _, p := range rib.Prefixes() {
+			ds.mark(k, p)
 		}
 	}
+}
 
-	stats := &ResimStats{TablesTotal: len(st.ribs)}
-
+// seedChanges applies to s what the delta does to the captured state itself —
+// purged devices, the session graph, the originated candidates — dirtying
+// every (table, prefix) it writes. It returns the purged devices.
+func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta, dirty dirtySet) map[string]bool {
 	// 1. Purge every table of a downed device; its peers learn of the loss
 	// through the session diff below.
 	down := make(map[string]bool, len(d.NodesDown))
@@ -183,7 +231,6 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 			delete(s.ribs, k)
 			delete(s.lastAdv, k)
 			delete(s.aggOn, k)
-			changed[k.dev] = true
 		}
 	}
 
@@ -209,7 +256,7 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 				// even where the decision is unchanged.
 				k := tableKey{sess.local, sess.vrf}
 				delete(s.lastAdv, k)
-				markTable(k)
+				dirty.markTable(s, k)
 			}
 		}
 	}
@@ -238,7 +285,7 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 			} else {
 				s.adjIn[k][p] = fresh
 			}
-			mark(k, p)
+			dirty.mark(k, p)
 		}
 	}
 
@@ -275,121 +322,111 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 			} else {
 				m[p] = merged
 			}
-			mark(k, p)
+			dirty.mark(k, p)
 		}
 	}
+	return down
+}
 
-	// 4. Tables whose next-hop resolution environment changed. Endpoints of
-	// flipped links re-decide everything: resolution consults their adjacent
-	// links and direct subnets without going through the IGP (FindLink,
-	// onDirectSubnet). Any other device with a changed IGP view re-decides
-	// only the prefixes holding a candidate whose next-hop owner's distance
-	// changed — resolution reads the IGP solely as dist(dev, owner), so no
-	// other prefix can resolve differently.
+// seedResolution dirties what the delta leaves as it was but may resolve
+// differently. Endpoints of flipped links re-decide everything: resolution
+// consults their adjacent links and direct subnets without going through the
+// IGP (FindLink, onDirectSubnet). Any other device with a changed IGP view
+// re-decides only the prefixes holding a candidate whose next-hop owner's
+// distance changed — resolution reads the IGP solely as dist(dev, owner), so
+// no other prefix can resolve differently.
+func (st *State) seedResolution(s *sim, d Delta, dirty dirtySet) {
 	endpoints := make(map[string]bool, 2*len(d.ChangedLinks))
 	for _, id := range d.ChangedLinks {
 		endpoints[id.A] = true
 		endpoints[id.B] = true
 	}
-	if len(endpoints) > 0 || len(d.DistChanged) > 0 {
-		for _, k := range s.tableKeys() {
-			if endpoints[k.dev] {
-				markTable(k)
-				continue
-			}
-			if cd := d.DistChanged[k.dev]; len(cd) > 0 {
-				s.markDistAffected(k, cd, mark)
-			}
-		}
+	if len(endpoints) == 0 && len(d.DistChanged) == 0 {
+		return
 	}
-
-	stats.TablesDirty = len(dirty)
-	res := s.run(dirty)
-	stats.Rounds = res.Rounds
-
-	// Many seeded-dirty tables re-decide to exactly their base rows. Shrink
-	// the changed set to devices whose content actually differs, so the
-	// downstream stages (expansion, global-RIB merge, flow re-forwarding)
-	// reuse base state for the rest.
-	sKeys := ribKeysByDev(s.ribs, changed)
-	stKeys := ribKeysByDev(st.ribs, changed)
-	for dev := range changed {
-		a, b := sKeys[dev], stKeys[dev]
-		if len(a) != len(b) {
-			continue
-		}
-		same := true
-		for _, k := range a {
-			base, ok := st.ribs[k]
-			if !ok || !s.ribs[k].EqualContent(base) {
-				same = false
-				break
-			}
-		}
-		if same {
-			delete(changed, dev)
-		}
-	}
-	// Callers post-process changed devices' tables in place (prefix
-	// expansion), so none of them may still alias the captured state.
 	for _, k := range s.tableKeys() {
-		if changed[k.dev] {
-			s.own(k)
+		if endpoints[k.dev] {
+			dirty.markTable(s, k)
+		} else if cd := d.DistChanged[k.dev]; len(cd) > 0 {
+			st.markDistAffected(k, cd, dirty)
 		}
 	}
-	stats.ChangedDevices = changed
-	return res, stats
 }
 
-// markDistAffected dirties the prefixes of table k that hold at least one
-// candidate whose resolution depends on a changed distance. Local non-static
-// candidates resolve trivially; next hops owned by the device itself cost 0
-// either way; unknown owners resolve through direct subnets, which only
-// adjacency changes (handled by endpoint marking) can affect.
-func (s *sim) markDistAffected(k tableKey, cd map[string]bool, mark func(tableKey, netip.Prefix)) {
-	affects := func(cs []cand) bool {
+// noteInstall records, in a warm restart, whether the rows a decision just
+// installed for (k, p) differ from the captured state's. A prefix decided
+// again in a later round is judged again, so the set reflects the final rows.
+func (s *sim) noteInstall(k tableKey, p netip.Prefix, rows []netmodel.Route) {
+	if s.changed == nil {
+		return
+	}
+	var base []netmodel.Route
+	if t := s.baseRIBs[k]; t != nil {
+		base = t.Routes(p)
+	}
+	if slices.EqualFunc(rows, base, netmodel.Route.Identical) {
+		delete(s.changed[k], p)
+		return
+	}
+	if s.changed[k] == nil {
+		s.changed[k] = make(map[netip.Prefix]bool)
+	}
+	s.changed[k][p] = true
+}
+
+// indexOwners builds owners from the captured candidates. Resolution reads
+// the IGP only as dist(table's device, owner of the next hop): local
+// non-static candidates resolve trivially; next hops owned by the device
+// itself cost 0 either way; unknown owners resolve through direct subnets,
+// which only adjacency changes (endpoint marking) affect. Address ownership
+// survives up/down toggles, so any network a Delta describes gives this index.
+func (st *State) indexOwners(net *config.Network) {
+	st.owners = make(map[tableKey]map[string][]netip.Prefix)
+	add := func(k tableKey, p netip.Prefix, cs []cand) {
 		for _, c := range cs {
 			if c.local && c.route.Protocol != netmodel.ProtoStatic {
 				continue
 			}
-			nh := c.route.NextHop
-			if !nh.IsValid() {
-				continue
-			}
-			owner := s.net.Topo.AddrOwner(nh)
+			owner := net.Topo.AddrOwner(c.route.NextHop)
 			if owner == "" || owner == k.dev {
 				continue
 			}
-			if cd[owner] {
-				return true
+			m := st.owners[k]
+			if m == nil {
+				m = make(map[string][]netip.Prefix)
+				st.owners[k] = m
+			}
+			if ps := m[owner]; len(ps) == 0 || ps[len(ps)-1] != p {
+				m[owner] = append(ps, p)
 			}
 		}
-		return false
 	}
-	for p, cs := range s.locals[k] {
-		if affects(cs) {
-			mark(k, p)
+	for k, m := range st.locals {
+		for p, cs := range m {
+			add(k, p, cs)
 		}
 	}
-	for p, byFrom := range s.adjIn[k] {
-		for _, cs := range byFrom {
-			if affects(cs) {
-				mark(k, p)
-				break
+	for k, m := range st.adjIn {
+		for p, byFrom := range m {
+			for _, cs := range byFrom {
+				add(k, p, cs)
 			}
 		}
 	}
 }
 
-// ribKeysByDev indexes table keys by device, restricted to devices in want.
-func ribKeysByDev(m map[tableKey]*netmodel.RIB, want map[string]bool) map[string][]tableKey {
-	out := make(map[string][]tableKey, len(want))
-	for k := range m {
-		if want[k.dev] {
-			out[k.dev] = append(out[k.dev], k)
+// markDistAffected dirties the prefixes of table k holding a candidate whose
+// resolution depends on a distance in cd. It reads the captured candidates:
+// wherever seedChanges edited a prefix's candidates, that prefix is dirty
+// anyway.
+func (st *State) markDistAffected(k tableKey, cd map[string]bool, dirty dirtySet) {
+	for owner, ps := range st.owners[k] {
+		if cd[owner] {
+			for _, p := range ps {
+				dirty.mark(k, p)
+			}
 		}
 	}
-	return out
 }
 
 // tableKeys returns every table the simulation has any state for.
@@ -466,61 +503,50 @@ func candEqual(a, b cand) bool {
 		ra.IGPCost == rb.IGPCost && ra.ViaSR == rb.ViaSR
 }
 
-// outerCopy copies only the per-table map; the inner values stay shared until
-// sim.own privatizes a table.
-func outerCopy[V any](m map[tableKey]V) map[tableKey]V {
-	out := make(map[tableKey]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // own privatizes table k's inner maps when they are still shared with a
 // captured State. Every write path to per-table state calls it first, so a
-// warm restart clones exactly the tables it touches. The cloned structure
-// stops at the leaf candidate/route slices: the fixpoint only installs fresh
-// slices, so shared leaves are never written through either side.
+// warm restart clones exactly the tables it touches. Only the table's outer
+// maps are copied: the adj-RIB-in cells stay shared until ownFroms clones the
+// one being written, and the leaf candidate/route slices for good — the
+// fixpoint only installs fresh slices, so shared leaves are never written
+// through either side.
 func (s *sim) own(k tableKey) {
 	if !s.shared[k] {
 		return
 	}
 	delete(s.shared, k)
 	if m, ok := s.adjIn[k]; ok {
-		cp := make(map[netip.Prefix]map[string][]cand, len(m))
-		for p, byFrom := range m {
-			fp := make(map[string][]cand, len(byFrom))
-			for from, cs := range byFrom {
-				fp[from] = cs
-			}
-			cp[p] = fp
-		}
-		s.adjIn[k] = cp
+		s.adjIn[k] = maps.Clone(m)
 	}
 	if m, ok := s.locals[k]; ok {
-		cp := make(map[netip.Prefix][]cand, len(m))
-		for p, cs := range m {
-			cp[p] = cs
-		}
-		s.locals[k] = cp
+		s.locals[k] = maps.Clone(m)
 	}
 	if t, ok := s.ribs[k]; ok {
 		s.ribs[k] = t.ShallowClone()
 	}
 	if m, ok := s.lastAdv[k]; ok {
-		cp := make(map[netip.Prefix]string, len(m))
-		for p, sig := range m {
-			cp[p] = sig
-		}
-		s.lastAdv[k] = cp
+		s.lastAdv[k] = maps.Clone(m)
 	}
 	if m, ok := s.aggOn[k]; ok {
-		cp := make(map[netip.Prefix]bool, len(m))
-		for p, on := range m {
-			cp[p] = on
-		}
-		s.aggOn[k] = cp
+		s.aggOn[k] = maps.Clone(m)
 	}
+}
+
+// ownFroms returns byFrom — table k's adj-RIB-in cell for p, nil when there
+// is none — safe to write; the caller has run own(k). In a warm restart the
+// cell is the captured State's until its first write clones it here:
+// copy-on-write costs O(cells written), not O(cells of every table touched).
+func (s *sim) ownFroms(k tableKey, p netip.Prefix, byFrom map[string][]cand) map[string][]cand {
+	if byFrom == nil || s.shared == nil || s.privIn[k][p] {
+		return byFrom
+	}
+	if s.privIn[k] == nil {
+		s.privIn[k] = make(map[netip.Prefix]bool)
+	}
+	s.privIn[k][p] = true
+	byFrom = maps.Clone(byFrom)
+	s.adjIn[k][p] = byFrom
+	return byFrom
 }
 
 func cloneRIBs(m map[tableKey]*netmodel.RIB) map[tableKey]*netmodel.RIB {

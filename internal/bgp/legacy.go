@@ -19,12 +19,6 @@ import (
 func (s *sim) legacyDecideAndAdvertise(dirty map[tableKey]map[netip.Prefix]bool) []msg {
 	var out []msg
 
-	if s.dirtyDevs != nil {
-		for k := range dirty {
-			s.dirtyDevs[k.dev] = true
-		}
-	}
-
 	// Deterministic iteration order.
 	keys := make([]tableKey, 0, len(dirty))
 	for k := range dirty {
@@ -131,6 +125,7 @@ func (s *sim) legacyDecide(k tableKey, p netip.Prefix) (best, sorted []cand) {
 		rows = append(rows, r)
 	}
 	rib.Replace(p, rows)
+	s.noteInstall(k, p, rows)
 	return best, cands
 }
 
@@ -248,13 +243,15 @@ func (s *sim) legacyDeliver(msgs []msg) map[tableKey]map[netip.Prefix]bool {
 		if s.adjIn[k] == nil {
 			s.adjIn[k] = make(map[netip.Prefix]map[string][]cand)
 		}
-		if s.adjIn[k][m.prefix] == nil {
-			s.adjIn[k][m.prefix] = make(map[string][]cand)
+		byFrom := s.ownFroms(k, m.prefix, s.adjIn[k][m.prefix])
+		if byFrom == nil {
+			byFrom = make(map[string][]cand)
+			s.adjIn[k][m.prefix] = byFrom
 		}
 		if len(accepted) == 0 {
-			delete(s.adjIn[k][m.prefix], m.from)
+			delete(byFrom, m.from)
 		} else {
-			s.adjIn[k][m.prefix][m.from] = accepted
+			byFrom[m.from] = accepted
 		}
 		if dirty[k] == nil {
 			dirty[k] = make(map[netip.Prefix]bool)

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -269,10 +270,24 @@ func assertSameState(t *testing.T, label string, got, want *State) {
 		t.Errorf("%s: %d tables, want %d", label, len(got.ribs), len(want.ribs))
 	}
 	for k, rib := range want.ribs {
-		if g := got.ribs[k]; g == nil || !g.EqualContent(rib) {
+		if g := got.ribs[k]; g == nil || !sameTable(g, rib) {
 			t.Errorf("%s: table %v differs", label, k)
 		}
 	}
+}
+
+// sameTable reports whether two tables hold the same prefixes with Identical
+// rows in the same stored (decision) order.
+func sameTable(a, b *netmodel.RIB) bool {
+	if !slices.Equal(a.Prefixes(), b.Prefixes()) {
+		return false
+	}
+	for _, p := range a.Prefixes() {
+		if !slices.EqualFunc(a.Routes(p), b.Routes(p), netmodel.Route.Identical) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestParallelSimulateRace exercises multi-unit runs under the race detector:

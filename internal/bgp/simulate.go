@@ -107,6 +107,9 @@ type tableKey struct {
 	vrf string
 }
 
+// Table names one (device, VRF) routing table.
+type Table = struct{ Device, VRF string }
+
 // RIB returns the routing table of (device, vrf), or an empty RIB.
 func (r *Result) RIB(device, vrf string) *netmodel.RIB {
 	if t, ok := r.ribs[tableKey{device, vrf}]; ok {
@@ -116,7 +119,7 @@ func (r *Result) RIB(device, vrf string) *netmodel.RIB {
 }
 
 // Tables returns all (device, vrf) pairs with a non-empty RIB, sorted.
-func (r *Result) Tables() []struct{ Device, VRF string } {
+func (r *Result) Tables() []Table {
 	keys := make([]tableKey, 0, len(r.ribs))
 	for k := range r.ribs {
 		keys = append(keys, k)
@@ -127,9 +130,9 @@ func (r *Result) Tables() []struct{ Device, VRF string } {
 		}
 		return strings.Compare(a.vrf, b.vrf)
 	})
-	out := make([]struct{ Device, VRF string }, len(keys))
+	out := make([]Table, len(keys))
 	for i, k := range keys {
-		out[i] = struct{ Device, VRF string }{k.dev, k.vrf}
+		out[i] = Table{k.dev, k.vrf}
 	}
 	return out
 }
@@ -214,14 +217,18 @@ type sim struct {
 	// aggOn tracks whether each aggregate is currently active.
 	aggOn map[tableKey]map[netip.Prefix]bool
 
-	// dirtyDevs, when non-nil, accumulates every device whose table was ever
-	// re-decided (warm restarts use it to bound traffic re-simulation).
-	dirtyDevs map[string]bool
-
 	// shared, when non-nil, marks tables whose inner maps are still shared
 	// with a captured State (see Resimulate); sim.own privatizes a table
-	// before its first write.
+	// before its first write. own copies a table's outer maps only: privIn
+	// records the adj-RIB-in cells ownFroms has since cloned for writing.
 	shared map[tableKey]bool
+	privIn map[tableKey]map[netip.Prefix]bool
+
+	// baseRIBs, in a warm restart, are the captured State's tables, and
+	// changed collects per table the prefixes whose installed rows differ
+	// from them (noteInstall). Both nil in a cold run.
+	baseRIBs map[tableKey]*netmodel.RIB
+	changed  map[tableKey]map[netip.Prefix]bool
 
 	messages int
 
@@ -348,22 +355,16 @@ func (s *sim) ctxDone() bool {
 }
 
 // allDirty marks every table/prefix with candidates dirty (cold start).
-func (s *sim) allDirty() map[tableKey]map[netip.Prefix]bool {
-	dirty := make(map[tableKey]map[netip.Prefix]bool)
-	mark := func(k tableKey, p netip.Prefix) {
-		if dirty[k] == nil {
-			dirty[k] = make(map[netip.Prefix]bool)
-		}
-		dirty[k][p] = true
-	}
+func (s *sim) allDirty() dirtySet {
+	dirty := make(dirtySet)
 	for k, m := range s.locals {
 		for p := range m {
-			mark(k, p)
+			dirty.mark(k, p)
 		}
 	}
 	for k, m := range s.adjIn {
 		for p := range m {
-			mark(k, p)
+			dirty.mark(k, p)
 		}
 	}
 	return dirty
@@ -735,7 +736,7 @@ func (s *sim) commitDelivery(m *msg, tid int32, ti *tableInfo, accepted []cand) 
 		// Withdrawal: only touch maps that already exist.
 		if byFrom := ai[m.prefix]; byFrom != nil {
 			if _, had := byFrom[m.from]; had {
-				delete(byFrom, m.from)
+				delete(s.ownFroms(k, m.prefix, byFrom), m.from)
 				changed = true
 			}
 		}
@@ -754,7 +755,7 @@ func (s *sim) commitDelivery(m *msg, tid int32, ti *tableInfo, accepted []cand) 
 			ai[m.prefix] = byFrom
 		}
 		if old, had := byFrom[m.from]; !had || !candsSame(old, accepted) {
-			byFrom[m.from] = accepted
+			s.ownFroms(k, m.prefix, byFrom)[m.from] = accepted
 			changed = true
 		} else {
 			s.giveBackCands(cap(accepted))

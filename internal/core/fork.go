@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"net/netip"
+	"slices"
+	"sort"
 
 	"hoyan/internal/bgp"
 	"hoyan/internal/config"
@@ -54,6 +56,15 @@ type ForkStats struct {
 
 	FlowsTotal  int // representative flows forwarded
 	FlowsReused int // flows whose base path/load was reused
+
+	// A topology-only fork's RIB work in rows (zero on the other paths, which
+	// rebuild every table). Changed: the rows its expanded tables hold at the
+	// (table, prefix) pairs it rebuilt, the only ones that can differ from
+	// base. Rebuilt: the rows it writes — each changed row into its table and
+	// into its device's global-RIB block, plus the base rows that block copies
+	// around them (the block is written on the first GlobalRIB read).
+	RIBRowsChanged int
+	RIBRowsRebuilt int
 }
 
 // baseCapture is everything BaseRun saves so Fork can warm-start: the inputs
@@ -320,78 +331,32 @@ func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, para
 	if err := ctxErr(ctx); err != nil {
 		return nil, stats, err
 	}
-	// With an unchanged input set the EC partition — and therefore the
-	// expansion of an unchanged table — matches the base run exactly, so
-	// unchanged devices share the base's already-expanded tables and only
-	// changed ones expand. The fork's global RIB is then a view of the base's:
-	// its blocks for unchanged devices, new blocks for the changed ones.
-	share := !d.inputsChanged() && e.base.routes != nil
-	for _, t := range bres.Tables() {
-		if share && !rstats.ChangedDevices[t.Device] {
-			bres.SetRIB(t.Device, t.VRF, e.base.routes.BGP.RIB(t.Device, t.VRF))
-			continue
-		}
-		if routeECs == nil {
-			continue
-		}
-		rt := bres.RIB(t.Device, t.VRF)
-		if !rstats.ChangedDevices[t.Device] {
-			// The warm restart's unchanged tables may alias the captured base
-			// state (copy-on-write); clone before expanding in place.
-			rt = rt.ShallowClone()
-			bres.SetRIB(t.Device, t.VRF, rt)
-		}
-		e.expandRIB(routeECs, rt)
-	}
 	routes := &RouteResult{BGP: bres, ECStats: routeECs}
-	// The warm restart carries the engine-wide parallelism; the fork's cap
-	// bounds its global-RIB fill.
-	routes.globalFn = func() *netmodel.GlobalRIB { return bres.GlobalRIBN(parallelism) }
 	// ribDiff narrows flow invalidation from "visited a changed device" to
-	// "a changed prefix at a visited device covers the flow's destination":
-	// per changed device, the prefixes whose expanded rows differ from base.
+	// "a changed prefix at a visited device covers the flow's destination".
 	// countDelta tracks per-prefix table-count changes so the flow-EC
 	// partition check below needs no materialized global RIB — the global RIB
 	// itself is built lazily, only for intents that actually read it.
 	var ribDiff map[string][]netip.Prefix
 	var countDelta map[netip.Prefix]int
-	if share {
-		routes.globalFn = func() *netmodel.GlobalRIB {
-			return e.mergedGlobalRIB(bres, rstats.ChangedDevices)
-		}
-		ribDiff = make(map[string][]netip.Prefix, len(rstats.ChangedDevices))
-		countDelta = make(map[netip.Prefix]int)
+	if !d.inputsChanged() {
+		ribDiff, countDelta = e.patchTables(bres, rstats, routeECs, routes, d, &stats)
+	} else {
+		// The warm restart carries the engine-wide parallelism; the fork's cap
+		// bounds its global-RIB fill.
+		routes.globalFn = func() *netmodel.GlobalRIB { return bres.GlobalRIBN(parallelism) }
 		for _, t := range bres.Tables() {
-			if !rstats.ChangedDevices[t.Device] {
-				continue
+			if routeECs == nil {
+				break // tables stay as simulated
 			}
-			baseRIB := e.base.routes.BGP.RIB(t.Device, t.VRF)
-			diff, added, removed := bres.RIB(t.Device, t.VRF).DiffPrefixes(baseRIB)
-			if len(diff) > 0 {
-				ribDiff[t.Device] = append(ribDiff[t.Device], diff...)
+			rt := bres.RIB(t.Device, t.VRF)
+			if len(rstats.ChangedPrefixes[t]) == 0 {
+				// A table the restart never wrote may alias the captured base
+				// state (copy-on-write); clone before expanding in place.
+				rt = rt.ShallowClone()
+				bres.SetRIB(t.Device, t.VRF, rt)
 			}
-			for _, p := range added {
-				countDelta[p]++
-			}
-			for _, p := range removed {
-				countDelta[p]--
-			}
-		}
-		// Purged devices' tables are gone from the fork result entirely, so
-		// the loop above never sees them; retire their prefixes here.
-		if len(d.NodesDown) > 0 {
-			downSet := make(map[string]bool, len(d.NodesDown))
-			for _, n := range d.NodesDown {
-				downSet[n] = true
-			}
-			for _, t := range e.base.routes.BGP.Tables() {
-				if !downSet[t.Device] {
-					continue
-				}
-				for _, p := range e.base.routes.BGP.RIB(t.Device, t.VRF).Prefixes() {
-					countDelta[p]--
-				}
-			}
+			e.expandRIB(routeECs, rt)
 		}
 	}
 
@@ -440,27 +405,109 @@ func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, para
 	return &Result{Routes: routes, Traffic: tr}, stats, nil
 }
 
-// mergedGlobalRIB builds a fork's global RIB as a view of the base global
-// RIB: the changed devices' tables are emitted in canonical order into one
-// new slice and replace those devices' blocks (a purged device has no table
-// and simply drops out); every other device's block is the base's own. It
-// costs O(changed rows) and reproduces a full re-sort exactly, because the
-// canonical order is by device first.
-func (e *Engine) mergedGlobalRIB(bres *bgp.Result, changed map[string]bool) *netmodel.GlobalRIB {
-	var tables []*netmodel.RIB // of changed devices, in (device, VRF) order
-	total := 0
+// patchTables finishes a topology-only fork's tables at (table, prefix)
+// granularity. The EC partition is the base run's, so a table's expansion
+// differs from the base's only where the warm restart installed different
+// rows (rstats.ChangedPrefixes) and at those representatives' members. A table
+// without such prefixes is the base's expanded table itself; any other is a
+// ShallowClone of it with those prefixes rebuilt (ec.Reexpand) and the base
+// table's LPM index carried forward, patched at them. From the rebuilt
+// prefixes alone it derives the per-device prefixes whose rows forward
+// differently and the per-prefix change in the number of tables holding it.
+func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs *ec.RouteECs, routes *RouteResult, d Delta, stats *ForkStats) (ribDiff map[string][]netip.Prefix, countDelta map[netip.Prefix]int) {
+	base := e.base.routes
+	ribDiff = make(map[string][]netip.Prefix, len(rstats.ChangedDevices))
+	countDelta = make(map[netip.Prefix]int)
+	rebuilt := make(map[bgp.Table][]netip.Prefix, len(rstats.ChangedPrefixes))
+	blockOf := "" // the device whose block RIBRowsRebuilt already counts
 	for _, t := range bres.Tables() {
-		if changed[t.Device] {
-			rt := bres.RIB(t.Device, t.VRF)
-			tables = append(tables, rt)
-			total += rt.Len()
+		baseRIB := base.BGP.RIB(t.Device, t.VRF)
+		changed := rstats.ChangedPrefixes[t]
+		if len(changed) == 0 {
+			bres.SetRIB(t.Device, t.VRF, baseRIB)
+			continue
+		}
+		forked, rt := bres.RIB(t.Device, t.VRF), baseRIB.ShallowClone()
+		var pfx []netip.Prefix
+		if routeECs != nil {
+			pfx = routeECs.Reexpand(rt, forked, changed)
+		} else {
+			for p := range changed {
+				rt.ReplaceOwned(p, forked.Routes(p))
+				pfx = append(pfx, p)
+			}
+		}
+		rt.PatchLPM(baseRIB, pfx)
+		bres.SetRIB(t.Device, t.VRF, rt)
+		rebuilt[t] = pfx
+		if t.Device != blockOf {
+			blockOf = t.Device
+			stats.RIBRowsRebuilt += len(base.GlobalRIB().Block(t.Device))
+		}
+		for _, p := range pfx {
+			was, is := baseRIB.Routes(p), rt.Routes(p)
+			stats.RIBRowsChanged += len(is)
+			// Once into the table; the block holds the base block's rows, at p these.
+			stats.RIBRowsRebuilt += len(is) + len(is) - len(was)
+			if len(was) == 0 && len(is) > 0 {
+				countDelta[p]++
+			} else if len(was) > 0 && len(is) == 0 {
+				countDelta[p]--
+			}
+			if !traffic.SameForwarding(was, is) {
+				ribDiff[t.Device] = append(ribDiff[t.Device], p)
+			}
 		}
 	}
-	fresh := make([]netmodel.Route, 0, total)
-	for _, rt := range tables {
-		fresh = rt.AppendSorted(fresh)
+	// Purged devices' tables are gone from the fork result entirely, so the
+	// loop above never sees them; retire their prefixes here.
+	if len(d.NodesDown) > 0 {
+		for _, t := range base.BGP.Tables() {
+			if !slices.Contains(d.NodesDown, t.Device) {
+				continue
+			}
+			for _, p := range base.BGP.RIB(t.Device, t.VRF).Prefixes() {
+				countDelta[p]--
+			}
+		}
 	}
-	return e.base.routes.GlobalRIB().ReplaceDevices(changed, fresh)
+	blockRows := stats.RIBRowsRebuilt - stats.RIBRowsChanged
+	routes.globalFn = func() *netmodel.GlobalRIB {
+		return e.mergedGlobalRIB(bres, rstats.ChangedDevices, rebuilt, blockRows)
+	}
+	return ribDiff, countDelta
+}
+
+// mergedGlobalRIB builds a topology-only fork's global RIB as a view of the
+// base's: a device the restart left alone keeps the base's block, a purged
+// one (no table) drops out, and a changed one's block is the base block
+// re-emitted with the rebuilt prefixes' rows spliced in — one pass, no lookup
+// or sort for unchanged prefixes. That reproduces a full re-sort, the
+// canonical order being device, VRF, prefix. rows sizes the new blocks.
+func (e *Engine) mergedGlobalRIB(bres *bgp.Result, changed map[string]bool, rebuilt map[bgp.Table][]netip.Prefix, rows int) *netmodel.GlobalRIB {
+	base := e.base.routes.GlobalRIB()
+	fresh := make([]netmodel.Route, 0, rows)
+	var block []netmodel.Route // what is left of the current device's base block
+	dev := ""
+	for _, t := range bres.Tables() {
+		if !changed[t.Device] {
+			continue
+		}
+		if t.Device != dev {
+			dev, block = t.Device, base.Block(t.Device)
+		}
+		// The table's run of the base block; tables come in VRF order.
+		lo := sort.Search(len(block), func(i int) bool { return block[i].VRF >= t.VRF })
+		hi := lo + sort.Search(len(block)-lo, func(i int) bool { return block[lo+i].VRF != t.VRF })
+		run := block[lo:hi]
+		block = block[hi:]
+		if pfx, ok := rebuilt[t]; ok {
+			fresh = bres.RIB(t.Device, t.VRF).AppendSpliced(fresh, run, pfx)
+		} else {
+			fresh = append(fresh, run...)
+		}
+	}
+	return base.ReplaceDevices(changed, fresh)
 }
 
 // forwarderCtx builds a traffic forwarder over an arbitrary snapshot/IGP

@@ -49,6 +49,11 @@ type RouteECs struct {
 	expOnce    sync.Once
 	expReps    []netip.Prefix
 	expMembers [][]netip.Prefix
+	// classesOfRep / classesOfMember list, ascending, the pairs (indexes into
+	// expReps) a prefix represents / is a member of, for Reexpand.
+	classOnce       sync.Once
+	classesOfRep    map[netip.Prefix][]int32
+	classesOfMember map[netip.Prefix][]int32
 }
 
 // Reduction returns the input-count reduction factor (inputs / classes).
@@ -195,6 +200,22 @@ func (e *RouteECs) expansion() ([]netip.Prefix, [][]netip.Prefix) {
 	return e.expReps, e.expMembers
 }
 
+// indexClasses builds classesOfRep / classesOfMember on Reexpand's first call
+// (a one-shot audit never pays for them).
+func (e *RouteECs) indexClasses() {
+	reps, members := e.expansion()
+	e.classesOfRep = make(map[netip.Prefix][]int32)
+	e.classesOfMember = make(map[netip.Prefix][]int32)
+	for i, rep := range reps {
+		e.classesOfRep[rep] = append(e.classesOfRep[rep], int32(i))
+		for _, m := range members[i] {
+			if cs := e.classesOfMember[m]; len(cs) == 0 || cs[len(cs)-1] != int32(i) {
+				e.classesOfMember[m] = append(cs, int32(i))
+			}
+		}
+	}
+}
+
 // ExpandRIB replicates the representative prefixes' rows onto the member
 // prefixes of their classes, realizing the EC speedup: simulate one route
 // per EC, then clone results.
@@ -221,6 +242,80 @@ func (e *RouteECs) ExpandRIB(rib *netmodel.RIB) {
 			rib.ReplaceOwned(m, merged)
 		}
 	}
+}
+
+// Reexpand brings exp — a clone of the expansion of a table that differs from
+// table at the changed prefixes only — up to date: afterwards exp holds what
+// ExpandRIB(table) would, with only the prefixes the change reaches rebuilt.
+// It returns those (distinct, unordered): the changed ones and, transitively,
+// the members of every class a reached prefix represents.
+//
+// ExpandRIB walks the classes in order and hands a member whatever rows its
+// representative holds at that point: its own plus what earlier classes gave
+// it, when it is itself a member. So the reached prefixes start over from
+// their rows in table and the walk is replayed, in order, over the classes
+// they are members of. A representative outside the reached set must then
+// hold in exp its rows as of its class's turn: true of one that is never a
+// member, and made true of any other by reaching it too.
+func (e *RouteECs) Reexpand(exp, table *netmodel.RIB, changed map[netip.Prefix]bool) []netip.Prefix {
+	reps, members := e.expansion()
+	e.classOnce.Do(e.indexClasses)
+	rows := make(map[netip.Prefix][]netmodel.Route, 2*len(changed))
+	reached := make([]netip.Prefix, 0, 2*len(changed))
+	reach := func(p netip.Prefix) {
+		if _, ok := rows[p]; !ok {
+			rows[p] = table.Routes(p)
+			reached = append(reached, p)
+		}
+	}
+	for p := range changed {
+		reach(p)
+	}
+	var replay []int32
+	for i := 0; i < len(reached); i++ {
+		for _, ci := range e.classesOfRep[reached[i]] {
+			for _, m := range members[ci] {
+				reach(m)
+			}
+		}
+		for _, ci := range e.classesOfMember[reached[i]] {
+			replay = append(replay, ci)
+			if len(e.classesOfMember[reps[ci]]) > 0 {
+				reach(reps[ci])
+			}
+		}
+	}
+	slices.Sort(replay)
+	for _, ci := range slices.Compact(replay) {
+		from, ok := rows[reps[ci]]
+		if !ok {
+			from = exp.Routes(reps[ci])
+		}
+		if len(from) == 0 {
+			continue
+		}
+		for _, m := range members[ci] {
+			existing, ok := rows[m]
+			if !ok {
+				continue
+			}
+			merged := make([]netmodel.Route, 0, len(existing)+len(from))
+			merged = append(merged, existing...)
+			for _, r := range from {
+				r.Prefix = m
+				merged = append(merged, r)
+			}
+			rows[m] = merged
+		}
+	}
+	for _, p := range reached {
+		if r, own := rows[p], table.Routes(p); !changed[p] && len(r) > 0 && len(r) == len(own) {
+			exp.Replace(p, r) // never merged (a merge only grows): table's own slice, maybe the base run's
+		} else {
+			exp.ReplaceOwned(p, r) // decided by this fork, or merged above
+		}
+	}
+	return reached
 }
 
 // ExpandRIBLegacy is the original expansion: it rebuilds the rep→member map

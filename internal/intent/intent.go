@@ -15,6 +15,7 @@ package intent
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 
 	"hoyan/internal/netmodel"
@@ -352,10 +353,19 @@ func (i LoadIntent) Check(ctx *Context) Report {
 	return rep
 }
 
+// sortLinkIDs orders ids by their String() rendering, the order violations
+// are reported in, rendering each ID once.
 func sortLinkIDs(ids []netmodel.LinkID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j].String() < ids[j-1].String(); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
+	type keyed struct {
+		key string
+		id  netmodel.LinkID
+	}
+	ks := make([]keyed, len(ids))
+	for i, id := range ids {
+		ks[i] = keyed{id.String(), id}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i := range ks {
+		ids[i] = ks[i].id
 	}
 }

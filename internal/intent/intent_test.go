@@ -252,3 +252,39 @@ func TestReachIntentBlockLookupMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestSortLinkIDsMatchesStringOrder pins sortLinkIDs to the order of the
+// insertion sort it replaced — ascending LinkID.String(), ties in input order,
+// which is the order LoadIntent reports violations in — and to one rendered
+// key per link.
+func TestSortLinkIDsMatchesStringOrder(t *testing.T) {
+	rnd := rand.New(rand.NewSource(16))
+	names := []string{"core-0-0", "core-0-1", "core-0-10", "rr-0", "border-1-0", "a", "a[x]"}
+	var ids []netmodel.LinkID
+	for i := 0; i < 169; i++ {
+		ids = append(ids, netmodel.LinkID{
+			A: names[rnd.Intn(len(names))], AIface: fmt.Sprintf("e%d", rnd.Intn(12)),
+			B: names[rnd.Intn(len(names))], BIface: fmt.Sprintf("e%d", rnd.Intn(12)),
+		})
+	}
+	ref := append([]netmodel.LinkID(nil), ids...)
+	for i := 1; i < len(ref); i++ { // the old comparator, verbatim
+		for j := i; j > 0 && ref[j].String() < ref[j-1].String(); j-- {
+			ref[j], ref[j-1] = ref[j-1], ref[j]
+		}
+	}
+	got := append([]netmodel.LinkID(nil), ids...)
+	sortLinkIDs(got)
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("sortLinkIDs order differs from the String() insertion sort")
+	}
+
+	scratch := make([]netmodel.LinkID, len(ids))
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(scratch, ids)
+		sortLinkIDs(scratch)
+	})
+	if bound := float64(len(ids) + 4); allocs > bound {
+		t.Errorf("sortLinkIDs made %.0f allocations for %d links; bound %.0f (one key each)", allocs, len(ids), bound)
+	}
+}

@@ -72,7 +72,8 @@ type Options struct {
 	Shards int
 	// Registry receives work-avoidance counters (kfail_scenarios_total,
 	// incr_spf_sources_reused, incr_bgp_tables_dirty, incr_warm_rounds,
-	// incr_flows_reused). Nil disables metrics at zero cost.
+	// incr_flows_reused, incr_rib_rows_changed, incr_rib_rows_rebuilt). Nil
+	// disables metrics at zero cost.
 	Registry *telemetry.Registry
 	// Tracer records one span per scenario. Nil disables tracing.
 	Tracer *telemetry.Tracer
@@ -142,6 +143,8 @@ func Check(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, 
 	bgpDirty := o.Registry.Counter("incr_bgp_tables_dirty", "BGP tables seeded dirty across warm-started fixpoints")
 	warmRounds := o.Registry.Counter("incr_warm_rounds", "fixpoint rounds run by warm-started BGP re-simulations")
 	flowsReused := o.Registry.Counter("incr_flows_reused", "flows whose base path and load were reused across incremental forks")
+	ribChanged := o.Registry.Counter("incr_rib_rows_changed", "RIB rows at the (table, prefix) pairs incremental forks rebuilt")
+	ribRebuilt := o.Registry.Counter("incr_rib_rows_rebuilt", "RIB rows incremental forks wrote: rebuilt table rows plus re-emitted device blocks")
 	fullFallbacks := o.Registry.Counter("incr_full_fallbacks_total", "scenario forks that fell back to from-scratch simulation")
 
 	eng := o.Engine
@@ -255,11 +258,15 @@ func Check(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, 
 			} else {
 				span.SetTag("mode", "incremental")
 				span.SetTag("bgp_tables_dirty", fmt.Sprintf("%d/%d", stats.BGPTablesDirty, stats.BGPTablesTotal))
+				span.SetTag("rib_rows_changed", fmt.Sprintf("%d", stats.RIBRowsChanged))
+				span.SetTag("rib_rows_rebuilt", fmt.Sprintf("%d", stats.RIBRowsRebuilt))
 			}
 			spfReused.Add(int64(stats.SPFReused))
 			bgpDirty.Add(int64(stats.BGPTablesDirty))
 			warmRounds.Add(int64(stats.BGPRounds))
 			flowsReused.Add(int64(stats.FlowsReused))
+			ribChanged.Add(int64(stats.RIBRowsChanged))
+			ribRebuilt.Add(int64(stats.RIBRowsRebuilt))
 			snap = snapshotFrom(res, bw)
 		}
 		span.End()

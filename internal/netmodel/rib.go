@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"cmp"
 	"encoding/binary"
 	"net/netip"
 	"slices"
@@ -76,60 +77,6 @@ func (t *RIB) ReplaceOwned(prefix netip.Prefix, rs []Route) {
 // ShallowClone returns a RIB with a fresh prefix map sharing the row slices.
 // Safe as long as every writer installs fresh slices (Replace does); used by
 // warm-started re-simulation to branch a converged table cheaply.
-// EqualContent reports whether two tables hold exactly the same rows
-// (Route.Identical, per prefix, in order).
-func (t *RIB) EqualContent(o *RIB) bool {
-	if t == o {
-		return true
-	}
-	if len(t.byPrefix) != len(o.byPrefix) {
-		return false
-	}
-	for p, rows := range t.byPrefix {
-		if !rowsIdentical(rows, o.byPrefix[p]) {
-			return false
-		}
-	}
-	return true
-}
-
-// DiffPrefixes returns every prefix whose row set differs between t and o
-// (diff: present in only one of them, or in both with different rows), plus
-// the subsets present only in t (onlyT) and only in o (onlyO).
-func (t *RIB) DiffPrefixes(o *RIB) (diff, onlyT, onlyO []netip.Prefix) {
-	if t == o {
-		return nil, nil, nil
-	}
-	for p, rows := range t.byPrefix {
-		orows, ok := o.byPrefix[p]
-		if !ok {
-			diff = append(diff, p)
-			onlyT = append(onlyT, p)
-		} else if !rowsIdentical(rows, orows) {
-			diff = append(diff, p)
-		}
-	}
-	for p := range o.byPrefix {
-		if _, ok := t.byPrefix[p]; !ok {
-			diff = append(diff, p)
-			onlyO = append(onlyO, p)
-		}
-	}
-	return diff, onlyT, onlyO
-}
-
-func rowsIdentical(a, b []Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Identical(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func (t *RIB) ShallowClone() *RIB {
 	cp := &RIB{Device: t.Device, VRF: t.VRF, byPrefix: make(map[netip.Prefix][]Route, len(t.byPrefix))}
 	for p, rows := range t.byPrefix {
@@ -218,6 +165,26 @@ func (t *RIB) AppendSorted(dst []Route) []Route {
 	return dst
 }
 
+// AppendSpliced appends what AppendSorted would, given base: the canonical
+// rows of a table that differs from t at most at the (distinct) changed
+// prefixes. Every other prefix's rows are copied from base a run at a time;
+// only the changed ones are looked up and sorted.
+func (t *RIB) AppendSpliced(dst, base []Route, changed []netip.Prefix) []Route {
+	changed = slices.Clone(changed)
+	slices.SortFunc(changed, comparePrefix)
+	for _, p := range changed {
+		n := sort.Search(len(base), func(i int) bool { return comparePrefix(base[i].Prefix, p) >= 0 })
+		dst = append(dst, base[:n]...)
+		for base = base[n:]; len(base) > 0 && base[0].Prefix == p; {
+			base = base[1:]
+		}
+		start := len(dst)
+		dst = append(dst, t.byPrefix[p]...)
+		slices.SortFunc(dst[start:], CompareRoutes)
+	}
+	return append(dst, base...)
+}
+
 // lpmIndex is the longest-prefix-match index over a RIB's best routes:
 // prefixes with at least one RouteBest row, bucketed by (address family,
 // prefix length) with lengths kept in descending order, mapping the masked
@@ -230,6 +197,14 @@ type lpmIndex struct {
 	v6bits []int
 	v4     map[int]map[netip.Addr]lpmEntry
 	v6     map[int]map[netip.Addr]lpmEntry
+
+	// under, when set, is the index this one patches (PatchLPM): an entry here
+	// replaces under's for the same network (hides it, without best rows), and
+	// the bit lists cover both indexes.
+	under *lpmIndex
+	// keyed: every indexed prefix is its own masked network, so each entry
+	// follows from its prefix's rows alone and can be patched.
+	keyed bool
 }
 
 type lpmEntry struct {
@@ -286,10 +261,50 @@ func bestRows(rows []Route) []Route {
 	return sel
 }
 
+// family returns the index's prefix lengths and buckets for one address
+// family; nothing on a nil index (the under of an index that patches none).
+func (ix *lpmIndex) family(v4 bool) ([]int, map[int]map[netip.Addr]lpmEntry) {
+	switch {
+	case ix == nil:
+		return nil, nil
+	case v4:
+		return ix.v4bits, ix.v4
+	}
+	return ix.v6bits, ix.v6
+}
+
+// bucket returns the index's entry map for prefixes of p's family and length.
+func (ix *lpmIndex) bucket(p netip.Prefix) map[netip.Addr]lpmEntry {
+	_, m := ix.family(p.Addr().Is4())
+	bm := m[p.Bits()]
+	if bm == nil {
+		bm = make(map[netip.Addr]lpmEntry)
+		m[p.Bits()] = bm
+	}
+	return bm
+}
+
+// setBits lists each family's prefix lengths, descending: the index's own plus
+// those of the index it patches.
+func (ix *lpmIndex) setBits() {
+	list := func(v4 bool) []int {
+		under, _ := ix.under.family(v4)
+		_, m := ix.family(v4)
+		bits := slices.Clone(under)
+		for b := range m {
+			bits = append(bits, b)
+		}
+		slices.SortFunc(bits, func(a, b int) int { return b - a })
+		return slices.Compact(bits)
+	}
+	ix.v4bits, ix.v6bits = list(true), list(false)
+}
+
 func (t *RIB) buildLPM() *lpmIndex {
 	ix := &lpmIndex{
-		v4: make(map[int]map[netip.Addr]lpmEntry),
-		v6: make(map[int]map[netip.Addr]lpmEntry),
+		v4:    make(map[int]map[netip.Addr]lpmEntry),
+		v6:    make(map[int]map[netip.Addr]lpmEntry),
+		keyed: true,
 	}
 	for p, rows := range t.byPrefix {
 		if !p.IsValid() {
@@ -299,16 +314,9 @@ func (t *RIB) buildLPM() *lpmIndex {
 		if len(sel) == 0 {
 			continue
 		}
-		m := ix.v6
-		if p.Addr().Is4() {
-			m = ix.v4
-		}
-		bm := m[p.Bits()]
-		if bm == nil {
-			bm = make(map[netip.Addr]lpmEntry)
-			m[p.Bits()] = bm
-		}
+		bm := ix.bucket(p)
 		key := p.Masked().Addr()
+		ix.keyed = ix.keyed && key == p.Addr()
 		// Distinct unmasked keys can collapse onto one network; keep the
 		// lexically smaller prefix deterministically.
 		if prev, dup := bm[key]; dup && comparePrefix(prev.prefix, p) <= 0 {
@@ -316,15 +324,36 @@ func (t *RIB) buildLPM() *lpmIndex {
 		}
 		bm[key] = lpmEntry{prefix: p, best: sel}
 	}
-	for bits := range ix.v4 {
-		ix.v4bits = append(ix.v4bits, bits)
-	}
-	for bits := range ix.v6 {
-		ix.v6bits = append(ix.v6bits, bits)
-	}
-	slices.SortFunc(ix.v4bits, func(a, b int) int { return b - a })
-	slices.SortFunc(ix.v6bits, func(a, b int) int { return b - a })
+	ix.setBits()
 	return ix
+}
+
+// PatchLPM gives t base's longest-prefix-match index patched at the changed
+// prefixes, for a t that holds base's rows at every other prefix. It costs
+// O(len(changed)), not the whole-table build of a first LongestMatch. When
+// base has no index to carry forward, or one that cannot be patched entry by
+// entry (unmasked prefixes; itself a patch), t is left to build its own.
+func (t *RIB) PatchLPM(base *RIB, changed []netip.Prefix) {
+	under := base.lpm.Load()
+	if under == nil || under.under != nil || !under.keyed {
+		return
+	}
+	ix := &lpmIndex{
+		v4:    make(map[int]map[netip.Addr]lpmEntry),
+		v6:    make(map[int]map[netip.Addr]lpmEntry),
+		under: under,
+	}
+	for _, p := range changed {
+		if !p.IsValid() {
+			continue
+		}
+		if p != p.Masked() {
+			return
+		}
+		ix.bucket(p)[p.Addr()] = lpmEntry{prefix: p, best: bestRows(t.byPrefix[p])}
+	}
+	ix.setBits()
+	t.lpm.Store(ix)
 }
 
 // LongestMatch returns the best routes of the longest prefix covering addr,
@@ -337,13 +366,15 @@ func (t *RIB) LongestMatch(addr netip.Addr) (prefix netip.Prefix, best []Route, 
 		ix = t.buildLPM()
 		t.lpm.Store(ix)
 	}
-	bits, m := ix.v6bits, ix.v6
-	if addr.Is4() {
-		bits, m = ix.v4bits, ix.v4
-	}
+	bits, m := ix.family(addr.Is4())
+	_, um := ix.under.family(addr.Is4())
 	for _, b := range bits {
 		key := netip.PrefixFrom(addr, b).Masked().Addr()
-		if e, hit := m[b][key]; hit {
+		e, hit := m[b][key]
+		if !hit {
+			e, hit = um[b][key]
+		}
+		if hit && len(e.best) > 0 {
 			return e.prefix, e.best, true
 		}
 	}
@@ -506,15 +537,21 @@ func JoinBlocks(g, o *GlobalRIB, fn func(gb, ob []Route)) {
 	}
 }
 
+// Block returns device's block (nil when it has no rows), found by binary
+// search. Callers must not modify it.
+func (g *GlobalRIB) Block(device string) []Route {
+	i, ok := sort.Find(len(g.blocks), func(i int) int { return strings.Compare(device, g.blocks[i][0].Device) })
+	if !ok {
+		return nil
+	}
+	return g.blocks[i]
+}
+
 // Lookup calls fn with device's rows for prefix, one call per VRF that holds
 // the prefix, each a run in canonical order. The device's block and the
 // prefix's place in each VRF are found by binary search; no other row is read.
 func (g *GlobalRIB) Lookup(device string, prefix netip.Prefix, fn func(rows []Route)) {
-	i, ok := sort.Find(len(g.blocks), func(i int) int { return strings.Compare(device, g.blocks[i][0].Device) })
-	if !ok {
-		return
-	}
-	for b := g.blocks[i]; len(b) > 0; {
+	for b := g.Block(device); len(b) > 0; {
 		vrf := b[0].VRF
 		end := sort.Search(len(b), func(i int) bool { return b[i].VRF != vrf })
 		lo := sort.Search(end, func(i int) bool { return comparePrefix(b[i].Prefix, prefix) >= 0 })
@@ -673,8 +710,51 @@ func (g *GlobalRIB) Diff(o *GlobalRIB) (onlyG, onlyO []Route) {
 }
 
 // diffBlock appends to onlyG the rows of gb that ob lacks and to onlyO the
-// rows of ob that gb lacks, counting duplicates.
+// rows of ob that gb lacks, counting duplicates. Both are one device's rows in
+// canonical order and rows of different (VRF, prefix) runs never match, so the
+// blocks are merge-joined run by run: a run only one side holds goes out
+// whole, a pair whose rows are pairwise AttrsEqual — the fields Diff compares
+// — is skipped, and only an unequal pair pays for signatures. Rows a what-if
+// changed in IGP cost alone therefore cost one comparison each.
 func diffBlock(gb, ob, onlyG, onlyO []Route) ([]Route, []Route) {
+	cutRun := func(b []Route) (run, rest []Route) {
+		n := 1
+		for n < len(b) && b[n].Prefix == b[0].Prefix && b[n].VRF == b[0].VRF {
+			n++
+		}
+		return b[:n], b[n:]
+	}
+	for len(gb) > 0 || len(ob) > 0 {
+		var c int
+		switch {
+		case len(ob) == 0:
+			c = -1
+		case len(gb) == 0:
+			c = 1
+		default:
+			c = cmp.Or(strings.Compare(gb[0].VRF, ob[0].VRF), comparePrefix(gb[0].Prefix, ob[0].Prefix))
+		}
+		var gRun, oRun []Route
+		if c <= 0 {
+			gRun, gb = cutRun(gb)
+		}
+		if c >= 0 {
+			oRun, ob = cutRun(ob)
+		}
+		switch {
+		case oRun == nil:
+			onlyG = append(onlyG, gRun...)
+		case gRun == nil:
+			onlyO = append(onlyO, oRun...)
+		case !slices.EqualFunc(gRun, oRun, Route.AttrsEqual):
+			onlyG, onlyO = subtractRuns(gRun, oRun, onlyG, onlyO)
+		}
+	}
+	return onlyG, onlyO
+}
+
+// subtractRuns is the multiset subtraction behind diffBlock, both ways.
+func subtractRuns(gb, ob, onlyG, onlyO []Route) ([]Route, []Route) {
 	// One binary signature per row, computed once; the multiset subtraction
 	// below is then pure map traffic.
 	sigsOf := func(rows []Route) []string {

@@ -1,7 +1,6 @@
 package netmodel
 
 import (
-	"fmt"
 	"net/netip"
 	"slices"
 	"strings"
@@ -61,7 +60,7 @@ func (l Link) ID() LinkID {
 }
 
 func (id LinkID) String() string {
-	return fmt.Sprintf("%s[%s]--%s[%s]", id.A, id.AIface, id.B, id.BIface)
+	return id.A + "[" + id.AIface + "]--" + id.B + "[" + id.BIface + "]"
 }
 
 // Topology is the physical graph of the network.

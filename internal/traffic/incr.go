@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"net/netip"
+	"slices"
 
 	"hoyan/internal/netmodel"
 	"hoyan/internal/par"
@@ -94,6 +95,20 @@ func (t *Trace) TouchesRIB(ribDiff map[string][]netip.Prefix, dst netip.Addr) bo
 		}
 	}
 	return false
+}
+
+// SameForwarding reports whether two row sets of one (device, prefix) forward
+// every flow alike: the same rows in the same order, IGP cost aside. The
+// forwarder reads a prefix's best rows for their next hops and never
+// Route.IGPCost — a moved IGP distance reaches a flow through the first-hop
+// queries its trace recorded (Trace.Touches), and a best set it re-elects
+// shows in the rows' RouteType — so a prefix whose rows differ in cost alone
+// belongs in no ribDiff.
+func SameForwarding(a, b []netmodel.Route) bool {
+	return slices.EqualFunc(a, b, func(x, y netmodel.Route) bool {
+		x.IGPCost = y.IGPCost
+		return x.Identical(y)
+	})
 }
 
 // SimulateTraced is Simulate plus a per-flow trace usable with Resimulate.
