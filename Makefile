@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-procs vet race bench-smoke bench-core bench-wire bench-incr bench-durable bench-shard bench-serve chaos chaos-restart trace check
+.PHONY: all build test test-shuffle test-procs vet race bench-smoke bench-core bench-wire bench-shard benchmark chaos chaos-restart trace check
 
 all: check
 
@@ -39,10 +39,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The wall-clock ratio floors of the root-package Test*Speedup /
-# TestDurableOverhead / TestWireCompactness measurements are asserted only
-# under HOYAN_BENCH_FLOORS=1: the bench-* targets set it, plain `go test ./...`
+# TestWireCompactness measurements are asserted only under
+# HOYAN_BENCH_FLOORS=1: the bench-* targets set it, plain `go test ./...`
 # (tier-1) logs the ratios and asserts only what is deterministic.
-bench-core bench-wire bench-incr bench-durable bench-shard bench-serve: export HOYAN_BENCH_FLOORS = 1
+bench-core bench-wire bench-shard: export HOYAN_BENCH_FLOORS = 1
 
 # Index-based core measurement: the dense-ID route simulation vs the
 # preserved string-keyed reference (core.Options.DisableIndex) on the
@@ -54,23 +54,13 @@ bench-core:
 	CORE_BENCH_JSON=BENCH_core.json $(GO) test -run '^TestCoreSpeedup$$' -v .
 	$(GO) test -run '^$$' -bench '^Benchmark(Core|RouteSim)' -benchtime 1x .
 
-# Wire-codec size/speed measurement: binary format vs the legacy JSON
-# encoding on the gen.WAN(2) fixture. Asserts the >=3x size / >=2x decode
-# floors and writes the measured numbers to BENCH_wire.json; the one-shot
-# BenchmarkWire* pass catches bench bit-rot.
+# Wire-codec size/speed measurement: binary format vs encoding/json on the
+# gen.WAN(2) fixture. Asserts the >=3x size / >=2x decode floors and writes
+# the measured numbers to BENCH_wire.json; the one-shot BenchmarkWire* pass
+# catches bench bit-rot.
 bench-wire:
 	WIRE_BENCH_JSON=BENCH_wire.json $(GO) test -run '^TestWireCompactness$$' -v .
 	$(GO) test -run '^$$' -bench '^BenchmarkWire' -benchtime 1x .
-
-# Incremental what-if engine measurement: the warm-started k=1 link-failure
-# sweep vs from-scratch re-simulation of every scenario on the gen.WAN(1)
-# fixture. Asserts the work the warm path avoids (exact counts; the timed
-# comparison is `bash benchmark/run.sh --workload kfail_sweep`) and writes
-# the measured numbers to BENCH_incremental.json; the one-shot
-# BenchmarkKFail* pass catches bench bit-rot.
-bench-incr:
-	INCR_BENCH_JSON=BENCH_incremental.json $(GO) test -run '^TestIncrementalSpeedup$$' -v .
-	$(GO) test -run '^$$' -bench '^BenchmarkKFail' -benchtime 1x .
 
 # Sharded-verification measurement: intra-shard what-if scenarios through
 # the sharded fleet (touched shards only, boundary-sealed, warm contract
@@ -82,25 +72,13 @@ bench-shard:
 	SHARD_BENCH_JSON=BENCH_shard.json $(GO) test -run '^TestShardSpeedup$$' -v .
 	$(GO) test -run '^$$' -bench '^Benchmark(ShardWhatIf|WholeNetworkScenario)$$' -benchtime 1x .
 
-# Durable-substrate measurement: the distributed pipeline over WAL-backed
-# disk substrates vs in-memory ones. Asserts what durability costs a run (WAL
-# records, bytes and fsyncs per substrate: exact or bounded counts), logs the
-# fsync=interval wall-clock overhead, and writes both to BENCH_durable.json;
-# the one-shot BenchmarkDurable* pass catches bench bit-rot.
-bench-durable:
-	DURABLE_BENCH_JSON=BENCH_durable.json $(GO) test -run '^TestDurableOverhead$$' -v .
-	$(GO) test -run '^$$' -bench '^BenchmarkDurable' -benchtime 1x .
-
-# Verification-as-a-service measurement: a warm synchronous what-if query
-# against a running hoyand (HTTP submit with ?wait=1, engine fork, digest,
-# delta) vs the cold CLI path (re-parse configs, rebuild the engine,
-# simulate from scratch) on the gen.WAN(1) fixture. Asserts the work the
-# query's fork avoids (exact counts; client-visible latency is `bash
-# benchmark/run.sh --workload serve_mix`) and writes the measured numbers to
-# BENCH_serve.json; the one-shot BenchmarkServe* pass catches bench bit-rot.
-bench-serve:
-	SERVE_BENCH_JSON=BENCH_serve.json $(GO) test -run '^TestServeWarmSpeedup$$' -v .
-	$(GO) test -run '^$$' -bench '^BenchmarkServe' -benchtime 1x .
+# The repo benchmark once over every workload, untraced and traced, as a
+# goldens and cross-check smoke: it exits non-zero unless every run is
+# correct (seed-42 RIB digests and row counts, fork vs from-scratch, fleet vs
+# centralized, hoyand vs engine). Three seconds of timed loop per run is
+# enough for that; measuring takes the default twelve.
+benchmark:
+	bash benchmark/run.sh --seconds 3
 
 # Fault-tolerance pass: the chaos harness (crashed workers, >=10% injected
 # substrate error rates) plus the resilience tests, under the race detector.
@@ -122,4 +100,4 @@ chaos-restart:
 trace:
 	$(GO) run ./cmd/hoyan-exp -scale 1 -trace trace.json report
 
-check: vet build race bench-smoke bench-core bench-wire bench-incr bench-durable bench-shard bench-serve chaos chaos-restart
+check: vet build race bench-smoke bench-core bench-wire bench-shard chaos chaos-restart benchmark

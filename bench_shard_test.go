@@ -43,7 +43,10 @@ type shardFixture struct {
 
 func shardBenchFixture(tb testing.TB) *shardFixture {
 	g := gen.Generate(gen.WAN(2))
-	c := dsim.StartLocal(shardBenchWorkers)
+	c, err := dsim.StartLocal(dsim.LocalOptions{Workers: shardBenchWorkers})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	snapKey, err := c.Master.UploadSnapshot("shb", g.Net)
 	if err != nil {
 		tb.Fatal(err)

@@ -101,7 +101,10 @@ func BenchmarkDistributedRouteSim(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := dsim.StartLocal(2)
+		c, err := dsim.StartLocal(dsim.LocalOptions{Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
 		snapKey, err := c.Master.UploadSnapshot("bench", wan.Net)
 		if err != nil {
 			b.Fatal(err)
@@ -124,7 +127,10 @@ func BenchmarkDistributedRouteSim(b *testing.B) {
 // and the baseline strategy.
 func benchDistributedTraffic(b *testing.B, strategy dsim.Strategy) {
 	wan, _, _, _ := fixtures()
-	c := dsim.StartLocal(2)
+	c, err := dsim.StartLocal(dsim.LocalOptions{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer c.Stop()
 	snapKey, err := c.Master.UploadSnapshot("bench-t", wan.Net)
 	if err != nil {

@@ -81,28 +81,25 @@ func main() {
 	// Durable substrates report write health on /healthz — persistent append
 	// failures degrade the process to 503 instead of crashing it.
 	var (
-		qsrv   mq.Queue       = mq.NewMemory()
-		ssrv   objstore.Store = objstore.NewMemory()
+		qsrv   mq.Queue       = mq.NewMemory(reg)
+		ssrv   objstore.Store = objstore.NewMemory(reg)
 		tsrv   taskdb.DB      = taskdb.NewMemory()
 		health telemetry.Health
 	)
 	if *dataDir != "" {
 		dopts := durable.Options{Fsync: fsync}
-		disk, err := objstore.OpenDisk(filepath.Join(*dataDir, "objstore"), dopts)
+		disk, err := objstore.OpenDisk(filepath.Join(*dataDir, "objstore"), dopts, reg)
 		if err != nil {
 			fatal(err)
 		}
-		db, err := taskdb.OpenDurable(filepath.Join(*dataDir, "taskdb.wal"), dopts)
+		db, err := taskdb.OpenDurable(filepath.Join(*dataDir, "taskdb.wal"), dopts, reg)
 		if err != nil {
 			fatal(err)
 		}
-		dq, err := mq.OpenDurable(filepath.Join(*dataDir, "mq.wal"), dopts)
+		dq, err := mq.OpenDurable(filepath.Join(*dataDir, "mq.wal"), dopts, reg)
 		if err != nil {
 			fatal(err)
 		}
-		disk.Instrument(reg)
-		db.Instrument(reg)
-		dq.Instrument(reg)
 		closers.Add("objstore", disk.Close)
 		closers.Add("taskdb", db.Close)
 		closers.Add("mq", func() error { dq.Close(); return nil })
@@ -122,9 +119,9 @@ func main() {
 	lq := listen(*mqAddr)
 	ls := listen(*storeAddr)
 	lt := listen(*tasksAddr)
-	mq.ServeRegistry(lq, qsrv, reg)
-	objstore.ServeRegistry(ls, ssrv, reg)
-	taskdb.ServeRegistry(lt, tsrv, reg)
+	mq.Serve(lq, qsrv, reg)
+	objstore.Serve(ls, ssrv, reg)
+	taskdb.Serve(lt, tsrv, reg)
 	closers.Add("mq listener", lq.Close)
 	closers.Add("store listener", ls.Close)
 	closers.Add("tasks listener", lt.Close)
@@ -147,25 +144,24 @@ func main() {
 		return
 	}
 
-	queue, err := mq.DialOptions(lq.Addr().String(), rpcx.Options{Metrics: rpcx.NewMetrics(reg, "mq")})
+	queue, err := mq.Dial(lq.Addr().String(), rpcx.Options{Metrics: rpcx.NewMetrics(reg, "mq")})
 	if err != nil {
 		fatal(err)
 	}
-	store, err := objstore.DialOptions(ls.Addr().String(), rpcx.Options{Metrics: rpcx.NewMetrics(reg, "objstore")})
+	store, err := objstore.Dial(ls.Addr().String(), rpcx.Options{Metrics: rpcx.NewMetrics(reg, "objstore")})
 	if err != nil {
 		fatal(err)
 	}
-	tasks, err := taskdb.DialOptions(lt.Addr().String(), rpcx.Options{Metrics: rpcx.NewMetrics(reg, "taskdb")})
+	tasks, err := taskdb.Dial(lt.Addr().String(), rpcx.Options{Metrics: rpcx.NewMetrics(reg, "taskdb")})
 	if err != nil {
 		fatal(err)
 	}
-	master := dsim.NewMaster(dsim.Services{Queue: queue, Store: store, Tasks: tasks})
+	master := dsim.NewMaster(dsim.Services{Queue: queue, Store: store, Tasks: tasks}, reg)
 	master.Timeout = *timeout
 	master.LeaseTimeout = *lease
 	master.MaxAttempts = *maxAttempts
 	master.Tracer = telemetry.NewTracer("master")
 	master.Events = events
-	master.Instrument(reg)
 
 	taskID := "cli-task"
 	if *resumeID != "" {

@@ -54,23 +54,23 @@ func main() {
 		}
 	}()
 
-	queue, err := mq.DialOptions(*mqAddr, rpcx.Options{Metrics: rpcx.NewMetrics(reg, "mq")})
+	queue, err := mq.Dial(*mqAddr, rpcx.Options{Metrics: rpcx.NewMetrics(reg, "mq")})
 	if err != nil {
 		fatal(err)
 	}
 	closers.Add("mq client", queue.Close)
-	store, err := objstore.DialOptions(*storeAddr, rpcx.Options{Metrics: rpcx.NewMetrics(reg, "objstore")})
+	store, err := objstore.Dial(*storeAddr, rpcx.Options{Metrics: rpcx.NewMetrics(reg, "objstore")})
 	if err != nil {
 		fatal(err)
 	}
 	closers.Add("objstore client", store.Close)
-	tasks, err := taskdb.DialOptions(*tasksAddr, rpcx.Options{Metrics: rpcx.NewMetrics(reg, "taskdb")})
+	tasks, err := taskdb.Dial(*tasksAddr, rpcx.Options{Metrics: rpcx.NewMetrics(reg, "taskdb")})
 	if err != nil {
 		fatal(err)
 	}
 	closers.Add("taskdb client", tasks.Close)
 
-	w := dsim.NewWorker(*name, dsim.Services{Queue: queue, Store: store, Tasks: tasks})
+	w := dsim.NewWorker(*name, dsim.Services{Queue: queue, Store: store, Tasks: tasks}, reg)
 	w.Parallelism = *parallelism
 	w.HeartbeatInterval = *heartbeat
 	w.RIBCacheSize = *ribCache
@@ -80,7 +80,6 @@ func main() {
 	w.Logf = func(format string, args ...any) {
 		events.Log("log", telemetry.F("worker", *name), telemetry.F("msg", fmt.Sprintf(format, args...)))
 	}
-	w.Instrument(reg)
 
 	health := func() error {
 		// Degraded, not dead: persistent result-write failures flip /healthz

@@ -273,16 +273,6 @@ func (n *Network) Clone() *Network {
 	return out
 }
 
-// DeviceByAddr returns the device owning addr on a loopback or link
-// interface, or nil.
-func (n *Network) DeviceByAddr(addr netip.Addr) *Device {
-	name := n.Topo.AddrOwner(addr)
-	if name == "" {
-		return nil
-	}
-	return n.Devices[name]
-}
-
 // Validate performs structural sanity checks used by tests and the auditing
 // workflow: every BGP neighbor's referenced policies and every interface ACL
 // must exist (dangling references are legal configs — they trigger VSBs —

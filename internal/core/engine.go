@@ -256,12 +256,6 @@ func (e *Engine) TrafficSimulation(ribs traffic.RIBSource, routeRows []netmodel.
 	return res
 }
 
-// TrafficSimulationCtx is TrafficSimulation with cancellation (per-flow
-// polling; nil result and ctx's error once it is done).
-func (e *Engine) TrafficSimulationCtx(ctx context.Context, ribs traffic.RIBSource, routeRows []netmodel.Route, flows []netmodel.Flow) (*TrafficResult, error) {
-	return e.trafficSimulation(ctx, ribs, routeRows, flows)
-}
-
 func (e *Engine) trafficSimulation(ctx context.Context, ribs traffic.RIBSource, routeRows []netmodel.Route, flows []netmodel.Flow) (*TrafficResult, error) {
 	fw := e.forwarderCtx(ctx, e.net, e.igp, ribs)
 	if e.opts.DisableFlowECs {

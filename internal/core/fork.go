@@ -201,22 +201,6 @@ func (e *Engine) BaseResult() *Result {
 	return res
 }
 
-// BaseInputs returns the input routes the last BaseRun captured.
-func (e *Engine) BaseInputs() []netmodel.Route {
-	if e.base == nil {
-		return nil
-	}
-	return e.base.inputs
-}
-
-// BaseFlows returns the flows the last BaseRun captured.
-func (e *Engine) BaseFlows() []netmodel.Flow {
-	if e.base == nil {
-		return nil
-	}
-	return e.base.flows
-}
-
 // Fork simulates a what-if scenario derived from the base run. net must be
 // the engine's network already mutated to reflect d (toggled links/nodes) —
 // it may be the engine's own network temporarily toggled, or a clone.

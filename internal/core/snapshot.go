@@ -14,8 +14,7 @@ import (
 // one snapshot per simulation task to the object store; workers restore it.
 //
 // It shares internal/wire's Snapshot struct, so encoding is a free
-// conversion: blobs are written in the compact binary wire format and old
-// JSON blobs are still decoded transparently.
+// conversion: blobs are written in the compact binary wire format.
 type Snapshot wire.Snapshot
 
 // SnapshotNode is the wire form of a topology node.
@@ -73,8 +72,7 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	return nil
 }
 
-// DecodeSnapshot reads a snapshot written by Encode — current binary frames
-// or legacy JSON blobs.
+// DecodeSnapshot reads a snapshot written by Encode.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	ws, err := wire.DecodeSnapshot(r)
 	if err != nil {
@@ -92,8 +90,7 @@ func EncodeRoutes(w io.Writer, routes []netmodel.Route) error {
 	return nil
 }
 
-// DecodeRoutes reads route rows written by EncodeRoutes (binary or legacy
-// JSON).
+// DecodeRoutes reads route rows written by EncodeRoutes.
 func DecodeRoutes(r io.Reader) ([]netmodel.Route, error) {
 	out, err := wire.DecodeRoutes(r)
 	if err != nil {
@@ -110,7 +107,7 @@ func EncodeFlows(w io.Writer, flows []netmodel.Flow) error {
 	return nil
 }
 
-// DecodeFlows reads flows written by EncodeFlows (binary or legacy JSON).
+// DecodeFlows reads flows written by EncodeFlows.
 func DecodeFlows(r io.Reader) ([]netmodel.Flow, error) {
 	out, err := wire.DecodeFlows(r)
 	if err != nil {

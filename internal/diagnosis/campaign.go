@@ -4,9 +4,7 @@ import (
 	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/netmodel"
-	"hoyan/internal/policy"
 	"hoyan/internal/vsb"
-	"slices"
 )
 
 // VSBResult is one row of the Table 5 differential-testing campaign.
@@ -238,20 +236,5 @@ func OrderedClasses() []IssueClass {
 	}
 }
 
-// Type aliases keeping campaign code concise.
+// Type alias keeping campaign code concise.
 type configNetwork = config.Network
-type configDevice = config.Device
-type policyRouteMap = policy.RouteMap
-
-func sortedRouteMaps(d *configDevice) []*policyRouteMap {
-	names := make([]string, 0, len(d.RouteMaps))
-	for n := range d.RouteMaps {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	out := make([]*policyRouteMap, 0, len(names))
-	for _, n := range names {
-		out = append(out, d.RouteMaps[n])
-	}
-	return out
-}

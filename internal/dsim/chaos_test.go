@@ -23,7 +23,7 @@ import (
 
 // chaosMaster returns a master tuned for fast lease reclaim in tests.
 func chaosMaster(svc Services, maxAttempts int, lease time.Duration) *Master {
-	m := NewMaster(svc)
+	m := NewMaster(svc, nil)
 	m.MaxAttempts = maxAttempts
 	m.LeaseTimeout = lease
 	m.Timeout = 2 * time.Minute
@@ -142,11 +142,11 @@ func TestChaosWorkerCrashLeaseReclaim(t *testing.T) {
 	const nRoute, nTraffic = 6, 6
 
 	// Clean distributed reference run.
-	cleanCluster := StartLocal(3)
+	cleanCluster := startLocal(t, LocalOptions{Workers: 3})
 	clean := runDistributed(t, cleanCluster.Master, "clean", out, nRoute, nTraffic)
 	cleanCluster.Stop()
 
-	svc := Services{Queue: mq.NewMemory(), Store: objstore.NewMemory(), Tasks: taskdb.NewMemory()}
+	svc := Services{Queue: mq.NewMemory(nil), Store: objstore.NewMemory(nil), Tasks: taskdb.NewMemory()}
 	master := chaosMaster(svc, 5, 300*time.Millisecond)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -155,7 +155,7 @@ func TestChaosWorkerCrashLeaseReclaim(t *testing.T) {
 	// Phase 1: two crashers claim one route subtask each and die silently.
 	var crashed sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		w := NewWorker(fmt.Sprintf("crasher-%d", i), svc)
+		w := NewWorker(fmt.Sprintf("crasher-%d", i), svc, nil)
 		w.CrashNext = 1
 		w.HeartbeatInterval = 25 * time.Millisecond
 		crashed.Add(1)
@@ -180,11 +180,11 @@ func TestChaosWorkerCrashLeaseReclaim(t *testing.T) {
 	// Now start healthy workers, one of which will also crash once during
 	// the traffic phase.
 	for i := 0; i < 2; i++ {
-		w := NewWorker(fmt.Sprintf("worker-%d", i), svc)
+		w := NewWorker(fmt.Sprintf("worker-%d", i), svc, nil)
 		w.HeartbeatInterval = 25 * time.Millisecond
 		go w.Run(ctx)
 	}
-	lateCrasher := NewWorker("late-crasher", svc)
+	lateCrasher := NewWorker("late-crasher", svc, nil)
 	lateCrasher.HeartbeatInterval = 25 * time.Millisecond
 	if err := master.Wait("chaos", "route", rt.Subtasks); err != nil {
 		t.Fatalf("route Wait with crashes: %v", err)
@@ -243,23 +243,19 @@ func TestChaosFlakySubstrates(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	const nRoute, nTraffic = 5, 5
 
-	cleanCluster := StartLocal(3)
+	cleanCluster := startLocal(t, LocalOptions{Workers: 3})
 	clean := runDistributed(t, cleanCluster.Master, "clean", out, nRoute, nTraffic)
 	cleanCluster.Stop()
 
 	inj := faults.NewInjector(20260806)
 	inj.ErrorRate = 0.12
-	svc := Services{
-		Queue: faults.FlakyQueue{Q: mq.NewMemory(), In: inj},
-		Store: faults.FlakyStore{S: objstore.NewMemory(), In: inj},
-		Tasks: faults.FlakyTasks{DB: taskdb.NewMemory(), In: inj},
-	}
+	svc := flakyServices(inj)
 	master := chaosMaster(svc, 10, 400*time.Millisecond)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < 3; i++ {
-		w := NewWorker(fmt.Sprintf("flaky-worker-%d", i), svc)
+		w := NewWorker(fmt.Sprintf("flaky-worker-%d", i), svc, nil)
 		w.HeartbeatInterval = 25 * time.Millisecond
 		go w.Run(ctx)
 	}
@@ -282,11 +278,11 @@ func TestChaosFlakySubstrates(t *testing.T) {
 // Run must log-and-retry, not exit, and the task must complete.
 func TestWorkerSurvivesTransientPopErrors(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
-	flakyPop := &popErrQueue{Queue: mq.NewMemory(), failures: 40}
-	svc := Services{Queue: flakyPop, Store: objstore.NewMemory(), Tasks: taskdb.NewMemory()}
+	flakyPop := &popErrQueue{Queue: mq.NewMemory(nil), failures: 40}
+	svc := Services{Queue: flakyPop, Store: objstore.NewMemory(nil), Tasks: taskdb.NewMemory()}
 	master := chaosMaster(svc, 3, time.Second)
 
-	w := NewWorker("survivor", svc)
+	w := NewWorker("survivor", svc, nil)
 	w.PopWait = 5 * time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -312,9 +308,9 @@ func TestWorkerSurvivesTransientPopErrors(t *testing.T) {
 // worker: deliberate queue shutdown — including when the sentinel crossed an
 // RPC boundary and was re-mapped.
 func TestWorkerExitsOnQueueClosed(t *testing.T) {
-	memq := mq.NewMemory()
-	svc := Services{Queue: memq, Store: objstore.NewMemory(), Tasks: taskdb.NewMemory()}
-	w := NewWorker("closer", svc)
+	memq := mq.NewMemory(nil)
+	svc := Services{Queue: memq, Store: objstore.NewMemory(nil), Tasks: taskdb.NewMemory()}
+	w := NewWorker("closer", svc, nil)
 	w.PopWait = 5 * time.Millisecond
 	done := make(chan struct{})
 	go func() {
@@ -335,9 +331,9 @@ func TestWorkerExitsOnQueueClosed(t *testing.T) {
 // by the newer attempt.
 func TestStaleAttemptMessageSkipped(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
-	memq := mq.NewMemory()
-	svc := Services{Queue: memq, Store: objstore.NewMemory(), Tasks: taskdb.NewMemory()}
-	master := NewMaster(svc)
+	memq := mq.NewMemory(nil)
+	svc := Services{Queue: memq, Store: objstore.NewMemory(nil), Tasks: taskdb.NewMemory()}
+	master := NewMaster(svc, nil)
 
 	snapKey, err := master.UploadSnapshot("stale", out.Net)
 	if err != nil {
@@ -363,7 +359,7 @@ func TestStaleAttemptMessageSkipped(t *testing.T) {
 	if err := memq.Push(Topic, m); err != nil {
 		t.Fatal(err)
 	}
-	w := NewWorker("stale-worker", svc)
+	w := NewWorker("stale-worker", svc, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	w.RunN(ctx, 1)
@@ -375,6 +371,17 @@ func TestStaleAttemptMessageSkipped(t *testing.T) {
 	// No result was written by the stale attempt.
 	if _, err := svc.Store.Get(resultKey("stale", "route", 0)); !errors.Is(err, objstore.ErrNotFound) {
 		t.Fatalf("stale attempt wrote a result: %v", err)
+	}
+}
+
+// flakyServices returns fresh in-memory substrates with every operation
+// hooked to inj.
+func flakyServices(inj *faults.Injector) Services {
+	q, s, db := mq.NewMemory(nil), objstore.NewMemory(nil), taskdb.NewMemory()
+	return Services{
+		Queue: mq.Decorate(func() mq.Queue { return q }, inj.Hook),
+		Store: objstore.Decorate(func() objstore.Store { return s }, inj.Hook),
+		Tasks: taskdb.Decorate(func() taskdb.DB { return db }, inj.Hook),
 	}
 }
 

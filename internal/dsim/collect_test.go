@@ -20,7 +20,7 @@ import (
 func TestCollectRouteResultsOverlappingSubtasks(t *testing.T) {
 	out := gen.Generate(gen.WAN(2))
 	inputs := gen.WithDuplicateInputs(out.Inputs)
-	c := StartLocal(4)
+	c := startLocal(t, LocalOptions{Workers: 4})
 	defer c.Stop()
 	snapKey, err := c.Master.UploadSnapshot("t", out.Net)
 	if err != nil {

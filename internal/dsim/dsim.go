@@ -238,7 +238,7 @@ type flowSubset struct {
 
 // TrafficResultFile is the wire form of one traffic subtask's result. The
 // struct lives in internal/wire so result files share the framework's compact
-// binary codec (legacy JSON files still decode).
+// binary codec.
 type TrafficResultFile = wire.TrafficResult
 
 // LoadEntry is one link's simulated volume.

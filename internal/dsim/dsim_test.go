@@ -12,12 +12,25 @@ import (
 	"hoyan/internal/mq"
 	"hoyan/internal/netmodel"
 	"hoyan/internal/objstore"
+	"hoyan/internal/rpcx"
 	"hoyan/internal/taskdb"
 )
+
+// startLocal starts a cluster and fails the test if its substrates do not
+// open.
+func startLocal(t testing.TB, opts LocalOptions) *LocalCluster {
+	t.Helper()
+	c, err := StartLocal(opts)
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	return c
+}
 
 // dedupe applies the master's row-dedup to a centralized result so the two
 // can be compared (distributed collection collapses identical rows that
 // several subtasks derive independently, e.g. local direct routes).
+
 func dedupe(g *netmodel.GlobalRIB) *netmodel.GlobalRIB {
 	seen := map[string]bool{}
 	var rows []netmodel.Route
@@ -112,7 +125,7 @@ func TestDistributedRouteSimMatchesCentralized(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	central := dedupe(core.NewEngine(out.Net, core.Options{}).RouteSimulation(out.Inputs).GlobalRIB())
 
-	c := StartLocal(4)
+	c := startLocal(t, LocalOptions{Workers: 4})
 	defer c.Stop()
 	snapKey, err := c.Master.UploadSnapshot("t1", out.Net)
 	if err != nil {
@@ -156,7 +169,7 @@ func TestDistributedTrafficSimMatchesCentralized(t *testing.T) {
 	centralRoutes := eng.RouteSimulation(out.Inputs)
 	centralTraffic := eng.TrafficSimulation(centralRoutes, centralRoutes.GlobalRIB().Rows(), out.Flows)
 
-	c := StartLocal(4)
+	c := startLocal(t, LocalOptions{Workers: 4})
 	defer c.Stop()
 	snapKey, err := c.Master.UploadSnapshot("t2", out.Net)
 	if err != nil {
@@ -205,7 +218,7 @@ func TestDistributedTrafficSimMatchesCentralized(t *testing.T) {
 
 func TestOrderingHeuristicReducesLoadedFiles(t *testing.T) {
 	out := gen.Generate(gen.WAN(2))
-	c := StartLocal(4)
+	c := startLocal(t, LocalOptions{Workers: 4})
 	defer c.Stop()
 	snapKey, err := c.Master.UploadSnapshot("t3", out.Net)
 	if err != nil {
@@ -255,11 +268,11 @@ func TestOrderingHeuristicReducesLoadedFiles(t *testing.T) {
 
 func TestMasterRetriesFailedSubtask(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
-	memq := mq.NewMemory()
-	svc := Services{Queue: memq, Store: objstore.NewMemory(), Tasks: taskdb.NewMemory()}
-	master := NewMaster(svc)
+	memq := mq.NewMemory(nil)
+	svc := Services{Queue: memq, Store: objstore.NewMemory(nil), Tasks: taskdb.NewMemory()}
+	master := NewMaster(svc, nil)
 
-	w := NewWorker("flaky", svc)
+	w := NewWorker("flaky", svc, nil)
 	w.FailNext = 2 // first two subtasks fail, then recover
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -294,13 +307,13 @@ func TestMasterRetriesFailedSubtask(t *testing.T) {
 
 func TestPermanentFailureSurfaces(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
-	memq := mq.NewMemory()
-	svc := Services{Queue: memq, Store: objstore.NewMemory(), Tasks: taskdb.NewMemory()}
-	master := NewMaster(svc)
+	memq := mq.NewMemory(nil)
+	svc := Services{Queue: memq, Store: objstore.NewMemory(nil), Tasks: taskdb.NewMemory()}
+	master := NewMaster(svc, nil)
 	master.MaxAttempts = 1
 	master.Timeout = 5 * time.Second
 
-	w := NewWorker("dead", svc)
+	w := NewWorker("dead", svc, nil)
 	w.FailNext = 1000
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -325,20 +338,20 @@ func TestDistributedOverTCPSubstrates(t *testing.T) {
 	defer lq.Close()
 	defer ls.Close()
 	defer lt.Close()
-	mq.Serve(lq, mq.NewMemory())
-	objstore.Serve(ls, objstore.NewMemory())
-	taskdb.Serve(lt, taskdb.NewMemory())
+	mq.Serve(lq, mq.NewMemory(nil), nil)
+	objstore.Serve(ls, objstore.NewMemory(nil), nil)
+	taskdb.Serve(lt, taskdb.NewMemory(), nil)
 
 	dialServices := func() Services {
-		qc, err := mq.Dial(lq.Addr().String())
+		qc, err := mq.Dial(lq.Addr().String(), rpcx.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := objstore.Dial(ls.Addr().String())
+		sc, err := objstore.Dial(ls.Addr().String(), rpcx.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc, err := taskdb.Dial(lt.Addr().String())
+		tc, err := taskdb.Dial(lt.Addr().String(), rpcx.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,13 +359,13 @@ func TestDistributedOverTCPSubstrates(t *testing.T) {
 	}
 
 	out := gen.Generate(gen.WAN(1))
-	master := NewMaster(dialServices())
+	master := NewMaster(dialServices(), nil)
 	master.Timeout = 30 * time.Second
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < 2; i++ {
-		w := NewWorker("tcp-worker", dialServices())
+		w := NewWorker("tcp-worker", dialServices(), nil)
 		go w.Run(ctx)
 	}
 

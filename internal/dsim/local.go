@@ -13,11 +13,12 @@ import (
 	"hoyan/internal/telemetry"
 )
 
-// LocalCluster is a single-process deployment of the framework: in-memory
-// substrates plus a pool of worker goroutines. Benchmarks use it to sweep the
-// worker count (Figure 5); tests use it for end-to-end verification. The
-// same Master/Worker code runs unchanged against the TCP substrates for
-// multi-process deployments (cmd/hoyan-master, cmd/hoyan-worker).
+// LocalCluster is a single-process deployment of the framework: in-memory or
+// DataDir-backed substrates plus a pool of worker goroutines. Benchmarks use
+// it to sweep the worker count (Figure 5); tests use it for end-to-end
+// verification. The same Master/Worker code runs unchanged against the TCP
+// substrates for multi-process deployments (cmd/hoyan-master,
+// cmd/hoyan-worker).
 type LocalCluster struct {
 	Svc     Services
 	Master  *Master
@@ -31,139 +32,101 @@ type LocalCluster struct {
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	// closeSubstrates shuts down whatever substrates the cluster owns (the
-	// queue always; disk-backed store and task DB when durable).
-	closeSubstrates func()
+	// queue is the cluster's own queue; closers shut down the store and task
+	// DB when the cluster created them.
+	queue   *mq.Local
+	closers []func()
 }
 
-// LocalOptions configures StartLocalOptions.
+// LocalOptions configures StartLocal.
 type LocalOptions struct {
 	// Workers is the worker-goroutine count.
 	Workers int
-	// Store / Tasks reuse existing substrates (nil creates fresh in-memory
-	// ones); the queue is always fresh.
+	// Store / Tasks reuse existing substrates, which the caller keeps owning
+	// (nil creates fresh ones that Stop closes); the queue is always fresh.
+	// Successive runs can so reuse already-computed route-simulation results
+	// — the Figure 5(b) sweep re-runs traffic simulation for several worker
+	// counts against one route result set.
 	Store objstore.Store
 	Tasks taskdb.DB
 	// Telemetry gives the master and every worker a registry and a tracer,
-	// instruments the substrates, and enables span collection — gather the
-	// results with MetricsSnapshot and TraceSpans.
+	// registers the substrates the cluster creates in the master's, and
+	// enables span collection — gather the results with MetricsSnapshot and
+	// TraceSpans.
 	Telemetry bool
 
-	// DataDir, when set (StartLocalDurable only), backs all three substrates
-	// with WAL-based disk persistence rooted there: the object store under
-	// <DataDir>/objstore, the task DB at <DataDir>/taskdb.wal, the queue at
-	// <DataDir>/mq.wal. Explicit Store/Tasks handles still win over the
-	// disk-backed defaults.
+	// DataDir, when set, backs the substrates the cluster creates with
+	// journals rooted there — a restart-safe single-process deployment: the
+	// object store under <DataDir>/objstore, the task DB at
+	// <DataDir>/taskdb.wal, the queue at <DataDir>/mq.wal. Empty keeps them
+	// in memory.
 	DataDir string
 	// Fsync is the durability policy for DataDir-backed substrates (zero
 	// value durable.SyncInterval).
 	Fsync durable.Policy
 }
 
-// StartLocal creates in-memory services and starts n workers.
-func StartLocal(n int) *LocalCluster {
-	return StartLocalOptions(LocalOptions{Workers: n})
-}
-
-// StartLocalWithStore starts a cluster of n workers over an existing object
-// store and task DB (but a fresh queue), so successive runs can reuse
-// already-computed route-simulation results — the Figure 5(b) sweep re-runs
-// traffic simulation for several worker counts against one route result set.
-func StartLocalWithStore(n int, store objstore.Store, tasks taskdb.DB) *LocalCluster {
-	return StartLocalOptions(LocalOptions{Workers: n, Store: store, Tasks: tasks})
-}
-
-// StartLocalOptions starts a cluster described by opts over in-memory
-// substrates (opts.DataDir is ignored here; use StartLocalDurable for
-// disk-backed clusters).
-func StartLocalOptions(opts LocalOptions) *LocalCluster {
-	if opts.Store == nil {
-		opts.Store = objstore.NewMemory()
-	}
-	if opts.Tasks == nil {
-		opts.Tasks = taskdb.NewMemory()
-	}
-	memq := mq.NewMemory()
-	svc := Services{
-		Queue: memq,
-		Store: opts.Store,
-		Tasks: opts.Tasks,
-	}
-	return startCluster(opts, svc, memq.Close)
-}
-
-// StartLocalDurable starts a cluster whose substrates persist under
-// opts.DataDir: a restart-safe single-process deployment. With an empty
-// DataDir it falls back to StartLocalOptions. The returned cluster's Stop
-// closes the substrates cleanly (WALs flushed); state survives and a later
-// StartLocalDurable over the same directory recovers it.
-func StartLocalDurable(opts LocalOptions) (*LocalCluster, error) {
-	if opts.DataDir == "" {
-		return StartLocalOptions(opts), nil
-	}
-	dopts := durable.Options{Fsync: opts.Fsync}
-	var closers []func()
-	if opts.Store == nil {
-		disk, err := objstore.OpenDisk(filepath.Join(opts.DataDir, "objstore"), dopts)
-		if err != nil {
-			return nil, err
-		}
-		opts.Store = disk
-		closers = append(closers, func() { disk.Close() })
-	}
-	if opts.Tasks == nil {
-		db, err := taskdb.OpenDurable(filepath.Join(opts.DataDir, "taskdb.wal"), dopts)
-		if err != nil {
-			return nil, err
-		}
-		opts.Tasks = db
-		closers = append(closers, func() { db.Close() })
-	}
-	q, err := mq.OpenDurable(filepath.Join(opts.DataDir, "mq.wal"), dopts)
-	if err != nil {
-		for _, c := range closers {
-			c()
-		}
-		return nil, err
-	}
-	svc := Services{Queue: q, Store: opts.Store, Tasks: opts.Tasks}
-	return startCluster(opts, svc, func() {
-		q.Close()
-		for _, c := range closers {
-			c()
-		}
-	}), nil
-}
-
-// registryInstrumenter is implemented by every substrate that can re-bind
-// its counters to a telemetry registry (mq.Memory, mq.Durable,
-// objstore.Memory, objstore.Disk, taskdb.Durable).
-type registryInstrumenter interface {
-	Instrument(reg *telemetry.Registry)
-}
-
-// startCluster is the common tail of StartLocalOptions/StartLocalDurable:
-// telemetry wiring and the worker pool.
-func startCluster(opts LocalOptions, svc Services, closeSubstrates func()) *LocalCluster {
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &LocalCluster{Svc: svc, Master: NewMaster(svc), cancel: cancel, closeSubstrates: closeSubstrates}
+// StartLocal starts the cluster described by opts. The only errors are those
+// of opening DataDir-backed substrates; state a stopped cluster left under
+// DataDir is recovered by a later StartLocal over the same directory.
+func StartLocal(opts LocalOptions) (*LocalCluster, error) {
+	c := &LocalCluster{}
 	if opts.Telemetry {
 		c.MasterReg = telemetry.NewRegistry()
-		c.Master.Tracer = telemetry.NewTracer("master")
-		c.Master.Instrument(c.MasterReg)
-		for _, sub := range []any{svc.Queue, svc.Store, svc.Tasks} {
-			if ri, ok := sub.(registryInstrumenter); ok {
-				ri.Instrument(c.MasterReg)
+	}
+	dopts := durable.Options{Fsync: opts.Fsync}
+	svc := Services{Store: opts.Store, Tasks: opts.Tasks}
+	var err error
+	if svc.Store == nil {
+		if opts.DataDir == "" {
+			svc.Store = objstore.NewMemory(c.MasterReg)
+		} else {
+			var disk *objstore.Disk
+			if disk, err = objstore.OpenDisk(filepath.Join(opts.DataDir, "objstore"), dopts, c.MasterReg); err != nil {
+				return nil, err
 			}
+			svc.Store = disk
+			c.closers = append(c.closers, func() { disk.Close() })
 		}
 	}
+	if svc.Tasks == nil {
+		db := taskdb.NewMemory()
+		if opts.DataDir != "" {
+			if db, err = taskdb.OpenDurable(filepath.Join(opts.DataDir, "taskdb.wal"), dopts, c.MasterReg); err != nil {
+				c.closeSubstrates()
+				return nil, err
+			}
+		}
+		svc.Tasks = db
+		c.closers = append(c.closers, func() { db.Close() })
+	}
+	q := mq.NewMemory(c.MasterReg)
+	if opts.DataDir != "" {
+		if q, err = mq.OpenDurable(filepath.Join(opts.DataDir, "mq.wal"), dopts, c.MasterReg); err != nil {
+			c.closeSubstrates()
+			return nil, err
+		}
+	}
+	svc.Queue = q
+	c.queue = q
+
+	c.Svc = svc
+	c.Master = NewMaster(svc, c.MasterReg)
+	if opts.Telemetry {
+		c.Master.Tracer = telemetry.NewTracer("master")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	c.cancel = cancel
 	for i := 0; i < opts.Workers; i++ {
-		w := NewWorker(fmt.Sprintf("worker-%d", i), svc)
+		name := fmt.Sprintf("worker-%d", i)
+		var reg *telemetry.Registry
 		if opts.Telemetry {
-			reg := telemetry.NewRegistry()
-			w.Tracer = telemetry.NewTracer(w.Name)
-			w.Instrument(reg)
+			reg = telemetry.NewRegistry()
 			c.WorkerRegs = append(c.WorkerRegs, reg)
+		}
+		w := NewWorker(name, svc, reg)
+		if opts.Telemetry {
+			w.Tracer = telemetry.NewTracer(name)
 		}
 		c.Workers = append(c.Workers, w)
 		c.wg.Add(1)
@@ -172,7 +135,7 @@ func startCluster(opts LocalOptions, svc Services, closeSubstrates func()) *Loca
 			w.Run(ctx)
 		}()
 	}
-	return c
+	return c, nil
 }
 
 // CacheStats aggregates cache and transfer counters across the cluster's
@@ -210,13 +173,20 @@ func (c *LocalCluster) TraceSpans() []telemetry.SpanRecord {
 	return out
 }
 
-// Stop terminates the workers and waits for them to exit, then shuts down
-// the substrates the cluster owns (durable ones flush their WALs, so state
-// survives for a later StartLocalDurable over the same directory).
+// Stop terminates the workers and shuts down the substrates the cluster owns
+// (journaled ones flush, so state survives for a later StartLocal over the
+// same directory). Closing the queue first wakes every parked Pop; the store
+// and task DB close only after the workers have exited, so a worker
+// mid-subtask finishes its writes against open substrates.
 func (c *LocalCluster) Stop() {
 	c.cancel()
-	if c.closeSubstrates != nil {
-		c.closeSubstrates()
-	}
+	c.queue.Close()
 	c.wg.Wait()
+	c.closeSubstrates()
+}
+
+func (c *LocalCluster) closeSubstrates() {
+	for _, cl := range c.closers {
+		cl()
+	}
 }

@@ -51,11 +51,11 @@ type Master struct {
 	// attempt). Nil discards them.
 	Events *telemetry.EventLogger
 
-	// metrics is the master's instrument bundle — detached counters until
-	// Instrument binds a registry; never nil.
+	// metrics is the master's instrument bundle, registered in reg (detached
+	// counters when reg is nil); never nil.
 	metrics *MasterMetrics
-	// reg is the registry Instrument bound (nil before), so later-created
-	// components (the shard verifier) register their instruments alongside.
+	// reg is the registry NewMaster was given, so later-created components
+	// (the shard verifier) register their instruments alongside.
 	reg *telemetry.Registry
 
 	// runCtx is the span context enqueue spans parent under (set by
@@ -75,25 +75,19 @@ type Master struct {
 
 // NewMaster creates a master over the given substrate services. The queue,
 // store, and task DB handles are wrapped with DefaultRetryPolicy so transient
-// substrate errors are retried in place.
-func NewMaster(svc Services) *Master {
+// substrate errors are retried in place. The master's metrics and its
+// handles' per-component retry activity are registered in reg (nil reg =
+// detached).
+func NewMaster(svc Services, reg *telemetry.Registry) *Master {
 	return &Master{
-		svc:         WithRetry(svc, DefaultRetryPolicy()),
+		svc:         withRetry(svc, reg),
 		MaxAttempts: 3, PollInterval: 5 * time.Millisecond, Timeout: 10 * time.Minute,
 		LeaseTimeout: 30 * time.Second,
-		metrics:      NewMasterMetrics(nil),
+		metrics:      NewMasterMetrics(reg),
+		reg:          reg,
 		msgs:         make(map[string]SubtaskMsg),
 		pendingSince: make(map[string]time.Time),
 	}
-}
-
-// Instrument registers the master's metrics in reg and re-binds the retry
-// policies of its substrate handles so retry activity shows per component.
-// Call before starting tasks.
-func (m *Master) Instrument(reg *telemetry.Registry) {
-	m.metrics = NewMasterMetrics(reg)
-	m.reg = reg
-	instrumentRetries(m.svc, reg)
 }
 
 // BeginRun opens the run's root span: every subsequent enqueue span — and,

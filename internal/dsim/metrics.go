@@ -3,7 +3,6 @@ package dsim
 import (
 	"hoyan/internal/bgp"
 	"hoyan/internal/netmodel"
-	"hoyan/internal/retry"
 	"hoyan/internal/telemetry"
 )
 
@@ -177,20 +176,5 @@ func (m *WorkerMetrics) RecordBGPPar(p bgp.ParStats) {
 	if p.Stripes > 0 && p.SumStripePairs > 0 {
 		mean := float64(p.SumStripePairs) / float64(p.Stripes)
 		m.BGPStripeImbalance.Observe(float64(p.MaxStripePairs) / mean)
-	}
-}
-
-// instrumentRetries re-binds the retry policies inside the already-wrapped
-// substrate handles to counters in reg, so per-component retry activity shows
-// up on /metrics. A no-op for handles that were not wrapped by WithRetry.
-func instrumentRetries(svc Services, reg *telemetry.Registry) {
-	if q, ok := svc.Queue.(*retryQueue); ok {
-		q.p.Metrics = retry.NewMetrics(reg, "mq")
-	}
-	if s, ok := svc.Store.(*retryStore); ok {
-		s.p.Metrics = retry.NewMetrics(reg, "objstore")
-	}
-	if t, ok := svc.Tasks.(*retryTasks); ok {
-		t.p.Metrics = retry.NewMetrics(reg, "taskdb")
 	}
 }

@@ -22,15 +22,15 @@ import (
 // unflushed — the moral equivalent of kill -9 on the hosting process.
 func durableServices(t *testing.T, dir string) (Services, func()) {
 	t.Helper()
-	store, err := objstore.OpenDisk(filepath.Join(dir, "objstore"), durable.Options{})
+	store, err := objstore.OpenDisk(filepath.Join(dir, "objstore"), durable.Options{}, nil)
 	if err != nil {
 		t.Fatalf("OpenDisk: %v", err)
 	}
-	tasks, err := taskdb.OpenDurable(filepath.Join(dir, "taskdb.wal"), durable.Options{})
+	tasks, err := taskdb.OpenDurable(filepath.Join(dir, "taskdb.wal"), durable.Options{}, nil)
 	if err != nil {
 		t.Fatalf("taskdb.OpenDurable: %v", err)
 	}
-	q, err := mq.OpenDurable(filepath.Join(dir, "mq.wal"), durable.Options{})
+	q, err := mq.OpenDurable(filepath.Join(dir, "mq.wal"), durable.Options{}, nil)
 	if err != nil {
 		t.Fatalf("mq.OpenDurable: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestRestartMasterResume(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	const nRoute, nTraffic = 6, 6
 
-	cleanCluster := StartLocal(3)
+	cleanCluster := startLocal(t, LocalOptions{Workers: 3})
 	clean := runDistributed(t, cleanCluster.Master, "clean", out, nRoute, nTraffic)
 	cleanCluster.Stop()
 
@@ -71,7 +71,7 @@ func TestRestartMasterResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctxA, cancelA := context.WithTimeout(context.Background(), time.Minute)
-	wA := NewWorker("pre-crash", svcA)
+	wA := NewWorker("pre-crash", svcA, nil)
 	wA.HeartbeatInterval = 25 * time.Millisecond
 	wA.RunN(ctxA, 3)
 	cancelA()
@@ -95,7 +95,7 @@ func TestRestartMasterResume(t *testing.T) {
 	doneB := make(chan struct{})
 	var workersB []*Worker
 	for i := 0; i < 2; i++ {
-		w := NewWorker(fmt.Sprintf("resume-worker-%d", i), svcB)
+		w := NewWorker(fmt.Sprintf("resume-worker-%d", i), svcB, nil)
 		w.HeartbeatInterval = 25 * time.Millisecond
 		workersB = append(workersB, w)
 	}
@@ -149,7 +149,7 @@ func TestRestartMasterResume(t *testing.T) {
 	ctxC, cancelC := context.WithCancel(context.Background())
 	defer cancelC()
 	for i := 0; i < 3; i++ {
-		w := NewWorker(fmt.Sprintf("final-worker-%d", i), svcC)
+		w := NewWorker(fmt.Sprintf("final-worker-%d", i), svcC, nil)
 		w.HeartbeatInterval = 25 * time.Millisecond
 		go w.Run(ctxC)
 	}
@@ -169,7 +169,7 @@ func TestRestartMasterResume(t *testing.T) {
 	assertSameDistributed(t, clean, chaos)
 }
 
-// restarter is the crash/reopen surface shared by the faults wrappers.
+// restarter is the crash/reopen surface of a faults.Restartable of any kind.
 type restarter interface {
 	Crash()
 	Reopen() error
@@ -185,40 +185,44 @@ func TestRestartSubstrateCrashMidRun(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	const nRoute, nTraffic = 6, 6
 
-	cleanCluster := StartLocal(3)
+	cleanCluster := startLocal(t, LocalOptions{Workers: 3})
 	clean := runDistributed(t, cleanCluster.Master, "clean", out, nRoute, nTraffic)
 	cleanCluster.Stop()
 
 	dir := t.TempDir()
 	dopts := durable.Options{}
-	store, err := objstore.OpenDisk(filepath.Join(dir, "objstore"), dopts)
+	store, err := objstore.OpenDisk(filepath.Join(dir, "objstore"), dopts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks, err := taskdb.OpenDurable(filepath.Join(dir, "taskdb.wal"), dopts)
+	tasks, err := taskdb.OpenDurable(filepath.Join(dir, "taskdb.wal"), dopts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := mq.OpenDurable(filepath.Join(dir, "mq.wal"), dopts)
+	q, err := mq.OpenDurable(filepath.Join(dir, "mq.wal"), dopts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeR := faults.NewRestartableStore(store, func() (objstore.Store, error) {
-		return objstore.OpenDisk(filepath.Join(dir, "objstore"), dopts)
+	storeR := faults.NewRestartable[objstore.Store](store, func() (objstore.Store, error) {
+		return objstore.OpenDisk(filepath.Join(dir, "objstore"), dopts, nil)
 	})
-	tasksR := faults.NewRestartableTasks(tasks, func() (taskdb.DB, error) {
-		return taskdb.OpenDurable(filepath.Join(dir, "taskdb.wal"), dopts)
+	tasksR := faults.NewRestartable[taskdb.DB](tasks, func() (taskdb.DB, error) {
+		return taskdb.OpenDurable(filepath.Join(dir, "taskdb.wal"), dopts, nil)
 	})
-	qR := faults.NewRestartableQueue(q, func() (mq.Queue, error) {
-		return mq.OpenDurable(filepath.Join(dir, "mq.wal"), dopts)
+	qR := faults.NewRestartable[mq.Queue](q, func() (mq.Queue, error) {
+		return mq.OpenDurable(filepath.Join(dir, "mq.wal"), dopts, nil)
 	})
-	svc := Services{Queue: qR, Store: storeR, Tasks: tasksR}
+	svc := Services{
+		Queue: mq.Decorate(qR.Handle, qR.Hook),
+		Store: objstore.Decorate(storeR.Handle, storeR.Hook),
+		Tasks: taskdb.Decorate(tasksR.Handle, tasksR.Hook),
+	}
 	master := chaosMaster(svc, 10, 400*time.Millisecond)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < 3; i++ {
-		w := NewWorker(fmt.Sprintf("restart-worker-%d", i), svc)
+		w := NewWorker(fmt.Sprintf("restart-worker-%d", i), svc, nil)
 		w.HeartbeatInterval = 25 * time.Millisecond
 		go w.Run(ctx)
 	}
@@ -290,7 +294,7 @@ func TestRestartTornWALTail(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	const nRoute, nTraffic = 5, 5
 
-	cleanCluster := StartLocal(3)
+	cleanCluster := startLocal(t, LocalOptions{Workers: 3})
 	clean := runDistributed(t, cleanCluster.Master, "clean", out, nRoute, nTraffic)
 	cleanCluster.Stop()
 
@@ -305,7 +309,7 @@ func TestRestartTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctxA, cancelA := context.WithTimeout(context.Background(), time.Minute)
-	wA := NewWorker("pre-tear", svcA)
+	wA := NewWorker("pre-tear", svcA, nil)
 	wA.HeartbeatInterval = 25 * time.Millisecond
 	wA.RunN(ctxA, 3)
 	cancelA()
@@ -338,7 +342,7 @@ func TestRestartTornWALTail(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < 3; i++ {
-		w := NewWorker(fmt.Sprintf("post-tear-worker-%d", i), svcB)
+		w := NewWorker(fmt.Sprintf("post-tear-worker-%d", i), svcB, nil)
 		w.HeartbeatInterval = 25 * time.Millisecond
 		go w.Run(ctx)
 	}

@@ -11,9 +11,7 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/faults"
 	"hoyan/internal/gen"
-	"hoyan/internal/mq"
 	"hoyan/internal/netmodel"
-	"hoyan/internal/objstore"
 	"hoyan/internal/shard"
 	"hoyan/internal/taskdb"
 )
@@ -25,7 +23,7 @@ import (
 // traffic stage.
 func TestShardWholeNetworkEquivalence(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
-	c := StartLocal(4)
+	c := startLocal(t, LocalOptions{Workers: 4})
 	defer c.Stop()
 
 	snapKey, err := c.Master.UploadSnapshot("shardeq", out.Net)
@@ -117,7 +115,7 @@ func TestShardWholeNetworkEquivalence(t *testing.T) {
 // against the centralized whole-network engine.
 func TestShardWholeNetworkEquivalenceRandomized(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
-	c := StartLocal(4)
+	c := startLocal(t, LocalOptions{Workers: 4})
 	defer c.Stop()
 	for trial := 0; trial < 3; trial++ {
 		out := gen.Generate(gen.WAN(1))
@@ -157,7 +155,7 @@ func TestShardChaosCrashMidContractRound(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 
 	// Clean sharded reference.
-	cleanCluster := StartLocal(3)
+	cleanCluster := startLocal(t, LocalOptions{Workers: 3})
 	snapKey, err := cleanCluster.Master.UploadSnapshot("clean", out.Net)
 	if err != nil {
 		t.Fatal(err)
@@ -177,21 +175,17 @@ func TestShardChaosCrashMidContractRound(t *testing.T) {
 	// by the retry wrappers) plus a worker that dies holding a shard subtask.
 	inj := faults.NewInjector(20260808)
 	inj.ErrorRate = 0.02
-	svc := Services{
-		Queue: faults.FlakyQueue{Q: mq.NewMemory(), In: inj},
-		Store: faults.FlakyStore{S: objstore.NewMemory(), In: inj},
-		Tasks: faults.FlakyTasks{DB: taskdb.NewMemory(), In: inj},
-	}
+	svc := flakyServices(inj)
 	master := chaosMaster(svc, 5, 300*time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	crasher := NewWorker("crasher", svc)
+	crasher := NewWorker("crasher", svc, nil)
 	crasher.CrashNext = 1
 	crasher.HeartbeatInterval = 25 * time.Millisecond
 	go crasher.Run(ctx)
 	for i := 0; i < 2; i++ {
-		w := NewWorker(fmt.Sprintf("worker-%d", i), svc)
+		w := NewWorker(fmt.Sprintf("worker-%d", i), svc, nil)
 		w.HeartbeatInterval = 25 * time.Millisecond
 		go w.Run(ctx)
 	}

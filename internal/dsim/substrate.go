@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"net/rpc"
-	"time"
 
+	"hoyan/internal/durable"
 	"hoyan/internal/mq"
 	"hoyan/internal/objstore"
 	"hoyan/internal/retry"
 	"hoyan/internal/taskdb"
+	"hoyan/internal/telemetry"
 )
 
 // TransientSubstrateError classifies substrate errors for the retry layer:
@@ -17,7 +18,8 @@ import (
 // chaos) except deliberate shutdown (mq.ErrClosed, rpc.ErrShutdown), missing
 // objects (objstore.ErrNotFound — inputs and snapshots are written before any
 // message referencing them is pushed, so absence is a protocol bug, not a
-// flake), context cancellation, and errors marked retry.Permanent.
+// flake), a journal closed by orderly shutdown (durable.ErrClosed), context
+// cancellation, and errors marked retry.Permanent.
 func TransientSubstrateError(err error) bool {
 	if err == nil {
 		return false
@@ -26,6 +28,7 @@ func TransientSubstrateError(err error) bool {
 	case errors.Is(err, mq.ErrClosed),
 		errors.Is(err, objstore.ErrNotFound),
 		errors.Is(err, rpc.ErrShutdown),
+		errors.Is(err, durable.ErrClosed),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded),
 		retry.IsPermanent(err):
@@ -42,128 +45,24 @@ func DefaultRetryPolicy() retry.Policy {
 	return p
 }
 
-// WithRetry wraps the services' queue, store, and task DB so every call rides
-// out transient substrate errors under the policy. Already-wrapped handles
-// are left alone, so nesting WithRetry does not multiply retries.
-func WithRetry(svc Services, p retry.Policy) Services {
-	if _, ok := svc.Queue.(*retryQueue); !ok {
-		svc.Queue = &retryQueue{q: svc.Queue, p: p}
+// withRetry decorates the services' queue, store, and task DB so every call
+// rides out transient substrate errors under DefaultRetryPolicy, with
+// per-component retry activity counted in reg (nil reg = detached). Masters
+// and workers each wrap the raw handles they are given once, at construction.
+//
+// Note the at-least-once consequence for Pop: if a reply is lost after the
+// server already dequeued a message, the retried Pop returns a different
+// message and the first one is gone — the master's lease reclaim re-enqueues
+// its subtask.
+func withRetry(svc Services, reg *telemetry.Registry) Services {
+	policy := func(component string) retry.Policy {
+		p := DefaultRetryPolicy()
+		p.Metrics = retry.NewMetrics(reg, component)
+		return p
 	}
-	if _, ok := svc.Store.(*retryStore); !ok {
-		svc.Store = &retryStore{s: svc.Store, p: p}
+	return Services{
+		Queue: mq.Decorate(func() mq.Queue { return svc.Queue }, policy("mq").Hook),
+		Store: objstore.Decorate(func() objstore.Store { return svc.Store }, policy("objstore").Hook),
+		Tasks: taskdb.Decorate(func() taskdb.DB { return svc.Tasks }, policy("taskdb").Hook),
 	}
-	if _, ok := svc.Tasks.(*retryTasks); !ok {
-		svc.Tasks = &retryTasks{db: svc.Tasks, p: p}
-	}
-	return svc
-}
-
-// retryQueue retries mq.Queue calls.
-type retryQueue struct {
-	q mq.Queue
-	p retry.Policy
-}
-
-func (r *retryQueue) Push(topic string, m mq.Message) error {
-	return r.p.Do(context.Background(), func() error { return r.q.Push(topic, m) })
-}
-
-// Pop retries transient errors. Note the at-least-once consequence: if a
-// reply is lost after the server already dequeued a message, the retried Pop
-// returns a different message and the first one is gone — the master's lease
-// reclaim re-enqueues its subtask.
-func (r *retryQueue) Pop(topic string, wait time.Duration) (m mq.Message, ok bool, err error) {
-	err = r.p.Do(context.Background(), func() error {
-		var e error
-		m, ok, e = r.q.Pop(topic, wait)
-		return e
-	})
-	return m, ok, err
-}
-
-func (r *retryQueue) Len(topic string) (n int, err error) {
-	err = r.p.Do(context.Background(), func() error {
-		var e error
-		n, e = r.q.Len(topic)
-		return e
-	})
-	return n, err
-}
-
-// retryStore retries objstore.Store calls.
-type retryStore struct {
-	s objstore.Store
-	p retry.Policy
-}
-
-func (r *retryStore) Put(key string, data []byte) error {
-	return r.p.Do(context.Background(), func() error { return r.s.Put(key, data) })
-}
-
-func (r *retryStore) Get(key string) (data []byte, err error) {
-	err = r.p.Do(context.Background(), func() error {
-		var e error
-		data, e = r.s.Get(key)
-		return e
-	})
-	return data, err
-}
-
-func (r *retryStore) List(prefix string) (keys []string, err error) {
-	err = r.p.Do(context.Background(), func() error {
-		var e error
-		keys, e = r.s.List(prefix)
-		return e
-	})
-	return keys, err
-}
-
-func (r *retryStore) Delete(key string) error {
-	return r.p.Do(context.Background(), func() error { return r.s.Delete(key) })
-}
-
-// retryTasks retries taskdb.DB calls.
-type retryTasks struct {
-	db taskdb.DB
-	p  retry.Policy
-}
-
-func (r *retryTasks) Upsert(rec taskdb.Record) error {
-	return r.p.Do(context.Background(), func() error { return r.db.Upsert(rec) })
-}
-
-func (r *retryTasks) FencedUpsert(rec taskdb.Record) (applied bool, err error) {
-	err = r.p.Do(context.Background(), func() error {
-		var e error
-		applied, e = r.db.FencedUpsert(rec)
-		return e
-	})
-	return applied, err
-}
-
-func (r *retryTasks) Heartbeat(taskID, kind string, subID, attempt int, at time.Time) (applied bool, err error) {
-	err = r.p.Do(context.Background(), func() error {
-		var e error
-		applied, e = r.db.Heartbeat(taskID, kind, subID, attempt, at)
-		return e
-	})
-	return applied, err
-}
-
-func (r *retryTasks) Get(taskID, kind string, subID int) (rec taskdb.Record, ok bool, err error) {
-	err = r.p.Do(context.Background(), func() error {
-		var e error
-		rec, ok, e = r.db.Get(taskID, kind, subID)
-		return e
-	})
-	return rec, ok, err
-}
-
-func (r *retryTasks) List(taskID string) (recs []taskdb.Record, err error) {
-	err = r.p.Do(context.Background(), func() error {
-		var e error
-		recs, e = r.db.List(taskID)
-		return e
-	})
-	return recs, err
 }

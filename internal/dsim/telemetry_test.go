@@ -14,6 +14,7 @@ import (
 	"hoyan/internal/gen"
 	"hoyan/internal/mq"
 	"hoyan/internal/objstore"
+	"hoyan/internal/rpcx"
 	"hoyan/internal/taskdb"
 	"hoyan/internal/telemetry"
 )
@@ -27,19 +28,19 @@ func dialTCPServices(t *testing.T, reg *telemetry.Registry) func() Services {
 	ls, _ := net.Listen("tcp", "127.0.0.1:0")
 	lt, _ := net.Listen("tcp", "127.0.0.1:0")
 	t.Cleanup(func() { lq.Close(); ls.Close(); lt.Close() })
-	mq.ServeRegistry(lq, mq.NewMemory(), reg)
-	objstore.ServeRegistry(ls, objstore.NewMemory(), reg)
-	taskdb.ServeRegistry(lt, taskdb.NewMemory(), reg)
+	mq.Serve(lq, mq.NewMemory(reg), reg)
+	objstore.Serve(ls, objstore.NewMemory(reg), reg)
+	taskdb.Serve(lt, taskdb.NewMemory(), reg)
 	return func() Services {
-		qc, err := mq.Dial(lq.Addr().String())
+		qc, err := mq.Dial(lq.Addr().String(), rpcx.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := objstore.Dial(ls.Addr().String())
+		sc, err := objstore.Dial(ls.Addr().String(), rpcx.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc, err := taskdb.Dial(lt.Addr().String())
+		tc, err := taskdb.Dial(lt.Addr().String(), rpcx.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,20 +60,18 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	const nRoute, nTraffic = 4, 4
 
-	master := NewMaster(dial())
+	master := NewMaster(dial(), masterReg)
 	master.Timeout = 30 * time.Second
 	master.Tracer = telemetry.NewTracer("master")
-	master.Instrument(masterReg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var workers []*Worker
 	var workerRegs []*telemetry.Registry
 	for i := 0; i < 2; i++ {
-		w := NewWorker(fmt.Sprintf("tcp-worker-%d", i), dial())
-		w.Tracer = telemetry.NewTracer(w.Name)
 		reg := telemetry.NewRegistry()
-		w.Instrument(reg)
+		w := NewWorker(fmt.Sprintf("tcp-worker-%d", i), dial(), reg)
+		w.Tracer = telemetry.NewTracer(w.Name)
 		workers = append(workers, w)
 		workerRegs = append(workerRegs, reg)
 		go w.Run(ctx)
@@ -157,7 +156,7 @@ func TestChaosDeterminismWithTelemetry(t *testing.T) {
 	const nRoute, nTraffic = 6, 6
 
 	// Clean reference run, telemetry on.
-	cleanCluster := StartLocalOptions(LocalOptions{Workers: 3, Telemetry: true})
+	cleanCluster := startLocal(t, LocalOptions{Workers: 3, Telemetry: true})
 	clean := runDistributed(t, cleanCluster.Master, "clean-tel", out, nRoute, nTraffic)
 	if snap := cleanCluster.MetricsSnapshot(); len(snap) < 15 {
 		t.Errorf("clean fleet snapshot has %d series, want >= 15", len(snap))
@@ -170,27 +169,22 @@ func TestChaosDeterminismWithTelemetry(t *testing.T) {
 	inj.ErrorRate = 0.10
 	var eventBuf bytes.Buffer
 	events := telemetry.NewEventLogger(&eventBuf)
-	svc := Services{
-		Queue: faults.FlakyQueue{Q: mq.NewMemory(), In: inj},
-		Store: faults.FlakyStore{S: objstore.NewMemory(), In: inj},
-		Tasks: faults.FlakyTasks{DB: taskdb.NewMemory(), In: inj},
-	}
+	svc := flakyServices(inj)
 	reg := telemetry.NewRegistry()
-	master := chaosMaster(svc, 10, 400*time.Millisecond)
+	master := NewMaster(svc, reg)
+	master.MaxAttempts, master.LeaseTimeout, master.Timeout = 10, 400*time.Millisecond, 2*time.Minute
 	master.Tracer = telemetry.NewTracer("master")
 	master.Events = events
-	master.Instrument(reg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var tracers []*telemetry.Tracer
 	crashed := make(chan struct{}) // closed when worker 0's Run returns
 	for i := 0; i < 3; i++ {
-		w := NewWorker(fmt.Sprintf("chaos-tel-%d", i), svc)
+		w := NewWorker(fmt.Sprintf("chaos-tel-%d", i), svc, reg)
 		w.HeartbeatInterval = 25 * time.Millisecond
 		w.Tracer = telemetry.NewTracer(w.Name)
 		tracers = append(tracers, w.Tracer)
 		w.Events = events
-		w.Instrument(reg)
 		if i == 0 {
 			w.CrashNext = 1
 			go func() {

@@ -1,12 +1,8 @@
 package dsim
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +12,6 @@ import (
 	"hoyan/internal/mq"
 	"hoyan/internal/objstore"
 	"hoyan/internal/taskdb"
-	"hoyan/internal/wire"
 )
 
 // TestLRU pins the cache's bound and recency ordering.
@@ -63,7 +58,7 @@ func TestChaosWithCachesByteIdentical(t *testing.T) {
 	const nRoute, nTraffic = 6, 6
 
 	// Clean distributed reference run; its workers must show cache traffic.
-	cleanCluster := StartLocal(3)
+	cleanCluster := startLocal(t, LocalOptions{Workers: 3})
 	clean := runDistributed(t, cleanCluster.Master, "clean", out, nRoute, nTraffic)
 	cleanStats := cleanCluster.CacheStats()
 	cleanCluster.Stop()
@@ -77,17 +72,13 @@ func TestChaosWithCachesByteIdentical(t *testing.T) {
 	// Chaos run: flaky substrates plus a mid-run crash; default caches on.
 	inj := faults.NewInjector(20260807)
 	inj.ErrorRate = 0.10
-	svc := Services{
-		Queue: faults.FlakyQueue{Q: mq.NewMemory(), In: inj},
-		Store: faults.FlakyStore{S: objstore.NewMemory(), In: inj},
-		Tasks: faults.FlakyTasks{DB: taskdb.NewMemory(), In: inj},
-	}
+	svc := flakyServices(inj)
 	master := chaosMaster(svc, 10, 400*time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var workers []*Worker
 	for i := 0; i < 3; i++ {
-		w := NewWorker(fmt.Sprintf("chaos-worker-%d", i), svc)
+		w := NewWorker(fmt.Sprintf("chaos-worker-%d", i), svc, nil)
 		w.HeartbeatInterval = 25 * time.Millisecond
 		if i == 0 {
 			w.CrashNext = 1 // dies holding its first claim; lease reclaim recovers
@@ -111,88 +102,41 @@ func TestChaosWithCachesByteIdentical(t *testing.T) {
 	assertSameDistributed(t, clean, chaos)
 }
 
-// TestMixedVersionJSONBlobs emulates a mixed-version cluster / archived
-// blobs: after the route phase completes, every blob in the store — snapshot,
-// inputs, route-RIB result files — is rewritten in the legacy JSON encoding.
-// A fresh set of (binary-speaking) workers must then run the traffic phase
-// off those JSON blobs via the decoders' fallback, and the master must
-// aggregate JSON traffic result files, all matching the centralized engine.
-func TestMixedVersionJSONBlobs(t *testing.T) {
+// TestFreshClusterOverExistingStore runs the route phase on one cluster and
+// the rest on a second one started over the first's object store and task DB
+// (LocalOptions.Store / Tasks): the fresh workers must collect the stored
+// route results and run the traffic phase off them, matching the centralized
+// engine. The first cluster's Stop must leave the caller's substrates open.
+func TestFreshClusterOverExistingStore(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	const nRoute, nTraffic = 4, 4
 
-	store, tasks := objstore.NewMemory(), taskdb.NewMemory()
-	c1 := StartLocalWithStore(2, store, tasks)
-	snapKey, err := c1.Master.UploadSnapshot("mixed", out.Net)
+	store, tasks := objstore.NewMemory(nil), taskdb.NewMemory()
+	c1 := startLocal(t, LocalOptions{Workers: 2, Store: store, Tasks: tasks})
+	snapKey, err := c1.Master.UploadSnapshot("reuse", out.Net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := c1.Master.StartRouteSimulation("mixed", snapKey, out.Inputs, nRoute, core.Options{})
+	rt, err := c1.Master.StartRouteSimulation("reuse", snapKey, out.Inputs, nRoute, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Master.Wait("mixed", "route", rt.Subtasks); err != nil {
+	if err := c1.Master.Wait("reuse", "route", rt.Subtasks); err != nil {
 		t.Fatal(err)
 	}
 	c1.Stop()
 
-	// Downgrade every stored blob to the legacy JSON encoding.
-	keys, err := store.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rewritten := 0
-	for _, key := range keys {
-		data, err := store.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var legacy []byte
-		switch {
-		case strings.HasSuffix(key, "/msg"):
-			// Persisted subtask messages are already plain JSON.
-			continue
-		case strings.HasSuffix(key, "/snapshot"):
-			snap, err := core.DecodeSnapshot(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			legacy, err = json.Marshal(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-		default: // route inputs and route-RIB result files
-			rows, err := core.DecodeRoutes(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			legacy, err = json.Marshal(rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := store.Put(key, legacy); err != nil {
-			t.Fatal(err)
-		}
-		rewritten++
-	}
-	if rewritten < nRoute+2 {
-		t.Fatalf("rewrote only %d blobs", rewritten)
-	}
-
-	// A fresh cluster runs traffic off the JSON blobs and re-collects the
-	// route results through the fallback decoder.
-	c2 := StartLocalWithStore(2, store, tasks)
+	c2 := startLocal(t, LocalOptions{Workers: 2, Store: store, Tasks: tasks})
 	defer c2.Stop()
 	rib, err := c2.Master.CollectRouteResults(rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt, err := c2.Master.StartTrafficSimulation("mixed", rt, out.Flows, nTraffic, StrategyOrdered, core.Options{})
+	tt, err := c2.Master.StartTrafficSimulation("reuse", rt, out.Flows, nTraffic, StrategyOrdered, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Master.Wait("mixed", "traffic", tt.Subtasks); err != nil {
+	if err := c2.Master.Wait("reuse", "traffic", tt.Subtasks); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := c2.Master.CollectTrafficResults(tt)
@@ -200,47 +144,16 @@ func TestMixedVersionJSONBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMatchesCentral(t, out, distResult{RIB: rib, Sum: sum, Task: rt})
-
-	// Finally downgrade the traffic result files too and check the master's
-	// aggregation falls back identically.
-	for i := 0; i < tt.Subtasks; i++ {
-		key := resultKey("mixed", "traffic", i)
-		data, err := store.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		file, err := wire.DecodeTrafficResult(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := json.Marshal(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(key, legacy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sum2, err := c2.Master.CollectTrafficResults(tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sum.Load, sum2.Load) {
-		t.Error("JSON traffic result files aggregated differently")
-	}
-	if !reflect.DeepEqual(pathKeys(t, sum.Paths), pathKeys(t, sum2.Paths)) {
-		t.Error("JSON traffic result files produced a different path set")
-	}
 }
 
 // TestRIBCacheDisabled checks the RIBCacheSize knob: negative disables the
 // cache entirely (every file is re-fetched) while results stay correct.
 func TestRIBCacheDisabled(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
-	svc := Services{Queue: mq.NewMemory(), Store: objstore.NewMemory(), Tasks: taskdb.NewMemory()}
-	master := NewMaster(svc)
+	svc := Services{Queue: mq.NewMemory(nil), Store: objstore.NewMemory(nil), Tasks: taskdb.NewMemory()}
+	master := NewMaster(svc, nil)
 
-	w := NewWorker("nocache", svc)
+	w := NewWorker("nocache", svc, nil)
 	w.RIBCacheSize = -1
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -94,8 +94,9 @@ type Worker struct {
 	engines *lru[*core.Engine]
 	ribs    *lru[ribEntry]
 
-	// metrics is the worker's instrument bundle — detached counters until
-	// Instrument binds a registry. Stats() reads it, so it is never nil.
+	// metrics is the worker's instrument bundle, registered in the registry
+	// NewWorker was given (detached counters when nil). Stats() reads it, so
+	// it is never nil.
 	metrics *WorkerMetrics
 
 	// lastContact is the unix-nano time of the last successful substrate
@@ -167,15 +168,6 @@ func (w *Worker) Stats() CacheStats {
 	}
 }
 
-// Instrument registers the worker's metrics in reg and re-binds the retry
-// policies of its substrate handles so retry activity shows per component.
-// Call before Run: the instrument-bundle swap is not synchronized with a
-// running worker.
-func (w *Worker) Instrument(reg *telemetry.Registry) {
-	w.metrics = NewWorkerMetrics(reg)
-	instrumentRetries(w.svc, reg)
-}
-
 // LastContact returns the time of the worker's last successful substrate
 // round-trip (zero before any). /healthz compares it against a staleness
 // threshold.
@@ -237,15 +229,17 @@ func (w *Worker) stage(ctx context.Context, name string, h *telemetry.Histogram,
 
 // NewWorker creates a worker over the substrate services. The queue, store,
 // and task DB handles are wrapped with DefaultRetryPolicy so transient
-// substrate errors are retried in place.
-func NewWorker(name string, svc Services) *Worker {
+// substrate errors are retried in place. The worker's metrics and its
+// handles' per-component retry activity are registered in reg (nil reg =
+// detached).
+func NewWorker(name string, svc Services, reg *telemetry.Registry) *Worker {
 	return &Worker{
-		Name: name, svc: WithRetry(svc, DefaultRetryPolicy()),
+		Name: name, svc: withRetry(svc, reg),
 		PopWait:           50 * time.Millisecond,
 		HeartbeatInterval: time.Second,
 		nets:              newLRU[*config.Network](2),
 		engines:           newLRU[*core.Engine](4),
-		metrics:           NewWorkerMetrics(nil),
+		metrics:           NewWorkerMetrics(reg),
 	}
 }
 

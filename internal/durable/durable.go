@@ -4,12 +4,12 @@
 // the first torn or corrupt record and drops everything after it), periodic
 // snapshot compaction, and a configurable fsync policy.
 //
-// The disk-backed substrate implementations (objstore.Disk, taskdb.Durable,
-// mq.Durable) each keep their authoritative state in memory and log every
-// mutation here before applying it, so a process restart replays the log and
-// resumes exactly where the previous incarnation's last durable write left
-// off. PR 2's fault tolerance (heartbeats, lease reclaim, attempt fencing)
-// makes re-execution of anything lost past that point safe.
+// Each substrate (mq.Local, taskdb.Local, objstore.Disk) is one state machine
+// that keeps its authoritative state in memory and, when it was opened over a
+// Journal, logs every mutation here before applying it, so a process restart
+// replays the log and resumes exactly where the previous incarnation's last
+// durable write left off. PR 2's fault tolerance (heartbeats, lease reclaim,
+// attempt fencing) makes re-execution of anything lost past that point safe.
 //
 // Stdlib only, like the rest of the fleet.
 package durable
@@ -134,18 +134,4 @@ func NewMetrics(reg *telemetry.Registry, component string) *Metrics {
 		Fsyncs: reg.Counter("wal_fsyncs_total",
 			"fsyncs of the WAL file (sync policy, explicit Sync, compaction)", l),
 	}
-}
-
-// rebind registers fresh counters in reg and carries over the counts
-// accumulated so far (the Instrument-after-Open pattern the in-memory
-// substrates use).
-func (m *Metrics) rebind(reg *telemetry.Registry, component string) *Metrics {
-	n := NewMetrics(reg, component)
-	n.WriteFailures.Add(m.WriteFailures.Value())
-	n.Replayed.Add(m.Replayed.Value())
-	n.Compactions.Add(m.Compactions.Value())
-	n.Appended.Add(m.Appended.Value())
-	n.AppendedBytes.Add(m.AppendedBytes.Value())
-	n.Fsyncs.Add(m.Fsyncs.Value())
-	return n
 }

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"hoyan/internal/telemetry"
 )
 
 // walMagic is the 8-byte file header identifying a Hoyan WAL (version 1).
@@ -36,6 +34,10 @@ var (
 	ErrTorn    = errors.New("durable: torn record (incomplete tail)")
 	ErrCorrupt = errors.New("durable: corrupt record (checksum mismatch)")
 )
+
+// ErrClosed is returned by writes to a WAL after Close: orderly shutdown, so
+// unlike ErrCrashed it is not transient and callers must not retry it.
+var ErrClosed = errors.New("durable: WAL is closed")
 
 // EncodeRecord appends the framed form of payload to dst and returns the
 // extended slice.
@@ -94,10 +96,7 @@ type WAL struct {
 	lastSync time.Time
 	crashed  bool
 	closed   bool
-
-	// metrics is swapped atomically by Instrument-style rebinding; reads on
-	// the append path take the mutex anyway.
-	metrics *Metrics
+	metrics  *Metrics
 
 	// consecFails drives Healthy(): consecutive failed durable writes,
 	// reset by the first success.
@@ -111,12 +110,9 @@ type WAL struct {
 // An empty or partially-written header (a crash during initial creation) is
 // treated like an empty log and re-initialized; a full-size header that is
 // not a Hoyan WAL header is an error — Open refuses to clobber a foreign
-// file.
-func Open(path string, opts Options, replay func(rec []byte) error) (*WAL, Recovery, error) {
-	return openWithMetrics(path, opts, replay, NewMetrics(nil, ""))
-}
-
-func openWithMetrics(path string, opts Options, replay func(rec []byte) error, m *Metrics) (*WAL, Recovery, error) {
+// file. The log's durability counters land in m (see NewMetrics), recovery
+// replay included.
+func Open(path string, opts Options, m *Metrics, replay func(rec []byte) error) (*WAL, Recovery, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultSyncInterval
 	}
@@ -224,7 +220,7 @@ func (w *WAL) stateErrLocked() error {
 		return ErrCrashed
 	}
 	if w.closed {
-		return fmt.Errorf("durable: WAL %s is closed", w.path)
+		return fmt.Errorf("%w: %s", ErrClosed, w.path)
 	}
 	return nil
 }
@@ -373,11 +369,6 @@ func (w *WAL) noteWrite(err error) {
 	w.metrics.WriteFailures.Inc()
 }
 
-// NoteExternalWrite folds a durable write performed outside the WAL (an
-// object-file write sharing its guarantees) into the same failure-health
-// accounting.
-func (w *WAL) NoteExternalWrite(err error) { w.noteWrite(err) }
-
 // Healthy returns nil while writes are landing, and an error once
 // HealthFailureThreshold consecutive durable writes have failed — the signal
 // /healthz degrades on instead of crashing the process.
@@ -386,21 +377,4 @@ func (w *WAL) Healthy() error {
 		return fmt.Errorf("durable: last %d writes to %s failed", n, filepath.Base(w.path))
 	}
 	return nil
-}
-
-// Instrument re-binds the WAL's durability counters to registered metrics in
-// reg under the given component label, carrying over counts accumulated so
-// far (recovery replay happens at Open, before any registry exists).
-func (w *WAL) Instrument(reg *telemetry.Registry, component string) {
-	w.mu.Lock()
-	w.metrics = w.metrics.rebind(reg, component)
-	w.mu.Unlock()
-}
-
-// Metrics returns the WAL's current metrics bundle (for substrates that share
-// the failure accounting).
-func (w *WAL) MetricsBundle() *Metrics {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.metrics
 }

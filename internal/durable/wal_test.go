@@ -13,7 +13,7 @@ import (
 func openCollect(t *testing.T, path string, opts Options) (*WAL, Recovery, [][]byte) {
 	t.Helper()
 	var got [][]byte
-	w, rec, err := Open(path, opts, func(p []byte) error {
+	w, rec, err := Open(path, opts, NewMetrics(nil, ""), func(p []byte) error {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	})
@@ -144,7 +144,7 @@ func TestWALRecoveryTails(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got int
-			w, rec, err := Open(path, Options{Fsync: SyncNever}, func([]byte) error { got++; return nil })
+			w, rec, err := Open(path, Options{Fsync: SyncNever}, NewMetrics(nil, ""), func([]byte) error { got++; return nil })
 			if tc.wantErr {
 				if err == nil {
 					w.Close()
@@ -201,7 +201,7 @@ func TestWALCompact(t *testing.T) {
 	if w.Size() >= before {
 		t.Fatalf("size after compact %d, want < %d", w.Size(), before)
 	}
-	if got := w.MetricsBundle().Compactions.Value(); got != 1 {
+	if got := w.metrics.Compactions.Value(); got != 1 {
 		t.Fatalf("compactions counter = %d, want 1", got)
 	}
 	// Appends after compaction land after the snapshot.
@@ -242,6 +242,24 @@ func TestWALCrashClose(t *testing.T) {
 	}
 }
 
+// TestWALClosedIsSentinel pins the orderly-shutdown error: writes after Close
+// fail with ErrClosed (callers must not retry it), reads of Size still work.
+func TestWALClosedIsSentinel(t *testing.T) {
+	w, _, _ := openCollect(t, filepath.Join(t.TempDir(), "closed.wal"), Options{Fsync: SyncNever})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Append after Close = %v, want ErrClosed", err)
+	}
+	if err := w.Compact(nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Compact after Close = %v, want ErrClosed", err)
+	}
+	if got := w.metrics.WriteFailures.Value(); got != 0 {
+		t.Fatalf("writes refused by a closed WAL counted as %d write failures", got)
+	}
+}
+
 func TestWALHealthy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "health.wal")
 	w, _, _ := openCollect(t, path, Options{Fsync: SyncNever})
@@ -250,15 +268,15 @@ func TestWALHealthy(t *testing.T) {
 		t.Fatalf("fresh WAL unhealthy: %v", err)
 	}
 	for i := 0; i < HealthFailureThreshold; i++ {
-		w.NoteExternalWrite(errors.New("disk full"))
+		w.noteWrite(errors.New("disk full"))
 	}
 	if err := w.Healthy(); err == nil {
 		t.Fatal("Healthy() = nil after threshold failures, want error")
 	}
-	if got := w.MetricsBundle().WriteFailures.Value(); got != HealthFailureThreshold {
+	if got := w.metrics.WriteFailures.Value(); got != HealthFailureThreshold {
 		t.Fatalf("write failures counter = %d, want %d", got, HealthFailureThreshold)
 	}
-	w.NoteExternalWrite(nil)
+	w.noteWrite(nil)
 	if err := w.Healthy(); err != nil {
 		t.Fatalf("Healthy() after success = %v, want nil", err)
 	}

@@ -193,7 +193,7 @@ func Fig5a(s Scale) *Fig5aResult {
 			core.NewEngine(g.Net, core.Options{}).RouteSimulation(g.Inputs)
 			res.CentralizedWAN = time.Since(start)
 		}
-		cluster := dsim.StartLocal(1)
+		cluster := startLocal(dsim.LocalOptions{Workers: 1})
 		taskID := "fig5a-" + prof.name
 		snapKey, err := cluster.Master.UploadSnapshot(taskID, g.Net)
 		if err != nil {
@@ -304,8 +304,8 @@ func Fig5b(s Scale) *Fig5bResult {
 	}
 
 	// Shared route simulation results (computed once).
-	store, tasks := objstore.NewMemory(), taskdb.NewMemory()
-	cluster := dsim.StartLocalWithStore(1, store, tasks)
+	store, tasks := objstore.NewMemory(nil), taskdb.NewMemory()
+	cluster := startLocal(dsim.LocalOptions{Workers: 1, Store: store, Tasks: tasks})
 	snapKey, err := cluster.Master.UploadSnapshot("fig5b-routes", g.Net)
 	if err != nil {
 		panic(err)
@@ -321,7 +321,7 @@ func Fig5b(s Scale) *Fig5bResult {
 
 	for _, strategy := range []dsim.Strategy{dsim.StrategyOrdered, dsim.StrategyBaseline, dsim.StrategyRandom} {
 		readsBefore := store.Stats().BytesOut
-		c := dsim.StartLocalWithStore(1, store, tasks)
+		c := startLocal(dsim.LocalOptions{Workers: 1, Store: store, Tasks: tasks})
 		taskID := "fig5b-" + string(strategy)
 		tt, err := c.Master.StartTrafficSimulation(taskID, routeTask, g.Flows, s.TrafficSubtasks, strategy, core.Options{})
 		if err != nil {
@@ -564,14 +564,13 @@ func ratio(a, b int) float64 {
 	return float64(a) / float64(b)
 }
 
-func maxInt(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 var _ = netmodel.DefaultVRF
+
+// startLocal starts an in-memory cluster, which cannot fail.
+func startLocal(opts dsim.LocalOptions) *dsim.LocalCluster {
+	c, err := dsim.StartLocal(opts)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}

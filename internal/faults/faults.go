@@ -1,7 +1,7 @@
 // Package faults provides deterministic fault injection for the distributed
 // simulation substrates: seeded per-operation error and latency injection
-// wrapped around the message queue, object store, and subtask database. The
-// chaos tests drive the full route+traffic pipeline through these wrappers
+// hooked into the message queue, object store, and subtask database handles.
+// The chaos tests drive the full route+traffic pipeline through these hooks
 // and assert the results stay byte-identical to a clean run — the property
 // the paper's master/worker protocol (resend failed subtasks, idempotent
 // result files) is supposed to guarantee.
@@ -19,10 +19,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"hoyan/internal/mq"
-	"hoyan/internal/objstore"
-	"hoyan/internal/taskdb"
 )
 
 // ErrInjected marks every injected error; retry policies classify it as
@@ -30,7 +26,7 @@ import (
 var ErrInjected = errors.New("faults: injected error")
 
 // Injector decides, per operation, whether to inject an error or latency.
-// One Injector may back several wrappers; it is safe for concurrent use and
+// One Injector may back several handles; it is safe for concurrent use and
 // its decisions are a deterministic function of the seed and call order
 // (concurrent callers interleave nondeterministically, but the overall
 // error rate and reproducibility-per-sequence are preserved).
@@ -83,140 +79,27 @@ func (in *Injector) Stats() (points, injected int64) {
 	return in.ops, in.injected
 }
 
-// FlakyStore wraps a Store with fault injection.
-type FlakyStore struct {
-	S  objstore.Store
-	In *Injector
-}
-
-// Put implements objstore.Store. An "after" failure means the object was
-// stored but the caller sees an error — retried Puts must be idempotent.
-func (f FlakyStore) Put(key string, data []byte) error {
-	if err := f.In.point("store.Put"); err != nil {
+// Hook is the injector as a substrate call hook (mq.Decorate,
+// objstore.Decorate, taskdb.Decorate): a "before" point on every operation,
+// and an "after" point on the ones whose call reports an effect to acknowledge
+// — Put, Push, Upsert, FencedUpsert, and a Pop that delivered a message.
+// After-failures are the nasty ones: the object was stored, the message
+// enqueued (a retried Push duplicates it) or dequeued (it is silently LOST —
+// exactly the crash window lease reclaim exists for), the write landed, and
+// the caller sees an error all the same, so retried writes must be
+// idempotent. mq.Len is never failed: the master's pending-reclaim sweep uses
+// it as its loss heuristic, and an in-process queue cannot misreport.
+func (in *Injector) Hook(op string, call func() (acked bool, err error)) error {
+	if op == "mq.Len" {
+		_, err := call()
 		return err
 	}
-	if err := f.S.Put(key, data); err != nil {
+	if err := in.point(op); err != nil {
 		return err
 	}
-	return f.In.point("store.Put(ack)")
-}
-
-// Get implements objstore.Store.
-func (f FlakyStore) Get(key string) ([]byte, error) {
-	if err := f.In.point("store.Get"); err != nil {
-		return nil, err
-	}
-	return f.S.Get(key)
-}
-
-// List implements objstore.Store.
-func (f FlakyStore) List(prefix string) ([]string, error) {
-	if err := f.In.point("store.List"); err != nil {
-		return nil, err
-	}
-	return f.S.List(prefix)
-}
-
-// Delete implements objstore.Store.
-func (f FlakyStore) Delete(key string) error {
-	if err := f.In.point("store.Delete"); err != nil {
+	acked, err := call()
+	if err != nil || !acked {
 		return err
 	}
-	return f.S.Delete(key)
-}
-
-// FlakyQueue wraps a Queue with fault injection.
-type FlakyQueue struct {
-	Q  mq.Queue
-	In *Injector
-}
-
-// Push implements mq.Queue. An "after" failure means the message was enqueued
-// but the caller sees an error — a retried Push duplicates the message, which
-// the fencing/idempotency layer must tolerate.
-func (f FlakyQueue) Push(topic string, m mq.Message) error {
-	if err := f.In.point("mq.Push"); err != nil {
-		return err
-	}
-	if err := f.Q.Push(topic, m); err != nil {
-		return err
-	}
-	return f.In.point("mq.Push(ack)")
-}
-
-// Pop implements mq.Queue. An "after" failure silently LOSES the popped
-// message — exactly the crash window lease reclaim exists for.
-func (f FlakyQueue) Pop(topic string, wait time.Duration) (mq.Message, bool, error) {
-	if err := f.In.point("mq.Pop"); err != nil {
-		return mq.Message{}, false, err
-	}
-	m, ok, err := f.Q.Pop(topic, wait)
-	if err != nil || !ok {
-		return m, ok, err
-	}
-	if err := f.In.point("mq.Pop(ack)"); err != nil {
-		return mq.Message{}, false, err
-	}
-	return m, true, nil
-}
-
-// Len implements mq.Queue. Len is never failed: the master's pending-reclaim
-// sweep uses it as its loss heuristic, and the Memory queue cannot misreport.
-func (f FlakyQueue) Len(topic string) (int, error) { return f.Q.Len(topic) }
-
-// FlakyTasks wraps a task DB with fault injection.
-type FlakyTasks struct {
-	DB taskdb.DB
-	In *Injector
-}
-
-// Upsert implements taskdb.DB. An "after" failure means the write landed but
-// the caller sees an error.
-func (f FlakyTasks) Upsert(rec taskdb.Record) error {
-	if err := f.In.point("tasks.Upsert"); err != nil {
-		return err
-	}
-	if err := f.DB.Upsert(rec); err != nil {
-		return err
-	}
-	return f.In.point("tasks.Upsert(ack)")
-}
-
-// FencedUpsert implements taskdb.DB.
-func (f FlakyTasks) FencedUpsert(rec taskdb.Record) (bool, error) {
-	if err := f.In.point("tasks.FencedUpsert"); err != nil {
-		return false, err
-	}
-	applied, err := f.DB.FencedUpsert(rec)
-	if err != nil {
-		return applied, err
-	}
-	if err := f.In.point("tasks.FencedUpsert(ack)"); err != nil {
-		return false, err
-	}
-	return applied, nil
-}
-
-// Heartbeat implements taskdb.DB.
-func (f FlakyTasks) Heartbeat(taskID, kind string, subID, attempt int, at time.Time) (bool, error) {
-	if err := f.In.point("tasks.Heartbeat"); err != nil {
-		return false, err
-	}
-	return f.DB.Heartbeat(taskID, kind, subID, attempt, at)
-}
-
-// Get implements taskdb.DB.
-func (f FlakyTasks) Get(taskID, kind string, subID int) (taskdb.Record, bool, error) {
-	if err := f.In.point("tasks.Get"); err != nil {
-		return taskdb.Record{}, false, err
-	}
-	return f.DB.Get(taskID, kind, subID)
-}
-
-// List implements taskdb.DB.
-func (f FlakyTasks) List(taskID string) ([]taskdb.Record, error) {
-	if err := f.In.point("tasks.List"); err != nil {
-		return nil, err
-	}
-	return f.DB.List(taskID)
+	return in.point(op + "(ack)")
 }

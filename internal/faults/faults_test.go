@@ -57,30 +57,17 @@ func TestInjectedErrorsAreMarked(t *testing.T) {
 	}
 }
 
-func TestFlakyStoreDelegatesWhenQuiet(t *testing.T) {
-	in := NewInjector(1) // rate 0: never fails
-	s := FlakyStore{S: objstore.NewMemory(), In: in}
-	if err := s.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get("k")
-	if err != nil || string(got) != "v" {
-		t.Fatalf("Get = %q %v", got, err)
-	}
-	if _, err := s.Get("missing"); !errors.Is(err, objstore.ErrNotFound) {
-		t.Fatalf("missing key: %v", err)
-	}
-	keys, err := s.List("")
-	if err != nil || len(keys) != 1 {
-		t.Fatalf("List = %v %v", keys, err)
-	}
-	if err := s.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
+// flaky returns the three substrate handles hooked to in, plus the raw
+// substrates behind them.
+func flaky(in *Injector) (objstore.Store, mq.Queue, taskdb.DB, *objstore.Memory, *mq.Local) {
+	s, q, db := objstore.NewMemory(nil), mq.NewMemory(nil), taskdb.NewMemory()
+	return objstore.Decorate(func() objstore.Store { return s }, in.Hook),
+		mq.Decorate(func() mq.Queue { return q }, in.Hook),
+		taskdb.Decorate(func() taskdb.DB { return db }, in.Hook), s, q
 }
 
 // seedPassFail finds a seed whose first injection point passes and whose
-// second fails at rate 0.5, so a wrapped op runs for real and then loses its
+// second fails at rate 0.5, so a hooked op runs for real and then loses its
 // acknowledgement.
 func seedPassFail(t *testing.T) *Injector {
 	t.Helper()
@@ -97,11 +84,10 @@ func seedPassFail(t *testing.T) *Injector {
 	return nil
 }
 
-func TestFlakyStorePutAfterFailureStillStores(t *testing.T) {
+func TestHookPutAfterFailureStillStores(t *testing.T) {
 	// An "ack lost" Put failure must leave the object stored: this is the
 	// case idempotent retried Puts paper over.
-	mem := objstore.NewMemory()
-	s := FlakyStore{S: mem, In: seedPassFail(t)}
+	s, _, _, mem, _ := flaky(seedPassFail(t))
 	if err := s.Put("k", []byte("v")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Put = %v, want injected after-failure", err)
 	}
@@ -111,9 +97,9 @@ func TestFlakyStorePutAfterFailureStillStores(t *testing.T) {
 	}
 }
 
-func TestFlakyQueueAfterFailureLosesMessage(t *testing.T) {
-	q := FlakyQueue{Q: mq.NewMemory(), In: seedPassFail(t)}
-	if err := q.Q.Push("t", mq.Message{ID: "m1"}); err != nil {
+func TestHookPopAfterFailureLosesMessage(t *testing.T) {
+	_, q, _, _, mem := flaky(seedPassFail(t))
+	if err := mem.Push("t", mq.Message{ID: "m1"}); err != nil {
 		t.Fatal(err)
 	}
 	_, ok, err := q.Pop("t", 10*time.Millisecond)
@@ -121,42 +107,50 @@ func TestFlakyQueueAfterFailureLosesMessage(t *testing.T) {
 		t.Fatalf("Pop = ok=%v err=%v, want injected after-failure", ok, err)
 	}
 	// The message is gone: lost in flight, exactly what lease reclaim covers.
-	if n, _ := q.Q.Len("t"); n != 0 {
+	if n, _ := mem.Len("t"); n != 0 {
 		t.Fatalf("queue len = %d, want 0 (message lost)", n)
 	}
 }
 
-func TestFlakyTasksDelegatesWhenQuiet(t *testing.T) {
-	in := NewInjector(1)
-	db := FlakyTasks{DB: taskdb.NewMemory(), In: in}
-	rec := taskdb.Record{TaskID: "t", Kind: "route", SubID: 0, Status: taskdb.StatusRunning, Attempts: 1}
-	if ok, err := db.FencedUpsert(rec); err != nil || !ok {
-		t.Fatalf("FencedUpsert = %v %v", ok, err)
+// TestHookInjectionPoints pins which operations get which points: a before
+// point on everything but mq.Len, an ack point only on Put / Push / Upsert /
+// FencedUpsert and on a Pop that delivered a message.
+func TestHookInjectionPoints(t *testing.T) {
+	in := NewInjector(1) // rate 0: never fails, only counts
+	s, q, db, _, _ := flaky(in)
+	rec := taskdb.Record{TaskID: "t", Kind: "route", Status: taskdb.StatusRunning}
+	steps := []struct {
+		op     string
+		run    func()
+		points int64
+	}{
+		{"store.Put", func() { s.Put("k", []byte("v")) }, 2},
+		{"store.Get", func() { s.Get("k") }, 1},
+		{"store.List", func() { s.List("") }, 1},
+		{"store.Delete", func() { s.Delete("k") }, 1},
+		{"mq.Len", func() { q.Len("t") }, 0},
+		{"mq.Pop (empty)", func() { q.Pop("t", 0) }, 1},
+		{"mq.Push", func() { q.Push("t", mq.Message{ID: "m"}) }, 2},
+		{"mq.Pop (delivered)", func() { q.Pop("t", 0) }, 2},
+		{"tasks.Upsert", func() { db.Upsert(rec) }, 2},
+		{"tasks.FencedUpsert", func() { db.FencedUpsert(rec) }, 2},
+		{"tasks.Heartbeat", func() { db.Heartbeat("t", "route", 0, 0, time.Now()) }, 1},
+		{"tasks.Get", func() { db.Get("t", "route", 0) }, 1},
+		{"tasks.List", func() { db.List("t") }, 1},
 	}
-	if ok, err := db.Heartbeat("t", "route", 0, 1, time.Now()); err != nil || !ok {
-		t.Fatalf("Heartbeat = %v %v", ok, err)
+	for _, st := range steps {
+		before, _ := in.Stats()
+		st.run()
+		if after, _ := in.Stats(); after-before != st.points {
+			t.Errorf("%s fired %d injection points, want %d", st.op, after-before, st.points)
+		}
 	}
-	rec.Attempts = 0
-	if ok, err := db.FencedUpsert(rec); err != nil || ok {
-		t.Fatalf("stale FencedUpsert applied through wrapper: %v %v", ok, err)
-	}
-	recs, err := db.List("t")
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("List = %v %v", recs, err)
-	}
-	if _, ok, err := db.Get("t", "route", 0); err != nil || !ok {
-		t.Fatalf("Get = %v %v", ok, err)
-	}
-	if err := db.Upsert(rec); err != nil {
-		t.Fatal(err)
-	}
-}
 
-func TestFlakyQueueLenNeverInjected(t *testing.T) {
-	in := NewInjector(3)
 	in.ErrorRate = 1
-	q := FlakyQueue{Q: mq.NewMemory(), In: in}
 	if _, err := q.Len("t"); err != nil {
 		t.Fatalf("Len injected an error: %v", err)
+	}
+	if _, err := s.Get("k"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Get at rate 1 = %v, want injected", err)
 	}
 }

@@ -6,282 +6,98 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"hoyan/internal/mq"
-	"hoyan/internal/objstore"
-	"hoyan/internal/taskdb"
 )
 
-// ErrDown is the transient error every operation on a crashed Restartable*
-// wrapper returns until Reopen swaps a fresh substrate in. Retry policies
-// classify it like any other unknown error: transient.
+// ErrDown is the transient error every operation on a crashed Restartable
+// returns until Reopen swaps a fresh substrate in. Retry policies classify it
+// like any other unknown error: transient.
 var ErrDown = errors.New("faults: substrate down (restarting)")
 
-// Crasher is the crash hook the durable substrates expose: drop the backing
+// Crasher is the crash hook the journaled substrates expose: drop the backing
 // file handles without flushing, as a killed process would.
 type Crasher interface {
 	CrashClose()
 }
 
-// restartState is the shared crash/reopen bookkeeping of the three wrappers.
-type restartState struct {
+// Restartable is a substrate handle (T is mq.Queue, objstore.Store or
+// taskdb.DB) whose backing can be killed — CrashClose, as a process crash
+// would — and reopened from its on-disk state mid-run. Decorate a handle with
+// its Handle and Hook: while down, every operation fails with ErrDown, a
+// transient error, so retry-wrapped callers ride the restart out.
+type Restartable[T any] struct {
 	mu      sync.RWMutex
+	cur     atomic.Pointer[T]
+	reopen  func() (T, error)
 	down    bool
 	crashes int
 	downOps atomic.Int64
 }
 
-// downErr records an operation attempted while down and returns ErrDown.
-func (s *restartState) downErr(op string) error {
-	s.downOps.Add(1)
-	return fmt.Errorf("%w: %s", ErrDown, op)
-}
-
-// Crashes reports how many times the wrapper was crashed, and how many
-// operations hit the down window.
-func (s *restartState) Crashes() (crashes int, downOps int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.crashes, s.downOps.Load()
-}
-
-// RestartableStore wraps an object store whose backing can be killed
-// (CrashClose, as a process crash would) and reopened from its on-disk state
-// mid-run. While down, every operation fails with ErrDown — a transient
-// error, so retry-wrapped callers ride the restart out.
-type RestartableStore struct {
-	restartState
-	s      objstore.Store
-	reopen func() (objstore.Store, error)
-}
-
-// NewRestartableStore wraps s; reopen recovers a fresh store from the same
+// NewRestartable wraps s; reopen recovers a fresh substrate from the same
 // on-disk state after a crash.
-func NewRestartableStore(s objstore.Store, reopen func() (objstore.Store, error)) *RestartableStore {
-	return &RestartableStore{s: s, reopen: reopen}
+func NewRestartable[T any](s T, reopen func() (T, error)) *Restartable[T] {
+	r := &Restartable[T]{reopen: reopen}
+	r.cur.Store(&s)
+	return r
 }
 
-// Crash kills the current store: its file handles are dropped unflushed (when
-// it implements Crasher) and every operation fails until Reopen.
-func (r *RestartableStore) Crash() {
+// Handle returns the current substrate.
+func (r *Restartable[T]) Handle() T { return *r.cur.Load() }
+
+// Crash kills the current substrate: its file handles are dropped unflushed
+// (when it implements Crasher; that wakes a queue's blocked Pop waiters with
+// the transient crash error, not ErrClosed, so workers survive) and every
+// operation fails until Reopen.
+func (r *Restartable[T]) Crash() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.s.(Crasher); ok {
+	if c, ok := any(r.Handle()).(Crasher); ok {
 		c.CrashClose()
 	}
 	r.down = true
 	r.crashes++
 }
 
-// Reopen recovers the store from disk and brings the wrapper back up.
-func (r *RestartableStore) Reopen() error {
+// Reopen recovers the substrate from disk and brings the handle back up.
+func (r *Restartable[T]) Reopen() error {
 	s, err := r.reopen()
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
-	r.s, r.down = s, false
+	r.cur.Store(&s)
+	r.down = false
 	r.mu.Unlock()
 	return nil
 }
 
-// Put implements objstore.Store.
-func (r *RestartableStore) Put(key string, data []byte) error {
+// Crashes reports how many times the substrate was crashed, and how many
+// operations hit the down window.
+func (r *Restartable[T]) Crashes() (crashes int, downOps int64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.down {
-		return r.downErr("store.Put")
-	}
-	return r.s.Put(key, data)
+	return r.crashes, r.downOps.Load()
 }
 
-// Get implements objstore.Store.
-func (r *RestartableStore) Get(key string) ([]byte, error) {
+// Hook is the down window as a substrate call hook: an operation attempted
+// while down fails fast with ErrDown, and one that got in holds off Crash
+// until it returns. Except mq.Pop, which deliberately does not hold the lock
+// across its blocking wait: Crash must be able to run (and wake the waiter)
+// while a Pop is parked.
+func (r *Restartable[T]) Hook(op string, call func() (acked bool, err error)) error {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if r.down {
-		return nil, r.downErr("store.Get")
+		r.mu.RUnlock()
+		r.downOps.Add(1)
+		return fmt.Errorf("%w: %s", ErrDown, op)
 	}
-	return r.s.Get(key)
-}
-
-// List implements objstore.Store.
-func (r *RestartableStore) List(prefix string) ([]string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.down {
-		return nil, r.downErr("store.List")
+	if op == "mq.Pop" {
+		r.mu.RUnlock()
+	} else {
+		defer r.mu.RUnlock()
 	}
-	return r.s.List(prefix)
-}
-
-// Delete implements objstore.Store.
-func (r *RestartableStore) Delete(key string) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.down {
-		return r.downErr("store.Delete")
-	}
-	return r.s.Delete(key)
-}
-
-// RestartableQueue wraps a message queue with crash-and-reopen. Crashing
-// wakes blocked Pop waiters (the durable queue returns its transient crash
-// error, not ErrClosed, so workers survive).
-type RestartableQueue struct {
-	restartState
-	q      mq.Queue
-	reopen func() (mq.Queue, error)
-}
-
-// NewRestartableQueue wraps q; reopen recovers a fresh queue from the same
-// on-disk state after a crash.
-func NewRestartableQueue(q mq.Queue, reopen func() (mq.Queue, error)) *RestartableQueue {
-	return &RestartableQueue{q: q, reopen: reopen}
-}
-
-// Crash kills the current queue.
-func (r *RestartableQueue) Crash() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.q.(Crasher); ok {
-		c.CrashClose()
-	}
-	r.down = true
-	r.crashes++
-}
-
-// Reopen recovers the queue from disk and brings the wrapper back up.
-func (r *RestartableQueue) Reopen() error {
-	q, err := r.reopen()
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.q, r.down = q, false
-	r.mu.Unlock()
-	return nil
-}
-
-// Push implements mq.Queue.
-func (r *RestartableQueue) Push(topic string, m mq.Message) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.down {
-		return r.downErr("mq.Push")
-	}
-	return r.q.Push(topic, m)
-}
-
-// Pop implements mq.Queue. While down it fails fast — callers treat the
-// error as transient and poll again, so the reopened queue picks them up.
-func (r *RestartableQueue) Pop(topic string, wait time.Duration) (mq.Message, bool, error) {
-	r.mu.RLock()
-	q, down := r.q, r.down
-	r.mu.RUnlock()
-	if down {
-		return mq.Message{}, false, r.downErr("mq.Pop")
-	}
-	// Deliberately not holding the lock across the blocking wait: Crash must
-	// be able to run (and wake this waiter) while a Pop is parked.
-	return q.Pop(topic, wait)
-}
-
-// Len implements mq.Queue.
-func (r *RestartableQueue) Len(topic string) (int, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.down {
-		return 0, r.downErr("mq.Len")
-	}
-	return r.q.Len(topic)
-}
-
-// RestartableTasks wraps a task DB with crash-and-reopen.
-type RestartableTasks struct {
-	restartState
-	db     taskdb.DB
-	reopen func() (taskdb.DB, error)
-}
-
-// NewRestartableTasks wraps db; reopen recovers a fresh DB from the same
-// on-disk state after a crash.
-func NewRestartableTasks(db taskdb.DB, reopen func() (taskdb.DB, error)) *RestartableTasks {
-	return &RestartableTasks{db: db, reopen: reopen}
-}
-
-// Crash kills the current task DB.
-func (r *RestartableTasks) Crash() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.db.(Crasher); ok {
-		c.CrashClose()
-	}
-	r.down = true
-	r.crashes++
-}
-
-// Reopen recovers the task DB from disk and brings the wrapper back up.
-func (r *RestartableTasks) Reopen() error {
-	db, err := r.reopen()
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.db, r.down = db, false
-	r.mu.Unlock()
-	return nil
-}
-
-// Upsert implements taskdb.DB.
-func (r *RestartableTasks) Upsert(rec taskdb.Record) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.down {
-		return r.downErr("tasks.Upsert")
-	}
-	return r.db.Upsert(rec)
-}
-
-// FencedUpsert implements taskdb.DB.
-func (r *RestartableTasks) FencedUpsert(rec taskdb.Record) (bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.down {
-		return false, r.downErr("tasks.FencedUpsert")
-	}
-	return r.db.FencedUpsert(rec)
-}
-
-// Heartbeat implements taskdb.DB.
-func (r *RestartableTasks) Heartbeat(taskID, kind string, subID, attempt int, at time.Time) (bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.down {
-		return false, r.downErr("tasks.Heartbeat")
-	}
-	return r.db.Heartbeat(taskID, kind, subID, attempt, at)
-}
-
-// Get implements taskdb.DB.
-func (r *RestartableTasks) Get(taskID, kind string, subID int) (taskdb.Record, bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.down {
-		return taskdb.Record{}, false, r.downErr("tasks.Get")
-	}
-	return r.db.Get(taskID, kind, subID)
-}
-
-// List implements taskdb.DB.
-func (r *RestartableTasks) List(taskID string) ([]taskdb.Record, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.down {
-		return nil, r.downErr("tasks.List")
-	}
-	return r.db.List(taskID)
+	_, err := call()
+	return err
 }
 
 // TearTail truncates the last n bytes of the file at path, simulating a torn

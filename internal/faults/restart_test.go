@@ -7,26 +7,28 @@ import (
 	"testing"
 	"time"
 
+	"hoyan/internal/durable"
 	"hoyan/internal/mq"
 	"hoyan/internal/objstore"
 	"hoyan/internal/taskdb"
 )
 
-// TestRestartableDownWindow checks the three wrappers fail every operation
-// with ErrDown while crashed and come back after Reopen — with state served
-// by whatever the reopen hook recovered.
+// TestRestartableDownWindow checks a Restartable of each kind fails every
+// operation with ErrDown while crashed and comes back after Reopen — with
+// state served by whatever the reopen hook recovered.
 func TestRestartableDownWindow(t *testing.T) {
-	store := NewRestartableStore(objstore.NewMemory(), func() (objstore.Store, error) {
-		s := objstore.NewMemory()
+	storeR := NewRestartable[objstore.Store](objstore.NewMemory(nil), func() (objstore.Store, error) {
+		s := objstore.NewMemory(nil)
 		if err := s.Put("recovered", []byte("x")); err != nil {
 			return nil, err
 		}
 		return s, nil
 	})
+	store := objstore.Decorate(storeR.Handle, storeR.Hook)
 	if err := store.Put("a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	store.Crash()
+	storeR.Crash()
 	if err := store.Put("a", []byte("2")); !errors.Is(err, ErrDown) {
 		t.Fatalf("Put while down: %v, want ErrDown", err)
 	}
@@ -39,20 +41,21 @@ func TestRestartableDownWindow(t *testing.T) {
 	if err := store.Delete("a"); !errors.Is(err, ErrDown) {
 		t.Fatalf("Delete while down: %v, want ErrDown", err)
 	}
-	if err := store.Reopen(); err != nil {
+	if err := storeR.Reopen(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Get("recovered"); err != nil {
 		t.Fatalf("Get after reopen: %v", err)
 	}
-	if crashes, downOps := store.Crashes(); crashes != 1 || downOps != 4 {
+	if crashes, downOps := storeR.Crashes(); crashes != 1 || downOps != 4 {
 		t.Errorf("Crashes() = %d, %d; want 1, 4", crashes, downOps)
 	}
 
-	q := NewRestartableQueue(mq.NewMemory(), func() (mq.Queue, error) {
-		return mq.NewMemory(), nil
+	qR := NewRestartable[mq.Queue](mq.NewMemory(nil), func() (mq.Queue, error) {
+		return mq.NewMemory(nil), nil
 	})
-	q.Crash()
+	q := mq.Decorate(qR.Handle, qR.Hook)
+	qR.Crash()
 	if err := q.Push("t", mq.Message{ID: "m"}); !errors.Is(err, ErrDown) {
 		t.Fatalf("Push while down: %v, want ErrDown", err)
 	}
@@ -62,17 +65,18 @@ func TestRestartableDownWindow(t *testing.T) {
 	if _, err := q.Len("t"); !errors.Is(err, ErrDown) {
 		t.Fatalf("Len while down: %v, want ErrDown", err)
 	}
-	if err := q.Reopen(); err != nil {
+	if err := qR.Reopen(); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Push("t", mq.Message{ID: "m"}); err != nil {
 		t.Fatalf("Push after reopen: %v", err)
 	}
 
-	db := NewRestartableTasks(taskdb.NewMemory(), func() (taskdb.DB, error) {
+	dbR := NewRestartable[taskdb.DB](taskdb.NewMemory(), func() (taskdb.DB, error) {
 		return taskdb.NewMemory(), nil
 	})
-	db.Crash()
+	db := taskdb.Decorate(dbR.Handle, dbR.Hook)
+	dbR.Crash()
 	if err := db.Upsert(taskdb.Record{TaskID: "t"}); !errors.Is(err, ErrDown) {
 		t.Fatalf("Upsert while down: %v, want ErrDown", err)
 	}
@@ -88,12 +92,54 @@ func TestRestartableDownWindow(t *testing.T) {
 	if _, err := db.List("t"); !errors.Is(err, ErrDown) {
 		t.Fatalf("List while down: %v, want ErrDown", err)
 	}
-	if err := db.Reopen(); err != nil {
+	if err := dbR.Reopen(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Upsert(taskdb.Record{TaskID: "t"}); err != nil {
 		t.Fatalf("Upsert after reopen: %v", err)
 	}
+}
+
+// TestRestartableCrashWakesParkedPop checks the one lock rule of the down
+// window: a Pop parked on an empty journaled queue does not hold off Crash,
+// and Crash wakes it with the transient crash error.
+func TestRestartableCrashWakesParkedPop(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mq.wal")
+	open := func() (mq.Queue, error) { return mq.OpenDurable(path, durable.Options{}, nil) }
+	first, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qR := NewRestartable(first, open)
+	q := mq.Decorate(qR.Handle, qR.Hook)
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := q.Pop("t", time.Minute)
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	crashed := make(chan struct{})
+	go func() {
+		qR.Crash()
+		close(crashed)
+	}()
+	select {
+	case <-crashed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Crash blocked behind a parked Pop")
+	}
+	select {
+	case err := <-errc:
+		if !errors.Is(err, durable.ErrCrashed) {
+			t.Fatalf("parked Pop returned %v, want ErrCrashed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked Pop not woken by Crash")
+	}
+	if err := qR.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	qR.Handle().(*mq.Local).Close()
 }
 
 // TestTearTailAndFlipByte pins the file-corruption helpers the restart chaos

@@ -140,5 +140,55 @@ func TestWorkAvoidanceCounters(t *testing.T) {
 	}
 }
 
+// TestSweepWorkAvoided pins the incremental engine on the work its
+// warm-started k=1 failure sweep avoids, against what from-scratch
+// re-simulation of the same scenarios does: SPF sources reused, BGP tables
+// left clean, fixpoint rounds not run, flows not re-forwarded, no fallback.
+// A load intent makes the full route + traffic pipeline run per scenario, and
+// parallelism is pinned to 1 on both axes, so the counts repeat exactly on
+// every host. Timing the two paths against each other is the repo
+// benchmark's job (`bash benchmark/run.sh --workload kfail_sweep`).
+func TestSweepWorkAvoided(t *testing.T) {
+	g := gen.Generate(gen.WAN(1))
+	if len(g.Flows) == 0 {
+		t.Fatal("fixture produced no flows")
+	}
+	sim := core.Options{Parallelism: 1}
+	reg := telemetry.NewRegistry()
+	res, err := Check(g.Net, g.Inputs, g.Flows, []intent.Intent{intent.LoadIntent{MaxUtilization: 1.0}},
+		Options{K: 1, MaxScenarios: 30, Parallelism: 1, Sim: sim, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(name string) int64 { return reg.Counter(name, "").Value() }
+	spfReused, tablesDirty := count("incr_spf_sources_reused"), count("incr_bgp_tables_dirty")
+	warmRounds, flowsReused := count("incr_warm_rounds"), count("incr_flows_reused")
+	t.Logf("%d scenarios: %d SPF sources reused, %d BGP tables dirtied, %d warm rounds, %d flows reused",
+		res.Scenarios, spfReused, tablesDirty, warmRounds, flowsReused)
+
+	// Per scenario, from scratch: one SPF per device, every table decided,
+	// the base run's rounds, every representative flow forwarded.
+	base := core.NewEngine(g.Net, sim).Run(g.Inputs, g.Flows)
+	n := int64(res.Scenarios)
+	sources := n * int64(len(g.Net.Devices))
+	tables := n * int64(len(base.Routes.BGP.Tables()))
+	rounds := n * int64(base.Routes.BGP.Rounds)
+	flows := n * int64(len(base.Traffic.ECStats.Representatives()))
+	if got := count("incr_full_fallbacks_total"); got != 0 {
+		t.Errorf("%d scenarios fell back to from-scratch simulation, want 0 (pure link-down deltas)", got)
+	}
+	if 4*spfReused < sources {
+		t.Errorf("%d of %d SPF sources reused, want at least a quarter", spfReused, sources)
+	}
+	if 4*tablesDirty > tables {
+		t.Errorf("%d of %d BGP tables seeded dirty, want at most a quarter", tablesDirty, tables)
+	}
+	if 4*warmRounds > rounds {
+		t.Errorf("%d warm fixpoint rounds against %d from scratch, want at most a quarter", warmRounds, rounds)
+	}
+	if 2*flowsReused < flows {
+		t.Errorf("%d of %d flows reused, want at least half", flowsReused, flows)
+	}
+}
+
 var _ = netmodel.DefaultVRF
-var _ core.Options

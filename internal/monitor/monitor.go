@@ -150,20 +150,3 @@ func (m *TrafficMonitor) CollectFlows(truth []netmodel.Flow) []netmodel.Flow {
 	}
 	return out
 }
-
-// TopologyView returns the link set as the topology management system
-// reports it (possibly stale: hidden links omitted).
-func (m *TrafficMonitor) TopologyView(links []*netmodel.Link) []netmodel.LinkID {
-	hidden := make(map[netmodel.LinkID]bool, len(m.Faults.HiddenLinks))
-	for _, id := range m.Faults.HiddenLinks {
-		hidden[id] = true
-	}
-	var out []netmodel.LinkID
-	for _, l := range links {
-		if !hidden[l.ID()] {
-			out = append(out, l.ID())
-		}
-	}
-	slices.SortFunc(out, func(a, b netmodel.LinkID) int { return strings.Compare(a.String(), b.String()) })
-	return out
-}

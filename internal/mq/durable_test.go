@@ -3,6 +3,7 @@ package mq
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,15 +11,6 @@ import (
 
 	"hoyan/internal/durable"
 )
-
-func openDurableQ(t *testing.T, path string, opts durable.Options) *Durable {
-	t.Helper()
-	q, err := OpenDurable(path, opts)
-	if err != nil {
-		t.Fatalf("OpenDurable(%s): %v", path, err)
-	}
-	return q
-}
 
 // TestDurableQueueRecovery pushes a batch, pops some, crashes, and checks
 // exactly the unpopped messages survive, in order.
@@ -150,5 +142,56 @@ func TestDurableQueueCompaction(t *testing.T) {
 	m, ok, err := q2.Pop("route", time.Second)
 	if !ok || err != nil || m.ID != "last" {
 		t.Fatalf("recovered Pop = %+v ok=%v err=%v", m, ok, err)
+	}
+}
+
+// TestJournalReplayMatchesMemory feeds the same random operations to a
+// journaled queue and an unjournaled one, kills the journaled one, and
+// requires the reopened queue to hold exactly what the unjournaled machine
+// holds: the journal adds durability, never behaviour. The small CompactEvery
+// makes the replayed log a snapshot plus a tail several times over.
+func TestJournalReplayMatchesMemory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mq.wal")
+	opts := durable.Options{Fsync: durable.SyncNever, CompactEvery: 7}
+	journaled, memory := openDurableQ(t, path, opts), NewMemory(nil)
+	rng := rand.New(rand.NewSource(17))
+	topics := []string{"route", "traffic", "shard"}
+	for i := 0; i < 300; i++ {
+		topic := topics[rng.Intn(len(topics))]
+		if rng.Intn(3) > 0 {
+			m := Message{ID: fmt.Sprintf("m%d", i), Kind: topic, Payload: []byte{byte(i)}}
+			if err := journaled.Push(topic, m); err != nil {
+				t.Fatal(err)
+			}
+			memory.Push(topic, m)
+			continue
+		}
+		got, ok, err := journaled.Pop(topic, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantOK, _ := memory.Pop(topic, 0)
+		if ok != wantOK || got.ID != want.ID {
+			t.Fatalf("op %d: journaled Pop = %q %v, unjournaled %q %v", i, got.ID, ok, want.ID, wantOK)
+		}
+	}
+	journaled.CrashClose()
+
+	reopened := openDurableQ(t, path, opts)
+	defer reopened.Close()
+	for _, topic := range topics {
+		for {
+			want, wantOK, _ := memory.Pop(topic, 0)
+			got, ok, err := reopened.Pop(topic, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != wantOK || got.ID != want.ID || string(got.Payload) != string(want.Payload) {
+				t.Fatalf("topic %s: replayed %q %v, unjournaled %q %v", topic, got.ID, ok, want.ID, wantOK)
+			}
+			if !ok {
+				break
+			}
+		}
 	}
 }

@@ -4,168 +4,188 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"hoyan/internal/durable"
+	"hoyan/internal/retry"
 	"hoyan/internal/rpcx"
 )
 
-func TestMemoryPushPop(t *testing.T) {
-	q := NewMemory()
-	if err := q.Push("t", Message{ID: "1", Kind: "route"}); err != nil {
+// backends is every way a caller can hold a Queue: the state machine without
+// and with a journal, a TCP client of it, and a retry-decorated handle. Each
+// returns the handle under test and the Local behind it.
+var backends = []struct {
+	name string
+	open func(t *testing.T) (Queue, *Local)
+}{
+	{"unjournaled", func(t *testing.T) (Queue, *Local) {
+		q := NewMemory(nil)
+		return q, q
+	}},
+	{"journaled", func(t *testing.T) (Queue, *Local) {
+		q := openDurableQ(t, filepath.Join(t.TempDir(), "mq.wal"), durable.Options{Fsync: durable.SyncNever})
+		t.Cleanup(q.Close)
+		return q, q
+	}},
+	{"tcp", func(t *testing.T) (Queue, *Local) {
+		q := NewMemory(nil)
+		return dialServed(t, q, rpcx.Options{}), q
+	}},
+	{"retry", func(t *testing.T) (Queue, *Local) {
+		q := NewMemory(nil)
+		p := retry.Default()
+		p.Retryable = func(err error) bool { return !errors.Is(err, ErrClosed) }
+		return Decorate(func() Queue { return q }, p.Hook), q
+	}},
+}
+
+// dialServed serves q on a loopback listener and dials it.
+func dialServed(t *testing.T, q Queue, opts rpcx.Options) *Client {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Push("t", Message{ID: "2"}); err != nil {
+	t.Cleanup(func() { l.Close() })
+	Serve(l, q, nil)
+	c, err := Dial(l.Addr().String(), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := q.Len("t"); n != 2 {
-		t.Errorf("Len = %d", n)
-	}
-	m, ok, err := q.Pop("t", time.Second)
-	if err != nil || !ok || m.ID != "1" {
-		t.Fatalf("Pop = %v %v %v (FIFO order)", m, ok, err)
-	}
-	m, ok, _ = q.Pop("t", time.Second)
-	if !ok || m.ID != "2" {
-		t.Fatalf("Pop = %v %v", m, ok)
-	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
-func TestMemoryPopTimeout(t *testing.T) {
-	q := NewMemory()
-	start := time.Now()
-	_, ok, err := q.Pop("empty", 30*time.Millisecond)
-	if err != nil || ok {
-		t.Fatalf("want timeout, got %v %v", ok, err)
+func openDurableQ(t *testing.T, path string, opts durable.Options) *Local {
+	t.Helper()
+	q, err := OpenDurable(path, opts, nil)
+	if err != nil {
+		t.Fatalf("OpenDurable(%s): %v", path, err)
 	}
-	if time.Since(start) < 25*time.Millisecond {
-		t.Error("returned before the deadline")
-	}
+	return q
 }
 
-func TestMemoryBlockingWakeup(t *testing.T) {
-	q := NewMemory()
-	done := make(chan Message, 1)
-	go func() {
-		m, ok, _ := q.Pop("t", 2*time.Second)
-		if ok {
-			done <- m
-		}
-		close(done)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.Push("t", Message{ID: "late"})
-	select {
-	case m, ok := <-done:
-		if !ok || m.ID != "late" {
-			t.Fatalf("got %v %v", m, ok)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("consumer never woke up")
-	}
-}
-
-func TestMemoryConcurrentConsumers(t *testing.T) {
-	q := NewMemory()
-	const n = 100
-	for i := 0; i < n; i++ {
-		q.Push("t", Message{ID: fmt.Sprint(i)})
-	}
-	var mu sync.Mutex
-	seen := map[string]bool{}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				m, ok, err := q.Pop("t", 50*time.Millisecond)
-				if err != nil || !ok {
-					return
-				}
-				mu.Lock()
-				if seen[m.ID] {
-					t.Errorf("message %s delivered twice", m.ID)
-				}
-				seen[m.ID] = true
-				mu.Unlock()
+// TestQueueConformance is the Queue contract, run against every backend.
+func TestQueueConformance(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, q Queue, local *Local)
+	}{
+		{"fifo per topic, payload intact", func(t *testing.T, q Queue, _ *Local) {
+			if err := q.Push("t", Message{ID: "1", Kind: "route", Payload: []byte("data")}); err != nil {
+				t.Fatal(err)
 			}
-		}()
+			if err := q.Push("t", Message{ID: "2"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := q.Push("other", Message{ID: "o"}); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := q.Len("t"); n != 2 || err != nil {
+				t.Errorf("Len = %d, %v", n, err)
+			}
+			m, ok, err := q.Pop("t", time.Second)
+			if err != nil || !ok || m.ID != "1" || m.Kind != "route" || string(m.Payload) != "data" {
+				t.Fatalf("Pop = %+v %v %v (FIFO order)", m, ok, err)
+			}
+			m, ok, _ = q.Pop("t", time.Second)
+			if !ok || m.ID != "2" {
+				t.Fatalf("Pop = %+v %v", m, ok)
+			}
+			if n, _ := q.Len("other"); n != 1 {
+				t.Errorf("Len(other) = %d after draining t", n)
+			}
+		}},
+		{"empty pop waits out its deadline", func(t *testing.T, q Queue, _ *Local) {
+			start := time.Now()
+			_, ok, err := q.Pop("empty", 30*time.Millisecond)
+			if err != nil || ok {
+				t.Fatalf("want timeout, got %v %v", ok, err)
+			}
+			if time.Since(start) < 25*time.Millisecond {
+				t.Error("returned before the deadline")
+			}
+		}},
+		{"push wakes a parked pop", func(t *testing.T, q Queue, _ *Local) {
+			done := make(chan Message, 1)
+			go func() {
+				m, ok, _ := q.Pop("t", 2*time.Second)
+				if ok {
+					done <- m
+				}
+				close(done)
+			}()
+			time.Sleep(10 * time.Millisecond)
+			if err := q.Push("t", Message{ID: "late"}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case m, ok := <-done:
+				if !ok || m.ID != "late" {
+					t.Fatalf("got %v %v", m, ok)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("consumer never woke up")
+			}
+		}},
+		{"concurrent consumers get each message once", func(t *testing.T, q Queue, _ *Local) {
+			const n = 100
+			for i := 0; i < n; i++ {
+				if err := q.Push("t", Message{ID: fmt.Sprint(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var mu sync.Mutex
+			seen := map[string]bool{}
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						m, ok, err := q.Pop("t", 50*time.Millisecond)
+						if err != nil || !ok {
+							return
+						}
+						mu.Lock()
+						if seen[m.ID] {
+							t.Errorf("message %s delivered twice", m.ID)
+						}
+						seen[m.ID] = true
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			if len(seen) != n {
+				t.Errorf("delivered %d of %d", len(seen), n)
+			}
+		}},
+		// A worker deciding whether to keep consuming must see the ErrClosed
+		// sentinel through every handle, a TCP hop and a retry policy included.
+		{"close is ErrClosed on every op", func(t *testing.T, q Queue, local *Local) {
+			local.Close()
+			if err := q.Push("t", Message{ID: "x"}); !errors.Is(err, ErrClosed) {
+				t.Errorf("Push after close: %v, want ErrClosed", err)
+			}
+			if _, _, err := q.Pop("t", 10*time.Millisecond); !errors.Is(err, ErrClosed) {
+				t.Errorf("Pop after close: %v, want ErrClosed", err)
+			}
+			if _, err := q.Len("t"); !errors.Is(err, ErrClosed) {
+				t.Errorf("Len after close: %v, want ErrClosed", err)
+			}
+		}},
 	}
-	wg.Wait()
-	if len(seen) != n {
-		t.Errorf("delivered %d of %d", len(seen), n)
-	}
-}
-
-func TestMemoryClose(t *testing.T) {
-	q := NewMemory()
-	q.Close()
-	if err := q.Push("t", Message{}); err != ErrClosed {
-		t.Errorf("Push after close: %v", err)
-	}
-	if _, _, err := q.Pop("t", time.Millisecond); err != ErrClosed {
-		t.Errorf("Pop after close: %v", err)
-	}
-}
-
-func TestRPCQueue(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	Serve(l, NewMemory())
-
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.Push("t", Message{ID: "x", Kind: "route", Payload: []byte("data")}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := c.Len("t"); err != nil || n != 1 {
-		t.Fatalf("Len = %d %v", n, err)
-	}
-	m, ok, err := c.Pop("t", time.Second)
-	if err != nil || !ok || m.ID != "x" || string(m.Payload) != "data" {
-		t.Fatalf("Pop = %+v %v %v", m, ok, err)
-	}
-	// Timeout over RPC.
-	if _, ok, err := c.Pop("t", 50*time.Millisecond); ok || err != nil {
-		t.Fatalf("want rpc timeout, got ok=%v err=%v", ok, err)
-	}
-}
-
-func TestRPCErrClosedSurvivesBoundary(t *testing.T) {
-	// A worker deciding whether to keep consuming must see the ErrClosed
-	// sentinel even when the queue lives across a TCP hop.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	mem := NewMemory()
-	Serve(l, mem)
-
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	mem.Close()
-
-	if err := c.Push("t", Message{ID: "x"}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Push after close over RPC: %v, want ErrClosed", err)
-	}
-	if _, _, err := c.Pop("t", 10*time.Millisecond); !errors.Is(err, ErrClosed) {
-		t.Errorf("Pop after close over RPC: %v, want ErrClosed", err)
-	}
-	if _, err := c.Len("t"); !errors.Is(err, ErrClosed) {
-		t.Errorf("Len after close over RPC: %v, want ErrClosed", err)
+	for _, b := range backends {
+		for _, tc := range cases {
+			t.Run(b.name+"/"+tc.name, func(t *testing.T) {
+				q, local := b.open(t)
+				tc.run(t, q, local)
+			})
+		}
 	}
 }
 
@@ -190,7 +210,7 @@ func TestRPCHungServerTimesOut(t *testing.T) {
 		}
 	}()
 
-	c, err := DialOptions(l.Addr().String(), rpcx.Options{CallTimeout: 100 * time.Millisecond})
+	c, err := Dial(l.Addr().String(), rpcx.Options{CallTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,18 +227,7 @@ func TestRPCHungServerTimesOut(t *testing.T) {
 func TestRPCPopChunkStaysUnderCallTimeout(t *testing.T) {
 	// A long Pop wait must be sliced into chunks shorter than the I/O
 	// deadline, or an idle (but healthy) queue would look like a dead server.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	Serve(l, NewMemory())
-
-	c, err := DialOptions(l.Addr().String(), rpcx.Options{CallTimeout: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialServed(t, NewMemory(nil), rpcx.Options{CallTimeout: 300 * time.Millisecond})
 	// Wait longer than the call timeout: must return a clean timeout (no
 	// message), not an I/O error.
 	if _, ok, err := c.Pop("idle", 700*time.Millisecond); ok || err != nil {
@@ -227,17 +236,9 @@ func TestRPCPopChunkStaysUnderCallTimeout(t *testing.T) {
 }
 
 func TestRPCTwoClients(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	Serve(l, NewMemory())
-
-	producer, _ := Dial(l.Addr().String())
-	consumer, _ := Dial(l.Addr().String())
-	defer producer.Close()
-	defer consumer.Close()
+	q := NewMemory(nil)
+	producer := dialServed(t, q, rpcx.Options{})
+	consumer := dialServed(t, q, rpcx.Options{})
 
 	go func() {
 		time.Sleep(20 * time.Millisecond)

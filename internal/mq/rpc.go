@@ -11,17 +11,12 @@ import (
 )
 
 // Service exposes a Queue over net/rpc. It keeps its own RPC-level counters
-// (telemetry instruments, detached unless Serve was given a registry) so
-// Stats works even when the wrapped queue does not track any.
+// so Stats works even when the wrapped queue does not track any.
 type Service struct {
 	q Queue
 
 	pushes *telemetry.Counter
 	pops   *telemetry.Counter
-}
-
-func newService(q Queue) *Service {
-	return &Service{q: q, pushes: &telemetry.Counter{}, pops: &telemetry.Counter{}}
 }
 
 // PushArgs are the arguments of MQ.Push.
@@ -88,34 +83,14 @@ func (s *Service) Len(args *LenArgs, reply *int) error {
 	return err
 }
 
-// Serve registers the queue on a fresh rpc server and serves connections on
-// l until the listener is closed. It returns immediately; accept errors end
-// the loop silently (listener closed).
-func Serve(l net.Listener, q Queue) { ServeRegistry(l, q, nil) }
-
-// ServeRegistry is Serve with the service's RPC counters registered in reg
-// (nil reg keeps them detached). If q is a *Memory, its own counters are
-// bound to the same registry.
-func ServeRegistry(l net.Listener, q Queue, reg *telemetry.Registry) {
-	sv := newService(q)
-	if reg != nil {
-		sv.pushes = reg.Counter("hoyan_mq_rpc_pushes_total", "push RPCs served")
-		sv.pops = reg.Counter("hoyan_mq_rpc_pops_total", "pop RPCs that delivered a message")
-		if m, ok := q.(*Memory); ok {
-			m.Instrument(reg)
-		}
-	}
-	srv := rpc.NewServer()
-	srv.RegisterName("MQ", sv)
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
+// Serve serves q on l until the listener is closed, with the service's RPC
+// counters registered in reg (nil reg = detached). It returns immediately.
+func Serve(l net.Listener, q Queue, reg *telemetry.Registry) {
+	rpcx.Serve(l, "MQ", &Service{
+		q:      q,
+		pushes: reg.Counter("hoyan_mq_rpc_pushes_total", "push RPCs served"),
+		pops:   reg.Counter("hoyan_mq_rpc_pops_total", "pop RPCs that delivered a message"),
+	})
 }
 
 // Client is a Queue talking to a remote Serve instance over a reconnecting
@@ -127,11 +102,8 @@ type Client struct {
 	chunk time.Duration
 }
 
-// Dial connects to a queue server with default timeouts.
-func Dial(addr string) (*Client, error) { return DialOptions(addr, rpcx.Options{}) }
-
-// DialOptions connects with explicit timeouts.
-func DialOptions(addr string, opts rpcx.Options) (*Client, error) {
+// Dial connects to a queue server (the zero Options are the default timeouts).
+func Dial(addr string, opts rpcx.Options) (*Client, error) {
 	c, err := rpcx.Dial(addr, opts)
 	if err != nil {
 		return nil, fmt.Errorf("mq: dial %s: %w", addr, err)

@@ -1,7 +1,6 @@
 package objstore
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/url"
 	"os"
@@ -21,16 +20,14 @@ import (
 //
 // Layout under the data directory:
 //
-//	<dir>/manifest.wal           durable.WAL of {op, key} records
+//	<dir>/manifest.wal           durable.Journal of {op, key} records
 //	<dir>/objects/<escaped key>  one file per object (url.PathEscape'd key)
 type Disk struct {
-	mu      sync.Mutex
-	dir     string
-	keys    map[string]struct{}
-	wal     *durable.WAL
-	opts    durable.Options
-	appends int // manifest records since the last compaction
-	crashed bool
+	mu         sync.Mutex
+	dir        string
+	keys       map[string]struct{}
+	j          *durable.Journal // the manifest
+	syncAlways bool             // fsync object files before the rename
 
 	counters storeCounters
 }
@@ -44,18 +41,18 @@ type manifestRec struct {
 // OpenDisk opens (creating if necessary) a disk-backed store rooted at dir,
 // replaying the manifest and dropping any key whose object file did not make
 // it to disk. Orphaned object and temp files (writes that crashed before
-// their manifest record) are removed.
-func OpenDisk(dir string, opts durable.Options) (*Disk, error) {
+// their manifest record) are removed. Transfer counters and the manifest's
+// durability metrics are registered in reg (nil reg = detached).
+func OpenDisk(dir string, opts durable.Options, reg *telemetry.Registry) (*Disk, error) {
 	objDir := filepath.Join(dir, "objects")
 	if err := os.MkdirAll(objDir, 0o755); err != nil {
 		return nil, fmt.Errorf("objstore: creating %s: %w", objDir, err)
 	}
-	d := &Disk{dir: dir, keys: make(map[string]struct{}), opts: opts, counters: newStoreCounters()}
-	wal, _, err := durable.Open(filepath.Join(dir, "manifest.wal"), opts, func(p []byte) error {
-		var rec manifestRec
-		if err := json.Unmarshal(p, &rec); err != nil {
-			return fmt.Errorf("bad manifest record: %w", err)
-		}
+	d := &Disk{
+		dir: dir, keys: make(map[string]struct{}), syncAlways: opts.Fsync == durable.SyncAlways,
+		counters: newStoreCounters(reg, "hoyan_objstore_"),
+	}
+	j, err := durable.OpenJournal(filepath.Join(dir, "manifest.wal"), opts, durable.NewMetrics(reg, "objstore"), func(rec manifestRec) error {
 		switch rec.Op {
 		case "put":
 			d.keys[rec.Key] = struct{}{}
@@ -69,7 +66,7 @@ func OpenDisk(dir string, opts durable.Options) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.wal = wal
+	d.j = j
 
 	// Reconcile the manifest against the object files: a manifest entry
 	// whose file vanished (machine crash before the data blocks landed) is
@@ -77,7 +74,7 @@ func OpenDisk(dir string, opts durable.Options) (*Disk, error) {
 	// files the manifest doesn't acknowledge are orphans from torn writes.
 	ents, err := os.ReadDir(objDir)
 	if err != nil {
-		wal.Close()
+		j.Close()
 		return nil, fmt.Errorf("objstore: scanning %s: %w", objDir, err)
 	}
 	onDisk := make(map[string]struct{}, len(ents))
@@ -106,52 +103,43 @@ func (d *Disk) objPath(key string) string {
 	return filepath.Join(d.dir, "objects", url.PathEscape(key))
 }
 
-// Instrument re-binds the store's transfer counters and durability metrics to
-// registered metrics in reg, carrying over counts accumulated so far.
-func (d *Disk) Instrument(reg *telemetry.Registry) {
-	d.mu.Lock()
-	d.counters.bind(reg, "hoyan_objstore_")
-	d.mu.Unlock()
-	d.wal.Instrument(reg, "objstore")
-}
-
 // Put implements Store: the object file is written to a temp file and
 // renamed into place (readers never observe a partial object), then the key
 // is acknowledged in the manifest.
 func (d *Disk) Put(key string, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.crashed {
-		return durable.ErrCrashed
+	if err := d.j.Down(); err != nil {
+		return err
 	}
 	path := d.objPath(key)
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
-		d.wal.NoteExternalWrite(err)
+		d.j.NoteExternalWrite(err)
 		return fmt.Errorf("objstore: put %s: %w", key, err)
 	}
 	defer os.Remove(tmp.Name())
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		d.wal.NoteExternalWrite(err)
+		d.j.NoteExternalWrite(err)
 		return fmt.Errorf("objstore: put %s: %w", key, err)
 	}
-	if d.opts.Fsync == durable.SyncAlways {
+	if d.syncAlways {
 		if err := tmp.Sync(); err != nil {
 			tmp.Close()
-			d.wal.NoteExternalWrite(err)
+			d.j.NoteExternalWrite(err)
 			return fmt.Errorf("objstore: put %s: %w", key, err)
 		}
 	}
 	if err := tmp.Close(); err != nil {
-		d.wal.NoteExternalWrite(err)
+		d.j.NoteExternalWrite(err)
 		return fmt.Errorf("objstore: put %s: %w", key, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		d.wal.NoteExternalWrite(err)
+		d.j.NoteExternalWrite(err)
 		return fmt.Errorf("objstore: put %s: %w", key, err)
 	}
-	if err := d.logLocked(manifestRec{Op: "put", Key: key}); err != nil {
+	if err := d.j.Log(manifestRec{Op: "put", Key: key}, d.snapshotLocked); err != nil {
 		return err
 	}
 	d.keys[key] = struct{}{}
@@ -163,12 +151,12 @@ func (d *Disk) Put(key string, data []byte) error {
 // Get implements Store.
 func (d *Disk) Get(key string) ([]byte, error) {
 	d.mu.Lock()
-	if d.crashed {
-		d.mu.Unlock()
-		return nil, durable.ErrCrashed
-	}
+	down := d.j.Down()
 	_, ok := d.keys[key]
 	d.mu.Unlock()
+	if down != nil {
+		return nil, down
+	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
@@ -188,8 +176,8 @@ func (d *Disk) Get(key string) ([]byte, error) {
 func (d *Disk) List(prefix string) ([]string, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.crashed {
-		return nil, durable.ErrCrashed
+	if err := d.j.Down(); err != nil {
+		return nil, err
 	}
 	var out []string
 	for k := range d.keys {
@@ -207,13 +195,13 @@ func (d *Disk) List(prefix string) ([]string, error) {
 func (d *Disk) Delete(key string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.crashed {
-		return durable.ErrCrashed
+	if err := d.j.Down(); err != nil {
+		return err
 	}
 	if _, ok := d.keys[key]; !ok {
 		return nil
 	}
-	if err := d.logLocked(manifestRec{Op: "del", Key: key}); err != nil {
+	if err := d.j.Log(manifestRec{Op: "del", Key: key}, d.snapshotLocked); err != nil {
 		return err
 	}
 	delete(d.keys, key)
@@ -221,63 +209,31 @@ func (d *Disk) Delete(key string) error {
 	return nil
 }
 
-// logLocked appends one manifest record, compacting the manifest down to the
-// live key set every CompactEvery appends.
-func (d *Disk) logLocked(rec manifestRec) error {
-	p, err := json.Marshal(rec)
-	if err != nil {
-		return err
+// snapshotLocked is the manifest's compaction state: one put per live key.
+func (d *Disk) snapshotLocked() []any {
+	keys := make([]string, 0, len(d.keys))
+	for k := range d.keys {
+		keys = append(keys, k)
 	}
-	if err := d.wal.Append(p); err != nil {
-		return err
+	slices.Sort(keys)
+	snap := make([]any, 0, len(keys))
+	for _, k := range keys {
+		snap = append(snap, manifestRec{Op: "put", Key: k})
 	}
-	d.appends++
-	every := d.opts.CompactEvery
-	if every <= 0 {
-		every = durable.DefaultCompactEvery
-	}
-	if d.appends >= every {
-		keys := make([]string, 0, len(d.keys))
-		for k := range d.keys {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		snap := make([][]byte, 0, len(keys)+1)
-		for _, k := range keys {
-			kp, err := json.Marshal(manifestRec{Op: "put", Key: k})
-			if err != nil {
-				return err
-			}
-			snap = append(snap, kp)
-		}
-		// The record that triggered compaction is part of d.keys by the time
-		// callers observe it, but the caller applies its mutation after
-		// logLocked returns — include it explicitly.
-		snap = append(snap, p)
-		if err := d.wal.Compact(snap); err != nil {
-			return err
-		}
-		d.appends = 0
-	}
-	return nil
+	return snap
 }
 
 // Stats implements StatsProvider.
-func (d *Disk) Stats() Stats {
-	d.mu.Lock()
-	c := d.counters
-	d.mu.Unlock()
-	return c.stats()
-}
+func (d *Disk) Stats() Stats { return d.counters.stats() }
 
 // Healthy reports nil while durable writes are landing (see durable.WAL.Healthy).
-func (d *Disk) Healthy() error { return d.wal.Healthy() }
+func (d *Disk) Healthy() error { return d.j.Healthy() }
 
 // Close flushes the manifest and closes the store.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.wal.Close()
+	return d.j.Close()
 }
 
 // CrashClose simulates the store process dying: the manifest handle is
@@ -286,7 +242,6 @@ func (d *Disk) Close() error {
 // over).
 func (d *Disk) CrashClose() {
 	d.mu.Lock()
-	d.crashed = true
-	d.mu.Unlock()
-	d.wal.CrashClose()
+	defer d.mu.Unlock()
+	d.j.CrashClose()
 }

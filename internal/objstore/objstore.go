@@ -2,15 +2,17 @@
 // distributed simulation framework: subtask inputs and result files live
 // here as opaque blobs, exactly like Hoyan uses Alibaba Cloud OSS.
 //
-// An in-memory store backs single-process clusters and tests; the TCP
-// server/client pair (net/rpc over gob) backs multi-process deployments.
+// An in-memory store backs single-process clusters and tests, a disk store
+// (one file per object under a journaled manifest) restart-safe ones; the TCP
+// server/client pair (net/rpc over gob) backs multi-process deployments, and
+// Decorate routes a handle's calls through a hook (retries, fault injection,
+// crash-and-reopen).
 package objstore
 
 import (
 	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"slices"
 	"strings"
 	"sync"
@@ -50,8 +52,7 @@ type StatsProvider interface {
 
 // Memory is an in-memory Store safe for concurrent use. Transfer counters
 // are telemetry instruments — atomic, so Get stays a pure read-lock
-// operation — detached until Instrument binds them to a registry; Stats()
-// stays as the compatibility view.
+// operation; Stats() is the compatibility view.
 type Memory struct {
 	mu   sync.RWMutex
 	objs map[string][]byte
@@ -59,32 +60,22 @@ type Memory struct {
 	counters storeCounters
 }
 
-// storeCounters is the one counter shape both the in-memory store and the
-// RPC service use (the Figure 5(d) transfer accounting).
+// storeCounters is the one counter shape the in-memory store, the disk store
+// and the RPC service use (the Figure 5(d) transfer accounting).
 type storeCounters struct {
 	puts, gets        *telemetry.Counter
 	bytesIn, bytesOut *telemetry.Counter
 }
 
-func newStoreCounters() storeCounters {
+// newStoreCounters registers the counters in reg under the given name prefix
+// (nil reg = detached).
+func newStoreCounters(reg *telemetry.Registry, prefix string) storeCounters {
 	return storeCounters{
-		puts: &telemetry.Counter{}, gets: &telemetry.Counter{},
-		bytesIn: &telemetry.Counter{}, bytesOut: &telemetry.Counter{},
+		puts:     reg.Counter(prefix+"puts_total", "objects written to the store"),
+		gets:     reg.Counter(prefix+"gets_total", "objects read from the store"),
+		bytesIn:  reg.Counter(prefix+"bytes_in_total", "bytes written to the store"),
+		bytesOut: reg.Counter(prefix+"bytes_out_total", "bytes read from the store"),
 	}
-}
-
-// bind re-registers the counters in reg under the given name prefix,
-// carrying over accumulated counts.
-func (c *storeCounters) bind(reg *telemetry.Registry, prefix string) {
-	rebind := func(dst **telemetry.Counter, name, help string) {
-		n := reg.Counter(prefix+name, help)
-		n.Add((*dst).Value())
-		*dst = n
-	}
-	rebind(&c.puts, "puts_total", "objects written to the store")
-	rebind(&c.gets, "gets_total", "objects read from the store")
-	rebind(&c.bytesIn, "bytes_in_total", "bytes written to the store")
-	rebind(&c.bytesOut, "bytes_out_total", "bytes read from the store")
 }
 
 func (c *storeCounters) stats() Stats {
@@ -94,18 +85,10 @@ func (c *storeCounters) stats() Stats {
 	}
 }
 
-// NewMemory creates an empty in-memory store.
-func NewMemory() *Memory {
-	return &Memory{objs: make(map[string][]byte), counters: newStoreCounters()}
-}
-
-// Instrument re-binds the store's transfer counters to registered metrics in
-// reg, carrying over counts accumulated so far. Call before or during use;
-// counter swaps are guarded by the store's write lock.
-func (s *Memory) Instrument(reg *telemetry.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counters.bind(reg, "hoyan_objstore_")
+// NewMemory creates an empty in-memory store whose transfer counters are
+// registered in reg (nil reg = detached).
+func NewMemory(reg *telemetry.Registry) *Memory {
+	return &Memory{objs: make(map[string][]byte), counters: newStoreCounters(reg, "hoyan_objstore_")}
 }
 
 // Put implements Store.
@@ -113,10 +96,9 @@ func (s *Memory) Put(key string, data []byte) error {
 	cp := append([]byte(nil), data...)
 	s.mu.Lock()
 	s.objs[key] = cp
-	c := s.counters
 	s.mu.Unlock()
-	c.puts.Inc()
-	c.bytesIn.Add(int64(len(data)))
+	s.counters.puts.Inc()
+	s.counters.bytesIn.Add(int64(len(data)))
 	return nil
 }
 
@@ -124,13 +106,12 @@ func (s *Memory) Put(key string, data []byte) error {
 func (s *Memory) Get(key string) ([]byte, error) {
 	s.mu.RLock()
 	data, ok := s.objs[key]
-	c := s.counters
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	c.gets.Inc()
-	c.bytesOut.Add(int64(len(data)))
+	s.counters.gets.Inc()
+	s.counters.bytesOut.Add(int64(len(data)))
 	return append([]byte(nil), data...), nil
 }
 
@@ -157,18 +138,52 @@ func (s *Memory) Delete(key string) error {
 }
 
 // Stats implements StatsProvider.
-func (s *Memory) Stats() Stats {
-	s.mu.RLock()
-	c := s.counters
-	s.mu.RUnlock()
-	return c.stats()
+func (s *Memory) Stats() Stats { return s.counters.stats() }
+
+// Decorate returns a Store that routes every operation through hook. get
+// supplies the handle each call runs against and is evaluated inside the
+// hook, so a hook that swaps handles (crash-and-reopen) takes effect on the
+// next call. call reports whether the operation was a write whose
+// acknowledgement matters (Put): fault injection loses exactly those replies,
+// everything else ignores it.
+func Decorate(get func() Store, hook func(op string, call func() (acked bool, err error)) error) Store {
+	return &decorated{get: get, hook: hook}
 }
 
-// Transferred returns the cumulative bytes written to and read from the
-// store.
-func (s *Memory) Transferred() (in, out int64) {
-	st := s.Stats()
-	return st.BytesIn, st.BytesOut
+type decorated struct {
+	get  func() Store
+	hook func(op string, call func() (bool, error)) error
+}
+
+func (d *decorated) Put(key string, data []byte) error {
+	return d.hook("store.Put", func() (bool, error) {
+		err := d.get().Put(key, data)
+		return err == nil, err
+	})
+}
+
+func (d *decorated) Get(key string) (data []byte, err error) {
+	err = d.hook("store.Get", func() (bool, error) {
+		var e error
+		data, e = d.get().Get(key)
+		return false, e
+	})
+	return data, err
+}
+
+func (d *decorated) List(prefix string) (keys []string, err error) {
+	err = d.hook("store.List", func() (bool, error) {
+		var e error
+		keys, e = d.get().List(prefix)
+		return false, e
+	})
+	return keys, err
+}
+
+func (d *decorated) Delete(key string) error {
+	return d.hook("store.Delete", func() (bool, error) {
+		return false, d.get().Delete(key)
+	})
 }
 
 // Service exposes a Store over net/rpc. It keeps its own RPC-level transfer
@@ -241,32 +256,10 @@ func (sv *Service) List(prefix *string, reply *[]string) error {
 // Delete is the RPC form of Store.Delete.
 func (sv *Service) Delete(key *string, _ *struct{}) error { return sv.s.Delete(*key) }
 
-// Serve registers the store on a fresh rpc server and serves connections on
-// l until the listener is closed.
-func Serve(l net.Listener, s Store) { ServeRegistry(l, s, nil) }
-
-// ServeRegistry is Serve with the service's RPC counters registered in reg
-// (nil reg keeps them detached). If s is a *Memory, its own counters are
-// bound to the same registry.
-func ServeRegistry(l net.Listener, s Store, reg *telemetry.Registry) {
-	sv := &Service{s: s, counters: newStoreCounters()}
-	if reg != nil {
-		sv.counters.bind(reg, "hoyan_objstore_rpc_")
-		if m, ok := s.(*Memory); ok {
-			m.Instrument(reg)
-		}
-	}
-	srv := rpc.NewServer()
-	srv.RegisterName("Store", sv)
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
+// Serve serves s on l until the listener is closed, with the service's RPC
+// counters registered in reg (nil reg = detached). It returns immediately.
+func Serve(l net.Listener, s Store, reg *telemetry.Registry) {
+	rpcx.Serve(l, "Store", &Service{s: s, counters: newStoreCounters(reg, "hoyan_objstore_rpc_")})
 }
 
 // Client is a Store talking to a remote Serve instance over a reconnecting
@@ -275,11 +268,9 @@ type Client struct {
 	c *rpcx.Client
 }
 
-// Dial connects to an object store server with default timeouts.
-func Dial(addr string) (*Client, error) { return DialOptions(addr, rpcx.Options{}) }
-
-// DialOptions connects with explicit timeouts.
-func DialOptions(addr string, opts rpcx.Options) (*Client, error) {
+// Dial connects to an object store server (the zero Options are the default
+// timeouts).
+func Dial(addr string, opts rpcx.Options) (*Client, error) {
 	c, err := rpcx.Dial(addr, opts)
 	if err != nil {
 		return nil, fmt.Errorf("objstore: dial %s: %w", addr, err)

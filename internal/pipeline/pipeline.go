@@ -20,7 +20,6 @@ import (
 	"hoyan/internal/mq"
 	"hoyan/internal/netmodel"
 	"hoyan/internal/objstore"
-	"hoyan/internal/taskdb"
 	"hoyan/internal/telemetry"
 )
 
@@ -63,7 +62,7 @@ type System struct {
 
 	// DataDir, when set, backs each distributed run's substrates with
 	// WAL-based disk persistence under <DataDir>/<taskID> (restart-safe runs;
-	// see dsim.StartLocalDurable). Empty keeps the in-memory substrates.
+	// see dsim.LocalOptions.DataDir). Empty keeps the in-memory substrates.
 	DataDir string
 	// Fsync is the durability policy for DataDir-backed runs.
 	Fsync durable.Policy
@@ -75,13 +74,6 @@ type System struct {
 	forked     bool
 }
 
-// RunIO is the measured substrate I/O of one distributed simulation run:
-// object-store transfer counters plus the workers' aggregated cache stats.
-type RunIO struct {
-	Store objstore.Stats
-	Cache dsim.CacheStats
-}
-
 // StageReport is one pipeline stage's wall time and object-store bytes moved
 // (in + out deltas across the stage).
 type StageReport struct {
@@ -91,7 +83,7 @@ type StageReport struct {
 }
 
 // RunReport is the full observability record of one distributed simulation
-// run. It supersedes RunIO (kept as a compatibility view via LastRunIO).
+// run.
 type RunReport struct {
 	TaskID string
 	// Stages is the master-side per-stage breakdown, in execution order.
@@ -158,12 +150,6 @@ func (r RunReport) WriteBreakdown(w io.Writer) {
 // LastRunReport returns the full report of the most recent distributed
 // simulation this system ran (the zero value if none has).
 func (s *System) LastRunReport() RunReport { return s.lastReport }
-
-// LastRunIO returns the I/O counters of the most recent distributed
-// simulation this system ran (the zero value if none has).
-func (s *System) LastRunIO() RunIO {
-	return RunIO{Store: s.lastReport.Store, Cache: s.lastReport.Cache}
-}
 
 // New creates a system over the base network.
 func New(base *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, opts core.Options) *System {
@@ -237,11 +223,8 @@ func (s *System) simulateDistributed(net *config.Network, inputs []netmodel.Rout
 		// process restart (hoyan-master -resume picks it back up).
 		opts.DataDir = filepath.Join(s.DataDir, taskID)
 		opts.Fsync = s.Fsync
-	} else {
-		opts.Store = objstore.NewMemory()
-		opts.Tasks = taskdb.NewMemory()
 	}
-	cluster, err := dsim.StartLocalDurable(opts)
+	cluster, err := dsim.StartLocal(opts)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: opening durable substrates: %w", err)
 	}
@@ -267,9 +250,7 @@ func (s *System) simulateDistributed(net *config.Network, inputs []netmodel.Rout
 	defer func() {
 		report.Store = storeStats()
 		report.Cache = cluster.CacheStats()
-		if sp, ok := cluster.Svc.Queue.(mq.StatsProvider); ok {
-			report.Queue = sp.Stats()
-		}
+		report.Queue = cluster.Svc.Queue.(mq.StatsProvider).Stats()
 		report.Metrics = cluster.MetricsSnapshot()
 		report.Spans = cluster.TraceSpans()
 		s.lastReport = report

@@ -151,6 +151,17 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 	return err
 }
 
+// Hook is the policy as a substrate call hook (mq.Decorate, objstore.Decorate,
+// taskdb.Decorate): each call rides out retryable errors in place. Substrate
+// interfaces carry no context, so the envelope (MaxTries, MaxDelay) is what
+// bounds a call.
+func (p Policy) Hook(_ string, call func() (acked bool, err error)) error {
+	return p.Do(context.Background(), func() error {
+		_, err := call()
+		return err
+	})
+}
+
 func (p Policy) giveup() {
 	if p.Metrics != nil {
 		p.Metrics.Giveups.Inc()

@@ -1,5 +1,5 @@
-// Package rpcx hardens the net/rpc clients the distributed-simulation
-// substrates (mq, objstore, taskdb) are built on. The stock rpc.Client has
+// Package rpcx is the net/rpc plumbing the distributed-simulation substrates
+// (mq, objstore, taskdb) share: one accept loop (Serve) and a hardened client. The stock rpc.Client has
 // two availability holes the paper's always-on deployment cannot live with:
 // a hung or partitioned server blocks a call forever (no I/O deadlines), and
 // any transport error bricks the client permanently (rpc.ErrShutdown on every
@@ -173,6 +173,23 @@ func (c *Client) Close() error {
 		return rc.Close()
 	}
 	return nil
+}
+
+// Serve registers rcvr under name on a fresh rpc server and serves
+// connections on l until the listener is closed. It returns immediately;
+// accept errors end the loop silently (listener closed).
+func Serve(l net.Listener, name string, rcvr any) {
+	srv := rpc.NewServer()
+	srv.RegisterName(name, rcvr)
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go srv.ServeConn(conn)
+		}
+	}()
 }
 
 // deadlineConn arms a fresh read/write deadline on every operation, turning

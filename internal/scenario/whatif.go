@@ -22,36 +22,6 @@ func LinkFailurePlan(id netmodel.LinkID) *change.Plan {
 	}
 }
 
-// LinkRestorePlan simulates bringing a downed link back.
-func LinkRestorePlan(id netmodel.LinkID) *change.Plan {
-	return &change.Plan{
-		ID:          fmt.Sprintf("whatif-link-%s-up", id),
-		Type:        change.TopologyAdjust,
-		Description: fmt.Sprintf("what-if: link %s restored", id),
-		SetLinks:    []change.LinkUpDown{{ID: id, Up: true}},
-	}
-}
-
-// NodeMaintenancePlan simulates taking one router out of service.
-func NodeMaintenancePlan(name string) *change.Plan {
-	return &change.Plan{
-		ID:          fmt.Sprintf("whatif-node-%s-down", name),
-		Type:        change.TopologyAdjust,
-		Description: fmt.Sprintf("what-if: router %s under maintenance", name),
-		SetNodes:    []change.NodeUpDown{{Name: name, Up: false}},
-	}
-}
-
-// PrefixWithdrawalPlan simulates reclaiming input routes.
-func PrefixWithdrawalPlan(routes ...netmodel.Route) *change.Plan {
-	return &change.Plan{
-		ID:          "whatif-prefix-withdrawal",
-		Type:        change.PrefixReclamation,
-		Description: "what-if: input routes withdrawn",
-		DropInputs:  routes,
-	}
-}
-
 // LinkFailureSweep returns one single-link-failure plan per up link of the
 // network — the classic exhaustive what-if sweep, every plan delta-only.
 func LinkFailureSweep(net *config.Network) []*change.Plan {

@@ -46,12 +46,12 @@ func openHistory(dir string, limit int, opts durable.Options, reg *telemetry.Reg
 		limit = 1024
 	}
 	h := &history{limit: limit}
-	store, err := objstore.OpenDisk(filepath.Join(dir, "results"), opts)
+	store, err := objstore.OpenDisk(filepath.Join(dir, "results"), opts, reg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: history objstore: %w", err)
 	}
 	h.store = store
-	wal, _, err := durable.Open(filepath.Join(dir, "history.wal"), opts, func(rec []byte) error {
+	wal, _, err := durable.Open(filepath.Join(dir, "history.wal"), opts, durable.NewMetrics(reg, "serve_history"), func(rec []byte) error {
 		var e HistoryEntry
 		if err := json.Unmarshal(rec, &e); err != nil {
 			return err
@@ -66,10 +66,6 @@ func openHistory(dir string, limit int, opts durable.Options, reg *telemetry.Reg
 	h.wal = wal
 	if len(h.entries) > limit {
 		h.entries = h.entries[len(h.entries)-limit:]
-	}
-	if reg != nil {
-		wal.Instrument(reg, "serve_history")
-		store.Instrument(reg)
 	}
 	return h, nil
 }

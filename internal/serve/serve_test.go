@@ -930,3 +930,41 @@ func TestServeRIBWorkCounters(t *testing.T) {
 	}
 	t.Logf("link %s: %d of %d rows hashed, %d diffed, %d of %d blocks shared", l.ID(), hashed, base.Len(), diffed, shared, len(base.Blocks()))
 }
+
+// TestWarmQueryForkWork pins the service's reason to exist — a what-if query
+// against the warm daemon does a fraction of the work of a cold CLI
+// invocation of the same scenario — on the counts of the fork the daemon's
+// engine runs for a link failure (TestServeE2E pins the query's RIB digest
+// against a cold run): no fallback, SPF sources reused, most tables left clean,
+// fewer fixpoint rounds than from scratch, flows reused. Parallelism is
+// pinned to 1, so the counts repeat exactly on every host. Client-visible
+// latency is the repo benchmark's job (`bash benchmark/run.sh --workload
+// serve_mix`).
+func TestWarmQueryForkWork(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	opts := core.Options{Parallelism: 1}
+	_, n := bareServer(t, out, Config{Sim: opts})
+	id := out.Net.Topo.Links()[0].ID()
+	scratch := out.Net.Clone()
+	scratch.Topo.SetLinkUp(id, false)
+	_, st, err := n.eng.ForkCtx(context.Background(), scratch, core.Delta{LinksDown: []netmodel.LinkID{id}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := core.NewEngine(scratch, opts).Run(out.Inputs, out.Flows)
+	t.Logf("fork work: %d/%d SPF sources reused, %d/%d tables dirty, %d rounds (cold %d), %d/%d flows reused",
+		st.SPFReused, st.SPFSources, st.BGPTablesDirty, st.BGPTablesTotal,
+		st.BGPRounds, cold.Routes.BGP.Rounds, st.FlowsReused, st.FlowsTotal)
+	switch {
+	case st.Full:
+		t.Error("link-down fork fell back to from-scratch simulation")
+	case st.SPFReused == 0:
+		t.Error("fork reused no SPF source")
+	case 2*st.BGPTablesDirty > st.BGPTablesTotal:
+		t.Errorf("fork seeded %d of %d tables dirty, want at most half", st.BGPTablesDirty, st.BGPTablesTotal)
+	case st.BGPRounds >= cold.Routes.BGP.Rounds:
+		t.Errorf("fork ran %d fixpoint rounds, the cold run %d", st.BGPRounds, cold.Routes.BGP.Rounds)
+	case 4*st.FlowsReused < st.FlowsTotal:
+		t.Errorf("fork reused %d of %d flows, want at least a quarter", st.FlowsReused, st.FlowsTotal)
+	}
+}

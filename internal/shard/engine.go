@@ -73,14 +73,6 @@ func (e *Engine) Partition() *Partition { return e.part }
 // Metrics exposes the shard instruments.
 func (e *Engine) Metrics() *Metrics { return e.met }
 
-// BaseState exposes the converged base contract state (nil before Base, or
-// after a base fallback).
-func (e *Engine) BaseState() *State { return e.baseState }
-
-// BaseEngine exposes the core engine over the base snapshot (available after
-// Base).
-func (e *Engine) BaseEngine() *core.Engine { return e.baseEng }
-
 // splitReps partitions the representative input routes by originating device.
 // Rows at devices outside the topology go to shard 0, where the seal skips
 // them — exactly as the whole-network originate path would.
@@ -167,9 +159,6 @@ func (e *Engine) Base() (*netmodel.GlobalRIB, error) {
 	e.ownersByDev = NextHopOwners(e.net.Topo, preRows)
 	return e.baseRIB, nil
 }
-
-// BaseRows returns the stitched base rows (after Base).
-func (e *Engine) BaseRows() []netmodel.Route { return e.baseRows }
 
 // Result is the outcome of a contained what-if run.
 type Result struct {

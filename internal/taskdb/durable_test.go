@@ -2,23 +2,16 @@ package taskdb
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
+	"reflect"
 	"testing"
 	"time"
 
 	"hoyan/internal/durable"
 )
-
-func openDurableDB(t *testing.T, path string, opts durable.Options) *Durable {
-	t.Helper()
-	db, err := OpenDurable(path, opts)
-	if err != nil {
-		t.Fatalf("OpenDurable(%s): %v", path, err)
-	}
-	return db
-}
 
 func TestDurableRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "taskdb.wal")
@@ -48,17 +41,13 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err != nil || len(got) != 3 {
 		t.Fatalf("List(t1) = %d records, %v", len(got), err)
 	}
-	// Sorted kind-then-SubID, like Memory.
-	if got[0].Kind != "route" || got[0].SubID != 0 || got[2].Kind != "traffic" {
-		t.Fatalf("List order: %+v", got)
-	}
 	// The replayed heartbeat survives.
 	hb, ok, err := db2.Get("t1", "route", 1)
 	if err != nil || !ok || !hb.HeartbeatAt.Equal(now.Add(time.Second)) {
 		t.Fatalf("heartbeat lost across restart: %+v ok=%v err=%v", hb, ok, err)
 	}
-	if ids := db2.Tasks(); !slices.Equal(ids, []string{"t1", "t2"}) {
-		t.Fatalf("Tasks() = %v", ids)
+	if other, err := db2.List("t2"); err != nil || len(other) != 1 {
+		t.Fatalf("List(t2) = %d records, %v", len(other), err)
 	}
 }
 
@@ -142,5 +131,75 @@ func TestDurableCompaction(t *testing.T) {
 	got, ok, err := db2.Get("t", "route", 0)
 	if err != nil || !ok || !got.HeartbeatAt.Equal(base.Add(99*time.Second).Truncate(0)) {
 		t.Fatalf("recovered heartbeat = %v ok=%v err=%v", got.HeartbeatAt, ok, err)
+	}
+}
+
+// TestDurableClosed pins orderly shutdown: writes to a closed DB fail with
+// the non-retryable durable.ErrClosed, and change nothing.
+func TestDurableClosed(t *testing.T) {
+	db := openDurableDB(t, filepath.Join(t.TempDir(), "taskdb.wal"), durable.Options{})
+	if err := db.Upsert(Record{TaskID: "t", Status: StatusRunning}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Upsert(Record{TaskID: "t", Status: StatusDone}); !errors.Is(err, durable.ErrClosed) {
+		t.Fatalf("Upsert after Close = %v, want ErrClosed", err)
+	}
+	if rec, _, _ := db.Get("t", "", 0); rec.Status != StatusRunning {
+		t.Fatalf("refused write was applied: %+v", rec)
+	}
+}
+
+// TestJournalReplayMatchesMemory feeds the same random operations to a
+// journaled DB and an unjournaled one, kills the journaled one, and requires
+// the reopened DB to hold exactly what the unjournaled machine holds: the
+// journal adds durability, never behaviour. The small CompactEvery makes the
+// replayed log a snapshot plus a tail several times over.
+func TestJournalReplayMatchesMemory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "taskdb.wal")
+	opts := durable.Options{Fsync: durable.SyncNever, CompactEvery: 7}
+	journaled, memory := openDurableDB(t, path, opts), NewMemory()
+	rng := rand.New(rand.NewSource(17))
+	statuses := []Status{StatusPending, StatusRunning, StatusDone, StatusFailed}
+	base := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
+	for i := 0; i < 300; i++ {
+		rec := Record{
+			TaskID: "t", Kind: []string{"route", "traffic"}[rng.Intn(2)], SubID: rng.Intn(4),
+			Status: statuses[rng.Intn(len(statuses))], Attempts: rng.Intn(3), Worker: fmt.Sprintf("w%d", i),
+		}
+		at := base.Add(time.Duration(i) * time.Second)
+		var got, want bool
+		var err error
+		switch rng.Intn(3) {
+		case 0:
+			err = journaled.Upsert(rec)
+			memory.Upsert(rec)
+		case 1:
+			got, err = journaled.FencedUpsert(rec)
+			want, _ = memory.FencedUpsert(rec)
+		default:
+			got, err = journaled.Heartbeat(rec.TaskID, rec.Kind, rec.SubID, rec.Attempts, at)
+			want, _ = memory.Heartbeat(rec.TaskID, rec.Kind, rec.SubID, rec.Attempts, at)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("op %d: journaled applied=%v, unjournaled applied=%v", i, got, want)
+		}
+	}
+	journaled.CrashClose()
+
+	reopened := openDurableDB(t, path, opts)
+	defer reopened.Close()
+	got, err := reopened.List("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := memory.List("t")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed state differs from the unjournaled machine:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -12,14 +12,13 @@ package taskdb
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"slices"
 	"sync"
 	"time"
 
+	"hoyan/internal/durable"
 	"hoyan/internal/rpcx"
 	"hoyan/internal/telemetry"
 )
@@ -91,42 +90,139 @@ type DB interface {
 	List(taskID string) ([]Record, error)
 }
 
-// Memory is an in-memory DB safe for concurrent use.
-type Memory struct {
+// Local is the in-process DB: the authoritative record map lives in memory
+// and, with a journal, every applied mutation is logged first, so a restart
+// replays the log and recovers exactly the acknowledged state. Fencing
+// semantics are preserved across restarts — the fence check runs against the
+// recovered map and only applied writes are ever logged, so replay needs no
+// re-checking. Without a journal (NewMemory) the same machine runs in memory
+// alone. Safe for concurrent use.
+type Local struct {
 	mu   sync.RWMutex
 	recs map[string]Record
+	j    *durable.Journal // nil: in memory only
+}
+
+// journalRec is one journal record: an applied upsert or heartbeat.
+type journalRec struct {
+	Op  string  `json:"op"` // "up" or "hb"
+	Rec *Record `json:"rec,omitempty"`
+
+	// Heartbeat fields ("hb").
+	TaskID  string    `json:"task,omitempty"`
+	Kind    string    `json:"kind,omitempty"`
+	SubID   int       `json:"sub,omitempty"`
+	Attempt int       `json:"attempt,omitempty"`
+	At      time.Time `json:"at,omitempty"`
 }
 
 // NewMemory creates an empty in-memory DB.
-func NewMemory() *Memory { return &Memory{recs: make(map[string]Record)} }
+func NewMemory() *Local { return &Local{recs: make(map[string]Record)} }
 
-// Upsert implements DB.
-func (db *Memory) Upsert(rec Record) error {
-	db.mu.Lock()
+// OpenDurable opens (creating if necessary) a journaled task DB persisted at
+// path, replaying any existing log. The journal's durability metrics are
+// registered in reg under the taskdb component label (nil reg = detached).
+func OpenDurable(path string, opts durable.Options, reg *telemetry.Registry) (*Local, error) {
+	db := NewMemory()
+	j, err := durable.OpenJournal(path, opts, durable.NewMetrics(reg, "taskdb"), func(rec journalRec) error {
+		switch rec.Op {
+		case "up":
+			if rec.Rec == nil {
+				return fmt.Errorf("taskdb upsert record without payload")
+			}
+			db.recs[rec.Rec.Key()] = *rec.Rec
+		case "hb":
+			if key, r, ok := db.leaseLocked(rec.TaskID, rec.Kind, rec.SubID, rec.Attempt); ok {
+				r.HeartbeatAt = rec.At
+				db.recs[key] = r
+			}
+		default:
+			return fmt.Errorf("bad taskdb op %q", rec.Op)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	db.j = j
+	return db, nil
+}
+
+// snapshotLocked is the journal's compaction state: one upsert per record.
+func (db *Local) snapshotLocked() []any {
+	keys := make([]string, 0, len(db.recs))
+	for k := range db.recs {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	snap := make([]any, 0, len(keys))
+	for _, k := range keys {
+		rec := db.recs[k]
+		snap = append(snap, journalRec{Op: "up", Rec: &rec})
+	}
+	return snap
+}
+
+// putLocked logs and then stores rec.
+func (db *Local) putLocked(rec Record) error {
+	if err := db.j.Log(journalRec{Op: "up", Rec: &rec}, db.snapshotLocked); err != nil {
+		return err
+	}
 	db.recs[rec.Key()] = rec
-	db.mu.Unlock()
 	return nil
 }
 
-// FencedUpsert implements DB.
-func (db *Memory) FencedUpsert(rec Record) (bool, error) {
+// Upsert implements DB.
+func (db *Local) Upsert(rec Record) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if err := db.j.Down(); err != nil {
+		return err
+	}
+	return db.putLocked(rec)
+}
+
+// FencedUpsert implements DB: the fence check runs against the in-memory
+// state (recovered, when journaled), and only applied writes reach the log.
+func (db *Local) FencedUpsert(rec Record) (bool, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.j.Down(); err != nil {
+		return false, err
+	}
 	if old, ok := db.recs[rec.Key()]; ok && old.Attempts > rec.Attempts {
 		return false, nil
 	}
-	db.recs[rec.Key()] = rec
+	if err := db.putLocked(rec); err != nil {
+		return false, err
+	}
 	return true, nil
 }
 
-// Heartbeat implements DB.
-func (db *Memory) Heartbeat(taskID, kind string, subID, attempt int, at time.Time) (bool, error) {
+// leaseLocked is the lease rule, live and on replay: a heartbeat of the given
+// attempt may refresh only a record of that attempt that is still running.
+func (db *Local) leaseLocked(taskID, kind string, subID, attempt int) (key string, rec Record, ok bool) {
+	key = Record{TaskID: taskID, Kind: kind, SubID: subID}.Key()
+	rec, ok = db.recs[key]
+	return key, rec, ok && rec.Attempts == attempt && rec.Status == StatusRunning
+}
+
+// Heartbeat implements DB. Applied heartbeats are logged so recovered leases
+// carry their true freshness (a resumed master otherwise reclaims every
+// running subtask immediately, which is safe but wasteful).
+func (db *Local) Heartbeat(taskID, kind string, subID, attempt int, at time.Time) (bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	key := Record{TaskID: taskID, Kind: kind, SubID: subID}.Key()
-	rec, ok := db.recs[key]
-	if !ok || rec.Attempts != attempt || rec.Status != StatusRunning {
+	if err := db.j.Down(); err != nil {
+		return false, err
+	}
+	key, rec, ok := db.leaseLocked(taskID, kind, subID, attempt)
+	if !ok {
 		return false, nil
+	}
+	hb := journalRec{Op: "hb", TaskID: taskID, Kind: kind, SubID: subID, Attempt: attempt, At: at}
+	if err := db.j.Log(hb, db.snapshotLocked); err != nil {
+		return false, err
 	}
 	rec.HeartbeatAt = at
 	db.recs[key] = rec
@@ -134,16 +230,23 @@ func (db *Memory) Heartbeat(taskID, kind string, subID, attempt int, at time.Tim
 }
 
 // Get implements DB.
-func (db *Memory) Get(taskID, kind string, subID int) (Record, bool, error) {
+func (db *Local) Get(taskID, kind string, subID int) (Record, bool, error) {
 	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if err := db.j.Down(); err != nil {
+		return Record{}, false, err
+	}
 	rec, ok := db.recs[Record{TaskID: taskID, Kind: kind, SubID: subID}.Key()]
-	db.mu.RUnlock()
 	return rec, ok, nil
 }
 
 // List implements DB.
-func (db *Memory) List(taskID string) ([]Record, error) {
+func (db *Local) List(taskID string) ([]Record, error) {
 	db.mu.RLock()
+	if err := db.j.Down(); err != nil {
+		db.mu.RUnlock()
+		return nil, err
+	}
 	var out []Record
 	for _, rec := range db.recs {
 		if rec.TaskID == taskID {
@@ -160,18 +263,91 @@ func (db *Memory) List(taskID string) ([]Record, error) {
 	return out, nil
 }
 
-// Service exposes a DB over net/rpc, counting writes and heartbeats
-// (telemetry instruments, detached unless Serve was given a registry).
+// Healthy reports nil while durable writes are landing.
+func (db *Local) Healthy() error { return db.j.Healthy() }
+
+// Close flushes the journal and closes the DB: later writes fail with
+// durable.ErrClosed.
+func (db *Local) Close() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.j.Close()
+}
+
+// CrashClose simulates the DB process dying: every subsequent operation
+// fails with durable.ErrCrashed (transient) until a DB reopened over the same
+// path takes over.
+func (db *Local) CrashClose() {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.j.CrashClose()
+}
+
+// Decorate returns a DB that routes every operation through hook. get
+// supplies the handle each call runs against and is evaluated inside the
+// hook, so a hook that swaps handles (crash-and-reopen) takes effect on the
+// next call. call reports whether the operation was a write whose
+// acknowledgement matters (Upsert, FencedUpsert): fault injection loses
+// exactly those replies, everything else ignores it.
+func Decorate(get func() DB, hook func(op string, call func() (acked bool, err error)) error) DB {
+	return &decorated{get: get, hook: hook}
+}
+
+type decorated struct {
+	get  func() DB
+	hook func(op string, call func() (bool, error)) error
+}
+
+func (d *decorated) Upsert(rec Record) error {
+	return d.hook("tasks.Upsert", func() (bool, error) {
+		err := d.get().Upsert(rec)
+		return err == nil, err
+	})
+}
+
+func (d *decorated) FencedUpsert(rec Record) (applied bool, err error) {
+	err = d.hook("tasks.FencedUpsert", func() (bool, error) {
+		var e error
+		applied, e = d.get().FencedUpsert(rec)
+		return e == nil, e
+	})
+	return applied && err == nil, err
+}
+
+func (d *decorated) Heartbeat(taskID, kind string, subID, attempt int, at time.Time) (applied bool, err error) {
+	err = d.hook("tasks.Heartbeat", func() (bool, error) {
+		var e error
+		applied, e = d.get().Heartbeat(taskID, kind, subID, attempt, at)
+		return false, e
+	})
+	return applied, err
+}
+
+func (d *decorated) Get(taskID, kind string, subID int) (rec Record, ok bool, err error) {
+	err = d.hook("tasks.Get", func() (bool, error) {
+		var e error
+		rec, ok, e = d.get().Get(taskID, kind, subID)
+		return false, e
+	})
+	return rec, ok, err
+}
+
+func (d *decorated) List(taskID string) (recs []Record, err error) {
+	err = d.hook("tasks.List", func() (bool, error) {
+		var e error
+		recs, e = d.get().List(taskID)
+		return false, e
+	})
+	return recs, err
+}
+
+// Service exposes a DB over net/rpc, counting writes and heartbeats.
 type Service struct {
 	db DB
 
 	upserts    *telemetry.Counter
 	heartbeats *telemetry.Counter
 	fenced     *telemetry.Counter
-}
-
-func newService(db DB) *Service {
-	return &Service{db: db, upserts: &telemetry.Counter{}, heartbeats: &telemetry.Counter{}, fenced: &telemetry.Counter{}}
 }
 
 // Upsert is the RPC form of DB.Upsert.
@@ -235,41 +411,24 @@ func (s *Service) List(taskID *string, reply *[]Record) error {
 	return err
 }
 
-// Serve registers the DB on a fresh rpc server and serves connections on l
-// until the listener is closed.
-func Serve(l net.Listener, db DB) { ServeRegistry(l, db, nil) }
-
-// ServeRegistry is Serve with the service's RPC counters registered in reg
-// (nil reg keeps them detached).
-func ServeRegistry(l net.Listener, db DB, reg *telemetry.Registry) {
-	sv := newService(db)
-	if reg != nil {
-		sv.upserts = reg.Counter("hoyan_taskdb_upserts_total", "subtask record writes served")
-		sv.heartbeats = reg.Counter("hoyan_taskdb_heartbeats_total", "lease heartbeats served")
-		sv.fenced = reg.Counter("hoyan_taskdb_fenced_writes_total", "writes rejected by the attempt fence")
-	}
-	srv := rpc.NewServer()
-	srv.RegisterName("Tasks", sv)
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
+// Serve serves db on l until the listener is closed, with the service's RPC
+// counters registered in reg (nil reg = detached). It returns immediately.
+func Serve(l net.Listener, db DB, reg *telemetry.Registry) {
+	rpcx.Serve(l, "Tasks", &Service{
+		db:         db,
+		upserts:    reg.Counter("hoyan_taskdb_upserts_total", "subtask record writes served"),
+		heartbeats: reg.Counter("hoyan_taskdb_heartbeats_total", "lease heartbeats served"),
+		fenced:     reg.Counter("hoyan_taskdb_fenced_writes_total", "writes rejected by the attempt fence"),
+	})
 }
 
 // Client is a DB talking to a remote Serve instance over a reconnecting
 // connection with dial and per-call I/O timeouts.
 type Client struct{ c *rpcx.Client }
 
-// Dial connects to a task DB server with default timeouts.
-func Dial(addr string) (*Client, error) { return DialOptions(addr, rpcx.Options{}) }
-
-// DialOptions connects with explicit timeouts.
-func DialOptions(addr string, opts rpcx.Options) (*Client, error) {
+// Dial connects to a task DB server (the zero Options are the default
+// timeouts).
+func Dial(addr string, opts rpcx.Options) (*Client, error) {
 	c, err := rpcx.Dial(addr, opts)
 	if err != nil {
 		return nil, fmt.Errorf("taskdb: dial %s: %w", addr, err)
@@ -313,6 +472,3 @@ func (c *Client) List(taskID string) ([]Record, error) {
 
 // Close closes the client connection.
 func (c *Client) Close() error { return c.c.Close() }
-
-// ErrUnreachable reports substrate connectivity problems distinctly.
-var ErrUnreachable = errors.New("taskdb: unreachable")

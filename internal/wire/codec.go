@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/netip"
@@ -48,20 +47,12 @@ func (e *encoder) route(r *netmodel.Route) {
 	e.str(r.Source)
 }
 
-// DecodeRoutes reads a route file written by EncodeRoutes, falling back to
-// the legacy JSON encoding when the blob does not start with the wire magic.
+// DecodeRoutes reads a route file written by EncodeRoutes.
 func DecodeRoutes(r io.Reader) ([]netmodel.Route, error) {
 	br := bufio.NewReader(r)
-	d, binary, err := decodeFrame(br, KindRoutes)
+	d, err := decodeFrame(br, KindRoutes)
 	if err != nil {
 		return nil, err
-	}
-	if !binary {
-		var out []netmodel.Route
-		if err := json.NewDecoder(br).Decode(&out); err != nil {
-			return nil, fmt.Errorf("wire: decoding routes (json fallback): %w", err)
-		}
-		return out, nil
 	}
 	n, err := d.uvarint()
 	if err != nil {
@@ -145,19 +136,12 @@ func (e *encoder) flow(f *netmodel.Flow) {
 	e.f64(f.Volume)
 }
 
-// DecodeFlows reads a flow file written by EncodeFlows, with JSON fallback.
+// DecodeFlows reads a flow file written by EncodeFlows.
 func DecodeFlows(r io.Reader) ([]netmodel.Flow, error) {
 	br := bufio.NewReader(r)
-	d, binary, err := decodeFrame(br, KindFlows)
+	d, err := decodeFrame(br, KindFlows)
 	if err != nil {
 		return nil, err
-	}
-	if !binary {
-		var out []netmodel.Flow
-		if err := json.NewDecoder(br).Decode(&out); err != nil {
-			return nil, fmt.Errorf("wire: decoding flows (json fallback): %w", err)
-		}
-		return out, nil
 	}
 	n, err := d.uvarint()
 	if err != nil {
@@ -207,20 +191,20 @@ func (d *decoder) flow() (netmodel.Flow, error) {
 // ---------------------------------------------------------------- snapshot
 
 // SnapshotNode is the wire form of a topology node. core.SnapshotNode
-// aliases this type; the JSON tags preserve the legacy fallback encoding.
+// aliases this type.
 type SnapshotNode struct {
-	Name     string     `json:"name"`
-	Loopback netip.Addr `json:"loopback"`
-	Up       bool       `json:"up"`
+	Name     string
+	Loopback netip.Addr
+	Up       bool
 }
 
 // Snapshot is the wire form of a network model: per-device configuration
 // text plus the monitored topology. core.Snapshot shares this underlying
 // struct, so conversions between the two are free.
 type Snapshot struct {
-	Configs map[string]string `json:"configs"`
-	Nodes   []SnapshotNode    `json:"nodes"`
-	Links   []netmodel.Link   `json:"links"`
+	Configs map[string]string
+	Nodes   []SnapshotNode
+	Links   []netmodel.Link
 }
 
 // EncodeSnapshot writes the snapshot as a flate-compressed binary frame
@@ -273,20 +257,12 @@ func (e *encoder) link(l *netmodel.Link) {
 	e.bool(l.Up)
 }
 
-// DecodeSnapshot reads a snapshot written by EncodeSnapshot, with JSON
-// fallback for blobs produced by older versions.
+// DecodeSnapshot reads a snapshot written by EncodeSnapshot.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReader(r)
-	d, binary, err := decodeFrame(br, KindSnapshot)
+	d, err := decodeFrame(br, KindSnapshot)
 	if err != nil {
 		return nil, err
-	}
-	if !binary {
-		var s Snapshot
-		if err := json.NewDecoder(br).Decode(&s); err != nil {
-			return nil, fmt.Errorf("wire: decoding snapshot (json fallback): %w", err)
-		}
-		return &s, nil
 	}
 	s := &Snapshot{Configs: make(map[string]string)}
 	nc, err := d.uvarint()
@@ -365,27 +341,27 @@ func (d *decoder) link() (netmodel.Link, error) {
 
 // Path is the wire form of netmodel.Path (dsim.PathWire aliases it).
 type Path struct {
-	Hops []netmodel.Hop      `json:"hops"`
-	Exit netmodel.ExitReason `json:"exit"`
+	Hops []netmodel.Hop
+	Exit netmodel.ExitReason
 }
 
 // PathEntry is one flow's simulated path (dsim.PathEntry aliases it).
 type PathEntry struct {
-	Flow netmodel.Flow `json:"flow"`
-	Path Path          `json:"path"`
+	Flow netmodel.Flow
+	Path Path
 }
 
 // LoadEntry is one link's simulated volume (dsim.LoadEntry aliases it).
 type LoadEntry struct {
-	Link   netmodel.LinkID `json:"link"`
-	Volume float64         `json:"volume"`
+	Link   netmodel.LinkID
+	Volume float64
 }
 
 // TrafficResult is the wire form of one traffic subtask's result file
 // (dsim.TrafficResultFile aliases it).
 type TrafficResult struct {
-	Load  []LoadEntry `json:"load"`
-	Paths []PathEntry `json:"paths"`
+	Load  []LoadEntry
+	Paths []PathEntry
 }
 
 // EncodeTrafficResult writes a traffic result file as an uncompressed
@@ -423,19 +399,12 @@ func (e *encoder) linkID(id netmodel.LinkID) {
 	e.str(id.BIface)
 }
 
-// DecodeTrafficResult reads a traffic result file, with JSON fallback.
+// DecodeTrafficResult reads a traffic result file.
 func DecodeTrafficResult(r io.Reader) (*TrafficResult, error) {
 	br := bufio.NewReader(r)
-	d, binary, err := decodeFrame(br, KindTrafficResult)
+	d, err := decodeFrame(br, KindTrafficResult)
 	if err != nil {
 		return nil, err
-	}
-	if !binary {
-		var t TrafficResult
-		if err := json.NewDecoder(br).Decode(&t); err != nil {
-			return nil, fmt.Errorf("wire: decoding traffic result (json fallback): %w", err)
-		}
-		return &t, nil
 	}
 	t := &TrafficResult{}
 	nl, err := d.uvarint()

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -11,18 +10,17 @@ import (
 
 // ShardInput is the wire form of one shard subtask's sealed-run inputs: the
 // shard's slice of the representative input routes plus the inbound boundary
-// contract for this contract-exchange round. The JSON tags preserve the
-// legacy fallback encoding for mixed-version clusters.
+// contract for this contract-exchange round.
 type ShardInput struct {
-	Routes  []netmodel.Route       `json:"routes"`
-	Inbound []netmodel.BoundaryAdv `json:"inbound"`
+	Routes  []netmodel.Route
+	Inbound []netmodel.BoundaryAdv
 }
 
 // ShardResult is one shard subtask's sealed-run outcome: the canonical
 // outbound contract plus the shard's final (pre-expansion) route rows.
 type ShardResult struct {
-	Exports []netmodel.BoundaryAdv `json:"exports"`
-	Rows    []netmodel.Route       `json:"rows"`
+	Exports []netmodel.BoundaryAdv
+	Rows    []netmodel.Route
 }
 
 func (e *encoder) boundaryAdv(a *netmodel.BoundaryAdv) {
@@ -59,7 +57,7 @@ func (d *decoder) boundaryAdv() (netmodel.BoundaryAdv, error) {
 	if err != nil {
 		return a, err
 	}
-	if n > 0 { // keep nil for empty payloads, matching the JSON fallback
+	if n > 0 { // keep nil for empty payloads
 		a.Routes = make([]netmodel.Route, 0, min(n, preallocCap))
 	}
 	for i := uint64(0); i < n; i++ {
@@ -110,19 +108,12 @@ func EncodeShardInput(w io.Writer, in *ShardInput) error {
 	})
 }
 
-// DecodeShardInput reads a shard subtask input, with JSON fallback.
+// DecodeShardInput reads a shard subtask input.
 func DecodeShardInput(r io.Reader) (*ShardInput, error) {
 	br := bufio.NewReader(r)
-	d, binary, err := decodeFrame(br, KindShardInput)
+	d, err := decodeFrame(br, KindShardInput)
 	if err != nil {
 		return nil, err
-	}
-	if !binary {
-		var in ShardInput
-		if err := json.NewDecoder(br).Decode(&in); err != nil {
-			return nil, fmt.Errorf("wire: decoding shard input (json fallback): %w", err)
-		}
-		return &in, nil
 	}
 	in := &ShardInput{}
 	n, err := d.uvarint()
@@ -157,19 +148,12 @@ func EncodeShardResult(w io.Writer, res *ShardResult) error {
 	})
 }
 
-// DecodeShardResult reads a shard subtask result, with JSON fallback.
+// DecodeShardResult reads a shard subtask result.
 func DecodeShardResult(r io.Reader) (*ShardResult, error) {
 	br := bufio.NewReader(r)
-	d, binary, err := decodeFrame(br, KindShardResult)
+	d, err := decodeFrame(br, KindShardResult)
 	if err != nil {
 		return nil, err
-	}
-	if !binary {
-		var res ShardResult
-		if err := json.NewDecoder(br).Decode(&res); err != nil {
-			return nil, fmt.Errorf("wire: decoding shard result (json fallback): %w", err)
-		}
-		return &res, nil
 	}
 	res := &ShardResult{}
 	if res.Exports, err = d.boundaryAdvs(); err != nil {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -61,35 +60,6 @@ func TestShardResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardJSONFallback is the mixed-version decode test: a legacy (or
-// not-yet-upgraded) peer writes shard messages as plain JSON, and the binary
-// decoders must accept them via the peek-byte fallback — exactly what keeps a
-// rolling upgrade of the fleet safe.
-func TestShardJSONFallback(t *testing.T) {
-	in := &ShardInput{Routes: sampleRoutes(), Inbound: sampleAdvs()}
-	inJSON, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotIn, err := DecodeShardInput(bytes.NewReader(inJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotIn, in) {
-		t.Errorf("json fallback shard input:\n got %+v\nwant %+v", gotIn, in)
-	}
-
-	res := &ShardResult{Exports: sampleAdvs(), Rows: sampleRoutes()}
-	resJSON, _ := json.Marshal(res)
-	gotRes, err := DecodeShardResult(bytes.NewReader(resJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotRes, res) {
-		t.Errorf("json fallback shard result:\n got %+v\nwant %+v", gotRes, res)
-	}
-}
-
 // FuzzContractCanonicalize asserts the seam encoding's core invariants on
 // arbitrary input: the decoder never panics; any contract it accepts
 // round-trips through the binary frame unchanged; and canonicalization is
@@ -101,9 +71,7 @@ func FuzzContractCanonicalize(f *testing.F) {
 	if err := EncodeShardResult(&seed, &ShardResult{Exports: sampleAdvs(), Rows: sampleRoutes()[:1]}); err != nil {
 		f.Fatal(err)
 	}
-	jsonBlob, _ := json.Marshal(&ShardResult{Exports: sampleAdvs()})
 	f.Add(seed.Bytes(), uint64(1))
-	f.Add(jsonBlob, uint64(2))
 	f.Add(seed.Bytes()[:len(seed.Bytes())/2], uint64(3)) // truncated
 	corrupted := append([]byte(nil), seed.Bytes()...)
 	corrupted[len(corrupted)/2] ^= 0xFF
@@ -125,10 +93,6 @@ func FuzzContractCanonicalize(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decoding own encoding: %v", err)
 		}
-		// Compare via the injective binary signature: JSON-fallback inputs can
-		// carry empty-but-non-nil slices at any depth (case-insensitive field
-		// matching included) that the binary form represents as nil — a
-		// representational difference the signature correctly ignores.
 		if !bytes.Equal(contractSig(res), contractSig(again)) {
 			t.Fatal("re-decode changed the contract")
 		}

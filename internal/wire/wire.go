@@ -17,10 +17,8 @@
 //     device configuration text).
 //
 // Framing: a 6-byte header [Magic 'H' 'Y' version flags kind] precedes the
-// payload. Magic (0xB1) can never start a JSON document, so every decoder
-// sniffs the first byte and falls back to the legacy encoding/json decoder
-// for old blobs — mixed-version clusters and archived result files keep
-// working.
+// payload. It is the only format: a blob that does not start with the header
+// — empty, truncated, or anything else — is ErrCorrupt to every decoder.
 package wire
 
 import (
@@ -38,9 +36,7 @@ import (
 
 // Frame header constants.
 const (
-	// Magic is the first byte of every binary wire frame. It is outside the
-	// ASCII range, so it can never begin a JSON document ('{', '[', '"',
-	// digits, whitespace, ...): decoders sniff it to pick binary vs JSON.
+	// Magic is the first byte of every wire frame.
 	Magic byte = 0xB1
 	mark1 byte = 'H'
 	mark2 byte = 'Y'
@@ -286,39 +282,30 @@ type decoder struct {
 	comms   []netmodel.CommunitySet
 }
 
-// decodeFrame sniffs the first byte of br. If it is not the wire magic, it
-// returns (nil, false, nil): the caller decodes br as legacy JSON. Otherwise
-// it validates the header and returns a decoder over the (possibly
-// decompressed) payload.
-func decodeFrame(br *bufio.Reader, want Kind) (*decoder, bool, error) {
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, false, fmt.Errorf("wire: reading %s frame: %w", want, err)
-	}
-	if first[0] != Magic {
-		return nil, false, nil
-	}
+// decodeFrame validates the frame header at the front of br and returns a
+// decoder over the (possibly decompressed) payload.
+func decodeFrame(br *bufio.Reader, want Kind) (*decoder, error) {
 	var header [headerLen]byte
 	if _, err := io.ReadFull(br, header[:]); err != nil {
-		return nil, false, fmt.Errorf("wire: %s header truncated: %w (%w)", want, err, ErrCorrupt)
+		return nil, fmt.Errorf("wire: %s header truncated: %w (%w)", want, err, ErrCorrupt)
 	}
-	if header[1] != mark1 || header[2] != mark2 {
-		return nil, false, fmt.Errorf("wire: bad %s frame marker %q (%w)", want, header[1:3], ErrCorrupt)
+	if header[0] != Magic || header[1] != mark1 || header[2] != mark2 {
+		return nil, fmt.Errorf("wire: bad %s frame marker %q (%w)", want, header[:3], ErrCorrupt)
 	}
 	if header[3] != Version {
-		return nil, false, fmt.Errorf("wire: unsupported %s frame version %d (have %d)", want, header[3], Version)
+		return nil, fmt.Errorf("wire: unsupported %s frame version %d (have %d)", want, header[3], Version)
 	}
 	if Kind(header[5]) != want {
-		return nil, false, fmt.Errorf("wire: frame holds %s, want %s (%w)", Kind(header[5]), want, ErrCorrupt)
+		return nil, fmt.Errorf("wire: frame holds %s, want %s (%w)", Kind(header[5]), want, ErrCorrupt)
 	}
 	if header[4]&^flagFlate != 0 {
-		return nil, false, fmt.Errorf("wire: unknown %s frame flags %#x (%w)", want, header[4], ErrCorrupt)
+		return nil, fmt.Errorf("wire: unknown %s frame flags %#x (%w)", want, header[4], ErrCorrupt)
 	}
 	d := &decoder{r: br}
 	if header[4]&flagFlate != 0 {
 		d.r = bufio.NewReader(flate.NewReader(br))
 	}
-	return d, true, nil
+	return d, nil
 }
 
 func (d *decoder) byte() (byte, error) { return d.r.ReadByte() }

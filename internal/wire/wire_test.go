@@ -2,14 +2,12 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"hoyan/internal/netmodel"
@@ -262,51 +260,6 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestJSONFallback feeds every decoder a legacy JSON blob — what a
-// pre-binary master or an archived result file would hold — and checks it
-// decodes identically to the fixtures.
-func TestJSONFallback(t *testing.T) {
-	routesJSON, err := json.Marshal(sampleRoutes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "routes.json", routesJSON)
-	gotR, err := DecodeRoutes(bytes.NewReader(routesJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotR, sampleRoutes()) {
-		t.Errorf("json fallback routes:\n got %+v\nwant %+v", gotR, sampleRoutes())
-	}
-
-	flowsJSON, _ := json.Marshal(sampleFlows())
-	gotF, err := DecodeFlows(bytes.NewReader(flowsJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotF, sampleFlows()) {
-		t.Error("json fallback flows mismatch")
-	}
-
-	snapJSON, _ := json.Marshal(sampleSnapshot())
-	gotS, err := DecodeSnapshot(bytes.NewReader(snapJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotS, sampleSnapshot()) {
-		t.Error("json fallback snapshot mismatch")
-	}
-
-	trafficJSON, _ := json.Marshal(sampleTraffic())
-	gotT, err := DecodeTrafficResult(bytes.NewReader(trafficJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotT, sampleTraffic()) {
-		t.Error("json fallback traffic result mismatch")
-	}
-}
-
 // ------------------------------------------------------------- corrupt input
 
 func encodedRoutes(t *testing.T) []byte {
@@ -383,16 +336,38 @@ func TestDecodeOversizedBlobLength(t *testing.T) {
 	}
 }
 
-func TestDecodeJSONGarbage(t *testing.T) {
-	_, err := DecodeRoutes(strings.NewReader("definitely not json"))
-	if err == nil || !strings.Contains(err.Error(), "json fallback") {
-		t.Errorf("garbage input: got %v, want json fallback error", err)
+// TestDecodersRejectForeignBlobs pins the one-format rule on all six
+// decoders: a blob that does not open with the frame header — empty, the
+// start of a JSON document, or a header cut short — is ErrCorrupt, never
+// whatever another codec would make of it.
+func TestDecodersRejectForeignBlobs(t *testing.T) {
+	decoders := []struct {
+		kind   Kind
+		decode func(*bytes.Reader) error
+	}{
+		{KindRoutes, func(r *bytes.Reader) error { _, err := DecodeRoutes(r); return err }},
+		{KindFlows, func(r *bytes.Reader) error { _, err := DecodeFlows(r); return err }},
+		{KindSnapshot, func(r *bytes.Reader) error { _, err := DecodeSnapshot(r); return err }},
+		{KindTrafficResult, func(r *bytes.Reader) error { _, err := DecodeTrafficResult(r); return err }},
+		{KindShardInput, func(r *bytes.Reader) error { _, err := DecodeShardInput(r); return err }},
+		{KindShardResult, func(r *bytes.Reader) error { _, err := DecodeShardResult(r); return err }},
 	}
-}
-
-func TestDecodeEmptyInput(t *testing.T) {
-	if _, err := DecodeRoutes(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input decoded without error")
+	for _, d := range decoders {
+		inputs := []struct {
+			name string
+			blob []byte
+		}{
+			{"empty", nil},
+			{"json object", []byte(`{"routes":[],"inbound":[]}`)},
+			{"json array", []byte(`[{"Device":"r1"}]`)},
+			{"truncated header", []byte{Magic, mark1, mark2, Version, 0}},
+			{"magic only", []byte{Magic}},
+		}
+		for _, in := range inputs {
+			if err := d.decode(bytes.NewReader(in.blob)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s decoder, %s: got %v, want ErrCorrupt", d.kind, in.name, err)
+			}
+		}
 	}
 }
 
@@ -408,10 +383,8 @@ func FuzzDecodeRoutes(f *testing.F) {
 	if err := EncodeRoutesOpts(&compressed, sampleRoutes(), Options{Compress: true}); err != nil {
 		f.Fatal(err)
 	}
-	jsonBlob, _ := json.Marshal(sampleRoutes())
 	f.Add(plain.Bytes())
 	f.Add(compressed.Bytes())
-	f.Add(jsonBlob)
 	f.Add(plain.Bytes()[:len(plain.Bytes())/2]) // truncated
 	corrupted := append([]byte(nil), plain.Bytes()...)
 	corrupted[len(corrupted)/2] ^= 0xFF

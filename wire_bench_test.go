@@ -1,5 +1,5 @@
 // Wire-codec benchmarks: the compact binary format (internal/wire) versus
-// the legacy JSON encoding, on the gen.WAN(2) fixture the rest of the bench
+// encoding/json, on the gen.WAN(2) fixture the rest of the bench
 // harness uses. `make bench-wire` runs these and writes the measured sizes
 // and decode speedups to BENCH_wire.json; TestWireCompactness pins the
 // acceptance floors (>=3x smaller blobs, >=2x faster decode than JSON).
@@ -53,9 +53,7 @@ func jsonBlob(tb testing.TB, v any) []byte {
 
 // BenchmarkWireRoutes compares encode/decode of the fixture's global RIB
 // (every route row the distributed framework ships between workers) in the
-// binary wire format and the legacy JSON encoding. The decode/json case goes
-// through the same core.DecodeRoutes entry point — it exercises the JSON
-// fallback path a mixed-version cluster hits.
+// binary wire format and in encoding/json, the baseline the format replaced.
 func BenchmarkWireRoutes(b *testing.B) {
 	_, rows := wireFixtures(b)
 	wireData := wireRoutesBlob(b, rows)
@@ -90,7 +88,8 @@ func BenchmarkWireRoutes(b *testing.B) {
 	b.Run("decode/json", func(b *testing.B) {
 		b.SetBytes(int64(len(jsonData)))
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecodeRoutes(bytes.NewReader(jsonData)); err != nil {
+			var out []netmodel.Route
+			if err := json.Unmarshal(jsonData, &out); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -99,7 +98,7 @@ func BenchmarkWireRoutes(b *testing.B) {
 
 // BenchmarkWireSnapshot compares encode/decode of the base-network snapshot
 // (configuration text plus topology — the largest single blob a task
-// uploads) in the compressed binary wire format and legacy JSON.
+// uploads) in the compressed binary wire format and in encoding/json.
 func BenchmarkWireSnapshot(b *testing.B) {
 	snap, _ := wireFixtures(b)
 	wireData := wireSnapshotBlob(b, snap)
@@ -134,7 +133,8 @@ func BenchmarkWireSnapshot(b *testing.B) {
 	b.Run("decode/json", func(b *testing.B) {
 		b.SetBytes(int64(len(jsonData)))
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecodeSnapshot(bytes.NewReader(jsonData)); err != nil {
+			var out core.Snapshot
+			if err := json.Unmarshal(jsonData, &out); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -186,7 +186,7 @@ func measurePair(trials, iters int, wireF, jsonF func()) (wireNs, jsonNs int64) 
 
 // TestWireCompactness pins the wire codec's acceptance floors on the
 // gen.WAN(2) fixture: encoded route and snapshot blobs at least 3x smaller
-// than JSON, and decode at least 2x faster than the JSON fallback. With
+// than JSON, and decode at least 2x faster than encoding/json. With
 // WIRE_BENCH_JSON set it also writes the measured numbers to that path
 // (used by `make bench-wire` to produce BENCH_wire.json).
 func TestWireCompactness(t *testing.T) {
@@ -216,7 +216,8 @@ func TestWireCompactness(t *testing.T) {
 			}
 		},
 		func() {
-			if _, err := core.DecodeRoutes(bytes.NewReader(routesJSON)); err != nil {
+			var out []netmodel.Route
+			if err := json.Unmarshal(routesJSON, &out); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -227,7 +228,8 @@ func TestWireCompactness(t *testing.T) {
 			}
 		},
 		func() {
-			if _, err := core.DecodeSnapshot(bytes.NewReader(snapJSON)); err != nil {
+			var out core.Snapshot
+			if err := json.Unmarshal(snapJSON, &out); err != nil {
 				t.Fatal(err)
 			}
 		})
