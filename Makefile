@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-procs vet race bench-smoke bench-core bench-wire bench-shard benchmark chaos chaos-restart trace check
+.PHONY: all build test test-shuffle test-procs vet lint-toggles race bench-smoke bench-core bench-wire bench-shard benchmark chaos chaos-restart trace check
 
 all: check
 
@@ -9,6 +9,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Who makes a network agree with a what-if is decided in one place,
+# core.Delta.Apply. Outside the packages that own topology state (netmodel),
+# apply deltas and restore snapshots (core) or build fixtures (scenario), no
+# non-test file under internal/ or cmd/ may flip a link or a node itself.
+lint-toggles:
+	@bad=$$(grep -rnE '\.Set(Link|Node)Up\(' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -vE '^internal/(core|netmodel|scenario)/'); \
+	if [ -n "$$bad" ]; then echo "SetLinkUp/SetNodeUp outside internal/{core,netmodel,scenario}; build a core.Delta instead:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -100,4 +108,4 @@ chaos-restart:
 trace:
 	$(GO) run ./cmd/hoyan-exp -scale 1 -trace trace.json report
 
-check: vet build race bench-smoke bench-core bench-wire bench-shard chaos chaos-restart benchmark
+check: vet lint-toggles build race bench-smoke bench-core bench-wire bench-shard chaos chaos-restart benchmark

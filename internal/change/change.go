@@ -160,15 +160,8 @@ func (p *Plan) Apply(base *config.Network) (*config.Network, error) {
 		updated.Topo.RemoveNode(name)
 		delete(updated.Devices, name)
 	}
-	for _, s := range p.SetLinks {
-		if !updated.Topo.SetLinkUp(s.ID, s.Up) {
-			return nil, fmt.Errorf("change %s: link %s not found", p.ID, s.ID)
-		}
-	}
-	for _, s := range p.SetNodes {
-		if !updated.Topo.SetNodeUp(s.Name, s.Up) {
-			return nil, fmt.Errorf("change %s: device %s not found", p.ID, s.Name)
-		}
+	if _, err := p.toggles().Apply(updated); err != nil {
+		return nil, fmt.Errorf("change %s: %w", p.ID, err)
 	}
 
 	for device, commands := range p.Commands {
@@ -226,6 +219,14 @@ func (p *Plan) Delta() (core.Delta, bool) {
 		len(p.AddLinks) > 0 || len(p.RemoveLinks) > 0 || len(p.RemoveNodes) > 0 {
 		return core.Delta{}, false
 	}
+	d := p.toggles()
+	d.AddInputs = p.NewInputs
+	d.DropInputs = p.DropInputs
+	return d, true
+}
+
+// toggles is the plan's up/down flips as an engine delta.
+func (p *Plan) toggles() core.Delta {
 	var d core.Delta
 	for _, s := range p.SetLinks {
 		if s.Up {
@@ -241,23 +242,11 @@ func (p *Plan) Delta() (core.Delta, bool) {
 			d.NodesDown = append(d.NodesDown, s.Name)
 		}
 	}
-	d.AddInputs = p.NewInputs
-	d.DropInputs = p.DropInputs
-	return d, true
+	return d
 }
 
 // ApplyInputs adjusts the input route set per the plan: reclaimed prefixes
 // are dropped, newly announced ones appended.
 func (p *Plan) ApplyInputs(inputs []netmodel.Route) []netmodel.Route {
-	drop := make(map[netmodel.RouteKey]bool, len(p.DropInputs))
-	for _, r := range p.DropInputs {
-		drop[r.Key()] = true
-	}
-	var out []netmodel.Route
-	for _, r := range inputs {
-		if !drop[r.Key()] {
-			out = append(out, r)
-		}
-	}
-	return append(out, p.NewInputs...)
+	return core.Delta{AddInputs: p.NewInputs, DropInputs: p.DropInputs}.ApplyInputs(inputs)
 }

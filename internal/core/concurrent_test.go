@@ -9,11 +9,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"hoyan/internal/config"
 	"hoyan/internal/gen"
 	"hoyan/internal/netmodel"
 )
@@ -87,15 +89,103 @@ func scenarioDeltas(out *gen.Output, rng *rand.Rand) []Delta {
 	return deltas
 }
 
+// upFlags records every Up flag of a network, for before/after comparison.
+func upFlags(net *config.Network) map[string]bool {
+	flags := make(map[string]bool)
+	for _, n := range net.Topo.Nodes() {
+		flags["node:"+n.Name] = n.Up
+	}
+	for _, l := range net.Topo.Links() {
+		flags["link:"+l.ID().String()] = l.Up
+	}
+	return flags
+}
+
+// trackScratch makes the engine record every scratch clone it creates and
+// returns a check that the engine's own network and each of those clones
+// carry the Up flags the network had when tracking started.
+func trackScratch(t *testing.T, eng *Engine) (assertRestored func(when string)) {
+	var mu sync.Mutex
+	var clones []*config.Network
+	eng.scratch.New = func() any {
+		c := eng.net.Clone()
+		mu.Lock()
+		clones = append(clones, c)
+		mu.Unlock()
+		return c
+	}
+	want := upFlags(eng.net)
+	return func(when string) {
+		t.Helper()
+		if !reflect.DeepEqual(upFlags(eng.net), want) {
+			t.Errorf("%s: the engine's own network changed", when)
+		}
+		if len(clones) == 0 {
+			t.Errorf("%s: no scratch clone was made", when)
+		}
+		for i, c := range clones {
+			if !reflect.DeepEqual(upFlags(c), want) {
+				t.Errorf("%s: scratch clone %d of %d went back with flips applied", when, i, len(clones))
+			}
+		}
+	}
+}
+
+// TestWhatIfRestoresScratch: whatever way a WhatIf ends — a result, a
+// cancelled context, a delta naming something the network does not have — the
+// scratch clone it borrowed goes back with every flag restored.
+func TestWhatIfRestoresScratch(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	links := out.Net.Topo.Links()
+	out.Net.Topo.SetLinkUp(links[1].ID(), false)
+	eng := NewEngine(out.Net, Options{})
+	eng.BaseRun(out.Inputs, out.Flows)
+	assertRestored := trackScratch(t, eng)
+
+	d := Delta{
+		LinksDown: []netmodel.LinkID{links[0].ID(), links[1].ID()}, // the second is down already
+		LinksUp:   []netmodel.LinkID{links[1].ID()},
+		NodesDown: []string{links[2].A},
+	}
+	if _, _, err := eng.WhatIf(context.Background(), d, 0); err != nil {
+		t.Fatal(err)
+	}
+	assertRestored("after a result")
+
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, _, err := eng.WhatIf(dead, d, 0); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled WhatIf: res=%v err=%v", res, err)
+	}
+	assertRestored("after a cancelled context")
+
+	bogus := links[0].ID()
+	bogus.AIface = "no-such-iface"
+	for _, bad := range []Delta{
+		{LinksDown: []netmodel.LinkID{links[0].ID(), bogus}},
+		{LinksDown: []netmodel.LinkID{links[0].ID()}, NodesDown: []string{"no-such-device"}},
+	} {
+		if res, _, err := eng.WhatIf(context.Background(), bad, 0); err == nil || res != nil {
+			t.Fatalf("WhatIf(%+v): res=%v err=%v, want an error", bad, res, err)
+		}
+		if _, _, err := eng.ForkCtxN(context.Background(), out.Net.Clone(), bad, 0); err == nil {
+			t.Fatalf("ForkCtxN(%+v) accepted an unknown element", bad)
+		}
+	}
+	assertRestored("after a rejected delta")
+}
+
 // TestConcurrentForksByteIdentical is the service's steady state: many
-// goroutines forking off one shared BaseRun at once, in a randomized
-// interleaving, must each produce exactly the bytes a sequential fork of the
-// same delta produces. Run under -race this also proves the base capture is
-// read-only across forks.
+// goroutines asking one shared BaseRun what-if at once, in a randomized
+// interleaving, must each get exactly the bytes a sequential fork of the same
+// delta on a pre-toggled clone produces, and every scratch clone the engine
+// lent must come back restored. Run under -race this also proves the base
+// capture is read-only across forks.
 func TestConcurrentForksByteIdentical(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	eng := NewEngine(out.Net, Options{})
 	eng.BaseRun(out.Inputs, out.Flows)
+	assertRestored := trackScratch(t, eng)
 
 	rng := rand.New(rand.NewSource(42))
 	deltas := scenarioDeltas(out, rng)
@@ -117,13 +207,16 @@ func TestConcurrentForksByteIdentical(t *testing.T) {
 		go func(idx int, jitter time.Duration) {
 			defer wg.Done()
 			time.Sleep(jitter)
-			scratch := out.Net.Clone()
-			applyDelta(scratch, deltas[idx])
-			res, _ := eng.Fork(scratch, deltas[idx])
+			res, _, err := eng.WhatIf(context.Background(), deltas[idx], 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			got[idx] = resultDigest(res)
 		}(idx, jitter)
 	}
 	wg.Wait()
+	assertRestored(fmt.Sprintf("after %d concurrent calls", len(deltas)))
 
 	for i := range deltas {
 		if got[i] != want[i] {
@@ -171,7 +264,7 @@ func TestConcurrentForksMixedCancellation(t *testing.T) {
 			if cancelled[i] {
 				ctx = deadCtx
 			}
-			res, _, err := eng.ForkCtx(ctx, scratch, deltas[i])
+			res, _, err := eng.ForkCtxN(ctx, scratch, deltas[i], 0)
 			if cancelled[i] {
 				if !errors.Is(err, context.Canceled) || res != nil {
 					errsCh <- fmt.Sprintf("delta %d: cancelled fork res=%v err=%v", i, res, err)

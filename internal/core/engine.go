@@ -8,6 +8,8 @@ package core
 
 import (
 	"context"
+	"net/netip"
+	"sync"
 
 	"hoyan/internal/bgp"
 	"hoyan/internal/config"
@@ -76,6 +78,10 @@ type Engine struct {
 
 	// base holds the state captured by BaseRun for incremental Fork runs.
 	base *baseCapture
+
+	// scratch pools clones of net for WhatIf: each call borrows one, applies
+	// its delta, forks, and returns the clone with every flip undone.
+	scratch sync.Pool
 }
 
 // NewEngine prepares an engine: it computes the IGP SPF once (the paper's
@@ -101,6 +107,7 @@ func newEngineCtx(ctx context.Context, net *config.Network, opts Options) *Engin
 		}),
 		opts: opts,
 	}
+	e.scratch.New = func() any { return net.Clone() }
 	if !opts.DisableIndex {
 		e.interner = netmodel.NewInterner()
 		e.interner.InternTopology(net.Topo)
@@ -169,52 +176,64 @@ func (r *RouteResult) GlobalRIB() *netmodel.GlobalRIB {
 // the RIBs of all routers. With route ECs enabled, one representative per EC
 // is simulated and results are expanded to the members.
 func (e *Engine) RouteSimulation(inputs []netmodel.Route) *RouteResult {
-	res, _ := e.routeSimulation(nil, inputs)
+	res, _ := e.routeSimulation(nil, inputs, nil)
 	return res
 }
 
-// RouteSimulationCtx is RouteSimulation with cancellation: the BGP fixpoint
-// polls ctx between rounds and the call returns ctx's error (with a nil
-// result) once it is done. A nil ctx behaves exactly like RouteSimulation.
-func (e *Engine) RouteSimulationCtx(ctx context.Context, inputs []netmodel.Route) (*RouteResult, error) {
-	return e.routeSimulation(ctx, inputs)
-}
-
-func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route) (*RouteResult, error) {
-	bgpOpts := bgp.Options{
+// bgpOptions is the engine's options as the BGP fixpoint takes them; seal is
+// nil except for one shard's boundary-sealed run.
+func (e *Engine) bgpOptions(ctx context.Context, seal *bgp.Seal) bgp.Options {
+	return bgp.Options{
 		Profiles:          e.opts.Profiles,
 		MaxRounds:         e.opts.MaxRounds,
 		FlawedASPathRegex: e.opts.FlawedASPathRegex,
 		UseTEMetric:       e.opts.UseTEMetric,
 		Legacy:            e.opts.DisableIndex,
 		Parallelism:       e.opts.Parallelism,
+		Seal:              seal,
 		Ctx:               ctx,
 	}
+}
+
+func (e *Engine) internPrefixes(inputs []netmodel.Route) {
 	if e.interner != nil {
 		for i := range inputs {
 			e.interner.InternPrefix(inputs[i].Prefix)
 		}
 	}
-	if e.opts.DisableRouteECs {
-		res := bgp.Simulate(e.net, e.igp, inputs, bgpOpts)
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		return &RouteResult{BGP: res}, nil
+}
+
+// routeSimulation is the route stage. With a capture it also saves what a
+// warm restart needs: the EC partition, the representatives, the converged
+// pre-expansion BGP state (unless DisableIncremental) and the result itself.
+func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, bc *baseCapture) (*RouteResult, error) {
+	e.internPrefixes(inputs)
+	reps := inputs
+	var ecs *ec.RouteECs
+	if !e.opts.DisableRouteECs {
+		ecs = ec.ComputeRouteECs(e.net, e.opts.Profiles, inputs, e.opts.Parallelism)
+		reps = ecs.Representatives()
 	}
-	ecs := ec.ComputeRouteECs(e.net, e.opts.Profiles, inputs, e.opts.Parallelism)
-	res := bgp.Simulate(e.net, e.igp, ecs.Representatives(), bgpOpts)
+	var res *bgp.Result
+	var state *bgp.State
+	if bc != nil && !e.opts.DisableIncremental {
+		res, state = bgp.SimulateWithState(e.net, e.igp, reps, e.bgpOptions(ctx, nil))
+	} else {
+		res = bgp.Simulate(e.net, e.igp, reps, e.bgpOptions(ctx, nil))
+	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	for _, t := range res.Tables() {
-		if e.opts.DisableIndex {
-			ecs.ExpandRIBLegacy(res.RIB(t.Device, t.VRF))
-		} else {
-			ecs.ExpandRIB(res.RIB(t.Device, t.VRF))
+	if ecs != nil {
+		for _, t := range res.Tables() {
+			e.expandRIB(ecs, res.RIB(t.Device, t.VRF))
 		}
 	}
-	return &RouteResult{BGP: res, ECStats: ecs}, nil
+	routes := &RouteResult{BGP: res, ECStats: ecs}
+	if bc != nil {
+		bc.routeECs, bc.reps, bc.bgpState, bc.routes = ecs, reps, state, routes
+	}
+	return routes, nil
 }
 
 // RouteSimulationSealed runs the boundary-sealed BGP fixpoint of one shard
@@ -225,20 +244,8 @@ func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route) (
 // up front and expands members centrally at stitch time, so per-shard runs
 // always work on the rows they were given.
 func (e *Engine) RouteSimulationSealed(inputs []netmodel.Route, seal *bgp.Seal) *RouteResult {
-	bgpOpts := bgp.Options{
-		Profiles:          e.opts.Profiles,
-		MaxRounds:         e.opts.MaxRounds,
-		FlawedASPathRegex: e.opts.FlawedASPathRegex,
-		UseTEMetric:       e.opts.UseTEMetric,
-		Parallelism:       e.opts.Parallelism,
-		Seal:              seal,
-	}
-	if e.interner != nil {
-		for i := range inputs {
-			e.interner.InternPrefix(inputs[i].Prefix)
-		}
-	}
-	return &RouteResult{BGP: bgp.Simulate(e.net, e.igp, inputs, bgpOpts)}
+	e.internPrefixes(inputs)
+	return &RouteResult{BGP: bgp.Simulate(e.net, e.igp, inputs, e.bgpOptions(nil, seal))}
 }
 
 // TrafficResult is the outcome of traffic simulation.
@@ -252,23 +259,32 @@ type TrafficResult struct {
 // computes link loads. With flow ECs enabled, one representative per class
 // carries the class's total volume.
 func (e *Engine) TrafficSimulation(ribs traffic.RIBSource, routeRows []netmodel.Route, flows []netmodel.Flow) *TrafficResult {
-	res, _ := e.trafficSimulation(nil, ribs, routeRows, flows)
+	res, _ := e.trafficSimulation(nil, ribs, routeRows, flows, nil)
 	return res
 }
 
-func (e *Engine) trafficSimulation(ctx context.Context, ribs traffic.RIBSource, routeRows []netmodel.Route, flows []netmodel.Flow) (*TrafficResult, error) {
-	fw := e.forwarderCtx(ctx, e.net, e.igp, ribs)
-	if e.opts.DisableFlowECs {
-		res := fw.Simulate(flows)
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		return &TrafficResult{Traffic: res}, nil
+// trafficSimulation is the traffic stage. A capture that holds warm BGP state
+// also gets the flow-EC partition, the forwarded representatives and their
+// traces, so forks re-forward only the flows a delta can reach.
+func (e *Engine) trafficSimulation(ctx context.Context, ribs traffic.RIBSource, routeRows []netmodel.Route, flows []netmodel.Flow, bc *baseCapture) (*TrafficResult, error) {
+	fw := e.forwarder(ctx, e.net, e.igp, ribs, e.opts.Parallelism)
+	reps := flows
+	var ecs *ec.FlowECs
+	if !e.opts.DisableFlowECs {
+		ecs = ec.ComputeFlowECs(e.net, ec.RIBPrefixes(routeRows), flows, e.opts.Parallelism)
+		reps = ecs.Representatives()
 	}
-	ecs := ec.ComputeFlowECs(e.net, ec.RIBPrefixes(routeRows), flows, e.opts.Parallelism)
-	res := fw.Simulate(ecs.Representatives())
+	var res *traffic.Result
+	if bc != nil && bc.bgpState != nil {
+		res, bc.traces = fw.SimulateTraced(reps)
+	} else {
+		res = fw.Simulate(reps)
+	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
+	}
+	if bc != nil {
+		bc.flowECs, bc.repFlows, bc.traffic = ecs, reps, res
 	}
 	return &TrafficResult{Traffic: res, ECStats: ecs}, nil
 }
@@ -282,7 +298,7 @@ type Result struct {
 // Run executes route simulation followed by traffic simulation — the
 // centralized pipeline of Figure 2.
 func (e *Engine) Run(inputs []netmodel.Route, flows []netmodel.Flow) *Result {
-	res, _ := e.runCtx(nil, inputs, flows)
+	res, _ := e.run(nil, inputs, flows, nil)
 	return res
 }
 
@@ -290,17 +306,33 @@ func (e *Engine) Run(inputs []netmodel.Route, flows []netmodel.Flow) *Result {
 // result) as soon as a stage observes the cancelled context, without
 // finishing the remaining stages.
 func (e *Engine) RunCtx(ctx context.Context, inputs []netmodel.Route, flows []netmodel.Flow) (*Result, error) {
-	return e.runCtx(ctx, inputs, flows)
+	return e.run(ctx, inputs, flows, nil)
 }
 
-func (e *Engine) runCtx(ctx context.Context, inputs []netmodel.Route, flows []netmodel.Flow) (*Result, error) {
-	routes, err := e.routeSimulation(ctx, inputs)
+// run is the one pipeline behind Run and BaseRun: route stage, global RIB,
+// traffic stage. bc, when non-nil, is filled by the stages with what forks
+// warm-start from; the result is the same either way.
+func (e *Engine) run(ctx context.Context, inputs []netmodel.Route, flows []netmodel.Flow, bc *baseCapture) (*Result, error) {
+	routes, err := e.routeSimulation(ctx, inputs, bc)
 	if err != nil {
 		return nil, err
 	}
+	if bc != nil {
+		// Materialize the global RIB now: forks (possibly concurrent) reference
+		// its blocks.
+		routes.GlobalRIB()
+	}
 	var tr *TrafficResult
 	if len(flows) > 0 {
-		tr, err = e.trafficSimulation(ctx, routes, routes.GlobalRIB().Rows(), flows)
+		if bc != nil && bc.bgpState != nil {
+			bc.basePrefixCount = make(map[netip.Prefix]int)
+			for _, t := range routes.BGP.Tables() {
+				for _, p := range routes.BGP.RIB(t.Device, t.VRF).Prefixes() {
+					bc.basePrefixCount[p]++
+				}
+			}
+		}
+		tr, err = e.trafficSimulation(ctx, routes, routes.GlobalRIB().Rows(), flows, bc)
 		if err != nil {
 			return nil, err
 		}

@@ -127,7 +127,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net2, err := snap2.Restore()
+	net2, err := snap2.RestoreParallel(1)
 	if err != nil {
 		t.Fatal(err)
 	}

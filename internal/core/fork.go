@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"slices"
 	"sort"
@@ -35,10 +36,81 @@ func (d Delta) inputsChanged() bool {
 
 // links returns every link whose Up state the delta flips.
 func (d Delta) links() []netmodel.LinkID {
-	out := make([]netmodel.LinkID, 0, len(d.LinksDown)+len(d.LinksUp))
-	out = append(out, d.LinksDown...)
-	out = append(out, d.LinksUp...)
-	return out
+	return slices.Concat(d.LinksDown, d.LinksUp)
+}
+
+// Apply makes net's topology agree with d and returns the undo. It flips only
+// the elements not already in their target state, so applying d to a network
+// that already reflects it changes nothing, and undo restores exactly what
+// this call flipped. A link or device net does not have is an error, and net
+// is left as it was.
+func (d Delta) Apply(net *config.Network) (undo func(), err error) {
+	flipped, err := d.flip(net)
+	if err != nil {
+		return nil, err
+	}
+	return func() { flipped.inverse().flip(net) }, nil
+}
+
+// flip is Apply returning what it changed: the sub-delta of d's topology
+// elements that were not yet in their target state.
+func (d Delta) flip(net *config.Network) (flipped Delta, err error) {
+	for _, id := range d.links() {
+		if net.Topo.Link(id) == nil {
+			return Delta{}, fmt.Errorf("core: delta names link %s, which the network does not have", id)
+		}
+	}
+	for _, name := range slices.Concat(d.NodesDown, d.NodesUp) {
+		if net.Topo.Node(name) == nil {
+			return Delta{}, fmt.Errorf("core: delta names device %q, which the network does not have", name)
+		}
+	}
+	links := func(ids []netmodel.LinkID, up bool) (flipped []netmodel.LinkID) {
+		for _, id := range ids {
+			if net.Topo.Link(id).Up != up {
+				net.Topo.SetLinkUp(id, up)
+				flipped = append(flipped, id)
+			}
+		}
+		return flipped
+	}
+	nodes := func(names []string, up bool) (flipped []string) {
+		for _, name := range names {
+			if net.Topo.Node(name).Up != up {
+				net.Topo.SetNodeUp(name, up)
+				flipped = append(flipped, name)
+			}
+		}
+		return flipped
+	}
+	return Delta{
+		LinksDown: links(d.LinksDown, false), LinksUp: links(d.LinksUp, true),
+		NodesDown: nodes(d.NodesDown, false), NodesUp: nodes(d.NodesUp, true),
+	}, nil
+}
+
+// inverse is the topology delta that undoes d.
+func (d Delta) inverse() Delta {
+	return Delta{LinksDown: d.LinksUp, LinksUp: d.LinksDown, NodesDown: d.NodesUp, NodesUp: d.NodesDown}
+}
+
+// ApplyInputs is the input route set under d: DropInputs removed by route
+// key, then AddInputs appended. Without input changes it is inputs itself.
+func (d Delta) ApplyInputs(inputs []netmodel.Route) []netmodel.Route {
+	if !d.inputsChanged() {
+		return inputs
+	}
+	drop := make(map[netmodel.RouteKey]bool, len(d.DropInputs))
+	for _, r := range d.DropInputs {
+		drop[r.Key()] = true
+	}
+	var out []netmodel.Route
+	for _, r := range inputs {
+		if !drop[r.Key()] {
+			out = append(out, r)
+		}
+	}
+	return append(out, d.AddInputs...)
 }
 
 // ForkStats reports how much work an incremental Fork avoided.
@@ -98,7 +170,7 @@ type baseCapture struct {
 // state so subsequent Fork calls can re-simulate incrementally. The returned
 // result is byte-identical to Run's.
 func (e *Engine) BaseRun(inputs []netmodel.Route, flows []netmodel.Flow) *Result {
-	res, _ := e.baseRun(nil, inputs, flows)
+	res, _ := e.BaseRunCtx(nil, inputs, flows)
 	return res
 }
 
@@ -106,92 +178,21 @@ func (e *Engine) BaseRun(inputs []netmodel.Route, flows []netmodel.Flow) *Result
 // ctx's error and leaves the engine without a base capture (Fork still
 // panics), so a partial run can never seed warm restarts.
 func (e *Engine) BaseRunCtx(ctx context.Context, inputs []netmodel.Route, flows []netmodel.Flow) (*Result, error) {
-	return e.baseRun(ctx, inputs, flows)
-}
-
-func (e *Engine) baseRun(ctx context.Context, inputs []netmodel.Route, flows []netmodel.Flow) (*Result, error) {
+	e.base = nil
 	bc := &baseCapture{inputs: inputs, flows: flows}
-	e.base = bc
-	if e.opts.DisableIncremental {
-		res, err := e.runCtx(ctx, inputs, flows)
-		if err != nil {
-			e.base = nil
-			return nil, err
-		}
-		bc.routes = res.Routes
-		if res.Traffic != nil {
-			bc.traffic = res.Traffic.Traffic
-			bc.flowECs = res.Traffic.ECStats
-		}
-		return res, nil
-	}
-
-	bgpOpts := bgp.Options{
-		Profiles:          e.opts.Profiles,
-		MaxRounds:         e.opts.MaxRounds,
-		FlawedASPathRegex: e.opts.FlawedASPathRegex,
-		UseTEMetric:       e.opts.UseTEMetric,
-		Legacy:            e.opts.DisableIndex,
-		Parallelism:       e.opts.Parallelism,
-		Ctx:               ctx,
-	}
-	reps := inputs
-	if !e.opts.DisableRouteECs {
-		bc.routeECs = ec.ComputeRouteECs(e.net, e.opts.Profiles, inputs, e.opts.Parallelism)
-		reps = bc.routeECs.Representatives()
-	}
-	bc.reps = reps
-	bres, st := bgp.SimulateWithState(e.net, e.igp, reps, bgpOpts)
-	if err := ctxErr(ctx); err != nil {
-		e.base = nil
+	res, err := e.run(ctx, inputs, flows, bc)
+	if err != nil {
 		return nil, err
 	}
-	bc.bgpState = st
-	if bc.routeECs != nil {
-		for _, t := range bres.Tables() {
-			e.expandRIB(bc.routeECs, bres.RIB(t.Device, t.VRF))
-		}
-	}
-	routes := &RouteResult{BGP: bres, ECStats: bc.routeECs}
-	bc.routes = routes
-	// Materialize the global RIB now: forks (possibly concurrent) reference
-	// its blocks.
-	routes.GlobalRIB()
-
-	var tr *TrafficResult
-	if len(flows) > 0 {
-		bc.basePrefixCount = make(map[netip.Prefix]int)
-		for _, t := range bres.Tables() {
-			for _, p := range bres.RIB(t.Device, t.VRF).Prefixes() {
-				bc.basePrefixCount[p]++
-			}
-		}
-		repFlows := flows
-		if !e.opts.DisableFlowECs {
-			bc.flowECs = ec.ComputeFlowECs(e.net, ec.RIBPrefixes(routes.GlobalRIB().Rows()), flows, e.opts.Parallelism)
-			repFlows = bc.flowECs.Representatives()
-		}
-		bc.repFlows = repFlows
-		fw := e.forwarderCtx(ctx, e.net, e.igp, routes)
-		trr, traces := fw.SimulateTraced(repFlows)
-		if err := ctxErr(ctx); err != nil {
-			e.base = nil
-			return nil, err
-		}
-		bc.traffic, bc.traces = trr, traces
-		tr = &TrafficResult{Traffic: trr, ECStats: bc.flowECs}
-	}
-	return &Result{Routes: routes, Traffic: tr}, nil
+	e.base = bc
+	return res, nil
 }
-
-// HasBase reports whether a completed BaseRun capture is available.
-func (e *Engine) HasBase() bool { return e.base != nil }
 
 // BaseResult reassembles the result of the last completed BaseRun from the
 // capture (nil before any BaseRun). Long-lived services hold the engine and
 // re-read the base through this instead of re-running it.
 func (e *Engine) BaseResult() *Result {
-	if e.base == nil || e.base.routes == nil {
+	if e.base == nil {
 		return nil
 	}
 	res := &Result{Routes: e.base.routes}
@@ -201,9 +202,31 @@ func (e *Engine) BaseResult() *Result {
 	return res
 }
 
-// Fork simulates a what-if scenario derived from the base run. net must be
-// the engine's network already mutated to reflect d (toggled links/nodes) —
-// it may be the engine's own network temporarily toggled, or a clone.
+// WhatIf simulates the base run's network under d. The engine applies d to a
+// scratch clone of its own network (Delta.Apply), forks, and undoes the flips
+// before returning, so callers hold no network and concurrent calls are safe.
+// Elements already in their target state on the base network are no-ops; a
+// link or device the network does not have is an error. parallelism is
+// ForkCtxN's, and so is everything else.
+func (e *Engine) WhatIf(ctx context.Context, d Delta, parallelism int) (*Result, ForkStats, error) {
+	scratch := e.scratch.Get().(*config.Network)
+	defer e.scratch.Put(scratch)
+	// The fork is given what flipped, not d: an element already in its target
+	// state on the base network is no part of the scenario.
+	scenario, err := d.flip(scratch)
+	if err != nil {
+		return nil, ForkStats{}, err
+	}
+	defer scenario.inverse().flip(scratch)
+	scenario.AddInputs, scenario.DropInputs = d.AddInputs, d.DropInputs
+	return e.fork(ctx, scratch, scenario, parallelism)
+}
+
+// Fork simulates a what-if scenario derived from the base run on a network
+// the caller supplies: the engine's own or a clone of it, which may already
+// reflect d — Delta.Apply flips what does not yet and flips it back before
+// returning. It panics where ForkCtxN returns an error. Callers without a
+// network of their own use WhatIf.
 //
 // With incrementality enabled (and BaseRun called first), the fork recomputes
 // SPF only for touched sources, warm-starts the BGP fixpoint from the base
@@ -212,32 +235,36 @@ func (e *Engine) BaseResult() *Result {
 // running it on the delta-adjusted inputs — Options.DisableIncremental takes
 // exactly that reference path.
 func (e *Engine) Fork(net *config.Network, d Delta) (*Result, ForkStats) {
-	res, stats, _ := e.forkCtx(nil, net, d, 0)
+	res, stats, err := e.ForkCtxN(nil, net, d, 0)
+	if err != nil {
+		panic(err)
+	}
 	return res, stats
 }
 
-// ForkCtx is Fork with cancellation: every stage (SPF recompute, warm BGP
-// fixpoint, flow re-forwarding) polls ctx and the call returns ctx's error
-// (with a nil result) as soon as cancellation is observed, so a
-// deadline-exceeded what-if query stops burning CPU promptly. The base
-// capture is never mutated by an abandoned fork.
-func (e *Engine) ForkCtx(ctx context.Context, net *config.Network, d Delta) (*Result, ForkStats, error) {
-	return e.forkCtx(ctx, net, d, 0)
-}
-
-// ForkCtxN is ForkCtx with a per-fork parallelism cap: every parallel stage
-// of this fork (SPF recompute, EC recomputation, global-RIB fill, flow
+// ForkCtxN is Fork with cancellation and a per-fork parallelism cap. Every
+// stage (SPF recompute, warm BGP fixpoint, flow re-forwarding) polls ctx and
+// the call returns ctx's error (with a nil result) as soon as cancellation is
+// observed, so a deadline-exceeded what-if query stops burning CPU promptly;
+// the base capture is never mutated by an abandoned fork. Every parallel
+// stage of this fork (SPF recompute, EC recomputation, global-RIB fill, flow
 // re-forwarding, and the from-scratch fallback; the warm BGP fixpoint is
 // sequential) runs with at most parallelism workers instead of the
-// engine-wide setting. Zero or negative
-// keeps the engine's own Options.Parallelism. serve uses this to cap each
-// tenant query at a fraction of the machine while the base engine keeps its
-// full fan-out. Results are byte-identical at every setting.
+// engine-wide setting. Zero or negative keeps the engine's own
+// Options.Parallelism. serve uses this to cap each tenant query at a fraction
+// of the machine while the base engine keeps its full fan-out. Results are
+// byte-identical at every setting.
 func (e *Engine) ForkCtxN(ctx context.Context, net *config.Network, d Delta, parallelism int) (*Result, ForkStats, error) {
-	return e.forkCtx(ctx, net, d, parallelism)
+	undo, err := d.Apply(net)
+	if err != nil {
+		return nil, ForkStats{}, err
+	}
+	defer undo()
+	return e.fork(ctx, net, d, parallelism)
 }
 
-func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, parallelism int) (*Result, ForkStats, error) {
+// fork runs d on net, which reflects it.
+func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, parallelism int) (*Result, ForkStats, error) {
 	if e.base == nil {
 		panic("core: Engine.Fork requires a prior BaseRun")
 	}
@@ -245,7 +272,7 @@ func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, para
 		parallelism = e.opts.Parallelism
 	}
 	var stats ForkStats
-	inputs := applyInputDelta(e.base.inputs, d)
+	inputs := d.ApplyInputs(e.base.inputs)
 	flows := e.base.flows
 
 	// Nodes coming up invalidate every per-source SPF bound and (transitively)
@@ -254,11 +281,8 @@ func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, para
 		stats.Full = true
 		opts := e.opts
 		opts.Parallelism = parallelism
-		res, err := newEngineCtx(ctx, net, opts).runCtx(ctx, inputs, flows)
-		if err != nil {
-			return nil, stats, err
-		}
-		return res, stats, nil
+		res, err := newEngineCtx(ctx, net, opts).run(ctx, inputs, flows, nil)
+		return res, stats, err
 	}
 
 	igp, touched, spfStats := isis.Recompute(net.Topo, e.igp, isis.Delta{
@@ -362,7 +386,7 @@ func (e *Engine) forkCtx(ctx context.Context, net *config.Network, d Delta, para
 			flowECs = ec.ComputeFlowECs(net, ec.RIBPrefixes(routes.GlobalRIB().Blocks()...), flows, parallelism)
 			repFlows = flowECs.Representatives()
 		}
-		fw := e.forwarderCtxN(ctx, net, igp, routes, parallelism)
+		fw := e.forwarder(ctx, net, igp, routes, parallelism)
 		var trr *traffic.Result
 		if samePartition && e.base.traffic != nil {
 			// With a per-prefix RIB diff available, a changed BGP table alone
@@ -494,15 +518,9 @@ func (e *Engine) mergedGlobalRIB(bres *bgp.Result, changed map[string]bool, rebu
 	return base.ReplaceDevices(changed, fresh)
 }
 
-// forwarderCtx builds a traffic forwarder over an arbitrary snapshot/IGP
-// pair, threading the cancellation context into its per-flow loops.
-func (e *Engine) forwarderCtx(ctx context.Context, net *config.Network, igp *isis.Result, ribs traffic.RIBSource) *traffic.Forwarder {
-	return e.forwarderCtxN(ctx, net, igp, ribs, e.opts.Parallelism)
-}
-
-// forwarderCtxN is forwarderCtx with an explicit parallelism bound (forks
-// capped below the engine-wide setting).
-func (e *Engine) forwarderCtxN(ctx context.Context, net *config.Network, igp *isis.Result, ribs traffic.RIBSource, parallelism int) *traffic.Forwarder {
+// forwarder builds a traffic forwarder over an arbitrary snapshot/IGP pair,
+// threading the cancellation context into its per-flow loops.
+func (e *Engine) forwarder(ctx context.Context, net *config.Network, igp *isis.Result, ribs traffic.RIBSource, parallelism int) *traffic.Forwarder {
 	return traffic.NewForwarder(net, igp, ribs, traffic.Options{
 		Profiles:    e.opts.Profiles,
 		IgnoreACLs:  e.opts.IgnoreACLs,
@@ -551,25 +569,6 @@ func structuralDeviceSet(d Delta) map[string]bool {
 		out[n] = true
 	}
 	return out
-}
-
-// applyInputDelta mirrors change.Plan.ApplyInputs: drops by route key, then
-// appends.
-func applyInputDelta(inputs []netmodel.Route, d Delta) []netmodel.Route {
-	if !d.inputsChanged() {
-		return inputs
-	}
-	drop := make(map[netmodel.RouteKey]bool, len(d.DropInputs))
-	for _, r := range d.DropInputs {
-		drop[r.Key()] = true
-	}
-	var out []netmodel.Route
-	for _, r := range inputs {
-		if !drop[r.Key()] {
-			out = append(out, r)
-		}
-	}
-	return append(out, d.AddInputs...)
 }
 
 func prefixSet(rows []netmodel.Route) map[netip.Prefix]bool {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -60,16 +61,75 @@ func first(rs []netmodel.Route) any {
 	return rs[0]
 }
 
-// checkFork runs one delta both ways — incremental fork and from-scratch
-// reference — and asserts byte-identity.
+// checkFork runs one delta three ways — incremental fork on a pre-toggled
+// clone, the engine-applied what-if, and a from-scratch reference — and
+// asserts byte-identity of the results and equal ForkStats for the two forks.
 func checkFork(t *testing.T, eng *Engine, base *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, d Delta, label string) ForkStats {
 	t.Helper()
 	scratch := base.Clone()
 	applyDelta(scratch, d)
 	inc, stats := eng.Fork(scratch, d)
-	ref := NewEngine(scratch, eng.opts).Run(applyInputDelta(inputs, d), flows)
+	ref := NewEngine(scratch, eng.opts).Run(d.ApplyInputs(inputs), flows)
 	assertIdentical(t, label, inc, ref)
+
+	whatIf, whatIfStats, err := eng.WhatIf(context.Background(), d, 0)
+	if err != nil {
+		t.Fatalf("%s: WhatIf: %v", label, err)
+	}
+	assertIdentical(t, label+" (engine-applied)", whatIf, ref)
+	if whatIfStats != stats {
+		t.Fatalf("%s: WhatIf stats %+v, Fork on a pre-toggled clone %+v", label, whatIfStats, stats)
+	}
 	return stats
+}
+
+// TestDeltaApply pins the one rule for making a network agree with a delta:
+// only elements not yet in their target state flip, undo flips exactly those
+// back, applying twice is applying once, and an unknown name changes nothing.
+func TestDeltaApply(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	links := out.Net.Topo.Links()
+	wasDown, wasUp, node := links[0].ID(), links[1].ID(), links[2].A
+	out.Net.Topo.SetLinkUp(wasDown, false)
+	state := func() [3]bool {
+		return [3]bool{out.Net.Topo.Link(wasDown).Up, out.Net.Topo.Link(wasUp).Up, out.Net.Topo.Node(node).Up}
+	}
+	before := state()
+
+	d := Delta{LinksDown: []netmodel.LinkID{wasDown, wasUp}, NodesDown: []string{node}}
+	undo, err := d.Apply(out.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := state(); got != [3]bool{false, false, false} {
+		t.Fatalf("after Apply: %v, want everything down", got)
+	}
+	undoAgain, err := d.Apply(out.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	undoAgain()
+	if got := state(); got != [3]bool{false, false, false} {
+		t.Fatalf("a second Apply flipped nothing, yet its undo changed the network: %v", got)
+	}
+	undo()
+	if got := state(); got != before {
+		t.Fatalf("after undo: %v, want %v (the link that was down stays down)", got, before)
+	}
+
+	bogus := wasUp
+	bogus.BIface = "no-such-iface"
+	for _, bad := range []Delta{
+		{LinksDown: []netmodel.LinkID{wasUp, bogus}},
+		{LinksUp: []netmodel.LinkID{wasDown}, NodesUp: []string{"no-such-device"}},
+	} {
+		if _, err := bad.Apply(out.Net); err == nil {
+			t.Fatalf("Apply(%+v) accepted an unknown element", bad)
+		}
+		if got := state(); got != before {
+			t.Fatalf("a rejected Apply(%+v) left the network at %v, want %v", bad, got, before)
+		}
+	}
 }
 
 func TestForkLinkFailureIdentity(t *testing.T) {

@@ -89,7 +89,7 @@ func TestBuildNetworkParallelMatchesSequential(t *testing.T) {
 func TestSnapshotRestoreParallelMatchesSequential(t *testing.T) {
 	out := wan2Fixture(t)
 	snap := TakeSnapshot(out.Net)
-	seq, err := snap.Restore()
+	seq, err := snap.RestoreParallel(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,14 +35,9 @@ func TakeSnapshot(net *config.Network) *Snapshot {
 	return s
 }
 
-// Restore parses the snapshot back into a network model, sequentially.
-func (s *Snapshot) Restore() (*config.Network, error) {
-	return s.RestoreParallel(1)
-}
-
-// RestoreParallel restores the snapshot parsing device configurations on a
-// worker pool (par conventions: 0 = GOMAXPROCS, 1 = sequential). The restored
-// model is identical at any parallelism.
+// RestoreParallel parses the snapshot back into a network model, device
+// configurations on a worker pool (par conventions: 0 = GOMAXPROCS, 1 =
+// sequential). The restored model is identical at any parallelism.
 func (s *Snapshot) RestoreParallel(parallelism int) (*config.Network, error) {
 	net, err := config.BuildNetworkOpts(s.Configs, nil, config.BuildOptions{Parallelism: parallelism})
 	if err != nil {

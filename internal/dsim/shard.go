@@ -230,15 +230,8 @@ func (v *ShardVerifier) WhatIf(scenTaskID string, delta core.Delta) (*RouteTask,
 		return nil, shard.ErrNotContained
 	}
 	scratch := v.net.Clone()
-	for _, id := range delta.LinksDown {
-		if !scratch.Topo.SetLinkUp(id, false) {
-			return nil, fmt.Errorf("dsim: scenario link %v not in network", id)
-		}
-	}
-	for _, n := range delta.NodesDown {
-		if !scratch.Topo.SetNodeUp(n, false) {
-			return nil, fmt.Errorf("dsim: scenario node %s not in network", n)
-		}
+	if _, err := delta.Apply(scratch); err != nil {
+		return nil, fmt.Errorf("dsim: scenario: %w", err)
 	}
 	scenIGP := isis.Compute(scratch.Topo, isis.Options{
 		UseTEMetric: v.opts.UseTEMetric,

@@ -489,44 +489,14 @@ func (w *Worker) heartbeat(ctx context.Context, msg SubtaskMsg) {
 	}
 }
 
-// engineFor returns a core engine for the snapshot, memoized across subtasks
-// per (snapshot, options). Beneath it the restored network itself is memoized
-// per (snapshot, parallelism), so switching options — e.g. a strategy sweep
-// over one snapshot — re-runs the IGP but not the download and config parse.
-func (w *Worker) engineFor(ctx context.Context, snapKey string, opts core.Options) (*core.Engine, error) {
-	if w.Parallelism > 0 {
-		opts.Parallelism = w.Parallelism
-	}
-	optsSig, _ := json.Marshal(opts)
-	ekey := snapKey + "|" + string(optsSig)
-	w.cacheMu.Lock()
-	eng, ok := w.engines.get(ekey)
-	w.cacheMu.Unlock()
-	if ok {
-		w.metrics.SnapshotHits.Inc()
-		return eng, nil
-	}
-	net, err := w.networkFor(ctx, snapKey, opts.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	eng = core.NewEngine(net, opts)
-	w.cacheMu.Lock()
-	ev := w.engines.put(ekey, eng)
-	w.cacheMu.Unlock()
-	w.noteEvictions("engine", ev)
-	return eng, nil
-}
-
-// scenarioEngineFor returns an engine for the snapshot with the message's
-// scenario delta applied, memoized per (snapshot, options, delta). With no
-// delta it is exactly engineFor; with one, the cached base network is
-// cloned, the listed links/nodes taken down, and a fresh engine built (full
-// SPF) under a delta-keyed cache entry.
-func (w *Worker) scenarioEngineFor(ctx context.Context, msg SubtaskMsg) (*core.Engine, error) {
-	if len(msg.DownLinks) == 0 && len(msg.DownNodes) == 0 {
-		return w.engineFor(ctx, msg.SnapshotKey, msg.Options)
-	}
+// engineFor returns a core engine for the message's snapshot under its
+// scenario delta, memoized across subtasks per (snapshot, options, delta).
+// Beneath it the restored network itself is memoized per (snapshot,
+// parallelism), so switching options — e.g. a strategy sweep over one
+// snapshot — re-runs the IGP but not the download and config parse. A
+// scenario's engine is built (full SPF) on a clone of that network with the
+// listed links and nodes taken down.
+func (w *Worker) engineFor(ctx context.Context, msg SubtaskMsg) (*core.Engine, error) {
 	opts := msg.Options
 	if w.Parallelism > 0 {
 		opts.Parallelism = w.Parallelism
@@ -546,22 +516,17 @@ func (w *Worker) scenarioEngineFor(ctx context.Context, msg SubtaskMsg) (*core.E
 		w.metrics.SnapshotHits.Inc()
 		return eng, nil
 	}
-	base, err := w.networkFor(ctx, msg.SnapshotKey, opts.Parallelism)
+	net, err := w.networkFor(ctx, msg.SnapshotKey, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	scen := base.Clone()
-	for _, id := range msg.DownLinks {
-		if !scen.Topo.SetLinkUp(id, false) {
-			return nil, fmt.Errorf("scenario link %v not in snapshot", id)
+	if len(msg.DownLinks)+len(msg.DownNodes) > 0 {
+		net = net.Clone()
+		if _, err := (core.Delta{LinksDown: msg.DownLinks, NodesDown: msg.DownNodes}).Apply(net); err != nil {
+			return nil, fmt.Errorf("scenario not in snapshot: %w", err)
 		}
 	}
-	for _, n := range msg.DownNodes {
-		if !scen.Topo.SetNodeUp(n, false) {
-			return nil, fmt.Errorf("scenario node %s not in snapshot", n)
-		}
-	}
-	eng = core.NewEngine(scen, opts)
+	eng = core.NewEngine(net, opts)
 	w.cacheMu.Lock()
 	ev := w.engines.put(ekey, eng)
 	w.cacheMu.Unlock()
@@ -660,7 +625,7 @@ func (w *Worker) ribCacheLocked() *lru[ribEntry] {
 // routeSubtask simulates a subset of input routes and stores the resulting
 // RIB rows.
 func (w *Worker) routeSubtask(ctx context.Context, msg SubtaskMsg) error {
-	eng, err := w.scenarioEngineFor(ctx, msg)
+	eng, err := w.engineFor(ctx, msg)
 	if err != nil {
 		return err
 	}
@@ -707,7 +672,7 @@ func (w *Worker) routeSubtask(ctx context.Context, msg SubtaskMsg) error {
 // stores the shard's outbound contract plus its pre-expansion RIB rows.
 // Both halves of the result are canonical, so re-executions are idempotent.
 func (w *Worker) shardSubtask(ctx context.Context, msg SubtaskMsg) error {
-	eng, err := w.scenarioEngineFor(ctx, msg)
+	eng, err := w.engineFor(ctx, msg)
 	if err != nil {
 		return err
 	}
@@ -754,7 +719,7 @@ func (w *Worker) shardSubtask(ctx context.Context, msg SubtaskMsg) error {
 // heuristic) unless the baseline strategy forces loading everything. It
 // returns the number of RIB files loaded.
 func (w *Worker) trafficSubtask(ctx context.Context, msg SubtaskMsg) (int, error) {
-	eng, err := w.scenarioEngineFor(ctx, msg)
+	eng, err := w.engineFor(ctx, msg)
 	if err != nil {
 		return 0, err
 	}

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strings"
 
+	"hoyan/internal/core"
 	"hoyan/internal/netmodel"
 	"hoyan/internal/rcl"
 	"hoyan/internal/traffic"
@@ -42,6 +43,19 @@ func (s *Snapshot) GlobalRIB() *netmodel.GlobalRIB {
 		s.RIB = s.RIBFn()
 	}
 	return s.RIB
+}
+
+// SnapshotOf is the state an engine result hands to intents: paths and loads
+// as simulated, the global RIB built on first read (a fork whose intents
+// check only paths and loads never builds its blocks), bandwidths from
+// Topology.Bandwidths.
+func SnapshotOf(res *core.Result, bw map[netmodel.LinkID]float64) *Snapshot {
+	snap := &Snapshot{RIBFn: res.Routes.GlobalRIB, Bandwidth: bw}
+	if res.Traffic != nil {
+		snap.Paths = res.Traffic.Traffic.Paths
+		snap.Load = res.Traffic.Traffic.Load
+	}
+	return snap
 }
 
 // Context carries the base (pre-change) and updated (post-change) states.

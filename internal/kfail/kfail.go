@@ -2,17 +2,16 @@
 // that a property still holds when no more than k routers/links have failed.
 // Scenarios are enumerated exhaustively over a candidate element set (with a
 // hard cap suited to the repository's scales) and simulated as incremental
-// forks of the base run: each scenario toggles the failed elements on a
-// reusable topology, warm-starts SPF/BGP/forwarding from the converged base
-// state, and reverts the toggles — instead of cloning the network and
-// recomputing from zero per combination.
+// forks of the base run: each scenario is a core.Delta the engine applies to
+// its own scratch network, warm-starting SPF/BGP/forwarding from the
+// converged base state — instead of cloning the network and recomputing from
+// zero per combination.
 package kfail
 
 import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"hoyan/internal/config"
@@ -20,7 +19,6 @@ import (
 	"hoyan/internal/intent"
 	"hoyan/internal/netmodel"
 	"hoyan/internal/par"
-	"hoyan/internal/shard"
 	"hoyan/internal/telemetry"
 )
 
@@ -48,28 +46,17 @@ type Options struct {
 	MaxScenarios int
 	// Sim holds the engine options for the simulations. Set
 	// Sim.DisableIncremental to re-simulate every scenario from scratch (the
-	// reference path; results are byte-identical).
+	// reference path; results are byte-identical). Sim.Parallelism bounds the
+	// cores of each scenario simulation while the sweep is sequential, also
+	// for warm forks off Options.Engine (0 keeps that engine's own setting);
+	// serve sets it to the tenant's query budget so one sweep cannot occupy
+	// the machine.
 	Sim core.Options
 	// Parallelism fans scenarios over a worker pool (par conventions: 0 =
-	// GOMAXPROCS, 1 = sequential). Each worker gets its own cloned topology;
-	// per-scenario engine parallelism is forced to 1 so the machine is not
-	// oversubscribed. Violation order is deterministic at any setting.
+	// GOMAXPROCS, 1 = sequential). With more than one scenario worker every
+	// scenario simulation is sequential, so scenario-level parallelism owns
+	// the cores. Violation order is deterministic at any setting.
 	Parallelism int
-	// EngineParallelism caps the cores each scenario simulation may use when
-	// the sweep itself is sequential (Parallelism 1) — SPF, ECs, forwarding,
-	// and the cold fixpoint's work units of a from-scratch scenario; a warm
-	// fork's fixpoint is sequential anyway. serve sets it to the tenant's
-	// query budget so one kfail sweep cannot occupy the machine. 0 keeps the
-	// engine's own setting; with scenario workers > 1 it is ignored —
-	// per-scenario simulation is always sequential then, including warm
-	// forks off Options.Engine. Results are byte-identical regardless.
-	EngineParallelism int
-	// Shards, when > 1, routes contained scenarios through the sharded
-	// verifier (internal/shard): a delta whose effects provably stay inside
-	// its touched shards re-runs only those shards boundary-sealed,
-	// warm-started from the base contract state. Uncontained scenarios fall
-	// back to the incremental fork. Results are byte-identical either way.
-	Shards int
 	// Registry receives work-avoidance counters (kfail_scenarios_total,
 	// incr_spf_sources_reused, incr_bgp_tables_dirty, incr_warm_rounds,
 	// incr_flows_reused, incr_rib_rows_changed, incr_rib_rows_rebuilt). Nil
@@ -89,9 +76,7 @@ type Options struct {
 	// Engine, when non-nil, supplies an engine whose BaseRun over exactly
 	// these net/inputs/flows already completed; Check forks scenarios off it
 	// instead of building and converging its own (the warm path a
-	// long-running service takes). The sequential path toggles net in place,
-	// so callers sharing the base network across queries must pass a private
-	// clone.
+	// long-running service takes).
 	Engine *core.Engine
 }
 
@@ -112,6 +97,8 @@ func (r *Result) OK() bool { return len(r.Violations) == 0 }
 
 // Check verifies the intents under every failure combination of at most
 // Options.K elements. The intents' PRE state is the failure-free snapshot.
+// net is only read. An element the topology does not have is an error naming
+// it; one that is already down is a legal no-op.
 func Check(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, intents []intent.Intent, o Options) (*Result, error) {
 	if o.K < 1 {
 		return nil, fmt.Errorf("kfail: K must be >= 1")
@@ -124,18 +111,12 @@ func Check(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, 
 	}
 	combos, _ := enumerateCombos(len(elements), o.K, o.MaxScenarios)
 
-	workers := par.Workers(o.Parallelism)
 	innerOpts := o.Sim
-	forkPar := o.EngineParallelism
-	if workers > 1 {
-		// One engine per scenario worker: keep the inner simulation
-		// sequential so scenario-level parallelism owns the cores. forkPar
-		// caps warm forks off a caller-supplied Engine the same way — its
-		// BaseRun ran at full parallelism, but this sweep's forks must not.
+	if par.Workers(o.Parallelism) > 1 {
+		// Scenario-level parallelism owns the cores: every scenario simulation
+		// is sequential, warm forks off a caller-supplied Engine included —
+		// its BaseRun ran at full parallelism, but this sweep's forks must not.
 		innerOpts.Parallelism = 1
-		forkPar = 1
-	} else if forkPar != 0 {
-		innerOpts.Parallelism = forkPar
 	}
 
 	scenarios := o.Registry.Counter("kfail_scenarios_total", "k-failure scenarios simulated")
@@ -161,148 +142,80 @@ func Check(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, 
 		}
 	}
 
-	var sharded *shard.Engine
-	shardScenarios := o.Registry.Counter("kfail_shard_scenarios_total", "scenarios verified through the sharded path")
-	if o.Shards > 1 {
-		sharded = shard.New(net, inputs, shard.Options{
-			Shards:   o.Shards,
-			Sim:      innerOpts,
-			Registry: o.Registry,
-		})
-		if _, err := sharded.Base(); err != nil {
-			return nil, err
-		}
-	}
-
 	// Bandwidths never change under up/down toggles: share one map across
 	// every snapshot.
-	bw := make(map[netmodel.LinkID]float64, len(net.Topo.Links()))
-	for _, l := range net.Topo.Links() {
-		bw[l.ID()] = l.Bandwidth
-	}
-	base := snapshotFrom(baseRes, bw)
-
-	// scratch topologies: the sequential path toggles the caller's network
-	// in place (reverting after each scenario); parallel workers draw cloned
-	// networks from a pool. Engine.Fork reads the passed network for all new
-	// state and only ever reads the shared base capture, so concurrent forks
-	// off one engine are safe.
-	pool := sync.Pool{New: func() any { return net.Clone() }}
+	bw := net.Topo.Bandwidths()
+	base := intent.SnapshotOf(baseRes, bw)
 
 	type outcome struct {
 		reports []intent.Report
 		ok      bool
+		err     error
 	}
 	outcomes := make([]outcome, len(combos))
 	var done atomic.Int64
 
-	evalScenario := func(scratch *config.Network, combo []int, slot int) {
+	// Engine.WhatIf only ever reads the shared base capture and lends each
+	// call its own scratch network, so concurrent scenarios are safe.
+	par.ForEach(o.Parallelism, len(combos), func(slot int) {
 		if o.Ctx != nil && o.Ctx.Err() != nil {
 			return
 		}
+		combo := combos[slot]
 		var delta core.Delta
-		var revertLinks []netmodel.LinkID
-		var revertNodes []string
 		for _, idx := range combo {
-			el := elements[idx]
-			if el.Node != "" {
-				if n := scratch.Topo.Node(el.Node); n != nil && n.Up {
-					scratch.Topo.SetNodeUp(el.Node, false)
-					delta.NodesDown = append(delta.NodesDown, el.Node)
-					revertNodes = append(revertNodes, el.Node)
-				}
+			if el := elements[idx]; el.Node != "" {
+				delta.NodesDown = append(delta.NodesDown, el.Node)
 			} else {
-				if l := scratch.Topo.Link(el.Link); l != nil && l.Up {
-					scratch.Topo.SetLinkUp(el.Link, false)
-					delta.LinksDown = append(delta.LinksDown, el.Link)
-					revertLinks = append(revertLinks, el.Link)
-				}
+				delta.LinksDown = append(delta.LinksDown, el.Link)
 			}
 		}
 
 		span := o.Tracer.StartRoot("kfail.scenario")
 		span.SetTag("failed", elementNames(elements, combo))
-		var snap *intent.Snapshot
-		if sharded != nil {
-			if sres, err := sharded.WhatIf(scratch, delta); err == nil {
-				shardScenarios.Inc()
-				span.SetTag("mode", "shard")
-				span.SetTag("shard_rounds", fmt.Sprintf("%d", sres.Rounds))
-				rows := sres.RIB.Rows()
-				snap = &intent.Snapshot{RIB: sres.RIB, Bandwidth: bw}
-				if len(flows) > 0 {
-					tr := sres.Eng.TrafficSimulation(netmodel.NewRIBSet(rows), rows, flows)
-					snap.Paths = tr.Traffic.Paths
-					snap.Load = tr.Traffic.Load
-				}
-			}
+		res, stats, err := eng.WhatIf(o.Ctx, delta, innerOpts.Parallelism)
+		if err != nil {
+			// Cancelled mid-fork, or an element the topology does not have:
+			// Check returns an error below, never the partial result.
+			span.End()
+			outcomes[slot].err = fmt.Errorf("kfail: scenario {%s}: %w", elementNames(elements, combo), err)
+			return
 		}
-		if snap == nil {
-			res, stats, err := eng.ForkCtxN(o.Ctx, scratch, delta, forkPar)
-			if err != nil {
-				// Cancelled mid-fork: revert the toggles so the scratch network
-				// stays reusable, and leave the slot's zero outcome — Check
-				// returns ctx's error below, never the partial result.
-				span.End()
-				for _, id := range revertLinks {
-					scratch.Topo.SetLinkUp(id, true)
-				}
-				for _, n := range revertNodes {
-					scratch.Topo.SetNodeUp(n, true)
-				}
-				return
-			}
-			if stats.Full {
-				fullFallbacks.Inc()
-				span.SetTag("mode", "full")
-			} else {
-				span.SetTag("mode", "incremental")
-				span.SetTag("bgp_tables_dirty", fmt.Sprintf("%d/%d", stats.BGPTablesDirty, stats.BGPTablesTotal))
-				span.SetTag("rib_rows_changed", fmt.Sprintf("%d", stats.RIBRowsChanged))
-				span.SetTag("rib_rows_rebuilt", fmt.Sprintf("%d", stats.RIBRowsRebuilt))
-			}
-			spfReused.Add(int64(stats.SPFReused))
-			bgpDirty.Add(int64(stats.BGPTablesDirty))
-			warmRounds.Add(int64(stats.BGPRounds))
-			flowsReused.Add(int64(stats.FlowsReused))
-			ribChanged.Add(int64(stats.RIBRowsChanged))
-			ribRebuilt.Add(int64(stats.RIBRowsRebuilt))
-			snap = snapshotFrom(res, bw)
+		if stats.Full {
+			fullFallbacks.Inc()
+			span.SetTag("mode", "full")
+		} else {
+			span.SetTag("mode", "incremental")
+			span.SetTag("bgp_tables_dirty", fmt.Sprintf("%d/%d", stats.BGPTablesDirty, stats.BGPTablesTotal))
+			span.SetTag("rib_rows_changed", fmt.Sprintf("%d", stats.RIBRowsChanged))
+			span.SetTag("rib_rows_rebuilt", fmt.Sprintf("%d", stats.RIBRowsRebuilt))
 		}
+		spfReused.Add(int64(stats.SPFReused))
+		bgpDirty.Add(int64(stats.BGPTablesDirty))
+		warmRounds.Add(int64(stats.BGPRounds))
+		flowsReused.Add(int64(stats.FlowsReused))
+		ribChanged.Add(int64(stats.RIBRowsChanged))
+		ribRebuilt.Add(int64(stats.RIBRowsRebuilt))
 		span.End()
 
-		for _, id := range revertLinks {
-			scratch.Topo.SetLinkUp(id, true)
-		}
-		for _, n := range revertNodes {
-			scratch.Topo.SetNodeUp(n, true)
-		}
-
 		scenarios.Inc()
-		ctx := &intent.Context{Base: *base, Updated: *snap}
+		ctx := &intent.Context{Base: *base, Updated: *intent.SnapshotOf(res, bw)}
 		reports, ok := intent.Verify(ctx, intents)
 		outcomes[slot] = outcome{reports: reports, ok: ok}
 		if o.Progress != nil {
 			o.Progress(int(done.Add(1)), len(combos))
 		}
-	}
-
-	if workers <= 1 {
-		for i, combo := range combos {
-			evalScenario(net, combo, i)
-		}
-	} else {
-		par.ForEach(o.Parallelism, len(combos), func(i int) {
-			scratch := pool.Get().(*config.Network)
-			evalScenario(scratch, combos[i], i)
-			pool.Put(scratch)
-		})
-	}
+	})
 
 	if o.Ctx != nil && o.Ctx.Err() != nil {
 		// A zero-valued outcome reads as a violation; never surface the
 		// partial sweep.
 		return nil, o.Ctx.Err()
+	}
+	for i := range outcomes {
+		if outcomes[i].err != nil {
+			return nil, outcomes[i].err
+		}
 	}
 
 	res := &Result{Scenarios: len(combos)}
@@ -357,13 +270,4 @@ func elementNames(elements []Element, combo []int) string {
 		names[i] = elements[idx].String()
 	}
 	return strings.Join(names, ",")
-}
-
-func snapshotFrom(r *core.Result, bw map[netmodel.LinkID]float64) *intent.Snapshot {
-	snap := &intent.Snapshot{RIBFn: r.Routes.GlobalRIB, Bandwidth: bw}
-	if r.Traffic != nil {
-		snap.Paths = r.Traffic.Traffic.Paths
-		snap.Load = r.Traffic.Traffic.Load
-	}
-	return snap
 }

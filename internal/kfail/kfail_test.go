@@ -1,15 +1,17 @@
 package kfail
 
 import (
+	"context"
+	"errors"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
 	"hoyan/internal/intent"
 	"hoyan/internal/netmodel"
-	"hoyan/internal/telemetry"
 )
 
 func TestSingleFailureToleranceOfGeneratedWAN(t *testing.T) {
@@ -106,56 +108,85 @@ func TestBadK(t *testing.T) {
 	}
 }
 
-var _ = netmodel.DefaultVRF
-
-// TestShardedCheckMatchesWholeNetwork runs the same k-failure check with the
-// sharded verifier on and off: scenario counts, violation sets, and per-link
-// loads behind the intents must agree exactly, with and without flows and at
-// both parallelism settings.
-func TestShardedCheckMatchesWholeNetwork(t *testing.T) {
-	out := gen.Generate(gen.WAN(1))
-	reach := intent.ReachIntent{
-		Prefix:  netip.MustParsePrefix("10.0.0.0/24"),
-		Devices: []string{"rr-1-0"},
-		Want:    true,
+// upFlags records every Up flag of a topology, for before/after comparison.
+func upFlags(topo *netmodel.Topology) map[string]bool {
+	flags := make(map[string]bool)
+	for _, n := range topo.Nodes() {
+		flags["node:"+n.Name] = n.Up
 	}
-	loads := intent.LoadIntent{MaxUtilization: 0.95}
-	intents := []intent.Intent{reach, loads}
+	for _, l := range topo.Links() {
+		flags["link:"+l.ID().String()] = l.Up
+	}
+	return flags
+}
+
+// TestUnknownElementIsAnError: an element the topology does not have used to
+// be skipped, so the failure-free network was verified and reported as
+// holding. Check must name it instead; an element that is merely already down
+// stays a legal no-op.
+func TestUnknownElementIsAnError(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	reach := intent.ReachIntent{Prefix: netip.MustParsePrefix("10.0.0.0/24"), Devices: []string{"rr-1-0"}, Want: true}
+	real := out.Net.Topo.LinksOf("dc-0-0")[0].ID()
+	bogusLink := real
+	bogusLink.BIface = "no-such-iface"
 	for _, par := range []int{1, 4} {
-		ref, err := Check(out.Net, out.Inputs, out.Flows, intents, Options{
-			K: 1, Parallelism: par, Sim: core.Options{},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := telemetry.NewRegistry()
-		got, err := Check(out.Net, out.Inputs, out.Flows, intents, Options{
-			K: 1, Parallelism: par, Shards: 3, Registry: reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Scenarios != ref.Scenarios {
-			t.Fatalf("par=%d: scenarios %d != %d", par, got.Scenarios, ref.Scenarios)
-		}
-		if len(got.Violations) != len(ref.Violations) {
-			t.Fatalf("par=%d: violations %d != %d", par, len(got.Violations), len(ref.Violations))
-		}
-		for i := range got.Violations {
-			if !reflect.DeepEqual(got.Violations[i].Failed, ref.Violations[i].Failed) {
-				t.Errorf("par=%d: violation %d failed-set differs: %v vs %v",
-					par, i, got.Violations[i].Failed, ref.Violations[i].Failed)
+		for _, bogus := range []Element{{Link: bogusLink}, {Node: "no-such-device"}} {
+			res, err := Check(out.Net, out.Inputs, nil, []intent.Intent{reach}, Options{
+				K: 1, Parallelism: par, Elements: []Element{{Link: real}, bogus},
+			})
+			if err == nil || res != nil {
+				t.Fatalf("par=%d %s: res=%v err=%v, want an error", par, bogus, res, err)
+			}
+			if !strings.Contains(err.Error(), bogus.String()) {
+				t.Errorf("par=%d: error %q does not name %s", par, err, bogus)
 			}
 		}
-		// The sharded path actually carried scenarios (not all fallbacks).
-		carried := 0.0
-		for _, m := range reg.Gather() {
-			if m.Name == "kfail_shard_scenarios_total" {
-				carried = m.Value
-			}
+	}
+
+	down := out.Net.Clone()
+	down.Topo.SetLinkUp(real, false)
+	res, err := Check(down, out.Inputs, nil, []intent.Intent{reach}, Options{K: 1, Elements: []Element{{Link: real}}})
+	if err != nil || res.Scenarios != 1 || !res.OK() {
+		t.Fatalf("already-down element: res=%+v err=%v, want one holding scenario", res, err)
+	}
+}
+
+// TestCheckLeavesNetworkUntouched: Check reads the caller's network and never
+// writes it — at either parallelism, with link and node elements, and when
+// cancelled mid-sweep.
+func TestCheckLeavesNetworkUntouched(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	reach := intent.ReachIntent{Prefix: netip.MustParsePrefix("10.0.0.0/24"), Devices: []string{"rr-1-0"}, Want: true}
+	intents := []intent.Intent{reach, intent.LoadIntent{MaxUtilization: 0.95}}
+	elems := []Element{{Node: "core-0-0"}}
+	for _, l := range out.Net.Topo.Links() {
+		elems = append(elems, Element{Link: l.ID()})
+	}
+	before := upFlags(out.Net.Topo)
+	for _, par := range []int{1, 4} {
+		if _, err := Check(out.Net, out.Inputs, out.Flows, intents, Options{K: 1, Parallelism: par, Elements: elems}); err != nil {
+			t.Fatal(err)
 		}
-		if carried == 0 {
-			t.Errorf("par=%d: no scenario rode the sharded path", par)
+		if after := upFlags(out.Net.Topo); !reflect.DeepEqual(before, after) {
+			t.Fatalf("par=%d: Check changed the caller's Up flags", par)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := Check(out.Net, out.Inputs, out.Flows, intents, Options{
+			K: 1, Parallelism: par, Elements: elems, Ctx: ctx,
+			Progress: func(done, total int) {
+				if done == 3 {
+					cancel()
+				}
+			},
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("par=%d: cancelled sweep err = %v, want context.Canceled", par, err)
+		}
+		if after := upFlags(out.Net.Topo); !reflect.DeepEqual(before, after) {
+			t.Fatalf("par=%d: cancelled Check changed the caller's Up flags", par)
 		}
 	}
 }

@@ -190,6 +190,17 @@ func (t *Topology) FindLink(a, b string) *Link {
 // Links returns all links in insertion order.
 func (t *Topology) Links() []*Link { return t.links }
 
+// Bandwidths maps every link to its capacity in bits per second, the form
+// load intents read. Up/down toggles never change it, so one map serves a
+// base state and every what-if derived from it.
+func (t *Topology) Bandwidths() map[LinkID]float64 {
+	out := make(map[LinkID]float64, len(t.links))
+	for _, l := range t.links {
+		out[l.ID()] = l.Bandwidth
+	}
+	return out
+}
+
 // LinksOf returns the links touching device.
 func (t *Topology) LinksOf(device string) []*Link { return t.byDevice[device] }
 

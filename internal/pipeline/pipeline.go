@@ -174,19 +174,11 @@ func (s *System) Simulate(taskID string) (*intent.Snapshot, error) {
 // forks instead of from-scratch simulations.
 func (s *System) BaseSnapshot() *intent.Snapshot {
 	if s.baseSnap == nil {
-		res := s.baseEngine().BaseRun(s.Inputs, s.Flows)
-		s.baseSnap = snapshotOf(res, s.Base)
+		s.baseEng = core.NewEngine(s.Base, s.Opts)
+		s.baseSnap = snapshotOf(s.baseEng.BaseRun(s.Inputs, s.Flows), s.Base)
 		s.lastReport.Intern = s.baseEng.InternStats()
 	}
 	return s.baseSnap
-}
-
-// baseEngine returns the cached engine over the base network.
-func (s *System) baseEngine() *core.Engine {
-	if s.baseEng == nil {
-		s.baseEng = core.NewEngine(s.Base, s.Opts)
-	}
-	return s.baseEng
 }
 
 // LastForkStats reports the work avoided by the most recent incremental
@@ -201,15 +193,12 @@ func (s *System) simulate(net *config.Network, inputs []netmodel.Route, flows []
 	return snap
 }
 
+// snapshotOf is intent.SnapshotOf over net's bandwidths with the global RIB
+// built: callers of Simulate, BaseSnapshot and Verify read Snapshot.RIB
+// directly.
 func snapshotOf(res *core.Result, net *config.Network) *intent.Snapshot {
-	snap := &intent.Snapshot{
-		RIB:       res.Routes.GlobalRIB(),
-		Bandwidth: bandwidths(net),
-	}
-	if res.Traffic != nil {
-		snap.Paths = res.Traffic.Traffic.Paths
-		snap.Load = res.Traffic.Traffic.Load
-	}
+	snap := intent.SnapshotOf(res, net.Topo.Bandwidths())
+	snap.GlobalRIB()
 	return snap
 }
 
@@ -326,7 +315,7 @@ func (s *System) simulateDistributed(net *config.Network, inputs []netmodel.Rout
 	}); err != nil {
 		return nil, err
 	}
-	snap := &intent.Snapshot{RIB: rib, Bandwidth: bandwidths(net)}
+	snap := &intent.Snapshot{RIB: rib, Bandwidth: net.Topo.Bandwidths()}
 	if len(flows) > 0 {
 		var tt *dsim.TrafficTask
 		if err := stage("traffic_enqueue", func() (err error) {
@@ -353,58 +342,54 @@ func (s *System) simulateDistributed(net *config.Network, inputs []netmodel.Rout
 	return snap, nil
 }
 
-func bandwidths(net *config.Network) map[netmodel.LinkID]float64 {
-	out := make(map[netmodel.LinkID]float64)
-	for _, l := range net.Topo.Links() {
-		out[l.ID()] = l.Bandwidth
-	}
-	return out
-}
-
 // Outcome is the result of one change verification request.
 type Outcome struct {
 	Plan    *change.Plan
 	Reports []intent.Report
 	OK      bool
 
-	Updated    *config.Network
 	BaseSnap   *intent.Snapshot
 	UpdateSnap *intent.Snapshot
 }
 
-// Verify runs one change verification request: apply the plan to a copy of
-// the base model, simulate the updated network, and check the intents
-// against base and updated states.
+// Verify runs one change verification request: simulate the network under the
+// plan and check the intents against base and updated states. A pure-delta
+// plan (up/down toggles, input changes) on the centralized deployment is a
+// fork of the cached base run — byte-identical to the full path, recomputing
+// only what the delta touched; Opts.DisableIncremental makes the fork itself
+// simulate from scratch. Any other plan is applied to a copy of the base model
+// and simulated in full.
 func (s *System) Verify(plan *change.Plan, intents []intent.Intent) (*Outcome, error) {
-	updated, err := plan.Apply(s.Base)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: applying change plan: %w", err)
-	}
-	inputs := plan.ApplyInputs(s.Inputs)
-
 	var upSnap *intent.Snapshot
-	if s.Workers > 0 {
-		upSnap, err = s.simulateDistributed(updated, inputs, s.Flows, "verify-"+plan.ID)
+	if d, pure := plan.Delta(); pure && s.Workers == 0 {
+		s.BaseSnapshot() // converges baseEng on first use
+		res, stats, err := s.baseEng.WhatIf(nil, d, 0)
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: distributed simulation: %w", err)
+			return nil, fmt.Errorf("pipeline: applying change plan %s: %w", plan.ID, err)
 		}
-	} else if d, pure := plan.Delta(); pure && !s.Opts.DisableIncremental {
-		// Pure-delta plans (up/down toggles, input changes) re-simulate as
-		// warm-started forks of the cached base run — byte-identical to the
-		// full path, recomputing only what the delta touched.
-		s.BaseSnapshot()
-		res, stats := s.baseEngine().Fork(updated, d)
 		s.lastFork, s.forked = stats, true
-		upSnap = snapshotOf(res, updated)
+		upSnap = snapshotOf(res, s.Base)
 	} else {
-		upSnap = s.simulate(updated, inputs, s.Flows)
+		updated, err := plan.Apply(s.Base)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: applying change plan: %w", err)
+		}
+		inputs := plan.ApplyInputs(s.Inputs)
+		if s.Workers > 0 {
+			upSnap, err = s.simulateDistributed(updated, inputs, s.Flows, "verify-"+plan.ID)
+			if err != nil {
+				return nil, fmt.Errorf("pipeline: distributed simulation: %w", err)
+			}
+		} else {
+			upSnap = s.simulate(updated, inputs, s.Flows)
+		}
 	}
 
 	ctx := &intent.Context{Base: *s.BaseSnapshot(), Updated: *upSnap}
 	reports, ok := intent.Verify(ctx, intents)
 	return &Outcome{
 		Plan: plan, Reports: reports, OK: ok,
-		Updated: updated, BaseSnap: s.BaseSnapshot(), UpdateSnap: upSnap,
+		BaseSnap: s.BaseSnapshot(), UpdateSnap: upSnap,
 	}, nil
 }
 

@@ -7,17 +7,17 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"hoyan/internal/config"
 	"hoyan/internal/core"
+	"hoyan/internal/intent"
 	"hoyan/internal/netmodel"
 )
 
 // Network is one loaded snapshot: the parsed model, a warm engine with a
-// completed BaseRun, the base state's digest, and a pool of scratch network
-// clones so concurrent what-if queries never pay the full clone cost twice.
+// completed BaseRun, and the base state's digest. What-if queries hold no
+// network of their own: the engine lends each its scratch clone.
 type Network struct {
 	ID      string
 	net     *config.Network
@@ -31,10 +31,8 @@ type Network struct {
 	// starts from baseSum and exchanges only the blocks its RIB replaced.
 	baseSum   laneSum
 	blockSums map[*netmodel.Route]laneSum
-	bw        map[netmodel.LinkID]float64
+	baseSnap  *intent.Snapshot // base as intents read it: the PRE side of every query
 	loadedAt  time.Time
-
-	clones sync.Pool
 }
 
 // loadNetwork builds the engine and runs the base simulation once — the
@@ -53,8 +51,8 @@ func loadNetwork(id string, net *config.Network, inputs []netmodel.Route, flows 
 		flows:     flows,
 		eng:       eng,
 		base:      base,
+		baseSnap:  intent.SnapshotOf(base, net.Topo.Bandwidths()),
 		blockSums: make(map[*netmodel.Route]laneSum, len(blocks)),
-		bw:        make(map[netmodel.LinkID]float64),
 		loadedAt:  time.Now(),
 	}
 	for _, b := range blocks {
@@ -63,23 +61,7 @@ func loadNetwork(id string, net *config.Network, inputs []netmodel.Route, flows 
 		n.baseSum.add(sum)
 	}
 	n.baseDig = n.baseSum.String()
-	for _, l := range net.Topo.Links() {
-		if l.Bandwidth > 0 {
-			n.bw[l.ID()] = l.Bandwidth
-		}
-	}
-	n.clones.New = func() any { return n.net.Clone() }
 	return n, nil
-}
-
-// scratch hands out a private clone of the network model; putScratch returns
-// it. Callers must revert every topology toggle before returning the clone.
-func (n *Network) scratch() *config.Network {
-	return n.clones.Get().(*config.Network)
-}
-
-func (n *Network) putScratch(c *config.Network) {
-	n.clones.Put(c)
 }
 
 // resolveLinks maps LinkRefs to link IDs on this network's topology.

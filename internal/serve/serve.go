@@ -11,6 +11,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -266,6 +267,26 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// Request bodies are read through http.MaxBytesReader, so a client cannot
+// make a decoder buffer an unbounded body. A query carries specs and per-device
+// command blocks; a network upload carries every configuration — a wire
+// bundle of gen.WAN(20)'s 616 devices is 0.4 MB.
+const (
+	maxQueryBody   = 8 << 20
+	maxNetworkBody = 64 << 20
+)
+
+// writeDecodeError answers a request whose body did not decode: 413 when the
+// decoder ran into the body limit, 400 otherwise.
+func writeDecodeError(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds %d bytes", what, tooLarge.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "%s: %v", what, err)
+}
+
 // authTenant authenticates or writes 401.
 func (s *Server) authTenant(w http.ResponseWriter, r *http.Request) *tenant {
 	t := s.adm.authenticate(r)
@@ -321,6 +342,7 @@ func (s *Server) handleLoadNetwork(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxNetworkBody)
 	start := time.Now()
 	var (
 		id       string
@@ -340,13 +362,13 @@ func (s *Server) handleLoadNetwork(w http.ResponseWriter, r *http.Request) {
 		}
 		net, inputs, flows, err = DecodeBundle(r.Body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "decoding wire bundle: %v", err)
+			writeDecodeError(w, "decoding wire bundle", err)
 			return
 		}
 	} else {
 		var req loadNetworkRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+			writeDecodeError(w, "decoding request", err)
 			return
 		}
 		if len(req.Configs) == 0 {
@@ -426,8 +448,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		writeDecodeError(w, "decoding request", err)
 		return
 	}
 	if _, err := s.network(req.NetworkID); err != nil {

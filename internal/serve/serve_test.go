@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -888,9 +890,7 @@ func TestServeRIBWorkCounters(t *testing.T) {
 	}
 
 	l := out.Net.Topo.Links()[0]
-	scratch := out.Net.Clone()
-	scratch.Topo.SetLinkUp(l.ID(), false)
-	fork, _, err := n.eng.ForkCtx(context.Background(), scratch, core.Delta{LinksDown: []netmodel.LinkID{l.ID()}})
+	fork, _, err := n.eng.WhatIf(context.Background(), core.Delta{LinksDown: []netmodel.LinkID{l.ID()}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -947,7 +947,7 @@ func TestWarmQueryForkWork(t *testing.T) {
 	id := out.Net.Topo.Links()[0].ID()
 	scratch := out.Net.Clone()
 	scratch.Topo.SetLinkUp(id, false)
-	_, st, err := n.eng.ForkCtx(context.Background(), scratch, core.Delta{LinksDown: []netmodel.LinkID{id}})
+	_, st, err := n.eng.WhatIf(context.Background(), core.Delta{LinksDown: []netmodel.LinkID{id}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -966,5 +966,82 @@ func TestWarmQueryForkWork(t *testing.T) {
 		t.Errorf("fork ran %d fixpoint rounds, the cold run %d", st.BGPRounds, cold.Routes.BGP.Rounds)
 	case 4*st.FlowsReused < st.FlowsTotal:
 		t.Errorf("fork reused %d of %d flows, want at least a quarter", st.FlowsReused, st.FlowsTotal)
+	}
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestRequestBodyLimits: every POST decoder reads through a bound. One byte
+// past it is a 413 with a JSON error, whatever the body would have decoded to;
+// a JSON body of exactly the bound still goes through. Requests go straight
+// to the handler, so nothing depends on how a client sees an early reply.
+func TestRequestBodyLimits(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	srv, _ := bareServer(t, out, Config{})
+	post := func(path, contentType string, body io.Reader) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("POST", path, body)
+		req.Header.Set("X-API-Key", "k")
+		req.Header.Set("Content-Type", contentType)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	// padded is doc behind enough leading whitespace to make size bytes.
+	padded := func(doc any, size int64) io.Reader {
+		b, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return io.MultiReader(io.LimitReader(spaces{}, size-int64(len(b))), bytes.NewReader(b))
+	}
+	query := QueryRequest{Kind: "verify", Specs: []string{"prefix = 255.255.255.255/32 => PRE = POST"}}
+	upload := loadNetworkRequest{ID: "padded", Configs: out.ConfigTexts()}
+	// A bundle whose first section claims the whole bound: with its 8-byte
+	// length prefix the body is over.
+	var bundle bytes.Buffer
+	binary.Write(&bundle, binary.BigEndian, uint64(maxNetworkBody))
+	overBundle := io.MultiReader(&bundle, io.LimitReader(spaces{}, maxNetworkBody))
+
+	for _, tc := range []struct {
+		name, path, contentType string
+		body                    io.Reader
+		want                    int
+	}{
+		{"query at the limit", "/v1/queries", "application/json", padded(query, maxQueryBody), http.StatusAccepted},
+		{"query over the limit", "/v1/queries", "application/json", padded(query, maxQueryBody+1), http.StatusRequestEntityTooLarge},
+		{"configs at the limit", "/v1/networks", "application/json", padded(upload, maxNetworkBody), http.StatusCreated},
+		{"configs over the limit", "/v1/networks", "application/json", padded(upload, maxNetworkBody+1), http.StatusRequestEntityTooLarge},
+		{"bundle over the limit", "/v1/networks", "application/x-hoyan-wire", overBundle, http.StatusRequestEntityTooLarge},
+	} {
+		rec := post(tc.path, tc.contentType, tc.body)
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d: %s", tc.name, rec.Code, tc.want, rec.Body)
+			continue
+		}
+		if tc.want == http.StatusRequestEntityTooLarge {
+			var e map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e["error"] == "" {
+				t.Errorf("%s: 413 body %q is not a JSON error", tc.name, rec.Body)
+			}
+		}
+	}
+}
+
+// TestWhatIfUnknownDeviceFails: serve leaves the check to the engine, and the
+// engine's rejection must come back as the query's error, not as a what-if of
+// the failure-free network.
+func TestWhatIfUnknownDeviceFails(t *testing.T) {
+	srv, n := bareServer(t, gen.Generate(gen.WAN(1)), Config{})
+	res, err := srv.runWhatIf(context.Background(), n, &Query{Req: QueryRequest{FailDevices: []string{"no-such-device"}}})
+	if err == nil || res != nil || !strings.Contains(err.Error(), "no-such-device") {
+		t.Fatalf("res=%v err=%v, want an error naming the device", res, err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/intent"
 	"hoyan/internal/kfail"
-	"hoyan/internal/netmodel"
 	"hoyan/internal/telemetry"
 )
 
@@ -120,20 +119,15 @@ func (s *Server) run(ctx context.Context, qu *Query) (*QueryResult, error) {
 	}
 }
 
-// buildDelta resolves a what-if request's failures into an engine delta.
+// buildDelta resolves a what-if request's failures into an engine delta. The
+// engine rejects a device the network does not have; links arrive as endpoint
+// pairs and are resolved here.
 func buildDelta(n *Network, req QueryRequest) (core.Delta, error) {
-	var d core.Delta
 	ids, err := n.resolveLinks(req.FailLinks)
 	if err != nil {
-		return d, err
+		return core.Delta{}, err
 	}
-	d.LinksDown = ids
-	for _, dev := range req.FailDevices {
-		if n.net.Topo.Node(dev) == nil {
-			return d, fmt.Errorf("serve: unknown device %q", dev)
-		}
-		d.NodesDown = append(d.NodesDown, dev)
-	}
+	d := core.Delta{LinksDown: ids, NodesDown: req.FailDevices}
 	if len(d.LinksDown) == 0 && len(d.NodesDown) == 0 {
 		return d, fmt.Errorf("serve: what-if query fails nothing (set fail_links or fail_devices)")
 	}
@@ -147,33 +141,7 @@ func (s *Server) runWhatIf(ctx context.Context, n *Network, qu *Query) (*QueryRe
 	if err != nil {
 		return nil, err
 	}
-
-	scratch := n.scratch()
-	defer n.putScratch(scratch)
-	var revertLinks []netmodel.LinkID
-	var revertNodes []string
-	for _, id := range d.LinksDown {
-		if l := scratch.Topo.Link(id); l != nil && l.Up {
-			scratch.Topo.SetLinkUp(id, false)
-			revertLinks = append(revertLinks, id)
-		}
-	}
-	for _, name := range d.NodesDown {
-		if node := scratch.Topo.Node(name); node != nil && node.Up {
-			scratch.Topo.SetNodeUp(name, false)
-			revertNodes = append(revertNodes, name)
-		}
-	}
-	defer func() {
-		for _, id := range revertLinks {
-			scratch.Topo.SetLinkUp(id, true)
-		}
-		for _, name := range revertNodes {
-			scratch.Topo.SetNodeUp(name, true)
-		}
-	}()
-
-	res, _, err := n.eng.ForkCtxN(ctx, scratch, d, s.cfg.QueryParallelism)
+	res, _, err := n.eng.WhatIf(ctx, d, s.cfg.QueryParallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -189,8 +157,7 @@ func (s *Server) runVerify(n *Network, qu *Query) (*QueryResult, error) {
 }
 
 // runKfail sweeps failure combinations off the warm engine, streaming
-// progress events. The sequential kfail path toggles the passed network in
-// place, so it gets a private clone, never the shared base model.
+// progress events.
 func (s *Server) runKfail(ctx context.Context, n *Network, qu *Query) (*QueryResult, error) {
 	k := qu.Req.K
 	if k < 1 {
@@ -205,19 +172,19 @@ func (s *Server) runKfail(ctx context.Context, n *Network, qu *Query) (*QueryRes
 		intents = append(intents, intent.RouteIntent{Spec: spec})
 	}
 
-	scratch := n.scratch()
-	defer n.putScratch(scratch)
-	res, err := kfail.Check(scratch, n.inputs, n.flows, intents, kfail.Options{
+	// Query-level parallelism owns the worker pool, so the sweep is
+	// sequential, but each scenario fork may still use this query's core
+	// slice; without the cap, warm forks off n.eng ran at full engine
+	// parallelism and one sweep starved every other tenant's queries.
+	simOpts := s.cfg.Sim
+	simOpts.Parallelism = s.cfg.QueryParallelism
+	res, err := kfail.Check(n.net, n.inputs, n.flows, intents, kfail.Options{
 		K:            k,
 		MaxScenarios: maxScen,
-		Sim:          s.cfg.Sim,
-		Parallelism:  1, // query-level parallelism owns the worker pool
-		// ...but each scenario fork may still use this query's core slice;
-		// without the cap, warm forks off n.eng ran at full engine
-		// parallelism and one sweep starved every other tenant's queries.
-		EngineParallelism: s.cfg.QueryParallelism,
-		Engine:            n.eng,
-		Ctx:               ctx,
+		Sim:          simOpts,
+		Parallelism:  1,
+		Engine:       n.eng,
+		Ctx:          ctx,
 		Progress: func(done, total int) {
 			if done%16 == 0 || done == total {
 				qu.emit("progress", map[string]int{"done": done, "total": total})
@@ -252,8 +219,8 @@ func (s *Server) runKfail(ctx context.Context, n *Network, qu *Query) (*QueryRes
 }
 
 // runPlan applies a configuration-change plan and simulates the updated
-// model. Pure topology-toggle plans ride the warm fork; config changes
-// rebuild and run cold.
+// model. A plan query always carries commands, which alter the parsed model,
+// so it always rebuilds and runs cold.
 func (s *Server) runPlan(ctx context.Context, n *Network, qu *Query) (*QueryResult, error) {
 	if len(qu.Req.Commands) == 0 {
 		return nil, fmt.Errorf("serve: plan query carries no commands")
@@ -281,7 +248,6 @@ func (s *Server) runPlan(ctx context.Context, n *Network, qu *Query) (*QueryResu
 // attached specs.
 func (s *Server) assemble(n *Network, res *core.Result, specs []string) (*QueryResult, error) {
 	updated := res.Routes.GlobalRIB()
-	baseRIB := n.base.Routes.GlobalRIB()
 	digest, work := n.digestAgainstBase(updated)
 	out := &QueryResult{
 		RIBDigest:  digest,
@@ -293,7 +259,7 @@ func (s *Server) assemble(n *Network, res *core.Result, specs []string) (*QueryR
 	// Equal digests mean identical row sets — skip the Diff. Failures that
 	// leave routing untouched are common enough to fast-path.
 	if out.RIBDigest != out.BaseDigest {
-		onlyBase, onlyUpdated := baseRIB.Diff(updated)
+		onlyBase, onlyUpdated := n.base.Routes.GlobalRIB().Diff(updated)
 		out.RouteDelta = len(onlyBase) + len(onlyUpdated)
 		s.mRowsDiffed.Add(int64(work.unshared))
 	}
@@ -302,18 +268,7 @@ func (s *Server) assemble(n *Network, res *core.Result, specs []string) (*QueryR
 		for _, spec := range specs {
 			intents = append(intents, intent.RouteIntent{Spec: spec})
 		}
-		ictx := &intent.Context{
-			Base:    intent.Snapshot{RIB: baseRIB, Bandwidth: n.bw},
-			Updated: intent.Snapshot{RIB: updated, Bandwidth: n.bw},
-		}
-		if res.Traffic != nil {
-			ictx.Updated.Paths = res.Traffic.Traffic.Paths
-			ictx.Updated.Load = res.Traffic.Traffic.Load
-		}
-		if n.base.Traffic != nil {
-			ictx.Base.Paths = n.base.Traffic.Traffic.Paths
-			ictx.Base.Load = n.base.Traffic.Traffic.Load
-		}
+		ictx := &intent.Context{Base: *n.baseSnap, Updated: *intent.SnapshotOf(res, n.baseSnap.Bandwidth)}
 		reports, ok := intent.Verify(ictx, intents)
 		out.SpecsOK = ok
 		for _, rep := range reports {
