@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-procs vet lint-toggles race bench-smoke bench-core bench-wire bench-shard benchmark chaos chaos-restart trace check
+.PHONY: all build test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke bench-core bench-wire benchmark chaos chaos-restart trace check
 
 all: check
 
@@ -27,13 +27,13 @@ test-shuffle:
 	$(GO) test -count=2 -shuffle=on ./...
 
 # The packages whose goroutine schedule depends on the core count — the cold
-# fixpoint's work units, concurrent forks, scenario and shard fan-out, the
-# global-RIB blocks concurrent queries share with their base (netmodel,
-# intent, serve), and what concurrent forks read of one base while patching
-# their own tables (ec's memoized expansion index, traffic's base traces) — at
-# 1, 2 and 8 procs: results must not depend on how the units interleave.
+# fixpoint's work units, concurrent forks, scenario fan-out, the global-RIB
+# blocks concurrent queries share with their base (netmodel, intent, serve),
+# and what concurrent forks read of one base while patching their own tables
+# (ec's memoized expansion index, traffic's base traces) — at 1, 2 and 8
+# procs: results must not depend on how the units interleave.
 test-procs:
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/shard ./internal/netmodel ./internal/intent ./internal/serve ./internal/ec ./internal/traffic || exit 1; done
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/netmodel ./internal/intent ./internal/serve ./internal/ec ./internal/traffic || exit 1; done
 
 # Race-detector pass over every package: the parallel engine hot paths (SPF,
 # forwarding, ECs, config parse) and the concurrent-engine tests must stay
@@ -46,11 +46,22 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+# Five seconds of coverage-guided fuzzing per Fuzz* target in the repo, so CI
+# runs the targets past their committed seeds. The toolchain fuzzes one target
+# of one package per invocation.
+fuzz-smoke:
+	@grep -rlE '^func Fuzz' --include='*_test.go' . | sort | while read f; do \
+		for t in $$(grep -ohE '^func Fuzz[A-Za-z0-9_]*' $$f | cut -d' ' -f2); do \
+			echo "fuzz $$t ($$(dirname $$f))"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s $$(dirname $$f) || exit 1; \
+		done; \
+	done
+
 # The wall-clock ratio floors of the root-package Test*Speedup /
 # TestWireCompactness measurements are asserted only under
 # HOYAN_BENCH_FLOORS=1: the bench-* targets set it, plain `go test ./...`
 # (tier-1) logs the ratios and asserts only what is deterministic.
-bench-core bench-wire bench-shard: export HOYAN_BENCH_FLOORS = 1
+bench-core bench-wire: export HOYAN_BENCH_FLOORS = 1
 
 # Index-based core measurement: the dense-ID route simulation vs the
 # preserved string-keyed reference (core.Options.DisableIndex) on the
@@ -69,16 +80,6 @@ bench-core:
 bench-wire:
 	WIRE_BENCH_JSON=BENCH_wire.json $(GO) test -run '^TestWireCompactness$$' -v .
 	$(GO) test -run '^$$' -bench '^BenchmarkWire' -benchtime 1x .
-
-# Sharded-verification measurement: intra-shard what-if scenarios through
-# the sharded fleet (touched shards only, boundary-sealed, warm contract
-# state) vs whole-network distributed re-simulation on the gen.WAN(2)
-# fixture. Asserts the >=2x scenario-sweep floor and writes the measured
-# numbers (plus contract-state footprint) to BENCH_shard.json; the one-shot
-# Benchmark{ShardWhatIf,WholeNetworkScenario} pass catches bench bit-rot.
-bench-shard:
-	SHARD_BENCH_JSON=BENCH_shard.json $(GO) test -run '^TestShardSpeedup$$' -v .
-	$(GO) test -run '^$$' -bench '^Benchmark(ShardWhatIf|WholeNetworkScenario)$$' -benchtime 1x .
 
 # The repo benchmark once over every workload, untraced and traced, as a
 # goldens and cross-check smoke: it exits non-zero unless every run is
@@ -108,4 +109,4 @@ chaos-restart:
 trace:
 	$(GO) run ./cmd/hoyan-exp -scale 1 -trace trace.json report
 
-check: vet lint-toggles build race bench-smoke bench-core bench-wire bench-shard chaos chaos-restart benchmark
+check: vet lint-toggles build race bench-smoke fuzz-smoke bench-core bench-wire chaos chaos-restart benchmark

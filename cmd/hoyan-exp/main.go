@@ -26,7 +26,6 @@ import (
 func main() {
 	scaleK := flag.Int("scale", 0, "WAN scale multiplier (0 = default experiment scale)")
 	traceOut := flag.String("trace", "", "write the report experiment's Chrome trace_event JSON here")
-	shardsN := flag.Int("shards", 0, "run the report experiment's route stage through this many region shards (<=1 = whole-network)")
 	flag.Parse()
 
 	s := experiments.DefaultScale()
@@ -99,7 +98,7 @@ func main() {
 		experiments.PrintServe(out, rep)
 	})
 	run("report", func() {
-		rep, err := experiments.Report(s, *shardsN)
+		rep, err := experiments.Report(s)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "report:", err)
 			os.Exit(1)

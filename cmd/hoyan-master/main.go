@@ -8,7 +8,6 @@
 //
 //	hoyan-master                               # just host the substrates
 //	hoyan-master -run -scale 2 -subtasks 40    # host and drive a simulation
-//	hoyan-master -run -shards 4                # sharded route stage (boundary contracts)
 //	hoyan-master -run -http :7100              # + /metrics /healthz /debug/pprof
 //	hoyan-master -data-dir /var/hoyan          # WAL-backed substrates
 //	hoyan-master -data-dir /var/hoyan -resume cli-task -scale 2 -subtasks 40
@@ -23,7 +22,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"hoyan/internal/core"
 	"hoyan/internal/dsim"
 	"hoyan/internal/durable"
 	"hoyan/internal/gen"
@@ -47,7 +45,6 @@ func main() {
 	runSim := flag.Bool("run", false, "drive a distributed simulation after serving")
 	scale := flag.Int("scale", 2, "gen.WAN scale for -run")
 	subtasks := flag.Int("subtasks", 40, "route subtasks for -run")
-	shards := flag.Int("shards", 0, "partition the route stage into this many region shards with boundary-route contracts (<=1 = whole-network)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "simulation timeout for -run")
 	lease := flag.Duration("lease", 30*time.Second, "lease timeout before a silent worker's subtask is reclaimed (0 disables)")
 	maxAttempts := flag.Int("max-attempts", 3, "attempts per subtask before the task fails permanently")
@@ -172,11 +169,13 @@ func main() {
 		len(g.Net.Devices), len(g.Inputs), len(g.Flows))
 	runSpan := master.BeginRun(taskID)
 	start := time.Now()
-	var task *dsim.RouteTask
-	var tt *dsim.TrafficTask
+	sim := &dsim.Simulation{
+		TaskID: taskID, Net: g.Net, Inputs: g.Inputs, Flows: g.Flows,
+		RouteSubtasks: *subtasks, TrafficSubtasks: *subtasks,
+	}
 	if *resumeID != "" {
 		// Re-enqueue whatever the previous incarnation left unfinished; the
-		// traffic phase (if on record) resumes below, otherwise it starts
+		// traffic phase (if on record) resumes too, otherwise it starts
 		// fresh off the regenerated flows (same -scale, same deterministic
 		// generator).
 		info, err := master.Resume(taskID)
@@ -185,64 +184,28 @@ func main() {
 		}
 		fmt.Printf("resumed task %s: %d route / %d traffic subtasks (%d done, %d re-enqueued)\n",
 			taskID, info.RouteSubtasks, info.TrafficSubtasks, info.Done, info.Reenqueued)
-		task = info.RouteTask()
-		tt = info.TrafficTask()
-	} else {
-		snapKey, err := master.UploadSnapshot(taskID, g.Net)
-		if err != nil {
-			fatal(err)
+		sim.Resume = info
+	}
+	// progress prints what each finished stage has to show.
+	progress := func(name string, fn func() error) error {
+		if err := fn(); err != nil {
+			return err
 		}
-		if *shards > 1 {
-			// Sharded route stage: workers run boundary-sealed fixpoints per
-			// shard while the master drives contract-exchange rounds; Base
-			// blocks until the seams are stable and the stitched result is
-			// written, so the route Wait below is satisfied immediately.
-			v := master.NewShardVerifier(snapKey, g.Net, g.Inputs, *shards, 0, core.Options{})
-			fmt.Printf("sharded route stage: %d shards; waiting for workers...\n", v.Partition().NumShards())
-			task, err = v.Base(taskID, *subtasks)
-			if err != nil {
-				fatal(err)
-			}
-			mode := "seams stable"
-			if v.BaseFellBack {
-				mode = "fell back to whole-network"
-			}
-			fmt.Printf("shard fixpoint: %d contract rounds, %d boundary routes (%s)\n",
-				v.LastRounds, v.ContractRoutes(), mode)
-		} else {
-			task, err = master.StartRouteSimulation(taskID, snapKey, g.Inputs, *subtasks, core.Options{})
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("enqueued %d route subtasks; waiting for workers...\n", task.Subtasks)
+		switch name {
+		case "route_enqueue":
+			fmt.Printf("enqueued %d route subtasks; waiting for workers...\n", sim.Route.Subtasks)
+		case "route_collect":
+			fmt.Printf("route simulation done in %s: %d RIB rows\n",
+				time.Since(start).Round(time.Millisecond), sim.RIB.Len())
 		}
+		return nil
 	}
-	if err := master.Wait(taskID, "route", task.Subtasks); err != nil {
-		fatal(err)
-	}
-	rib, err := master.CollectRouteResults(task)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("route simulation done in %s: %d RIB rows\n",
-		time.Since(start).Round(time.Millisecond), rib.Len())
-
-	if tt == nil {
-		tt, err = master.StartTrafficSimulation(taskID, task, g.Flows, *subtasks, dsim.StrategyOrdered, core.Options{})
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if err := master.Wait(taskID, "traffic", tt.Subtasks); err != nil {
-		fatal(err)
-	}
-	sum, err := master.CollectTrafficResults(tt)
-	if err != nil {
+	if err := master.Simulate(sim, progress); err != nil {
 		fatal(err)
 	}
 	runSpan.End()
 	fmt.Printf("traffic simulation done: %d flow paths, %d loaded links\n",
-		len(sum.Paths), len(sum.Load))
+		len(sim.Summary.Paths), len(sim.Summary.Load))
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

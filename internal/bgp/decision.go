@@ -597,13 +597,6 @@ func (s *sim) advertiseInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32,
 			}
 			adv = append(adv, r)
 		}
-		// Sealed runs capture seam-crossing advertisements into the boundary
-		// contract instead of delivering them: the receiver lives in another
-		// shard and replays them from its own inbound contract.
-		if seal := s.opts.Seal; seal != nil && !seal.Inside[sess.remote] {
-			s.captureBoundary(ti.k.dev, sess, p, adv)
-			continue
-		}
 		if len(out) == cap(out) {
 			// Double: the runtime grows a large slice by a quarter, which
 			// copies the peak round's batch five times over on its way up.

@@ -133,7 +133,7 @@ func (st *State) Resimulate(net *config.Network, igp *isis.Result, inputs []netm
 // fixpoint polls ctx between rounds and bails out early once it is done. The
 // caller must discard the (incomplete) result whenever ctx.Err() != nil. A nil
 // ctx disables polling. The restart is one sequential fixpoint: forks scale
-// across scenarios, shards and queries instead.
+// across scenarios and queries instead.
 func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (*Result, *ResimStats) {
 	st.merge.Do(func() {
 		st.mergeUnits()

@@ -146,31 +146,6 @@ func TestParallelFixpointEquivalenceWAN(t *testing.T) {
 	}
 }
 
-// TestParallelSealedEquivalence covers the sealed (sharded) fixpoint: it is
-// one sequential fixpoint whatever the parallelism.
-func TestParallelSealedEquivalence(t *testing.T) {
-	b, inputs := parallelFixture()
-	igp := isis.Compute(b.net.Topo, isis.Options{})
-	inside := map[string]bool{"E": true, "A": true}
-	run := func(p int) *Result {
-		return Simulate(b.net, igp, inputs, Options{
-			Parallelism: p,
-			Seal:        &Seal{Inside: inside},
-		})
-	}
-	seq := run(1)
-	for _, p := range []int{2, 8} {
-		res := run(p)
-		if !netmodel.BoundarySetsEqual(seq.BoundaryOut, res.BoundaryOut) {
-			t.Errorf("parallelism %d: sealed boundary contract differs", p)
-		}
-		sameRun(t, fmt.Sprintf("sealed, parallelism %d", p), res, seq)
-		if res.Par != (ParStats{}) {
-			t.Errorf("parallelism %d: sealed run reported unit stats %+v", p, res.Par)
-		}
-	}
-}
-
 // allDistChanged marks every device's distance to every destination as
 // changed — a deliberately conservative warm-restart delta that is always
 // correct, so the test isolates the captured state rather than delta

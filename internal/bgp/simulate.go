@@ -38,18 +38,14 @@ type Options struct {
 	// equivalence tests. Captured States carry it into warm restarts.
 	Legacy bool
 
-	// Seal, when non-nil, runs the fixpoint boundary-sealed inside one shard
-	// (see Seal). Forces the indexed path; unsupported by SimulateWithState.
-	Seal *Seal
-
 	// Parallelism bounds the workers of a cold indexed run, following the
 	// engine-wide par convention (0 means runtime.GOMAXPROCS(0) workers, 1 is
 	// the sequential reference path, n > 1 uses n workers): the originated
 	// prefixes are split into independence groups, packed into work units,
 	// and each unit runs its own sequential fixpoint (units.go). It also
 	// bounds Result.GlobalRIB's table fill. Results are byte-identical at
-	// every setting. Legacy and sealed runs and warm restarts
-	// (State.Resimulate) always run one sequential fixpoint.
+	// every setting. Legacy runs and warm restarts (State.Resimulate) always
+	// run one sequential fixpoint.
 	Parallelism int
 
 	// Ctx, when non-nil, is polled between fixpoint rounds and periodically
@@ -77,10 +73,6 @@ type Result struct {
 	Converged bool
 	// Messages counts total route advertisements processed (workload metric).
 	Messages int
-	// BoundaryOut is the canonicalized outbound boundary contract of a
-	// sealed run (nil without Options.Seal): every advertisement the shard's
-	// converged state sends across its seams.
-	BoundaryOut []netmodel.BoundaryAdv
 	// Par reports how the run was split into concurrently running work units
 	// (all zero when one sequential fixpoint ran).
 	Par ParStats
@@ -264,19 +256,11 @@ type sim struct {
 	dirtyMark [][]bool
 	dirtyPids [][]int32
 	dirtyTids []int32
-
-	// sealOut collects the latest seam advertisement per boundary key in a
-	// sealed run (nil without Options.Seal).
-	sealOut map[boundaryKey]netmodel.BoundaryAdv
 }
 
 // Simulate runs the BGP fixpoint over the network with the given IGP result
 // and input routes, returning per-table RIBs.
 func Simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, opts Options) *Result {
-	if opts.Seal != nil {
-		// Sealed runs exist only on the indexed path.
-		opts.Legacy = false
-	}
 	res, _ := simulate(net, igp, inputs, opts)
 	return res
 }
@@ -290,9 +274,7 @@ func simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, op
 	if s.opts.Legacy {
 		return s.run(s.allDirty()), []*sim{s}
 	}
-	if s.opts.Seal != nil {
-		s.seedBoundary()
-	} else if units := s.splitUnits(par.Workers(s.opts.Parallelism)); len(units) > 1 {
+	if units := s.splitUnits(par.Workers(s.opts.Parallelism)); len(units) > 1 {
 		return runUnits(units), units
 	}
 	s.seedDirty()
@@ -327,9 +309,6 @@ func newSim(net *config.Network, igp *isis.Result, opts Options) *sim {
 		s.topoIdx = net.Topo.Index()
 		s.igpIdxOK = igp != nil && igp.EdgeIndex() == s.topoIdx
 	}
-	if s.opts.Seal != nil {
-		s.sealOut = make(map[boundaryKey]netmodel.BoundaryAdv)
-	}
 	return s.sibling()
 }
 
@@ -338,7 +317,7 @@ func newSim(net *config.Network, igp *isis.Result, opts Options) *sim {
 func (s *sim) sibling() *sim {
 	return &sim{
 		net: s.net, igp: s.igp, opts: s.opts,
-		sessions: s.sessions, topoIdx: s.topoIdx, igpIdxOK: s.igpIdxOK, sealOut: s.sealOut,
+		sessions: s.sessions, topoIdx: s.topoIdx, igpIdxOK: s.igpIdxOK,
 		adjIn:   make(map[tableKey]map[netip.Prefix]map[string][]cand),
 		locals:  make(map[tableKey]map[netip.Prefix][]cand),
 		ribs:    make(map[tableKey]*netmodel.RIB),
@@ -418,11 +397,7 @@ func (s *sim) runDense() *Result {
 		s.deliver(pending)
 		pending = s.decideAndAdvertise()
 	}
-	res := &Result{ribs: s.ribs, Rounds: rounds, Converged: converged, Messages: s.messages, parallelism: s.opts.Parallelism}
-	if s.opts.Seal != nil {
-		res.BoundaryOut = s.boundaryOut()
-	}
-	return res
+	return &Result{ribs: s.ribs, Rounds: rounds, Converged: converged, Messages: s.messages, parallelism: s.opts.Parallelism}
 }
 
 func (s *sim) profileOf(dev string) vsb.Profile {
@@ -463,9 +438,6 @@ func (s *sim) originateLocals(inputs []netmodel.Route) {
 		if node := s.net.Topo.Node(r.Device); node == nil || !node.Up {
 			continue
 		}
-		if s.opts.Seal != nil && !s.opts.Seal.Inside[r.Device] {
-			continue
-		}
 		vrf := r.VRF
 		if vrf == "" {
 			vrf = netmodel.DefaultVRF
@@ -489,9 +461,6 @@ func (s *sim) originateLocals(inputs []netmodel.Route) {
 	for _, name := range s.net.DeviceNames() {
 		d := s.net.Devices[name]
 		if node := s.net.Topo.Node(name); node == nil || !node.Up {
-			continue
-		}
-		if s.opts.Seal != nil && !s.opts.Seal.Inside[name] {
 			continue
 		}
 		prof := s.profileOf(name)

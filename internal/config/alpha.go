@@ -85,6 +85,9 @@ func (p *alphaParser) line(lineNo int, s string) error {
 		p.resetSection()
 		return nil
 	case "router-id":
+		if len(f) != 2 {
+			return fail("router-id ADDR")
+		}
 		a, err := netip.ParseAddr(f[1])
 		if err != nil {
 			return fail("bad router-id")
@@ -93,6 +96,9 @@ func (p *alphaParser) line(lineNo int, s string) error {
 		p.resetSection()
 		return nil
 	case "loopback":
+		if len(f) != 2 {
+			return fail("loopback ADDR")
+		}
 		a, err := netip.ParseAddr(f[1])
 		if err != nil {
 			return fail("bad loopback")

@@ -73,6 +73,9 @@ func (p *betaParser) line(lineNo int, s string) error {
 		p.resetSection()
 		return nil
 	case "as-number":
+		if len(f) != 2 {
+			return fail("as-number N")
+		}
 		n, err := parseUint32(f[1])
 		if err != nil {
 			return fail("bad as-number")
@@ -81,6 +84,9 @@ func (p *betaParser) line(lineNo int, s string) error {
 		p.resetSection()
 		return nil
 	case "router-id":
+		if len(f) != 2 {
+			return fail("router-id ADDR")
+		}
 		a, err := netip.ParseAddr(f[1])
 		if err != nil {
 			return fail("bad router-id")
@@ -89,6 +95,9 @@ func (p *betaParser) line(lineNo int, s string) error {
 		p.resetSection()
 		return nil
 	case "loopback":
+		if len(f) != 2 {
+			return fail("loopback ADDR")
+		}
 		a, err := netip.ParseAddr(f[1])
 		if err != nil {
 			return fail("bad loopback")
@@ -271,6 +280,9 @@ func (p *betaParser) bgpLine(lineNo int, s string, f []string) error {
 		}
 		d.MaxPaths = n
 	case "network":
+		if len(f) != 2 {
+			return fail("network PREFIX")
+		}
 		pr, err := netip.ParsePrefix(f[1])
 		if err != nil {
 			return fail("bad prefix")

@@ -49,7 +49,7 @@ type Options struct {
 
 	// Parallelism bounds the worker pools behind the engine's data-parallel
 	// hot paths — per-source SPF, the work units of the cold BGP fixpoint
-	// (warm restarts and sealed runs are one sequential fixpoint), the
+	// (a warm restart is one sequential fixpoint), the
 	// global-RIB table fill, per-flow forwarding, EC classification, and
 	// config parsing when restoring snapshots. 0 (the default) uses
 	// runtime.GOMAXPROCS(0) workers; 1 forces the sequential reference path;
@@ -180,9 +180,8 @@ func (e *Engine) RouteSimulation(inputs []netmodel.Route) *RouteResult {
 	return res
 }
 
-// bgpOptions is the engine's options as the BGP fixpoint takes them; seal is
-// nil except for one shard's boundary-sealed run.
-func (e *Engine) bgpOptions(ctx context.Context, seal *bgp.Seal) bgp.Options {
+// bgpOptions is the engine's options as the BGP fixpoint takes them.
+func (e *Engine) bgpOptions(ctx context.Context) bgp.Options {
 	return bgp.Options{
 		Profiles:          e.opts.Profiles,
 		MaxRounds:         e.opts.MaxRounds,
@@ -190,16 +189,7 @@ func (e *Engine) bgpOptions(ctx context.Context, seal *bgp.Seal) bgp.Options {
 		UseTEMetric:       e.opts.UseTEMetric,
 		Legacy:            e.opts.DisableIndex,
 		Parallelism:       e.opts.Parallelism,
-		Seal:              seal,
 		Ctx:               ctx,
-	}
-}
-
-func (e *Engine) internPrefixes(inputs []netmodel.Route) {
-	if e.interner != nil {
-		for i := range inputs {
-			e.interner.InternPrefix(inputs[i].Prefix)
-		}
 	}
 }
 
@@ -207,7 +197,11 @@ func (e *Engine) internPrefixes(inputs []netmodel.Route) {
 // warm restart needs: the EC partition, the representatives, the converged
 // pre-expansion BGP state (unless DisableIncremental) and the result itself.
 func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, bc *baseCapture) (*RouteResult, error) {
-	e.internPrefixes(inputs)
+	if e.interner != nil {
+		for i := range inputs {
+			e.interner.InternPrefix(inputs[i].Prefix)
+		}
+	}
 	reps := inputs
 	var ecs *ec.RouteECs
 	if !e.opts.DisableRouteECs {
@@ -217,9 +211,9 @@ func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, b
 	var res *bgp.Result
 	var state *bgp.State
 	if bc != nil && !e.opts.DisableIncremental {
-		res, state = bgp.SimulateWithState(e.net, e.igp, reps, e.bgpOptions(ctx, nil))
+		res, state = bgp.SimulateWithState(e.net, e.igp, reps, e.bgpOptions(ctx))
 	} else {
-		res = bgp.Simulate(e.net, e.igp, reps, e.bgpOptions(ctx, nil))
+		res = bgp.Simulate(e.net, e.igp, reps, e.bgpOptions(ctx))
 	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -234,18 +228,6 @@ func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, b
 		bc.routeECs, bc.reps, bc.bgpState, bc.routes = ecs, reps, state, routes
 	}
 	return routes, nil
-}
-
-// RouteSimulationSealed runs the boundary-sealed BGP fixpoint of one shard
-// (bgp.Seal): only devices inside the seal originate and decide, the inbound
-// boundary contract is replayed as frozen external inputs, and the result
-// carries the shard's outbound contract in BGP.BoundaryOut. Route ECs are
-// never applied here — the sharded verifier splits representatives per shard
-// up front and expands members centrally at stitch time, so per-shard runs
-// always work on the rows they were given.
-func (e *Engine) RouteSimulationSealed(inputs []netmodel.Route, seal *bgp.Seal) *RouteResult {
-	e.internPrefixes(inputs)
-	return &RouteResult{BGP: bgp.Simulate(e.net, e.igp, inputs, e.bgpOptions(nil, seal))}
 }
 
 // TrafficResult is the outcome of traffic simulation.

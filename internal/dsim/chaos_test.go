@@ -42,33 +42,19 @@ type distResult struct {
 // cluster of workers and collects the results.
 func runDistributed(t *testing.T, m *Master, taskID string, out *gen.Output, nRoute, nTraffic int) distResult {
 	t.Helper()
-	snapKey, err := m.UploadSnapshot(taskID, out.Net)
-	if err != nil {
-		t.Fatalf("%s: UploadSnapshot: %v", taskID, err)
+	sim := &Simulation{
+		TaskID: taskID, Net: out.Net, Inputs: out.Inputs, Flows: out.Flows,
+		RouteSubtasks: nRoute, TrafficSubtasks: nTraffic,
 	}
-	rt, err := m.StartRouteSimulation(taskID, snapKey, out.Inputs, nRoute, core.Options{})
-	if err != nil {
-		t.Fatalf("%s: StartRouteSimulation: %v", taskID, err)
+	if err := m.Simulate(sim, func(name string, fn func() error) error {
+		if err := fn(); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("%s: %v", taskID, err)
 	}
-	if err := m.Wait(taskID, "route", rt.Subtasks); err != nil {
-		t.Fatalf("%s: route Wait: %v", taskID, err)
-	}
-	rib, err := m.CollectRouteResults(rt)
-	if err != nil {
-		t.Fatalf("%s: CollectRouteResults: %v", taskID, err)
-	}
-	tt, err := m.StartTrafficSimulation(taskID, rt, out.Flows, nTraffic, StrategyOrdered, core.Options{})
-	if err != nil {
-		t.Fatalf("%s: StartTrafficSimulation: %v", taskID, err)
-	}
-	if err := m.Wait(taskID, "traffic", tt.Subtasks); err != nil {
-		t.Fatalf("%s: traffic Wait: %v", taskID, err)
-	}
-	sum, err := m.CollectTrafficResults(tt)
-	if err != nil {
-		t.Fatalf("%s: CollectTrafficResults: %v", taskID, err)
-	}
-	return distResult{RIB: rib, Sum: sum, Task: rt}
+	return distResult{RIB: sim.RIB, Sum: sim.Summary, Task: sim.Route}
 }
 
 // pathKeys renders flow paths as sortable strings so path sets can be

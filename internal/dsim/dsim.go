@@ -84,22 +84,6 @@ type SubtaskMsg struct {
 	RouteTaskID   string   `json:"route_task_id,omitempty"`
 	RouteSubtasks int      `json:"route_subtasks,omitempty"`
 	Strategy      Strategy `json:"strategy,omitempty"`
-
-	// Shard subtasks only (Kind "shard"): the worker re-derives the device
-	// partition from the snapshot topology (NumShards shards), seals shard
-	// ShardID, and replays the inbound boundary contract carried in the
-	// input file. ShardRound distinguishes contract-exchange rounds in
-	// traces and logs; it never influences results.
-	NumShards  int `json:"num_shards,omitempty"`
-	ShardID    int `json:"shard_id,omitempty"`
-	ShardRound int `json:"shard_round,omitempty"`
-
-	// Scenario delta: links/nodes the worker takes down on a clone of the
-	// restored snapshot before simulating. Honored by route, traffic, and
-	// shard subtasks, so a what-if sweep rides one shared snapshot instead
-	// of uploading a snapshot per scenario.
-	DownLinks []netmodel.LinkID `json:"down_links,omitempty"`
-	DownNodes []string          `json:"down_nodes,omitempty"`
 }
 
 func (m SubtaskMsg) key() string {

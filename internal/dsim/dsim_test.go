@@ -2,6 +2,8 @@ package dsim
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"net"
 	"net/netip"
 	"testing"
@@ -160,6 +162,37 @@ func TestDistributedRouteSimMatchesCentralized(t *testing.T) {
 	durs, err := c.Master.SubtaskDurations("t1", "route")
 	if err != nil || len(durs) != task.Subtasks {
 		t.Errorf("durations = %v %v", durs, err)
+	}
+}
+
+// TestSimulateMatchesCentralized drives Master.Simulate end to end against
+// the centralized engine over an intact topology and seeded randomly
+// degraded ones (links already down in the uploaded snapshot), with the
+// route stage in several result files and in one (the file is then the RIB
+// as it stands, and every traffic subtask reads it).
+func TestSimulateMatchesCentralized(t *testing.T) {
+	rnd := rand.New(rand.NewSource(42))
+	c := startLocal(t, LocalOptions{Workers: 4})
+	defer c.Stop()
+	for trial, nRoute := range []int{6, 1, 4, 4} {
+		out := gen.Generate(gen.WAN(1))
+		if trial > 0 {
+			links := out.Net.Topo.Links()
+			for i := 0; i < 2+rnd.Intn(3); i++ {
+				out.Net.Topo.SetLinkUp(links[rnd.Intn(len(links))].ID(), false)
+			}
+		}
+		sim := &Simulation{
+			TaskID: fmt.Sprintf("sim%d", trial), Net: out.Net, Inputs: out.Inputs, Flows: out.Flows,
+			RouteSubtasks: nRoute, TrafficSubtasks: 4,
+		}
+		if err := c.Master.Simulate(sim, nil); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if sim.Route.Subtasks != nRoute {
+			t.Errorf("trial %d: %d route subtasks, want %d", trial, sim.Route.Subtasks, nRoute)
+		}
+		assertMatchesCentral(t, out, distResult{RIB: sim.RIB, Sum: sim.Summary, Task: sim.Route})
 	}
 }
 

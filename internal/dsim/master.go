@@ -54,9 +54,6 @@ type Master struct {
 	// metrics is the master's instrument bundle, registered in reg (detached
 	// counters when reg is nil); never nil.
 	metrics *MasterMetrics
-	// reg is the registry NewMaster was given, so later-created components
-	// (the shard verifier) register their instruments alongside.
-	reg *telemetry.Registry
 
 	// runCtx is the span context enqueue spans parent under (set by
 	// BeginRun; zero makes each enqueue start its own trace).
@@ -84,7 +81,6 @@ func NewMaster(svc Services, reg *telemetry.Registry) *Master {
 		MaxAttempts: 3, PollInterval: 5 * time.Millisecond, Timeout: 10 * time.Minute,
 		LeaseTimeout: 30 * time.Second,
 		metrics:      NewMasterMetrics(reg),
-		reg:          reg,
 		msgs:         make(map[string]SubtaskMsg),
 		pendingSince: make(map[string]time.Time),
 	}
@@ -167,15 +163,6 @@ func (m *Master) enqueueSubtask(msg SubtaskMsg, rec taskdb.Record, enqueued *tel
 // heuristic), uploads their inputs, records pending status + ranges in the
 // task DB, and enqueues one message per subtask.
 func (m *Master) StartRouteSimulation(taskID, snapKey string, inputs []netmodel.Route, n int, opts core.Options) (*RouteTask, error) {
-	return m.StartRouteScenario(taskID, snapKey, inputs, n, opts, nil, nil)
-}
-
-// StartRouteScenario is StartRouteSimulation with a topology delta riding
-// the subtask messages: workers clone the shared snapshot, take the listed
-// links/nodes down, and simulate the scenario — a what-if sweep re-uses one
-// uploaded snapshot across all its scenarios.
-func (m *Master) StartRouteScenario(taskID, snapKey string, inputs []netmodel.Route, n int, opts core.Options,
-	downLinks []netmodel.LinkID, downNodes []string) (*RouteTask, error) {
 	subsets := splitRoutes(inputs, n)
 	for i, sub := range subsets {
 		var buf bytes.Buffer
@@ -192,7 +179,6 @@ func (m *Master) StartRouteScenario(taskID, snapKey string, inputs []netmodel.Ro
 			SnapshotKey: snapKey, InputKey: ik,
 			ResultKey: resultKey(taskID, "route", i),
 			Options:   opts,
-			DownLinks: downLinks, DownNodes: downNodes,
 		}
 		rec := taskdb.Record{
 			TaskID: taskID, Kind: "route", SubID: i, Status: taskdb.StatusPending,
@@ -394,8 +380,7 @@ func (m *Master) reenqueue(rec taskdb.Record, causeCount *telemetry.Counter, cau
 // global RIB. Every result file is written in canonical order, so the files
 // are decoded concurrently and k-way merged; rows that several subtasks
 // derived identically (e.g. the same aggregate generated by two contributor
-// subsets) land adjacent in the total order and collapse to one. A single
-// result file (a stitched sharded run) is the RIB as it stands.
+// subsets) land adjacent in the total order and collapse to one.
 func (m *Master) CollectRouteResults(t *RouteTask) (*netmodel.GlobalRIB, error) {
 	segs := make([][]netmodel.Route, t.Subtasks)
 	errs := make([]error, t.Subtasks)

@@ -18,7 +18,6 @@ type WorkerMetrics struct {
 	// Subtask outcomes.
 	SubtasksRoute   *telemetry.Counter // hoyan_worker_subtasks_total{kind=route}
 	SubtasksTraffic *telemetry.Counter
-	SubtasksShard   *telemetry.Counter // hoyan_worker_subtasks_total{kind=traffic}
 	Failures        *telemetry.Counter
 	StaleSkipped    *telemetry.Counter
 	Heartbeats      *telemetry.Counter
@@ -74,8 +73,6 @@ func NewWorkerMetrics(reg *telemetry.Registry) *WorkerMetrics {
 			"subtasks executed", telemetry.L("kind", "route")),
 		SubtasksTraffic: reg.Counter("hoyan_worker_subtasks_total",
 			"subtasks executed", telemetry.L("kind", "traffic")),
-		SubtasksShard: reg.Counter("hoyan_worker_subtasks_total",
-			"subtasks executed", telemetry.L("kind", "shard")),
 		Failures:     reg.Counter("hoyan_worker_subtask_failures_total", "subtasks that reported failure"),
 		StaleSkipped: reg.Counter("hoyan_worker_stale_messages_total", "messages skipped because a newer attempt owns the subtask"),
 		Heartbeats:   reg.Counter("hoyan_worker_heartbeats_total", "lease heartbeats sent"),
@@ -115,7 +112,6 @@ func NewWorkerMetrics(reg *telemetry.Registry) *WorkerMetrics {
 type MasterMetrics struct {
 	EnqueuedRoute   *telemetry.Counter // hoyan_master_subtasks_enqueued_total{kind=route}
 	EnqueuedTraffic *telemetry.Counter
-	EnqueuedShard   *telemetry.Counter
 	Done            *telemetry.Counter
 	ReenqueueFailed *telemetry.Counter // hoyan_master_reenqueues_total{cause=...}
 	ReenqueueLease  *telemetry.Counter
@@ -138,8 +134,6 @@ func NewMasterMetrics(reg *telemetry.Registry) *MasterMetrics {
 			"subtasks enqueued", telemetry.L("kind", "route")),
 		EnqueuedTraffic: reg.Counter("hoyan_master_subtasks_enqueued_total",
 			"subtasks enqueued", telemetry.L("kind", "traffic")),
-		EnqueuedShard: reg.Counter("hoyan_master_subtasks_enqueued_total",
-			"subtasks enqueued", telemetry.L("kind", "shard")),
 		Done:            reg.Counter("hoyan_master_subtasks_done_total", "subtasks observed done"),
 		ReenqueueFailed: reenq("worker_failed"),
 		ReenqueueLease:  reenq("lease_expired"),
@@ -166,7 +160,7 @@ func (m *WorkerMetrics) RecordIntern(st *netmodel.InternStats) {
 
 // RecordBGPPar folds one BGP run's work-unit stats into the worker counters.
 // Runs of one sequential fixpoint (Parallelism 1, one independence group,
-// warm, sealed) contribute nothing.
+// warm) contribute nothing.
 func (m *WorkerMetrics) RecordBGPPar(p bgp.ParStats) {
 	if p.ParallelRounds == 0 {
 		return

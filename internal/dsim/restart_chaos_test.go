@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -153,20 +155,72 @@ func TestRestartMasterResume(t *testing.T) {
 		w.HeartbeatInterval = 25 * time.Millisecond
 		go w.Run(ctxC)
 	}
-	if err := m3.Wait("restart", "traffic", info3.TrafficSubtasks); err != nil {
-		t.Fatalf("resumed traffic Wait: %v", err)
+	// A resumed Simulate neither uploads nor enqueues what is on record.
+	var stages []string
+	sim := &Simulation{TaskID: "restart", Resume: info3}
+	if err := m3.Simulate(sim, func(name string, fn func() error) error {
+		stages = append(stages, name)
+		return fn()
+	}); err != nil {
+		t.Fatalf("resumed Simulate: %v", err)
 	}
-	rib, err := m3.CollectRouteResults(info3.RouteTask())
-	if err != nil {
-		t.Fatal(err)
+	if want := []string{"route_wait", "route_collect", "traffic_wait", "traffic_collect"}; !slices.Equal(stages, want) {
+		t.Errorf("resumed stages %v, want %v", stages, want)
 	}
-	sum, err := m3.CollectTrafficResults(info3.TrafficTask())
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos := distResult{RIB: rib, Sum: sum, Task: info3.RouteTask()}
+	chaos := distResult{RIB: sim.RIB, Sum: sim.Summary, Task: sim.Route}
 	assertMatchesCentral(t, out, chaos)
 	assertSameDistributed(t, clean, chaos)
+}
+
+// TestResumeRejectsUnknownKind: a task DB holding a record of a kind this
+// build does not run (a -data-dir written by a build that had "shard"
+// subtasks) fails Resume with the kind named, before anything is re-enqueued.
+func TestResumeRejectsUnknownKind(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	svc := Services{Queue: mq.NewMemory(nil), Store: objstore.NewMemory(nil), Tasks: taskdb.NewMemory()}
+	m1 := NewMaster(svc, nil)
+	snapKey, err := m1.UploadSnapshot("old", out.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.StartRouteSimulation("old", snapKey, out.Inputs, 3, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.enqueueSubtask(SubtaskMsg{TaskID: "old", Kind: "shard", SubID: 0, SnapshotKey: snapKey},
+		taskdb.Record{TaskID: "old", Kind: "shard", SubID: 0, Status: taskdb.StatusPending}, m1.metrics.EnqueuedRoute); err != nil {
+		t.Fatal(err)
+	}
+	queued, err := svc.Queue.Len(Topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = NewMaster(svc, nil).Resume("old")
+	if err == nil || !strings.Contains(err.Error(), `unknown kind "shard"`) {
+		t.Fatalf("Resume over a shard record: %v, want an error naming the kind", err)
+	}
+	if n, _ := svc.Queue.Len(Topic); n != queued {
+		t.Errorf("failed Resume changed the queue: %d messages, was %d", n, queued)
+	}
+	recs, _ := svc.Tasks.List("old")
+	for _, rec := range recs {
+		if rec.Attempts != 0 {
+			t.Errorf("failed Resume bumped %s to attempt %d", rec.Key(), rec.Attempts)
+		}
+	}
+
+	// A worker that pops the foreign message fails it like any other error.
+	w := NewWorker("w", svc, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	w.RunN(ctx, queued)
+	rec, ok, err := svc.Tasks.Get("old", "shard", 0)
+	if err != nil || !ok {
+		t.Fatalf("shard record: %v %v", ok, err)
+	}
+	if rec.Status != taskdb.StatusFailed || !strings.Contains(rec.Error, `unknown subtask kind "shard"`) {
+		t.Errorf("worker left the shard record %s (%q), want failed with unknown subtask kind", rec.Status, rec.Error)
+	}
 }
 
 // restarter is the crash/reopen surface of a faults.Restartable of any kind.

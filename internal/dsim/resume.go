@@ -48,7 +48,9 @@ type ResumeInfo struct {
 // stale copies of the message that survived in the recovered queue — exactly
 // the mechanism re-enqueues use, so resumed runs converge to byte-identical
 // results. Completed subtasks keep their results; the caller continues with
-// Wait + Collect as if it had started the task itself.
+// Wait + Collect as if it had started the task itself (Simulation.Resume). A
+// record of a kind this build does not run — a data directory written by
+// another build — fails the resume before anything is re-enqueued.
 func (m *Master) Resume(taskID string) (*ResumeInfo, error) {
 	recs, err := m.svc.Tasks.List(taskID)
 	if err != nil {
@@ -56,6 +58,12 @@ func (m *Master) Resume(taskID string) (*ResumeInfo, error) {
 	}
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("dsim: nothing to resume: task %s has no recorded subtasks", taskID)
+	}
+	for _, rec := range recs {
+		if rec.Kind != "route" && rec.Kind != "traffic" {
+			return nil, fmt.Errorf("dsim: resume %s: subtask %s has unknown kind %q (recorded by another build?)",
+				taskID, rec.Key(), rec.Kind)
+		}
 	}
 	info := &ResumeInfo{TaskID: taskID}
 	for _, rec := range recs {

@@ -11,13 +11,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hoyan/internal/bgp"
 	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/durable"
 	"hoyan/internal/mq"
 	"hoyan/internal/netmodel"
-	"hoyan/internal/shard"
 	"hoyan/internal/taskdb"
 	"hoyan/internal/telemetry"
 	"hoyan/internal/wire"
@@ -416,8 +414,6 @@ func (w *Worker) execute(ctx context.Context, msg SubtaskMsg) (crashed bool) {
 			var err error
 			loadedFiles, err = w.trafficSubtask(ctx, msg)
 			return err
-		case "shard":
-			return w.shardSubtask(ctx, msg)
 		}
 		return fmt.Errorf("unknown subtask kind %q", msg.Kind)
 	}()
@@ -442,8 +438,6 @@ func (w *Worker) execute(ctx context.Context, msg SubtaskMsg) (crashed bool) {
 		switch msg.Kind {
 		case "route":
 			w.metrics.SubtasksRoute.Inc()
-		case "shard":
-			w.metrics.SubtasksShard.Inc()
 		default:
 			w.metrics.SubtasksTraffic.Inc()
 		}
@@ -489,13 +483,11 @@ func (w *Worker) heartbeat(ctx context.Context, msg SubtaskMsg) {
 	}
 }
 
-// engineFor returns a core engine for the message's snapshot under its
-// scenario delta, memoized across subtasks per (snapshot, options, delta).
-// Beneath it the restored network itself is memoized per (snapshot,
-// parallelism), so switching options — e.g. a strategy sweep over one
-// snapshot — re-runs the IGP but not the download and config parse. A
-// scenario's engine is built (full SPF) on a clone of that network with the
-// listed links and nodes taken down.
+// engineFor returns a core engine for the message's snapshot, memoized
+// across subtasks per (snapshot, options). Beneath it the restored network
+// itself is memoized per (snapshot, parallelism), so switching options — e.g.
+// a strategy sweep over one snapshot — re-runs the IGP but not the download
+// and config parse.
 func (w *Worker) engineFor(ctx context.Context, msg SubtaskMsg) (*core.Engine, error) {
 	opts := msg.Options
 	if w.Parallelism > 0 {
@@ -503,12 +495,6 @@ func (w *Worker) engineFor(ctx context.Context, msg SubtaskMsg) (*core.Engine, e
 	}
 	optsSig, _ := json.Marshal(opts)
 	ekey := msg.SnapshotKey + "|" + string(optsSig)
-	for _, id := range msg.DownLinks {
-		ekey += "|L" + id.String()
-	}
-	for _, n := range msg.DownNodes {
-		ekey += "|N" + n
-	}
 	w.cacheMu.Lock()
 	eng, ok := w.engines.get(ekey)
 	w.cacheMu.Unlock()
@@ -519,12 +505,6 @@ func (w *Worker) engineFor(ctx context.Context, msg SubtaskMsg) (*core.Engine, e
 	net, err := w.networkFor(ctx, msg.SnapshotKey, opts.Parallelism)
 	if err != nil {
 		return nil, err
-	}
-	if len(msg.DownLinks)+len(msg.DownNodes) > 0 {
-		net = net.Clone()
-		if _, err := (core.Delta{LinksDown: msg.DownLinks, NodesDown: msg.DownNodes}).Apply(net); err != nil {
-			return nil, fmt.Errorf("scenario not in snapshot: %w", err)
-		}
 	}
 	eng = core.NewEngine(net, opts)
 	w.cacheMu.Lock()
@@ -663,55 +643,6 @@ func (w *Worker) routeSubtask(ctx context.Context, msg SubtaskMsg) error {
 	// file straight back.
 	w.cacheRIB(msg.ResultKey, rows, int64(buf.Len()))
 	return nil
-}
-
-// shardSubtask runs one boundary-sealed shard simulation: it derives the
-// device partition from the snapshot topology (identical on every node —
-// the partition is a pure function of the device names), seals the
-// message's shard, replays the inbound contract from the input file, and
-// stores the shard's outbound contract plus its pre-expansion RIB rows.
-// Both halves of the result are canonical, so re-executions are idempotent.
-func (w *Worker) shardSubtask(ctx context.Context, msg SubtaskMsg) error {
-	eng, err := w.engineFor(ctx, msg)
-	if err != nil {
-		return err
-	}
-	data, err := w.svc.Store.Get(msg.InputKey)
-	if err != nil {
-		return fmt.Errorf("loading input: %w", err)
-	}
-	w.metrics.BytesFetched.Add(int64(len(data)))
-	in, err := wire.DecodeShardInput(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	part := shard.Compute(eng.Network().Topo, msg.NumShards)
-	if msg.ShardID < 0 || msg.ShardID >= part.NumShards() {
-		return fmt.Errorf("shard %d out of range (partition has %d)", msg.ShardID, part.NumShards())
-	}
-	res := &wire.ShardResult{}
-	w.stage(ctx, "engine.run", w.metrics.EngineSeconds, func() error {
-		sim := eng.RouteSimulationSealed(in.Routes, &bgp.Seal{
-			Inside:  part.Members(msg.ShardID),
-			Inbound: in.Inbound,
-		})
-		w.metrics.RecordBGPPar(sim.BGP.Par)
-		res.Exports = sim.BGP.BoundaryOut
-		res.Rows = sim.GlobalRIB().Rows()
-		return nil
-	})
-	w.metrics.RecordIntern(eng.InternStats())
-	var buf bytes.Buffer
-	if err := w.stage(ctx, "result.encode", w.metrics.EncodeSeconds, func() error {
-		return wire.EncodeShardResult(&buf, res)
-	}); err != nil {
-		return err
-	}
-	err = w.stage(ctx, "objstore.put", w.metrics.PutSeconds, func() error {
-		return w.svc.Store.Put(msg.ResultKey, buf.Bytes())
-	})
-	w.noteResultWrite(err)
-	return err
 }
 
 // trafficSubtask simulates a subset of flows. It loads only the route

@@ -24,10 +24,8 @@ type ReportResult struct {
 // Report runs one distributed route + traffic simulation with telemetry on
 // (the ops view of a production verification run) and returns the full
 // observability record. It uses the largest worker count of the scale's
-// Figure 5 sweep. shards > 1 routes the run through the sharded verifier
-// (boundary-route contracts, per-shard sealed fixpoints); <= 1 keeps the
-// whole-network path.
-func Report(s Scale, shards int) (*ReportResult, error) {
+// Figure 5 sweep.
+func Report(s Scale) (*ReportResult, error) {
 	workers := 4
 	for _, n := range s.Workers {
 		if n > workers {
@@ -39,7 +37,6 @@ func Report(s Scale, shards int) (*ReportResult, error) {
 	sys.Workers = workers
 	sys.RouteSubtasks = s.RouteSubtasks
 	sys.TrafficSubtasks = s.TrafficSubtasks
-	sys.Shards = shards
 	sys.Telemetry = true
 	snap, err := sys.Simulate("report")
 	if err != nil {
@@ -61,14 +58,6 @@ func PrintReport(w io.Writer, r *ReportResult) {
 	fmt.Fprintf(w, "%d devices, %d input routes, %d flows, %d workers -> %d RIB rows\n",
 		r.Devices, r.Routes, r.Flows, r.Workers, r.RIBRows)
 	r.Report.WriteBreakdown(w)
-	if r.Report.Shard != nil {
-		for _, m := range r.Report.Metrics {
-			switch m.Name {
-			case "shard_rounds_total", "shard_contract_routes", "shard_seam_mismatches_total", "shard_full_fallbacks_total":
-				fmt.Fprintf(w, "  %s: %g\n", m.Name, m.Value)
-			}
-		}
-	}
 	// Work units of the cold BGP fixpoints. Zero counters mean every run was
 	// one sequential fixpoint (single-core host, Parallelism 1, or a single
 	// independence group); the imbalance histogram only prints once at least

@@ -145,8 +145,8 @@ func TestAppendSortedMatchesFullSort(t *testing.T) {
 }
 
 // FuzzMergeSortedRoutes: merging sorted segments reproduces the full sort of
-// their concatenation, whether segments hold disjoint devices (shard
-// stitching: long runs), interleave row by row, or repeat each other's rows
+// their concatenation, whether segments hold disjoint devices (long runs),
+// interleave row by row, or repeat each other's rows
 // (fleet route subtasks), and dropping adjacent Identical rows afterwards
 // equals sort-then-dedupe.
 func FuzzMergeSortedRoutes(f *testing.F) {

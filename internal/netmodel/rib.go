@@ -571,8 +571,8 @@ func (g *GlobalRIB) Lookup(device string, prefix netip.Prefix, fn func(rows []Ro
 // produce from their concatenation at a fraction of the comparisons. Rows
 // are copied a run at a time: the longest stretch of the smallest-headed
 // segment that stays below every other head. Runs are whole device blocks
-// when segments hold disjoint devices (shard stitching) and per-table prefix
-// ranges when they interleave (fleet route subtasks).
+// when segments hold disjoint devices and per-table prefix ranges when they
+// interleave (fleet route subtasks).
 // Rows equal across segments are all kept, adjacent.
 func MergeSortedRoutes(segs [][]Route) []Route {
 	n, live := 0, 0

@@ -1,0 +1,69 @@
+package netmodel
+
+import (
+	"encoding/binary"
+	"net/netip"
+)
+
+// AppendSignature appends an injective binary encoding of the route to dst:
+// equal signatures iff every field is equal. It breaks key ties in
+// CompareRoutes and is the cheap dedupe key for rows recomputed by
+// overlapping subtasks (the fmt-based key it replaced dominated result
+// collection).
+func (r *Route) AppendSignature(dst []byte) []byte {
+	dst = sigStr(dst, r.Device)
+	dst = sigStr(dst, r.VRF)
+	dst = sigPrefix(dst, r.Prefix)
+	dst = append(dst, byte(r.Protocol))
+	dst = sigAddr(dst, r.NextHop)
+	cs := r.Communities.All()
+	dst = binary.AppendUvarint(dst, uint64(len(cs)))
+	for _, c := range cs {
+		dst = binary.AppendUvarint(dst, uint64(c))
+	}
+	dst = binary.AppendUvarint(dst, uint64(r.LocalPref))
+	dst = binary.AppendUvarint(dst, uint64(r.MED))
+	dst = binary.AppendUvarint(dst, uint64(r.Weight))
+	dst = binary.AppendUvarint(dst, uint64(r.Preference))
+	dst = binary.AppendUvarint(dst, uint64(len(r.ASPath.Seq)))
+	for _, asn := range r.ASPath.Seq {
+		dst = binary.AppendUvarint(dst, uint64(asn))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(r.ASPath.Set)))
+	for _, asn := range r.ASPath.Set {
+		dst = binary.AppendUvarint(dst, uint64(asn))
+	}
+	dst = append(dst, byte(r.Origin))
+	dst = binary.AppendUvarint(dst, uint64(r.IGPCost))
+	dst = append(dst, byte(r.RouteType))
+	dst = sigBool(dst, r.ViaSR)
+	dst = sigStr(dst, r.Peer)
+	dst = sigStr(dst, r.Source)
+	return dst
+}
+
+func sigStr(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func sigBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func sigAddr(dst []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(dst, 0)
+	}
+	b16 := a.As16()
+	dst = append(dst, 1)
+	return append(dst, b16[:]...)
+}
+
+func sigPrefix(dst []byte, p netip.Prefix) []byte {
+	dst = sigAddr(dst, p.Addr())
+	return append(dst, byte(p.Bits()))
+}

@@ -3,9 +3,8 @@ package netmodel
 import "sync"
 
 // sigBufPool recycles the scratch buffers behind the signature encoders
-// (Route.AppendSignature, BoundaryAdv.AppendSignature, appendAttrDiffSig).
-// Their call sites — RIB digesting, global-RIB diffing, boundary
-// canonicalization — sit on the serve hot path where every query re-encodes
+// (Route.AppendSignature, appendAttrDiffSig).
+// Their call sites — RIB digesting, global-RIB diffing — sit on the serve hot path where every query re-encodes
 // thousands of rows; without the pool each call chain allocates (and often
 // regrows) its own buffer. Buffers are pointers-to-slice to keep the pool
 // allocation-free, and hand back whatever capacity they grew to.

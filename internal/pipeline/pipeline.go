@@ -44,13 +44,6 @@ type System struct {
 	// for flows at full scale).
 	RouteSubtasks   int
 	TrafficSubtasks int
-	// Shards, when > 1, runs the distributed route stage through the sharded
-	// verifier: the topology is partitioned into that many region shards,
-	// each worker runs a boundary-sealed fixpoint inside its shard, and the
-	// master iterates contract-exchange rounds until the seams are stable.
-	// Results are byte-identical to the whole-network path; a non-converging
-	// seam falls back to it (counted in shard_full_fallbacks_total).
-	Shards int
 	// Fault-tolerance knobs for the distributed path, forwarded to the
 	// cluster master; zero values keep the dsim defaults.
 	LeaseTimeout time.Duration
@@ -99,20 +92,6 @@ type RunReport struct {
 	// links, and input prefixes interned into dense IDs — nil when the run
 	// had the index disabled (core.Options.DisableIndex).
 	Intern *netmodel.InternStats
-	// Shard describes the sharded route stage — nil when the run used the
-	// whole-network path (System.Shards <= 1).
-	Shard *ShardReport
-}
-
-// ShardReport summarizes one sharded route stage: the partition size, how
-// many contract-exchange rounds the seams took to stabilize, the total
-// boundary routes exchanged, and whether the stage fell back to the
-// whole-network path.
-type ShardReport struct {
-	Shards         int
-	Rounds         int
-	ContractRoutes int
-	FellBack       bool
 }
 
 // WriteBreakdown renders the per-stage time/bytes table plus substrate
@@ -136,14 +115,6 @@ func (r RunReport) WriteBreakdown(w io.Writer) {
 	if r.Intern != nil {
 		fmt.Fprintf(w, "  intern: %d devices, %d links, %d prefixes, %d B ID tables\n",
 			r.Intern.Devices, r.Intern.Links, r.Intern.Prefixes, r.Intern.TableBytes)
-	}
-	if r.Shard != nil {
-		mode := "converged"
-		if r.Shard.FellBack {
-			mode = "fell back to whole-network"
-		}
-		fmt.Fprintf(w, "  shard: %d shards, %d contract rounds, %d boundary routes (%s)\n",
-			r.Shard.Shards, r.Shard.Rounds, r.Shard.ContractRoutes, mode)
 	}
 }
 
@@ -269,75 +240,17 @@ func (s *System) simulateDistributed(net *config.Network, inputs []netmodel.Rout
 		return err
 	}
 
-	var snapKey string
-	if err := stage("upload_snapshot", func() (err error) {
-		snapKey, err = m.UploadSnapshot(taskID, net)
-		return err
-	}); err != nil {
+	sim := &dsim.Simulation{
+		TaskID: taskID, Net: net, Inputs: inputs, Flows: flows,
+		RouteSubtasks: s.RouteSubtasks, TrafficSubtasks: s.TrafficSubtasks, Opts: s.Opts,
+	}
+	if err := m.Simulate(sim, stage); err != nil {
 		return nil, err
 	}
-	var rt *dsim.RouteTask
-	if s.Shards > 1 {
-		// Sharded route stage: per-shard boundary-sealed fixpoints under
-		// master-driven contract-exchange rounds, stitched into one result.
-		// Enqueue, wait, and stitch happen inside Base, so the stage is one
-		// entry instead of the enqueue/wait pair.
-		v := m.NewShardVerifier(snapKey, net, inputs, s.Shards, 0, s.Opts)
-		if err := stage("shard_route", func() (err error) {
-			rt, err = v.Base(taskID, s.RouteSubtasks)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		report.Shard = &ShardReport{
-			Shards:         v.Partition().NumShards(),
-			Rounds:         v.LastRounds,
-			ContractRoutes: v.ContractRoutes(),
-			FellBack:       v.BaseFellBack,
-		}
-	} else {
-		if err := stage("route_enqueue", func() (err error) {
-			rt, err = m.StartRouteSimulation(taskID, snapKey, inputs, s.RouteSubtasks, s.Opts)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		if err := stage("route_wait", func() error {
-			return m.Wait(taskID, "route", rt.Subtasks)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	var rib *netmodel.GlobalRIB
-	if err := stage("route_collect", func() (err error) {
-		rib, err = m.CollectRouteResults(rt)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	snap := &intent.Snapshot{RIB: rib, Bandwidth: net.Topo.Bandwidths()}
-	if len(flows) > 0 {
-		var tt *dsim.TrafficTask
-		if err := stage("traffic_enqueue", func() (err error) {
-			tt, err = m.StartTrafficSimulation(taskID, rt, flows, s.TrafficSubtasks, dsim.StrategyOrdered, s.Opts)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		if err := stage("traffic_wait", func() error {
-			return m.Wait(taskID, "traffic", tt.Subtasks)
-		}); err != nil {
-			return nil, err
-		}
-		var sum *dsim.TrafficSummary
-		if err := stage("traffic_collect", func() (err error) {
-			sum, err = m.CollectTrafficResults(tt)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		snap.Paths = sum.Paths
-		snap.Load = sum.Load
+	snap := &intent.Snapshot{RIB: sim.RIB, Bandwidth: net.Topo.Bandwidths()}
+	if sim.Summary != nil {
+		snap.Paths = sim.Summary.Paths
+		snap.Load = sim.Summary.Load
 	}
 	return snap, nil
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"hoyan/internal/change"
@@ -82,66 +83,50 @@ func TestAudit(t *testing.T) {
 	}
 }
 
-// TestSimulateShardedMatchesWholeNetwork pins that a sharded distributed run
-// produces the same RIB and traffic snapshot as the whole-network distributed
-// path, and that the run report carries the shard stage summary and metrics.
-func TestSimulateShardedMatchesWholeNetwork(t *testing.T) {
+// TestSimulateDistributedMatchesCentralized pins that a distributed run
+// produces the same RIB and traffic snapshot as the centralized path, and
+// that its run report lists the fleet stages in execution order with the
+// merged fleet metrics and trace.
+func TestSimulateDistributedMatchesCentralized(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 
-	whole := New(out.Net, out.Inputs, out.Flows, core.Options{})
-	whole.Workers = 3
-	whole.RouteSubtasks = 6
-	whole.TrafficSubtasks = 6
-	wsnap, err := whole.Simulate("whole")
+	central, err := New(out.Net, out.Inputs, out.Flows, core.Options{}).Simulate("central")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sharded := New(out.Net, out.Inputs, out.Flows, core.Options{})
-	sharded.Workers = 3
-	sharded.RouteSubtasks = 6
-	sharded.TrafficSubtasks = 6
-	sharded.Shards = 3
-	sharded.Telemetry = true
-	ssnap, err := sharded.Simulate("sharded")
+	dist := New(out.Net, out.Inputs, out.Flows, core.Options{})
+	dist.Workers = 3
+	dist.RouteSubtasks = 6
+	dist.TrafficSubtasks = 6
+	dist.Telemetry = true
+	dsnap, err := dist.Simulate("dist")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if !wsnap.RIB.Equal(ssnap.RIB) {
-		a, b := wsnap.RIB.Diff(ssnap.RIB)
-		t.Fatalf("sharded RIB != whole-network RIB (diff %d/%d)", len(a), len(b))
+	if !central.RIB.Equal(dsnap.RIB) {
+		a, b := central.RIB.Diff(dsnap.RIB)
+		t.Fatalf("distributed RIB != centralized RIB (diff %d/%d)", len(a), len(b))
 	}
-	for id, want := range wsnap.Load {
-		if d := ssnap.Load[id] - want; d > 1e-3 || d < -1e-3 {
-			t.Errorf("load[%s]: sharded %v, whole-network %v", id, ssnap.Load[id], want)
+	for id, want := range central.Load {
+		if d := dsnap.Load[id] - want; d > 1e-3 || d < -1e-3 {
+			t.Errorf("load[%s]: distributed %v, centralized %v", id, dsnap.Load[id], want)
 		}
 	}
 
-	rep := sharded.LastRunReport()
-	if rep.Shard == nil {
-		t.Fatal("sharded run report missing Shard summary")
-	}
-	if rep.Shard.Shards != 3 || rep.Shard.Rounds < 1 || rep.Shard.ContractRoutes == 0 {
-		t.Errorf("implausible shard report: %+v", rep.Shard)
-	}
-	if rep.Shard.FellBack {
-		t.Error("sharded base stage fell back to the whole-network path")
-	}
-	stages := map[string]bool{}
+	rep := dist.LastRunReport()
+	var stages []string
 	for _, st := range rep.Stages {
-		stages[st.Name] = true
+		stages = append(stages, st.Name)
 	}
-	if !stages["shard_route"] || stages["route_enqueue"] {
-		t.Errorf("stage list should use shard_route in place of route_enqueue: %+v", rep.Stages)
+	want := []string{"upload_snapshot", "route_enqueue", "route_wait", "route_collect",
+		"traffic_enqueue", "traffic_wait", "traffic_collect"}
+	if !slices.Equal(stages, want) {
+		t.Errorf("stages %v, want %v", stages, want)
 	}
-	var rounds float64
-	for _, m := range rep.Metrics {
-		if m.Name == "shard_rounds_total" {
-			rounds = m.Value
-		}
-	}
-	if rounds < 1 {
-		t.Errorf("shard_rounds_total not in merged metrics snapshot: %v", rounds)
+	if rep.TaskID != "dist" || len(rep.Metrics) == 0 || len(rep.Spans) == 0 || rep.Intern == nil {
+		t.Errorf("run report incomplete: task %q, %d metric series, %d spans, intern %v",
+			rep.TaskID, len(rep.Metrics), len(rep.Spans), rep.Intern)
 	}
 }

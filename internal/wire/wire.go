@@ -60,8 +60,6 @@ const (
 	KindFlows
 	KindSnapshot
 	KindTrafficResult
-	KindShardInput
-	KindShardResult
 )
 
 func (k Kind) String() string {
@@ -74,10 +72,6 @@ func (k Kind) String() string {
 		return "snapshot"
 	case KindTrafficResult:
 		return "traffic-result"
-	case KindShardInput:
-		return "shard-input"
-	case KindShardResult:
-		return "shard-result"
 	}
 	return fmt.Sprintf("kind(%d)", byte(k))
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"math/rand"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hoyan/internal/netmodel"
@@ -349,8 +351,6 @@ func TestDecodersRejectForeignBlobs(t *testing.T) {
 		{KindFlows, func(r *bytes.Reader) error { _, err := DecodeFlows(r); return err }},
 		{KindSnapshot, func(r *bytes.Reader) error { _, err := DecodeSnapshot(r); return err }},
 		{KindTrafficResult, func(r *bytes.Reader) error { _, err := DecodeTrafficResult(r); return err }},
-		{KindShardInput, func(r *bytes.Reader) error { _, err := DecodeShardInput(r); return err }},
-		{KindShardResult, func(r *bytes.Reader) error { _, err := DecodeShardResult(r); return err }},
 	}
 	for _, d := range decoders {
 		inputs := []struct {
@@ -407,6 +407,22 @@ func FuzzDecodeRoutes(f *testing.F) {
 		}
 		if len(again) != len(routes) {
 			t.Fatalf("re-decode row count %d != %d", len(again), len(routes))
+		}
+		if !slices.EqualFunc(routes, again, netmodel.Route.Identical) {
+			t.Fatalf("re-decode changed the rows: %v -> %v", routes, again)
+		}
+
+		// The canonical order is total on whatever the decoder accepts: any
+		// permutation of the rows sorts back to the same sequence
+		// (result files, the fleet's k-way merge and RIB digests rely on it).
+		sorted := slices.Clone(routes)
+		slices.SortFunc(sorted, netmodel.CompareRoutes)
+		shuffled := slices.Clone(routes)
+		rnd := rand.New(rand.NewSource(int64(len(data))))
+		rnd.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		slices.SortFunc(shuffled, netmodel.CompareRoutes)
+		if !slices.EqualFunc(sorted, shuffled, netmodel.Route.Identical) {
+			t.Fatal("canonical order depends on input order")
 		}
 	})
 }
