@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke bench-core bench-wire benchmark chaos chaos-restart trace check
+.PHONY: all build test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke bench-core benchmark chaos chaos-restart trace check
 
 all: check
 
@@ -30,10 +30,12 @@ test-shuffle:
 # fixpoint's work units, concurrent forks, scenario fan-out, the global-RIB
 # blocks concurrent queries share with their base (netmodel, intent, serve),
 # and what concurrent forks read of one base while patching their own tables
-# (ec's memoized expansion index, traffic's base traces) — at 1, 2 and 8
-# procs: results must not depend on how the units interleave.
+# (ec's memoized expansion index, traffic's base traces), and the fleet, whose
+# traffic subtasks build RIB tables lazily while the forwarder's goroutines
+# look them up (dsim's fleet-vs-centralized tests) — at 1, 2 and 8 procs:
+# results must not depend on how the units interleave.
 test-procs:
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/netmodel ./internal/intent ./internal/serve ./internal/ec ./internal/traffic || exit 1; done
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/netmodel ./internal/intent ./internal/serve ./internal/ec ./internal/traffic ./internal/dsim || exit 1; done
 
 # Race-detector pass over every package: the parallel engine hot paths (SPF,
 # forwarding, ECs, config parse) and the concurrent-engine tests must stay
@@ -57,11 +59,11 @@ fuzz-smoke:
 		done; \
 	done
 
-# The wall-clock ratio floors of the root-package Test*Speedup /
-# TestWireCompactness measurements are asserted only under
-# HOYAN_BENCH_FLOORS=1: the bench-* targets set it, plain `go test ./...`
-# (tier-1) logs the ratios and asserts only what is deterministic.
-bench-core bench-wire: export HOYAN_BENCH_FLOORS = 1
+# The wall-clock ratio floors of the root-package Test*Speedup measurements
+# are asserted only under HOYAN_BENCH_FLOORS=1: bench-core sets it, plain
+# `go test ./...` (tier-1) logs the ratios and asserts only what is
+# deterministic.
+bench-core: export HOYAN_BENCH_FLOORS = 1
 
 # Index-based core measurement: the dense-ID route simulation vs the
 # preserved string-keyed reference (core.Options.DisableIndex) on the
@@ -72,14 +74,6 @@ bench-core bench-wire: export HOYAN_BENCH_FLOORS = 1
 bench-core:
 	CORE_BENCH_JSON=BENCH_core.json $(GO) test -run '^TestCoreSpeedup$$' -v .
 	$(GO) test -run '^$$' -bench '^Benchmark(Core|RouteSim)' -benchtime 1x .
-
-# Wire-codec size/speed measurement: binary format vs encoding/json on the
-# gen.WAN(2) fixture. Asserts the >=3x size / >=2x decode floors and writes
-# the measured numbers to BENCH_wire.json; the one-shot BenchmarkWire* pass
-# catches bench bit-rot.
-bench-wire:
-	WIRE_BENCH_JSON=BENCH_wire.json $(GO) test -run '^TestWireCompactness$$' -v .
-	$(GO) test -run '^$$' -bench '^BenchmarkWire' -benchtime 1x .
 
 # The repo benchmark once over every workload, untraced and traced, as a
 # goldens and cross-check smoke: it exits non-zero unless every run is
@@ -109,4 +103,4 @@ chaos-restart:
 trace:
 	$(GO) run ./cmd/hoyan-exp -scale 1 -trace trace.json report
 
-check: vet lint-toggles build race bench-smoke fuzz-smoke bench-core bench-wire chaos chaos-restart benchmark
+check: vet lint-toggles build race bench-smoke fuzz-smoke bench-core chaos chaos-restart benchmark

@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
@@ -122,14 +123,37 @@ func allocsDuring(f func()) (allocs, bytes uint64) {
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
+func timeIters(iters int, f func()) time.Duration {
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		f()
+	}
+	return time.Since(start) / time.Duration(iters)
+}
+
+// measurePair times fastF and refF back to back `trials` times and returns
+// the per-iteration durations of the trial with the best ref/fast ratio.
+// Pairing the measurements inside each trial keeps the ratio meaningful on a
+// loaded host: a background spike lands on both sides of one trial rather
+// than on one phase of a split measurement, and one quiet trial suffices.
+func measurePair(trials, iters int, fastF, refF func()) (fastNs, refNs int64) {
+	for t := 0; t < trials; t++ {
+		f := int64(timeIters(iters, fastF))
+		r := int64(timeIters(iters, refF))
+		if t == 0 || float64(r)*float64(fastNs) > float64(refNs)*float64(f) {
+			fastNs, refNs = f, r
+		}
+	}
+	return
+}
+
 // TestCoreSpeedup pins the indexed core's acceptance floor: the dense-ID
 // engine must run the gen.WAN(1) centralized route simulation at least 3x
 // faster than the preserved string-keyed implementation
-// (core.Options.DisableIndex). Measurements are paired per trial (like
-// TestWireCompactness) so a background spike on a loaded host lands on both
-// sides of a trial instead of biasing the ratio. With CORE_BENCH_JSON set it
-// also writes the measured numbers to that path (used by `make bench-core` to
-// produce BENCH_core.json).
+// (core.Options.DisableIndex). Measurements are paired per trial so a
+// background spike on a loaded host lands on both sides of a trial instead of
+// biasing the ratio. With CORE_BENCH_JSON set it also writes the measured
+// numbers to that path (used by `make bench-core` to produce BENCH_core.json).
 func TestCoreSpeedup(t *testing.T) {
 	f := coreFixtures(t)
 

@@ -32,12 +32,11 @@ import (
 )
 
 // enforceFloors reports whether this run asserts the wall-clock ratio floors
-// of the Test*Speedup / TestDurableOverhead / TestWireCompactness
-// measurements. They hold on a quiet multi-core host and are scheduler noise
-// elsewhere, so plain `go test ./...` only logs the ratios; the
-// `make bench-*` targets set HOYAN_BENCH_FLOORS=1 to enforce them. Never
+// of the Test*Speedup measurements. They hold on a quiet multi-core host and
+// are scheduler noise elsewhere, so plain `go test ./...` only logs the
+// ratios; `make bench-core` sets HOYAN_BENCH_FLOORS=1 to enforce them. Never
 // under the race detector, which instruments the compared paths unevenly.
-// Everything deterministic in those tests (byte identity, size ratios) is
+// Everything deterministic in those tests (byte identity, work counts) is
 // asserted on every run.
 func enforceFloors() bool {
 	return os.Getenv("HOYAN_BENCH_FLOORS") != "" && !raceEnabled

@@ -110,9 +110,10 @@ func main() {
 	fmt.Printf("worker %s consuming from %s\n", *name, *mqAddr)
 	w.Run(ctx)
 	st := w.Stats()
-	fmt.Printf("worker %s done: snapshot cache %d/%d hits, RIB cache %d/%d hits, %d bytes fetched, %d bytes saved\n",
+	fmt.Printf("worker %s done: snapshot cache %d/%d hits, RIB cache %d/%d hits, %d bytes fetched, %d bytes saved, %d/%d RIB tables built\n",
 		*name, st.SnapshotHits, st.SnapshotHits+st.SnapshotMisses,
-		st.RIBFileHits, st.RIBFileHits+st.RIBFileMisses, st.BytesFetched, st.BytesSaved)
+		st.RIBFileHits, st.RIBFileHits+st.RIBFileMisses, st.BytesFetched, st.BytesSaved,
+		st.RIBTablesBuilt, st.RIBTablesLoaded)
 }
 
 func fatal(err error) {

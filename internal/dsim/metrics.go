@@ -34,6 +34,11 @@ type WorkerMetrics struct {
 	BytesSaved     *telemetry.Counter
 	CacheEvictions *telemetry.Counter
 
+	// RIB tables traffic subtasks loaded, and the ones they built because the
+	// forwarder looked them up (tables are built lazily).
+	RIBTablesLoaded *telemetry.Counter
+	RIBTablesBuilt  *telemetry.Counter
+
 	// Interner table sizes of the worker's cached engines (gauges: the
 	// indexed core's ID-table footprint, refreshed after every subtask).
 	InternDevices    *telemetry.Gauge
@@ -86,6 +91,9 @@ func NewWorkerMetrics(reg *telemetry.Registry) *WorkerMetrics {
 		BytesFetched:   reg.Counter("hoyan_worker_store_bytes_fetched_total", "object-store bytes downloaded"),
 		BytesSaved:     reg.Counter("hoyan_worker_store_bytes_saved_total", "encoded RIB bytes served from cache instead of the store"),
 		CacheEvictions: reg.Counter("hoyan_worker_cache_evictions_total", "entries evicted from the worker caches"),
+
+		RIBTablesLoaded: reg.Counter("hoyan_worker_rib_tables_total", "(device, VRF) tables traffic subtasks loaded or built", telemetry.L("state", "loaded")),
+		RIBTablesBuilt:  reg.Counter("hoyan_worker_rib_tables_total", "(device, VRF) tables traffic subtasks loaded or built", telemetry.L("state", "built")),
 
 		InternDevices:    reg.Gauge("hoyan_intern_devices", "devices interned into dense IDs"),
 		InternLinks:      reg.Gauge("hoyan_intern_links", "links interned into dense IDs"),

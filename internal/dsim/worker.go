@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,6 +141,11 @@ type CacheStats struct {
 	// BytesSaved counts encoded RIB bytes served from cache instead.
 	BytesFetched int64 `json:"bytes_fetched"`
 	BytesSaved   int64 `json:"bytes_saved"`
+	// RIBTablesLoaded counts the (device, VRF) tables traffic subtasks loaded
+	// from route files; RIBTablesBuilt the ones the forwarder looked up, whose
+	// prefix maps were therefore built. The difference is loading skipped.
+	RIBTablesLoaded int64 `json:"rib_tables_loaded"`
+	RIBTablesBuilt  int64 `json:"rib_tables_built"`
 }
 
 // Add accumulates o into s (aggregating across a cluster's workers).
@@ -150,6 +156,8 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.RIBFileMisses += o.RIBFileMisses
 	s.BytesFetched += o.BytesFetched
 	s.BytesSaved += o.BytesSaved
+	s.RIBTablesLoaded += o.RIBTablesLoaded
+	s.RIBTablesBuilt += o.RIBTablesBuilt
 }
 
 // Stats returns the worker's cache and transfer counters — a compatibility
@@ -163,6 +171,9 @@ func (w *Worker) Stats() CacheStats {
 		RIBFileMisses:  m.RIBMisses.Value(),
 		BytesFetched:   m.BytesFetched.Value(),
 		BytesSaved:     m.BytesSaved.Value(),
+
+		RIBTablesLoaded: m.RIBTablesLoaded.Value(),
+		RIBTablesBuilt:  m.RIBTablesBuilt.Value(),
 	}
 }
 
@@ -215,11 +226,12 @@ func (w *Worker) noteEvictions(cache string, keys []string) {
 }
 
 // stage runs fn as one named child span of ctx's current span plus one
-// histogram observation.
-func (w *Worker) stage(ctx context.Context, name string, h *telemetry.Histogram, fn func() error) error {
+// histogram observation. fn may tag the span (nil when tracing is off, which
+// SetTag accepts).
+func (w *Worker) stage(ctx context.Context, name string, h *telemetry.Histogram, fn func(sp *telemetry.Span) error) error {
 	_, sp := telemetry.StartSpan(ctx, name)
 	start := time.Now()
-	err := fn()
+	err := fn(sp)
 	sp.End()
 	h.Observe(time.Since(start).Seconds())
 	return err
@@ -526,7 +538,7 @@ func (w *Worker) networkFor(ctx context.Context, snapKey string, parallelism int
 		return net, nil
 	}
 	w.metrics.SnapshotMisses.Inc()
-	err := w.stage(ctx, "snapshot.restore", w.metrics.RestoreSeconds, func() error {
+	err := w.stage(ctx, "snapshot.restore", w.metrics.RestoreSeconds, func(*telemetry.Span) error {
 		data, err := w.svc.Store.Get(snapKey)
 		if err != nil {
 			return fmt.Errorf("loading snapshot: %w", err)
@@ -553,7 +565,11 @@ func (w *Worker) networkFor(ctx context.Context, snapKey string, parallelism int
 // from the worker's bounded LRU when possible. Caching by object key is
 // sound across attempt epochs: result files are content-deterministic, so a
 // reclaimed subtask's re-run writes byte-identical data under the same key.
-// Cached rows are shared read-only — RIBSet.AddRows copies what it keeps.
+//
+// Cached rows are immutable, and other code depends on it: a traffic
+// subtask's RIB set and prefix list reference them (a single file's rows
+// directly, their prefix runs as table rows), and a route subtask seeds the
+// cache with the slice it just encoded. Nothing may write to them.
 func (w *Worker) ribRows(key string) ([]netmodel.Route, error) {
 	w.cacheMu.Lock()
 	ent, ok := w.ribCacheLocked().get(key)
@@ -619,7 +635,7 @@ func (w *Worker) routeSubtask(ctx context.Context, msg SubtaskMsg) error {
 		return err
 	}
 	var rows []netmodel.Route
-	w.stage(ctx, "engine.run", w.metrics.EngineSeconds, func() error {
+	w.stage(ctx, "engine.run", w.metrics.EngineSeconds, func(*telemetry.Span) error {
 		res := eng.RouteSimulation(inputs)
 		w.metrics.RecordBGPPar(res.BGP.Par)
 		rows = res.GlobalRIB().Rows()
@@ -627,12 +643,12 @@ func (w *Worker) routeSubtask(ctx context.Context, msg SubtaskMsg) error {
 	})
 	w.metrics.RecordIntern(eng.InternStats())
 	var buf bytes.Buffer
-	if err := w.stage(ctx, "result.encode", w.metrics.EncodeSeconds, func() error {
+	if err := w.stage(ctx, "result.encode", w.metrics.EncodeSeconds, func(*telemetry.Span) error {
 		return core.EncodeRoutes(&buf, rows)
 	}); err != nil {
 		return err
 	}
-	err = w.stage(ctx, "objstore.put", w.metrics.PutSeconds, func() error {
+	err = w.stage(ctx, "objstore.put", w.metrics.PutSeconds, func(*telemetry.Span) error {
 		return w.svc.Store.Put(msg.ResultKey, buf.Bytes())
 	})
 	w.noteResultWrite(err)
@@ -668,25 +684,40 @@ func (w *Worker) trafficSubtask(ctx context.Context, msg SubtaskMsg) (int, error
 	if err != nil {
 		return 0, err
 	}
-	ribs := netmodel.NewRIBSet(nil)
-	var allRows []netmodel.Route
+	// The files are canonical (a route subtask writes GlobalRIB().Rows()), so
+	// one file is used as it is and several are merged into one canonical
+	// slice. That slice is the set's storage and the prefix list's source;
+	// the set's tables are built only when the forwarder looks them up.
 	_, lsp := telemetry.StartSpan(ctx, "ribs.load")
+	segs := make([][]netmodel.Route, 0, len(needed))
 	for _, sub := range needed {
-		rows, err := w.ribRows(resultKey(msg.RouteTaskID, "route", sub))
+		seg, err := w.ribRows(resultKey(msg.RouteTaskID, "route", sub))
 		if err != nil {
 			lsp.End()
 			return 0, fmt.Errorf("loading RIB file %d: %w", sub, err)
 		}
-		ribs.AddRows(rows)
-		allRows = append(allRows, rows...)
+		segs = append(segs, seg)
 	}
+	var rows []netmodel.Route
+	if len(segs) == 1 {
+		rows = segs[0]
+	} else {
+		rows = netmodel.MergeSortedRoutes(segs)
+	}
+	ribs := netmodel.NewRIBSetFromSorted(rows)
+	lsp.SetTag("files", strconv.Itoa(len(segs)))
+	lsp.SetTag("rows", strconv.Itoa(len(rows)))
+	lsp.SetTag("tables", strconv.Itoa(ribs.Tables()))
 	lsp.End()
 
 	var res *core.TrafficResult
-	w.stage(ctx, "engine.run", w.metrics.EngineSeconds, func() error {
-		res = eng.TrafficSimulation(ribs, allRows, flows)
+	w.stage(ctx, "engine.run", w.metrics.EngineSeconds, func(sp *telemetry.Span) error {
+		res = eng.TrafficSimulation(ribs, rows, flows)
+		sp.SetTag("tables_built", strconv.Itoa(ribs.TablesBuilt()))
 		return nil
 	})
+	w.metrics.RIBTablesLoaded.Add(int64(ribs.Tables()))
+	w.metrics.RIBTablesBuilt.Add(int64(ribs.TablesBuilt()))
 	w.metrics.RecordIntern(eng.InternStats())
 	file := TrafficResultFile{}
 	ids := make([]netmodel.LinkID, 0, len(res.Traffic.Load))
@@ -701,12 +732,12 @@ func (w *Worker) trafficSubtask(ctx context.Context, msg SubtaskMsg) (int, error
 		file.Paths = append(file.Paths, PathEntry{Flow: p.Flow, Path: PathWire{Hops: p.Path.Hops, Exit: p.Path.Exit}})
 	}
 	var buf bytes.Buffer
-	if err := w.stage(ctx, "result.encode", w.metrics.EncodeSeconds, func() error {
+	if err := w.stage(ctx, "result.encode", w.metrics.EncodeSeconds, func(*telemetry.Span) error {
 		return wire.EncodeTrafficResult(&buf, &file)
 	}); err != nil {
 		return 0, fmt.Errorf("encoding traffic result: %w", err)
 	}
-	err = w.stage(ctx, "objstore.put", w.metrics.PutSeconds, func() error {
+	err = w.stage(ctx, "objstore.put", w.metrics.PutSeconds, func(*telemetry.Span) error {
 		return w.svc.Store.Put(msg.ResultKey, buf.Bytes())
 	})
 	w.noteResultWrite(err)

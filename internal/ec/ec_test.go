@@ -81,8 +81,8 @@ func TestRouteECExpansion(t *testing.T) {
 	// Simulating only the representative, then expanding, reproduces rows
 	// for the member prefix.
 	rib := netmodel.NewRIB("X", netmodel.DefaultVRF)
-	rib.Add(netmodel.Route{Prefix: rep, Protocol: netmodel.ProtoBGP,
-		NextHop: netip.MustParseAddr("1.1.1.1"), RouteType: netmodel.RouteBest})
+	rib.Replace(rep, []netmodel.Route{{Prefix: rep, Protocol: netmodel.ProtoBGP,
+		NextHop: netip.MustParseAddr("1.1.1.1"), RouteType: netmodel.RouteBest}})
 	ecs.ExpandRIB(rib)
 	member := exp[rep][0]
 	rows := rib.Routes(member)

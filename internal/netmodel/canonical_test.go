@@ -122,22 +122,23 @@ func TestCompareRoutesTotalOrder(t *testing.T) {
 func TestAppendSortedMatchesFullSort(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
-		set := NewRIBSet(nil)
 		var all []Route
 		for n := rnd.Intn(60); n > 0; n-- {
-			r := randRoute(rnd)
-			set.AddRows([]Route{r})
-			all = append(all, r)
+			all = append(all, randRoute(rnd))
 		}
-		set.m[[2]string{"d0", DefaultVRF}] = NewRIB("d0", DefaultVRF) // an empty table
-		got := set.Rows()
+		tables := refTables(all)
+		tables[[2]string{"d0", DefaultVRF}] = NewRIB("d0", DefaultVRF) // an empty table
+		var got []Route
+		for _, k := range sortedTableKeys(tables) {
+			got = tables[k].AppendSorted(got)
+		}
 		assertSameRows(t, "AppendSorted over tables", got, refGlobalRows(all))
 		assertSameRows(t, "NewGlobalRIB", NewGlobalRIB(all).Rows(), got)
 		if !slices.IsSortedFunc(got, CompareRoutes) {
 			t.Fatalf("trial %d: rows not in CompareRoutes order", trial)
 		}
-		for k := range set.m {
-			if tbl := set.m[k]; !slices.EqualFunc(tbl.All(), tbl.AppendSorted(nil), Route.Identical) {
+		for k, tbl := range tables {
+			if !slices.EqualFunc(tbl.All(), tbl.AppendSorted(nil), Route.Identical) {
 				t.Fatalf("trial %d: All and AppendSorted disagree on %v", trial, k)
 			}
 		}

@@ -42,14 +42,6 @@ func NewRIBSized(device, vrf string, hint int) *RIB {
 	return &RIB{Device: device, VRF: vrf, byPrefix: make(map[netip.Prefix][]Route, hint)}
 }
 
-// Add installs a route row. The row's Device/VRF are forced to the RIB's.
-func (t *RIB) Add(r Route) {
-	r.Device, r.VRF = t.Device, t.VRF
-	n := len(t.byPrefix)
-	t.byPrefix[r.Prefix] = append(t.byPrefix[r.Prefix], r)
-	t.invalidate(n)
-}
-
 // Replace substitutes all rows for prefix with rs.
 func (t *RIB) Replace(prefix netip.Prefix, rs []Route) {
 	rows := make([]Route, len(rs))
@@ -822,55 +814,87 @@ func appendAttrDiffSig(dst []byte, r *Route) []byte {
 	return dst
 }
 
-// RIBSet groups route rows into per-(device, vrf) RIBs; the form traffic
+// RIBSet is route rows seen as per-(device, vrf) RIBs: the form traffic
 // simulation consumes when RIBs are loaded from distributed result files.
+//
+// It holds the rows by reference. Construction only cuts them into one run
+// per table; a table's prefix map is built on the first RIB call that asks
+// for it, and each prefix's rows are a sub-slice of the run, so no row is
+// copied and a table the forwarder never visits costs nothing.
 type RIBSet struct {
-	m map[[2]string]*RIB
+	m     map[[2]string]*lazyRIB
+	built atomic.Int64
 }
 
-// NewRIBSet builds a RIB set from flat route rows.
-func NewRIBSet(rows []Route) *RIBSet {
-	s := &RIBSet{m: make(map[[2]string]*RIB)}
-	s.AddRows(rows)
+// lazyRIB is one table of a RIBSet: its canonical run of rows, and the RIB
+// over them once someone has looked it up.
+type lazyRIB struct {
+	rows []Route
+	once sync.Once
+	rib  *RIB
+}
+
+// NewRIBSetFromSorted wraps rows already in CompareRoutes order (a global
+// RIB's rows, or a merge of such — MergeSortedRoutes). The set references
+// rows: callers must not modify them while the set is in use.
+func NewRIBSetFromSorted(rows []Route) *RIBSet {
+	s := &RIBSet{m: make(map[[2]string]*lazyRIB)}
+	for len(rows) > 0 {
+		dev, vrf := rows[0].Device, rows[0].VRF
+		end := sort.Search(len(rows), func(i int) bool { return rows[i].Device != dev || rows[i].VRF != vrf })
+		k := [2]string{dev, vrf}
+		if _, dup := s.m[k]; dup {
+			panic("netmodel: NewRIBSetFromSorted: rows not in canonical order (table " + dev + "/" + vrf + " split)")
+		}
+		s.m[k] = &lazyRIB{rows: rows[:end:end]}
+		rows = rows[end:]
+	}
 	return s
 }
 
-// AddRows merges additional rows into the set.
-func (s *RIBSet) AddRows(rows []Route) {
-	for _, r := range rows {
-		k := [2]string{r.Device, r.VRF}
-		t, ok := s.m[k]
-		if !ok {
-			t = NewRIB(r.Device, r.VRF)
-			s.m[k] = t
-		}
-		t.Add(r)
-	}
-}
-
-// RIB returns the table for (device, vrf), or an empty RIB.
+// RIB returns the table for (device, vrf), or an empty RIB. The first call
+// for a table builds its prefix map; concurrent first calls build it once and
+// all return the same *RIB.
 func (s *RIBSet) RIB(device, vrf string) *RIB {
-	if t, ok := s.m[[2]string{device, vrf}]; ok {
-		return t
+	t, ok := s.m[[2]string{device, vrf}]
+	if !ok {
+		return NewRIB(device, vrf)
 	}
-	return NewRIB(device, vrf)
+	t.once.Do(func() {
+		t.rib = ribFromSorted(device, vrf, t.rows)
+		s.built.Add(1)
+	})
+	return t.rib
 }
 
-// Rows returns every row in deterministic order.
-func (s *RIBSet) Rows() []Route {
-	keys := make([][2]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b [2]string) int {
-		if a[0] != b[0] {
-			return strings.Compare(a[0], b[0])
+// Tables returns the number of (device, VRF) tables the set holds.
+func (s *RIBSet) Tables() int { return len(s.m) }
+
+// TablesBuilt returns how many of them have been looked up, and so built.
+func (s *RIBSet) TablesBuilt() int { return int(s.built.Load()) }
+
+// ribFromSorted builds a table over one (device, VRF) run in canonical order:
+// each prefix's rows are contiguous, so each becomes a capacity-clipped
+// sub-slice of rows.
+func ribFromSorted(device, vrf string, rows []Route) *RIB {
+	n := 0
+	for i := range rows {
+		if i == 0 || rows[i].Prefix != rows[i-1].Prefix {
+			n++
 		}
-		return strings.Compare(a[1], b[1])
-	})
-	var out []Route
-	for _, k := range keys {
-		out = s.m[k].AppendSorted(out)
 	}
-	return out
+	t := NewRIBSized(device, vrf, n)
+	for lo := 0; lo < len(rows); {
+		p := rows[lo].Prefix
+		hi := lo + 1
+		for hi < len(rows) && rows[hi].Prefix == p {
+			hi++
+		}
+		t.byPrefix[p] = rows[lo:hi:hi]
+		lo = hi
+	}
+	if len(t.byPrefix) != n {
+		panic("netmodel: RIBSet: rows of " + device + "/" + vrf + " not in canonical order (prefix split)")
+	}
+	return t
 }

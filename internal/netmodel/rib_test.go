@@ -15,17 +15,19 @@ func mkRoute(dev, vrf, prefix, nh string, rt RouteType) Route {
 	}
 }
 
-func TestRIBAddAndBest(t *testing.T) {
+func TestRIBReplaceAndBest(t *testing.T) {
 	rib := NewRIB("A", DefaultVRF)
 	p := netip.MustParsePrefix("10.0.0.0/24")
-	rib.Add(mkRoute("X", "ignored", "10.0.0.0/24", "1.1.1.1", RouteBest))
-	rib.Add(mkRoute("X", "ignored", "10.0.0.0/24", "2.2.2.2", RouteCandidate))
+	rib.Replace(p, []Route{
+		mkRoute("X", "ignored", "10.0.0.0/24", "1.1.1.1", RouteBest),
+		mkRoute("X", "ignored", "10.0.0.0/24", "2.2.2.2", RouteCandidate),
+	})
 	if rib.Len() != 2 {
 		t.Fatalf("Len = %d", rib.Len())
 	}
 	for _, r := range rib.Routes(p) {
 		if r.Device != "A" || r.VRF != DefaultVRF {
-			t.Errorf("Add must force device/vrf, got %s/%s", r.Device, r.VRF)
+			t.Errorf("Replace must force device/vrf, got %s/%s", r.Device, r.VRF)
 		}
 	}
 	best := rib.Best(p)
@@ -37,7 +39,7 @@ func TestRIBAddAndBest(t *testing.T) {
 func TestRIBReplace(t *testing.T) {
 	rib := NewRIB("A", DefaultVRF)
 	p := netip.MustParsePrefix("10.0.0.0/24")
-	rib.Add(mkRoute("A", DefaultVRF, "10.0.0.0/24", "1.1.1.1", RouteBest))
+	rib.Replace(p, []Route{mkRoute("A", DefaultVRF, "10.0.0.0/24", "1.1.1.1", RouteBest)})
 	rib.Replace(p, []Route{mkRoute("A", DefaultVRF, "10.0.0.0/24", "3.3.3.3", RouteBest)})
 	if got := rib.Best(p); len(got) != 1 || got[0].NextHop != netip.MustParseAddr("3.3.3.3") {
 		t.Errorf("Replace: %v", got)
@@ -50,9 +52,13 @@ func TestRIBReplace(t *testing.T) {
 
 func TestRIBLongestMatch(t *testing.T) {
 	rib := NewRIB("A", DefaultVRF)
-	rib.Add(mkRoute("A", DefaultVRF, "10.0.0.0/8", "1.0.0.1", RouteBest))
-	rib.Add(mkRoute("A", DefaultVRF, "10.1.0.0/16", "2.0.0.1", RouteBest))
-	rib.Add(mkRoute("A", DefaultVRF, "10.1.2.0/24", "3.0.0.1", RouteCandidate)) // no best rows
+	for _, r := range []Route{
+		mkRoute("A", DefaultVRF, "10.0.0.0/8", "1.0.0.1", RouteBest),
+		mkRoute("A", DefaultVRF, "10.1.0.0/16", "2.0.0.1", RouteBest),
+		mkRoute("A", DefaultVRF, "10.1.2.0/24", "3.0.0.1", RouteCandidate), // no best rows
+	} {
+		rib.Replace(r.Prefix, []Route{r})
+	}
 
 	prefix, best, ok := rib.LongestMatch(netip.MustParseAddr("10.1.2.3"))
 	if !ok {

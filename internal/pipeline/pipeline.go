@@ -112,6 +112,8 @@ func (r RunReport) WriteBreakdown(w io.Writer) {
 		r.Cache.SnapshotHits, r.Cache.SnapshotHits+r.Cache.SnapshotMisses,
 		r.Cache.RIBFileHits, r.Cache.RIBFileHits+r.Cache.RIBFileMisses,
 		r.Cache.BytesSaved)
+	fmt.Fprintf(w, "  rib tables: %d/%d built on lookup by traffic subtasks\n",
+		r.Cache.RIBTablesBuilt, r.Cache.RIBTablesLoaded)
 	if r.Intern != nil {
 		fmt.Fprintf(w, "  intern: %d devices, %d links, %d prefixes, %d B ID tables\n",
 			r.Intern.Devices, r.Intern.Links, r.Intern.Prefixes, r.Intern.TableBytes)

@@ -100,13 +100,16 @@ var ErrCorrupt = errors.New("wire: corrupt frame")
 
 // ---------------------------------------------------------------- encoder
 
-// encoder writes the payload of one frame, carrying a sticky error and the
-// interning tables.
+// encoder writes the payload of one frame through a buffered writer, whose
+// error is sticky (flush reports the first), and carries the interning
+// tables. Nothing it writes per row allocates: fixed-size values go through
+// the persistent small buffer (a local array would escape through the
+// underlying io.Writer), interned keys are looked up without conversion, and
+// a map key is allocated only when it is inserted.
 type encoder struct {
-	w   io.Writer
-	err error
+	w *bufio.Writer
 
-	varbuf  [binary.MaxVarintLen64]byte
+	small   [16]byte // a varint, a float64 or an IPv6 address
 	scratch []byte
 
 	strings map[string]uint64
@@ -114,22 +117,20 @@ type encoder struct {
 	comms   map[string]uint64
 }
 
+// newEncoder wraps w in a bufio.Writer (w itself when it already is one);
+// callers must flush.
 func newEncoder(w io.Writer) *encoder {
 	return &encoder{
-		w:       w,
+		w:       bufio.NewWriter(w),
 		strings: make(map[string]uint64),
 		asPaths: make(map[string]uint64),
 		comms:   make(map[string]uint64),
 	}
 }
 
-func (e *encoder) write(p []byte) {
-	if e.err == nil {
-		_, e.err = e.w.Write(p)
-	}
-}
+func (e *encoder) flush() error { return e.w.Flush() }
 
-func (e *encoder) byte(b byte) { e.write([]byte{b}) }
+func (e *encoder) byte(b byte) { e.w.WriteByte(b) }
 
 func (e *encoder) bool(b bool) {
 	if b {
@@ -140,20 +141,19 @@ func (e *encoder) bool(b bool) {
 }
 
 func (e *encoder) uvarint(v uint64) {
-	n := binary.PutUvarint(e.varbuf[:], v)
-	e.write(e.varbuf[:n])
+	n := binary.PutUvarint(e.small[:], v)
+	e.w.Write(e.small[:n])
 }
 
 func (e *encoder) f64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	e.write(b[:])
+	binary.LittleEndian.PutUint64(e.small[:8], math.Float64bits(v))
+	e.w.Write(e.small[:8])
 }
 
 // blob writes a non-interned length-prefixed byte string (config text).
 func (e *encoder) blob(s string) {
 	e.uvarint(uint64(len(s)))
-	e.write([]byte(s))
+	e.w.WriteString(s)
 }
 
 // str writes an interned string: a varint reference for strings seen before,
@@ -172,13 +172,18 @@ func (e *encoder) str(s string) {
 // addr writes a netip address as a length byte (0 = zero Addr) plus raw
 // bytes, preserving the 4/16-byte form.
 func (e *encoder) addr(a netip.Addr) {
-	if !a.IsValid() {
-		e.byte(0)
-		return
+	n := 0
+	switch {
+	case !a.IsValid():
+	case a.Is4():
+		b := a.As4()
+		n = copy(e.small[:], b[:])
+	default:
+		e.small = a.As16()
+		n = 16
 	}
-	b := a.AsSlice()
-	e.byte(byte(len(b)))
-	e.write(b)
+	e.byte(byte(n))
+	e.w.Write(e.small[:n])
 }
 
 func (e *encoder) prefix(p netip.Prefix) {
@@ -188,53 +193,48 @@ func (e *encoder) prefix(p netip.Prefix) {
 	}
 }
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	return append(dst, b[:n]...)
-}
-
 // asPath writes a structurally interned AS path.
 func (e *encoder) asPath(p netmodel.ASPath) {
 	e.scratch = e.scratch[:0]
-	e.scratch = appendUvarint(e.scratch, uint64(len(p.Seq)))
+	e.scratch = binary.AppendUvarint(e.scratch, uint64(len(p.Seq)))
 	for _, a := range p.Seq {
-		e.scratch = appendUvarint(e.scratch, uint64(a))
+		e.scratch = binary.AppendUvarint(e.scratch, uint64(a))
 	}
-	e.scratch = appendUvarint(e.scratch, uint64(len(p.Set)))
+	e.scratch = binary.AppendUvarint(e.scratch, uint64(len(p.Set)))
 	for _, a := range p.Set {
-		e.scratch = appendUvarint(e.scratch, uint64(a))
+		e.scratch = binary.AppendUvarint(e.scratch, uint64(a))
 	}
-	key := string(e.scratch)
-	if id, ok := e.asPaths[key]; ok {
+	e.interned(e.asPaths)
+}
+
+// interned writes the structural value in scratch as a reference into table
+// when it has been written before, else as 0 plus the value, assigning the
+// next id.
+func (e *encoder) interned(table map[string]uint64) {
+	if id, ok := table[string(e.scratch)]; ok {
 		e.uvarint(id)
 		return
 	}
-	e.asPaths[key] = uint64(len(e.asPaths)) + 1
+	table[string(e.scratch)] = uint64(len(table)) + 1
 	e.uvarint(0)
-	e.write(e.scratch)
+	e.w.Write(e.scratch)
 }
 
 // communities writes a structurally interned community set.
 func (e *encoder) communities(s netmodel.CommunitySet) {
 	all := s.All()
 	e.scratch = e.scratch[:0]
-	e.scratch = appendUvarint(e.scratch, uint64(len(all)))
+	e.scratch = binary.AppendUvarint(e.scratch, uint64(len(all)))
 	for _, c := range all {
-		e.scratch = appendUvarint(e.scratch, uint64(c))
+		e.scratch = binary.AppendUvarint(e.scratch, uint64(c))
 	}
-	key := string(e.scratch)
-	if id, ok := e.comms[key]; ok {
-		e.uvarint(id)
-		return
-	}
-	e.comms[key] = uint64(len(e.comms)) + 1
-	e.uvarint(0)
-	e.write(e.scratch)
+	e.interned(e.comms)
 }
 
 // encodeFrame writes the header and runs body over a fresh encoder,
-// finishing the flate stream when compression is on.
+// finishing the flate stream when compression is on. The encoder writes
+// straight into the frame's bufio.Writer, or into its own one over the flate
+// stream; write errors are sticky in both and surface at the flushes.
 func encodeFrame(w io.Writer, kind Kind, opts Options, body func(*encoder)) error {
 	bw := bufio.NewWriter(w)
 	header := [headerLen]byte{Magic, mark1, mark2, Version, 0, byte(kind)}
@@ -253,8 +253,8 @@ func encodeFrame(w io.Writer, kind Kind, opts Options, body func(*encoder)) erro
 		e = newEncoder(bw)
 	}
 	body(e)
-	if e.err != nil {
-		return e.err
+	if err := e.flush(); err != nil {
+		return err
 	}
 	if fw != nil {
 		if err := fw.Close(); err != nil {
@@ -326,7 +326,7 @@ func (d *decoder) u32() (uint32, error) {
 
 func (d *decoder) f64() (float64, error) {
 	var b [8]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
+	if err := d.read(b[:]); err != nil {
 		return 0, err
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
@@ -375,14 +375,33 @@ func (d *decoder) addr() (netip.Addr, error) {
 	case 0:
 		return netip.Addr{}, nil
 	case 4, 16:
-		b := make([]byte, n)
-		if _, err := io.ReadFull(d.r, b); err != nil {
+		var b [16]byte
+		if err := d.read(b[:n]); err != nil {
 			return netip.Addr{}, err
 		}
-		a, _ := netip.AddrFromSlice(b)
-		return a, nil
+		if n == 4 {
+			return netip.AddrFrom4([4]byte(b[:4])), nil
+		}
+		return netip.AddrFrom16(b), nil
 	}
 	return netip.Addr{}, fmt.Errorf("wire: address length %d (%w)", n, ErrCorrupt)
+}
+
+// read fills b byte by byte: a small fixed-size field read this way stays on
+// the caller's stack, where io.ReadFull through an interface would move it
+// to the heap.
+func (d *decoder) read(b []byte) error {
+	for i := range b {
+		c, err := d.r.ReadByte()
+		if err != nil {
+			if err == io.EOF && i > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		b[i] = c
+	}
+	return nil
 }
 
 func (d *decoder) prefix() (netip.Prefix, error) {

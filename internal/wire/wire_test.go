@@ -333,6 +333,9 @@ func TestDecodeOversizedBlobLength(t *testing.T) {
 	buf.Write([]byte{Magic, mark1, mark2, Version, 0, byte(KindRoutes), 1, 0})
 	e := newEncoder(&buf)
 	e.uvarint(maxBlob + 1)
+	if err := e.flush(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := DecodeRoutes(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("oversized blob length: got %v, want ErrCorrupt", err)
 	}
