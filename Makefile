@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke bench-core benchmark chaos chaos-restart trace check
+.PHONY: all build test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check
 
 all: check
 
@@ -59,22 +59,6 @@ fuzz-smoke:
 		done; \
 	done
 
-# The wall-clock ratio floors of the root-package Test*Speedup measurements
-# are asserted only under HOYAN_BENCH_FLOORS=1: bench-core sets it, plain
-# `go test ./...` (tier-1) logs the ratios and asserts only what is
-# deterministic.
-bench-core: export HOYAN_BENCH_FLOORS = 1
-
-# Index-based core measurement: the dense-ID route simulation vs the
-# preserved string-keyed reference (core.Options.DisableIndex) on the
-# gen.WAN(1) fixture. Asserts the >=3x route-sim floor and writes the
-# measured ratio, per-run allocation profile, and interner stats to
-# BENCH_core.json; the one-shot Benchmark{Core,RouteSim}* pass catches
-# bench bit-rot.
-bench-core:
-	CORE_BENCH_JSON=BENCH_core.json $(GO) test -run '^TestCoreSpeedup$$' -v .
-	$(GO) test -run '^$$' -bench '^Benchmark(Core|RouteSim)' -benchtime 1x .
-
 # The repo benchmark once over every workload, untraced and traced, as a
 # goldens and cross-check smoke: it exits non-zero unless every run is
 # correct (seed-42 RIB digests and row counts, fork vs from-scratch, fleet vs
@@ -103,4 +87,4 @@ chaos-restart:
 trace:
 	$(GO) run ./cmd/hoyan-exp -scale 1 -trace trace.json report
 
-check: vet lint-toggles build race bench-smoke fuzz-smoke bench-core chaos chaos-restart benchmark
+check: vet lint-toggles build race bench-smoke fuzz-smoke chaos chaos-restart benchmark

@@ -8,7 +8,6 @@ package hoyan
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -30,17 +29,6 @@ import (
 	"hoyan/internal/scenario"
 	"hoyan/internal/traffic"
 )
-
-// enforceFloors reports whether this run asserts the wall-clock ratio floors
-// of the Test*Speedup measurements. They hold on a quiet multi-core host and
-// are scheduler noise elsewhere, so plain `go test ./...` only logs the
-// ratios; `make bench-core` sets HOYAN_BENCH_FLOORS=1 to enforce them. Never
-// under the race detector, which instruments the compared paths unevenly.
-// Everything deterministic in those tests (byte identity, work counts) is
-// asserted on every run.
-func enforceFloors() bool {
-	return os.Getenv("HOYAN_BENCH_FLOORS") != "" && !raceEnabled
-}
 
 // Shared fixtures, built once.
 var (

@@ -7,47 +7,6 @@ import (
 	"hoyan/internal/netmodel"
 )
 
-// updateAggregates re-evaluates every aggregate of the table that covers the
-// just-decided prefix. When an aggregate activates, deactivates, or changes
-// its AS path, the aggregate's own prefix is marked dirty by returning a
-// synthetic self-message.
-func (s *sim) updateAggregates(k tableKey, p netip.Prefix) []msg {
-	d := s.net.Devices[k.dev]
-	if d == nil || len(d.Aggregates) == 0 {
-		return nil
-	}
-	s.own(k)
-	var out []msg
-	for _, a := range d.Aggregates {
-		if a.VRF != k.vrf {
-			continue
-		}
-		if a.Prefix == p || a.Prefix.Bits() >= p.Bits() || !a.Prefix.Contains(p.Addr()) {
-			continue
-		}
-		changed := s.refreshAggregate(k, a)
-		if changed {
-			// Rerun the decision for the aggregate prefix via an internal
-			// "message" carrying no routes: delivery just marks it dirty
-			// (the local candidate set was already updated in place).
-			out = append(out, msg{to: k.dev, vrf: k.vrf, from: "agg:refresh", prefix: a.Prefix})
-			// Suppression state may have flipped: force re-advertisement of
-			// every covered prefix (summary-only withdraws specifics).
-			if a.SummaryOnly {
-				if rib := s.ribs[k]; rib != nil {
-					for _, cp := range rib.Prefixes() {
-						if cp != a.Prefix && cp.Bits() > a.Prefix.Bits() && a.Prefix.Contains(cp.Addr()) {
-							delete(s.lastAdv[k], cp)
-							out = append(out, msg{to: k.dev, vrf: k.vrf, from: "agg:refresh", prefix: cp})
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // refreshAggregate recomputes one aggregate's activation and contributor AS
 // information. It reports whether the local candidate for the aggregate
 // changed.

@@ -13,17 +13,15 @@ import (
 // (table, prefix), updates the RIBs, maintains aggregates and VRF leaks, and
 // returns the advertisements for the next round.
 //
-// This is the indexed/allocation-lean loop: the dirty set arrives as the
-// dense per-table bitset deliver maintained (dense.go), iteration order
-// comes from precomputed rank arrays over interned IDs instead of sorting
-// strings and prefixes every round, per-table configuration (device,
-// profile, policy env, sessions with resolved export policies, leak
-// targets, aggregates) is read from the cached tableInfo, and the
-// advertisement signature is compared byte-wise against the stored string
-// before anything is allocated. The message buffer and route arena are
-// reused across rounds — a returned batch is fully consumed by deliver
-// before the next call. The original implementation is
-// legacyDecideAndAdvertise.
+// The dirty set arrives as the dense per-table bitset deliver maintained
+// (dense.go), iteration order comes from precomputed rank arrays over
+// interned IDs instead of sorting strings and prefixes every round,
+// per-table configuration (device, profile, policy env, sessions with
+// resolved export policies, leak targets, aggregates) is read from the
+// cached tableInfo, and the advertisement signature is compared byte-wise
+// against the stored string before anything is allocated. The message buffer
+// and route arena are reused across rounds — a returned batch is fully
+// consumed by deliver before the next call.
 func (s *sim) decideAndAdvertise() []msg {
 	if s.msgScratch == nil {
 		// Presized once per sim: the first round's batch is the largest, and
@@ -36,8 +34,7 @@ func (s *sim) decideAndAdvertise() []msg {
 	// Deterministic iteration order: tables in (device, vrf) lexical order
 	// via the interned rank array, prefixes in LastAddr order via the
 	// per-pid LastAddr cache (ties broken by prefix length then address,
-	// making the order total — the legacy sort leaves LastAddr ties in map
-	// order, which the fixpoint result does not depend on).
+	// making the order total).
 	trank := s.tableRank()
 	tids := s.dirtyTids
 	slices.SortFunc(tids, func(a, b int32) int { return int(trank[a]) - int(trank[b]) })
@@ -138,7 +135,7 @@ func (s *sim) decide(ti *tableInfo, lk map[netip.Prefix][]cand, ai map[netip.Pre
 	// Resolve next hops and compute IGP costs, mutating the scratch copies in
 	// place (a cand embeds a full Route, so by-value resolve cost three big
 	// copies per candidate). The stable compaction keeps the resolved
-	// candidates in arrival order, matching the legacy partition.
+	// candidates in arrival order.
 	unresolved := s.unresScratch[:0]
 	w := 0
 	for i := range cands {
@@ -205,7 +202,7 @@ func (s *sim) decide(ti *tableInfo, lk map[netip.Prefix][]cand, ai map[netip.Pre
 		if i == 0 {
 			r.RouteType = netmodel.RouteBest
 			best = append(best, *c)
-		} else if len(best) < maxPaths && s.equalCostPtr(&sorted[0], c) && distinctNextHopPtr(best, c) {
+		} else if len(best) < maxPaths && equalCost(&sorted[0], c) && distinctNextHop(best, c) {
 			r.RouteType = netmodel.RouteBest
 			best = append(best, *c)
 		} else {
@@ -227,7 +224,6 @@ func (s *sim) decide(ti *tableInfo, lk map[netip.Prefix][]cand, ai map[netip.Pre
 // The table's dense device ID (cached in ti) feeds the flat-array IGP cost
 // lookup and the address-ownership table; string lookups remain only for the
 // fallback when the IGP result was not computed against this topology index.
-// The original implementation is legacyResolve.
 func (s *sim) resolve(ti *tableInfo, c *cand) {
 	dev, devID := ti.k.dev, ti.devID
 	c.resolved = false
@@ -333,67 +329,9 @@ func (s *sim) nextHopUsable(dev string, nh netip.Addr) bool {
 	return s.onDirectSubnet(dev, nh)
 }
 
-// better is the BGP decision comparator (true when a is preferred over b).
-// Non-BGP protocols compete on administrative preference first.
-func (s *sim) better(a, b cand) bool {
-	ra, rb := a.route, b.route
-	// Administrative preference (lower wins) separates protocols.
-	if ra.Preference != rb.Preference {
-		return ra.Preference < rb.Preference
-	}
-	if ra.Protocol != netmodel.ProtoBGP || rb.Protocol != netmodel.ProtoBGP {
-		// Same preference, non-BGP: deterministic order.
-		return netmodel.CompareRouteKeys(ra, rb) < 0
-	}
-	if ra.Weight != rb.Weight {
-		return ra.Weight > rb.Weight
-	}
-	if ra.LocalPref != rb.LocalPref {
-		return ra.LocalPref > rb.LocalPref
-	}
-	if la, lb := ra.ASPath.Len(), rb.ASPath.Len(); la != lb {
-		return la < lb
-	}
-	if ra.Origin != rb.Origin {
-		return ra.Origin < rb.Origin
-	}
-	if ra.MED != rb.MED {
-		return ra.MED < rb.MED
-	}
-	if a.ebgp != b.ebgp {
-		return a.ebgp
-	}
-	if a.igpCost != b.igpCost {
-		return a.igpCost < b.igpCost
-	}
-	// Router-ID tiebreak: the advertising device's router ID, then
-	// deterministic route order.
-	ia, ib := s.peerRouterID(ra.Peer), s.peerRouterID(rb.Peer)
-	if ia != ib {
-		return ia.Less(ib)
-	}
-	return netmodel.CompareRouteKeys(ra, rb) < 0
-}
-
 // equalCost reports whether b ties with a through the IGP-cost step
-// (multipath eligibility).
-func (s *sim) equalCost(a, b cand) bool {
-	ra, rb := a.route, b.route
-	return ra.Preference == rb.Preference &&
-		ra.Protocol == rb.Protocol &&
-		ra.Weight == rb.Weight &&
-		ra.LocalPref == rb.LocalPref &&
-		ra.ASPath.Len() == rb.ASPath.Len() &&
-		ra.Origin == rb.Origin &&
-		ra.MED == rb.MED &&
-		a.ebgp == b.ebgp &&
-		a.igpCost == b.igpCost
-}
-
-// equalCostPtr is the copy-free form of equalCost used by the indexed
-// decision loop (a cand embeds a full Route, so the by-value form copies two
-// large structs per ECMP check).
-func (s *sim) equalCostPtr(a, b *cand) bool {
+// (multipath eligibility). It takes pointers: a cand embeds a full Route.
+func equalCost(a, b *cand) bool {
 	ra, rb := &a.route, &b.route
 	return ra.Preference == rb.Preference &&
 		ra.Protocol == rb.Protocol &&
@@ -406,17 +344,8 @@ func (s *sim) equalCostPtr(a, b *cand) bool {
 		a.igpCost == b.igpCost
 }
 
-func distinctNextHop(best []cand, c cand) bool {
-	for _, b := range best {
-		if b.route.NextHop == c.route.NextHop {
-			return false
-		}
-	}
-	return true
-}
-
-// distinctNextHopPtr is the copy-free form of distinctNextHop.
-func distinctNextHopPtr(best []cand, c *cand) bool {
+// distinctNextHop reports whether no candidate in best shares c's next hop.
+func distinctNextHop(best []cand, c *cand) bool {
 	for i := range best {
 		if best[i].route.NextHop == c.route.NextHop {
 			return false
@@ -432,18 +361,12 @@ func (s *sim) peerRouterID(peer string) netip.Addr {
 	return netip.Addr{}
 }
 
-// advSignature fingerprints a best-route set so unchanged results are not
-// re-advertised (this is what drives the fixpoint to termination). It must
-// cover every field that influences what peers receive — warm restarts rely
-// on a changed decision always producing a changed signature.
-func advSignature(best []cand) string {
-	return string(appendAdvSignature(nil, best))
-}
-
-// appendAdvSignature is the append-flavoured form of advSignature: it writes
-// the fingerprint into dst (byte-identical to the string advSignature
-// returns) so the optimized decision loop can reuse one buffer across
-// prefixes and only allocate when the signature actually changed.
+// appendAdvSignature appends to dst a fingerprint of a decision's sorted
+// candidates so unchanged results are not re-advertised (this is what drives
+// the fixpoint to termination). It must cover every field that influences
+// what peers receive — warm restarts rely on a changed decision always
+// producing a changed signature. Appending lets the decision loop reuse one
+// buffer across prefixes and allocate only when the signature changed.
 func appendAdvSignature(dst []byte, best []cand) []byte {
 	if len(best) == 0 {
 		return dst
@@ -523,7 +446,7 @@ func appendAdvSignature(dst []byte, best []cand) []byte {
 // route. The table's sessions (pre-filtered to its VRF, with export policies
 // resolved once per run) come from the cached tableInfo; per-session
 // advertisement slices are carved from the per-round route arena, and a
-// withdrawal (empty adv) allocates nothing. The original is legacyAdvertise.
+// withdrawal (empty adv) allocates nothing.
 func (s *sim) advertiseInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32, best, sorted []cand) []msg {
 	d := ti.dev
 	// VSB: policy-isolated devices keep learning but stop advertising.
@@ -560,7 +483,7 @@ func (s *sim) advertiseInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32,
 			if c.route.Protocol != netmodel.ProtoBGP && c.route.Protocol != netmodel.ProtoAggregate {
 				continue
 			}
-			if !s.shouldPropagatePtr(d, sess, c, ti.isRR) {
+			if !s.shouldPropagate(sess, c, ti.isRR) {
 				continue
 			}
 			r := c.route
@@ -605,16 +528,17 @@ func (s *sim) advertiseInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32,
 		out = append(out, msg{
 			to: sess.remote, vrf: sess.vrf, from: ti.k.dev,
 			prefix: p, routes: adv, ebgp: sess.ebgp, fromAddr: sess.localAddr,
-			tid1: si.toTID1, pid1: pid + 1,
+			tid: si.toTID1 - 1, pid: pid,
 		})
 	}
 	return out
 }
 
-// cmpCand is the three-way form of better, used by the optimized decision
-// sort (slices.SortStableFunc). It is written out independently rather than
-// derived from better so a divergence between the two shows up as a
-// legacy-vs-indexed mismatch in the equivalence suite.
+// cmpCand is the BGP decision comparator (negative when a is preferred over
+// b), used by the decision's stable sort. Non-BGP protocols compete on
+// administrative preference first, then in deterministic route order; BGP
+// routes go through weight, local preference, AS-path length, origin, MED,
+// eBGP over iBGP, IGP cost, and the advertising device's router ID.
 func (s *sim) cmpCand(a, b *cand) int {
 	ra, rb := &a.route, &b.route
 	if ra.Preference != rb.Preference {
@@ -680,7 +604,7 @@ func (s *sim) cmpCand(a, b *cand) int {
 
 // shouldPropagate implements BGP propagation rules including route
 // reflection.
-func (s *sim) shouldPropagate(d *config.Device, sess *session, c cand, isRR bool) bool {
+func (s *sim) shouldPropagate(sess *session, c *cand, isRR bool) bool {
 	// Split horizon: never back to the device we learned it from.
 	if c.route.Peer == sess.remote {
 		return false
@@ -696,45 +620,12 @@ func (s *sim) shouldPropagate(d *config.Device, sess *session, c cand, isRR bool
 	if !isRR {
 		return false
 	}
-	learnedFromClient := false
 	for _, other := range s.sessions[sess.local] {
 		if other.remote == c.route.Peer && other.nb.RRClient {
-			learnedFromClient = true
-			break
+			return true // learned from a client: reflect to all
 		}
-	}
-	if learnedFromClient {
-		return true // reflect to all
 	}
 	return sess.nb.RRClient // from non-client: reflect only to clients
-}
-
-// shouldPropagatePtr is the copy-free form of shouldPropagate used by the
-// indexed advertisement loop.
-func (s *sim) shouldPropagatePtr(d *config.Device, sess *session, c *cand, isRR bool) bool {
-	if c.route.Peer == sess.remote {
-		return false
-	}
-	if sess.ebgp {
-		return true
-	}
-	if c.local || c.ebgp {
-		return true
-	}
-	if !isRR {
-		return false
-	}
-	learnedFromClient := false
-	for _, other := range s.sessions[sess.local] {
-		if other.remote == c.route.Peer && other.nb.RRClient {
-			learnedFromClient = true
-			break
-		}
-	}
-	if learnedFromClient {
-		return true
-	}
-	return sess.nb.RRClient
 }
 
 func (s *sim) suppressedByAggregate(d *config.Device, vrf string, p netip.Prefix) bool {

@@ -11,7 +11,7 @@ import (
 	"hoyan/internal/vsb"
 )
 
-// This file holds the dense-ID bookkeeping behind the indexed fixpoint:
+// This file holds the dense-ID bookkeeping behind the fixpoint:
 // tables and prefixes are interned into small integers the first time the
 // simulation touches them, and everything the decision loop derives purely
 // from configuration — device pointer, vendor profile, policy environment,
@@ -124,8 +124,8 @@ func (s *sim) newTableInfo(k tableKey) *tableInfo {
 		pol, ok := s.exportPolicy(d, sess.nb, sess.remote, ti.prof)
 		ti.sessions = append(ti.sessions, sessInfo{sess: sess, pol: pol, ok: ok})
 	}
-	// Leak header, mirroring leak(): export RT set and targets of the source
-	// table are pure configuration.
+	// Leak header: the export RT set and targets of the source table are pure
+	// configuration.
 	if len(d.VRFs) > 0 {
 		var exportRTs []string
 		if k.vrf == netmodel.DefaultVRF {
@@ -167,8 +167,8 @@ func (s *sim) markDirty(tid, pid int32) {
 }
 
 // tableRank returns rank[tid] = position of the table in (device, vrf)
-// lexical order, matching the legacy loop's sort. Rebuilt only when a new
-// table was interned since the last call.
+// lexical order. Rebuilt only when a new table was interned since the last
+// call.
 func (s *sim) tableRank() []int32 {
 	if len(s.tidRank) == len(s.tinfo) {
 		return s.tidRank
@@ -192,8 +192,8 @@ func (s *sim) tableRank() []int32 {
 	return rank
 }
 
-// scratch is the reusable working memory of one sim's indexed loop: the
-// decision buffers and the advertisement/candidate/row arenas.
+// scratch is the reusable working memory of one sim's loop: the decision
+// buffers and the advertisement/candidate/row arenas.
 type scratch struct {
 	// Decision scratch reused across decide calls. Each is fully consumed
 	// before its next reuse: decide's outputs feed advertise within the same
@@ -291,10 +291,13 @@ func (sc *scratch) giveBackCands(n int) {
 // larger carves were not taken from the arena, so there is nothing to return.
 const chunkGiveBackMax = 1024 / 4
 
-// leakInto is leak() on the cached tableInfo: the export RT set, targets and
-// source policy name were resolved at intern time, and advertisement slices
-// come from the per-round arena. pid is p's interned ID, stamped on the
-// outgoing messages so delivery skips the prefix hash.
+// leakInto generates the intra-device VRF-leaking messages after the best set
+// of (table, prefix) changed. Leaked routes travel as messages from the
+// pseudo-peer "leak:<source-vrf>" so the fixpoint naturally cascades, and so
+// the re-leaking VSB can recognize already-leaked routes. The export RT set,
+// targets and source policy name were resolved at intern time, and
+// advertisement slices come from the per-round arena. pid is p's interned ID,
+// stamped on the outgoing messages so delivery skips the prefix hash.
 func (s *sim) leakInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32, best []cand) []msg {
 	if len(ti.leakTargets) == 0 {
 		return out
@@ -350,15 +353,17 @@ func (s *sim) leakInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32, best
 		}
 		out = append(out, msg{
 			to: ti.k.dev, vrf: target, from: ti.leakFrom, prefix: p, routes: adv,
-			tid1: ti.leakTIDs[idx], pid1: pid + 1,
+			tid: ti.leakTIDs[idx] - 1, pid: pid,
 		})
 	}
 	return out
 }
 
-// updateAggregatesInto is updateAggregates() on the cached tableInfo (the
-// VRF's aggregates were filtered at intern time). tid is ti's own ID — the
-// synthetic refresh messages target the same table.
+// updateAggregatesInto re-evaluates every aggregate of the table that covers
+// the just-decided prefix (the VRF's aggregates were filtered at intern
+// time). When an aggregate activates, deactivates, or changes its AS path,
+// the aggregate's own prefix is marked dirty by a synthetic self-message. tid
+// is ti's own ID — the refresh messages target the same table.
 func (s *sim) updateAggregatesInto(out []msg, ti *tableInfo, tid int32, p netip.Prefix) []msg {
 	if len(ti.aggs) == 0 {
 		return out
@@ -376,7 +381,7 @@ func (s *sim) updateAggregatesInto(out []msg, ti *tableInfo, tid int32, p netip.
 			// (the local candidate set was already updated in place).
 			out = append(out, msg{
 				to: k.dev, vrf: k.vrf, from: "agg:refresh", prefix: a.Prefix,
-				tid1: tid + 1, pid1: s.pidOf(a.Prefix) + 1,
+				tid: tid, pid: s.pidOf(a.Prefix),
 			})
 			// Suppression state may have flipped: force re-advertisement of
 			// every covered prefix (summary-only withdraws specifics).
@@ -387,7 +392,7 @@ func (s *sim) updateAggregatesInto(out []msg, ti *tableInfo, tid int32, p netip.
 							delete(s.lastAdv[k], cp)
 							out = append(out, msg{
 								to: k.dev, vrf: k.vrf, from: "agg:refresh", prefix: cp,
-								tid1: tid + 1, pid1: s.pidOf(cp) + 1,
+								tid: tid, pid: s.pidOf(cp),
 							})
 						}
 					}

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -103,7 +104,7 @@ func seedBothWays(st *State, net *config.Network, igp *isis.Result, inputs []net
 // node-down deltas the restart seeded through the next-hop owner index holds
 // exactly the (table, prefix) pairs the candidate scan seeded — same tables
 // dirty, same prefixes in each — and the warm result still equals a
-// from-scratch run.
+// from-scratch run and is a stable state.
 func TestOwnerIndexDirtiesWhatTheScanDid(t *testing.T) {
 	out := gen.Generate(gen.WAN(2))
 	igp := isis.Compute(out.Net.Topo, isis.Options{})
@@ -134,6 +135,7 @@ func TestOwnerIndexDirtiesWhatTheScanDid(t *testing.T) {
 		if ref := Simulate(net2, igp2, out.Inputs, Options{Parallelism: 1}); !res.GlobalRIB().Equal(ref.GlobalRIB()) {
 			t.Fatalf("trial %d (%v, %v down): warm restart differs from a from-scratch run", trial, down, nodes)
 		}
+		mustCheck(t, fmt.Sprintf("trial %d, warm restart", trial), net2, igp2, out.Inputs, res)
 		for k, cd := range d.DistChanged {
 			for tk := range st.owners {
 				if tk.dev == k {

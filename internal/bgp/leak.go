@@ -1,92 +1,16 @@
 package bgp
 
 import (
-	"net/netip"
 	"slices"
-	"strings"
 
 	"hoyan/internal/config"
 	"hoyan/internal/netmodel"
-	"hoyan/internal/policy"
 )
 
 // GlobalRT is the pseudo route-target naming the global table: a VRF that
 // imports GlobalRT receives global routes (global→VPNv4 leak), and a VRF
 // that exports GlobalRT injects its routes into the global table.
 const GlobalRT = "global"
-
-// leak generates intra-device VRF-leaking messages after the best set of
-// (table, prefix) changed. Leaked routes travel as messages from the
-// pseudo-peer "leak:<source-vrf>" so the fixpoint naturally cascades, and so
-// the re-leaking VSB can recognize already-leaked routes.
-func (s *sim) leak(k tableKey, p netip.Prefix, best []cand) []msg {
-	d := s.net.Devices[k.dev]
-	if d == nil || len(d.VRFs) == 0 {
-		return nil
-	}
-	prof := s.profileOf(k.dev)
-	env := s.envOf(d)
-
-	// Determine the export RT set of the source table.
-	var exportRTs []string
-	var exportPolicy string
-	if k.vrf == netmodel.DefaultVRF {
-		exportRTs = []string{GlobalRT}
-	} else if v := d.VRFs[k.vrf]; v != nil {
-		exportRTs = v.ExportRTs
-		exportPolicy = v.ExportPolicy
-	}
-	if len(exportRTs) == 0 {
-		return nil
-	}
-
-	var out []msg
-	from := "leak:" + k.vrf
-
-	targets := leakTargets(d, k.vrf, exportRTs)
-	for _, target := range targets {
-		var adv []netmodel.Route
-		for _, c := range best {
-			r := c.route
-			if r.Protocol != netmodel.ProtoBGP && r.Protocol != netmodel.ProtoAggregate {
-				continue // only BGP routes participate in VPNv4 leaking
-			}
-			// VSB: a route that itself arrived via a leak is only re-leaked
-			// on vendors with the re-leaking behaviour.
-			if strings.HasPrefix(r.Peer, "leak:") && !prof.ReLeakRoutes {
-				continue
-			}
-			// Export policy of the source VRF. VSB: whether it also applies
-			// to global routes leaked into VPNv4.
-			polName := exportPolicy
-			if k.vrf == netmodel.DefaultVRF {
-				if tv := d.VRFs[target]; tv != nil && prof.VRFExportPolicyOnGlobalLeak {
-					polName = tv.ExportPolicy
-				} else {
-					polName = ""
-				}
-			}
-			if polName != "" {
-				rm, ok := d.RouteMaps[polName]
-				if !ok {
-					if !prof.AcceptOnUndefinedPolicy {
-						continue
-					}
-				} else {
-					var disp policy.Disposition
-					r, disp = env.Apply(rm, r, netip.Addr{}, d.ASN)
-					if disp == policy.Reject {
-						continue
-					}
-				}
-			}
-			r.RouteType = netmodel.RouteCandidate
-			adv = append(adv, r)
-		}
-		out = append(out, msg{to: k.dev, vrf: target, from: from, prefix: p, routes: adv})
-	}
-	return out
-}
 
 // leakTargets returns the tables on the device importing any of the export
 // RTs, excluding the source table itself, in deterministic order.

@@ -92,9 +92,18 @@ func sameRun(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// checkParallelisms runs one scenario at parallelism 1, 2, 8 and on the legacy
-// path and requires all of them to agree; units reports whether the fixture
-// is expected to split (then parallelism >= 2 must have run several units).
+// mustCheck fails unless res's global RIB passes the stable-state check.
+func mustCheck(t *testing.T, label string, net *config.Network, igp *isis.Result, inputs []netmodel.Route, res *Result) {
+	t.Helper()
+	if err := Check(net, igp, inputs, res.GlobalRIB(), Options{}); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// checkParallelisms runs one scenario at parallelism 1, 2 and 8, requires
+// all of them to agree and to pass the stable-state check; units reports
+// whether the fixture is expected to split (then parallelism >= 2 must have
+// run several units).
 func checkParallelisms(t *testing.T, label string, net *config.Network, igp *isis.Result, inputs []netmodel.Route, units bool) {
 	t.Helper()
 	seq := Simulate(net, igp, inputs, Options{Parallelism: 1})
@@ -104,10 +113,11 @@ func checkParallelisms(t *testing.T, label string, net *config.Network, igp *isi
 	if seq.Par != (ParStats{}) {
 		t.Errorf("%s: sequential run reported unit stats %+v", label, seq.Par)
 	}
-	sameRun(t, label+", sequential vs legacy", seq, Simulate(net, igp, inputs, Options{Legacy: true}))
+	mustCheck(t, label+", sequential", net, igp, inputs, seq)
 	for _, p := range []int{2, 8} {
 		res := Simulate(net, igp, inputs, Options{Parallelism: p})
 		sameRun(t, fmt.Sprintf("%s, parallelism %d", label, p), res, seq)
+		mustCheck(t, fmt.Sprintf("%s, parallelism %d", label, p), net, igp, inputs, res)
 		switch {
 		case !units && res.Par != (ParStats{}):
 			t.Errorf("%s, parallelism %d: one group reported unit stats %+v", label, p, res.Par)
@@ -119,11 +129,11 @@ func checkParallelisms(t *testing.T, label string, net *config.Network, igp *isi
 	}
 }
 
-// TestParallelFixpointEquivalence pins the tentpole invariant on the
+// TestParallelFixpointEquivalence pins the work-unit invariant on the
 // dependency-rich fixture: a multi-unit run is identical — rounds, messages,
-// convergence, positional global RIB — to the sequential indexed fixpoint at
-// every parallelism, and that one to the legacy reference; also with
-// duplicate input keys, whose rows tie in the canonical order.
+// convergence, positional global RIB — to the sequential fixpoint at every
+// parallelism, and every run is a stable state; also with duplicate input
+// keys, whose rows tie in the canonical order.
 func TestParallelFixpointEquivalence(t *testing.T) {
 	b, inputs := parallelFixture()
 	igp := isis.Compute(b.net.Topo, isis.Options{})
@@ -166,7 +176,9 @@ func allDistChanged(net *config.Network) map[string]map[string]bool {
 // TestParallelResimulateEquivalence pins the warm-restart path: the State of
 // a multi-unit run, merged on first use, holds what a single sim's holds, and
 // restarts from it — several at once, as concurrent forks do — match a
-// from-scratch sequential run of the changed scenario.
+// from-scratch sequential run of the changed scenario and are stable states.
+// The scenarios: an input delta, one that takes every contributor of the
+// summary-only aggregate 10.64.0.0/10 away, and a link failure.
 func TestParallelResimulateEquivalence(t *testing.T) {
 	b, inputs := parallelFixture()
 	igp := isis.Compute(b.net.Topo, isis.Options{})
@@ -174,7 +186,14 @@ func TestParallelResimulateEquivalence(t *testing.T) {
 	// Input delta: drop some routes, add a fresh one.
 	inputs2 := append([]netmodel.Route(nil), inputs[:len(inputs)-6]...)
 	inputs2 = append(inputs2, inputRoute("E", "10.0.200.0/24", 65100, 65999))
-	refInputs := Simulate(b.net, igp, inputs2, Options{Parallelism: 1})
+	// Input delta: no more specifics of 10.64.0.0/10.
+	agg := netip.MustParsePrefix("10.64.0.0/10")
+	var inputs3 []netmodel.Route
+	for _, r := range inputs {
+		if !agg.Contains(r.Prefix.Addr()) {
+			inputs3 = append(inputs3, r)
+		}
+	}
 
 	// Topology delta: RR-C1 link down (kills the iBGP session to C1).
 	net2 := b.net.Clone()
@@ -187,7 +206,21 @@ func TestParallelResimulateEquivalence(t *testing.T) {
 		ChangedLinks: []netmodel.LinkID{link.ID()},
 		DistChanged:  allDistChanged(net2),
 	}
-	refTopo := Simulate(net2, igp2, inputs, Options{Parallelism: 1})
+	scenarios := []struct {
+		name   string
+		net    *config.Network
+		igp    *isis.Result
+		inputs []netmodel.Route
+		delta  Delta
+		ref    *netmodel.GlobalRIB
+	}{
+		{"input delta", b.net, igp, inputs2, Delta{}, nil},
+		{"aggregate loses its contributors", b.net, igp, inputs3, Delta{}, nil},
+		{"topology delta", net2, igp2, inputs, delta, nil},
+	}
+	for i, sc := range scenarios {
+		scenarios[i].ref = Simulate(sc.net, sc.igp, sc.inputs, Options{Parallelism: 1}).GlobalRIB()
+	}
 
 	_, single := SimulateWithState(b.net, igp, inputs, Options{Parallelism: 1})
 	for _, p := range []int{1, 2, 8} {
@@ -200,13 +233,14 @@ func TestParallelResimulateEquivalence(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, _ := st.Resimulate(b.net, igp, inputs2, Delta{})
-				if !res.GlobalRIB().Equal(refInputs.GlobalRIB()) {
-					t.Errorf("parallelism %d: warm input-delta RIB differs from scratch", p)
-				}
-				res2, _ := st.Resimulate(net2, igp2, inputs, delta)
-				if !res2.GlobalRIB().Equal(refTopo.GlobalRIB()) {
-					t.Errorf("parallelism %d: warm topology-delta RIB differs from scratch", p)
+				for _, sc := range scenarios {
+					res, _ := st.Resimulate(sc.net, sc.igp, sc.inputs, sc.delta)
+					if !res.GlobalRIB().Equal(sc.ref) {
+						t.Errorf("parallelism %d, %s: warm RIB differs from scratch", p, sc.name)
+					}
+					if err := Check(sc.net, sc.igp, sc.inputs, res.GlobalRIB(), Options{}); err != nil {
+						t.Errorf("parallelism %d, %s: %v", p, sc.name, err)
+					}
 				}
 			}()
 		}
@@ -335,7 +369,7 @@ func TestParallelAllocBytesBoundedByUnits(t *testing.T) {
 
 // FuzzParallelFixpointEquivalence drives randomized scenarios — seeded input
 // subsets with duplicate keys and link failures — through parallelism 1, 2,
-// and 8 plus the legacy reference, asserting identical runs throughout.
+// and 8, asserting identical runs throughout and a stable state.
 func FuzzParallelFixpointEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(2), uint8(1))
@@ -357,10 +391,7 @@ func FuzzParallelFixpointEquivalence(f *testing.F) {
 		igp := isis.Compute(b.net.Topo, isis.Options{})
 
 		ref := Simulate(b.net, igp, keep, Options{Parallelism: 1})
-		leg := Simulate(b.net, igp, keep, Options{Legacy: true}).GlobalRIB()
-		if !ref.GlobalRIB().Equal(leg) {
-			t.Fatal("sequential indexed RIB differs from legacy reference")
-		}
+		mustCheck(t, fmt.Sprintf("seed %d, downs %d", seed, downs), b.net, igp, keep, ref)
 		for _, p := range []int{2, 8} {
 			got := Simulate(b.net, igp, keep, Options{Parallelism: p})
 			sameRun(t, fmt.Sprintf("parallelism %d (seed %d, downs %d)", p, seed, downs), got, ref)

@@ -32,20 +32,14 @@ type Options struct {
 	// Simulate must already reflect it.
 	UseTEMetric bool
 
-	// Legacy selects the original string-keyed fixpoint (legacy.go) instead
-	// of the indexed, allocation-lean one. The two produce identical results;
-	// the legacy path is the reference for speedup measurement and
-	// equivalence tests. Captured States carry it into warm restarts.
-	Legacy bool
-
-	// Parallelism bounds the workers of a cold indexed run, following the
+	// Parallelism bounds the workers of a cold run, following the
 	// engine-wide par convention (0 means runtime.GOMAXPROCS(0) workers, 1 is
 	// the sequential reference path, n > 1 uses n workers): the originated
 	// prefixes are split into independence groups, packed into work units,
 	// and each unit runs its own sequential fixpoint (units.go). It also
 	// bounds Result.GlobalRIB's table fill. Results are byte-identical at
-	// every setting. Legacy runs and warm restarts (State.Resimulate) always
-	// run one sequential fixpoint.
+	// every setting. Warm restarts (State.Resimulate) always run one
+	// sequential fixpoint.
 	Parallelism int
 
 	// Ctx, when non-nil, is polled between fixpoint rounds and periodically
@@ -183,12 +177,10 @@ type msg struct {
 	ebgp     bool
 	fromAddr netip.Addr
 
-	// tid1/pid1 are the interned destination-table and prefix IDs plus one
-	// (zero = unknown, resolved by deliver); the indexed path fills them at
-	// the advertisement site so delivery needs no map hashing. The legacy
-	// path leaves them zero and never reads them.
-	tid1 int32
-	pid1 int32
+	// tid/pid are the interned destination-table and prefix IDs, filled at
+	// the advertisement site so delivery needs no map hashing.
+	tid int32
+	pid int32
 }
 
 type sim struct {
@@ -224,10 +216,9 @@ type sim struct {
 
 	messages int
 
-	// topoIdx is the dense-ID topology index backing the optimized decision
-	// path (nil under Options.Legacy); igpIdxOK records whether the IGP
-	// result was computed against this same index, enabling flat-array cost
-	// lookups in resolve.
+	// topoIdx is the dense-ID topology index backing the decision loop;
+	// igpIdxOK records whether the IGP result was computed against this same
+	// index, enabling flat-array cost lookups in resolve.
 	topoIdx  *netmodel.TopoIndex
 	igpIdxOK bool
 
@@ -236,13 +227,13 @@ type sim struct {
 	// decideAndAdvertise call refills it.
 	msgScratch []msg
 
-	// scratch holds the decision buffers and arenas of the indexed loop.
+	// scratch holds the decision buffers and arenas of the loop.
 	scratch
 
-	// decided counts the (table, prefix) decisions of the indexed loop.
+	// decided counts the (table, prefix) decisions made.
 	decided int
 
-	// Dense table/prefix interning for the indexed fixpoint (dense.go): every
+	// Dense table/prefix interning (dense.go): every
 	// (device, vrf) table and every prefix the run touches gets a small
 	// integer ID; per-table configuration derivations are cached in tinfo;
 	// the round-local dirty set is a per-table bitset over prefix IDs. All of
@@ -271,9 +262,6 @@ func Simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, op
 func simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, opts Options) (*Result, []*sim) {
 	s := newSim(net, igp, opts)
 	s.originateLocals(inputs)
-	if s.opts.Legacy {
-		return s.run(s.allDirty()), []*sim{s}
-	}
 	if units := s.splitUnits(par.Workers(s.opts.Parallelism)); len(units) > 1 {
 		return runUnits(units), units
 	}
@@ -282,8 +270,6 @@ func simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, op
 }
 
 // seedDirty marks everything the originated state holds a candidate for.
-// Indexed path: the dense dirty set is seeded straight from it instead of
-// materializing the nested legacy dirty maps.
 func (s *sim) seedDirty() {
 	for k, m := range s.locals {
 		tid := s.tidOf(k)
@@ -305,10 +291,8 @@ func newSim(net *config.Network, igp *isis.Result, opts Options) *sim {
 	s.sessions = buildSessions(net, igp, func(dev string) bool {
 		return !s.profileOf(dev).IsolationViaPolicy
 	})
-	if !s.opts.Legacy {
-		s.topoIdx = net.Topo.Index()
-		s.igpIdxOK = igp != nil && igp.EdgeIndex() == s.topoIdx
-	}
+	s.topoIdx = net.Topo.Index()
+	s.igpIdxOK = igp != nil && igp.EdgeIndex() == s.topoIdx
 	return s.sibling()
 }
 
@@ -333,44 +317,10 @@ func (s *sim) ctxDone() bool {
 	return s.opts.Ctx != nil && s.opts.Ctx.Err() != nil
 }
 
-// allDirty marks every table/prefix with candidates dirty (cold start).
-func (s *sim) allDirty() dirtySet {
-	dirty := make(dirtySet)
-	for k, m := range s.locals {
-		for p := range m {
-			dirty.mark(k, p)
-		}
-	}
-	for k, m := range s.adjIn {
-		for p := range m {
-			dirty.mark(k, p)
-		}
-	}
-	return dirty
-}
-
 // run iterates the fixpoint from an initial dirty set until convergence or
-// MaxRounds.
-func (s *sim) run(dirty map[tableKey]map[netip.Prefix]bool) *Result {
-	if s.opts.Legacy {
-		rounds := 0
-		converged := false
-		pending := s.legacyDecideAndAdvertise(dirty)
-		for rounds = 0; rounds < s.opts.MaxRounds; rounds++ {
-			if len(pending) == 0 {
-				converged = true
-				break
-			}
-			if s.ctxDone() {
-				break
-			}
-			dirty = s.legacyDeliver(pending)
-			pending = s.legacyDecideAndAdvertise(dirty)
-		}
-		return &Result{ribs: s.ribs, Rounds: rounds, Converged: converged, Messages: s.messages, parallelism: s.opts.Parallelism}
-	}
-	// Indexed path: convert the seed dirty set into the dense representation
-	// once; rounds then track dirtiness with interned IDs only.
+// MaxRounds: the seed is converted into the dense representation once, and
+// rounds then track dirtiness with interned IDs only.
+func (s *sim) run(dirty dirtySet) *Result {
 	for k, ps := range dirty {
 		tid := s.tidOf(k)
 		for p := range ps {
@@ -380,8 +330,8 @@ func (s *sim) run(dirty map[tableKey]map[netip.Prefix]bool) *Result {
 	return s.runDense()
 }
 
-// runDense iterates the indexed fixpoint from the already-seeded dense dirty
-// set until convergence or MaxRounds.
+// runDense iterates the fixpoint from the already-seeded dense dirty set
+// until convergence or MaxRounds.
 func (s *sim) runDense() *Result {
 	rounds := 0
 	converged := false
@@ -612,25 +562,19 @@ func (s *sim) directRoutes(d *config.Device, prof vsb.Profile, forRedist bool) [
 }
 
 // deliver processes a batch of messages: ingress policy, loop prevention,
-// adj-RIB-in update. Allocation-lean variant: the accepted slice is sized
-// exactly once per message, withdrawals allocate nothing (not even the inner
-// adj-RIB-in map the legacy path creates eagerly), the per-device
-// profile/env/session lookups come from the interned tableInfo, and the
-// import policy is resolved once per message instead of once per route. The
-// original is legacyDeliver.
+// adj-RIB-in update. The accepted slice is sized exactly once per message,
+// withdrawals allocate nothing, the per-device profile/env/session lookups
+// come from the interned tableInfo, and the import policy is resolved once
+// per message instead of once per route.
 func (s *sim) deliver(msgs []msg) {
 	for i := range msgs {
 		m := &msgs[i]
 		s.messages++
-		tid := m.tid1 - 1
-		if tid < 0 {
-			tid = s.tidOf(tableKey{m.to, m.vrf})
-		}
-		ti := s.tinfo[tid]
+		ti := s.tinfo[m.tid]
 		if ti.dev == nil {
 			continue
 		}
-		s.commitDelivery(m, tid, ti, s.acceptedFor(m, ti))
+		s.commitDelivery(m, ti, s.acceptedFor(m, ti))
 	}
 }
 
@@ -687,7 +631,7 @@ func (s *sim) acceptedFor(m *msg, ti *tableInfo) []cand {
 // commitDelivery installs one message's acceptance result into the
 // adj-RIB-in and marks the (table, prefix) dirty when the cell changed;
 // unused candidate-arena tails go back to the arena.
-func (s *sim) commitDelivery(m *msg, tid int32, ti *tableInfo, accepted []cand) {
+func (s *sim) commitDelivery(m *msg, ti *tableInfo, accepted []cand) {
 	k := ti.k
 	s.own(k)
 	ai := s.adjIn[k]
@@ -731,11 +675,7 @@ func (s *sim) commitDelivery(m *msg, tid int32, ti *tableInfo, accepted []cand) 
 		}
 	}
 	if changed {
-		pid := m.pid1 - 1
-		if pid < 0 {
-			pid = s.pidOf(m.prefix)
-		}
-		s.markDirty(tid, pid)
+		s.markDirty(m.tid, m.pid)
 	}
 }
 

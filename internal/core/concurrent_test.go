@@ -2,15 +2,10 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -25,45 +20,11 @@ import (
 // float bits of every link load — equality of digests is byte-identity of
 // everything the verification layer reads.
 func resultDigest(res *Result) string {
-	h := sha256.New()
-	var buf []byte
-	for _, r := range res.Routes.GlobalRIB().Rows() {
-		buf = r.AppendSignature(buf[:0])
-		h.Write(buf)
-	}
+	d := ribDigest(res.Routes.GlobalRIB())
 	if res.Traffic != nil {
-		for _, fp := range res.Traffic.Traffic.Paths {
-			fmt.Fprintf(h, "%v|%v\n", fp.Flow, fp.Path)
-		}
-		type kv struct {
-			k netmodel.LinkID
-			v float64
-		}
-		loads := make([]kv, 0, len(res.Traffic.Traffic.Load))
-		for id, v := range res.Traffic.Traffic.Load {
-			loads = append(loads, kv{id, v})
-		}
-		slices.SortFunc(loads, func(a, b kv) int {
-			return stringsCompare(a.k.String(), b.k.String())
-		})
-		var fb [8]byte
-		for _, l := range loads {
-			fmt.Fprintf(h, "%s=", l.k.String())
-			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(l.v))
-			h.Write(fb[:])
-		}
+		d += "/" + flowDigest(res.Traffic.Traffic)
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func stringsCompare(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
+	return d
 }
 
 // scenarioDeltas builds a deterministic mix of single-link, double-link, and

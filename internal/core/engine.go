@@ -55,13 +55,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0) workers; 1 forces the sequential reference path;
 	// results are byte-identical at every setting.
 	Parallelism int
-
-	// DisableIndex switches every subsystem to its original string-keyed
-	// implementation (isis/bgp/traffic Legacy plus per-call RIB expansion)
-	// instead of the dense-ID indexed hot paths. Results are byte-identical
-	// either way; the legacy mode is the reference that TestCoreSpeedup and
-	// the equivalence suite compare against.
-	DisableIndex bool
 }
 
 // Engine runs simulations over one network snapshot.
@@ -70,10 +63,9 @@ type Engine struct {
 	igp  *isis.Result
 	opts Options
 
-	// interner holds the dense ID tables of the indexed mode (nil under
-	// DisableIndex): every device and link is interned at engine construction
-	// and input-route prefixes are interned per route simulation, so its
-	// stats describe the ID-table footprint of the run.
+	// interner holds the dense ID tables: every device and link is interned
+	// at engine construction and input-route prefixes are interned per route
+	// simulation, so its stats describe the ID-table footprint of the run.
 	interner *netmodel.Interner
 
 	// base holds the state captured by BaseRun for incremental Fork runs.
@@ -102,16 +94,13 @@ func newEngineCtx(ctx context.Context, net *config.Network, opts Options) *Engin
 		igp: isis.Compute(net.Topo, isis.Options{
 			UseTEMetric: opts.UseTEMetric,
 			Parallelism: opts.Parallelism,
-			Legacy:      opts.DisableIndex,
 			Ctx:         ctx,
 		}),
-		opts: opts,
+		opts:     opts,
+		interner: netmodel.NewInterner(),
 	}
 	e.scratch.New = func() any { return net.Clone() }
-	if !opts.DisableIndex {
-		e.interner = netmodel.NewInterner()
-		e.interner.InternTopology(net.Topo)
-	}
+	e.interner.InternTopology(net.Topo)
 	return e
 }
 
@@ -125,11 +114,8 @@ func ctxErr(ctx context.Context) error {
 }
 
 // InternStats reports the interning tables' sizes (devices, links, prefixes,
-// approximate ID-table bytes), or nil when the index is disabled.
+// approximate ID-table bytes).
 func (e *Engine) InternStats() *netmodel.InternStats {
-	if e.interner == nil {
-		return nil
-	}
 	st := e.interner.Stats()
 	return &st
 }
@@ -187,7 +173,6 @@ func (e *Engine) bgpOptions(ctx context.Context) bgp.Options {
 		MaxRounds:         e.opts.MaxRounds,
 		FlawedASPathRegex: e.opts.FlawedASPathRegex,
 		UseTEMetric:       e.opts.UseTEMetric,
-		Legacy:            e.opts.DisableIndex,
 		Parallelism:       e.opts.Parallelism,
 		Ctx:               ctx,
 	}
@@ -197,10 +182,8 @@ func (e *Engine) bgpOptions(ctx context.Context) bgp.Options {
 // warm restart needs: the EC partition, the representatives, the converged
 // pre-expansion BGP state (unless DisableIncremental) and the result itself.
 func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, bc *baseCapture) (*RouteResult, error) {
-	if e.interner != nil {
-		for i := range inputs {
-			e.interner.InternPrefix(inputs[i].Prefix)
-		}
+	for i := range inputs {
+		e.interner.InternPrefix(inputs[i].Prefix)
 	}
 	reps := inputs
 	var ecs *ec.RouteECs
@@ -220,7 +203,7 @@ func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, b
 	}
 	if ecs != nil {
 		for _, t := range res.Tables() {
-			e.expandRIB(ecs, res.RIB(t.Device, t.VRF))
+			ecs.ExpandRIB(res.RIB(t.Device, t.VRF))
 		}
 	}
 	routes := &RouteResult{BGP: res, ECStats: ecs}

@@ -289,7 +289,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 		Links:     d.links(),
 		NodesDown: d.NodesDown,
 		NodesUp:   d.NodesUp,
-	}, isis.Options{UseTEMetric: e.opts.UseTEMetric, Parallelism: parallelism, Legacy: e.opts.DisableIndex, Ctx: ctx})
+	}, isis.Options{UseTEMetric: e.opts.UseTEMetric, Parallelism: parallelism, Ctx: ctx})
 	stats.SPFSources = spfStats.Sources
 	stats.SPFReused = spfStats.Reused
 	if err := ctxErr(ctx); err != nil {
@@ -364,7 +364,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 				rt = rt.ShallowClone()
 				bres.SetRIB(t.Device, t.VRF, rt)
 			}
-			e.expandRIB(routeECs, rt)
+			routeECs.ExpandRIB(rt)
 		}
 	}
 
@@ -526,18 +526,8 @@ func (e *Engine) forwarder(ctx context.Context, net *config.Network, igp *isis.R
 		IgnoreACLs:  e.opts.IgnoreACLs,
 		IgnorePBR:   e.opts.IgnorePBR,
 		Parallelism: parallelism,
-		Legacy:      e.opts.DisableIndex,
 		Ctx:         ctx,
 	})
-}
-
-// expandRIB applies the route-EC expansion through the engine's index mode.
-func (e *Engine) expandRIB(ecs *ec.RouteECs, rib *netmodel.RIB) {
-	if e.opts.DisableIndex {
-		ecs.ExpandRIBLegacy(rib)
-	} else {
-		ecs.ExpandRIB(rib)
-	}
 }
 
 // changedDeviceSet is the set of devices whose forwarding-relevant state

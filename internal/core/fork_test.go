@@ -63,7 +63,8 @@ func first(rs []netmodel.Route) any {
 
 // checkFork runs one delta three ways — incremental fork on a pre-toggled
 // clone, the engine-applied what-if, and a from-scratch reference — and
-// asserts byte-identity of the results and equal ForkStats for the two forks.
+// asserts byte-identity of the results and equal ForkStats for the two forks;
+// with route ECs off, the fork's RIB must also be a stable state.
 func checkFork(t *testing.T, eng *Engine, base *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, d Delta, label string) ForkStats {
 	t.Helper()
 	scratch := base.Clone()
@@ -71,6 +72,9 @@ func checkFork(t *testing.T, eng *Engine, base *config.Network, inputs []netmode
 	inc, stats := eng.Fork(scratch, d)
 	ref := NewEngine(scratch, eng.opts).Run(d.ApplyInputs(inputs), flows)
 	assertIdentical(t, label, inc, ref)
+	if eng.opts.DisableRouteECs {
+		checkRIB(t, label, eng, scratch, d.ApplyInputs(inputs), inc.Routes.GlobalRIB())
+	}
 
 	whatIf, whatIfStats, err := eng.WhatIf(context.Background(), d, 0)
 	if err != nil {
@@ -264,13 +268,25 @@ func TestForkRandomizedDeltas(t *testing.T) {
 }
 
 // TestForkECsDisabledIdentity exercises the fork with both EC reductions off
-// (the expansion-free paths).
+// (the expansion-free paths), where every fork's RIB is also checked as a
+// stable state: link, node, multi-element and input deltas, from a base
+// converged sequentially and as 2 work units.
 func TestForkECsDisabledIdentity(t *testing.T) {
-	out := gen.Generate(gen.WAN(1))
-	opts := Options{DisableRouteECs: true, DisableFlowECs: true}
-	eng := NewEngine(out.Net, opts)
-	eng.BaseRun(out.Inputs, out.Flows)
-	links := out.Net.Topo.Links()
-	checkFork(t, eng, out.Net, out.Inputs, out.Flows,
-		Delta{LinksDown: []netmodel.LinkID{links[2].ID()}}, "ECs off")
+	for _, p := range []int{1, 2} {
+		out := gen.Generate(gen.WAN(1))
+		eng := NewEngine(out.Net, Options{DisableRouteECs: true, DisableFlowECs: true, Parallelism: p})
+		eng.BaseRun(out.Inputs, out.Flows)
+		links := out.Net.Topo.Links()
+		names := out.Net.Topo.NodeNames()
+		add := out.Inputs[0]
+		add.Prefix = netip.MustParsePrefix("203.0.113.0/24")
+		for i, d := range []Delta{
+			{LinksDown: []netmodel.LinkID{links[2].ID()}},
+			{NodesDown: []string{names[len(names)/2]}},
+			{LinksDown: []netmodel.LinkID{links[0].ID(), links[len(links)/2].ID()}, NodesDown: []string{names[1]}},
+			{DropInputs: []netmodel.Route{out.Inputs[0]}, AddInputs: []netmodel.Route{add}},
+		} {
+			checkFork(t, eng, out.Net, out.Inputs, out.Flows, d, fmt.Sprintf("ECs off, parallelism %d, delta %d", p, i))
+		}
+	}
 }

@@ -72,10 +72,10 @@ func TestRouteECExpansion(t *testing.T) {
 	if len(ecs.Classes) != 1 {
 		t.Fatalf("classes = %d", len(ecs.Classes))
 	}
-	exp := ecs.Expansion()
+	reps, members := ecs.expansion()
 	rep := ecs.Classes[0].Rep().Prefix
-	if len(exp[rep]) != 1 {
-		t.Fatalf("expansion = %v", exp)
+	if len(reps) != 1 || reps[0] != rep || len(members[0]) != 1 {
+		t.Fatalf("expansion = %v → %v", reps, members)
 	}
 
 	// Simulating only the representative, then expanding, reproduces rows
@@ -84,7 +84,7 @@ func TestRouteECExpansion(t *testing.T) {
 	rib.Replace(rep, []netmodel.Route{{Prefix: rep, Protocol: netmodel.ProtoBGP,
 		NextHop: netip.MustParseAddr("1.1.1.1"), RouteType: netmodel.RouteBest}})
 	ecs.ExpandRIB(rib)
-	member := exp[rep][0]
+	member := members[0][0]
 	rows := rib.Routes(member)
 	if len(rows) != 1 || rows[0].NextHop != netip.MustParseAddr("1.1.1.1") || rows[0].RouteType != netmodel.RouteBest {
 		t.Errorf("expanded rows = %v", rows)

@@ -165,21 +165,9 @@ func ComputeRouteECs(net *config.Network, profiles vsb.Profiles, inputs []netmod
 	return out
 }
 
-// Expansion maps each representative prefix to the member prefixes whose RIB
-// rows should be cloned from it (excluding the representative itself).
-func (e *RouteECs) Expansion() map[netip.Prefix][]netip.Prefix {
-	reps, members := e.expansion()
-	out := make(map[netip.Prefix][]netip.Prefix, len(reps))
-	for i, rep := range reps {
-		out[rep] = append(out[rep], members[i]...)
-	}
-	return out
-}
-
 // expansion returns the memoized rep→members pairs in class order. Distinct
 // classes can share a representative prefix (same prefix, different
-// attributes), so reps may repeat; walking the pairs in order is equivalent
-// to walking the Expansion map.
+// attributes), so reps may repeat.
 func (e *RouteECs) expansion() ([]netip.Prefix, [][]netip.Prefix) {
 	e.expOnce.Do(func() {
 		for i := range e.Classes {
@@ -222,8 +210,7 @@ func (e *RouteECs) indexClasses() {
 //
 // The expansion walk is memoized across tables (ExpandRIB runs once per
 // (device, vrf)), and each member gets exactly one merged slice that the RIB
-// adopts in place of copying (ReplaceOwned). The original per-call behaviour
-// is preserved in ExpandRIBLegacy.
+// adopts in place of copying (ReplaceOwned).
 func (e *RouteECs) ExpandRIB(rib *netmodel.RIB) {
 	reps, members := e.expansion()
 	for ri, rep := range reps {
@@ -316,28 +303,6 @@ func (e *RouteECs) Reexpand(exp, table *netmodel.RIB, changed map[netip.Prefix]b
 		}
 	}
 	return reached
-}
-
-// ExpandRIBLegacy is the original expansion: it rebuilds the rep→member map
-// per call and copies each member's rows twice. Kept as the reference behind
-// the engine's index opt-out so speedup measurements compare against the
-// seed implementation.
-func (e *RouteECs) ExpandRIBLegacy(rib *netmodel.RIB) {
-	for rep, members := range e.Expansion() {
-		rows := rib.Routes(rep)
-		if len(rows) == 0 {
-			continue
-		}
-		for _, m := range members {
-			cloned := make([]netmodel.Route, len(rows))
-			for i, r := range rows {
-				r.Prefix = m
-				cloned[i] = r
-			}
-			existing := rib.Routes(m)
-			rib.Replace(m, append(append([]netmodel.Route(nil), existing...), cloned...))
-		}
-	}
 }
 
 func sortedListNames(d *config.Device) []string {

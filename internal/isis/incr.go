@@ -1,8 +1,9 @@
 package isis
 
 import (
+	"slices"
+
 	"hoyan/internal/netmodel"
-	"hoyan/internal/par"
 )
 
 // Delta describes a topology change relative to the base SPF result: links
@@ -27,63 +28,55 @@ type ReuseStats struct {
 // Diff compares one source's view between two results. distChanged holds
 // destinations whose distance differs (including appearing or disappearing) —
 // the only IGP input to BGP next-hop resolution. hopsChanged holds those
-// whose ECMP first-hop set differs — the only IGP input to forwarding.
+// whose ECMP first-hop set differs — the only IGP input to forwarding. The
+// results' indexes may be distinct instances (forked topologies), but Up-flag
+// deltas never change the device or link sets, so dense IDs and CSR edge
+// positions are directly comparable.
 func Diff(base, cur *Result, src string) (distChanged, hopsChanged map[string]bool) {
-	if base.idx != nil && cur.idx != nil {
-		return diffIdx(base, cur, src)
+	nameOf := func(i int) string {
+		if i < cur.idx.NumDevices() {
+			return cur.idx.DevName(netmodel.DevID(i))
+		}
+		return base.idx.DevName(netmodel.DevID(i))
 	}
-	bd, cd := base.distMap(src), cur.distMap(src)
-	for x, v := range bd {
-		if cv, ok := cd[x]; !ok || cv != v {
-			if distChanged == nil {
-				distChanged = make(map[string]bool)
-			}
-			distChanged[x] = true
+	var brow, crow []uint32
+	var bh, ch [][]int32
+	if sid, ok := base.idx.DevID(src); ok {
+		brow, bh = base.fdist[sid], base.fhops[sid]
+	}
+	if sid, ok := cur.idx.DevID(src); ok {
+		crow, ch = cur.fdist[sid], cur.fhops[sid]
+	}
+	mark := func(set *map[string]bool, i int) {
+		if *set == nil {
+			*set = make(map[string]bool)
+		}
+		(*set)[nameOf(i)] = true
+	}
+	for i := 0; i < max(len(brow), len(crow)); i++ {
+		if at(brow, i, infCost) != at(crow, i, infCost) {
+			mark(&distChanged, i)
 		}
 	}
-	for x := range cd {
-		if _, ok := bd[x]; !ok {
-			if distChanged == nil {
-				distChanged = make(map[string]bool)
-			}
-			distChanged[x] = true
-		}
-	}
-	bh, ch := base.hopsMap(src), cur.hopsMap(src)
-	for x, v := range bh {
-		if !hopsEqual(ch[x], v) {
-			if hopsChanged == nil {
-				hopsChanged = make(map[string]bool)
-			}
-			hopsChanged[x] = true
-		}
-	}
-	for x := range ch {
-		if _, ok := bh[x]; !ok {
-			if hopsChanged == nil {
-				hopsChanged = make(map[string]bool)
-			}
-			hopsChanged[x] = true
+	for i := 0; i < max(len(bh), len(ch)); i++ {
+		if !slices.Equal(at(bh, i, nil), at(ch, i, nil)) {
+			mark(&hopsChanged, i)
 		}
 	}
 	return distChanged, hopsChanged
 }
 
-func hopsEqual(a, b []FirstHop) bool {
-	if len(a) != len(b) {
-		return false
+// at returns row[i], or missing past the row's end.
+func at[T any](row []T, i int, missing T) T {
+	if i < len(row) {
+		return row[i]
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return missing
 }
 
 // Recompute derives the SPF result of the changed topology from a base
 // result, re-running Dijkstra only for sources whose shortest-path DAG the
-// delta can touch and sharing the base per-source maps for everyone else
+// delta can touch and sharing the base per-source rows for everyone else
 // (the Result accessors are read-only, so sharing is safe).
 //
 // The touched test is conservative but exact in the failure direction: a
@@ -94,37 +87,38 @@ func hopsEqual(a, b []FirstHop) bool {
 // every DAG bound through them only rarely, and change plans that re-enable
 // routers are not a hot path.
 //
-// It returns the new result, the set of touched sources (every source whose
-// per-source maps were recomputed), and the reuse statistics.
+// It returns the new result, the set of touched sources (everything the
+// delta tests flagged, including sources that are themselves down now, plus
+// up sources absent from the base), and the reuse statistics.
 func Recompute(topo *netmodel.Topology, base *Result, d Delta, opts Options) (*Result, map[string]bool, ReuseStats) {
-	var srcs []string
-	for _, n := range topo.Nodes() {
-		if n.Up {
-			srcs = append(srcs, n.Name)
+	ix := topo.Index()
+	n := ix.NumDevices()
+	var srcs []netmodel.DevID
+	for i := 0; i < n; i++ {
+		if ix.Node(netmodel.DevID(i)).Up {
+			srcs = append(srcs, netmodel.DevID(i))
 		}
 	}
-
 	if base == nil || len(d.NodesUp) > 0 {
-		full := Compute(topo, opts)
 		touched := make(map[string]bool, len(srcs))
-		for _, s := range srcs {
-			touched[s] = true
+		for _, sid := range srcs {
+			touched[ix.DevName(sid)] = true
 		}
-		return full, touched, ReuseStats{Sources: len(srcs), Recomputed: len(srcs)}
+		return solve(ix, srcs, opts), touched, ReuseStats{Sources: len(srcs), Recomputed: len(srcs)}
 	}
 
-	if !opts.Legacy && base.idx != nil {
-		return recomputeIdx(topo, base, d, opts)
-	}
-
-	touched := make(map[string]bool)
+	touched := make(map[netmodel.DevID]bool)
 	// A downed node touches every source that could reach it (their DAGs may
 	// route through it, and its disappearance as a destination matters to
 	// consumers either way).
 	for _, x := range d.NodesDown {
-		for s, dist := range base.dist {
-			if _, ok := dist[x]; ok {
-				touched[s] = true
+		xid, ok := ix.DevID(x)
+		if !ok {
+			continue
+		}
+		for s, row := range base.fdist {
+			if row != nil && int(xid) < len(row) && row[xid] != infCost {
+				touched[netmodel.DevID(s)] = true
 			}
 		}
 	}
@@ -133,68 +127,55 @@ func Recompute(topo *netmodel.Topology, base *Result, d Delta, opts Options) (*R
 		if l == nil {
 			continue
 		}
+		aid, aok := ix.DevID(l.A)
+		bid, bok := ix.DevID(l.B)
+		if !aok || !bok {
+			continue
+		}
 		cAB := l.DirCost(l.A, opts.UseTEMetric)
 		cBA := l.DirCost(l.B, opts.UseTEMetric)
-		for s, dist := range base.dist {
-			if touched[s] {
+		for s, row := range base.fdist {
+			sid := netmodel.DevID(s)
+			if row == nil || touched[sid] {
 				continue
 			}
-			dA, okA := dist[l.A]
-			dB, okB := dist[l.B]
+			dA, dB := row[aid], row[bid]
+			okA, okB := dA != infCost, dB != infCost
 			if l.Up {
 				// Link restored: it matters when it offers an equal-or-better
 				// path to either endpoint (equal matters too — ECMP first-hop
 				// sets grow on ties) or reaches a previously cut-off endpoint.
 				if okA && (!okB || dA+cAB <= dB) {
-					touched[s] = true
+					touched[sid] = true
 				} else if okB && (!okA || dB+cBA <= dA) {
-					touched[s] = true
+					touched[sid] = true
 				}
-			} else {
+			} else if okA && okB && (dA+cAB == dB || dB+cBA == dA) {
 				// Link failed: only tight edges appear in any shortest-path
 				// DAG; removing a slack edge changes nothing.
-				if okA && okB && (dA+cAB == dB || dB+cBA == dA) {
-					touched[s] = true
-				}
+				touched[sid] = true
 			}
 		}
 	}
 
-	r := &Result{
-		dist: make(map[string]map[string]uint32, len(srcs)),
-		hops: make(map[string]map[string][]FirstHop, len(srcs)),
-	}
-	var redo []string
-	stats := ReuseStats{Sources: len(srcs)}
-	for _, s := range srcs {
-		if !touched[s] {
-			if bd, ok := base.dist[s]; ok {
-				r.dist[s] = bd
-				r.hops[s] = base.hops[s]
-				stats.Reused++
-				continue
-			}
-			// Unknown to the base (shouldn't happen without NodesUp): treat
-			// as touched.
-			touched[s] = true
+	var redo, reuse []netmodel.DevID
+	for _, sid := range srcs {
+		if !touched[sid] && int(sid) < len(base.fdist) && base.fdist[sid] != nil {
+			reuse = append(reuse, sid)
+			continue
 		}
-		redo = append(redo, s)
+		touched[sid] = true
+		redo = append(redo, sid)
 	}
-	type perSrc struct {
-		dist map[string]uint32
-		hops map[string][]FirstHop
+	r := solve(ix, redo, opts)
+	for _, sid := range reuse {
+		r.fdist[sid], r.fhops[sid] = base.fdist[sid], base.fhops[sid]
 	}
-	slots := par.Map(opts.Parallelism, len(redo), func(i int) perSrc {
-		if opts.ctxDone() {
-			return perSrc{}
+	touchedNames := make(map[string]bool, len(touched))
+	for sid := range touched {
+		if int(sid) < n {
+			touchedNames[ix.DevName(sid)] = true
 		}
-		dist, hops := sssp(topo, redo[i], opts)
-		return perSrc{dist: dist, hops: hops}
-	})
-	for i, s := range redo {
-		r.dist[s] = slots[i].dist
-		r.hops[s] = slots[i].hops
-		stats.Recomputed++
 	}
-	return r, touched, stats
+	return r, touchedNames, ReuseStats{Sources: len(srcs), Reused: len(reuse), Recomputed: len(redo)}
 }

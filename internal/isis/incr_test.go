@@ -43,15 +43,25 @@ func randomTopo(rng *rand.Rand, n int) *netmodel.Topology {
 }
 
 // assertSame compares an incremental result against a full recompute over
-// every (source, destination) pair, including ECMP first-hop sets.
-func assertSame(t *testing.T, label string, got, want *Result) {
+// every (source, destination) pair of topo — distance, reachability and ECMP
+// first-hop set — and asserts both are stable states of SPF on topo.
+func assertSame(t *testing.T, label string, topo *netmodel.Topology, got, want *Result) {
 	t.Helper()
-	if !reflect.DeepEqual(got.dist, want.dist) {
-		t.Fatalf("%s: distances differ", label)
+	names := topo.NodeNames()
+	for _, s := range names {
+		for _, d := range names {
+			gc, gok := got.Cost(s, d)
+			wc, wok := want.Cost(s, d)
+			if gc != wc || gok != wok {
+				t.Fatalf("%s: Cost(%s, %s) = %d, %v; want %d, %v", label, s, d, gc, gok, wc, wok)
+			}
+			if g, w := got.FirstHops(s, d), want.FirstHops(s, d); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: FirstHops(%s, %s) = %v, want %v", label, s, d, g, w)
+			}
+		}
 	}
-	if !reflect.DeepEqual(got.hops, want.hops) {
-		t.Fatalf("%s: first-hop sets differ", label)
-	}
+	checkSPF(t, label+" (incremental)", topo, got, false)
+	checkSPF(t, label+" (full)", topo, want, false)
 }
 
 func TestRecomputeSingleLinkFailures(t *testing.T) {
@@ -63,7 +73,7 @@ func TestRecomputeSingleLinkFailures(t *testing.T) {
 		topo.SetLinkUp(id, false)
 		want := Compute(topo, Options{})
 		got, touched, stats := Recompute(topo, base, Delta{Links: []netmodel.LinkID{id}}, Options{})
-		assertSame(t, "down "+id.String(), got, want)
+		assertSame(t, "down "+id.String(), topo, got, want)
 		if stats.Reused+stats.Recomputed != stats.Sources {
 			t.Fatalf("stats do not add up: %+v", stats)
 		}
@@ -85,7 +95,7 @@ func TestRecomputeLinkRestore(t *testing.T) {
 	topo.SetLinkUp(ids[0], true)
 	want := Compute(topo, Options{})
 	got, _, _ := Recompute(topo, base, Delta{Links: []netmodel.LinkID{ids[0]}}, Options{})
-	assertSame(t, "restore", got, want)
+	assertSame(t, "restore", topo, got, want)
 }
 
 func TestRecomputeNodeFailure(t *testing.T) {
@@ -96,7 +106,7 @@ func TestRecomputeNodeFailure(t *testing.T) {
 		topo.SetNodeUp(name, false)
 		want := Compute(topo, Options{})
 		got, _, _ := Recompute(topo, base, Delta{NodesDown: []string{name}}, Options{})
-		assertSame(t, "node down "+name, got, want)
+		assertSame(t, "node down "+name, topo, got, want)
 		topo.SetNodeUp(name, true)
 	}
 }
@@ -109,7 +119,7 @@ func TestRecomputeNodeUpFullFallback(t *testing.T) {
 	topo.SetNodeUp("r05", true)
 	want := Compute(topo, Options{})
 	got, touched, stats := Recompute(topo, base, Delta{NodesUp: []string{"r05"}}, Options{})
-	assertSame(t, "node up", got, want)
+	assertSame(t, "node up", topo, got, want)
 	if stats.Reused != 0 {
 		t.Errorf("node-up must recompute everything, reused %d", stats.Reused)
 	}
@@ -143,7 +153,7 @@ func TestRecomputeRandomizedMultiDeltas(t *testing.T) {
 		}
 		want := Compute(topo, Options{})
 		got, _, _ := Recompute(topo, base, d, Options{})
-		assertSame(t, fmt.Sprintf("trial %d", trial), got, want)
+		assertSame(t, fmt.Sprintf("trial %d", trial), topo, got, want)
 		for id := range flipped {
 			topo.SetLinkUp(id, true)
 		}
@@ -173,7 +183,7 @@ func TestRecomputeReusesUntouchedSources(t *testing.T) {
 	topo.SetLinkUp(bypass, false)
 	want := Compute(topo, Options{})
 	got, touched, stats := Recompute(topo, base, Delta{Links: []netmodel.LinkID{bypass}}, Options{})
-	assertSame(t, "slack edge", got, want)
+	assertSame(t, "slack edge", topo, got, want)
 	if len(touched) != 0 || stats.Reused != 4 {
 		t.Errorf("slack-edge failure must touch nothing: touched=%v stats=%+v", touched, stats)
 	}

@@ -8,11 +8,8 @@
 package isis
 
 import (
-	"container/heap"
 	"context"
-	"net/netip"
 	"slices"
-	"strings"
 
 	"hoyan/internal/netmodel"
 	"hoyan/internal/par"
@@ -28,11 +25,6 @@ type Options struct {
 	// Parallelism bounds the worker pool running per-source Dijkstra
 	// (par conventions: 0 = GOMAXPROCS, 1 = sequential).
 	Parallelism int
-
-	// Legacy selects the original string-keyed implementation instead of the
-	// CSR-indexed one. The two produce identical results; the legacy path is
-	// kept as the reference for speedup measurement and equivalence tests.
-	Legacy bool
 
 	// Ctx, when non-nil, is polled before each per-source Dijkstra; once it
 	// is done the remaining sources return empty rows and the (incomplete)
@@ -51,18 +43,14 @@ type FirstHop struct {
 	Link   netmodel.LinkID // link from the source to Device
 }
 
-// Result holds the all-pairs SPF outcome in one of two representations: the
-// original nested string maps (Options.Legacy) or flat per-DevID rows over
-// the topology's CSR index. The string accessors work on either; the *ID
-// accessors (CostID, FirstHopEdges) require the indexed form.
-type Result struct {
-	// string-keyed representation (idx == nil)
-	dist map[string]map[string]uint32
-	hops map[string]map[string][]FirstHop
+// infCost is the unreachable sentinel in flat distance rows.
+const infCost = ^uint32(0)
 
-	// indexed representation (idx != nil): fdist[src][dst] is the distance
-	// (infCost = unreachable, nil row = source down/unknown) and
-	// fhops[src][dst] the sorted CSR edge positions of the ECMP first hops.
+// Result holds the all-pairs SPF outcome as flat per-DevID rows over the
+// topology's CSR index: fdist[src][dst] is the distance (infCost =
+// unreachable, nil row = source down/unknown) and fhops[src][dst] the sorted
+// CSR edge positions of the ECMP first hops.
+type Result struct {
 	idx   *netmodel.TopoIndex
 	fdist [][]uint32
 	fhops [][][]int32
@@ -70,127 +58,192 @@ type Result struct {
 
 // Compute runs Dijkstra from every up node of the topology. Sources are
 // independent, so they fan out over Options.Parallelism workers; each worker
-// writes only its own pre-sized slot and the source→result maps are filled
-// sequentially afterwards, so the outcome is identical at any parallelism.
+// fills only its own source's rows, so the outcome is identical at any
+// parallelism.
 func Compute(topo *netmodel.Topology, opts Options) *Result {
-	if !opts.Legacy {
-		return computeIdx(topo, opts)
-	}
-	var srcs []string
-	for _, n := range topo.Nodes() {
-		if n.Up {
-			srcs = append(srcs, n.Name)
+	ix := topo.Index()
+	var srcs []netmodel.DevID
+	for i := 0; i < ix.NumDevices(); i++ {
+		if ix.Node(netmodel.DevID(i)).Up {
+			srcs = append(srcs, netmodel.DevID(i))
 		}
 	}
+	return solve(ix, srcs, opts)
+}
+
+// solve returns a result over ix with a Dijkstra run for every source in
+// srcs and no rows for any other.
+func solve(ix *netmodel.TopoIndex, srcs []netmodel.DevID, opts Options) *Result {
+	n := ix.NumDevices()
+	r := &Result{idx: ix, fdist: make([][]uint32, n), fhops: make([][][]int32, n)}
 	type perSrc struct {
-		dist map[string]uint32
-		hops map[string][]FirstHop
+		dist []uint32
+		hops [][]int32
 	}
 	slots := par.Map(opts.Parallelism, len(srcs), func(i int) perSrc {
 		if opts.ctxDone() {
 			return perSrc{}
 		}
-		dist, hops := sssp(topo, srcs[i], opts)
+		dist, hops := sssp(ix, srcs[i], opts)
 		return perSrc{dist: dist, hops: hops}
 	})
-	r := &Result{
-		dist: make(map[string]map[string]uint32, len(srcs)),
-		hops: make(map[string]map[string][]FirstHop, len(srcs)),
-	}
-	for i, src := range srcs {
-		r.dist[src] = slots[i].dist
-		r.hops[src] = slots[i].hops
+	for i, sid := range srcs {
+		r.fdist[sid] = slots[i].dist
+		r.fhops[sid] = slots[i].hops
 	}
 	return r
 }
 
+// pqItem / pq is a hand-rolled binary heap over dense IDs; container/heap
+// boxes every push through an interface, which shows up at WAN scale.
+// Tie-break by DevID == tie-break by device name.
 type pqItem struct {
-	device string
-	dist   uint32
+	dev  netmodel.DevID
+	dist uint32
 }
 
 type pq []pqItem
 
-func (q pq) Len() int      { return len(q) }
-func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q pq) Less(i, j int) bool {
+func (q pq) less(i, j int) bool {
 	if q[i].dist != q[j].dist {
 		return q[i].dist < q[j].dist
 	}
-	return q[i].device < q[j].device
-}
-func (q *pq) Push(x any) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+	return q[i].dev < q[j].dev
 }
 
-// sssp is single-source shortest paths with ECMP first-hop tracking.
-func sssp(topo *netmodel.Topology, src string, opts Options) (map[string]uint32, map[string][]FirstHop) {
-	dist := map[string]uint32{src: 0}
-	hops := map[string][]FirstHop{}
-	done := map[string]bool{}
+func (q *pq) push(it pqItem) {
+	*q = append(*q, it)
+	i := len(*q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		(*q)[i], (*q)[p] = (*q)[p], (*q)[i]
+		i = p
+	}
+}
 
-	q := &pq{{device: src}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if done[it.device] || it.dist != dist[it.device] {
+func (q *pq) pop() pqItem {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	*q = h[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		s := i
+		if l < n && (*q).less(l, s) {
+			s = l
+		}
+		if r < n && (*q).less(r, s) {
+			s = r
+		}
+		if s == i {
+			break
+		}
+		h[i], h[s] = h[s], h[i]
+		i = s
+	}
+	return top
+}
+
+// sssp is single-source shortest paths with ECMP first-hop tracking over the
+// CSR index. First hops are stored as CSR edge positions of the source's own
+// adjacency row, kept sorted ascending at the end — ascending position order
+// is (neighbor name, link) order.
+func sssp(ix *netmodel.TopoIndex, src netmodel.DevID, opts Options) ([]uint32, [][]int32) {
+	n := ix.NumDevices()
+	dist := make([]uint32, n)
+	for i := range dist {
+		dist[i] = infCost
+	}
+	hops := make([][]int32, n)
+	done := make([]bool, n)
+
+	dist[src] = 0
+	q := pq{{dev: src}}
+	for len(q) > 0 {
+		it := q.pop()
+		if done[it.dev] || it.dist != dist[it.dev] {
 			continue
 		}
-		done[it.device] = true
-		for _, nb := range topo.Neighbors(it.device) {
-			cost := nb.Link.DirCost(it.device, opts.UseTEMetric)
-			nd := it.dist + cost
-			old, seen := dist[nb.Device]
+		done[it.dev] = true
+		lo, hi := ix.EdgeRange(it.dev)
+		for pos := lo; pos < hi; pos++ {
+			if !ix.EdgeUp(pos) {
+				continue
+			}
+			nb := ix.EdgeDev(pos)
+			nd := it.dist + ix.EdgeCost(pos, opts.UseTEMetric)
+			old := dist[nb]
 			switch {
-			case !seen || nd < old:
-				dist[nb.Device] = nd
-				hops[nb.Device] = firstHopsVia(src, it.device, nb, hops)
-				heap.Push(q, pqItem{device: nb.Device, dist: nd})
-			case nd == old:
-				hops[nb.Device] = mergeHops(hops[nb.Device], firstHopsVia(src, it.device, nb, hops))
+			case nd < old: // infCost is the max uint32, so "unseen" folds in
+				dist[nb] = nd
+				hops[nb] = hopsVia(src, it.dev, pos, hops, nil)
+				q.push(pqItem{dev: nb, dist: nd})
+			case nd == old && old != infCost:
+				hops[nb] = hopsVia(src, it.dev, pos, hops, hops[nb])
 			}
 		}
 	}
 	for d := range hops {
-		sortHops(hops[d])
+		slices.Sort(hops[d])
 	}
 	return dist, hops
 }
 
-// firstHopsVia returns the first-hop set for reaching nb.Device through
-// intermediate device via (which may be the source itself).
-func firstHopsVia(src, via string, nb netmodel.Neighbor, hops map[string][]FirstHop) []FirstHop {
+// hopsVia merges the first hops for reaching a neighbor through `via` (edge
+// position pos when via is the source itself, otherwise via's own first-hop
+// set) into cur, deduplicating with a linear scan — hop sets are tiny, so
+// this beats a map.
+func hopsVia(src, via netmodel.DevID, pos int32, hops [][]int32, cur []int32) []int32 {
 	if via == src {
-		return []FirstHop{{Device: nb.Device, Link: nb.Link.ID()}}
+		if cur == nil {
+			return []int32{pos}
+		}
+		if !slices.Contains(cur, pos) {
+			cur = append(cur, pos)
+		}
+		return cur
 	}
-	return append([]FirstHop(nil), hops[via]...)
-}
-
-func mergeHops(a, b []FirstHop) []FirstHop {
-	seen := make(map[FirstHop]bool, len(a))
-	for _, h := range a {
-		seen[h] = true
+	if cur == nil {
+		return append([]int32(nil), hops[via]...)
 	}
-	for _, h := range b {
-		if !seen[h] {
-			a = append(a, h)
-			seen[h] = true
+	for _, p := range hops[via] {
+		if !slices.Contains(cur, p) {
+			cur = append(cur, p)
 		}
 	}
-	return a
+	return cur
 }
 
-func sortHops(hs []FirstHop) {
-	slices.SortFunc(hs, func(a, b FirstHop) int {
-		if a.Device != b.Device {
-			return strings.Compare(a.Device, b.Device)
-		}
-		return strings.Compare(a.Link.String(), b.Link.String())
-	})
+// EdgeIndex returns the topology index the result was computed against.
+func (r *Result) EdgeIndex() *netmodel.TopoIndex { return r.idx }
+
+// CostID is Cost over dense IDs, for hot paths that already hold them.
+func (r *Result) CostID(src, dst netmodel.DevID) (uint32, bool) {
+	if src == dst {
+		return 0, true
+	}
+	row := r.fdist[src]
+	if row == nil {
+		return 0, false
+	}
+	d := row[dst]
+	return d, d != infCost
+}
+
+// FirstHopEdges returns the ECMP first hops from src toward dst as CSR edge
+// positions of src's adjacency row, sorted ascending (nil when unreachable or
+// src == dst). The slice is shared; callers must not modify it.
+func (r *Result) FirstHopEdges(src, dst netmodel.DevID) []int32 {
+	rows := r.fhops[src]
+	if rows == nil {
+		return nil
+	}
+	return rows[dst]
 }
 
 // Cost returns the IGP metric from src to dst; ok is false when dst is
@@ -199,40 +252,40 @@ func (r *Result) Cost(src, dst string) (uint32, bool) {
 	if src == dst {
 		return 0, true
 	}
-	if r.idx != nil {
-		sid, ok := r.idx.DevID(src)
-		if !ok {
-			return 0, false
-		}
-		did, ok := r.idx.DevID(dst)
-		if !ok {
-			return 0, false
-		}
-		return r.CostID(sid, did)
+	sid, ok := r.idx.DevID(src)
+	if !ok {
+		return 0, false
 	}
-	d, ok := r.dist[src][dst]
-	return d, ok
+	did, ok := r.idx.DevID(dst)
+	if !ok {
+		return 0, false
+	}
+	return r.CostID(sid, did)
 }
 
 // FirstHops returns the ECMP first hops from src toward dst (nil when
-// unreachable or src == dst).
+// unreachable or src == dst), in (neighbor name, link) order.
 func (r *Result) FirstHops(src, dst string) []FirstHop {
-	if r.idx != nil {
-		sid, ok := r.idx.DevID(src)
-		if !ok {
-			return nil
-		}
-		did, ok := r.idx.DevID(dst)
-		if !ok {
-			return nil
-		}
-		ps := r.FirstHopEdges(sid, did)
-		if len(ps) == 0 {
-			return nil
-		}
-		return r.materializeHops(ps)
+	sid, ok := r.idx.DevID(src)
+	if !ok {
+		return nil
 	}
-	return r.hops[src][dst]
+	did, ok := r.idx.DevID(dst)
+	if !ok {
+		return nil
+	}
+	ps := r.FirstHopEdges(sid, did)
+	if len(ps) == 0 {
+		return nil
+	}
+	out := make([]FirstHop, len(ps))
+	for i, p := range ps {
+		out[i] = FirstHop{
+			Device: r.idx.DevName(r.idx.EdgeDev(p)),
+			Link:   r.idx.LinkIDAt(r.idx.EdgeLinkIdx(p)),
+		}
+	}
+	return out
 }
 
 // Reachable reports whether dst is reachable from src.
@@ -260,11 +313,7 @@ func (r *Result) Path(src, dst string) []string {
 		}
 		cur = fhs[0].Device
 		path = append(path, cur)
-		bound := len(r.dist)
-		if r.idx != nil {
-			bound = r.idx.NumDevices()
-		}
-		if len(path) > bound+1 {
+		if len(path) > r.idx.NumDevices()+1 {
 			return nil // defensive: must not happen on a consistent result
 		}
 	}
@@ -273,64 +322,49 @@ func (r *Result) Path(src, dst string) []string {
 
 // Routes materializes IS-IS RIB entries on device src: one route per remote
 // loopback, with one row per ECMP first hop, mirroring how the production
-// system installs IGP routes alongside BGP ones.
+// system installs IGP routes alongside BGP ones. Destinations come in
+// ascending DevID order, which is sorted-name order, and next-hop addresses
+// (the neighbor-side interface address) straight off the first-hop edge's
+// link.
 func (r *Result) Routes(topo *netmodel.Topology, src string) []netmodel.Route {
-	var out []netmodel.Route
-	node := topo.Node(src)
-	if node == nil {
+	ix := r.idx
+	sid, ok := ix.DevID(src)
+	if topo.Node(src) == nil || !ok || r.fdist[sid] == nil {
 		return nil
 	}
-	if r.idx != nil {
-		return r.routesIdx(src)
-	}
-	dsts := make([]string, 0, len(r.dist[src]))
-	for d := range r.dist[src] {
-		if d != src {
-			dsts = append(dsts, d)
-		}
-	}
-	slices.Sort(dsts)
-	for _, d := range dsts {
-		dn := topo.Node(d)
-		if dn == nil || !dn.Loopback.IsValid() {
+	var out []netmodel.Route
+	row := r.fdist[sid]
+	for did := 0; did < ix.NumDevices(); did++ {
+		if netmodel.DevID(did) == sid || row[did] == infCost {
 			continue
 		}
-		bits := 32
-		if dn.Loopback.Is6() {
-			bits = 128
+		dn := ix.Node(netmodel.DevID(did))
+		if !dn.Loopback.IsValid() {
+			continue
 		}
-		p, err := dn.Loopback.Prefix(bits)
+		p, err := dn.Loopback.Prefix(dn.Loopback.BitLen())
 		if err != nil {
 			continue
 		}
-		cost := r.dist[src][d]
-		for _, fh := range r.FirstHops(src, d) {
+		for _, pos := range r.fhops[sid][did] {
+			l := ix.EdgeLink(pos)
+			nh := l.AAddr
+			if ix.EdgeFromA(pos) {
+				nh = l.BAddr
+			}
 			out = append(out, netmodel.Route{
 				Device:     src,
 				VRF:        netmodel.DefaultVRF,
 				Prefix:     p,
 				Protocol:   netmodel.ProtoISIS,
-				NextHop:    neighborAddr(topo, fh, src),
-				IGPCost:    cost,
+				NextHop:    nh,
+				IGPCost:    row[did],
 				Preference: 15,
 				RouteType:  netmodel.RouteBest,
-				Peer:       fh.Device,
-				Source:     d,
+				Peer:       ix.DevName(ix.EdgeDev(pos)),
+				Source:     dn.Name,
 			})
 		}
 	}
 	return out
-}
-
-// neighborAddr returns the neighbor-side interface address of the first hop
-// (the conventional IGP next-hop address).
-func neighborAddr(topo *netmodel.Topology, fh FirstHop, src string) (nh netip.Addr) {
-	l := topo.Link(fh.Link)
-	if l == nil {
-		return nh
-	}
-	if l.A == src {
-		return l.BAddr
-	}
-	return l.AAddr
 }

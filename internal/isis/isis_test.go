@@ -1,8 +1,10 @@
 package isis
 
 import (
+	"fmt"
+	"math/rand"
 	"net/netip"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -184,13 +186,106 @@ func TestSPFSymmetricCosts(t *testing.T) {
 }
 
 func TestComputeParallelMatchesSequential(t *testing.T) {
-	topo := diamond()
+	topo := randomTopo(rand.New(rand.NewSource(6)), 24)
+	topo.SetNodeUp("r05", false)
 	seq := Compute(topo, Options{Parallelism: 1})
 	pll := Compute(topo, Options{Parallelism: 8})
-	if !reflect.DeepEqual(seq.dist, pll.dist) {
-		t.Error("parallel SPF distances diverged from sequential")
+	assertSame(t, "parallelism 8 vs 1", topo, pll, seq)
+}
+
+// checkSPF asserts that r is a stable state of SPF on topo, from first
+// principles rather than against another run: from every up source s,
+// dist(s, s) = 0; no up edge u→v relaxes (dist(s, u) + cost(u, v) ≥
+// dist(s, v)); every other reachable node has a tight in-edge (equality); and
+// each node's first-hop set is the union over its tight in-edges u→v of that
+// edge when u = s, else of FirstHops(s, u). A down source reaches nothing.
+// Link costs must be positive.
+func checkSPF(t *testing.T, label string, topo *netmodel.Topology, r *Result, te bool) {
+	t.Helper()
+	names := topo.NodeNames()
+	key := func(h FirstHop) string { return h.Device + "|" + h.Link.String() }
+	for _, s := range names {
+		if n := topo.Node(s); !n.Up {
+			for _, d := range names {
+				if d != s && r.Reachable(s, d) {
+					t.Fatalf("%s: down source %s reaches %s", label, s, d)
+				}
+			}
+			continue
+		}
+		if sid, _ := r.idx.DevID(s); r.fdist[sid][sid] != 0 {
+			t.Fatalf("%s: dist(%s, %s) = %d", label, s, s, r.fdist[sid][sid])
+		}
+		tight := make(map[string]map[string]FirstHop)
+		for _, u := range names {
+			du, ok := r.Cost(s, u)
+			if !ok {
+				continue
+			}
+			for _, nb := range topo.Neighbors(u) {
+				c := nb.Link.DirCost(u, te)
+				dv, ok := r.Cost(s, nb.Device)
+				if !ok || du+c < dv {
+					t.Fatalf("%s: from %s, edge %s→%s relaxes %d+%d < %d (reachable %v)", label, s, u, nb.Device, du, c, dv, ok)
+				}
+				if du+c != dv || nb.Device == s {
+					continue
+				}
+				hops := r.FirstHops(s, u)
+				if u == s {
+					hops = []FirstHop{{Device: nb.Device, Link: nb.Link.ID()}}
+				}
+				if tight[nb.Device] == nil {
+					tight[nb.Device] = make(map[string]FirstHop)
+				}
+				for _, h := range hops {
+					tight[nb.Device][key(h)] = h
+				}
+			}
+		}
+		for _, v := range names {
+			_, reach := r.Cost(s, v)
+			if v != s && reach && tight[v] == nil {
+				t.Fatalf("%s: from %s, %s is reachable without a tight in-edge", label, s, v)
+			}
+			var want []string
+			for k := range tight[v] {
+				want = append(want, k)
+			}
+			var got []string
+			for _, h := range r.FirstHops(s, v) {
+				got = append(got, key(h))
+			}
+			slices.Sort(want)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: FirstHops(%s, %s) = %v, the union over its tight in-edges is %v", label, s, v, got, want)
+			}
+		}
 	}
-	if !reflect.DeepEqual(seq.hops, pll.hops) {
-		t.Error("parallel SPF first hops diverged from sequential")
+}
+
+// TestSPFStableState checks Compute against checkSPF on the diamond (plain
+// and TE metric, a link down) and on seeded random topologies with failed
+// links and nodes.
+func TestSPFStableState(t *testing.T) {
+	topo := diamond()
+	checkSPF(t, "diamond", topo, Compute(topo, Options{}), false)
+	topo.Link(netmodel.LinkID{A: "A", B: "B", AIface: "to-B", BIface: "to-A"}).TEAB = 1000
+	checkSPF(t, "diamond TE", topo, Compute(topo, Options{UseTEMetric: true}), true)
+	topo.SetLinkUp(netmodel.LinkID{A: "A", B: "C", AIface: "to-C", BIface: "to-A"}, false)
+	checkSPF(t, "diamond, A-C down", topo, Compute(topo, Options{}), false)
+
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 20; trial++ {
+		topo := randomTopo(rng, 8+rng.Intn(16))
+		links := topo.Links()
+		for i := rng.Intn(4); i > 0; i-- {
+			topo.SetLinkUp(links[rng.Intn(len(links))].ID(), false)
+		}
+		if rng.Intn(2) == 0 {
+			topo.SetNodeUp(fmt.Sprintf("r%02d", rng.Intn(8)), false)
+		}
+		checkSPF(t, fmt.Sprintf("random trial %d", trial), topo, Compute(topo, Options{}), false)
 	}
 }

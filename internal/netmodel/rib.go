@@ -373,9 +373,8 @@ func (t *RIB) LongestMatch(addr netip.Addr) (prefix netip.Prefix, best []Route, 
 	return netip.Prefix{}, nil, false
 }
 
-// LongestMatchScan is the original index-free longest-prefix match: a full
-// scan over every prefix. Kept as the reference implementation for the
-// legacy (string-keyed) engine path and for equivalence tests.
+// LongestMatchScan is the index-free longest-prefix match: a full scan over
+// every prefix. It is the reference the tests check LongestMatch against.
 func (t *RIB) LongestMatchScan(addr netip.Addr) (prefix netip.Prefix, best []Route, ok bool) {
 	bestBits := -1
 	for p, rows := range t.byPrefix {

@@ -88,9 +88,8 @@ type RunReport struct {
 	// trace (master + workers); both nil unless Telemetry was set.
 	Metrics telemetry.Snapshot
 	Spans   []telemetry.SpanRecord
-	// Intern is the indexed core's ID-table footprint for the run — devices,
-	// links, and input prefixes interned into dense IDs — nil when the run
-	// had the index disabled (core.Options.DisableIndex).
+	// Intern is the core's ID-table footprint for the run — devices, links,
+	// and input prefixes interned into dense IDs — nil before the first run.
 	Intern *netmodel.InternStats
 }
 
@@ -196,19 +195,16 @@ func (s *System) simulateDistributed(net *config.Network, inputs []netmodel.Rout
 		}
 		return objstore.Stats{}
 	}
-	report := RunReport{TaskID: taskID}
-	if !s.Opts.DisableIndex {
-		// The master-side view of the run's ID-table footprint: every worker
-		// interns the full topology plus its input subset, so the whole-input
-		// interner describes what the fleet holds in aggregate per engine.
-		in := netmodel.NewInterner()
-		in.InternTopology(net.Topo)
-		for i := range inputs {
-			in.InternPrefix(inputs[i].Prefix)
-		}
-		st := in.Stats()
-		report.Intern = &st
+	// The master-side view of the run's ID-table footprint: every worker
+	// interns the full topology plus its input subset, so the whole-input
+	// interner describes what the fleet holds in aggregate per engine.
+	in := netmodel.NewInterner()
+	in.InternTopology(net.Topo)
+	for i := range inputs {
+		in.InternPrefix(inputs[i].Prefix)
 	}
+	st := in.Stats()
+	report := RunReport{TaskID: taskID, Intern: &st}
 	defer func() {
 		report.Store = storeStats()
 		report.Cache = cluster.CacheStats()

@@ -44,13 +44,6 @@ type Options struct {
 	// is read-only over the snapshot, IGP, and RIBs.
 	Parallelism int
 
-	// Legacy disables the dense-ID fast paths (CSR neighbor scans, slice
-	// visited sets, indexed load merging) and walks the string-keyed topology
-	// exactly as the original implementation did. The two produce identical
-	// results; the legacy path is the reference for speedup measurement and
-	// equivalence tests.
-	Legacy bool
-
 	// Ctx, when non-nil, is polled before each per-flow walk; once it is done
 	// the remaining flows are skipped and the (incomplete) result must be
 	// discarded by the caller.
@@ -79,9 +72,9 @@ type Forwarder struct {
 	ribs RIBSource
 	opts Options
 
-	// idx is the dense-ID topology index (nil under Options.Legacy); igpIdx
-	// records whether the IGP result was computed against the same index, so
-	// recursive resolution can walk first-hop edge positions directly.
+	// idx is the dense-ID topology index; igpIdx records whether the IGP
+	// result was computed against the same index, so recursive resolution can
+	// walk first-hop edge positions directly.
 	idx    *netmodel.TopoIndex
 	igpIdx bool
 
@@ -93,25 +86,23 @@ type Forwarder struct {
 // NewForwarder builds a forwarder over the given snapshot.
 func NewForwarder(net *config.Network, igp *isis.Result, ribs RIBSource, opts Options) *Forwarder {
 	f := &Forwarder{net: net, igp: igp, ribs: ribs, opts: opts.withDefaults()}
-	if !f.opts.Legacy {
-		f.idx = net.Topo.Index()
-		f.igpIdx = igp != nil && igp.EdgeIndex() == f.idx
-		f.owned = make(map[string]map[netip.Addr]bool, len(net.Devices))
-		for name, d := range net.Devices {
-			set := make(map[netip.Addr]bool, len(d.Interfaces)+2)
-			if d.Loopback.IsValid() {
-				set[d.Loopback] = true
-			}
-			if node := net.Topo.Node(name); node != nil && node.Loopback.IsValid() {
-				set[node.Loopback] = true
-			}
-			for _, i := range d.Interfaces {
-				if i.Addr.IsValid() {
-					set[i.Addr.Addr()] = true
-				}
-			}
-			f.owned[name] = set
+	f.idx = net.Topo.Index()
+	f.igpIdx = igp != nil && igp.EdgeIndex() == f.idx
+	f.owned = make(map[string]map[netip.Addr]bool, len(net.Devices))
+	for name, d := range net.Devices {
+		set := make(map[netip.Addr]bool, len(d.Interfaces)+2)
+		if d.Loopback.IsValid() {
+			set[d.Loopback] = true
 		}
+		if node := net.Topo.Node(name); node != nil && node.Loopback.IsValid() {
+			set[node.Loopback] = true
+		}
+		for _, i := range d.Interfaces {
+			if i.Addr.IsValid() {
+				set[i.Addr.Addr()] = true
+			}
+		}
+		f.owned[name] = set
 	}
 	return f
 }
@@ -152,32 +143,25 @@ func (f *Forwarder) Simulate(flows []netmodel.Flow) *Result {
 		contribs[i] = f.loadContribs(fl)
 	})
 	res := &Result{Paths: paths, Load: make(netmodel.LinkLoad)}
-	if f.idx != nil {
-		// Accumulate into a flat per-LinkIdx array: per-link additions happen
-		// in the same order as the map merge below, so the floating-point sums
-		// are byte-identical; only the per-share map hashing is gone.
-		acc := make([]float64, f.idx.NumLinks())
-		touched := make([]bool, f.idx.NumLinks())
-		for _, cs := range contribs {
-			for _, c := range cs {
-				if c.lidx >= 0 {
-					acc[c.lidx] += c.volume
-					touched[c.lidx] = true
-				} else {
-					res.Load[c.link] += c.volume
-				}
-			}
-		}
-		for li, t := range touched {
-			if t {
-				res.Load[f.idx.LinkIDAt(netmodel.LinkIdx(li))] += acc[li]
-			}
-		}
-		return res
-	}
+	// Accumulate into a flat per-LinkIdx array: each link's additions happen
+	// in flow order, so the floating-point sums equal a sequential map merge;
+	// only the per-share map hashing is gone. Shares without a dense index
+	// (first hops from an IGP result over another index) go to the map.
+	acc := make([]float64, f.idx.NumLinks())
+	touched := make([]bool, f.idx.NumLinks())
 	for _, cs := range contribs {
 		for _, c := range cs {
-			res.Load[c.link] += c.volume
+			if c.lidx >= 0 {
+				acc[c.lidx] += c.volume
+				touched[c.lidx] = true
+			} else {
+				res.Load[c.link] += c.volume
+			}
+		}
+	}
+	for li, t := range touched {
+		if t {
+			res.Load[f.idx.LinkIDAt(netmodel.LinkIdx(li))] += acc[li]
 		}
 	}
 	return res
@@ -195,24 +179,17 @@ func (f *Forwarder) path(fl netmodel.Flow, rec *Trace) netmodel.Path {
 	var path netmodel.Path
 	cur := fl.Ingress
 	inIface := ""
-	// Visited set: a flat per-DevID slice on the indexed path, with a lazy
-	// map fallback for names outside the topology index.
-	var visited []bool
+	// Visited set: a flat per-DevID slice, with a lazy map fallback for names
+	// outside the topology index.
+	visited := make([]bool, f.idx.NumDevices())
 	var visitedM map[string]bool
-	if f.idx != nil {
-		visited = make([]bool, f.idx.NumDevices())
-	} else {
-		visitedM = map[string]bool{}
-	}
 	wasVisited := func(dev string) bool {
-		if visited != nil {
-			if id, ok := f.idx.DevID(dev); ok {
-				if visited[id] {
-					return true
-				}
-				visited[id] = true
-				return false
+		if id, ok := f.idx.DevID(dev); ok {
+			if visited[id] {
+				return true
 			}
+			visited[id] = true
+			return false
 		}
 		if visitedM == nil {
 			visitedM = map[string]bool{}
@@ -252,7 +229,7 @@ func (f *Forwarder) path(fl netmodel.Flow, rec *Trace) netmodel.Path {
 // linkShare is one link's slice of a flow's volume, in the order the BFS
 // visits it — replaying a flow's shares in order reproduces the sequential
 // accumulation exactly. lidx carries the link's dense index when the walk
-// ran on the topology index (netmodel.NoLink otherwise).
+// came from the topology index (netmodel.NoLink otherwise).
 type linkShare struct {
 	link   netmodel.LinkID
 	lidx   netmodel.LinkIdx
@@ -300,7 +277,7 @@ func (f *Forwarder) loadContribsTraced(fl netmodel.Flow, rec *Trace) []linkShare
 type branch struct {
 	device      string // next device
 	link        netmodel.LinkID
-	lidx        netmodel.LinkIdx // dense link index (NoLink on the legacy path)
+	lidx        netmodel.LinkIdx // dense link index (NoLink off the topology index)
 	remoteIface string           // interface name on the next device (for its ACL-in)
 }
 
@@ -452,62 +429,47 @@ func (f *Forwarder) toward(d *config.Device, nh netip.Addr, fl netmodel.Flow, re
 			target = sp.Segments[0]
 		}
 	}
-	// Directly connected to the target through the link holding nh?
-	if f.idx != nil {
-		if devID, ok := f.idx.DevID(d.Name); ok {
-			// CSR scan in place of the LinksOf walk; on a (degenerate)
-			// duplicate-address tie the seed picked the first link in
-			// insertion order, so the earliest insertion position wins.
-			bestPos, bestIns := int32(-1), int32(0)
-			lo, hi := f.idx.EdgeRange(devID)
-			for pos := lo; pos < hi; pos++ {
-				l := f.idx.EdgeLink(pos)
-				if !l.Up {
-					continue
-				}
-				nbAddr := l.AAddr
-				if f.idx.EdgeFromA(pos) {
-					nbAddr = l.BAddr
-				}
-				if nbAddr != nh || f.idx.DevName(f.idx.EdgeDev(pos)) != target {
-					continue
-				}
-				ins := f.idx.InsertionOrder(f.idx.EdgeLinkIdx(pos))
-				if bestPos < 0 || ins < bestIns {
-					bestPos, bestIns = pos, ins
-				}
-			}
-			if bestPos >= 0 {
-				l := f.idx.EdgeLink(bestPos)
-				iface := l.AIface
-				if f.idx.EdgeFromA(bestPos) {
-					iface = l.BIface
-				}
-				return stepResult{branches: []branch{{
-					device:      f.idx.DevName(f.idx.EdgeDev(bestPos)),
-					link:        f.idx.LinkIDAt(f.idx.EdgeLinkIdx(bestPos)),
-					lidx:        f.idx.EdgeLinkIdx(bestPos),
-					remoteIface: iface,
-				}}}
-			}
-		}
-	} else {
-		for _, l := range f.net.Topo.LinksOf(d.Name) {
+	// Directly connected to the target through the link holding nh? A CSR
+	// scan of the device's links; on a (degenerate) duplicate-address tie the
+	// first link in insertion order wins.
+	if devID, ok := f.idx.DevID(d.Name); ok {
+		bestPos, bestIns := int32(-1), int32(0)
+		lo, hi := f.idx.EdgeRange(devID)
+		for pos := lo; pos < hi; pos++ {
+			l := f.idx.EdgeLink(pos)
 			if !l.Up {
 				continue
 			}
-			if l.A == d.Name && l.BAddr == nh && l.B == target {
-				return stepResult{branches: []branch{{device: l.B, link: l.ID(), lidx: netmodel.NoLink, remoteIface: l.BIface}}}
+			nbAddr := l.AAddr
+			if f.idx.EdgeFromA(pos) {
+				nbAddr = l.BAddr
 			}
-			if l.B == d.Name && l.AAddr == nh && l.A == target {
-				return stepResult{branches: []branch{{device: l.A, link: l.ID(), lidx: netmodel.NoLink, remoteIface: l.AIface}}}
+			if nbAddr != nh || f.idx.DevName(f.idx.EdgeDev(pos)) != target {
+				continue
 			}
+			ins := f.idx.InsertionOrder(f.idx.EdgeLinkIdx(pos))
+			if bestPos < 0 || ins < bestIns {
+				bestPos, bestIns = pos, ins
+			}
+		}
+		if bestPos >= 0 {
+			l := f.idx.EdgeLink(bestPos)
+			iface := l.AIface
+			if f.idx.EdgeFromA(bestPos) {
+				iface = l.BIface
+			}
+			return stepResult{branches: []branch{{
+				device:      f.idx.DevName(f.idx.EdgeDev(bestPos)),
+				link:        f.idx.LinkIDAt(f.idx.EdgeLinkIdx(bestPos)),
+				lidx:        f.idx.EdgeLinkIdx(bestPos),
+				remoteIface: iface,
+			}}}
 		}
 	}
 	// Recursive resolution through the IGP.
 	rec.dep(d.Name, target)
 	var out stepResult
-	if f.idx != nil && f.igpIdx {
+	if f.igpIdx {
 		devID, okD := f.idx.DevID(d.Name)
 		tgtID, okT := f.idx.DevID(target)
 		if !okD || !okT {
@@ -596,54 +558,27 @@ func (f *Forwarder) pbrNextHop(d *config.Device, inIface string, fl netmodel.Flo
 	return netip.Addr{}, false
 }
 
-// ownsAddr reports whether the device terminates the address locally. The
-// indexed path answers from the prebuilt owned-address set; the legacy path
-// scans the interfaces per hop.
+// ownsAddr reports whether the device terminates the address locally, from
+// the prebuilt owned-address set. The invalid address matches an unset
+// loopback, in the device config or the topology.
 func (f *Forwarder) ownsAddr(d *config.Device, a netip.Addr) bool {
-	if f.owned != nil && a.IsValid() {
+	if a.IsValid() {
 		return f.owned[d.Name][a]
 	}
-	if d.Loopback == a {
-		return true
-	}
 	node := f.net.Topo.Node(d.Name)
-	if node != nil && node.Loopback == a {
-		return true
-	}
-	for _, i := range d.Interfaces {
-		if i.Addr.IsValid() && i.Addr.Addr() == a {
-			return true
-		}
-	}
-	return false
+	return !d.Loopback.IsValid() || (node != nil && !node.Loopback.IsValid())
 }
 
 // dedupeBranches sorts branches into (device, link) order and removes exact
-// duplicates. On the indexed path the link order comes from the dense link
-// index, which is assigned in LinkID-string order — the same order the
-// legacy string sort produces.
+// duplicates. The link order comes from the dense link index, which is
+// assigned in LinkID-string order.
 func (f *Forwarder) dedupeBranches(bs *[]branch) {
-	if f.idx != nil {
-		slices.SortFunc(*bs, func(a, b branch) int {
-			if a.device != b.device {
-				return strings.Compare(a.device, b.device)
-			}
-			if a.lidx != b.lidx {
-				if a.lidx < b.lidx {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		})
-	} else {
-		slices.SortFunc(*bs, func(a, b branch) int {
-			if a.device != b.device {
-				return strings.Compare(a.device, b.device)
-			}
-			return strings.Compare(a.link.String(), b.link.String())
-		})
-	}
+	slices.SortFunc(*bs, func(a, b branch) int {
+		if c := strings.Compare(a.device, b.device); c != 0 {
+			return c
+		}
+		return int(a.lidx) - int(b.lidx)
+	})
 	out := (*bs)[:0]
 	var last branch
 	for i, b := range *bs {
