@@ -87,4 +87,6 @@ chaos-restart:
 trace:
 	$(GO) run ./cmd/hoyan-exp -scale 1 -trace trace.json report
 
-check: vet lint-toggles build race bench-smoke fuzz-smoke chaos chaos-restart benchmark
+# Everything CI runs except the trace demo: tier-1 twice shuffled and at 1, 2
+# and 8 procs, then race, smokes, chaos and the benchmark.
+check: vet lint-toggles build test-shuffle test-procs race bench-smoke fuzz-smoke chaos chaos-restart benchmark

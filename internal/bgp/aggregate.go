@@ -8,18 +8,16 @@ import (
 )
 
 // refreshAggregate recomputes one aggregate's activation and contributor AS
-// information. It reports whether the local candidate for the aggregate
-// changed.
-func (s *sim) refreshAggregate(k tableKey, a aggregateOf) bool {
-	s.own(k)
-	rib := s.ribs[k]
-	contributors := s.contributors(rib, a.Prefix)
+// information in table k's record t, which the caller owns. It reports
+// whether the local candidate for the aggregate changed.
+func (s *sim) refreshAggregate(k tableKey, t *table, a aggregateOf) bool {
+	contributors := s.contributors(t.rib, a.Prefix)
 	active := len(contributors) > 0
 
-	if s.aggOn[k] == nil {
-		s.aggOn[k] = make(map[netip.Prefix]bool)
+	if t.aggOn == nil {
+		t.aggOn = make(map[netip.Prefix]bool)
 	}
-	wasOn := s.aggOn[k][a.Prefix]
+	wasOn := t.aggOn[a.Prefix]
 
 	d := s.net.Devices[k.dev]
 	prof := s.profileOf(k.dev)
@@ -38,7 +36,7 @@ func (s *sim) refreshAggregate(k tableKey, a aggregateOf) bool {
 	}
 
 	if !active {
-		s.aggOn[k][a.Prefix] = false
+		t.aggOn[a.Prefix] = false
 		if len(kept) == 0 {
 			delete(m, a.Prefix)
 		} else {
@@ -76,7 +74,7 @@ func (s *sim) refreshAggregate(k tableKey, a aggregateOf) bool {
 		Source: k.dev, Peer: "aggregate",
 	}}
 	m[a.Prefix] = append(kept, newCand)
-	s.aggOn[k][a.Prefix] = true
+	t.aggOn[a.Prefix] = true
 	if old == nil || !old.route.ASPath.Equal(asPath) {
 		return true
 	}

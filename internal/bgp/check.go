@@ -128,8 +128,8 @@ func Check(net *config.Network, igp *isis.Result, inputs []netmodel.Route, rib *
 			visit(k, p)
 		}
 	}
-	for k, m := range s.locals {
-		for p := range m {
+	for k, t := range s.tables {
+		for p := range t.locals {
 			visit(k, p)
 		}
 	}
@@ -161,6 +161,15 @@ type checker struct {
 	errs    CheckError
 }
 
+// locals returns table k's originated candidates (aggregates included once
+// aggregates has run).
+func (c *checker) locals(k tableKey) map[netip.Prefix][]cand {
+	if t := c.s.tables[k]; t != nil {
+		return t.locals
+	}
+	return nil
+}
+
 func (c *checker) violation(kind ViolationKind, k tableKey, p netip.Prefix, got, want []netmodel.Route) {
 	c.errs.Violations = append(c.errs.Violations, Violation{Kind: kind, Device: k.dev, VRF: k.vrf, Prefix: p, Got: got, Want: want})
 }
@@ -190,7 +199,7 @@ func (c *checker) aggregates() {
 			if installed != (len(contrib) > 0) {
 				c.violation(KindAggregate, k, a.Prefix, c.inst[k][a.Prefix], contrib)
 			}
-			locals := c.s.locals[k][a.Prefix]
+			locals := c.locals(k)[a.Prefix]
 			locals = slices.DeleteFunc(slices.Clone(locals), func(l cand) bool { return l.route.Protocol == netmodel.ProtoAggregate })
 			if len(contrib) > 0 {
 				var path netmodel.ASPath
@@ -215,7 +224,7 @@ func (c *checker) aggregates() {
 			if len(locals) > 0 {
 				c.s.localsOf(k)[a.Prefix] = locals
 			} else {
-				delete(c.s.locals[k], a.Prefix)
+				delete(c.locals(k), a.Prefix)
 			}
 		}
 	}
@@ -332,7 +341,7 @@ func (c *checker) candOf(k tableKey, r netmodel.Route) cand {
 	cd := cand{igpCost: r.IGPCost, viaSR: r.ViaSR}
 	r.IGPCost, r.ViaSR, r.RouteType = 0, false, netmodel.RouteCandidate
 	cd.route = r
-	for _, l := range c.s.locals[k][r.Prefix] {
+	for _, l := range c.locals(k)[r.Prefix] {
 		if l.route.Peer == r.Peer && l.route.Protocol == r.Protocol && l.route.NextHop == r.NextHop {
 			cd.local, cd.ebgp, cd.direct32 = l.local, l.ebgp, l.direct32
 			return cd
@@ -429,7 +438,7 @@ func (c *checker) receive(to tableKey, p netip.Prefix, from string, ebgp bool, f
 // to the IGP cost (distinct next hops, up to maximum-paths) ECMP, then the
 // unresolved ones.
 func (c *checker) bestPath(k tableKey, p netip.Prefix) []netmodel.Route {
-	cands := slices.Clone(c.s.locals[k][p])
+	cands := slices.Clone(c.locals(k)[p])
 	cell := c.in[k][p]
 	froms := make([]string, 0, len(cell))
 	for from := range cell {

@@ -45,7 +45,7 @@ func (s *sim) decideAndAdvertise() []msg {
 		}
 		ti := s.tinfo[tid]
 		k := ti.k
-		s.own(k)
+		t := s.own(k)
 		pids := s.dirtyPids[tid]
 		s.decided += len(pids)
 		slices.SortFunc(pids, func(a, b int32) int {
@@ -58,9 +58,6 @@ func (s *sim) decideAndAdvertise() []msg {
 			}
 			return pa.Addr().Compare(pb.Addr())
 		})
-		// Hoist the table's maps out of the prefix loop: one tableKey hash
-		// each instead of one per decision. own() ran above, so none of these
-		// are replaced for the rest of the round.
 		// Size hint: default-VRF tables converge to roughly every prefix
 		// the run has seen; non-default VRFs carry only their leaked/local
 		// slice, where a full-size presize wastes more than it saves.
@@ -68,28 +65,18 @@ func (s *sim) decideAndAdvertise() []msg {
 		if k.vrf == netmodel.DefaultVRF {
 			hint = len(s.pfxs)
 		}
-		la := s.lastAdv[k]
-		if la == nil {
-			la = make(map[netip.Prefix]string, hint)
-			s.lastAdv[k] = la
+		if t.lastAdv == nil {
+			t.lastAdv = make(map[netip.Prefix]string, hint)
 		}
-		lk := s.locals[k]
-		if len(ti.aggs) > 0 {
-			// refreshAggregate installs aggregate candidates mid-round; they
-			// must land in the map hoisted here, not in one it creates.
-			lk = s.localsOf(k)
+		if t.rib == nil {
+			t.rib = netmodel.NewRIBSized(k.dev, k.vrf, hint)
 		}
-		ai := s.adjIn[k]
-		rib := s.ribs[k]
-		if rib == nil {
-			rib = netmodel.NewRIBSized(k.dev, k.vrf, hint)
-			s.ribs[k] = rib
-		}
+		la, rib := t.lastAdv, t.rib
 		for _, pid := range pids {
 			p := s.pfxs[pid]
-			best, sorted, rows := s.decide(ti, lk, ai, p)
+			best, sorted, rows := s.decide(ti, t, p)
 			rib.ReplaceOwned(p, rows)
-			s.noteInstall(k, p, rows)
+			s.noteInstall(t, p, rows)
 			sig := appendAdvSignature(s.sigScratch[:0], sorted)
 			s.sigScratch = sig
 			if la[p] == string(sig) { // alloc-free comparison
@@ -118,10 +105,10 @@ func (s *sim) decideAndAdvertise() []msg {
 // sorted point into the sim's scratch buffers that the next decide call
 // overwrites, while rows are carved from the grow-only row arena and belong
 // to the caller (the RIB adopts them via ReplaceOwned).
-func (s *sim) decide(ti *tableInfo, lk map[netip.Prefix][]cand, ai map[netip.Prefix]map[string][]cand, p netip.Prefix) (best, sorted []cand, rows []netmodel.Route) {
+func (s *sim) decide(ti *tableInfo, t *table, p netip.Prefix) (best, sorted []cand, rows []netmodel.Route) {
 	cands := s.candScratch[:0]
-	cands = append(cands, lk[p]...)
-	byFrom := ai[p]
+	cands = append(cands, t.locals[p]...)
+	byFrom := t.adjIn[p]
 	froms := s.fromScratch[:0]
 	for from := range byFrom {
 		froms = append(froms, from)
@@ -631,7 +618,7 @@ func (s *sim) shouldPropagate(sess *session, c *cand, isRR bool) bool {
 func (s *sim) suppressedByAggregate(d *config.Device, vrf string, p netip.Prefix) bool {
 	for _, a := range d.Aggregates {
 		if a.VRF == vrf && a.SummaryOnly && a.Prefix.Bits() < p.Bits() && a.Prefix.Contains(p.Addr()) {
-			if s.aggOn[tableKey{d.Name, vrf}][a.Prefix] {
+			if s.tables[tableKey{d.Name, vrf}].aggOn[a.Prefix] {
 				return true
 			}
 		}

@@ -17,13 +17,13 @@ import (
 // from configuration — device pointer, vendor profile, policy environment,
 // session list with resolved export policies, leak targets, aggregates — is
 // computed once per table and cached in a tableInfo instead of being looked
-// up per message or per prefix. The round-local dirty set is a bitset over
-// (table ID, prefix ID) rather than nested maps, so a fixpoint round
-// allocates nothing for bookkeeping.
+// up per message or per prefix. The dirty set — the one seeding fills, cold
+// or warm, and the one each round refills — is a bitset over (table ID,
+// prefix ID) rather than nested maps, so a fixpoint round allocates nothing
+// for bookkeeping.
 //
-// None of this touches the warm-restart State: adjIn/locals/ribs/lastAdv/
-// aggOn keep their map shapes (incr.go shares those with captured States via
-// copy-on-write), and the dense tables are rebuilt per sim.
+// None of this is captured: a State holds the table records (simulate.go),
+// which stay keyed by tableKey, and the dense IDs are rebuilt per sim.
 
 // sessInfo is one session of a table's VRF with its export policy resolved
 // up front (exportPolicy is deterministic per run).
@@ -164,6 +164,26 @@ func (s *sim) markDirty(tid, pid int32) {
 		s.dirtyTids = append(s.dirtyTids, tid)
 	}
 	s.dirtyPids[tid] = append(s.dirtyPids[tid], pid)
+}
+
+// markTable dirties every prefix table k has any state for.
+func (s *sim) markTable(k tableKey) {
+	t := s.tables[k]
+	if t == nil {
+		return
+	}
+	tid := s.tidOf(k)
+	for p := range t.locals {
+		s.markDirty(tid, s.pidOf(p))
+	}
+	for p := range t.adjIn {
+		s.markDirty(tid, s.pidOf(p))
+	}
+	if t.rib != nil {
+		for _, p := range t.rib.Prefixes() {
+			s.markDirty(tid, s.pidOf(p))
+		}
+	}
 }
 
 // tableRank returns rank[tid] = position of the table in (device, vrf)
@@ -369,12 +389,12 @@ func (s *sim) updateAggregatesInto(out []msg, ti *tableInfo, tid int32, p netip.
 		return out
 	}
 	k := ti.k
-	s.own(k)
+	t := s.own(k)
 	for _, a := range ti.aggs {
 		if a.Prefix == p || a.Prefix.Bits() >= p.Bits() || !a.Prefix.Contains(p.Addr()) {
 			continue
 		}
-		changed := s.refreshAggregate(k, a)
+		changed := s.refreshAggregate(k, t, a)
 		if changed {
 			// Rerun the decision for the aggregate prefix via an internal
 			// "message" carrying no routes: delivery just marks it dirty
@@ -386,10 +406,10 @@ func (s *sim) updateAggregatesInto(out []msg, ti *tableInfo, tid int32, p netip.
 			// Suppression state may have flipped: force re-advertisement of
 			// every covered prefix (summary-only withdraws specifics).
 			if a.SummaryOnly {
-				if rib := s.ribs[k]; rib != nil {
-					for _, cp := range rib.Prefixes() {
+				if t.rib != nil {
+					for _, cp := range t.rib.Prefixes() {
 						if cp != a.Prefix && cp.Bits() > a.Prefix.Bits() && a.Prefix.Contains(cp.Addr()) {
-							delete(s.lastAdv[k], cp)
+							delete(t.lastAdv, cp)
 							out = append(out, msg{
 								to: k.dev, vrf: k.vrf, from: "agg:refresh", prefix: cp,
 								tid: tid, pid: s.pidOf(cp),

@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"math"
 	"net/netip"
 	"slices"
 	"strings"
 	"testing"
 
+	"hoyan/internal/config"
 	"hoyan/internal/gen"
 	"hoyan/internal/isis"
 	"hoyan/internal/netmodel"
@@ -70,10 +72,85 @@ func fixtureFlows(b *netBuilder, inputs []netmodel.Route) []netmodel.Flow {
 	return flows
 }
 
+// competeFixture gives one AS two eBGP exits for the same prefixes, so every
+// (table, prefix) of the AS holds two BGP candidates. The exits keep their own
+// eBGP route (administrative preference); at R1 and R2 the decision turns, per
+// prefix, on a different step of cmpCand:
+//
+//	10.1/16, 10.5/16  local preference (set to 200 on import at X2, resp. X1)
+//	10.2/16, 10.6/16  AS-path length (the other exit's path is one AS longer)
+//	10.3/16, 10.7/16  MED (the other exit's is higher)
+//	10.4/16           IGP cost to the exit: R1 is nearer X1, R2 nearer X2
+//
+// E1 -- X1 -- R1 -- R2 -- X2 -- E2, plus a costly X1 -- X2 link; E1/E2 are the
+// external peers the inputs enter at, X1/X2/R1/R2 an iBGP full mesh with
+// next-hop-self at the exits.
+func competeFixture(t *testing.T) (*netBuilder, []netmodel.Route) {
+	b := newBuilder()
+	b.device("E1", "alpha", 64901, "1.0.0.1")
+	b.device("E2", "alpha", 64902, "1.0.0.2")
+	for i, name := range []string{"X1", "X2", "R1", "R2"} {
+		b.device(name, "alpha", 65001, fmt.Sprintf("1.0.0.%d", 3+i))
+	}
+	b.link("E1", "X1", 10)
+	b.link("E2", "X2", 10)
+	b.link("X1", "R1", 10)
+	b.link("R1", "R2", 10)
+	b.link("R2", "X2", 10)
+	b.link("X1", "X2", 50)
+	b.ebgp("E1", "X1")
+	b.ebgp("E2", "X2")
+	mesh := []string{"X1", "X2", "R1", "R2"}
+	for i := range mesh {
+		for _, o := range mesh[i+1:] {
+			b.ibgp(mesh[i], o)
+		}
+	}
+	nextHopSelfAll(b, "X1")
+	nextHopSelfAll(b, "X2")
+	b.net.Devices["E1"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.net.Devices["E2"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.100.2/24")}
+	for exit, prefix := range map[string]string{"X2": "10.1.0.0/16", "X1": "10.5.0.0/16"} {
+		d, err := config.ParseAlpha(exit, "ip prefix-list PREFER permit "+prefix+"\n"+
+			"route-map LP permit 10\n match ip-prefix PREFER\n set local-preference 200\n"+
+			"route-map LP permit 20\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := b.net.Devices[exit]
+		maps.Copy(x.PrefixLists, d.PrefixLists)
+		maps.Copy(x.RouteMaps, d.RouteMaps)
+		for _, nb := range x.Neighbors {
+			if nb.RemoteAS != x.ASN {
+				nb.ImportPolicy = "LP"
+			}
+		}
+	}
+	via := func(exit, prefix string, med uint32, path ...netmodel.ASN) netmodel.Route {
+		r := inputRoute(exit, prefix, path...)
+		if exit == "E2" {
+			r.NextHop = netip.MustParseAddr("198.51.100.1")
+		}
+		r.MED = med
+		return r
+	}
+	return b, []netmodel.Route{
+		via("E1", "10.1.0.0/16", 0, 65100), via("E2", "10.1.0.0/16", 0, 65100),
+		via("E1", "10.2.0.0/16", 0, 65100), via("E2", "10.2.0.0/16", 0, 65100, 65101),
+		via("E1", "10.3.0.0/16", 50, 65100), via("E2", "10.3.0.0/16", 10, 65100),
+		via("E1", "10.4.0.0/16", 0, 65100), via("E2", "10.4.0.0/16", 0, 65100),
+		via("E1", "10.5.0.0/16", 0, 65100), via("E2", "10.5.0.0/16", 0, 65100),
+		via("E1", "10.6.0.0/16", 0, 65100, 65101), via("E2", "10.6.0.0/16", 0, 65100),
+		via("E1", "10.7.0.0/16", 10, 65100), via("E2", "10.7.0.0/16", 50, 65100),
+	}
+}
+
 // TestGoldenDigests pins the simulation of parallelFixture, with and without
 // duplicate inputs, to digests frozen when the string-keyed reference engine
-// still shipped: both engines produced them, and they must not move. Each run
-// is also a stable state.
+// still shipped: both engines produced them, and they must not move; and that
+// of competeFixture, whose interior decisions each turn on one comparator
+// step, to digests frozen before the fixpoint's per-table state became one
+// record. Each run is also a stable state.
 func TestGoldenDigests(t *testing.T) {
 	golden := []struct {
 		name      string
@@ -83,10 +160,17 @@ func TestGoldenDigests(t *testing.T) {
 	}{
 		{"parallelFixture", "d956c428b8fd634aacbd88be38aa1aee3b11e5520cf7466daf593bef33d8a917", 183, "d1848532d83783f52323a2217256c8c6bc5e26f902e58ffea83be39366a0ca94"},
 		{"parallelFixture with duplicate inputs", "903d7eebf5cabdd205964b5e538c720c57d25630b467b4973158ee7bd593c14e", 191, "d1848532d83783f52323a2217256c8c6bc5e26f902e58ffea83be39366a0ca94"},
+		{"competeFixture", "22e2a305735355a896d379ff892d8da1ac1d2b20770f511a70e4a4b84015986a", 104, "dd9320d4e9ea6b7f6a533ab7a9f0c34c273fbfff7066d2a8dc302e4af2425802"},
 	}
 	b, inputs := parallelFixture()
-	igp := isis.Compute(b.net.Topo, isis.Options{})
-	for i, in := range [][]netmodel.Route{inputs, gen.WithDuplicateInputs(inputs)} {
+	cb, cinputs := competeFixture(t)
+	type fixture struct {
+		b      *netBuilder
+		inputs []netmodel.Route
+	}
+	for i, fx := range []fixture{{b, inputs}, {b, gen.WithDuplicateInputs(inputs)}, {cb, cinputs}} {
+		b, in := fx.b, fx.inputs
+		igp := isis.Compute(b.net.Topo, isis.Options{})
 		want := golden[i]
 		flows := fixtureFlows(b, in)
 		for _, p := range []int{1, 2, 8} {

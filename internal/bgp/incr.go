@@ -13,32 +13,24 @@ import (
 )
 
 // State is a converged simulation captured for warm-started re-simulation:
-// the session graph, adj-RIB-ins, local candidates, per-table RIBs, and the
-// advertisement-suppression bookkeeping, all as of the fixpoint.
+// the session graph and every table's record (simulate.go), as of the
+// fixpoint.
 //
-// The captured maps own their structure but share candidate/route slices with
-// whoever else read the base result; that is safe because the simulation only
-// ever installs fresh slices (deliver, decide, refreshAggregate) and never
-// mutates stored ones. The RIBs are shallow clones taken before the engine
-// expands representative prefixes in place, so a State stays pristine however
-// the corresponding Result is post-processed.
+// The records are frozen (table.shared): warm restarts read them concurrently
+// and privatize a record before their first write to it (sim.own). They share
+// candidate/route slices with whoever else read the base result; that is safe
+// because the simulation only ever installs fresh slices (deliver, decide,
+// refreshAggregate) and never mutates stored ones. The RIBs are shallow clones
+// taken before the engine expands representative prefixes in place, so a
+// State stays pristine however the corresponding Result is post-processed.
 type State struct {
 	opts     Options
 	sessions map[string][]*session
-	adjIn    map[tableKey]map[netip.Prefix]map[string][]cand
-	locals   map[tableKey]map[netip.Prefix][]cand
-	ribs     map[tableKey]*netmodel.RIB
-	lastAdv  map[tableKey]map[netip.Prefix]string
-	aggOn    map[tableKey]map[netip.Prefix]bool
-
-	// owners indexes, per table, the prefixes holding a candidate whose next
-	// hop resolves through the IGP, by the device owning that next hop: a
-	// changed distance dirties its prefixes by lookup (markDistAffected).
-	owners map[tableKey]map[string][]netip.Prefix
+	tables   map[tableKey]*table
 
 	// units holds the captured work units of a multi-unit run until the first
-	// warm restart unions them into the maps above and builds owners (merge):
-	// a one-shot audit never pays for a State it does not use.
+	// warm restart unions them into tables and builds the owner index
+	// (merge): a one-shot audit never pays for a State it does not use.
 	units []*State
 	merge sync.Once
 }
@@ -89,9 +81,13 @@ func SimulateWithState(net *config.Network, igp *isis.Result, inputs []netmodel.
 		units[i] = u.capture()
 	}
 	if len(units) == 1 {
-		// The result hands out this sim's tables, which callers expand in
-		// place; the State keeps pristine clones.
-		units[0].ribs = cloneRIBs(units[0].ribs)
+		// The result hands out this sim's RIBs, which callers expand in
+		// place; the records keep pristine clones.
+		for _, t := range units[0].tables {
+			if t.rib != nil {
+				t.rib = t.rib.ShallowClone()
+			}
+		}
 		return res, units[0]
 	}
 	// A multi-unit result holds unions of the units' tables, so the units'
@@ -99,17 +95,17 @@ func SimulateWithState(net *config.Network, igp *isis.Result, inputs []netmodel.
 	return res, &State{opts: units[0].opts, sessions: units[0].sessions, units: units}
 }
 
-// capture wraps the sim's converged maps as a State.
+// capture freezes the sim's converged records as a State.
 func (s *sim) capture() *State {
 	// A captured State never retains the originating run's context: a later
 	// warm restart must not observe a long-cancelled deadline. ResimulateCtx
 	// installs the restart's own context instead.
 	opts := s.opts
 	opts.Ctx = nil
-	return &State{
-		opts: opts, sessions: s.sessions,
-		adjIn: s.adjIn, locals: s.locals, ribs: s.ribs, lastAdv: s.lastAdv, aggOn: s.aggOn,
+	for _, t := range s.tables {
+		t.shared = true
 	}
+	return &State{opts: opts, sessions: s.sessions, tables: s.tables}
 }
 
 // Resimulate re-runs the fixpoint warm-started from the captured state: it
@@ -140,81 +136,48 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 		st.indexOwners(net)
 	})
 	s := st.warmSim(ctx, net, igp)
-	dirty := make(dirtySet)
-	purged := st.seedChanges(s, inputs, d, dirty)
-	st.seedResolution(s, d, dirty)
-	stats := &ResimStats{TablesTotal: len(st.ribs), ChangedDevices: purged}
-	stats.TablesDirty = len(dirty)
-	res := s.run(dirty)
+	purged := st.seedChanges(s, inputs, d)
+	st.seedResolution(s, d)
+	stats := &ResimStats{TablesDirty: len(s.dirtyTids), ChangedDevices: purged}
+	for _, t := range st.tables {
+		if t.rib != nil {
+			stats.TablesTotal++
+		}
+	}
+	res := s.runDense()
 	stats.Rounds = res.Rounds
 
 	// Many seeded-dirty tables re-decide to exactly their base rows; what is
-	// left in s.changed is what the downstream stages (expansion, global-RIB
-	// emission, flow re-forwarding) have to redo.
-	stats.ChangedPrefixes = make(map[Table]map[netip.Prefix]bool, len(s.changed))
-	for k, ps := range s.changed {
-		if len(ps) > 0 {
-			stats.ChangedPrefixes[Table{k.dev, k.vrf}] = ps
+	// left in the records' changed sets is what the downstream stages
+	// (expansion, global-RIB emission, flow re-forwarding) have to redo.
+	stats.ChangedPrefixes = make(map[Table]map[netip.Prefix]bool)
+	for k, t := range s.tables {
+		if len(t.changed) > 0 {
+			stats.ChangedPrefixes[Table{k.dev, k.vrf}] = t.changed
 			stats.ChangedDevices[k.dev] = true
 		}
 	}
 	return res, stats
 }
 
-// warmSim returns a simulation over net that holds the captured state
-// copy-on-write: only the outer maps are copied here; each table's inner maps
-// stay shared with the State until the first write to that table privatizes
-// them (sim.own), and an adj-RIB-in cell until its own first write
-// (sim.ownFroms). Warm restarts typically write a small fraction of the
-// tables, and few prefixes of those.
+// warmSim returns a simulation over net that holds the captured records
+// copy-on-write: only the map of them is copied here; each record stays the
+// State's until the first write to it privatizes it (sim.own), and an
+// adj-RIB-in cell until its own first write (table.ownFroms). Warm restarts
+// typically write a small fraction of the tables, and few prefixes of those.
 func (st *State) warmSim(ctx context.Context, net *config.Network, igp *isis.Result) *sim {
 	opts := st.opts
 	opts.Ctx = ctx
 	s := newSim(net, igp, opts)
-	s.adjIn = maps.Clone(st.adjIn)
-	s.locals = maps.Clone(st.locals)
-	s.ribs = maps.Clone(st.ribs)
-	s.lastAdv = maps.Clone(st.lastAdv)
-	s.aggOn = maps.Clone(st.aggOn)
-	s.shared = make(map[tableKey]bool, len(st.ribs))
-	for _, k := range s.tableKeys() {
-		s.shared[k] = true
-	}
-	s.privIn = make(map[tableKey]map[netip.Prefix]bool)
-	s.baseRIBs = st.ribs
-	s.changed = make(map[tableKey]map[netip.Prefix]bool)
+	s.tables = maps.Clone(st.tables)
+	s.warm = true
 	return s
-}
-
-// dirtySet is the seed of a fixpoint: the (table, prefix) pairs to decide.
-type dirtySet map[tableKey]map[netip.Prefix]bool
-
-func (ds dirtySet) mark(k tableKey, p netip.Prefix) {
-	if ds[k] == nil {
-		ds[k] = make(map[netip.Prefix]bool)
-	}
-	ds[k][p] = true
-}
-
-// markTable dirties every prefix the table has any state for.
-func (ds dirtySet) markTable(s *sim, k tableKey) {
-	for p := range s.locals[k] {
-		ds.mark(k, p)
-	}
-	for p := range s.adjIn[k] {
-		ds.mark(k, p)
-	}
-	if rib := s.ribs[k]; rib != nil {
-		for _, p := range rib.Prefixes() {
-			ds.mark(k, p)
-		}
-	}
 }
 
 // seedChanges applies to s what the delta does to the captured state itself —
 // purged devices, the session graph, the originated candidates — dirtying
 // every (table, prefix) it writes. It returns the purged devices.
-func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta, dirty dirtySet) map[string]bool {
+func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) map[string]bool {
 	// 1. Purge every table of a downed device; its peers learn of the loss
 	// through the session diff below.
 	down := make(map[string]bool, len(d.NodesDown))
@@ -222,15 +185,10 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta, dirty dir
 		down[n] = true
 	}
 	if len(down) > 0 {
-		for _, k := range s.tableKeys() {
-			if !down[k.dev] {
-				continue
+		for k := range s.tables {
+			if down[k.dev] {
+				delete(s.tables, k)
 			}
-			delete(s.adjIn, k)
-			delete(s.locals, k)
-			delete(s.ribs, k)
-			delete(s.lastAdv, k)
-			delete(s.aggOn, k)
 		}
 	}
 
@@ -255,8 +213,10 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta, dirty dir
 				// in this vrf. Clearing lastAdv forces the re-advertisement
 				// even where the decision is unchanged.
 				k := tableKey{sess.local, sess.vrf}
-				delete(s.lastAdv, k)
-				dirty.markTable(s, k)
+				if t := s.tables[k]; t != nil && t.lastAdv != nil {
+					s.own(k).lastAdv = nil
+				}
+				s.markTable(k)
 			}
 		}
 	}
@@ -266,11 +226,12 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta, dirty dir
 		}
 		// Removed: the receiver drops everything it learned over it.
 		k := tableKey{id.remote, id.vrf}
-		if down[k.dev] {
-			continue // table already purged
+		t := s.tables[k]
+		if t == nil {
+			continue // table already purged, or nothing to drop
 		}
-		s.own(k)
-		for p, byFrom := range s.adjIn[k] {
+		tid := s.tidOf(k)
+		for p, byFrom := range t.adjIn {
 			if _, ok := byFrom[id.local]; !ok {
 				continue
 			}
@@ -281,11 +242,11 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta, dirty dir
 				}
 			}
 			if len(fresh) == 0 {
-				delete(s.adjIn[k], p)
+				delete(s.own(k).adjIn, p)
 			} else {
-				s.adjIn[k][p] = fresh
+				s.own(k).adjIn[p] = fresh
 			}
-			dirty.mark(k, p)
+			s.markDirty(tid, s.pidOf(p))
 		}
 	}
 
@@ -295,21 +256,17 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta, dirty dir
 	// maintained by the fixpoint itself and carried over unchanged.
 	fresh := s.sibling()
 	fresh.originateLocals(inputs)
-	for _, k := range unionKeys(s.locals, fresh.locals) {
-		if down[k.dev] {
-			continue
-		}
-		prefixes := make(map[netip.Prefix]bool)
-		for p := range s.locals[k] {
+	diff := func(k tableKey, old, now map[netip.Prefix][]cand) {
+		prefixes := make(map[netip.Prefix]bool, len(old)+len(now))
+		for p := range old {
 			prefixes[p] = true
 		}
-		for p := range fresh.locals[k] {
+		for p := range now {
 			prefixes[p] = true
 		}
 		for p := range prefixes {
-			oldAll := s.locals[k][p]
-			oldPlain, oldAggs := splitAggregates(oldAll)
-			newPlain := fresh.locals[k][p]
+			oldPlain, oldAggs := splitAggregates(old[p])
+			newPlain := now[p]
 			if candsEqual(oldPlain, newPlain) {
 				continue
 			}
@@ -322,7 +279,19 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta, dirty dir
 			} else {
 				m[p] = merged
 			}
-			dirty.mark(k, p)
+			s.markDirty(s.tidOf(k), s.pidOf(p))
+		}
+	}
+	for k, t := range s.tables {
+		var now map[netip.Prefix][]cand
+		if f := fresh.tables[k]; f != nil {
+			now = f.locals
+		}
+		diff(k, t.locals, now)
+	}
+	for k, f := range fresh.tables {
+		if _, seen := s.tables[k]; !seen && !down[k.dev] {
+			diff(k, nil, f.locals)
 		}
 	}
 	return down
@@ -335,7 +304,7 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta, dirty dir
 // re-decides only the prefixes holding a candidate whose next-hop owner's
 // distance changed — resolution reads the IGP solely as dist(dev, owner), so
 // no other prefix can resolve differently.
-func (st *State) seedResolution(s *sim, d Delta, dirty dirtySet) {
+func (st *State) seedResolution(s *sim, d Delta) {
 	endpoints := make(map[string]bool, 2*len(d.ChangedLinks))
 	for _, id := range d.ChangedLinks {
 		endpoints[id.A] = true
@@ -344,129 +313,91 @@ func (st *State) seedResolution(s *sim, d Delta, dirty dirtySet) {
 	if len(endpoints) == 0 && len(d.DistChanged) == 0 {
 		return
 	}
-	for _, k := range s.tableKeys() {
+	for k := range s.tables {
 		if endpoints[k.dev] {
-			dirty.markTable(s, k)
+			s.markTable(k)
 		} else if cd := d.DistChanged[k.dev]; len(cd) > 0 {
-			st.markDistAffected(k, cd, dirty)
+			st.markDistAffected(s, k, cd)
 		}
 	}
 }
 
 // noteInstall records, in a warm restart, whether the rows a decision just
-// installed for (k, p) differ from the captured state's. A prefix decided
-// again in a later round is judged again, so the set reflects the final rows.
-func (s *sim) noteInstall(k tableKey, p netip.Prefix, rows []netmodel.Route) {
-	if s.changed == nil {
+// installed for p in record t differ from the captured state's. A prefix
+// decided again in a later round is judged again, so the set reflects the
+// final rows.
+func (s *sim) noteInstall(t *table, p netip.Prefix, rows []netmodel.Route) {
+	if !s.warm {
 		return
 	}
 	var base []netmodel.Route
-	if t := s.baseRIBs[k]; t != nil {
-		base = t.Routes(p)
+	if t.base != nil {
+		base = t.base.Routes(p)
 	}
 	if slices.EqualFunc(rows, base, netmodel.Route.Identical) {
-		delete(s.changed[k], p)
+		delete(t.changed, p)
 		return
 	}
-	if s.changed[k] == nil {
-		s.changed[k] = make(map[netip.Prefix]bool)
+	if t.changed == nil {
+		t.changed = make(map[netip.Prefix]bool)
 	}
-	s.changed[k][p] = true
+	t.changed[p] = true
 }
 
-// indexOwners builds owners from the captured candidates. Resolution reads
-// the IGP only as dist(table's device, owner of the next hop): local
-// non-static candidates resolve trivially; next hops owned by the device
-// itself cost 0 either way; unknown owners resolve through direct subnets,
-// which only adjacency changes (endpoint marking) affect. Address ownership
-// survives up/down toggles, so any network a Delta describes gives this index.
+// indexOwners builds every record's owners from its captured candidates.
+// Resolution reads the IGP only as dist(table's device, owner of the next
+// hop): local non-static candidates resolve trivially; next hops owned by the
+// device itself cost 0 either way; unknown owners resolve through direct
+// subnets, which only adjacency changes (endpoint marking) affect. Address
+// ownership survives up/down toggles, so any network a Delta describes gives
+// this index.
 func (st *State) indexOwners(net *config.Network) {
-	st.owners = make(map[tableKey]map[string][]netip.Prefix)
-	add := func(k tableKey, p netip.Prefix, cs []cand) {
-		for _, c := range cs {
-			if c.local && c.route.Protocol != netmodel.ProtoStatic {
-				continue
-			}
-			owner := net.Topo.AddrOwner(c.route.NextHop)
-			if owner == "" || owner == k.dev {
-				continue
-			}
-			m := st.owners[k]
-			if m == nil {
-				m = make(map[string][]netip.Prefix)
-				st.owners[k] = m
-			}
-			if ps := m[owner]; len(ps) == 0 || ps[len(ps)-1] != p {
-				m[owner] = append(ps, p)
+	for k, t := range st.tables {
+		add := func(p netip.Prefix, cs []cand) {
+			for _, c := range cs {
+				if c.local && c.route.Protocol != netmodel.ProtoStatic {
+					continue
+				}
+				owner := net.Topo.AddrOwner(c.route.NextHop)
+				if owner == "" || owner == k.dev {
+					continue
+				}
+				if t.owners == nil {
+					t.owners = make(map[string][]netip.Prefix)
+				}
+				if ps := t.owners[owner]; len(ps) == 0 || ps[len(ps)-1] != p {
+					t.owners[owner] = append(ps, p)
+				}
 			}
 		}
-	}
-	for k, m := range st.locals {
-		for p, cs := range m {
-			add(k, p, cs)
+		for p, cs := range t.locals {
+			add(p, cs)
 		}
-	}
-	for k, m := range st.adjIn {
-		for p, byFrom := range m {
+		for p, byFrom := range t.adjIn {
 			for _, cs := range byFrom {
-				add(k, p, cs)
+				add(p, cs)
 			}
 		}
 	}
 }
 
-// markDistAffected dirties the prefixes of table k holding a candidate whose
-// resolution depends on a distance in cd. It reads the captured candidates:
-// wherever seedChanges edited a prefix's candidates, that prefix is dirty
-// anyway.
-func (st *State) markDistAffected(k tableKey, cd map[string]bool, dirty dirtySet) {
-	for owner, ps := range st.owners[k] {
+// markDistAffected dirties in s the prefixes of table k holding a candidate
+// whose resolution depends on a distance in cd. It reads the captured
+// candidates: wherever seedChanges edited a prefix's candidates, that prefix
+// is dirty anyway.
+func (st *State) markDistAffected(s *sim, k tableKey, cd map[string]bool) {
+	t := st.tables[k]
+	if t == nil {
+		return
+	}
+	for owner, ps := range t.owners {
 		if cd[owner] {
+			tid := s.tidOf(k)
 			for _, p := range ps {
-				dirty.mark(k, p)
+				s.markDirty(tid, s.pidOf(p))
 			}
 		}
 	}
-}
-
-// tableKeys returns every table the simulation has any state for.
-func (s *sim) tableKeys() []tableKey {
-	seen := make(map[tableKey]bool)
-	for k := range s.locals {
-		seen[k] = true
-	}
-	for k := range s.adjIn {
-		seen[k] = true
-	}
-	for k := range s.ribs {
-		seen[k] = true
-	}
-	for k := range s.lastAdv {
-		seen[k] = true
-	}
-	for k := range s.aggOn {
-		seen[k] = true
-	}
-	out := make([]tableKey, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	return out
-}
-
-func unionKeys(a, b map[tableKey]map[netip.Prefix][]cand) []tableKey {
-	seen := make(map[tableKey]bool, len(a)+len(b))
-	for k := range a {
-		seen[k] = true
-	}
-	for k := range b {
-		seen[k] = true
-	}
-	out := make([]tableKey, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	return out
 }
 
 // splitAggregates separates a local candidate slice into plain candidates and
@@ -503,56 +434,47 @@ func candEqual(a, b cand) bool {
 		ra.IGPCost == rb.IGPCost && ra.ViaSR == rb.ViaSR
 }
 
-// own privatizes table k's inner maps when they are still shared with a
-// captured State. Every write path to per-table state calls it first, so a
-// warm restart clones exactly the tables it touches. Only the table's outer
-// maps are copied: the adj-RIB-in cells stay shared until ownFroms clones the
-// one being written, and the leaf candidate/route slices for good — the
+// own returns table k's record ready for writing: created when the sim has
+// none, replaced by a private clone when it is still a captured State's. Every
+// write path to per-table state goes through it, so a warm restart clones
+// exactly the tables it touches. Only the record's outer maps are copied (the
+// RIB by ShallowClone): the adj-RIB-in cells stay shared until ownFroms clones
+// the one being written, and the leaf candidate/route slices for good — the
 // fixpoint only installs fresh slices, so shared leaves are never written
 // through either side.
-func (s *sim) own(k tableKey) {
-	if !s.shared[k] {
-		return
+func (s *sim) own(k tableKey) *table {
+	t := s.tables[k]
+	switch {
+	case t == nil:
+		t = &table{}
+	case t.shared:
+		c := &table{
+			adjIn: maps.Clone(t.adjIn), locals: maps.Clone(t.locals),
+			lastAdv: maps.Clone(t.lastAdv), aggOn: maps.Clone(t.aggOn),
+			base: t.rib, privIn: make(map[netip.Prefix]bool),
+		}
+		if t.rib != nil {
+			c.rib = t.rib.ShallowClone()
+		}
+		t = c
+	default:
+		return t
 	}
-	delete(s.shared, k)
-	if m, ok := s.adjIn[k]; ok {
-		s.adjIn[k] = maps.Clone(m)
-	}
-	if m, ok := s.locals[k]; ok {
-		s.locals[k] = maps.Clone(m)
-	}
-	if t, ok := s.ribs[k]; ok {
-		s.ribs[k] = t.ShallowClone()
-	}
-	if m, ok := s.lastAdv[k]; ok {
-		s.lastAdv[k] = maps.Clone(m)
-	}
-	if m, ok := s.aggOn[k]; ok {
-		s.aggOn[k] = maps.Clone(m)
-	}
+	s.tables[k] = t
+	return t
 }
 
-// ownFroms returns byFrom — table k's adj-RIB-in cell for p, nil when there
-// is none — safe to write; the caller has run own(k). In a warm restart the
+// ownFroms returns the record's adj-RIB-in cell for p, nil when there is
+// none, safe to write; the record is one own returned. In a warm restart the
 // cell is the captured State's until its first write clones it here:
 // copy-on-write costs O(cells written), not O(cells of every table touched).
-func (s *sim) ownFroms(k tableKey, p netip.Prefix, byFrom map[string][]cand) map[string][]cand {
-	if byFrom == nil || s.shared == nil || s.privIn[k][p] {
+func (t *table) ownFroms(p netip.Prefix) map[string][]cand {
+	byFrom := t.adjIn[p]
+	if byFrom == nil || t.privIn == nil || t.privIn[p] {
 		return byFrom
 	}
-	if s.privIn[k] == nil {
-		s.privIn[k] = make(map[netip.Prefix]bool)
-	}
-	s.privIn[k][p] = true
+	t.privIn[p] = true
 	byFrom = maps.Clone(byFrom)
-	s.adjIn[k][p] = byFrom
+	t.adjIn[p] = byFrom
 	return byFrom
-}
-
-func cloneRIBs(m map[tableKey]*netmodel.RIB) map[tableKey]*netmodel.RIB {
-	out := make(map[tableKey]*netmodel.RIB, len(m))
-	for k, rib := range m {
-		out[k] = rib.ShallowClone()
-	}
-	return out
 }

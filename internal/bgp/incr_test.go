@@ -2,9 +2,12 @@ package bgp
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"hoyan/internal/config"
@@ -13,10 +16,23 @@ import (
 	"hoyan/internal/netmodel"
 )
 
+// dirtyPairs reads the sim's dense dirty set back as (table, prefix) pairs.
+func (s *sim) dirtyPairs() map[tableKey]map[netip.Prefix]bool {
+	out := make(map[tableKey]map[netip.Prefix]bool, len(s.dirtyTids))
+	for _, tid := range s.dirtyTids {
+		ps := make(map[netip.Prefix]bool, len(s.dirtyPids[tid]))
+		for _, pid := range s.dirtyPids[tid] {
+			ps[s.pfxs[pid]] = true
+		}
+		out[s.tinfo[tid].k] = ps
+	}
+	return out
+}
+
 // scanDistAffected is the whole-table scan the owner index replaced, kept
 // verbatim as its reference: it reads the restart's own (already edited)
-// candidates where the index reads the captured ones.
-func scanDistAffected(s *sim, k tableKey, cd map[string]bool, dirty dirtySet) {
+// candidates where the index reads the captured ones, and dirties in s.
+func scanDistAffected(s *sim, k tableKey, cd map[string]bool) {
 	affects := func(cs []cand) bool {
 		for _, c := range cs {
 			if c.local && c.route.Protocol != netmodel.ProtoStatic {
@@ -36,15 +52,19 @@ func scanDistAffected(s *sim, k tableKey, cd map[string]bool, dirty dirtySet) {
 		}
 		return false
 	}
-	for p, cs := range s.locals[k] {
+	t := s.tables[k]
+	if t == nil {
+		return
+	}
+	for p, cs := range t.locals {
 		if affects(cs) {
-			dirty.mark(k, p)
+			s.markDirty(s.tidOf(k), s.pidOf(p))
 		}
 	}
-	for p, byFrom := range s.adjIn[k] {
+	for p, byFrom := range t.adjIn {
 		for _, cs := range byFrom {
 			if affects(cs) {
-				dirty.mark(k, p)
+				s.markDirty(s.tidOf(k), s.pidOf(p))
 				break
 			}
 		}
@@ -73,31 +93,30 @@ func topoDelta(net *config.Network, igp *isis.Result, links []netmodel.LinkID, n
 
 // seedBothWays seeds a warm restart twice from the same state and delta: with
 // the owner index, as ResimulateCtx does, and with the scan in its place.
-func seedBothWays(st *State, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (indexed, scanned dirtySet) {
+func seedBothWays(st *State, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (indexed, scanned map[tableKey]map[netip.Prefix]bool) {
 	st.merge.Do(func() {
 		st.mergeUnits()
 		st.indexOwners(net)
 	})
-	indexed = make(dirtySet)
 	s := st.warmSim(nil, net, igp)
-	st.seedChanges(s, inputs, d, indexed)
-	st.seedResolution(s, d, indexed)
+	st.seedChanges(s, inputs, d)
+	st.seedResolution(s, d)
+	indexed = s.dirtyPairs()
 
-	scanned = make(dirtySet)
 	s = st.warmSim(nil, net, igp)
-	st.seedChanges(s, inputs, d, scanned)
+	st.seedChanges(s, inputs, d)
 	endpoints := make(map[string]bool)
 	for _, id := range d.ChangedLinks {
 		endpoints[id.A], endpoints[id.B] = true, true
 	}
-	for _, k := range s.tableKeys() {
+	for k := range s.tables {
 		if endpoints[k.dev] {
-			scanned.markTable(s, k)
+			s.markTable(k)
 		} else if cd := d.DistChanged[k.dev]; len(cd) > 0 {
-			scanDistAffected(s, k, cd, scanned)
+			scanDistAffected(s, k, cd)
 		}
 	}
-	return indexed, scanned
+	return indexed, s.dirtyPairs()
 }
 
 // TestOwnerIndexDirtiesWhatTheScanDid: on 50 random link, multi-link and
@@ -136,14 +155,16 @@ func TestOwnerIndexDirtiesWhatTheScanDid(t *testing.T) {
 			t.Fatalf("trial %d (%v, %v down): warm restart differs from a from-scratch run", trial, down, nodes)
 		}
 		mustCheck(t, fmt.Sprintf("trial %d, warm restart", trial), net2, igp2, out.Inputs, res)
+		s := st.warmSim(nil, net2, igp2)
 		for k, cd := range d.DistChanged {
-			for tk := range st.owners {
+			for tk := range st.tables {
 				if tk.dev == k {
-					marks := make(dirtySet)
-					st.markDistAffected(tk, cd, marks)
-					distMarked += len(marks[tk])
+					st.markDistAffected(s, tk, cd)
 				}
 			}
+		}
+		for _, ps := range s.dirtyPairs() {
+			distMarked += len(ps)
 		}
 	}
 	if distMarked == 0 {
@@ -166,34 +187,172 @@ func TestDistAffectedWorkPinned(t *testing.T) {
 	}
 	net2, igp2, d := topoDelta(out.Net, igp, []netmodel.LinkID{link.ID()}, nil)
 	st.merge.Do(func() { st.indexOwners(net2) })
-	s := st.warmSim(nil, net2, igp2)
+	byIndex, byScan := st.warmSim(nil, net2, igp2), st.warmSim(nil, net2, igp2)
 
 	marked, brute, inTables := 0, 0, 0
-	for k := range st.ribs {
+	for k, tbl := range st.tables {
 		cd := d.DistChanged[k.dev]
 		if len(cd) == 0 {
 			continue
 		}
-		byIndex, byScan := make(dirtySet), make(dirtySet)
-		st.markDistAffected(k, cd, byIndex)
-		scanDistAffected(s, k, cd, byScan)
-		if !reflect.DeepEqual(byIndex, byScan) {
-			t.Fatalf("table %v: index marks %d prefixes, brute force finds %d", k, len(byIndex[k]), len(byScan[k]))
-		}
-		marked += len(byIndex[k])
-		brute += len(byScan[k])
+		st.markDistAffected(byIndex, k, cd)
+		scanDistAffected(byScan, k, cd)
 		seen := make(map[netip.Prefix]bool)
-		for p := range st.locals[k] {
+		for p := range tbl.locals {
 			seen[p] = true
 		}
-		for p := range st.adjIn[k] {
+		for p := range tbl.adjIn {
 			seen[p] = true
 		}
 		inTables += len(seen)
+	}
+	indexed, scanned := byIndex.dirtyPairs(), byScan.dirtyPairs()
+	for k := range st.tables {
+		if !reflect.DeepEqual(indexed[k], scanned[k]) {
+			t.Fatalf("table %v: index marks %d prefixes, brute force finds %d", k, len(indexed[k]), len(scanned[k]))
+		}
+		marked += len(indexed[k])
+		brute += len(scanned[k])
 	}
 	t.Logf("%d prefixes marked of %d in the %d tables whose IGP view moved", marked, inTables, len(d.DistChanged))
 	const want = 1153
 	if marked != brute || marked != want {
 		t.Errorf("markDistAffected dirtied %d prefixes, brute force %d, pinned %d", marked, brute, want)
+	}
+}
+
+// recordSnap is a deep copy of what a State's record holds, with the RIB as
+// its rows (a RIB's lazily built caches are not content).
+type recordSnap struct {
+	adjIn   map[netip.Prefix]map[string][]cand
+	locals  map[netip.Prefix][]cand
+	rows    map[netip.Prefix][]netmodel.Route
+	lastAdv map[netip.Prefix]string
+	aggOn   map[netip.Prefix]bool
+	owners  map[string][]netip.Prefix
+	shared  bool
+	// warm is set when the record carries restart bookkeeping.
+	warm bool
+}
+
+// snapshotState deep-copies every record of a merged State, keyed by table
+// and by record pointer, so replacing a record is a difference too.
+func snapshotState(st *State) map[tableKey]map[*table]recordSnap {
+	out := make(map[tableKey]map[*table]recordSnap, len(st.tables))
+	for k, t := range st.tables {
+		r := recordSnap{
+			adjIn: make(map[netip.Prefix]map[string][]cand), locals: make(map[netip.Prefix][]cand),
+			rows: make(map[netip.Prefix][]netmodel.Route), lastAdv: maps.Clone(t.lastAdv), aggOn: maps.Clone(t.aggOn),
+			owners: make(map[string][]netip.Prefix), shared: t.shared,
+			warm: t.base != nil || t.privIn != nil || t.changed != nil,
+		}
+		for p, byFrom := range t.adjIn {
+			r.adjIn[p] = make(map[string][]cand, len(byFrom))
+			for from, cs := range byFrom {
+				r.adjIn[p][from] = slices.Clone(cs)
+			}
+		}
+		for p, cs := range t.locals {
+			r.locals[p] = slices.Clone(cs)
+		}
+		if t.rib != nil {
+			for _, p := range t.rib.Prefixes() {
+				r.rows[p] = slices.Clone(t.rib.Routes(p))
+			}
+		}
+		for o, ps := range t.owners {
+			r.owners[o] = slices.Clone(ps)
+		}
+		out[k] = map[*table]recordSnap{t: r}
+	}
+	return out
+}
+
+// TestConcurrentRestartsLeaveStateIntact: eight warm restarts at once, each
+// with its own random link, node or input delta, leave every record of the
+// State — merged from several units at parallelism 2 — exactly as a deep
+// snapshot taken before them, and each matches a from-scratch run.
+func TestConcurrentRestartsLeaveStateIntact(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	igp := isis.Compute(out.Net.Topo, isis.Options{})
+	links, names := out.Net.Topo.Links(), out.Net.Topo.NodeNames()
+	for _, p := range []int{1, 2} {
+		_, st := SimulateWithState(out.Net, igp, out.Inputs, Options{Parallelism: p})
+		if (st.units != nil) != (p > 1) {
+			t.Fatalf("parallelism %d: state holds %d units", p, len(st.units))
+		}
+		st.Resimulate(out.Net, igp, out.Inputs, Delta{}) // merge and index first
+		before := snapshotState(st)
+
+		type job struct {
+			net    *config.Network
+			igp    *isis.Result
+			inputs []netmodel.Route
+			d      Delta
+		}
+		rnd := rand.New(rand.NewSource(int64(p)))
+		jobs := make([]job, 8)
+		for i := range jobs {
+			switch i % 3 {
+			case 0:
+				net2, igp2, d := topoDelta(out.Net, igp, []netmodel.LinkID{links[rnd.Intn(len(links))].ID(), links[rnd.Intn(len(links))].ID()}, nil)
+				jobs[i] = job{net2, igp2, out.Inputs, d}
+			case 1:
+				net2, igp2, d := topoDelta(out.Net, igp, nil, []string{names[rnd.Intn(len(names))]})
+				jobs[i] = job{net2, igp2, out.Inputs, d}
+			case 2:
+				var in []netmodel.Route
+				for _, r := range out.Inputs {
+					if rnd.Intn(4) > 0 {
+						in = append(in, r)
+					}
+				}
+				jobs[i] = job{out.Net, igp, in, Delta{}}
+			}
+		}
+		var wg sync.WaitGroup
+		for i, j := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, _ := st.Resimulate(j.net, j.igp, j.inputs, j.d)
+				if ref := Simulate(j.net, j.igp, j.inputs, Options{Parallelism: 1}); !res.GlobalRIB().Equal(ref.GlobalRIB()) {
+					t.Errorf("parallelism %d, restart %d: differs from a from-scratch run", p, i)
+				}
+			}()
+		}
+		wg.Wait()
+		if after := snapshotState(st); !reflect.DeepEqual(after, before) {
+			for k, b := range before {
+				if !reflect.DeepEqual(after[k], b) {
+					t.Errorf("parallelism %d: restarts wrote through to the State's record of %v", p, k)
+				}
+			}
+			t.Fatalf("parallelism %d: State changed under concurrent restarts (%d tables before, %d after)", p, len(before), len(after))
+		}
+	}
+}
+
+// TestEmptyDeltaPrivatizesNothing: a restart with nothing changed seeds no
+// table, changes no prefix or device, and hands out the State's own RIBs —
+// no record was cloned.
+func TestEmptyDeltaPrivatizesNothing(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	igp := isis.Compute(out.Net.Topo, isis.Options{})
+	for _, p := range []int{1, 2} {
+		_, st := SimulateWithState(out.Net, igp, out.Inputs, Options{Parallelism: p})
+		res, stats := st.Resimulate(out.Net, igp, out.Inputs, Delta{})
+		if stats.TablesDirty != 0 || stats.Rounds != 0 || len(stats.ChangedPrefixes) != 0 || len(stats.ChangedDevices) != 0 {
+			t.Errorf("parallelism %d: empty delta seeded %d tables, ran %d rounds, changed %d tables and %d devices",
+				p, stats.TablesDirty, stats.Rounds, len(stats.ChangedPrefixes), len(stats.ChangedDevices))
+		}
+		if stats.TablesTotal == 0 || len(res.ribs) != stats.TablesTotal {
+			t.Errorf("parallelism %d: result holds %d tables, the State %d", p, len(res.ribs), stats.TablesTotal)
+		}
+		for k, rib := range res.ribs {
+			if st.tables[k] == nil || rib != st.tables[k].rib {
+				t.Fatalf("parallelism %d: table %v is not the State's own RIB", p, k)
+			}
+		}
 	}
 }

@@ -249,40 +249,51 @@ func TestParallelResimulateEquivalence(t *testing.T) {
 	}
 }
 
-// assertSameState compares two captured (merged) states map by map; a table
-// without entries may be absent on one side and empty on the other.
+// assertSameState compares two captured (merged) states record by record:
+// adj-RIB-in, local candidates, RIB, advertisement signatures and aggregate
+// activation. A table without entries may be absent on one side and empty on
+// the other.
 func assertSameState(t *testing.T, label string, got, want *State) {
 	t.Helper()
 	if got.units != nil {
 		t.Fatalf("%s: state still holds unmerged units", label)
 	}
-	if !reflect.DeepEqual(got.adjIn, want.adjIn) {
-		t.Errorf("%s: adj-RIB-ins differ", label)
+	keys := make(map[tableKey]bool)
+	for k := range got.tables {
+		keys[k] = true
 	}
-	if !reflect.DeepEqual(got.lastAdv, want.lastAdv) {
-		t.Errorf("%s: advertisement signatures differ", label)
+	for k := range want.tables {
+		keys[k] = true
 	}
-	if !reflect.DeepEqual(got.aggOn, want.aggOn) {
-		t.Errorf("%s: aggregate activation differs", label)
-	}
-	for k, m := range want.locals {
-		if len(m) > 0 && !reflect.DeepEqual(got.locals[k], m) {
+	for k := range keys {
+		g, w := got.tables[k], want.tables[k]
+		if g == nil {
+			g = &table{}
+		}
+		if w == nil {
+			w = &table{}
+		}
+		if !sameMap(g.adjIn, w.adjIn) {
+			t.Errorf("%s: adj-RIB-ins of %v differ", label, k)
+		}
+		if !sameMap(g.locals, w.locals) {
 			t.Errorf("%s: local candidates of %v differ", label, k)
 		}
-	}
-	for k, m := range got.locals {
-		if len(m) > 0 && len(want.locals[k]) == 0 {
-			t.Errorf("%s: unexpected local candidates at %v", label, k)
+		if !sameMap(g.lastAdv, w.lastAdv) {
+			t.Errorf("%s: advertisement signatures of %v differ", label, k)
 		}
-	}
-	if len(got.ribs) != len(want.ribs) {
-		t.Errorf("%s: %d tables, want %d", label, len(got.ribs), len(want.ribs))
-	}
-	for k, rib := range want.ribs {
-		if g := got.ribs[k]; g == nil || !sameTable(g, rib) {
+		if !sameMap(g.aggOn, w.aggOn) {
+			t.Errorf("%s: aggregate activation of %v differs", label, k)
+		}
+		if (g.rib == nil) != (w.rib == nil) || g.rib != nil && !sameTable(g.rib, w.rib) {
 			t.Errorf("%s: table %v differs", label, k)
 		}
 	}
+}
+
+// sameMap is reflect.DeepEqual with a nil map equal to an empty one.
+func sameMap[K comparable, V any](a, b map[K]V) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
 }
 
 // sameTable reports whether two tables hold the same prefixes with Identical

@@ -28,8 +28,9 @@ type Options struct {
 	// FlawedASPathRegex injects the §5.3 AS-path regex implementation bug.
 	FlawedASPathRegex bool
 
-	// UseTEMetric is recorded for provenance; the IGP result passed to
-	// Simulate must already reflect it.
+	// UseTEMetric makes next-hop resolution price a direct link by its TE
+	// metric where the IGP has no distance to the next hop's owner (decision.go
+	// resolve). The IGP result passed to Simulate must already reflect it.
 	UseTEMetric bool
 
 	// Parallelism bounds the workers of a cold run, following the
@@ -183,36 +184,49 @@ type msg struct {
 	pid int32
 }
 
+// table is everything the fixpoint keeps for one (device, VRF) table: its
+// adj-RIB-in (prefix → sender → candidates), its local candidates, its RIB,
+// the signature of its last advertisement per prefix (suppressing redundant
+// re-advertisements is what reaches the fixpoint) and whether each of its
+// aggregates is active. The other fields are warm-restart bookkeeping.
+type table struct {
+	adjIn   map[netip.Prefix]map[string][]cand
+	locals  map[netip.Prefix][]cand
+	rib     *netmodel.RIB
+	lastAdv map[netip.Prefix]string
+	aggOn   map[netip.Prefix]bool
+
+	// shared marks a record a captured State holds. Any number of warm
+	// restarts read it at once, so none may write it: sim.own replaces it
+	// with a private clone first.
+	shared bool
+
+	// In a clone own made: base is the State record's RIB, which noteInstall
+	// compares decisions against, and privIn the adj-RIB-in cells ownFroms
+	// has cloned since (nil in a record no State ever held). changed collects
+	// the prefixes whose rows a warm restart moved off the base.
+	base    *netmodel.RIB
+	privIn  map[netip.Prefix]bool
+	changed map[netip.Prefix]bool
+
+	// owners, in a State's record, indexes the prefixes holding a candidate
+	// whose next hop resolves through the IGP by the device owning that next
+	// hop: a changed distance dirties its prefixes by lookup
+	// (markDistAffected). Built on the first warm restart (indexOwners).
+	owners map[string][]netip.Prefix
+}
+
 type sim struct {
 	net  *config.Network
 	igp  *isis.Result
 	opts Options
 
 	sessions map[string][]*session
-	// sessionsTo indexes sessions by (local, vrf) for advertisement.
-	adjIn  map[tableKey]map[netip.Prefix]map[string][]cand
-	locals map[tableKey]map[netip.Prefix][]cand
-	ribs   map[tableKey]*netmodel.RIB
+	tables   map[tableKey]*table
 
-	// lastAdv is the signature of the last advertisement per (table, prefix),
-	// used to suppress redundant re-advertisements and reach the fixpoint.
-	lastAdv map[tableKey]map[netip.Prefix]string
-
-	// aggOn tracks whether each aggregate is currently active.
-	aggOn map[tableKey]map[netip.Prefix]bool
-
-	// shared, when non-nil, marks tables whose inner maps are still shared
-	// with a captured State (see Resimulate); sim.own privatizes a table
-	// before its first write. own copies a table's outer maps only: privIn
-	// records the adj-RIB-in cells ownFroms has since cloned for writing.
-	shared map[tableKey]bool
-	privIn map[tableKey]map[netip.Prefix]bool
-
-	// baseRIBs, in a warm restart, are the captured State's tables, and
-	// changed collects per table the prefixes whose installed rows differ
-	// from them (noteInstall). Both nil in a cold run.
-	baseRIBs map[tableKey]*netmodel.RIB
-	changed  map[tableKey]map[netip.Prefix]bool
+	// warm marks a warm restart: decisions record in their table's changed
+	// set whether they moved its rows off the captured State's (noteInstall).
+	warm bool
 
 	messages int
 
@@ -271,17 +285,8 @@ func simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, op
 
 // seedDirty marks everything the originated state holds a candidate for.
 func (s *sim) seedDirty() {
-	for k, m := range s.locals {
-		tid := s.tidOf(k)
-		for p := range m {
-			s.markDirty(tid, s.pidOf(p))
-		}
-	}
-	for k, m := range s.adjIn {
-		tid := s.tidOf(k)
-		for p := range m {
-			s.markDirty(tid, s.pidOf(p))
-		}
+	for k := range s.tables {
+		s.markTable(k)
 	}
 }
 
@@ -302,11 +307,7 @@ func (s *sim) sibling() *sim {
 	return &sim{
 		net: s.net, igp: s.igp, opts: s.opts,
 		sessions: s.sessions, topoIdx: s.topoIdx, igpIdxOK: s.igpIdxOK,
-		adjIn:   make(map[tableKey]map[netip.Prefix]map[string][]cand),
-		locals:  make(map[tableKey]map[netip.Prefix][]cand),
-		ribs:    make(map[tableKey]*netmodel.RIB),
-		lastAdv: make(map[tableKey]map[netip.Prefix]string),
-		aggOn:   make(map[tableKey]map[netip.Prefix]bool),
+		tables: make(map[tableKey]*table),
 	}
 }
 
@@ -317,21 +318,9 @@ func (s *sim) ctxDone() bool {
 	return s.opts.Ctx != nil && s.opts.Ctx.Err() != nil
 }
 
-// run iterates the fixpoint from an initial dirty set until convergence or
-// MaxRounds: the seed is converted into the dense representation once, and
-// rounds then track dirtiness with interned IDs only.
-func (s *sim) run(dirty dirtySet) *Result {
-	for k, ps := range dirty {
-		tid := s.tidOf(k)
-		for p := range ps {
-			s.markDirty(tid, s.pidOf(p))
-		}
-	}
-	return s.runDense()
-}
-
-// runDense iterates the fixpoint from the already-seeded dense dirty set
-// until convergence or MaxRounds.
+// runDense iterates the fixpoint from the seeded dirty set until convergence
+// or MaxRounds. The result gets a map of its own over the tables' RIBs: callers
+// install tables there (SetRIB) that must never reach a record.
 func (s *sim) runDense() *Result {
 	rounds := 0
 	converged := false
@@ -347,7 +336,13 @@ func (s *sim) runDense() *Result {
 		s.deliver(pending)
 		pending = s.decideAndAdvertise()
 	}
-	return &Result{ribs: s.ribs, Rounds: rounds, Converged: converged, Messages: s.messages, parallelism: s.opts.Parallelism}
+	ribs := make(map[tableKey]*netmodel.RIB, len(s.tables))
+	for k, t := range s.tables {
+		if t.rib != nil {
+			ribs[k] = t.rib
+		}
+	}
+	return &Result{ribs: ribs, Rounds: rounds, Converged: converged, Messages: s.messages, parallelism: s.opts.Parallelism}
 }
 
 func (s *sim) profileOf(dev string) vsb.Profile {
@@ -366,13 +361,11 @@ func (s *sim) envOf(d *config.Device) policy.Env {
 }
 
 func (s *sim) localsOf(k tableKey) map[netip.Prefix][]cand {
-	s.own(k)
-	m, ok := s.locals[k]
-	if !ok {
-		m = make(map[netip.Prefix][]cand)
-		s.locals[k] = m
+	t := s.own(k)
+	if t.locals == nil {
+		t.locals = make(map[netip.Prefix][]cand)
 	}
-	return m
+	return t.locals
 }
 
 // originateLocals seeds the simulation: input routes, network statements,
@@ -633,8 +626,6 @@ func (s *sim) acceptedFor(m *msg, ti *tableInfo) []cand {
 // unused candidate-arena tails go back to the arena.
 func (s *sim) commitDelivery(m *msg, ti *tableInfo, accepted []cand) {
 	k := ti.k
-	s.own(k)
-	ai := s.adjIn[k]
 	// A message that does not change the adj-RIB-in cell leaves the
 	// decision inputs untouched: re-deciding would reproduce the same
 	// rows and signature, so the (table, prefix) is not marked dirty.
@@ -646,29 +637,29 @@ func (s *sim) commitDelivery(m *msg, ti *tableInfo, accepted []cand) {
 		if cap(accepted) > 0 {
 			s.giveBackCands(cap(accepted))
 		}
-		// Withdrawal: only touch maps that already exist.
-		if byFrom := ai[m.prefix]; byFrom != nil {
-			if _, had := byFrom[m.from]; had {
-				delete(s.ownFroms(k, m.prefix, byFrom), m.from)
+		// Withdrawal: only touch cells that already exist.
+		if t := s.tables[k]; t != nil {
+			if _, had := t.adjIn[m.prefix][m.from]; had {
+				delete(s.own(k).ownFroms(m.prefix), m.from)
 				changed = true
 			}
 		}
 	} else {
-		if ai == nil {
+		t := s.own(k)
+		if t.adjIn == nil {
 			hint := 0
 			if k.vrf == netmodel.DefaultVRF {
 				hint = len(s.pfxs)
 			}
-			ai = make(map[netip.Prefix]map[string][]cand, hint)
-			s.adjIn[k] = ai
+			t.adjIn = make(map[netip.Prefix]map[string][]cand, hint)
 		}
-		byFrom := ai[m.prefix]
+		byFrom := t.adjIn[m.prefix]
 		if byFrom == nil {
 			byFrom = make(map[string][]cand, 1)
-			ai[m.prefix] = byFrom
+			t.adjIn[m.prefix] = byFrom
 		}
 		if old, had := byFrom[m.from]; !had || !candsSame(old, accepted) {
-			s.ownFroms(k, m.prefix, byFrom)[m.from] = accepted
+			t.ownFroms(m.prefix)[m.from] = accepted
 			changed = true
 		} else {
 			s.giveBackCands(cap(accepted))

@@ -24,7 +24,7 @@ import (
 // a group (nested aggregates lie inside their outermost one), every other
 // prefix is a group of its own. Groups are packed into work units, each unit
 // runs the unchanged sequential fixpoint to convergence in a sim of its own,
-// and the units' per-table maps — disjoint by prefix — are unioned.
+// and the units' table records — disjoint by prefix — are unioned.
 //
 // The result is byte-identical to one sequential fixpoint over all prefixes:
 // that loop visits a table's dirty prefixes in an order of the prefixes alone
@@ -86,8 +86,8 @@ func (s *sim) splitUnits(workers int) []*sim {
 	}
 	roots := aggregateRoots(s.net)
 	weight := make(map[netip.Prefix]int)
-	for _, m := range s.locals {
-		for p := range m {
+	for _, t := range s.tables {
+		for p := range t.locals {
 			weight[roots.groupOf(p)]++
 		}
 	}
@@ -117,8 +117,8 @@ func (s *sim) splitUnits(workers int) []*sim {
 		load[least] += weight[g]
 		unitOf[g] = units[least]
 	}
-	for k, m := range s.locals {
-		for p, cs := range m {
+	for k, t := range s.tables {
+		for p, cs := range t.locals {
 			unitOf[roots.groupOf(p)].localsOf(k)[p] = cs
 		}
 	}
@@ -154,24 +154,38 @@ func (st *State) mergeUnits() {
 	if st.units == nil {
 		return
 	}
-	var (
-		adjIn   []map[tableKey]map[netip.Prefix]map[string][]cand
-		locals  []map[tableKey]map[netip.Prefix][]cand
-		ribs    []map[tableKey]*netmodel.RIB
-		lastAdv []map[tableKey]map[netip.Prefix]string
-		aggOn   []map[tableKey]map[netip.Prefix]bool
-	)
-	for _, u := range st.units {
-		adjIn, locals, ribs = append(adjIn, u.adjIn), append(locals, u.locals), append(ribs, u.ribs)
-		lastAdv, aggOn = append(lastAdv, u.lastAdv), append(aggOn, u.aggOn)
+	tables := make([]map[tableKey]*table, len(st.units))
+	for i, u := range st.units {
+		tables[i] = u.tables
 	}
-	p := st.opts.Parallelism
-	st.adjIn = unionTables(p, adjIn, unionMaps)
-	st.locals = unionTables(p, locals, unionMaps)
-	st.ribs = unionTables(p, ribs, netmodel.UnionRIBs)
-	st.lastAdv = unionTables(p, lastAdv, unionMaps)
-	st.aggOn = unionTables(p, aggOn, unionMaps)
+	st.tables = unionTables(st.opts.Parallelism, tables, unionRecords)
 	st.units = nil
+}
+
+// unionRecords unions one table's records across units into a frozen record,
+// field by field; a field no unit holds stays nil.
+func unionRecords(parts []*table) *table {
+	if len(parts) == 1 {
+		return parts[0] // captured, so already frozen
+	}
+	var (
+		adjIn   []map[netip.Prefix]map[string][]cand
+		locals  []map[netip.Prefix][]cand
+		ribs    []*netmodel.RIB
+		lastAdv []map[netip.Prefix]string
+		aggOn   []map[netip.Prefix]bool
+	)
+	for _, t := range parts {
+		adjIn, locals, lastAdv, aggOn = append(adjIn, t.adjIn), append(locals, t.locals), append(lastAdv, t.lastAdv), append(aggOn, t.aggOn)
+		if t.rib != nil {
+			ribs = append(ribs, t.rib)
+		}
+	}
+	t := &table{adjIn: unionMaps(adjIn), locals: unionMaps(locals), lastAdv: unionMaps(lastAdv), aggOn: unionMaps(aggOn), shared: true}
+	if len(ribs) > 0 {
+		t.rib = netmodel.UnionRIBs(ribs)
+	}
+	return t
 }
 
 // unionTables unions per-table values across units: a table present in
@@ -195,11 +209,15 @@ func unionTables[V any](parallelism int, units []map[tableKey]V, union func([]V)
 	return out
 }
 
-// unionMaps unions maps over disjoint key sets.
+// unionMaps unions maps over disjoint key sets; nil when every part is.
 func unionMaps[K comparable, V any](parts []map[K]V) map[K]V {
-	n := 0
+	n, none := 0, true
 	for _, m := range parts {
 		n += len(m)
+		none = none && m == nil
+	}
+	if none {
+		return nil
 	}
 	out := make(map[K]V, n)
 	for _, m := range parts {

@@ -132,10 +132,10 @@ func TestSplitUnits(t *testing.T) {
 				unitOfGroup := map[netip.Prefix]int{}
 				cands := 0
 				for i, u := range units {
-					for k, m := range u.locals {
-						for p, cs := range m {
-							if len(cs) != len(s.locals[k][p]) {
-								t.Errorf("unit %d holds %d candidates for %v %s, want %d", i, len(cs), k, p, len(s.locals[k][p]))
+					for k, ut := range u.tables {
+						for p, cs := range ut.locals {
+							if want := len(s.tables[k].locals[p]); len(cs) != want {
+								t.Errorf("unit %d holds %d candidates for %v %s, want %d", i, len(cs), k, p, want)
 							}
 							cands += len(cs)
 							g := roots.groupOf(p)
@@ -147,8 +147,8 @@ func TestSplitUnits(t *testing.T) {
 					}
 				}
 				want := 0
-				for _, m := range s.locals {
-					for _, cs := range m {
+				for _, st := range s.tables {
+					for _, cs := range st.locals {
 						want += len(cs)
 					}
 				}
