@@ -28,6 +28,11 @@ type State struct {
 	sessions map[string][]*session
 	tables   map[tableKey]*table
 
+	// msgBufs lends warm restarts their round message buffer (sim.msgScratch,
+	// a *[]msg), so a fork does not grow one from scratch. A buffer comes back
+	// cleared: it pins no routes while pooled.
+	msgBufs sync.Pool
+
 	// units holds the captured work units of a multi-unit run until the first
 	// warm restart unions them into tables and builds the owner index
 	// (merge): a one-shot audit never pays for a State it does not use.
@@ -64,8 +69,11 @@ type ResimStats struct {
 	// ChangedPrefixes holds, per table, the prefixes whose rows differ from
 	// the base state: each decision compares the rows it installs with the
 	// base table's (O(decisions), not O(tables)). A table listed here was
-	// written by the restart and never aliases the State; any other table of
-	// the result may. A purged device's tables are in neither.
+	// written by the restart: it is the restart's own Overlay of the State's
+	// table, so writing it never reaches the State, though its unwritten
+	// prefixes read the State's rows. Any other table of the result may be the
+	// State's own, or such an overlay. A purged device's tables are in
+	// neither.
 	ChangedPrefixes map[Table]map[netip.Prefix]bool
 	// ChangedDevices is every device whose table content differs from the
 	// base state: the devices of ChangedPrefixes plus the purged ones.
@@ -119,8 +127,9 @@ func (s *sim) capture() *State {
 // its local candidates, its peers' final exports, and the resolution
 // environment (IGP costs, adjacent links, address ownership). Every way any
 // of those can change under a topology/input delta seeds that table dirty
-// here, and changed decisions always re-advertise (advSignature covers all
-// exported fields), so changes cascade exactly as they would from scratch.
+// here, and changed decisions always re-advertise (the advertisement
+// signature, appendAdvSignature, covers all exported fields), so changes
+// cascade exactly as they would from scratch.
 func (st *State) Resimulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (*Result, *ResimStats) {
 	return st.ResimulateCtx(nil, net, igp, inputs, d)
 }
@@ -144,7 +153,15 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 			stats.TablesTotal++
 		}
 	}
+	buf, _ := st.msgBufs.Get().(*[]msg)
+	if buf == nil {
+		buf = new([]msg)
+	}
+	s.msgScratch = *buf
 	res := s.runDense()
+	*buf = s.msgScratch[:0]
+	clear((*buf)[:cap(*buf)])
+	st.msgBufs.Put(buf)
 	stats.Rounds = res.Rounds
 
 	// Many seeded-dirty tables re-decide to exactly their base rows; what is
@@ -437,11 +454,12 @@ func candEqual(a, b cand) bool {
 // own returns table k's record ready for writing: created when the sim has
 // none, replaced by a private clone when it is still a captured State's. Every
 // write path to per-table state goes through it, so a warm restart clones
-// exactly the tables it touches. Only the record's outer maps are copied (the
-// RIB by ShallowClone): the adj-RIB-in cells stay shared until ownFroms clones
-// the one being written, and the leaf candidate/route slices for good — the
-// fixpoint only installs fresh slices, so shared leaves are never written
-// through either side.
+// exactly the tables it touches. Only the record's outer maps are copied, and
+// the RIB not even that: the clone's RIB is an Overlay of the State's, which
+// stays its base, so it holds only the prefixes the restart decides. The
+// adj-RIB-in cells stay shared until ownFroms clones the one being written,
+// and the leaf candidate/route slices for good — the fixpoint only installs
+// fresh slices, so shared leaves are never written through either side.
 func (s *sim) own(k tableKey) *table {
 	t := s.tables[k]
 	switch {
@@ -454,7 +472,7 @@ func (s *sim) own(k tableKey) *table {
 			base: t.rib, privIn: make(map[netip.Prefix]bool),
 		}
 		if t.rib != nil {
-			c.rib = t.rib.ShallowClone()
+			c.rib = t.rib.Overlay()
 		}
 		t = c
 	default:

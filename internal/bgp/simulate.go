@@ -201,10 +201,11 @@ type table struct {
 	// with a private clone first.
 	shared bool
 
-	// In a clone own made: base is the State record's RIB, which noteInstall
-	// compares decisions against, and privIn the adj-RIB-in cells ownFroms
-	// has cloned since (nil in a record no State ever held). changed collects
-	// the prefixes whose rows a warm restart moved off the base.
+	// In a clone own made: base is the State record's RIB — what the clone's
+	// RIB, an Overlay of it, reads through to — which noteInstall compares
+	// decisions against, and privIn the adj-RIB-in cells ownFroms has cloned
+	// since (nil in a record no State ever held). changed collects the
+	// prefixes whose rows a warm restart moved off the base.
 	base    *netmodel.RIB
 	privIn  map[netip.Prefix]bool
 	changed map[netip.Prefix]bool
@@ -238,7 +239,8 @@ type sim struct {
 
 	// msgScratch is the round-global message buffer reused across rounds; a
 	// returned batch is fully drained by deliver before the next
-	// decideAndAdvertise call refills it.
+	// decideAndAdvertise call refills it. A warm restart borrows it from its
+	// State (State.msgBufs).
 	msgScratch []msg
 
 	// scratch holds the decision buffers and arenas of the loop.

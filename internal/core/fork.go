@@ -134,7 +134,8 @@ type ForkStats struct {
 	// (table, prefix) pairs it rebuilt, the only ones that can differ from
 	// base. Rebuilt: the rows it writes — each changed row into its table and
 	// into its device's global-RIB block, plus the base rows that block copies
-	// around them (the block is written on the first GlobalRIB read).
+	// around them (the block is written on the first read of that device's
+	// block, if any: Rebuilt counts what a full read of the view writes).
 	RIBRowsChanged int
 	RIBRowsRebuilt int
 }
@@ -417,17 +418,23 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 // granularity. The EC partition is the base run's, so a table's expansion
 // differs from the base's only where the warm restart installed different
 // rows (rstats.ChangedPrefixes) and at those representatives' members. A table
-// without such prefixes is the base's expanded table itself; any other is a
-// ShallowClone of it with those prefixes rebuilt (ec.Reexpand) and the base
-// table's LPM index carried forward, patched at them. From the rebuilt
+// without such prefixes is the base's expanded table itself; any other is an
+// Overlay of it holding only those prefixes, rebuilt (ec.Reexpand), with the
+// base table's LPM index carried forward, patched at them. From the rebuilt
 // prefixes alone it derives the per-device prefixes whose rows forward
-// differently and the per-prefix change in the number of tables holding it.
+// differently, the per-prefix change in the number of tables holding it, and
+// the row count of every changed device's global-RIB block.
 func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs *ec.RouteECs, routes *RouteResult, d Delta, stats *ForkStats) (ribDiff map[string][]netip.Prefix, countDelta map[netip.Prefix]int) {
 	base := e.base.routes
 	ribDiff = make(map[string][]netip.Prefix, len(rstats.ChangedDevices))
 	countDelta = make(map[netip.Prefix]int)
 	rebuilt := make(map[bgp.Table][]netip.Prefix, len(rstats.ChangedPrefixes))
-	blockOf := "" // the device whose block RIBRowsRebuilt already counts
+	// blockRows: each changed device's block row count; a purged one keeps 0.
+	blockRows := make(map[string]int, len(rstats.ChangedDevices))
+	for dev := range rstats.ChangedDevices {
+		blockRows[dev] = 0
+	}
+	blockOf := "" // the device whose base block blockRows already counts
 	for _, t := range bres.Tables() {
 		baseRIB := base.BGP.RIB(t.Device, t.VRF)
 		changed := rstats.ChangedPrefixes[t]
@@ -435,7 +442,7 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs 
 			bres.SetRIB(t.Device, t.VRF, baseRIB)
 			continue
 		}
-		forked, rt := bres.RIB(t.Device, t.VRF), baseRIB.ShallowClone()
+		forked, rt := bres.RIB(t.Device, t.VRF), baseRIB.Overlay()
 		var pfx []netip.Prefix
 		if routeECs != nil {
 			pfx = routeECs.Reexpand(rt, forked, changed)
@@ -450,13 +457,16 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs 
 		rebuilt[t] = pfx
 		if t.Device != blockOf {
 			blockOf = t.Device
-			stats.RIBRowsRebuilt += len(base.GlobalRIB().Block(t.Device))
+			n := len(base.GlobalRIB().Block(t.Device))
+			blockRows[t.Device] += n
+			stats.RIBRowsRebuilt += n
 		}
 		for _, p := range pfx {
 			was, is := baseRIB.Routes(p), rt.Routes(p)
 			stats.RIBRowsChanged += len(is)
 			// Once into the table; the block holds the base block's rows, at p these.
 			stats.RIBRowsRebuilt += len(is) + len(is) - len(was)
+			blockRows[t.Device] += len(is) - len(was)
 			if len(was) == 0 && len(is) > 0 {
 				countDelta[p]++
 			} else if len(was) > 0 && len(is) == 0 {
@@ -479,43 +489,41 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs 
 			}
 		}
 	}
-	blockRows := stats.RIBRowsRebuilt - stats.RIBRowsChanged
 	routes.globalFn = func() *netmodel.GlobalRIB {
-		return e.mergedGlobalRIB(bres, rstats.ChangedDevices, rebuilt, blockRows)
+		return e.mergedGlobalRIB(bres, blockRows, rebuilt)
 	}
 	return ribDiff, countDelta
 }
 
 // mergedGlobalRIB builds a topology-only fork's global RIB as a view of the
 // base's: a device the restart left alone keeps the base's block, a purged
-// one (no table) drops out, and a changed one's block is the base block
-// re-emitted with the rebuilt prefixes' rows spliced in — one pass, no lookup
-// or sort for unchanged prefixes. That reproduces a full re-sort, the
-// canonical order being device, VRF, prefix. rows sizes the new blocks.
-func (e *Engine) mergedGlobalRIB(bres *bgp.Result, changed map[string]bool, rebuilt map[bgp.Table][]netip.Prefix, rows int) *netmodel.GlobalRIB {
+// one (count 0) drops out, and a changed one's block is emitted on the first
+// read of it as the base block with the rebuilt prefixes' rows spliced in —
+// one pass, no lookup or sort for unchanged prefixes. That reproduces a full
+// re-sort, the canonical order being device, VRF, prefix. rows holds each
+// changed device's block row count; the emitter reads only the fork's
+// finished tables and the base, which stay unchanged.
+func (e *Engine) mergedGlobalRIB(bres *bgp.Result, rows map[string]int, rebuilt map[bgp.Table][]netip.Prefix) *netmodel.GlobalRIB {
 	base := e.base.routes.GlobalRIB()
-	fresh := make([]netmodel.Route, 0, rows)
-	var block []netmodel.Route // what is left of the current device's base block
-	dev := ""
-	for _, t := range bres.Tables() {
-		if !changed[t.Device] {
-			continue
+	tables := bres.Tables()
+	return base.ReplaceDevices(rows, func(dev string, dst []netmodel.Route) []netmodel.Route {
+		block := base.Block(dev) // what is left of the device's base block
+		// The device's tables come in VRF order, as do the runs of its block.
+		i := sort.Search(len(tables), func(i int) bool { return tables[i].Device >= dev })
+		for ; i < len(tables) && tables[i].Device == dev; i++ {
+			t := tables[i]
+			lo := sort.Search(len(block), func(i int) bool { return block[i].VRF >= t.VRF })
+			hi := lo + sort.Search(len(block)-lo, func(i int) bool { return block[lo+i].VRF != t.VRF })
+			run := block[lo:hi]
+			block = block[hi:]
+			if pfx, ok := rebuilt[t]; ok {
+				dst = bres.RIB(t.Device, t.VRF).AppendSpliced(dst, run, pfx)
+			} else {
+				dst = append(dst, run...)
+			}
 		}
-		if t.Device != dev {
-			dev, block = t.Device, base.Block(t.Device)
-		}
-		// The table's run of the base block; tables come in VRF order.
-		lo := sort.Search(len(block), func(i int) bool { return block[i].VRF >= t.VRF })
-		hi := lo + sort.Search(len(block)-lo, func(i int) bool { return block[lo+i].VRF != t.VRF })
-		run := block[lo:hi]
-		block = block[hi:]
-		if pfx, ok := rebuilt[t]; ok {
-			fresh = bres.RIB(t.Device, t.VRF).AppendSpliced(fresh, run, pfx)
-		} else {
-			fresh = append(fresh, run...)
-		}
-	}
-	return base.ReplaceDevices(changed, fresh)
+		return dst
+	})
 }
 
 // forwarder builds a traffic forwarder over an arbitrary snapshot/IGP pair,

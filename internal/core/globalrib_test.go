@@ -264,3 +264,59 @@ func TestForkGlobalRIBAllocBoundedByChangedRows(t *testing.T) {
 	}
 	t.Logf("allocated %d bytes for %d changed rows of %d (bound %d, flat copy %d)", allocated, changedRows, view.Len(), bound, whole)
 }
+
+// TestForkLookupAllocBoundedByItsBlock pins on-read emission at the engine: a
+// topology-only fork (link core-0-0--core-0-1 at WAN(4)) whose only reader
+// Lookups one route reflector allocates, for its global RIB and that lookup,
+// the rows of that device's block and a fixed budget per block — not the
+// blocks of every device the failure changed, which on this fixture are
+// several times the bound. Bytes via runtime.MemStats, as in
+// TestForkGlobalRIBAllocBoundedByChangedRows.
+func TestForkLookupAllocBoundedByItsBlock(t *testing.T) {
+	out := gen.Generate(gen.WAN(4))
+	eng := NewEngine(out.Net, Options{})
+	base := eng.BaseRun(out.Inputs, out.Flows).Routes.GlobalRIB()
+	var d Delta
+	for _, l := range out.Net.Topo.Links() {
+		if l.A == "core-0-0" && l.B == "core-0-1" {
+			d.LinksDown = []netmodel.LinkID{l.ID()}
+		}
+	}
+	if len(d.LinksDown) != 1 {
+		t.Fatal("fixture: no link core-0-0--core-0-1")
+	}
+	scratch := out.Net.Clone()
+	applyDelta(scratch, d)
+	inc, stats := eng.Fork(scratch, d)
+	if stats.Full {
+		t.Fatal("fork fell back to a full simulation")
+	}
+	const rr = "rr-3-0" // the one route reflector this failure changes
+	prefix := base.Block(rr)[0].Prefix
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	view := inc.Routes.GlobalRIB()
+	found := 0
+	view.Lookup(rr, prefix, func(rows []netmodel.Route) { found += len(rows) })
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+
+	rrRows := len(view.Block(rr))
+	shared, changedRows := sharedBlocks(base, view)
+	if found == 0 || netmodel.SameBlock(base.Block(rr), view.Block(rr)) || shared == 0 {
+		t.Fatalf("fixture: %s holds %d rows for %s, shares its base block, or no block is shared (%d); its block must be one the fork changed", rr, found, prefix, shared)
+	}
+	const perBlock = 1024
+	perRow := uint64(unsafe.Sizeof(netmodel.Route{}))
+	bound := uint64(rrRows)*perRow + perBlock*uint64(len(view.Blocks()))
+	eager := uint64(changedRows) * perRow // every changed block written
+	if allocated > bound {
+		t.Errorf("GlobalRIB() and one Lookup of %s allocated %d bytes; bound %d (%d rows in its block, %d blocks); writing every changed block is %d (%d rows)",
+			rr, allocated, bound, rrRows, len(view.Blocks()), eager, changedRows)
+	}
+	if bound*2 > eager {
+		t.Fatalf("fixture: the bound (%d) is not well below writing every changed block (%d)", bound, eager)
+	}
+	t.Logf("allocated %d bytes for %s's %d-row block (bound %d); every changed block: %d rows, %d bytes", allocated, rr, rrRows, bound, changedRows, eager)
+}

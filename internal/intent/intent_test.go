@@ -237,7 +237,21 @@ func TestReachIntentBlockLookupMatchesScan(t *testing.T) {
 			if len(freshDevs) > 0 {
 				fresh = netmodel.NewGlobalRIB(randRows(freshDevs, rnd.Intn(12))).Rows()
 			}
-			rib = rib.ReplaceDevices(replaced, fresh)
+			rows := map[string]int{}
+			for d := range replaced {
+				rows[d] = 0
+			}
+			for _, r := range fresh {
+				rows[r.Device]++
+			}
+			rib = rib.ReplaceDevices(rows, func(dev string, dst []netmodel.Route) []netmodel.Route {
+				for _, r := range fresh {
+					if r.Device == dev {
+						dst = append(dst, r)
+					}
+				}
+				return dst
+			})
 		}
 		ctx := &Context{Updated: Snapshot{RIB: rib}}
 		for _, p := range append([]netip.Prefix{absent}, prefixes...) {

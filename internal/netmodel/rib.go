@@ -3,9 +3,11 @@ package netmodel
 import (
 	"cmp"
 	"encoding/binary"
+	"maps"
 	"net/netip"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,11 +15,24 @@ import (
 
 // RIB is the routing table of a single (device, vrf) pair: all candidate and
 // best routes keyed by prefix.
+//
+// A table is either plain, holding every row itself, or an overlay (Overlay):
+// a frozen plain table it reads through to, under, plus its own writes. Every
+// read of the prefix map goes through rows or each, which merge the two.
 type RIB struct {
 	Device string
 	VRF    string
-	// byPrefix holds route rows per prefix in deterministic order.
+	// byPrefix holds route rows per prefix in deterministic order. In an
+	// overlay it holds only the overlay's writes: an entry without rows is a
+	// tombstone for a prefix under holds.
 	byPrefix map[netip.Prefix][]Route
+	// under is the table an overlay reads through to; nil in a plain table. It
+	// is always plain (overlays stay one level deep) and never written while
+	// an overlay reads it.
+	under *RIB
+	// keysMoved counts, in an overlay, the prefixes it holds and under lacks
+	// plus those under holds and it deletes: zero means under's key set.
+	keysMoved int
 	// lpm is the lazily built longest-prefix-match index. Any mutation clears
 	// it; LongestMatch rebuilds on first use. Safe for concurrent readers
 	// (traffic simulation looks up flows in parallel against converged RIBs).
@@ -26,6 +41,7 @@ type RIB struct {
 	// (a new prefix or a delete) clears it, so the aggregate refreshes of a
 	// fixpoint round and every emitter of a converged table share one sort.
 	// Atomic for the same reason as lpm: concurrent forks read base tables.
+	// An overlay whose key set is under's uses under's instead.
 	sorted atomic.Pointer[[]netip.Prefix]
 }
 
@@ -42,6 +58,42 @@ func NewRIBSized(device, vrf string, hint int) *RIB {
 	return &RIB{Device: device, VRF: vrf, byPrefix: make(map[netip.Prefix][]Route, hint)}
 }
 
+// rows is the one read of a single prefix's rows: an overlay's own entry
+// (possibly a tombstone) or else under's.
+func (t *RIB) rows(p netip.Prefix) []Route {
+	rs, mine := t.byPrefix[p]
+	if !mine && t.under != nil {
+		return t.under.byPrefix[p]
+	}
+	return rs
+}
+
+// sizeHint bounds the number of prefixes the table holds from above.
+func (t *RIB) sizeHint() int {
+	if t.under != nil {
+		return len(t.byPrefix) + len(t.under.byPrefix)
+	}
+	return len(t.byPrefix)
+}
+
+// each calls fn once per prefix the table holds, with its rows, in no
+// particular order: an overlay's own prefixes, then under's it does not shadow.
+func (t *RIB) each(fn func(p netip.Prefix, rows []Route)) {
+	for p, rs := range t.byPrefix {
+		if len(rs) > 0 {
+			fn(p, rs)
+		}
+	}
+	if t.under == nil {
+		return
+	}
+	for p, rs := range t.under.byPrefix {
+		if _, mine := t.byPrefix[p]; !mine {
+			fn(p, rs)
+		}
+	}
+}
+
 // Replace substitutes all rows for prefix with rs.
 func (t *RIB) Replace(prefix netip.Prefix, rs []Route) {
 	rows := make([]Route, len(rs))
@@ -54,27 +106,66 @@ func (t *RIB) Replace(prefix netip.Prefix, rs []Route) {
 // copied. The caller must not retain or modify rs afterwards. This is the
 // allocation-free install path of the indexed BGP decision loop.
 func (t *RIB) ReplaceOwned(prefix netip.Prefix, rs []Route) {
+	for i := range rs {
+		rs[i].Device, rs[i].VRF = t.Device, t.VRF
+	}
+	if t.under != nil {
+		t.replaceOver(prefix, rs)
+		return
+	}
 	n := len(t.byPrefix)
 	if len(rs) == 0 {
 		delete(t.byPrefix, prefix)
 	} else {
-		for i := range rs {
-			rs[i].Device, rs[i].VRF = t.Device, t.VRF
-		}
 		t.byPrefix[prefix] = rs
 	}
-	t.invalidate(n)
+	t.invalidate(len(t.byPrefix) != n)
 }
 
-// ShallowClone returns a RIB with a fresh prefix map sharing the row slices.
-// Safe as long as every writer installs fresh slices (Replace does); used by
-// warm-started re-simulation to branch a converged table cheaply.
-func (t *RIB) ShallowClone() *RIB {
-	cp := &RIB{Device: t.Device, VRF: t.VRF, byPrefix: make(map[netip.Prefix][]Route, len(t.byPrefix))}
-	for p, rows := range t.byPrefix {
-		cp.byPrefix[p] = rows
+// replaceOver is ReplaceOwned on an overlay: the write lands in its own map,
+// and deleting a prefix under holds leaves a tombstone there.
+func (t *RIB) replaceOver(p netip.Prefix, rs []Route) {
+	was, is := len(t.rows(p)) > 0, len(rs) > 0
+	_, below := t.under.byPrefix[p]
+	switch {
+	case is:
+		t.byPrefix[p] = rs
+	case below:
+		t.byPrefix[p] = nil
+	default:
+		delete(t.byPrefix, p)
 	}
-	cp.sorted.Store(t.sorted.Load()) // same key set
+	if is != was {
+		if is != below {
+			t.keysMoved++
+		} else {
+			t.keysMoved--
+		}
+	}
+	t.invalidate(is != was)
+}
+
+// Overlay returns a table that reads through to t and stores only its own
+// writes, so branching a converged table costs what the branch changes, not
+// a copy of its prefix map. t must not be written while the overlay is in
+// use; any number of overlays may read it at once. The overlay of an overlay
+// reads through to the same plain table and copies only the other's writes.
+func (t *RIB) Overlay() *RIB {
+	if t.under == nil {
+		return &RIB{Device: t.Device, VRF: t.VRF, byPrefix: make(map[netip.Prefix][]Route), under: t}
+	}
+	return &RIB{Device: t.Device, VRF: t.VRF, byPrefix: maps.Clone(t.byPrefix), under: t.under, keysMoved: t.keysMoved}
+}
+
+// ShallowClone returns a plain RIB with a fresh prefix map sharing the row
+// slices. Safe as long as every writer installs fresh slices (Replace does).
+// It copies every prefix; a branch that rewrites only some takes an Overlay.
+func (t *RIB) ShallowClone() *RIB {
+	cp := NewRIBSized(t.Device, t.VRF, t.sizeHint())
+	t.each(func(p netip.Prefix, rows []Route) { cp.byPrefix[p] = rows })
+	if t.under == nil {
+		cp.sorted.Store(t.sorted.Load()) // same key set
+	}
 	return cp
 }
 
@@ -85,27 +176,25 @@ func (t *RIB) ShallowClone() *RIB {
 func UnionRIBs(parts []*RIB) *RIB {
 	n := 0
 	for _, t := range parts {
-		n += len(t.byPrefix)
+		n += t.sizeHint()
 	}
 	out := NewRIBSized(parts[0].Device, parts[0].VRF, n)
 	for _, t := range parts {
-		for p, rows := range t.byPrefix {
-			out.byPrefix[p] = rows
-		}
+		t.each(func(p netip.Prefix, rows []Route) { out.byPrefix[p] = rows })
 	}
 	return out
 }
 
 // Routes returns the rows for prefix (shared slice; callers must not modify).
 func (t *RIB) Routes(prefix netip.Prefix) []Route {
-	return t.byPrefix[prefix]
+	return t.rows(prefix)
 }
 
 // Best returns the best (selected) routes for prefix; multiple rows when
 // ECMP applies.
 func (t *RIB) Best(prefix netip.Prefix) []Route {
 	var out []Route
-	for _, r := range t.byPrefix[prefix] {
+	for _, r := range t.rows(prefix) {
 		if r.RouteType == RouteBest {
 			out = append(out, r)
 		}
@@ -114,15 +203,17 @@ func (t *RIB) Best(prefix netip.Prefix) []Route {
 }
 
 // Prefixes returns all prefixes in deterministic order. The slice is
-// memoized and shared; callers must not modify it.
+// memoized and shared; callers must not modify it. An overlay with under's
+// key set returns under's.
 func (t *RIB) Prefixes() []netip.Prefix {
+	if t.under != nil && t.keysMoved == 0 {
+		return t.under.Prefixes()
+	}
 	if memo := t.sorted.Load(); memo != nil {
 		return *memo
 	}
-	out := make([]netip.Prefix, 0, len(t.byPrefix))
-	for p := range t.byPrefix {
-		out = append(out, p)
-	}
+	out := make([]netip.Prefix, 0, t.sizeHint())
+	t.each(func(p netip.Prefix, _ []Route) { out = append(out, p) })
 	slices.SortFunc(out, comparePrefix)
 	t.sorted.Store(&out)
 	return out
@@ -131,9 +222,7 @@ func (t *RIB) Prefixes() []netip.Prefix {
 // Len returns the total number of route rows.
 func (t *RIB) Len() int {
 	n := 0
-	for _, rs := range t.byPrefix {
-		n += len(rs)
-	}
+	t.each(func(_ netip.Prefix, rs []Route) { n += len(rs) })
 	return n
 }
 
@@ -151,7 +240,7 @@ func (t *RIB) All() []Route {
 func (t *RIB) AppendSorted(dst []Route) []Route {
 	for _, p := range t.Prefixes() {
 		start := len(dst)
-		dst = append(dst, t.byPrefix[p]...)
+		dst = append(dst, t.rows(p)...)
 		slices.SortFunc(dst[start:], CompareRoutes)
 	}
 	return dst
@@ -171,7 +260,7 @@ func (t *RIB) AppendSpliced(dst, base []Route, changed []netip.Prefix) []Route {
 			base = base[1:]
 		}
 		start := len(dst)
-		dst = append(dst, t.byPrefix[p]...)
+		dst = append(dst, t.rows(p)...)
 		slices.SortFunc(dst[start:], CompareRoutes)
 	}
 	return append(dst, base...)
@@ -205,16 +294,15 @@ type lpmEntry struct {
 }
 
 // invalidate drops the memoized longest-prefix-match index after a write,
-// and the sorted prefix list when the write changed the key set (the table
-// held keysBefore prefixes). The nil checks matter: during route simulation
-// every decision writes the RIB and nothing queries LPM, so skipping the
-// atomic store (and its write barrier) on an already-nil memo keeps the hot
-// install path cheap.
-func (t *RIB) invalidate(keysBefore int) {
+// and the sorted prefix list when the write changed the key set. The nil
+// checks matter: during route simulation every decision writes the RIB and
+// nothing queries LPM, so skipping the atomic store (and its write barrier)
+// on an already-nil memo keeps the hot install path cheap.
+func (t *RIB) invalidate(keysChanged bool) {
 	if t.lpm.Load() != nil {
 		t.lpm.Store(nil)
 	}
-	if len(t.byPrefix) != keysBefore && t.sorted.Load() != nil {
+	if keysChanged && t.sorted.Load() != nil {
 		t.sorted.Store(nil)
 	}
 }
@@ -298,13 +386,13 @@ func (t *RIB) buildLPM() *lpmIndex {
 		v6:    make(map[int]map[netip.Addr]lpmEntry),
 		keyed: true,
 	}
-	for p, rows := range t.byPrefix {
+	t.each(func(p netip.Prefix, rows []Route) {
 		if !p.IsValid() {
-			continue
+			return
 		}
 		sel := bestRows(rows)
 		if len(sel) == 0 {
-			continue
+			return
 		}
 		bm := ix.bucket(p)
 		key := p.Masked().Addr()
@@ -312,10 +400,10 @@ func (t *RIB) buildLPM() *lpmIndex {
 		// Distinct unmasked keys can collapse onto one network; keep the
 		// lexically smaller prefix deterministically.
 		if prev, dup := bm[key]; dup && comparePrefix(prev.prefix, p) <= 0 {
-			continue
+			return
 		}
 		bm[key] = lpmEntry{prefix: p, best: sel}
-	}
+	})
 	ix.setBits()
 	return ix
 }
@@ -342,7 +430,7 @@ func (t *RIB) PatchLPM(base *RIB, changed []netip.Prefix) {
 		if p != p.Masked() {
 			return
 		}
-		ix.bucket(p)[p.Addr()] = lpmEntry{prefix: p, best: bestRows(t.byPrefix[p])}
+		ix.bucket(p)[p.Addr()] = lpmEntry{prefix: p, best: bestRows(t.rows(p))}
 	}
 	ix.setBits()
 	t.lpm.Store(ix)
@@ -377,9 +465,9 @@ func (t *RIB) LongestMatch(addr netip.Addr) (prefix netip.Prefix, best []Route, 
 // every prefix. It is the reference the tests check LongestMatch against.
 func (t *RIB) LongestMatchScan(addr netip.Addr) (prefix netip.Prefix, best []Route, ok bool) {
 	bestBits := -1
-	for p, rows := range t.byPrefix {
+	t.each(func(p netip.Prefix, rows []Route) {
 		if !p.Contains(addr) || p.Bits() <= bestBits {
-			continue
+			return
 		}
 		var sel []Route
 		for _, r := range rows {
@@ -388,11 +476,11 @@ func (t *RIB) LongestMatchScan(addr netip.Addr) (prefix netip.Prefix, best []Rou
 			}
 		}
 		if len(sel) == 0 {
-			continue
+			return
 		}
 		bestBits = p.Bits()
 		prefix, best = p, sel
-	}
+	})
 	if bestBits < 0 {
 		return netip.Prefix{}, nil, false
 	}
@@ -408,20 +496,54 @@ func (t *RIB) LongestMatchScan(addr netip.Addr) (prefix netip.Prefix, best []Rou
 // concatenated in device order, are the canonical row order. A cold RIB is
 // one backing slice cut at the device boundaries; a what-if fork's RIB
 // (ReplaceDevices) references its base's blocks for the devices the change
-// left alone and owns only the blocks of the devices it touched. Consumers
-// that compare two RIBs (Diff, Equal, serve's digest) skip the blocks both
-// reference — SameBlock — so they cost O(rows of the devices that differ).
+// left alone and writes the blocks of the devices it touched only when they
+// are first read. Consumers that compare two RIBs (Diff, Equal, serve's
+// digest) skip the blocks both reference — SameBlock — so they cost O(rows of
+// the devices that differ), and a consumer that looks up a few devices
+// (Lookup, Block) has only those devices' blocks written.
 type GlobalRIB struct {
 	// blocks: one non-empty run per device, devices strictly ascending, each
-	// run in CompareRoutes order.
+	// run in CompareRoutes order. A block left to its emitter is nil here
+	// until Blocks fills it in; read it through block.
 	blocks [][]Route
-	n      int // rows over all blocks
+	// pending is nil, or per block the emission of a block ReplaceDevices
+	// replaced (nil for a block held from the start).
+	pending []*pendingBlock
+	n       int // rows over all blocks
 
+	// fill makes Blocks write every pending block into blocks, once.
+	fill sync.Once
 	// rows is the concatenation of blocks: the backing slice itself when the
 	// RIB was built from one (set at construction), otherwise copied together
 	// by the first Rows call.
 	flatten sync.Once
 	rows    []Route
+}
+
+// pendingBlock is one device's block of a ReplaceDevices view, written by its
+// emitter on the first read of it, by whichever reader comes first.
+type pendingBlock struct {
+	device string
+	n      int
+	emit   func(device string, dst []Route) []Route
+	once   sync.Once
+	rows   []Route
+}
+
+// get returns the block, emitting it on the first call. An emitter that
+// breaks its count or writes another device's rows panics, naming the device.
+func (b *pendingBlock) get() []Route {
+	b.once.Do(func() {
+		rows := b.emit(b.device, make([]Route, 0, b.n))
+		if len(rows) != b.n {
+			panic("netmodel: ReplaceDevices: emitter wrote " + strconv.Itoa(len(rows)) + " rows for " + b.device + ", " + strconv.Itoa(b.n) + " promised")
+		}
+		if rows[0].Device != b.device || rows[b.n-1].Device != b.device {
+			panic("netmodel: ReplaceDevices: emitter wrote rows of another device into the block of " + b.device)
+		}
+		b.rows = rows
+	})
+	return b.rows
 }
 
 // NewGlobalRIB builds a global RIB from rows in any order: they are copied
@@ -453,45 +575,110 @@ func deviceBlocks(rows []Route) [][]Route {
 	return blocks
 }
 
-// ReplaceDevices returns the RIB that holds fresh's rows for every device in
-// replaced and g's rows for every other device. It references g's blocks for
-// the devices it keeps and copies nothing: the cost is O(blocks), whatever
-// the RIBs' size. fresh must be in CompareRoutes order and hold rows of
-// replaced devices only (devices g does not know are fine); a replaced device
-// without rows in fresh is absent from the result. Callers must not modify
-// fresh afterwards.
-func (g *GlobalRIB) ReplaceDevices(replaced map[string]bool, fresh []Route) *GlobalRIB {
-	fb := deviceBlocks(fresh)
-	out := &GlobalRIB{blocks: make([][]Route, 0, len(g.blocks)+len(fb))}
-	add := func(b []Route) {
-		out.blocks = append(out.blocks, b)
-		out.n += len(b)
+// pendingAt returns block i's pending emission, nil for a block held from
+// the start.
+func (g *GlobalRIB) pendingAt(i int) *pendingBlock {
+	if g.pending == nil {
+		return nil
 	}
-	for _, b := range g.blocks {
-		dev := b[0].Device
-		for ; len(fb) > 0 && fb[0][0].Device < dev; fb = fb[1:] {
-			add(fb[0])
+	return g.pending[i]
+}
+
+// device returns block i's device; a pending block is not written for it.
+func (g *GlobalRIB) device(i int) string {
+	if p := g.pendingAt(i); p != nil {
+		return p.device
+	}
+	return g.blocks[i][0].Device
+}
+
+// blockLen returns block i's row count; a pending block is not written for it.
+func (g *GlobalRIB) blockLen(i int) int {
+	if p := g.pendingAt(i); p != nil {
+		return p.n
+	}
+	return len(g.blocks[i])
+}
+
+// block returns block i, writing it first when it is pending.
+func (g *GlobalRIB) block(i int) []Route {
+	if p := g.pendingAt(i); p != nil {
+		return p.get()
+	}
+	return g.blocks[i]
+}
+
+// ReplaceDevices returns the RIB that holds, for every device in rows, the
+// block emit writes for it, and g's block for every other device. rows gives
+// each replaced device's row count; a count of 0 drops the device (devices g
+// does not know are fine). The result references g's blocks for the devices
+// it keeps and writes none of its own: a replaced device's block is emitted
+// on the first read of it — Block, Lookup, Blocks, JoinBlocks, Diff, Equal,
+// Rows, Filter — at most once, while Len comes from the counts. emit(device,
+// dst) appends exactly rows[device] rows of that device to dst, in
+// CompareRoutes order, and returns dst; it may run concurrently for distinct
+// devices, whenever a reader first asks, so it must read only state that
+// stays unchanged for the life of the result. It panics, naming the device,
+// when the count is not met.
+func (g *GlobalRIB) ReplaceDevices(rows map[string]int, emit func(device string, dst []Route) []Route) *GlobalRIB {
+	fresh := make([]string, 0, len(rows))
+	for dev, n := range rows {
+		if n > 0 {
+			fresh = append(fresh, dev)
 		}
-		if replaced[dev] {
+	}
+	slices.Sort(fresh)
+	out := &GlobalRIB{
+		blocks:  make([][]Route, 0, len(g.blocks)+len(fresh)),
+		pending: make([]*pendingBlock, 0, len(g.blocks)+len(fresh)),
+	}
+	add := func(b []Route, p *pendingBlock, n int) {
+		out.blocks = append(out.blocks, b)
+		out.pending = append(out.pending, p)
+		out.n += n
+	}
+	added := len(fresh)
+	addFresh := func(dev string) {
+		add(nil, &pendingBlock{device: dev, n: rows[dev], emit: emit}, rows[dev])
+	}
+	for i := range g.blocks {
+		dev := g.device(i)
+		for ; len(fresh) > 0 && fresh[0] < dev; fresh = fresh[1:] {
+			addFresh(fresh[0])
+		}
+		if _, replaced := rows[dev]; replaced {
 			continue // its fresh block, if any, sorts before g's next device
 		}
-		if len(fb) > 0 && fb[0][0].Device == dev {
-			panic("netmodel: ReplaceDevices: fresh rows for " + dev + ", which is not replaced")
+		if p := g.pendingAt(i); p != nil {
+			add(nil, p, p.n) // still pending: shared, emitted once for both
+		} else {
+			add(g.blocks[i], nil, len(g.blocks[i]))
 		}
-		add(b)
 	}
-	for _, b := range fb {
-		add(b)
+	for _, dev := range fresh {
+		addFresh(dev)
 	}
-	if len(fresh) == 0 && out.n == g.n {
+	if added == 0 && len(out.blocks) == len(g.blocks) {
 		return g // nothing replaced had rows on either side
 	}
 	return out
 }
 
 // Blocks returns the per-device blocks in device order: each is one device's
-// rows in canonical order and is never empty. Callers must not modify them.
-func (g *GlobalRIB) Blocks() [][]Route { return g.blocks }
+// rows in canonical order and is never empty. It writes every pending block.
+// Callers must not modify them.
+func (g *GlobalRIB) Blocks() [][]Route {
+	if g.pending != nil {
+		g.fill.Do(func() {
+			for i, p := range g.pending {
+				if p != nil {
+					g.blocks[i] = p.get()
+				}
+			}
+		})
+	}
+	return g.blocks
+}
 
 // SameBlock reports whether a and b are the same stretch of the same backing
 // slice, which is how a fork's RIB holds the blocks it shares with its base:
@@ -513,15 +700,15 @@ func JoinBlocks(g, o *GlobalRIB, fn func(gb, ob []Route)) {
 		case gi == len(g.blocks):
 			c = 1
 		default:
-			c = strings.Compare(g.blocks[gi][0].Device, o.blocks[oi][0].Device)
+			c = strings.Compare(g.device(gi), o.device(oi))
 		}
 		var gb, ob []Route
 		if c <= 0 {
-			gb = g.blocks[gi]
+			gb = g.block(gi)
 			gi++
 		}
 		if c >= 0 {
-			ob = o.blocks[oi]
+			ob = o.block(oi)
 			oi++
 		}
 		fn(gb, ob)
@@ -529,18 +716,19 @@ func JoinBlocks(g, o *GlobalRIB, fn func(gb, ob []Route)) {
 }
 
 // Block returns device's block (nil when it has no rows), found by binary
-// search. Callers must not modify it.
+// search and written if it is pending. Callers must not modify it.
 func (g *GlobalRIB) Block(device string) []Route {
-	i, ok := sort.Find(len(g.blocks), func(i int) int { return strings.Compare(device, g.blocks[i][0].Device) })
+	i, ok := sort.Find(len(g.blocks), func(i int) int { return strings.Compare(device, g.device(i)) })
 	if !ok {
 		return nil
 	}
-	return g.blocks[i]
+	return g.block(i)
 }
 
 // Lookup calls fn with device's rows for prefix, one call per VRF that holds
 // the prefix, each a run in canonical order. The device's block and the
-// prefix's place in each VRF are found by binary search; no other row is read.
+// prefix's place in each VRF are found by binary search; no other row is read
+// and no other pending block written.
 func (g *GlobalRIB) Lookup(device string, prefix netip.Prefix, fn func(rows []Route)) {
 	for b := g.Block(device); len(b) > 0; {
 		vrf := b[0].VRF
@@ -625,8 +813,8 @@ func (g *GlobalRIB) Rows() []Route {
 			return
 		}
 		rows := make([]Route, 0, g.n)
-		for _, b := range g.blocks {
-			rows = append(rows, b...)
+		for i := range g.blocks {
+			rows = append(rows, g.block(i)...)
 		}
 		g.rows = rows
 	})
@@ -639,8 +827,8 @@ func (g *GlobalRIB) Len() int { return g.n }
 // Filter returns a new global RIB with only the rows where keep returns true.
 func (g *GlobalRIB) Filter(keep func(Route) bool) *GlobalRIB {
 	var rows []Route
-	for _, b := range g.blocks {
-		for _, r := range b {
+	for i := range g.blocks {
+		for _, r := range g.block(i) {
 			if keep(r) {
 				rows = append(rows, r)
 			}
@@ -651,19 +839,22 @@ func (g *GlobalRIB) Filter(keep func(Route) bool) *GlobalRIB {
 
 // Equal reports whether two global RIBs contain exactly the same rows with
 // identical attributes. Both are in canonical order and AttrsEqual compares
-// the device, so equal RIBs have equal block boundaries: blocks compare
+// the device, so equal RIBs have equal block boundaries: RIBs whose devices
+// or block lengths differ are unequal without a row read, blocks compare
 // pairwise, and a block both RIBs reference is equal without being read.
 func (g *GlobalRIB) Equal(o *GlobalRIB) bool {
 	if g.n != o.n || len(g.blocks) != len(o.blocks) {
 		return false
 	}
-	for i, gb := range g.blocks {
-		ob := o.blocks[i]
+	for i := range g.blocks {
+		if g.device(i) != o.device(i) || g.blockLen(i) != o.blockLen(i) {
+			return false
+		}
+	}
+	for i := range g.blocks {
+		gb, ob := g.block(i), o.block(i)
 		if SameBlock(gb, ob) {
 			continue
-		}
-		if len(gb) != len(ob) {
-			return false
 		}
 		for j := range gb {
 			if !gb[j].AttrsEqual(ob[j]) {
