@@ -43,8 +43,8 @@ test-procs:
 race:
 	$(GO) test -race ./...
 
-# One iteration of every benchmark, to catch bit-rot in the bench harness
-# (including the BenchmarkParallel* scaling sweeps) without timing anything.
+# One iteration of every package benchmark, to catch bit-rot in the bench
+# harnesses without timing anything.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

@@ -75,9 +75,6 @@ type ResimStats struct {
 	// State's own, or such an overlay. A purged device's tables are in
 	// neither.
 	ChangedPrefixes map[Table]map[netip.Prefix]bool
-	// ChangedDevices is every device whose table content differs from the
-	// base state: the devices of ChangedPrefixes plus the purged ones.
-	ChangedDevices map[string]bool
 }
 
 // SimulateWithState runs a full simulation and captures its converged state
@@ -145,9 +142,9 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 		st.indexOwners(net)
 	})
 	s := st.warmSim(ctx, net, igp)
-	purged := st.seedChanges(s, inputs, d)
+	st.seedChanges(s, inputs, d)
 	st.seedResolution(s, d)
-	stats := &ResimStats{TablesDirty: len(s.dirtyTids), ChangedDevices: purged}
+	stats := &ResimStats{TablesDirty: len(s.dirtyTids)}
 	for _, t := range st.tables {
 		if t.rib != nil {
 			stats.TablesTotal++
@@ -171,7 +168,6 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 	for k, t := range s.tables {
 		if len(t.changed) > 0 {
 			stats.ChangedPrefixes[Table{k.dev, k.vrf}] = t.changed
-			stats.ChangedDevices[k.dev] = true
 		}
 	}
 	return res, stats
@@ -193,8 +189,8 @@ func (st *State) warmSim(ctx context.Context, net *config.Network, igp *isis.Res
 
 // seedChanges applies to s what the delta does to the captured state itself —
 // purged devices, the session graph, the originated candidates — dirtying
-// every (table, prefix) it writes. It returns the purged devices.
-func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) map[string]bool {
+// every (table, prefix) it writes.
+func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) {
 	// 1. Purge every table of a downed device; its peers learn of the loss
 	// through the session diff below.
 	down := make(map[string]bool, len(d.NodesDown))
@@ -311,7 +307,6 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) map[strin
 			diff(k, nil, f.locals)
 		}
 	}
-	return down
 }
 
 // seedResolution dirties what the delta leaves as it was but may resolve

@@ -136,12 +136,7 @@ func (r *Result) SetRIB(device, vrf string, t *netmodel.RIB) {
 // is emitted in canonical order (netmodel.RIB.AppendSorted) at its
 // precomputed offset of one exact-size slice, with no sort over the whole.
 // Tables fill concurrently, bounded by the Parallelism of the run.
-func (r *Result) GlobalRIB() *netmodel.GlobalRIB { return r.GlobalRIBN(r.parallelism) }
-
-// GlobalRIBN is GlobalRIB with the fill bounded by parallelism (par
-// convention) instead of the run's own: a warm restart carries the captured
-// engine-wide setting, and a capped fork must stay below it.
-func (r *Result) GlobalRIBN(parallelism int) *netmodel.GlobalRIB {
+func (r *Result) GlobalRIB() *netmodel.GlobalRIB {
 	tables := r.Tables()
 	ribs := make([]*netmodel.RIB, len(tables))
 	offs := make([]int, len(tables)+1)
@@ -150,7 +145,7 @@ func (r *Result) GlobalRIBN(parallelism int) *netmodel.GlobalRIB {
 		offs[i+1] = offs[i] + ribs[i].Len()
 	}
 	rows := make([]netmodel.Route, offs[len(tables)])
-	par.ForEach(parallelism, len(ribs), func(i int) {
+	par.ForEach(r.parallelism, len(ribs), func(i int) {
 		ribs[i].AppendSorted(rows[offs[i]:offs[i]:offs[i+1]])
 	})
 	return netmodel.NewGlobalRIBFromSorted(rows)

@@ -145,11 +145,13 @@ func TestWhatIfRestoresScratch(t *testing.T) {
 func TestConcurrentForksByteIdentical(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	eng := NewEngine(out.Net, Options{})
-	eng.BaseRun(out.Inputs, out.Flows)
+	inputs, shared := sharedRowsFixture(t, out)
+	eng.BaseRun(inputs, out.Flows)
 	assertRestored := trackScratch(t, eng)
 
 	rng := rand.New(rand.NewSource(42))
-	deltas := scenarioDeltas(out, rng)
+	// The shared-rows delta runs four times over, concurrently with itself.
+	deltas := append(scenarioDeltas(out, rng), shared, shared, shared, shared)
 
 	want := make([]string, len(deltas))
 	for i, d := range deltas {

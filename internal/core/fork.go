@@ -129,13 +129,13 @@ type ForkStats struct {
 	FlowsTotal  int // representative flows forwarded
 	FlowsReused int // flows whose base path/load was reused
 
-	// A topology-only fork's RIB work in rows (zero on the other paths, which
-	// rebuild every table). Changed: the rows its expanded tables hold at the
-	// (table, prefix) pairs it rebuilt, the only ones that can differ from
-	// base. Rebuilt: the rows it writes — each changed row into its table and
-	// into its device's global-RIB block, plus the base rows that block copies
-	// around them (the block is written on the first read of that device's
-	// block, if any: Rebuilt counts what a full read of the view writes).
+	// The fork's RIB work in rows (zero only on a full fallback). Changed: the
+	// rows its expanded tables hold at the (table, prefix) pairs it rebuilt,
+	// the only ones that can differ from base. Rebuilt: the rows it writes —
+	// each changed row into its table and into its device's global-RIB block,
+	// plus the base rows that block copies around them (the block is written
+	// on the first read of that device's block, if any: Rebuilt counts what a
+	// full read of the view writes).
 	RIBRowsChanged int
 	RIBRowsRebuilt int
 }
@@ -248,13 +248,12 @@ func (e *Engine) Fork(net *config.Network, d Delta) (*Result, ForkStats) {
 // the call returns ctx's error (with a nil result) as soon as cancellation is
 // observed, so a deadline-exceeded what-if query stops burning CPU promptly;
 // the base capture is never mutated by an abandoned fork. Every parallel
-// stage of this fork (SPF recompute, EC recomputation, global-RIB fill, flow
-// re-forwarding, and the from-scratch fallback; the warm BGP fixpoint is
-// sequential) runs with at most parallelism workers instead of the
-// engine-wide setting. Zero or negative keeps the engine's own
-// Options.Parallelism. serve uses this to cap each tenant query at a fraction
-// of the machine while the base engine keeps its full fan-out. Results are
-// byte-identical at every setting.
+// stage of this fork (SPF recompute, EC recomputation, flow re-forwarding,
+// and the from-scratch fallback; the warm BGP fixpoint is sequential) runs
+// with at most parallelism workers instead of the engine-wide setting. Zero
+// or negative keeps the engine's own Options.Parallelism. serve uses this to
+// cap each tenant query at a fraction of the machine while the base engine
+// keeps its full fan-out. Results are byte-identical at every setting.
 func (e *Engine) ForkCtxN(ctx context.Context, net *config.Network, d Delta, parallelism int) (*Result, ForkStats, error) {
 	undo, err := d.Apply(net)
 	if err != nil {
@@ -317,15 +316,19 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	}
 
 	// The route-EC partition depends only on configurations and inputs, so it
-	// survives any pure topology delta.
+	// survives any pure topology delta. An input delta re-partitions the
+	// inputs, and the prefixes whose expansion that can change (moved) are
+	// rebuilt along with the changed ones.
 	reps := e.base.reps
 	routeECs := e.base.routeECs
+	var moved []netip.Prefix
 	if d.inputsChanged() {
 		if e.opts.DisableRouteECs {
 			reps = inputs
 		} else {
 			routeECs = ec.ComputeRouteECs(net, e.opts.Profiles, inputs, parallelism)
 			reps = routeECs.Representatives()
+			moved = routeECs.Moved(e.base.routeECs)
 		}
 	}
 
@@ -346,40 +349,14 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	// countDelta tracks per-prefix table-count changes so the flow-EC
 	// partition check below needs no materialized global RIB — the global RIB
 	// itself is built lazily, only for intents that actually read it.
-	var ribDiff map[string][]netip.Prefix
-	var countDelta map[netip.Prefix]int
-	if !d.inputsChanged() {
-		ribDiff, countDelta = e.patchTables(bres, rstats, routeECs, routes, d, &stats)
-	} else {
-		// The warm restart carries the engine-wide parallelism; the fork's cap
-		// bounds its global-RIB fill.
-		routes.globalFn = func() *netmodel.GlobalRIB { return bres.GlobalRIBN(parallelism) }
-		for _, t := range bres.Tables() {
-			if routeECs == nil {
-				break // tables stay as simulated
-			}
-			rt := bres.RIB(t.Device, t.VRF)
-			if len(rstats.ChangedPrefixes[t]) == 0 {
-				// A table the restart never wrote may alias the captured base
-				// state (copy-on-write); clone before expanding in place.
-				rt = rt.ShallowClone()
-				bres.SetRIB(t.Device, t.VRF, rt)
-			}
-			routeECs.ExpandRIB(rt)
-		}
-	}
+	ribDiff, countDelta := e.patchTables(bres, rstats, routeECs, moved, routes, d, &stats)
 
 	var tr *TrafficResult
 	if len(flows) > 0 {
 		// The flow-EC partition is a function of configurations, flows, and
 		// the distinct-prefix set of the global RIB; reuse it when that set is
 		// unchanged (and with it, the traced base forwarding).
-		var samePartition bool
-		if countDelta != nil {
-			samePartition = partitionUnchanged(e.base.basePrefixCount, countDelta)
-		} else {
-			samePartition = prefixSetMatchesCount(prefixSet(routes.GlobalRIB().Rows()), e.base.basePrefixCount)
-		}
+		samePartition := partitionUnchanged(e.base.basePrefixCount, countDelta)
 		flowECs := e.base.flowECs
 		repFlows := e.base.repFlows
 		if !samePartition && !e.opts.DisableFlowECs {
@@ -390,17 +367,11 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 		fw := e.forwarder(ctx, net, igp, routes, parallelism)
 		var trr *traffic.Result
 		if samePartition && e.base.traffic != nil {
-			// With a per-prefix RIB diff available, a changed BGP table alone
-			// no longer condemns every flow through its device; only the
-			// structural delta (flipped links, downed nodes) does.
-			var changed map[string]bool
-			if ribDiff != nil {
-				changed = structuralDeviceSet(d)
-			} else {
-				changed = changedDeviceSet(rstats.ChangedDevices, d)
-			}
+			// With a per-prefix RIB diff, a changed BGP table alone does not
+			// condemn every flow through its device; only the structural delta
+			// (flipped links, downed nodes) does.
 			var reused int
-			trr, _, reused = fw.Resimulate(repFlows, e.base.traffic, e.base.traces, changed, hopsChanged, ribDiff)
+			trr, _, reused = fw.Resimulate(repFlows, e.base.traffic, e.base.traces, structuralDeviceSet(d), hopsChanged, ribDiff)
 			stats.FlowsReused = reused
 		} else {
 			trr = fw.Simulate(repFlows)
@@ -414,43 +385,48 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	return &Result{Routes: routes, Traffic: tr}, stats, nil
 }
 
-// patchTables finishes a topology-only fork's tables at (table, prefix)
-// granularity. The EC partition is the base run's, so a table's expansion
-// differs from the base's only where the warm restart installed different
-// rows (rstats.ChangedPrefixes) and at those representatives' members. A table
-// without such prefixes is the base's expanded table itself; any other is an
-// Overlay of it holding only those prefixes, rebuilt (ec.Reexpand), with the
-// base table's LPM index carried forward, patched at them. From the rebuilt
-// prefixes alone it derives the per-device prefixes whose rows forward
-// differently, the per-prefix change in the number of tables holding it, and
-// the row count of every changed device's global-RIB block.
-func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs *ec.RouteECs, routes *RouteResult, d Delta, stats *ForkStats) (ribDiff map[string][]netip.Prefix, countDelta map[netip.Prefix]int) {
+// patchTables finishes a fork's tables at (table, prefix) granularity. A
+// table's expansion differs from the base's only where the warm restart
+// installed different rows (rstats.ChangedPrefixes), at the prefixes an input
+// delta's new EC partition moves (moved), and at the members those
+// prefixes represent. A table without such prefixes is the base's expanded
+// table itself; any other is an Overlay of it holding only those prefixes,
+// rebuilt (ec.Reexpand), with the base table's LPM index carried forward,
+// patched at them. From the rebuilt prefixes alone it derives the per-device
+// prefixes whose rows forward differently, the per-prefix change in the
+// number of tables holding it, and the row count of every changed device's
+// global-RIB block.
+func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs *ec.RouteECs, moved []netip.Prefix, routes *RouteResult, d Delta, stats *ForkStats) (ribDiff map[string][]netip.Prefix, countDelta map[netip.Prefix]int) {
 	base := e.base.routes
-	ribDiff = make(map[string][]netip.Prefix, len(rstats.ChangedDevices))
+	ribDiff = make(map[string][]netip.Prefix)
 	countDelta = make(map[netip.Prefix]int)
 	rebuilt := make(map[bgp.Table][]netip.Prefix, len(rstats.ChangedPrefixes))
 	// blockRows: each changed device's block row count; a purged one keeps 0.
-	blockRows := make(map[string]int, len(rstats.ChangedDevices))
-	for dev := range rstats.ChangedDevices {
+	blockRows := make(map[string]int, len(d.NodesDown))
+	for _, dev := range d.NodesDown {
 		blockRows[dev] = 0
 	}
 	blockOf := "" // the device whose base block blockRows already counts
 	for _, t := range bres.Tables() {
 		baseRIB := base.BGP.RIB(t.Device, t.VRF)
 		changed := rstats.ChangedPrefixes[t]
-		if len(changed) == 0 {
+		if len(changed)+len(moved) == 0 {
 			bres.SetRIB(t.Device, t.VRF, baseRIB)
 			continue
 		}
 		forked, rt := bres.RIB(t.Device, t.VRF), baseRIB.Overlay()
 		var pfx []netip.Prefix
 		if routeECs != nil {
-			pfx = routeECs.Reexpand(rt, forked, changed)
+			pfx = routeECs.Reexpand(rt, forked, changed, moved)
 		} else {
 			for p := range changed {
 				rt.ReplaceOwned(p, forked.Routes(p))
 				pfx = append(pfx, p)
 			}
+		}
+		if len(pfx) == 0 { // moved prefixes, none of them in this table
+			bres.SetRIB(t.Device, t.VRF, baseRIB)
+			continue
 		}
 		rt.PatchLPM(baseRIB, pfx)
 		bres.SetRIB(t.Device, t.VRF, rt)
@@ -495,10 +471,11 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs 
 	return ribDiff, countDelta
 }
 
-// mergedGlobalRIB builds a topology-only fork's global RIB as a view of the
-// base's: a device the restart left alone keeps the base's block, a purged
-// one (count 0) drops out, and a changed one's block is emitted on the first
-// read of it as the base block with the rebuilt prefixes' rows spliced in —
+// mergedGlobalRIB builds a fork's global RIB as a view of the base's: a device
+// the fork left alone keeps the base's block, a purged one (count 0) drops
+// out, and a changed one's block is emitted on the first read of it as the
+// base block (none, for a device new to the fork) with the rebuilt prefixes'
+// rows spliced in —
 // one pass, no lookup or sort for unchanged prefixes. That reproduces a full
 // re-sort, the canonical order being device, VRF, prefix. rows holds each
 // changed device's block row count; the emitter reads only the fork's
@@ -538,22 +515,11 @@ func (e *Engine) forwarder(ctx context.Context, net *config.Network, igp *isis.R
 	})
 }
 
-// changedDeviceSet is the set of devices whose forwarding-relevant state
-// differs from base in ways a flow trace's device set captures: changed BGP
-// tables and the endpoints of every flipped element. Changed IGP first hops
-// are matched per (device, target) against the trace's recorded IGP queries
-// instead — see traffic.Trace.Touches.
-func changedDeviceSet(bgpChanged map[string]bool, d Delta) map[string]bool {
-	out := structuralDeviceSet(d)
-	for dev := range bgpChanged {
-		out[dev] = true
-	}
-	return out
-}
-
 // structuralDeviceSet is the devices whose adjacency or existence the delta
 // touches: endpoints of flipped links plus flipped nodes. Forwarding consults
-// their link state and local delivery directly, outside RIB and IGP lookups.
+// their link state and local delivery directly, outside RIB and IGP lookups;
+// changed IGP first hops are matched per (device, target) against the trace's
+// recorded IGP queries instead — see traffic.Trace.Touches.
 func structuralDeviceSet(d Delta) map[string]bool {
 	out := make(map[string]bool, 2*len(d.LinksDown)+2*len(d.LinksUp))
 	for _, id := range d.links() {
@@ -569,14 +535,6 @@ func structuralDeviceSet(d Delta) map[string]bool {
 	return out
 }
 
-func prefixSet(rows []netmodel.Route) map[netip.Prefix]bool {
-	out := make(map[netip.Prefix]bool)
-	for _, r := range rows {
-		out[r.Prefix] = true
-	}
-	return out
-}
-
 // partitionUnchanged reports whether applying the per-prefix table-count
 // delta to the base counts leaves the distinct-prefix set unchanged (no
 // prefix's count crosses zero in either direction).
@@ -587,18 +545,6 @@ func partitionUnchanged(baseCount, delta map[netip.Prefix]int) bool {
 		}
 		n := baseCount[p]
 		if (n+dlt > 0) != (n > 0) {
-			return false
-		}
-	}
-	return true
-}
-
-func prefixSetMatchesCount(set map[netip.Prefix]bool, count map[netip.Prefix]int) bool {
-	if len(set) != len(count) {
-		return false
-	}
-	for p := range set {
-		if count[p] == 0 {
 			return false
 		}
 	}

@@ -89,7 +89,7 @@ func TestForkPrefixDeltaMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestForkRIBWorkPinned pins the RIB work of one topology-only fork — link
+// TestForkRIBWorkPinned pins the RIB work of one topology fork — link
 // core-0-0--core-0-1 at WAN(4) — as exact row counts: what the fork rebuilds
 // is bounded by what changed (twice: table and block) plus what its re-emitted
 // blocks copy from the base, not by the size of the tables it touched.

@@ -86,7 +86,7 @@ func TestReexpandMatchesExpandRIB(t *testing.T) {
 		ecs.ExpandRIB(want)
 
 		got := base.ShallowClone()
-		reached := ecs.Reexpand(got, fork, changed)
+		reached := ecs.Reexpand(got, fork, changed, nil)
 		if !sameTables(got, want) {
 			t.Fatalf("trial %d: Reexpand of %v differs from ExpandRIB of the changed table\n classes %v", trial, changed, ecs.Classes)
 		}
@@ -110,4 +110,108 @@ func TestReexpandMatchesExpandRIB(t *testing.T) {
 	if chained == 0 {
 		t.Fatal("no trial had a representative that is also a member; the ordered replay went untested")
 	}
+}
+
+// FuzzReexpandAcrossPartitions: an input delta changes the partition as well
+// as the table. From a seed it draws, over a prefix universe small enough that
+// classes share representatives, repeat members and give members rows of their
+// own, a table and a partition P0 whose members are half the time another
+// class's representative (chains); a partition P1 that drops, adds, repeats
+// and reorders routes and classes of P0 (or starts from nothing); and a table
+// that differs from the first at a few prefixes. Reexpand under P1, seeded with those prefixes
+// and P1.Moved(P0), must turn a clone of P0's expansion of the first table into
+// exactly P1's expansion of the second, leaving P0's expansion as it was.
+func FuzzReexpandAcrossPartitions(f *testing.F) {
+	for seed := int64(0); seed < 256; seed++ {
+		f.Add(seed)
+	}
+	universe := make([]netip.Prefix, 10)
+	for i := range universe {
+		universe[i] = netip.MustParsePrefix(fmt.Sprintf("10.%d.0.0/16", i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rnd := rand.New(rand.NewSource(seed))
+		route := func() netmodel.Route { return netmodel.Route{Prefix: universe[rnd.Intn(len(universe))]} }
+		// Representatives first, so members can chain to them.
+		p0 := make([]RouteClass, 1+rnd.Intn(6))
+		for i := range p0 {
+			p0[i].Routes = []netmodel.Route{route()}
+		}
+		for i := range p0 {
+			for m := rnd.Intn(4); m > 0; m-- {
+				r := route()
+				if rnd.Intn(2) == 0 {
+					r = p0[rnd.Intn(len(p0))].Routes[0]
+				}
+				p0[i].Routes = append(p0[i].Routes, r)
+			}
+		}
+		p1 := make([]RouteClass, 0, len(p0)+1)
+		for _, c := range p0 {
+			p1 = append(p1, RouteClass{Routes: slices.Clone(c.Routes)})
+		}
+		if rnd.Intn(8) == 0 {
+			p1 = p1[:0]
+		}
+		for n := 1 + rnd.Intn(2); n > 0; n-- {
+			if len(p1) == 0 {
+				p1 = append(p1, RouteClass{Routes: []netmodel.Route{route()}})
+				continue
+			}
+			c := &p1[rnd.Intn(len(p1))]
+			switch rnd.Intn(7) {
+			case 0: // drop a route (the representative, if it is the first)
+				i := rnd.Intn(len(c.Routes))
+				c.Routes = slices.Delete(c.Routes, i, i+1)
+			case 1: // a new member, maybe a prefix the class already lists
+				c.Routes = append(c.Routes, route())
+			case 2: // re-add a member
+				c.Routes = append(c.Routes, c.Routes[rnd.Intn(len(c.Routes))])
+			case 3: // a new class
+				p1 = append(p1, RouteClass{Routes: []netmodel.Route{route(), route()}})
+			case 4, 5, 6: // move a class (its first input moved past another's)
+				i, j := rnd.Intn(len(p1)), rnd.Intn(len(p1))
+				moved := p1[i]
+				p1 = slices.Insert(slices.Delete(p1, i, i+1), j, moved)
+			}
+			p1 = slices.DeleteFunc(p1, func(c RouteClass) bool { return len(c.Routes) == 0 })
+		}
+		e0, e1 := &RouteECs{Classes: p0}, &RouteECs{Classes: p1}
+
+		serial := uint32(0)
+		randRows := func(p netip.Prefix) []netmodel.Route {
+			rows := make([]netmodel.Route, rnd.Intn(3))
+			for i := range rows {
+				serial++
+				rows[i] = netmodel.Route{Prefix: p, Protocol: netmodel.ProtoBGP, MED: serial}
+			}
+			return rows
+		}
+		table := netmodel.NewRIB("R1", netmodel.DefaultVRF)
+		for _, p := range universe {
+			table.Replace(p, randRows(p))
+		}
+		fork := table.ShallowClone()
+		changed := make(map[netip.Prefix]bool)
+		for n := rnd.Intn(3); n > 0; n-- {
+			p := universe[rnd.Intn(len(universe))]
+			fork.Replace(p, randRows(p))
+			changed[p] = true
+		}
+		base := table.ShallowClone()
+		e0.ExpandRIB(base)
+		baseRef := table.ShallowClone()
+		e0.ExpandRIB(baseRef)
+		want := fork.ShallowClone()
+		e1.ExpandRIB(want)
+
+		got := base.Overlay()
+		e1.Reexpand(got, fork, changed, e1.Moved(e0))
+		if !sameTables(got, want) {
+			t.Fatalf("Reexpand across partitions differs from ExpandRIB\n P0 %v\n P1 %v\n changed %v, moved %v", p0, p1, changed, e1.Moved(e0))
+		}
+		if !sameTables(base, baseRef) {
+			t.Fatal("Reexpand modified the base expansion")
+		}
+	})
 }

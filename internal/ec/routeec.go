@@ -50,7 +50,9 @@ type RouteECs struct {
 	expReps    []netip.Prefix
 	expMembers [][]netip.Prefix
 	// classesOfRep / classesOfMember list, ascending, the pairs (indexes into
-	// expReps) a prefix represents / is a member of, for Reexpand.
+	// expReps) a prefix represents / is a member of, for Reexpand and Moved. A
+	// member listed twice in one pair is listed twice there: ExpandRIB hands
+	// it the representative's rows twice.
 	classOnce       sync.Once
 	classesOfRep    map[netip.Prefix][]int32
 	classesOfMember map[netip.Prefix][]int32
@@ -188,8 +190,8 @@ func (e *RouteECs) expansion() ([]netip.Prefix, [][]netip.Prefix) {
 	return e.expReps, e.expMembers
 }
 
-// indexClasses builds classesOfRep / classesOfMember on Reexpand's first call
-// (a one-shot audit never pays for them).
+// indexClasses builds classesOfRep / classesOfMember on the first Reexpand or
+// Moved call (a one-shot audit never pays for them).
 func (e *RouteECs) indexClasses() {
 	reps, members := e.expansion()
 	e.classesOfRep = make(map[netip.Prefix][]int32)
@@ -197,11 +199,45 @@ func (e *RouteECs) indexClasses() {
 	for i, rep := range reps {
 		e.classesOfRep[rep] = append(e.classesOfRep[rep], int32(i))
 		for _, m := range members[i] {
-			if cs := e.classesOfMember[m]; len(cs) == 0 || cs[len(cs)-1] != int32(i) {
-				e.classesOfMember[m] = append(cs, int32(i))
-			}
+			e.classesOfMember[m] = append(e.classesOfMember[m], int32(i))
 		}
 	}
+}
+
+// receipt is what ExpandRIB hands a member in pair ci: the representative's
+// rows as of that turn, i.e. its own plus what its member entries before ci
+// gave it.
+func (e *RouteECs) receipt(ci int32) (rep netip.Prefix, before int) {
+	rep = e.expReps[ci]
+	before, _ = slices.BinarySearch(e.classesOfMember[rep], ci)
+	return rep, before
+}
+
+// Moved lists the prefixes whose expansion under e can differ from their
+// expansion under base for the same table: those whose ordered receipts
+// differ. A prefix whose receipts agree can still receive different rows, but
+// only when a representative it receives from has moved or changed itself, and
+// Reexpand follows every prefix it rebuilds to the members it represents.
+func (e *RouteECs) Moved(base *RouteECs) []netip.Prefix {
+	e.classOnce.Do(e.indexClasses)
+	base.classOnce.Do(base.indexClasses)
+	var moved []netip.Prefix
+	for m, cs := range e.classesOfMember {
+		bs := base.classesOfMember[m]
+		if !slices.EqualFunc(cs, bs, func(c, b int32) bool {
+			cr, cn := e.receipt(c)
+			br, bn := base.receipt(b)
+			return cr == br && cn == bn
+		}) {
+			moved = append(moved, m)
+		}
+	}
+	for m := range base.classesOfMember {
+		if _, ok := e.classesOfMember[m]; !ok {
+			moved = append(moved, m)
+		}
+	}
+	return moved
 }
 
 // ExpandRIB replicates the representative prefixes' rows onto the member
@@ -231,11 +267,16 @@ func (e *RouteECs) ExpandRIB(rib *netmodel.RIB) {
 	}
 }
 
-// Reexpand brings exp — a clone of the expansion of a table that differs from
-// table at the changed prefixes only — up to date: afterwards exp holds what
-// ExpandRIB(table) would, with only the prefixes the change reaches rebuilt.
-// It returns those (distinct, unordered): the changed ones and, transitively,
-// the members of every class a reached prefix represents.
+// Reexpand brings exp — a clone of the expansion, under some partition base,
+// of a table that differs from table at the changed prefixes only — up to
+// date: afterwards exp holds what e.ExpandRIB(table) would, with only the
+// prefixes the change reaches rebuilt. moved is e.Moved(base), nil when base is
+// e. It returns the rebuilt prefixes (distinct, unordered): the changed ones,
+// the moved ones exp holds rows for at the prefix or at one of its
+// representatives under e (no other moved prefix can hold rows in either
+// expansion, short of reaching it below) and, transitively, the members of
+// every class a reached prefix represents. Rows table holds outside changed
+// are installed by copy: they may be shared with concurrent readers.
 //
 // ExpandRIB walks the classes in order and hands a member whatever rows its
 // representative holds at that point: its own plus what earlier classes gave
@@ -243,8 +284,8 @@ func (e *RouteECs) ExpandRIB(rib *netmodel.RIB) {
 // their rows in table and the walk is replayed, in order, over the classes
 // they are members of. A representative outside the reached set must then
 // hold in exp its rows as of its class's turn: true of one that is never a
-// member, and made true of any other by reaching it too.
-func (e *RouteECs) Reexpand(exp, table *netmodel.RIB, changed map[netip.Prefix]bool) []netip.Prefix {
+// member under either partition, and made true of any other by reaching it.
+func (e *RouteECs) Reexpand(exp, table *netmodel.RIB, changed map[netip.Prefix]bool, moved []netip.Prefix) []netip.Prefix {
 	reps, members := e.expansion()
 	e.classOnce.Do(e.indexClasses)
 	rows := make(map[netip.Prefix][]netmodel.Route, 2*len(changed))
@@ -257,6 +298,11 @@ func (e *RouteECs) Reexpand(exp, table *netmodel.RIB, changed map[netip.Prefix]b
 	}
 	for p := range changed {
 		reach(p)
+	}
+	for _, p := range moved {
+		if len(exp.Routes(p)) > 0 || slices.ContainsFunc(e.classesOfMember[p], func(ci int32) bool { return len(exp.Routes(reps[ci])) > 0 }) {
+			reach(p)
+		}
 	}
 	var replay []int32
 	for i := 0; i < len(reached); i++ {
@@ -297,7 +343,7 @@ func (e *RouteECs) Reexpand(exp, table *netmodel.RIB, changed map[netip.Prefix]b
 	}
 	for _, p := range reached {
 		if r, own := rows[p], table.Routes(p); !changed[p] && len(r) > 0 && len(r) == len(own) {
-			exp.Replace(p, r) // never merged (a merge only grows): table's own slice, maybe the base run's
+			exp.Replace(p, r) // never merged (a merge only grows): table's own slice, maybe the base state's
 		} else {
 			exp.ReplaceOwned(p, r) // decided by this fork, or merged above
 		}

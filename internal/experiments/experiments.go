@@ -1,7 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation at laptop scale (see DESIGN.md's per-experiment index and
-// EXPERIMENTS.md for paper-vs-measured notes). cmd/hoyan-exp prints them;
-// bench_test.go wraps the hot paths as testing.B benchmarks.
+// EXPERIMENTS.md for paper-vs-measured notes). cmd/hoyan-exp prints them.
 package experiments
 
 import (

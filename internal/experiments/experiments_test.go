@@ -212,3 +212,35 @@ func TestTables(t *testing.T) {
 	PrintTable5(&buf, t5)
 	PrintTable6(&buf, t6)
 }
+
+// TestMakespan pins the FIFO schedule model behind the Figure 5 sweeps: each
+// duration, in order, goes to the earliest-free worker (the lowest index on a
+// tie), and the makespan is the latest finish.
+func TestMakespan(t *testing.T) {
+	ms := func(ds ...int) []time.Duration {
+		out := make([]time.Duration, len(ds))
+		for i, d := range ds {
+			out[i] = time.Duration(d) * time.Millisecond
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		durs    []time.Duration
+		workers int
+		want    int
+	}{
+		{nil, 3, 0},
+		{ms(5), 1, 5},
+		{ms(1, 2, 3), 1, 6},
+		{ms(1, 2, 3), 0, 6},    // fewer than one worker is one worker
+		{ms(1, 2, 3), 3, 3},    // one task each
+		{ms(1, 2, 3), 8, 3},    // idle workers change nothing
+		{ms(3, 1, 1, 1), 2, 3}, // 3 | 1+1+1
+		{ms(1, 1, 1, 3), 2, 4}, // 1+1 | 1+3: FIFO, not longest-first
+		{ms(2, 2, 2, 2, 2), 2, 6},
+	} {
+		if got := Makespan(tc.durs, tc.workers); got != time.Duration(tc.want)*time.Millisecond {
+			t.Errorf("Makespan(%v, %d) = %v, want %dms", tc.durs, tc.workers, got, tc.want)
+		}
+	}
+}

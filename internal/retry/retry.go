@@ -45,8 +45,9 @@ type Policy struct {
 // Metrics are a policy's telemetry instruments.
 type Metrics struct {
 	// Attempts counts every op invocation; Retries the subset beyond an op's
-	// first attempt; Giveups ops that returned a final error (retries
-	// exhausted, non-retryable, or context done).
+	// first attempt; Giveups ops that failed because the policy stopped
+	// trying: retries exhausted, or the context done. A non-retryable error is
+	// the op's answer (a closed queue, a rejected request), not a give-up.
 	Attempts *telemetry.Counter
 	Retries  *telemetry.Counter
 	Giveups  *telemetry.Counter
@@ -59,7 +60,7 @@ func NewMetrics(reg *telemetry.Registry, component string) *Metrics {
 	return &Metrics{
 		Attempts: reg.Counter("hoyan_retry_attempts_total", "substrate operation attempts (first tries included)", l),
 		Retries:  reg.Counter("hoyan_retry_retries_total", "substrate operation attempts beyond the first", l),
-		Giveups:  reg.Counter("hoyan_retry_giveups_total", "substrate operations that failed after all retries", l),
+		Giveups:  reg.Counter("hoyan_retry_giveups_total", "substrate operations abandoned with retries exhausted or the context done (a non-retryable error is an answer, not a give-up)", l),
 	}
 }
 
@@ -105,7 +106,8 @@ func IsPermanent(err error) bool {
 
 // Do runs op, retrying per the policy until it succeeds, exhausts MaxTries,
 // is classified non-retryable, or ctx is done. It returns the last error (the
-// ctx error if cancellation interrupted a backoff sleep).
+// ctx error if cancellation interrupted a backoff sleep). Only exhausted tries
+// and a done context count as give-ups.
 func (p Policy) Do(ctx context.Context, op func() error) error {
 	tries := p.MaxTries
 	if tries < 1 {
@@ -143,7 +145,9 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 			return nil
 		}
 		if !retryable(err) {
-			p.giveup()
+			if ctx.Err() != nil {
+				p.giveup() // the op saw the cancellation first
+			}
 			return err
 		}
 	}

@@ -110,6 +110,42 @@ func TestDoCustomClassifier(t *testing.T) {
 	}
 }
 
+// TestGiveupsCountOnlyAbandonedOps: a give-up is an op the policy stopped
+// trying — tries exhausted, or the context done (before an attempt, before a
+// retry, or seen by the op itself). A non-retryable error is the op's answer
+// (mq.ErrClosed on a Pop after Stop) and counts none.
+func TestGiveupsCountOnlyAbandonedOps(t *testing.T) {
+	closed := errors.New("closed")
+	retryable := func(err error) bool { return !errors.Is(err, closed) && DefaultRetryable(err) }
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
+	retrying, cancelRetrying := context.WithCancel(context.Background())
+	defer cancelRetrying()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		op   func() error
+		want int64
+	}{
+		{"success", context.Background(), func() error { return nil }, 0},
+		{"non-retryable", context.Background(), func() error { return closed }, 0},
+		{"permanent", context.Background(), func() error { return Permanent(errors.New("bad request")) }, 0},
+		{"exhausted", context.Background(), func() error { return errors.New("transient") }, 1},
+		{"cancelled before the first attempt", cancelled, func() error { return nil }, 1},
+		{"cancelled during the op", live, func() error { cancelLive(); return context.Canceled }, 1},
+		{"cancelled before a retry", retrying, func() error { cancelRetrying(); return errors.New("transient") }, 1},
+	} {
+		m := NewMetrics(nil, "test")
+		p := Policy{MaxTries: 3, Retryable: retryable, Metrics: m}
+		p.Do(tc.ctx, tc.op)
+		if got := m.Giveups.Value(); got != tc.want {
+			t.Errorf("%s: %v give-ups, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestBackoffGrowsAndCaps(t *testing.T) {
 	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 60 * time.Millisecond, Multiplier: 2}
 	rng := rand.New(rand.NewSource(1))
