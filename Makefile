@@ -1,6 +1,7 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check
+.PHONY: all build fmt-check test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check
 
 all: check
 
@@ -9,6 +10,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting: fails, listing them, when gofmt would rewrite any Go file.
+fmt-check:
+	@bad=$$($(GOFMT) -l .); \
+	if [ -n "$$bad" ]; then echo "gofmt would reformat (run gofmt -w):"; echo "$$bad"; exit 1; fi
 
 # Who makes a network agree with a what-if is decided in one place,
 # core.Delta.Apply. Outside the packages that own topology state (netmodel),
@@ -87,6 +93,6 @@ chaos-restart:
 trace:
 	$(GO) run ./cmd/hoyan-exp -scale 1 -trace trace.json report
 
-# Everything CI runs except the trace demo: tier-1 twice shuffled and at 1, 2
+# Everything CI runs except the trace demo: formatting, then tier-1 twice shuffled and at 1, 2
 # and 8 procs, then race, smokes, chaos and the benchmark.
-check: vet lint-toggles build test-shuffle test-procs race bench-smoke fuzz-smoke chaos chaos-restart benchmark
+check: fmt-check vet lint-toggles build test-shuffle test-procs race bench-smoke fuzz-smoke chaos chaos-restart benchmark

@@ -17,16 +17,15 @@ func (s *sim) refreshAggregate(k tableKey, t *table, a aggregateOf) bool {
 	if t.aggOn == nil {
 		t.aggOn = make(map[netip.Prefix]bool)
 	}
-	wasOn := t.aggOn[a.Prefix]
+	wasOn := t.aggActive(a.Prefix)
 
 	d := s.net.Devices[k.dev]
 	prof := s.profileOf(k.dev)
-	m := s.localsOf(k)
 
 	// Remove any existing aggregate candidate.
 	var kept []cand
 	var old *cand
-	for _, c := range m[a.Prefix] {
+	for _, c := range t.localsAt(a.Prefix) {
 		if c.route.Protocol == netmodel.ProtoAggregate {
 			cc := c
 			old = &cc
@@ -37,11 +36,7 @@ func (s *sim) refreshAggregate(k tableKey, t *table, a aggregateOf) bool {
 
 	if !active {
 		t.aggOn[a.Prefix] = false
-		if len(kept) == 0 {
-			delete(m, a.Prefix)
-		} else {
-			m[a.Prefix] = kept
-		}
+		t.setLocals(a.Prefix, kept)
 		return wasOn || old != nil
 	}
 
@@ -73,7 +68,7 @@ func (s *sim) refreshAggregate(k tableKey, t *table, a aggregateOf) bool {
 		LocalPref: 100, Origin: netmodel.OriginIGP, ASPath: asPath,
 		Source: k.dev, Peer: "aggregate",
 	}}
-	m[a.Prefix] = append(kept, newCand)
+	t.setLocals(a.Prefix, append(kept, newCand))
 	t.aggOn[a.Prefix] = true
 	if old == nil || !old.route.ASPath.Equal(asPath) {
 		return true

@@ -86,7 +86,7 @@ func (e *CheckError) Error() string {
 // returns nil or a *CheckError.
 func Check(net *config.Network, igp *isis.Result, inputs []netmodel.Route, rib *netmodel.GlobalRIB, opts Options) error {
 	s := newSim(net, igp, opts)
-	s.originateLocals(inputs)
+	s.originateLocals(inputs, nil)
 	c := &checker{
 		s:       s,
 		inst:    make(map[tableKey]map[netip.Prefix][]netmodel.Route),

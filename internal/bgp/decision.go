@@ -60,9 +60,10 @@ func (s *sim) decideAndAdvertise() []msg {
 		})
 		// Size hint: default-VRF tables converge to roughly every prefix
 		// the run has seen; non-default VRFs carry only their leaked/local
-		// slice, where a full-size presize wastes more than it saves.
+		// slice, where a full-size presize wastes more than it saves; an
+		// overlay holds only what the restart writes.
 		hint := 0
-		if k.vrf == netmodel.DefaultVRF {
+		if k.vrf == netmodel.DefaultVRF && t.under == nil {
 			hint = len(s.pfxs)
 		}
 		if t.lastAdv == nil {
@@ -79,7 +80,7 @@ func (s *sim) decideAndAdvertise() []msg {
 			s.noteInstall(t, p, rows)
 			sig := appendAdvSignature(s.sigScratch[:0], sorted)
 			s.sigScratch = sig
-			if la[p] == string(sig) { // alloc-free comparison
+			if t.advOf(p) == string(sig) { // alloc-free comparison
 				continue // steady state for this prefix
 			}
 			la[p] = string(sig)
@@ -107,8 +108,8 @@ func (s *sim) decideAndAdvertise() []msg {
 // to the caller (the RIB adopts them via ReplaceOwned).
 func (s *sim) decide(ti *tableInfo, t *table, p netip.Prefix) (best, sorted []cand, rows []netmodel.Route) {
 	cands := s.candScratch[:0]
-	cands = append(cands, t.locals[p]...)
-	byFrom := t.adjIn[p]
+	cands = append(cands, t.localsAt(p)...)
+	byFrom := t.froms(p)
 	froms := s.fromScratch[:0]
 	for from := range byFrom {
 		froms = append(froms, from)
@@ -618,7 +619,7 @@ func (s *sim) shouldPropagate(sess *session, c *cand, isRR bool) bool {
 func (s *sim) suppressedByAggregate(d *config.Device, vrf string, p netip.Prefix) bool {
 	for _, a := range d.Aggregates {
 		if a.VRF == vrf && a.SummaryOnly && a.Prefix.Bits() < p.Bits() && a.Prefix.Contains(p.Addr()) {
-			if s.tables[tableKey{d.Name, vrf}].aggOn[a.Prefix] {
+			if s.tables[tableKey{d.Name, vrf}].aggActive(a.Prefix) {
 				return true
 			}
 		}

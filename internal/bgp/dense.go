@@ -173,12 +173,8 @@ func (s *sim) markTable(k tableKey) {
 		return
 	}
 	tid := s.tidOf(k)
-	for p := range t.locals {
-		s.markDirty(tid, s.pidOf(p))
-	}
-	for p := range t.adjIn {
-		s.markDirty(tid, s.pidOf(p))
-	}
+	t.eachLocal(func(p netip.Prefix, _ []cand) { s.markDirty(tid, s.pidOf(p)) })
+	t.eachAdjIn(func(p netip.Prefix, _ map[string][]cand) { s.markDirty(tid, s.pidOf(p)) })
 	if t.rib != nil {
 		for _, p := range t.rib.Prefixes() {
 			s.markDirty(tid, s.pidOf(p))
@@ -409,7 +405,7 @@ func (s *sim) updateAggregatesInto(out []msg, ti *tableInfo, tid int32, p netip.
 				if t.rib != nil {
 					for _, cp := range t.rib.Prefixes() {
 						if cp != a.Prefix && cp.Bits() > a.Prefix.Bits() && a.Prefix.Contains(cp.Addr()) {
-							delete(t.lastAdv, cp)
+							t.lastAdv[cp] = "" // no routes' signature: re-advertise
 							out = append(out, msg{
 								to: k.dev, vrf: k.vrf, from: "agg:refresh", prefix: cp,
 								tid: tid, pid: s.pidOf(cp),

@@ -13,13 +13,14 @@ import (
 )
 
 // State is a converged simulation captured for warm-started re-simulation:
-// the session graph and every table's record (simulate.go), as of the
-// fixpoint.
+// the session graph, the input routes it originated and every table's record
+// (simulate.go), as of the fixpoint.
 //
 // The records are frozen (table.shared): warm restarts read them concurrently
-// and privatize a record before their first write to it (sim.own). They share
-// candidate/route slices with whoever else read the base result; that is safe
-// because the simulation only ever installs fresh slices (deliver, decide,
+// and, before their first write to one, overlay it with a record of their own
+// (sim.own) that holds only what they write. They share candidate/route
+// slices with whoever else read the base result; that is safe because the
+// simulation only ever installs fresh slices (deliver, decide,
 // refreshAggregate) and never mutates stored ones. The RIBs are shallow clones
 // taken before the engine expands representative prefixes in place, so a
 // State stays pristine however the corresponding Result is post-processed.
@@ -27,6 +28,9 @@ type State struct {
 	opts     Options
 	sessions map[string][]*session
 	tables   map[tableKey]*table
+	// inputs are the input routes of the captured run, which a restart
+	// compares its own with per device (reached).
+	inputs []netmodel.Route
 
 	// msgBufs lends warm restarts their round message buffer (sim.msgScratch,
 	// a *[]msg), so a fork does not grow one from scratch. A buffer comes back
@@ -54,7 +58,8 @@ type Delta struct {
 	// tables are re-decided (resolution consults adjacent links directly).
 	ChangedLinks []netmodel.LinkID
 	// NodesDown are devices that went down: their tables are purged and their
-	// advertisements withdrawn everywhere.
+	// advertisements withdrawn everywhere. A device coming up is not a Delta:
+	// the restart originates only where the inputs or the IGP moved (reached).
 	NodesDown []string
 }
 
@@ -85,19 +90,21 @@ func SimulateWithState(net *config.Network, igp *isis.Result, inputs []netmodel.
 	for i, u := range sims {
 		units[i] = u.capture()
 	}
+	// A multi-unit result holds unions of the units' tables, so the units'
+	// own stay pristine.
+	st := &State{opts: units[0].opts, sessions: units[0].sessions, units: units}
 	if len(units) == 1 {
 		// The result hands out this sim's RIBs, which callers expand in
 		// place; the records keep pristine clones.
-		for _, t := range units[0].tables {
+		st = units[0]
+		for _, t := range st.tables {
 			if t.rib != nil {
 				t.rib = t.rib.ShallowClone()
 			}
 		}
-		return res, units[0]
 	}
-	// A multi-unit result holds unions of the units' tables, so the units'
-	// own stay pristine.
-	return res, &State{opts: units[0].opts, sessions: units[0].sessions, units: units}
+	st.inputs = slices.Clone(inputs)
+	return res, st
 }
 
 // capture freezes the sim's converged records as a State.
@@ -114,10 +121,10 @@ func (s *sim) capture() *State {
 }
 
 // Resimulate re-runs the fixpoint warm-started from the captured state: it
-// withdraws candidates whose sessions died, re-originates and diffs local
-// candidates (covering input-route changes), and seeds the dirty-set loop
-// with only the tables the delta can touch. Unchanged tables keep their base
-// RIB rows verbatim.
+// withdraws candidates whose sessions died, re-originates and diffs the local
+// candidates of the devices the delta reaches (reached), and seeds the
+// dirty-set loop with only the tables the delta can touch. Unchanged tables
+// keep their base RIB rows verbatim.
 //
 // Byte-identity with a from-scratch simulation follows from the fixpoint
 // being deterministic per table: a table's converged content is a function of
@@ -175,9 +182,10 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 
 // warmSim returns a simulation over net that holds the captured records
 // copy-on-write: only the map of them is copied here; each record stays the
-// State's until the first write to it privatizes it (sim.own), and an
-// adj-RIB-in cell until its own first write (table.ownFroms). Warm restarts
-// typically write a small fraction of the tables, and few prefixes of those.
+// State's until the first write to it overlays it (sim.own), and the overlay
+// holds only the cells the restart writes (an adj-RIB-in cell is copied
+// whole on its first write, table.ownFroms). Warm restarts typically write a
+// small fraction of the tables, and few prefixes of those.
 func (st *State) warmSim(ctx context.Context, net *config.Network, igp *isis.Result) *sim {
 	opts := st.opts
 	opts.Ctx = ctx
@@ -223,11 +231,12 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) {
 			newSess[id] = true
 			if !baseSess[id] {
 				// Added: the local side must (re-)advertise everything it has
-				// in this vrf. Clearing lastAdv forces the re-advertisement
-				// even where the decision is unchanged.
+				// in this vrf. Forgetting every signature forces the
+				// re-advertisement even where the decision is unchanged.
 				k := tableKey{sess.local, sess.vrf}
-				if t := s.tables[k]; t != nil && t.lastAdv != nil {
-					s.own(k).lastAdv = nil
+				if t := s.tables[k]; t != nil && !t.readvertise {
+					o := s.own(k)
+					o.lastAdv, o.readvertise = nil, true
 				}
 				s.markTable(k)
 			}
@@ -244,41 +253,31 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) {
 			continue // table already purged, or nothing to drop
 		}
 		tid := s.tidOf(k)
-		for p, byFrom := range t.adjIn {
-			if _, ok := byFrom[id.local]; !ok {
-				continue
+		t.eachAdjIn(func(p netip.Prefix, byFrom map[string][]cand) {
+			if _, ok := byFrom[id.local]; ok {
+				delete(s.own(k).ownFroms(p), id.local)
+				s.markDirty(tid, s.pidOf(p))
 			}
-			fresh := make(map[string][]cand, len(byFrom)-1)
-			for from, cs := range byFrom {
-				if from != id.local {
-					fresh[from] = cs
-				}
-			}
-			if len(fresh) == 0 {
-				delete(s.own(k).adjIn, p)
-			} else {
-				s.own(k).adjIn[p] = fresh
-			}
-			s.markDirty(tid, s.pidOf(p))
-		}
+		})
 	}
 
-	// 3. Re-originate local candidates on the new network and diff against
-	// the captured ones: input-route changes, direct/redistributed routes
-	// that appear or vanish with topology state. Aggregate candidates are
-	// maintained by the fixpoint itself and carried over unchanged.
+	// 3. Re-originate local candidates at the devices the delta reaches and
+	// diff against the captured ones. Aggregate candidates are maintained by
+	// the fixpoint itself and carried over unchanged.
+	reached := st.reached(s.net, inputs, d)
+	if len(reached) == 0 {
+		return
+	}
 	fresh := s.sibling()
-	fresh.originateLocals(inputs)
-	diff := func(k tableKey, old, now map[netip.Prefix][]cand) {
-		prefixes := make(map[netip.Prefix]bool, len(old)+len(now))
-		for p := range old {
-			prefixes[p] = true
-		}
+	fresh.originateLocals(inputs, reached)
+	diff := func(k tableKey, old *table, now map[netip.Prefix][]cand) {
+		prefixes := make(map[netip.Prefix]bool, len(now))
+		old.eachLocal(func(p netip.Prefix, _ []cand) { prefixes[p] = true })
 		for p := range now {
 			prefixes[p] = true
 		}
 		for p := range prefixes {
-			oldPlain, oldAggs := splitAggregates(old[p])
+			oldPlain, oldAggs := splitAggregates(old.localsAt(p))
 			newPlain := now[p]
 			if candsEqual(oldPlain, newPlain) {
 				continue
@@ -286,27 +285,61 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) {
 			merged := make([]cand, 0, len(newPlain)+len(oldAggs))
 			merged = append(merged, newPlain...)
 			merged = append(merged, oldAggs...)
-			m := s.localsOf(k)
-			if len(merged) == 0 {
-				delete(m, p)
-			} else {
-				m[p] = merged
-			}
+			s.own(k).setLocals(p, merged)
 			s.markDirty(s.tidOf(k), s.pidOf(p))
 		}
 	}
 	for k, t := range s.tables {
-		var now map[netip.Prefix][]cand
-		if f := fresh.tables[k]; f != nil {
-			now = f.locals
+		if reached[k.dev] && fresh.tables[k] == nil {
+			diff(k, t, nil)
 		}
-		diff(k, t.locals, now)
 	}
 	for k, f := range fresh.tables {
-		if _, seen := s.tables[k]; !seen && !down[k.dev] {
-			diff(k, nil, f.locals)
+		old := s.tables[k]
+		if old == nil {
+			old = &table{}
+		}
+		diff(k, old, f.locals)
+	}
+}
+
+// reached returns the devices whose local candidates the delta can change,
+// the only ones a restart re-originates at: those whose input routes differ
+// from the captured ones, compared per device and in order, and — when the
+// topology changed at all — those redistributing IS-IS routes. Networks,
+// statics and direct routes depend on configuration alone, and a downed
+// device's tables are purged instead.
+func (st *State) reached(net *config.Network, inputs []netmodel.Route, d Delta) map[string]bool {
+	out := make(map[string]bool)
+	if !slices.EqualFunc(inputs, st.inputs, netmodel.Route.Identical) {
+		was, now := inputsByDevice(st.inputs), inputsByDevice(inputs)
+		for _, side := range []map[string][]netmodel.Route{was, now} {
+			for dev := range side {
+				if !slices.EqualFunc(was[dev], now[dev], netmodel.Route.Identical) {
+					out[dev] = true
+				}
+			}
 		}
 	}
+	if len(d.ChangedLinks) > 0 || len(d.NodesDown) > 0 || len(d.DistChanged) > 0 {
+		for name, dev := range net.Devices {
+			for _, rd := range dev.Redistributes {
+				if rd.From == netmodel.ProtoISIS {
+					out[name] = true
+				}
+			}
+		}
+	}
+	return out
+}
+
+// inputsByDevice groups input routes by injection device, in order.
+func inputsByDevice(rs []netmodel.Route) map[string][]netmodel.Route {
+	out := make(map[string][]netmodel.Route)
+	for _, r := range rs {
+		out[r.Device] = append(out[r.Device], r)
+	}
+	return out
 }
 
 // seedResolution dirties what the delta leaves as it was but may resolve
@@ -343,8 +376,8 @@ func (s *sim) noteInstall(t *table, p netip.Prefix, rows []netmodel.Route) {
 		return
 	}
 	var base []netmodel.Route
-	if t.base != nil {
-		base = t.base.Routes(p)
+	if t.under != nil && t.under.rib != nil {
+		base = t.under.rib.Routes(p)
 	}
 	if slices.EqualFunc(rows, base, netmodel.Route.Identical) {
 		delete(t.changed, p)
@@ -447,29 +480,25 @@ func candEqual(a, b cand) bool {
 }
 
 // own returns table k's record ready for writing: created when the sim has
-// none, replaced by a private clone when it is still a captured State's. Every
-// write path to per-table state goes through it, so a warm restart clones
-// exactly the tables it touches. Only the record's outer maps are copied, and
-// the RIB not even that: the clone's RIB is an Overlay of the State's, which
-// stays its base, so it holds only the prefixes the restart decides. The
-// adj-RIB-in cells stay shared until ownFroms clones the one being written,
-// and the leaf candidate/route slices for good — the fixpoint only installs
-// fresh slices, so shared leaves are never written through either side.
+// none, overlaid when it is still a captured State's. Every write path to
+// per-table state goes through it, so a warm restart allocates a record for
+// exactly the tables it touches, and copies no map: the overlay's prefix maps
+// start empty and hold only the restart's writes, its RIB is an Overlay of
+// the State's, and reads of the rest fall through to the State's record (the
+// accessors below). The leaf candidate/route slices stay shared for good —
+// the fixpoint only installs fresh slices, so they are never written through
+// either side.
 func (s *sim) own(k tableKey) *table {
 	t := s.tables[k]
 	switch {
 	case t == nil:
 		t = &table{}
 	case t.shared:
-		c := &table{
-			adjIn: maps.Clone(t.adjIn), locals: maps.Clone(t.locals),
-			lastAdv: maps.Clone(t.lastAdv), aggOn: maps.Clone(t.aggOn),
-			base: t.rib, privIn: make(map[netip.Prefix]bool),
-		}
+		o := &table{under: t}
 		if t.rib != nil {
-			c.rib = t.rib.Overlay()
+			o.rib = t.rib.Overlay()
 		}
-		t = c
+		t = o
 	default:
 		return t
 	}
@@ -477,17 +506,95 @@ func (s *sim) own(k tableKey) *table {
 	return t
 }
 
-// ownFroms returns the record's adj-RIB-in cell for p, nil when there is
-// none, safe to write; the record is one own returned. In a warm restart the
-// cell is the captured State's until its first write clones it here:
-// copy-on-write costs O(cells written), not O(cells of every table touched).
+// ownFroms returns the record's adj-RIB-in cell for p, created when there is
+// none, safe to write; the record is one own returned. A cell in the record's
+// own map is private by construction; in an overlay, under's cell is copied
+// into it on its first write: copy-on-write costs O(cells written), not
+// O(cells of every table touched).
 func (t *table) ownFroms(p netip.Prefix) map[string][]cand {
-	byFrom := t.adjIn[p]
-	if byFrom == nil || t.privIn == nil || t.privIn[p] {
+	if byFrom := t.adjIn[p]; byFrom != nil {
 		return byFrom
 	}
-	t.privIn[p] = true
-	byFrom = maps.Clone(byFrom)
+	byFrom := maps.Clone(t.froms(p))
+	if byFrom == nil {
+		byFrom = make(map[string][]cand, 1)
+	}
+	if t.adjIn == nil {
+		t.adjIn = make(map[netip.Prefix]map[string][]cand)
+	}
 	t.adjIn[p] = byFrom
 	return byFrom
+}
+
+// froms, localsAt, advOf and aggActive read the record's entry for p: its
+// own, tombstone included, else under's. advOf does not fall through once
+// readvertise is set.
+func (t *table) froms(p netip.Prefix) map[string][]cand {
+	if byFrom, mine := t.adjIn[p]; mine || t.under == nil {
+		return byFrom
+	}
+	return t.under.adjIn[p]
+}
+
+func (t *table) localsAt(p netip.Prefix) []cand {
+	if cs, mine := t.locals[p]; mine || t.under == nil {
+		return cs
+	}
+	return t.under.locals[p]
+}
+
+func (t *table) advOf(p netip.Prefix) string {
+	if sig, mine := t.lastAdv[p]; mine || t.under == nil || t.readvertise {
+		return sig
+	}
+	return t.under.lastAdv[p]
+}
+
+func (t *table) aggActive(p netip.Prefix) bool {
+	if on, mine := t.aggOn[p]; mine || t.under == nil {
+		return on
+	}
+	return t.under.aggOn[p]
+}
+
+// setLocals installs the record's local candidates for p; an empty slice
+// removes p — in an overlay, by a tombstone hiding under's entry.
+func (t *table) setLocals(p netip.Prefix, cs []cand) {
+	if len(cs) == 0 && t.under == nil {
+		delete(t.locals, p)
+		return
+	}
+	if t.locals == nil {
+		t.locals = make(map[netip.Prefix][]cand)
+	}
+	t.locals[p] = cs
+}
+
+// eachAdjIn and eachLocal call f on every entry of the record, own entries
+// laid over under's: a tombstone is passed as such, and hides under's entry.
+func (t *table) eachAdjIn(f func(netip.Prefix, map[string][]cand)) {
+	var under map[netip.Prefix]map[string][]cand
+	if t.under != nil {
+		under = t.under.adjIn
+	}
+	overlaid(t.adjIn, under, f)
+}
+
+func (t *table) eachLocal(f func(netip.Prefix, []cand)) {
+	var under map[netip.Prefix][]cand
+	if t.under != nil {
+		under = t.under.locals
+	}
+	overlaid(t.locals, under, f)
+}
+
+func overlaid[V any](own, under map[netip.Prefix]V, f func(netip.Prefix, V)) {
+	for p, v := range own {
+		f(p, v)
+	}
+	for p, v := range under {
+		if _, hidden := own[p]; !hidden {
+			f(p, v)
+		}
+	}
 }

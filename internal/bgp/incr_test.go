@@ -56,19 +56,19 @@ func scanDistAffected(s *sim, k tableKey, cd map[string]bool) {
 	if t == nil {
 		return
 	}
-	for p, cs := range t.locals {
+	t.eachLocal(func(p netip.Prefix, cs []cand) {
 		if affects(cs) {
 			s.markDirty(s.tidOf(k), s.pidOf(p))
 		}
-	}
-	for p, byFrom := range t.adjIn {
+	})
+	t.eachAdjIn(func(p netip.Prefix, byFrom map[string][]cand) {
 		for _, cs := range byFrom {
 			if affects(cs) {
 				s.markDirty(s.tidOf(k), s.pidOf(p))
 				break
 			}
 		}
-	}
+	})
 }
 
 // topoDelta fails the given links and nodes on a clone of net and returns the
@@ -221,6 +221,86 @@ func TestDistAffectedWorkPinned(t *testing.T) {
 	}
 }
 
+// restartSim runs a warm restart as ResimulateCtx does and returns its sim,
+// whose records the caller may inspect.
+func restartSim(st *State, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (*sim, *Result) {
+	st.merge.Do(func() {
+		st.mergeUnits()
+		st.indexOwners(net)
+	})
+	s := st.warmSim(nil, net, igp)
+	st.seedChanges(s, inputs, d)
+	st.seedResolution(s, d)
+	return s, s.runDense()
+}
+
+// overlayEntries counts the entries of the four prefix maps across the sim's
+// overlay records, and across the State's records under them.
+func overlayEntries(s *sim) (own, under int) {
+	n := func(t *table) int { return len(t.adjIn) + len(t.locals) + len(t.lastAdv) + len(t.aggOn) }
+	for _, t := range s.tables {
+		if t.under != nil {
+			own += n(t)
+			under += n(t.under)
+		}
+	}
+	return own, under
+}
+
+// TestOverlayWorkPinned pins what the warm restart for link
+// core-0-0--core-0-1 at WAN(4) writes: it re-originates at no device, and its
+// overlay records hold a pinned number of entries, a small fraction of the
+// State's records under them. An input delta that changes one route of one
+// device and takes every route of another away reaches exactly those two.
+func TestOverlayWorkPinned(t *testing.T) {
+	out := gen.Generate(gen.WAN(4))
+	igp := isis.Compute(out.Net.Topo, isis.Options{})
+	_, st := SimulateWithState(out.Net, igp, out.Inputs, Options{Parallelism: 1})
+	link := out.Net.Topo.FindLink("core-0-0", "core-0-1")
+	if link == nil {
+		t.Fatal("fixture: no link core-0-0--core-0-1")
+	}
+	net2, igp2, d := topoDelta(out.Net, igp, []netmodel.LinkID{link.ID()}, nil)
+	if r := st.reached(net2, out.Inputs, d); len(r) != 0 {
+		t.Errorf("link fork reaches %v, want no device", r)
+	}
+	s, res := restartSim(st, net2, igp2, out.Inputs, d)
+	own, under := overlayEntries(s)
+	t.Logf("overlay records hold %d entries over %d in the State's", own, under)
+	const want = 1153
+	if own != want || 10*own > under {
+		t.Errorf("overlay records hold %d entries over the State's %d, pinned %d", own, under, want)
+	}
+	if ref := Simulate(net2, igp2, out.Inputs, Options{}); !res.GlobalRIB().Equal(ref.GlobalRIB()) {
+		t.Error("link fork differs from a from-scratch run")
+	}
+
+	changed, vanished := out.Inputs[0].Device, ""
+	for _, r := range out.Inputs {
+		if r.Device != changed {
+			vanished = r.Device
+			break
+		}
+	}
+	var inputs2 []netmodel.Route
+	for i, r := range out.Inputs {
+		if r.Device == vanished {
+			continue
+		}
+		if i == 0 {
+			r.MED++
+		}
+		inputs2 = append(inputs2, r)
+	}
+	got := st.reached(out.Net, inputs2, Delta{})
+	if wantR := map[string]bool{changed: true, vanished: true}; !maps.Equal(got, wantR) {
+		t.Errorf("input fork reaches %v, want %v", got, wantR)
+	}
+	if _, res := restartSim(st, out.Net, igp, inputs2, Delta{}); !res.GlobalRIB().Equal(Simulate(out.Net, igp, inputs2, Options{}).GlobalRIB()) {
+		t.Error("input fork differs from a from-scratch run")
+	}
+}
+
 // recordSnap is a deep copy of what a State's record holds, with the RIB as
 // its rows (a RIB's lazily built caches are not content).
 type recordSnap struct {
@@ -244,7 +324,7 @@ func snapshotState(st *State) map[tableKey]map[*table]recordSnap {
 			adjIn: make(map[netip.Prefix]map[string][]cand), locals: make(map[netip.Prefix][]cand),
 			rows: make(map[netip.Prefix][]netmodel.Route), lastAdv: maps.Clone(t.lastAdv), aggOn: maps.Clone(t.aggOn),
 			owners: make(map[string][]netip.Prefix), shared: t.shared,
-			warm: t.base != nil || t.privIn != nil || t.changed != nil,
+			warm: t.under != nil || t.readvertise || t.changed != nil,
 		}
 		for p, byFrom := range t.adjIn {
 			r.adjIn[p] = make(map[string][]cand, len(byFrom))

@@ -184,6 +184,11 @@ type msg struct {
 // the signature of its last advertisement per prefix (suppressing redundant
 // re-advertisements is what reaches the fixpoint) and whether each of its
 // aggregates is active. The other fields are warm-restart bookkeeping.
+//
+// A warm restart's record overlays the State's (under): its four prefix maps
+// hold only the restart's own writes, a removal there is a tombstone (an
+// empty cell or slice, "" or false) hiding under's entry, and reads go through the accessors in
+// incr.go (froms, localsAt, advOf, aggActive), which fall through to under.
 type table struct {
 	adjIn   map[netip.Prefix]map[string][]cand
 	locals  map[netip.Prefix][]cand
@@ -192,18 +197,18 @@ type table struct {
 	aggOn   map[netip.Prefix]bool
 
 	// shared marks a record a captured State holds. Any number of warm
-	// restarts read it at once, so none may write it: sim.own replaces it
-	// with a private clone first.
+	// restarts read it at once, so none may write it: sim.own overlays it
+	// with a record of the restart's own first.
 	shared bool
 
-	// In a clone own made: base is the State record's RIB — what the clone's
-	// RIB, an Overlay of it, reads through to — which noteInstall compares
-	// decisions against, and privIn the adj-RIB-in cells ownFroms has cloned
-	// since (nil in a record no State ever held). changed collects the
-	// prefixes whose rows a warm restart moved off the base.
-	base    *netmodel.RIB
-	privIn  map[netip.Prefix]bool
-	changed map[netip.Prefix]bool
+	// In an overlay own made: under is the State's record, whose RIB the
+	// overlay's RIB reads through to and noteInstall compares decisions
+	// against; readvertise, set when a session of the table came up, hides
+	// under's advertisement signatures so every prefix re-advertises; changed
+	// collects the prefixes whose rows the restart moved off under's.
+	under       *table
+	readvertise bool
+	changed     map[netip.Prefix]bool
 
 	// owners, in a State's record, indexes the prefixes holding a candidate
 	// whose next hop resolves through the IGP by the device owning that next
@@ -272,7 +277,7 @@ func Simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, op
 // multi-unit run (units.go).
 func simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, opts Options) (*Result, []*sim) {
 	s := newSim(net, igp, opts)
-	s.originateLocals(inputs)
+	s.originateLocals(inputs, nil)
 	if units := s.splitUnits(par.Workers(s.opts.Parallelism)); len(units) > 1 {
 		return runUnits(units), units
 	}
@@ -357,6 +362,8 @@ func (s *sim) envOf(d *config.Device) policy.Env {
 	})
 }
 
+// localsOf returns table k's local-candidate map for originating into: in a
+// sim no State backs, that map is every local candidate of the table.
 func (s *sim) localsOf(k tableKey) map[netip.Prefix][]cand {
 	t := s.own(k)
 	if t.locals == nil {
@@ -366,13 +373,14 @@ func (s *sim) localsOf(k tableKey) map[netip.Prefix][]cand {
 }
 
 // originateLocals seeds the simulation: input routes, network statements,
-// static/direct/IS-IS redistribution, per Table 5 VSBs.
-func (s *sim) originateLocals(inputs []netmodel.Route) {
+// static/direct/IS-IS redistribution, per Table 5 VSBs. A non-nil reached
+// limits it to the devices in that set (State.reached).
+func (s *sim) originateLocals(inputs []netmodel.Route, reached map[string]bool) {
 	// Input routes: pre-built by the input-route building service; they are
 	// installed at their injection device as externally-learned candidates.
 	for _, r := range inputs {
 		d := s.net.Devices[r.Device]
-		if d == nil {
+		if d == nil || reached != nil && !reached[r.Device] {
 			continue
 		}
 		if node := s.net.Topo.Node(r.Device); node == nil || !node.Up {
@@ -400,7 +408,7 @@ func (s *sim) originateLocals(inputs []netmodel.Route) {
 
 	for _, name := range s.net.DeviceNames() {
 		d := s.net.Devices[name]
-		if node := s.net.Topo.Node(name); node == nil || !node.Up {
+		if node := s.net.Topo.Node(name); node == nil || !node.Up || reached != nil && !reached[name] {
 			continue
 		}
 		prof := s.profileOf(name)
@@ -636,26 +644,17 @@ func (s *sim) commitDelivery(m *msg, ti *tableInfo, accepted []cand) {
 		}
 		// Withdrawal: only touch cells that already exist.
 		if t := s.tables[k]; t != nil {
-			if _, had := t.adjIn[m.prefix][m.from]; had {
+			if _, had := t.froms(m.prefix)[m.from]; had {
 				delete(s.own(k).ownFroms(m.prefix), m.from)
 				changed = true
 			}
 		}
 	} else {
 		t := s.own(k)
-		if t.adjIn == nil {
-			hint := 0
-			if k.vrf == netmodel.DefaultVRF {
-				hint = len(s.pfxs)
-			}
-			t.adjIn = make(map[netip.Prefix]map[string][]cand, hint)
+		if t.adjIn == nil && t.under == nil && k.vrf == netmodel.DefaultVRF {
+			t.adjIn = make(map[netip.Prefix]map[string][]cand, len(s.pfxs))
 		}
-		byFrom := t.adjIn[m.prefix]
-		if byFrom == nil {
-			byFrom = make(map[string][]cand, 1)
-			t.adjIn[m.prefix] = byFrom
-		}
-		if old, had := byFrom[m.from]; !had || !candsSame(old, accepted) {
+		if old, had := t.froms(m.prefix)[m.from]; !had || !candsSame(old, accepted) {
 			t.ownFroms(m.prefix)[m.from] = accepted
 			changed = true
 		} else {

@@ -119,7 +119,7 @@ func TestSplitUnits(t *testing.T) {
 			}
 
 			s := newSim(b.net, igp, Options{})
-			s.originateLocals(inputs)
+			s.originateLocals(inputs, nil)
 			units := s.splitUnits(8)
 			if tc.single {
 				if units != nil {
@@ -165,7 +165,7 @@ func TestSplitUnits(t *testing.T) {
 func TestSplitUnitsOneWorker(t *testing.T) {
 	b, inputs := parallelFixture()
 	s := newSim(b.net, isis.Compute(b.net.Topo, isis.Options{}), Options{})
-	s.originateLocals(inputs)
+	s.originateLocals(inputs, nil)
 	if units := s.splitUnits(1); units != nil {
 		t.Fatalf("one worker split into %d units", len(units))
 	}

@@ -290,3 +290,47 @@ func TestForkECsDisabledIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestForkSessionUpIdentity: in the base the border-0-0--isp-0-0 link is
+// down, so their eBGP session is too; the fork restores the link and the
+// session comes up. Both sides must then re-advertise every prefix, even
+// those whose decision the fork leaves as it was. Checked with route ECs on
+// and, where the fork's RIB is also checked as a stable state, off.
+func TestForkSessionUpIdentity(t *testing.T) {
+	for _, opts := range []Options{{}, {DisableRouteECs: true, DisableFlowECs: true}} {
+		out := gen.Generate(gen.WAN(1))
+		link := out.Net.Topo.FindLink("border-0-0", "isp-0-0")
+		if link == nil {
+			t.Fatal("fixture: no link border-0-0--isp-0-0")
+		}
+		out.Net.Topo.SetLinkUp(link.ID(), false)
+		eng := NewEngine(out.Net, opts)
+		eng.BaseRun(out.Inputs, out.Flows)
+		label := fmt.Sprintf("session up (route ECs off: %v)", opts.DisableRouteECs)
+		stats := checkFork(t, eng, out.Net, out.Inputs, out.Flows, Delta{LinksUp: []netmodel.LinkID{link.ID()}}, label)
+		if stats.Full {
+			t.Errorf("%s: fork fell back to full simulation", label)
+		}
+	}
+}
+
+// TestForkISISRedistributionIdentity: with every IS-IS device that has BGP
+// neighbours redistributing IS-IS into BGP, a link failure changes the local
+// candidates of devices the link does not touch. Every third link of WAN(1)
+// fails in turn; each fork must equal a from-scratch run and be a stable
+// state.
+func TestForkISISRedistributionIdentity(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	for _, d := range out.Net.Devices {
+		if d.ISISEnabled && len(d.Neighbors) > 0 {
+			d.Redistributes = append(d.Redistributes, config.Redistribution{From: netmodel.ProtoISIS})
+		}
+	}
+	eng := NewEngine(out.Net, Options{DisableRouteECs: true, DisableFlowECs: true})
+	eng.BaseRun(out.Inputs, out.Flows)
+	links := out.Net.Topo.Links()
+	for i := 0; i < len(links); i += 3 {
+		id := links[i].ID()
+		checkFork(t, eng, out.Net, out.Inputs, out.Flows, Delta{LinksDown: []netmodel.LinkID{id}}, "IS-IS redistribution, link down "+id.String())
+	}
+}
