@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check
+.PHONY: all build fmt-check test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check loc
 
 all: check
 
@@ -26,6 +26,15 @@ lint-toggles:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines (wc -l) per package under internal/ and cmd/, then their
+# total over the whole module outside benchmark/ (and hidden directories):
+# the counts a design change cites.
+loc:
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
+		printf '%7d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done
+	@printf '%7d  total outside benchmark/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l)
 
 # Tier-1 twice in shuffled order: flushes test-order and leftover-state
 # assumptions that a single in-order pass hides.

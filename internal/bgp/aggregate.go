@@ -4,13 +4,14 @@ import (
 	"net/netip"
 	"slices"
 
+	"hoyan/internal/config"
 	"hoyan/internal/netmodel"
 )
 
 // refreshAggregate recomputes one aggregate's activation and contributor AS
 // information in table k's record t, which the caller owns. It reports
 // whether the local candidate for the aggregate changed.
-func (s *sim) refreshAggregate(k tableKey, t *table, a aggregateOf) bool {
+func (s *sim) refreshAggregate(k tableKey, t *table, a config.Aggregate) bool {
 	contributors := s.contributors(t.rib, a.Prefix)
 	active := len(contributors) > 0
 
@@ -74,15 +75,6 @@ func (s *sim) refreshAggregate(k tableKey, t *table, a aggregateOf) bool {
 		return true
 	}
 	return !wasOn
-}
-
-// aggregateOf aliases config.Aggregate to avoid the import in this file's
-// signature churn.
-type aggregateOf = struct {
-	VRF         string
-	Prefix      netip.Prefix
-	ASSet       bool
-	SummaryOnly bool
 }
 
 // contributors returns the best routes strictly more specific than the

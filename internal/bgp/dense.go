@@ -60,7 +60,7 @@ type tableInfo struct {
 	leakPolicy  string // export policy of the source VRF ("" for global)
 
 	// Aggregates configured in this table's VRF.
-	aggs []aggregateOf
+	aggs []config.Aggregate
 }
 
 // tidOf interns a table key, building its tableInfo on first sight.
@@ -151,9 +151,8 @@ func (s *sim) newTableInfo(k tableKey) *tableInfo {
 func (s *sim) markDirty(tid, pid int32) {
 	mark := s.dirtyMark[tid]
 	if int(pid) >= len(mark) {
-		grown := make([]bool, len(s.pfxs))
-		copy(grown, mark)
-		mark = grown
+		// Grown by append: seeding marks while it interns, one prefix at a time.
+		mark = append(mark, make([]bool, len(s.pfxs)-len(mark))...)
 		s.dirtyMark[tid] = mark
 	}
 	if mark[pid] {

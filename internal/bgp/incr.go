@@ -14,7 +14,7 @@ import (
 
 // State is a converged simulation captured for warm-started re-simulation:
 // the session graph, the input routes it originated and every table's record
-// (simulate.go), as of the fixpoint.
+// (simulate.go), as of the fixpoint. A cold run restarts the empty State.
 //
 // The records are frozen (table.shared): warm restarts read them concurrently
 // and, before their first write to one, overlay it with a record of their own
@@ -31,6 +31,10 @@ type State struct {
 	// inputs are the input routes of the captured run, which a restart
 	// compares its own with per device (reached).
 	inputs []netmodel.Route
+	// originated holds the devices the captured run originated at, those up
+	// when it was captured; a restart originates at every other up device
+	// (reached). The empty State's is nil, so its restart is the cold run.
+	originated map[string]bool
 
 	// msgBufs lends warm restarts their round message buffer (sim.msgScratch,
 	// a *[]msg), so a fork does not grow one from scratch. A buffer comes back
@@ -44,8 +48,8 @@ type State struct {
 	merge sync.Once
 }
 
-// Delta tells Resimulate what changed relative to the base run. The network
-// passed to Resimulate must already reflect the new topology; configurations
+// Delta tells ResimulateCtx what changed relative to the base run. The network
+// passed to it must already reflect the new topology; configurations
 // must be unchanged (callers with config deltas re-simulate from scratch).
 type Delta struct {
 	// DistChanged maps each device whose IGP view changed to the set of
@@ -58,8 +62,9 @@ type Delta struct {
 	// tables are re-decided (resolution consults adjacent links directly).
 	ChangedLinks []netmodel.LinkID
 	// NodesDown are devices that went down: their tables are purged and their
-	// advertisements withdrawn everywhere. A device coming up is not a Delta:
-	// the restart originates only where the inputs or the IGP moved (reached).
+	// advertisements withdrawn everywhere. A device coming up needs no entry:
+	// the State did not originate at it, so the restart does (reached), and
+	// its sessions come up through the session diff.
 	NodesDown []string
 }
 
@@ -69,16 +74,12 @@ type ResimStats struct {
 	TablesDirty int
 	// TablesTotal is the number of tables in the base state.
 	TablesTotal int
-	// Rounds is the number of fixpoint rounds the warm restart ran.
-	Rounds int
 	// ChangedPrefixes holds, per table, the prefixes whose rows differ from
 	// the base state: each decision compares the rows it installs with the
-	// base table's (O(decisions), not O(tables)). A table listed here was
-	// written by the restart: it is the restart's own Overlay of the State's
-	// table, so writing it never reaches the State, though its unwritten
-	// prefixes read the State's rows. Any other table of the result may be the
-	// State's own, or such an overlay. A purged device's tables are in
-	// neither.
+	// base table's (O(decisions), not O(tables)). A table listed here is the
+	// restart's own — an Overlay of the State's table, or new — so writing it
+	// never reaches the State; any other may be the State's own. A purged
+	// device's tables are in neither.
 	ChangedPrefixes map[Table]map[netip.Prefix]bool
 }
 
@@ -104,6 +105,7 @@ func SimulateWithState(net *config.Network, igp *isis.Result, inputs []netmodel.
 		}
 	}
 	st.inputs = slices.Clone(inputs)
+	st.originated = (&State{}).reached(net, nil, Delta{}) // every up device
 	return res, st
 }
 
@@ -120,11 +122,12 @@ func (s *sim) capture() *State {
 	return &State{opts: opts, sessions: s.sessions, tables: s.tables}
 }
 
-// Resimulate re-runs the fixpoint warm-started from the captured state: it
-// withdraws candidates whose sessions died, re-originates and diffs the local
-// candidates of the devices the delta reaches (reached), and seeds the
-// dirty-set loop with only the tables the delta can touch. Unchanged tables
-// keep their base RIB rows verbatim.
+// ResimulateCtx re-runs the fixpoint warm-started from the captured state
+// (restart): it withdraws candidates whose sessions died, re-originates and
+// diffs the local candidates of the devices the delta reaches (reached), and
+// seeds the dirty-set loop with only the tables the delta can touch.
+// Unchanged tables keep their base RIB rows verbatim. The restart is one
+// sequential fixpoint: forks scale across scenarios and queries instead.
 //
 // Byte-identity with a from-scratch simulation follows from the fixpoint
 // being deterministic per table: a table's converged content is a function of
@@ -134,23 +137,12 @@ func (s *sim) capture() *State {
 // here, and changed decisions always re-advertise (the advertisement
 // signature, appendAdvSignature, covers all exported fields), so changes
 // cascade exactly as they would from scratch.
-func (st *State) Resimulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (*Result, *ResimStats) {
-	return st.ResimulateCtx(nil, net, igp, inputs, d)
-}
-
-// ResimulateCtx is Resimulate with a cancellation context: the warm-started
-// fixpoint polls ctx between rounds and bails out early once it is done. The
-// caller must discard the (incomplete) result whenever ctx.Err() != nil. A nil
-// ctx disables polling. The restart is one sequential fixpoint: forks scale
-// across scenarios and queries instead.
+//
+// The fixpoint polls ctx between rounds and bails out early once it is done;
+// the caller must then discard the (incomplete) result. A nil ctx disables
+// polling.
 func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (*Result, *ResimStats) {
-	st.merge.Do(func() {
-		st.mergeUnits()
-		st.indexOwners(net)
-	})
-	s := st.warmSim(ctx, net, igp)
-	st.seedChanges(s, inputs, d)
-	st.seedResolution(s, d)
+	s := st.restart(ctx, net, igp, inputs, d)
 	stats := &ResimStats{TablesDirty: len(s.dirtyTids)}
 	for _, t := range st.tables {
 		if t.rib != nil {
@@ -166,7 +158,6 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 	*buf = s.msgScratch[:0]
 	clear((*buf)[:cap(*buf)])
 	st.msgBufs.Put(buf)
-	stats.Rounds = res.Rounds
 
 	// Many seeded-dirty tables re-decide to exactly their base rows; what is
 	// left in the records' changed sets is what the downstream stages
@@ -180,18 +171,26 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 	return res, stats
 }
 
-// warmSim returns a simulation over net that holds the captured records
-// copy-on-write: only the map of them is copied here; each record stays the
-// State's until the first write to it overlays it (sim.own), and the overlay
-// holds only the cells the restart writes (an adj-RIB-in cell is copied
-// whole on its first write, table.ownFroms). Warm restarts typically write a
-// small fraction of the tables, and few prefixes of those.
-func (st *State) warmSim(ctx context.Context, net *config.Network, igp *isis.Result) *sim {
+// restart returns a simulation over net seeded from st, for both runs: it holds
+// the State's records copy-on-write (only the map of them is copied; sim.own
+// overlays a record on its first write), and its dirty set holds every
+// (table, prefix) the delta can change (seedChanges, seedResolution). The
+// restart of the empty State reaches every up device and adopts every record
+// it originates: it is the cold run.
+func (st *State) restart(ctx context.Context, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) *sim {
+	st.merge.Do(func() {
+		st.mergeUnits()
+		st.indexOwners(net)
+	})
 	opts := st.opts
 	opts.Ctx = ctx
 	s := newSim(net, igp, opts)
-	s.tables = maps.Clone(st.tables)
-	s.warm = true
+	if st.tables != nil {
+		s.tables = maps.Clone(st.tables)
+	}
+	s.warm = st.originated != nil
+	st.seedChanges(s, inputs, d)
+	st.seedResolution(s, d)
 	return s
 }
 
@@ -201,13 +200,9 @@ func (st *State) warmSim(ctx context.Context, net *config.Network, igp *isis.Res
 func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) {
 	// 1. Purge every table of a downed device; its peers learn of the loss
 	// through the session diff below.
-	down := make(map[string]bool, len(d.NodesDown))
 	for _, n := range d.NodesDown {
-		down[n] = true
-	}
-	if len(down) > 0 {
 		for k := range s.tables {
-			if down[k.dev] {
+			if k.dev == n {
 				delete(s.tables, k)
 			}
 		}
@@ -216,7 +211,57 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) {
 	// 2. Diff the session graph. Configurations are unchanged, so a session
 	// is identified by (local, remote, vrf): a removed session withdraws the
 	// sender's candidates at the receiver; an added session forces the local
-	// side to re-advertise its entire table.
+	// side to re-advertise its entire table. With no record there is nothing
+	// to withdraw or re-advertise: the empty State's restart skips this.
+	if len(s.tables) > 0 {
+		st.diffSessions(s)
+	}
+
+	// 3. Re-originate local candidates at the devices the delta reaches and
+	// diff against the captured ones; a fresh record with no counterpart is
+	// adopted whole. Aggregate candidates are maintained by the fixpoint
+	// itself and carried over unchanged.
+	reached := st.reached(s.net, inputs, d)
+	if len(reached) == 0 {
+		return
+	}
+	fresh := s.sibling()
+	fresh.originateLocals(inputs, reached)
+	diff := func(k tableKey, old *table, now map[netip.Prefix][]cand) {
+		prefixes := make(map[netip.Prefix]bool, len(now))
+		old.eachLocal(func(p netip.Prefix, _ []cand) { prefixes[p] = true })
+		for p := range now {
+			prefixes[p] = true
+		}
+		for p := range prefixes {
+			oldPlain, oldAggs := splitAggregates(old.localsAt(p))
+			newPlain := now[p]
+			if candsEqual(oldPlain, newPlain) {
+				continue
+			}
+			s.own(k).setLocals(p, slices.Concat(newPlain, oldAggs))
+			s.markDirty(s.tidOf(k), s.pidOf(p))
+		}
+	}
+	for k, t := range s.tables {
+		if reached[k.dev] && fresh.tables[k] == nil {
+			diff(k, t, nil)
+		}
+	}
+	for k, f := range fresh.tables {
+		if old := s.tables[k]; old != nil {
+			diff(k, old, f.locals)
+			continue
+		}
+		s.tables[k] = f
+		s.markTable(k)
+	}
+}
+
+// diffSessions withdraws, in s, what the State's sessions missing from s's
+// graph delivered, and makes the local side of every session new to s
+// re-advertise its table.
+func (st *State) diffSessions(s *sim) {
 	type sessID struct{ local, remote, vrf string }
 	baseSess := make(map[sessID]bool)
 	for local, ss := range st.sessions {
@@ -260,59 +305,24 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) {
 			}
 		})
 	}
-
-	// 3. Re-originate local candidates at the devices the delta reaches and
-	// diff against the captured ones. Aggregate candidates are maintained by
-	// the fixpoint itself and carried over unchanged.
-	reached := st.reached(s.net, inputs, d)
-	if len(reached) == 0 {
-		return
-	}
-	fresh := s.sibling()
-	fresh.originateLocals(inputs, reached)
-	diff := func(k tableKey, old *table, now map[netip.Prefix][]cand) {
-		prefixes := make(map[netip.Prefix]bool, len(now))
-		old.eachLocal(func(p netip.Prefix, _ []cand) { prefixes[p] = true })
-		for p := range now {
-			prefixes[p] = true
-		}
-		for p := range prefixes {
-			oldPlain, oldAggs := splitAggregates(old.localsAt(p))
-			newPlain := now[p]
-			if candsEqual(oldPlain, newPlain) {
-				continue
-			}
-			merged := make([]cand, 0, len(newPlain)+len(oldAggs))
-			merged = append(merged, newPlain...)
-			merged = append(merged, oldAggs...)
-			s.own(k).setLocals(p, merged)
-			s.markDirty(s.tidOf(k), s.pidOf(p))
-		}
-	}
-	for k, t := range s.tables {
-		if reached[k.dev] && fresh.tables[k] == nil {
-			diff(k, t, nil)
-		}
-	}
-	for k, f := range fresh.tables {
-		old := s.tables[k]
-		if old == nil {
-			old = &table{}
-		}
-		diff(k, old, f.locals)
-	}
 }
 
-// reached returns the devices whose local candidates the delta can change,
-// the only ones a restart re-originates at: those whose input routes differ
-// from the captured ones, compared per device and in order, and — when the
-// topology changed at all — those redistributing IS-IS routes. Networks,
-// statics and direct routes depend on configuration alone, and a downed
-// device's tables are purged instead.
+// reached returns the devices whose local candidates the restart must
+// originate: every up device the State did not originate at (each device, for
+// the empty State; a device coming up, for a captured one), those whose input
+// routes differ from the captured ones, compared per device and in order, and
+// — when the topology changed at all — those redistributing IS-IS routes.
+// Networks, statics and direct routes depend on configuration alone, and a
+// downed device's tables are purged instead.
 func (st *State) reached(net *config.Network, inputs []netmodel.Route, d Delta) map[string]bool {
 	out := make(map[string]bool)
+	for name := range net.Devices {
+		if n := net.Topo.Node(name); n != nil && n.Up && !st.originated[name] {
+			out[name] = true
+		}
+	}
 	if !slices.EqualFunc(inputs, st.inputs, netmodel.Route.Identical) {
-		was, now := inputsByDevice(st.inputs), inputsByDevice(inputs)
+		was, now := inputsByDevice(st.inputs, out), inputsByDevice(inputs, out)
 		for _, side := range []map[string][]netmodel.Route{was, now} {
 			for dev := range side {
 				if !slices.EqualFunc(was[dev], now[dev], netmodel.Route.Identical) {
@@ -333,11 +343,14 @@ func (st *State) reached(net *config.Network, inputs []netmodel.Route, d Delta) 
 	return out
 }
 
-// inputsByDevice groups input routes by injection device, in order.
-func inputsByDevice(rs []netmodel.Route) map[string][]netmodel.Route {
+// inputsByDevice groups input routes by injection device, in order, leaving
+// out the devices already reached: those need no comparison.
+func inputsByDevice(rs []netmodel.Route, reached map[string]bool) map[string][]netmodel.Route {
 	out := make(map[string][]netmodel.Route)
 	for _, r := range rs {
-		out[r.Device] = append(out[r.Device], r)
+		if !reached[r.Device] {
+			out[r.Device] = append(out[r.Device], r)
+		}
 	}
 	return out
 }

@@ -72,7 +72,7 @@ func scanDistAffected(s *sim, k tableKey, cd map[string]bool) {
 }
 
 // topoDelta fails the given links and nodes on a clone of net and returns the
-// clone, its IGP result and the bgp.Delta core.Fork would hand Resimulate.
+// clone, its IGP result and the bgp.Delta core.Fork would hand ResimulateCtx.
 func topoDelta(net *config.Network, igp *isis.Result, links []netmodel.LinkID, nodes []string) (*config.Network, *isis.Result, Delta) {
 	net2 := net.Clone()
 	for _, id := range links {
@@ -92,27 +92,18 @@ func topoDelta(net *config.Network, igp *isis.Result, links []netmodel.LinkID, n
 }
 
 // seedBothWays seeds a warm restart twice from the same state and delta: with
-// the owner index, as ResimulateCtx does, and with the scan in its place.
+// the owner index, as ResimulateCtx does, and with the scan in its place — a
+// restart told only the flipped links and downed nodes (the endpoints it marks
+// are the scan's too), then the scan over the tables whose IGP view moved.
 func seedBothWays(st *State, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (indexed, scanned map[tableKey]map[netip.Prefix]bool) {
-	st.merge.Do(func() {
-		st.mergeUnits()
-		st.indexOwners(net)
-	})
-	s := st.warmSim(nil, net, igp)
-	st.seedChanges(s, inputs, d)
-	st.seedResolution(s, d)
-	indexed = s.dirtyPairs()
-
-	s = st.warmSim(nil, net, igp)
-	st.seedChanges(s, inputs, d)
+	indexed = st.restart(nil, net, igp, inputs, d).dirtyPairs()
+	s := st.restart(nil, net, igp, inputs, Delta{ChangedLinks: d.ChangedLinks, NodesDown: d.NodesDown})
 	endpoints := make(map[string]bool)
 	for _, id := range d.ChangedLinks {
 		endpoints[id.A], endpoints[id.B] = true, true
 	}
 	for k := range s.tables {
-		if endpoints[k.dev] {
-			s.markTable(k)
-		} else if cd := d.DistChanged[k.dev]; len(cd) > 0 {
+		if cd := d.DistChanged[k.dev]; len(cd) > 0 && !endpoints[k.dev] {
 			scanDistAffected(s, k, cd)
 		}
 	}
@@ -147,7 +138,7 @@ func TestOwnerIndexDirtiesWhatTheScanDid(t *testing.T) {
 		if !reflect.DeepEqual(indexed, scanned) {
 			t.Fatalf("trial %d (%v, %v down): index seeds %d tables, scan %d, or their prefixes differ", trial, down, nodes, len(indexed), len(scanned))
 		}
-		res, stats := st.Resimulate(net2, igp2, out.Inputs, d)
+		res, stats := st.ResimulateCtx(nil, net2, igp2, out.Inputs, d)
 		if stats.TablesDirty != len(scanned) {
 			t.Fatalf("trial %d: TablesDirty = %d, the scan seeds %d", trial, stats.TablesDirty, len(scanned))
 		}
@@ -155,7 +146,7 @@ func TestOwnerIndexDirtiesWhatTheScanDid(t *testing.T) {
 			t.Fatalf("trial %d (%v, %v down): warm restart differs from a from-scratch run", trial, down, nodes)
 		}
 		mustCheck(t, fmt.Sprintf("trial %d, warm restart", trial), net2, igp2, out.Inputs, res)
-		s := st.warmSim(nil, net2, igp2)
+		s := st.restart(nil, out.Net, igp, out.Inputs, Delta{}) // nothing dirty
 		for k, cd := range d.DistChanged {
 			for tk := range st.tables {
 				if tk.dev == k {
@@ -185,9 +176,9 @@ func TestDistAffectedWorkPinned(t *testing.T) {
 	if link == nil {
 		t.Fatal("fixture: no link core-0-0--core-0-1")
 	}
-	net2, igp2, d := topoDelta(out.Net, igp, []netmodel.LinkID{link.ID()}, nil)
-	st.merge.Do(func() { st.indexOwners(net2) })
-	byIndex, byScan := st.warmSim(nil, net2, igp2), st.warmSim(nil, net2, igp2)
+	_, _, d := topoDelta(out.Net, igp, []netmodel.LinkID{link.ID()}, nil)
+	// Restarts with nothing changed: both dirty sets start empty.
+	byIndex, byScan := st.restart(nil, out.Net, igp, out.Inputs, Delta{}), st.restart(nil, out.Net, igp, out.Inputs, Delta{})
 
 	marked, brute, inTables := 0, 0, 0
 	for k, tbl := range st.tables {
@@ -224,13 +215,7 @@ func TestDistAffectedWorkPinned(t *testing.T) {
 // restartSim runs a warm restart as ResimulateCtx does and returns its sim,
 // whose records the caller may inspect.
 func restartSim(st *State, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (*sim, *Result) {
-	st.merge.Do(func() {
-		st.mergeUnits()
-		st.indexOwners(net)
-	})
-	s := st.warmSim(nil, net, igp)
-	st.seedChanges(s, inputs, d)
-	st.seedResolution(s, d)
+	s := st.restart(nil, net, igp, inputs, d)
 	return s, s.runDense()
 }
 
@@ -251,11 +236,20 @@ func overlayEntries(s *sim) (own, under int) {
 // core-0-0--core-0-1 at WAN(4) writes: it re-originates at no device, and its
 // overlay records hold a pinned number of entries, a small fraction of the
 // State's records under them. An input delta that changes one route of one
-// device and takes every route of another away reaches exactly those two.
+// device and takes every route of another away reaches exactly those two. The
+// empty State reaches every device, and a restart that brings one device
+// back up reaches exactly that one.
 func TestOverlayWorkPinned(t *testing.T) {
 	out := gen.Generate(gen.WAN(4))
 	igp := isis.Compute(out.Net.Topo, isis.Options{})
 	_, st := SimulateWithState(out.Net, igp, out.Inputs, Options{Parallelism: 1})
+	every := make(map[string]bool)
+	for name := range out.Net.Devices {
+		every[name] = true
+	}
+	if got := (&State{}).reached(out.Net, out.Inputs, Delta{}); !maps.Equal(got, every) {
+		t.Errorf("the empty State reaches %d devices, want all %d", len(got), len(every))
+	}
 	link := out.Net.Topo.FindLink("core-0-0", "core-0-1")
 	if link == nil {
 		t.Fatal("fixture: no link core-0-0--core-0-1")
@@ -298,6 +292,23 @@ func TestOverlayWorkPinned(t *testing.T) {
 	}
 	if _, res := restartSim(st, out.Net, igp, inputs2, Delta{}); !res.GlobalRIB().Equal(Simulate(out.Net, igp, inputs2, Options{}).GlobalRIB()) {
 		t.Error("input fork differs from a from-scratch run")
+	}
+
+	// The device holding the first input is down in the base, with the same
+	// inputs, and comes back up.
+	downNet, downIGP, _ := topoDelta(out.Net, igp, nil, []string{changed})
+	_, downSt := SimulateWithState(downNet, downIGP, out.Inputs, Options{Parallelism: 1})
+	up := Delta{DistChanged: make(map[string]map[string]bool)}
+	for _, src := range out.Net.Topo.NodeNames() {
+		if dc, _ := isis.Diff(downIGP, igp, src); len(dc) > 0 {
+			up.DistChanged[src] = dc
+		}
+	}
+	if got := downSt.reached(out.Net, out.Inputs, up); !maps.Equal(got, map[string]bool{changed: true}) {
+		t.Errorf("bringing %s up reaches %v, want only it", changed, got)
+	}
+	if _, res := restartSim(downSt, out.Net, igp, out.Inputs, up); !res.GlobalRIB().Equal(Simulate(out.Net, igp, out.Inputs, Options{}).GlobalRIB()) {
+		t.Errorf("bringing %s up differs from a from-scratch run", changed)
 	}
 }
 
@@ -361,7 +372,7 @@ func TestConcurrentRestartsLeaveStateIntact(t *testing.T) {
 		if (st.units != nil) != (p > 1) {
 			t.Fatalf("parallelism %d: state holds %d units", p, len(st.units))
 		}
-		st.Resimulate(out.Net, igp, out.Inputs, Delta{}) // merge and index first
+		st.ResimulateCtx(nil, out.Net, igp, out.Inputs, Delta{}) // merge and index first
 		before := snapshotState(st)
 
 		type job struct {
@@ -395,7 +406,7 @@ func TestConcurrentRestartsLeaveStateIntact(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, _ := st.Resimulate(j.net, j.igp, j.inputs, j.d)
+				res, _ := st.ResimulateCtx(nil, j.net, j.igp, j.inputs, j.d)
 				if ref := Simulate(j.net, j.igp, j.inputs, Options{Parallelism: 1}); !res.GlobalRIB().Equal(ref.GlobalRIB()) {
 					t.Errorf("parallelism %d, restart %d: differs from a from-scratch run", p, i)
 				}
@@ -421,10 +432,10 @@ func TestEmptyDeltaPrivatizesNothing(t *testing.T) {
 	igp := isis.Compute(out.Net.Topo, isis.Options{})
 	for _, p := range []int{1, 2} {
 		_, st := SimulateWithState(out.Net, igp, out.Inputs, Options{Parallelism: p})
-		res, stats := st.Resimulate(out.Net, igp, out.Inputs, Delta{})
-		if stats.TablesDirty != 0 || stats.Rounds != 0 || len(stats.ChangedPrefixes) != 0 {
+		res, stats := st.ResimulateCtx(nil, out.Net, igp, out.Inputs, Delta{})
+		if stats.TablesDirty != 0 || res.Rounds != 0 || len(stats.ChangedPrefixes) != 0 {
 			t.Errorf("parallelism %d: empty delta seeded %d tables, ran %d rounds, changed %d tables",
-				p, stats.TablesDirty, stats.Rounds, len(stats.ChangedPrefixes))
+				p, stats.TablesDirty, res.Rounds, len(stats.ChangedPrefixes))
 		}
 		if stats.TablesTotal == 0 || len(res.ribs) != stats.TablesTotal {
 			t.Errorf("parallelism %d: result holds %d tables, the State %d", p, len(res.ribs), stats.TablesTotal)

@@ -234,7 +234,7 @@ func TestParallelResimulateEquivalence(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for _, sc := range scenarios {
-					res, _ := st.Resimulate(sc.net, sc.igp, sc.inputs, sc.delta)
+					res, _ := st.ResimulateCtx(nil, sc.net, sc.igp, sc.inputs, sc.delta)
 					if !res.GlobalRIB().Equal(sc.ref) {
 						t.Errorf("parallelism %d, %s: warm RIB differs from scratch", p, sc.name)
 					}

@@ -39,7 +39,7 @@ type Options struct {
 	// prefixes are split into independence groups, packed into work units,
 	// and each unit runs its own sequential fixpoint (units.go). It also
 	// bounds Result.GlobalRIB's table fill. Results are byte-identical at
-	// every setting. Warm restarts (State.Resimulate) always run one
+	// every setting. Warm restarts (State.ResimulateCtx) always run one
 	// sequential fixpoint.
 	Parallelism int
 
@@ -225,8 +225,9 @@ type sim struct {
 	sessions map[string][]*session
 	tables   map[tableKey]*table
 
-	// warm marks a warm restart: decisions record in their table's changed
-	// set whether they moved its rows off the captured State's (noteInstall).
+	// warm marks the restart of a captured State: decisions record in their
+	// table's changed set whether they moved its rows off the State's
+	// (noteInstall). The empty State is never captured.
 	warm bool
 
 	messages int
@@ -272,24 +273,16 @@ func Simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, op
 	return res
 }
 
-// simulate is the cold run behind Simulate and SimulateWithState. It returns
-// the converged simulations next to the result: one, or the work units of a
-// multi-unit run (units.go).
+// simulate is the cold run behind Simulate and SimulateWithState: the
+// restart of the empty State, whose originated prefixes are split into work
+// units (units.go) when more than one worker may run them. It returns the
+// converged simulations next to the result: one, or the units.
 func simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, opts Options) (*Result, []*sim) {
-	s := newSim(net, igp, opts)
-	s.originateLocals(inputs, nil)
+	s := (&State{opts: opts}).restart(opts.Ctx, net, igp, inputs, Delta{})
 	if units := s.splitUnits(par.Workers(s.opts.Parallelism)); len(units) > 1 {
 		return runUnits(units), units
 	}
-	s.seedDirty()
 	return s.runDense(), []*sim{s}
-}
-
-// seedDirty marks everything the originated state holds a candidate for.
-func (s *sim) seedDirty() {
-	for k := range s.tables {
-		s.markTable(k)
-	}
 }
 
 // newSim builds an empty simulation with its session graph.

@@ -130,7 +130,9 @@ func (s *sim) splitUnits(workers int) []*sim {
 func runUnits(units []*sim) *Result {
 	parallelism := units[0].opts.Parallelism
 	results := par.Map(parallelism, len(units), func(i int) *Result {
-		units[i].seedDirty()
+		for k := range units[i].tables {
+			units[i].markTable(k)
+		}
 		return units[i].runDense()
 	})
 	res := &Result{Converged: true, parallelism: parallelism, Par: ParStats{Stripes: len(units)}}

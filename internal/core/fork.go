@@ -116,7 +116,7 @@ func (d Delta) ApplyInputs(inputs []netmodel.Route) []netmodel.Route {
 // ForkStats reports how much work an incremental Fork avoided.
 type ForkStats struct {
 	// Full is set when the fork fell back to a from-scratch simulation
-	// (DisableIncremental, no BaseRun capture, or nodes coming up).
+	// (DisableIncremental, or no BaseRun capture).
 	Full bool
 
 	SPFSources int // up sources in the scenario topology
@@ -275,9 +275,9 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	inputs := d.ApplyInputs(e.base.inputs)
 	flows := e.base.flows
 
-	// Nodes coming up invalidate every per-source SPF bound and (transitively)
-	// most BGP state; it is not a hot path, so take the reference route.
-	if e.opts.DisableIncremental || e.base.bgpState == nil || len(d.NodesUp) > 0 {
+	// Only a disabled or absent capture takes the reference route: even a
+	// device coming up is a warm restart, which originates at it.
+	if e.opts.DisableIncremental || e.base.bgpState == nil {
 		stats.Full = true
 		opts := e.opts
 		opts.Parallelism = parallelism
@@ -339,7 +339,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	})
 	stats.BGPTablesTotal = rstats.TablesTotal
 	stats.BGPTablesDirty = rstats.TablesDirty
-	stats.BGPRounds = rstats.Rounds
+	stats.BGPRounds = bres.Rounds
 	if err := ctxErr(ctx); err != nil {
 		return nil, stats, err
 	}

@@ -212,16 +212,42 @@ func TestForkInputDeltaIdentity(t *testing.T) {
 	checkFork(t, eng, out.Net, out.Inputs, out.Flows, d, "input+link delta")
 }
 
-func TestForkNodeUpFallsBackToFull(t *testing.T) {
+// TestForkNodeUpIdentity: a device down in the base comes back up. The fork is
+// incremental like any other topology delta — the restart originates at the
+// device, its sessions come up through the session diff, and the IGP diff
+// reports the distances to it that appeared — and equals a from-scratch run.
+// Every WAN(1) device and every third WAN(2) device is restored in turn, with
+// route ECs on and off (off, the fork's RIB is also checked as a stable state)
+// and the base converged sequentially and as two work units, in turn; one case
+// also fails a link in the same fork.
+func TestForkNodeUpIdentity(t *testing.T) {
+	for _, scale := range []struct{ k, step int }{{1, 1}, {2, 3}} {
+		out := gen.Generate(gen.WAN(scale.k))
+		names := out.Net.Topo.NodeNames()
+		for _, ecsOff := range []bool{false, true} {
+			for i := 0; i < len(names); i += scale.step {
+				opts := Options{Parallelism: 1 + i/scale.step%2, DisableRouteECs: ecsOff, DisableFlowECs: ecsOff}
+				base := out.Net.Clone()
+				base.Topo.SetNodeUp(names[i], false)
+				eng := NewEngine(base, opts)
+				eng.BaseRun(out.Inputs, out.Flows)
+				label := fmt.Sprintf("WAN(%d) %s up (parallelism %d, route ECs off: %v)", scale.k, names[i], opts.Parallelism, opts.DisableRouteECs)
+				if stats := checkFork(t, eng, base, out.Inputs, out.Flows, Delta{NodesUp: []string{names[i]}}, label); stats.Full {
+					t.Fatalf("%s: fork fell back to full simulation", label)
+				}
+			}
+		}
+	}
+
 	out := gen.Generate(gen.WAN(1))
-	names := out.Net.Topo.NodeNames()
-	out.Net.Topo.SetNodeUp(names[0], false)
-	eng := NewEngine(out.Net, Options{})
+	names, links := out.Net.Topo.NodeNames(), out.Net.Topo.Links()
+	base := out.Net.Clone()
+	base.Topo.SetNodeUp(names[len(names)/2], false)
+	eng := NewEngine(base, Options{})
 	eng.BaseRun(out.Inputs, out.Flows)
-	stats := checkFork(t, eng, out.Net, out.Inputs, out.Flows,
-		Delta{NodesUp: []string{names[0]}}, "node up")
-	if !stats.Full {
-		t.Error("restoring a node must take the full-simulation path")
+	d := Delta{NodesUp: []string{names[len(names)/2]}, LinksDown: []netmodel.LinkID{links[len(links)/3].ID()}}
+	if stats := checkFork(t, eng, base, out.Inputs, out.Flows, d, "node up + link down"); stats.Full {
+		t.Fatal("node up + link down: fork fell back to full simulation")
 	}
 }
 
