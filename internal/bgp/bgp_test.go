@@ -370,7 +370,7 @@ func TestBestPathLocalPrefBeatsShorterPath(t *testing.T) {
 
 func mustRouteMap(t *testing.T, text string) *policyRouteMap {
 	t.Helper()
-	d, err := config.ParseAlpha("tmp", text)
+	d, err := config.ParseDevice("tmp", text)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func competeFixture(t *testing.T) (*netBuilder, []netmodel.Route) {
 	b.net.Devices["E1"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	b.net.Devices["E2"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.100.2/24")}
 	for exit, prefix := range map[string]string{"X2": "10.1.0.0/16", "X1": "10.5.0.0/16"} {
-		d, err := config.ParseAlpha(exit, "ip prefix-list PREFER permit "+prefix+"\n"+
+		d, err := config.ParseDevice(exit, "ip prefix-list PREFER permit "+prefix+"\n"+
 			"route-map LP permit 10\n match ip-prefix PREFER\n set local-preference 200\n"+
 			"route-map LP permit 20\n")
 		if err != nil {

@@ -3,6 +3,7 @@ package config
 import (
 	"fmt"
 	"strings"
+	"unicode"
 
 	"hoyan/internal/par"
 	"slices"
@@ -13,7 +14,7 @@ import (
 // that, dialect-specific keywords.
 func DetectVendor(text string) string {
 	for _, l := range splitLines(text) {
-		f := strings.Fields(l.text)
+		f := strings.Fields(l.raw)
 		if len(f) == 2 && f[0] == "vendor" {
 			return f[1]
 		}
@@ -27,23 +28,20 @@ func DetectVendor(text string) string {
 	return "alpha"
 }
 
-// ParseDevice parses one device configuration text, auto-detecting the
-// vendor dialect.
+// ParseDevice parses one device configuration text in the dialect
+// DetectVendor names.
 func ParseDevice(name, text string) (*Device, error) {
-	switch DetectVendor(text) {
-	case "beta":
-		return ParseBeta(name, text)
-	default:
-		return ParseAlpha(name, text)
-	}
+	return dialectOf(DetectVendor(text)).parse(name, text)
 }
 
-// Serialize renders the device back into its own vendor's dialect.
-func Serialize(d *Device) string {
-	if d.Vendor == "beta" {
-		return SerializeBeta(d)
+func (dl *dialect) parse(name, text string) (*Device, error) {
+	d := NewDevice(name, dl.name)
+	lines := splitLines(text)
+	d.Lines = len(lines)
+	if err := dl.apply(d, lines); err != nil {
+		return nil, err
 	}
-	return SerializeAlpha(d)
+	return d, nil
 }
 
 // BuildOptions tunes network-model building.
@@ -98,24 +96,126 @@ func BuildNetworkOpts(configs map[string]string, topoOf func(net *Network) error
 // exactly like a CLI session. The device is modified in place; callers apply
 // change plans to a Clone of the base model.
 func ApplyCommands(d *Device, commands string) error {
-	lines := splitLines(commands)
-	if d.Vendor == "beta" {
-		p := &betaParser{d: d}
-		for _, l := range lines {
-			if err := p.line(l.n, l.text); err != nil {
-				return err
-			}
-		}
-	} else {
-		p := &alphaParser{d: d}
-		for _, l := range lines {
-			if err := p.line(l.n, l.text); err != nil {
-				return err
-			}
+	return dialectOf(d.Vendor).apply(d, splitLines(commands))
+}
+
+// apply runs the lines as one CLI session over d.
+func (dl *dialect) apply(d *Device, lines []cfgLine) error {
+	p := &parser{dl: dl, d: d}
+	for _, l := range lines {
+		if err := p.line(l); err != nil {
+			return err
 		}
 	}
 	for _, rm := range d.RouteMaps {
 		rm.SortNodes()
 	}
 	return nil
+}
+
+// line matches one line against the forms its first word names that the
+// open section allows, its own section's before the top-level ones, and
+// applies the first that matches the whole line. This is the one place a
+// configuration line is parsed.
+func (p *parser) line(l cfgLine) error {
+	words := strings.Fields(l.raw)
+	if words[0] == p.dl.end {
+		p.reset()
+		return nil
+	}
+	first, scopes := 0, []scope{p.sec, scopeTop}
+	if p.sec == scopeTop {
+		scopes = scopes[1:]
+	}
+	if words[0] == p.dl.no {
+		first, scopes = 1, []scope{scopeRemoval}
+	}
+	m := &p.m
+	m.words, m.far, m.farKey = words, first, ""
+	reason := "unknown command"
+	if first < len(words) {
+		for _, sc := range scopes {
+			for _, i := range p.dl.byWord[words[first]] {
+				f := p.dl.forms[i]
+				if f.scope != sc || !m.match(p.dl.es[i], first) {
+					continue
+				}
+				if f.scope == scopeTop {
+					p.reset()
+				}
+				if err := apply[f.op](p, m.a); err != nil {
+					return p.fail(l, first, err.Error())
+				}
+				return nil
+			}
+		}
+		if len(p.dl.byWord[words[first]]) > 0 {
+			reason = words[first] + " outside its section"
+		}
+	}
+	switch {
+	case m.farKey != "":
+		reason = "bad " + m.farKey
+	case m.far == len(words):
+		reason = "incomplete command"
+	case m.far > first:
+		reason = fmt.Sprintf("unexpected %q", words[m.far])
+	}
+	return p.fail(l, m.far, reason)
+}
+
+func (p *parser) fail(l cfgLine, w int, reason string) error {
+	return &ParseError{Device: p.d.Name, Line: l.n, Col: column(l.raw, w), Text: strings.TrimSpace(l.raw), Reason: reason}
+}
+
+// column is the 1-based column of word w of the line, or of the place just
+// past its last word when the line has no word w.
+func column(raw string, w int) int {
+	at := 0
+	for i := 0; ; i++ {
+		start := strings.IndexFunc(raw[at:], func(r rune) bool { return !unicode.IsSpace(r) })
+		if start < 0 {
+			return at + 1
+		}
+		if at += start; i == w {
+			return at + 1
+		}
+		end := strings.IndexFunc(raw[at:], unicode.IsSpace)
+		if end < 0 {
+			return len(raw) + 1
+		}
+		at += end
+	}
+}
+
+// ParseError reports a configuration line that could not be parsed, and the
+// 1-based column of the word where matching failed.
+type ParseError struct {
+	Device string
+	Line   int
+	Col    int
+	Text   string
+	Reason string
+}
+
+func (e *ParseError) Error() string {
+	return fmt.Sprintf("config: %s line %d:%d: %s: %q", e.Device, e.Line, e.Col, e.Reason, e.Text)
+}
+
+// cfgLine is one non-empty, non-comment line and its 1-based line number.
+type cfgLine struct {
+	n   int
+	raw string
+}
+
+func splitLines(text string) []cfgLine {
+	out := make([]cfgLine, 0, strings.Count(text, "\n")+1)
+	for i, raw := range strings.Split(text, "\n") {
+		s := strings.TrimSpace(raw)
+		if s == "" || strings.HasPrefix(s, "//") {
+			continue
+		}
+		out = append(out, cfgLine{n: i + 1, raw: raw})
+	}
+	return out
 }

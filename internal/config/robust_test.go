@@ -1,7 +1,11 @@
 package config_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,9 +13,12 @@ import (
 	"hoyan/internal/gen"
 )
 
-// Every keyword either parser switches on. Uploaded configurations reach the
-// parsers unvalidated (hoyand's POST /v1/networks), so a keyword cut short of
-// its arguments must come back as a parse error, never as a panic.
+// The keywords the hand-written parsers switched on, kept as a floor; the
+// truncation test adds every literal word of the dialect's forms, so a word
+// added to a table is tested without editing this list. Uploaded
+// configurations reach the parser unvalidated (hoyand's POST /v1/networks),
+// so a keyword cut short of its arguments must come back as a parse error,
+// never as a panic.
 var (
 	alphaKeywords = strings.Fields(`access-list acl-in acl-out add add-paths aggregate aggregate-address
 		as-path as-path-list as-set asn bandwidth bgp community community-list delete direct export-policy
@@ -29,6 +36,13 @@ var (
 		traffic-filter undo vendor vpn-instance vpn-target`)
 	betaSections = []string{"", "interface e0", "ip vpn-instance v1", "bgp 65001", "route-policy RP permit node 10"}
 )
+
+// keywords is the union of the floor list and the dialect's form words.
+func keywords(floor []string, vendor string) []string {
+	words := append(slices.Clone(floor), config.FormWords(vendor)...)
+	slices.Sort(words)
+	return slices.Compact(words)
+}
 
 // truncatedCommands puts every keyword alone on a line — and after the
 // removal prefix, and after every other keyword, which reaches the two-word
@@ -51,6 +65,11 @@ func truncatedCommands(header string, sections, keywords []string, removal strin
 	return out
 }
 
+// parseIn is the named dialect's parser, whatever a text's stanzas say.
+func parseIn(vendor string) func(name, text string) (*config.Device, error) {
+	return func(name, text string) (*config.Device, error) { return config.ParseIn(vendor, name, text) }
+}
+
 // parseNoPanic runs one parser on text and turns a panic into an error the
 // caller reports with the input that caused it.
 func parseNoPanic(parse func(name, text string) (*config.Device, error), text string) (panicked error) {
@@ -69,8 +88,8 @@ func TestTruncatedCommandsNeverPanic(t *testing.T) {
 		parse  func(name, text string) (*config.Device, error)
 		inputs []string
 	}{
-		{"alpha", config.ParseAlpha, truncatedCommands("hostname X\n", alphaSections, alphaKeywords, "no")},
-		{"beta", config.ParseBeta, truncatedCommands("sysname X\n", betaSections, betaKeywords, "undo")},
+		{"alpha", parseIn("alpha"), truncatedCommands("hostname X\n", alphaSections, keywords(alphaKeywords, "alpha"), "no")},
+		{"beta", parseIn("beta"), truncatedCommands("sysname X\n", betaSections, keywords(betaKeywords, "beta"), "undo")},
 	}
 	for _, d := range dialects {
 		for _, text := range d.inputs {
@@ -80,10 +99,47 @@ func TestTruncatedCommandsNeverPanic(t *testing.T) {
 		}
 	}
 
-	// The two shapes that crashed ParseBeta, as errors.
-	for _, text := range []string{"sysname x\nas-number", "sysname x\nbgp\n network\n"} {
-		if _, err := config.ParseBeta("x", text); err == nil {
-			t.Errorf("ParseBeta(%q): want a parse error", text)
+	// The shapes that once crashed a parser, as errors: a cut-short beta
+	// line, and a session line that names only its VRF.
+	for _, c := range []struct{ vendor, text string }{
+		{"beta", "sysname x\nas-number"},
+		{"beta", "sysname x\nbgp\n network\n"},
+		{"alpha", "router bgp\n neighbor 1.1.1.1 vrf V\n"},
+		{"beta", "bgp\n peer 1.1.1.1 vpn-instance V\n"},
+	} {
+		if _, err := config.ParseIn(c.vendor, "x", c.text); err == nil {
+			t.Errorf("%s %q: want a parse error", c.vendor, c.text)
+		}
+	}
+}
+
+// TestLongOptionLines parses lines of a million repeated options. An option
+// set is matched in a loop, so such a line costs no stack: an uploaded
+// configuration of one long line comes back as a device or a parse error,
+// never as a stack overflow, which no recover can catch.
+func TestLongOptionLines(t *testing.T) {
+	const n = 1 << 20
+	for _, c := range []struct {
+		vendor, text string
+		ok           bool
+	}{
+		{"alpha", "router bgp\n aggregate-address 10.0.0.0/8" + strings.Repeat(" as-set", n) + " summary-only\n", true},
+		{"alpha", "ip access-list A permit" + strings.Repeat(" src any", n) + "\n", true},
+		{"alpha", "pbr-policy P" + strings.Repeat(" src any", n) + "\n", false},
+		{"beta", "bgp\n aggregate 10.0.0.0/8" + strings.Repeat(" as-set", n) + "\n", true},
+		{"beta", "ip ip-prefix L index 1 permit 10.0.0.0/8" + strings.Repeat(" greater-equal 9", n) + " less-equal 24\n", true},
+		{"beta", "policy-based-route P" + strings.Repeat(" dport 80", n) + " next-hop x\n", false},
+	} {
+		d, err := config.ParseIn(c.vendor, "X", c.text)
+		if c.ok != (err == nil) {
+			t.Errorf("%s %.60q...: parse error %v, want ok=%v", c.vendor, c.text, err, c.ok)
+			continue
+		}
+		if _, isPE := err.(*config.ParseError); err != nil && !isPE {
+			t.Errorf("%s %.60q...: want a *ParseError, got %T", c.vendor, c.text, err)
+		}
+		if d != nil && len(d.Aggregates) == 1 && !d.Aggregates[0].ASSet {
+			t.Errorf("%s: aggregate lost its as-set: %+v", c.vendor, d.Aggregates[0])
 		}
 	}
 }
@@ -131,10 +187,57 @@ func fuzzParser(f *testing.F, parse func(name, text string) (*config.Device, err
 
 func FuzzParseAlpha(f *testing.F) {
 	fuzzSeeds(f, "alpha")
-	fuzzParser(f, config.ParseAlpha, config.SerializeAlpha)
+	fuzzParser(f, parseIn("alpha"), config.Serialize)
 }
 
 func FuzzParseBeta(f *testing.F) {
 	fuzzSeeds(f, "beta")
-	fuzzParser(f, config.ParseBeta, config.SerializeBeta)
+	fuzzParser(f, parseIn("beta"), config.Serialize)
+}
+
+// TestGeneratedConfigDigests pins the bytes of every generated configuration:
+// serialization feeds the snapshot wire bytes and the benchmark's config
+// texts, so any byte-level change to the renderer fails here.
+func TestGeneratedConfigDigests(t *testing.T) {
+	for _, c := range []struct {
+		k    int
+		want string
+	}{
+		{1, "f345c028f1a3de6a5a83d101639460a1a5f19cf9cd1bdc2f9ef9c86f6e9762c0"},
+		{2, "996c6fbf148837c6cf89ab7c8c1cf7496ade78dcab29fefba321ce34babf1e11"},
+		{4, "b53feec61b32370a2ae95f69e7072880f818867bbf7089bce3606fd103f7a1aa"},
+		{10, "dccd76df9c7323b187986bdb0adfe985a85726e2fa899be1a464d8356f0e13c1"},
+	} {
+		texts := gen.Generate(gen.WAN(c.k)).ConfigTexts()
+		h := sha256.New()
+		names := make([]string, 0, len(texts))
+		for name := range texts {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		for _, name := range names {
+			h.Write([]byte(name + "\x00" + texts[name] + "\x00"))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("WAN(%d): config digest %s, want %s", c.k, got, c.want)
+		}
+	}
+}
+
+// TestParallelBuildMatchesSequential parses the generated configurations on
+// several goroutines at once: the dialect tables and ops are shared by every
+// parse, so under -race this is the check that nothing in them is written.
+func TestParallelBuildMatchesSequential(t *testing.T) {
+	texts := gen.Generate(gen.WAN(1)).ConfigTexts()
+	seq, err := config.BuildNetworkOpts(texts, nil, config.BuildOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := config.BuildNetworkOpts(texts, nil, config.BuildOptions{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Error("parallel build differs from sequential")
+	}
 }
