@@ -17,12 +17,12 @@ fmt-check:
 	if [ -n "$$bad" ]; then echo "gofmt would reformat (run gofmt -w):"; echo "$$bad"; exit 1; fi
 
 # Who makes a network agree with a what-if is decided in one place,
-# core.Delta.Apply. Outside the packages that own topology state (netmodel),
-# apply deltas and restore snapshots (core) or build fixtures (scenario), no
-# non-test file under internal/ or cmd/ may flip a link or a node itself.
+# core.Delta.Apply. Outside the packages that own topology state (netmodel)
+# and apply deltas and restore snapshots (core), no non-test file under
+# internal/ or cmd/ may flip a link or a node itself, fixtures included.
 lint-toggles:
-	@bad=$$(grep -rnE '\.Set(Link|Node)Up\(' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -vE '^internal/(core|netmodel|scenario)/'); \
-	if [ -n "$$bad" ]; then echo "SetLinkUp/SetNodeUp outside internal/{core,netmodel,scenario}; build a core.Delta instead:"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE '\.Set(Link|Node)Up\(' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -vE '^internal/(core|netmodel)/'); \
+	if [ -n "$$bad" ]; then echo "SetLinkUp/SetNodeUp outside internal/{core,netmodel}; build a core.Delta instead:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -5,7 +5,7 @@
 //	hoyan-exp [-scale N] [-trace FILE] [experiment...]
 //
 // Experiments: table1 fig1 table2 table3 fig5a fig5b fig5c fig5d fig8
-// table4 table5 table6 fig9 ecstats incr serve report all (default: all).
+// table4 table5 table6 fig9 ecstats incr report all (default: all).
 //
 // The report experiment runs one telemetry-instrumented distributed
 // verification and prints the pipeline's per-stage breakdown; -trace
@@ -89,14 +89,6 @@ func main() {
 	})
 	run("ecstats", func() { experiments.PrintECStats(out, experiments.ECStats(s)) })
 	run("incr", func() { experiments.PrintIncr(out, experiments.Incr(experiments.QuickScale())) })
-	run("serve", func() {
-		rep, err := experiments.ServeLoad(experiments.QuickScale(), 200)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(1)
-		}
-		experiments.PrintServe(out, rep)
-	})
 	run("report", func() {
 		rep, err := experiments.Report(s)
 		if err != nil {

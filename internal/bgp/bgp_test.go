@@ -5,77 +5,44 @@ import (
 	"testing"
 
 	"hoyan/internal/config"
+	"hoyan/internal/gen"
 	"hoyan/internal/isis"
 	"hoyan/internal/netmodel"
 	"hoyan/internal/policy"
 	"hoyan/internal/vsb"
 )
 
-// netBuilder assembles test networks programmatically.
-type netBuilder struct {
-	net    *config.Network
-	nextIP int
-}
+// netBuilder assembles test networks programmatically: every device runs
+// IS-IS with four-way multipath, every link is 10G.
+type netBuilder struct{ *gen.Builder }
 
 func newBuilder() *netBuilder {
-	return &netBuilder{net: config.NewNetwork()}
+	return &netBuilder{gen.NewBuilder(netip.MustParsePrefix("172.16.0.0/12"))}
 }
 
 func (b *netBuilder) device(name, vendor string, asn netmodel.ASN, loopback string) *config.Device {
-	d := config.NewDevice(name, vendor)
-	d.ASN = asn
-	d.Loopback = netip.MustParseAddr(loopback)
-	d.RouterID = d.Loopback
+	d := b.Device(name, vendor, asn, netip.MustParseAddr(loopback))
 	d.ISISEnabled = true
 	d.MaxPaths = 4
-	b.net.Devices[name] = d
-	b.net.Topo.AddNode(netmodel.Node{Name: name, Loopback: d.Loopback})
 	return d
 }
 
-// link wires two devices with a /30, registering interfaces on both.
 func (b *netBuilder) link(a, bdev string, cost uint32) *netmodel.Link {
-	b.nextIP++
-	base := netip.AddrFrom4([4]byte{172, 16, byte(b.nextIP >> 6), byte((b.nextIP << 2) & 0xff)})
-	aAddr := base.Next()
-	bAddr := aAddr.Next()
-	subnet := netip.PrefixFrom(base, 30)
-	aIf := "to-" + bdev
-	bIf := "to-" + a
-	pa, _ := aAddr.Prefix(30)
-	pb, _ := bAddr.Prefix(30)
-	b.net.Devices[a].Interfaces[aIf] = &config.Interface{Name: aIf, Addr: netip.PrefixFrom(aAddr, pa.Bits()), ISISCost: cost}
-	b.net.Devices[bdev].Interfaces[bIf] = &config.Interface{Name: bIf, Addr: netip.PrefixFrom(bAddr, pb.Bits()), ISISCost: cost}
-	return b.net.Topo.AddLink(netmodel.Link{
-		A: a, B: bdev, AIface: aIf, BIface: bIf,
-		ANet: subnet, BNet: subnet,
-		AAddr: aAddr, BAddr: bAddr,
-		CostAB: cost, CostBA: cost, Bandwidth: 1e10,
-	})
+	return b.Link(a, bdev, cost, 1e10)
 }
 
-// ebgp configures an eBGP session over the link between a and b (both sides).
-func (b *netBuilder) ebgp(a, bdev string) {
-	l := b.net.Topo.FindLink(a, bdev)
-	aAddr, bAddr := l.AAddr, l.BAddr
-	if l.A != a {
-		aAddr, bAddr = bAddr, aAddr
-	}
-	da, db := b.net.Devices[a], b.net.Devices[bdev]
-	da.Neighbors = append(da.Neighbors, &config.Neighbor{Addr: bAddr, RemoteAS: db.ASN, VRF: netmodel.DefaultVRF})
-	db.Neighbors = append(db.Neighbors, &config.Neighbor{Addr: aAddr, RemoteAS: da.ASN, VRF: netmodel.DefaultVRF})
-}
+func (b *netBuilder) ebgp(a, bdev string) { b.EBGP(a, bdev) }
 
-// ibgp configures an iBGP session between loopbacks (both sides).
+// ibgp configures an iBGP session between loopbacks, next-hop unchanged on
+// both sides.
 func (b *netBuilder) ibgp(a, bdev string) {
-	da, db := b.net.Devices[a], b.net.Devices[bdev]
-	da.Neighbors = append(da.Neighbors, &config.Neighbor{Addr: db.Loopback, RemoteAS: db.ASN, VRF: netmodel.DefaultVRF, UpdateSource: true})
-	db.Neighbors = append(db.Neighbors, &config.Neighbor{Addr: da.Loopback, RemoteAS: da.ASN, VRF: netmodel.DefaultVRF, UpdateSource: true})
+	_, nb := b.IBGP(a, bdev)
+	nb.NextHopSelf = false
 }
 
 func (b *netBuilder) run(inputs []netmodel.Route, opts Options) *Result {
-	igp := isis.Compute(b.net.Topo, isis.Options{UseTEMetric: opts.UseTEMetric})
-	return Simulate(b.net, igp, inputs, opts)
+	igp := isis.Compute(b.Net.Topo, isis.Options{UseTEMetric: opts.UseTEMetric})
+	return Simulate(b.Net, igp, inputs, opts)
 }
 
 func inputRoute(dev, prefix string, aspath ...netmodel.ASN) netmodel.Route {
@@ -93,7 +60,7 @@ func inputRoute(dev, prefix string, aspath ...netmodel.ASN) netmodel.Route {
 // nextHopSelfAll sets next-hop-self on every iBGP neighbor of dev so input
 // routes with external next hops can propagate over iBGP in tests.
 func nextHopSelfAll(b *netBuilder, dev string) {
-	for _, nb := range b.net.Devices[dev].Neighbors {
+	for _, nb := range b.Net.Devices[dev].Neighbors {
 		nb.NextHopSelf = true
 	}
 }
@@ -101,7 +68,7 @@ func nextHopSelfAll(b *netBuilder, dev string) {
 // permitAllImport binds a permit-all import policy to every neighbor of dev
 // (needed on vendor beta, which drops eBGP updates without a policy).
 func permitAllImport(b *netBuilder, dev string) {
-	d := b.net.Devices[dev]
+	d := b.Net.Devices[dev]
 	d.RouteMaps["PERMIT_ALL"] = &policy.RouteMap{Name: "PERMIT_ALL", Nodes: []*policy.Node{{Seq: 10, Action: policy.ActionPermit}}}
 	for _, nb := range d.Neighbors {
 		nb.ImportPolicy = "PERMIT_ALL"
@@ -125,7 +92,7 @@ func TestBasicPropagation(t *testing.T) {
 	b := lineTopo()
 	// E's external subnet must cover the input route's next hop so it
 	// resolves as directly connected.
-	b.net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 
 	p := netip.MustParsePrefix("10.0.0.0/24")
 	res := b.run([]netmodel.Route{inputRoute("E", "10.0.0.0/24", 65100)}, Options{})
@@ -152,7 +119,7 @@ func TestBasicPropagation(t *testing.T) {
 		t.Errorf("A localpref = %d (eBGP default)", aBest[0].LocalPref)
 	}
 	// The eBGP next hop is E's side of the E-A link.
-	l := b.net.Topo.FindLink("A", "E")
+	l := b.Net.Topo.FindLink("A", "E")
 	eAddr := l.AAddr
 	if l.A != "E" {
 		eAddr = l.BAddr
@@ -175,17 +142,17 @@ func TestBasicPropagation(t *testing.T) {
 
 func TestNextHopSelf(t *testing.T) {
 	b := lineTopo()
-	b.net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	// A sets next-hop-self toward B.
-	for _, nb := range b.net.Devices["A"].Neighbors {
-		if nb.Addr == b.net.Devices["B"].Loopback {
+	for _, nb := range b.Net.Devices["A"].Neighbors {
+		if nb.Addr == b.Net.Devices["B"].Loopback {
 			nb.NextHopSelf = true
 		}
 	}
 	p := netip.MustParsePrefix("10.0.0.0/24")
 	res := b.run([]netmodel.Route{inputRoute("E", "10.0.0.0/24", 65100)}, Options{})
 	bBest := res.RIB("B", netmodel.DefaultVRF).Best(p)
-	if len(bBest) != 1 || bBest[0].NextHop != b.net.Devices["A"].Loopback {
+	if len(bBest) != 1 || bBest[0].NextHop != b.Net.Devices["A"].Loopback {
 		t.Errorf("B best = %v, want next hop A's loopback", bBest)
 	}
 }
@@ -202,7 +169,7 @@ func TestASLoopPrevention(t *testing.T) {
 	b.ebgp("A", "M1")
 	b.ebgp("A", "M2")
 	// No M1-M2 iBGP (they talk through A only, as in the case study).
-	b.net.Devices["M2"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["M2"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 
 	p := netip.MustParsePrefix("1.0.0.0/24")
 	res := b.run([]netmodel.Route{inputRoute("M2", "1.0.0.0/24", 65200)}, Options{})
@@ -232,12 +199,12 @@ func TestRouteReflection(t *testing.T) {
 	b.ibgp("RR", "C1")
 	b.ibgp("RR", "C2")
 	b.ibgp("RR", "N")
-	for _, nb := range b.net.Devices["RR"].Neighbors {
-		if nb.Addr == b.net.Devices["C1"].Loopback || nb.Addr == b.net.Devices["C2"].Loopback {
+	for _, nb := range b.Net.Devices["RR"].Neighbors {
+		if nb.Addr == b.Net.Devices["C1"].Loopback || nb.Addr == b.Net.Devices["C2"].Loopback {
 			nb.RRClient = true
 		}
 	}
-	b.net.Devices["C1"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["C1"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	nextHopSelfAll(b, "C1")
 
 	p := netip.MustParsePrefix("10.1.0.0/16")
@@ -257,12 +224,12 @@ func TestRouteReflection(t *testing.T) {
 	b2.link("RR", "N", 10)
 	b2.ibgp("RR", "C1")
 	b2.ibgp("RR", "N")
-	for _, nb := range b2.net.Devices["RR"].Neighbors {
-		if nb.Addr == b2.net.Devices["C1"].Loopback {
+	for _, nb := range b2.Net.Devices["RR"].Neighbors {
+		if nb.Addr == b2.Net.Devices["C1"].Loopback {
 			nb.RRClient = true
 		}
 	}
-	b2.net.Devices["N"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b2.Net.Devices["N"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	nextHopSelfAll(b2, "N")
 	res2 := b2.run([]netmodel.Route{inputRoute("N", "10.1.0.0/16", 65100)}, Options{})
 	if best := res2.RIB("C1", netmodel.DefaultVRF).Best(p); len(best) != 1 {
@@ -280,7 +247,7 @@ func TestNoReflectionWithoutRR(t *testing.T) {
 	b.link("Y", "Z", 10)
 	b.ibgp("X", "Y")
 	b.ibgp("Y", "Z") // chain, no X-Z session, Y not an RR
-	b.net.Devices["X"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["X"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	nextHopSelfAll(b, "X")
 
 	p := netip.MustParsePrefix("10.2.0.0/16")
@@ -304,7 +271,7 @@ func TestECMPMultipath(t *testing.T) {
 	b.ebgp("D", "P1")
 	b.ebgp("D", "P2")
 	for _, e := range []string{"P1", "P2"} {
-		b.net.Devices[e].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+		b.Net.Devices[e].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	}
 	p := netip.MustParsePrefix("10.3.0.0/16")
 	res := b.run([]netmodel.Route{
@@ -317,7 +284,7 @@ func TestECMPMultipath(t *testing.T) {
 	}
 
 	// With MaxPaths 1, only one best.
-	b.net.Devices["D"].MaxPaths = 1
+	b.Net.Devices["D"].MaxPaths = 1
 	res = b.run([]netmodel.Route{
 		inputRoute("P1", "10.3.0.0/16", 65100),
 		inputRoute("P2", "10.3.0.0/16", 65100),
@@ -337,16 +304,16 @@ func TestBestPathLocalPrefBeatsShorterPath(t *testing.T) {
 	b.ebgp("D", "P1")
 	b.ebgp("D", "P2")
 	for _, e := range []string{"P1", "P2"} {
-		b.net.Devices[e].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+		b.Net.Devices[e].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	}
 	// Import policy on D for P2 session sets localpref 200.
-	d := b.net.Devices["D"]
+	d := b.Net.Devices["D"]
 	d.RouteMaps["LP200"] = mustRouteMap(t, `route-map LP200 permit 10
  set local-preference 200
 `)
-	l := b.net.Topo.FindLink("D", "P2")
+	l := b.Net.Topo.FindLink("D", "P2")
 	p2Addr := l.AAddr
-	if b.net.Topo.AddrOwner(p2Addr) != "P2" {
+	if b.Net.Topo.AddrOwner(p2Addr) != "P2" {
 		p2Addr = l.BAddr
 	}
 	for _, nb := range d.Neighbors {
@@ -388,14 +355,14 @@ func TestMissingPolicyVSBOnEBGP(t *testing.T) {
 	b.device("P", "alpha", 65002, "1.0.0.2")
 	b.link("D", "P", 10)
 	b.ebgp("D", "P")
-	b.net.Devices["P"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["P"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	p := netip.MustParsePrefix("10.5.0.0/16")
 	res := b.run([]netmodel.Route{inputRoute("P", "10.5.0.0/16", 65100)}, Options{})
 	if best := res.RIB("D", netmodel.DefaultVRF).Best(p); len(best) != 0 {
 		t.Errorf("beta without policy must reject eBGP update, got %v", best)
 	}
 	// Alpha accepts in the same situation.
-	b.net.Devices["D"].Vendor = "alpha"
+	b.Net.Devices["D"].Vendor = "alpha"
 	res = b.run([]netmodel.Route{inputRoute("P", "10.5.0.0/16", 65100)}, Options{})
 	if best := res.RIB("D", netmodel.DefaultVRF).Best(p); len(best) != 1 {
 		t.Errorf("alpha without policy must accept eBGP update, got %v", best)
@@ -408,8 +375,8 @@ func TestUndefinedPolicyVSB(t *testing.T) {
 	b.device("P", "alpha", 65002, "1.0.0.2")
 	b.link("D", "P", 10)
 	b.ebgp("D", "P")
-	b.net.Devices["P"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
-	for _, nb := range b.net.Devices["D"].Neighbors {
+	b.Net.Devices["P"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	for _, nb := range b.Net.Devices["D"].Neighbors {
 		nb.ImportPolicy = "TYPO_NAME" // referenced but never defined
 	}
 	p := netip.MustParsePrefix("10.6.0.0/16")
@@ -417,7 +384,7 @@ func TestUndefinedPolicyVSB(t *testing.T) {
 	if best := res.RIB("D", netmodel.DefaultVRF).Best(p); len(best) != 1 {
 		t.Errorf("alpha accepts on undefined policy, got %v", best)
 	}
-	b.net.Devices["D"].Vendor = "beta"
+	b.Net.Devices["D"].Vendor = "beta"
 	res = b.run([]netmodel.Route{inputRoute("P", "10.6.0.0/16", 65100)}, Options{})
 	if best := res.RIB("D", netmodel.DefaultVRF).Best(p); len(best) != 0 {
 		t.Errorf("beta rejects on undefined policy, got %v", best)
@@ -439,17 +406,17 @@ func TestSRTunnelIGPCostVSB(t *testing.T) {
 		b.ibgp("A", "B")
 		b.ibgp("A", "C")
 		for _, e := range []string{"B", "C"} {
-			b.net.Devices[e].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+			b.Net.Devices[e].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 		}
 		// B and C both advertise the prefix with next-hop-self.
 		for _, dev := range []string{"B", "C"} {
-			for _, nb := range b.net.Devices[dev].Neighbors {
+			for _, nb := range b.Net.Devices[dev].Neighbors {
 				nb.NextHopSelf = true
 			}
 		}
 		if srToC {
-			b.net.Devices["A"].SRPolicies = append(b.net.Devices["A"].SRPolicies,
-				&config.SRPolicy{Name: "SR-C", Endpoint: b.net.Devices["C"].Loopback, Color: 100})
+			b.Net.Devices["A"].SRPolicies = append(b.Net.Devices["A"].SRPolicies,
+				&config.SRPolicy{Name: "SR-C", Endpoint: b.Net.Devices["C"].Loopback, Color: 100})
 		}
 		return b.run([]netmodel.Route{
 			inputRoute("B", "10.7.0.0/16", 65100),
@@ -480,8 +447,8 @@ func TestSRTunnelIGPCostVSB(t *testing.T) {
 
 func TestAggregation(t *testing.T) {
 	b := lineTopo()
-	b.net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
-	a := b.net.Devices["A"]
+	b.Net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	a := b.Net.Devices["A"]
 	a.Aggregates = append(a.Aggregates, config.Aggregate{
 		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.0.0.0/8"), ASSet: true,
 	})
@@ -513,8 +480,8 @@ func TestAggregation(t *testing.T) {
 func TestAggregateCommonASPrefixVSB(t *testing.T) {
 	mk := func(vendor string) netmodel.ASPath {
 		b := lineTopo()
-		b.net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
-		a := b.net.Devices["A"]
+		b.Net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+		a := b.Net.Devices["A"]
 		a.Vendor = vendor
 		permitAllImport(b, "A")
 		a.Aggregates = append(a.Aggregates, config.Aggregate{
@@ -542,8 +509,8 @@ func TestAggregateCommonASPrefixVSB(t *testing.T) {
 
 func TestSummaryOnlySuppression(t *testing.T) {
 	b := lineTopo()
-	b.net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
-	a := b.net.Devices["A"]
+	b.Net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	a := b.Net.Devices["A"]
 	a.Aggregates = append(a.Aggregates, config.Aggregate{
 		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.0.0.0/8"), SummaryOnly: true,
 	})
@@ -611,9 +578,9 @@ func TestReLeakVSB(t *testing.T) {
 func TestIsolationVSB(t *testing.T) {
 	mk := func(vendor string) (*Result, netip.Prefix) {
 		b := lineTopo()
-		b.net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
-		b.net.Devices["A"].Vendor = vendor
-		b.net.Devices["A"].Isolated = true
+		b.Net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+		b.Net.Devices["A"].Vendor = vendor
+		b.Net.Devices["A"].Isolated = true
 		res := b.run([]netmodel.Route{inputRoute("E", "10.0.0.0/24", 65100)}, Options{})
 		return res, netip.MustParsePrefix("10.0.0.0/24")
 	}
@@ -645,14 +612,14 @@ func TestAddPath(t *testing.T) {
 	b.ibgp("RR", "C")
 	b.ebgp("RR", "P1")
 	b.ebgp("RR", "P2")
-	for _, nb := range b.net.Devices["RR"].Neighbors {
-		if nb.Addr == b.net.Devices["C"].Loopback {
+	for _, nb := range b.Net.Devices["RR"].Neighbors {
+		if nb.Addr == b.Net.Devices["C"].Loopback {
 			nb.RRClient = true
 			nb.AddPaths = 2
 		}
 	}
 	for _, e := range []string{"P1", "P2"} {
-		b.net.Devices[e].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+		b.Net.Devices[e].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	}
 	p := netip.MustParsePrefix("10.10.0.0/16")
 	// Different AS path lengths: not ECMP, but add-path still sends both.
@@ -668,7 +635,7 @@ func TestAddPath(t *testing.T) {
 
 func TestConvergenceWithinPaperBound(t *testing.T) {
 	b := lineTopo()
-	b.net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	res := b.run([]netmodel.Route{inputRoute("E", "10.0.0.0/24", 65100)}, Options{})
 	if !res.Converged || res.Rounds > 20 {
 		t.Errorf("converged=%v rounds=%d; paper's WAN converges within 20", res.Converged, res.Rounds)
@@ -683,7 +650,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	mk := func() *netmodel.GlobalRIB {
 		b := lineTopo()
-		b.net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+		b.Net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 		return b.run(inputs, Options{}).GlobalRIB()
 	}
 	g1, g2 := mk(), mk()
@@ -696,15 +663,15 @@ func TestVendorProfileDivergenceIsObservable(t *testing.T) {
 	// The same network simulated under a mutated profile must differ — the
 	// foundation of the accuracy-diagnosis campaign.
 	b := lineTopo()
-	b.net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	inputs := []netmodel.Route{inputRoute("E", "10.0.0.0/24", 65100)}
-	igp := isis.Compute(b.net.Topo, isis.Options{})
+	igp := isis.Compute(b.Net.Topo, isis.Options{})
 
-	truth := Simulate(b.net, igp, inputs, Options{}).GlobalRIB()
+	truth := Simulate(b.Net, igp, inputs, Options{}).GlobalRIB()
 
 	mutated := vsb.Defaults()
 	mutated["alpha"] = vsb.MutDefaultPreference.Apply(mutated["alpha"])
-	got := Simulate(b.net, igp, inputs, Options{Profiles: mutated}).GlobalRIB()
+	got := Simulate(b.Net, igp, inputs, Options{Profiles: mutated}).GlobalRIB()
 	if truth.Equal(got) {
 		t.Error("preference mutation must be observable in the global RIB")
 	}
@@ -722,7 +689,7 @@ func TestSessionEstablishmentRules(t *testing.T) {
 		b.device("P", "alpha", 65002, "1.0.0.2")
 		b.link("D", "P", 10)
 		b.ebgp("D", "P")
-		b.net.Devices["P"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+		b.Net.Devices["P"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 		mutate(b)
 		return b.run([]netmodel.Route{inputRoute("P", "10.5.0.0/16", 65100)}, Options{})
 	}
@@ -735,28 +702,28 @@ func TestSessionEstablishmentRules(t *testing.T) {
 	}
 	// Wrong remote-as on D's side: session never establishes.
 	res = mk(func(b *netBuilder) {
-		b.net.Devices["D"].Neighbors[0].RemoteAS = 65099
+		b.Net.Devices["D"].Neighbors[0].RemoteAS = 65099
 	})
 	if len(res.RIB("D", netmodel.DefaultVRF).Best(p)) != 0 {
 		t.Error("remote-as mismatch must keep the session down")
 	}
 	// Remote does not configure us back.
 	res = mk(func(b *netBuilder) {
-		b.net.Devices["P"].Neighbors = nil
+		b.Net.Devices["P"].Neighbors = nil
 	})
 	if len(res.RIB("D", netmodel.DefaultVRF).Best(p)) != 0 {
 		t.Error("one-sided session must stay down")
 	}
 	// Remote down.
 	res = mk(func(b *netBuilder) {
-		b.net.Topo.SetNodeUp("P", false)
+		b.Net.Topo.SetNodeUp("P", false)
 	})
 	if len(res.RIB("D", netmodel.DefaultVRF).Best(p)) != 0 {
 		t.Error("session to a down device must stay down")
 	}
 	// eBGP link down: no direct path.
 	res = mk(func(b *netBuilder) {
-		b.net.Topo.SetLinkUp(b.net.Topo.FindLink("D", "P").ID(), false)
+		b.Net.Topo.SetLinkUp(b.Net.Topo.FindLink("D", "P").ID(), false)
 	})
 	if len(res.RIB("D", netmodel.DefaultVRF).Best(p)) != 0 {
 		t.Error("eBGP without a direct up link must stay down")
@@ -771,7 +738,7 @@ func TestIBGPSessionRequiresIGPReachability(t *testing.T) {
 	b.device("Z", "alpha", 65001, "1.0.0.3")
 	b.link("X", "Y", 10) // Z is isolated
 	b.ibgp("X", "Z")
-	b.net.Devices["X"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["X"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	res := b.run([]netmodel.Route{inputRoute("X", "10.6.0.0/16", 65100)}, Options{})
 	if len(res.RIB("Z", netmodel.DefaultVRF).Best(netip.MustParsePrefix("10.6.0.0/16"))) != 0 {
 		t.Error("iBGP over a partitioned IGP must stay down")
@@ -789,7 +756,7 @@ func TestMEDTieBreak(t *testing.T) {
 	b.ebgp("D", "P1")
 	b.ebgp("D", "P2")
 	for _, e := range []string{"P1", "P2"} {
-		b.net.Devices[e].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+		b.Net.Devices[e].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	}
 	r1 := inputRoute("P1", "10.8.0.0/16", 65100)
 	r1.MED = 50
@@ -804,10 +771,10 @@ func TestMEDTieBreak(t *testing.T) {
 
 func TestStaticBeatsBGPOnPreference(t *testing.T) {
 	b := lineTopo()
-	b.net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	// A static route on A for the same prefix with admin preference 1
 	// (lower than eBGP's default).
-	a := b.net.Devices["A"]
+	a := b.Net.Devices["A"]
 	a.Statics = append(a.Statics, config.StaticRoute{
 		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.0.0.0/24"),
 		NextHop: a.Loopback, Preference: 1,

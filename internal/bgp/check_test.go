@@ -32,9 +32,9 @@ func violationAt(t *testing.T, label string, err error, kind ViolationKind, devi
 // it was planted.
 func TestCheckPlantedFaults(t *testing.T) {
 	b, inputs := parallelFixture()
-	igp := isis.Compute(b.net.Topo, isis.Options{})
-	rows := Simulate(b.net, igp, inputs, Options{}).GlobalRIB().Rows()
-	mustCheck(t, "unplanted", b.net, igp, inputs, Simulate(b.net, igp, inputs, Options{}))
+	igp := isis.Compute(b.Net.Topo, isis.Options{})
+	rows := Simulate(b.Net, igp, inputs, Options{}).GlobalRIB().Rows()
+	mustCheck(t, "unplanted", b.Net, igp, inputs, Simulate(b.Net, igp, inputs, Options{}))
 
 	// The route 172.20.5.0/24 takes E → A → RR → C2; C2 learns it from RR.
 	spec := netip.MustParsePrefix("172.20.5.0/24")
@@ -54,7 +54,7 @@ func TestCheckPlantedFaults(t *testing.T) {
 			without = append(without, r)
 		}
 	}
-	withdrawn := Simulate(b.net, igp, without, Options{}).GlobalRIB().Rows()
+	withdrawn := Simulate(b.Net, igp, without, Options{}).GlobalRIB().Rows()
 	agg := netip.MustParsePrefix("10.0.0.0/8")
 
 	for _, tc := range []struct {
@@ -95,7 +95,7 @@ func TestCheckPlantedFaults(t *testing.T) {
 			return slices.Delete(rs, i, i+1)
 		}, KindAggregate, "A", agg},
 	} {
-		err := Check(b.net, igp, tc.inputs, netmodel.NewGlobalRIB(tc.plant()), Options{})
+		err := Check(b.Net, igp, tc.inputs, netmodel.NewGlobalRIB(tc.plant()), Options{})
 		violationAt(t, tc.name, err, tc.kind, tc.device, tc.prefix)
 	}
 }
@@ -116,9 +116,9 @@ func disagreeFixture(t *testing.T) (*netBuilder, []netmodel.Route) {
 	b.ebgp("O", "B")
 	b.ebgp("A", "B")
 	for _, pair := range [][2]string{{"A", "B"}, {"B", "A"}} {
-		d := b.net.Devices[pair[0]]
+		d := b.Net.Devices[pair[0]]
 		d.RouteMaps["LP200"] = mustRouteMap(t, "route-map LP200 permit 10\n set local-preference 200\n")
-		l := b.net.Topo.FindLink(pair[0], pair[1])
+		l := b.Net.Topo.FindLink(pair[0], pair[1])
 		peer := l.AAddr
 		if l.A == pair[0] {
 			peer = l.BAddr
@@ -130,7 +130,7 @@ func disagreeFixture(t *testing.T) (*netBuilder, []netmodel.Route) {
 		}
 	}
 	in := inputRoute("O", "10.9.0.0/16", 65100)
-	in.NextHop = b.net.Devices["O"].Loopback
+	in.NextHop = b.Net.Devices["O"].Loopback
 	return b, []netmodel.Route{in}
 }
 
@@ -139,13 +139,13 @@ func disagreeFixture(t *testing.T) (*netBuilder, []netmodel.Route) {
 // rejects the RIB it leaves.
 func TestCheckRejectsNonConvergent(t *testing.T) {
 	b, inputs := disagreeFixture(t)
-	igp := isis.Compute(b.net.Topo, isis.Options{})
+	igp := isis.Compute(b.Net.Topo, isis.Options{})
 	for _, rounds := range []int{16, 17} {
-		res := Simulate(b.net, igp, inputs, Options{MaxRounds: rounds})
+		res := Simulate(b.Net, igp, inputs, Options{MaxRounds: rounds})
 		if res.Converged {
 			t.Fatalf("MaxRounds %d: DISAGREE converged in %d rounds", rounds, res.Rounds)
 		}
-		err := Check(b.net, igp, inputs, res.GlobalRIB(), Options{})
+		err := Check(b.Net, igp, inputs, res.GlobalRIB(), Options{})
 		var ce *CheckError
 		if !errors.As(err, &ce) || ce.Total == 0 {
 			t.Fatalf("MaxRounds %d: Check accepted the unconverged RIB (%v)", rounds, err)

@@ -62,9 +62,9 @@ func fixtureFlows(b *netBuilder, inputs []netmodel.Route) []netmodel.Flow {
 			continue
 		}
 		seen[r.Prefix] = true
-		for _, dev := range b.net.DeviceNames() {
+		for _, dev := range b.Net.DeviceNames() {
 			flows = append(flows, netmodel.Flow{
-				Src: b.net.Devices[dev].Loopback, Dst: r.Prefix.Addr().Next(),
+				Src: b.Net.Devices[dev].Loopback, Dst: r.Prefix.Addr().Next(),
 				SrcPort: 1000, DstPort: 80, Proto: netmodel.ProtoTCP, Ingress: dev, Volume: 1e6,
 			})
 		}
@@ -108,8 +108,8 @@ func competeFixture(t *testing.T) (*netBuilder, []netmodel.Route) {
 	}
 	nextHopSelfAll(b, "X1")
 	nextHopSelfAll(b, "X2")
-	b.net.Devices["E1"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
-	b.net.Devices["E2"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.100.2/24")}
+	b.Net.Devices["E1"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["E2"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.100.2/24")}
 	for exit, prefix := range map[string]string{"X2": "10.1.0.0/16", "X1": "10.5.0.0/16"} {
 		d, err := config.ParseDevice(exit, "ip prefix-list PREFER permit "+prefix+"\n"+
 			"route-map LP permit 10\n match ip-prefix PREFER\n set local-preference 200\n"+
@@ -117,7 +117,7 @@ func competeFixture(t *testing.T) (*netBuilder, []netmodel.Route) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := b.net.Devices[exit]
+		x := b.Net.Devices[exit]
 		maps.Copy(x.PrefixLists, d.PrefixLists)
 		maps.Copy(x.RouteMaps, d.RouteMaps)
 		for _, nb := range x.Neighbors {
@@ -170,20 +170,20 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	for i, fx := range []fixture{{b, inputs}, {b, gen.WithDuplicateInputs(inputs)}, {cb, cinputs}} {
 		b, in := fx.b, fx.inputs
-		igp := isis.Compute(b.net.Topo, isis.Options{})
+		igp := isis.Compute(b.Net.Topo, isis.Options{})
 		want := golden[i]
 		flows := fixtureFlows(b, in)
 		for _, p := range []int{1, 2, 8} {
-			res := Simulate(b.net, igp, in, Options{Parallelism: p})
+			res := Simulate(b.Net, igp, in, Options{Parallelism: p})
 			g := res.GlobalRIB()
-			tr := traffic.NewForwarder(b.net, igp, res, traffic.Options{Parallelism: p}).Simulate(flows)
+			tr := traffic.NewForwarder(b.Net, igp, res, traffic.Options{Parallelism: p}).Simulate(flows)
 			if got := ribDigest(g); got != want.rib || g.Len() != want.rows {
 				t.Errorf("%s, parallelism %d: RIB digest %s over %d rows, want %s over %d", want.name, p, got, g.Len(), want.rib, want.rows)
 			}
 			if got := flowDigest(tr); got != want.pathsLoad {
 				t.Errorf("%s, parallelism %d: paths + loads digest %s, want %s", want.name, p, got, want.pathsLoad)
 			}
-			mustCheck(t, fmt.Sprintf("%s, parallelism %d", want.name, p), b.net, igp, in, res)
+			mustCheck(t, fmt.Sprintf("%s, parallelism %d", want.name, p), b.Net, igp, in, res)
 		}
 	}
 }

@@ -36,21 +36,21 @@ func parallelFixture() (*netBuilder, []netmodel.Route) {
 	b.ibgp("A", "RR")
 	b.ibgp("RR", "C1")
 	b.ibgp("RR", "C2")
-	for _, nb := range b.net.Devices["RR"].Neighbors {
-		if nb.Addr == b.net.Devices["C1"].Loopback || nb.Addr == b.net.Devices["C2"].Loopback {
+	for _, nb := range b.Net.Devices["RR"].Neighbors {
+		if nb.Addr == b.Net.Devices["C1"].Loopback || nb.Addr == b.Net.Devices["C2"].Loopback {
 			nb.RRClient = true
 		}
 	}
-	b.net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+	b.Net.Devices["E"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
 	nextHopSelfAll(b, "A")
 
-	a := b.net.Devices["A"]
+	a := b.Net.Devices["A"]
 	a.Aggregates = append(a.Aggregates,
 		config.Aggregate{VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.0.0.0/8"), ASSet: true},
 		config.Aggregate{VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.64.0.0/10"), SummaryOnly: true},
 	)
 
-	c1 := b.net.Devices["C1"]
+	c1 := b.Net.Devices["C1"]
 	c1.VRFs["v1"] = &config.VRF{Name: "v1", ExportRTs: []string{"rt1"}}
 	c1.VRFs["v2"] = &config.VRF{Name: "v2", ImportRTs: []string{"rt1"}}
 
@@ -136,9 +136,9 @@ func checkParallelisms(t *testing.T, label string, net *config.Network, igp *isi
 // keys, whose rows tie in the canonical order.
 func TestParallelFixpointEquivalence(t *testing.T) {
 	b, inputs := parallelFixture()
-	igp := isis.Compute(b.net.Topo, isis.Options{})
-	checkParallelisms(t, "fixture", b.net, igp, inputs, true)
-	checkParallelisms(t, "fixture with duplicate inputs", b.net, igp, gen.WithDuplicateInputs(inputs), true)
+	igp := isis.Compute(b.Net.Topo, isis.Options{})
+	checkParallelisms(t, "fixture", b.Net, igp, inputs, true)
+	checkParallelisms(t, "fixture with duplicate inputs", b.Net, igp, gen.WithDuplicateInputs(inputs), true)
 }
 
 // TestParallelFixpointEquivalenceWAN re-checks it at gen.WAN scale, where the
@@ -181,7 +181,7 @@ func allDistChanged(net *config.Network) map[string]map[string]bool {
 // summary-only aggregate 10.64.0.0/10 away, and a link failure.
 func TestParallelResimulateEquivalence(t *testing.T) {
 	b, inputs := parallelFixture()
-	igp := isis.Compute(b.net.Topo, isis.Options{})
+	igp := isis.Compute(b.Net.Topo, isis.Options{})
 
 	// Input delta: drop some routes, add a fresh one.
 	inputs2 := append([]netmodel.Route(nil), inputs[:len(inputs)-6]...)
@@ -196,7 +196,7 @@ func TestParallelResimulateEquivalence(t *testing.T) {
 	}
 
 	// Topology delta: RR-C1 link down (kills the iBGP session to C1).
-	net2 := b.net.Clone()
+	net2 := b.Net.Clone()
 	link := net2.Topo.FindLink("RR", "C1")
 	if !net2.Topo.SetLinkUp(link.ID(), false) {
 		t.Fatal("link RR-C1 not found")
@@ -214,17 +214,17 @@ func TestParallelResimulateEquivalence(t *testing.T) {
 		delta  Delta
 		ref    *netmodel.GlobalRIB
 	}{
-		{"input delta", b.net, igp, inputs2, Delta{}, nil},
-		{"aggregate loses its contributors", b.net, igp, inputs3, Delta{}, nil},
+		{"input delta", b.Net, igp, inputs2, Delta{}, nil},
+		{"aggregate loses its contributors", b.Net, igp, inputs3, Delta{}, nil},
 		{"topology delta", net2, igp2, inputs, delta, nil},
 	}
 	for i, sc := range scenarios {
 		scenarios[i].ref = Simulate(sc.net, sc.igp, sc.inputs, Options{Parallelism: 1}).GlobalRIB()
 	}
 
-	_, single := SimulateWithState(b.net, igp, inputs, Options{Parallelism: 1})
+	_, single := SimulateWithState(b.Net, igp, inputs, Options{Parallelism: 1})
 	for _, p := range []int{1, 2, 8} {
-		_, st := SimulateWithState(b.net, igp, inputs, Options{Parallelism: p})
+		_, st := SimulateWithState(b.Net, igp, inputs, Options{Parallelism: p})
 		if (st.units != nil) != (p > 1) {
 			t.Fatalf("parallelism %d: state holds %d units", p, len(st.units))
 		}
@@ -312,12 +312,12 @@ func sameTable(a, b *netmodel.RIB) bool {
 
 // TestParallelSimulateRace exercises multi-unit runs under the race detector:
 // several goroutines simulate the same shared network (lazy topology indexes,
-// interner, policy caches) with Parallelism 8 each, and every result must
+// policy caches) with Parallelism 8 each, and every result must
 // still match the sequential reference.
 func TestParallelSimulateRace(t *testing.T) {
 	b, inputs := parallelFixture()
-	igp := isis.Compute(b.net.Topo, isis.Options{})
-	ref := Simulate(b.net, igp, inputs, Options{Parallelism: 1}).GlobalRIB()
+	igp := isis.Compute(b.Net.Topo, isis.Options{})
+	ref := Simulate(b.Net, igp, inputs, Options{Parallelism: 1}).GlobalRIB()
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -325,7 +325,7 @@ func TestParallelSimulateRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				res := Simulate(b.net, igp, inputs, Options{Parallelism: 8})
+				res := Simulate(b.Net, igp, inputs, Options{Parallelism: 8})
 				if !res.GlobalRIB().Equal(ref) {
 					t.Error("concurrent multi-unit run differs from sequential")
 				}
@@ -395,16 +395,16 @@ func FuzzParallelFixpointEquivalence(f *testing.F) {
 				keep = append(keep, r)
 			}
 		}
-		links := b.net.Topo.Links()
+		links := b.Net.Topo.Links()
 		for i := 0; i < int(downs)%3; i++ {
-			b.net.Topo.SetLinkUp(links[rng.Intn(len(links))].ID(), false)
+			b.Net.Topo.SetLinkUp(links[rng.Intn(len(links))].ID(), false)
 		}
-		igp := isis.Compute(b.net.Topo, isis.Options{})
+		igp := isis.Compute(b.Net.Topo, isis.Options{})
 
-		ref := Simulate(b.net, igp, keep, Options{Parallelism: 1})
-		mustCheck(t, fmt.Sprintf("seed %d, downs %d", seed, downs), b.net, igp, keep, ref)
+		ref := Simulate(b.Net, igp, keep, Options{Parallelism: 1})
+		mustCheck(t, fmt.Sprintf("seed %d, downs %d", seed, downs), b.Net, igp, keep, ref)
 		for _, p := range []int{2, 8} {
-			got := Simulate(b.net, igp, keep, Options{Parallelism: p})
+			got := Simulate(b.Net, igp, keep, Options{Parallelism: p})
 			sameRun(t, fmt.Sprintf("parallelism %d (seed %d, downs %d)", p, seed, downs), got, ref)
 		}
 	})

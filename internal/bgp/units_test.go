@@ -35,8 +35,8 @@ func TestSplitUnits(t *testing.T) {
 		{
 			name: "nested aggregates on two devices",
 			configure: func(b *netBuilder) []netmodel.Route {
-				b.net.Devices["A"].Aggregates = []config.Aggregate{{VRF: netmodel.DefaultVRF, Prefix: pfx("10.0.0.0/8")}}
-				b.net.Devices["RR"].Aggregates = []config.Aggregate{
+				b.Net.Devices["A"].Aggregates = []config.Aggregate{{VRF: netmodel.DefaultVRF, Prefix: pfx("10.0.0.0/8")}}
+				b.Net.Devices["RR"].Aggregates = []config.Aggregate{
 					{VRF: netmodel.DefaultVRF, Prefix: pfx("10.64.0.0/10")},
 					{VRF: netmodel.DefaultVRF, Prefix: pfx("10.64.0.0/16")},
 				}
@@ -50,7 +50,7 @@ func TestSplitUnits(t *testing.T) {
 		{
 			name: "summary-only",
 			configure: func(b *netBuilder) []netmodel.Route {
-				b.net.Devices["A"].Aggregates = []config.Aggregate{{VRF: netmodel.DefaultVRF, Prefix: pfx("10.64.0.0/10"), SummaryOnly: true}}
+				b.Net.Devices["A"].Aggregates = []config.Aggregate{{VRF: netmodel.DefaultVRF, Prefix: pfx("10.64.0.0/10"), SummaryOnly: true}}
 				return nil
 			},
 			groups: map[string]string{
@@ -61,7 +61,7 @@ func TestSplitUnits(t *testing.T) {
 		{
 			name: "as-set, input equal to the aggregate prefix",
 			configure: func(b *netBuilder) []netmodel.Route {
-				b.net.Devices["A"].Aggregates = []config.Aggregate{{VRF: netmodel.DefaultVRF, Prefix: pfx("10.0.0.0/16"), ASSet: true}}
+				b.Net.Devices["A"].Aggregates = []config.Aggregate{{VRF: netmodel.DefaultVRF, Prefix: pfx("10.0.0.0/16"), ASSet: true}}
 				return []netmodel.Route{inputRoute("E", "10.0.0.0/16", 65100, 65777)}
 			},
 			groups: map[string]string{
@@ -73,7 +73,7 @@ func TestSplitUnits(t *testing.T) {
 			name: "aggregate in a VRF fed by leaking",
 			configure: func(b *netBuilder) []netmodel.Route {
 				// The contributors are seeded in v1 and reach v2 only as leaks.
-				b.net.Devices["C1"].Aggregates = []config.Aggregate{{VRF: "v2", Prefix: pfx("192.168.0.0/16"), ASSet: true}}
+				b.Net.Devices["C1"].Aggregates = []config.Aggregate{{VRF: "v2", Prefix: pfx("192.168.0.0/16"), ASSet: true}}
 				return nil
 			},
 			groups: map[string]string{
@@ -84,7 +84,7 @@ func TestSplitUnits(t *testing.T) {
 		{
 			name: "contributors originated by configuration only",
 			configure: func(b *netBuilder) []netmodel.Route {
-				c2 := b.net.Devices["C2"]
+				c2 := b.Net.Devices["C2"]
 				c2.Networks = append(c2.Networks, pfx("10.99.1.0/24"), pfx("10.99.2.0/24"))
 				c2.Aggregates = []config.Aggregate{{VRF: netmodel.DefaultVRF, Prefix: pfx("10.99.0.0/16")}}
 				return nil
@@ -97,7 +97,7 @@ func TestSplitUnits(t *testing.T) {
 		{
 			name: "one aggregate covering everything",
 			configure: func(b *netBuilder) []netmodel.Route {
-				b.net.Devices["RR"].Aggregates = []config.Aggregate{{VRF: netmodel.DefaultVRF, Prefix: pfx("0.0.0.0/0")}}
+				b.Net.Devices["RR"].Aggregates = []config.Aggregate{{VRF: netmodel.DefaultVRF, Prefix: pfx("0.0.0.0/0")}}
 				return nil
 			},
 			groups: map[string]string{"10.0.1.0/24": "0.0.0.0/0", "172.20.1.0/24": "0.0.0.0/0", "1.0.0.2/32": "0.0.0.0/0"},
@@ -107,18 +107,18 @@ func TestSplitUnits(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b, inputs := parallelFixture()
-			b.net.Devices["A"].Aggregates = nil
+			b.Net.Devices["A"].Aggregates = nil
 			inputs = append(inputs, tc.configure(b)...)
-			igp := isis.Compute(b.net.Topo, isis.Options{})
+			igp := isis.Compute(b.Net.Topo, isis.Options{})
 
-			roots := aggregateRoots(b.net)
+			roots := aggregateRoots(b.Net)
 			for p, want := range tc.groups {
 				if got := roots.groupOf(pfx(p)); got != pfx(want) {
 					t.Errorf("group of %s = %s, want %s", p, got, want)
 				}
 			}
 
-			s := newSim(b.net, igp, Options{})
+			s := newSim(b.Net, igp, Options{})
 			s.originateLocals(inputs, nil)
 			units := s.splitUnits(8)
 			if tc.single {
@@ -156,7 +156,7 @@ func TestSplitUnits(t *testing.T) {
 					t.Errorf("units hold %d candidates, originated %d", cands, want)
 				}
 			}
-			checkParallelisms(t, tc.name, b.net, igp, inputs, !tc.single)
+			checkParallelisms(t, tc.name, b.Net, igp, inputs, !tc.single)
 		})
 	}
 }
@@ -164,7 +164,7 @@ func TestSplitUnits(t *testing.T) {
 // TestSplitUnitsOneWorker: with one worker the run is the sequential loop.
 func TestSplitUnitsOneWorker(t *testing.T) {
 	b, inputs := parallelFixture()
-	s := newSim(b.net, isis.Compute(b.net.Topo, isis.Options{}), Options{})
+	s := newSim(b.Net, isis.Compute(b.Net.Topo, isis.Options{}), Options{})
 	s.originateLocals(inputs, nil)
 	if units := s.splitUnits(1); units != nil {
 		t.Fatalf("one worker split into %d units", len(units))

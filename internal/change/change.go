@@ -8,6 +8,7 @@ package change
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"hoyan/internal/config"
 	"hoyan/internal/core"
@@ -157,6 +158,9 @@ func (p *Plan) Apply(base *config.Network) (*config.Network, error) {
 		}
 	}
 	for _, name := range p.RemoveNodes {
+		if updated.Topo.Node(name) == nil {
+			return nil, fmt.Errorf("change %s: unknown device %q to remove", p.ID, name)
+		}
 		updated.Topo.RemoveNode(name)
 		delete(updated.Devices, name)
 	}
@@ -164,14 +168,21 @@ func (p *Plan) Apply(base *config.Network) (*config.Network, error) {
 		return nil, fmt.Errorf("change %s: %w", p.ID, err)
 	}
 
-	for device, commands := range p.Commands {
+	// In device order, so a plan with several bad blocks always reports the
+	// same one.
+	devices := make([]string, 0, len(p.Commands))
+	for device := range p.Commands {
+		devices = append(devices, device)
+	}
+	slices.Sort(devices)
+	for _, device := range devices {
 		d, ok := updated.Devices[device]
 		if !ok {
 			// Typos in router names are one of Table 6's top root causes;
 			// real CLIs reject them, so the plan fails to apply.
 			return nil, fmt.Errorf("change %s: unknown device %q in commands", p.ID, device)
 		}
-		if err := config.ApplyCommands(d, commands); err != nil {
+		if err := config.ApplyCommands(d, p.Commands[device]); err != nil {
 			return nil, fmt.Errorf("change %s: %w", p.ID, err)
 		}
 	}

@@ -49,6 +49,18 @@ func TestApplyUnknownDeviceFails(t *testing.T) {
 	if _, err := plan.Apply(out.Net); err == nil || !strings.Contains(err.Error(), "unknown device") {
 		t.Errorf("want unknown-device error, got %v", err)
 	}
+	remove := &Plan{ID: "t", RemoveNodes: []string{"no-such-router"}}
+	if _, err := remove.Apply(out.Net); err == nil || !strings.Contains(err.Error(), `unknown device "no-such-router"`) {
+		t.Errorf("removing an unknown node: want unknown-device error, got %v", err)
+	}
+	// Several mistyped blocks: the error names the first in device order,
+	// however the map is ranged.
+	typos := &Plan{ID: "t", Commands: map[string]string{"rr-9": "isis enable\n", "core-9": "isis enable\n", "dc-9": "isis enable\n"}}
+	for range 50 {
+		if _, err := typos.Apply(out.Net); err == nil || !strings.Contains(err.Error(), `unknown device "core-9"`) {
+			t.Fatalf("want the error for core-9, got %v", err)
+		}
+	}
 }
 
 func TestApplyTopologyDeltas(t *testing.T) {

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -505,6 +506,7 @@ func (b *byteChooser) Intn(n int) int {
 // genDevice builds a device in the vendor's dialect that sets every model
 // field the dialects can write, with values each dialect can express: an
 // unset route-map action is alpha's alone, and names are single words.
+// Route maps may be empty.
 func genDevice(r chooser, vendor string) *Device {
 	flip := func() bool { return r.Intn(2) == 0 }
 	upto := func(n int) int { return r.Intn(n + 1) }
@@ -637,8 +639,10 @@ func genDevice(r chooser, vendor string) *Device {
 		actions = actions[:2]
 	}
 	for range upto(3) {
+		// A map may have no nodes: every one was removed ("no route-map X
+		// deny 10"), which leaves a defined map that denies everything.
 		rm := &policy.RouteMap{Name: name("RM")}
-		for seq := range 1 + upto(2) {
+		for seq := range upto(3) {
 			n := &policy.Node{Seq: 10 * (seq + 1), Action: actions[r.Intn(len(actions))]}
 			for range upto(3) {
 				m := policy.Match{Kind: policy.MatchKind(r.Intn(5))}
@@ -728,14 +732,23 @@ func TestRandomizedRoundTripProperty(t *testing.T) {
 	}
 }
 
-// FuzzModelRoundTrip drives the same generator from the fuzzer's bytes.
+// FuzzModelRoundTrip drives the same generator from the fuzzer's bytes, and
+// round-trips each model a second time with every route map emptied.
 func FuzzModelRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\xff\x01\x80\x7f\x00\x10\x20\x30\x40\x50\x60\x70"))
+	f.Add(bytes.Repeat([]byte{0xff}, 256)) // route maps in both dialects
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, vendor := range []string{"alpha", "beta"} {
 			b := byteChooser(data)
-			if err := roundTrip(genDevice(&b, vendor)); err != nil {
+			d := genDevice(&b, vendor)
+			if err := roundTrip(d); err != nil {
+				t.Fatal(err)
+			}
+			for _, rm := range d.RouteMaps {
+				rm.Nodes = nil
+			}
+			if err := roundTrip(d); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -55,6 +55,7 @@ var (
 		{scopeTop, "vrf <name>", opVRF},
 		{scopeTop, "router bgp", opBGP},
 		{scopeTop, "route-map <name> [<action>] <seq> ...", opNode},
+		{scopeTop, "route-map <name>", opRouteMap},
 		{scopeTop, "ip prefix-list <list> <action> <prefix> {ge <ge> | le <le>}", opPrefixList},
 		{scopeTop, "ipv6 prefix-list <list> <action> <prefix> {ge <ge> | le <le>}", opPrefixList6},
 		{scopeTop, "ip|ipv6 community-list <list> <action> <comm>", opCommunityList},
@@ -140,6 +141,7 @@ var (
 		{scopeTop, "ip vpn-instance <name>", opVRF},
 		{scopeTop, "bgp ...", opBGP},
 		{scopeTop, "route-policy <name> <action> node <seq>", opNode},
+		{scopeTop, "route-policy <name>", opRouteMap},
 		{scopeTop, "ip ip-prefix <list> index <index> <action> <prefix> {greater-equal <ge> | less-equal <le>}", opPrefixList},
 		{scopeTop, "ip ipv6-prefix <list> index <index> <action> <prefix> {greater-equal <ge> | less-equal <le>}", opPrefixList6},
 		{scopeTop, "ip community-filter <list> <action> <comm>", opCommunityList},

@@ -25,6 +25,7 @@ const (
 	opInterface
 	opVRF
 	opBGP
+	opRouteMap
 	opNode
 	opPrefixList
 	opPrefixList6
@@ -174,6 +175,11 @@ func init() {
 			return nil
 		},
 		opBGP: func(p *parser, a args) error { p.sec = scopeBGP; return nil },
+		opRouteMap: set(func(d *Device, a args) {
+			if name := a.str("name"); d.RouteMaps[name] == nil {
+				d.RouteMaps[name] = &policy.RouteMap{Name: name}
+			}
+		}),
 		opNode: func(p *parser, a args) error {
 			name, seq := a.str("name"), a.int("seq")
 			rm := p.d.RouteMaps[name]

@@ -132,7 +132,11 @@ func (w *writer) device(d *Device) {
 		w.bgp(d)
 	}
 	for _, name := range sortedKeys(d.RouteMaps) {
-		for _, n := range d.RouteMaps[name].Nodes {
+		nodes := d.RouteMaps[name].Nodes
+		if len(nodes) == 0 { // defined but empty: it denies, unlike an undefined map
+			w.emit(opRouteMap, bind("name", name))
+		}
+		for _, n := range nodes {
 			w.node(name, n)
 		}
 	}

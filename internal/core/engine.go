@@ -63,11 +63,6 @@ type Engine struct {
 	igp  *isis.Result
 	opts Options
 
-	// interner holds the dense ID tables: every device and link is interned
-	// at engine construction and input-route prefixes are interned per route
-	// simulation, so its stats describe the ID-table footprint of the run.
-	interner *netmodel.Interner
-
 	// base holds the state captured by BaseRun for incremental Fork runs.
 	base *baseCapture
 
@@ -96,11 +91,9 @@ func newEngineCtx(ctx context.Context, net *config.Network, opts Options) *Engin
 			Parallelism: opts.Parallelism,
 			Ctx:         ctx,
 		}),
-		opts:     opts,
-		interner: netmodel.NewInterner(),
+		opts: opts,
 	}
 	e.scratch.New = func() any { return net.Clone() }
-	e.interner.InternTopology(net.Topo)
 	return e
 }
 
@@ -111,13 +104,6 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// InternStats reports the interning tables' sizes (devices, links, prefixes,
-// approximate ID-table bytes).
-func (e *Engine) InternStats() *netmodel.InternStats {
-	st := e.interner.Stats()
-	return &st
 }
 
 // Network returns the engine's network snapshot.
@@ -182,9 +168,6 @@ func (e *Engine) bgpOptions(ctx context.Context) bgp.Options {
 // warm restart needs: the EC partition, the representatives, the converged
 // pre-expansion BGP state (unless DisableIncremental) and the result itself.
 func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, bc *baseCapture) (*RouteResult, error) {
-	for i := range inputs {
-		e.interner.InternPrefix(inputs[i].Prefix)
-	}
 	reps := inputs
 	var ecs *ec.RouteECs
 	if !e.opts.DisableRouteECs {

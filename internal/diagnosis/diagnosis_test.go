@@ -7,7 +7,6 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
 	"hoyan/internal/monitor"
-	"hoyan/internal/netmodel"
 	"hoyan/internal/vsb"
 )
 
@@ -206,36 +205,5 @@ func TestBMPRestoresECMPVisibility(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("BMP collection must expose H2's divergent selection:\n%s", rep.Summary())
-	}
-}
-
-var _ = netmodel.DefaultVRF
-
-func TestPropagationGraph(t *testing.T) {
-	out := gen.Generate(gen.WAN(1))
-	res := core.NewEngine(out.Net, core.Options{}).RouteSimulation(out.Inputs)
-	prefix := out.Inputs[0].Prefix // a dc-0-0 prefix
-	edges := PropagationGraph(res.GlobalRIB(), prefix)
-	if len(edges) < 3 {
-		t.Fatalf("propagation edges = %d, want several devices", len(edges))
-	}
-	var hasOrigin, hasLearned bool
-	for _, e := range edges {
-		if e.Device == "dc-0-0" && e.Peer == "input" {
-			hasOrigin = true
-		}
-		if e.Peer == "rr-0-0" {
-			hasLearned = true
-		}
-	}
-	if !hasOrigin {
-		t.Error("origin row (input at dc-0-0) missing")
-	}
-	if !hasLearned {
-		t.Error("learned-from-RR rows missing")
-	}
-	text := FormatPropagation(prefix, edges)
-	if !strings.Contains(text, "origin  dc-0-0") || !strings.Contains(text, "<- rr-0-0") {
-		t.Errorf("formatted graph:\n%s", text)
 	}
 }

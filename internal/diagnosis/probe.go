@@ -5,6 +5,7 @@ import (
 	"net/netip"
 
 	"hoyan/internal/config"
+	"hoyan/internal/gen"
 	"hoyan/internal/netmodel"
 	"hoyan/internal/policy"
 )
@@ -21,10 +22,14 @@ type Probe struct {
 
 // BuildProbe constructs the probe network.
 func BuildProbe() *Probe {
-	b := &probeBuilder{net: config.NewNetwork()}
+	b := gen.NewBuilder(netip.MustParsePrefix("172.28.0.0/16"))
+	device := func(name string, asn netmodel.ASN, lo string) *config.Device {
+		return b.Device(name, "alpha", asn, netip.MustParseAddr(lo))
+	}
+	link := func(a, bdev string, cost uint32) { b.Link(a, bdev, cost, 1e9) }
 
 	// Hub H (alpha, AS 65000) with assorted eBGP peers P1..P7.
-	h := b.device("H", "alpha", 65000, "8.0.0.1")
+	h := device("H", 65000, "8.0.0.1")
 	h.MaxPaths = 4
 
 	peers := []struct {
@@ -34,10 +39,11 @@ func BuildProbe() *Probe {
 		{"P1", 65001}, {"P2", 65002}, {"P3", 65003}, {"P4", 65004},
 		{"P5", 65005}, {"P6", 65006}, {"P7", 65007},
 	}
+	toPeer := make(map[string]*config.Neighbor) // H's neighbor toward each peer
 	for _, p := range peers {
-		d := b.device(p.name, "alpha", p.asn, fmt.Sprintf("8.0.1.%d", p.asn-65000))
-		b.link("H", p.name, 10)
-		b.ebgpPair("H", p.name)
+		d := device(p.name, p.asn, fmt.Sprintf("8.0.1.%d", p.asn-65000))
+		link("H", p.name, 10)
+		toPeer[p.name], _ = b.EBGP("H", p.name)
 		// External interface so injected routes' next hops resolve.
 		ext := netip.MustParseAddr(fmt.Sprintf("198.51.%d.1", p.asn-65000))
 		d.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.PrefixFrom(ext, 24)}
@@ -47,7 +53,7 @@ func BuildProbe() *Probe {
 	// P1: NO import policy (missing-policy VSB is exercised on H's side
 	//     because we leave H's neighbor to P1 without a policy).
 	// P2: undefined policy name.
-	b.setImport("H", "P2", "RM_DOES_NOT_EXIST")
+	toPeer["P2"].ImportPolicy = "RM_DOES_NOT_EXIST"
 	// P3: policy whose only node never matches (default-policy VSB).
 	h.RouteMaps["RM_NOMATCH"] = &policy.RouteMap{Name: "RM_NOMATCH", Nodes: []*policy.Node{
 		{Seq: 10, Action: policy.ActionPermit, Matches: []policy.Match{{Kind: policy.MatchPrefixList, ListName: "PL_UNUSED"}}},
@@ -55,7 +61,7 @@ func BuildProbe() *Probe {
 	h.PrefixLists["PL_UNUSED"] = &policy.PrefixList{Name: "PL_UNUSED", Family: policy.FamilyIPv4, Entries: []policy.PrefixEntry{
 		{Permit: true, Prefix: netip.MustParsePrefix("192.0.2.0/24")},
 	}}
-	b.setImport("H", "P3", "RM_NOMATCH")
+	toPeer["P3"].ImportPolicy = "RM_NOMATCH"
 	// P4: policy node referencing an undefined filter (undefined-filter VSB).
 	h.RouteMaps["RM_UNDEF_FILTER"] = &policy.RouteMap{Name: "RM_UNDEF_FILTER", Nodes: []*policy.Node{
 		{Seq: 10, Action: policy.ActionPermit,
@@ -63,12 +69,12 @@ func BuildProbe() *Probe {
 			Sets:    []policy.Set{{Kind: policy.SetLocalPref, Value: 222}}},
 		{Seq: 20, Action: policy.ActionPermit},
 	}}
-	b.setImport("H", "P4", "RM_UNDEF_FILTER")
+	toPeer["P4"].ImportPolicy = "RM_UNDEF_FILTER"
 	// P5: matching node without an explicit action (no-action VSB).
 	h.RouteMaps["RM_NOACTION"] = &policy.RouteMap{Name: "RM_NOACTION", Nodes: []*policy.Node{
 		{Seq: 10, Action: policy.ActionUnset, Sets: []policy.Set{{Kind: policy.SetLocalPref, Value: 333}}},
 	}}
-	b.setImport("H", "P5", "RM_NOACTION")
+	toPeer["P5"].ImportPolicy = "RM_NOACTION"
 	// P6: IPv6 route filtered through an IPv4 prefix list (Figure 10(b) VSB).
 	h.RouteMaps["RM_V6"] = &policy.RouteMap{Name: "RM_V6", Nodes: []*policy.Node{
 		{Seq: 10, Action: policy.ActionDeny, Matches: []policy.Match{{Kind: policy.MatchPrefixList, ListName: "PL_V4ONLY"}}},
@@ -77,7 +83,7 @@ func BuildProbe() *Probe {
 	h.PrefixLists["PL_V4ONLY"] = &policy.PrefixList{Name: "PL_V4ONLY", Family: policy.FamilyIPv4, Entries: []policy.PrefixEntry{
 		{Permit: true, Prefix: netip.MustParsePrefix("203.0.113.0/24")},
 	}}
-	b.setImport("H", "P6", "RM_V6")
+	toPeer["P6"].ImportPolicy = "RM_V6"
 	// P7: export policy overwriting the AS path (own-ASN VSB) — observable
 	// on P7's RIB.
 	h.RouteMaps["RM_OVERWRITE"] = &policy.RouteMap{Name: "RM_OVERWRITE", Nodes: []*policy.Node{
@@ -85,12 +91,12 @@ func BuildProbe() *Probe {
 			{Kind: policy.ReplaceASPath, ASPath: netmodel.ASPath{Seq: []netmodel.ASN{64999}}},
 		}},
 	}}
-	b.setExport("H", "P7", "RM_OVERWRITE")
+	toPeer["P7"].ExportPolicy = "RM_OVERWRITE"
 
 	// --- redistribution VSBs ---
 	// Statics + direct redistribution on H: weight-after-redistribution,
 	// /32 direct route production and peer advertisement.
-	l := b.net.Topo.FindLink("H", "P1")
+	l := b.Net.Topo.FindLink("H", "P1")
 	p1Addr := l.AAddr
 	if l.A != "P1" {
 		p1Addr = l.BAddr
@@ -124,14 +130,14 @@ func BuildProbe() *Probe {
 	// --- SR IGP-cost VSB (the Figure 9 shape) ---
 	// H2 learns a prefix via B2 (cost 10) and C2 (cost 30); an SR policy
 	// toward C2 zeroes the IGP cost on cost-zeroing vendors.
-	h2 := b.device("H2", "alpha", 65000, "8.0.0.2")
-	b2 := b.device("B2", "alpha", 65000, "8.0.2.1")
-	c2 := b.device("C2", "alpha", 65000, "8.0.2.2")
+	h2 := device("H2", 65000, "8.0.0.2")
+	b2 := device("B2", 65000, "8.0.2.1")
+	c2 := device("C2", 65000, "8.0.2.2")
 	h2.MaxPaths = 4
-	b.link("H2", "B2", 10)
-	b.link("H2", "C2", 30)
-	b.ibgpPair("H2", "B2")
-	b.ibgpPair("H2", "C2")
+	link("H2", "B2", 10)
+	link("H2", "C2", 30)
+	b.IBGP("H2", "B2")
+	b.IBGP("H2", "C2")
 	b2.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.200.1/24")}
 	c2.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.201.1/24")}
 	h2.SRPolicies = append(h2.SRPolicies, &config.SRPolicy{Name: "SR-C2", Endpoint: c2.Loopback, Color: 7})
@@ -140,16 +146,16 @@ func BuildProbe() *Probe {
 	// H and I1 have a global iBGP session (import policy lowers LP) and a
 	// v1-VRF session without a policy; inheriting vendors apply the global
 	// binding to the VRF session too.
-	i1 := b.device("I1", "alpha", 65000, "8.0.0.3")
+	i1 := device("I1", 65000, "8.0.0.3")
 	i1.VRFs["v1"] = &config.VRF{Name: "v1"}
-	b.link("H", "I1", 10)
-	b.ibgpPair("H", "I1")
+	link("H", "I1", 10)
+	toI1, _ := b.IBGP("H", "I1")
 	h.RouteMaps["RM_GLOBAL_IN"] = &policy.RouteMap{Name: "RM_GLOBAL_IN", Nodes: []*policy.Node{
 		{Seq: 10, Action: policy.ActionPermit, Sets: []policy.Set{{Kind: policy.SetLocalPref, Value: 444}}},
 	}}
-	b.setImport("H", "I1", "RM_GLOBAL_IN")
+	toI1.ImportPolicy = "RM_GLOBAL_IN"
 	// VRF session between H and I1 over the link addresses.
-	li := b.net.Topo.FindLink("H", "I1")
+	li := b.Net.Topo.FindLink("H", "I1")
 	hAddr, iAddr := li.AAddr, li.BAddr
 	if li.A != "H" {
 		hAddr, iAddr = iAddr, hAddr
@@ -158,54 +164,54 @@ func BuildProbe() *Probe {
 	i1.Neighbors = append(i1.Neighbors, &config.Neighbor{Addr: hAddr, RemoteAS: 65000, VRF: "v1"})
 
 	// --- isolation VSB ---
-	z := b.device("Z", "alpha", 65000, "8.0.0.4")
-	b.link("H", "Z", 10)
-	b.ibgpPair("H", "Z")
+	z := device("Z", 65000, "8.0.0.4")
+	link("H", "Z", 10)
+	b.IBGP("H", "Z")
 	z.Isolated = true
 	z.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.202.1/24")}
 
 	// --- IS-IS TE triangle (the "new feature not modelled" issue) ---
-	h3 := b.device("H3", "alpha", 65000, "8.0.0.5")
-	b3 := b.device("B3", "alpha", 65000, "8.0.3.1")
-	c3 := b.device("C3", "alpha", 65000, "8.0.3.2")
+	h3 := device("H3", 65000, "8.0.0.5")
+	b3 := device("B3", 65000, "8.0.3.1")
+	c3 := device("C3", 65000, "8.0.3.2")
 	h3.MaxPaths = 4
-	b.link("H3", "B3", 10)
-	b.link("H3", "C3", 30)
+	link("H3", "B3", 10)
+	link("H3", "C3", 30)
 	// TE metric makes the cheap IGP branch expensive for TE-aware SPF.
-	if l := b.net.Topo.FindLink("H3", "B3"); l != nil {
+	if l := b.Net.Topo.FindLink("H3", "B3"); l != nil {
 		l.TEAB, l.TEBA = 200, 200
 	}
-	b.ibgpPair("H3", "B3")
-	b.ibgpPair("H3", "C3")
+	b.IBGP("H3", "B3")
+	b.IBGP("H3", "C3")
 	b3.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.203.1/24")}
 	c3.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.204.1/24")}
 
 	// --- convergence tie-break pair (router-ID decides the single best) ---
-	h4 := b.device("H4", "alpha", 65000, "8.0.0.6")
-	b4 := b.device("B4", "alpha", 65000, "8.0.4.1")
-	c4 := b.device("C4", "alpha", 65000, "8.0.4.2")
+	h4 := device("H4", 65000, "8.0.0.6")
+	b4 := device("B4", 65000, "8.0.4.1")
+	c4 := device("C4", 65000, "8.0.4.2")
 	h4.MaxPaths = 1
-	b.link("H4", "B4", 10)
-	b.link("H4", "C4", 10)
-	b.ibgpPair("H4", "B4")
-	b.ibgpPair("H4", "C4")
+	link("H4", "B4", 10)
+	link("H4", "C4", 10)
+	b.IBGP("H4", "B4")
+	b.IBGP("H4", "C4")
 	b4.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.205.1/24")}
 	c4.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.206.1/24")}
 
 	// --- ACL chain (H5 -> M5 -> E5; the ACL at M5 stops the flow before
 	// the M5-E5 link, so ignoring ACLs changes that link's load) ---
-	h5 := b.device("H5", "alpha", 65000, "8.0.0.7")
-	m5 := b.device("M5", "alpha", 65000, "8.0.5.1")
-	e5 := b.device("E5", "alpha", 65000, "8.0.5.2")
-	b.link("H5", "M5", 10)
-	b.link("M5", "E5", 10)
+	h5 := device("H5", 65000, "8.0.0.7")
+	m5 := device("M5", 65000, "8.0.5.1")
+	e5 := device("E5", 65000, "8.0.5.2")
+	link("H5", "M5", 10)
+	link("M5", "E5", 10)
 	e5.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("10.55.0.1/24")}
-	l5 := b.net.Topo.FindLink("H5", "M5")
+	l5 := b.Net.Topo.FindLink("H5", "M5")
 	m5Addr := l5.AAddr
 	if l5.A != "M5" {
 		m5Addr = l5.BAddr
 	}
-	l5e := b.net.Topo.FindLink("M5", "E5")
+	l5e := b.Net.Topo.FindLink("M5", "E5")
 	e5Addr := l5e.AAddr
 	if l5e.A != "E5" {
 		e5Addr = l5e.BAddr
@@ -223,19 +229,19 @@ func BuildProbe() *Probe {
 	m5.Interfaces["to-H5"].ACLIn = "NO443"
 
 	// --- PBR pair (H6 steers around its static route) ---
-	h6 := b.device("H6", "alpha", 65000, "8.0.0.8")
-	m6a := b.device("M6A", "alpha", 65000, "8.0.6.1")
-	m6b := b.device("M6B", "alpha", 65000, "8.0.6.2")
-	b.link("H6", "M6A", 10)
-	b.link("H6", "M6B", 10)
+	h6 := device("H6", 65000, "8.0.0.8")
+	m6a := device("M6A", 65000, "8.0.6.1")
+	m6b := device("M6B", 65000, "8.0.6.2")
+	link("H6", "M6A", 10)
+	link("H6", "M6B", 10)
 	m6a.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("10.56.0.1/24")}
 	m6b.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("10.56.0.2/24")}
-	la := b.net.Topo.FindLink("H6", "M6A")
+	la := b.Net.Topo.FindLink("H6", "M6A")
 	aSide := la.AAddr
 	if la.A != "M6A" {
 		aSide = la.BAddr
 	}
-	lb := b.net.Topo.FindLink("H6", "M6B")
+	lb := b.Net.Topo.FindLink("H6", "M6B")
 	bSide := lb.AAddr
 	if lb.A != "M6B" {
 		bSide = lb.BAddr
@@ -259,7 +265,7 @@ func BuildProbe() *Probe {
 		}
 	}
 	extNH := func(dev string) netip.Addr {
-		return b.net.Devices[dev].Interfaces["ext"].Addr.Addr().Next()
+		return b.Net.Devices[dev].Interfaces["ext"].Addr.Addr().Next()
 	}
 	inputs := []netmodel.Route{
 		in("P1", "10.1.0.0/24", extNH("P1"), netmodel.DefaultVRF, 65101),
@@ -291,7 +297,7 @@ func BuildProbe() *Probe {
 		in("Z", "10.66.0.0/24", extNH("Z"), netmodel.DefaultVRF, 65500),
 	}
 	// P6's IPv6 next hop must resolve: give P6 a v6 external subnet.
-	b.net.Devices["P6"].Interfaces["ext6"] = &config.Interface{Name: "ext6", Addr: netip.MustParsePrefix("2001:db8::2/64")}
+	b.Net.Devices["P6"].Interfaces["ext6"] = &config.Interface{Name: "ext6", Addr: netip.MustParsePrefix("2001:db8::2/64")}
 
 	flows := []netmodel.Flow{
 		{Ingress: "H", Src: netip.MustParseAddr("192.0.2.9"), Dst: netip.MustParseAddr("10.1.0.5"),
@@ -305,76 +311,5 @@ func BuildProbe() *Probe {
 		{Ingress: "H6", Src: netip.MustParseAddr("192.0.2.9"), Dst: netip.MustParseAddr("10.56.0.5"),
 			SrcPort: 1004, DstPort: 443, Proto: netmodel.ProtoTCP, Volume: 45e6},
 	}
-	return &Probe{Net: b.net, Inputs: inputs, Flows: flows}
-}
-
-type probeBuilder struct {
-	net      *config.Network
-	nextLink int
-}
-
-func (b *probeBuilder) device(name, vendor string, asn netmodel.ASN, lo string) *config.Device {
-	d := config.NewDevice(name, vendor)
-	d.ASN = asn
-	d.Loopback = netip.MustParseAddr(lo)
-	d.RouterID = d.Loopback
-	b.net.Devices[name] = d
-	b.net.Topo.AddNode(netmodel.Node{Name: name, Loopback: d.Loopback})
-	return d
-}
-
-func (b *probeBuilder) link(a, bdev string, cost uint32) {
-	b.nextLink++
-	v := b.nextLink * 4
-	base := netip.AddrFrom4([4]byte{172, 28, byte(v >> 8), byte(v)})
-	aAddr := base.Next()
-	bAddr := aAddr.Next()
-	aIf, bIf := "to-"+bdev, "to-"+a
-	b.net.Devices[a].Interfaces[aIf] = &config.Interface{Name: aIf, Addr: netip.PrefixFrom(aAddr, 30), ISISCost: cost, Bandwidth: 1e9}
-	b.net.Devices[bdev].Interfaces[bIf] = &config.Interface{Name: bIf, Addr: netip.PrefixFrom(bAddr, 30), ISISCost: cost, Bandwidth: 1e9}
-	b.net.Topo.AddLink(netmodel.Link{
-		A: a, B: bdev, AIface: aIf, BIface: bIf,
-		ANet: netip.PrefixFrom(base, 30), BNet: netip.PrefixFrom(base, 30),
-		AAddr: aAddr, BAddr: bAddr, CostAB: cost, CostBA: cost, Bandwidth: 1e9,
-	})
-}
-
-func (b *probeBuilder) ebgpPair(a, bdev string) {
-	l := b.net.Topo.FindLink(a, bdev)
-	aAddr, bAddr := l.AAddr, l.BAddr
-	if l.A != a {
-		aAddr, bAddr = bAddr, aAddr
-	}
-	da, db := b.net.Devices[a], b.net.Devices[bdev]
-	da.Neighbors = append(da.Neighbors, &config.Neighbor{Addr: bAddr, RemoteAS: db.ASN, VRF: netmodel.DefaultVRF})
-	db.Neighbors = append(db.Neighbors, &config.Neighbor{Addr: aAddr, RemoteAS: da.ASN, VRF: netmodel.DefaultVRF})
-}
-
-func (b *probeBuilder) ibgpPair(a, bdev string) {
-	da, db := b.net.Devices[a], b.net.Devices[bdev]
-	da.Neighbors = append(da.Neighbors, &config.Neighbor{Addr: db.Loopback, RemoteAS: db.ASN, VRF: netmodel.DefaultVRF, UpdateSource: true})
-	db.Neighbors = append(db.Neighbors, &config.Neighbor{Addr: da.Loopback, RemoteAS: da.ASN, VRF: netmodel.DefaultVRF, UpdateSource: true, NextHopSelf: true})
-}
-
-func (b *probeBuilder) setImport(dev, peer, policyName string) {
-	b.setPolicy(dev, peer, policyName, true)
-}
-
-func (b *probeBuilder) setExport(dev, peer, policyName string) {
-	b.setPolicy(dev, peer, policyName, false)
-}
-
-func (b *probeBuilder) setPolicy(dev, peer, policyName string, isImport bool) {
-	d := b.net.Devices[dev]
-	for _, nb := range d.Neighbors {
-		if b.net.Topo.AddrOwner(nb.Addr) == peer {
-			if isImport {
-				nb.ImportPolicy = policyName
-			} else {
-				nb.ExportPolicy = policyName
-			}
-			return
-		}
-	}
-	panic("probe: no neighbor toward " + peer)
+	return &Probe{Net: b.Net, Inputs: inputs, Flows: flows}
 }

@@ -2,7 +2,6 @@ package dsim
 
 import (
 	"hoyan/internal/bgp"
-	"hoyan/internal/netmodel"
 	"hoyan/internal/telemetry"
 )
 
@@ -38,13 +37,6 @@ type WorkerMetrics struct {
 	// forwarder looked them up (tables are built lazily).
 	RIBTablesLoaded *telemetry.Counter
 	RIBTablesBuilt  *telemetry.Counter
-
-	// Interner table sizes of the worker's cached engines (gauges: the
-	// indexed core's ID-table footprint, refreshed after every subtask).
-	InternDevices    *telemetry.Gauge
-	InternLinks      *telemetry.Gauge
-	InternPrefixes   *telemetry.Gauge
-	InternTableBytes *telemetry.Gauge
 
 	// Work-unit activity of the worker's cold BGP runs (see bgp.ParStats; the
 	// series keep the names of the per-round striping they used to count):
@@ -94,11 +86,6 @@ func NewWorkerMetrics(reg *telemetry.Registry) *WorkerMetrics {
 
 		RIBTablesLoaded: reg.Counter("hoyan_worker_rib_tables_total", "(device, VRF) tables traffic subtasks loaded or built", telemetry.L("state", "loaded")),
 		RIBTablesBuilt:  reg.Counter("hoyan_worker_rib_tables_total", "(device, VRF) tables traffic subtasks loaded or built", telemetry.L("state", "built")),
-
-		InternDevices:    reg.Gauge("hoyan_intern_devices", "devices interned into dense IDs"),
-		InternLinks:      reg.Gauge("hoyan_intern_links", "links interned into dense IDs"),
-		InternPrefixes:   reg.Gauge("hoyan_intern_prefixes", "prefixes interned into dense IDs"),
-		InternTableBytes: reg.Gauge("hoyan_intern_table_bytes", "approximate bytes held by the interner's two-way ID tables"),
 
 		BGPParallelRounds: reg.Counter("bgp_parallel_rounds_total", "BGP fixpoint rounds run inside concurrently running work units"),
 		BGPStripes:        reg.Counter("bgp_stripes_total", "work units run by multi-unit BGP fixpoints"),
@@ -152,18 +139,6 @@ func NewMasterMetrics(reg *telemetry.Registry) *MasterMetrics {
 		WaitSeconds: reg.Histogram("hoyan_master_wait_seconds",
 			"Wait() duration per task kind", telemetry.DurationBuckets),
 	}
-}
-
-// RecordIntern refreshes the interner-size gauges from one engine's stats.
-// A nil st (index disabled) is a no-op, so call sites need no branching.
-func (m *WorkerMetrics) RecordIntern(st *netmodel.InternStats) {
-	if st == nil {
-		return
-	}
-	m.InternDevices.Set(float64(st.Devices))
-	m.InternLinks.Set(float64(st.Links))
-	m.InternPrefixes.Set(float64(st.Prefixes))
-	m.InternTableBytes.Set(float64(st.TableBytes))
 }
 
 // RecordBGPPar folds one BGP run's work-unit stats into the worker counters.

@@ -641,7 +641,6 @@ func (w *Worker) routeSubtask(ctx context.Context, msg SubtaskMsg) error {
 		rows = res.GlobalRIB().Rows()
 		return nil
 	})
-	w.metrics.RecordIntern(eng.InternStats())
 	var buf bytes.Buffer
 	if err := w.stage(ctx, "result.encode", w.metrics.EncodeSeconds, func(*telemetry.Span) error {
 		return core.EncodeRoutes(&buf, rows)
@@ -718,7 +717,6 @@ func (w *Worker) trafficSubtask(ctx context.Context, msg SubtaskMsg) (int, error
 	})
 	w.metrics.RIBTablesLoaded.Add(int64(ribs.Tables()))
 	w.metrics.RIBTablesBuilt.Add(int64(ribs.TablesBuilt()))
-	w.metrics.RecordIntern(eng.InternStats())
 	file := TrafficResultFile{}
 	ids := make([]netmodel.LinkID, 0, len(res.Traffic.Load))
 	for id := range res.Traffic.Load {

@@ -104,17 +104,24 @@ func ComputeRouteECs(net *config.Network, profiles vsb.Profiles, inputs []netmod
 	}
 
 	// The prefix-list sweep — the dominating cost — depends only on the
-	// route's prefix, and many inputs share a prefix. Intern prefixes into
-	// dense IDs and compute the match-bit row once per unique prefix; the
-	// per-input signature then just splices the memoized row in.
-	interner := netmodel.NewInterner()
-	inputPID := make([]netmodel.PrefixID, len(inputs))
+	// route's prefix, and many inputs share a prefix. Number the unique
+	// prefixes in first-sight order and compute the match-bit row once per
+	// unique prefix; the per-input signature then just splices the memoized
+	// row in.
+	var uniq []netip.Prefix
+	pid := make(map[netip.Prefix]int)
+	inputPID := make([]int, len(inputs))
 	for i := range inputs {
-		inputPID[i] = interner.InternPrefix(inputs[i].Prefix)
+		id, ok := pid[inputs[i].Prefix]
+		if !ok {
+			id = len(uniq)
+			pid[inputs[i].Prefix] = id
+			uniq = append(uniq, inputs[i].Prefix)
+		}
+		inputPID[i] = id
 	}
-	nPrefixes := interner.NumPrefixes()
-	rows := par.Map(parallelism, nPrefixes, func(pi int) string {
-		p, _ := interner.Prefix(netmodel.PrefixID(pi))
+	rows := par.Map(parallelism, len(uniq), func(pi int) string {
+		p := uniq[pi]
 		row := make([]byte, 0, len(lists)+len(aggs)+1)
 		// (2) same matching results across all prefix sets and aggregates.
 		for _, lr := range lists {
@@ -153,7 +160,7 @@ func ComputeRouteECs(net *config.Network, profiles vsb.Profiles, inputs []netmod
 	})
 
 	bySig := make(map[string]int)
-	out := &RouteECs{Inputs: len(inputs), UniquePrefixes: nPrefixes}
+	out := &RouteECs{Inputs: len(inputs), UniquePrefixes: len(uniq)}
 	for i, r := range inputs {
 		sig := sigs[i]
 		idx, ok := bySig[sig]

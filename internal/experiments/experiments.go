@@ -1,6 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation at laptop scale (see DESIGN.md's per-experiment index and
 // EXPERIMENTS.md for paper-vs-measured notes). cmd/hoyan-exp prints them.
+//
+// Two runs reproduce no table or figure and stay for a reason: Incr is the
+// only measurement of warm-started what-ifs against from-scratch ones (the
+// repo benchmark times warm forks only), and Report is the instrumented
+// distributed run that make trace prints.
 package experiments
 
 import (
@@ -11,7 +16,6 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/dsim"
 	"hoyan/internal/gen"
-	"hoyan/internal/netmodel"
 	"hoyan/internal/objstore"
 	"hoyan/internal/rcl"
 	"hoyan/internal/taskdb"
@@ -192,22 +196,23 @@ func Fig5a(s Scale) *Fig5aResult {
 			core.NewEngine(g.Net, core.Options{}).RouteSimulation(g.Inputs)
 			res.CentralizedWAN = time.Since(start)
 		}
+		// Route stages only (no flows); the one-worker wall time is what the
+		// master spends enqueueing the subtasks and waiting for them.
 		cluster := startLocal(dsim.LocalOptions{Workers: 1})
-		taskID := "fig5a-" + prof.name
-		snapKey, err := cluster.Master.UploadSnapshot(taskID, g.Net)
+		sim := &dsim.Simulation{TaskID: "fig5a-" + prof.name, Net: g.Net, Inputs: g.Inputs, RouteSubtasks: s.RouteSubtasks}
+		var wall time.Duration
+		err := cluster.Master.Simulate(sim, func(name string, fn func() error) error {
+			start := time.Now()
+			err := fn()
+			if name == "route_enqueue" || name == "route_wait" {
+				wall += time.Since(start)
+			}
+			return err
+		})
 		if err != nil {
 			panic(err)
 		}
-		start := time.Now()
-		task, err := cluster.Master.StartRouteSimulation(taskID, snapKey, g.Inputs, s.RouteSubtasks, core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		if err := cluster.Master.Wait(taskID, "route", task.Subtasks); err != nil {
-			panic(err)
-		}
-		wall := time.Since(start)
-		durs, _ := cluster.Master.SubtaskDurations(taskID, "route")
+		durs, _ := cluster.Master.SubtaskDurations(sim.TaskID, "route")
 		cluster.Stop()
 		if prof.name == "WAN" {
 			res.Durations = durs
@@ -293,7 +298,9 @@ type Fig5bResult struct {
 // The route results are computed once on their own cluster; each strategy
 // then runs on a fresh single-worker cluster over the same object store, so
 // the store's read-volume delta and the workers' cache counters are clean
-// per-strategy measurements.
+// per-strategy measurements. That sharing is why this runs the master's
+// stage methods and not Master.Simulate, which would re-run the routes for
+// every strategy.
 func Fig5b(s Scale) *Fig5bResult {
 	g := gen.Generate(gen.WAN(s.WANK))
 	res := &Fig5bResult{
@@ -562,8 +569,6 @@ func ratio(a, b int) float64 {
 	}
 	return float64(a) / float64(b)
 }
-
-var _ = netmodel.DefaultVRF
 
 // startLocal starts an in-memory cluster, which cannot fail.
 func startLocal(opts dsim.LocalOptions) *dsim.LocalCluster {

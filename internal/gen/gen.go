@@ -93,10 +93,9 @@ type Output struct {
 
 // builder state.
 type builder struct {
-	p        Profile
-	rnd      *rand.Rand
-	net      *config.Network
-	nextLink int
+	*Builder
+	p   Profile
+	rnd *rand.Rand
 
 	dcRouters     []string
 	borderRouters []string
@@ -110,7 +109,7 @@ const wanASN = netmodel.ASN(65000)
 
 // Generate builds the network and inputs for a profile.
 func Generate(p Profile) *Output {
-	b := &builder{p: p, rnd: rand.New(rand.NewSource(p.Seed)), net: config.NewNetwork()}
+	b := &builder{Builder: NewBuilder(netip.MustParsePrefix("172.16.0.0/12")), p: p, rnd: rand.New(rand.NewSource(p.Seed))}
 	for r := 0; r < p.Regions; r++ {
 		b.buildRegion(r)
 	}
@@ -118,14 +117,16 @@ func Generate(p Profile) *Output {
 	b.ibgpMesh()
 	b.buildInputs()
 	flows := b.buildFlows()
-	return &Output{Net: b.net, Inputs: b.inputs, Flows: flows, Prefixes: b.prefixes}
+	return &Output{Net: b.Net, Inputs: b.inputs, Flows: flows, Prefixes: b.prefixes}
 }
 
 // WithDuplicateInputs returns the inputs plus a copy of every fifth one that
 // carries one more community: the duplicate input keys WAN(k) has from k = 9
 // up, on a fixture of any size. After EC expansion they leave RIB rows that
 // tie on every column netmodel.CompareRouteKeys reads, and rows that are
-// fully Identical — what the tests of the canonical order need.
+// fully Identical — what the tests of the canonical order need. It is a
+// test fixture the bgp, core and dsim tests share, exported because test
+// files cannot import each other across packages.
 func WithDuplicateInputs(inputs []netmodel.Route) []netmodel.Route {
 	out := append([]netmodel.Route(nil), inputs...)
 	for i := 0; i < len(inputs); i += 5 {
@@ -154,14 +155,9 @@ func (b *builder) vendorFor(i int) string {
 }
 
 func (b *builder) device(name, vendor string, asn netmodel.ASN, lo netip.Addr) *config.Device {
-	d := config.NewDevice(name, vendor)
-	d.ASN = asn
-	d.Loopback = lo
-	d.RouterID = lo
+	d := b.Device(name, vendor, asn, lo)
 	d.ISISEnabled = asn == wanASN
 	d.MaxPaths = 4
-	b.net.Devices[name] = d
-	b.net.Topo.AddNode(netmodel.Node{Name: name, Loopback: lo})
 	return d
 }
 
@@ -170,23 +166,8 @@ func loopback(region, class, idx int) netip.Addr {
 	return netip.AddrFrom4([4]byte{100, byte(64 + region), byte(class), byte(idx + 1)})
 }
 
-// link wires two devices with a /30 from 172.16.0.0/12.
-func (b *builder) link(a, bdev string, cost uint32) {
-	b.nextLink++
-	v := b.nextLink * 4 // one /30 per link out of 172.16.0.0/12
-	base := netip.AddrFrom4([4]byte{172, byte(16 + (v>>16)&0x0f), byte(v >> 8), byte(v)})
-	aAddr := base.Next()
-	bAddr := aAddr.Next()
-	aIf, bIf := "to-"+bdev, "to-"+a
-	b.net.Devices[a].Interfaces[aIf] = &config.Interface{Name: aIf, Addr: netip.PrefixFrom(aAddr, 30), ISISCost: cost, Bandwidth: 1e10}
-	b.net.Devices[bdev].Interfaces[bIf] = &config.Interface{Name: bIf, Addr: netip.PrefixFrom(bAddr, 30), ISISCost: cost, Bandwidth: 1e10}
-	b.net.Topo.AddLink(netmodel.Link{
-		A: a, B: bdev, AIface: aIf, BIface: bIf,
-		ANet: netip.PrefixFrom(base, 30), BNet: netip.PrefixFrom(base, 30),
-		AAddr: aAddr, BAddr: bAddr,
-		CostAB: cost, CostBA: cost, Bandwidth: 1e10,
-	})
-}
+// link wires two WAN devices with a 10G link.
+func (b *builder) link(a, bdev string, cost uint32) { b.Link(a, bdev, cost, 1e10) }
 
 func (b *builder) buildRegion(r int) {
 	p := b.p
@@ -270,22 +251,11 @@ func (b *builder) buildRegion(r int) {
 // ebgpPair configures the eBGP session between a WAN border and an ISP
 // device over their direct link.
 func (b *builder) ebgpPair(border, isp string) {
-	l := b.net.Topo.FindLink(border, isp)
-	bAddr, iAddr := l.AAddr, l.BAddr
-	if l.A != border {
-		bAddr, iAddr = iAddr, bAddr
-	}
-	db, di := b.net.Devices[border], b.net.Devices[isp]
-	db.Neighbors = append(db.Neighbors, &config.Neighbor{
-		Addr: iAddr, RemoteAS: di.ASN, VRF: netmodel.DefaultVRF,
-		ImportPolicy: "RM_ISP_IN", ExportPolicy: "RM_ISP_OUT",
-	})
-	di.Neighbors = append(di.Neighbors, &config.Neighbor{
-		Addr: bAddr, RemoteAS: db.ASN, VRF: netmodel.DefaultVRF,
-		ImportPolicy: "RM_WAN_IN",
-	})
+	nb, ni := b.EBGP(border, isp)
+	nb.ImportPolicy, nb.ExportPolicy = "RM_ISP_IN", "RM_ISP_OUT"
+	ni.ImportPolicy = "RM_WAN_IN"
 	// ISP-side permissive import policy (so beta ISPs would also work).
-	di.RouteMaps["RM_WAN_IN"] = &policy.RouteMap{Name: "RM_WAN_IN", Nodes: []*policy.Node{
+	b.Net.Devices[isp].RouteMaps["RM_WAN_IN"] = &policy.RouteMap{Name: "RM_WAN_IN", Nodes: []*policy.Node{
 		{Seq: 10, Action: policy.ActionPermit},
 	}}
 }
@@ -297,7 +267,7 @@ func (b *builder) configureRegionPolicies(r int, borders, dcs []string) {
 	noExport := netmodel.MustCommunity("65000:999")
 
 	for _, name := range borders {
-		d := b.net.Devices[name]
+		d := b.Net.Devices[name]
 		// Bogon filter: the WAN's own DC space must not come in from ISPs.
 		d.PrefixLists["PL_BOGON"] = &policy.PrefixList{Name: "PL_BOGON", Family: policy.FamilyIPv4, Entries: []policy.PrefixEntry{
 			{Permit: true, Prefix: netip.MustParsePrefix("10.0.0.0/8"), Le: 32},
@@ -336,7 +306,7 @@ func (b *builder) configureRegionPolicies(r int, borders, dcs []string) {
 	}
 
 	for i, name := range dcs {
-		d := b.net.Devices[name]
+		d := b.Net.Devices[name]
 		// Per-region aggregate on the first DC gateway.
 		if i == 0 {
 			d.Aggregates = append(d.Aggregates, config.Aggregate{
@@ -359,7 +329,7 @@ func (b *builder) configureRegionPolicies(r int, borders, dcs []string) {
 	// One SR policy per region: first border steers to the next region's
 	// first border.
 	if len(borders) > 0 {
-		d := b.net.Devices[borders[0]]
+		d := b.Net.Devices[borders[0]]
 		next := (r + 1) % b.p.Regions
 		d.SRPolicies = append(d.SRPolicies, &config.SRPolicy{
 			Name:     fmt.Sprintf("SR-R%d", next),
@@ -400,14 +370,8 @@ func (b *builder) ibgpMesh() {
 		}
 	}
 	session := func(a, bdev string, clientOfA bool) {
-		da, db := b.net.Devices[a], b.net.Devices[bdev]
-		na := &config.Neighbor{Addr: db.Loopback, RemoteAS: db.ASN, VRF: netmodel.DefaultVRF, UpdateSource: true}
-		nb := &config.Neighbor{Addr: da.Loopback, RemoteAS: da.ASN, VRF: netmodel.DefaultVRF, UpdateSource: true, NextHopSelf: true}
-		if clientOfA {
-			na.RRClient = true
-		}
-		da.Neighbors = append(da.Neighbors, na)
-		db.Neighbors = append(db.Neighbors, nb)
+		na, _ := b.IBGP(a, bdev)
+		na.RRClient = clientOfA
 	}
 	for r := 0; r < p.Regions; r++ {
 		rr := fmt.Sprintf("rr-%d-0", r)
@@ -453,7 +417,7 @@ func (b *builder) buildInputs() {
 					Device: dc, VRF: netmodel.DefaultVRF,
 					Prefix:      pr,
 					Protocol:    netmodel.ProtoBGP,
-					NextHop:     b.net.Devices[dc].Loopback,
+					NextHop:     b.Net.Devices[dc].Loopback,
 					LocalPref:   100,
 					Communities: netmodel.NewCommunitySet(netmodel.NewCommunity(65000, uint16(r))),
 					Origin:      netmodel.OriginIGP,
@@ -468,7 +432,7 @@ func (b *builder) buildInputs() {
 		}
 	}
 	for idx, isp := range b.ispRouters {
-		d := b.net.Devices[isp]
+		d := b.Net.Devices[isp]
 		var nh netip.Addr
 		if up := d.Interfaces["upstream"]; up != nil {
 			nh = up.Addr.Addr().Next()

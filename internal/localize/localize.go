@@ -11,6 +11,9 @@
 // When even the *empty* plan violates the intents, the defect predates the
 // change (Table 6's "existing misconfiguration" class) and the localizer
 // says so.
+//
+// It reproduces no table or figure of the paper; it stays because it has a
+// user surface, hoyan -localize.
 package localize
 
 import (

@@ -135,18 +135,3 @@ func (m *TrafficMonitor) CollectLoads(truth netmodel.LinkLoad) netmodel.LinkLoad
 	}
 	return out
 }
-
-// CollectFlows samples the ground-truth input flows as NetFlow/sFlow
-// records, applying the volume-scale fault.
-func (m *TrafficMonitor) CollectFlows(truth []netmodel.Flow) []netmodel.Flow {
-	scale := m.Faults.FlowVolumeScale
-	if scale == 0 {
-		scale = 1.0
-	}
-	out := make([]netmodel.Flow, len(truth))
-	for i, f := range truth {
-		f.Volume *= scale
-		out[i] = f
-	}
-	return out
-}

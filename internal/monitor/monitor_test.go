@@ -110,14 +110,3 @@ func TestTrafficMonitorFaults(t *testing.T) {
 		t.Error("noise must be deterministic per seed")
 	}
 }
-
-func TestCollectFlows(t *testing.T) {
-	flows := []netmodel.Flow{{Volume: 10}, {Volume: 20}}
-	got := (&TrafficMonitor{Faults: Faults{FlowVolumeScale: 1.5}}).CollectFlows(flows)
-	if got[0].Volume != 15 || got[1].Volume != 30 {
-		t.Errorf("scaled flows: %v", got)
-	}
-	if flows[0].Volume != 10 {
-		t.Error("input mutated")
-	}
-}

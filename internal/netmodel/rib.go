@@ -53,7 +53,7 @@ func NewRIB(device, vrf string) *RIB {
 // NewRIBSized is NewRIB with a capacity hint for the expected number of
 // prefixes, avoiding incremental map growth when the caller already knows
 // roughly how many prefixes the table will hold (the indexed BGP decision
-// loop passes its prefix-interner size).
+// loop passes the size of its prefix (pid) table).
 func NewRIBSized(device, vrf string, hint int) *RIB {
 	return &RIB{Device: device, VRF: vrf, byPrefix: make(map[netip.Prefix][]Route, hint)}
 }

@@ -4,13 +4,12 @@ import (
 	"net/netip"
 	"slices"
 	"strings"
-	"sync"
 )
 
-// Dense integer identifiers for the index-based core. IDs are assigned at
-// index/intern build time and are valid only against the structure that
-// assigned them (a TopoIndex or an Interner); they never appear in engine
-// results, wire blobs, or intent evaluation, which stay string-keyed.
+// Dense integer identifiers for the index-based core. IDs are assigned when
+// a TopoIndex is built and are valid only against that index; they never
+// appear in engine results, wire blobs, or intent evaluation, which stay
+// string-keyed.
 //
 // The assignment order is part of the engine's determinism contract:
 //
@@ -28,8 +27,6 @@ type (
 	DevID int32
 	// LinkIdx densely identifies a link.
 	LinkIdx int32
-	// PrefixID densely identifies an interned prefix.
-	PrefixID int32
 )
 
 // NoDev is the invalid device ID (address not owned, name unknown).
@@ -37,9 +34,6 @@ const NoDev DevID = -1
 
 // NoLink is the invalid link index.
 const NoLink LinkIdx = -1
-
-// NoPrefix is the invalid prefix ID.
-const NoPrefix PrefixID = -1
 
 // TopoIndex is the CSR (compressed sparse row) view of a Topology: dense
 // device/link IDs with two-way name tables, a flat adjacency array, and the
@@ -152,18 +146,6 @@ func (ix *TopoIndex) AddrOwnerID(addr netip.Addr) DevID {
 		return id
 	}
 	return NoDev
-}
-
-// TableBytes approximates the memory the ID tables occupy, for telemetry.
-func (ix *TopoIndex) TableBytes() int64 {
-	b := int64(0)
-	for _, n := range ix.devNames {
-		b += int64(len(n)) + 16
-	}
-	b += int64(len(ix.nodes)+len(ix.links))*8 + int64(len(ix.linkIDs))*64
-	b += int64(len(ix.off)+len(ix.adjDev)+len(ix.adjLink)+len(ix.insOrder))*4 + int64(len(ix.adjFromA))
-	b += int64(len(ix.owner)) * 24
-	return b
 }
 
 // Index returns the topology's CSR index, building it on first use. The
@@ -295,150 +277,5 @@ func (t *Topology) buildIndex() *TopoIndex {
 	}
 
 	t.topoIdx = ix
-	return ix
-}
-
-// Interner assigns dense IDs to device names, link IDs, and prefixes with
-// two-way lookup tables. A TopoIndex is the topology-shaped specialization;
-// the Interner is the free-standing form the engine uses for input prefixes
-// (route-EC signatures memoize per PrefixID) and for telemetry. Identical
-// build inputs in identical order always produce identical IDs.
-type Interner struct {
-	mu sync.RWMutex
-
-	devs  []string
-	devID map[string]DevID
-
-	links  []LinkID
-	linkID map[LinkID]LinkIdx
-
-	prefixes []netip.Prefix
-	prefixID map[netip.Prefix]PrefixID
-}
-
-// NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	return &Interner{
-		devID:    make(map[string]DevID),
-		linkID:   make(map[LinkID]LinkIdx),
-		prefixID: make(map[netip.Prefix]PrefixID),
-	}
-}
-
-// InternDevice returns the dense ID for name, assigning the next ID on first
-// sight.
-func (in *Interner) InternDevice(name string) DevID {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if id, ok := in.devID[name]; ok {
-		return id
-	}
-	id := DevID(len(in.devs))
-	in.devs = append(in.devs, name)
-	in.devID[name] = id
-	return id
-}
-
-// DeviceName returns the name for a device ID.
-func (in *Interner) DeviceName(id DevID) (string, bool) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if id < 0 || int(id) >= len(in.devs) {
-		return "", false
-	}
-	return in.devs[id], true
-}
-
-// InternLink returns the dense index for a canonical link ID.
-func (in *Interner) InternLink(id LinkID) LinkIdx {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if i, ok := in.linkID[id]; ok {
-		return i
-	}
-	i := LinkIdx(len(in.links))
-	in.links = append(in.links, id)
-	in.linkID[id] = i
-	return i
-}
-
-// Link returns the canonical link ID for a dense index.
-func (in *Interner) Link(i LinkIdx) (LinkID, bool) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if i < 0 || int(i) >= len(in.links) {
-		return LinkID{}, false
-	}
-	return in.links[i], true
-}
-
-// InternPrefix returns the dense ID for a prefix.
-func (in *Interner) InternPrefix(p netip.Prefix) PrefixID {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if id, ok := in.prefixID[p]; ok {
-		return id
-	}
-	id := PrefixID(len(in.prefixes))
-	in.prefixes = append(in.prefixes, p)
-	in.prefixID[p] = id
-	return id
-}
-
-// Prefix returns the prefix for a dense ID.
-func (in *Interner) Prefix(id PrefixID) (netip.Prefix, bool) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if id < 0 || int(id) >= len(in.prefixes) {
-		return netip.Prefix{}, false
-	}
-	return in.prefixes[id], true
-}
-
-// NumPrefixes returns the number of interned prefixes.
-func (in *Interner) NumPrefixes() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.prefixes)
-}
-
-// InternStats summarizes an interner for telemetry.
-type InternStats struct {
-	Devices    int   `json:"devices"`
-	Links      int   `json:"links"`
-	Prefixes   int   `json:"prefixes"`
-	TableBytes int64 `json:"table_bytes"`
-}
-
-// Stats returns the interner's table sizes and an approximation of the
-// memory its two-way tables occupy.
-func (in *Interner) Stats() InternStats {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	b := int64(0)
-	for _, d := range in.devs {
-		b += int64(len(d))*2 + 32 // slice + map sides
-	}
-	b += int64(len(in.links)) * 2 * 72
-	b += int64(len(in.prefixes)) * 2 * 28
-	return InternStats{
-		Devices:    len(in.devs),
-		Links:      len(in.links),
-		Prefixes:   len(in.prefixes),
-		TableBytes: b,
-	}
-}
-
-// InternTopology interns every device and link of a topology in
-// deterministic (index) order; it returns the topology's index for
-// convenience.
-func (in *Interner) InternTopology(t *Topology) *TopoIndex {
-	ix := t.Index()
-	for _, name := range ix.devNames {
-		in.InternDevice(name)
-	}
-	for _, id := range ix.linkIDs {
-		in.InternLink(id)
-	}
 	return ix
 }

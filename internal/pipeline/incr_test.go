@@ -1,14 +1,39 @@
 package pipeline
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"hoyan/internal/change"
+	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
 	"hoyan/internal/intent"
+	"hoyan/internal/netmodel"
 	"hoyan/internal/scenario"
 )
+
+// linkFailurePlan is a pure-delta what-if plan: one link goes down.
+func linkFailurePlan(id netmodel.LinkID) *change.Plan {
+	return &change.Plan{
+		ID:          fmt.Sprintf("whatif-link-%s-down", id),
+		Type:        change.TopologyAdjust,
+		Description: fmt.Sprintf("what-if: link %s fails", id),
+		SetLinks:    []change.LinkUpDown{{ID: id, Up: false}},
+	}
+}
+
+// linkFailureSweep returns one single-link-failure plan per up link.
+func linkFailureSweep(net *config.Network) []*change.Plan {
+	var plans []*change.Plan
+	for _, l := range net.Topo.Links() {
+		if l.Up {
+			plans = append(plans, linkFailurePlan(l.ID()))
+		}
+	}
+	return plans
+}
 
 // verifyBothModes runs one scenario's plan through Verify with incremental
 // forking on and off and asserts the outcomes agree on everything an operator
@@ -74,7 +99,7 @@ func TestVerifyPureDeltaTakesForkPath(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	sys := New(out.Net, out.Inputs, out.Flows, core.Options{})
 
-	plan := scenario.LinkFailurePlan(out.Net.Topo.Links()[0].ID())
+	plan := linkFailurePlan(out.Net.Topo.Links()[0].ID())
 	if _, err := sys.Verify(plan, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +115,7 @@ func TestVerifyPureDeltaTakesForkPath(t *testing.T) {
 	}
 
 	if d, pure := plan.Delta(); !pure || len(d.LinksDown) != 1 {
-		t.Errorf("LinkFailurePlan must convert to a pure one-link delta, got %+v pure=%v", d, pure)
+		t.Errorf("linkFailurePlan must convert to a pure one-link delta, got %+v pure=%v", d, pure)
 	}
 	if _, pure := scenario.Table2Catalog()[0].Plan.Delta(); pure {
 		t.Error("a command-carrying plan must not convert to a pure delta")
@@ -104,7 +129,7 @@ func TestVerifyLinkFailureSweepIncremental(t *testing.T) {
 	intents := []intent.Intent{intent.LoadIntent{MaxUtilization: 1.0}}
 	inc := New(out.Net, out.Inputs, out.Flows, core.Options{})
 	ref := New(out.Net, out.Inputs, out.Flows, core.Options{DisableIncremental: true})
-	plans := scenario.LinkFailureSweep(out.Net)
+	plans := linkFailureSweep(out.Net)
 	step := len(plans)/6 + 1
 	for i := 0; i < len(plans); i += step {
 		got, err := inc.Verify(plans[i], intents)
@@ -121,5 +146,35 @@ func TestVerifyLinkFailureSweepIncremental(t *testing.T) {
 		if !reflect.DeepEqual(got.UpdateSnap.Load, want.UpdateSnap.Load) {
 			t.Fatalf("%s: sweep loads differ", plans[i].ID)
 		}
+	}
+}
+
+// TestVerifyFleetMatchesCentralizedOnCaseStudies verifies every case study —
+// Figure 10, the Table 2 catalog and the Table 6 campaign — centralized and
+// on a two-worker fleet. The workers re-parse the uploaded configurations,
+// so a model the configuration text cannot carry shows up here as a
+// different verdict.
+func TestVerifyFleetMatchesCentralizedOnCaseStudies(t *testing.T) {
+	scs := append([]*scenario.Scenario{scenario.Fig10a(), scenario.Fig10b()}, scenario.Table2Catalog()...)
+	for _, rs := range scenario.Table6Catalog() {
+		scs = append(scs, rs.Scenario)
+	}
+	for _, sc := range scs {
+		t.Run(sc.Name, func(t *testing.T) {
+			fleet := New(sc.Net, sc.Inputs, sc.Flows, core.Options{})
+			fleet.Workers, fleet.RouteSubtasks, fleet.TrafficSubtasks = 2, 4, 4
+			want, errC := New(sc.Net, sc.Inputs, sc.Flows, core.Options{}).Verify(sc.Plan, sc.Intents)
+			got, errF := fleet.Verify(sc.Plan, sc.Intents)
+			if (errC == nil) != (errF == nil) {
+				t.Fatalf("error mismatch: centralized %v, fleet %v", errC, errF)
+			}
+			if errC != nil {
+				return
+			}
+			if got.OK != want.OK || !reflect.DeepEqual(got.Reports, want.Reports) {
+				t.Fatalf("fleet verdict %v, centralized %v\nfleet reports: %+v\ncentralized reports: %+v",
+					got.OK, want.OK, got.Reports, want.Reports)
+			}
+		})
 	}
 }

@@ -8,14 +8,12 @@ package pipeline
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"time"
 
 	"hoyan/internal/change"
 	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/dsim"
-	"hoyan/internal/durable"
 	"hoyan/internal/intent"
 	"hoyan/internal/mq"
 	"hoyan/internal/netmodel"
@@ -44,21 +42,10 @@ type System struct {
 	// for flows at full scale).
 	RouteSubtasks   int
 	TrafficSubtasks int
-	// Fault-tolerance knobs for the distributed path, forwarded to the
-	// cluster master; zero values keep the dsim defaults.
-	LeaseTimeout time.Duration
-	MaxAttempts  int
 
 	// Telemetry gives each distributed run a metric registry and tracer per
 	// role; the aggregated snapshot and spans land in LastRunReport.
 	Telemetry bool
-
-	// DataDir, when set, backs each distributed run's substrates with
-	// WAL-based disk persistence under <DataDir>/<taskID> (restart-safe runs;
-	// see dsim.LocalOptions.DataDir). Empty keeps the in-memory substrates.
-	DataDir string
-	// Fsync is the durability policy for DataDir-backed runs.
-	Fsync durable.Policy
 
 	baseEng    *core.Engine
 	baseSnap   *intent.Snapshot
@@ -88,9 +75,6 @@ type RunReport struct {
 	// trace (master + workers); both nil unless Telemetry was set.
 	Metrics telemetry.Snapshot
 	Spans   []telemetry.SpanRecord
-	// Intern is the core's ID-table footprint for the run — devices, links,
-	// and input prefixes interned into dense IDs — nil before the first run.
-	Intern *netmodel.InternStats
 }
 
 // WriteBreakdown renders the per-stage time/bytes table plus substrate
@@ -113,10 +97,6 @@ func (r RunReport) WriteBreakdown(w io.Writer) {
 		r.Cache.BytesSaved)
 	fmt.Fprintf(w, "  rib tables: %d/%d built on lookup by traffic subtasks\n",
 		r.Cache.RIBTablesBuilt, r.Cache.RIBTablesLoaded)
-	if r.Intern != nil {
-		fmt.Fprintf(w, "  intern: %d devices, %d links, %d prefixes, %d B ID tables\n",
-			r.Intern.Devices, r.Intern.Links, r.Intern.Prefixes, r.Intern.TableBytes)
-	}
 }
 
 // LastRunReport returns the full report of the most recent distributed
@@ -148,7 +128,6 @@ func (s *System) BaseSnapshot() *intent.Snapshot {
 	if s.baseSnap == nil {
 		s.baseEng = core.NewEngine(s.Base, s.Opts)
 		s.baseSnap = snapshotOf(s.baseEng.BaseRun(s.Inputs, s.Flows), s.Base)
-		s.lastReport.Intern = s.baseEng.InternStats()
 	}
 	return s.baseSnap
 }
@@ -159,10 +138,7 @@ func (s *System) LastForkStats() (core.ForkStats, bool) { return s.lastFork, s.f
 
 // simulate runs route + traffic simulation centralized.
 func (s *System) simulate(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow) *intent.Snapshot {
-	eng := core.NewEngine(net, s.Opts)
-	snap := snapshotOf(eng.Run(inputs, flows), net)
-	s.lastReport.Intern = eng.InternStats()
-	return snap
+	return snapshotOf(core.NewEngine(net, s.Opts).Run(inputs, flows), net)
 }
 
 // snapshotOf is intent.SnapshotOf over net's bandwidths with the global RIB
@@ -178,16 +154,9 @@ func snapshotOf(res *core.Result, net *config.Network) *intent.Snapshot {
 // assembling a RunReport (per-stage time and store-byte breakdown, substrate
 // counters, and — with Telemetry set — the merged metric snapshot and trace).
 func (s *System) simulateDistributed(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, taskID string) (*intent.Snapshot, error) {
-	opts := dsim.LocalOptions{Workers: s.Workers, Telemetry: s.Telemetry}
-	if s.DataDir != "" {
-		// Disk-backed substrates, one directory per run: the run survives a
-		// process restart (hoyan-master -resume picks it back up).
-		opts.DataDir = filepath.Join(s.DataDir, taskID)
-		opts.Fsync = s.Fsync
-	}
-	cluster, err := dsim.StartLocal(opts)
+	cluster, err := dsim.StartLocal(dsim.LocalOptions{Workers: s.Workers, Telemetry: s.Telemetry})
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: opening durable substrates: %w", err)
+		return nil, fmt.Errorf("pipeline: starting cluster: %w", err)
 	}
 	storeStats := func() objstore.Stats {
 		if sp, ok := cluster.Svc.Store.(objstore.StatsProvider); ok {
@@ -195,16 +164,7 @@ func (s *System) simulateDistributed(net *config.Network, inputs []netmodel.Rout
 		}
 		return objstore.Stats{}
 	}
-	// The master-side view of the run's ID-table footprint: every worker
-	// interns the full topology plus its input subset, so the whole-input
-	// interner describes what the fleet holds in aggregate per engine.
-	in := netmodel.NewInterner()
-	in.InternTopology(net.Topo)
-	for i := range inputs {
-		in.InternPrefix(inputs[i].Prefix)
-	}
-	st := in.Stats()
-	report := RunReport{TaskID: taskID, Intern: &st}
+	report := RunReport{TaskID: taskID}
 	defer func() {
 		report.Store = storeStats()
 		report.Cache = cluster.CacheStats()
@@ -215,12 +175,6 @@ func (s *System) simulateDistributed(net *config.Network, inputs []netmodel.Rout
 		cluster.Stop()
 	}()
 	m := cluster.Master
-	if s.LeaseTimeout > 0 {
-		m.LeaseTimeout = s.LeaseTimeout
-	}
-	if s.MaxAttempts > 0 {
-		m.MaxAttempts = s.MaxAttempts
-	}
 	runSpan := m.BeginRun("run " + taskID)
 	defer runSpan.End()
 

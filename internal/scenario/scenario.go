@@ -9,6 +9,7 @@ import (
 
 	"hoyan/internal/change"
 	"hoyan/internal/config"
+	"hoyan/internal/gen"
 	"hoyan/internal/intent"
 	"hoyan/internal/netmodel"
 )
@@ -34,66 +35,22 @@ type Scenario struct {
 	WantApplyError bool
 }
 
-// scenarioBuilder assembles small purpose-built networks.
-type scenarioBuilder struct {
-	net      *config.Network
-	nextLink int
+// scenarioBuilder assembles the small purpose-built case-study networks.
+type scenarioBuilder struct{ *gen.Builder }
+
+func newScenarioBuilder() scenarioBuilder {
+	return scenarioBuilder{gen.NewBuilder(netip.MustParsePrefix("172.24.0.0/16"))}
 }
 
-func newScenarioBuilder() *scenarioBuilder {
-	return &scenarioBuilder{net: config.NewNetwork()}
+func (b scenarioBuilder) device(name string, asn netmodel.ASN, lo string) {
+	b.Device(name, "alpha", asn, netip.MustParseAddr(lo)).MaxPaths = 4
 }
 
-func (b *scenarioBuilder) device(name, vendor string, asn netmodel.ASN, lo string) *config.Device {
-	d := config.NewDevice(name, vendor)
-	d.ASN = asn
-	d.Loopback = netip.MustParseAddr(lo)
-	d.RouterID = d.Loopback
-	d.MaxPaths = 4
-	b.net.Devices[name] = d
-	b.net.Topo.AddNode(netmodel.Node{Name: name, Loopback: d.Loopback})
-	return d
-}
-
-func (b *scenarioBuilder) link(a, bdev string, cost uint32, bandwidth float64) *netmodel.Link {
-	b.nextLink++
-	v := b.nextLink * 4
-	base := netip.AddrFrom4([4]byte{172, 24, byte(v >> 8), byte(v)})
-	aAddr := base.Next()
-	bAddr := aAddr.Next()
-	aIf, bIf := "to-"+bdev, "to-"+a
-	b.net.Devices[a].Interfaces[aIf] = &config.Interface{Name: aIf, Addr: netip.PrefixFrom(aAddr, 30), ISISCost: cost, Bandwidth: bandwidth}
-	b.net.Devices[bdev].Interfaces[bIf] = &config.Interface{Name: bIf, Addr: netip.PrefixFrom(bAddr, 30), ISISCost: cost, Bandwidth: bandwidth}
-	return b.net.Topo.AddLink(netmodel.Link{
-		A: a, B: bdev, AIface: aIf, BIface: bIf,
-		ANet: netip.PrefixFrom(base, 30), BNet: netip.PrefixFrom(base, 30),
-		AAddr: aAddr, BAddr: bAddr,
-		CostAB: cost, CostBA: cost, Bandwidth: bandwidth,
-	})
-}
-
-func (b *scenarioBuilder) ebgp(a, bdev string, aImport, aExport string) {
-	l := b.net.Topo.FindLink(a, bdev)
-	aAddr, bAddr := l.AAddr, l.BAddr
-	if l.A != a {
-		aAddr, bAddr = bAddr, aAddr
-	}
-	da, db := b.net.Devices[a], b.net.Devices[bdev]
-	da.Neighbors = append(da.Neighbors, &config.Neighbor{
-		Addr: bAddr, RemoteAS: db.ASN, VRF: netmodel.DefaultVRF,
-		ImportPolicy: aImport, ExportPolicy: aExport,
-	})
-	db.Neighbors = append(db.Neighbors, &config.Neighbor{
-		Addr: aAddr, RemoteAS: da.ASN, VRF: netmodel.DefaultVRF,
-	})
-}
-
-func (b *scenarioBuilder) ibgp(a, bdev string, aIsRRForB bool) {
-	da, db := b.net.Devices[a], b.net.Devices[bdev]
-	na := &config.Neighbor{Addr: db.Loopback, RemoteAS: db.ASN, VRF: netmodel.DefaultVRF, UpdateSource: true, RRClient: aIsRRForB}
-	nb := &config.Neighbor{Addr: da.Loopback, RemoteAS: da.ASN, VRF: netmodel.DefaultVRF, UpdateSource: true, NextHopSelf: true}
-	da.Neighbors = append(da.Neighbors, na)
-	db.Neighbors = append(db.Neighbors, nb)
+// ebgp configures the session over the direct link, with a's import and
+// export policies.
+func (b scenarioBuilder) ebgp(a, bdev string, aImport, aExport string) {
+	na, _ := b.EBGP(a, bdev)
+	na.ImportPolicy, na.ExportPolicy = aImport, aExport
 }
 
 // Fig10a reproduces the "shifting traffic to new WAN" risk of Figure 10(a):
@@ -103,20 +60,20 @@ func (b *scenarioBuilder) ibgp(a, bdev string, aIsRRForB bool) {
 func Fig10a() *Scenario {
 	b := newScenarioBuilder()
 	// A: old WAN; B: new WAN; M1/M2: DC-side routers in one AS.
-	b.device("A", "alpha", 65100, "9.0.0.1")
-	b.device("B", "alpha", 65200, "9.0.0.2")
-	b.device("M1", "alpha", 65000, "9.0.0.3")
-	b.device("M2", "alpha", 65000, "9.0.0.4")
+	b.device("A", 65100, "9.0.0.1")
+	b.device("B", 65200, "9.0.0.2")
+	b.device("M1", 65000, "9.0.0.3")
+	b.device("M2", 65000, "9.0.0.4")
 
-	b.link("M1", "A", 10, 1e9)
-	b.link("M2", "A", 10, 50e6) // thin link: overloads on detour
-	b.link("M1", "B", 10, 1e9)
-	b.link("M2", "B", 10, 1e9)
+	b.Link("M1", "A", 10, 1e9)
+	b.Link("M2", "A", 10, 50e6) // thin link: overloads on detour
+	b.Link("M1", "B", 10, 1e9)
+	b.Link("M2", "B", 10, 1e9)
 
 	// Ingress policies on M1/M2 for the B sessions. The intended policy has
 	// node 10 (deny all) and node 20 (permit 1.0.0.0/24); M1 *misses* node
 	// 20 — the latent misconfiguration.
-	m1, m2 := b.net.Devices["M1"], b.net.Devices["M2"]
+	m1, m2 := b.Net.Devices["M1"], b.Net.Devices["M2"]
 	mustCommands(m1, `
 ip prefix-list PL_R permit 1.0.0.0/24
 route-map RM_FROM_B deny 10
@@ -139,7 +96,7 @@ route-map RM_FROM_B permit 20
 	// pre-configured default 1.0.0.0/8 toward the old WAN.
 	ext := func(dev, iface, addr string) netip.Addr {
 		a := netip.MustParseAddr(addr)
-		b.net.Devices[dev].Interfaces[iface] = &config.Interface{Name: iface, Addr: netip.PrefixFrom(a, 24)}
+		b.Net.Devices[dev].Interfaces[iface] = &config.Interface{Name: iface, Addr: netip.PrefixFrom(a, 24)}
 		return a.Next()
 	}
 	nhB := ext("B", "ext", "198.51.100.1")
@@ -190,7 +147,7 @@ route-map RM_FROM_B permit 20
 		Name:        "fig10a-shift-to-new-wan",
 		Description: "Figure 10(a): latent missing policy node on M1 causes a detour and overload",
 		Type:        change.TrafficSteering,
-		Net:         b.net, Inputs: inputs, Flows: flows,
+		Net:         b.Net, Inputs: inputs, Flows: flows,
 		Plan: plan, Intents: intents,
 		WantOK: false,
 	}
@@ -202,24 +159,25 @@ route-map RM_FROM_B permit 20
 // shifts to C and overloads the C-ISP2 link.
 func Fig10b() *Scenario {
 	b := newScenarioBuilder()
-	b.device("RR", "alpha", 65000, "9.1.0.1")
-	b.device("R1", "alpha", 65000, "9.1.0.2")
-	b.device("C", "alpha", 65000, "9.1.0.3") // border to ISP2
-	b.device("D", "alpha", 65000, "9.1.0.4") // border to ISP1
-	b.device("ISP1", "alpha", 64701, "9.1.0.5")
-	b.device("ISP2", "alpha", 64702, "9.1.0.6")
+	b.device("RR", 65000, "9.1.0.1")
+	b.device("R1", 65000, "9.1.0.2")
+	b.device("C", 65000, "9.1.0.3") // border to ISP2
+	b.device("D", 65000, "9.1.0.4") // border to ISP1
+	b.device("ISP1", 64701, "9.1.0.5")
+	b.device("ISP2", 64702, "9.1.0.6")
 
-	b.link("RR", "R1", 10, 1e9)
-	b.link("RR", "C", 10, 1e9)
-	b.link("RR", "D", 10, 1e9)
-	b.link("R1", "C", 20, 1e9)
-	b.link("R1", "D", 20, 1e9)
-	b.link("C", "ISP2", 10, 40e6) // thin exit link
-	b.link("D", "ISP1", 10, 1e9)
+	b.Link("RR", "R1", 10, 1e9)
+	b.Link("RR", "C", 10, 1e9)
+	b.Link("RR", "D", 10, 1e9)
+	b.Link("R1", "C", 20, 1e9)
+	b.Link("R1", "D", 20, 1e9)
+	b.Link("C", "ISP2", 10, 40e6) // thin exit link
+	b.Link("D", "ISP1", 10, 1e9)
 
-	b.ibgp("RR", "R1", true)
-	b.ibgp("RR", "C", true)
-	b.ibgp("RR", "D", true)
+	for _, client := range []string{"R1", "C", "D"} {
+		toClient, _ := b.IBGP("RR", client)
+		toClient.RRClient = true
+	}
 	b.ebgp("C", "ISP2", "", "")
 	b.ebgp("D", "ISP1", "", "")
 
@@ -231,7 +189,7 @@ func Fig10b() *Scenario {
 	}
 	extAddr := func(dev, addr string) netip.Addr {
 		a := netip.MustParseAddr(addr)
-		b.net.Devices[dev].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.PrefixFrom(a, 120)}
+		b.Net.Devices[dev].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.PrefixFrom(a, 120)}
 		return a.Next()
 	}
 	nh1 := extAddr("ISP1", "2001:db8:f1::1")
@@ -299,7 +257,7 @@ router bgp
 		Name:        "fig10b-isp-exit",
 		Description: "Figure 10(b): ip-prefix vs ipv6-prefix VSB moves ALL IPv6 prefixes to C",
 		Type:        change.TrafficSteering,
-		Net:         b.net, Inputs: inputs, Flows: flows,
+		Net:         b.Net, Inputs: inputs, Flows: flows,
 		Plan: plan, Intents: intents,
 		WantOK: false,
 	}

@@ -7,6 +7,7 @@ import (
 
 	"hoyan/internal/change"
 	"hoyan/internal/config"
+	"hoyan/internal/core"
 	"hoyan/internal/intent"
 	"hoyan/internal/netmodel"
 )
@@ -245,8 +246,11 @@ router bgp
 	// down: the DC is cut off.
 	sc = table2Scenario(change.TopologyAdjust)
 	sc.Name = "t6-redundancy-already-lost"
-	links := upLinksOf(sc, "dc-0-1")       // the plan disables links[0] of dc-0-1
-	sc.Net.Topo.SetLinkUp(links[1], false) // pre-existing failure of the twin
+	links := upLinksOf(sc, "dc-0-1") // the plan disables links[0] of dc-0-1
+	// A pre-existing failure of the twin.
+	if _, err := (core.Delta{LinksDown: links[1:2]}).Apply(sc.Net); err != nil {
+		panic(fmt.Sprintf("scenario: %v", err))
+	}
 	sc.Intents = append(sc.Intents, intent.ReachIntent{
 		Prefix: netip.MustParsePrefix("10.0.64.0/24"), Devices: []string{"rr-0-0"}, Want: true,
 	})

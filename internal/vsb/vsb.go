@@ -9,8 +9,6 @@
 // profile of the same vendor) reproduces the paper's accuracy campaign.
 package vsb
 
-import "fmt"
-
 // Profile captures one vendor's interpretation of the ambiguous behaviours
 // in Table 5 of the paper. Field comments quote the table's description.
 type Profile struct {
@@ -149,17 +147,6 @@ func Beta() Profile {
 		IsolationViaPolicy:            false,
 		IPPrefixFilterPermitsIPv6:     false,
 	}
-}
-
-// ByVendor returns the faithful profile for a vendor name.
-func ByVendor(vendor string) (Profile, error) {
-	switch vendor {
-	case VendorAlpha:
-		return Alpha(), nil
-	case VendorBeta:
-		return Beta(), nil
-	}
-	return Profile{}, fmt.Errorf("vsb: unknown vendor %q", vendor)
 }
 
 // Profiles maps vendor names to faithful profiles; the form the simulator

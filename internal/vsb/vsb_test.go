@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func TestByVendor(t *testing.T) {
-	a, err := ByVendor(VendorAlpha)
-	if err != nil || a.Vendor != VendorAlpha {
-		t.Fatalf("alpha: %v %v", a, err)
-	}
-	b, err := ByVendor(VendorBeta)
-	if err != nil || b.Vendor != VendorBeta {
-		t.Fatalf("beta: %v %v", b, err)
-	}
-	if _, err := ByVendor("gamma"); err == nil {
-		t.Error("unknown vendor must error")
-	}
-}
-
 func TestAlphaBetaDivergeOnEveryVSB(t *testing.T) {
 	// The whole point of having two vendors is that every Table 5 row has
 	// observable divergence; verify field-by-field (excluding Vendor).
