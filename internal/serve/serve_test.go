@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -18,9 +19,12 @@ import (
 	"testing"
 	"time"
 
+	"hoyan/internal/change"
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
+	"hoyan/internal/intent"
 	"hoyan/internal/netmodel"
+	"hoyan/internal/scenario"
 	"hoyan/internal/telemetry"
 )
 
@@ -1043,5 +1047,84 @@ func TestWhatIfUnknownDeviceFails(t *testing.T) {
 	res, err := srv.runWhatIf(context.Background(), n, &Query{Req: QueryRequest{FailDevices: []string{"no-such-device"}}})
 	if err == nil || res != nil || !strings.Contains(err.Error(), "no-such-device") {
 		t.Fatalf("res=%v err=%v, want an error naming the device", res, err)
+	}
+}
+
+// TestServePlanQuery pins what a plan query answers on the Figure 10(a)
+// network and every Table 6 network whose plan is configuration commands
+// alone: rib_digest, route_delta and each spec's verdict equal those of a
+// cold run of the applied plan, digested and diffed from flat rows. A block
+// naming an unknown device fails the query, and a query with no commands is
+// rejected.
+func TestServePlanQuery(t *testing.T) {
+	scs := []*scenario.Scenario{scenario.Fig10a()}
+	for _, rs := range scenario.Table6Catalog() {
+		p := rs.Scenario.Plan
+		if len(p.Commands) > 0 && reflect.DeepEqual(*p, change.Plan{ID: p.ID, Type: p.Type, Description: p.Description, Commands: p.Commands}) {
+			scs = append(scs, rs.Scenario)
+		}
+	}
+	ran := 0
+	for _, sc := range scs {
+		specs := []string{"prefix != 255.255.255.255/32 => PRE = POST"}
+		for _, it := range sc.Intents {
+			if ri, ok := it.(intent.RouteIntent); ok {
+				specs = append(specs, ri.Spec)
+			}
+		}
+		srv, n := bareServer(t, &gen.Output{Net: sc.Net, Inputs: sc.Inputs, Flows: sc.Flows}, Config{})
+		got, err := srv.run(context.Background(), &Query{ID: "q", Req: QueryRequest{Kind: "plan", NetworkID: n.ID, Commands: sc.Plan.Commands, Specs: specs}})
+		updated, applyErr := sc.Plan.Apply(sc.Net)
+		if applyErr != nil {
+			if want := strings.TrimPrefix(applyErr.Error(), "change "+sc.Plan.ID); err == nil || strings.TrimPrefix(err.Error(), "change q") != want {
+				t.Fatalf("%s: plan does not apply (%v), yet the query answered %+v, %v", sc.Name, applyErr, got, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		ran++
+		base := core.NewEngine(sc.Net, core.Options{}).Run(sc.Inputs, sc.Flows)
+		cold := core.NewEngine(updated, core.Options{}).Run(sc.Plan.ApplyInputs(sc.Inputs), sc.Flows)
+		baseRIB, coldRIB := netmodel.NewGlobalRIB(base.Routes.GlobalRIB().Rows()), cold.Routes.GlobalRIB()
+		onlyBase, onlyCold := baseRIB.Diff(coldRIB)
+		if want := ribDigest(coldRIB); got.RIBDigest != want {
+			t.Errorf("%s: rib_digest %s, cold run %s", sc.Name, got.RIBDigest, want)
+		}
+		if want := len(onlyBase) + len(onlyCold); got.RouteDelta != want {
+			t.Errorf("%s: route_delta %d, cold run %d", sc.Name, got.RouteDelta, want)
+		}
+		intents := make([]intent.Intent, len(specs))
+		for i, spec := range specs {
+			intents[i] = intent.RouteIntent{Spec: spec}
+		}
+		bw := sc.Net.Topo.Bandwidths()
+		reports, ok := intent.Verify(&intent.Context{Base: *intent.SnapshotOf(base, bw), Updated: *intent.SnapshotOf(cold, bw)}, intents)
+		if got.SpecsOK != ok || len(got.Specs) != len(reports) {
+			t.Fatalf("%s: specs_ok %v over %d specs, cold run %v over %d", sc.Name, got.SpecsOK, len(got.Specs), ok, len(reports))
+		}
+		for i, rep := range reports {
+			if g := got.Specs[i]; g.Satisfied != rep.Satisfied || !reflect.DeepEqual(g.Violations, rep.Violations) {
+				t.Errorf("%s: spec %q: satisfied %v with %d violations, cold run %v with %d", sc.Name, rep.Intent, g.Satisfied, len(g.Violations), rep.Satisfied, len(rep.Violations))
+			}
+		}
+	}
+	if ran < 4 {
+		t.Fatalf("fixture: only %d command plans applied", ran)
+	}
+
+	srv, n := bareServer(t, gen.Generate(gen.WAN(1)), Config{})
+	for _, bad := range []struct {
+		commands map[string]string
+		want     string
+	}{
+		{map[string]string{"no-such-device": "router bgp 65000\n"}, `unknown device "no-such-device"`},
+		{nil, "carries no commands"},
+	} {
+		res, err := srv.run(context.Background(), &Query{ID: "q", Req: QueryRequest{Kind: "plan", NetworkID: n.ID, Commands: bad.commands}})
+		if err == nil || res != nil || !strings.Contains(err.Error(), bad.want) {
+			t.Fatalf("commands %v: res=%v err=%v, want an error containing %q", bad.commands, res, err, bad.want)
+		}
 	}
 }
