@@ -82,7 +82,7 @@ func topoDelta(net *config.Network, igp *isis.Result, links []netmodel.LinkID, n
 		net2.Topo.SetNodeUp(n, false)
 	}
 	igp2, touched, _ := isis.Recompute(net2.Topo, igp, isis.Delta{Links: links, NodesDown: nodes}, isis.Options{})
-	d := Delta{DistChanged: make(map[string]map[string]bool), ChangedLinks: links, NodesDown: nodes}
+	d := Delta{DistChanged: make(map[string]map[string]bool), ChangedLinks: links, Purged: nodes}
 	for src, hit := range touched {
 		if dc, _ := isis.Diff(igp, igp2, src); hit && len(dc) > 0 {
 			d.DistChanged[src] = dc
@@ -97,7 +97,7 @@ func topoDelta(net *config.Network, igp *isis.Result, links []netmodel.LinkID, n
 // are the scan's too), then the scan over the tables whose IGP view moved.
 func seedBothWays(st *State, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (indexed, scanned map[tableKey]map[netip.Prefix]bool) {
 	indexed = st.restart(nil, net, igp, inputs, d).dirtyPairs()
-	s := st.restart(nil, net, igp, inputs, Delta{ChangedLinks: d.ChangedLinks, NodesDown: d.NodesDown})
+	s := st.restart(nil, net, igp, inputs, Delta{ChangedLinks: d.ChangedLinks, Purged: d.Purged})
 	endpoints := make(map[string]bool)
 	for _, id := range d.ChangedLinks {
 		endpoints[id.A], endpoints[id.B] = true, true

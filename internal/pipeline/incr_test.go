@@ -37,7 +37,9 @@ func linkFailureSweep(net *config.Network) []*change.Plan {
 
 // verifyBothModes runs one scenario's plan through Verify with incremental
 // forking on and off and asserts the outcomes agree on everything an operator
-// sees: verdict, reports, and the updated snapshot.
+// sees: verdict, reports, and the updated snapshot. Both modes take the plan
+// through Plan.Delta, so the updated snapshot is also checked against an
+// independent reference: a cold engine on Plan.Apply's network.
 func verifyBothModes(t *testing.T, sc *scenario.Scenario) {
 	t.Helper()
 	inc := New(sc.Net, sc.Inputs, sc.Flows, core.Options{})
@@ -70,19 +72,33 @@ func verifyBothModes(t *testing.T, sc *scenario.Scenario) {
 	if !reflect.DeepEqual(got.UpdateSnap.Load, want.UpdateSnap.Load) {
 		t.Fatalf("%s: updated loads differ", sc.Name)
 	}
+	updated, err := sc.Plan.Apply(sc.Net)
+	if err != nil {
+		t.Fatalf("%s: Verify accepted the plan, Apply did not: %v", sc.Name, err)
+	}
+	cold := snapshotOf(core.NewEngine(updated, core.Options{}).Run(sc.Plan.ApplyInputs(sc.Inputs), sc.Flows), updated)
+	if !got.UpdateSnap.RIB.Equal(cold.RIB) || !reflect.DeepEqual(got.UpdateSnap.Paths, cold.Paths) || !reflect.DeepEqual(got.UpdateSnap.Load, cold.Load) {
+		t.Fatalf("%s: updated snapshot differs from a cold run of the applied plan", sc.Name)
+	}
+	if coldReports, coldOK := intent.Verify(&intent.Context{Base: *got.BaseSnap, Updated: *cold}, sc.Intents); coldOK != got.OK || !reflect.DeepEqual(coldReports, got.Reports) {
+		t.Fatalf("%s: verdict %v, cold run of the applied plan %v", sc.Name, got.OK, coldOK)
+	}
 	if got.OK != sc.WantOK {
 		t.Errorf("%s: verdict %v, scenario expects %v", sc.Name, got.OK, sc.WantOK)
 	}
 }
 
 // TestVerifyIncrementalMatchesFullOnCatalog runs every Table 2 change type
-// through Verify with and without DisableIncremental. Pure-delta types
-// (topology-adjust, new-prefix, prefix-reclamation) take the fork path;
-// command-carrying types fall back to full simulation — either way the
-// outcomes must match byte for byte.
+// and every Table 6 scenario through Verify with and without
+// DisableIncremental. Every plan but a structural one (add-links,
+// add-routers) takes the fork path; either way the outcomes must match byte
+// for byte.
 func TestVerifyIncrementalMatchesFullOnCatalog(t *testing.T) {
 	for _, sc := range scenario.Table2Catalog() {
 		t.Run(string(sc.Type), func(t *testing.T) { verifyBothModes(t, sc) })
+	}
+	for _, rs := range scenario.Table6Catalog() {
+		t.Run(rs.Name, func(t *testing.T) { verifyBothModes(t, rs.Scenario) })
 	}
 }
 
@@ -93,8 +109,8 @@ func TestVerifyIncrementalMatchesFullOnCaseStudies(t *testing.T) {
 }
 
 // TestVerifyPureDeltaTakesForkPath asserts the routing decision itself: a
-// toggles-only plan must verify as an incremental fork (visible through
-// LastForkStats), while a command-carrying plan must not.
+// toggles-only plan and a command-carrying one must both verify as incremental
+// forks (visible through LastForkStats).
 func TestVerifyPureDeltaTakesForkPath(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	sys := New(out.Net, out.Inputs, out.Flows, core.Options{})
@@ -114,11 +130,17 @@ func TestVerifyPureDeltaTakesForkPath(t *testing.T) {
 		t.Error("fork reused no SPF sources")
 	}
 
-	if d, pure := plan.Delta(); !pure || len(d.LinksDown) != 1 {
-		t.Errorf("linkFailurePlan must convert to a pure one-link delta, got %+v pure=%v", d, pure)
+	if d, ok, err := plan.Delta(out.Net); !ok || err != nil || len(d.LinksDown) != 1 {
+		t.Errorf("linkFailurePlan must convert to a one-link delta, got %+v ok=%v err=%v", d, ok, err)
 	}
-	if _, pure := scenario.Table2Catalog()[0].Plan.Delta(); pure {
-		t.Error("a command-carrying plan must not convert to a pure delta")
+
+	sc := scenario.Table2Catalog()[0]
+	cmds := New(sc.Net, sc.Inputs, sc.Flows, core.Options{})
+	if _, err := cmds.Verify(sc.Plan, sc.Intents); err != nil {
+		t.Fatal(err)
+	}
+	if stats, forked := cmds.LastForkStats(); !forked || stats.Full {
+		t.Fatalf("%s: a command plan must fork (forked %v, full fallback %v)", sc.Name, forked, stats.Full)
 	}
 }
 
