@@ -40,7 +40,7 @@ func main() {
 	rclSpec := flag.String("rcl", "", "route change intent in RCL")
 	workers := flag.Int("workers", 0, "simulate on a local cluster with N workers (0 = centralized)")
 	parallelism := flag.Int("parallelism", 0, "intra-engine parallelism (SPF, ECs, the cold BGP fixpoint's work units, forwarding, config parsing): 0 = all cores, 1 = sequential, N = N workers")
-	incremental := flag.Bool("incremental", true, "verify pure-delta plans (up/down toggles, input changes) as warm-started forks of the base run; false re-simulates every plan from scratch (results are identical)")
+	incremental := flag.Bool("incremental", true, "verify every plan but a structural one (new devices or links, removals) as a warm-started fork of the base run; false re-simulates every plan from scratch (results are identical)")
 	doLocalize := flag.Bool("localize", false, "on violation, delta-debug the plan to a minimal culprit stanza set")
 	flag.Parse()
 	localizeWanted = *doLocalize
