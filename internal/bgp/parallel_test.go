@@ -378,6 +378,45 @@ func TestParallelAllocBytesBoundedByUnits(t *testing.T) {
 	t.Logf("allocated: sequential %d bytes, two units %d bytes", seq, two)
 }
 
+// TestSubsetRunsAllocLikeOneRun pins the cost of a fleet-shaped split: the
+// route subtasks of a distributed run are cold simulations of the whole
+// network over contiguous slices of the inputs (dsim.splitRoutes), so what a
+// cold run allocates must follow the prefixes BGP carries, not the network.
+// Sixteen subset runs together may allocate at most 1.6 times one run over
+// all inputs; a table presized for every prefix the sim interned — interface
+// subnets, host routes and loopbacks included — made it about three times.
+func TestSubsetRunsAllocLikeOneRun(t *testing.T) {
+	out := gen.Generate(gen.WAN(4))
+	igp := isis.Compute(out.Net.Topo, isis.Options{})
+	inputs := slices.Clone(out.Inputs)
+	slices.SortStableFunc(inputs, func(a, b netmodel.Route) int {
+		return netmodel.LastAddr(a.Prefix).Compare(netmodel.LastAddr(b.Prefix))
+	})
+	const subsets = 16
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, p := range []int{1, 2} {
+		opts := Options{Parallelism: p}
+		whole := allocated(func() { Simulate(out.Net, igp, inputs, opts) })
+		split := allocated(func() {
+			for i := range subsets {
+				Simulate(out.Net, igp, inputs[i*len(inputs)/subsets:(i+1)*len(inputs)/subsets], opts)
+			}
+		})
+		ratio := float64(split) / float64(whole)
+		if ratio > 1.6 {
+			t.Errorf("parallelism %d: %d subset runs allocated %d bytes, one run %d: %.2fx, want at most 1.6x",
+				p, subsets, split, whole, ratio)
+		}
+		t.Logf("parallelism %d: one run %d bytes, %d subset runs %d bytes (%.2fx)", p, whole, subsets, split, ratio)
+	}
+}
+
 // FuzzParallelFixpointEquivalence drives randomized scenarios — seeded input
 // subsets with duplicate keys and link failures — through parallelism 1, 2,
 // and 8, asserting identical runs throughout and a stable state.
