@@ -47,10 +47,11 @@ test-shuffle:
 # and what concurrent forks read of one base while patching their own tables
 # (ec's memoized expansion index, traffic's base traces), and the fleet, whose
 # traffic subtasks build RIB tables lazily while the forwarder's goroutines
-# look them up (dsim's fleet-vs-centralized tests) — at 1, 2 and 8 procs:
-# results must not depend on how the units interleave.
+# look them up (dsim's fleet-vs-centralized tests) and whose route subtasks
+# split into units of their own (pipeline's fleet-vs-centralized tests) — at
+# 1, 2 and 8 procs: results must not depend on how the units interleave.
 test-procs:
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/netmodel ./internal/intent ./internal/serve ./internal/ec ./internal/traffic ./internal/dsim || exit 1; done
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/netmodel ./internal/intent ./internal/serve ./internal/ec ./internal/traffic ./internal/dsim ./internal/pipeline || exit 1; done
 
 # Race-detector pass over every package: the parallel engine hot paths (SPF,
 # forwarding, ECs, config parse) and the concurrent-engine tests must stay

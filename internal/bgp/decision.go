@@ -58,19 +58,11 @@ func (s *sim) decideAndAdvertise() []msg {
 			}
 			return pa.Addr().Compare(pb.Addr())
 		})
-		// Size hint: default-VRF tables converge to roughly every prefix
-		// the run has seen; non-default VRFs carry only their leaked/local
-		// slice, where a full-size presize wastes more than it saves; an
-		// overlay holds only what the restart writes.
-		hint := 0
-		if k.vrf == netmodel.DefaultVRF && t.under == nil {
-			hint = len(s.pfxs)
-		}
 		if t.lastAdv == nil {
-			t.lastAdv = make(map[netip.Prefix]string, hint)
+			t.lastAdv = make(map[netip.Prefix]string, s.tableHint(k, t))
 		}
 		if t.rib == nil {
-			t.rib = netmodel.NewRIBSized(k.dev, k.vrf, hint)
+			t.rib = netmodel.NewRIBSized(k.dev, k.vrf, s.tableHint(k, t))
 		}
 		la, rib := t.lastAdv, t.rib
 		for _, pid := range pids {

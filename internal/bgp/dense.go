@@ -181,6 +181,14 @@ func (s *sim) markTable(k tableKey) {
 	}
 }
 
+// markAdopted dirties every prefix of the records seeding adopted whole.
+func (s *sim) markAdopted() {
+	for _, k := range s.adopted {
+		s.markTable(k)
+	}
+	s.adopted = nil
+}
+
 // tableRank returns rank[tid] = position of the table in (device, vrf)
 // lexical order. Rebuilt only when a new table was interned since the last
 // call.

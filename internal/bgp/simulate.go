@@ -230,6 +230,20 @@ type sim struct {
 	// (noteInstall). The empty State is never captured.
 	warm bool
 
+	// carried holds the prefixes BGP can carry in this run: those of its BGP
+	// candidates (inputs, network statements, redistributed routes) and of
+	// the configured aggregates. Interface subnets, host routes, loopbacks
+	// and unredistributed statics stay in their own table, so a default-VRF
+	// table holds at most these plus its own locals (tableHint). The cold
+	// restart collects them while it originates, a unit holds its groups'
+	// share (splitUnits), and a warm restart reads its State's.
+	carried map[netip.Prefix]bool
+
+	// adopted lists the records seeding adopted whole. They are marked dirty
+	// where the run starts (markAdopted), so a cold run split into units never
+	// interns them in the sim that only seeded them.
+	adopted []tableKey
+
 	messages int
 
 	// topoIdx is the dense-ID topology index backing the decision loop;
@@ -313,10 +327,12 @@ func (s *sim) ctxDone() bool {
 	return s.opts.Ctx != nil && s.opts.Ctx.Err() != nil
 }
 
-// runDense iterates the fixpoint from the seeded dirty set until convergence
-// or MaxRounds. The result gets a map of its own over the tables' RIBs: callers
-// install tables there (SetRIB) that must never reach a record.
+// runDense iterates the fixpoint from the seeded dirty set, with the adopted
+// records marked, until convergence or MaxRounds. The result gets a map of its
+// own over the tables' RIBs: callers install tables there (SetRIB) that must
+// never reach a record.
 func (s *sim) runDense() *Result {
+	s.markAdopted()
 	rounds := 0
 	converged := false
 	pending := s.decideAndAdvertise()
@@ -365,9 +381,29 @@ func (s *sim) localsOf(k tableKey) map[netip.Prefix][]cand {
 	return t.locals
 }
 
+// tableHint is the number of prefixes table k's maps are presized for: a
+// default-VRF table holds at most the carried prefixes plus its own locals.
+// Non-default VRFs carry only their leaked and local slice, where a presize
+// wastes more than it saves; an overlay holds only what the restart writes.
+func (s *sim) tableHint(k tableKey, t *table) int {
+	if k.vrf != netmodel.DefaultVRF || t.under != nil {
+		return 0
+	}
+	return len(s.carried) + len(t.locals)
+}
+
+// carry records p as carried when the sim collects what it carries (a non-nil
+// carried set).
+func (s *sim) carry(p netip.Prefix) {
+	if s.carried != nil {
+		s.carried[p] = true
+	}
+}
+
 // originateLocals seeds the simulation: input routes, network statements,
 // static/direct/IS-IS redistribution, per Table 5 VSBs. A non-nil reached
-// limits it to the devices in that set (State.reached).
+// limits it to the devices in that set (State.reached). It adds the prefixes
+// BGP can carry to the sim's carried set, when it has one.
 func (s *sim) originateLocals(inputs []netmodel.Route, reached map[string]bool) {
 	// Input routes: pre-built by the input-route building service; they are
 	// installed at their injection device as externally-learned candidates.
@@ -397,6 +433,7 @@ func (s *sim) originateLocals(inputs []netmodel.Route, reached map[string]bool) 
 		}
 		m := s.localsOf(k)
 		m[r.Prefix] = append(m[r.Prefix], cand{route: r, ebgp: true})
+		s.carry(r.Prefix)
 	}
 
 	for _, name := range s.net.DeviceNames() {
@@ -417,13 +454,21 @@ func (s *sim) originateLocals(inputs []netmodel.Route, reached map[string]bool) 
 				Source: name, Peer: "network",
 			}
 			m[p] = append(m[p], cand{route: r, local: true})
+			s.carry(p)
 		}
 
 		// Redistribution.
 		for _, rd := range d.Redistributes {
 			for _, c := range s.redistributed(d, rd, prof) {
 				m[c.route.Prefix] = append(m[c.route.Prefix], c)
+				s.carry(c.route.Prefix)
 			}
+		}
+
+		// Aggregates are originated by the fixpoint, once a contributor is
+		// installed (refreshAggregate).
+		for _, a := range d.Aggregates {
+			s.carry(a.Prefix)
 		}
 
 		// Static routes live in their VRF's table even without
@@ -644,8 +689,10 @@ func (s *sim) commitDelivery(m *msg, ti *tableInfo, accepted []cand) {
 		}
 	} else {
 		t := s.own(k)
-		if t.adjIn == nil && t.under == nil && k.vrf == netmodel.DefaultVRF {
-			t.adjIn = make(map[netip.Prefix]map[string][]cand, len(s.pfxs))
+		if t.adjIn == nil {
+			if hint := s.tableHint(k, t); hint > 0 {
+				t.adjIn = make(map[netip.Prefix]map[string][]cand, hint)
+			}
 		}
 		if old, had := t.froms(m.prefix)[m.from]; !had || !candsSame(old, accepted) {
 			t.ownFroms(m.prefix)[m.from] = accepted

@@ -122,6 +122,16 @@ func (s *sim) splitUnits(workers int) []*sim {
 			unitOf[roots.groupOf(p)].localsOf(k)[p] = cs
 		}
 	}
+	// A unit carries its groups' prefixes. An aggregate whose group
+	// originates nothing never activates, so no unit carries it.
+	for p := range s.carried {
+		if u := unitOf[roots.groupOf(p)]; u != nil {
+			if u.carried == nil {
+				u.carried = make(map[netip.Prefix]bool)
+			}
+			u.carried[p] = true
+		}
+	}
 	return units
 }
 
@@ -161,6 +171,11 @@ func (st *State) mergeUnits() {
 		tables[i] = u.tables
 	}
 	st.tables = unionTables(st.opts.Parallelism, tables, unionRecords)
+	carried := make([]map[netip.Prefix]bool, len(st.units))
+	for i, u := range st.units {
+		carried[i] = u.carried
+	}
+	st.carried = unionMaps(carried)
 	st.units = nil
 }
 

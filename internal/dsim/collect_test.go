@@ -8,6 +8,10 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
 	"hoyan/internal/netmodel"
+	"hoyan/internal/objstore"
+	"hoyan/internal/taskdb"
+	"hoyan/internal/telemetry"
+	"hoyan/internal/wire"
 )
 
 // TestCollectRouteResultsOverlappingSubtasks: the merge-and-adjacent-dedupe
@@ -72,5 +76,51 @@ func TestCollectRouteResultsOverlappingSubtasks(t *testing.T) {
 	}
 	if _, again := collect("t2"); !slices.EqualFunc(got, again, netmodel.Route.Identical) {
 		t.Fatal("a second run's collected rows differ positionally from the first's")
+	}
+}
+
+// missingRecordDB is a task DB that reports one subtask's record missing.
+type missingRecordDB struct {
+	taskdb.DB
+	kind string
+	sub  int
+}
+
+func (d missingRecordDB) Get(taskID, kind string, sub int) (taskdb.Record, bool, error) {
+	if kind == d.kind && sub == d.sub {
+		return taskdb.Record{}, false, nil
+	}
+	return d.DB.Get(taskID, kind, sub)
+}
+
+// TestCollectTrafficResultsMissingRecord: LoadedRIBFiles holds one count per
+// subtask, in subtask order, and a subtask whose task-DB record is missing
+// fails the collection instead of shifting every later count one place.
+func TestCollectTrafficResultsMissingRecord(t *testing.T) {
+	store, db := objstore.NewMemory(nil), taskdb.NewMemory()
+	task := &TrafficTask{ID: "t", Subtasks: 3}
+	for i := range task.Subtasks {
+		var buf bytes.Buffer
+		if err := wire.EncodeTrafficResult(&buf, &wire.TrafficResult{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(resultKey(task.ID, "traffic", i), buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		rec := taskdb.Record{TaskID: task.ID, Kind: "traffic", SubID: i, Status: taskdb.StatusDone, LoadedRIBFiles: 10 + i}
+		if err := db.Upsert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, err := NewMaster(Services{Store: store, Tasks: db}, telemetry.NewRegistry()).CollectTrafficResults(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{10, 11, 12}; !slices.Equal(sum.LoadedRIBFiles, want) {
+		t.Errorf("LoadedRIBFiles = %v, want %v", sum.LoadedRIBFiles, want)
+	}
+	missing := missingRecordDB{DB: db, kind: "traffic", sub: 1}
+	if sum, err := NewMaster(Services{Store: store, Tasks: missing}, telemetry.NewRegistry()).CollectTrafficResults(task); err == nil {
+		t.Errorf("subtask 1's record missing: no error, LoadedRIBFiles = %v", sum.LoadedRIBFiles)
 	}
 }

@@ -414,7 +414,8 @@ type TrafficSummary struct {
 }
 
 // CollectTrafficResults aggregates per-subtask link loads (summing across
-// subtasks, as the paper's master does) and concatenates flow paths.
+// subtasks, as the paper's master does) and concatenates flow paths. A
+// subtask whose result or task-DB record cannot be read fails the collection.
 func (m *Master) CollectTrafficResults(t *TrafficTask) (*TrafficSummary, error) {
 	out := &TrafficSummary{Load: make(netmodel.LinkLoad)}
 	for i := 0; i < t.Subtasks; i++ {
@@ -436,9 +437,13 @@ func (m *Master) CollectTrafficResults(t *TrafficTask) (*TrafficSummary, error) 
 			})
 		}
 		rec, ok, err := m.svc.Tasks.Get(t.ID, "traffic", i)
-		if err == nil && ok {
-			out.LoadedRIBFiles = append(out.LoadedRIBFiles, rec.LoadedRIBFiles)
+		if err != nil {
+			return nil, fmt.Errorf("dsim: reading traffic subtask %d's record: %w", i, err)
 		}
+		if !ok {
+			return nil, fmt.Errorf("dsim: no record of traffic subtask %d", i)
+		}
+		out.LoadedRIBFiles = append(out.LoadedRIBFiles, rec.LoadedRIBFiles)
 	}
 	slices.SortFunc(out.Paths, func(a, b traffic.FlowPath) int {
 		return netmodel.CompareFlows(a.Flow, b.Flow)

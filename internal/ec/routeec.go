@@ -252,10 +252,18 @@ func (e *RouteECs) Moved(base *RouteECs) []netip.Prefix {
 // per EC, then clone results.
 //
 // The expansion walk is memoized across tables (ExpandRIB runs once per
-// (device, vrf)), and each member gets exactly one merged slice that the RIB
-// adopts in place of copying (ReplaceOwned).
+// (device, vrf)), the table grows once, to room for every member of a
+// representative it holds rows for, and each member gets exactly one merged
+// slice that the RIB adopts in place of copying (ReplaceOwned).
 func (e *RouteECs) ExpandRIB(rib *netmodel.RIB) {
 	reps, members := e.expansion()
+	n := 0
+	for ri, rep := range reps {
+		if len(rib.Routes(rep)) > 0 {
+			n += len(members[ri])
+		}
+	}
+	rib.Grow(n)
 	for ri, rep := range reps {
 		rows := rib.Routes(rep)
 		if len(rows) == 0 {

@@ -52,10 +52,21 @@ func NewRIB(device, vrf string) *RIB {
 
 // NewRIBSized is NewRIB with a capacity hint for the expected number of
 // prefixes, avoiding incremental map growth when the caller already knows
-// roughly how many prefixes the table will hold (the indexed BGP decision
-// loop passes the size of its prefix (pid) table).
+// roughly how many prefixes the table will hold.
 func NewRIBSized(device, vrf string, hint int) *RIB {
 	return &RIB{Device: device, VRF: vrf, byPrefix: make(map[netip.Prefix][]Route, hint)}
+}
+
+// Grow gives a plain table room for n more prefixes, rehashing its prefix map
+// once instead of doubling it as they are inserted. It is a no-op on an
+// overlay, whose own map holds only its writes.
+func (t *RIB) Grow(n int) {
+	if n <= 0 || t.under != nil {
+		return
+	}
+	grown := make(map[netip.Prefix][]Route, len(t.byPrefix)+n)
+	maps.Copy(grown, t.byPrefix)
+	t.byPrefix = grown
 }
 
 // rows is the one read of a single prefix's rows: an overlay's own entry

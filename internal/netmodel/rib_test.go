@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
 )
 
@@ -47,6 +48,49 @@ func TestRIBReplace(t *testing.T) {
 	rib.Replace(p, nil)
 	if rib.Len() != 0 {
 		t.Error("Replace(nil) should delete the prefix")
+	}
+}
+
+// TestRIBGrow: a grown table keeps its rows and its memoized prefix order,
+// takes n new prefixes without growing its map again, and an overlay ignores
+// Grow.
+func TestRIBGrow(t *testing.T) {
+	rib := NewRIB("A", DefaultVRF)
+	old := netip.MustParsePrefix("10.0.0.0/24")
+	rib.Replace(old, []Route{mkRoute("A", DefaultVRF, "10.0.0.0/24", "1.1.1.1", RouteBest)})
+	sorted := rib.Prefixes()
+	const n = 500
+	rows := make([][]Route, n)
+	ps := make([]netip.Prefix, n)
+	for i := range ps {
+		ps[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), 32)
+		rows[i] = []Route{{Prefix: ps[i], RouteType: RouteBest}}
+	}
+
+	rib.Grow(n)
+	if got := rib.Prefixes(); len(got) != 1 || &got[0] != &sorted[0] {
+		t.Errorf("Grow dropped the memoized prefix order: %v", got)
+	}
+	if best := rib.Best(old); len(best) != 1 || best[0].NextHop != netip.MustParseAddr("1.1.1.1") {
+		t.Errorf("Best after Grow = %v", best)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range ps {
+		rib.ReplaceOwned(ps[i], rows[i])
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("%d prefixes into a table grown for them: %d allocations, want 0", n, allocs)
+	}
+	if got := len(rib.Prefixes()); got != n+1 {
+		t.Errorf("grown table holds %d prefixes, want %d", got, n+1)
+	}
+
+	o := rib.Overlay()
+	o.Grow(n)
+	if len(o.byPrefix) != 0 || o.Len() != rib.Len() {
+		t.Errorf("Grow on an overlay: own map %d entries, Len %d, under's %d", len(o.byPrefix), o.Len(), rib.Len())
 	}
 }
 
