@@ -310,6 +310,15 @@ func TestOverlayWorkPinned(t *testing.T) {
 	if _, res := restartSim(downSt, out.Net, igp, out.Inputs, up); !res.GlobalRIB().Equal(Simulate(out.Net, igp, out.Inputs, Options{}).GlobalRIB()) {
 		t.Errorf("bringing %s up differs from a from-scratch run", changed)
 	}
+	// The device's tables are adopted whole, and TablesDirty counts them.
+	seeded := downSt.restart(nil, out.Net, igp, out.Inputs, up)
+	before := len(seeded.dirtyTids)
+	seeded.markAdopted()
+	_, stats := downSt.ResimulateCtx(nil, out.Net, igp, out.Inputs, up)
+	if len(seeded.dirtyTids) == before || stats.TablesDirty != len(seeded.dirtyTids) {
+		t.Errorf("bringing %s up: %d tables dirty before its adopted tables are marked, %d after; TablesDirty %d",
+			changed, before, len(seeded.dirtyTids), stats.TablesDirty)
+	}
 }
 
 // recordSnap is a deep copy of what a State's record holds, with the RIB as
