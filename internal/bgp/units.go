@@ -32,15 +32,18 @@ import (
 // depend only on its group's state, so each group passes through the same
 // states round by round whichever other groups share its sim.
 
-// aggRoots is the set of configured aggregate prefixes not covered by another
-// configured aggregate, over all devices and VRFs (a leaked or advertised
-// route keeps its prefix, so a prefix is grouped alike everywhere).
-type aggRoots struct {
-	set  map[netip.Prefix]bool
-	bits []int // distinct lengths in set, ascending
+// Grouping is the independence grouping of a network's prefixes, held as its
+// roots: the configured aggregate prefixes not covered by another configured
+// aggregate, over all devices and VRFs (a leaked or advertised route keeps its
+// prefix, so a prefix is grouped alike everywhere). The cold fixpoint packs its
+// work units by it, and the fleet (dsim) cuts its route subtasks along it.
+type Grouping struct {
+	roots map[netip.Prefix]bool
+	bits  []int // distinct lengths in roots, ascending
 }
 
-func aggregateRoots(net *config.Network) aggRoots {
+// Groups returns net's independence grouping.
+func Groups(net *config.Network) Grouping {
 	var all []netip.Prefix
 	for _, d := range net.Devices {
 		for _, a := range d.Aggregates {
@@ -48,27 +51,27 @@ func aggregateRoots(net *config.Network) aggRoots {
 		}
 	}
 	slices.SortFunc(all, func(a, b netip.Prefix) int { return a.Bits() - b.Bits() })
-	r := aggRoots{set: make(map[netip.Prefix]bool)}
+	g := Grouping{roots: make(map[netip.Prefix]bool)}
 	for _, a := range all {
-		if r.groupOf(a) != a || r.set[a] {
+		if g.Of(a) != a || g.roots[a] {
 			continue // nested in, or a repeat of, an earlier root
 		}
-		r.set[a] = true
-		if len(r.bits) == 0 || r.bits[len(r.bits)-1] != a.Bits() {
-			r.bits = append(r.bits, a.Bits())
+		g.roots[a] = true
+		if len(g.bits) == 0 || g.bits[len(g.bits)-1] != a.Bits() {
+			g.bits = append(g.bits, a.Bits())
 		}
 	}
-	return r
+	return g
 }
 
-// groupOf returns the independence group of p: the root aggregate prefix that
+// Of returns the independence group of p: the root aggregate prefix that
 // covers or equals it, else p itself.
-func (r aggRoots) groupOf(p netip.Prefix) netip.Prefix {
-	for _, b := range r.bits {
+func (g Grouping) Of(p netip.Prefix) netip.Prefix {
+	for _, b := range g.bits {
 		if b > p.Bits() {
 			break
 		}
-		if root, err := p.Addr().Prefix(b); err == nil && r.set[root] {
+		if root, err := p.Addr().Prefix(b); err == nil && g.roots[root] {
 			return root
 		}
 	}
@@ -84,27 +87,27 @@ func (s *sim) splitUnits(workers int) []*sim {
 	if workers < 2 {
 		return nil
 	}
-	roots := aggregateRoots(s.net)
+	groups := Groups(s.net)
 	weight := make(map[netip.Prefix]int)
 	for _, t := range s.tables {
 		for p := range t.locals {
-			weight[roots.groupOf(p)]++
+			weight[groups.Of(p)]++
 		}
 	}
 	if len(weight) < 2 {
 		return nil
 	}
-	groups := make([]netip.Prefix, 0, len(weight))
+	order := make([]netip.Prefix, 0, len(weight))
 	for g := range weight {
-		groups = append(groups, g)
+		order = append(order, g)
 	}
-	slices.SortFunc(groups, func(a, b netip.Prefix) int {
+	slices.SortFunc(order, func(a, b netip.Prefix) int {
 		return cmp.Or(weight[b]-weight[a], a.Addr().Compare(b.Addr()), a.Bits()-b.Bits())
 	})
-	units := make([]*sim, min(len(groups), workers))
+	units := make([]*sim, min(len(order), workers))
 	load := make([]int, len(units))
-	unitOf := make(map[netip.Prefix]*sim, len(groups))
-	for _, g := range groups {
+	unitOf := make(map[netip.Prefix]*sim, len(order))
+	for _, g := range order {
 		least := 0
 		for i := range load {
 			if load[i] < load[least] {
@@ -119,13 +122,13 @@ func (s *sim) splitUnits(workers int) []*sim {
 	}
 	for k, t := range s.tables {
 		for p, cs := range t.locals {
-			unitOf[roots.groupOf(p)].localsOf(k)[p] = cs
+			unitOf[groups.Of(p)].localsOf(k)[p] = cs
 		}
 	}
 	// A unit carries its groups' prefixes. An aggregate whose group
 	// originates nothing never activates, so no unit carries it.
 	for p := range s.carried {
-		if u := unitOf[roots.groupOf(p)]; u != nil {
+		if u := unitOf[groups.Of(p)]; u != nil {
 			if u.carried == nil {
 				u.carried = make(map[netip.Prefix]bool)
 			}

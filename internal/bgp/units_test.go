@@ -112,9 +112,9 @@ func TestSplitUnits(t *testing.T) {
 			inputs = append(inputs, tc.configure(b)...)
 			igp := isis.Compute(b.Net.Topo, isis.Options{})
 
-			roots := aggregateRoots(b.Net)
+			groups := Groups(b.Net)
 			for p, want := range tc.groups {
-				if got := roots.groupOf(pfx(p)); got != pfx(want) {
+				if got := groups.Of(pfx(p)); got != pfx(want) {
 					t.Errorf("group of %s = %s, want %s", p, got, want)
 				}
 			}
@@ -139,7 +139,7 @@ func TestSplitUnits(t *testing.T) {
 								t.Errorf("unit %d holds %d candidates for %v %s, want %d", i, len(cs), k, p, want)
 							}
 							cands += len(cs)
-							g := roots.groupOf(p)
+							g := groups.Of(p)
 							if prev, seen := unitOfGroup[g]; seen && prev != i {
 								t.Errorf("group %s straddles units %d and %d", g, prev, i)
 							}

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"hoyan/internal/ec"
 	"hoyan/internal/gen"
 	"hoyan/internal/netmodel"
 	"hoyan/internal/vsb"
@@ -61,6 +62,42 @@ func TestECOnOffEquivalence(t *testing.T) {
 			t.Logf("only without ECs: %v", r)
 		}
 		t.Fatalf("EC on/off differ: %d vs %d rows (diff %d/%d)", gw.Len(), gwo.Len(), len(onlyA), len(onlyB))
+	}
+}
+
+// TestECOnOffEquivalenceLocalPrefix: an input prefix the network also
+// originates, here by a network statement on core-0-0, is simulated together
+// with its local route, so it shares no class — neither as the representative
+// of 10.0.0.0/24's class nor as the member 10.0.5.0/24. The ECs-on RIB equals
+// the ECs-off one and is a stable state.
+func TestECOnOffEquivalenceLocalPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		rep    bool
+	}{{"10.0.0.0/24", true}, {"10.0.5.0/24", false}} {
+		t.Run(tc.prefix, func(t *testing.T) {
+			out := gen.Generate(gen.WAN(2))
+			p := netip.MustParsePrefix(tc.prefix)
+			classed := false
+			for _, c := range ec.ComputeRouteECs(out.Net, nil, out.Inputs, 1).Classes {
+				for i, r := range c.Routes {
+					classed = classed || r.Prefix == p && len(c.Routes) > 1 && (i == 0) == tc.rep
+				}
+			}
+			if !classed {
+				t.Fatalf("fixture: %s is not a class %s", p, map[bool]string{true: "representative", false: "member"}[tc.rep])
+			}
+			core0 := out.Net.Devices["core-0-0"]
+			core0.Networks = append(core0.Networks, p)
+			on := NewEngine(out.Net, Options{})
+			with := on.RouteSimulation(out.Inputs).GlobalRIB()
+			without := NewEngine(out.Net, Options{DisableRouteECs: true}).RouteSimulation(out.Inputs).GlobalRIB()
+			if !with.Equal(without) {
+				onlyWith, onlyWithout := with.Diff(without)
+				t.Errorf("%d rows only with ECs, %d only without", len(onlyWith), len(onlyWithout))
+			}
+			checkRIB(t, "route ECs on", on, out.Net, out.Inputs, with)
+		})
 	}
 }
 

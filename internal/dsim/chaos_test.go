@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hoyan/internal/bgp"
 	"hoyan/internal/core"
 	"hoyan/internal/faults"
 	"hoyan/internal/gen"
@@ -156,7 +157,7 @@ func TestChaosWorkerCrashLeaseReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := master.StartRouteSimulation("chaos", snapKey, out.Inputs, nRoute, core.Options{})
+	rt, err := master.StartRouteSimulation("chaos", snapKey, bgp.Groups(out.Net), out.Inputs, nRoute, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestWorkerSurvivesTransientPopErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := master.StartRouteSimulation("pop-errs", snapKey, out.Inputs, 3, core.Options{})
+	rt, err := master.StartRouteSimulation("pop-errs", snapKey, bgp.Groups(out.Net), out.Inputs, 3, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestStaleAttemptMessageSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := master.StartRouteSimulation("stale", snapKey, out.Inputs, 1, core.Options{})
+	rt, err := master.StartRouteSimulation("stale", snapKey, bgp.Groups(out.Net), out.Inputs, 1, core.Options{})
 	if err != nil || rt.Subtasks != 1 {
 		t.Fatalf("start: %v (%d subtasks)", err, rt.Subtasks)
 	}

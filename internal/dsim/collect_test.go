@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"hoyan/internal/bgp"
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
 	"hoyan/internal/netmodel"
@@ -31,7 +32,7 @@ func TestCollectRouteResultsOverlappingSubtasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect := func(taskID string) (*RouteTask, []netmodel.Route) {
-		task, err := c.Master.StartRouteSimulation(taskID, snapKey, inputs, 8, core.Options{})
+		task, err := c.Master.StartRouteSimulation(taskID, snapKey, bgp.Groups(out.Net), inputs, 8, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

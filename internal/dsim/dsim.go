@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"net/netip"
 
+	"hoyan/internal/bgp"
 	"hoyan/internal/core"
 	"hoyan/internal/mq"
 	"hoyan/internal/netmodel"
@@ -122,102 +123,101 @@ func msgKey(taskID, kind string, sub int) string {
 	return fmt.Sprintf("tasks/%s/%s/%d/msg", taskID, kind, sub)
 }
 
-// splitRoutes orders input routes by the last address of their prefix and
-// cuts them into n contiguous subsets, keeping routes with the same prefix
-// in the same subset. It returns the subsets with their covered ranges.
-func splitRoutes(inputs []netmodel.Route, n int) []routeSubset {
-	routes := append([]netmodel.Route(nil), inputs...)
+// subset is one subtask's input: a contiguous run of address-ordered items
+// and the address range [Lo, Hi] that covers every one of them.
+type subset[T any] struct {
+	Items  []T
+	Lo, Hi netip.Addr
+}
+
+// split cuts items, in address order, into at most n contiguous subsets. The
+// even split points fall every ceil(len/n) items. A cut is made only where a
+// new group starts, that is, where no group has items on both sides, so a
+// group never straddles two subsets: each split point takes the group
+// boundary nearest to it (the later one on a tie) among those after the
+// previous cut. Once a group has moved a cut off its split point, the points
+// after it spread the items left evenly over the subsets left. group(i)
+// names item i's group; span returns the first and last address an item
+// covers.
+func split[T any, G comparable](items []T, n int, group func(i int) G, span func(T) (lo, hi netip.Addr)) []subset[T] {
+	if len(items) == 0 {
+		return nil
+	}
+	n = max(1, min(n, len(items)))
+	last := make(map[G]int, len(items))
+	for i := range items {
+		last[group(i)] = i
+	}
+	var starts []int // positions where a new group starts
+	reach := 0
+	for i := range items {
+		if i > 0 && reach < i {
+			starts = append(starts, i)
+		}
+		reach = max(reach, last[group(i)])
+	}
+	per := (len(items) + n - 1) / n
+	m := (len(items) + per - 1) / per // subsets the even split makes
+	cuts := []int{0}
+	for k := 1; k < m && len(starts) > 0; k++ {
+		at, prev := k*per, cuts[k-1]
+		if prev != at-per {
+			at = prev + (len(items)-prev+m-k)/(m-k+1)
+		}
+		j, _ := slices.BinarySearch(starts, at)
+		if j == len(starts) || j > 0 && at-starts[j-1] < starts[j]-at {
+			j--
+		}
+		cuts = append(cuts, starts[j])
+		starts = starts[j+1:]
+	}
+	cuts = append(cuts, len(items))
+	out := make([]subset[T], len(cuts)-1)
+	for k := range out {
+		sub := subset[T]{Items: items[cuts[k]:cuts[k+1]]}
+		sub.Lo, sub.Hi = span(sub.Items[0])
+		for _, it := range sub.Items[1:] {
+			lo, hi := span(it)
+			if lo.Compare(sub.Lo) < 0 {
+				sub.Lo = lo
+			}
+			if hi.Compare(sub.Hi) > 0 {
+				sub.Hi = hi
+			}
+		}
+		out[k] = sub
+	}
+	return out
+}
+
+// splitRoutes orders input routes by the last address of their prefix (the
+// §3.2 ordering heuristic) and cuts them into at most n subsets along the
+// network's independence groups: every route of a prefix, and every route an
+// aggregate's group couples, lands in the same subset.
+func splitRoutes(inputs []netmodel.Route, n int, groups bgp.Grouping) []subset[netmodel.Route] {
+	routes := slices.Clone(inputs)
 	slices.SortStableFunc(routes, func(a, b netmodel.Route) int {
 		if c := netmodel.LastAddr(a.Prefix).Compare(netmodel.LastAddr(b.Prefix)); c != 0 {
 			return c
 		}
 		return netmodel.CompareRouteKeys(a, b)
 	})
-	if n < 1 {
-		n = 1
-	}
-	if n > len(routes) {
-		n = len(routes)
-	}
-	var out []routeSubset
-	if n == 0 {
-		return out
-	}
-	per := (len(routes) + n - 1) / n
-	for start := 0; start < len(routes); {
-		end := start + per
-		if end > len(routes) {
-			end = len(routes)
-		}
-		// Never split a prefix across subsets.
-		for end < len(routes) && routes[end].Prefix == routes[end-1].Prefix {
-			end++
-		}
-		sub := routeSubset{Routes: routes[start:end]}
-		sub.Lo = routes[start].Prefix.Masked().Addr()
-		sub.Hi = netmodel.LastAddr(routes[end-1].Prefix)
-		// The range must cover every member prefix (shorter prefixes may
-		// start earlier / end later than the sort order suggests).
-		for _, r := range sub.Routes {
-			if a := r.Prefix.Masked().Addr(); a.Compare(sub.Lo) < 0 {
-				sub.Lo = a
-			}
-			if a := netmodel.LastAddr(r.Prefix); a.Compare(sub.Hi) > 0 {
-				sub.Hi = a
-			}
-		}
-		out = append(out, sub)
-		start = end
-	}
-	return out
-}
-
-type routeSubset struct {
-	Routes []netmodel.Route
-	Lo, Hi netip.Addr
+	return split(routes, n, func(i int) netip.Prefix { return groups.Of(routes[i].Prefix) },
+		func(r netmodel.Route) (netip.Addr, netip.Addr) {
+			return r.Prefix.Masked().Addr(), netmodel.LastAddr(r.Prefix)
+		})
 }
 
 // splitFlows orders flows by destination address (unless the random
-// strategy keeps input order) and cuts them into n contiguous subsets.
-func splitFlows(flows []netmodel.Flow, n int, strategy Strategy) []flowSubset {
-	fs := append([]netmodel.Flow(nil), flows...)
+// strategy keeps input order) and cuts them into at most n subsets. Each flow
+// is a group of its own, so every cut falls exactly on its split point.
+func splitFlows(flows []netmodel.Flow, n int, strategy Strategy) []subset[netmodel.Flow] {
+	fs := slices.Clone(flows)
 	if strategy != StrategyRandom {
 		slices.SortStableFunc(fs, netmodel.CompareFlows)
 	}
-	if n < 1 {
-		n = 1
-	}
-	if n > len(fs) {
-		n = len(fs)
-	}
-	var out []flowSubset
-	if n == 0 {
-		return out
-	}
-	per := (len(fs) + n - 1) / n
-	for start := 0; start < len(fs); start += per {
-		end := start + per
-		if end > len(fs) {
-			end = len(fs)
-		}
-		sub := flowSubset{Flows: fs[start:end]}
-		sub.Lo, sub.Hi = fs[start].Dst, fs[start].Dst
-		for _, f := range sub.Flows {
-			if f.Dst.Compare(sub.Lo) < 0 {
-				sub.Lo = f.Dst
-			}
-			if f.Dst.Compare(sub.Hi) > 0 {
-				sub.Hi = f.Dst
-			}
-		}
-		out = append(out, sub)
-	}
-	return out
-}
-
-type flowSubset struct {
-	Flows  []netmodel.Flow
-	Lo, Hi netip.Addr
+	return split(fs, n, func(i int) int { return i },
+		func(f netmodel.Flow) (netip.Addr, netip.Addr) { return f.Dst, f.Dst })
 }
 
 // TrafficResultFile is the wire form of one traffic subtask's result. The

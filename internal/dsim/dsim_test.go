@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
+	"hoyan/internal/bgp"
+	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
 	"hoyan/internal/mq"
@@ -54,7 +57,7 @@ func TestSplitRoutesOrderingHeuristic(t *testing.T) {
 	// [r1 r2 r6 r4 r3 r5].
 	r1, r2, r6 := mk("10.0.0.0/24"), mk("10.0.0.0/8"), mk("20.0.0.0/24")
 	r4, r3, r5 := mk("30.0.0.0/24"), mk("30.0.0.0/8"), mk("40.0.0.0/24")
-	subs := splitRoutes([]netmodel.Route{r1, r2, r3, r4, r5, r6}, 2)
+	subs := splitRoutes([]netmodel.Route{r1, r2, r3, r4, r5, r6}, 2, bgp.Grouping{})
 	if len(subs) != 2 {
 		t.Fatalf("subsets = %d", len(subs))
 	}
@@ -68,14 +71,16 @@ func TestSplitRoutesOrderingHeuristic(t *testing.T) {
 	if subs[0].Hi != netip.MustParseAddr("20.0.0.255") {
 		t.Errorf("R1.Hi = %s", subs[0].Hi)
 	}
-	if len(subs[0].Routes) != 3 || len(subs[1].Routes) != 3 {
-		t.Errorf("sizes = %d/%d", len(subs[0].Routes), len(subs[1].Routes))
+	if len(subs[0].Items) != 3 || len(subs[1].Items) != 3 {
+		t.Errorf("sizes = %d/%d", len(subs[0].Items), len(subs[1].Items))
 	}
 	if subs[1].Lo != netip.MustParseAddr("30.0.0.0") || subs[1].Hi != netip.MustParseAddr("40.0.0.255") {
 		t.Errorf("R2 range = [%s, %s]", subs[1].Lo, subs[1].Hi)
 	}
 }
 
+// TestSplitRoutesKeepsPrefixTogether: a cut never separates the routes of a
+// prefix, nor the prefixes an aggregate's group couples, at any subset count.
 func TestSplitRoutesKeepsPrefixTogether(t *testing.T) {
 	var inputs []netmodel.Route
 	p := netip.MustParsePrefix("10.0.0.0/24")
@@ -83,22 +88,26 @@ func TestSplitRoutesKeepsPrefixTogether(t *testing.T) {
 		inputs = append(inputs, netmodel.Route{Device: "A", Prefix: p, LocalPref: uint32(i)})
 	}
 	inputs = append(inputs, netmodel.Route{Device: "A", Prefix: netip.MustParsePrefix("10.0.1.0/24")})
-	subs := splitRoutes(inputs, 3)
-	for _, s := range subs {
-		seen := map[netip.Prefix]bool{}
-		for _, r := range s.Routes {
-			seen[r.Prefix] = true
-		}
-		if seen[p] && len(s.Routes) < 5 {
-			// p must be entirely inside one subset.
-			count := 0
-			for _, r := range s.Routes {
-				if r.Prefix == p {
-					count++
+	// 10.1.0.0/16 aggregates four routes; the same prefix at another device
+	// sorts between them.
+	for _, q := range []string{"10.1.0.0/24", "10.1.1.0/24", "10.1.2.0/24", "10.1.255.0/24"} {
+		inputs = append(inputs, netmodel.Route{Device: "A", Prefix: netip.MustParsePrefix(q)})
+	}
+	inputs = append(inputs, netmodel.Route{Device: "B", Prefix: netip.MustParsePrefix("10.1.0.0/24")},
+		netmodel.Route{Device: "A", Prefix: netip.MustParsePrefix("10.2.0.0/24")})
+	net := config.NewNetwork()
+	net.Devices["A"] = config.NewDevice("A", "alpha")
+	net.Devices["A"].Aggregates = []config.Aggregate{{Prefix: netip.MustParsePrefix("10.1.0.0/16")}}
+	groups := bgp.Groups(net)
+	for n := 1; n <= len(inputs); n++ {
+		home := map[netip.Prefix]int{}
+		for i, s := range splitRoutes(inputs, n, groups) {
+			for _, r := range s.Items {
+				g := groups.Of(r.Prefix)
+				if prev, seen := home[g]; seen && prev != i {
+					t.Fatalf("n=%d: group %s split across subsets %d and %d", n, g, prev, i)
 				}
-			}
-			if count != 5 {
-				t.Fatalf("prefix split across subsets: %d in one subset", count)
+				home[g] = i
 			}
 		}
 	}
@@ -133,7 +142,7 @@ func TestDistributedRouteSimMatchesCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := c.Master.StartRouteSimulation("t1", snapKey, out.Inputs, 8, core.Options{})
+	task, err := c.Master.StartRouteSimulation("t1", snapKey, bgp.Groups(out.Net), out.Inputs, 8, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +217,7 @@ func TestDistributedTrafficSimMatchesCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := c.Master.StartRouteSimulation("t2", snapKey, out.Inputs, 6, core.Options{})
+	rt, err := c.Master.StartRouteSimulation("t2", snapKey, bgp.Groups(out.Net), out.Inputs, 6, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +266,7 @@ func TestOrderingHeuristicReducesLoadedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := c.Master.StartRouteSimulation("t3", snapKey, out.Inputs, 10, core.Options{})
+	rt, err := c.Master.StartRouteSimulation("t3", snapKey, bgp.Groups(out.Net), out.Inputs, 10, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +324,7 @@ func TestMasterRetriesFailedSubtask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := master.StartRouteSimulation("t4", snapKey, out.Inputs, 4, core.Options{})
+	task, err := master.StartRouteSimulation("t4", snapKey, bgp.Groups(out.Net), out.Inputs, 4, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +362,7 @@ func TestPermanentFailureSurfaces(t *testing.T) {
 	go w.Run(ctx)
 
 	snapKey, _ := master.UploadSnapshot("t5", out.Net)
-	task, err := master.StartRouteSimulation("t5", snapKey, out.Inputs[:4], 2, core.Options{})
+	task, err := master.StartRouteSimulation("t5", snapKey, bgp.Groups(out.Net), out.Inputs[:4], 2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +415,7 @@ func TestDistributedOverTCPSubstrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := master.StartRouteSimulation("tcp1", snapKey, out.Inputs, 4, core.Options{})
+	task, err := master.StartRouteSimulation("tcp1", snapKey, bgp.Groups(out.Net), out.Inputs, 4, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,29 +434,37 @@ func TestDistributedOverTCPSubstrates(t *testing.T) {
 
 func TestSplitRoutesPartitionProperty(t *testing.T) {
 	// Property: splitRoutes partitions the inputs exactly, subsets are
-	// contiguous in last-address order, and each subset's range covers every
-	// member prefix.
-	rnd := func(seed int64) []netmodel.Route {
+	// contiguous in last-address order, no independence group (a prefix, or
+	// everything under a regional aggregate) straddles two subsets, and each
+	// subset's range covers every member prefix.
+	for seed := int64(1); seed <= 3; seed++ {
 		out := gen.Generate(gen.Profile{
 			Name: "prop", Seed: seed, Regions: 2, CoresPerRegion: 2,
 			BordersPerRegion: 1, RRsPerRegion: 1, DCsPerRegion: 1,
 			ISPsPerRegion: 1, PrefixesPerDC: 13, PrefixesPerISP: 7, Flows: 0,
 		})
-		return out.Inputs
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		inputs := rnd(seed)
+		inputs, groups := out.Inputs, bgp.Groups(out.Net)
+		if groups.Of(inputs[0].Prefix) == inputs[0].Prefix {
+			t.Fatalf("seed %d: fixture: %s is not under an aggregate", seed, inputs[0].Prefix)
+		}
 		for _, n := range []int{1, 3, 7, len(inputs), len(inputs) * 2} {
-			subs := splitRoutes(inputs, n)
+			subs := splitRoutes(inputs, n, groups)
 			total := 0
-			prefixHome := map[netip.Prefix]int{}
+			groupHome := map[netip.Prefix]int{}
+			var prev netip.Addr
 			for i, sub := range subs {
-				total += len(sub.Routes)
-				for _, r := range sub.Routes {
-					if home, seen := prefixHome[r.Prefix]; seen && home != i {
-						t.Fatalf("prefix %s split across subsets %d and %d", r.Prefix, home, i)
+				total += len(sub.Items)
+				for _, r := range sub.Items {
+					g := groups.Of(r.Prefix)
+					if home, seen := groupHome[g]; seen && home != i {
+						t.Fatalf("group %s split across subsets %d and %d", g, home, i)
 					}
-					prefixHome[r.Prefix] = i
+					groupHome[g] = i
+					last := netmodel.LastAddr(r.Prefix)
+					if prev.IsValid() && last.Less(prev) {
+						t.Fatalf("%s out of last-address order", r.Prefix)
+					}
+					prev = last
 					if r.Prefix.Masked().Addr().Compare(sub.Lo) < 0 ||
 						netmodel.LastAddr(r.Prefix).Compare(sub.Hi) > 0 {
 						t.Fatalf("range [%s,%s] does not cover %s", sub.Lo, sub.Hi, r.Prefix)
@@ -461,6 +478,69 @@ func TestSplitRoutesPartitionProperty(t *testing.T) {
 	}
 }
 
+// FuzzSplitSubsets: over random input prefixes (within 10.0.0.0/14, so
+// they nest and collide), aggregates over them and subset counts,
+// splitRoutes partitions the inputs exactly, into at most n non-empty
+// subsets, in last-address order, never splits an independence group, and
+// each subset's range covers its members. Each 4-byte chunk of data, up to
+// 64, is one prefix; the first aggs%4 chunks are aggregates, the rest inputs.
+func FuzzSplitSubsets(f *testing.F) {
+	// 10.0.0.0/16 aggregates four /24 inputs; four subsets would split it.
+	f.Add([]byte{0, 0, 2, 0, 0, 0, 10, 0, 0, 1, 10, 0, 0, 2, 10, 0, 0, 3, 10, 1}, uint8(1), uint8(4))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 16, 1, 3, 255, 24, 0}, uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, aggs, n uint8) {
+		net := config.NewNetwork()
+		net.Devices["A"] = config.NewDevice("A", "alpha")
+		var inputs []netmodel.Route
+		for i := 0; i+4 <= min(len(data), 4*64); i += 4 {
+			c := data[i : i+4]
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, c[0] % 4, c[1], 0}), 14+int(c[2])%11).Masked()
+			if i/4 < int(aggs%4) {
+				net.Devices["A"].Aggregates = append(net.Devices["A"].Aggregates, config.Aggregate{Prefix: p})
+				continue
+			}
+			inputs = append(inputs, netmodel.Route{Device: string(rune('A' + c[3]%2)), Prefix: p, LocalPref: uint32(len(inputs))})
+		}
+		groups := bgp.Groups(net)
+		subs := splitRoutes(inputs, int(n), groups)
+		if len(subs) > max(1, int(n)) {
+			t.Fatalf("%d subsets for n=%d", len(subs), n)
+		}
+		seen := make([]bool, len(inputs))
+		home := map[netip.Prefix]int{}
+		var prev netip.Addr
+		for i, sub := range subs {
+			if len(sub.Items) == 0 {
+				t.Fatalf("subset %d is empty", i)
+			}
+			for _, r := range sub.Items {
+				if seen[r.LocalPref] {
+					t.Fatalf("input %d in two subsets", r.LocalPref)
+				}
+				seen[r.LocalPref] = true
+				g := groups.Of(r.Prefix)
+				if h, ok := home[g]; ok && h != i {
+					t.Fatalf("group %s split across subsets %d and %d", g, h, i)
+				}
+				home[g] = i
+				last := netmodel.LastAddr(r.Prefix)
+				if prev.IsValid() && last.Less(prev) {
+					t.Fatalf("%s out of last-address order", r.Prefix)
+				}
+				prev = last
+				if r.Prefix.Addr().Less(sub.Lo) || sub.Hi.Less(last) {
+					t.Fatalf("range [%s,%s] does not cover %s", sub.Lo, sub.Hi, r.Prefix)
+				}
+			}
+		}
+		for id, ok := range seen {
+			if !ok {
+				t.Fatalf("input %d in no subset", id)
+			}
+		}
+	})
+}
+
 func TestSplitFlowsPartitionProperty(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	for _, n := range []int{1, 4, 9, len(out.Flows)} {
@@ -468,8 +548,8 @@ func TestSplitFlowsPartitionProperty(t *testing.T) {
 			subs := splitFlows(out.Flows, n, strategy)
 			total := 0
 			for _, sub := range subs {
-				total += len(sub.Flows)
-				for _, f := range sub.Flows {
+				total += len(sub.Items)
+				for _, f := range sub.Items {
 					if f.Dst.Compare(sub.Lo) < 0 || f.Dst.Compare(sub.Hi) > 0 {
 						t.Fatalf("flow dst %s outside range [%s,%s]", f.Dst, sub.Lo, sub.Hi)
 					}
@@ -478,6 +558,41 @@ func TestSplitFlowsPartitionProperty(t *testing.T) {
 			if total != len(out.Flows) {
 				t.Fatalf("%s: partition lost flows: %d != %d", strategy, total, len(out.Flows))
 			}
+		}
+	}
+}
+
+// TestFleetRIBMatchesCentralizedWithAggregates: on WAN(2) with every
+// aggregate an as-set and the DC inputs under an aggregate carrying distinct
+// AS paths, an aggregate's row depends on every one of its contributors, so a
+// route subtask holding only some of them would derive a row of its own. The
+// cut keeps each aggregate's group in one subtask, and the fleet's RIB equals
+// the centralized one at every route subtask count.
+func TestFleetRIBMatchesCentralizedWithAggregates(t *testing.T) {
+	out := gen.Generate(gen.WAN(2))
+	for _, d := range out.Net.Devices {
+		for i := range d.Aggregates {
+			d.Aggregates[i].ASSet = true
+		}
+	}
+	dc := 0
+	for i, r := range out.Inputs {
+		if strings.HasPrefix(r.Device, "dc-") {
+			out.Inputs[i].ASPath = netmodel.ASPath{Seq: []netmodel.ASN{netmodel.ASN(65500 + dc%7)}}
+			dc++
+		}
+	}
+	central := core.NewEngine(out.Net, core.Options{}).RouteSimulation(out.Inputs).GlobalRIB()
+	c := startLocal(t, LocalOptions{Workers: 2})
+	defer c.Stop()
+	for _, n := range []int{3, 5, 8, 16, 32} {
+		sim := &Simulation{TaskID: fmt.Sprintf("agg%d", n), Net: out.Net, Inputs: out.Inputs, RouteSubtasks: n}
+		if err := c.Master.Simulate(sim, nil); err != nil {
+			t.Fatalf("%d route subtasks: %v", n, err)
+		}
+		if !central.Equal(sim.RIB) {
+			a, b := central.Diff(sim.RIB)
+			t.Errorf("%d route subtasks: %d rows only in the centralized RIB, %d only in the fleet's", n, len(a), len(b))
 		}
 	}
 }

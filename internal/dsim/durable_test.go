@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hoyan/internal/bgp"
 	"hoyan/internal/core"
 	"hoyan/internal/durable"
 	"hoyan/internal/gen"
@@ -94,7 +95,7 @@ func TestStopMidRunLeavesCleanState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Master.StartRouteSimulation("stopped", snapKey, out.Inputs, nRoute, core.Options{}); err != nil {
+	if _, err := c.Master.StartRouteSimulation("stopped", snapKey, bgp.Groups(out.Net), out.Inputs, nRoute, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Stop as soon as the first result lands: the other workers are inside

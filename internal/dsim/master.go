@@ -3,8 +3,10 @@ package dsim
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"time"
 
+	"hoyan/internal/bgp"
 	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/netmodel"
@@ -132,62 +134,61 @@ func (m *Master) UploadSnapshot(taskID string, net *config.Network) (string, err
 	return key, nil
 }
 
-// enqueueSubtask is the shared tail of every Start* path: it persists the
-// message (before the record becomes visible, so every record a restarted
-// master finds in the task DB has a recoverable message for Resume), records
-// the pending row, stamps the trace, and pushes the message.
-func (m *Master) enqueueSubtask(msg SubtaskMsg, rec taskdb.Record, enqueued *telemetry.Counter) error {
-	if err := m.persistMsg(msg); err != nil {
-		return err
-	}
-	if err := m.svc.Tasks.Upsert(rec); err != nil {
-		return err
-	}
-	sp := m.stampTrace(&msg)
-	m.msgs[msg.key()] = msg
-	enc, err := msg.encode()
-	if err != nil {
+// enqueueSubtasks is the shared body of every Start* path: for each subset it
+// uploads the encoded input, persists the message (before the record becomes
+// visible, so every record a restarted master finds in the task DB has a
+// recoverable message for Resume), records the pending row with the subset's
+// range, stamps the trace, and pushes the message. msg is the template every
+// subtask's message is filled in from.
+func enqueueSubtasks[T any](m *Master, msg SubtaskMsg, subsets []subset[T], encode func(io.Writer, []T) error, enqueued *telemetry.Counter) error {
+	for i, sub := range subsets {
+		var buf bytes.Buffer
+		if err := encode(&buf, sub.Items); err != nil {
+			return err
+		}
+		msg.SubID = i
+		msg.InputKey = inputKey(msg.TaskID, msg.Kind, i)
+		msg.ResultKey = resultKey(msg.TaskID, msg.Kind, i)
+		if err := m.svc.Store.Put(msg.InputKey, buf.Bytes()); err != nil {
+			return err
+		}
+		m.metrics.UploadBytes.Add(int64(buf.Len()))
+		if err := m.persistMsg(msg); err != nil {
+			return err
+		}
+		rec := taskdb.Record{
+			TaskID: msg.TaskID, Kind: msg.Kind, SubID: i, Status: taskdb.StatusPending,
+			RangeLo: sub.Lo.String(), RangeHi: sub.Hi.String(),
+			EnqueuedAt: time.Now(),
+		}
+		if err := m.svc.Tasks.Upsert(rec); err != nil {
+			return err
+		}
+		sent := msg
+		sp := m.stampTrace(&sent)
+		m.msgs[sent.key()] = sent
+		enc, err := sent.encode()
+		if err == nil {
+			err = m.svc.Queue.Push(Topic, enc)
+		}
 		sp.End()
-		return err
+		if err != nil {
+			return err
+		}
+		enqueued.Inc()
 	}
-	err = m.svc.Queue.Push(Topic, enc)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	enqueued.Inc()
 	return nil
 }
 
 // StartRouteSimulation splits the input routes into n subtasks (ordering
-// heuristic), uploads their inputs, records pending status + ranges in the
-// task DB, and enqueues one message per subtask.
-func (m *Master) StartRouteSimulation(taskID, snapKey string, inputs []netmodel.Route, n int, opts core.Options) (*RouteTask, error) {
-	subsets := splitRoutes(inputs, n)
-	for i, sub := range subsets {
-		var buf bytes.Buffer
-		if err := core.EncodeRoutes(&buf, sub.Routes); err != nil {
-			return nil, err
-		}
-		ik := inputKey(taskID, "route", i)
-		if err := m.svc.Store.Put(ik, buf.Bytes()); err != nil {
-			return nil, err
-		}
-		m.metrics.UploadBytes.Add(int64(buf.Len()))
-		msg := SubtaskMsg{
-			TaskID: taskID, Kind: "route", SubID: i,
-			SnapshotKey: snapKey, InputKey: ik,
-			ResultKey: resultKey(taskID, "route", i),
-			Options:   opts,
-		}
-		rec := taskdb.Record{
-			TaskID: taskID, Kind: "route", SubID: i, Status: taskdb.StatusPending,
-			RangeLo: sub.Lo.String(), RangeHi: sub.Hi.String(),
-			EnqueuedAt: time.Now(),
-		}
-		if err := m.enqueueSubtask(msg, rec, m.metrics.EnqueuedRoute); err != nil {
-			return nil, err
-		}
+// heuristic) along the network's independence groups, uploads their inputs,
+// records pending status + ranges in the task DB, and enqueues one message
+// per subtask.
+func (m *Master) StartRouteSimulation(taskID, snapKey string, groups bgp.Grouping, inputs []netmodel.Route, n int, opts core.Options) (*RouteTask, error) {
+	subsets := splitRoutes(inputs, n, groups)
+	msg := SubtaskMsg{TaskID: taskID, Kind: "route", SnapshotKey: snapKey, Options: opts}
+	if err := enqueueSubtasks(m, msg, subsets, core.EncodeRoutes, m.metrics.EnqueuedRoute); err != nil {
+		return nil, err
 	}
 	return &RouteTask{ID: taskID, SnapshotKey: snapKey, Subtasks: len(subsets)}, nil
 }
@@ -203,33 +204,12 @@ type TrafficTask struct {
 // must already be complete: traffic subtasks read its result files.
 func (m *Master) StartTrafficSimulation(taskID string, route *RouteTask, flows []netmodel.Flow, n int, strategy Strategy, opts core.Options) (*TrafficTask, error) {
 	subsets := splitFlows(flows, n, strategy)
-	for i, sub := range subsets {
-		var buf bytes.Buffer
-		if err := core.EncodeFlows(&buf, sub.Flows); err != nil {
-			return nil, err
-		}
-		ik := inputKey(taskID, "traffic", i)
-		if err := m.svc.Store.Put(ik, buf.Bytes()); err != nil {
-			return nil, err
-		}
-		m.metrics.UploadBytes.Add(int64(buf.Len()))
-		msg := SubtaskMsg{
-			TaskID: taskID, Kind: "traffic", SubID: i,
-			SnapshotKey: route.SnapshotKey, InputKey: ik,
-			ResultKey:     resultKey(taskID, "traffic", i),
-			Options:       opts,
-			RouteTaskID:   route.ID,
-			RouteSubtasks: route.Subtasks,
-			Strategy:      strategy,
-		}
-		rec := taskdb.Record{
-			TaskID: taskID, Kind: "traffic", SubID: i, Status: taskdb.StatusPending,
-			RangeLo: sub.Lo.String(), RangeHi: sub.Hi.String(),
-			EnqueuedAt: time.Now(),
-		}
-		if err := m.enqueueSubtask(msg, rec, m.metrics.EnqueuedTraffic); err != nil {
-			return nil, err
-		}
+	msg := SubtaskMsg{
+		TaskID: taskID, Kind: "traffic", SnapshotKey: route.SnapshotKey, Options: opts,
+		RouteTaskID: route.ID, RouteSubtasks: route.Subtasks, Strategy: strategy,
+	}
+	if err := enqueueSubtasks(m, msg, subsets, core.EncodeFlows, m.metrics.EnqueuedTraffic); err != nil {
+		return nil, err
 	}
 	return &TrafficTask{ID: taskID, Subtasks: len(subsets)}, nil
 }
@@ -379,8 +359,9 @@ func (m *Master) reenqueue(rec taskdb.Record, causeCount *telemetry.Counter, cau
 // CollectRouteResults merges the RIB rows of all route subtasks into one
 // global RIB. Every result file is written in canonical order, so the files
 // are decoded concurrently and k-way merged; rows that several subtasks
-// derived identically (e.g. the same aggregate generated by two contributor
-// subsets) land adjacent in the total order and collapse to one.
+// derived identically (each subtask simulates the whole network, so the
+// routes it originates itself, such as connected ones) land adjacent in the
+// total order and collapse to one.
 func (m *Master) CollectRouteResults(t *RouteTask) (*netmodel.GlobalRIB, error) {
 	segs := make([][]netmodel.Route, t.Subtasks)
 	errs := make([]error, t.Subtasks)

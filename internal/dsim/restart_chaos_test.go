@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hoyan/internal/bgp"
 	"hoyan/internal/core"
 	"hoyan/internal/durable"
 	"hoyan/internal/faults"
@@ -69,7 +70,7 @@ func TestRestartMasterResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m1.StartRouteSimulation("restart", snapKey, out.Inputs, nRoute, core.Options{}); err != nil {
+	if _, err := m1.StartRouteSimulation("restart", snapKey, bgp.Groups(out.Net), out.Inputs, nRoute, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	ctxA, cancelA := context.WithTimeout(context.Background(), time.Minute)
@@ -183,11 +184,11 @@ func TestResumeRejectsUnknownKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m1.StartRouteSimulation("old", snapKey, out.Inputs, 3, core.Options{}); err != nil {
+	if _, err := m1.StartRouteSimulation("old", snapKey, bgp.Groups(out.Net), out.Inputs, 3, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m1.enqueueSubtask(SubtaskMsg{TaskID: "old", Kind: "shard", SubID: 0, SnapshotKey: snapKey},
-		taskdb.Record{TaskID: "old", Kind: "shard", SubID: 0, Status: taskdb.StatusPending}, m1.metrics.EnqueuedRoute); err != nil {
+	shard := SubtaskMsg{TaskID: "old", Kind: "shard", SnapshotKey: snapKey}
+	if err := enqueueSubtasks(m1, shard, splitRoutes(out.Inputs[:1], 1, bgp.Grouping{}), core.EncodeRoutes, m1.metrics.EnqueuedRoute); err != nil {
 		t.Fatal(err)
 	}
 	queued, err := svc.Queue.Len(Topic)
@@ -294,7 +295,7 @@ func TestRestartSubstrateCrashMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := master.StartRouteSimulation("midrun", snapKey, out.Inputs, nRoute, core.Options{})
+	rt, err := master.StartRouteSimulation("midrun", snapKey, bgp.Groups(out.Net), out.Inputs, nRoute, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestRestartTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m1.StartRouteSimulation("torn", snapKey, out.Inputs, nRoute, core.Options{}); err != nil {
+	if _, err := m1.StartRouteSimulation("torn", snapKey, bgp.Groups(out.Net), out.Inputs, nRoute, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	ctxA, cancelA := context.WithTimeout(context.Background(), time.Minute)

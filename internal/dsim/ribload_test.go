@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"hoyan/internal/bgp"
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
 	"hoyan/internal/mq"
@@ -41,7 +42,7 @@ func (c *soloCluster) routes(t *testing.T, taskID string, out *gen.Output, n int
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := c.master.StartRouteSimulation(taskID, snapKey, out.Inputs, n, core.Options{})
+	rt, err := c.master.StartRouteSimulation(taskID, snapKey, bgp.Groups(out.Net), out.Inputs, n, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

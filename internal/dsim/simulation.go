@@ -1,6 +1,7 @@
 package dsim
 
 import (
+	"hoyan/internal/bgp"
 	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/netmodel"
@@ -51,7 +52,7 @@ func (m *Master) Simulate(s *Simulation, stage func(name string, fn func() error
 			return err
 		}
 		if err := stage("route_enqueue", func() (err error) {
-			s.Route, err = m.StartRouteSimulation(s.TaskID, snapKey, s.Inputs, s.RouteSubtasks, s.Opts)
+			s.Route, err = m.StartRouteSimulation(s.TaskID, snapKey, bgp.Groups(s.Net), s.Inputs, s.RouteSubtasks, s.Opts)
 			return err
 		}); err != nil {
 			return err

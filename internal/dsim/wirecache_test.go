@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hoyan/internal/bgp"
 	"hoyan/internal/core"
 	"hoyan/internal/faults"
 	"hoyan/internal/gen"
@@ -117,7 +118,7 @@ func TestFreshClusterOverExistingStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := c1.Master.StartRouteSimulation("reuse", snapKey, out.Inputs, nRoute, core.Options{})
+	rt, err := c1.Master.StartRouteSimulation("reuse", snapKey, bgp.Groups(out.Net), out.Inputs, nRoute, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

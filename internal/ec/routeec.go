@@ -3,8 +3,9 @@
 //   - Route ECs: input routes are equivalent when they are injected at the
 //     same router/VRF, their prefixes match identically against every prefix
 //     set in the network and trigger the same aggregates, and all their BGP
-//     attributes agree. One representative per EC is simulated; RIB rows are
-//     then replicated to the member prefixes (~4× reduction on the WAN).
+//     attributes agree. A prefix the network originates itself is a class of
+//     its own. One representative per EC is simulated; RIB rows are then
+//     replicated to the member prefixes (~4× reduction on the WAN).
 //
 //   - Flow ECs: flows are equivalent when their longest-prefix matches on
 //     all RIBs agree — computed via address-space atoms — and they are
@@ -102,6 +103,7 @@ func ComputeRouteECs(net *config.Network, profiles vsb.Profiles, inputs []netmod
 			aggs = append(aggs, a.Prefix)
 		}
 	}
+	local := localPrefixes(net)
 
 	// The prefix-list sweep — the dominating cost — depends only on the
 	// route's prefix, and many inputs share a prefix. Number the unique
@@ -139,6 +141,12 @@ func ComputeRouteECs(net *config.Network, profiles vsb.Profiles, inputs []netmod
 			} else {
 				row = append(row, '0')
 			}
+		}
+		// (4) a prefix the network originates itself is simulated together
+		// with its local routes, whose rows are no representative's to hand
+		// on, nor a member's to receive: its signature is its own.
+		if local[p.Masked()] {
+			row = p.AppendTo(append(row, '|'))
 		}
 		return string(row)
 	})
@@ -364,6 +372,38 @@ func (e *RouteECs) Reexpand(exp, table *netmodel.RIB, changed map[netip.Prefix]b
 		}
 	}
 	return reached
+}
+
+// localPrefixes is every prefix some device can originate itself: its network
+// statements, statics, aggregates, interface subnets and host routes, and
+// loopback. That covers whatever BGP can originate locally, redistribution
+// included.
+func localPrefixes(net *config.Network) map[netip.Prefix]bool {
+	out := make(map[netip.Prefix]bool)
+	add := func(ps ...netip.Prefix) {
+		for _, p := range ps {
+			out[p.Masked()] = true
+		}
+	}
+	host := func(a netip.Addr) netip.Prefix { return netip.PrefixFrom(a, a.BitLen()) }
+	for _, d := range net.Devices {
+		add(d.Networks...)
+		for _, st := range d.Statics {
+			add(st.Prefix)
+		}
+		for _, a := range d.Aggregates {
+			add(a.Prefix)
+		}
+		for _, i := range d.Interfaces {
+			if i.Addr.IsValid() {
+				add(i.Addr, host(i.Addr.Addr()))
+			}
+		}
+		if d.Loopback.IsValid() {
+			add(host(d.Loopback))
+		}
+	}
+	return out
 }
 
 func sortedListNames(d *config.Device) []string {

@@ -13,6 +13,7 @@ import (
 	"io"
 	"time"
 
+	"hoyan/internal/bgp"
 	"hoyan/internal/core"
 	"hoyan/internal/dsim"
 	"hoyan/internal/gen"
@@ -316,7 +317,7 @@ func Fig5b(s Scale) *Fig5bResult {
 	if err != nil {
 		panic(err)
 	}
-	routeTask, err := cluster.Master.StartRouteSimulation("fig5b-routes", snapKey, g.Inputs, s.RouteSubtasks, core.Options{})
+	routeTask, err := cluster.Master.StartRouteSimulation("fig5b-routes", snapKey, bgp.Groups(g.Net), g.Inputs, s.RouteSubtasks, core.Options{})
 	if err != nil {
 		panic(err)
 	}

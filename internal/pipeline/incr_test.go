@@ -175,7 +175,10 @@ func TestVerifyLinkFailureSweepIncremental(t *testing.T) {
 // Figure 10, the Table 2 catalog and the Table 6 campaign — centralized and
 // on a two-worker fleet. The workers re-parse the uploaded configurations,
 // so a model the configuration text cannot carry shows up here as a
-// different verdict.
+// different verdict. With route ECs off, the fleet's updated RIB must also
+// equal the centralized one row for row (with ECs on, Figure 10(b)'s
+// expansion hands some prefixes a representative's rows twice, and the
+// fleet's collection dedupes them).
 func TestVerifyFleetMatchesCentralizedOnCaseStudies(t *testing.T) {
 	scs := append([]*scenario.Scenario{scenario.Fig10a(), scenario.Fig10b()}, scenario.Table2Catalog()...)
 	for _, rs := range scenario.Table6Catalog() {
@@ -183,19 +186,25 @@ func TestVerifyFleetMatchesCentralizedOnCaseStudies(t *testing.T) {
 	}
 	for _, sc := range scs {
 		t.Run(sc.Name, func(t *testing.T) {
-			fleet := New(sc.Net, sc.Inputs, sc.Flows, core.Options{})
-			fleet.Workers, fleet.RouteSubtasks, fleet.TrafficSubtasks = 2, 4, 4
-			want, errC := New(sc.Net, sc.Inputs, sc.Flows, core.Options{}).Verify(sc.Plan, sc.Intents)
-			got, errF := fleet.Verify(sc.Plan, sc.Intents)
-			if (errC == nil) != (errF == nil) {
-				t.Fatalf("error mismatch: centralized %v, fleet %v", errC, errF)
-			}
-			if errC != nil {
-				return
-			}
-			if got.OK != want.OK || !reflect.DeepEqual(got.Reports, want.Reports) {
-				t.Fatalf("fleet verdict %v, centralized %v\nfleet reports: %+v\ncentralized reports: %+v",
-					got.OK, want.OK, got.Reports, want.Reports)
+			for _, opts := range []core.Options{{}, {DisableRouteECs: true}} {
+				fleet := New(sc.Net, sc.Inputs, sc.Flows, opts)
+				fleet.Workers, fleet.RouteSubtasks, fleet.TrafficSubtasks = 2, 4, 4
+				want, errC := New(sc.Net, sc.Inputs, sc.Flows, opts).Verify(sc.Plan, sc.Intents)
+				got, errF := fleet.Verify(sc.Plan, sc.Intents)
+				if (errC == nil) != (errF == nil) {
+					t.Fatalf("error mismatch: centralized %v, fleet %v", errC, errF)
+				}
+				if errC != nil {
+					return
+				}
+				if got.OK != want.OK || !reflect.DeepEqual(got.Reports, want.Reports) {
+					t.Fatalf("route ECs off %v: fleet verdict %v, centralized %v\nfleet reports: %+v\ncentralized reports: %+v",
+						opts.DisableRouteECs, got.OK, want.OK, got.Reports, want.Reports)
+				}
+				if opts.DisableRouteECs && !got.UpdateSnap.RIB.Equal(want.UpdateSnap.RIB) {
+					onlyFleet, onlyCentral := got.UpdateSnap.RIB.Diff(want.UpdateSnap.RIB)
+					t.Fatalf("route ECs off: updated RIB: %d rows only on the fleet, %d only centralized", len(onlyFleet), len(onlyCentral))
+				}
 			}
 		})
 	}
