@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check loc
+.PHONY: all build cli-smoke fmt-check test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check loc
 
 all: check
 
@@ -10,6 +10,24 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The hoyan CLI end to end: both Figure 10 case studies, centralized and on a
+# two-worker in-process cluster. Each plan is rejected by design, so every run
+# must exit 1 and print the REJECTED verdict line, and the two deployments
+# must print the same bytes.
+cli-smoke:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/hoyan" ./cmd/hoyan || exit 1; \
+	for s in fig10a fig10b; do \
+		for w in 0 2; do \
+			"$$dir/hoyan" -scenario $$s -workers $$w > "$$dir/$$s-$$w.out"; rc=$$?; \
+			if [ $$rc -ne 1 ] || ! grep -qx 'verdict: change plan REJECTED (see counterexamples)' "$$dir/$$s-$$w.out"; then \
+				echo "hoyan -scenario $$s -workers $$w: exit $$rc, want 1 and the REJECTED verdict line:"; cat "$$dir/$$s-$$w.out"; exit 1; \
+			fi; \
+		done; \
+		cmp "$$dir/$$s-0.out" "$$dir/$$s-2.out" || exit 1; \
+		echo "cli-smoke $$s: REJECTED, centralized and -workers 2 alike"; \
+	done
 
 # Formatting: fails, listing them, when gofmt would rewrite any Go file.
 fmt-check:
@@ -103,6 +121,6 @@ chaos-restart:
 trace:
 	$(GO) run ./cmd/hoyan-exp -scale 1 -trace trace.json report
 
-# Everything CI runs except the trace demo: formatting, then tier-1 twice shuffled and at 1, 2
-# and 8 procs, then race, smokes, chaos and the benchmark.
-check: fmt-check vet lint-toggles build test-shuffle test-procs race bench-smoke fuzz-smoke chaos chaos-restart benchmark
+# Everything CI runs except the trace demo: formatting, the CLI smoke, then tier-1 twice
+# shuffled and at 1, 2 and 8 procs, then race, smokes, chaos and the benchmark.
+check: fmt-check vet lint-toggles build cli-smoke test-shuffle test-procs race bench-smoke fuzz-smoke chaos chaos-restart benchmark

@@ -40,12 +40,10 @@ func main() {
 	rclSpec := flag.String("rcl", "", "route change intent in RCL")
 	workers := flag.Int("workers", 0, "simulate on a local cluster with N workers (0 = centralized)")
 	parallelism := flag.Int("parallelism", 0, "intra-engine parallelism (SPF, ECs, the cold BGP fixpoint's work units, forwarding, config parsing): 0 = all cores, 1 = sequential, N = N workers")
-	incremental := flag.Bool("incremental", true, "verify every plan but a structural one (new devices or links, removals) as a warm-started fork of the base run; false re-simulates every plan from scratch (results are identical)")
 	doLocalize := flag.Bool("localize", false, "on violation, delta-debug the plan to a minimal culprit stanza set")
 	flag.Parse()
 	localizeWanted = *doLocalize
 	parallelismFlag = *parallelism
-	disableIncremental = !*incremental
 
 	switch {
 	case *scenarioName != "":
@@ -59,13 +57,12 @@ func main() {
 }
 
 var (
-	localizeWanted     bool
-	parallelismFlag    int
-	disableIncremental bool
+	localizeWanted  bool
+	parallelismFlag int
 )
 
 func engineOptions() core.Options {
-	return core.Options{Parallelism: parallelismFlag, DisableIncremental: disableIncremental}
+	return core.Options{Parallelism: parallelismFlag}
 }
 
 func runScenario(name string, workers int) {

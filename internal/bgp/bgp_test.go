@@ -1,7 +1,9 @@
 package bgp
 
 import (
+	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"hoyan/internal/config"
@@ -784,4 +786,21 @@ func TestStaticBeatsBGPOnPreference(t *testing.T) {
 	if len(best) != 1 || best[0].Protocol != netmodel.ProtoStatic {
 		t.Errorf("static (pref 1) must beat eBGP (pref 20): %v", best)
 	}
+}
+
+// TestSimulateRejectsForeignIGP: an IGP result computed on another topology —
+// here a clone's, taken before the network gained a link — names devices by
+// another index, so Simulate must refuse it rather than price next hops with
+// it.
+func TestSimulateRejectsForeignIGP(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	igp := isis.Compute(out.Net.Clone().Topo, isis.Options{})
+	names := out.Net.Topo.NodeNames()
+	out.Net.Topo.AddLink(netmodel.Link{A: names[0], B: names[1], AIface: "extra", BIface: "extra", CostAB: 10, CostBA: 10})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "another topology") {
+			t.Fatalf("Simulate over a foreign IGP result: recovered %v, want a panic naming the topology mismatch", r)
+		}
+	}()
+	Simulate(out.Net, igp, out.Inputs, Options{})
 }

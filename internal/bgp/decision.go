@@ -202,8 +202,7 @@ func (s *sim) decide(ti *tableInfo, t *table, p netip.Prefix) (best, sorted []ca
 
 // resolve fills in next-hop reachability, IGP cost, and SR tunnel state.
 // The table's dense device ID (cached in ti) feeds the flat-array IGP cost
-// lookup and the address-ownership table; string lookups remain only for the
-// fallback when the IGP result was not computed against this topology index.
+// lookup and the address-ownership table.
 func (s *sim) resolve(ti *tableInfo, c *cand) {
 	dev, devID := ti.k.dev, ti.devID
 	c.resolved = false
@@ -237,10 +236,8 @@ func (s *sim) resolve(ti *tableInfo, c *cand) {
 	}
 	var cost uint32
 	var ok bool
-	if s.igpIdxOK && devID != netmodel.NoDev {
+	if devID != netmodel.NoDev {
 		cost, ok = s.igp.CostID(devID, ownerID)
-	} else {
-		cost, ok = s.igp.Cost(dev, s.topoIdx.DevName(ownerID))
 	}
 	if !ok {
 		if l := s.net.Topo.FindLink(dev, s.topoIdx.DevName(ownerID)); l != nil {

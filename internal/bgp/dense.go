@@ -101,9 +101,7 @@ func (s *sim) newTableInfo(k tableKey) *tableInfo {
 	if d == nil {
 		return ti
 	}
-	if s.topoIdx != nil {
-		ti.devID, _ = s.topoIdx.DevID(k.dev)
-	}
+	ti.devID, _ = s.topoIdx.DevID(k.dev)
 	ti.prof = s.profileOf(k.dev)
 	ti.env = s.envOf(d)
 	if d.MaxPaths > 1 {

@@ -246,11 +246,10 @@ type sim struct {
 
 	messages int
 
-	// topoIdx is the dense-ID topology index backing the decision loop;
-	// igpIdxOK records whether the IGP result was computed against this same
-	// index, enabling flat-array cost lookups in resolve.
-	topoIdx  *netmodel.TopoIndex
-	igpIdxOK bool
+	// topoIdx is the dense-ID topology index backing the decision loop. The
+	// IGP result was computed against this same index (newSim checks), so
+	// resolve looks its costs up by dense ID.
+	topoIdx *netmodel.TopoIndex
 
 	// msgScratch is the round-global message buffer reused across rounds; a
 	// returned batch is fully drained by deliver before the next
@@ -299,14 +298,17 @@ func simulate(net *config.Network, igp *isis.Result, inputs []netmodel.Route, op
 	return s.runDense(), []*sim{s}
 }
 
-// newSim builds an empty simulation with its session graph.
+// newSim builds an empty simulation with its session graph. It panics when igp
+// was computed on a topology other than net's: its dense IDs would name other
+// devices.
 func newSim(net *config.Network, igp *isis.Result, opts Options) *sim {
-	s := &sim{net: net, igp: igp, opts: opts.withDefaults()}
+	s := &sim{net: net, igp: igp, opts: opts.withDefaults(), topoIdx: net.Topo.Index()}
+	if igp == nil || igp.EdgeIndex() != s.topoIdx {
+		panic("bgp: the IGP result was computed on another topology than the network's")
+	}
 	s.sessions = buildSessions(net, igp, func(dev string) bool {
 		return !s.profileOf(dev).IsolationViaPolicy
 	})
-	s.topoIdx = net.Topo.Index()
-	s.igpIdxOK = igp != nil && igp.EdgeIndex() == s.topoIdx
 	return s.sibling()
 }
 
@@ -315,7 +317,7 @@ func newSim(net *config.Network, igp *isis.Result, opts Options) *sim {
 func (s *sim) sibling() *sim {
 	return &sim{
 		net: s.net, igp: s.igp, opts: s.opts,
-		sessions: s.sessions, topoIdx: s.topoIdx, igpIdxOK: s.igpIdxOK,
+		sessions: s.sessions, topoIdx: s.topoIdx,
 		tables: make(map[tableKey]*table),
 	}
 }

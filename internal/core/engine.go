@@ -38,15 +38,6 @@ type Options struct {
 	IgnoreACLs        bool
 	IgnorePBR         bool
 
-	// MaxRounds bounds the BGP fixpoint.
-	MaxRounds int
-
-	// DisableIncremental forces Engine.Fork to re-simulate every scenario
-	// from scratch instead of warm-starting from the base run — the
-	// sequential reference path for the incremental what-if engine.
-	// Results are byte-identical either way.
-	DisableIncremental bool
-
 	// Parallelism bounds the worker pools behind the engine's data-parallel
 	// hot paths — per-source SPF, the work units of the cold BGP fixpoint
 	// (a warm restart is one sequential fixpoint), the
@@ -74,13 +65,6 @@ type Engine struct {
 // NewEngine prepares an engine: it computes the IGP SPF once (the paper's
 // pre-processing phase does the same for the base model).
 func NewEngine(net *config.Network, opts Options) *Engine {
-	return newEngineCtx(nil, net, opts)
-}
-
-// newEngineCtx is NewEngine with a cancellation context threaded into the
-// initial SPF; a cancelled construction leaves an engine whose results must
-// be discarded.
-func newEngineCtx(ctx context.Context, net *config.Network, opts Options) *Engine {
 	if opts.Profiles == nil {
 		opts.Profiles = vsb.Defaults()
 	}
@@ -89,7 +73,6 @@ func newEngineCtx(ctx context.Context, net *config.Network, opts Options) *Engin
 		igp: isis.Compute(net.Topo, isis.Options{
 			UseTEMetric: opts.UseTEMetric,
 			Parallelism: opts.Parallelism,
-			Ctx:         ctx,
 		}),
 		opts: opts,
 	}
@@ -156,7 +139,6 @@ func (e *Engine) RouteSimulation(inputs []netmodel.Route) *RouteResult {
 func (e *Engine) bgpOptions(ctx context.Context) bgp.Options {
 	return bgp.Options{
 		Profiles:          e.opts.Profiles,
-		MaxRounds:         e.opts.MaxRounds,
 		FlawedASPathRegex: e.opts.FlawedASPathRegex,
 		UseTEMetric:       e.opts.UseTEMetric,
 		Parallelism:       e.opts.Parallelism,
@@ -166,7 +148,7 @@ func (e *Engine) bgpOptions(ctx context.Context) bgp.Options {
 
 // routeSimulation is the route stage. With a capture it also saves what a
 // warm restart needs: the EC partition, the representatives, the converged
-// pre-expansion BGP state (unless DisableIncremental) and the result itself.
+// pre-expansion BGP state and the result itself.
 func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, bc *baseCapture) (*RouteResult, error) {
 	reps := inputs
 	var ecs *ec.RouteECs
@@ -176,7 +158,7 @@ func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, b
 	}
 	var res *bgp.Result
 	var state *bgp.State
-	if bc != nil && !e.opts.DisableIncremental {
+	if bc != nil {
 		res, state = bgp.SimulateWithState(e.net, e.igp, reps, e.bgpOptions(ctx))
 	} else {
 		res = bgp.Simulate(e.net, e.igp, reps, e.bgpOptions(ctx))
@@ -211,9 +193,9 @@ func (e *Engine) TrafficSimulation(ribs traffic.RIBSource, routeRows []netmodel.
 	return res
 }
 
-// trafficSimulation is the traffic stage. A capture that holds warm BGP state
-// also gets the flow-EC partition, the forwarded representatives and their
-// traces, so forks re-forward only the flows a delta can reach.
+// trafficSimulation is the traffic stage. A capture also gets the flow-EC
+// partition, the forwarded representatives and their traces, so forks
+// re-forward only the flows a delta can reach.
 func (e *Engine) trafficSimulation(ctx context.Context, ribs traffic.RIBSource, routeRows []netmodel.Route, flows []netmodel.Flow, bc *baseCapture) (*TrafficResult, error) {
 	fw := e.forwarder(ctx, e.net, e.igp, ribs, e.opts.Parallelism)
 	reps := flows
@@ -223,7 +205,7 @@ func (e *Engine) trafficSimulation(ctx context.Context, ribs traffic.RIBSource, 
 		reps = ecs.Representatives()
 	}
 	var res *traffic.Result
-	if bc != nil && bc.bgpState != nil {
+	if bc != nil {
 		res, bc.traces = fw.SimulateTraced(reps)
 	} else {
 		res = fw.Simulate(reps)
@@ -272,7 +254,7 @@ func (e *Engine) run(ctx context.Context, inputs []netmodel.Route, flows []netmo
 	}
 	var tr *TrafficResult
 	if len(flows) > 0 {
-		if bc != nil && bc.bgpState != nil {
+		if bc != nil {
 			bc.basePrefixCount = make(map[netip.Prefix]int)
 			for _, t := range routes.BGP.Tables() {
 				for _, p := range routes.BGP.RIB(t.Device, t.VRF).Prefixes() {

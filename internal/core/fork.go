@@ -142,8 +142,8 @@ func (d Delta) ApplyInputs(inputs []netmodel.Route) []netmodel.Route {
 
 // ForkStats reports how much work an incremental Fork avoided.
 type ForkStats struct {
-	// Full is set when the fork fell back to a from-scratch simulation
-	// (DisableIncremental, or no BaseRun capture).
+	// Full is always false: every fork is a warm restart of the base run.
+	// It stays for readers that still report it.
 	Full bool
 
 	SPFSources int // up sources in the scenario topology
@@ -156,13 +156,13 @@ type ForkStats struct {
 	FlowsTotal  int // representative flows forwarded
 	FlowsReused int // flows whose base path/load was reused
 
-	// The fork's RIB work in rows (zero only on a full fallback). Changed: the
-	// rows its expanded tables hold at the (table, prefix) pairs it rebuilt,
-	// the only ones that can differ from base. Rebuilt: the rows it writes —
-	// each changed row into its table and into its device's global-RIB block,
-	// plus the base rows that block copies around them (the block is written
-	// on the first read of that device's block, if any: Rebuilt counts what a
-	// full read of the view writes).
+	// The fork's RIB work in rows. Changed: the rows its expanded tables hold
+	// at the (table, prefix) pairs it rebuilt, the only ones that can differ
+	// from base. Rebuilt: the rows it writes — each changed row into its table
+	// and into its device's global-RIB block, plus the base rows that block
+	// copies around them (the block is written on the first read of that
+	// device's block, if any: Rebuilt counts what a full read of the view
+	// writes).
 	RIBRowsChanged int
 	RIBRowsRebuilt int
 }
@@ -256,12 +256,10 @@ func (e *Engine) WhatIf(ctx context.Context, d Delta, parallelism int) (*Result,
 // returning. It panics where ForkCtxN returns an error. Callers without a
 // network of their own use WhatIf.
 //
-// With incrementality enabled (and BaseRun called first), the fork recomputes
-// SPF only for touched sources, warm-starts the BGP fixpoint from the base
-// converged state, and re-forwards only the flows whose traced devices
-// changed. The result is byte-identical to building a fresh engine on net and
-// running it on the delta-adjusted inputs — Options.DisableIncremental takes
-// exactly that reference path.
+// The fork recomputes SPF only for touched sources, warm-starts the BGP
+// fixpoint from the base converged state, and re-forwards only the flows whose
+// traced devices changed. The result is byte-identical to building a fresh
+// engine on net and running it on the delta-adjusted inputs.
 func (e *Engine) Fork(net *config.Network, d Delta) (*Result, ForkStats) {
 	res, stats, err := e.ForkCtxN(nil, net, d, 0)
 	if err != nil {
@@ -275,12 +273,12 @@ func (e *Engine) Fork(net *config.Network, d Delta) (*Result, ForkStats) {
 // the call returns ctx's error (with a nil result) as soon as cancellation is
 // observed, so a deadline-exceeded what-if query stops burning CPU promptly;
 // the base capture is never mutated by an abandoned fork. Every parallel
-// stage of this fork (SPF recompute, EC recomputation, flow re-forwarding,
-// and the from-scratch fallback; the warm BGP fixpoint is sequential) runs
-// with at most parallelism workers instead of the engine-wide setting. Zero
-// or negative keeps the engine's own Options.Parallelism. serve uses this to
-// cap each tenant query at a fraction of the machine while the base engine
-// keeps its full fan-out. Results are byte-identical at every setting.
+// stage of this fork (SPF recompute, EC recomputation, flow re-forwarding;
+// the warm BGP fixpoint is sequential) runs with at most parallelism workers
+// instead of the engine-wide setting. Zero or negative keeps the engine's own
+// Options.Parallelism. serve uses this to cap each tenant query at a fraction
+// of the machine while the base engine keeps its full fan-out. Results are
+// byte-identical at every setting.
 func (e *Engine) ForkCtxN(ctx context.Context, net *config.Network, d Delta, parallelism int) (*Result, ForkStats, error) {
 	undo, err := d.Apply(net)
 	if err != nil {
@@ -301,16 +299,6 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	var stats ForkStats
 	inputs := d.ApplyInputs(e.base.inputs)
 	flows := e.base.flows
-
-	// Only a disabled or absent capture takes the reference route: even a
-	// device coming up is a warm restart, which originates at it.
-	if e.opts.DisableIncremental || e.base.bgpState == nil {
-		stats.Full = true
-		opts := e.opts
-		opts.Parallelism = parallelism
-		res, err := newEngineCtx(ctx, net, opts).run(ctx, inputs, flows, nil)
-		return res, stats, err
-	}
 
 	igp, touched, spfStats := isis.Recompute(net.Topo, e.igp, isis.Delta{
 		Links:     d.links(),
@@ -393,7 +381,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 		}
 		fw := e.forwarder(ctx, net, igp, routes, parallelism)
 		var trr *traffic.Result
-		if samePartition && e.base.traffic != nil {
+		if samePartition {
 			// With a per-prefix RIB diff, a changed BGP table alone does not
 			// condemn every flow through its device; only the structural delta
 			// (flipped links, downed nodes) does.

@@ -289,18 +289,6 @@ func TestForkNodeUpIdentity(t *testing.T) {
 	}
 }
 
-func TestForkDisableIncremental(t *testing.T) {
-	out := gen.Generate(gen.WAN(1))
-	eng := NewEngine(out.Net, Options{DisableIncremental: true})
-	eng.BaseRun(out.Inputs, out.Flows)
-	id := out.Net.Topo.Links()[0].ID()
-	stats := checkFork(t, eng, out.Net, out.Inputs, out.Flows,
-		Delta{LinksDown: []netmodel.LinkID{id}}, "disabled")
-	if !stats.Full {
-		t.Error("DisableIncremental must force the from-scratch path")
-	}
-}
-
 // TestForkRandomizedDeltas throws seeded random deltas (multiple links and
 // nodes at once, with and without input changes) at the incremental engine
 // and checks byte-identity against the reference on every one — with the base

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"hoyan/internal/dsim"
+	"hoyan/internal/gen"
 )
 
 func TestTable1ShapeHolds(t *testing.T) {
@@ -242,5 +244,25 @@ func TestMakespan(t *testing.T) {
 		if got := Makespan(tc.durs, tc.workers); got != time.Duration(tc.want)*time.Millisecond {
 			t.Errorf("Makespan(%v, %d) = %v, want %dms", tc.durs, tc.workers, got, tc.want)
 		}
+	}
+}
+
+// TestIncrShape: the incremental experiment sweeps the first 30 links of the
+// quick-scale WAN, one failure each, both ways, and its warm forks report
+// avoided work. Wall-clock ratios are the repo benchmark's business, so none
+// is asserted.
+func TestIncrShape(t *testing.T) {
+	s := QuickScale()
+	r := Incr(s)
+	if want := min(30, len(gen.Generate(gen.WAN(s.WANK)).Net.Topo.Links())); r.Scenarios != want {
+		t.Errorf("scenarios = %d, want %d", r.Scenarios, want)
+	}
+	if r.SPFReused == 0 || r.BGPTablesDirty == 0 || r.WarmRounds == 0 || r.FlowsReused == 0 {
+		t.Errorf("work-avoided counters must all be non-zero: %+v", r)
+	}
+	var buf bytes.Buffer
+	PrintIncr(&buf, r)
+	if !strings.Contains(buf.String(), fmt.Sprintf("%d scenarios", r.Scenarios)) {
+		t.Errorf("PrintIncr output lacks the scenario count:\n%s", buf.String())
 	}
 }

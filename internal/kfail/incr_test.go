@@ -36,11 +36,43 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestIncrementalMatchesFromScratch pins the correctness bar: the incremental
-// fork path and the DisableIncremental reference path must return identical
-// violations over a K=2 sweep that mixes link and node failures — also when
-// the scenarios fork, concurrently, off a base engine that converged as 2 or
-// 8 work units and merges its warm-restart state on the first fork.
+// coldCheck is Check without forks, the reference its sweeps are held to: the
+// same enumeration, each scenario a fresh engine's cold run on a clone with
+// the scenario's elements down, verified against a cold base run.
+func coldCheck(t *testing.T, out *gen.Output, intents []intent.Intent, elems []Element, k int) *Result {
+	t.Helper()
+	combos, _ := enumerateCombos(len(elems), k, 0)
+	bw := out.Net.Topo.Bandwidths()
+	base := intent.SnapshotOf(core.NewEngine(out.Net, core.Options{}).Run(out.Inputs, out.Flows), bw)
+	res := &Result{Scenarios: len(combos)}
+	for _, combo := range combos {
+		var d core.Delta
+		failed := make([]Element, len(combo))
+		for j, idx := range combo {
+			failed[j] = elems[idx]
+			if el := elems[idx]; el.Node != "" {
+				d.NodesDown = append(d.NodesDown, el.Node)
+			} else {
+				d.LinksDown = append(d.LinksDown, el.Link)
+			}
+		}
+		net := out.Net.Clone()
+		if _, err := d.Apply(net); err != nil {
+			t.Fatal(err)
+		}
+		updated := intent.SnapshotOf(core.NewEngine(net, core.Options{}).Run(out.Inputs, out.Flows), bw)
+		if reports, ok := intent.Verify(&intent.Context{Base: *base, Updated: *updated}, intents); !ok {
+			res.Violations = append(res.Violations, Violation{Failed: failed, Reports: reports})
+		}
+	}
+	return res
+}
+
+// TestIncrementalMatchesFromScratch pins the correctness bar: the sweep's
+// warm forks must return the violations of a cold run per scenario over a K=2
+// sweep that mixes link and node failures — also when the scenarios fork,
+// concurrently, off a base engine that converged as 2 or 8 work units and
+// merges its warm-restart state on the first fork.
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	out, intents := wanCheckInputs()
 	elems := []Element{{Node: "dc-0-0"}}
@@ -50,16 +82,11 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 	for _, l := range out.Net.Topo.LinksOf("rr-1-0") {
 		elems = append(elems, Element{Link: l.ID()})
 	}
-	opts := Options{K: 2, Elements: elems}
-	inc, err := Check(out.Net, out.Inputs, out.Flows, intents, opts)
+	inc, err := Check(out.Net, out.Inputs, out.Flows, intents, Options{K: 2, Elements: elems})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Sim.DisableIncremental = true
-	ref, err := Check(out.Net, out.Inputs, out.Flows, intents, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := coldCheck(t, out, intents, elems, 2)
 	sameResult(t, "incremental vs from-scratch", inc, ref)
 	if inc.OK() {
 		t.Error("sweep should find at least one violation (double uplink cut)")
@@ -126,9 +153,6 @@ func TestWorkAvoidanceCounters(t *testing.T) {
 	if got := reg.Counter("kfail_scenarios_total", "").Value(); got != int64(res.Scenarios) {
 		t.Errorf("kfail_scenarios_total = %d, want %d", got, res.Scenarios)
 	}
-	if got := reg.Counter("incr_full_fallbacks_total", "").Value(); got != 0 {
-		t.Errorf("incr_full_fallbacks_total = %d, want 0 (pure link-down deltas)", got)
-	}
 	if got := reg.Counter("incr_spf_sources_reused", "").Value(); got == 0 {
 		t.Error("incr_spf_sources_reused stayed 0 across a sweep of single link failures")
 	}
@@ -143,7 +167,7 @@ func TestWorkAvoidanceCounters(t *testing.T) {
 // TestSweepWorkAvoided pins the incremental engine on the work its
 // warm-started k=1 failure sweep avoids, against what from-scratch
 // re-simulation of the same scenarios does: SPF sources reused, BGP tables
-// left clean, fixpoint rounds not run, flows not re-forwarded, no fallback.
+// left clean, fixpoint rounds not run, flows not re-forwarded.
 // A load intent makes the full route + traffic pipeline run per scenario, and
 // parallelism is pinned to 1 on both axes, so the counts repeat exactly on
 // every host. Timing the two paths against each other is the repo
@@ -174,9 +198,6 @@ func TestSweepWorkAvoided(t *testing.T) {
 	tables := n * int64(len(base.Routes.BGP.Tables()))
 	rounds := n * int64(base.Routes.BGP.Rounds)
 	flows := n * int64(len(base.Traffic.ECStats.Representatives()))
-	if got := count("incr_full_fallbacks_total"); got != 0 {
-		t.Errorf("%d scenarios fell back to from-scratch simulation, want 0 (pure link-down deltas)", got)
-	}
 	if 4*spfReused < sources {
 		t.Errorf("%d of %d SPF sources reused, want at least a quarter", spfReused, sources)
 	}

@@ -44,13 +44,11 @@ type Options struct {
 	Elements []Element
 	// MaxScenarios bounds the enumeration (0 = unlimited).
 	MaxScenarios int
-	// Sim holds the engine options for the simulations. Set
-	// Sim.DisableIncremental to re-simulate every scenario from scratch (the
-	// reference path; results are byte-identical). Sim.Parallelism bounds the
-	// cores of each scenario simulation while the sweep is sequential, also
-	// for warm forks off Options.Engine (0 keeps that engine's own setting);
-	// serve sets it to the tenant's query budget so one sweep cannot occupy
-	// the machine.
+	// Sim holds the engine options for the base run every scenario forks
+	// off. Sim.Parallelism bounds the cores of each scenario simulation while
+	// the sweep is sequential, also for warm forks off Options.Engine (0 keeps
+	// that engine's own setting); serve sets it to the tenant's query budget
+	// so one sweep cannot occupy the machine.
 	Sim core.Options
 	// Parallelism fans scenarios over a worker pool (par conventions: 0 =
 	// GOMAXPROCS, 1 = sequential). With more than one scenario worker every
@@ -126,7 +124,6 @@ func Check(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, 
 	flowsReused := o.Registry.Counter("incr_flows_reused", "flows whose base path and load were reused across incremental forks")
 	ribChanged := o.Registry.Counter("incr_rib_rows_changed", "RIB rows at the (table, prefix) pairs incremental forks rebuilt")
 	ribRebuilt := o.Registry.Counter("incr_rib_rows_rebuilt", "RIB rows incremental forks wrote: rebuilt table rows plus re-emitted device blocks")
-	fullFallbacks := o.Registry.Counter("incr_full_fallbacks_total", "scenario forks that fell back to from-scratch simulation")
 
 	eng := o.Engine
 	var baseRes *core.Result
@@ -181,15 +178,9 @@ func Check(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, 
 			outcomes[slot].err = fmt.Errorf("kfail: scenario {%s}: %w", elementNames(elements, combo), err)
 			return
 		}
-		if stats.Full {
-			fullFallbacks.Inc()
-			span.SetTag("mode", "full")
-		} else {
-			span.SetTag("mode", "incremental")
-			span.SetTag("bgp_tables_dirty", fmt.Sprintf("%d/%d", stats.BGPTablesDirty, stats.BGPTablesTotal))
-			span.SetTag("rib_rows_changed", fmt.Sprintf("%d", stats.RIBRowsChanged))
-			span.SetTag("rib_rows_rebuilt", fmt.Sprintf("%d", stats.RIBRowsRebuilt))
-		}
+		span.SetTag("bgp_tables_dirty", fmt.Sprintf("%d/%d", stats.BGPTablesDirty, stats.BGPTablesTotal))
+		span.SetTag("rib_rows_changed", fmt.Sprintf("%d", stats.RIBRowsChanged))
+		span.SetTag("rib_rows_rebuilt", fmt.Sprintf("%d", stats.RIBRowsRebuilt))
 		spfReused.Add(int64(stats.SPFReused))
 		bgpDirty.Add(int64(stats.BGPTablesDirty))
 		warmRounds.Add(int64(stats.BGPRounds))

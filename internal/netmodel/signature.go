@@ -7,9 +7,7 @@ import (
 
 // AppendSignature appends an injective binary encoding of the route to dst:
 // equal signatures iff every field is equal. It breaks key ties in
-// CompareRoutes and is the cheap dedupe key for rows recomputed by
-// overlapping subtasks (the fmt-based key it replaced dominated result
-// collection).
+// CompareRoutes and is what the digests hash per row.
 func (r *Route) AppendSignature(dst []byte) []byte {
 	dst = sigStr(dst, r.Device)
 	dst = sigStr(dst, r.VRF)

@@ -32,9 +32,6 @@ type (
 // NoDev is the invalid device ID (address not owned, name unknown).
 const NoDev DevID = -1
 
-// NoLink is the invalid link index.
-const NoLink LinkIdx = -1
-
 // TopoIndex is the CSR (compressed sparse row) view of a Topology: dense
 // device/link IDs with two-way name tables, a flat adjacency array, and the
 // address-ownership table. It is built lazily by Topology.Index, cached, and

@@ -35,53 +35,47 @@ func linkFailureSweep(net *config.Network) []*change.Plan {
 	return plans
 }
 
-// verifyBothModes runs one scenario's plan through Verify with incremental
-// forking on and off and asserts the outcomes agree on everything an operator
-// sees: verdict, reports, and the updated snapshot. Both modes take the plan
-// through Plan.Delta, so the updated snapshot is also checked against an
-// independent reference: a cold engine on Plan.Apply's network.
-func verifyBothModes(t *testing.T, sc *scenario.Scenario) {
+// coldOutcome is Verify's reference: a cold engine on Plan.Apply's network
+// and inputs, checked against the verified outcome's base snapshot. It returns
+// the updated snapshot and the intents' reports and verdict over it.
+func coldOutcome(t *testing.T, net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, plan *change.Plan, intents []intent.Intent, got *Outcome) (*intent.Snapshot, []intent.Report, bool) {
 	t.Helper()
-	inc := New(sc.Net, sc.Inputs, sc.Flows, core.Options{})
-	ref := New(sc.Net, sc.Inputs, sc.Flows, core.Options{DisableIncremental: true})
-
-	got, errInc := inc.Verify(sc.Plan, sc.Intents)
-	want, errRef := ref.Verify(sc.Plan, sc.Intents)
-	if (errInc == nil) != (errRef == nil) {
-		t.Fatalf("%s: error mismatch: incremental %v, reference %v", sc.Name, errInc, errRef)
+	updated, err := plan.Apply(net)
+	if err != nil {
+		t.Fatalf("%s: Verify accepted the plan, Apply did not: %v", plan.ID, err)
 	}
-	if errInc != nil {
+	cold := snapshotOf(core.NewEngine(updated, core.Options{}).Run(plan.ApplyInputs(inputs), flows), updated)
+	reports, ok := intent.Verify(&intent.Context{Base: *got.BaseSnap, Updated: *cold}, intents)
+	return cold, reports, ok
+}
+
+// verifyMatchesCold runs one scenario's plan through Verify and asserts the
+// outcome agrees with a cold run of the applied plan on everything an
+// operator sees: verdict, reports, and the updated snapshot. Every plan but a
+// structural one (add-links, add-routers) verifies as a warm fork, so this
+// holds the fork to an independent reference.
+func verifyMatchesCold(t *testing.T, sc *scenario.Scenario) {
+	t.Helper()
+	got, err := New(sc.Net, sc.Inputs, sc.Flows, core.Options{}).Verify(sc.Plan, sc.Intents)
+	if err != nil {
 		if !sc.WantApplyError {
-			t.Fatalf("%s: unexpected apply error %v", sc.Name, errInc)
+			t.Fatalf("%s: unexpected apply error %v", sc.Name, err)
 		}
 		return
 	}
-	if got.OK != want.OK {
-		t.Fatalf("%s: verdict mismatch: incremental %v, reference %v\nincremental reports: %+v\nreference reports: %+v",
-			sc.Name, got.OK, want.OK, got.Reports, want.Reports)
+	cold, coldReports, coldOK := coldOutcome(t, sc.Net, sc.Inputs, sc.Flows, sc.Plan, sc.Intents, got)
+	if !got.UpdateSnap.RIB.Equal(cold.RIB) {
+		t.Fatalf("%s: updated RIB differs from a cold run of the applied plan", sc.Name)
 	}
-	if !reflect.DeepEqual(got.Reports, want.Reports) {
-		t.Fatalf("%s: reports differ:\n%+v\nvs\n%+v", sc.Name, got.Reports, want.Reports)
+	if !reflect.DeepEqual(got.UpdateSnap.Paths, cold.Paths) {
+		t.Fatalf("%s: updated paths differ from a cold run of the applied plan", sc.Name)
 	}
-	if !got.UpdateSnap.RIB.Equal(want.UpdateSnap.RIB) {
-		t.Fatalf("%s: updated RIBs differ", sc.Name)
+	if !reflect.DeepEqual(got.UpdateSnap.Load, cold.Load) {
+		t.Fatalf("%s: updated loads differ from a cold run of the applied plan", sc.Name)
 	}
-	if !reflect.DeepEqual(got.UpdateSnap.Paths, want.UpdateSnap.Paths) {
-		t.Fatalf("%s: updated paths differ", sc.Name)
-	}
-	if !reflect.DeepEqual(got.UpdateSnap.Load, want.UpdateSnap.Load) {
-		t.Fatalf("%s: updated loads differ", sc.Name)
-	}
-	updated, err := sc.Plan.Apply(sc.Net)
-	if err != nil {
-		t.Fatalf("%s: Verify accepted the plan, Apply did not: %v", sc.Name, err)
-	}
-	cold := snapshotOf(core.NewEngine(updated, core.Options{}).Run(sc.Plan.ApplyInputs(sc.Inputs), sc.Flows), updated)
-	if !got.UpdateSnap.RIB.Equal(cold.RIB) || !reflect.DeepEqual(got.UpdateSnap.Paths, cold.Paths) || !reflect.DeepEqual(got.UpdateSnap.Load, cold.Load) {
-		t.Fatalf("%s: updated snapshot differs from a cold run of the applied plan", sc.Name)
-	}
-	if coldReports, coldOK := intent.Verify(&intent.Context{Base: *got.BaseSnap, Updated: *cold}, sc.Intents); coldOK != got.OK || !reflect.DeepEqual(coldReports, got.Reports) {
-		t.Fatalf("%s: verdict %v, cold run of the applied plan %v", sc.Name, got.OK, coldOK)
+	if coldOK != got.OK || !reflect.DeepEqual(coldReports, got.Reports) {
+		t.Fatalf("%s: verdict %v, cold run of the applied plan %v\nreports: %+v\ncold reports: %+v",
+			sc.Name, got.OK, coldOK, got.Reports, coldReports)
 	}
 	if got.OK != sc.WantOK {
 		t.Errorf("%s: verdict %v, scenario expects %v", sc.Name, got.OK, sc.WantOK)
@@ -89,22 +83,20 @@ func verifyBothModes(t *testing.T, sc *scenario.Scenario) {
 }
 
 // TestVerifyIncrementalMatchesFullOnCatalog runs every Table 2 change type
-// and every Table 6 scenario through Verify with and without
-// DisableIncremental. Every plan but a structural one (add-links,
-// add-routers) takes the fork path; either way the outcomes must match byte
-// for byte.
+// and every Table 6 scenario through Verify and holds each outcome to a cold
+// run of the applied plan, byte for byte.
 func TestVerifyIncrementalMatchesFullOnCatalog(t *testing.T) {
 	for _, sc := range scenario.Table2Catalog() {
-		t.Run(string(sc.Type), func(t *testing.T) { verifyBothModes(t, sc) })
+		t.Run(string(sc.Type), func(t *testing.T) { verifyMatchesCold(t, sc) })
 	}
 	for _, rs := range scenario.Table6Catalog() {
-		t.Run(rs.Name, func(t *testing.T) { verifyBothModes(t, rs.Scenario) })
+		t.Run(rs.Name, func(t *testing.T) { verifyMatchesCold(t, rs.Scenario) })
 	}
 }
 
 func TestVerifyIncrementalMatchesFullOnCaseStudies(t *testing.T) {
 	for _, sc := range []*scenario.Scenario{scenario.Fig10a(), scenario.Fig10b()} {
-		t.Run(sc.Name, func(t *testing.T) { verifyBothModes(t, sc) })
+		t.Run(sc.Name, func(t *testing.T) { verifyMatchesCold(t, sc) })
 	}
 }
 
@@ -145,12 +137,12 @@ func TestVerifyPureDeltaTakesForkPath(t *testing.T) {
 }
 
 // TestVerifyLinkFailureSweepIncremental sweeps a handful of single-link
-// failures through the pipeline both ways and checks load intents agree.
+// failures through one pipeline's warm forks and checks load intents and
+// loads against a cold run of each applied plan.
 func TestVerifyLinkFailureSweepIncremental(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	intents := []intent.Intent{intent.LoadIntent{MaxUtilization: 1.0}}
 	inc := New(out.Net, out.Inputs, out.Flows, core.Options{})
-	ref := New(out.Net, out.Inputs, out.Flows, core.Options{DisableIncremental: true})
 	plans := linkFailureSweep(out.Net)
 	step := len(plans)/6 + 1
 	for i := 0; i < len(plans); i += step {
@@ -158,14 +150,11 @@ func TestVerifyLinkFailureSweepIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.Verify(plans[i], intents)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.OK != want.OK || !reflect.DeepEqual(got.Reports, want.Reports) {
+		cold, reports, ok := coldOutcome(t, out.Net, out.Inputs, out.Flows, plans[i], intents, got)
+		if got.OK != ok || !reflect.DeepEqual(got.Reports, reports) {
 			t.Fatalf("%s: sweep outcome mismatch", plans[i].ID)
 		}
-		if !reflect.DeepEqual(got.UpdateSnap.Load, want.UpdateSnap.Load) {
+		if !reflect.DeepEqual(got.UpdateSnap.Load, cold.Load) {
 			t.Fatalf("%s: sweep loads differ", plans[i].ID)
 		}
 	}

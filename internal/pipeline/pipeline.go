@@ -220,10 +220,9 @@ type Outcome struct {
 // Verify runs one change verification request: simulate the network under the
 // plan and check the intents against base and updated states. On the
 // centralized deployment a plan that is not structural (change.Plan.Delta) is
-// a fork of the cached base run — byte-identical to the full path, recomputing
-// only what the delta touched; Opts.DisableIncremental makes the fork itself
-// simulate from scratch. Any other plan is applied to a copy of the base model
-// and simulated in full.
+// a warm fork of the cached base run — byte-identical to the full path,
+// recomputing only what the delta touched. Any other plan is applied to a copy
+// of the base model and simulated in full.
 func (s *System) Verify(plan *change.Plan, intents []intent.Intent) (*Outcome, error) {
 	var upSnap *intent.Snapshot
 	d, fork, err := plan.Delta(s.Base)

@@ -131,8 +131,8 @@ type ribWork struct {
 
 // digestAgainstBase digests updated by exchanging, in the base sum, the share
 // of every base block updated does not reference for the hash of the block
-// updated holds instead. A RIB that shares nothing (a from-scratch fork)
-// hashes every row; the base itself hashes none.
+// updated holds instead. A RIB that shares nothing hashes every row; the base
+// itself hashes none.
 func (n *Network) digestAgainstBase(updated *netmodel.GlobalRIB) (string, ribWork) {
 	acc := n.baseSum
 	var w ribWork

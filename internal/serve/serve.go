@@ -38,9 +38,8 @@ type Config struct {
 	// Workers sizes the execution pool (default 4).
 	Workers int
 	// QueryParallelism caps the simulation cores any single query may use
-	// (SPF, ECs, forwarding, global-RIB fill, and the work units of a
-	// from-scratch fork under Sim.DisableIncremental; a warm fork's fixpoint
-	// is sequential).
+	// (SPF, ECs, forwarding and global-RIB fill; a fork's warm fixpoint is
+	// sequential).
 	// Without a cap, every query forks with the engine's full parallelism,
 	// so one tenant's kfail sweep can occupy the whole machine while other
 	// tenants' queries — admitted and nominally running — crawl. Default

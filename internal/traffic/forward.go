@@ -37,8 +37,6 @@ type Options struct {
 	IgnoreACLs bool
 	// IgnorePBR disables PBR steering (fault injection).
 	IgnorePBR bool
-	// MaxHops bounds path length before declaring a loop.
-	MaxHops int
 	// Parallelism bounds the worker pool forwarding flows in Simulate
 	// (par conventions: 0 = GOMAXPROCS, 1 = sequential). Every per-flow walk
 	// is read-only over the snapshot, IGP, and RIBs.
@@ -55,15 +53,8 @@ func (o Options) ctxDone() bool {
 	return o.Ctx != nil && o.Ctx.Err() != nil
 }
 
-func (o Options) withDefaults() Options {
-	if o.Profiles == nil {
-		o.Profiles = vsb.Defaults()
-	}
-	if o.MaxHops == 0 {
-		o.MaxHops = 64
-	}
-	return o
-}
+// maxHops bounds a path's length before the walk declares a loop.
+const maxHops = 64
 
 // Forwarder computes flow paths over a network snapshot and its RIBs.
 type Forwarder struct {
@@ -72,22 +63,26 @@ type Forwarder struct {
 	ribs RIBSource
 	opts Options
 
-	// idx is the dense-ID topology index; igpIdx records whether the IGP
-	// result was computed against the same index, so recursive resolution can
-	// walk first-hop edge positions directly.
-	idx    *netmodel.TopoIndex
-	igpIdx bool
+	// idx is the dense-ID topology index the IGP result was computed
+	// against, so recursive resolution walks first-hop edge positions.
+	idx *netmodel.TopoIndex
 
 	// owned holds each device's locally terminated addresses (loopbacks and
 	// interface addresses), replacing the per-hop interface scan of ownsAddr.
 	owned map[string]map[netip.Addr]bool
 }
 
-// NewForwarder builds a forwarder over the given snapshot.
+// NewForwarder builds a forwarder over the given snapshot. It panics when igp
+// was computed on a topology other than net's: its dense IDs would name other
+// devices and links.
 func NewForwarder(net *config.Network, igp *isis.Result, ribs RIBSource, opts Options) *Forwarder {
-	f := &Forwarder{net: net, igp: igp, ribs: ribs, opts: opts.withDefaults()}
-	f.idx = net.Topo.Index()
-	f.igpIdx = igp != nil && igp.EdgeIndex() == f.idx
+	if opts.Profiles == nil {
+		opts.Profiles = vsb.Defaults()
+	}
+	f := &Forwarder{net: net, igp: igp, ribs: ribs, opts: opts, idx: net.Topo.Index()}
+	if igp == nil || igp.EdgeIndex() != f.idx {
+		panic("traffic: the IGP result was computed on another topology than the network's")
+	}
 	f.owned = make(map[string]map[netip.Addr]bool, len(net.Devices))
 	for name, d := range net.Devices {
 		set := make(map[netip.Addr]bool, len(d.Interfaces)+2)
@@ -122,49 +117,65 @@ type FlowPath struct {
 	Path netmodel.Path
 }
 
-// Simulate forwards every flow and aggregates link loads. Flows fan out over
-// Options.Parallelism workers; each worker fills only its flow's slot in the
-// pre-sized path and load-contribution slices, and contributions are summed
+// Simulate forwards every flow and aggregates link loads.
+func (f *Forwarder) Simulate(flows []netmodel.Flow) *Result {
+	res, _, _ := f.forward(flows, false, nil, nil, nil)
+	return res
+}
+
+// forward is the one forwarding loop behind Simulate, SimulateTraced and
+// Resimulate. Flow i keeps base.Paths[i] and baseTraces[i] when reuse(i)
+// holds and is walked otherwise (every flow is walked when reuse is nil); a
+// traced walk records the flow's Trace, an untraced one passes a nil recorder
+// and allocates no trace maps. Walked flows fan out over Options.Parallelism
+// workers, each filling only its flow's slots, and the link shares are summed
 // sequentially in flow order afterwards, so the floating-point additions
 // happen in exactly the sequential path's order and the result is
-// byte-identical at any parallelism.
-func (f *Forwarder) Simulate(flows []netmodel.Flow) *Result {
+// byte-identical at any parallelism and whatever subset was walked.
+func (f *Forwarder) forward(flows []netmodel.Flow, traced bool, reuse func(i int) bool, base *Result, baseTraces []Trace) (res *Result, traces []Trace, reused int) {
 	if len(flows) == 0 {
-		return &Result{Load: make(netmodel.LinkLoad)}
+		return &Result{Load: make(netmodel.LinkLoad)}, nil, 0
 	}
 	paths := make([]FlowPath, len(flows))
-	contribs := make([][]linkShare, len(flows))
-	par.ForEach(f.opts.Parallelism, len(flows), func(i int) {
+	traces = make([]Trace, len(flows))
+	var redo []int
+	for i := range flows {
+		if reuse != nil && reuse(i) {
+			paths[i], traces[i] = base.Paths[i], baseTraces[i]
+			reused++
+		} else {
+			redo = append(redo, i)
+		}
+	}
+	par.ForEach(f.opts.Parallelism, len(redo), func(j int) {
 		if f.opts.ctxDone() {
 			return
 		}
-		fl := flows[i]
-		paths[i] = FlowPath{Flow: fl, Path: f.Path(fl)}
-		contribs[i] = f.loadContribs(fl)
+		i := redo[j]
+		var rec *Trace
+		if traced {
+			rec = &traces[i]
+		}
+		paths[i] = FlowPath{Flow: flows[i], Path: f.path(flows[i], rec)}
+		traces[i].contribs = f.loadContribs(flows[i], rec)
 	})
-	res := &Result{Paths: paths, Load: make(netmodel.LinkLoad)}
 	// Accumulate into a flat per-LinkIdx array: each link's additions happen
-	// in flow order, so the floating-point sums equal a sequential map merge;
-	// only the per-share map hashing is gone. Shares without a dense index
-	// (first hops from an IGP result over another index) go to the map.
+	// in flow order, as in a sequential merge.
 	acc := make([]float64, f.idx.NumLinks())
 	touched := make([]bool, f.idx.NumLinks())
-	for _, cs := range contribs {
-		for _, c := range cs {
-			if c.lidx >= 0 {
-				acc[c.lidx] += c.volume
-				touched[c.lidx] = true
-			} else {
-				res.Load[c.link] += c.volume
-			}
+	for i := range traces {
+		for _, c := range traces[i].contribs {
+			acc[c.lidx] += c.volume
+			touched[c.lidx] = true
 		}
 	}
+	res = &Result{Paths: paths, Load: make(netmodel.LinkLoad)}
 	for li, t := range touched {
 		if t {
-			res.Load[f.idx.LinkIDAt(netmodel.LinkIdx(li))] += acc[li]
+			res.Load[f.idx.LinkIDAt(netmodel.LinkIdx(li))] = acc[li]
 		}
 	}
-	return res
+	return res, traces, reused
 }
 
 // Path computes the representative forwarding path of one flow, choosing one
@@ -201,7 +212,7 @@ func (f *Forwarder) path(fl netmodel.Flow, rec *Trace) netmodel.Path {
 		return false
 	}
 	h := flowHash(fl)
-	for hop := 0; hop < f.opts.MaxHops; hop++ {
+	for hop := 0; hop < maxHops; hop++ {
 		if wasVisited(cur) {
 			path.Hops = append(path.Hops, netmodel.Hop{Device: cur})
 			path.Exit = netmodel.ExitLoop
@@ -228,21 +239,17 @@ func (f *Forwarder) path(fl netmodel.Flow, rec *Trace) netmodel.Path {
 
 // linkShare is one link's slice of a flow's volume, in the order the BFS
 // visits it — replaying a flow's shares in order reproduces the sequential
-// accumulation exactly. lidx carries the link's dense index when the walk
-// came from the topology index (netmodel.NoLink otherwise).
+// accumulation exactly. lidx is the link's dense index: every fork of a
+// network holds the same links, so an index taken on the base stays valid.
 type linkShare struct {
-	link   netmodel.LinkID
 	lidx   netmodel.LinkIdx
 	volume float64
 }
 
 // loadContribs walks the flow's ECMP fan-out and returns the volume share it
-// places on every traversed link, splitting evenly at each branch point.
-func (f *Forwarder) loadContribs(fl netmodel.Flow) []linkShare {
-	return f.loadContribsTraced(fl, nil)
-}
-
-func (f *Forwarder) loadContribsTraced(fl netmodel.Flow, rec *Trace) []linkShare {
+// places on every traversed link, splitting evenly at each branch point. rec
+// (optional) accumulates the devices and IGP queries the walk consults.
+func (f *Forwarder) loadContribs(fl netmodel.Flow, rec *Trace) []linkShare {
 	type state struct {
 		device  string
 		inIface string
@@ -253,11 +260,11 @@ func (f *Forwarder) loadContribsTraced(fl netmodel.Flow, rec *Trace) []linkShare
 	queue := []state{{device: fl.Ingress, volume: fl.Volume}}
 	// visits caps work on pathological loops.
 	visits := 0
-	for len(queue) > 0 && visits < 4*f.opts.MaxHops {
+	for len(queue) > 0 && visits < 4*maxHops {
 		st := queue[0]
 		queue = queue[1:]
 		visits++
-		if st.depth >= f.opts.MaxHops {
+		if st.depth >= maxHops {
 			continue
 		}
 		rec.see(st.device)
@@ -267,7 +274,7 @@ func (f *Forwarder) loadContribsTraced(fl netmodel.Flow, rec *Trace) []linkShare
 		}
 		share := st.volume / float64(len(step.branches))
 		for _, br := range step.branches {
-			out = append(out, linkShare{link: br.link, lidx: br.lidx, volume: share})
+			out = append(out, linkShare{lidx: br.lidx, volume: share})
 			queue = append(queue, state{device: br.device, inIface: br.remoteIface, volume: share, depth: st.depth + 1})
 		}
 	}
@@ -277,7 +284,7 @@ func (f *Forwarder) loadContribsTraced(fl netmodel.Flow, rec *Trace) []linkShare
 type branch struct {
 	device      string // next device
 	link        netmodel.LinkID
-	lidx        netmodel.LinkIdx // dense link index (NoLink off the topology index)
+	lidx        netmodel.LinkIdx // dense link index
 	remoteIface string           // interface name on the next device (for its ACL-in)
 }
 
@@ -468,49 +475,31 @@ func (f *Forwarder) toward(d *config.Device, nh netip.Addr, fl netmodel.Flow, re
 	}
 	// Recursive resolution through the IGP.
 	rec.dep(d.Name, target)
+	devID, okD := f.idx.DevID(d.Name)
+	tgtID, okT := f.idx.DevID(target)
+	if !okD || !okT {
+		return stepResult{exit: exitNoRoute}
+	}
+	poss := f.igp.FirstHopEdges(devID, tgtID)
+	if len(poss) == 0 {
+		return stepResult{exit: exitNoRoute}
+	}
 	var out stepResult
-	if f.igpIdx {
-		devID, okD := f.idx.DevID(d.Name)
-		tgtID, okT := f.idx.DevID(target)
-		if !okD || !okT {
-			return stepResult{exit: exitNoRoute}
+	for _, pos := range poss {
+		l := f.idx.EdgeLink(pos)
+		if l == nil || !l.Up {
+			continue
 		}
-		poss := f.igp.FirstHopEdges(devID, tgtID)
-		if len(poss) == 0 {
-			return stepResult{exit: exitNoRoute}
+		iface := l.AIface
+		if f.idx.EdgeFromA(pos) {
+			iface = l.BIface
 		}
-		for _, pos := range poss {
-			l := f.idx.EdgeLink(pos)
-			if l == nil || !l.Up {
-				continue
-			}
-			iface := l.AIface
-			if f.idx.EdgeFromA(pos) {
-				iface = l.BIface
-			}
-			out.branches = append(out.branches, branch{
-				device:      f.idx.DevName(f.idx.EdgeDev(pos)),
-				link:        f.idx.LinkIDAt(f.idx.EdgeLinkIdx(pos)),
-				lidx:        f.idx.EdgeLinkIdx(pos),
-				remoteIface: iface,
-			})
-		}
-	} else {
-		fhs := f.igp.FirstHops(d.Name, target)
-		if len(fhs) == 0 {
-			return stepResult{exit: exitNoRoute}
-		}
-		for _, fh := range fhs {
-			l := f.net.Topo.Link(fh.Link)
-			if l == nil || !l.Up {
-				continue
-			}
-			iface := l.AIface
-			if l.A == d.Name {
-				iface = l.BIface
-			}
-			out.branches = append(out.branches, branch{device: fh.Device, link: fh.Link, lidx: netmodel.NoLink, remoteIface: iface})
-		}
+		out.branches = append(out.branches, branch{
+			device:      f.idx.DevName(f.idx.EdgeDev(pos)),
+			link:        f.idx.LinkIDAt(f.idx.EdgeLinkIdx(pos)),
+			lidx:        f.idx.EdgeLinkIdx(pos),
+			remoteIface: iface,
+		})
 	}
 	if len(out.branches) == 0 {
 		return stepResult{exit: exitLinkDown}

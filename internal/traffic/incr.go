@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"hoyan/internal/netmodel"
-	"hoyan/internal/par"
 )
 
 // Trace records, for one flow, every device whose forwarding state the
@@ -114,74 +113,25 @@ func SameForwarding(a, b []netmodel.Route) bool {
 // SimulateTraced is Simulate plus a per-flow trace usable with Resimulate.
 // Results are identical to Simulate's.
 func (f *Forwarder) SimulateTraced(flows []netmodel.Flow) (*Result, []Trace) {
-	if len(flows) == 0 {
-		return &Result{Load: make(netmodel.LinkLoad)}, nil
-	}
-	paths := make([]FlowPath, len(flows))
-	traces := make([]Trace, len(flows))
-	par.ForEach(f.opts.Parallelism, len(flows), func(i int) {
-		if f.opts.ctxDone() {
-			return
-		}
-		fl := flows[i]
-		paths[i] = FlowPath{Flow: fl, Path: f.path(fl, &traces[i])}
-		traces[i].contribs = f.loadContribsTraced(fl, &traces[i])
-	})
-	return mergeLoads(paths, traces), traces
+	res, traces, _ := f.forward(flows, true, nil, nil, nil)
+	return res, traces
 }
 
 // Resimulate forwards only the flows whose base trace touches a changed
 // device, a changed (device, target) IGP query, or a changed RIB prefix
 // covering the flow's destination, copying the base path and contributions
 // for every other flow. It returns the new result, the new traces, and the
-// number of flows reused.
+// number of flows reused. The result is byte-identical to a full simulation
+// whatever subset was recomputed.
 //
-// The load merge replays every flow's contributions in flow order — exactly
-// the order Simulate uses — so the floating-point sums are byte-identical to
-// a full simulation whatever subset was recomputed.
-//
-// flows must be the same slice contents the base was simulated with.
+// flows must be the same slice contents the base was simulated with; base
+// traces of another length are not reused.
 func (f *Forwarder) Resimulate(flows []netmodel.Flow, base *Result, baseTraces []Trace, changed map[string]bool, hopsChanged map[string]map[string]bool, ribDiff map[string][]netip.Prefix) (*Result, []Trace, int) {
-	if len(flows) == 0 {
-		return &Result{Load: make(netmodel.LinkLoad)}, nil, 0
-	}
-	if len(baseTraces) != len(flows) || len(base.Paths) != len(flows) {
-		// Base mismatch: recompute everything.
-		res, traces := f.SimulateTraced(flows)
-		return res, traces, 0
-	}
-	paths := make([]FlowPath, len(flows))
-	traces := make([]Trace, len(flows))
-	var redo []int
-	reused := 0
-	for i := range flows {
-		if baseTraces[i].Touches(changed, hopsChanged) || baseTraces[i].TouchesRIB(ribDiff, flows[i].Dst) {
-			redo = append(redo, i)
-			continue
-		}
-		paths[i] = base.Paths[i]
-		traces[i] = baseTraces[i]
-		reused++
-	}
-	par.ForEach(f.opts.Parallelism, len(redo), func(j int) {
-		if f.opts.ctxDone() {
-			return
-		}
-		i := redo[j]
-		fl := flows[i]
-		paths[i] = FlowPath{Flow: fl, Path: f.path(fl, &traces[i])}
-		traces[i].contribs = f.loadContribsTraced(fl, &traces[i])
-	})
-	return mergeLoads(paths, traces), traces, reused
-}
-
-// mergeLoads sums every flow's link shares sequentially in flow order.
-func mergeLoads(paths []FlowPath, traces []Trace) *Result {
-	res := &Result{Paths: paths, Load: make(netmodel.LinkLoad)}
-	for i := range traces {
-		for _, c := range traces[i].contribs {
-			res.Load[c.link] += c.volume
+	var reuse func(i int) bool
+	if len(baseTraces) == len(flows) && len(base.Paths) == len(flows) {
+		reuse = func(i int) bool {
+			return !baseTraces[i].Touches(changed, hopsChanged) && !baseTraces[i].TouchesRIB(ribDiff, flows[i].Dst)
 		}
 	}
-	return res
+	return f.forward(flows, true, reuse, base, baseTraces)
 }
