@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build cli-smoke fmt-check test test-shuffle test-procs vet lint-toggles race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check loc
+.PHONY: all build cli-smoke fmt-check test test-shuffle test-procs test-allocs vet lint-toggles race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check loc
 
 all: check
 
@@ -71,6 +71,12 @@ test-shuffle:
 test-procs:
 	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/netmodel ./internal/intent ./internal/serve ./internal/ec ./internal/traffic ./internal/dsim ./internal/pipeline || exit 1; done
 
+# The allocation pins (the Alloc tests and TestRIBGrow) fifty times each at
+# GOMAXPROCS 2 and 8: a pin that counts another goroutine's allocation fails
+# here rather than now and then in tier-1.
+test-allocs:
+	for p in 2 8; do GOMAXPROCS=$$p $(GO) test -count=50 -run 'Alloc|TestRIBGrow' ./internal/netmodel ./internal/bgp ./internal/core ./internal/wire ./internal/rcl ./internal/intent || exit 1; done
+
 # Race-detector pass over every package: the parallel engine hot paths (SPF,
 # forwarding, ECs, config parse) and the concurrent-engine tests must stay
 # race-clean on every PR.
@@ -122,5 +128,6 @@ trace:
 	$(GO) run ./cmd/hoyan-exp -scale 1 -trace trace.json report
 
 # Everything CI runs except the trace demo: formatting, the CLI smoke, then tier-1 twice
-# shuffled and at 1, 2 and 8 procs, then race, smokes, chaos and the benchmark.
-check: fmt-check vet lint-toggles build cli-smoke test-shuffle test-procs race bench-smoke fuzz-smoke chaos chaos-restart benchmark
+# shuffled and at 1, 2 and 8 procs, the allocation pins fifty times at 2 and 8
+# procs, then race, smokes, chaos and the benchmark.
+check: fmt-check vet lint-toggles build cli-smoke test-shuffle test-procs test-allocs race bench-smoke fuzz-smoke chaos chaos-restart benchmark

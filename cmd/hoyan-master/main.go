@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"time"
 
 	"hoyan/internal/dsim"
@@ -84,32 +83,12 @@ func main() {
 		health telemetry.Health
 	)
 	if *dataDir != "" {
-		dopts := durable.Options{Fsync: fsync}
-		disk, err := objstore.OpenDisk(filepath.Join(*dataDir, "objstore"), dopts, reg)
+		svc, closeAll, healthy, err := dsim.OpenDurable(*dataDir, durable.Options{Fsync: fsync}, reg)
 		if err != nil {
 			fatal(err)
 		}
-		db, err := taskdb.OpenDurable(filepath.Join(*dataDir, "taskdb.wal"), dopts, reg)
-		if err != nil {
-			fatal(err)
-		}
-		dq, err := mq.OpenDurable(filepath.Join(*dataDir, "mq.wal"), dopts, reg)
-		if err != nil {
-			fatal(err)
-		}
-		closers.Add("objstore", disk.Close)
-		closers.Add("taskdb", db.Close)
-		closers.Add("mq", func() error { dq.Close(); return nil })
-		checks := []func() error{disk.Healthy, db.Healthy, dq.Healthy}
-		health = func() error {
-			for _, c := range checks {
-				if err := c(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		qsrv, ssrv, tsrv = dq, disk, db
+		closers.Add("substrates", closeAll)
+		qsrv, ssrv, tsrv, health = svc.Queue, svc.Store, svc.Tasks, healthy
 		fmt.Printf("durable substrates under %s (fsync=%s)\n", *dataDir, fsync)
 	}
 

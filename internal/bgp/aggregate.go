@@ -15,10 +15,7 @@ func (s *sim) refreshAggregate(k tableKey, t *table, a config.Aggregate) bool {
 	contributors := s.contributors(t.rib, a.Prefix)
 	active := len(contributors) > 0
 
-	if t.aggOn == nil {
-		t.aggOn = make(map[netip.Prefix]bool)
-	}
-	wasOn := t.aggActive(a.Prefix)
+	wasOn := t.aggOn.Get(a.Prefix)
 
 	d := s.net.Devices[k.dev]
 	prof := s.profileOf(k.dev)
@@ -26,7 +23,7 @@ func (s *sim) refreshAggregate(k tableKey, t *table, a config.Aggregate) bool {
 	// Remove any existing aggregate candidate.
 	var kept []cand
 	var old *cand
-	for _, c := range t.localsAt(a.Prefix) {
+	for _, c := range t.locals.Get(a.Prefix) {
 		if c.route.Protocol == netmodel.ProtoAggregate {
 			cc := c
 			old = &cc
@@ -36,7 +33,7 @@ func (s *sim) refreshAggregate(k tableKey, t *table, a config.Aggregate) bool {
 	}
 
 	if !active {
-		t.aggOn[a.Prefix] = false
+		t.aggOn.Set(a.Prefix, false)
 		t.setLocals(a.Prefix, kept)
 		return wasOn || old != nil
 	}
@@ -70,7 +67,7 @@ func (s *sim) refreshAggregate(k tableKey, t *table, a config.Aggregate) bool {
 		Source: k.dev, Peer: "aggregate",
 	}}
 	t.setLocals(a.Prefix, append(kept, newCand))
-	t.aggOn[a.Prefix] = true
+	t.aggOn.Set(a.Prefix, true)
 	if old == nil || !old.route.ASPath.Equal(asPath) {
 		return true
 	}

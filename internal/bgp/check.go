@@ -129,9 +129,7 @@ func Check(net *config.Network, igp *isis.Result, inputs []netmodel.Route, rib *
 		}
 	}
 	for k, t := range s.tables {
-		for p := range t.locals {
-			visit(k, p)
-		}
+		t.locals.All(func(p netip.Prefix, _ []cand) { visit(k, p) })
 	}
 	for k, m := range c.in {
 		for p := range m {
@@ -161,11 +159,11 @@ type checker struct {
 	errs    CheckError
 }
 
-// locals returns table k's originated candidates (aggregates included once
-// aggregates has run).
-func (c *checker) locals(k tableKey) map[netip.Prefix][]cand {
+// locals returns table k's originated candidates at p (aggregates included
+// once aggregates has run).
+func (c *checker) locals(k tableKey, p netip.Prefix) []cand {
 	if t := c.s.tables[k]; t != nil {
-		return t.locals
+		return t.locals.Get(p)
 	}
 	return nil
 }
@@ -199,7 +197,7 @@ func (c *checker) aggregates() {
 			if installed != (len(contrib) > 0) {
 				c.violation(KindAggregate, k, a.Prefix, c.inst[k][a.Prefix], contrib)
 			}
-			locals := c.locals(k)[a.Prefix]
+			locals := c.locals(k, a.Prefix)
 			locals = slices.DeleteFunc(slices.Clone(locals), func(l cand) bool { return l.route.Protocol == netmodel.ProtoAggregate })
 			if len(contrib) > 0 {
 				var path netmodel.ASPath
@@ -221,10 +219,8 @@ func (c *checker) aggregates() {
 					c.summary[k] = append(c.summary[k], a.Prefix)
 				}
 			}
-			if len(locals) > 0 {
-				c.s.localsOf(k)[a.Prefix] = locals
-			} else {
-				delete(c.locals(k), a.Prefix)
+			if len(locals) > 0 || c.s.tables[k] != nil {
+				c.s.own(k).setLocals(a.Prefix, locals)
 			}
 		}
 	}
@@ -341,7 +337,7 @@ func (c *checker) candOf(k tableKey, r netmodel.Route) cand {
 	cd := cand{igpCost: r.IGPCost, viaSR: r.ViaSR}
 	r.IGPCost, r.ViaSR, r.RouteType = 0, false, netmodel.RouteCandidate
 	cd.route = r
-	for _, l := range c.locals(k)[r.Prefix] {
+	for _, l := range c.locals(k, r.Prefix) {
 		if l.route.Peer == r.Peer && l.route.Protocol == r.Protocol && l.route.NextHop == r.NextHop {
 			cd.local, cd.ebgp, cd.direct32 = l.local, l.ebgp, l.direct32
 			return cd
@@ -438,14 +434,14 @@ func (c *checker) receive(to tableKey, p netip.Prefix, from string, ebgp bool, f
 // to the IGP cost (distinct next hops, up to maximum-paths) ECMP, then the
 // unresolved ones.
 func (c *checker) bestPath(k tableKey, p netip.Prefix) []netmodel.Route {
-	cands := slices.Clone(c.locals(k)[p])
+	cands := slices.Clone(c.locals(k, p))
 	cell := c.in[k][p]
-	froms := make([]string, 0, len(cell))
+	senders := make([]string, 0, len(cell))
 	for from := range cell {
-		froms = append(froms, from)
+		senders = append(senders, from)
 	}
-	slices.Sort(froms)
-	for _, from := range froms {
+	slices.Sort(senders)
+	for _, from := range senders {
 		cands = append(cands, cell[from]...)
 	}
 	var sorted, unresolved []cand

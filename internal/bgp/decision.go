@@ -58,24 +58,22 @@ func (s *sim) decideAndAdvertise() []msg {
 			}
 			return pa.Addr().Compare(pb.Addr())
 		})
-		if t.lastAdv == nil {
-			t.lastAdv = make(map[netip.Prefix]string, s.tableHint(k, t))
-		}
 		if t.rib == nil {
-			t.rib = netmodel.NewRIBSized(k.dev, k.vrf, s.tableHint(k, t))
+			hint := s.tableHint(k, t)
+			t.rib = netmodel.NewRIBSized(k.dev, k.vrf, hint)
+			t.lastAdv.Grow(hint)
 		}
-		la, rib := t.lastAdv, t.rib
+		rib := t.rib
 		for _, pid := range pids {
 			p := s.pfxs[pid]
 			best, sorted, rows := s.decide(ti, t, p)
 			rib.ReplaceOwned(p, rows)
-			s.noteInstall(t, p, rows)
 			sig := appendAdvSignature(s.sigScratch[:0], sorted)
 			s.sigScratch = sig
 			if t.advOf(p) == string(sig) { // alloc-free comparison
 				continue // steady state for this prefix
 			}
-			la[p] = string(sig)
+			t.lastAdv.Set(p, string(sig))
 			out = s.advertiseInto(out, ti, p, pid, best, sorted)
 			out = s.leakInto(out, ti, p, pid, best)
 			out = s.updateAggregatesInto(out, ti, tid, p)
@@ -100,15 +98,15 @@ func (s *sim) decideAndAdvertise() []msg {
 // to the caller (the RIB adopts them via ReplaceOwned).
 func (s *sim) decide(ti *tableInfo, t *table, p netip.Prefix) (best, sorted []cand, rows []netmodel.Route) {
 	cands := s.candScratch[:0]
-	cands = append(cands, t.localsAt(p)...)
-	byFrom := t.froms(p)
-	froms := s.fromScratch[:0]
+	cands = append(cands, t.locals.Get(p)...)
+	byFrom := t.adjIn.Get(p)
+	senders := s.fromScratch[:0]
 	for from := range byFrom {
-		froms = append(froms, from)
+		senders = append(senders, from)
 	}
-	slices.Sort(froms)
-	s.fromScratch = froms
-	for _, from := range froms {
+	slices.Sort(senders)
+	s.fromScratch = senders
+	for _, from := range senders {
 		cands = append(cands, byFrom[from]...)
 	}
 
@@ -608,7 +606,7 @@ func (s *sim) shouldPropagate(sess *session, c *cand, isRR bool) bool {
 func (s *sim) suppressedByAggregate(d *config.Device, vrf string, p netip.Prefix) bool {
 	for _, a := range d.Aggregates {
 		if a.VRF == vrf && a.SummaryOnly && a.Prefix.Bits() < p.Bits() && a.Prefix.Contains(p.Addr()) {
-			if s.tables[tableKey{d.Name, vrf}].aggActive(a.Prefix) {
+			if s.tables[tableKey{d.Name, vrf}].aggOn.Get(a.Prefix) {
 				return true
 			}
 		}

@@ -170,8 +170,8 @@ func (s *sim) markTable(k tableKey) {
 		return
 	}
 	tid := s.tidOf(k)
-	t.eachLocal(func(p netip.Prefix, _ []cand) { s.markDirty(tid, s.pidOf(p)) })
-	t.eachAdjIn(func(p netip.Prefix, _ map[string][]cand) { s.markDirty(tid, s.pidOf(p)) })
+	t.locals.All(func(p netip.Prefix, _ []cand) { s.markDirty(tid, s.pidOf(p)) })
+	t.adjIn.All(func(p netip.Prefix, _ map[string][]cand) { s.markDirty(tid, s.pidOf(p)) })
 	if t.rib != nil {
 		for _, p := range t.rib.Prefixes() {
 			s.markDirty(tid, s.pidOf(p))
@@ -410,7 +410,7 @@ func (s *sim) updateAggregatesInto(out []msg, ti *tableInfo, tid int32, p netip.
 				if t.rib != nil {
 					for _, cp := range t.rib.Prefixes() {
 						if cp != a.Prefix && cp.Bits() > a.Prefix.Bits() && a.Prefix.Contains(cp.Addr()) {
-							t.lastAdv[cp] = "" // no routes' signature: re-advertise
+							t.lastAdv.Set(cp, "") // no routes' signature: re-advertise
 							out = append(out, msg{
 								to: k.dev, vrf: k.vrf, from: "agg:refresh", prefix: cp,
 								tid: tid, pid: s.pidOf(cp),

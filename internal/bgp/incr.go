@@ -78,11 +78,12 @@ type ResimStats struct {
 	// TablesTotal is the number of tables in the base state.
 	TablesTotal int
 	// ChangedPrefixes holds, per table, the prefixes whose rows differ from
-	// the base state: each decision compares the rows it installs with the
-	// base table's (O(decisions), not O(tables)). A table listed here is the
-	// restart's own — an Overlay of the State's table, or new — so writing it
-	// never reaches the State; any other may be the State's own. A purged
-	// device's tables are in neither.
+	// the base state, read off the RIBs of the records the restart owns
+	// (netmodel.RIB.Changed): in an Overlay of the State's table, the own
+	// writes not Identical to the State's rows; in a table new to the restart,
+	// every prefix. It costs O(cells written), not O(tables). A table listed
+	// here is the restart's own, so writing it never reaches the State; any
+	// other may be the State's own. A purged device's tables are in neither.
 	ChangedPrefixes map[Table]map[netip.Prefix]bool
 }
 
@@ -163,13 +164,16 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 	clear((*buf)[:cap(*buf)])
 	st.msgBufs.Put(buf)
 
-	// Many seeded-dirty tables re-decide to exactly their base rows; what is
-	// left in the records' changed sets is what the downstream stages
-	// (expansion, global-RIB emission, flow re-forwarding) have to redo.
+	// Many seeded-dirty tables re-decide to exactly their base rows; what
+	// differs is what the downstream stages (expansion, global-RIB emission,
+	// flow re-forwarding) have to redo.
 	stats.ChangedPrefixes = make(map[Table]map[netip.Prefix]bool)
 	for k, t := range s.tables {
-		if len(t.changed) > 0 {
-			stats.ChangedPrefixes[Table{k.dev, k.vrf}] = t.changed
+		if t.shared || t.rib == nil {
+			continue
+		}
+		if ps := t.rib.Changed(); ps != nil {
+			stats.ChangedPrefixes[Table{k.dev, k.vrf}] = ps
 		}
 	}
 	return res, stats
@@ -193,7 +197,6 @@ func (st *State) restart(ctx context.Context, net *config.Network, igp *isis.Res
 	if st.tables != nil {
 		s.tables = maps.Clone(st.tables)
 	}
-	s.warm = st.originated != nil
 	s.carried = st.carried
 	st.seedChanges(s, inputs, d)
 	st.seedResolution(s, d)
@@ -234,21 +237,20 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) {
 		return
 	}
 	fresh := s.sibling()
-	if !s.warm {
+	if st.originated == nil {
 		fresh.carried = make(map[netip.Prefix]bool)
 		s.carried = fresh.carried
 	}
 	fresh.originateLocals(inputs, reached)
-	diff := func(k tableKey, old *table, now map[netip.Prefix][]cand) {
-		prefixes := make(map[netip.Prefix]bool, len(now))
-		old.eachLocal(func(p netip.Prefix, _ []cand) { prefixes[p] = true })
-		for p := range now {
-			prefixes[p] = true
-		}
+	diff := func(k tableKey, old, now *table) {
+		prefixes := make(map[netip.Prefix]bool, now.locals.OwnLen())
+		mark := func(p netip.Prefix, _ []cand) { prefixes[p] = true }
+		old.locals.All(mark)
+		now.locals.All(mark)
 		for p := range prefixes {
-			oldPlain, oldAggs := splitAggregates(old.localsAt(p))
-			newPlain := now[p]
-			if candsEqual(oldPlain, newPlain) {
+			oldPlain, oldAggs := splitAggregates(old.locals.Get(p))
+			newPlain := now.locals.Get(p)
+			if candsSame(oldPlain, newPlain) {
 				continue
 			}
 			s.own(k).setLocals(p, slices.Concat(newPlain, oldAggs))
@@ -257,12 +259,12 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) {
 	}
 	for k, t := range s.tables {
 		if reached[k.dev] && fresh.tables[k] == nil {
-			diff(k, t, nil)
+			diff(k, t, &table{})
 		}
 	}
 	for k, f := range fresh.tables {
 		if old := s.tables[k]; old != nil {
-			diff(k, old, f.locals)
+			diff(k, old, f)
 			continue
 		}
 		s.tables[k] = f
@@ -291,12 +293,12 @@ func (st *State) diffSessions(s *sim, purged map[string]bool) {
 			newSess[id] = true
 			if !baseSess[id] || restarted(id) {
 				// Added: the local side must (re-)advertise everything it has
-				// in this vrf. Forgetting every signature forces the
-				// re-advertisement even where the decision is unchanged.
+				// in this vrf. Hiding the State's signatures (readvertise)
+				// forces the re-advertisement even where the decision is
+				// unchanged; the restart has advertised nothing yet.
 				k := tableKey{sess.local, sess.vrf}
 				if t := s.tables[k]; t != nil && !t.readvertise {
-					o := s.own(k)
-					o.lastAdv, o.readvertise = nil, true
+					s.own(k).readvertise = true
 				}
 				s.markTable(k)
 			}
@@ -313,7 +315,7 @@ func (st *State) diffSessions(s *sim, purged map[string]bool) {
 			continue // table already purged, or nothing to drop
 		}
 		tid := s.tidOf(k)
-		t.eachAdjIn(func(p netip.Prefix, byFrom map[string][]cand) {
+		t.adjIn.All(func(p netip.Prefix, byFrom map[string][]cand) {
 			if _, ok := byFrom[id.local]; ok {
 				delete(s.own(k).ownFroms(p), id.local)
 				s.markDirty(tid, s.pidOf(p))
@@ -395,28 +397,6 @@ func (st *State) seedResolution(s *sim, d Delta) {
 	}
 }
 
-// noteInstall records, in a warm restart, whether the rows a decision just
-// installed for p in record t differ from the captured state's. A prefix
-// decided again in a later round is judged again, so the set reflects the
-// final rows.
-func (s *sim) noteInstall(t *table, p netip.Prefix, rows []netmodel.Route) {
-	if !s.warm {
-		return
-	}
-	var base []netmodel.Route
-	if t.under != nil && t.under.rib != nil {
-		base = t.under.rib.Routes(p)
-	}
-	if slices.EqualFunc(rows, base, netmodel.Route.Identical) {
-		delete(t.changed, p)
-		return
-	}
-	if t.changed == nil {
-		t.changed = make(map[netip.Prefix]bool)
-	}
-	t.changed[p] = true
-}
-
 // indexOwners builds every record's owners from its captured candidates.
 // Resolution reads the IGP only as dist(table's device, owner of the next
 // hop): local non-static candidates resolve trivially; next hops owned by the
@@ -443,14 +423,12 @@ func (st *State) indexOwners(net *config.Network) {
 				}
 			}
 		}
-		for p, cs := range t.locals {
-			add(p, cs)
-		}
-		for p, byFrom := range t.adjIn {
+		t.locals.All(add)
+		t.adjIn.All(func(p netip.Prefix, byFrom map[string][]cand) {
 			for _, cs := range byFrom {
 				add(p, cs)
 			}
-		}
+		})
 	}
 }
 
@@ -486,43 +464,21 @@ func splitAggregates(cs []cand) (plain, aggs []cand) {
 	return plain, aggs
 }
 
-func candsEqual(a, b []cand) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !candEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func candEqual(a, b cand) bool {
-	if a.ebgp != b.ebgp || a.local != b.local || a.direct32 != b.direct32 {
-		return false
-	}
-	ra, rb := a.route, b.route
-	return ra.AttrsEqual(rb) && ra.Peer == rb.Peer && ra.Source == rb.Source &&
-		ra.IGPCost == rb.IGPCost && ra.ViaSR == rb.ViaSR
-}
-
 // own returns table k's record ready for writing: created when the sim has
-// none, overlaid when it is still a captured State's. Every write path to
+// none, laid over the State's when that is all it has. Every write path to
 // per-table state goes through it, so a warm restart allocates a record for
 // exactly the tables it touches, and copies no map: the overlay's prefix maps
-// start empty and hold only the restart's writes, its RIB is an Overlay of
-// the State's, and reads of the rest fall through to the State's record (the
-// accessors below). The leaf candidate/route slices stay shared for good —
-// the fixpoint only installs fresh slices, so they are never written through
-// either side.
+// are Layers over the State's, empty until the restart writes them, and its
+// RIB is an Overlay of the State's. The leaf candidate/route slices stay
+// shared for good — the fixpoint only installs fresh slices, so they are
+// never written through either side.
 func (s *sim) own(k tableKey) *table {
 	t := s.tables[k]
 	switch {
 	case t == nil:
 		t = &table{}
 	case t.shared:
-		o := &table{under: t}
+		o := &table{adjIn: t.adjIn.Over(), locals: t.locals.Over(), lastAdv: t.lastAdv.Over(), aggOn: t.aggOn.Over(), overlay: true}
 		if t.rib != nil {
 			o.rib = t.rib.Overlay()
 		}
@@ -535,99 +491,41 @@ func (s *sim) own(k tableKey) *table {
 }
 
 // ownFroms returns the record's adj-RIB-in cell for p, created when there is
-// none, safe to write; the record is one own returned. A cell in the record's
-// own map is private by construction; in an overlay, under's cell is copied
-// into it on its first write: copy-on-write costs O(cells written), not
-// O(cells of every table touched).
+// none, safe to write; the record is one own returned. A cell the record
+// holds itself is private by construction; in an overlay, the State's cell is
+// copied into it on its first write: copy-on-write costs O(cells written),
+// not O(cells of every table touched).
 func (t *table) ownFroms(p netip.Prefix) map[string][]cand {
-	if byFrom := t.adjIn[p]; byFrom != nil {
+	byFrom, mine := t.adjIn.Lookup(p)
+	if mine && byFrom != nil {
 		return byFrom
 	}
-	byFrom := maps.Clone(t.froms(p))
-	if byFrom == nil {
+	if byFrom = maps.Clone(byFrom); byFrom == nil {
 		byFrom = make(map[string][]cand, 1)
 	}
-	if t.adjIn == nil {
-		t.adjIn = make(map[netip.Prefix]map[string][]cand)
-	}
-	t.adjIn[p] = byFrom
+	t.adjIn.Set(p, byFrom)
 	return byFrom
 }
 
-// froms, localsAt, advOf and aggActive read the record's entry for p: its
-// own, tombstone included, else under's. Once readvertise is set, advOf reads
-// under's signature only to tell whether under advertised p at all: if so it
-// returns a value no signature matches, so the next decision re-advertises,
-// and an empty one withdraws what under advertised.
-func (t *table) froms(p netip.Prefix) map[string][]cand {
-	if byFrom, mine := t.adjIn[p]; mine || t.under == nil {
-		return byFrom
-	}
-	return t.under.adjIn[p]
-}
-
-func (t *table) localsAt(p netip.Prefix) []cand {
-	if cs, mine := t.locals[p]; mine || t.under == nil {
-		return cs
-	}
-	return t.under.locals[p]
-}
-
+// advOf returns the signature the record last advertised for p. Once
+// readvertise is set, it reads the State's signature only to tell whether
+// the State advertised p at all: if so it returns a value no signature
+// matches, so the next decision re-advertises, and an empty one withdraws
+// what the State advertised.
 func (t *table) advOf(p netip.Prefix) string {
-	if sig, mine := t.lastAdv[p]; mine || t.under == nil {
-		return sig
-	}
-	if sig := t.under.lastAdv[p]; sig == "" || !t.readvertise {
+	sig, mine := t.lastAdv.Lookup(p)
+	if mine || sig == "" || !t.readvertise {
 		return sig
 	}
 	return "\xff" // a signature is empty or far longer (appendAdvSignature)
 }
 
-func (t *table) aggActive(p netip.Prefix) bool {
-	if on, mine := t.aggOn[p]; mine || t.under == nil {
-		return on
-	}
-	return t.under.aggOn[p]
-}
-
 // setLocals installs the record's local candidates for p; an empty slice
-// removes p — in an overlay, by a tombstone hiding under's entry.
+// removes p.
 func (t *table) setLocals(p netip.Prefix, cs []cand) {
-	if len(cs) == 0 && t.under == nil {
-		delete(t.locals, p)
-		return
-	}
-	if t.locals == nil {
-		t.locals = make(map[netip.Prefix][]cand)
-	}
-	t.locals[p] = cs
-}
-
-// eachAdjIn and eachLocal call f on every entry of the record, own entries
-// laid over under's: a tombstone is passed as such, and hides under's entry.
-func (t *table) eachAdjIn(f func(netip.Prefix, map[string][]cand)) {
-	var under map[netip.Prefix]map[string][]cand
-	if t.under != nil {
-		under = t.under.adjIn
-	}
-	overlaid(t.adjIn, under, f)
-}
-
-func (t *table) eachLocal(f func(netip.Prefix, []cand)) {
-	var under map[netip.Prefix][]cand
-	if t.under != nil {
-		under = t.under.locals
-	}
-	overlaid(t.locals, under, f)
-}
-
-func overlaid[V any](own, under map[netip.Prefix]V, f func(netip.Prefix, V)) {
-	for p, v := range own {
-		f(p, v)
-	}
-	for p, v := range under {
-		if _, hidden := own[p]; !hidden {
-			f(p, v)
-		}
+	if len(cs) == 0 {
+		t.locals.Delete(p)
+	} else {
+		t.locals.Set(p, cs)
 	}
 }

@@ -56,12 +56,12 @@ func scanDistAffected(s *sim, k tableKey, cd map[string]bool) {
 	if t == nil {
 		return
 	}
-	t.eachLocal(func(p netip.Prefix, cs []cand) {
+	t.locals.All(func(p netip.Prefix, cs []cand) {
 		if affects(cs) {
 			s.markDirty(s.tidOf(k), s.pidOf(p))
 		}
 	})
-	t.eachAdjIn(func(p netip.Prefix, byFrom map[string][]cand) {
+	t.adjIn.All(func(p netip.Prefix, byFrom map[string][]cand) {
 		for _, cs := range byFrom {
 			if affects(cs) {
 				s.markDirty(s.tidOf(k), s.pidOf(p))
@@ -189,12 +189,8 @@ func TestDistAffectedWorkPinned(t *testing.T) {
 		st.markDistAffected(byIndex, k, cd)
 		scanDistAffected(byScan, k, cd)
 		seen := make(map[netip.Prefix]bool)
-		for p := range tbl.locals {
-			seen[p] = true
-		}
-		for p := range tbl.adjIn {
-			seen[p] = true
-		}
+		tbl.locals.All(func(p netip.Prefix, _ []cand) { seen[p] = true })
+		tbl.adjIn.All(func(p netip.Prefix, _ map[string][]cand) { seen[p] = true })
 		inTables += len(seen)
 	}
 	indexed, scanned := byIndex.dirtyPairs(), byScan.dirtyPairs()
@@ -219,14 +215,23 @@ func restartSim(st *State, net *config.Network, igp *isis.Result, inputs []netmo
 	return s, s.runDense()
 }
 
-// overlayEntries counts the entries of the four prefix maps across the sim's
-// overlay records, and across the State's records under them.
-func overlayEntries(s *sim) (own, under int) {
-	n := func(t *table) int { return len(t.adjIn) + len(t.locals) + len(t.lastAdv) + len(t.aggOn) }
-	for _, t := range s.tables {
-		if t.under != nil {
+// flat reads a layer back as a plain map.
+func flat[V any](l *netmodel.Layer[netip.Prefix, V]) map[netip.Prefix]V {
+	out := make(map[netip.Prefix]V)
+	l.All(func(p netip.Prefix, v V) { out[p] = v })
+	return out
+}
+
+// overlayEntries counts the own entries of the four prefix layers across the
+// sim's overlay records, and the entries of the State's records under them.
+func overlayEntries(st *State, s *sim) (own, under int) {
+	n := func(t *table) int {
+		return t.adjIn.OwnLen() + t.locals.OwnLen() + t.lastAdv.OwnLen() + t.aggOn.OwnLen()
+	}
+	for k, t := range s.tables {
+		if t.overlay {
 			own += n(t)
-			under += n(t.under)
+			under += n(st.tables[k])
 		}
 	}
 	return own, under
@@ -259,7 +264,7 @@ func TestOverlayWorkPinned(t *testing.T) {
 		t.Errorf("link fork reaches %v, want no device", r)
 	}
 	s, res := restartSim(st, net2, igp2, out.Inputs, d)
-	own, under := overlayEntries(s)
+	own, under := overlayEntries(st, s)
 	t.Logf("overlay records hold %d entries over %d in the State's", own, under)
 	const want = 1153
 	if own != want || 10*own > under {
@@ -342,19 +347,17 @@ func snapshotState(st *State) map[tableKey]map[*table]recordSnap {
 	for k, t := range st.tables {
 		r := recordSnap{
 			adjIn: make(map[netip.Prefix]map[string][]cand), locals: make(map[netip.Prefix][]cand),
-			rows: make(map[netip.Prefix][]netmodel.Route), lastAdv: maps.Clone(t.lastAdv), aggOn: maps.Clone(t.aggOn),
+			rows: make(map[netip.Prefix][]netmodel.Route), lastAdv: flat(&t.lastAdv), aggOn: flat(&t.aggOn),
 			owners: make(map[string][]netip.Prefix), shared: t.shared,
-			warm: t.under != nil || t.readvertise || t.changed != nil,
+			warm: t.overlay || t.readvertise,
 		}
-		for p, byFrom := range t.adjIn {
+		t.adjIn.All(func(p netip.Prefix, byFrom map[string][]cand) {
 			r.adjIn[p] = make(map[string][]cand, len(byFrom))
 			for from, cs := range byFrom {
 				r.adjIn[p][from] = slices.Clone(cs)
 			}
-		}
-		for p, cs := range t.locals {
-			r.locals[p] = slices.Clone(cs)
-		}
+		})
+		t.locals.All(func(p netip.Prefix, cs []cand) { r.locals[p] = slices.Clone(cs) })
 		if t.rib != nil {
 			for _, p := range t.rib.Prefixes() {
 				r.rows[p] = slices.Clone(t.rib.Routes(p))
@@ -452,6 +455,126 @@ func TestEmptyDeltaPrivatizesNothing(t *testing.T) {
 		for k, rib := range res.ribs {
 			if st.tables[k] == nil || rib != st.tables[k].rib {
 				t.Fatalf("parallelism %d: table %v is not the State's own RIB", p, k)
+			}
+		}
+	}
+}
+
+// changedExact checks a restart's ChangedPrefixes against its rows and the
+// State's. A table the State holds and the restart did not purge lists a
+// prefix iff the restart's rows there are not Identical, in stored order, to
+// the State's. A table new to the restart (none in the State, or one of a
+// purged device back up) lists every prefix it holds, and a table the restart
+// dropped (a purged device that is down) is listed nowhere.
+func changedExact(st *State, d Delta, res *Result, stats *ResimStats) error {
+	for tb := range stats.ChangedPrefixes {
+		if res.ribs[tableKey{tb.Device, tb.VRF}] == nil {
+			return fmt.Errorf("table %v is listed but not in the result", tb)
+		}
+	}
+	for k, rib := range res.ribs {
+		var base *netmodel.RIB
+		if old := st.tables[k]; old != nil && !slices.Contains(d.Purged, k.dev) {
+			base = old.rib
+		}
+		prefixes := make(map[netip.Prefix]bool)
+		for _, p := range rib.Prefixes() {
+			prefixes[p] = true
+		}
+		if base != nil {
+			for _, p := range base.Prefixes() {
+				prefixes[p] = true
+			}
+		}
+		listed := stats.ChangedPrefixes[Table{k.dev, k.vrf}]
+		for p := range listed {
+			if !prefixes[p] {
+				return fmt.Errorf("table %v lists %s, which neither it nor the State's holds", k, p)
+			}
+		}
+		for p := range prefixes {
+			var was []netmodel.Route
+			if base != nil {
+				was = base.Routes(p)
+			}
+			if want := !slices.EqualFunc(rib.Routes(p), was, netmodel.Route.Identical); listed[p] != want {
+				return fmt.Errorf("table %v (new %v): %s listed %v, want %v", k, base == nil, p, listed[p], want)
+			}
+		}
+	}
+	return nil
+}
+
+// TestChangedPrefixesExact: over link-down, node-down, node-up, input and
+// configuration (Purged) deltas, at WAN(2) and WAN(3) and base parallelism 1
+// and 0, a restart's ChangedPrefixes lists exactly the (table, prefix) pairs
+// whose rows moved off the State's (changedExact), and the restart equals a
+// from-scratch run.
+func TestChangedPrefixesExact(t *testing.T) {
+	for _, scale := range []int{2, 3} {
+		out := gen.Generate(gen.WAN(scale))
+		igp := isis.Compute(out.Net.Topo, isis.Options{})
+		links, names := out.Net.Topo.Links(), out.Net.Topo.NodeNames()
+		node := names[len(names)/2]
+		downNet, downIGP, _ := topoDelta(out.Net, igp, nil, []string{node})
+		up := Delta{DistChanged: make(map[string]map[string]bool)}
+		for _, src := range out.Net.Topo.NodeNames() {
+			if dc, _ := isis.Diff(downIGP, igp, src); len(dc) > 0 {
+				up.DistChanged[src] = dc
+			}
+		}
+		var inputs2 []netmodel.Route
+		for i, r := range out.Inputs {
+			if r.Device == out.Inputs[len(out.Inputs)-1].Device {
+				continue // every input of one device withdrawn
+			}
+			if i == 0 {
+				r.MED++
+			}
+			inputs2 = append(inputs2, r)
+		}
+		// A configuration change: the device holding the first input loses
+		// its first network statement, or is restarted as it is.
+		cfgNet, cfgDev := out.Net.Clone(), out.Inputs[0].Device
+		if dev := cfgNet.Devices[cfgDev]; len(dev.Networks) > 0 {
+			dev.Networks = dev.Networks[1:]
+		}
+		cfgIGP := isis.Compute(cfgNet.Topo, isis.Options{})
+		for _, par := range []int{1, 0} {
+			_, st := SimulateWithState(out.Net, igp, out.Inputs, Options{Parallelism: par})
+			_, downSt := SimulateWithState(downNet, downIGP, out.Inputs, Options{Parallelism: par})
+			type fork struct {
+				name   string
+				st     *State
+				net    *config.Network
+				igp    *isis.Result
+				inputs []netmodel.Route
+				d      Delta
+			}
+			var forks []fork
+			for _, ids := range [][]netmodel.LinkID{{links[0].ID()}, {links[len(links)/3].ID(), links[len(links)/2].ID()}} {
+				net2, igp2, d := topoDelta(out.Net, igp, ids, nil)
+				forks = append(forks, fork{fmt.Sprintf("links %v down", ids), st, net2, igp2, out.Inputs, d})
+			}
+			net2, igp2, d := topoDelta(out.Net, igp, nil, []string{node})
+			forks = append(forks,
+				fork{node + " down", st, net2, igp2, out.Inputs, d},
+				fork{node + " up", downSt, out.Net, igp, out.Inputs, up},
+				fork{"inputs", st, out.Net, igp, inputs2, Delta{}},
+				fork{cfgDev + " reconfigured", st, cfgNet, cfgIGP, out.Inputs, Delta{Purged: []string{cfgDev}}},
+			)
+			for _, f := range forks {
+				label := fmt.Sprintf("WAN(%d), parallelism %d, %s", scale, par, f.name)
+				res, stats := f.st.ResimulateCtx(nil, f.net, f.igp, f.inputs, f.d)
+				if err := changedExact(f.st, f.d, res, stats); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if len(stats.ChangedPrefixes) == 0 {
+					t.Errorf("%s: nothing changed", label)
+				}
+				if ref := Simulate(f.net, f.igp, f.inputs, Options{Parallelism: 1}); !res.GlobalRIB().Equal(ref.GlobalRIB()) {
+					t.Fatalf("%s: differs from a from-scratch run", label)
+				}
 			}
 		}
 	}

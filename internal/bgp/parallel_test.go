@@ -273,16 +273,16 @@ func assertSameState(t *testing.T, label string, got, want *State) {
 		if w == nil {
 			w = &table{}
 		}
-		if !sameMap(g.adjIn, w.adjIn) {
+		if !sameMap(flat(&g.adjIn), flat(&w.adjIn)) {
 			t.Errorf("%s: adj-RIB-ins of %v differ", label, k)
 		}
-		if !sameMap(g.locals, w.locals) {
+		if !sameMap(flat(&g.locals), flat(&w.locals)) {
 			t.Errorf("%s: local candidates of %v differ", label, k)
 		}
-		if !sameMap(g.lastAdv, w.lastAdv) {
+		if !sameMap(flat(&g.lastAdv), flat(&w.lastAdv)) {
 			t.Errorf("%s: advertisement signatures of %v differ", label, k)
 		}
-		if !sameMap(g.aggOn, w.aggOn) {
+		if !sameMap(flat(&g.aggOn), flat(&w.aggOn)) {
 			t.Errorf("%s: aggregate activation of %v differs", label, k)
 		}
 		if (g.rib == nil) != (w.rib == nil) || g.rib != nil && !sameTable(g.rib, w.rib) {

@@ -185,30 +185,26 @@ type msg struct {
 // re-advertisements is what reaches the fixpoint) and whether each of its
 // aggregates is active. The other fields are warm-restart bookkeeping.
 //
-// A warm restart's record overlays the State's (under): its four prefix maps
-// hold only the restart's own writes, a removal there is a tombstone (an
-// empty cell or slice, "" or false) hiding under's entry, and reads go through the accessors in
-// incr.go (froms, localsAt, advOf, aggActive), which fall through to under.
+// A warm restart's record overlays the State's (sim.own): each of its four
+// prefix maps is a netmodel.Layer over the State's, holding only the
+// restart's own writes, and its RIB is an Overlay of the State's.
 type table struct {
-	adjIn   map[netip.Prefix]map[string][]cand
-	locals  map[netip.Prefix][]cand
+	adjIn   netmodel.Layer[netip.Prefix, map[string][]cand]
+	locals  netmodel.Layer[netip.Prefix, []cand]
 	rib     *netmodel.RIB
-	lastAdv map[netip.Prefix]string
-	aggOn   map[netip.Prefix]bool
+	lastAdv netmodel.Layer[netip.Prefix, string]
+	aggOn   netmodel.Layer[netip.Prefix, bool]
 
 	// shared marks a record a captured State holds. Any number of warm
 	// restarts read it at once, so none may write it: sim.own overlays it
 	// with a record of the restart's own first.
 	shared bool
 
-	// In an overlay own made: under is the State's record, whose RIB the
-	// overlay's RIB reads through to and noteInstall compares decisions
-	// against; readvertise, set when a session of the table came up, hides
-	// under's advertisement signatures so every prefix re-advertises; changed
-	// collects the prefixes whose rows the restart moved off under's.
-	under       *table
+	// overlay marks a record own laid over a State's. readvertise, set when a
+	// session of the table came up, hides the State's advertisement
+	// signatures so every prefix re-advertises (advOf).
+	overlay     bool
 	readvertise bool
-	changed     map[netip.Prefix]bool
 
 	// owners, in a State's record, indexes the prefixes holding a candidate
 	// whose next hop resolves through the IGP by the device owning that next
@@ -224,11 +220,6 @@ type sim struct {
 
 	sessions map[string][]*session
 	tables   map[tableKey]*table
-
-	// warm marks the restart of a captured State: decisions record in their
-	// table's changed set whether they moved its rows off the State's
-	// (noteInstall). The empty State is never captured.
-	warm bool
 
 	// carried holds the prefixes BGP can carry in this run: those of its BGP
 	// candidates (inputs, network statements, redistributed routes) and of
@@ -373,14 +364,15 @@ func (s *sim) envOf(d *config.Device) policy.Env {
 	})
 }
 
-// localsOf returns table k's local-candidate map for originating into: in a
-// sim no State backs, that map is every local candidate of the table.
-func (s *sim) localsOf(k tableKey) map[netip.Prefix][]cand {
-	t := s.own(k)
-	if t.locals == nil {
-		t.locals = make(map[netip.Prefix][]cand)
-	}
-	return t.locals
+// localsOf returns table k's local candidates for originating into: in a sim
+// no State backs, every local candidate of the table.
+func (s *sim) localsOf(k tableKey) *netmodel.Layer[netip.Prefix, []cand] {
+	return &s.own(k).locals
+}
+
+// addLocal appends c to the local candidates of its prefix in m.
+func addLocal(m *netmodel.Layer[netip.Prefix, []cand], c cand) {
+	m.Set(c.route.Prefix, append(m.Get(c.route.Prefix), c))
 }
 
 // tableHint is the number of prefixes table k's maps are presized for: a
@@ -388,10 +380,10 @@ func (s *sim) localsOf(k tableKey) map[netip.Prefix][]cand {
 // Non-default VRFs carry only their leaked and local slice, where a presize
 // wastes more than it saves; an overlay holds only what the restart writes.
 func (s *sim) tableHint(k tableKey, t *table) int {
-	if k.vrf != netmodel.DefaultVRF || t.under != nil {
+	if k.vrf != netmodel.DefaultVRF || t.overlay {
 		return 0
 	}
-	return len(s.carried) + len(t.locals)
+	return len(s.carried) + t.locals.OwnLen()
 }
 
 // carry records p as carried when the sim collects what it carries (a non-nil
@@ -433,8 +425,7 @@ func (s *sim) originateLocals(inputs []netmodel.Route, reached map[string]bool) 
 		if r.Preference == 0 {
 			r.Preference = s.profileOf(r.Device).EBGPPreference
 		}
-		m := s.localsOf(k)
-		m[r.Prefix] = append(m[r.Prefix], cand{route: r, ebgp: true})
+		addLocal(s.localsOf(k), cand{route: r, ebgp: true})
 		s.carry(r.Prefix)
 	}
 
@@ -455,14 +446,14 @@ func (s *sim) originateLocals(inputs []netmodel.Route, reached map[string]bool) 
 				LocalPref: 100, Origin: netmodel.OriginIGP,
 				Source: name, Peer: "network",
 			}
-			m[p] = append(m[p], cand{route: r, local: true})
+			addLocal(m, cand{route: r, local: true})
 			s.carry(p)
 		}
 
 		// Redistribution.
 		for _, rd := range d.Redistributes {
 			for _, c := range s.redistributed(d, rd, prof) {
-				m[c.route.Prefix] = append(m[c.route.Prefix], c)
+				addLocal(m, c)
 				s.carry(c.route.Prefix)
 			}
 		}
@@ -488,13 +479,12 @@ func (s *sim) originateLocals(inputs []netmodel.Route, reached map[string]bool) 
 				Protocol: netmodel.ProtoStatic, NextHop: st.NextHop,
 				Preference: st.Preference, Source: name, Peer: "static",
 			}
-			sm := s.localsOf(sk)
-			sm[r.Prefix] = append(sm[r.Prefix], cand{route: r, local: true})
+			addLocal(s.localsOf(sk), cand{route: r, local: true})
 		}
 
 		// Direct (connected) routes.
 		for _, c := range s.directRoutes(d, prof, false) {
-			m[c.route.Prefix] = append(m[c.route.Prefix], c)
+			addLocal(m, c)
 		}
 	}
 }
@@ -684,19 +674,17 @@ func (s *sim) commitDelivery(m *msg, ti *tableInfo, accepted []cand) {
 		}
 		// Withdrawal: only touch cells that already exist.
 		if t := s.tables[k]; t != nil {
-			if _, had := t.froms(m.prefix)[m.from]; had {
+			if _, had := t.adjIn.Get(m.prefix)[m.from]; had {
 				delete(s.own(k).ownFroms(m.prefix), m.from)
 				changed = true
 			}
 		}
 	} else {
 		t := s.own(k)
-		if t.adjIn == nil {
-			if hint := s.tableHint(k, t); hint > 0 {
-				t.adjIn = make(map[netip.Prefix]map[string][]cand, hint)
-			}
+		if t.adjIn.OwnLen() == 0 {
+			t.adjIn.Grow(s.tableHint(k, t))
 		}
-		if old, had := t.froms(m.prefix)[m.from]; !had || !candsSame(old, accepted) {
+		if old, had := t.adjIn.Get(m.prefix)[m.from]; !had || !candsSame(old, accepted) {
 			t.ownFroms(m.prefix)[m.from] = accepted
 			changed = true
 		} else {
@@ -708,16 +696,17 @@ func (s *sim) commitDelivery(m *msg, ti *tableInfo, accepted []cand) {
 	}
 }
 
-// candsSame reports whether two adj-RIB-in cells hold identical candidates.
-// Deliver-installed cands carry only the route and the ebgp flag (resolution
-// state is filled on scratch copies during decide), so those two fields are
-// the entire comparison.
+// candsSame reports whether two candidate slices hold identical candidates:
+// the same flags and Identical routes, in order. Resolution state is filled
+// on scratch copies during decide, so stored candidates carry nothing else;
+// a delivered cell's carry only the route and the ebgp flag.
 func candsSame(a, b []cand) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].ebgp != b[i].ebgp || !a[i].route.Identical(b[i].route) {
+		x, y := &a[i], &b[i]
+		if x.ebgp != y.ebgp || x.local != y.local || x.direct32 != y.direct32 || !x.route.Identical(y.route) {
 			return false
 		}
 	}

@@ -90,9 +90,7 @@ func (s *sim) splitUnits(workers int) []*sim {
 	groups := Groups(s.net)
 	weight := make(map[netip.Prefix]int)
 	for _, t := range s.tables {
-		for p := range t.locals {
-			weight[groups.Of(p)]++
-		}
+		t.locals.All(func(p netip.Prefix, _ []cand) { weight[groups.Of(p)]++ })
 	}
 	if len(weight) < 2 {
 		return nil
@@ -121,9 +119,7 @@ func (s *sim) splitUnits(workers int) []*sim {
 		unitOf[g] = units[least]
 	}
 	for k, t := range s.tables {
-		for p, cs := range t.locals {
-			unitOf[groups.Of(p)].localsOf(k)[p] = cs
-		}
+		t.locals.All(func(p netip.Prefix, cs []cand) { unitOf[groups.Of(p)].localsOf(k).Set(p, cs) })
 	}
 	// A unit carries its groups' prefixes. An aggregate whose group
 	// originates nothing never activates, so no unit carries it.
@@ -183,29 +179,43 @@ func (st *State) mergeUnits() {
 }
 
 // unionRecords unions one table's records across units into a frozen record,
-// field by field; a field no unit holds stays nil.
+// field by field.
 func unionRecords(parts []*table) *table {
 	if len(parts) == 1 {
 		return parts[0] // captured, so already frozen
 	}
 	var (
-		adjIn   []map[netip.Prefix]map[string][]cand
-		locals  []map[netip.Prefix][]cand
+		adjIn   []*netmodel.Layer[netip.Prefix, map[string][]cand]
+		locals  []*netmodel.Layer[netip.Prefix, []cand]
 		ribs    []*netmodel.RIB
-		lastAdv []map[netip.Prefix]string
-		aggOn   []map[netip.Prefix]bool
+		lastAdv []*netmodel.Layer[netip.Prefix, string]
+		aggOn   []*netmodel.Layer[netip.Prefix, bool]
 	)
 	for _, t := range parts {
-		adjIn, locals, lastAdv, aggOn = append(adjIn, t.adjIn), append(locals, t.locals), append(lastAdv, t.lastAdv), append(aggOn, t.aggOn)
+		adjIn, locals, lastAdv, aggOn = append(adjIn, &t.adjIn), append(locals, &t.locals), append(lastAdv, &t.lastAdv), append(aggOn, &t.aggOn)
 		if t.rib != nil {
 			ribs = append(ribs, t.rib)
 		}
 	}
-	t := &table{adjIn: unionMaps(adjIn), locals: unionMaps(locals), lastAdv: unionMaps(lastAdv), aggOn: unionMaps(aggOn), shared: true}
+	t := &table{adjIn: unionLayers(adjIn), locals: unionLayers(locals), lastAdv: unionLayers(lastAdv), aggOn: unionLayers(aggOn), shared: true}
 	if len(ribs) > 0 {
 		t.rib = netmodel.UnionRIBs(ribs)
 	}
 	return t
+}
+
+// unionLayers unions plain layers over disjoint key sets into one, sized once
+// for all their entries.
+func unionLayers[V any](parts []*netmodel.Layer[netip.Prefix, V]) (out netmodel.Layer[netip.Prefix, V]) {
+	n := 0
+	for _, l := range parts {
+		n += l.OwnLen()
+	}
+	out.Grow(n)
+	for _, l := range parts {
+		l.All(out.Set)
+	}
+	return out
 }
 
 // unionTables unions per-table values across units: a table present in

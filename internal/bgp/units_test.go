@@ -134,8 +134,8 @@ func TestSplitUnits(t *testing.T) {
 				cands := 0
 				for i, u := range units {
 					for k, ut := range u.tables {
-						for p, cs := range ut.locals {
-							if want := len(s.tables[k].locals[p]); len(cs) != want {
+						for p, cs := range flat(&ut.locals) {
+							if want := len(s.tables[k].locals.Get(p)); len(cs) != want {
 								t.Errorf("unit %d holds %d candidates for %v %s, want %d", i, len(cs), k, p, want)
 							}
 							cands += len(cs)
@@ -149,7 +149,7 @@ func TestSplitUnits(t *testing.T) {
 				}
 				want := 0
 				for _, st := range s.tables {
-					for _, cs := range st.locals {
+					for _, cs := range flat(&st.locals) {
 						want += len(cs)
 					}
 				}

@@ -1,7 +1,9 @@
 package dsim
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -55,11 +57,9 @@ type LocalOptions struct {
 	// TraceSpans.
 	Telemetry bool
 
-	// DataDir, when set, backs the substrates the cluster creates with
-	// journals rooted there — a restart-safe single-process deployment: the
-	// object store under <DataDir>/objstore, the task DB at
-	// <DataDir>/taskdb.wal, the queue at <DataDir>/mq.wal. Empty keeps them
-	// in memory.
+	// DataDir, when set, backs the cluster's substrates with journals rooted
+	// there (OpenDurable) — a restart-safe single-process deployment; it
+	// takes no Store or Tasks. Empty keeps them in memory.
 	DataDir string
 	// Fsync is the durability policy for DataDir-backed substrates (zero
 	// value durable.SyncInterval).
@@ -67,48 +67,37 @@ type LocalOptions struct {
 }
 
 // StartLocal starts the cluster described by opts. The only errors are those
-// of opening DataDir-backed substrates; state a stopped cluster left under
-// DataDir is recovered by a later StartLocal over the same directory.
+// of opening DataDir-backed substrates, and a DataDir given with a Store or
+// Tasks; state a stopped cluster left under DataDir is recovered by a later
+// StartLocal over the same directory.
 func StartLocal(opts LocalOptions) (*LocalCluster, error) {
 	c := &LocalCluster{}
 	if opts.Telemetry {
 		c.MasterReg = telemetry.NewRegistry()
 	}
-	dopts := durable.Options{Fsync: opts.Fsync}
 	svc := Services{Store: opts.Store, Tasks: opts.Tasks}
-	var err error
-	if svc.Store == nil {
-		if opts.DataDir == "" {
-			svc.Store = objstore.NewMemory(c.MasterReg)
-		} else {
-			var disk *objstore.Disk
-			if disk, err = objstore.OpenDisk(filepath.Join(opts.DataDir, "objstore"), dopts, c.MasterReg); err != nil {
-				return nil, err
-			}
-			svc.Store = disk
-			c.closers = append(c.closers, func() { disk.Close() })
+	switch {
+	case opts.DataDir == "":
+		svc.Queue = mq.NewMemory(c.MasterReg)
+	case svc.Store != nil || svc.Tasks != nil:
+		return nil, errors.New("dsim: StartLocal: DataDir opens its own store and task DB")
+	default:
+		var closeAll func() error
+		var err error
+		if svc, closeAll, _, err = OpenDurable(opts.DataDir, durable.Options{Fsync: opts.Fsync}, c.MasterReg); err != nil {
+			return nil, err
 		}
+		c.closers = append(c.closers, func() { closeAll() })
+	}
+	if svc.Store == nil {
+		svc.Store = objstore.NewMemory(c.MasterReg)
 	}
 	if svc.Tasks == nil {
 		db := taskdb.NewMemory()
-		if opts.DataDir != "" {
-			if db, err = taskdb.OpenDurable(filepath.Join(opts.DataDir, "taskdb.wal"), dopts, c.MasterReg); err != nil {
-				c.closeSubstrates()
-				return nil, err
-			}
-		}
 		svc.Tasks = db
 		c.closers = append(c.closers, func() { db.Close() })
 	}
-	q := mq.NewMemory(c.MasterReg)
-	if opts.DataDir != "" {
-		if q, err = mq.OpenDurable(filepath.Join(opts.DataDir, "mq.wal"), dopts, c.MasterReg); err != nil {
-			c.closeSubstrates()
-			return nil, err
-		}
-	}
-	svc.Queue = q
-	c.queue = q
+	c.queue = svc.Queue.(*mq.Local) // in memory or journaled, the in-process queue
 
 	c.Svc = svc
 	c.Master = NewMaster(svc, c.MasterReg)
@@ -189,4 +178,42 @@ func (c *LocalCluster) closeSubstrates() {
 	for _, cl := range c.closers {
 		cl()
 	}
+}
+
+// OpenDurable opens the journaled substrates of a restart-safe deployment
+// rooted at dir — the object store under dir/objstore, the task DB at
+// dir/taskdb.wal, the queue at dir/mq.wal — registering their counters in
+// reg. It returns them with a close that shuts them in reverse opening order
+// and a health check that reports the first of them whose writes are not
+// landing. On an error it closes again what it had opened.
+func OpenDurable(dir string, opts durable.Options, reg *telemetry.Registry) (svc Services, closeAll func() error, health telemetry.Health, err error) {
+	var closers []func() error
+	closeAll = func() error {
+		var errs []error
+		for i := len(closers) - 1; i >= 0; i-- {
+			errs = append(errs, closers[i]())
+		}
+		return errors.Join(errs...)
+	}
+	fail := func(err error) (Services, func() error, telemetry.Health, error) {
+		closeAll()
+		return Services{}, nil, nil, err
+	}
+	store, err := objstore.OpenDisk(filepath.Join(dir, "objstore"), opts, reg)
+	if err != nil {
+		return fail(err)
+	}
+	closers = append(closers, store.Close)
+	tasks, err := taskdb.OpenDurable(filepath.Join(dir, "taskdb.wal"), opts, reg)
+	if err != nil {
+		return fail(err)
+	}
+	closers = append(closers, tasks.Close)
+	queue, err := mq.OpenDurable(filepath.Join(dir, "mq.wal"), opts, reg)
+	if err != nil {
+		return fail(err)
+	}
+	closers = append(closers, func() error { queue.Close(); return nil })
+	health = func() error { return cmp.Or(store.Healthy(), tasks.Healthy(), queue.Healthy()) }
+	return Services{Queue: queue, Store: store, Tasks: tasks}, closeAll, health, nil
 }

@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -12,25 +13,41 @@ import (
 
 // overlayPair is one table branched two ways: o, an Overlay of under, and
 // ref, a ShallowClone of it. Every operation goes to both; under must not move.
+// The same operations go to two Layers laid over maps drawn from under's
+// rows, each against a plain map (layerPair).
 type overlayPair struct {
 	under  *RIB
 	snap   map[netip.Prefix][]Route // deep copy of under's rows
 	sorted []netip.Prefix           // under.Prefixes() before any branch
 	o, ref *RIB
+	str    *layerPair[string]
+	flag   *layerPair[bool]
 }
 
-func newOverlayPair(under *RIB) *overlayPair {
-	snap := make(map[netip.Prefix][]Route, len(under.byPrefix))
-	for p, rows := range under.byPrefix {
-		snap[p] = slices.Clone(rows)
+// strOf and flagOf draw a layer value from rows, the zero value included.
+func strOf(rows []Route) string {
+	if len(rows) == 0 || rows[0].MED%3 == 0 {
+		return ""
 	}
-	return &overlayPair{under: under, snap: snap, sorted: slices.Clone(under.Prefixes()), o: under.Overlay(), ref: under.ShallowClone()}
+	return fmt.Sprint(rows[0].MED)
+}
+
+func flagOf(rows []Route) bool { return len(rows) > 0 && rows[0].RouteType == RouteBest }
+
+func newOverlayPair(under *RIB) *overlayPair {
+	snap := make(map[netip.Prefix][]Route, under.byPrefix.OwnLen())
+	under.each(func(p netip.Prefix, rows []Route) { snap[p] = slices.Clone(rows) })
+	return &overlayPair{under: under, snap: snap, sorted: slices.Clone(under.Prefixes()), o: under.Overlay(), ref: under.ShallowClone(),
+		str: newLayerPair(snap, strOf), flag: newLayerPair(snap, flagOf)}
 }
 
 // apply runs one operation on both tables: op%4 is 0 a Replace, 1 a delete,
 // 2 a ReplaceOwned and 3 a re-branch (Overlay of the overlay, ShallowClone of
-// the clone).
+// the clone). On the layers they are a Set, a Delete, a Set of the zero
+// value and an Over of the Over.
 func (pr *overlayPair) apply(op byte, p netip.Prefix, rows []Route) {
+	pr.str.apply(op, p, strOf(rows))
+	pr.flag.apply(op, p, flagOf(rows))
 	switch op % 4 {
 	case 0:
 		pr.o.Replace(p, rows)
@@ -49,10 +66,117 @@ func (pr *overlayPair) apply(op byte, p netip.Prefix, rows []Route) {
 	}
 }
 
+// layerPair is a Layer laid over a frozen plain one, under, and the plain map
+// it must read as, ref. Every operation goes to both; under must not move.
+type layerPair[V comparable] struct {
+	under Layer[netip.Prefix, V]
+	snap  map[netip.Prefix]V
+	l     Layer[netip.Prefix, V]
+	ref   map[netip.Prefix]V
+	// written holds every key an operation named.
+	written map[netip.Prefix]bool
+	// branched is the layer the last Over was taken of, which must go on
+	// reading as branchedRef however the new one is written.
+	branched    *Layer[netip.Prefix, V]
+	branchedRef map[netip.Prefix]V
+}
+
+func newLayerPair[V comparable](rows map[netip.Prefix][]Route, val func([]Route) V) *layerPair[V] {
+	lp := &layerPair[V]{under: NewLayer[netip.Prefix, V](len(rows)), snap: make(map[netip.Prefix]V), ref: make(map[netip.Prefix]V), written: make(map[netip.Prefix]bool)}
+	for p, rs := range rows {
+		lp.under.Set(p, val(rs))
+		lp.snap[p], lp.ref[p] = val(rs), val(rs)
+	}
+	lp.l = lp.under.Over()
+	return lp
+}
+
+func (lp *layerPair[V]) apply(op byte, p netip.Prefix, v V) {
+	var zero V
+	lp.written[p] = true
+	switch op % 4 {
+	case 0:
+		lp.l.Set(p, v)
+		lp.ref[p] = v
+	case 1:
+		lp.l.Delete(p)
+		delete(lp.ref, p)
+	case 2:
+		lp.l.Set(p, zero) // hides under's entry, zero or not
+		lp.ref[p] = zero
+	case 3:
+		old := lp.l
+		lp.branched, lp.branchedRef = &old, maps.Clone(lp.ref)
+		lp.l = lp.l.Over()
+		if reflect.ValueOf(lp.l.under).UnsafePointer() != reflect.ValueOf(lp.under.own).UnsafePointer() {
+			panic("layer over a layer does not read through to the same map")
+		}
+	}
+}
+
+// check compares every read of the layer with the plain map's: Get and Lookup
+// at pool and under's keys, and All, which visits each key once. Its own
+// entries are at most the keys written, and under holds what it held.
+func (lp *layerPair[V]) check(label string, pool []netip.Prefix) error {
+	var zero V
+	keys := slices.Clone(pool)
+	for p := range lp.snap {
+		keys = append(keys, p)
+	}
+	for _, p := range keys {
+		v, mine := lp.l.Lookup(p)
+		if v != lp.ref[p] || lp.l.Get(p) != v {
+			return fmt.Errorf("%s: layer Get(%s) = %v, plain map %v", label, p, v, lp.ref[p])
+		}
+		if !mine && v != lp.snap[p] {
+			return fmt.Errorf("%s: layer Lookup(%s) = %v not its own, under holds %v", label, p, v, lp.snap[p])
+		}
+	}
+	seen := make(map[netip.Prefix]V)
+	var twice error
+	lp.l.All(func(p netip.Prefix, v V) {
+		if _, dup := seen[p]; dup {
+			twice = fmt.Errorf("%s: layer All visits %s twice", label, p)
+		}
+		seen[p] = v
+	})
+	if twice != nil {
+		return twice
+	}
+	for p, v := range lp.ref {
+		if got, ok := seen[p]; !ok || got != v {
+			return fmt.Errorf("%s: layer All gives %s %v (visited %v), plain map %v", label, p, got, ok, v)
+		}
+	}
+	for p, v := range seen {
+		if _, ok := lp.ref[p]; !ok && v != zero {
+			return fmt.Errorf("%s: layer All gives %s %v, which the plain map lacks", label, p, v)
+		}
+	}
+	if lp.l.OwnLen() > len(lp.written) || lp.l.Bound() < len(lp.ref) {
+		return fmt.Errorf("%s: layer holds %d own entries for %d keys written, bound %d for %d entries", label, lp.l.OwnLen(), len(lp.written), lp.l.Bound(), len(lp.ref))
+	}
+	if !maps.Equal(lp.under.own, lp.snap) {
+		return fmt.Errorf("%s: writing the layer changed the one under it", label)
+	}
+	for _, p := range keys {
+		if lp.branched != nil && lp.branched.Get(p) != lp.branchedRef[p] {
+			return fmt.Errorf("%s: writing a layer changed the one it was branched from at %s", label, p)
+		}
+	}
+	return nil
+}
+
 // check compares every reader of the overlay with the clone's, longest match
 // against the index-free scan at addrs, and under with its snapshot.
 func (pr *overlayPair) check(label string, pool []netip.Prefix, addrs []netip.Addr) error {
 	o, ref := pr.o, pr.ref
+	if err := pr.str.check(label, pool); err != nil {
+		return err
+	}
+	if err := pr.flag.check(label, pool); err != nil {
+		return err
+	}
 	if got, want := o.Prefixes(), ref.Prefixes(); !slices.Equal(got, want) {
 		return fmt.Errorf("%s: Prefixes = %v, clone %v", label, got, want)
 	}
@@ -80,7 +204,7 @@ func (pr *overlayPair) check(label string, pool []netip.Prefix, addrs []netip.Ad
 }
 
 func (pr *overlayPair) checkUnder(label string) error {
-	if !reflect.DeepEqual(pr.under.byPrefix, pr.snap) || !slices.Equal(pr.under.Prefixes(), pr.sorted) {
+	if !reflect.DeepEqual(pr.under.byPrefix.own, pr.snap) || !slices.Equal(pr.under.Prefixes(), pr.sorted) {
 		return fmt.Errorf("%s: writing the overlay changed the table under it", label)
 	}
 	return nil
@@ -91,7 +215,7 @@ func (pr *overlayPair) checkUnder(label string) error {
 func (pr *overlayPair) checkPatch(label string, addrs []netip.Addr) error {
 	pr.under.LongestMatch(netip.IPv4Unspecified()) // an index to carry forward
 	var written []netip.Prefix
-	for p := range pr.o.byPrefix {
+	for p := range pr.o.byPrefix.own {
 		written = append(written, p)
 	}
 	pr.o.PatchLPM(pr.under, written)
@@ -120,7 +244,8 @@ func randAddrs(rnd *rand.Rand, n int) []netip.Addr {
 // new prefixes, deletes of new prefixes and re-branches, applied to an
 // Overlay and to a ShallowClone of one table, leave every reader agreeing —
 // Routes, Best, Prefixes, Len, AppendSorted, LongestMatch (built and patched)
-// against the scan — and the table under the overlay as it was.
+// against the scan — and the table under the overlay as it was. The string
+// and bool Layers fed the same operations read as their plain maps.
 func TestOverlayMatchesShallowClone(t *testing.T) {
 	rnd := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {

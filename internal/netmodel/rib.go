@@ -3,7 +3,6 @@ package netmodel
 import (
 	"cmp"
 	"encoding/binary"
-	"maps"
 	"net/netip"
 	"slices"
 	"sort"
@@ -17,15 +16,15 @@ import (
 // best routes keyed by prefix.
 //
 // A table is either plain, holding every row itself, or an overlay (Overlay):
-// a frozen plain table it reads through to, under, plus its own writes. Every
-// read of the prefix map goes through rows or each, which merge the two.
+// its prefix map is a Layer over the map of a frozen plain table, under, and
+// holds only the overlay's own writes.
 type RIB struct {
 	Device string
 	VRF    string
-	// byPrefix holds route rows per prefix in deterministic order. In an
-	// overlay it holds only the overlay's writes: an entry without rows is a
-	// tombstone for a prefix under holds.
-	byPrefix map[netip.Prefix][]Route
+	// byPrefix holds route rows per prefix in deterministic order. A plain
+	// table holds no prefix without rows; in an overlay, an own entry without
+	// rows hides a prefix under holds.
+	byPrefix Layer[netip.Prefix, []Route]
 	// under is the table an overlay reads through to; nil in a plain table. It
 	// is always plain (overlays stay one level deep) and never written while
 	// an overlay reads it.
@@ -47,62 +46,32 @@ type RIB struct {
 
 // NewRIB creates an empty RIB for device/vrf.
 func NewRIB(device, vrf string) *RIB {
-	return &RIB{Device: device, VRF: vrf, byPrefix: make(map[netip.Prefix][]Route)}
+	return NewRIBSized(device, vrf, 0)
 }
 
 // NewRIBSized is NewRIB with a capacity hint for the expected number of
 // prefixes, avoiding incremental map growth when the caller already knows
 // roughly how many prefixes the table will hold.
 func NewRIBSized(device, vrf string, hint int) *RIB {
-	return &RIB{Device: device, VRF: vrf, byPrefix: make(map[netip.Prefix][]Route, hint)}
+	return &RIB{Device: device, VRF: vrf, byPrefix: NewLayer[netip.Prefix, []Route](hint)}
 }
 
 // Grow gives a plain table room for n more prefixes, rehashing its prefix map
 // once instead of doubling it as they are inserted. It is a no-op on an
 // overlay, whose own map holds only its writes.
-func (t *RIB) Grow(n int) {
-	if n <= 0 || t.under != nil {
-		return
-	}
-	grown := make(map[netip.Prefix][]Route, len(t.byPrefix)+n)
-	maps.Copy(grown, t.byPrefix)
-	t.byPrefix = grown
-}
+func (t *RIB) Grow(n int) { t.byPrefix.Grow(n) }
 
-// rows is the one read of a single prefix's rows: an overlay's own entry
-// (possibly a tombstone) or else under's.
-func (t *RIB) rows(p netip.Prefix) []Route {
-	rs, mine := t.byPrefix[p]
-	if !mine && t.under != nil {
-		return t.under.byPrefix[p]
-	}
-	return rs
-}
-
-// sizeHint bounds the number of prefixes the table holds from above.
-func (t *RIB) sizeHint() int {
-	if t.under != nil {
-		return len(t.byPrefix) + len(t.under.byPrefix)
-	}
-	return len(t.byPrefix)
-}
+// rows is the one read of a single prefix's rows.
+func (t *RIB) rows(p netip.Prefix) []Route { return t.byPrefix.Get(p) }
 
 // each calls fn once per prefix the table holds, with its rows, in no
-// particular order: an overlay's own prefixes, then under's it does not shadow.
+// particular order.
 func (t *RIB) each(fn func(p netip.Prefix, rows []Route)) {
-	for p, rs := range t.byPrefix {
+	t.byPrefix.All(func(p netip.Prefix, rs []Route) {
 		if len(rs) > 0 {
 			fn(p, rs)
 		}
-	}
-	if t.under == nil {
-		return
-	}
-	for p, rs := range t.under.byPrefix {
-		if _, mine := t.byPrefix[p]; !mine {
-			fn(p, rs)
-		}
-	}
+	})
 }
 
 // Replace substitutes all rows for prefix with rs.
@@ -120,34 +89,16 @@ func (t *RIB) ReplaceOwned(prefix netip.Prefix, rs []Route) {
 	for i := range rs {
 		rs[i].Device, rs[i].VRF = t.Device, t.VRF
 	}
-	if t.under != nil {
-		t.replaceOver(prefix, rs)
+	if t.under == nil {
+		n := t.byPrefix.OwnLen()
+		t.put(prefix, rs)
+		t.invalidate(t.byPrefix.OwnLen() != n)
 		return
 	}
-	n := len(t.byPrefix)
-	if len(rs) == 0 {
-		delete(t.byPrefix, prefix)
-	} else {
-		t.byPrefix[prefix] = rs
-	}
-	t.invalidate(len(t.byPrefix) != n)
-}
-
-// replaceOver is ReplaceOwned on an overlay: the write lands in its own map,
-// and deleting a prefix under holds leaves a tombstone there.
-func (t *RIB) replaceOver(p netip.Prefix, rs []Route) {
-	was, is := len(t.rows(p)) > 0, len(rs) > 0
-	_, below := t.under.byPrefix[p]
-	switch {
-	case is:
-		t.byPrefix[p] = rs
-	case below:
-		t.byPrefix[p] = nil
-	default:
-		delete(t.byPrefix, p)
-	}
+	was, is := len(t.rows(prefix)) > 0, len(rs) > 0
+	t.put(prefix, rs)
 	if is != was {
-		if is != below {
+		if below := len(t.under.rows(prefix)) > 0; is != below {
 			t.keysMoved++
 		} else {
 			t.keysMoved--
@@ -156,24 +107,51 @@ func (t *RIB) replaceOver(p netip.Prefix, rs []Route) {
 	t.invalidate(is != was)
 }
 
+// put writes p's rows; no rows delete p.
+func (t *RIB) put(p netip.Prefix, rs []Route) {
+	if len(rs) == 0 {
+		t.byPrefix.Delete(p)
+	} else {
+		t.byPrefix.Set(p, rs)
+	}
+}
+
 // Overlay returns a table that reads through to t and stores only its own
 // writes, so branching a converged table costs what the branch changes, not
 // a copy of its prefix map. t must not be written while the overlay is in
 // use; any number of overlays may read it at once. The overlay of an overlay
 // reads through to the same plain table and copies only the other's writes.
 func (t *RIB) Overlay() *RIB {
-	if t.under == nil {
-		return &RIB{Device: t.Device, VRF: t.VRF, byPrefix: make(map[netip.Prefix][]Route), under: t}
+	under := t.under
+	if under == nil {
+		under = t
 	}
-	return &RIB{Device: t.Device, VRF: t.VRF, byPrefix: maps.Clone(t.byPrefix), under: t.under, keysMoved: t.keysMoved}
+	return &RIB{Device: t.Device, VRF: t.VRF, byPrefix: t.byPrefix.Over(), under: under, keysMoved: t.keysMoved}
+}
+
+// Changed returns the prefixes whose rows t's own writes moved off the table
+// it overlays — those whose own rows are not Identical, in stored order, to
+// under's — or nil when there are none. In a plain table that is every
+// prefix. It costs O(own writes).
+func (t *RIB) Changed() map[netip.Prefix]bool {
+	var out map[netip.Prefix]bool
+	for p, rs := range t.byPrefix.own {
+		if t.under != nil && slices.EqualFunc(rs, t.under.rows(p), Route.Identical) {
+			continue
+		}
+		if out == nil {
+			out = make(map[netip.Prefix]bool, t.byPrefix.OwnLen())
+		}
+		out[p] = true
+	}
+	return out
 }
 
 // ShallowClone returns a plain RIB with a fresh prefix map sharing the row
 // slices. Safe as long as every writer installs fresh slices (Replace does).
 // It copies every prefix; a branch that rewrites only some takes an Overlay.
 func (t *RIB) ShallowClone() *RIB {
-	cp := NewRIBSized(t.Device, t.VRF, t.sizeHint())
-	t.each(func(p netip.Prefix, rows []Route) { cp.byPrefix[p] = rows })
+	cp := UnionRIBs([]*RIB{t})
 	if t.under == nil {
 		cp.sorted.Store(t.sorted.Load()) // same key set
 	}
@@ -187,11 +165,11 @@ func (t *RIB) ShallowClone() *RIB {
 func UnionRIBs(parts []*RIB) *RIB {
 	n := 0
 	for _, t := range parts {
-		n += t.sizeHint()
+		n += t.byPrefix.Bound()
 	}
 	out := NewRIBSized(parts[0].Device, parts[0].VRF, n)
 	for _, t := range parts {
-		t.each(func(p netip.Prefix, rows []Route) { out.byPrefix[p] = rows })
+		t.each(out.byPrefix.Set)
 	}
 	return out
 }
@@ -223,7 +201,7 @@ func (t *RIB) Prefixes() []netip.Prefix {
 	if memo := t.sorted.Load(); memo != nil {
 		return *memo
 	}
-	out := make([]netip.Prefix, 0, t.sizeHint())
+	out := make([]netip.Prefix, 0, t.byPrefix.Bound())
 	t.each(func(p netip.Prefix, _ []Route) { out = append(out, p) })
 	slices.SortFunc(out, comparePrefix)
 	t.sorted.Store(&out)
@@ -1091,10 +1069,10 @@ func ribFromSorted(device, vrf string, rows []Route) *RIB {
 		for hi < len(rows) && rows[hi].Prefix == p {
 			hi++
 		}
-		t.byPrefix[p] = rows[lo:hi:hi]
+		t.byPrefix.Set(p, rows[lo:hi:hi])
 		lo = hi
 	}
-	if len(t.byPrefix) != n {
+	if t.byPrefix.OwnLen() != n {
 		panic("netmodel: RIBSet: rows of " + device + "/" + vrf + " not in canonical order (prefix split)")
 	}
 	return t

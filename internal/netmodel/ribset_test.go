@@ -22,7 +22,7 @@ func refTables(rows []Route) map[[2]string]*RIB {
 			t = NewRIB(r.Device, r.VRF)
 			m[k] = t
 		}
-		t.byPrefix[r.Prefix] = append(t.byPrefix[r.Prefix], r)
+		t.byPrefix.Set(r.Prefix, append(t.byPrefix.Get(r.Prefix), r))
 	}
 	return m
 }
