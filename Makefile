@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build cli-smoke fmt-check test test-shuffle test-procs test-allocs vet lint-toggles race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check loc
+.PHONY: all build cli-smoke fmt-check test test-shuffle test-procs test-allocs vet lint-toggles lint-topo race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check loc
 
 all: check
 
@@ -41,6 +41,15 @@ fmt-check:
 lint-toggles:
 	@bad=$$(grep -rnE '\.Set(Link|Node)Up\(' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -vE '^internal/(core|netmodel)/'); \
 	if [ -n "$$bad" ]; then echo "SetLinkUp/SetNodeUp outside internal/{core,netmodel}; build a core.Delta instead:"; echo "$$bad"; exit 1; fi
+
+# The topology is derived from the configurations in one place,
+# config.Network.Topology. Outside the packages that derive it (config) and
+# own it (netmodel), no non-test file under internal/ or cmd/ may add or
+# remove a node or a link itself, fixtures included: edit the
+# configurations (gen.Builder, change.Plan) and derive again.
+lint-topo:
+	@bad=$$(grep -rnE '\.(AddLink|AddNode|RemoveLink|RemoveNode)\(' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -vE '^internal/(config|netmodel)/'); \
+	if [ -n "$$bad" ]; then echo "topology built outside internal/{config,netmodel}; edit the configurations and derive instead:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -130,4 +139,4 @@ trace:
 # Everything CI runs except the trace demo: formatting, the CLI smoke, then tier-1 twice
 # shuffled and at 1, 2 and 8 procs, the allocation pins fifty times at 2 and 8
 # procs, then race, smokes, chaos and the benchmark.
-check: fmt-check vet lint-toggles build cli-smoke test-shuffle test-procs test-allocs race bench-smoke fuzz-smoke chaos chaos-restart benchmark
+check: fmt-check vet lint-toggles lint-topo build cli-smoke test-shuffle test-procs test-allocs race bench-smoke fuzz-smoke chaos chaos-restart benchmark

@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"hoyan/internal/change"
@@ -114,27 +113,11 @@ func maybeLocalize(sys *pipeline.System, plan *change.Plan, intents []intent.Int
 }
 
 func runConfigs(dir, planFile, rclSpec string, workers int) {
-	entries, err := os.ReadDir(dir)
+	net, err := config.LoadDir(dir, config.BuildOptions{Parallelism: parallelismFlag})
 	if err != nil {
 		fatal(err)
 	}
-	configs := map[string]string{}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			fatal(err)
-		}
-		name := strings.TrimSuffix(e.Name(), filepath.Ext(e.Name()))
-		configs[name] = string(data)
-	}
-	net, err := config.BuildNetworkOpts(configs, nil, config.BuildOptions{Parallelism: parallelismFlag})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("base model: %d devices parsed\n", len(net.Devices))
+	fmt.Printf("base model: %d devices, %d links parsed\n", len(net.Devices), len(net.Topo.Links()))
 
 	plan := &change.Plan{ID: "cli", Type: change.RouteAttrModify, Commands: map[string]string{}}
 	if planFile != "" {

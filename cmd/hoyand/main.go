@@ -159,27 +159,8 @@ func loadModel(snapshotFile, configDir string, genScale int) (*config.Network, [
 		}
 		return network, inputs, flows, snapshotFile, nil
 	case configDir != "":
-		entries, err := os.ReadDir(configDir)
-		if err != nil {
-			return nil, nil, nil, "", err
-		}
-		configs := make(map[string]string)
-		for _, e := range entries {
-			if e.IsDir() {
-				continue
-			}
-			text, err := os.ReadFile(filepath.Join(configDir, e.Name()))
-			if err != nil {
-				return nil, nil, nil, "", err
-			}
-			name := strings.TrimSuffix(e.Name(), filepath.Ext(e.Name()))
-			configs[name] = string(text)
-		}
-		network, err := config.BuildNetworkOpts(configs, nil, config.BuildOptions{Parallelism: 0})
-		if err != nil {
-			return nil, nil, nil, "", err
-		}
-		return network, nil, nil, configDir, nil
+		network, err := config.LoadDir(configDir, config.BuildOptions{Parallelism: 0})
+		return network, nil, nil, configDir, err
 	default:
 		scale := genScale
 		if scale <= 0 {

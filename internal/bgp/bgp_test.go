@@ -29,7 +29,7 @@ func (b *netBuilder) device(name, vendor string, asn netmodel.ASN, loopback stri
 	return d
 }
 
-func (b *netBuilder) link(a, bdev string, cost uint32) *netmodel.Link {
+func (b *netBuilder) link(a, bdev string, cost uint32) netmodel.Link {
 	return b.Link(a, bdev, cost, 1e10)
 }
 
@@ -42,7 +42,14 @@ func (b *netBuilder) ibgp(a, bdev string) {
 	nb.NextHopSelf = false
 }
 
+// run derives the network's topology and simulates it.
 func (b *netBuilder) run(inputs []netmodel.Route, opts Options) *Result {
+	b.Network()
+	return b.simulate(inputs, opts)
+}
+
+// simulate simulates the network on the topology it has.
+func (b *netBuilder) simulate(inputs []netmodel.Route, opts Options) *Result {
 	igp := isis.Compute(b.Net.Topo, isis.Options{UseTEMetric: opts.UseTEMetric})
 	return Simulate(b.Net, igp, inputs, opts)
 }
@@ -87,6 +94,7 @@ func lineTopo() *netBuilder {
 	b.link("A", "B", 10)
 	b.ebgp("E", "A")
 	b.ibgp("A", "B")
+	b.Network()
 	return b
 }
 
@@ -302,7 +310,7 @@ func TestBestPathLocalPrefBeatsShorterPath(t *testing.T) {
 	b.device("P1", "alpha", 65002, "1.0.0.2")
 	b.device("P2", "alpha", 65003, "1.0.0.3")
 	b.link("D", "P1", 10)
-	b.link("D", "P2", 10)
+	l := b.link("D", "P2", 10)
 	b.ebgp("D", "P1")
 	b.ebgp("D", "P2")
 	for _, e := range []string{"P1", "P2"} {
@@ -313,9 +321,8 @@ func TestBestPathLocalPrefBeatsShorterPath(t *testing.T) {
 	d.RouteMaps["LP200"] = mustRouteMap(t, `route-map LP200 permit 10
  set local-preference 200
 `)
-	l := b.Net.Topo.FindLink("D", "P2")
 	p2Addr := l.AAddr
-	if b.Net.Topo.AddrOwner(p2Addr) != "P2" {
+	if l.A != "P2" {
 		p2Addr = l.BAddr
 	}
 	for _, nb := range d.Neighbors {
@@ -692,8 +699,9 @@ func TestSessionEstablishmentRules(t *testing.T) {
 		b.link("D", "P", 10)
 		b.ebgp("D", "P")
 		b.Net.Devices["P"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("203.0.113.2/24")}
+		b.Network()
 		mutate(b)
-		return b.run([]netmodel.Route{inputRoute("P", "10.5.0.0/16", 65100)}, Options{})
+		return b.simulate([]netmodel.Route{inputRoute("P", "10.5.0.0/16", 65100)}, Options{})
 	}
 	p := netip.MustParsePrefix("10.5.0.0/16")
 

@@ -111,14 +111,13 @@ func disagreeFixture(t *testing.T) (*netBuilder, []netmodel.Route) {
 	b.device("B", "alpha", 65002, "1.0.0.3")
 	b.link("O", "A", 10)
 	b.link("O", "B", 10)
-	b.link("A", "B", 10)
+	l := b.link("A", "B", 10)
 	b.ebgp("O", "A")
 	b.ebgp("O", "B")
 	b.ebgp("A", "B")
 	for _, pair := range [][2]string{{"A", "B"}, {"B", "A"}} {
 		d := b.Net.Devices[pair[0]]
 		d.RouteMaps["LP200"] = mustRouteMap(t, "route-map LP200 permit 10\n set local-preference 200\n")
-		l := b.Net.Topo.FindLink(pair[0], pair[1])
 		peer := l.AAddr
 		if l.A == pair[0] {
 			peer = l.BAddr
@@ -131,6 +130,7 @@ func disagreeFixture(t *testing.T) (*netBuilder, []netmodel.Route) {
 	}
 	in := inputRoute("O", "10.9.0.0/16", 65100)
 	in.NextHop = b.Net.Devices["O"].Loopback
+	b.Network()
 	return b, []netmodel.Route{in}
 }
 

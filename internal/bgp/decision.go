@@ -263,6 +263,8 @@ func (s *sim) resolve(ti *tableInfo, c *cand) {
 	c.resolved, c.igpCost = true, cost
 }
 
+// onDirectSubnet reports whether nh is on a subnet of one of dev's
+// interfaces, the links' ends among them.
 func (s *sim) onDirectSubnet(dev string, nh netip.Addr) bool {
 	d := s.net.Devices[dev]
 	if d == nil {
@@ -270,17 +272,6 @@ func (s *sim) onDirectSubnet(dev string, nh netip.Addr) bool {
 	}
 	for _, i := range d.Interfaces {
 		if i.Addr.IsValid() && i.Addr.Masked().Contains(nh) {
-			return true
-		}
-	}
-	for _, l := range s.net.Topo.LinksOf(dev) {
-		if !l.Up {
-			continue
-		}
-		if l.A == dev && l.ANet.IsValid() && l.ANet.Contains(nh) {
-			return true
-		}
-		if l.B == dev && l.BNet.IsValid() && l.BNet.Contains(nh) {
 			return true
 		}
 	}

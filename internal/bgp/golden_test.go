@@ -134,6 +134,7 @@ func competeFixture(t *testing.T) (*netBuilder, []netmodel.Route) {
 		r.MED = med
 		return r
 	}
+	b.Network()
 	return b, []netmodel.Route{
 		via("E1", "10.1.0.0/16", 0, 65100), via("E2", "10.1.0.0/16", 0, 65100),
 		via("E1", "10.2.0.0/16", 0, 65100), via("E2", "10.2.0.0/16", 0, 65100, 65101),

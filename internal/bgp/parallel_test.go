@@ -70,6 +70,7 @@ func parallelFixture() (*netBuilder, []netmodel.Route) {
 		in.NextHop = c1.Loopback
 		inputs = append(inputs, in)
 	}
+	b.Network()
 	return b, inputs
 }
 

@@ -188,7 +188,7 @@ func TestCarriedPrefixes(t *testing.T) {
 		b.link("A", "B", 10)
 		b.link("A", "D", 10)
 		b.ebgp("A", "B")
-		b.Net.Topo.SetNodeUp("D", false)
+		b.Network().Topo.SetNodeUp("D", false)
 		for _, d := range b.Net.Devices {
 			d.Statics = append(d.Statics, config.StaticRoute{Prefix: pfx("10.9.0.0/16"), NextHop: d.Loopback})
 		}

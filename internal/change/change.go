@@ -7,8 +7,10 @@ package change
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"slices"
+	"strings"
 
 	"hoyan/internal/config"
 	"hoyan/internal/core"
@@ -75,8 +77,8 @@ type Plan struct {
 	// lines on the production WAN).
 	Commands map[string]string
 
-	// Topology deltas.
-	AddNodes    []AddNode
+	// Topology deltas. AddLinks writes an IS-IS interface on each end;
+	// RemoveLinks and RemoveNodes delete the interfaces and the device.
 	AddLinks    []netmodel.Link
 	RemoveLinks []netmodel.LinkID
 	RemoveNodes []string
@@ -84,7 +86,8 @@ type Plan struct {
 	SetNodes    []NodeUpDown
 
 	// NewConfigs introduces entire new devices (add-routers change type):
-	// full configuration texts parsed from scratch.
+	// full configuration texts parsed from scratch. A device is a node of
+	// the topology by its configuration alone.
 	NewConfigs map[string]string
 
 	// NewInputs are additional input routes injected for the simulation
@@ -96,47 +99,29 @@ type Plan struct {
 	DropInputs []netmodel.Route
 }
 
-// CommandLines counts the total command lines of the plan, for reporting.
+// CommandLines counts the total command lines of the plan, for reporting:
+// every line that is not blank.
 func (p *Plan) CommandLines() int {
 	n := 0
 	for _, block := range p.Commands {
-		for _, line := range splitNonEmpty(block) {
-			_ = line
-			n++
+		for _, line := range strings.Split(block, "\n") {
+			if strings.TrimSpace(line) != "" {
+				n++
+			}
 		}
 	}
 	return n
 }
 
-func splitNonEmpty(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '\n' {
-			line := s[start:i]
-			trimmed := ""
-			for _, c := range line {
-				if c != ' ' && c != '\t' && c != '\r' {
-					trimmed = line
-					break
-				}
-			}
-			if trimmed != "" {
-				out = append(out, line)
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-// Apply produces the updated network model: a deep copy of base with the
-// plan's structural edits, then its Delta, applied. The base model is never
-// modified.
+// Apply produces the updated network model. Every edit is a configuration
+// edit of a deep copy of base: NewConfigs adds devices, AddLinks writes an
+// IS-IS interface on each end, RemoveLinks deletes both, RemoveNodes deletes
+// the device, and each command block reconfigures its device in place. The
+// topology is then derived anew from the configurations, and base's down
+// nodes and links that remain, then the plan's SetLinks and SetNodes, are
+// applied as a core.Delta. The base model is never modified.
 func (p *Plan) Apply(base *config.Network) (*config.Network, error) {
 	updated := base.Clone()
-
-	// New devices first, so commands may also target them.
 	for name, text := range p.NewConfigs {
 		d, err := config.ParseDevice(name, text)
 		if err != nil {
@@ -144,29 +129,53 @@ func (p *Plan) Apply(base *config.Network) (*config.Network, error) {
 		}
 		updated.Devices[d.Name] = d
 	}
-	for _, n := range p.AddNodes {
-		updated.Topo.AddNode(netmodel.Node{Name: n.Name, Loopback: n.Loopback})
-	}
-	for _, l := range p.AddLinks {
-		nl := updated.Topo.AddLink(l)
-		// Register the link interfaces on both devices when they exist.
-		registerLinkInterfaces(updated, nl)
-	}
 	for _, id := range p.RemoveLinks {
-		if !updated.Topo.RemoveLink(id) {
+		if base.Topo.Link(id) == nil {
 			return nil, fmt.Errorf("change %s: link %s not found", p.ID, id)
 		}
+		delete(updated.Devices[id.A].Interfaces, id.AIface)
+		delete(updated.Devices[id.B].Interfaces, id.BIface)
 	}
 	for _, name := range p.RemoveNodes {
-		if updated.Topo.Node(name) == nil {
+		if updated.Devices[name] == nil {
 			return nil, fmt.Errorf("change %s: unknown device %q to remove", p.ID, name)
 		}
-		updated.Topo.RemoveNode(name)
 		delete(updated.Devices, name)
 	}
-	d, err := p.delta(updated)
+	for _, l := range p.AddLinks {
+		// Each end is an IS-IS interface: l as seen from A, then from B.
+		for _, e := range []netmodel.Link{l, {A: l.B, AIface: l.BIface, ANet: l.BNet, AAddr: l.BAddr, CostAB: l.CostBA, TEAB: l.TEBA}} {
+			d := updated.Devices[e.A]
+			if d == nil {
+				return nil, fmt.Errorf("change %s: link %s names unknown device %q", p.ID, l.ID(), e.A)
+			}
+			d.Interfaces[e.AIface] = &config.Interface{Name: e.AIface, Addr: netip.PrefixFrom(e.AAddr, e.ANet.Bits()),
+				ISISCost: e.CostAB, TECost: e.TEAB, Bandwidth: l.Bandwidth}
+		}
+	}
+	devices, err := p.configured(updated)
 	if err != nil {
 		return nil, err
+	}
+	maps.Copy(updated.Devices, devices)
+	updated.Topo = updated.Topology()
+	for _, l := range p.AddLinks {
+		if updated.Topo.Link(l.Canonical().ID()) == nil {
+			return nil, fmt.Errorf("change %s: added link %s does not pair two IS-IS interfaces", p.ID, l.ID())
+		}
+	}
+	// Delta.Apply flips every element down before any up, so a plan's
+	// SetLinks / SetNodes up wins over the base's down state.
+	d := p.toggles()
+	for _, n := range base.Topo.Nodes() {
+		if !n.Up && updated.Topo.Node(n.Name) != nil {
+			d.NodesDown = append(d.NodesDown, n.Name)
+		}
+	}
+	for _, l := range base.Topo.Links() {
+		if !l.Up && updated.Topo.Link(l.ID()) != nil {
+			d.LinksDown = append(d.LinksDown, l.ID())
+		}
 	}
 	if _, err := d.Apply(updated); err != nil {
 		return nil, fmt.Errorf("change %s: %w", p.ID, err)
@@ -174,55 +183,36 @@ func (p *Plan) Apply(base *config.Network) (*config.Network, error) {
 	return updated, nil
 }
 
-// AddNode declares a new topology node.
-type AddNode struct {
-	Name     string
-	Loopback netip.Addr
-}
-
-// prefixFor pairs an interface address with its subnet length.
-func prefixFor(addr netip.Addr, subnet netip.Prefix) netip.Prefix {
-	if !addr.IsValid() {
-		return netip.Prefix{}
-	}
-	bits := addr.BitLen()
-	if subnet.IsValid() {
-		bits = subnet.Bits()
-	}
-	return netip.PrefixFrom(addr, bits)
-}
-
-func registerLinkInterfaces(net *config.Network, l *netmodel.Link) {
-	if d, ok := net.Devices[l.A]; ok {
-		if _, exists := d.Interfaces[l.AIface]; !exists {
-			d.Interfaces[l.AIface] = &config.Interface{Name: l.AIface, Addr: prefixFor(l.AAddr, l.ANet), ISISCost: l.CostAB, Bandwidth: l.Bandwidth}
-		}
-	}
-	if d, ok := net.Devices[l.B]; ok {
-		if _, exists := d.Interfaces[l.BIface]; !exists {
-			d.Interfaces[l.BIface] = &config.Interface{Name: l.BIface, Addr: prefixFor(l.BAddr, l.BNet), ISISCost: l.CostBA, Bandwidth: l.Bandwidth}
-		}
-	}
-}
-
 // Delta expresses the plan as a fork of the engine converged on base: its
 // up/down toggles, its input changes, and every device its commands
 // reconfigure, each block applied to a clone of base's device. A structural
-// plan (NewConfigs, AddNodes, AddLinks, RemoveLinks, RemoveNodes) returns
-// ok=false and goes through Apply plus a full simulation, as does any plan a
-// fleet (pipeline.System.Workers > 0) verifies.
+// plan returns ok=false and goes through Apply plus a full simulation, as
+// does any plan a fleet (pipeline.System.Workers > 0) verifies. Structural
+// means NewConfigs, AddLinks, RemoveLinks or RemoveNodes, or a command block
+// that changes what the topology derives from its device
+// (config.ChangesTopology: an IS-IS interface, an address, isis cost,
+// te-cost, bandwidth, the loopback).
 func (p *Plan) Delta(base *config.Network) (d core.Delta, ok bool, err error) {
-	if len(p.NewConfigs) > 0 || len(p.AddNodes) > 0 || len(p.AddLinks) > 0 ||
-		len(p.RemoveLinks) > 0 || len(p.RemoveNodes) > 0 {
+	if len(p.NewConfigs) > 0 || len(p.AddLinks) > 0 || len(p.RemoveLinks) > 0 || len(p.RemoveNodes) > 0 {
 		return core.Delta{}, false, nil
 	}
-	d, err = p.delta(base)
-	return d, err == nil, err
+	configs, err := p.configured(base)
+	if err != nil {
+		return core.Delta{}, false, err
+	}
+	for name, dev := range configs {
+		if config.ChangesTopology(base.Devices[name], dev) {
+			return core.Delta{}, false, nil
+		}
+	}
+	d = p.toggles()
+	d.Configs, d.AddInputs, d.DropInputs = configs, p.NewInputs, p.DropInputs
+	return d, true, nil
 }
 
-// delta is Delta against net, which holds the structural edits.
-func (p *Plan) delta(net *config.Network) (core.Delta, error) {
-	d := core.Delta{Configs: make(map[string]*config.Device, len(p.Commands)), AddInputs: p.NewInputs, DropInputs: p.DropInputs}
+// toggles is the delta of the plan's SetLinks and SetNodes.
+func (p *Plan) toggles() core.Delta {
+	var d core.Delta
 	for _, s := range p.SetLinks {
 		if s.Up {
 			d.LinksUp = append(d.LinksUp, s.ID)
@@ -237,27 +227,33 @@ func (p *Plan) delta(net *config.Network) (core.Delta, error) {
 			d.NodesDown = append(d.NodesDown, s.Name)
 		}
 	}
-	// In device order, so a plan with several bad blocks always reports the
-	// same one.
+	return d
+}
+
+// configured applies each command block to a clone of net's device. Blocks
+// go in device order, so a plan with several bad blocks always reports the
+// same one.
+func (p *Plan) configured(net *config.Network) (map[string]*config.Device, error) {
 	devices := make([]string, 0, len(p.Commands))
 	for device := range p.Commands {
 		devices = append(devices, device)
 	}
 	slices.Sort(devices)
+	out := make(map[string]*config.Device, len(p.Commands))
 	for _, device := range devices {
 		base, ok := net.Devices[device]
 		if !ok {
 			// Typos in router names are one of Table 6's top root causes;
 			// real CLIs reject them, so the plan fails to apply.
-			return core.Delta{}, fmt.Errorf("change %s: unknown device %q in commands", p.ID, device)
+			return nil, fmt.Errorf("change %s: unknown device %q in commands", p.ID, device)
 		}
 		dev := base.Clone()
 		if err := config.ApplyCommands(dev, p.Commands[device]); err != nil {
-			return core.Delta{}, fmt.Errorf("change %s: %w", p.ID, err)
+			return nil, fmt.Errorf("change %s: %w", p.ID, err)
 		}
-		d.Configs[device] = dev
+		out[device] = dev
 	}
-	return d, nil
+	return out, nil
 }
 
 // ApplyInputs adjusts the input route set per the plan: reclaimed prefixes

@@ -106,13 +106,13 @@ func TestApplyNewConfigs(t *testing.T) {
 	plan := &Plan{
 		ID: "t", Type: AddRouters,
 		NewConfigs: map[string]string{"newbie": "hostname newbie\nvendor alpha\nasn 65000\nloopback 100.64.9.9\n"},
-		AddNodes:   []AddNode{{Name: "newbie", Loopback: netip.MustParseAddr("100.64.9.9")}},
 	}
 	updated, err := plan.Apply(out.Net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if updated.Devices["newbie"] == nil || updated.Topo.Node("newbie") == nil {
+	// The configuration alone makes the device a node, with its loopback.
+	if updated.Devices["newbie"] == nil || updated.Topo.Node("newbie") == nil || updated.Topo.Node("newbie").Loopback != netip.MustParseAddr("100.64.9.9") {
 		t.Error("new device missing")
 	}
 	if out.Net.Devices["newbie"] != nil {

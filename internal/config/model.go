@@ -4,12 +4,12 @@
 // beta) and incremental application of change-plan commands.
 //
 // The paper's network-model-building service corresponds to BuildNetwork:
-// parse every device's configuration text once, pair it with the monitored
-// topology, and cache the result as the base network model (§2.2).
+// parse every device's configuration text once and derive the topology from
+// the interfaces (Network.Topology), so the configurations are the whole
+// model; the monitored state only marks nodes and links down (§2.2).
 package config
 
 import (
-	"fmt"
 	"net/netip"
 
 	"hoyan/internal/netmodel"
@@ -241,7 +241,7 @@ func (d *Device) Clone() *Device {
 }
 
 // Network is Hoyan's base network model: every parsed device plus the
-// monitored topology.
+// topology derived from them (Topology), with its monitored up/down state.
 type Network struct {
 	Devices map[string]*Device
 	Topo    *netmodel.Topology
@@ -271,34 +271,4 @@ func (n *Network) Clone() *Network {
 	}
 	out.Topo = n.Topo.Clone()
 	return out
-}
-
-// Validate performs structural sanity checks used by tests and the auditing
-// workflow: every BGP neighbor's referenced policies and every interface ACL
-// must exist (dangling references are legal configs — they trigger VSBs —
-// so Validate reports rather than fails them).
-func (n *Network) Validate() []string {
-	var issues []string
-	for _, name := range n.DeviceNames() {
-		d := n.Devices[name]
-		for _, nb := range d.Neighbors {
-			for _, pol := range []string{nb.ImportPolicy, nb.ExportPolicy} {
-				if pol != "" {
-					if _, ok := d.RouteMaps[pol]; !ok {
-						issues = append(issues, fmt.Sprintf("%s: neighbor %s references undefined policy %q", name, nb.Addr, pol))
-					}
-				}
-			}
-		}
-		for _, i := range d.Interfaces {
-			for _, acl := range []string{i.ACLIn, i.ACLOut} {
-				if acl != "" {
-					if _, ok := d.ACLs[acl]; !ok {
-						issues = append(issues, fmt.Sprintf("%s: interface %s references undefined ACL %q", name, i.Name, acl))
-					}
-				}
-			}
-		}
-	}
-	return issues
 }

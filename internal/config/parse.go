@@ -2,6 +2,8 @@ package config
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"unicode"
 
@@ -52,9 +54,14 @@ type BuildOptions struct {
 }
 
 // BuildNetwork is the network-model-building service (§2.2): it parses all
-// device configuration texts and pairs them with the monitored topology into
-// the base network model. Parsing runs sequentially; use BuildNetworkOpts to
-// parse devices concurrently.
+// device configuration texts and derives the topology from them
+// (Network.Topology) into the base network model. Two or more devices that
+// derive no link are no network to verify: ErrNoLinks. Parsing runs
+// sequentially; use BuildNetworkOpts to parse devices concurrently.
+//
+// topoOf, when set, runs last and may mark the monitored state on net.Topo
+// (nodes and links down). Only the benchmark passes it: it installs a clone
+// of the generator's topology, which equals the derived one.
 func BuildNetwork(configs map[string]string, topoOf func(net *Network) error) (*Network, error) {
 	return BuildNetworkOpts(configs, topoOf, BuildOptions{Parallelism: 1})
 }
@@ -83,12 +90,36 @@ func BuildNetworkOpts(configs map[string]string, topoOf func(net *Network) error
 		}
 		net.Devices[devs[i].Name] = devs[i]
 	}
+	if net.Topo = net.Topology(); len(net.Devices) >= 2 && len(net.Topo.Links()) == 0 {
+		return nil, ErrNoLinks
+	}
 	if topoOf != nil {
 		if err := topoOf(net); err != nil {
 			return nil, err
 		}
 	}
 	return net, nil
+}
+
+// LoadDir builds the network from a directory with one configuration file
+// per device, named after the device (any extension).
+func LoadDir(dir string, opts BuildOptions) (*Network, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	configs := make(map[string]string, len(entries))
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		text, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return nil, err
+		}
+		configs[strings.TrimSuffix(e.Name(), filepath.Ext(e.Name()))] = string(text)
+	}
+	return BuildNetworkOpts(configs, nil, opts)
 }
 
 // ApplyCommands applies a block of change-plan command lines to the device,

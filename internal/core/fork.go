@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -54,12 +55,19 @@ func (d Delta) purged() []string {
 	return out
 }
 
+// ErrTopologyChange is what Delta.Apply returns for a configuration that
+// changes what the topology derives from its device (config.ChangesTopology):
+// a fork runs on the base's topology, so such an edit is a structural plan,
+// applied by change.Plan.Apply and simulated in full.
+var ErrTopologyChange = errors.New("core: the configuration changes the topology, which a fork cannot")
+
 // Apply makes net agree with d and returns the undo. It changes only the
 // elements not already in their target state (a configuration is, when net
 // holds that very *config.Device), so applying d to a network that already
 // reflects it changes nothing, and undo restores exactly what this call
-// changed. A link or device net does not have is an error, and net is left as
-// it was.
+// changed. A link or device net does not have is an error, as is a
+// configuration that changes the topology (ErrTopologyChange), and net is
+// left as it was.
 func (d Delta) Apply(net *config.Network) (undo func(), err error) {
 	_, back, err := d.flip(net)
 	if err != nil {
@@ -82,9 +90,13 @@ func (d Delta) flip(net *config.Network) (flipped, back Delta, err error) {
 			return Delta{}, Delta{}, fmt.Errorf("core: delta names device %q, which the network does not have", name)
 		}
 	}
-	for name := range d.Configs {
-		if net.Devices[name] == nil {
+	for name, dev := range d.Configs {
+		was := net.Devices[name]
+		if was == nil {
 			return Delta{}, Delta{}, fmt.Errorf("core: delta reconfigures device %q, which the network does not have", name)
+		}
+		if was != dev && config.ChangesTopology(was, dev) {
+			return Delta{}, Delta{}, fmt.Errorf("core: delta reconfigures device %q: %w", name, ErrTopologyChange)
 		}
 	}
 	links := func(ids []netmodel.LinkID, up bool) (flipped []netmodel.LinkID) {

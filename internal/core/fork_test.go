@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -166,11 +168,17 @@ func TestDeltaApply(t *testing.T) {
 	if _, err := bad.Apply(out.Net); err == nil || out.Net.Devices[node] != was || out.Net.Devices["no-such-device"] != nil {
 		t.Fatalf("Apply of a configuration for an unknown device: err %v, and the network changed", err)
 	}
-	// A network parsed from configurations alone (hoyan -configs) has
-	// devices and no topology: their configurations still swap.
-	out.Net.Topo.RemoveNode(node)
-	if _, err := cfg.Apply(out.Net); err != nil || out.Net.Devices[node] != cfg.Configs[node] {
-		t.Fatalf("reconfiguring a device the topology does not model: %v", err)
+	// A configuration that changes what the topology derives (here an IS-IS
+	// cost) is refused, and the network left as it was.
+	recost := was.Clone()
+	for _, i := range recost.Interfaces {
+		if i.ISISCost != 0 {
+			i.ISISCost++
+			break
+		}
+	}
+	if _, err := (Delta{Configs: map[string]*config.Device{node: recost}}).Apply(out.Net); !errors.Is(err, ErrTopologyChange) || out.Net.Devices[node] != was {
+		t.Fatalf("Apply of a configuration with another isis cost: err %v, want ErrTopologyChange and no change", err)
 	}
 }
 
@@ -396,13 +404,14 @@ func TestForkSessionSwapIdentity(t *testing.T) {
 	for _, opts := range []Options{{}, {DisableRouteECs: true, DisableFlowECs: true}} {
 		b := gen.NewBuilder(netip.MustParsePrefix("172.16.0.0/12"))
 		b.Device("B", "alpha", 65001, netip.MustParseAddr("192.0.2.1"))
+		var ids []netmodel.LinkID
 		for i, peer := range []string{"X", "Y", "Z"} {
 			b.Device(peer, "alpha", netmodel.ASN(65010+i), netip.AddrFrom4([4]byte{192, 0, 2, byte(10 + i)}))
-			b.Link("B", peer, 10, 1e10)
+			ids = append(ids, b.Link("B", peer, 10, 1e10).ID())
 			b.EBGP("B", peer)
 		}
-		bx, by := b.Net.Topo.FindLink("B", "X").ID(), b.Net.Topo.FindLink("B", "Y").ID()
-		b.Net.Topo.SetLinkUp(by, false)
+		bx, by := ids[0], ids[1]
+		b.Network().Topo.SetLinkUp(by, false)
 		inputs := []netmodel.Route{{
 			Device: "X", VRF: netmodel.DefaultVRF,
 			Prefix:   netip.MustParsePrefix("203.0.113.0/24"),
@@ -433,14 +442,43 @@ func deleteConfigLine(dev *config.Device, i int) *config.Device {
 	return d
 }
 
+// derivesOther reports whether net with d's configurations installed derives
+// another topology than net: then d is no fork.
+func derivesOther(net *config.Network, d Delta) bool {
+	scratch := &config.Network{Devices: maps.Clone(net.Devices)}
+	maps.Copy(scratch.Devices, d.Configs)
+	got, want := scratch.Topology(), net.Topology()
+	return !reflect.DeepEqual(got.Nodes(), want.Nodes()) || !reflect.DeepEqual(got.Links(), want.Links())
+}
+
+// checkConfigFork is checkFork for a configuration delta, unless d changes
+// the derived topology: then the engine must refuse it with
+// ErrTopologyChange. It reports whether d was forked.
+func checkConfigFork(t *testing.T, eng *Engine, base *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, d Delta, label string) bool {
+	t.Helper()
+	if !derivesOther(base, d) {
+		if stats := checkFork(t, eng, base, inputs, flows, d, label); stats.Full {
+			t.Fatalf("%s: fork fell back to full simulation", label)
+		}
+		return true
+	}
+	if res, _, err := eng.WhatIf(context.Background(), d, 0); !errors.Is(err, ErrTopologyChange) {
+		t.Fatalf("%s: changes a link end, yet WhatIf answered %v, %v", label, res, err)
+	}
+	return false
+}
+
 // TestForkConfigIdentity: each fork reconfigures one or two random devices of
 // WAN(1) and WAN(2), each by deleting one line of its configuration, and must
 // equal a from-scratch run on the reconfigured network — with ECs on and off
 // (off, the fork's RIB is also checked as a stable state), the base
-// converged sequentially and in work units. One more fork adds a prefix list
-// that splits a route EC: dc-0-1 stops exporting one of its prefixes to its
-// reflector.
+// converged sequentially and in work units. A deletion that changes what the
+// topology derives (an interface's address, isis cost, te-cost or
+// bandwidth, a loopback) must be refused with ErrTopologyChange instead. One
+// more fork adds a prefix list that splits a route EC: dc-0-1 stops
+// exporting one of its prefixes to its reflector.
 func TestForkConfigIdentity(t *testing.T) {
+	forked, refused := 0, 0
 	for _, k := range []int{1, 2} {
 		out := gen.Generate(gen.WAN(k))
 		names := out.Net.DeviceNames()
@@ -476,19 +514,24 @@ router bgp
 						label = append(label, fmt.Sprintf("%s line %d", name, line))
 					}
 				}
-				l := fmt.Sprintf("WAN(%d) %+v: %v", k, opts, label)
-				if stats := checkFork(t, eng, out.Net, out.Inputs, out.Flows, d, l); stats.Full {
-					t.Fatalf("%s: fork fell back to full simulation", l)
+				if checkConfigFork(t, eng, out.Net, out.Inputs, out.Flows, d, fmt.Sprintf("WAN(%d) %+v: %v", k, opts, label)) {
+					forked++
+				} else {
+					refused++
 				}
 			}
 		}
+	}
+	if forked == 0 || refused == 0 {
+		t.Fatalf("%d mutations forked and %d refused: the trials cover only one kind", forked, refused)
 	}
 }
 
 // FuzzForkConfigIdentity drives TestForkConfigIdentity's mutation from the
 // fuzzer's bytes over one WAN(1) base, converged once per EC setting: byte 0
 // picks the setting, and each following (device, line) byte pair deletes one
-// line of one device's configuration.
+// line of one device's configuration. A mutation that changes a link end must
+// be refused with ErrTopologyChange; any other must fork as a cold run.
 func FuzzForkConfigIdentity(f *testing.F) {
 	out := gen.Generate(gen.WAN(1))
 	names := out.Net.DeviceNames()
@@ -513,7 +556,7 @@ func FuzzForkConfigIdentity(f *testing.F) {
 			}
 		}
 		if len(d.Configs) > 0 {
-			checkFork(t, eng, out.Net, out.Inputs, out.Flows, d, fmt.Sprintf("%v", data))
+			checkConfigFork(t, eng, out.Net, out.Inputs, out.Flows, d, fmt.Sprintf("%v", data))
 		}
 	})
 }

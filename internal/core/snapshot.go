@@ -10,15 +10,13 @@ import (
 )
 
 // Snapshot is the wire form of a network model: every device's configuration
-// in its own vendor dialect plus the monitored topology. The master uploads
-// one snapshot per simulation task to the object store; workers restore it.
+// in its own vendor dialect, from which the topology is derived, plus the
+// monitored state (the down nodes and links). The master uploads one snapshot
+// per simulation task to the object store; workers restore it.
 //
 // It shares internal/wire's Snapshot struct, so encoding is a free
 // conversion: blobs are written in the compact binary wire format.
 type Snapshot wire.Snapshot
-
-// SnapshotNode is the wire form of a topology node.
-type SnapshotNode = wire.SnapshotNode
 
 // TakeSnapshot serializes a network model.
 func TakeSnapshot(net *config.Network) *Snapshot {
@@ -27,33 +25,29 @@ func TakeSnapshot(net *config.Network) *Snapshot {
 		s.Configs[name] = config.Serialize(d)
 	}
 	for _, n := range net.Topo.Nodes() {
-		s.Nodes = append(s.Nodes, SnapshotNode{Name: n.Name, Loopback: n.Loopback, Up: n.Up})
+		if !n.Up {
+			s.DownNodes = append(s.DownNodes, n.Name)
+		}
 	}
 	for _, l := range net.Topo.Links() {
-		s.Links = append(s.Links, *l)
+		if !l.Up {
+			s.DownLinks = append(s.DownLinks, l.ID())
+		}
 	}
 	return s
 }
 
 // RestoreParallel parses the snapshot back into a network model, device
 // configurations on a worker pool (par conventions: 0 = GOMAXPROCS, 1 =
-// sequential). The restored model is identical at any parallelism.
+// sequential), derives its topology and marks the down sets on it. The
+// restored model is identical at any parallelism.
 func (s *Snapshot) RestoreParallel(parallelism int) (*config.Network, error) {
 	net, err := config.BuildNetworkOpts(s.Configs, nil, config.BuildOptions{Parallelism: parallelism})
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range s.Nodes {
-		net.Topo.AddNode(netmodel.Node{Name: n.Name, Loopback: n.Loopback})
-		if !n.Up {
-			net.Topo.SetNodeUp(n.Name, false)
-		}
-	}
-	for _, l := range s.Links {
-		nl := net.Topo.AddLink(l)
-		if !l.Up {
-			net.Topo.SetLinkUp(nl.ID(), false)
-		}
+	if _, err := (Delta{NodesDown: s.DownNodes, LinksDown: s.DownLinks}).Apply(net); err != nil {
+		return nil, fmt.Errorf("core: restoring snapshot: %w", err)
 	}
 	return net, nil
 }

@@ -26,7 +26,14 @@ func BuildProbe() *Probe {
 	device := func(name string, asn netmodel.ASN, lo string) *config.Device {
 		return b.Device(name, "alpha", asn, netip.MustParseAddr(lo))
 	}
-	link := func(a, bdev string, cost uint32) { b.Link(a, bdev, cost, 1e9) }
+	link := func(a, bdev string, cost uint32) netmodel.Link { return b.Link(a, bdev, cost, 1e9) }
+	// end is dev's address on the link.
+	end := func(l netmodel.Link, dev string) netip.Addr {
+		if l.A == dev {
+			return l.AAddr
+		}
+		return l.BAddr
+	}
 
 	// Hub H (alpha, AS 65000) with assorted eBGP peers P1..P7.
 	h := device("H", 65000, "8.0.0.1")
@@ -40,9 +47,12 @@ func BuildProbe() *Probe {
 		{"P5", 65005}, {"P6", 65006}, {"P7", 65007},
 	}
 	toPeer := make(map[string]*config.Neighbor) // H's neighbor toward each peer
+	var hP1 netmodel.Link
 	for _, p := range peers {
 		d := device(p.name, p.asn, fmt.Sprintf("8.0.1.%d", p.asn-65000))
-		link("H", p.name, 10)
+		if l := link("H", p.name, 10); p.name == "P1" {
+			hP1 = l
+		}
 		toPeer[p.name], _ = b.EBGP("H", p.name)
 		// External interface so injected routes' next hops resolve.
 		ext := netip.MustParseAddr(fmt.Sprintf("198.51.%d.1", p.asn-65000))
@@ -96,14 +106,9 @@ func BuildProbe() *Probe {
 	// --- redistribution VSBs ---
 	// Statics + direct redistribution on H: weight-after-redistribution,
 	// /32 direct route production and peer advertisement.
-	l := b.Net.Topo.FindLink("H", "P1")
-	p1Addr := l.AAddr
-	if l.A != "P1" {
-		p1Addr = l.BAddr
-	}
 	h.Statics = append(h.Statics, config.StaticRoute{
 		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("192.0.2.0/24"),
-		NextHop: p1Addr, Preference: 1,
+		NextHop: end(hP1, "P1"), Preference: 1,
 	})
 	h.Redistributes = append(h.Redistributes,
 		config.Redistribution{From: netmodel.ProtoStatic},
@@ -148,20 +153,15 @@ func BuildProbe() *Probe {
 	// binding to the VRF session too.
 	i1 := device("I1", 65000, "8.0.0.3")
 	i1.VRFs["v1"] = &config.VRF{Name: "v1"}
-	link("H", "I1", 10)
+	li := link("H", "I1", 10)
 	toI1, _ := b.IBGP("H", "I1")
 	h.RouteMaps["RM_GLOBAL_IN"] = &policy.RouteMap{Name: "RM_GLOBAL_IN", Nodes: []*policy.Node{
 		{Seq: 10, Action: policy.ActionPermit, Sets: []policy.Set{{Kind: policy.SetLocalPref, Value: 444}}},
 	}}
 	toI1.ImportPolicy = "RM_GLOBAL_IN"
 	// VRF session between H and I1 over the link addresses.
-	li := b.Net.Topo.FindLink("H", "I1")
-	hAddr, iAddr := li.AAddr, li.BAddr
-	if li.A != "H" {
-		hAddr, iAddr = iAddr, hAddr
-	}
-	h.Neighbors = append(h.Neighbors, &config.Neighbor{Addr: iAddr, RemoteAS: 65000, VRF: "v1"})
-	i1.Neighbors = append(i1.Neighbors, &config.Neighbor{Addr: hAddr, RemoteAS: 65000, VRF: "v1"})
+	h.Neighbors = append(h.Neighbors, &config.Neighbor{Addr: end(li, "I1"), RemoteAS: 65000, VRF: "v1"})
+	i1.Neighbors = append(i1.Neighbors, &config.Neighbor{Addr: end(li, "H"), RemoteAS: 65000, VRF: "v1"})
 
 	// --- isolation VSB ---
 	z := device("Z", 65000, "8.0.0.4")
@@ -178,9 +178,7 @@ func BuildProbe() *Probe {
 	link("H3", "B3", 10)
 	link("H3", "C3", 30)
 	// TE metric makes the cheap IGP branch expensive for TE-aware SPF.
-	if l := b.Net.Topo.FindLink("H3", "B3"); l != nil {
-		l.TEAB, l.TEBA = 200, 200
-	}
+	h3.Interfaces["to-B3"].TECost, b3.Interfaces["to-H3"].TECost = 200, 200
 	b.IBGP("H3", "B3")
 	b.IBGP("H3", "C3")
 	b3.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.203.1/24")}
@@ -203,24 +201,14 @@ func BuildProbe() *Probe {
 	h5 := device("H5", 65000, "8.0.0.7")
 	m5 := device("M5", 65000, "8.0.5.1")
 	e5 := device("E5", 65000, "8.0.5.2")
-	link("H5", "M5", 10)
-	link("M5", "E5", 10)
+	l5 := link("H5", "M5", 10)
+	l5e := link("M5", "E5", 10)
 	e5.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("10.55.0.1/24")}
-	l5 := b.Net.Topo.FindLink("H5", "M5")
-	m5Addr := l5.AAddr
-	if l5.A != "M5" {
-		m5Addr = l5.BAddr
-	}
-	l5e := b.Net.Topo.FindLink("M5", "E5")
-	e5Addr := l5e.AAddr
-	if l5e.A != "E5" {
-		e5Addr = l5e.BAddr
-	}
 	h5.Statics = append(h5.Statics, config.StaticRoute{
-		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.55.0.0/24"), NextHop: m5Addr, Preference: 1,
+		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.55.0.0/24"), NextHop: end(l5, "M5"), Preference: 1,
 	})
 	m5.Statics = append(m5.Statics, config.StaticRoute{
-		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.55.0.0/24"), NextHop: e5Addr, Preference: 1,
+		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.55.0.0/24"), NextHop: end(l5e, "E5"), Preference: 1,
 	})
 	m5.ACLs["NO443"] = &policy.ACL{Name: "NO443", Entries: []policy.ACLEntry{
 		{Permit: false, Proto: netmodel.ProtoTCP, DstPortLo: 443, DstPortHi: 443},
@@ -232,27 +220,17 @@ func BuildProbe() *Probe {
 	h6 := device("H6", 65000, "8.0.0.8")
 	m6a := device("M6A", 65000, "8.0.6.1")
 	m6b := device("M6B", 65000, "8.0.6.2")
-	link("H6", "M6A", 10)
-	link("H6", "M6B", 10)
+	la := link("H6", "M6A", 10)
+	lb := link("H6", "M6B", 10)
 	m6a.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("10.56.0.1/24")}
 	m6b.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("10.56.0.2/24")}
-	la := b.Net.Topo.FindLink("H6", "M6A")
-	aSide := la.AAddr
-	if la.A != "M6A" {
-		aSide = la.BAddr
-	}
-	lb := b.Net.Topo.FindLink("H6", "M6B")
-	bSide := lb.AAddr
-	if lb.A != "M6B" {
-		bSide = lb.BAddr
-	}
 	h6.Statics = append(h6.Statics, config.StaticRoute{
-		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.56.0.0/24"), NextHop: aSide, Preference: 1,
+		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.56.0.0/24"), NextHop: end(la, "M6A"), Preference: 1,
 	})
 	h6.PBRPolicies["VIA_B"] = []config.PBRRule{{
 		Name:    "VIA_B",
 		Match:   policy.ACLEntry{Permit: true, Dst: netip.MustParsePrefix("10.56.0.0/24")},
-		NextHop: bSide,
+		NextHop: end(lb, "M6B"),
 	}}
 	h6.Interfaces["to-M6A"].PBR = "VIA_B"
 
@@ -311,5 +289,5 @@ func BuildProbe() *Probe {
 		{Ingress: "H6", Src: netip.MustParseAddr("192.0.2.9"), Dst: netip.MustParseAddr("10.56.0.5"),
 			SrcPort: 1004, DstPort: 443, Proto: netmodel.ProtoTCP, Volume: 45e6},
 	}
-	return &Probe{Net: b.Net, Inputs: inputs, Flows: flows}
+	return &Probe{Net: b.Network(), Inputs: inputs, Flows: flows}
 }

@@ -8,10 +8,12 @@ import (
 	"hoyan/internal/netmodel"
 )
 
-// Builder wires devices into a network: it registers each device with the
-// topology, numbers point-to-point links with consecutive /30s from one
-// address pool, and configures both sides of a BGP session. The synthetic
-// WAN, the case-study networks and the test fixtures are all built with it.
+// Builder wires devices into a network: it adds each device, numbers
+// point-to-point links with consecutive /30s from one address pool by
+// writing an IS-IS interface on each side, and configures both sides of a
+// BGP session. It writes configurations only; Network derives the topology
+// from them once the fixture is complete. The synthetic WAN, the case-study
+// networks and the test fixtures are all built with it.
 type Builder struct {
 	Net *config.Network
 
@@ -32,13 +34,13 @@ func (b *Builder) Device(name, vendor string, asn netmodel.ASN, lo netip.Addr) *
 	d.Loopback = lo
 	d.RouterID = lo
 	b.Net.Devices[name] = d
-	b.Net.Topo.AddNode(netmodel.Node{Name: name, Loopback: lo})
 	return d
 }
 
 // Link wires a and bdev with the pool's next /30: interfaces "to-<peer>" on
-// both sides, with the same IS-IS cost and bandwidth in each direction.
-func (b *Builder) Link(a, bdev string, cost uint32, bandwidth float64) *netmodel.Link {
+// both sides, with the same IS-IS cost and bandwidth in each direction. It
+// returns the link the topology derives from the two interfaces.
+func (b *Builder) Link(a, bdev string, cost uint32, bandwidth float64) netmodel.Link {
 	b.nextLink++
 	base4 := b.pool.Addr().As4()
 	size := uint64(1) << (32 - b.pool.Bits())
@@ -51,23 +53,20 @@ func (b *Builder) Link(a, bdev string, cost uint32, bandwidth float64) *netmodel
 	aIf, bIf := "to-"+bdev, "to-"+a
 	b.Net.Devices[a].Interfaces[aIf] = &config.Interface{Name: aIf, Addr: netip.PrefixFrom(aAddr, 30), ISISCost: cost, Bandwidth: bandwidth}
 	b.Net.Devices[bdev].Interfaces[bIf] = &config.Interface{Name: bIf, Addr: netip.PrefixFrom(bAddr, 30), ISISCost: cost, Bandwidth: bandwidth}
-	return b.Net.Topo.AddLink(netmodel.Link{
+	return netmodel.Link{
 		A: a, B: bdev, AIface: aIf, BIface: bIf,
 		ANet: netip.PrefixFrom(base, 30), BNet: netip.PrefixFrom(base, 30),
 		AAddr: aAddr, BAddr: bAddr,
-		CostAB: cost, CostBA: cost, Bandwidth: bandwidth,
-	})
+		CostAB: cost, CostBA: cost, Bandwidth: bandwidth, Up: true,
+	}.Canonical()
 }
 
-// EBGP configures a session over the direct link between a and bdev and
-// returns a's neighbor (toward bdev) and bdev's (toward a).
+// EBGP configures a session over the direct link between a and bdev (the
+// interfaces Link wrote) and returns a's neighbor (toward bdev) and bdev's
+// (toward a).
 func (b *Builder) EBGP(a, bdev string) (na, nb *config.Neighbor) {
-	l := b.Net.Topo.FindLink(a, bdev)
-	aAddr, bAddr := l.AAddr, l.BAddr
-	if l.A != a {
-		aAddr, bAddr = bAddr, aAddr
-	}
 	da, db := b.Net.Devices[a], b.Net.Devices[bdev]
+	aAddr, bAddr := da.Interfaces["to-"+bdev].Addr.Addr(), db.Interfaces["to-"+a].Addr.Addr()
 	na = &config.Neighbor{Addr: bAddr, RemoteAS: db.ASN, VRF: netmodel.DefaultVRF}
 	nb = &config.Neighbor{Addr: aAddr, RemoteAS: da.ASN, VRF: netmodel.DefaultVRF}
 	da.Neighbors = append(da.Neighbors, na)
@@ -85,4 +84,11 @@ func (b *Builder) IBGP(a, bdev string) (na, nb *config.Neighbor) {
 	da.Neighbors = append(da.Neighbors, na)
 	db.Neighbors = append(db.Neighbors, nb)
 	return na, nb
+}
+
+// Network derives the topology from the devices' interfaces and returns the
+// finished network. A fixture calls it once, after its last device and link.
+func (b *Builder) Network() *config.Network {
+	b.Net.Topo = b.Net.Topology()
+	return b.Net
 }

@@ -117,7 +117,7 @@ func Generate(p Profile) *Output {
 	b.ibgpMesh()
 	b.buildInputs()
 	flows := b.buildFlows()
-	return &Output{Net: b.Net, Inputs: b.inputs, Flows: flows, Prefixes: b.prefixes}
+	return &Output{Net: b.Network(), Inputs: b.inputs, Flows: flows, Prefixes: b.prefixes}
 }
 
 // WithDuplicateInputs returns the inputs plus a copy of every fifth one that

@@ -59,7 +59,7 @@ type TopoIndex struct {
 	adjLink  []LinkIdx
 	adjFromA []bool // row device is the link's A side
 
-	// owner replicates Topology.AddrOwner as IDs: interface addresses in link
+	// owner is Topology.AddrOwner as IDs: interface addresses in link
 	// insertion order (first writer wins), then loopbacks (sorted names,
 	// first owner wins) overriding.
 	owner map[netip.Addr]DevID
@@ -149,9 +149,9 @@ func (ix *TopoIndex) AddrOwnerID(addr netip.Addr) DevID {
 // index is safe for concurrent readers; structural mutations invalidate it
 // (and Up/down toggles deliberately do not — see TopoIndex).
 func (t *Topology) Index() *TopoIndex {
-	t.addrMu.RLock()
+	t.idxMu.RLock()
 	ix := t.topoIdx
-	t.addrMu.RUnlock()
+	t.idxMu.RUnlock()
 	if ix == nil {
 		ix = t.buildIndex()
 	}
@@ -159,8 +159,8 @@ func (t *Topology) Index() *TopoIndex {
 }
 
 func (t *Topology) buildIndex() *TopoIndex {
-	t.addrMu.Lock()
-	defer t.addrMu.Unlock()
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
 	if t.topoIdx != nil {
 		return t.topoIdx
 	}
@@ -246,9 +246,9 @@ func (t *Topology) buildIndex() *TopoIndex {
 		ix.off[d+1] += ix.off[d]
 	}
 
-	// Address ownership, replicating buildAddrIdx exactly: link addresses in
-	// insertion order with first-writer-wins, then loopbacks (sorted names,
-	// first seen wins) overriding link addresses.
+	// Address ownership: link addresses in insertion order with
+	// first-writer-wins, then loopbacks (sorted names, first seen wins)
+	// overriding link addresses.
 	for _, l := range t.links {
 		if l.AAddr.IsValid() {
 			if a, ok := ix.devIDs[l.A]; ok {

@@ -70,12 +70,11 @@ type Topology struct {
 	// byDevice indexes links touching each device.
 	byDevice map[string][]*Link
 
-	// addrMu guards addrIdx and topoIdx, the lazily built indexes behind
-	// AddrOwner and Index. Up/down toggles never move addresses or change the
-	// graph shape, so both survive SetLinkUp/SetNodeUp; structural mutations
-	// invalidate them.
-	addrMu  sync.RWMutex
-	addrIdx map[netip.Addr]string
+	// idxMu guards topoIdx, the lazily built index behind Index and
+	// AddrOwner. Up/down toggles never move addresses or change the graph
+	// shape, so it survives SetLinkUp/SetNodeUp; structural mutations
+	// invalidate it.
+	idxMu   sync.RWMutex
 	topoIdx *TopoIndex
 }
 
@@ -89,22 +88,7 @@ func (t *Topology) AddNode(n Node) {
 	n.Up = true
 	cp := n
 	t.nodes[n.Name] = &cp
-	t.invalidateAddrIdx()
-}
-
-// RemoveNode deletes a router and every link touching it.
-func (t *Topology) RemoveNode(name string) {
-	delete(t.nodes, name)
-	var kept []*Link
-	for _, l := range t.links {
-		if l.A == name || l.B == name {
-			continue
-		}
-		kept = append(kept, l)
-	}
-	t.links = kept
-	t.reindex()
-	t.invalidateAddrIdx()
+	t.invalidateIndex()
 }
 
 // Node returns the named router, or nil.
@@ -130,8 +114,8 @@ func (t *Topology) NodeNames() []string {
 	return out
 }
 
-// AddLink registers a link. The endpoints are normalized so A < B.
-func (t *Topology) AddLink(l Link) *Link {
+// Canonical returns the link with its endpoints ordered so A < B.
+func (l Link) Canonical() Link {
 	if l.B < l.A {
 		l.A, l.B = l.B, l.A
 		l.AIface, l.BIface = l.BIface, l.AIface
@@ -140,27 +124,19 @@ func (t *Topology) AddLink(l Link) *Link {
 		l.CostAB, l.CostBA = l.CostBA, l.CostAB
 		l.TEAB, l.TEBA = l.TEBA, l.TEAB
 	}
+	return l
+}
+
+// AddLink registers a link. The endpoints are normalized so A < B.
+func (t *Topology) AddLink(l Link) *Link {
+	l = l.Canonical()
 	l.Up = true
 	cp := l
 	t.links = append(t.links, &cp)
 	t.byDevice[cp.A] = append(t.byDevice[cp.A], &cp)
 	t.byDevice[cp.B] = append(t.byDevice[cp.B], &cp)
-	t.invalidateAddrIdx()
+	t.invalidateIndex()
 	return &cp
-}
-
-// RemoveLink deletes the link with the given ID; it reports whether a link
-// was removed.
-func (t *Topology) RemoveLink(id LinkID) bool {
-	for i, l := range t.links {
-		if l.ID() == id {
-			t.links = append(t.links[:i], t.links[i+1:]...)
-			t.reindex()
-			t.invalidateAddrIdx()
-			return true
-		}
-	}
-	return false
 }
 
 // Link returns the link with the given ID, or nil. The lookup goes through
@@ -254,8 +230,9 @@ func (t *Topology) Clone() *Topology {
 	for _, l := range t.links {
 		cp := *l
 		out.links = append(out.links, &cp)
+		out.byDevice[cp.A] = append(out.byDevice[cp.A], &cp)
+		out.byDevice[cp.B] = append(out.byDevice[cp.B], &cp)
 	}
-	out.reindex()
 	return out
 }
 
@@ -279,69 +256,20 @@ func (t *Topology) SetLinkUp(id LinkID, up bool) bool {
 	return true
 }
 
-func (t *Topology) reindex() {
-	t.byDevice = make(map[string][]*Link)
-	for _, l := range t.links {
-		t.byDevice[l.A] = append(t.byDevice[l.A], l)
-		t.byDevice[l.B] = append(t.byDevice[l.B], l)
-	}
-}
-
 // AddrOwner returns the device owning addr on one of its link interfaces or
-// loopback, or "" if none. Lookups go through a lazily built index (addresses
-// are queried once per BGP candidate and per forwarded flow hop, so the
-// linear scan used to dominate large simulations); the index is safe for
-// concurrent readers and is rebuilt after structural topology mutations.
+// loopback, or "" if none: the index's owner (TopoIndex.AddrOwnerID), so
+// loopbacks take precedence over link addresses. Safe for concurrent
+// readers.
 func (t *Topology) AddrOwner(addr netip.Addr) string {
-	t.addrMu.RLock()
-	idx := t.addrIdx
-	t.addrMu.RUnlock()
-	if idx == nil {
-		idx = t.buildAddrIdx()
+	ix := t.Index()
+	if id := ix.AddrOwnerID(addr); id != NoDev {
+		return ix.DevName(id)
 	}
-	return idx[addr]
+	return ""
 }
 
-// buildAddrIdx (re)builds the address index: loopbacks take precedence over
-// link addresses, matching the scan order of the original implementation.
-func (t *Topology) buildAddrIdx() map[netip.Addr]string {
-	t.addrMu.Lock()
-	defer t.addrMu.Unlock()
-	if t.addrIdx != nil {
-		return t.addrIdx
-	}
-	idx := make(map[netip.Addr]string, len(t.nodes)+2*len(t.links))
-	for _, l := range t.links {
-		if l.AAddr.IsValid() {
-			if _, ok := idx[l.AAddr]; !ok {
-				idx[l.AAddr] = l.A
-			}
-		}
-		if l.BAddr.IsValid() {
-			if _, ok := idx[l.BAddr]; !ok {
-				idx[l.BAddr] = l.B
-			}
-		}
-	}
-	names := make([]string, 0, len(t.nodes))
-	for name := range t.nodes {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	loSeen := make(map[netip.Addr]bool, len(names))
-	for _, name := range names {
-		if lo := t.nodes[name].Loopback; lo.IsValid() && !loSeen[lo] {
-			loSeen[lo] = true
-			idx[lo] = name
-		}
-	}
-	t.addrIdx = idx
-	return idx
-}
-
-func (t *Topology) invalidateAddrIdx() {
-	t.addrMu.Lock()
-	t.addrIdx = nil
+func (t *Topology) invalidateIndex() {
+	t.idxMu.Lock()
 	t.topoIdx = nil
-	t.addrMu.Unlock()
+	t.idxMu.Unlock()
 }

@@ -136,6 +136,46 @@ func TestVerifyPureDeltaTakesForkPath(t *testing.T) {
 	}
 }
 
+// TestVerifyISISCostEdit: a plan that sets the isis cost on both ends of one
+// WAN(2) link changes the topology, so Verify applies it and simulates it in
+// full, never as a fork. Its updated state equals a cold run of the network
+// edited by hand (both interfaces' costs set, the topology derived again),
+// and differs from the base: the cost is live.
+func TestVerifyISISCostEdit(t *testing.T) {
+	out := gen.Generate(gen.WAN(2))
+	l := out.Net.Topo.FindLink("core-0-0", "core-0-1")
+	plan := &change.Plan{ID: "isis-cost", Type: change.TopologyAdjust, Commands: map[string]string{
+		l.A: fmt.Sprintf("interface %s\n isis cost 500\n", l.AIface),
+		l.B: fmt.Sprintf("interface %s\n isis cost 500\n", l.BIface),
+	}}
+	if _, ok, err := plan.Delta(out.Net); ok || err != nil {
+		t.Fatalf("Delta of an isis cost plan: ok=%v err=%v, want a structural plan", ok, err)
+	}
+	sys := New(out.Net, out.Inputs, out.Flows, core.Options{})
+	got, err := sys.Verify(plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, forked := sys.LastForkStats(); forked {
+		t.Fatal("an isis cost plan took the fork path")
+	}
+
+	hand := out.Net.Clone()
+	hand.Devices[l.A].Interfaces[l.AIface].ISISCost = 500
+	hand.Devices[l.B].Interfaces[l.BIface].ISISCost = 500
+	hand.Topo = hand.Topology()
+	if c := hand.Topo.Link(l.ID()); c.CostAB != 500 || c.CostBA != 500 {
+		t.Fatalf("hand-edited link costs %d/%d", c.CostAB, c.CostBA)
+	}
+	cold := snapshotOf(core.NewEngine(hand, core.Options{}).Run(out.Inputs, out.Flows), hand)
+	if !got.UpdateSnap.RIB.Equal(cold.RIB) || !reflect.DeepEqual(got.UpdateSnap.Paths, cold.Paths) || !reflect.DeepEqual(got.UpdateSnap.Load, cold.Load) {
+		t.Fatal("updated state differs from a cold run of the hand-edited network")
+	}
+	if got.UpdateSnap.RIB.Equal(got.BaseSnap.RIB) && reflect.DeepEqual(got.UpdateSnap.Paths, got.BaseSnap.Paths) {
+		t.Fatal("the isis cost edit changed neither the RIB nor a path")
+	}
+}
+
 // TestVerifyLinkFailureSweepIncremental sweeps a handful of single-link
 // failures through one pipeline's warm forks and checks load intents and
 // loads against a cold run of each applied plan.

@@ -205,7 +205,6 @@ router bgp
 			ID: string(t), Type: t,
 			Description: "add new DC gateway " + newName,
 			NewConfigs:  map[string]string{newName: newCfg},
-			AddNodes:    []change.AddNode{{Name: newName, Loopback: lo}},
 			AddLinks: []netmodel.Link{{
 				A: core, B: newName, AIface: "to-" + newName, BIface: "to-" + core,
 				ANet: netip.PrefixFrom(base, 30), BNet: netip.PrefixFrom(base, 30),
@@ -302,17 +301,9 @@ func addCommands(p *change.Plan, t change.Type, device, cmds string) *change.Pla
 	return p
 }
 
-// linkAddrOf returns the address of `other`'s side of the link between dev
-// and other.
+// linkAddrOf returns the address of other's interface toward dev.
 func linkAddrOf(sc *Scenario, dev, other string) netip.Addr {
-	l := sc.Net.Topo.FindLink(dev, other)
-	if l == nil {
-		panic("scenario: no link " + dev + "--" + other)
-	}
-	if l.A == other {
-		return l.AAddr
-	}
-	return l.BAddr
+	return sc.Net.Devices[other].Interfaces["to-"+dev].Addr.Addr()
 }
 
 // upLinksOf returns the IDs of the device's up links.

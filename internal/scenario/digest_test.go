@@ -47,7 +47,9 @@ func TestHandBuiltNetworkDigests(t *testing.T) {
 	}{
 		{"Fig10a", func() *config.Network { return Fig10a().Net }, "6ae7151ca5765b75d243424946082a2fe7f2d8548bee935102d39d9fd6ab568c"},
 		{"Fig10b", func() *config.Network { return Fig10b().Net }, "42c26227de03a25ba1592edc9e8402ac5fba0f8d29914cd4a548aaa28d3117de"},
-		{"BuildProbe", func() *config.Network { return diagnosis.BuildProbe().Net }, "c9d7e26085116b7f5d3ebed59de5d45c75efb2d3192e23394da40dad1061c767"},
+		// The H3–B3 TE metric is configured on both interfaces ("isis
+		// te-cost 200"), which the topology derives it from.
+		{"BuildProbe", func() *config.Network { return diagnosis.BuildProbe().Net }, "326b0fde8993bf7dbb8d9c4f9f79ef67b7491cb424ed0b6ea427d4c3c2343bd2"},
 		{"WAN(1)", func() *config.Network { return gen.Generate(gen.WAN(1)).Net }, "78f8d24bc0ed88031e063d7bad6833ace71fae124550207ca9213a43809dc037"},
 		{"WAN(4)", func() *config.Network { return gen.Generate(gen.WAN(4)).Net }, "5c5a5862822216d9453faf45e17fa3bfe6311e11069ca212cc2bf65a55c1d1df"},
 		{"WAN(10)", func() *config.Network { return gen.Generate(gen.WAN(10)).Net }, "7afe02bae159863ad13addf1aae3935917e637cd326b07b2a2239606d24388ca"},

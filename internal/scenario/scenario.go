@@ -147,7 +147,7 @@ route-map RM_FROM_B permit 20
 		Name:        "fig10a-shift-to-new-wan",
 		Description: "Figure 10(a): latent missing policy node on M1 causes a detour and overload",
 		Type:        change.TrafficSteering,
-		Net:         b.Net, Inputs: inputs, Flows: flows,
+		Net:         b.Network(), Inputs: inputs, Flows: flows,
 		Plan: plan, Intents: intents,
 		WantOK: false,
 	}
@@ -257,7 +257,7 @@ router bgp
 		Name:        "fig10b-isp-exit",
 		Description: "Figure 10(b): ip-prefix vs ipv6-prefix VSB moves ALL IPv6 prefixes to C",
 		Type:        change.TrafficSteering,
-		Net:         b.Net, Inputs: inputs, Flows: flows,
+		Net:         b.Network(), Inputs: inputs, Flows: flows,
 		Plan: plan, Intents: intents,
 		WantOK: false,
 	}

@@ -452,7 +452,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeDecodeError(w, "decoding request", err)
 		return
 	}
-	if _, err := s.network(req.NetworkID); err != nil {
+	n, err := s.network(req.NetworkID)
+	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
@@ -471,6 +472,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	id := fmt.Sprintf("q-%06d", s.nextID.Add(1))
+	// A plan that does not apply, or changes the topology, is refused here
+	// rather than failed in the queue.
+	if kindOf(req) == "plan" {
+		if _, err := buildDelta(n, &Query{ID: id, Req: req}); err != nil {
+			t.release()
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	}
 	qu := newQuery(id, t, req)
 	qu.persist = func(st Status) { s.record(qu, st) }
 	s.queriesWG.Add(1)

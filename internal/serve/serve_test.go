@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"hoyan/internal/change"
+	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
 	"hoyan/internal/intent"
@@ -674,6 +675,79 @@ func TestServeWireUpload(t *testing.T) {
 	}
 }
 
+// upload posts a network (a wire bundle, or JSON configurations) and returns
+// the status, the network info and the raw body.
+func (h *testHarness) upload(path, contentType string, body []byte) (int, networkInfo, string) {
+	h.t.Helper()
+	req, _ := http.NewRequest("POST", h.ts.URL+path, bytes.NewReader(body))
+	req.Header.Set("X-API-Key", "key-alice")
+	req.Header.Set("Content-Type", contentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		h.t.Fatalf("upload: %v", err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	var info networkInfo
+	json.Unmarshal(raw, &info)
+	return resp.StatusCode, info, string(raw)
+}
+
+// TestServeJSONUpload: configurations uploaded as JSON derive the network a
+// wire upload of the generated one carries — links, base routes and base
+// digest alike, with no inputs on either side — and configurations that
+// derive no link are refused with config.ErrNoLinks.
+func TestServeJSONUpload(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1})
+	var bundle bytes.Buffer
+	if err := EncodeBundle(&bundle, h.out.Net, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	code, fromWire, body := h.upload("/v1/networks?id=wire&activate=false", "application/x-hoyan-wire", bundle.Bytes())
+	if code != http.StatusCreated {
+		t.Fatalf("wire upload: status %d: %s", code, body)
+	}
+	no := false
+	texts := h.out.ConfigTexts()
+	doc, _ := json.Marshal(loadNetworkRequest{ID: "json", Configs: texts, Activate: &no})
+	code, fromJSON, body := h.upload("/v1/networks", "application/json", doc)
+	if code != http.StatusCreated {
+		t.Fatalf("JSON upload: status %d: %s", code, body)
+	}
+	if want := len(h.out.Net.Topo.Links()); fromJSON.Links != want || fromWire.Links != want {
+		t.Fatalf("links: JSON upload %d, wire upload %d, generated network %d", fromJSON.Links, fromWire.Links, want)
+	}
+	if fromJSON.BaseRoutes != fromWire.BaseRoutes || fromJSON.BaseDigest != fromWire.BaseDigest {
+		t.Fatalf("JSON upload: %d base routes, digest %s; wire upload: %d, %s",
+			fromJSON.BaseRoutes, fromJSON.BaseDigest, fromWire.BaseRoutes, fromWire.BaseDigest)
+	}
+
+	// rr-0-0 and isp-1-0 share no subnet: two devices, no link.
+	doc, _ = json.Marshal(loadNetworkRequest{ID: "apart", Configs: map[string]string{"rr-0-0": texts["rr-0-0"], "isp-1-0": texts["isp-1-0"]}})
+	if code, _, body := h.upload("/v1/networks", "application/json", doc); code != http.StatusBadRequest || !strings.Contains(body, config.ErrNoLinks.Error()) {
+		t.Fatalf("configurations with no link: status %d: %s, want 400 with %q", code, body, config.ErrNoLinks)
+	}
+}
+
+// TestServePlanTopologyChange: a plan query that changes an IS-IS cost is no
+// fork; it is refused with 400 and core.ErrTopologyChange before it queues,
+// and gives its in-flight slot back.
+func TestServePlanTopologyChange(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1, Tenants: []TenantConfig{{Name: "alice", APIKey: "key-alice", MaxInFlight: 1}}})
+	for range 2 {
+		resp, body := h.do("alice", "POST", "/v1/queries?wait=1", QueryRequest{
+			Kind: "plan", NetworkID: "wan1",
+			Commands: map[string]string{"core-0-0": "interface to-core-0-1\n isis cost 50\n"},
+		})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), core.ErrTopologyChange.Error()) {
+			t.Fatalf("isis cost plan: status %d: %s, want 400 with %q", resp.StatusCode, body, core.ErrTopologyChange)
+		}
+	}
+	if resp, body := h.do("alice", "POST", "/v1/queries?wait=1", QueryRequest{Kind: "verify", NetworkID: "wan1", Specs: []string{"prefix = 255.255.255.255/32 => PRE = POST"}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("verify after two refused plans: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // ---- unit tests ----
 
 func TestTokenBucket(t *testing.T) {
@@ -1121,6 +1195,7 @@ func TestServePlanQuery(t *testing.T) {
 	}{
 		{map[string]string{"no-such-device": "router bgp 65000\n"}, `unknown device "no-such-device"`},
 		{nil, "carries no commands"},
+		{map[string]string{"core-0-0": "interface to-core-0-1\n isis cost 50\n"}, core.ErrTopologyChange.Error()},
 	} {
 		res, err := srv.run(context.Background(), &Query{ID: "q", Req: QueryRequest{Kind: "plan", NetworkID: n.ID, Commands: bad.commands}})
 		if err == nil || res != nil || !strings.Contains(err.Error(), bad.want) {

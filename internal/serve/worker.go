@@ -120,13 +120,17 @@ func (s *Server) run(ctx context.Context, qu *Query) (*QueryResult, error) {
 // buildDelta resolves a query into an engine delta: a plan query's commands
 // into the devices they reconfigure (change.Plan.Delta), a what-if's failures
 // into flips. The engine rejects a device the network does not have; links
-// arrive as endpoint pairs and are resolved here.
+// arrive as endpoint pairs and are resolved here. A plan that changes the
+// topology is no fork: core.ErrTopologyChange.
 func buildDelta(n *Network, qu *Query) (core.Delta, error) {
 	if kindOf(qu.Req) == "plan" {
 		if len(qu.Req.Commands) == 0 {
 			return core.Delta{}, fmt.Errorf("serve: plan query carries no commands")
 		}
-		d, _, err := (&change.Plan{ID: qu.ID, Commands: qu.Req.Commands}).Delta(n.net)
+		d, ok, err := (&change.Plan{ID: qu.ID, Commands: qu.Req.Commands}).Delta(n.net)
+		if err == nil && !ok {
+			err = fmt.Errorf("serve: plan %s: %w", qu.ID, core.ErrTopologyChange)
+		}
 		return d, err
 	}
 	ids, err := n.resolveLinks(qu.Req.FailLinks)

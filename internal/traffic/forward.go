@@ -89,9 +89,6 @@ func NewForwarder(net *config.Network, igp *isis.Result, ribs RIBSource, opts Op
 		if d.Loopback.IsValid() {
 			set[d.Loopback] = true
 		}
-		if node := net.Topo.Node(name); node != nil && node.Loopback.IsValid() {
-			set[node.Loopback] = true
-		}
 		for _, i := range d.Interfaces {
 			if i.Addr.IsValid() {
 				set[i.Addr.Addr()] = true
@@ -549,13 +546,12 @@ func (f *Forwarder) pbrNextHop(d *config.Device, inIface string, fl netmodel.Flo
 
 // ownsAddr reports whether the device terminates the address locally, from
 // the prebuilt owned-address set. The invalid address matches an unset
-// loopback, in the device config or the topology.
+// loopback.
 func (f *Forwarder) ownsAddr(d *config.Device, a netip.Addr) bool {
 	if a.IsValid() {
 		return f.owned[d.Name][a]
 	}
-	node := f.net.Topo.Node(d.Name)
-	return !d.Loopback.IsValid() || (node != nil && !node.Loopback.IsValid())
+	return !d.Loopback.IsValid()
 }
 
 // dedupeBranches sorts branches into (device, link) order and removes exact

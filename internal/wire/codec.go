@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net/netip"
 
 	"hoyan/internal/netmodel"
 	"slices"
@@ -190,21 +189,14 @@ func (d *decoder) flow() (netmodel.Flow, error) {
 
 // ---------------------------------------------------------------- snapshot
 
-// SnapshotNode is the wire form of a topology node. core.SnapshotNode
-// aliases this type.
-type SnapshotNode struct {
-	Name     string
-	Loopback netip.Addr
-	Up       bool
-}
-
 // Snapshot is the wire form of a network model: per-device configuration
-// text plus the monitored topology. core.Snapshot shares this underlying
-// struct, so conversions between the two are free.
+// text, from which the receiver derives the topology, plus the monitored
+// state — the nodes and links that are down. core.Snapshot shares this
+// underlying struct, so conversions between the two are free.
 type Snapshot struct {
-	Configs map[string]string
-	Nodes   []SnapshotNode
-	Links   []netmodel.Link
+	Configs   map[string]string
+	DownNodes []string
+	DownLinks []netmodel.LinkID
 }
 
 // EncodeSnapshot writes the snapshot as a flate-compressed binary frame
@@ -227,34 +219,15 @@ func EncodeSnapshotOpts(w io.Writer, s *Snapshot, opts Options) error {
 			e.str(name)
 			e.blob(s.Configs[name])
 		}
-		e.uvarint(uint64(len(s.Nodes)))
-		for _, n := range s.Nodes {
-			e.str(n.Name)
-			e.addr(n.Loopback)
-			e.bool(n.Up)
+		e.uvarint(uint64(len(s.DownNodes)))
+		for _, n := range s.DownNodes {
+			e.str(n)
 		}
-		e.uvarint(uint64(len(s.Links)))
-		for i := range s.Links {
-			e.link(&s.Links[i])
+		e.uvarint(uint64(len(s.DownLinks)))
+		for _, id := range s.DownLinks {
+			e.linkID(id)
 		}
 	})
-}
-
-func (e *encoder) link(l *netmodel.Link) {
-	e.str(l.A)
-	e.str(l.B)
-	e.str(l.AIface)
-	e.str(l.BIface)
-	e.prefix(l.ANet)
-	e.prefix(l.BNet)
-	e.addr(l.AAddr)
-	e.addr(l.BAddr)
-	e.uvarint(uint64(l.CostAB))
-	e.uvarint(uint64(l.CostBA))
-	e.uvarint(uint64(l.TEAB))
-	e.uvarint(uint64(l.TEBA))
-	e.f64(l.Bandwidth)
-	e.bool(l.Up)
 }
 
 // DecodeSnapshot reads a snapshot written by EncodeSnapshot.
@@ -281,60 +254,26 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		s.Configs[name] = text
 	}
 	nn, err := d.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("wire: decoding snapshot nodes: %w", err)
+	for i := uint64(0); err == nil && i < nn; i++ {
+		var n string
+		if n, err = d.str(); err == nil {
+			s.DownNodes = append(s.DownNodes, n)
+		}
 	}
-	s.Nodes = make([]SnapshotNode, 0, min(nn, preallocCap))
-	for i := uint64(0); i < nn; i++ {
-		var n SnapshotNode
-		if n.Name, err = d.str(); err == nil {
-			if n.Loopback, err = d.addr(); err == nil {
-				n.Up, err = d.bool()
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("wire: decoding snapshot node %d: %w", i, err)
-		}
-		s.Nodes = append(s.Nodes, n)
+	if err != nil {
+		return nil, fmt.Errorf("wire: decoding snapshot down nodes: %w", err)
 	}
 	nl, err := d.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("wire: decoding snapshot links: %w", err)
-	}
-	s.Links = make([]netmodel.Link, 0, min(nl, preallocCap))
-	for i := uint64(0); i < nl; i++ {
-		l, err := d.link()
-		if err != nil {
-			return nil, fmt.Errorf("wire: decoding snapshot link %d: %w", i, err)
+	for i := uint64(0); err == nil && i < nl; i++ {
+		var id netmodel.LinkID
+		if id, err = d.linkID(); err == nil {
+			s.DownLinks = append(s.DownLinks, id)
 		}
-		s.Links = append(s.Links, l)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wire: decoding snapshot down links: %w", err)
 	}
 	return s, nil
-}
-
-func (d *decoder) link() (netmodel.Link, error) {
-	var l netmodel.Link
-	var err error
-	read := func(fn func() error) {
-		if err == nil {
-			err = fn()
-		}
-	}
-	read(func() (e error) { l.A, e = d.str(); return })
-	read(func() (e error) { l.B, e = d.str(); return })
-	read(func() (e error) { l.AIface, e = d.str(); return })
-	read(func() (e error) { l.BIface, e = d.str(); return })
-	read(func() (e error) { l.ANet, e = d.prefix(); return })
-	read(func() (e error) { l.BNet, e = d.prefix(); return })
-	read(func() (e error) { l.AAddr, e = d.addr(); return })
-	read(func() (e error) { l.BAddr, e = d.addr(); return })
-	read(func() (e error) { l.CostAB, e = d.u32(); return })
-	read(func() (e error) { l.CostBA, e = d.u32(); return })
-	read(func() (e error) { l.TEAB, e = d.u32(); return })
-	read(func() (e error) { l.TEBA, e = d.u32(); return })
-	read(func() (e error) { l.Bandwidth, e = d.f64(); return })
-	read(func() (e error) { l.Up, e = d.bool(); return })
-	return l, err
 }
 
 // ----------------------------------------------------- traffic result file

@@ -41,9 +41,10 @@ const (
 	mark1 byte = 'H'
 	mark2 byte = 'Y'
 
-	// Version is the current format version. Decoders reject frames with a
-	// newer version instead of misparsing them.
-	Version byte = 1
+	// Version is the current format version. Decoders reject frames of any
+	// other version instead of misparsing them. Version 2: a snapshot ships
+	// its configurations and down sets, no topology.
+	Version byte = 2
 
 	flagFlate byte = 1 << 0
 

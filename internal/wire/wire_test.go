@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"hoyan/internal/netmodel"
@@ -77,18 +78,8 @@ func sampleSnapshot() *Snapshot {
 			"rr-0-0":     "hostname rr-0-0\nrouter bgp 65000\n",
 			"border-0-0": "hostname border-0-0\nrouter bgp 65000\n",
 		},
-		Nodes: []SnapshotNode{
-			{Name: "rr-0-0", Loopback: netip.MustParseAddr("10.255.0.1"), Up: true},
-			{Name: "border-0-0", Loopback: netip.MustParseAddr("10.255.0.2"), Up: false},
-		},
-		Links: []netmodel.Link{{
-			A: "rr-0-0", B: "border-0-0", AIface: "eth0", BIface: "eth1",
-			ANet:   netip.MustParsePrefix("10.254.0.0/31"),
-			BNet:   netip.MustParsePrefix("10.254.0.0/31"),
-			AAddr:  netip.MustParseAddr("10.254.0.0"),
-			BAddr:  netip.MustParseAddr("10.254.0.1"),
-			CostAB: 10, CostBA: 10, TEAB: 1, TEBA: 1, Bandwidth: 100e9, Up: true,
-		}},
+		DownNodes: []string{"border-0-0"},
+		DownLinks: []netmodel.LinkID{{A: "rr-0-0", B: "border-0-0", AIface: "eth0", BIface: "eth1"}},
 	}
 }
 
@@ -259,6 +250,22 @@ func TestGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotS, sampleSnapshot()) {
 		t.Error("golden snapshot decode mismatch")
+	}
+}
+
+// TestSnapshotV1Rejected: a version 1 snapshot frame, which carried the
+// topology's nodes and links, is refused rather than misread as version 2's
+// down sets.
+func TestSnapshotV1Rejected(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1[3] != 1 {
+		t.Fatalf("fixture is version %d, want 1", v1[3])
+	}
+	if s, err := DecodeSnapshot(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("decoded a v1 snapshot frame: %+v, %v", s, err)
 	}
 }
 
