@@ -7,7 +7,6 @@ package change
 
 import (
 	"fmt"
-	"maps"
 	"net/netip"
 	"slices"
 	"strings"
@@ -153,11 +152,9 @@ func (p *Plan) Apply(base *config.Network) (*config.Network, error) {
 				ISISCost: e.CostAB, TECost: e.TEAB, Bandwidth: l.Bandwidth}
 		}
 	}
-	devices, err := p.configured(updated)
-	if err != nil {
+	if err := p.configure(updated.Devices); err != nil {
 		return nil, err
 	}
-	maps.Copy(updated.Devices, devices)
 	updated.Topo = updated.Topology()
 	for _, l := range p.AddLinks {
 		if updated.Topo.Link(l.Canonical().ID()) == nil {
@@ -196,8 +193,13 @@ func (p *Plan) Delta(base *config.Network) (d core.Delta, ok bool, err error) {
 	if len(p.NewConfigs) > 0 || len(p.AddLinks) > 0 || len(p.RemoveLinks) > 0 || len(p.RemoveNodes) > 0 {
 		return core.Delta{}, false, nil
 	}
-	configs, err := p.configured(base)
-	if err != nil {
+	configs := make(map[string]*config.Device, len(p.Commands))
+	for name := range p.Commands {
+		if dev := base.Devices[name]; dev != nil {
+			configs[name] = dev.Clone()
+		}
+	}
+	if err := p.configure(configs); err != nil {
 		return core.Delta{}, false, err
 	}
 	for name, dev := range configs {
@@ -230,30 +232,27 @@ func (p *Plan) toggles() core.Delta {
 	return d
 }
 
-// configured applies each command block to a clone of net's device. Blocks
-// go in device order, so a plan with several bad blocks always reports the
-// same one.
-func (p *Plan) configured(net *config.Network) (map[string]*config.Device, error) {
-	devices := make([]string, 0, len(p.Commands))
-	for device := range p.Commands {
-		devices = append(devices, device)
+// configure applies each command block to its device in devices, in place.
+// Blocks go in device order, so a plan with several bad blocks always reports
+// the same one.
+func (p *Plan) configure(devices map[string]*config.Device) error {
+	names := make([]string, 0, len(p.Commands))
+	for name := range p.Commands {
+		names = append(names, name)
 	}
-	slices.Sort(devices)
-	out := make(map[string]*config.Device, len(p.Commands))
-	for _, device := range devices {
-		base, ok := net.Devices[device]
+	slices.Sort(names)
+	for _, name := range names {
+		dev, ok := devices[name]
 		if !ok {
 			// Typos in router names are one of Table 6's top root causes;
 			// real CLIs reject them, so the plan fails to apply.
-			return nil, fmt.Errorf("change %s: unknown device %q in commands", p.ID, device)
+			return fmt.Errorf("change %s: unknown device %q in commands", p.ID, name)
 		}
-		dev := base.Clone()
-		if err := config.ApplyCommands(dev, p.Commands[device]); err != nil {
-			return nil, fmt.Errorf("change %s: %w", p.ID, err)
+		if err := config.ApplyCommands(dev, p.Commands[name]); err != nil {
+			return fmt.Errorf("change %s: %w", p.ID, err)
 		}
-		out[device] = dev
 	}
-	return out, nil
+	return nil
 }
 
 // ApplyInputs adjusts the input route set per the plan: reclaimed prefixes

@@ -418,11 +418,10 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 // delta's new EC partition moves (moved), and at the members those
 // prefixes represent. A table without such prefixes is the base's expanded
 // table itself; any other is an Overlay of it holding only those prefixes,
-// rebuilt (ec.Reexpand), with the base table's LPM index carried forward,
-// patched at them. From the rebuilt prefixes alone it derives the per-device
-// prefixes whose rows forward differently, the per-prefix change in the
-// number of tables holding it, and the row count of every changed device's
-// global-RIB block. A reconfigured device's base tables count as empty: its
+// rebuilt (ec.Reexpand). From the rebuilt prefixes alone it derives the
+// per-device prefixes whose rows forward differently, the per-prefix change
+// in the number of tables holding it, and the row count of every changed
+// device's global-RIB block. A reconfigured device's base tables count as empty: its
 // tables and its block are rebuilt from the fork's alone, and its base
 // prefixes retired like a downed device's.
 func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs *ec.RouteECs, moved []netip.Prefix, routes *RouteResult, d Delta, stats *ForkStats) (ribDiff map[string][]netip.Prefix, countDelta map[netip.Prefix]int) {
@@ -461,7 +460,6 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs 
 			bres.SetRIB(t.Device, t.VRF, baseRIB)
 			continue
 		}
-		rt.PatchLPM(baseRIB, pfx)
 		bres.SetRIB(t.Device, t.VRF, rt)
 		rebuilt[t] = pfx
 		if t.Device != blockOf {

@@ -168,7 +168,7 @@ func (lp *layerPair[V]) check(label string, pool []netip.Prefix) error {
 }
 
 // check compares every reader of the overlay with the clone's, longest match
-// against the index-free scan at addrs, and under with its snapshot.
+// against the scan at addrs, and under with its snapshot.
 func (pr *overlayPair) check(label string, pool []netip.Prefix, addrs []netip.Addr) error {
 	o, ref := pr.o, pr.ref
 	if err := pr.str.check(label, pool); err != nil {
@@ -210,23 +210,15 @@ func (pr *overlayPair) checkUnder(label string) error {
 	return nil
 }
 
-// checkPatch gives the overlay under's index patched at every prefix it
-// writes, and checks longest match against the clone's scan again.
-func (pr *overlayPair) checkPatch(label string, addrs []netip.Addr) error {
-	pr.under.LongestMatch(netip.IPv4Unspecified()) // an index to carry forward
-	var written []netip.Prefix
-	for p := range pr.o.byPrefix.own {
-		written = append(written, p)
-	}
-	pr.o.PatchLPM(pr.under, written)
-	if ix := pr.o.lpm.Load(); ix == nil || ix.under == nil {
-		return fmt.Errorf("%s: PatchLPM left no patched index", label)
-	}
-	for _, a := range addrs {
-		gp, gb, gok := pr.o.LongestMatch(a)
-		wp, wb, wok := pr.ref.LongestMatchScan(a)
-		if gok != wok || gp != wp || !slices.EqualFunc(gb, wb, Route.Identical) {
-			return fmt.Errorf("%s: patched LongestMatch(%s) = %v %v, clone scan %v %v", label, a, gp, gok, wp, wok)
+// checkMatch checks longest match against the scan at addrs on the overlay,
+// on an overlay of it and on the table under it — what a fork, a fork of that
+// fork and the base answer their flows with — and under with its snapshot.
+func (pr *overlayPair) checkMatch(label string, addrs []netip.Addr) error {
+	for _, t := range []*RIB{pr.o, pr.o.Overlay(), pr.under} {
+		for _, a := range addrs {
+			if err := sameMatch(t, a); err != nil {
+				return fmt.Errorf("%s: %s/%s: %w", label, t.Device, t.VRF, err)
+			}
 		}
 	}
 	return pr.checkUnder(label)
@@ -243,20 +235,22 @@ func randAddrs(rnd *rand.Rand, n int) []netip.Addr {
 // TestOverlayMatchesShallowClone: 200 random sequences of replaces, deletes,
 // new prefixes, deletes of new prefixes and re-branches, applied to an
 // Overlay and to a ShallowClone of one table, leave every reader agreeing —
-// Routes, Best, Prefixes, Len, AppendSorted, LongestMatch (built and patched)
-// against the scan — and the table under the overlay as it was. The string
-// and bool Layers fed the same operations read as their plain maps.
+// Routes, Best, Prefixes, Len, AppendSorted, LongestMatch against the scan,
+// on masked tables and on a quarter with unmasked prefixes — and the table
+// under the overlay as it was. The string and bool Layers fed the same
+// operations read as their plain maps.
 func TestOverlayMatchesShallowClone(t *testing.T) {
 	rnd := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
-		under := randTable(rnd, rnd.Intn(30), true)
+		masked := trial%4 != 3
+		under := randTable(rnd, rnd.Intn(30), masked)
 		if trial%3 == 0 {
 			under.Prefixes() // a memo the overlay may share
 		}
 		pr := newOverlayPair(under)
 		var pool []netip.Prefix
 		for i := 0; i < 6; i++ {
-			pool = append(pool, randPrefix(rnd, true))
+			pool = append(pool, randPrefix(rnd, masked))
 		}
 		addrs := randAddrs(rnd, 40)
 		for step, n := 0, rnd.Intn(20); step < n; step++ {
@@ -273,17 +267,17 @@ func TestOverlayMatchesShallowClone(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := pr.checkPatch(fmt.Sprintf("trial %d", trial), addrs); err != nil {
+		if err := pr.checkMatch(fmt.Sprintf("trial %d", trial), addrs); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
 // TestOverlaysShareUnderConcurrently: eight overlays of one table written and
-// read at once — each its own random sequence, LongestMatch building and
-// patching indexes, Prefixes memoizing — while the table under them is read
-// too (run under -race): every overlay matches its clone, and the table is
-// unchanged.
+// read at once — each its own random sequence, LongestMatch probing through
+// to the shared table, Prefixes memoizing — while the table under them is
+// read too (run under -race): every overlay matches its clone, and the table
+// is unchanged.
 func TestOverlaysShareUnderConcurrently(t *testing.T) {
 	rnd := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {
@@ -314,7 +308,7 @@ func TestOverlaysShareUnderConcurrently(t *testing.T) {
 						return
 					}
 				}
-				if err := pr.checkPatch(fmt.Sprintf("trial %d overlay %d", trial, i), addrs); err != nil {
+				if err := pr.checkMatch(fmt.Sprintf("trial %d overlay %d", trial, i), addrs); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -325,7 +319,8 @@ func TestOverlaysShareUnderConcurrently(t *testing.T) {
 
 // FuzzOverlayRIB decodes an operation sequence from bytes — the first byte
 // sizes the table under, each later pair picks an operation and a prefix of a
-// fixed pool — and checks the overlay against a ShallowClone after every step.
+// fixed pool, its odd prefixes unmasked — and checks the overlay against a
+// ShallowClone after every step.
 func FuzzOverlayRIB(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 3, 0, 2, 7})
 	f.Add([]byte{12, 1, 0, 1, 0, 0, 0, 3, 3, 1, 5, 2, 11, 0, 20})
@@ -333,7 +328,7 @@ func FuzzOverlayRIB(f *testing.F) {
 	pool := make([]netip.Prefix, 24)
 	prnd := rand.New(rand.NewSource(23))
 	for i := range pool {
-		pool[i] = randPrefix(prnd, true)
+		pool[i] = randPrefix(prnd, i%2 == 0)
 	}
 	addrs := randAddrs(prnd, 32)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -353,7 +348,7 @@ func FuzzOverlayRIB(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		if err := pr.checkPatch("end", addrs); err != nil {
+		if err := pr.checkMatch("end", addrs); err != nil {
 			t.Fatal(err)
 		}
 	})

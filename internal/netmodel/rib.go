@@ -3,6 +3,7 @@ package netmodel
 import (
 	"cmp"
 	"encoding/binary"
+	"math/bits"
 	"net/netip"
 	"slices"
 	"sort"
@@ -32,14 +33,18 @@ type RIB struct {
 	// keysMoved counts, in an overlay, the prefixes it holds and under lacks
 	// plus those under holds and it deletes: zero means under's key set.
 	keysMoved int
-	// lpm is the lazily built longest-prefix-match index. Any mutation clears
-	// it; LongestMatch rebuilds on first use. Safe for concurrent readers
-	// (traffic simulation looks up flows in parallel against converged RIBs).
-	lpm atomic.Pointer[lpmIndex]
+	// lens and aliases are what LongestMatch probes by. lens records every
+	// prefix length the table has held a key at; aliases, per masked network,
+	// the keys at it that are not their own masked network (10.0.0.1/24 at
+	// 10.0.0.0/24), sorted. Both only grow: a delete leaves them a superset of
+	// the keys, which costs a lookup a wasted probe and nothing else. An
+	// overlay starts from under's and writes its own copies.
+	lens    prefixLens
+	aliases Layer[netip.Prefix, []netip.Prefix]
 	// sorted memoizes Prefixes(). Only a mutation that changes the key set
 	// (a new prefix or a delete) clears it, so the aggregate refreshes of a
 	// fixpoint round and every emitter of a converged table share one sort.
-	// Atomic for the same reason as lpm: concurrent forks read base tables.
+	// Atomic because concurrent forks read base tables.
 	// An overlay whose key set is under's uses under's instead.
 	sorted atomic.Pointer[[]netip.Prefix]
 }
@@ -107,12 +112,23 @@ func (t *RIB) ReplaceOwned(prefix netip.Prefix, rs []Route) {
 	t.invalidate(is != was)
 }
 
-// put writes p's rows; no rows delete p.
+// put writes p's rows; no rows delete p. It is the one insert of a key, so
+// the one place LongestMatch's records learn of it.
 func (t *RIB) put(p netip.Prefix, rs []Route) {
 	if len(rs) == 0 {
 		t.byPrefix.Delete(p)
-	} else {
-		t.byPrefix.Set(p, rs)
+		return
+	}
+	t.byPrefix.Set(p, rs)
+	if !p.IsValid() {
+		return
+	}
+	t.lens.add(p)
+	if net := p.Masked(); net != p {
+		as := t.aliases.Get(net)
+		if i, found := slices.BinarySearchFunc(as, p, comparePrefix); !found {
+			t.aliases.Set(net, slices.Insert(slices.Clip(as), i, p)) // under's slice stays as it was
+		}
 	}
 }
 
@@ -126,7 +142,8 @@ func (t *RIB) Overlay() *RIB {
 	if under == nil {
 		under = t
 	}
-	return &RIB{Device: t.Device, VRF: t.VRF, byPrefix: t.byPrefix.Over(), under: under, keysMoved: t.keysMoved}
+	return &RIB{Device: t.Device, VRF: t.VRF, byPrefix: t.byPrefix.Over(), under: under, keysMoved: t.keysMoved,
+		lens: t.lens, aliases: t.aliases.Over()}
 }
 
 // Changed returns the prefixes whose rows t's own writes moved off the table
@@ -169,7 +186,7 @@ func UnionRIBs(parts []*RIB) *RIB {
 	}
 	out := NewRIBSized(parts[0].Device, parts[0].VRF, n)
 	for _, t := range parts {
-		t.each(out.byPrefix.Set)
+		t.each(out.put)
 	}
 	return out
 }
@@ -255,42 +272,11 @@ func (t *RIB) AppendSpliced(dst, base []Route, changed []netip.Prefix) []Route {
 	return append(dst, base...)
 }
 
-// lpmIndex is the longest-prefix-match index over a RIB's best routes:
-// prefixes with at least one RouteBest row, bucketed by (address family,
-// prefix length) with lengths kept in descending order, mapping the masked
-// network address to the presorted best rows. A lookup probes each length of
-// the address's family from longest to shortest and returns the first hit —
-// identical semantics to the original full-table scan, since two distinct
-// prefixes of the same length cannot both cover one address.
-type lpmIndex struct {
-	v4bits []int
-	v6bits []int
-	v4     map[int]map[netip.Addr]lpmEntry
-	v6     map[int]map[netip.Addr]lpmEntry
-
-	// under, when set, is the index this one patches (PatchLPM): an entry here
-	// replaces under's for the same network (hides it, without best rows), and
-	// the bit lists cover both indexes.
-	under *lpmIndex
-	// keyed: every indexed prefix is its own masked network, so each entry
-	// follows from its prefix's rows alone and can be patched.
-	keyed bool
-}
-
-type lpmEntry struct {
-	prefix netip.Prefix
-	best   []Route
-}
-
-// invalidate drops the memoized longest-prefix-match index after a write,
-// and the sorted prefix list when the write changed the key set. The nil
-// checks matter: during route simulation every decision writes the RIB and
-// nothing queries LPM, so skipping the atomic store (and its write barrier)
-// on an already-nil memo keeps the hot install path cheap.
+// invalidate drops the memoized sorted prefix list when a write changed the
+// key set. The nil check matters: during route simulation every decision
+// writes the RIB and nothing sorts it, so skipping the atomic store (and its
+// write barrier) on an already-nil memo keeps the hot install path cheap.
 func (t *RIB) invalidate(keysChanged bool) {
-	if t.lpm.Load() != nil {
-		t.lpm.Store(nil)
-	}
 	if keysChanged && t.sorted.Load() != nil {
 		t.sorted.Store(nil)
 	}
@@ -330,132 +316,70 @@ func bestRows(rows []Route) []Route {
 	return sel
 }
 
-// family returns the index's prefix lengths and buckets for one address
-// family; nothing on a nil index (the under of an index that patches none).
-func (ix *lpmIndex) family(v4 bool) ([]int, map[int]map[netip.Addr]lpmEntry) {
-	switch {
-	case ix == nil:
-		return nil, nil
-	case v4:
-		return ix.v4bits, ix.v4
-	}
-	return ix.v6bits, ix.v6
+// prefixLens is a set of prefix lengths per address family: bit b of v4 for
+// an IPv4 /b, bit b%64 of v6[b/64] for an IPv6 /b.
+type prefixLens struct {
+	v4 uint64
+	v6 [3]uint64
 }
 
-// bucket returns the index's entry map for prefixes of p's family and length.
-func (ix *lpmIndex) bucket(p netip.Prefix) map[netip.Addr]lpmEntry {
-	_, m := ix.family(p.Addr().Is4())
-	bm := m[p.Bits()]
-	if bm == nil {
-		bm = make(map[netip.Addr]lpmEntry)
-		m[p.Bits()] = bm
+func (l *prefixLens) add(p netip.Prefix) {
+	if b := p.Bits(); p.Addr().Is4() {
+		l.v4 |= 1 << b
+	} else {
+		l.v6[b/64] |= 1 << (b % 64)
 	}
-	return bm
-}
-
-// setBits lists each family's prefix lengths, descending: the index's own plus
-// those of the index it patches.
-func (ix *lpmIndex) setBits() {
-	list := func(v4 bool) []int {
-		under, _ := ix.under.family(v4)
-		_, m := ix.family(v4)
-		bits := slices.Clone(under)
-		for b := range m {
-			bits = append(bits, b)
-		}
-		slices.SortFunc(bits, func(a, b int) int { return b - a })
-		return slices.Compact(bits)
-	}
-	ix.v4bits, ix.v6bits = list(true), list(false)
-}
-
-func (t *RIB) buildLPM() *lpmIndex {
-	ix := &lpmIndex{
-		v4:    make(map[int]map[netip.Addr]lpmEntry),
-		v6:    make(map[int]map[netip.Addr]lpmEntry),
-		keyed: true,
-	}
-	t.each(func(p netip.Prefix, rows []Route) {
-		if !p.IsValid() {
-			return
-		}
-		sel := bestRows(rows)
-		if len(sel) == 0 {
-			return
-		}
-		bm := ix.bucket(p)
-		key := p.Masked().Addr()
-		ix.keyed = ix.keyed && key == p.Addr()
-		// Distinct unmasked keys can collapse onto one network; keep the
-		// lexically smaller prefix deterministically.
-		if prev, dup := bm[key]; dup && comparePrefix(prev.prefix, p) <= 0 {
-			return
-		}
-		bm[key] = lpmEntry{prefix: p, best: sel}
-	})
-	ix.setBits()
-	return ix
-}
-
-// PatchLPM gives t base's longest-prefix-match index patched at the changed
-// prefixes, for a t that holds base's rows at every other prefix. It costs
-// O(len(changed)), not the whole-table build of a first LongestMatch. When
-// base has no index to carry forward, or one that cannot be patched entry by
-// entry (unmasked prefixes; itself a patch), t is left to build its own.
-func (t *RIB) PatchLPM(base *RIB, changed []netip.Prefix) {
-	under := base.lpm.Load()
-	if under == nil || under.under != nil || !under.keyed {
-		return
-	}
-	ix := &lpmIndex{
-		v4:    make(map[int]map[netip.Addr]lpmEntry),
-		v6:    make(map[int]map[netip.Addr]lpmEntry),
-		under: under,
-	}
-	for _, p := range changed {
-		if !p.IsValid() {
-			continue
-		}
-		if p != p.Masked() {
-			return
-		}
-		ix.bucket(p)[p.Addr()] = lpmEntry{prefix: p, best: bestRows(t.rows(p))}
-	}
-	ix.setBits()
-	t.lpm.Store(ix)
 }
 
 // LongestMatch returns the best routes of the longest prefix covering addr,
 // together with the matched prefix. ok is false if no prefix covers addr.
-// Lookups go through a lazily built per-length index; the returned slice is
-// shared and must not be modified by the caller.
+// It probes the table's own prefix map at every length the table has held a
+// key at, longest first: the first network there with best rows is the
+// match. Where keys that are not their own masked network collide with it
+// (10.0.0.0/24, 10.0.0.1/24), the lexically smallest with best rows wins.
+// The returned slice is shared and must not be modified by the caller.
 func (t *RIB) LongestMatch(addr netip.Addr) (prefix netip.Prefix, best []Route, ok bool) {
-	ix := t.lpm.Load()
-	if ix == nil {
-		ix = t.buildLPM()
-		t.lpm.Store(ix)
-	}
-	bits, m := ix.family(addr.Is4())
-	_, um := ix.under.family(addr.Is4())
-	for _, b := range bits {
-		key := netip.PrefixFrom(addr, b).Masked().Addr()
-		e, hit := m[b][key]
-		if !hit {
-			e, hit = um[b][key]
-		}
-		if hit && len(e.best) > 0 {
-			return e.prefix, e.best, true
+	switch {
+	case addr.Is4():
+		return t.probe(addr, t.lens.v4, 0)
+	case addr.Is6():
+		for w := len(t.lens.v6) - 1; w >= 0; w-- {
+			if prefix, best, ok = t.probe(addr, t.lens.v6[w], 64*w); ok {
+				return prefix, best, ok
+			}
 		}
 	}
 	return netip.Prefix{}, nil, false
 }
 
-// LongestMatchScan is the index-free longest-prefix match: a full scan over
-// every prefix. It is the reference the tests check LongestMatch against.
+// probe is LongestMatch over the lengths base+i for each bit i set in lens.
+func (t *RIB) probe(addr netip.Addr, lens uint64, base int) (netip.Prefix, []Route, bool) {
+	for lens != 0 {
+		i := 63 - bits.LeadingZeros64(lens)
+		lens &^= 1 << i
+		net := netip.PrefixFrom(addr, base+i).Masked()
+		if best := bestRows(t.rows(net)); len(best) > 0 {
+			return net, best, true
+		}
+		if t.aliases.Bound() == 0 {
+			continue
+		}
+		for _, p := range t.aliases.Get(net) {
+			if best := bestRows(t.rows(p)); len(best) > 0 {
+				return p, best, true
+			}
+		}
+	}
+	return netip.Prefix{}, nil, false
+}
+
+// LongestMatchScan is the probe-free longest-prefix match: a full scan over
+// every prefix, taking among covering prefixes of one length the lexically
+// smallest with best rows. It is the reference the tests check LongestMatch
+// against.
 func (t *RIB) LongestMatchScan(addr netip.Addr) (prefix netip.Prefix, best []Route, ok bool) {
-	bestBits := -1
 	t.each(func(p netip.Prefix, rows []Route) {
-		if !p.Contains(addr) || p.Bits() <= bestBits {
+		if !p.Contains(addr) || ok && (p.Bits() < prefix.Bits() || p.Bits() == prefix.Bits() && comparePrefix(p, prefix) > 0) {
 			return
 		}
 		var sel []Route
@@ -464,17 +388,12 @@ func (t *RIB) LongestMatchScan(addr netip.Addr) (prefix netip.Prefix, best []Rou
 				sel = append(sel, r)
 			}
 		}
-		if len(sel) == 0 {
-			return
+		if len(sel) > 0 {
+			prefix, best, ok = p, sel, true
 		}
-		bestBits = p.Bits()
-		prefix, best = p, sel
 	})
-	if bestBits < 0 {
-		return netip.Prefix{}, nil, false
-	}
 	slices.SortFunc(best, CompareRoutes)
-	return prefix, best, true
+	return prefix, best, ok
 }
 
 // GlobalRIB is the paper's global RIB abstraction: all routes from all
@@ -1069,7 +988,7 @@ func ribFromSorted(device, vrf string, rows []Route) *RIB {
 		for hi < len(rows) && rows[hi].Prefix == p {
 			hi++
 		}
-		t.byPrefix.Set(p, rows[lo:hi:hi])
+		t.put(p, rows[lo:hi:hi])
 		lo = hi
 	}
 	if t.byPrefix.OwnLen() != n {
