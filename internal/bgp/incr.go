@@ -38,6 +38,9 @@ type State struct {
 	// carried is the captured run's carried set (sim.carried), which its warm
 	// restarts size their new tables by. Read-only once captured.
 	carried map[netip.Prefix]bool
+	// topo is the captured run's topology: the address ownership the owner
+	// index (indexOwners) reads, whatever topology a restart runs on.
+	topo *netmodel.Topology
 
 	// msgBufs lends warm restarts their round message buffer (sim.msgScratch,
 	// a *[]msg), so a fork does not grow one from scratch. A buffer comes back
@@ -64,11 +67,17 @@ type Delta struct {
 	// tables are re-decided (resolution consults adjacent links directly).
 	ChangedLinks []netmodel.LinkID
 	// Purged are the devices whose tables are purged and whose sessions are
-	// withdrawn: those that went down and those whose configuration changed.
-	// A purged device that is up restarts like a device coming up, which needs
-	// no entry: the restart originates at it (reached), and its sessions come
-	// up through the session diff.
+	// withdrawn: those that went down, were removed, or whose configuration
+	// changed. A purged device that is up restarts like a device coming up,
+	// which needs no entry: the restart originates at it (reached), and its
+	// sessions come up through the session diff.
 	Purged []string
+	// Readdressed names every device that owned, or owns now, an address
+	// whose owner the new topology changed, "" standing for no owner
+	// (netmodel.TopoIndex.Readdressed). Resolution reads the owner of a next
+	// hop and of an SR policy's endpoint, so at every table the prefixes
+	// holding a candidate whose next hop one of them owned re-decide.
+	Readdressed map[string]bool
 }
 
 // ResimStats reports how much work a warm restart performed.
@@ -108,7 +117,7 @@ func SimulateWithState(net *config.Network, igp *isis.Result, inputs []netmodel.
 			}
 		}
 	}
-	st.inputs = slices.Clone(inputs)
+	st.inputs, st.topo = slices.Clone(inputs), net.Topo
 	st.originated = (&State{}).reached(net, nil, Delta{}) // every up device
 	return res, st
 }
@@ -189,7 +198,7 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 func (st *State) restart(ctx context.Context, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) *sim {
 	st.merge.Do(func() {
 		st.mergeUnits()
-		st.indexOwners(net)
+		st.indexOwners()
 	})
 	opts := st.opts
 	opts.Ctx = ctx
@@ -385,34 +394,39 @@ func (st *State) seedResolution(s *sim, d Delta) {
 		endpoints[id.A] = true
 		endpoints[id.B] = true
 	}
-	if len(endpoints) == 0 && len(d.DistChanged) == 0 {
+	if len(endpoints) == 0 && len(d.DistChanged) == 0 && len(d.Readdressed) == 0 {
 		return
 	}
 	for k := range s.tables {
 		if endpoints[k.dev] {
 			s.markTable(k)
-		} else if cd := d.DistChanged[k.dev]; len(cd) > 0 {
+			continue
+		}
+		if cd := d.DistChanged[k.dev]; len(cd) > 0 {
 			st.markDistAffected(s, k, cd)
+		}
+		if len(d.Readdressed) > 0 {
+			st.markDistAffected(s, k, d.Readdressed)
 		}
 	}
 }
 
-// indexOwners builds every record's owners from its captured candidates.
+// indexOwners builds every record's owners from its captured candidates,
+// owners as of the captured topology ("" for a next hop nobody owns).
 // Resolution reads the IGP only as dist(table's device, owner of the next
 // hop): local non-static candidates resolve trivially; next hops owned by the
-// device itself cost 0 either way; unknown owners resolve through direct
-// subnets, which only adjacency changes (endpoint marking) affect. Address
-// ownership survives up/down toggles, so any network a Delta describes gives
-// this index.
-func (st *State) indexOwners(net *config.Network) {
+// device itself cost 0 either way; unowned ones resolve through direct
+// subnets, which only adjacency changes (endpoint marking) and an owner
+// gained (Delta.Readdressed) affect.
+func (st *State) indexOwners() {
 	for k, t := range st.tables {
 		add := func(p netip.Prefix, cs []cand) {
 			for _, c := range cs {
 				if c.local && c.route.Protocol != netmodel.ProtoStatic {
 					continue
 				}
-				owner := net.Topo.AddrOwner(c.route.NextHop)
-				if owner == "" || owner == k.dev {
+				owner := st.topo.AddrOwner(c.route.NextHop)
+				if owner == k.dev {
 					continue
 				}
 				if t.owners == nil {
@@ -433,7 +447,8 @@ func (st *State) indexOwners(net *config.Network) {
 }
 
 // markDistAffected dirties in s the prefixes of table k holding a candidate
-// whose resolution depends on a distance in cd. It reads the captured
+// whose next hop an owner in cd owns: its resolution reads that owner's
+// distance, and its owner if it was readdressed. It reads the captured
 // candidates: wherever seedChanges edited a prefix's candidates, that prefix
 // is dirty anyway.
 func (st *State) markDistAffected(s *sim, k tableKey, cd map[string]bool) {

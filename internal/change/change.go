@@ -7,6 +7,7 @@ package change
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"slices"
 	"strings"
@@ -112,66 +113,18 @@ func (p *Plan) CommandLines() int {
 	return n
 }
 
-// Apply produces the updated network model. Every edit is a configuration
-// edit of a deep copy of base: NewConfigs adds devices, AddLinks writes an
-// IS-IS interface on each end, RemoveLinks deletes both, RemoveNodes deletes
-// the device, and each command block reconfigures its device in place. The
-// topology is then derived anew from the configurations, and base's down
-// nodes and links that remain, then the plan's SetLinks and SetNodes, are
-// applied as a core.Delta. The base model is never modified.
+// Apply produces the updated network model: base with the plan's delta
+// (Delta) applied to a copy of it. Only the devices the delta leaves alone
+// are cloned; the base model is never modified.
 func (p *Plan) Apply(base *config.Network) (*config.Network, error) {
-	updated := base.Clone()
-	for name, text := range p.NewConfigs {
-		d, err := config.ParseDevice(name, text)
-		if err != nil {
-			return nil, fmt.Errorf("change %s: parsing new device %s: %w", p.ID, name, err)
-		}
-		updated.Devices[d.Name] = d
-	}
-	for _, id := range p.RemoveLinks {
-		if base.Topo.Link(id) == nil {
-			return nil, fmt.Errorf("change %s: link %s not found", p.ID, id)
-		}
-		delete(updated.Devices[id.A].Interfaces, id.AIface)
-		delete(updated.Devices[id.B].Interfaces, id.BIface)
-	}
-	for _, name := range p.RemoveNodes {
-		if updated.Devices[name] == nil {
-			return nil, fmt.Errorf("change %s: unknown device %q to remove", p.ID, name)
-		}
-		delete(updated.Devices, name)
-	}
-	for _, l := range p.AddLinks {
-		// Each end is an IS-IS interface: l as seen from A, then from B.
-		for _, e := range []netmodel.Link{l, {A: l.B, AIface: l.BIface, ANet: l.BNet, AAddr: l.BAddr, CostAB: l.CostBA, TEAB: l.TEBA}} {
-			d := updated.Devices[e.A]
-			if d == nil {
-				return nil, fmt.Errorf("change %s: link %s names unknown device %q", p.ID, l.ID(), e.A)
-			}
-			d.Interfaces[e.AIface] = &config.Interface{Name: e.AIface, Addr: netip.PrefixFrom(e.AAddr, e.ANet.Bits()),
-				ISISCost: e.CostAB, TECost: e.TEAB, Bandwidth: l.Bandwidth}
-		}
-	}
-	if err := p.configure(updated.Devices); err != nil {
+	d, err := p.Delta(base)
+	if err != nil {
 		return nil, err
 	}
-	updated.Topo = updated.Topology()
-	for _, l := range p.AddLinks {
-		if updated.Topo.Link(l.Canonical().ID()) == nil {
-			return nil, fmt.Errorf("change %s: added link %s does not pair two IS-IS interfaces", p.ID, l.ID())
-		}
-	}
-	// Delta.Apply flips every element down before any up, so a plan's
-	// SetLinks / SetNodes up wins over the base's down state.
-	d := p.toggles()
-	for _, n := range base.Topo.Nodes() {
-		if !n.Up && updated.Topo.Node(n.Name) != nil {
-			d.NodesDown = append(d.NodesDown, n.Name)
-		}
-	}
-	for _, l := range base.Topo.Links() {
-		if !l.Up && updated.Topo.Link(l.ID()) != nil {
-			d.LinksDown = append(d.LinksDown, l.ID())
+	updated := &config.Network{Devices: maps.Clone(base.Devices), Topo: base.Topo.Clone()}
+	for name, dev := range updated.Devices {
+		if _, ok := d.Configs[name]; !ok {
+			updated.Devices[name] = dev.Clone()
 		}
 	}
 	if _, err := d.Apply(updated); err != nil {
@@ -180,41 +133,15 @@ func (p *Plan) Apply(base *config.Network) (*config.Network, error) {
 	return updated, nil
 }
 
-// Delta expresses the plan as a fork of the engine converged on base: its
-// up/down toggles, its input changes, and every device its commands
-// reconfigure, each block applied to a clone of base's device. A structural
-// plan returns ok=false and goes through Apply plus a full simulation, as
-// does any plan a fleet (pipeline.System.Workers > 0) verifies. Structural
-// means NewConfigs, AddLinks, RemoveLinks or RemoveNodes, or a command block
-// that changes what the topology derives from its device
-// (config.ChangesTopology: an IS-IS interface, an address, isis cost,
-// te-cost, bandwidth, the loopback).
-func (p *Plan) Delta(base *config.Network) (d core.Delta, ok bool, err error) {
-	if len(p.NewConfigs) > 0 || len(p.AddLinks) > 0 || len(p.RemoveLinks) > 0 || len(p.RemoveNodes) > 0 {
-		return core.Delta{}, false, nil
-	}
-	configs := make(map[string]*config.Device, len(p.Commands))
-	for name := range p.Commands {
-		if dev := base.Devices[name]; dev != nil {
-			configs[name] = dev.Clone()
-		}
-	}
-	if err := p.configure(configs); err != nil {
-		return core.Delta{}, false, err
-	}
-	for name, dev := range configs {
-		if config.ChangesTopology(base.Devices[name], dev) {
-			return core.Delta{}, false, nil
-		}
-	}
-	d = p.toggles()
-	d.Configs, d.AddInputs, d.DropInputs = configs, p.NewInputs, p.DropInputs
-	return d, true, nil
-}
-
-// toggles is the delta of the plan's SetLinks and SetNodes.
-func (p *Plan) toggles() core.Delta {
-	var d core.Delta
+// Delta expresses the plan as a fork of the engine converged on base. Every
+// edit is a configuration: NewConfigs adds devices, RemoveNodes removes them
+// (a nil entry), AddLinks writes an IS-IS interface on each end, RemoveLinks
+// deletes both, and each command block reconfigures its device, each applied
+// to a clone of base's device. SetLinks and SetNodes are its toggles, and
+// NewInputs and DropInputs its input changes. The engine derives the topology
+// again when a configuration changes it (core.Delta.Apply).
+func (p *Plan) Delta(base *config.Network) (core.Delta, error) {
+	d := core.Delta{Configs: make(map[string]*config.Device), AddInputs: p.NewInputs, DropInputs: p.DropInputs}
 	for _, s := range p.SetLinks {
 		if s.Up {
 			d.LinksUp = append(d.LinksUp, s.ID)
@@ -229,30 +156,77 @@ func (p *Plan) toggles() core.Delta {
 			d.NodesDown = append(d.NodesDown, s.Name)
 		}
 	}
-	return d
-}
-
-// configure applies each command block to its device in devices, in place.
-// Blocks go in device order, so a plan with several bad blocks always reports
-// the same one.
-func (p *Plan) configure(devices map[string]*config.Device) error {
+	for name, text := range p.NewConfigs {
+		dev, err := config.ParseDevice(name, text)
+		if err != nil {
+			return core.Delta{}, fmt.Errorf("change %s: parsing new device %s: %w", p.ID, name, err)
+		}
+		d.Configs[dev.Name] = dev
+	}
+	// device returns name's configuration in d, cloned from base on first use.
+	device := func(name string) *config.Device {
+		dev, ok := d.Configs[name]
+		if !ok && base.Devices[name] != nil {
+			dev = base.Devices[name].Clone()
+			d.Configs[name] = dev
+		}
+		return dev
+	}
+	for _, id := range p.RemoveLinks {
+		if base.Topo.Link(id) == nil {
+			return core.Delta{}, fmt.Errorf("change %s: link %s not found", p.ID, id)
+		}
+		delete(device(id.A).Interfaces, id.AIface)
+		delete(device(id.B).Interfaces, id.BIface)
+	}
+	for _, name := range p.RemoveNodes {
+		if device(name) == nil {
+			return core.Delta{}, fmt.Errorf("change %s: unknown device %q to remove", p.ID, name)
+		}
+		d.Configs[name] = nil
+	}
+	for _, l := range p.AddLinks {
+		// Each end is an IS-IS interface: l as seen from A, then from B.
+		for _, e := range []netmodel.Link{l, {A: l.B, AIface: l.BIface, ANet: l.BNet, AAddr: l.BAddr, CostAB: l.CostBA, TEAB: l.TEBA}} {
+			dev := device(e.A)
+			if dev == nil {
+				return core.Delta{}, fmt.Errorf("change %s: link %s names unknown device %q", p.ID, l.ID(), e.A)
+			}
+			dev.Interfaces[e.AIface] = &config.Interface{Name: e.AIface, Addr: netip.PrefixFrom(e.AAddr, e.ANet.Bits()),
+				ISISCost: e.CostAB, TECost: e.TEAB, Bandwidth: l.Bandwidth}
+		}
+	}
+	// Command blocks go in device order, so a plan with several bad blocks
+	// always reports the same one.
 	names := make([]string, 0, len(p.Commands))
 	for name := range p.Commands {
 		names = append(names, name)
 	}
 	slices.Sort(names)
 	for _, name := range names {
-		dev, ok := devices[name]
-		if !ok {
+		dev := device(name)
+		if dev == nil {
 			// Typos in router names are one of Table 6's top root causes;
 			// real CLIs reject them, so the plan fails to apply.
-			return fmt.Errorf("change %s: unknown device %q in commands", p.ID, name)
+			return core.Delta{}, fmt.Errorf("change %s: unknown device %q in commands", p.ID, name)
 		}
 		if err := config.ApplyCommands(dev, p.Commands[name]); err != nil {
-			return fmt.Errorf("change %s: %w", p.ID, err)
+			return core.Delta{}, fmt.Errorf("change %s: %w", p.ID, err)
 		}
 	}
-	return nil
+	if len(p.AddLinks) > 0 {
+		// Each added link must pair two IS-IS interfaces once every edit is in.
+		updated := &config.Network{Devices: maps.Clone(base.Devices), Topo: base.Topo.Clone()}
+		if _, err := d.Apply(updated); err != nil {
+			return core.Delta{}, fmt.Errorf("change %s: %w", p.ID, err)
+		}
+		for _, l := range p.AddLinks {
+			if updated.Topo.Link(l.Canonical().ID()) == nil {
+				return core.Delta{}, fmt.Errorf("change %s: added link %s does not pair two IS-IS interfaces", p.ID, l.ID())
+			}
+		}
+	}
+	return d, nil
 }
 
 // ApplyInputs adjusts the input route set per the plan: reclaimed prefixes

@@ -155,3 +155,22 @@ func TestCommandLines(t *testing.T) {
 		t.Errorf("CommandLines = %d, want 3", n)
 	}
 }
+
+// TestDeltaAddedLinkMustPair: an added link whose two ends are on different
+// subnets, or on a subnet an existing link already pairs, derives no link,
+// so the plan does not apply.
+func TestDeltaAddedLinkMustPair(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	taken := out.Net.Topo.Links()[0].ANet
+	a, b := netip.MustParsePrefix("172.31.9.1/30"), netip.MustParsePrefix("172.31.9.5/30")
+	for _, l := range []netmodel.Link{
+		{ANet: a.Masked(), BNet: b.Masked(), AAddr: a.Addr(), BAddr: b.Addr()},
+		{ANet: taken, BNet: taken, AAddr: taken.Addr(), BAddr: taken.Addr().Next().Next().Next()},
+	} {
+		l.A, l.B, l.AIface, l.BIface, l.CostAB, l.CostBA = "core-0-0", "core-1-0", "x-a", "x-b", 5, 5
+		plan := &Plan{ID: "t", AddLinks: []netmodel.Link{l}}
+		if _, err := plan.Delta(out.Net); err == nil || !strings.Contains(err.Error(), "does not pair") {
+			t.Errorf("link %s on %s and %s: err %v, want it refused", l.ID(), l.ANet, l.BNet, err)
+		}
+	}
+}

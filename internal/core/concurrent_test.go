@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -28,7 +29,8 @@ func resultDigest(res *Result) string {
 }
 
 // scenarioDeltas builds a deterministic mix of single-link, double-link, and
-// node failures from the generated topology.
+// node failures from the generated topology, and of forks that change it: an
+// isis cost on one end of two links, and a device removed.
 func scenarioDeltas(out *gen.Output, rng *rand.Rand) []Delta {
 	links := out.Net.Topo.Links()
 	var deltas []Delta
@@ -47,7 +49,12 @@ func scenarioDeltas(out *gen.Output, rng *rand.Rand) []Delta {
 	for i := 0; i < 4; i++ {
 		deltas = append(deltas, Delta{NodesDown: []string{nodes[rng.Intn(len(nodes))].Name}})
 	}
-	return deltas
+	for _, l := range []*netmodel.Link{links[0], links[len(links)/2]} {
+		recost := out.Net.Devices[l.A].Clone()
+		recost.Interfaces[l.AIface].ISISCost += 5
+		deltas = append(deltas, Delta{Configs: map[string]*config.Device{l.A: recost}})
+	}
+	return append(deltas, Delta{Configs: map[string]*config.Device{nodes[rng.Intn(len(nodes))].Name: nil}})
 }
 
 // upFlags records every Up flag of a network, for before/after comparison.
@@ -64,14 +71,16 @@ func upFlags(net *config.Network) map[string]bool {
 
 // trackScratch makes the engine record every scratch clone it creates and
 // returns a check that the engine's own network and each of those clones
-// carry the Up flags the network had when tracking started.
+// carry the Up flags the network had when tracking started, and that each
+// clone holds the *Topology and the device pointers it was made with.
 func trackScratch(t *testing.T, eng *Engine) (assertRestored func(when string)) {
 	var mu sync.Mutex
-	var clones []*config.Network
+	var clones, made []*config.Network
 	eng.scratch.New = func() any {
 		c := eng.net.Clone()
 		mu.Lock()
 		clones = append(clones, c)
+		made = append(made, &config.Network{Devices: maps.Clone(c.Devices), Topo: c.Topo})
 		mu.Unlock()
 		return c
 	}
@@ -88,13 +97,17 @@ func trackScratch(t *testing.T, eng *Engine) (assertRestored func(when string)) 
 			if !reflect.DeepEqual(upFlags(c), want) {
 				t.Errorf("%s: scratch clone %d of %d went back with flips applied", when, i, len(clones))
 			}
+			if c.Topo != made[i].Topo || !maps.Equal(c.Devices, made[i].Devices) {
+				t.Errorf("%s: scratch clone %d of %d went back with another topology or configuration", when, i, len(clones))
+			}
 		}
 	}
 }
 
 // TestWhatIfRestoresScratch: whatever way a WhatIf ends — a result, a
 // cancelled context, a delta naming something the network does not have — the
-// scratch clone it borrowed goes back with every flag restored.
+// scratch clone it borrowed goes back with every flag restored, for toggles
+// and for a configuration that derives another topology alike.
 func TestWhatIfRestoresScratch(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	links := out.Net.Topo.Links()
@@ -108,23 +121,29 @@ func TestWhatIfRestoresScratch(t *testing.T) {
 		LinksUp:   []netmodel.LinkID{links[1].ID()},
 		NodesDown: []string{links[2].A},
 	}
-	if _, _, err := eng.WhatIf(context.Background(), d, 0); err != nil {
-		t.Fatal(err)
-	}
-	assertRestored("after a result")
-
+	recost := out.Net.Devices[links[3].A].Clone()
+	recost.Interfaces[links[3].AIface].ISISCost += 5
+	topo := d
+	topo.Configs = map[string]*config.Device{links[3].A: recost}
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, _, err := eng.WhatIf(dead, d, 0); !errors.Is(err, context.Canceled) || res != nil {
-		t.Fatalf("cancelled WhatIf: res=%v err=%v", res, err)
+	for _, d := range []Delta{d, topo} {
+		if _, _, err := eng.WhatIf(context.Background(), d, 0); err != nil {
+			t.Fatal(err)
+		}
+		assertRestored("after a result")
+		if res, _, err := eng.WhatIf(dead, d, 0); !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("cancelled WhatIf: res=%v err=%v", res, err)
+		}
+		assertRestored("after a cancelled context")
 	}
-	assertRestored("after a cancelled context")
 
 	bogus := links[0].ID()
 	bogus.AIface = "no-such-iface"
 	for _, bad := range []Delta{
 		{LinksDown: []netmodel.LinkID{links[0].ID(), bogus}},
 		{LinksDown: []netmodel.LinkID{links[0].ID()}, NodesDown: []string{"no-such-device"}},
+		{LinksDown: []netmodel.LinkID{bogus}, Configs: topo.Configs},
 	} {
 		if res, _, err := eng.WhatIf(context.Background(), bad, 0); err == nil || res != nil {
 			t.Fatalf("WhatIf(%+v): res=%v err=%v, want an error", bad, res, err)

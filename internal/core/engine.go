@@ -223,6 +223,9 @@ func (e *Engine) trafficSimulation(ctx context.Context, ribs traffic.RIBSource, 
 type Result struct {
 	Routes  *RouteResult
 	Traffic *TrafficResult
+	// Bandwidth is the capacity of every link of the topology simulated
+	// (Topology.Bandwidths); a fork on the base's topology shares the base's.
+	Bandwidth map[netmodel.LinkID]float64
 }
 
 // Run executes route simulation followed by traffic simulation — the
@@ -267,5 +270,9 @@ func (e *Engine) run(ctx context.Context, inputs []netmodel.Route, flows []netmo
 			return nil, err
 		}
 	}
-	return &Result{Routes: routes, Traffic: tr}, nil
+	res := &Result{Routes: routes, Traffic: tr, Bandwidth: e.net.Topo.Bandwidths()}
+	if bc != nil {
+		bc.bandwidth = res.Bandwidth
+	}
+	return res, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -17,23 +16,27 @@ import (
 )
 
 // Delta describes a what-if scenario relative to the engine's base snapshot:
-// link and node up/down flips, replaced device configurations and input-route
-// changes.
+// link and node up/down flips, replaced, added and removed device
+// configurations, and input-route changes.
 type Delta struct {
 	LinksDown []netmodel.LinkID
 	LinksUp   []netmodel.LinkID
 	NodesDown []string
 	NodesUp   []string
 
-	// Configs replaces the named devices' configurations (a change plan's
-	// commands, change.Plan.Delta). Each restarts inside the warm restart: it
-	// is purged like a downed device and re-originates like one coming up.
+	// Configs replaces the named devices' configurations (a change plan,
+	// change.Plan.Delta): a name the network does not have adds a device, a
+	// nil entry removes one. Each restarts inside the warm restart: it is
+	// purged like a downed device and re-originates like one coming up.
 	Configs map[string]*config.Device
 
 	// AddInputs / DropInputs adjust the input route set (DropInputs matches
 	// by route key, exactly like change.Plan.ApplyInputs).
 	AddInputs  []netmodel.Route
 	DropInputs []netmodel.Route
+
+	// topo, in an undo, is the topology to restore.
+	topo *netmodel.Topology
 }
 
 func (d Delta) inputsChanged() bool {
@@ -45,8 +48,8 @@ func (d Delta) links() []netmodel.LinkID {
 	return slices.Concat(d.LinksDown, d.LinksUp)
 }
 
-// purged is every device the warm restart purges: the downed and the
-// reconfigured ones.
+// purged is every device the warm restart purges: the downed, reconfigured,
+// added and removed ones.
 func (d Delta) purged() []string {
 	out := slices.Clone(d.NodesDown)
 	for name := range d.Configs {
@@ -55,19 +58,16 @@ func (d Delta) purged() []string {
 	return out
 }
 
-// ErrTopologyChange is what Delta.Apply returns for a configuration that
-// changes what the topology derives from its device (config.ChangesTopology):
-// a fork runs on the base's topology, so such an edit is a structural plan,
-// applied by change.Plan.Apply and simulated in full.
-var ErrTopologyChange = errors.New("core: the configuration changes the topology, which a fork cannot")
-
 // Apply makes net agree with d and returns the undo. It changes only the
 // elements not already in their target state (a configuration is, when net
 // holds that very *config.Device), so applying d to a network that already
 // reflects it changes nothing, and undo restores exactly what this call
-// changed. A link or device net does not have is an error, as is a
-// configuration that changes the topology (ErrTopologyChange), and net is
-// left as it was.
+// changed. Configurations go first: when one changes what the topology
+// derives (config.ChangesTopology, or a device added or removed), net.Topo is
+// derived again, every down flag of a node or link that survives carried
+// over, and the undo restores the old *Topology. The toggles then apply to the
+// topology net has: one naming a link or device it does not have is an
+// error, and net is left as it was.
 func (d Delta) Apply(net *config.Network) (undo func(), err error) {
 	_, back, err := d.flip(net)
 	if err != nil {
@@ -80,23 +80,45 @@ func (d Delta) Apply(net *config.Network) (undo func(), err error) {
 // configuration elements that were not yet in their target state — and the
 // delta that changes it back.
 func (d Delta) flip(net *config.Network) (flipped, back Delta, err error) {
+	rederive := false
+	for name, dev := range d.Configs {
+		was := net.Devices[name]
+		if was == dev {
+			continue
+		}
+		if flipped.Configs == nil {
+			flipped.Configs, back.Configs = make(map[string]*config.Device), make(map[string]*config.Device)
+		}
+		flipped.Configs[name], back.Configs[name] = dev, was
+		rederive = rederive || was == nil || dev == nil || config.ChangesTopology(was, dev)
+		if dev == nil {
+			delete(net.Devices, name)
+		} else {
+			net.Devices[name] = dev
+		}
+	}
+	switch {
+	case d.topo != nil:
+		net.Topo = d.topo
+	case rederive:
+		back.topo, net.Topo = net.Topo, net.Topology()
+		for _, n := range back.topo.Nodes() {
+			net.Topo.SetNodeUp(n.Name, n.Up)
+		}
+		for _, l := range back.topo.Links() {
+			net.Topo.SetLinkUp(l.ID(), l.Up)
+		}
+	}
 	for _, id := range d.links() {
 		if net.Topo.Link(id) == nil {
+			back.flip(net)
 			return Delta{}, Delta{}, fmt.Errorf("core: delta names link %s, which the network does not have", id)
 		}
 	}
 	for _, name := range slices.Concat(d.NodesDown, d.NodesUp) {
 		if net.Topo.Node(name) == nil {
+			back.flip(net)
 			return Delta{}, Delta{}, fmt.Errorf("core: delta names device %q, which the network does not have", name)
-		}
-	}
-	for name, dev := range d.Configs {
-		was := net.Devices[name]
-		if was == nil {
-			return Delta{}, Delta{}, fmt.Errorf("core: delta reconfigures device %q, which the network does not have", name)
-		}
-		if was != dev && config.ChangesTopology(was, dev) {
-			return Delta{}, Delta{}, fmt.Errorf("core: delta reconfigures device %q: %w", name, ErrTopologyChange)
 		}
 	}
 	links := func(ids []netmodel.LinkID, up bool) (flipped []netmodel.LinkID) {
@@ -117,18 +139,10 @@ func (d Delta) flip(net *config.Network) (flipped, back Delta, err error) {
 		}
 		return flipped
 	}
-	flipped = Delta{
-		LinksDown: links(d.LinksDown, false), LinksUp: links(d.LinksUp, true),
-		NodesDown: nodes(d.NodesDown, false), NodesUp: nodes(d.NodesUp, true),
-	}
-	back = Delta{LinksDown: flipped.LinksUp, LinksUp: flipped.LinksDown, NodesDown: flipped.NodesUp, NodesUp: flipped.NodesDown}
-	for name, dev := range d.Configs {
-		if was := net.Devices[name]; was != dev {
-			if flipped.Configs == nil {
-				flipped.Configs, back.Configs = make(map[string]*config.Device), make(map[string]*config.Device)
-			}
-			net.Devices[name], flipped.Configs[name], back.Configs[name] = dev, dev, was
-		}
+	flipped.LinksDown, flipped.LinksUp = links(d.LinksDown, false), links(d.LinksUp, true)
+	flipped.NodesDown, flipped.NodesUp = nodes(d.NodesDown, false), nodes(d.NodesUp, true)
+	if back.topo == nil { // restoring the old topology restores its flags
+		back.LinksDown, back.LinksUp, back.NodesDown, back.NodesUp = flipped.LinksUp, flipped.LinksDown, flipped.NodesUp, flipped.NodesDown
 	}
 	return flipped, back, nil
 }
@@ -204,6 +218,7 @@ type baseCapture struct {
 	repFlows        []netmodel.Flow // what the forwarder actually simulated
 	traffic         *traffic.Result
 	traces          []traffic.Trace
+	bandwidth       map[netmodel.LinkID]float64
 }
 
 // BaseRun executes the full pipeline like Run and captures the converged
@@ -235,7 +250,7 @@ func (e *Engine) BaseResult() *Result {
 	if e.base == nil {
 		return nil
 	}
-	res := &Result{Routes: e.base.routes}
+	res := &Result{Routes: e.base.routes, Bandwidth: e.base.bandwidth}
 	if e.base.traffic != nil {
 		res.Traffic = &TrafficResult{Traffic: e.base.traffic, ECStats: e.base.flowECs}
 	}
@@ -312,8 +327,20 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	inputs := d.ApplyInputs(e.base.inputs)
 	flows := e.base.flows
 
-	igp, touched, spfStats := isis.Recompute(net.Topo, e.igp, isis.Delta{
-		Links:     d.links(),
+	// A configuration may have derived another topology: SPF then runs in
+	// full, the IGP is diffed by device name, and every link added, removed
+	// or changed is a changed link to the warm restart.
+	links, spfBase, diff, bandwidth := d.links(), e.igp, isis.Diff, e.base.bandwidth
+	var readdressed map[string]bool
+	if len(d.Configs) > 0 {
+		changed, moved, same := e.igp.EdgeIndex().Changes(net.Topo.Index())
+		if !same {
+			links, spfBase, diff, bandwidth = slices.Concat(links, changed), nil, isis.DiffByName, net.Topo.Bandwidths()
+		}
+		readdressed = moved
+	}
+	igp, touched, spfStats := isis.Recompute(net.Topo, spfBase, isis.Delta{
+		Links:     links,
 		NodesDown: d.NodesDown,
 		NodesUp:   d.NodesUp,
 	}, isis.Options{UseTEMetric: e.opts.UseTEMetric, Parallelism: parallelism, Ctx: ctx})
@@ -333,7 +360,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 		if !t {
 			continue
 		}
-		dc, hc := isis.Diff(e.igp, igp, src)
+		dc, hc := diff(e.igp, igp, src)
 		if len(dc) > 0 {
 			distChanged[src] = dc
 		}
@@ -361,8 +388,9 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 
 	bres, rstats := e.base.bgpState.ResimulateCtx(ctx, net, igp, reps, bgp.Delta{
 		DistChanged:  distChanged,
-		ChangedLinks: d.links(),
+		ChangedLinks: links,
 		Purged:       d.purged(),
+		Readdressed:  readdressed,
 	})
 	stats.BGPTablesTotal = rstats.TablesTotal
 	stats.BGPTablesDirty = rstats.TablesDirty
@@ -409,7 +437,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	if err := ctxErr(ctx); err != nil {
 		return nil, stats, err
 	}
-	return &Result{Routes: routes, Traffic: tr}, stats, nil
+	return &Result{Routes: routes, Traffic: tr, Bandwidth: bandwidth}, stats, nil
 }
 
 // patchTables finishes a fork's tables at (table, prefix) granularity. A

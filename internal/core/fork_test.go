@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -17,23 +15,11 @@ import (
 	"hoyan/internal/netmodel"
 )
 
-// applyDelta toggles a network to reflect a delta (the callers of Fork do
-// this themselves; tests mirror it).
+// applyDelta makes a network reflect a delta before it is forked, as callers
+// of Fork may.
 func applyDelta(net *config.Network, d Delta) {
-	for _, id := range d.LinksDown {
-		net.Topo.SetLinkUp(id, false)
-	}
-	for _, id := range d.LinksUp {
-		net.Topo.SetLinkUp(id, true)
-	}
-	for _, n := range d.NodesDown {
-		net.Topo.SetNodeUp(n, false)
-	}
-	for _, n := range d.NodesUp {
-		net.Topo.SetNodeUp(n, true)
-	}
-	for name, dev := range d.Configs {
-		net.Devices[name] = dev
+	if _, err := d.Apply(net); err != nil {
+		panic(err)
 	}
 }
 
@@ -96,8 +82,10 @@ func checkFork(t *testing.T, eng *Engine, base *config.Network, inputs []netmode
 
 // TestDeltaApply pins the one rule for making a network agree with a delta:
 // only elements not yet in their target state flip, undo flips exactly those
-// back, applying twice is applying once, and an unknown name changes nothing —
-// for topology flips and configuration swaps alike.
+// back, and applying twice is applying once — for topology flips and
+// configuration swaps alike. A configuration that changes the topology
+// derives it again, and a toggle naming an element the network does not
+// have changes nothing.
 func TestDeltaApply(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	links := out.Net.Topo.Links()
@@ -164,21 +152,36 @@ func TestDeltaApply(t *testing.T) {
 	if out.Net.Devices[node] != was {
 		t.Fatal("undo did not restore the original configuration")
 	}
-	bad := Delta{Configs: map[string]*config.Device{node: was.Clone(), "no-such-device": was.Clone()}}
-	if _, err := bad.Apply(out.Net); err == nil || out.Net.Devices[node] != was || out.Net.Devices["no-such-device"] != nil {
-		t.Fatalf("Apply of a configuration for an unknown device: err %v, and the network changed", err)
-	}
 	// A configuration that changes what the topology derives (here an IS-IS
-	// cost) is refused, and the network left as it was.
-	recost := was.Clone()
-	for _, i := range recost.Interfaces {
-		if i.ISISCost != 0 {
-			i.ISISCost++
-			break
+	// cost) derives it again, the link that was down still down; undo puts
+	// the old *Topology back. A toggle the new topology does not have is
+	// refused, and the network left as it was.
+	topo, recost := out.Net.Topo, was.Clone()
+	recost.Interfaces[links[2].AIface].ISISCost += 7
+	for _, d := range []Delta{
+		{Configs: map[string]*config.Device{node: recost}, LinksDown: []netmodel.LinkID{wasUp}},
+		{Configs: map[string]*config.Device{node: recost}, LinksDown: []netmodel.LinkID{bogus}},
+	} {
+		undo, err := d.Apply(out.Net)
+		if d.LinksDown[0] == bogus {
+			if err == nil || out.Net.Topo != topo || out.Net.Devices[node] != was {
+				t.Fatalf("Apply re-deriving with an unknown link: err %v, and the network changed", err)
+			}
+			continue
 		}
-	}
-	if _, err := (Delta{Configs: map[string]*config.Device{node: recost}}).Apply(out.Net); !errors.Is(err, ErrTopologyChange) || out.Net.Devices[node] != was {
-		t.Fatalf("Apply of a configuration with another isis cost: err %v, want ErrTopologyChange and no change", err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l := out.Net.Topo.Link(links[2].ID()); out.Net.Topo == topo || l.CostAB != topo.Link(l.ID()).CostAB+7 {
+			t.Fatal("Apply did not derive the topology again")
+		}
+		if got := state(); got != [3]bool{false, false, true} {
+			t.Fatalf("after re-deriving: %v, want the two links down", got)
+		}
+		undo()
+		if out.Net.Topo != topo || out.Net.Devices[node] != was || state() != before {
+			t.Fatal("undo did not restore the old topology and configuration")
+		}
 	}
 }
 
@@ -442,28 +445,13 @@ func deleteConfigLine(dev *config.Device, i int) *config.Device {
 	return d
 }
 
-// derivesOther reports whether net with d's configurations installed derives
-// another topology than net: then d is no fork.
-func derivesOther(net *config.Network, d Delta) bool {
-	scratch := &config.Network{Devices: maps.Clone(net.Devices)}
-	maps.Copy(scratch.Devices, d.Configs)
-	got, want := scratch.Topology(), net.Topology()
-	return !reflect.DeepEqual(got.Nodes(), want.Nodes()) || !reflect.DeepEqual(got.Links(), want.Links())
-}
-
-// checkConfigFork is checkFork for a configuration delta, unless d changes
-// the derived topology: then the engine must refuse it with
-// ErrTopologyChange. It reports whether d was forked.
-func checkConfigFork(t *testing.T, eng *Engine, base *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, d Delta, label string) bool {
-	t.Helper()
-	if !derivesOther(base, d) {
-		if stats := checkFork(t, eng, base, inputs, flows, d, label); stats.Full {
-			t.Fatalf("%s: fork fell back to full simulation", label)
+// changesTopology reports whether one of d's configurations changes what the
+// topology derives from net's.
+func changesTopology(net *config.Network, d Delta) bool {
+	for name, dev := range d.Configs {
+		if config.ChangesTopology(net.Devices[name], dev) {
+			return true
 		}
-		return true
-	}
-	if res, _, err := eng.WhatIf(context.Background(), d, 0); !errors.Is(err, ErrTopologyChange) {
-		t.Fatalf("%s: changes a link end, yet WhatIf answered %v, %v", label, res, err)
 	}
 	return false
 }
@@ -474,11 +462,10 @@ func checkConfigFork(t *testing.T, eng *Engine, base *config.Network, inputs []n
 // (off, the fork's RIB is also checked as a stable state), the base
 // converged sequentially and in work units. A deletion that changes what the
 // topology derives (an interface's address, isis cost, te-cost or
-// bandwidth, a loopback) must be refused with ErrTopologyChange instead. One
-// more fork adds a prefix list that splits a route EC: dc-0-1 stops
+// bandwidth, a loopback) forks like any other; each fixture has at least one.
+// One more fork adds a prefix list that splits a route EC: dc-0-1 stops
 // exporting one of its prefixes to its reflector.
 func TestForkConfigIdentity(t *testing.T) {
-	forked, refused := 0, 0
 	for _, k := range []int{1, 2} {
 		out := gen.Generate(gen.WAN(k))
 		names := out.Net.DeviceNames()
@@ -496,6 +483,7 @@ router bgp
 `, out.Net.Devices["rr-0-0"].Loopback)); err != nil {
 			t.Fatal(err)
 		}
+		topologyChanges := 0
 		for _, opts := range []Options{
 			{Parallelism: 1}, {},
 			{Parallelism: 1, DisableRouteECs: true, DisableFlowECs: true}, {DisableRouteECs: true, DisableFlowECs: true},
@@ -514,24 +502,24 @@ router bgp
 						label = append(label, fmt.Sprintf("%s line %d", name, line))
 					}
 				}
-				if checkConfigFork(t, eng, out.Net, out.Inputs, out.Flows, d, fmt.Sprintf("WAN(%d) %+v: %v", k, opts, label)) {
-					forked++
-				} else {
-					refused++
+				if changesTopology(out.Net, d) {
+					topologyChanges++
 				}
+				checkFork(t, eng, out.Net, out.Inputs, out.Flows, d, fmt.Sprintf("WAN(%d) %+v: %v", k, opts, label))
 			}
 		}
-	}
-	if forked == 0 || refused == 0 {
-		t.Fatalf("%d mutations forked and %d refused: the trials cover only one kind", forked, refused)
+		if topologyChanges == 0 {
+			t.Fatalf("WAN(%d): no mutation changed the topology", k)
+		}
 	}
 }
 
 // FuzzForkConfigIdentity drives TestForkConfigIdentity's mutation from the
 // fuzzer's bytes over one WAN(1) base, converged once per EC setting: byte 0
 // picks the setting, and each following (device, line) byte pair deletes one
-// line of one device's configuration. A mutation that changes a link end must
-// be refused with ErrTopologyChange; any other must fork as a cold run.
+// line of one device's configuration. Every mutation must fork as a cold run,
+// those that change a link end or a loopback included; the seeds delete an
+// isis cost line, a loopback line and an interface address line.
 func FuzzForkConfigIdentity(f *testing.F) {
 	out := gen.Generate(gen.WAN(1))
 	names := out.Net.DeviceNames()
@@ -543,6 +531,14 @@ func FuzzForkConfigIdentity(f *testing.F) {
 	}
 	f.Add([]byte{0, 3, 17})
 	f.Add([]byte{1, 9, 40, 22, 5})
+	for i, prefix := range []string{" isis cost ", "loopback ", " ip address "} {
+		lines := strings.Split(config.Serialize(out.Net.Devices[names[i]]), "\n")
+		if j := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, prefix) }); j >= 0 && j < 256 {
+			f.Add([]byte{byte(i % 2), byte(i), byte(j)})
+		} else {
+			f.Fatalf("%s: no %q line among the first 256", names[i], prefix)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -556,7 +552,7 @@ func FuzzForkConfigIdentity(f *testing.F) {
 			}
 		}
 		if len(d.Configs) > 0 {
-			checkConfigFork(t, eng, out.Net, out.Inputs, out.Flows, d, fmt.Sprintf("%v", data))
+			checkFork(t, eng, out.Net, out.Inputs, out.Flows, d, fmt.Sprintf("%v", data))
 		}
 	})
 }

@@ -47,10 +47,10 @@ func (s *Snapshot) GlobalRIB() *netmodel.GlobalRIB {
 
 // SnapshotOf is the state an engine result hands to intents: paths and loads
 // as simulated, the global RIB built on first read (a fork whose intents
-// check only paths and loads never builds its blocks), bandwidths from
-// Topology.Bandwidths.
-func SnapshotOf(res *core.Result, bw map[netmodel.LinkID]float64) *Snapshot {
-	snap := &Snapshot{RIBFn: res.Routes.GlobalRIB, Bandwidth: bw}
+// check only paths and loads never builds its blocks), the bandwidths of the
+// topology simulated.
+func SnapshotOf(res *core.Result) *Snapshot {
+	snap := &Snapshot{RIBFn: res.Routes.GlobalRIB, Bandwidth: res.Bandwidth}
 	if res.Traffic != nil {
 		snap.Paths = res.Traffic.Traffic.Paths
 		snap.Load = res.Traffic.Traffic.Load

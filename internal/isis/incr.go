@@ -66,6 +66,28 @@ func Diff(base, cur *Result, src string) (distChanged, hopsChanged map[string]bo
 	return distChanged, hopsChanged
 }
 
+// DiffByName is Diff for results over topologies that differ in more than Up
+// flags (devices or links added, removed or re-costed): destinations match by
+// device name and first hops by (neighbor, link), not by dense ID and edge
+// position.
+func DiffByName(base, cur *Result, src string) (distChanged, hopsChanged map[string]bool) {
+	distChanged, hopsChanged = make(map[string]bool), make(map[string]bool)
+	for _, r := range []*Result{base, cur} {
+		for i := range r.idx.NumDevices() {
+			dst := r.idx.DevName(netmodel.DevID(i))
+			bc, bok := base.Cost(src, dst)
+			cc, cok := cur.Cost(src, dst)
+			if bok != cok || bc != cc {
+				distChanged[dst] = true
+			}
+			if !slices.Equal(base.FirstHops(src, dst), cur.FirstHops(src, dst)) {
+				hopsChanged[dst] = true
+			}
+		}
+	}
+	return distChanged, hopsChanged
+}
+
 // at returns row[i], or missing past the row's end.
 func at[T any](row []T, i int, missing T) T {
 	if i < len(row) {

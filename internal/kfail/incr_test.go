@@ -42,8 +42,7 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 func coldCheck(t *testing.T, out *gen.Output, intents []intent.Intent, elems []Element, k int) *Result {
 	t.Helper()
 	combos, _ := enumerateCombos(len(elems), k, 0)
-	bw := out.Net.Topo.Bandwidths()
-	base := intent.SnapshotOf(core.NewEngine(out.Net, core.Options{}).Run(out.Inputs, out.Flows), bw)
+	base := intent.SnapshotOf(core.NewEngine(out.Net, core.Options{}).Run(out.Inputs, out.Flows))
 	res := &Result{Scenarios: len(combos)}
 	for _, combo := range combos {
 		var d core.Delta
@@ -60,7 +59,7 @@ func coldCheck(t *testing.T, out *gen.Output, intents []intent.Intent, elems []E
 		if _, err := d.Apply(net); err != nil {
 			t.Fatal(err)
 		}
-		updated := intent.SnapshotOf(core.NewEngine(net, core.Options{}).Run(out.Inputs, out.Flows), bw)
+		updated := intent.SnapshotOf(core.NewEngine(net, core.Options{}).Run(out.Inputs, out.Flows))
 		if reports, ok := intent.Verify(&intent.Context{Base: *base, Updated: *updated}, intents); !ok {
 			res.Violations = append(res.Violations, Violation{Failed: failed, Reports: reports})
 		}

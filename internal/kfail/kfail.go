@@ -139,10 +139,7 @@ func Check(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, 
 		}
 	}
 
-	// Bandwidths never change under up/down toggles: share one map across
-	// every snapshot.
-	bw := net.Topo.Bandwidths()
-	base := intent.SnapshotOf(baseRes, bw)
+	base := intent.SnapshotOf(baseRes)
 
 	type outcome struct {
 		reports []intent.Report
@@ -190,7 +187,7 @@ func Check(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow, 
 		span.End()
 
 		scenarios.Inc()
-		ctx := &intent.Context{Base: *base, Updated: *intent.SnapshotOf(res, bw)}
+		ctx := &intent.Context{Base: *base, Updated: *intent.SnapshotOf(res)}
 		reports, ok := intent.Verify(ctx, intents)
 		outcomes[slot] = outcome{reports: reports, ok: ok}
 		if o.Progress != nil {

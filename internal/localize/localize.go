@@ -62,7 +62,7 @@ type Result struct {
 
 // Options bounds the search.
 type Options struct {
-	// MaxTrials caps verification runs (each a fork, unless the plan is structural).
+	// MaxTrials caps verification runs (each a fork).
 	MaxTrials int
 }
 

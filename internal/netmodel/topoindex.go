@@ -145,6 +145,46 @@ func (ix *TopoIndex) AddrOwnerID(addr netip.Addr) DevID {
 	return NoDev
 }
 
+// Changes compares other, a topology derived anew, with ix. links are those
+// added, removed, or changed in anything but their Up flag; readdressed
+// names, for every address whose owner differs, the device owning it in each
+// ("" where nobody does). same reports that no link changed and the devices
+// are ix's: ix's dense IDs and edge positions then name other's.
+func (ix *TopoIndex) Changes(other *TopoIndex) (links []LinkID, readdressed map[string]bool, same bool) {
+	for i, id := range ix.linkIDs {
+		was := *ix.links[i]
+		j, ok := other.linkIdx[id]
+		if ok {
+			was.Up = other.links[j].Up
+		}
+		if !ok || was != *other.links[j] {
+			links = append(links, id)
+		}
+	}
+	for _, id := range other.linkIDs {
+		if _, ok := ix.linkIdx[id]; !ok {
+			links = append(links, id)
+		}
+	}
+	readdressed = make(map[string]bool)
+	for _, x := range []*TopoIndex{ix, other} {
+		for a := range x.owner {
+			if was, is := ix.ownerName(a), other.ownerName(a); was != is {
+				readdressed[was], readdressed[is] = true, true
+			}
+		}
+	}
+	return links, readdressed, len(links) == 0 && slices.Equal(ix.devNames, other.devNames)
+}
+
+// ownerName is the name of the device owning addr, or "".
+func (ix *TopoIndex) ownerName(addr netip.Addr) string {
+	if id := ix.AddrOwnerID(addr); id != NoDev {
+		return ix.devNames[id]
+	}
+	return ""
+}
+
 // Index returns the topology's CSR index, building it on first use. The
 // index is safe for concurrent readers; structural mutations invalidate it
 // (and Up/down toggles deliberately do not — see TopoIndex).

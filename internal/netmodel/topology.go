@@ -261,11 +261,7 @@ func (t *Topology) SetLinkUp(id LinkID, up bool) bool {
 // loopbacks take precedence over link addresses. Safe for concurrent
 // readers.
 func (t *Topology) AddrOwner(addr netip.Addr) string {
-	ix := t.Index()
-	if id := ix.AddrOwnerID(addr); id != NoDev {
-		return ix.DevName(id)
-	}
-	return ""
+	return t.Index().ownerName(addr)
 }
 
 func (t *Topology) invalidateIndex() {

@@ -44,19 +44,23 @@ func coldOutcome(t *testing.T, net *config.Network, inputs []netmodel.Route, flo
 	if err != nil {
 		t.Fatalf("%s: Verify accepted the plan, Apply did not: %v", plan.ID, err)
 	}
-	cold := snapshotOf(core.NewEngine(updated, core.Options{}).Run(plan.ApplyInputs(inputs), flows), updated)
+	cold := snapshotOf(core.NewEngine(updated, core.Options{}).Run(plan.ApplyInputs(inputs), flows))
 	reports, ok := intent.Verify(&intent.Context{Base: *got.BaseSnap, Updated: *cold}, intents)
 	return cold, reports, ok
 }
 
 // verifyMatchesCold runs one scenario's plan through Verify and asserts the
 // outcome agrees with a cold run of the applied plan on everything an
-// operator sees: verdict, reports, and the updated snapshot. Every plan but a
-// structural one (add-links, add-routers) verifies as a warm fork, so this
-// holds the fork to an independent reference.
+// operator sees: verdict, reports, and the updated snapshot. Every plan
+// verifies as a warm fork, add-links and add-routers included, so this holds
+// the fork to an independent reference.
 func verifyMatchesCold(t *testing.T, sc *scenario.Scenario) {
 	t.Helper()
-	got, err := New(sc.Net, sc.Inputs, sc.Flows, core.Options{}).Verify(sc.Plan, sc.Intents)
+	sys := New(sc.Net, sc.Inputs, sc.Flows, core.Options{})
+	got, err := sys.Verify(sc.Plan, sc.Intents)
+	if _, forked := sys.LastForkStats(); err == nil && !forked {
+		t.Fatalf("%s: the plan did not fork", sc.Name)
+	}
 	if err != nil {
 		if !sc.WantApplyError {
 			t.Fatalf("%s: unexpected apply error %v", sc.Name, err)
@@ -100,9 +104,10 @@ func TestVerifyIncrementalMatchesFullOnCaseStudies(t *testing.T) {
 	}
 }
 
-// TestVerifyPureDeltaTakesForkPath asserts the routing decision itself: a
-// toggles-only plan and a command-carrying one must both verify as incremental
-// forks (visible through LastForkStats).
+// TestVerifyPureDeltaTakesForkPath asserts the routing decision itself: every
+// plan verifies as an incremental fork (visible through LastForkStats) — a
+// toggles-only plan, and every Table 2, Table 6 and Figure 10 plan that
+// applies.
 func TestVerifyPureDeltaTakesForkPath(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	sys := New(out.Net, out.Inputs, out.Flows, core.Options{})
@@ -122,25 +127,33 @@ func TestVerifyPureDeltaTakesForkPath(t *testing.T) {
 		t.Error("fork reused no SPF sources")
 	}
 
-	if d, ok, err := plan.Delta(out.Net); !ok || err != nil || len(d.LinksDown) != 1 {
-		t.Errorf("linkFailurePlan must convert to a one-link delta, got %+v ok=%v err=%v", d, ok, err)
+	if d, err := plan.Delta(out.Net); err != nil || len(d.LinksDown) != 1 {
+		t.Errorf("linkFailurePlan must convert to a one-link delta, got %+v err=%v", d, err)
 	}
 
-	sc := scenario.Table2Catalog()[0]
-	cmds := New(sc.Net, sc.Inputs, sc.Flows, core.Options{})
-	if _, err := cmds.Verify(sc.Plan, sc.Intents); err != nil {
-		t.Fatal(err)
+	scs := append([]*scenario.Scenario{scenario.Fig10a(), scenario.Fig10b()}, scenario.Table2Catalog()...)
+	for _, rs := range scenario.Table6Catalog() {
+		scs = append(scs, rs.Scenario)
 	}
-	if stats, forked := cmds.LastForkStats(); !forked || stats.Full {
-		t.Fatalf("%s: a command plan must fork (forked %v, full fallback %v)", sc.Name, forked, stats.Full)
+	for _, sc := range scs {
+		sys := New(sc.Net, sc.Inputs, sc.Flows, core.Options{})
+		if _, err := sys.Verify(sc.Plan, sc.Intents); err != nil {
+			if sc.WantApplyError {
+				continue
+			}
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if stats, forked := sys.LastForkStats(); !forked || stats.Full {
+			t.Fatalf("%s: the plan must fork (forked %v, full fallback %v)", sc.Name, forked, stats.Full)
+		}
 	}
 }
 
 // TestVerifyISISCostEdit: a plan that sets the isis cost on both ends of one
-// WAN(2) link changes the topology, so Verify applies it and simulates it in
-// full, never as a fork. Its updated state equals a cold run of the network
-// edited by hand (both interfaces' costs set, the topology derived again),
-// and differs from the base: the cost is live.
+// WAN(2) link changes the topology, and forks like any other plan. Its
+// updated state equals a cold run of the network edited by hand (both
+// interfaces' costs set, the topology derived again), and differs from the
+// base: the cost is live.
 func TestVerifyISISCostEdit(t *testing.T) {
 	out := gen.Generate(gen.WAN(2))
 	l := out.Net.Topo.FindLink("core-0-0", "core-0-1")
@@ -148,16 +161,13 @@ func TestVerifyISISCostEdit(t *testing.T) {
 		l.A: fmt.Sprintf("interface %s\n isis cost 500\n", l.AIface),
 		l.B: fmt.Sprintf("interface %s\n isis cost 500\n", l.BIface),
 	}}
-	if _, ok, err := plan.Delta(out.Net); ok || err != nil {
-		t.Fatalf("Delta of an isis cost plan: ok=%v err=%v, want a structural plan", ok, err)
-	}
 	sys := New(out.Net, out.Inputs, out.Flows, core.Options{})
 	got, err := sys.Verify(plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, forked := sys.LastForkStats(); forked {
-		t.Fatal("an isis cost plan took the fork path")
+	if stats, forked := sys.LastForkStats(); !forked || stats.SPFReused != 0 {
+		t.Fatalf("an isis cost plan: forked %v, %d SPF sources reused; want a fork with SPF in full", forked, stats.SPFReused)
 	}
 
 	hand := out.Net.Clone()
@@ -167,12 +177,45 @@ func TestVerifyISISCostEdit(t *testing.T) {
 	if c := hand.Topo.Link(l.ID()); c.CostAB != 500 || c.CostBA != 500 {
 		t.Fatalf("hand-edited link costs %d/%d", c.CostAB, c.CostBA)
 	}
-	cold := snapshotOf(core.NewEngine(hand, core.Options{}).Run(out.Inputs, out.Flows), hand)
+	cold := snapshotOf(core.NewEngine(hand, core.Options{}).Run(out.Inputs, out.Flows))
 	if !got.UpdateSnap.RIB.Equal(cold.RIB) || !reflect.DeepEqual(got.UpdateSnap.Paths, cold.Paths) || !reflect.DeepEqual(got.UpdateSnap.Load, cold.Load) {
 		t.Fatal("updated state differs from a cold run of the hand-edited network")
 	}
 	if got.UpdateSnap.RIB.Equal(got.BaseSnap.RIB) && reflect.DeepEqual(got.UpdateSnap.Paths, got.BaseSnap.Paths) {
 		t.Fatal("the isis cost edit changed neither the RIB nor a path")
+	}
+}
+
+// TestVerifyBandwidthEdit: a plan that halves one busy link's bandwidth on
+// both ends is checked against the forked topology's bandwidths. A load
+// intent reports exactly what it reports on a cold run of the applied plan,
+// and the updated snapshot carries the new bandwidth.
+func TestVerifyBandwidthEdit(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	sys := New(out.Net, out.Inputs, out.Flows, core.Options{})
+	var busy netmodel.LinkID
+	for id, load := range sys.BaseSnapshot().Load {
+		if load > sys.BaseSnapshot().Load[busy] || load == sys.BaseSnapshot().Load[busy] && id.String() < busy.String() {
+			busy = id
+		}
+	}
+	l := out.Net.Topo.Link(busy)
+	bw := sys.BaseSnapshot().Load[busy] / 2
+	plan := &change.Plan{ID: "bandwidth", Type: change.TopologyAdjust, Commands: map[string]string{
+		l.A: fmt.Sprintf("interface %s\n bandwidth %g\n", l.AIface, bw),
+		l.B: fmt.Sprintf("interface %s\n bandwidth %g\n", l.BIface, bw),
+	}}
+	intents := []intent.Intent{intent.LoadIntent{MaxUtilization: 0.95}}
+	got, err := sys.Verify(plan, intents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.UpdateSnap.Bandwidth[busy] != bw {
+		t.Fatalf("updated bandwidth of %s: %g, want %g", busy, got.UpdateSnap.Bandwidth[busy], bw)
+	}
+	_, reports, ok := coldOutcome(t, out.Net, out.Inputs, out.Flows, plan, intents, got)
+	if got.OK || got.OK != ok || !reflect.DeepEqual(got.Reports, reports) {
+		t.Fatalf("verdict %v, cold run %v\nreports: %+v\ncold reports: %+v", got.OK, ok, got.Reports, reports)
 	}
 }
 

@@ -117,7 +117,7 @@ func (s *System) Simulate(taskID string) (*intent.Snapshot, error) {
 	if s.Workers > 0 {
 		return s.simulateDistributed(s.Base, s.Inputs, s.Flows, taskID)
 	}
-	return s.simulate(s.Base, s.Inputs, s.Flows), nil
+	return snapshotOf(core.NewEngine(s.Base, s.Opts).Run(s.Inputs, s.Flows)), nil
 }
 
 // BaseSnapshot returns the cached base simulation state, computing it on
@@ -127,7 +127,7 @@ func (s *System) Simulate(taskID string) (*intent.Snapshot, error) {
 func (s *System) BaseSnapshot() *intent.Snapshot {
 	if s.baseSnap == nil {
 		s.baseEng = core.NewEngine(s.Base, s.Opts)
-		s.baseSnap = snapshotOf(s.baseEng.BaseRun(s.Inputs, s.Flows), s.Base)
+		s.baseSnap = snapshotOf(s.baseEng.BaseRun(s.Inputs, s.Flows))
 	}
 	return s.baseSnap
 }
@@ -136,16 +136,10 @@ func (s *System) BaseSnapshot() *intent.Snapshot {
 // verification; ok is false when no Verify has taken the fork path yet.
 func (s *System) LastForkStats() (core.ForkStats, bool) { return s.lastFork, s.forked }
 
-// simulate runs route + traffic simulation centralized.
-func (s *System) simulate(net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow) *intent.Snapshot {
-	return snapshotOf(core.NewEngine(net, s.Opts).Run(inputs, flows), net)
-}
-
-// snapshotOf is intent.SnapshotOf over net's bandwidths with the global RIB
-// built: callers of Simulate, BaseSnapshot and Verify read Snapshot.RIB
-// directly.
-func snapshotOf(res *core.Result, net *config.Network) *intent.Snapshot {
-	snap := intent.SnapshotOf(res, net.Topo.Bandwidths())
+// snapshotOf is intent.SnapshotOf with the global RIB built: callers of
+// Simulate, BaseSnapshot and Verify read Snapshot.RIB directly.
+func snapshotOf(res *core.Result) *intent.Snapshot {
+	snap := intent.SnapshotOf(res)
 	snap.GlobalRIB()
 	return snap
 }
@@ -219,38 +213,33 @@ type Outcome struct {
 
 // Verify runs one change verification request: simulate the network under the
 // plan and check the intents against base and updated states. On the
-// centralized deployment a plan that is not structural (change.Plan.Delta) is
-// a warm fork of the cached base run — byte-identical to the full path,
-// recomputing only what the delta touched. Any other plan is applied to a copy
-// of the base model and simulated in full.
+// centralized deployment every plan is a warm fork of the cached base run
+// (change.Plan.Delta, core.Engine.WhatIf) — byte-identical to a full run of
+// the applied plan, recomputing only what the delta touched. A fleet applies
+// the plan to a copy of the base model and simulates it in full.
 func (s *System) Verify(plan *change.Plan, intents []intent.Intent) (*Outcome, error) {
 	var upSnap *intent.Snapshot
-	d, fork, err := plan.Delta(s.Base)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: applying change plan: %w", err)
-	}
-	if fork && s.Workers == 0 {
+	if s.Workers > 0 {
+		updated, err := plan.Apply(s.Base)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: applying change plan: %w", err)
+		}
+		upSnap, err = s.simulateDistributed(updated, plan.ApplyInputs(s.Inputs), s.Flows, "verify-"+plan.ID)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: distributed simulation: %w", err)
+		}
+	} else {
+		d, err := plan.Delta(s.Base)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: applying change plan: %w", err)
+		}
 		s.BaseSnapshot() // converges baseEng on first use
 		res, stats, err := s.baseEng.WhatIf(nil, d, 0)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: applying change plan %s: %w", plan.ID, err)
 		}
 		s.lastFork, s.forked = stats, true
-		upSnap = snapshotOf(res, s.Base)
-	} else {
-		updated, err := plan.Apply(s.Base)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: applying change plan: %w", err)
-		}
-		inputs := plan.ApplyInputs(s.Inputs)
-		if s.Workers > 0 {
-			upSnap, err = s.simulateDistributed(updated, inputs, s.Flows, "verify-"+plan.ID)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: distributed simulation: %w", err)
-			}
-		} else {
-			upSnap = s.simulate(updated, inputs, s.Flows)
-		}
+		upSnap = snapshotOf(res)
 	}
 
 	ctx := &intent.Context{Base: *s.BaseSnapshot(), Updated: *upSnap}

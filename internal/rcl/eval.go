@@ -461,7 +461,7 @@ func (c *checker) eval(e Eval, M, N []netmodel.Route) (Value, error) {
 	case *SetEval:
 		set := append([]string(nil), e.Values...)
 		slices.Sort(set)
-		return Value{Kind: SetValue, Set: dedupeSorted(set)}, nil
+		return Value{Kind: SetValue, Set: slices.Compact(set)}, nil
 	case *AggEval:
 		rows, err := c.transform(e.R, M, N)
 		if err != nil {
@@ -529,16 +529,6 @@ func distVals(field string, rows []netmodel.Route, expr string) ([]string, error
 	}
 	slices.Sort(out)
 	return out, nil
-}
-
-func dedupeSorted(xs []string) []string {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // compareValues implements e1 ⊙ e2: numbers compare numerically, strings

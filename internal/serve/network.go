@@ -51,7 +51,7 @@ func loadNetwork(id string, net *config.Network, inputs []netmodel.Route, flows 
 		flows:     flows,
 		eng:       eng,
 		base:      base,
-		baseSnap:  intent.SnapshotOf(base, net.Topo.Bandwidths()),
+		baseSnap:  intent.SnapshotOf(base),
 		blockSums: make(map[*netmodel.Route]laneSum, len(blocks)),
 		loadedAt:  time.Now(),
 	}

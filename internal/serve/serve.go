@@ -472,8 +472,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	id := fmt.Sprintf("q-%06d", s.nextID.Add(1))
-	// A plan that does not apply, or changes the topology, is refused here
-	// rather than failed in the queue.
+	// A plan that does not apply is refused here rather than failed in the
+	// queue.
 	if kindOf(req) == "plan" {
 		if _, err := buildDelta(n, &Query{ID: id, Req: req}); err != nil {
 			t.release()

@@ -729,22 +729,52 @@ func TestServeJSONUpload(t *testing.T) {
 	}
 }
 
-// TestServePlanTopologyChange: a plan query that changes an IS-IS cost is no
-// fork; it is refused with 400 and core.ErrTopologyChange before it queues,
-// and gives its in-flight slot back.
+// TestServePlanTopologyChange: a plan query that changes an IS-IS cost forks
+// like any other plan. It answers 200, with rib_digest and route_delta equal
+// to a cold run of the applied plan, and gives its in-flight slot back.
 func TestServePlanTopologyChange(t *testing.T) {
 	h := newHarness(t, Config{Workers: 1, Tenants: []TenantConfig{{Name: "alice", APIKey: "key-alice", MaxInFlight: 1}}})
+	plan := &change.Plan{ID: "isis-cost", Commands: map[string]string{"core-0-0": "interface to-core-0-1\n isis cost 50\n"}}
+	updated, err := plan.Apply(h.out.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := core.NewEngine(h.out.Net, core.Options{}).Run(h.out.Inputs, h.out.Flows)
+	cold := core.NewEngine(updated, core.Options{}).Run(h.out.Inputs, h.out.Flows).Routes.GlobalRIB()
+	onlyBase, onlyCold := netmodel.NewGlobalRIB(base.Routes.GlobalRIB().Rows()).Diff(cold)
 	for range 2 {
-		resp, body := h.do("alice", "POST", "/v1/queries?wait=1", QueryRequest{
-			Kind: "plan", NetworkID: "wan1",
-			Commands: map[string]string{"core-0-0": "interface to-core-0-1\n isis cost 50\n"},
-		})
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), core.ErrTopologyChange.Error()) {
-			t.Fatalf("isis cost plan: status %d: %s, want 400 with %q", resp.StatusCode, body, core.ErrTopologyChange)
+		resp, body := h.do("alice", "POST", "/v1/queries?wait=1", QueryRequest{Kind: "plan", NetworkID: "wan1", Commands: plan.Commands})
+		var st Status
+		if err := json.Unmarshal(body, &st); err != nil || resp.StatusCode != http.StatusOK || st.State != StateDone {
+			t.Fatalf("isis cost plan: status %d: %s", resp.StatusCode, body)
+		}
+		if st.Result.RIBDigest != ribDigest(cold) || st.Result.RouteDelta != len(onlyBase)+len(onlyCold) {
+			t.Fatalf("isis cost plan: rib_digest %s, route_delta %d; cold run %s, %d",
+				st.Result.RIBDigest, st.Result.RouteDelta, ribDigest(cold), len(onlyBase)+len(onlyCold))
 		}
 	}
-	if resp, body := h.do("alice", "POST", "/v1/queries?wait=1", QueryRequest{Kind: "verify", NetworkID: "wan1", Specs: []string{"prefix = 255.255.255.255/32 => PRE = POST"}}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("verify after two refused plans: status %d: %s", resp.StatusCode, body)
+}
+
+// TestServeQueryPanicFails: a query that panics (here a what-if on a network
+// with no engine) fails alone. ?wait=1 returns it failed with the panic's
+// value, serve_query_panics_total counts it, the tenant's one in-flight slot
+// comes back, and the next query runs.
+func TestServeQueryPanicFails(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1, Tenants: []TenantConfig{{Name: "alice", APIKey: "key-alice", MaxInFlight: 1}}})
+	h.srv.mu.Lock()
+	h.srv.networks["no-engine"] = &Network{ID: "no-engine", net: h.out.Net}
+	h.srv.mu.Unlock()
+	resp, body := h.do("alice", "POST", "/v1/queries?wait=1", QueryRequest{Kind: "whatif", NetworkID: "no-engine", FailDevices: []string{"core-0-0"}})
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil || resp.StatusCode != http.StatusOK || st.State != StateFailed || !strings.HasPrefix(st.Error, "query panicked: ") {
+		t.Fatalf("panicking query: status %d: %s, want it failed with the panic", resp.StatusCode, body)
+	}
+	if se, ok := h.reg.Gather().Find("serve_query_panics_total"); !ok || se.Value != 1 {
+		t.Fatalf("serve_query_panics_total: %+v, want 1", se)
+	}
+	resp, body = h.do("alice", "POST", "/v1/queries?wait=1", QueryRequest{Kind: "whatif", NetworkID: "wan1", FailDevices: []string{"core-0-0"}})
+	if err := json.Unmarshal(body, &st); err != nil || resp.StatusCode != http.StatusOK || st.State != StateDone {
+		t.Fatalf("query after a panic: status %d: %s", resp.StatusCode, body)
 	}
 }
 
@@ -1125,17 +1155,21 @@ func TestWhatIfUnknownDeviceFails(t *testing.T) {
 }
 
 // TestServePlanQuery pins what a plan query answers on the Figure 10(a)
-// network and every Table 6 network whose plan is configuration commands
-// alone: rib_digest, route_delta and each spec's verdict equal those of a
-// cold run of the applied plan, digested and diffed from flat rows. A block
-// naming an unknown device fails the query, and a query with no commands is
-// rejected.
+// network and every Table 2 and Table 6 network whose plan is configuration
+// commands alone: rib_digest, route_delta and each spec's verdict equal those
+// of a cold run of the applied plan, digested and diffed from flat rows. A
+// block naming an unknown device fails the query, and a query with no
+// commands is rejected.
 func TestServePlanQuery(t *testing.T) {
 	scs := []*scenario.Scenario{scenario.Fig10a()}
+	candidates := scenario.Table2Catalog()
 	for _, rs := range scenario.Table6Catalog() {
-		p := rs.Scenario.Plan
+		candidates = append(candidates, rs.Scenario)
+	}
+	for _, sc := range candidates {
+		p := sc.Plan
 		if len(p.Commands) > 0 && reflect.DeepEqual(*p, change.Plan{ID: p.ID, Type: p.Type, Description: p.Description, Commands: p.Commands}) {
-			scs = append(scs, rs.Scenario)
+			scs = append(scs, sc)
 		}
 	}
 	ran := 0
@@ -1173,8 +1207,7 @@ func TestServePlanQuery(t *testing.T) {
 		for i, spec := range specs {
 			intents[i] = intent.RouteIntent{Spec: spec}
 		}
-		bw := sc.Net.Topo.Bandwidths()
-		reports, ok := intent.Verify(&intent.Context{Base: *intent.SnapshotOf(base, bw), Updated: *intent.SnapshotOf(cold, bw)}, intents)
+		reports, ok := intent.Verify(&intent.Context{Base: *intent.SnapshotOf(base), Updated: *intent.SnapshotOf(cold)}, intents)
 		if got.SpecsOK != ok || len(got.Specs) != len(reports) {
 			t.Fatalf("%s: specs_ok %v over %d specs, cold run %v over %d", sc.Name, got.SpecsOK, len(got.Specs), ok, len(reports))
 		}
@@ -1195,7 +1228,6 @@ func TestServePlanQuery(t *testing.T) {
 	}{
 		{map[string]string{"no-such-device": "router bgp 65000\n"}, `unknown device "no-such-device"`},
 		{nil, "carries no commands"},
-		{map[string]string{"core-0-0": "interface to-core-0-1\n isis cost 50\n"}, core.ErrTopologyChange.Error()},
 	} {
 		res, err := srv.run(context.Background(), &Query{ID: "q", Req: QueryRequest{Kind: "plan", NetworkID: n.ID, Commands: bad.commands}})
 		if err == nil || res != nil || !strings.Contains(err.Error(), bad.want) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"hoyan/internal/change"
@@ -49,7 +50,16 @@ func (s *Server) execute(qu *Query) {
 	defer cancel()
 
 	start := time.Now()
-	res, err := s.run(ctx, qu)
+	res, err := func() (res *QueryResult, err error) {
+		// A panic fails this query alone, never the daemon.
+		defer func() {
+			if v := recover(); v != nil {
+				s.reg.Counter("serve_query_panics_total", "queries that panicked").Inc()
+				err = fmt.Errorf("query panicked: %v", v)
+			}
+		}()
+		return s.run(ctx, qu)
+	}()
 	kind := kindOf(qu.Req)
 	s.reg.Histogram("serve_query_latency_seconds",
 		"what-if query execution latency by kind",
@@ -120,18 +130,13 @@ func (s *Server) run(ctx context.Context, qu *Query) (*QueryResult, error) {
 // buildDelta resolves a query into an engine delta: a plan query's commands
 // into the devices they reconfigure (change.Plan.Delta), a what-if's failures
 // into flips. The engine rejects a device the network does not have; links
-// arrive as endpoint pairs and are resolved here. A plan that changes the
-// topology is no fork: core.ErrTopologyChange.
+// arrive as endpoint pairs and are resolved here.
 func buildDelta(n *Network, qu *Query) (core.Delta, error) {
 	if kindOf(qu.Req) == "plan" {
 		if len(qu.Req.Commands) == 0 {
 			return core.Delta{}, fmt.Errorf("serve: plan query carries no commands")
 		}
-		d, ok, err := (&change.Plan{ID: qu.ID, Commands: qu.Req.Commands}).Delta(n.net)
-		if err == nil && !ok {
-			err = fmt.Errorf("serve: plan %s: %w", qu.ID, core.ErrTopologyChange)
-		}
-		return d, err
+		return (&change.Plan{ID: qu.ID, Commands: qu.Req.Commands}).Delta(n.net)
 	}
 	ids, err := n.resolveLinks(qu.Req.FailLinks)
 	if err != nil {
@@ -217,7 +222,7 @@ func (s *Server) runKfail(ctx context.Context, n *Network, qu *Query) (*QueryRes
 		for _, el := range v.Failed {
 			parts = append(parts, el.String())
 		}
-		line := fmt.Sprintf("failed={%s}", joinComma(parts))
+		line := fmt.Sprintf("failed={%s}", strings.Join(parts, ","))
 		for _, rep := range v.Reports {
 			if !rep.Satisfied {
 				line += " intent=" + rep.Intent
@@ -252,7 +257,7 @@ func (s *Server) assemble(n *Network, res *core.Result, specs []string) (*QueryR
 		for _, spec := range specs {
 			intents = append(intents, intent.RouteIntent{Spec: spec})
 		}
-		ictx := &intent.Context{Base: *n.baseSnap, Updated: *intent.SnapshotOf(res, n.baseSnap.Bandwidth)}
+		ictx := &intent.Context{Base: *n.baseSnap, Updated: *intent.SnapshotOf(res)}
 		reports, ok := intent.Verify(ictx, intents)
 		out.SpecsOK = ok
 		for _, rep := range reports {
@@ -264,15 +269,4 @@ func (s *Server) assemble(n *Network, res *core.Result, specs []string) (*QueryR
 		}
 	}
 	return out, nil
-}
-
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
 }

@@ -491,10 +491,3 @@ func (d *decoder) communities() (netmodel.CommunitySet, error) {
 	}
 	return d.comms[id-1], nil
 }
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
