@@ -27,7 +27,10 @@ import (
 // cmpCand — and writes out again what the fixpoint does with it: export and
 // import chains, VRF leaking, aggregation, next-hop resolution and ECMP
 // marking. It never reads fixpoint state (adj-RIB-in, advertisement
-// signatures, aggregate activation, per-table caches, work units).
+// signatures, aggregate activation, per-table caches, work units), nor what
+// the engine resolved on the session graph (session export policies, edges):
+// it finds each pair's neighbor configurations itself (neighborConfigFor) and
+// resolves their policies from them.
 
 // ViolationKind classifies one way a RIB fails to be a stable state.
 type ViolationKind string
@@ -261,7 +264,7 @@ func (c *checker) advertise(k tableKey, rows map[netip.Prefix][]netmodel.Route) 
 		slices.SortStableFunc(best, byPreference)
 
 		for _, sess := range s.sessions[k.dev] {
-			pol, ok := s.exportPolicy(d, sess.nb, sess.remote, prof)
+			pol, ok := exportPolicy(d, sess.nb, c.neighborConfigFor(k.dev, sess.remote, netmodel.DefaultVRF), prof)
 			if sess.vrf != k.vrf || !ok || (d.Isolated && prof.IsolationViaPolicy) {
 				continue
 			}
@@ -391,7 +394,8 @@ func (c *checker) receive(to tableKey, p netip.Prefix, from string, ebgp bool, f
 	var pol *policy.RouteMap
 	ok := true
 	if !strings.HasPrefix(from, "leak:") {
-		pol, ok = s.importPolicy(d, s.neighborConfigFor(d, from, to.vrf), from, prof, ebgp)
+		nb, global := c.neighborConfigFor(to.dev, from, to.vrf), c.neighborConfigFor(to.dev, from, netmodel.DefaultVRF)
+		pol, ok = importPolicy(d, nb, global, prof, ebgp)
 	}
 	var accepted []cand
 	for _, r := range routes {
@@ -426,6 +430,18 @@ func (c *checker) receive(to tableKey, p netip.Prefix, from string, ebgp bool, f
 	} else {
 		cell[from] = accepted
 	}
+}
+
+// neighborConfigFor finds dev's neighbor configuration for its session to
+// remote in vrf, or nil. In the default VRF it is the global session's, whose
+// bindings a sub-view session inherits on some vendors.
+func (c *checker) neighborConfigFor(dev, remote, vrf string) *config.Neighbor {
+	for _, sess := range c.s.sessions[dev] {
+		if sess.remote == remote && sess.vrf == vrf {
+			return sess.nb
+		}
+	}
+	return nil
 }
 
 // bestPath is best-path selection over (k, p)'s rebuilt candidates, in the

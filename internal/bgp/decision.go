@@ -11,7 +11,8 @@ import (
 
 // decideAndAdvertise reruns the decision process for every dirty
 // (table, prefix), updates the RIBs, maintains aggregates and VRF leaks, and
-// returns the advertisements for the next round.
+// sends the advertisements for the next round (s.round), returning how many
+// it sent.
 //
 // The dirty set arrives as the dense per-table bitset deliver maintained
 // (dense.go), iteration order comes from precomputed rank arrays over
@@ -19,17 +20,12 @@ import (
 // per-table configuration (device, profile, policy env, sessions with
 // resolved export policies, leak targets, aggregates) is read from the
 // cached tableInfo, and the advertisement signature is compared byte-wise
-// against the stored string before anything is allocated. The message buffer
-// and route arena are reused across rounds — a returned batch is fully
-// consumed by deliver before the next call.
-func (s *sim) decideAndAdvertise() []msg {
-	if s.msgScratch == nil {
-		// Presized once per sim: the first round's batch is the largest, and
-		// growing there doubles through several copies of a large msg slice.
-		s.msgScratch = make([]msg, 0, 1024)
-	}
-	out := s.msgScratch[:0]
-	s.advUsed = 0 // last round's messages were consumed; recycle the arena
+// against the stored string before anything is allocated. The round's
+// buffers are reused across rounds — a round's messages are fully consumed
+// by deliver before the next call.
+func (s *sim) decideAndAdvertise() int {
+	s.round.msgs.reset()
+	s.round.advs.reset()
 
 	// Deterministic iteration order: tables in (device, vrf) lexical order
 	// via the interned rank array, prefixes in LastAddr order via the
@@ -74,9 +70,9 @@ func (s *sim) decideAndAdvertise() []msg {
 				continue // steady state for this prefix
 			}
 			t.lastAdv.Set(p, string(sig))
-			out = s.advertiseInto(out, ti, p, pid, best, sorted)
-			out = s.leakInto(out, ti, p, pid, best)
-			out = s.updateAggregatesInto(out, ti, tid, p)
+			s.advertise(ti, pid, best, sorted)
+			s.leak(ti, pid, best)
+			s.updateAggregates(ti, tid, p)
 		}
 		// Clear this table's dirty marks for the next round.
 		mark := s.dirtyMark[tid]
@@ -86,8 +82,7 @@ func (s *sim) decideAndAdvertise() []msg {
 		s.dirtyPids[tid] = pids[:0]
 	}
 	s.dirtyTids = tids[:0]
-	s.msgScratch = out
-	return out
+	return s.round.msgs.len()
 }
 
 // decide runs best-path selection for one (table, prefix). It returns the
@@ -406,28 +401,28 @@ func appendAdvSignature(dst []byte, best []cand) []byte {
 	return b
 }
 
-// advertiseInto builds the outgoing messages for one table/prefix after its
-// best set changed, appending them to out. Sessions with add-path draw from
-// the full sorted candidate list; plain sessions advertise only the best
-// route. The table's sessions (pre-filtered to its VRF, with export policies
-// resolved once per run) come from the cached tableInfo; per-session
-// advertisement slices are carved from the per-round route arena, and a
+// advertise sends the messages for one table/prefix after its best set
+// changed, one per session over the session's edge. Sessions with add-path
+// draw from the full sorted candidate list; plain sessions advertise only the
+// best route. The table's sessions (pre-filtered to its VRF, with export
+// policies resolved with the session graph) come from the cached tableInfo;
+// per-session advertisement slices are carved from the round's routes, and a
 // withdrawal (empty adv) allocates nothing.
-func (s *sim) advertiseInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32, best, sorted []cand) []msg {
+func (s *sim) advertise(ti *tableInfo, pid int32, best, sorted []cand) {
 	d := ti.dev
 	// VSB: policy-isolated devices keep learning but stop advertising.
 	if d == nil || !ti.advertise {
-		return out
+		return
 	}
 	prof := ti.prof
 	hasAggs := len(ti.aggs) > 0
 
 	for i := range ti.sessions {
 		si := &ti.sessions[i]
-		if !si.ok {
+		sess, pol := si.sess, si.sess.export
+		if !sess.exportOK {
 			continue
 		}
-		sess, pol := si.sess, si.pol
 		if si.toTID1 == 0 {
 			si.toTID1 = s.tidOf(tableKey{sess.remote, sess.vrf}) + 1
 		}
@@ -486,18 +481,8 @@ func (s *sim) advertiseInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32,
 			}
 			adv = append(adv, r)
 		}
-		if len(out) == cap(out) {
-			// Double: the runtime grows a large slice by a quarter, which
-			// copies the peak round's batch five times over on its way up.
-			out = slices.Grow(out, len(out))
-		}
-		out = append(out, msg{
-			to: sess.remote, vrf: sess.vrf, from: ti.k.dev,
-			prefix: p, routes: adv, ebgp: sess.ebgp, fromAddr: sess.localAddr,
-			tid: si.toTID1 - 1, pid: pid,
-		})
+		s.send(msg{routes: adv, edge: &sess.out, tid: si.toTID1 - 1, pid: pid})
 	}
-	return out
 }
 
 // cmpCand is the BGP decision comparator (negative when a is preferred over

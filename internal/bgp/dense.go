@@ -25,12 +25,10 @@ import (
 // None of this is captured: a State holds the table records (simulate.go),
 // which stay keyed by tableKey, and the dense IDs are rebuilt per sim.
 
-// sessInfo is one session of a table's VRF with its export policy resolved
-// up front (exportPolicy is deterministic per run).
+// sessInfo is one session of a table's VRF (its policies were resolved when
+// the session graph was built).
 type sessInfo struct {
 	sess *session
-	pol  *policy.RouteMap
-	ok   bool
 	// toTID1 is the interned ID (plus one; 0 = not yet resolved) of the
 	// remote table this session advertises into. Resolved lazily on first
 	// advertisement — newTableInfo must not intern other tables, since the
@@ -56,8 +54,8 @@ type tableInfo struct {
 	// VRF-leak caches (leakTargets empty when the table never leaks).
 	leakTargets []string
 	leakTIDs    []int32 // interned target-table IDs plus one (lazy, like toTID1)
-	leakFrom    string
-	leakPolicy  string // export policy of the source VRF ("" for global)
+	leakEdge    edge    // what the targets receive over: from "leak:<vrf>", no import policy
+	leakPolicy  string  // export policy of the source VRF ("" for global)
 
 	// Aggregates configured in this table's VRF.
 	aggs []config.Aggregate
@@ -116,11 +114,9 @@ func (s *sim) newTableInfo(k tableKey) *tableInfo {
 	}
 	ti.advertise = !(d.Isolated && ti.prof.IsolationViaPolicy)
 	for _, sess := range sessions {
-		if sess.vrf != k.vrf {
-			continue
+		if sess.vrf == k.vrf {
+			ti.sessions = append(ti.sessions, sessInfo{sess: sess})
 		}
-		pol, ok := s.exportPolicy(d, sess.nb, sess.remote, ti.prof)
-		ti.sessions = append(ti.sessions, sessInfo{sess: sess, pol: pol, ok: ok})
 	}
 	// Leak header: the export RT set and targets of the source table are pure
 	// configuration.
@@ -134,7 +130,7 @@ func (s *sim) newTableInfo(k tableKey) *tableInfo {
 		}
 		if len(exportRTs) > 0 {
 			ti.leakTargets = leakTargets(d, k.vrf, exportRTs)
-			ti.leakFrom = "leak:" + k.vrf
+			ti.leakEdge = edge{from: "leak:" + k.vrf, ok: true}
 		}
 	}
 	for _, a := range d.Aggregates {
@@ -214,7 +210,7 @@ func (s *sim) tableRank() []int32 {
 }
 
 // scratch is the reusable working memory of one sim's loop: the decision
-// buffers and the advertisement/candidate/row arenas.
+// buffers, the candidate/row arenas and the round buffers.
 type scratch struct {
 	// Decision scratch reused across decide calls. Each is fully consumed
 	// before its next reuse: decide's outputs feed advertise within the same
@@ -227,9 +223,11 @@ type scratch struct {
 	fromScratch  []string
 	sigScratch   []byte
 
-	// advArena backs msg route slices for one round (see takeAdv).
-	advArena []netmodel.Route
-	advUsed  int
+	// round holds the messages of one round and the routes they carry. A
+	// warm restart borrows it from its State (State.rounds).
+	round roundBufs
+	// chunksMade counts the round-buffer chunks the sim allocated.
+	chunksMade int
 
 	// candArena backs the adj-RIB-in candidate slices deliver installs
 	// (see takeCands; grow-only, never reset).
@@ -240,6 +238,115 @@ type scratch struct {
 	// (see takeRows; grow-only, never reset).
 	rowsArena []netmodel.Route
 	rowsUsed  int
+}
+
+// roundBufs is what one fixpoint round sends: its messages, and the routes
+// they advertise. A round fills both from their first chunk; deliver drains
+// them before the next round refills them, so they are reused round over
+// round and a run allocates its busiest round's worth once.
+type roundBufs struct {
+	msgs chunks[msg]
+	advs chunks[netmodel.Route]
+}
+
+// Chunk sizes of a chunk list, in items: a list starts with a small chunk, so
+// a run that sends little allocates little, and each new chunk doubles the
+// last up to the cap.
+const (
+	chunkMin = 64
+	chunkMax = 8192
+)
+
+// chunks is a list of fixed-capacity buffers filled in order: growing it
+// never copies what it holds, and a reset keeps every chunk for refilling.
+type chunks[T any] struct {
+	bufs [][]T // bufs[:cur+1] hold the items since the last reset
+	cur  int
+}
+
+// room returns the chunk to fill with n more items, moving on to the next
+// chunk when the current one lacks room and allocating one (counted in made)
+// when there is none, or when it is too small for n.
+func (c *chunks[T]) room(n int, made *int) []T {
+	if len(c.bufs) > 0 {
+		if b := c.bufs[c.cur]; cap(b)-len(b) >= n {
+			return b
+		}
+		c.cur++
+	}
+	if c.cur < len(c.bufs) && cap(c.bufs[c.cur]) >= n {
+		return c.bufs[c.cur]
+	}
+	size := chunkMin
+	if c.cur > 0 {
+		size = min(2*cap(c.bufs[c.cur-1]), chunkMax)
+	}
+	b := make([]T, 0, max(size, n))
+	*made++
+	if c.cur < len(c.bufs) {
+		c.bufs[c.cur] = b
+	} else {
+		c.bufs = append(c.bufs, b)
+	}
+	return b
+}
+
+// push appends v.
+func (c *chunks[T]) push(v T, made *int) {
+	b := c.room(1, made)
+	c.bufs[c.cur] = append(b, v)
+}
+
+// take carves a zero-length, capacity-n slice for the caller to append to.
+func (c *chunks[T]) take(n int, made *int) []T {
+	b := c.room(n, made)
+	c.bufs[c.cur] = b[:len(b)+n]
+	return b[len(b) : len(b) : len(b)+n]
+}
+
+// filled returns the chunks holding the items since the last reset.
+func (c *chunks[T]) filled() [][]T {
+	return c.bufs[:min(c.cur+1, len(c.bufs))]
+}
+
+// len returns the number of items since the last reset.
+func (c *chunks[T]) len() int {
+	n := 0
+	for _, b := range c.filled() {
+		n += len(b)
+	}
+	return n
+}
+
+// each calls fn on every item since the last reset, in order.
+func (c *chunks[T]) each(fn func(*T)) {
+	for _, b := range c.filled() {
+		for i := range b {
+			fn(&b[i])
+		}
+	}
+}
+
+// reset empties the list and keeps its chunks.
+func (c *chunks[T]) reset() {
+	for i, b := range c.filled() {
+		c.bufs[i] = b[:0]
+	}
+	c.cur = 0
+}
+
+// clear resets the list and zeroes every chunk.
+func (c *chunks[T]) clear() {
+	for i, b := range c.bufs {
+		clear(b[:cap(b)])
+		c.bufs[i] = b[:0]
+	}
+	c.cur = 0
+}
+
+// send appends one message to the round.
+func (sc *scratch) send(m msg) {
+	sc.round.msgs.push(m, &sc.chunksMade)
 }
 
 // takeRows carves an exact-capacity row slice for one decision out of the
@@ -260,25 +367,12 @@ func (sc *scratch) takeRows(n int) []netmodel.Route {
 	return out
 }
 
-// takeAdv carves a zero-length, capacity-n route slice out of the per-round
-// advertisement arena. Messages built in one round are fully
-// consumed by deliver before the next decideAndAdvertise call resets the
-// arena, so the backing array is reused round over round instead of being
-// reallocated per session.
+// takeAdv carves a zero-length, capacity-n route slice for one message out
+// of the round's advertised routes. Messages built in one round are fully
+// consumed by deliver before the next round resets them, so the chunks are
+// reused round over round instead of being reallocated per session.
 func (sc *scratch) takeAdv(n int) []netmodel.Route {
-	if sc.advUsed+n > len(sc.advArena) {
-		size := 2 * (sc.advUsed + n)
-		if size < 256 {
-			size = 256
-		}
-		// The old block stays referenced by this round's earlier messages and
-		// is collected once they are delivered.
-		sc.advArena = make([]netmodel.Route, size)
-		sc.advUsed = 0
-	}
-	out := sc.advArena[sc.advUsed : sc.advUsed : sc.advUsed+n]
-	sc.advUsed += n
-	return out
+	return sc.round.advs.take(n, &sc.chunksMade)
 }
 
 // takeCands carves a zero-length, capacity-n candidate slice out of the
@@ -312,16 +406,16 @@ func (sc *scratch) giveBackCands(n int) {
 // larger carves were not taken from the arena, so there is nothing to return.
 const chunkGiveBackMax = 1024 / 4
 
-// leakInto generates the intra-device VRF-leaking messages after the best set
-// of (table, prefix) changed. Leaked routes travel as messages from the
-// pseudo-peer "leak:<source-vrf>" so the fixpoint naturally cascades, and so
-// the re-leaking VSB can recognize already-leaked routes. The export RT set,
-// targets and source policy name were resolved at intern time, and
-// advertisement slices come from the per-round arena. pid is p's interned ID,
-// stamped on the outgoing messages so delivery skips the prefix hash.
-func (s *sim) leakInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32, best []cand) []msg {
+// leak sends the intra-device VRF-leaking messages after the best set of
+// (table, prefix) changed. Leaked routes travel over the table's leak edge,
+// from the pseudo-peer "leak:<source-vrf>", so the fixpoint naturally
+// cascades, and so the re-leaking VSB can recognize already-leaked routes.
+// The export RT set, targets and source policy name were resolved at intern
+// time, and advertisement slices come from the round's routes. pid is the
+// prefix's interned ID, stamped on the outgoing messages.
+func (s *sim) leak(ti *tableInfo, pid int32, best []cand) {
 	if len(ti.leakTargets) == 0 {
-		return out
+		return
 	}
 	if ti.leakTIDs == nil {
 		ti.leakTIDs = make([]int32, len(ti.leakTargets))
@@ -372,22 +466,18 @@ func (s *sim) leakInto(out []msg, ti *tableInfo, p netip.Prefix, pid int32, best
 			}
 			adv = append(adv, r)
 		}
-		out = append(out, msg{
-			to: ti.k.dev, vrf: target, from: ti.leakFrom, prefix: p, routes: adv,
-			tid: ti.leakTIDs[idx] - 1, pid: pid,
-		})
+		s.send(msg{routes: adv, edge: &ti.leakEdge, tid: ti.leakTIDs[idx] - 1, pid: pid})
 	}
-	return out
 }
 
-// updateAggregatesInto re-evaluates every aggregate of the table that covers
-// the just-decided prefix (the VRF's aggregates were filtered at intern
-// time). When an aggregate activates, deactivates, or changes its AS path,
-// the aggregate's own prefix is marked dirty by a synthetic self-message. tid
+// updateAggregates re-evaluates every aggregate of the table that covers the
+// just-decided prefix (the VRF's aggregates were filtered at intern time).
+// When an aggregate activates, deactivates, or changes its AS path, the
+// aggregate's own prefix is marked dirty by a refresh message to itself. tid
 // is ti's own ID — the refresh messages target the same table.
-func (s *sim) updateAggregatesInto(out []msg, ti *tableInfo, tid int32, p netip.Prefix) []msg {
+func (s *sim) updateAggregates(ti *tableInfo, tid int32, p netip.Prefix) {
 	if len(ti.aggs) == 0 {
-		return out
+		return
 	}
 	k := ti.k
 	t := s.own(k)
@@ -397,13 +487,10 @@ func (s *sim) updateAggregatesInto(out []msg, ti *tableInfo, tid int32, p netip.
 		}
 		changed := s.refreshAggregate(k, t, a)
 		if changed {
-			// Rerun the decision for the aggregate prefix via an internal
-			// "message" carrying no routes: delivery just marks it dirty
+			// Rerun the decision for the aggregate prefix via a refresh
+			// message carrying no routes: delivery just marks it dirty
 			// (the local candidate set was already updated in place).
-			out = append(out, msg{
-				to: k.dev, vrf: k.vrf, from: "agg:refresh", prefix: a.Prefix,
-				tid: tid, pid: s.pidOf(a.Prefix),
-			})
+			s.send(msg{edge: refreshEdge, tid: tid, pid: s.pidOf(a.Prefix)})
 			// Suppression state may have flipped: force re-advertisement of
 			// every covered prefix (summary-only withdraws specifics).
 			if a.SummaryOnly {
@@ -411,15 +498,11 @@ func (s *sim) updateAggregatesInto(out []msg, ti *tableInfo, tid int32, p netip.
 					for _, cp := range t.rib.Prefixes() {
 						if cp != a.Prefix && cp.Bits() > a.Prefix.Bits() && a.Prefix.Contains(cp.Addr()) {
 							t.lastAdv.Set(cp, "") // no routes' signature: re-advertise
-							out = append(out, msg{
-								to: k.dev, vrf: k.vrf, from: "agg:refresh", prefix: cp,
-								tid: tid, pid: s.pidOf(cp),
-							})
+							s.send(msg{edge: refreshEdge, tid: tid, pid: s.pidOf(cp)})
 						}
 					}
 				}
 			}
 		}
 	}
-	return out
 }

@@ -42,10 +42,13 @@ type State struct {
 	// index (indexOwners) reads, whatever topology a restart runs on.
 	topo *netmodel.Topology
 
-	// msgBufs lends warm restarts their round message buffer (sim.msgScratch,
-	// a *[]msg), so a fork does not grow one from scratch. A buffer comes back
-	// cleared: it pins no routes while pooled.
-	msgBufs sync.Pool
+	// rounds lends warm restarts their round buffers (sim.round), so a fork
+	// refills the chunks an earlier one grew instead of growing its own. They
+	// come back cleared: they pin no routes while they wait. A free list, not
+	// a sync.Pool: a pool's per-P slots can hide a returned buffer from the
+	// next restart, and a collection drops them.
+	roundsMu sync.Mutex
+	rounds   []*roundBufs
 
 	// units holds the captured work units of a multi-unit run until the first
 	// warm restart unions them into tables and builds the owner index
@@ -155,6 +158,12 @@ func (s *sim) capture() *State {
 // the caller must then discard the (incomplete) result. A nil ctx disables
 // polling.
 func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (*Result, *ResimStats) {
+	res, stats, _ := st.resimulate(ctx, net, igp, inputs, d)
+	return res, stats
+}
+
+// resimulate is ResimulateCtx, returning the converged sim too.
+func (st *State) resimulate(ctx context.Context, net *config.Network, igp *isis.Result, inputs []netmodel.Route, d Delta) (*Result, *ResimStats, *sim) {
 	s := st.restart(ctx, net, igp, inputs, d)
 	s.markAdopted() // before counting: a device coming up adopts its tables
 	stats := &ResimStats{TablesDirty: len(s.dirtyTids)}
@@ -163,15 +172,12 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 			stats.TablesTotal++
 		}
 	}
-	buf, _ := st.msgBufs.Get().(*[]msg)
-	if buf == nil {
-		buf = new([]msg)
-	}
-	s.msgScratch = *buf
+	rb := st.borrowRounds()
+	s.round = *rb
 	res := s.runDense()
-	*buf = s.msgScratch[:0]
-	clear((*buf)[:cap(*buf)])
-	st.msgBufs.Put(buf)
+	*rb = s.round
+	s.round = roundBufs{}
+	st.returnRounds(rb)
 
 	// Many seeded-dirty tables re-decide to exactly their base rows; what
 	// differs is what the downstream stages (expansion, global-RIB emission,
@@ -185,7 +191,29 @@ func (st *State) ResimulateCtx(ctx context.Context, net *config.Network, igp *is
 			stats.ChangedPrefixes[Table{k.dev, k.vrf}] = ps
 		}
 	}
-	return res, stats
+	return res, stats, s
+}
+
+// borrowRounds takes round buffers off the State's free list, or new ones.
+func (st *State) borrowRounds() *roundBufs {
+	st.roundsMu.Lock()
+	defer st.roundsMu.Unlock()
+	if n := len(st.rounds); n > 0 {
+		rb := st.rounds[n-1]
+		st.rounds = st.rounds[:n-1]
+		return rb
+	}
+	return new(roundBufs)
+}
+
+// returnRounds clears round buffers, so they pin no routes, and puts them
+// back on the free list.
+func (st *State) returnRounds(rb *roundBufs) {
+	rb.msgs.clear()
+	rb.advs.clear()
+	st.roundsMu.Lock()
+	st.rounds = append(st.rounds, rb)
+	st.roundsMu.Unlock()
 }
 
 // restart returns a simulation over net seeded from st, for both runs: it holds

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"hoyan/internal/config"
 	"hoyan/internal/gen"
@@ -205,6 +206,33 @@ func TestDistAffectedWorkPinned(t *testing.T) {
 	const want = 1153
 	if marked != brute || marked != want {
 		t.Errorf("markDistAffected dirtied %d prefixes, brute force %d, pinned %d", marked, brute, want)
+	}
+}
+
+// TestRoundBuffersAllocOnce pins the round buffers' size and reuse: a message
+// is at most 48 bytes (its routes, an edge and two interned IDs, where it
+// held the strings and addresses they stand for in 144), and a warm restart
+// refills the chunks its State lent it, so a second identical restart on the
+// same State allocates no message or advertisement chunk.
+func TestRoundBuffersAllocOnce(t *testing.T) {
+	if n := unsafe.Sizeof(msg{}); n > 48 {
+		t.Errorf("a message is %d bytes, want at most 48", n)
+	}
+	out := gen.Generate(gen.WAN(2))
+	igp := isis.Compute(out.Net.Topo, isis.Options{})
+	_, st := SimulateWithState(out.Net, igp, out.Inputs, Options{Parallelism: 1})
+	link := out.Net.Topo.FindLink("core-0-0", "core-0-1")
+	if link == nil {
+		t.Fatal("fixture: no link core-0-0--core-0-1")
+	}
+	net2, igp2, d := topoDelta(out.Net, igp, []netmodel.LinkID{link.ID()}, nil)
+	var made [2]int
+	for i := range made {
+		_, _, s := st.resimulate(nil, net2, igp2, out.Inputs, d)
+		made[i] = s.chunksMade
+	}
+	if made[0] == 0 || made[1] != 0 {
+		t.Errorf("round-buffer chunks allocated by two identical restarts: %v, want some by the first and none by the second", made)
 	}
 }
 

@@ -355,7 +355,7 @@ func TestParallelCancelledContext(t *testing.T) {
 
 // TestParallelAllocBytesBoundedByUnits pins what the units share and what they
 // do not redo: a cold two-unit run allocates the bytes of the sequential run
-// plus a small budget per unit (arena chunks, the first message buffer,
+// plus a small budget per unit (arena chunks, the first round-buffer chunks,
 // per-table bookkeeping, its share of the result-table union — one map entry
 // per decided pair), nothing per round or per message. Per-round striping
 // re-grew message buffers and copied every batch in the ordered merge — a

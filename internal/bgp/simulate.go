@@ -163,20 +163,13 @@ type cand struct {
 }
 
 // msg is one advertisement (or withdrawal, when routes is empty) delivered
-// to a device table.
+// to a table: the edge it arrives over, the interned IDs of the destination
+// table (s.tinfo[tid].k) and of the prefix (s.pfxs[pid]), and its routes.
 type msg struct {
-	to       string
-	vrf      string
-	from     string // sending device, or "leak:<vrf>" for intra-device leaks
-	prefix   netip.Prefix
-	routes   []netmodel.Route
-	ebgp     bool
-	fromAddr netip.Addr
-
-	// tid/pid are the interned destination-table and prefix IDs, filled at
-	// the advertisement site so delivery needs no map hashing.
-	tid int32
-	pid int32
+	routes []netmodel.Route
+	edge   *edge
+	tid    int32
+	pid    int32
 }
 
 // table is everything the fixpoint keeps for one (device, VRF) table: its
@@ -242,13 +235,8 @@ type sim struct {
 	// resolve looks its costs up by dense ID.
 	topoIdx *netmodel.TopoIndex
 
-	// msgScratch is the round-global message buffer reused across rounds; a
-	// returned batch is fully drained by deliver before the next
-	// decideAndAdvertise call refills it. A warm restart borrows it from its
-	// State (State.msgBufs).
-	msgScratch []msg
-
-	// scratch holds the decision buffers and arenas of the loop.
+	// scratch holds the decision buffers, the arenas and the round buffers
+	// of the loop.
 	scratch
 
 	// decided counts the (table, prefix) decisions made.
@@ -297,9 +285,7 @@ func newSim(net *config.Network, igp *isis.Result, opts Options) *sim {
 	if igp == nil || igp.EdgeIndex() != s.topoIdx {
 		panic("bgp: the IGP result was computed on another topology than the network's")
 	}
-	s.sessions = buildSessions(net, igp, func(dev string) bool {
-		return !s.profileOf(dev).IsolationViaPolicy
-	})
+	s.sessions = buildSessions(net, igp, s.profileOf)
 	return s.sibling()
 }
 
@@ -330,14 +316,14 @@ func (s *sim) runDense() *Result {
 	converged := false
 	pending := s.decideAndAdvertise()
 	for rounds = 0; rounds < s.opts.MaxRounds; rounds++ {
-		if len(pending) == 0 {
+		if pending == 0 {
 			converged = true
 			break
 		}
 		if s.ctxDone() {
 			break
 		}
-		s.deliver(pending)
+		s.deliver()
 		pending = s.decideAndAdvertise()
 	}
 	ribs := make(map[tableKey]*netmodel.RIB, len(s.tables))
@@ -589,52 +575,42 @@ func (s *sim) directRoutes(d *config.Device, prof vsb.Profile, forRedist bool) [
 	return out
 }
 
-// deliver processes a batch of messages: ingress policy, loop prevention,
+// deliver processes the round's messages: ingress policy, loop prevention,
 // adj-RIB-in update. The accepted slice is sized exactly once per message,
-// withdrawals allocate nothing, the per-device profile/env/session lookups
-// come from the interned tableInfo, and the import policy is resolved once
-// per message instead of once per route.
-func (s *sim) deliver(msgs []msg) {
-	for i := range msgs {
-		m := &msgs[i]
+// withdrawals allocate nothing, the per-device profile and policy
+// environment come from the interned tableInfo, and the adj-RIB-in key,
+// session type and import policy from the edge the message arrives over.
+func (s *sim) deliver() {
+	s.round.msgs.each(func(m *msg) {
 		s.messages++
 		ti := s.tinfo[m.tid]
 		if ti.dev == nil {
-			continue
+			return
 		}
 		s.commitDelivery(m, ti, s.acceptedFor(m, ti))
-	}
+	})
 }
 
 // acceptedFor computes the candidate set one message installs into its
-// table's adj-RIB-in cell: import policy, AS-loop prevention, session-type
-// defaults.
+// table's adj-RIB-in cell: AS-loop prevention, session-type defaults, the
+// import policy.
 func (s *sim) acceptedFor(m *msg, ti *tableInfo) []cand {
-	if len(m.routes) == 0 {
+	e := m.edge
+	if len(m.routes) == 0 || !e.ok {
 		return nil
 	}
 	d, prof := ti.dev, ti.prof
-	// The import policy depends only on the session, not the route.
-	var pol *policy.RouteMap
-	ok := true
-	if !strings.HasPrefix(m.from, "leak:") {
-		nb := s.neighborConfigFor(d, m.from, m.vrf)
-		pol, ok = s.importPolicy(d, nb, m.from, prof, m.ebgp)
-	}
-	if !ok {
-		return nil
-	}
 	accepted := s.takeCands(len(m.routes))
 	for _, r := range m.routes {
-		r.Device, r.VRF = m.to, m.vrf
-		r.Peer = m.from
+		r.Device, r.VRF = ti.k.dev, ti.k.vrf
+		r.Peer = e.from
 		// eBGP AS-loop prevention.
-		if m.ebgp && r.ASPath.Contains(d.ASN) {
+		if e.ebgp && r.ASPath.Contains(d.ASN) {
 			continue
 		}
 		// Session-type defaults, applied before the import policy
 		// so the policy can override them.
-		if m.ebgp {
+		if e.ebgp {
 			r.LocalPref = 100
 			r.Preference = prof.EBGPPreference
 		} else if r.Preference == 0 {
@@ -644,38 +620,41 @@ func (s *sim) acceptedFor(m *msg, ti *tableInfo) []cand {
 		r.IGPCost = 0
 		r.RouteType = netmodel.RouteCandidate
 
-		if pol != nil {
+		if e.pol != nil {
 			var disp policy.Disposition
-			r, disp = ti.env.Apply(pol, r, m.fromAddr, d.ASN)
+			r, disp = ti.env.Apply(e.pol, r, e.fromAddr, d.ASN)
 			if disp == policy.Reject {
 				continue
 			}
 		}
-		accepted = append(accepted, cand{route: r, ebgp: m.ebgp})
+		accepted = append(accepted, cand{route: r, ebgp: e.ebgp})
 	}
 	return accepted
 }
 
 // commitDelivery installs one message's acceptance result into the
 // adj-RIB-in and marks the (table, prefix) dirty when the cell changed;
-// unused candidate-arena tails go back to the arena.
+// unused candidate-arena tails go back to the arena. An aggregate refresh
+// installs nothing and marks its prefix dirty: the local candidate set was
+// mutated in place, which is what the decision must see.
 func (s *sim) commitDelivery(m *msg, ti *tableInfo, accepted []cand) {
-	k := ti.k
+	if m.edge.refresh {
+		s.markDirty(m.tid, m.pid)
+		return
+	}
 	// A message that does not change the adj-RIB-in cell leaves the
 	// decision inputs untouched: re-deciding would reproduce the same
 	// rows and signature, so the (table, prefix) is not marked dirty.
-	// The one exception is the synthetic "agg:refresh" signal, whose
-	// whole purpose is to force a re-decision after the local candidate
-	// set was mutated in place.
-	changed := m.from == "agg:refresh"
+	k, p, from := ti.k, s.pfxs[m.pid], m.edge.from
+	changed := false
 	if len(accepted) == 0 {
 		if cap(accepted) > 0 {
 			s.giveBackCands(cap(accepted))
 		}
 		// Withdrawal: only touch cells that already exist.
 		if t := s.tables[k]; t != nil {
-			if _, had := t.adjIn.Get(m.prefix)[m.from]; had {
-				delete(s.own(k).ownFroms(m.prefix), m.from)
+			if _, had := t.adjIn.Get(p)[from]; had {
+				delete(s.own(k).ownFroms(p), from)
 				changed = true
 			}
 		}
@@ -684,8 +663,8 @@ func (s *sim) commitDelivery(m *msg, ti *tableInfo, accepted []cand) {
 		if t.adjIn.OwnLen() == 0 {
 			t.adjIn.Grow(s.tableHint(k, t))
 		}
-		if old, had := t.adjIn.Get(m.prefix)[m.from]; !had || !candsSame(old, accepted) {
-			t.ownFroms(m.prefix)[m.from] = accepted
+		if old, had := t.adjIn.Get(p)[from]; !had || !candsSame(old, accepted) {
+			t.ownFroms(p)[from] = accepted
 			changed = true
 		} else {
 			s.giveBackCands(cap(accepted))
@@ -711,78 +690,4 @@ func candsSame(a, b []cand) bool {
 		}
 	}
 	return true
-}
-
-// neighborConfigFor finds the local neighbor configuration matching an
-// incoming message's sender.
-func (s *sim) neighborConfigFor(d *config.Device, from, vrf string) *config.Neighbor {
-	for _, sess := range s.sessions[d.Name] {
-		if sess.remote == from && sess.vrf == vrf {
-			return sess.nb
-		}
-	}
-	return nil
-}
-
-// importPolicy resolves the import policy for a session under the missing-
-// and undefined-policy VSBs. pol == nil with ok == true means "accept
-// unfiltered".
-func (s *sim) importPolicy(d *config.Device, nb *config.Neighbor, remote string, prof vsb.Profile, ebgp bool) (*policy.RouteMap, bool) {
-	name := ""
-	if nb != nil {
-		name = nb.ImportPolicy
-		if name == "" && nb.VRF != netmodel.DefaultVRF && prof.SubViewInheritsOptions {
-			// VSB: sub-view (VRF address family) sessions inherit the global
-			// session's policy bindings on inheriting vendors.
-			if g := s.globalSessionNeighbor(d.Name, remote); g != nil {
-				name = g.ImportPolicy
-			}
-		}
-	}
-	if name == "" {
-		// VSB: missing policy. iBGP updates are always accepted.
-		if ebgp && !prof.AcceptOnMissingPolicy {
-			return nil, false
-		}
-		return nil, true
-	}
-	rm, ok := d.RouteMaps[name]
-	if !ok {
-		// VSB: undefined policy.
-		return nil, prof.AcceptOnUndefinedPolicy
-	}
-	return rm, true
-}
-
-// globalSessionNeighbor finds the default-VRF session from dev to the same
-// remote device, for the sub-view inheritance VSB.
-func (s *sim) globalSessionNeighbor(dev, remote string) *config.Neighbor {
-	for _, sess := range s.sessions[dev] {
-		if sess.remote == remote && sess.vrf == netmodel.DefaultVRF {
-			return sess.nb
-		}
-	}
-	return nil
-}
-
-// exportPolicy mirrors importPolicy for the egress direction; a missing
-// export policy always advertises.
-func (s *sim) exportPolicy(d *config.Device, nb *config.Neighbor, remote string, prof vsb.Profile) (*policy.RouteMap, bool) {
-	name := ""
-	if nb != nil {
-		name = nb.ExportPolicy
-		if name == "" && nb.VRF != netmodel.DefaultVRF && prof.SubViewInheritsOptions {
-			if g := s.globalSessionNeighbor(d.Name, remote); g != nil {
-				name = g.ExportPolicy
-			}
-		}
-	}
-	if name == "" {
-		return nil, true
-	}
-	rm, ok := d.RouteMaps[name]
-	if !ok {
-		return nil, prof.AcceptOnUndefinedPolicy
-	}
-	return rm, true
 }

@@ -17,7 +17,7 @@ import (
 // never through another BGP route. The one coupling between prefixes is
 // aggregation — an aggregate's activation and AS path are computed from the
 // more-specific routes of its table (aggregate.go contributors), refreshed
-// whenever one of them is decided (dense.go updateAggregatesInto), and a
+// whenever one of them is decided (dense.go updateAggregates), and a
 // summary-only aggregate suppresses their advertisement (decision.go
 // suppressedByAggregate). So the originated prefixes fall into independence
 // groups: everything covered by one outermost configured aggregate prefix is

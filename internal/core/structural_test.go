@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hoyan/internal/bgp"
@@ -39,12 +40,33 @@ func readdressable(t *testing.T, out *gen.Output) *gen.Output {
 	return out
 }
 
-// structuralPlans returns one plan per kind of edit that changes what the
-// topology derives from out's configurations, each under its name.
-func structuralPlans(out *gen.Output) []struct {
+// downEnd returns a clone of net in which core-0-1 is down and core-0-0
+// routes a prefix via core-0-1's address on their link, which is also
+// core-0-1's loopback: the static resolves over that link alone, with no IGP
+// distance, and its next hop keeps its owner whether the link is there or
+// not.
+func downEnd(t *testing.T, net *config.Network) *config.Network {
+	net = net.Clone()
+	l := net.Topo.FindLink("core-0-0", "core-0-1")
+	net.Devices["core-0-1"].Loopback = l.BAddr
+	d := net.Devices["core-0-0"]
+	d.Statics = append(d.Statics, config.StaticRoute{Prefix: netip.MustParsePrefix("198.51.102.0/24"), NextHop: l.BAddr})
+	net.Topo = net.Topology()
+	if _, err := (core.Delta{NodesDown: []string{"core-0-1"}}).Apply(net); err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// structuralPlan is a plan under its name.
+type structuralPlan struct {
 	name string
 	plan *change.Plan
-} {
+}
+
+// structuralPlans returns one plan per kind of edit that changes what the
+// topology derives from out's configurations.
+func structuralPlans(out *gen.Output) []structuralPlan {
 	var addRouter *change.Plan
 	for _, sc := range scenario.Table2Catalog() {
 		if sc.Type == change.AddRouters {
@@ -56,10 +78,7 @@ func structuralPlans(out *gen.Output) []struct {
 	iface := func(dev, name, cmds string) map[string]string {
 		return map[string]string{dev: fmt.Sprintf("interface %s\n%s", name, cmds)}
 	}
-	return []struct {
-		name string
-		plan *change.Plan
-	}{
+	return []structuralPlan{
 		{"change an address", &change.Plan{Commands: iface(l.A, l.AIface, " ip address "+moved.String()+"\n")}},
 		{"add a router", addRouter},
 		{"remove a router", &change.Plan{RemoveNodes: []string{"dc-1-0"}}},
@@ -92,10 +111,12 @@ func structuralPlans(out *gen.Output) []struct {
 // state (bgp.Check).
 func TestForkStructuralIdentity(t *testing.T) {
 	for _, k := range []int{1, 2} {
-		for _, downBase := range []bool{false, true} {
+		for _, down := range []string{"nothing", "core-0-0's links", "core-0-1"} {
 			out := readdressable(t, gen.Generate(gen.WAN(k)))
 			base := out.Net
-			if downBase {
+			plans := structuralPlans(out)
+			switch down {
+			case "core-0-0's links":
 				// Every link of core-0-0 is down in this base, the cost plans'
 				// among them; those a plan leaves stay down.
 				base = out.Net.Clone()
@@ -104,6 +125,12 @@ func TestForkStructuralIdentity(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+			case "core-0-1":
+				// A third end cutting the link under downEnd's static moves
+				// no IGP distance and not the next hop's owner: only the cut
+				// link, a changed link to the warm restart, re-decides it.
+				base = downEnd(t, out.Net)
+				plans = slices.DeleteFunc(plans, func(c structuralPlan) bool { return c.name != "third end cuts a link" })
 			}
 			for _, opts := range []core.Options{
 				{Parallelism: 1}, {UseTEMetric: true},
@@ -111,8 +138,8 @@ func TestForkStructuralIdentity(t *testing.T) {
 			} {
 				eng := core.NewEngine(base, opts)
 				eng.BaseRun(out.Inputs, out.Flows)
-				for _, c := range structuralPlans(out) {
-					label := fmt.Sprintf("WAN(%d) base links down %v %+v: %s", k, downBase, opts, c.name)
+				for _, c := range plans {
+					label := fmt.Sprintf("WAN(%d) base with %s down %+v: %s", k, down, opts, c.name)
 					checkStructural(t, eng, base, out, c.plan, opts, label)
 				}
 			}

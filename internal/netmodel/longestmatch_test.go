@@ -101,52 +101,63 @@ func FuzzLongestMatch(f *testing.F) {
 }
 
 // TestLongestMatchAllocs pins a lookup at zero allocations on a plain table,
-// an overlay and a RIBSet table whose best rows are adjacent and ordered:
-// forwarding looks up every flow at every hop, and the probe reads the
-// table's own map, so it has nothing to build.
+// an overlay and a RIBSet table: forwarding looks up every flow at every hop,
+// and the probe reads the table's own map, so it has nothing to build. Each
+// is built twice: with every prefix's ECMP best rows adjacent in canonical
+// order, and interleaved, a candidate's next hop between the two best rows'
+// — the layout a table stores them in puts the best rows first either way.
 func TestLongestMatchAllocs(t *testing.T) {
-	var rows []Route
-	for i := 0; i < 32; i++ {
-		for _, s := range []string{"10.%d.0.0/16", "10.%d.1.0/24", "10.%d.1.128/25"} {
-			p := fmt.Sprintf(s, i)
-			rows = append(rows,
-				mkRoute("A", DefaultVRF, p, "192.0.2.1", RouteBest),
-				mkRoute("A", DefaultVRF, p, "192.0.2.2", RouteBest), // ECMP
-				mkRoute("A", DefaultVRF, p, "192.0.2.3", RouteCandidate))
-		}
-	}
-	rows = append(rows, mkRoute("A", DefaultVRF, "0.0.0.0/0", "192.0.2.9", RouteBest))
-	slices.SortFunc(rows, CompareRoutes)
-	plain := NewRIB("A", DefaultVRF)
-	for lo, hi := 0, 0; lo < len(rows); lo = hi {
-		for hi = lo; hi < len(rows) && rows[hi].Prefix == rows[lo].Prefix; hi++ {
-		}
-		plain.Replace(rows[lo].Prefix, rows[lo:hi])
-	}
-	overlay := plain.Overlay()
-	overlay.Replace(netip.MustParsePrefix("10.3.1.0/24"), nil)
-	overlay.Replace(netip.MustParsePrefix("10.4.2.0/24"), []Route{mkRoute("A", DefaultVRF, "10.4.2.0/24", "192.0.2.5", RouteBest)})
-	set := NewRIBSetFromSorted(rows).RIB("A", DefaultVRF)
-	addrs := []netip.Addr{
-		netip.MustParseAddr("10.3.1.200"), // /25
-		netip.MustParseAddr("10.3.1.7"),   // /24, or /16 where the overlay deleted it
-		netip.MustParseAddr("10.4.2.1"),   // /16, or the overlay's /24
-		netip.MustParseAddr("11.0.0.1"),   // /0
-		netip.MustParseAddr("2001:db8::1"),
-	}
-	for name, tb := range map[string]*RIB{"plain": plain, "overlay": overlay, "RIBSet": set} {
-		if err := checkMatches(name, addrs, tb); err != nil {
-			t.Fatal(err)
-		}
-		if _, best, _ := tb.LongestMatch(addrs[0]); len(best) != 2 {
-			t.Fatalf("%s: %d best rows for %s, want the ECMP pair", name, len(best), addrs[0])
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			for _, a := range addrs {
-				tb.LongestMatch(a)
+	for _, layout := range []struct {
+		name string
+		nhs  [3]string // best, then ECMP best or candidate, then the other
+		rts  [3]RouteType
+	}{
+		{"adjacent", [3]string{"192.0.2.1", "192.0.2.2", "192.0.2.3"}, [3]RouteType{RouteBest, RouteBest, RouteCandidate}},
+		{"interleaved", [3]string{"192.0.2.1", "192.0.2.2", "192.0.2.3"}, [3]RouteType{RouteBest, RouteCandidate, RouteBest}},
+	} {
+		var rows []Route
+		for i := 0; i < 32; i++ {
+			for _, s := range []string{"10.%d.0.0/16", "10.%d.1.0/24", "10.%d.1.128/25"} {
+				p := fmt.Sprintf(s, i)
+				for j := range layout.nhs {
+					rows = append(rows, mkRoute("A", DefaultVRF, p, layout.nhs[j], layout.rts[j]))
+				}
 			}
-		}); n != 0 {
-			t.Errorf("%s table: %.1f allocations per %d lookups, want 0", name, n, len(addrs))
+		}
+		rows = append(rows, mkRoute("A", DefaultVRF, "0.0.0.0/0", "192.0.2.9", RouteBest))
+		slices.SortFunc(rows, CompareRoutes)
+		plain := NewRIB("A", DefaultVRF)
+		for lo, hi := 0, 0; lo < len(rows); lo = hi {
+			for hi = lo; hi < len(rows) && rows[hi].Prefix == rows[lo].Prefix; hi++ {
+			}
+			plain.Replace(rows[lo].Prefix, rows[lo:hi])
+		}
+		overlay := plain.Overlay()
+		overlay.Replace(netip.MustParsePrefix("10.3.1.0/24"), nil)
+		overlay.Replace(netip.MustParsePrefix("10.4.2.0/24"), []Route{mkRoute("A", DefaultVRF, "10.4.2.0/24", "192.0.2.5", RouteBest)})
+		set := NewRIBSetFromSorted(rows).RIB("A", DefaultVRF)
+		addrs := []netip.Addr{
+			netip.MustParseAddr("10.3.1.200"), // /25
+			netip.MustParseAddr("10.3.1.7"),   // /24, or /16 where the overlay deleted it
+			netip.MustParseAddr("10.4.2.1"),   // /16, or the overlay's /24
+			netip.MustParseAddr("11.0.0.1"),   // /0
+			netip.MustParseAddr("2001:db8::1"),
+		}
+		for name, tb := range map[string]*RIB{"plain": plain, "overlay": overlay, "RIBSet": set} {
+			name = layout.name + " " + name
+			if err := checkMatches(name, addrs, tb); err != nil {
+				t.Fatal(err)
+			}
+			if _, best, _ := tb.LongestMatch(addrs[0]); len(best) != 2 {
+				t.Fatalf("%s: %d best rows for %s, want the ECMP pair", name, len(best), addrs[0])
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				for _, a := range addrs {
+					tb.LongestMatch(a)
+				}
+			}); n != 0 {
+				t.Errorf("%s table: %.1f allocations per %d lookups, want 0", name, n, len(addrs))
+			}
 		}
 	}
 }

@@ -79,7 +79,8 @@ func (t *RIB) each(fn func(p netip.Prefix, rows []Route)) {
 	})
 }
 
-// Replace substitutes all rows for prefix with rs.
+// Replace substitutes all rows for prefix with a copy of rs, its best rows
+// moved first (bestFirst).
 func (t *RIB) Replace(prefix netip.Prefix, rs []Route) {
 	rows := make([]Route, len(rs))
 	copy(rows, rs)
@@ -87,13 +88,15 @@ func (t *RIB) Replace(prefix netip.Prefix, rs []Route) {
 }
 
 // ReplaceOwned is Replace for callers that hand over ownership of rs: the
-// slice is installed as-is (Device/VRF forced in place) instead of being
-// copied. The caller must not retain or modify rs afterwards. This is the
-// allocation-free install path of the indexed BGP decision loop.
+// slice is installed in place (Device/VRF forced, best rows moved first,
+// bestFirst) instead of being copied. The caller must not retain or modify rs
+// afterwards. This is the allocation-free install path of the indexed BGP
+// decision loop.
 func (t *RIB) ReplaceOwned(prefix netip.Prefix, rs []Route) {
 	for i := range rs {
 		rs[i].Device, rs[i].VRF = t.Device, t.VRF
 	}
+	orderBest(rs)
 	if t.under == nil {
 		n := t.byPrefix.OwnLen()
 		t.put(prefix, rs)
@@ -112,8 +115,8 @@ func (t *RIB) ReplaceOwned(prefix netip.Prefix, rs []Route) {
 	t.invalidate(is != was)
 }
 
-// put writes p's rows; no rows delete p. It is the one insert of a key, so
-// the one place LongestMatch's records learn of it.
+// put writes p's rows, which are bestFirst; no rows delete p. It is the one
+// insert of a key, so the one place LongestMatch's records learn of it.
 func (t *RIB) put(p netip.Prefix, rs []Route) {
 	if len(rs) == 0 {
 		t.byPrefix.Delete(p)
@@ -191,7 +194,8 @@ func UnionRIBs(parts []*RIB) *RIB {
 	return out
 }
 
-// Routes returns the rows for prefix (shared slice; callers must not modify).
+// Routes returns the rows for prefix, best rows first (shared slice; callers
+// must not modify).
 func (t *RIB) Routes(prefix netip.Prefix) []Route {
 	return t.rows(prefix)
 }
@@ -282,38 +286,56 @@ func (t *RIB) invalidate(keysChanged bool) {
 	}
 }
 
-// bestRows returns the RouteBest rows of one prefix in CompareRoutes order:
-// a sub-slice of rows when they are adjacent and already ordered (one best
-// row, or an ECMP set as the decision process leaves it), a sorted copy
-// otherwise.
+// bestFirst reports whether rs holds its RouteBest rows first and in
+// CompareRoutes order: the layout every table stores a prefix's rows in, so a
+// lookup's best rows are a prefix of them (bestRows). The other rows keep the
+// order they were installed in.
+func bestFirst(rs []Route) bool {
+	n := 0
+	for n < len(rs) && rs[n].RouteType == RouteBest {
+		if n > 0 && compareRoutePtr(&rs[n-1], &rs[n]) > 0 {
+			return false
+		}
+		n++
+	}
+	for _, r := range rs[n:] {
+		if r.RouteType == RouteBest {
+			return false
+		}
+	}
+	return true
+}
+
+// orderBest puts rs in the bestFirst layout in place: the best rows move to
+// the front in CompareRoutes order, the others keep their relative order. A
+// decision installs ECMP rows in preference order, and a route-EC expansion
+// appends a representative's rows to a member's own, so either can leave
+// best rows apart or out of order.
+func orderBest(rs []Route) {
+	if bestFirst(rs) {
+		return
+	}
+	slices.SortStableFunc(rs, func(a, b Route) int {
+		switch ab, bb := a.RouteType == RouteBest, b.RouteType == RouteBest; {
+		case ab && bb:
+			return CompareRoutes(a, b)
+		case ab:
+			return -1
+		case bb:
+			return 1
+		}
+		return 0
+	})
+}
+
+// bestRows returns the RouteBest rows of one prefix's bestFirst rows, in
+// CompareRoutes order: their leading run.
 func bestRows(rows []Route) []Route {
-	lo, hi, n := 0, 0, 0
-	for i := range rows {
-		if rows[i].RouteType == RouteBest {
-			if n == 0 {
-				lo = i
-			}
-			hi = i + 1
-			n++
-		}
+	n := 0
+	for n < len(rows) && rows[n].RouteType == RouteBest {
+		n++
 	}
-	if n == hi-lo {
-		ordered := true
-		for i := lo + 1; i < hi && ordered; i++ {
-			ordered = compareRoutePtr(&rows[i-1], &rows[i]) <= 0
-		}
-		if ordered {
-			return rows[lo:hi:hi]
-		}
-	}
-	sel := make([]Route, 0, n)
-	for i := lo; i < hi; i++ {
-		if rows[i].RouteType == RouteBest {
-			sel = append(sel, rows[i])
-		}
-	}
-	slices.SortFunc(sel, CompareRoutes)
-	return sel
+	return rows[:n:n]
 }
 
 // prefixLens is a set of prefix lengths per address family: bit b of v4 for
@@ -917,8 +939,9 @@ func appendAttrDiffSig(dst []byte, r *Route) []byte {
 //
 // It holds the rows by reference. Construction only cuts them into one run
 // per table; a table's prefix map is built on the first RIB call that asks
-// for it, and each prefix's rows are a sub-slice of the run, so no row is
-// copied and a table the forwarder never visits costs nothing.
+// for it, and each prefix's rows are a sub-slice of the run (copied only
+// where its best rows are not first, ribFromSorted), so a table the
+// forwarder never visits costs nothing.
 type RIBSet struct {
 	m     map[[2]string]*lazyRIB
 	built atomic.Int64
@@ -973,7 +996,8 @@ func (s *RIBSet) TablesBuilt() int { return int(s.built.Load()) }
 
 // ribFromSorted builds a table over one (device, VRF) run in canonical order:
 // each prefix's rows are contiguous, so each becomes a capacity-clipped
-// sub-slice of rows.
+// sub-slice of rows, or a bestFirst copy of it where a best row sorts after
+// a candidate (ECMP next hops around another candidate's).
 func ribFromSorted(device, vrf string, rows []Route) *RIB {
 	n := 0
 	for i := range rows {
@@ -988,7 +1012,12 @@ func ribFromSorted(device, vrf string, rows []Route) *RIB {
 		for hi < len(rows) && rows[hi].Prefix == p {
 			hi++
 		}
-		t.put(p, rows[lo:hi:hi])
+		rs := rows[lo:hi:hi]
+		if !bestFirst(rs) {
+			rs = slices.Clone(rs)
+			orderBest(rs)
+		}
+		t.put(p, rs)
 		lo = hi
 	}
 	if t.byPrefix.OwnLen() != n {
