@@ -50,7 +50,7 @@ func (b *netBuilder) run(inputs []netmodel.Route, opts Options) *Result {
 
 // simulate simulates the network on the topology it has.
 func (b *netBuilder) simulate(inputs []netmodel.Route, opts Options) *Result {
-	igp := isis.Compute(b.Net.Topo, isis.Options{UseTEMetric: opts.UseTEMetric})
+	igp := isis.Compute(b.Net.Topo, isis.Options{})
 	return Simulate(b.Net, igp, inputs, opts)
 }
 

@@ -520,7 +520,7 @@ func (c *checker) resolve(dev string, cd *cand) bool {
 			if l == nil {
 				return false
 			}
-			cost = l.DirCost(dev, s.opts.UseTEMetric)
+			cost = l.DirCost(dev)
 		}
 		if d := s.net.Devices[dev]; d != nil {
 			cd.viaSR = slices.ContainsFunc(d.SRPolicies, func(sp *config.SRPolicy) bool {

@@ -234,7 +234,7 @@ func (s *sim) resolve(ti *tableInfo, c *cand) {
 	}
 	if !ok {
 		if l := s.net.Topo.FindLink(dev, s.topoIdx.DevName(ownerID)); l != nil {
-			cost, ok = l.DirCost(dev, s.opts.UseTEMetric), true
+			cost, ok = l.DirCost(dev), true
 		}
 	}
 	if !ok {

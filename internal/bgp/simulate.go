@@ -25,14 +25,6 @@ type Options struct {
 	// within 20 rounds; §3.1).
 	MaxRounds int
 
-	// FlawedASPathRegex injects the §5.3 AS-path regex implementation bug.
-	FlawedASPathRegex bool
-
-	// UseTEMetric makes next-hop resolution price a direct link by its TE
-	// metric where the IGP has no distance to the next hop's owner (decision.go
-	// resolve). The IGP result passed to Simulate must already reflect it.
-	UseTEMetric bool
-
 	// Parallelism bounds the workers of a cold run, following the
 	// engine-wide par convention (0 means runtime.GOMAXPROCS(0) workers, 1 is
 	// the sequential reference path, n > 1 uses n workers): the originated
@@ -344,10 +336,7 @@ func (s *sim) profileOf(dev string) vsb.Profile {
 }
 
 func (s *sim) envOf(d *config.Device) policy.Env {
-	return d.PolicyEnv(policy.Env{
-		Profile:           s.profileOf(d.Name),
-		FlawedASPathRegex: s.opts.FlawedASPathRegex,
-	})
+	return d.PolicyEnv(s.profileOf(d.Name))
 }
 
 // localsOf returns table k's local candidates for originating into: in a sim

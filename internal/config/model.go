@@ -14,6 +14,7 @@ import (
 
 	"hoyan/internal/netmodel"
 	"hoyan/internal/policy"
+	"hoyan/internal/vsb"
 	"slices"
 )
 
@@ -171,12 +172,14 @@ func (d *Device) RemoveNeighbor(addr netip.Addr, vrf string) bool {
 }
 
 // PolicyEnv assembles the policy evaluation environment for this device
-// under the given VSB profile source.
-func (d *Device) PolicyEnv(prof policy.Env) policy.Env {
-	prof.PrefixLists = d.PrefixLists
-	prof.CommunityLists = d.CommunityLists
-	prof.ASPathLists = d.ASPathLists
-	return prof
+// under the given VSB profile.
+func (d *Device) PolicyEnv(prof vsb.Profile) policy.Env {
+	return policy.Env{
+		Profile:        prof,
+		PrefixLists:    d.PrefixLists,
+		CommunityLists: d.CommunityLists,
+		ASPathLists:    d.ASPathLists,
+	}
 }
 
 // Clone returns a deep copy of the device, so a change plan can be applied

@@ -25,18 +25,10 @@ import (
 type Options struct {
 	Profiles vsb.Profiles
 
-	// UseRouteECs / UseFlowECs toggle the §3.1 equivalence-class reductions
-	// (the EC-off ablation).
+	// DisableRouteECs / DisableFlowECs switch off the §3.1 equivalence-class
+	// reductions (the EC-off ablation).
 	DisableRouteECs bool
 	DisableFlowECs  bool
-
-	// UseTEMetric enables IS-IS TE metrics in SPF.
-	UseTEMetric bool
-
-	// Fault-injection knobs for the accuracy campaign.
-	FlawedASPathRegex bool
-	IgnoreACLs        bool
-	IgnorePBR         bool
 
 	// Parallelism bounds the worker pools behind the engine's data-parallel
 	// hot paths — per-source SPF, the work units of the cold BGP fixpoint
@@ -69,11 +61,8 @@ func NewEngine(net *config.Network, opts Options) *Engine {
 		opts.Profiles = vsb.Defaults()
 	}
 	e := &Engine{
-		net: net,
-		igp: isis.Compute(net.Topo, isis.Options{
-			UseTEMetric: opts.UseTEMetric,
-			Parallelism: opts.Parallelism,
-		}),
+		net:  net,
+		igp:  isis.Compute(net.Topo, isis.Options{Parallelism: opts.Parallelism}),
 		opts: opts,
 	}
 	e.scratch.New = func() any { return net.Clone() }
@@ -138,11 +127,9 @@ func (e *Engine) RouteSimulation(inputs []netmodel.Route) *RouteResult {
 // bgpOptions is the engine's options as the BGP fixpoint takes them.
 func (e *Engine) bgpOptions(ctx context.Context) bgp.Options {
 	return bgp.Options{
-		Profiles:          e.opts.Profiles,
-		FlawedASPathRegex: e.opts.FlawedASPathRegex,
-		UseTEMetric:       e.opts.UseTEMetric,
-		Parallelism:       e.opts.Parallelism,
-		Ctx:               ctx,
+		Profiles:    e.opts.Profiles,
+		Parallelism: e.opts.Parallelism,
+		Ctx:         ctx,
 	}
 }
 

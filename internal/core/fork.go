@@ -343,7 +343,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 		Links:     links,
 		NodesDown: d.NodesDown,
 		NodesUp:   d.NodesUp,
-	}, isis.Options{UseTEMetric: e.opts.UseTEMetric, Parallelism: parallelism, Ctx: ctx})
+	}, isis.Options{Parallelism: parallelism, Ctx: ctx})
 	stats.SPFSources = spfStats.Sources
 	stats.SPFReused = spfStats.Reused
 	if err := ctxErr(ctx); err != nil {
@@ -575,8 +575,6 @@ func (e *Engine) baseBlock(dev string, d Delta) []netmodel.Route {
 func (e *Engine) forwarder(ctx context.Context, net *config.Network, igp *isis.Result, ribs traffic.RIBSource, parallelism int) *traffic.Forwarder {
 	return traffic.NewForwarder(net, igp, ribs, traffic.Options{
 		Profiles:    e.opts.Profiles,
-		IgnoreACLs:  e.opts.IgnoreACLs,
-		IgnorePBR:   e.opts.IgnorePBR,
 		Parallelism: parallelism,
 		Ctx:         ctx,
 	})

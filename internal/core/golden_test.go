@@ -114,7 +114,7 @@ func TestGoldenDigests(t *testing.T) {
 // with route ECs off — passes the stable-state check.
 func checkRIB(t *testing.T, label string, eng *Engine, net *config.Network, inputs []netmodel.Route, rib *netmodel.GlobalRIB) {
 	t.Helper()
-	igp := isis.Compute(net.Topo, isis.Options{UseTEMetric: eng.opts.UseTEMetric})
+	igp := isis.Compute(net.Topo, isis.Options{})
 	if err := bgp.Check(net, igp, inputs, rib, eng.bgpOptions(nil)); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

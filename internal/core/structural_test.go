@@ -40,6 +40,16 @@ func readdressable(t *testing.T, out *gen.Output) *gen.Output {
 	return out
 }
 
+// withTECost gives core-0-1's end of its link to core-1-1 a TE metric, so
+// TE-driven SPF runs under every plan and option set.
+func withTECost(t *testing.T, out *gen.Output) *gen.Output {
+	if err := config.ApplyCommands(out.Net.Devices["core-0-1"], "interface to-core-1-1\n isis te-cost 250\n"); err != nil {
+		t.Fatal(err)
+	}
+	out.Net.Topo = out.Net.Topology()
+	return out
+}
+
 // downEnd returns a clone of net in which core-0-1 is down and core-0-0
 // routes a prefix via core-0-1's address on their link, which is also
 // core-0-1's loopback: the static resolves over that link alone, with no IGP
@@ -102,17 +112,17 @@ func structuralPlans(out *gen.Output) []structuralPlan {
 
 // TestForkStructuralIdentity: every kind of edit that changes the derived
 // topology — a router added or removed, a link added or removed, an isis
-// cost on one end, a te-cost under UseTEMetric, a bandwidth alone, a moved
-// loopback, a changed interface address, a third IS-IS end cutting a link
-// between two untouched devices, and plans on a base with links down —
-// forks, on WAN(1) and WAN(2), and the fork equals a cold run of
+// cost on one end, a te-cost, a bandwidth alone, a moved loopback, a changed
+// interface address, a third IS-IS end cutting a link between two untouched
+// devices, and plans on a base with links down — forks, on WAN(1) and WAN(2)
+// with a te-cost on one link, and the fork equals a cold run of
 // Plan.Apply's network in RIB rows, paths and loads: with route ECs on and
 // off, at parallelism 1 and 0. With ECs off the fork's RIB is also a stable
 // state (bgp.Check).
 func TestForkStructuralIdentity(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		for _, down := range []string{"nothing", "core-0-0's links", "core-0-1"} {
-			out := readdressable(t, gen.Generate(gen.WAN(k)))
+			out := withTECost(t, readdressable(t, gen.Generate(gen.WAN(k))))
 			base := out.Net
 			plans := structuralPlans(out)
 			switch down {
@@ -133,8 +143,8 @@ func TestForkStructuralIdentity(t *testing.T) {
 				plans = slices.DeleteFunc(plans, func(c structuralPlan) bool { return c.name != "third end cuts a link" })
 			}
 			for _, opts := range []core.Options{
-				{Parallelism: 1}, {UseTEMetric: true},
-				{Parallelism: 1, DisableRouteECs: true, DisableFlowECs: true, UseTEMetric: true}, {DisableRouteECs: true, DisableFlowECs: true},
+				{Parallelism: 1}, {},
+				{Parallelism: 1, DisableRouteECs: true, DisableFlowECs: true}, {DisableRouteECs: true, DisableFlowECs: true},
 			} {
 				eng := core.NewEngine(base, opts)
 				eng.BaseRun(out.Inputs, out.Flows)
@@ -184,9 +194,8 @@ func checkStructural(t *testing.T, eng *core.Engine, base *config.Network, out *
 		t.Fatalf("%s: bandwidths differ from the cold run", label)
 	}
 	if opts.DisableRouteECs {
-		igp := isis.Compute(updated.Topo, isis.Options{UseTEMetric: opts.UseTEMetric})
-		bopts := bgp.Options{UseTEMetric: opts.UseTEMetric}
-		if err := bgp.Check(updated, igp, inputs, got.Routes.GlobalRIB(), bopts); err != nil {
+		igp := isis.Compute(updated.Topo, isis.Options{})
+		if err := bgp.Check(updated, igp, inputs, got.Routes.GlobalRIB(), bgp.Options{}); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 	}

@@ -5,11 +5,12 @@
 // mis-simulated flow's forwarding diverges.
 //
 // In this reproduction the "live network" is a ground-truth simulation run
-// with faithful vendor profiles and no injected implementation flaws; the
-// "Hoyan under test" runs with deliberately mutated profiles or flawed
-// options. Differential comparison between the two is exactly how the
-// production framework surfaced the 16 VSBs of Table 5 and the issue classes
-// of Table 4.
+// with faithful vendor profiles over the network as configured; the "Hoyan
+// under test" runs with deliberately mutated profiles, or over a copy of the
+// network edited to reproduce a modelling flaw (a model flaw is a model
+// edit: the engine itself has no fault switches). Differential comparison
+// between the two is exactly how the production framework surfaced the 16
+// VSBs of Table 5 and the issue classes of Table 4.
 package diagnosis
 
 import (
@@ -31,11 +32,9 @@ type Framework struct {
 	Inputs []netmodel.Route
 	Flows  []netmodel.Flow
 
-	// TruthOpts configures the ground-truth ("live network") simulation;
-	// normally the zero Options (faithful profiles).
-	TruthOpts core.Options
 	// ModelOpts configures the Hoyan model under test; the accuracy
-	// campaign injects flaws here.
+	// campaign injects VSB flaws here as mutated profiles. The ground truth
+	// ("live network") always runs with the zero Options.
 	ModelOpts core.Options
 
 	// RouteMon and TrafficMon stand between the ground truth and the
@@ -52,8 +51,8 @@ type Framework struct {
 	LoadTolerance float64
 
 	// mutateModelNet, when set by the issue-injection campaign, damages the
-	// model's copy of the network (parsing flaws, stale data) while the
-	// live network stays intact.
+	// model's copy of the network (parsing flaws, stale data, features the
+	// model does not support) while the live network stays intact.
 	mutateModelNet func(*config.Network)
 	// filterModelInputs models input-route-building flaws: the model
 	// simulates a filtered input set while the live network carries all.
@@ -83,10 +82,10 @@ type Report struct {
 	// Accurate is true when no discrepancy was found.
 	Accurate bool
 
-	// internal state for root-cause analysis
-	truth *core.Result
-	model *core.Result
-	fw    *Framework
+	// internal state for root-cause analysis: each run's result and the
+	// engine that holds its network and IGP.
+	truth, model       *core.Result
+	truthEng, modelEng *core.Engine
 }
 
 // Run performs the daily validation: simulate with the model under test,
@@ -102,7 +101,7 @@ func (f *Framework) Run() *Report {
 		f.TrafficMon = &monitor.TrafficMonitor{}
 	}
 
-	truthEng := core.NewEngine(f.Net, f.TruthOpts)
+	truthEng := core.NewEngine(f.Net, core.Options{})
 	truth := truthEng.Run(f.Inputs, f.Flows)
 
 	modelNet := f.Net
@@ -117,7 +116,7 @@ func (f *Framework) Run() *Report {
 	modelEng := core.NewEngine(modelNet, f.ModelOpts)
 	model := modelEng.Run(modelInputs, f.Flows)
 
-	rep := &Report{truth: truth, model: model, fw: f}
+	rep := &Report{truth: truth, model: model, truthEng: truthEng, modelEng: modelEng}
 
 	// 1. Route comparison against the monitoring system: restricted to what
 	// the monitor can see (best routes, propagating attributes).

@@ -75,12 +75,9 @@ func (r *Report) AnalyzeLink(link netmodel.LinkID) (*RootCauseAnalysis, error) {
 
 // AnalyzeFlow runs steps (3)-(5) for a specific flow.
 func (r *Report) AnalyzeFlow(link netmodel.LinkID, flow netmodel.Flow) (*RootCauseAnalysis, error) {
-	truthEng := r.truthForwarder()
-	modelEng := r.modelForwarder()
-
 	out := &RootCauseAnalysis{Link: link, Flow: flow}
-	out.TruthPath = truthEng.Path(flow)
-	out.ModelPath = modelEng.Path(flow)
+	out.TruthPath = forwarder(r.truthEng, r.truth).Path(flow)
+	out.ModelPath = forwarder(r.modelEng, r.model).Path(flow)
 
 	// (4) First diverging device along the two paths.
 	tp, mp := out.TruthPath.Hops, out.ModelPath.Hops
@@ -122,18 +119,9 @@ func (r *Report) AnalyzeFlow(link netmodel.LinkID, flow netmodel.Flow) (*RootCau
 	return out, nil
 }
 
-func (r *Report) truthForwarder() *traffic.Forwarder {
-	eng := core.NewEngine(r.fw.Net, r.fw.TruthOpts)
-	return traffic.NewForwarder(r.fw.Net, eng.IGP(), r.truth.Routes, traffic.Options{Profiles: r.fw.TruthOpts.Profiles})
-}
-
-func (r *Report) modelForwarder() *traffic.Forwarder {
-	eng := core.NewEngine(r.fw.Net, r.fw.ModelOpts)
-	return traffic.NewForwarder(r.fw.Net, eng.IGP(), r.model.Routes, traffic.Options{
-		Profiles:   r.fw.ModelOpts.Profiles,
-		IgnoreACLs: r.fw.ModelOpts.IgnoreACLs,
-		IgnorePBR:  r.fw.ModelOpts.IgnorePBR,
-	})
+// forwarder forwards over one world's own network, IGP and RIBs.
+func forwarder(eng *core.Engine, res *core.Result) *traffic.Forwarder {
+	return traffic.NewForwarder(eng.Network(), eng.IGP(), res.Routes, traffic.Options{Profiles: eng.Profiles()})
 }
 
 // Summary renders the analysis in the Figure 9 case-study style.

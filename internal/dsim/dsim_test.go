@@ -1,7 +1,9 @@
 package dsim
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
@@ -19,6 +21,7 @@ import (
 	"hoyan/internal/objstore"
 	"hoyan/internal/rpcx"
 	"hoyan/internal/taskdb"
+	"hoyan/internal/telemetry"
 )
 
 // startLocal starts a cluster and fails the test if its substrates do not
@@ -368,6 +371,88 @@ func TestPermanentFailureSurfaces(t *testing.T) {
 	}
 	if err := master.Wait("t5", "route", task.Subtasks); err == nil {
 		t.Fatal("want permanent failure error")
+	}
+}
+
+// panickyStore is an object store whose Get panics on one key.
+type panickyStore struct {
+	objstore.Store
+	key string
+}
+
+func (s panickyStore) Get(key string) ([]byte, error) {
+	if key == s.key {
+		panic("corrupt object " + key)
+	}
+	return s.Store.Get(key)
+}
+
+func TestWorkerSurvivesPanickingSubtask(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	svc := Services{Queue: mq.NewMemory(nil), Store: panickyStore{objstore.NewMemory(nil), inputKey("tp", "route", 0)}, Tasks: taskdb.NewMemory()}
+	master := NewMaster(svc, nil)
+	master.MaxAttempts, master.Timeout = 1, 10*time.Second
+
+	reg := telemetry.NewRegistry()
+	var events bytes.Buffer
+	w := NewWorker("w", svc, reg)
+	w.Events = telemetry.NewEventLogger(&events)
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		w.Run(ctx)
+		close(stopped)
+	}()
+	defer func() {
+		cancel()
+		<-stopped
+	}()
+
+	run := func(taskID string) error {
+		snapKey, err := master.UploadSnapshot(taskID, out.Net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task, err := master.StartRouteSimulation(taskID, snapKey, bgp.Groups(out.Net), out.Inputs, 1, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return master.Wait(taskID, "route", task.Subtasks)
+	}
+	if err := run("tp"); err == nil {
+		t.Fatal("the subtask whose input read panics must fail")
+	}
+	rec, _, err := svc.Tasks.Get("tp", "route", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Status != taskdb.StatusFailed || !strings.HasPrefix(rec.Error, "subtask panicked: corrupt object") {
+		t.Errorf("record %s %q, want failed with the panic", rec.Status, rec.Error)
+	}
+	if err := run("tn"); err != nil {
+		t.Fatalf("the worker's next subtask: %v", err)
+	}
+	cancel()
+	<-stopped
+
+	// Every attempt of the subtask failed on the panic, and each failure is
+	// counted and logged with its stack.
+	failed := 0
+	for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("event %q: %v", line, err)
+		}
+		if ev["event"] != "subtask.failed" {
+			continue
+		}
+		failed++
+		if stack, _ := ev["stack"].(string); !strings.Contains(stack, "panickyStore.Get") {
+			t.Errorf("subtask.failed event %v must carry the panic's stack", ev)
+		}
+	}
+	if n := reg.Counter("hoyan_worker_subtask_failures_total", "").Value(); failed == 0 || n != int64(failed) {
+		t.Errorf("hoyan_worker_subtask_failures_total = %d, with %d subtask.failed events", n, failed)
 	}
 }
 

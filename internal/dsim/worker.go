@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -414,7 +415,15 @@ func (w *Worker) execute(ctx context.Context, msg SubtaskMsg) (crashed bool) {
 	}()
 
 	var loadedFiles int
-	runErr := func() error {
+	var stack []byte
+	runErr := func() (err error) {
+		// A panic fails this subtask alone: the heartbeat still stops, the
+		// record is marked failed, and the worker goes on popping.
+		defer func() {
+			if v := recover(); v != nil {
+				err, stack = fmt.Errorf("subtask panicked: %v", v), debug.Stack()
+			}
+		}()
 		if w.FailNext > 0 {
 			w.FailNext--
 			return fmt.Errorf("injected failure on %s", w.Name)
@@ -441,10 +450,15 @@ func (w *Worker) execute(ctx context.Context, msg SubtaskMsg) (crashed bool) {
 		rec.Status = taskdb.StatusFailed
 		rec.Error = runErr.Error()
 		w.metrics.Failures.Inc()
-		w.event("subtask.failed",
+		fields := []telemetry.Field{
 			telemetry.F("subtask", msg.key()),
 			telemetry.F("attempt", msg.Attempt),
-			telemetry.F("error", runErr.Error()))
+			telemetry.F("error", runErr.Error()),
+		}
+		if stack != nil {
+			fields = append(fields, telemetry.F("stack", string(stack)))
+		}
+		w.event("subtask.failed", fields...)
 	} else {
 		rec.Status = taskdb.StatusDone
 		switch msg.Kind {

@@ -154,8 +154,8 @@ func Recompute(topo *netmodel.Topology, base *Result, d Delta, opts Options) (*R
 		if !aok || !bok {
 			continue
 		}
-		cAB := l.DirCost(l.A, opts.UseTEMetric)
-		cBA := l.DirCost(l.B, opts.UseTEMetric)
+		cAB := l.DirCost(l.A)
+		cBA := l.DirCost(l.B)
 		for s, row := range base.fdist {
 			sid := netmodel.DevID(s)
 			if row == nil || touched[sid] {

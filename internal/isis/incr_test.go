@@ -10,8 +10,8 @@ import (
 	"hoyan/internal/netmodel"
 )
 
-// randomTopo builds a seeded random connected topology with asymmetric costs
-// and a few parallel links.
+// randomTopo builds a seeded random connected topology with asymmetric costs,
+// a TE metric on every fourth link's A→B direction, and a few parallel links.
 func randomTopo(rng *rand.Rand, n int) *netmodel.Topology {
 	topo := netmodel.NewTopology()
 	for i := 0; i < n; i++ {
@@ -22,11 +22,15 @@ func randomTopo(rng *rand.Rand, n int) *netmodel.Topology {
 	}
 	link := 0
 	addLink := func(a, b int) {
-		topo.AddLink(netmodel.Link{
+		l := netmodel.Link{
 			A: fmt.Sprintf("r%02d", a), B: fmt.Sprintf("r%02d", b),
 			AIface: fmt.Sprintf("eth%d", link), BIface: fmt.Sprintf("eth%d", link),
 			CostAB: uint32(1 + rng.Intn(9)), CostBA: uint32(1 + rng.Intn(9)),
-		})
+		}
+		if link%4 == 0 {
+			l.TEAB = 12
+		}
+		topo.AddLink(l)
 		link++
 	}
 	// Ring for connectivity, then random chords.
@@ -60,8 +64,8 @@ func assertSame(t *testing.T, label string, topo *netmodel.Topology, got, want *
 			}
 		}
 	}
-	checkSPF(t, label+" (incremental)", topo, got, false)
-	checkSPF(t, label+" (full)", topo, want, false)
+	checkSPF(t, label+" (incremental)", topo, got)
+	checkSPF(t, label+" (full)", topo, want)
 }
 
 func TestRecomputeSingleLinkFailures(t *testing.T) {

@@ -17,11 +17,6 @@ import (
 
 // Options tunes the SPF computation.
 type Options struct {
-	// UseTEMetric selects the IS-IS TE metric where configured. Hoyan did
-	// not model this feature until March 2023 (§5.3); the accuracy campaign
-	// injects that flaw by flipping this option off in the model under test.
-	UseTEMetric bool
-
 	// Parallelism bounds the worker pool running per-source Dijkstra
 	// (par conventions: 0 = GOMAXPROCS, 1 = sequential).
 	Parallelism int
@@ -176,7 +171,7 @@ func sssp(ix *netmodel.TopoIndex, src netmodel.DevID, opts Options) ([]uint32, [
 				continue
 			}
 			nb := ix.EdgeDev(pos)
-			nd := it.dist + ix.EdgeCost(pos, opts.UseTEMetric)
+			nd := it.dist + ix.EdgeCost(pos)
 			old := dist[nb]
 			switch {
 			case nd < old: // infCost is the max uint32, so "unseen" folds in

@@ -89,16 +89,15 @@ func TestSPFNodeFailurePartition(t *testing.T) {
 }
 
 func TestTEMetric(t *testing.T) {
-	topo := diamond()
-	// Give the B branch a huge TE metric; plain SPF still sees ECMP,
-	// TE-aware SPF prefers the C branch.
-	l := topo.Link(netmodel.LinkID{A: "A", B: "B", AIface: "to-B", BIface: "to-A"})
-	l.TEAB = 1000
-	plain := Compute(topo, Options{})
+	// Give the B branch a huge TE metric: SPF on the same diamond without
+	// it keeps ECMP, with it prefers the C branch.
+	plain := Compute(diamond(), Options{})
 	if fhs := plain.FirstHops("A", "D"); len(fhs) != 2 {
-		t.Errorf("plain SPF should keep ECMP, got %v", fhs)
+		t.Errorf("SPF without TE should keep ECMP, got %v", fhs)
 	}
-	te := Compute(topo, Options{UseTEMetric: true})
+	topo := diamond()
+	topo.Link(netmodel.LinkID{A: "A", B: "B", AIface: "to-B", BIface: "to-A"}).TEAB = 1000
+	te := Compute(topo, Options{})
 	fhs := te.FirstHops("A", "D")
 	if len(fhs) != 1 || fhs[0].Device != "C" {
 		t.Errorf("TE SPF FirstHops(A,D) = %v, want only C", fhs)
@@ -200,7 +199,7 @@ func TestComputeParallelMatchesSequential(t *testing.T) {
 // each node's first-hop set is the union over its tight in-edges u→v of that
 // edge when u = s, else of FirstHops(s, u). A down source reaches nothing.
 // Link costs must be positive.
-func checkSPF(t *testing.T, label string, topo *netmodel.Topology, r *Result, te bool) {
+func checkSPF(t *testing.T, label string, topo *netmodel.Topology, r *Result) {
 	t.Helper()
 	names := topo.NodeNames()
 	key := func(h FirstHop) string { return h.Device + "|" + h.Link.String() }
@@ -223,7 +222,7 @@ func checkSPF(t *testing.T, label string, topo *netmodel.Topology, r *Result, te
 				continue
 			}
 			for _, nb := range topo.Neighbors(u) {
-				c := nb.Link.DirCost(u, te)
+				c := nb.Link.DirCost(u)
 				dv, ok := r.Cost(s, nb.Device)
 				if !ok || du+c < dv {
 					t.Fatalf("%s: from %s, edge %s→%s relaxes %d+%d < %d (reachable %v)", label, s, u, nb.Device, du, c, dv, ok)
@@ -270,11 +269,11 @@ func checkSPF(t *testing.T, label string, topo *netmodel.Topology, r *Result, te
 // links and nodes.
 func TestSPFStableState(t *testing.T) {
 	topo := diamond()
-	checkSPF(t, "diamond", topo, Compute(topo, Options{}), false)
+	checkSPF(t, "diamond", topo, Compute(topo, Options{}))
 	topo.Link(netmodel.LinkID{A: "A", B: "B", AIface: "to-B", BIface: "to-A"}).TEAB = 1000
-	checkSPF(t, "diamond TE", topo, Compute(topo, Options{UseTEMetric: true}), true)
+	checkSPF(t, "diamond TE", topo, Compute(topo, Options{}))
 	topo.SetLinkUp(netmodel.LinkID{A: "A", B: "C", AIface: "to-C", BIface: "to-A"}, false)
-	checkSPF(t, "diamond, A-C down", topo, Compute(topo, Options{}), false)
+	checkSPF(t, "diamond, A-C down", topo, Compute(topo, Options{}))
 
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 20; trial++ {
@@ -286,6 +285,6 @@ func TestSPFStableState(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			topo.SetNodeUp(fmt.Sprintf("r%02d", rng.Intn(8)), false)
 		}
-		checkSPF(t, fmt.Sprintf("random trial %d", trial), topo, Compute(topo, Options{}), false)
+		checkSPF(t, fmt.Sprintf("random trial %d", trial), topo, Compute(topo, Options{}))
 	}
 }

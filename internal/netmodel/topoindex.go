@@ -117,13 +117,13 @@ func (ix *TopoIndex) EdgeFromA(pos int32) bool { return ix.adjFromA[pos] }
 
 // EdgeCost returns the directed metric of the edge at pos (same semantics as
 // Link.DirCost, read through the live link).
-func (ix *TopoIndex) EdgeCost(pos int32, useTE bool) uint32 {
+func (ix *TopoIndex) EdgeCost(pos int32) uint32 {
 	l := ix.links[ix.adjLink[pos]]
 	cost, te := l.CostBA, l.TEBA
 	if ix.adjFromA[pos] {
 		cost, te = l.CostAB, l.TEAB
 	}
-	if useTE && te != 0 {
+	if te != 0 {
 		return te
 	}
 	return cost

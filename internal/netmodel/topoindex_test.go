@@ -109,7 +109,7 @@ func TestTopoIndexMatchesTopology(t *testing.T) {
 				got = append(got, Neighbor{
 					Device: nb.Name,
 					Link:   ix.EdgeLink(pos),
-					Cost:   ix.EdgeCost(pos, false),
+					Cost:   ix.EdgeCost(pos),
 				})
 				if up := ix.EdgeUp(pos); up != (ix.EdgeLink(pos).Up && nb.Up) {
 					t.Fatalf("seed %d: EdgeUp(%d) = %v inconsistent", seed, pos, up)

@@ -34,15 +34,15 @@ type Link struct {
 	Up        bool
 }
 
-// DirCost returns the metric of the directed edge leaving from. When useTE
-// is set and a TE metric is configured for that direction, it is used
-// instead of the base IGP cost (IS-IS for traffic engineering, RFC 5305).
-func (l Link) DirCost(from string, useTE bool) uint32 {
+// DirCost returns the metric of the directed edge leaving from. Where a TE
+// metric is configured for that direction it is used instead of the base IGP
+// cost (IS-IS for traffic engineering, RFC 5305).
+func (l Link) DirCost(from string) uint32 {
 	cost, te := l.CostBA, l.TEBA
 	if from == l.A {
 		cost, te = l.CostAB, l.TEAB
 	}
-	if useTE && te != 0 {
+	if te != 0 {
 		return te
 	}
 	return cost
@@ -193,15 +193,13 @@ func (t *Topology) Neighbors(device string) []Neighbor {
 			continue
 		}
 		other := l.A
-		cost := l.CostBA
 		if l.A == device {
 			other = l.B
-			cost = l.CostAB
 		}
 		if on := t.nodes[other]; on == nil || !on.Up {
 			continue
 		}
-		out = append(out, Neighbor{Device: other, Link: l, Cost: cost})
+		out = append(out, Neighbor{Device: other, Link: l, Cost: l.DirCost(device)})
 	}
 	slices.SortFunc(out, func(a, b Neighbor) int {
 		if a.Device != b.Device {

@@ -3,9 +3,11 @@ package pipeline
 import (
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 
 	"hoyan/internal/change"
+	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/gen"
 	"hoyan/internal/intent"
@@ -128,5 +130,77 @@ func TestSimulateDistributedMatchesCentralized(t *testing.T) {
 	if rep.TaskID != "dist" || len(rep.Metrics) == 0 || len(rep.Spans) == 0 {
 		t.Errorf("run report incomplete: task %q, %d metric series, %d spans",
 			rep.TaskID, len(rep.Metrics), len(rep.Spans))
+	}
+}
+
+// TestTEMetricHonoredOnEverySurface builds a network from configuration text
+// carrying one `isis te-cost` line, as `hoyan -configs` does, and requires
+// the IGP cost, the first hops and the flow path to follow the TE metric
+// with default options: centralized and on a two-worker fleet.
+func TestTEMetricHonoredOnEverySurface(t *testing.T) {
+	// A reaches D via B (10+10) on plain costs; the TE metric on A's end of
+	// A-B (100) moves it via C (15+10).
+	b := gen.NewBuilder(netip.MustParsePrefix("172.30.0.0/16"))
+	for i, name := range []string{"A", "B", "C", "D"} {
+		b.Device(name, "alpha", 65000, netip.AddrFrom4([4]byte{10, 255, 0, byte(i + 1)}))
+	}
+	b.Link("A", "B", 10, 1e9)
+	b.Link("A", "C", 15, 1e9)
+	b.Link("B", "D", 10, 1e9)
+	b.Link("C", "D", 10, 1e9)
+	for _, name := range []string{"A", "B", "C"} {
+		b.IBGP(name, "D")
+	}
+	b.Net.Devices["A"].Interfaces["to-B"].TECost = 100
+	b.Net.Devices["D"].Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("198.51.100.1/24")}
+	texts := map[string]string{}
+	teLines := 0
+	for name, d := range b.Net.Devices {
+		texts[name] = config.Serialize(d)
+		teLines += strings.Count(texts[name], "isis te-cost")
+	}
+	if teLines != 1 {
+		t.Fatalf("%d te-cost lines in the configurations, want 1", teLines)
+	}
+	net, err := config.BuildNetworkOpts(texts, nil, config.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := netip.MustParsePrefix("10.9.0.0/24")
+	inputs := []netmodel.Route{{
+		Device: "D", VRF: netmodel.DefaultVRF, Prefix: dst, Protocol: netmodel.ProtoBGP,
+		NextHop: netip.MustParseAddr("198.51.100.2"), ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65100}}, Source: "D",
+	}}
+	flows := []netmodel.Flow{{Ingress: "A", Src: netip.MustParseAddr("192.0.2.9"), Dst: netip.MustParseAddr("10.9.0.5"),
+		SrcPort: 1000, DstPort: 443, Proto: netmodel.ProtoTCP, Volume: 1e6}}
+
+	eng := core.NewEngine(net, core.Options{})
+	if c, _ := eng.IGP().Cost("A", "D"); c != 25 {
+		t.Errorf("IGP cost A->D = %d, want 25 (TE metric on A-B)", c)
+	}
+	if fhs := eng.IGP().FirstHops("A", "D"); len(fhs) != 1 || fhs[0].Device != "C" {
+		t.Errorf("first hops A->D = %v, want only C", fhs)
+	}
+	central := snapshotOf(eng.Run(inputs, flows))
+
+	sys := New(net, inputs, flows, core.Options{})
+	sys.Workers = 2
+	fleet, err := sys.Simulate("te")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, snap := range map[string]*intent.Snapshot{"centralized": central, "fleet": fleet} {
+		var costs []uint32
+		for _, r := range snap.GlobalRIB().Block("A") {
+			if r.Prefix == dst {
+				costs = append(costs, r.IGPCost)
+			}
+		}
+		if !slices.Equal(costs, []uint32{25}) {
+			t.Errorf("%s: A's IGP costs to %s = %v, want [25]", label, dst, costs)
+		}
+		if len(snap.Paths) != 1 || !slices.Equal(snap.Paths[0].Path.Devices(), []string{"A", "C", "D"}) {
+			t.Errorf("%s: flow paths %v, want A C D", label, snap.Paths)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"net/netip"
 	"regexp"
-	"strings"
 	"sync"
 
 	"hoyan/internal/netmodel"
@@ -165,37 +164,16 @@ type ASPathList struct {
 	Entries []ASPathEntry
 }
 
-// Match evaluates the list against the textual AS path. flawedRegex
-// reproduces the implementation bug the paper reports (§5.3 "Hoyan's early
-// implementation of regular expression matching for AS path was flawed"):
-// when set, matching degrades to substring search of the literal parts.
-// Entries with invalid regexes never match (as before).
-func (l *ASPathList) Match(aspath string, flawedRegex bool) bool {
+// Match evaluates the list against the textual AS path. Entries with
+// invalid regexes never match.
+func (l *ASPathList) Match(aspath string) bool {
 	for i := range l.Entries {
 		e := &l.Entries[i]
-		var matched bool
-		if flawedRegex {
-			matched = strings.Contains(aspath, stripRegexMeta(e.Regex))
-		} else if re, _ := compiledASPathRegex(e.Regex); re != nil {
-			matched = re.MatchString(aspath)
-		}
-		if matched {
+		if re, _ := compiledASPathRegex(e.Regex); re != nil && re.MatchString(aspath) {
 			return e.Permit
 		}
 	}
 	return false
-}
-
-func stripRegexMeta(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '.', '*', '^', '$', '[', ']', '(', ')', '+', '?', '\\', '|', '{', '}':
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return strings.TrimSpace(b.String())
 }
 
 // ACLEntry is one line of a packet ACL. Zero-valued prefixes match any

@@ -129,10 +129,6 @@ type Env struct {
 	PrefixLists    map[string]*PrefixList
 	CommunityLists map[string]*CommunityList
 	ASPathLists    map[string]*ASPathList
-
-	// FlawedASPathRegex injects the §5.3 implementation bug into AS-path
-	// matching (accuracy-campaign fault injection).
-	FlawedASPathRegex bool
 }
 
 // Disposition is the outcome of applying a policy to a route.
@@ -172,7 +168,7 @@ func (e Env) matches(m Match, r netmodel.Route, peer netip.Addr) bool {
 		if !ok {
 			return e.Profile.UndefinedFilterMatchesAll
 		}
-		return l.Match(r.ASPath.String(), e.FlawedASPathRegex)
+		return l.Match(r.ASPath.String())
 	case MatchPeerAddr:
 		return m.Addr == peer
 	case MatchProtocol:

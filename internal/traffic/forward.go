@@ -32,11 +32,6 @@ type RIBSource interface {
 type Options struct {
 	// Profiles supplies vendor behaviours (unused VSBs are harmless here).
 	Profiles vsb.Profiles
-	// IgnoreACLs disables ACL evaluation (fault-injection for the accuracy
-	// campaign: "Hoyan does not model ACLs").
-	IgnoreACLs bool
-	// IgnorePBR disables PBR steering (fault injection).
-	IgnorePBR bool
 	// Parallelism bounds the worker pool forwarding flows in Simulate
 	// (par conventions: 0 = GOMAXPROCS, 1 = sequential). Every per-flow walk
 	// is read-only over the snapshot, IGP, and RIBs.
@@ -324,7 +319,7 @@ func (f *Forwarder) step(dev, inIface string, fl netmodel.Flow, rec *Trace) step
 		return stepResult{exit: exitNoRoute}
 	}
 	// Ingress ACL.
-	if !f.opts.IgnoreACLs && inIface != "" {
+	if inIface != "" {
 		if i := d.Interfaces[inIface]; i != nil && i.ACLIn != "" {
 			if acl := d.ACLs[i.ACLIn]; acl != nil && !acl.Permits(fl) {
 				return stepResult{exit: exitACL}
@@ -336,10 +331,8 @@ func (f *Forwarder) step(dev, inIface string, fl netmodel.Flow, rec *Trace) step
 		return stepResult{exit: exitDelivered}
 	}
 	// PBR bound to the ingress interface (or any interface at injection).
-	if !f.opts.IgnorePBR {
-		if nh, ok := f.pbrNextHop(d, inIface, fl); ok {
-			return f.applyEgressACL(d, fl, f.toward(d, nh, fl, rec))
-		}
+	if nh, ok := f.pbrNextHop(d, inIface, fl); ok {
+		return f.applyEgressACL(d, fl, f.toward(d, nh, fl, rec))
 	}
 	// Longest prefix match over best routes. When the RIB has no match the
 	// flow may still be deliverable through the IGP (router loopbacks and
@@ -377,7 +370,7 @@ func (f *Forwarder) step(dev, inIface string, fl netmodel.Flow, rec *Trace) step
 // applyEgressACL drops branches whose local egress interface carries a
 // denying ACL; the flow is ACL-denied when every branch is blocked.
 func (f *Forwarder) applyEgressACL(d *config.Device, fl netmodel.Flow, sr stepResult) stepResult {
-	if f.opts.IgnoreACLs || sr.exit != exitNone {
+	if sr.exit != exitNone {
 		return sr
 	}
 	kept := sr.branches[:0]

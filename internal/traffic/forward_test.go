@@ -191,10 +191,11 @@ func TestACLBlocksFlow(t *testing.T) {
 	if p := fw.Path(f2); p.Exit != netmodel.ExitToPeer {
 		t.Errorf("443 exit = %v", p.Exit)
 	}
-	// IgnoreACLs fault injection restores forwarding.
-	fw2 := NewForwarder(e.net, e.igp, e.res, Options{IgnoreACLs: true})
+	// With the bindings cleared, forwarding is restored.
+	d.Interfaces["to-B"].ACLIn, d.Interfaces["to-C"].ACLIn = "", ""
+	fw2 := NewForwarder(e.net, e.igp, e.res, Options{})
 	if p := fw2.Path(flow("A", "192.0.2.1", "10.0.0.5", 10)); p.Exit != netmodel.ExitToPeer {
-		t.Errorf("IgnoreACLs exit = %v", p.Exit)
+		t.Errorf("exit without ACL bindings = %v", p.Exit)
 	}
 }
 
@@ -215,11 +216,12 @@ func TestPBRSteering(t *testing.T) {
 	if devs := p.Devices(); len(devs) != 3 || devs[1] != "C" {
 		t.Errorf("PBR path = %v, want via C", devs)
 	}
-	// With PBR ignored (fault injection) ECMP returns.
-	fw2 := NewForwarder(e.net, e.igp, e.res, Options{IgnorePBR: true})
+	// With the binding cleared, ECMP returns.
+	a.Interfaces["to-B"].PBR = ""
+	fw2 := NewForwarder(e.net, e.igp, e.res, Options{})
 	res := fw2.Simulate([]netmodel.Flow{flow("A", "192.0.2.1", "10.0.0.5", 100)})
 	if got := res.Load[e.net.Topo.FindLink("A", "B").ID()]; got != 50 {
-		t.Errorf("IgnorePBR load via B = %v, want 50", got)
+		t.Errorf("load via B without the PBR binding = %v, want 50", got)
 	}
 }
 
