@@ -42,11 +42,12 @@ func (s *sim) refreshAggregate(k tableKey, t *table, a config.Aggregate) bool {
 	var asPath netmodel.ASPath
 	if a.ASSet {
 		set := map[netmodel.ASN]bool{}
-		for _, r := range contributors {
-			for _, asn := range r.ASPath.Seq {
+		for i := range contributors {
+			path := &contributors[i].Attr().ASPath
+			for _, asn := range path.Seq {
 				set[asn] = true
 			}
-			for _, asn := range r.ASPath.Set {
+			for _, asn := range path.Set {
 				set[asn] = true
 			}
 		}
@@ -63,12 +64,15 @@ func (s *sim) refreshAggregate(k tableKey, t *table, a config.Aggregate) bool {
 	newCand := cand{local: true, route: netmodel.Route{
 		Device: k.dev, VRF: k.vrf, Prefix: a.Prefix,
 		Protocol: netmodel.ProtoAggregate, NextHop: d.Loopback,
-		LocalPref: 100, Origin: netmodel.OriginIGP, ASPath: asPath,
 		Source: k.dev, Peer: "aggregate",
 	}}
+	if old != nil {
+		newCand.route.Attrs = old.route.Attrs // kept unless the path moved
+	}
+	newCand.route.SetAttrs(&netmodel.Attrs{LocalPref: 100, Origin: netmodel.OriginIGP, ASPath: asPath})
 	t.setLocals(a.Prefix, append(kept, newCand))
 	t.aggOn.Set(a.Prefix, true)
-	if old == nil || !old.route.ASPath.Equal(asPath) {
+	if old == nil || !old.route.Attr().ASPath.Equal(asPath) {
 		return true
 	}
 	return !wasOn
@@ -100,9 +104,9 @@ func commonASPrefix(rs []netmodel.Route) []netmodel.ASN {
 	if len(rs) == 0 {
 		return nil
 	}
-	common := append([]netmodel.ASN(nil), rs[0].ASPath.Seq...)
+	common := append([]netmodel.ASN(nil), rs[0].Attr().ASPath.Seq...)
 	for _, r := range rs[1:] {
-		seq := r.ASPath.Seq
+		seq := r.Attr().ASPath.Seq
 		n := 0
 		for n < len(common) && n < len(seq) && common[n] == seq[n] {
 			n++

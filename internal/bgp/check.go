@@ -206,7 +206,7 @@ func (c *checker) aggregates() {
 				var path netmodel.ASPath
 				if a.ASSet {
 					for _, r := range contrib {
-						path.Set = append(append(path.Set, r.ASPath.Seq...), r.ASPath.Set...)
+						path.Set = append(append(path.Set, r.Attr().ASPath.Seq...), r.Attr().ASPath.Set...)
 					}
 					slices.Sort(path.Set)
 					path.Set = slices.Compact(path.Set)
@@ -215,7 +215,7 @@ func (c *checker) aggregates() {
 				}
 				locals = append(locals, cand{local: true, route: netmodel.Route{
 					Device: name, VRF: a.VRF, Prefix: a.Prefix, Protocol: netmodel.ProtoAggregate,
-					NextHop: d.Loopback, LocalPref: 100, Origin: netmodel.OriginIGP, ASPath: path,
+					NextHop: d.Loopback, Attrs: &netmodel.Attrs{LocalPref: 100, Origin: netmodel.OriginIGP, ASPath: path},
 					Source: name, Peer: "aggregate",
 				}})
 				if a.SummaryOnly {
@@ -285,12 +285,15 @@ func (c *checker) advertise(k tableKey, rows map[netip.Prefix][]netmodel.Route) 
 						continue
 					}
 				}
+				a := *r.Attr()
 				if sess.ebgp {
-					r.ASPath, r.NextHop, r.LocalPref = r.ASPath.Prepend(d.ASN), sess.localAddr, 0
+					a.ASPath, r.NextHop, a.LocalPref = a.ASPath.Prepend(d.ASN), sess.localAddr, 0
 				} else if sess.nb.NextHopSelf && d.Loopback.IsValid() {
 					r.NextHop = d.Loopback
 				}
-				r.Weight, r.Preference, r.IGPCost, r.ViaSR, r.RouteType = 0, 0, 0, false, netmodel.RouteCandidate
+				a.Weight, a.Preference = 0, 0
+				r.SetAttrs(&a)
+				r.IGPCost, r.ViaSR, r.RouteType = 0, false, netmodel.RouteCandidate
 				adv = append(adv, r)
 			}
 			c.receive(tableKey{sess.remote, sess.vrf}, p, k.dev, sess.ebgp, sess.localAddr, adv)
@@ -399,16 +402,19 @@ func (c *checker) receive(to tableKey, p netip.Prefix, from string, ebgp bool, f
 	}
 	var accepted []cand
 	for _, r := range routes {
-		if !ok || (ebgp && r.ASPath.Contains(d.ASN)) {
+		if !ok || (ebgp && r.Attr().ASPath.Contains(d.ASN)) {
 			continue
 		}
 		r.Device, r.VRF, r.Peer = to.dev, to.vrf, from
+		a := *r.Attr()
 		if ebgp {
-			r.LocalPref, r.Preference = 100, prof.EBGPPreference
-		} else if r.Preference == 0 {
-			r.Preference = prof.IBGPPreference
+			a.LocalPref, a.Preference = 100, prof.EBGPPreference
+		} else if a.Preference == 0 {
+			a.Preference = prof.IBGPPreference
 		}
-		r.Weight, r.IGPCost, r.RouteType = 0, 0, netmodel.RouteCandidate
+		a.Weight = 0
+		r.SetAttrs(&a)
+		r.IGPCost, r.RouteType = 0, netmodel.RouteCandidate
 		if pol != nil {
 			var disp policy.Disposition
 			if r, disp = env.Apply(pol, r, fromAddr, d.ASN); disp == policy.Reject {
@@ -608,10 +614,11 @@ type tieKey struct {
 }
 
 func tieOf(r netmodel.Route) tieKey {
-	t := tieKey{pref: r.Preference, proto: r.Protocol, nextHop: r.NextHop, peer: r.Peer}
+	a := r.Attr()
+	t := tieKey{pref: a.Preference, proto: r.Protocol, nextHop: r.NextHop, peer: r.Peer}
 	if r.Protocol == netmodel.ProtoBGP {
-		t.weight, t.lp, t.med, t.igp = r.Weight, r.LocalPref, r.MED, r.IGPCost
-		t.pathLen, t.origin = r.ASPath.Len(), r.Origin
+		t.weight, t.lp, t.med, t.igp = a.Weight, a.LocalPref, a.MED, r.IGPCost
+		t.pathLen, t.origin = a.ASPath.Len(), a.Origin
 	}
 	return t
 }

@@ -83,7 +83,10 @@ func TestCheckPlantedFaults(t *testing.T) {
 		}, KindDecision, "RR", spec},
 		{"bump one local preference", inputs, func() []netmodel.Route {
 			rs := slices.Clone(rows)
-			rs[at(rs, "C1", spec)].LocalPref++
+			r := &rs[at(rs, "C1", spec)]
+			a := *r.Attr()
+			a.LocalPref++
+			r.SetAttrs(&a)
 			return rs
 		}, KindDecision, "C1", spec},
 		{"remove an aggregate row that still has contributors", inputs, func() []netmodel.Route {

@@ -130,7 +130,7 @@ func (s *sim) newTableInfo(k tableKey) *tableInfo {
 		}
 		if len(exportRTs) > 0 {
 			ti.leakTargets = leakTargets(d, k.vrf, exportRTs)
-			ti.leakEdge = edge{from: "leak:" + k.vrf, ok: true}
+			ti.leakEdge = edge{from: "leak:" + k.vrf, ok: true, leak: true}
 		}
 	}
 	for _, a := range d.Aggregates {

@@ -317,13 +317,19 @@ func (st *State) seedChanges(s *sim, inputs []netmodel.Route, d Delta) {
 func (st *State) diffSessions(s *sim, purged map[string]bool) {
 	type sessID struct{ local, remote, vrf string }
 	restarted := func(id sessID) bool { return purged[id.local] || purged[id.remote] }
-	baseSess := make(map[sessID]bool)
+	count := func(g map[string][]*session) (n int) {
+		for _, ss := range g {
+			n += len(ss)
+		}
+		return n
+	}
+	baseSess := make(map[sessID]bool, count(st.sessions))
 	for local, ss := range st.sessions {
 		for _, sess := range ss {
 			baseSess[sessID{local, sess.remote, sess.vrf}] = true
 		}
 	}
-	newSess := make(map[sessID]bool)
+	newSess := make(map[sessID]bool, count(s.sessions))
 	for local, ss := range s.sessions {
 		for _, sess := range ss {
 			id := sessID{local, sess.remote, sess.vrf}

@@ -315,7 +315,9 @@ func TestOverlayWorkPinned(t *testing.T) {
 			continue
 		}
 		if i == 0 {
-			r.MED++
+			a := *r.Attr()
+			a.MED++
+			r.SetAttrs(&a)
 		}
 		inputs2 = append(inputs2, r)
 	}
@@ -557,7 +559,9 @@ func TestChangedPrefixesExact(t *testing.T) {
 				continue // every input of one device withdrawn
 			}
 			if i == 0 {
-				r.MED++
+				a := *r.Attr()
+				a.MED++
+				r.SetAttrs(&a)
 			}
 			inputs2 = append(inputs2, r)
 		}

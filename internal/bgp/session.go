@@ -53,6 +53,9 @@ type edge struct {
 	// refresh marks the aggregate refresh: its message installs nothing and
 	// re-decides its prefix, whose local candidates changed in place.
 	refresh bool
+	// leak marks a VRF leak: its routes keep the preference they hold in
+	// their source table, where a session's take the receiver's default.
+	leak bool
 }
 
 // refreshEdge is the edge every aggregate refresh arrives over.

@@ -457,6 +457,7 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs 
 	ribDiff = make(map[string][]netip.Prefix)
 	countDelta = make(map[netip.Prefix]int)
 	rebuilt := make(map[bgp.Table][]netip.Prefix, len(rstats.ChangedPrefixes))
+	var rx ec.Reexpansion
 	// blockRows: each changed device's block row count; purged ones start at 0.
 	purged := d.purged()
 	blockRows := make(map[string]int, len(purged))
@@ -477,7 +478,7 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs 
 		forked, rt := bres.RIB(t.Device, t.VRF), baseRIB.Overlay()
 		var pfx []netip.Prefix
 		if routeECs != nil {
-			pfx = routeECs.Reexpand(rt, forked, changed, moved)
+			pfx = routeECs.Reexpand(&rx, rt, forked, changed, moved)
 		} else {
 			for p := range changed {
 				rt.ReplaceOwned(p, forked.Routes(p))

@@ -420,7 +420,7 @@ func TestForkSessionSwapIdentity(t *testing.T) {
 			Prefix:   netip.MustParsePrefix("203.0.113.0/24"),
 			Protocol: netmodel.ProtoBGP,
 			NextHop:  b.Net.Devices["X"].Loopback,
-			Origin:   netmodel.OriginIGP,
+			Attrs:    &netmodel.Attrs{Origin: netmodel.OriginIGP},
 			Source:   "X",
 		}}
 		eng := NewEngine(b.Net, opts)

@@ -65,7 +65,10 @@ func sharedRowsFixture(t *testing.T, out *gen.Output) ([]netmodel.Route, Delta) 
 		member := c.Routes[1]
 		for _, r := range out.Inputs {
 			if r.Device != member.Device {
-				r.Prefix, r.MED = member.Prefix, 4242
+				a := *r.Attr()
+				a.MED = 4242
+				r.Prefix = member.Prefix
+				r.SetAttrs(&a)
 				return append(slices.Clone(out.Inputs), r), Delta{DropInputs: []netmodel.Route{member}}
 			}
 		}

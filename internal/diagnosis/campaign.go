@@ -163,7 +163,7 @@ func Table4Issues() []Issue {
 			f.filterModelInputs = func(inputs []netmodel.Route) []netmodel.Route {
 				var kept []netmodel.Route
 				for _, r := range inputs {
-					if len(r.ASPath.Seq) > 0 || len(r.ASPath.Set) > 0 {
+					if path := r.Attr().ASPath; len(path.Seq) > 0 || len(path.Set) > 0 {
 						kept = append(kept, r)
 					}
 				}

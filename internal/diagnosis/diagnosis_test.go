@@ -37,7 +37,7 @@ func TestMonitoringProjectionHidesLocalAttributes(t *testing.T) {
 	rep := noShow.Run()
 	weightDiffSeen := false
 	for _, d := range rep.RouteDiffs {
-		if d.Via == "monitoring" && d.Route.Weight != 0 {
+		if d.Via == "monitoring" && d.Route.Attr().Weight != 0 {
 			weightDiffSeen = true
 		}
 	}

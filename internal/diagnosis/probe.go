@@ -236,11 +236,12 @@ func BuildProbe() *Probe {
 
 	// ---- input routes ----
 	in := func(dev, prefix string, nh netip.Addr, vrf string, path ...netmodel.ASN) netmodel.Route {
-		return netmodel.Route{
+		r := netmodel.Route{
 			Device: dev, VRF: vrf, Prefix: netip.MustParsePrefix(prefix),
-			Protocol: netmodel.ProtoBGP, NextHop: nh,
-			ASPath: netmodel.ASPath{Seq: path}, Source: dev,
+			Protocol: netmodel.ProtoBGP, NextHop: nh, Source: dev,
 		}
+		r.SetAttrs(&netmodel.Attrs{ASPath: netmodel.ASPath{Seq: path}})
+		return r
 	}
 	extNH := func(dev string) netip.Addr {
 		return b.Net.Devices[dev].Interfaces["ext"].Addr.Addr().Next()

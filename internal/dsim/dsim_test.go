@@ -88,7 +88,7 @@ func TestSplitRoutesKeepsPrefixTogether(t *testing.T) {
 	var inputs []netmodel.Route
 	p := netip.MustParsePrefix("10.0.0.0/24")
 	for i := 0; i < 5; i++ {
-		inputs = append(inputs, netmodel.Route{Device: "A", Prefix: p, LocalPref: uint32(i)})
+		inputs = append(inputs, netmodel.Route{Device: "A", Prefix: p, Attrs: &netmodel.Attrs{LocalPref: uint32(i)}})
 	}
 	inputs = append(inputs, netmodel.Route{Device: "A", Prefix: netip.MustParsePrefix("10.0.1.0/24")})
 	// 10.1.0.0/16 aggregates four routes; the same prefix at another device
@@ -584,7 +584,7 @@ func FuzzSplitSubsets(f *testing.F) {
 				net.Devices["A"].Aggregates = append(net.Devices["A"].Aggregates, config.Aggregate{Prefix: p})
 				continue
 			}
-			inputs = append(inputs, netmodel.Route{Device: string(rune('A' + c[3]%2)), Prefix: p, LocalPref: uint32(len(inputs))})
+			inputs = append(inputs, netmodel.Route{Device: string(rune('A' + c[3]%2)), Prefix: p, Attrs: &netmodel.Attrs{LocalPref: uint32(len(inputs))}})
 		}
 		groups := bgp.Groups(net)
 		subs := splitRoutes(inputs, int(n), groups)
@@ -599,10 +599,10 @@ func FuzzSplitSubsets(f *testing.F) {
 				t.Fatalf("subset %d is empty", i)
 			}
 			for _, r := range sub.Items {
-				if seen[r.LocalPref] {
-					t.Fatalf("input %d in two subsets", r.LocalPref)
+				if seen[r.Attr().LocalPref] {
+					t.Fatalf("input %d in two subsets", r.Attr().LocalPref)
 				}
-				seen[r.LocalPref] = true
+				seen[r.Attr().LocalPref] = true
 				g := groups.Of(r.Prefix)
 				if h, ok := home[g]; ok && h != i {
 					t.Fatalf("group %s split across subsets %d and %d", g, h, i)
@@ -663,7 +663,9 @@ func TestFleetRIBMatchesCentralizedWithAggregates(t *testing.T) {
 	dc := 0
 	for i, r := range out.Inputs {
 		if strings.HasPrefix(r.Device, "dc-") {
-			out.Inputs[i].ASPath = netmodel.ASPath{Seq: []netmodel.ASN{netmodel.ASN(65500 + dc%7)}}
+			a := *r.Attr()
+			a.ASPath = netmodel.ASPath{Seq: []netmodel.ASN{netmodel.ASN(65500 + dc%7)}}
+			out.Inputs[i].SetAttrs(&a)
 			dc++
 		}
 	}

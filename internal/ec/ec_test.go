@@ -27,11 +27,10 @@ func testNet() *config.Network {
 func input(dev, prefix string, lp uint32) netmodel.Route {
 	return netmodel.Route{
 		Device: dev, VRF: netmodel.DefaultVRF,
-		Prefix:    netip.MustParsePrefix(prefix),
-		Protocol:  netmodel.ProtoBGP,
-		NextHop:   netip.MustParseAddr("203.0.113.1"),
-		LocalPref: lp,
-		ASPath:    netmodel.ASPath{Seq: []netmodel.ASN{65100}},
+		Prefix:   netip.MustParsePrefix(prefix),
+		Protocol: netmodel.ProtoBGP,
+		NextHop:  netip.MustParseAddr("203.0.113.1"),
+		Attrs:    &netmodel.Attrs{LocalPref: lp, ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65100}}},
 	}
 }
 

@@ -131,7 +131,9 @@ func WithDuplicateInputs(inputs []netmodel.Route) []netmodel.Route {
 	out := append([]netmodel.Route(nil), inputs...)
 	for i := 0; i < len(inputs); i += 5 {
 		dup := inputs[i]
-		dup.Communities = dup.Communities.Add(netmodel.NewCommunity(65000, 777))
+		a := *dup.Attr()
+		a.Communities = a.Communities.Add(netmodel.NewCommunity(65000, 777))
+		dup.SetAttrs(&a)
 		out = append(out, dup)
 	}
 	return out
@@ -413,21 +415,19 @@ func (b *builder) buildInputs() {
 			for j := 0; j < p.PrefixesPerDC; j++ {
 				pr := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(r), byte(i*64 + j%64), 0}), 24)
 				b.prefixes = append(b.prefixes, pr)
-				route := netmodel.Route{
-					Device: dc, VRF: netmodel.DefaultVRF,
-					Prefix:      pr,
-					Protocol:    netmodel.ProtoBGP,
-					NextHop:     b.Net.Devices[dc].Loopback,
-					LocalPref:   100,
-					Communities: netmodel.NewCommunitySet(netmodel.NewCommunity(65000, uint16(r))),
-					Origin:      netmodel.OriginIGP,
-					Source:      dc,
-				}
+				comms := netmodel.NewCommunitySet(netmodel.NewCommunity(65000, uint16(r)))
 				// A slice of DC routes carries the no-export community.
 				if j%7 == 6 {
-					route.Communities = route.Communities.Add(netmodel.MustCommunity("65000:999"))
+					comms = comms.Add(netmodel.MustCommunity("65000:999"))
 				}
-				b.inputs = append(b.inputs, route)
+				b.inputs = append(b.inputs, netmodel.Route{
+					Device: dc, VRF: netmodel.DefaultVRF,
+					Prefix:   pr,
+					Protocol: netmodel.ProtoBGP,
+					NextHop:  b.Net.Devices[dc].Loopback,
+					Attrs:    &netmodel.Attrs{LocalPref: 100, Communities: comms, Origin: netmodel.OriginIGP},
+					Source:   dc,
+				})
 			}
 		}
 	}
@@ -451,8 +451,7 @@ func (b *builder) buildInputs() {
 				Prefix:   pr,
 				Protocol: netmodel.ProtoBGP,
 				NextHop:  nh,
-				ASPath:   path,
-				Origin:   netmodel.OriginEGP,
+				Attrs:    &netmodel.Attrs{ASPath: path, Origin: netmodel.OriginEGP},
 				Source:   isp,
 			})
 		}

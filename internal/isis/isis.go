@@ -329,6 +329,7 @@ func (r *Result) Routes(topo *netmodel.Topology, src string) []netmodel.Route {
 	}
 	var out []netmodel.Route
 	row := r.fdist[sid]
+	attrs := &netmodel.Attrs{Preference: 15} // every row's, shared
 	for did := 0; did < ix.NumDevices(); did++ {
 		if netmodel.DevID(did) == sid || row[did] == infCost {
 			continue
@@ -348,16 +349,16 @@ func (r *Result) Routes(topo *netmodel.Topology, src string) []netmodel.Route {
 				nh = l.BAddr
 			}
 			out = append(out, netmodel.Route{
-				Device:     src,
-				VRF:        netmodel.DefaultVRF,
-				Prefix:     p,
-				Protocol:   netmodel.ProtoISIS,
-				NextHop:    nh,
-				IGPCost:    row[did],
-				Preference: 15,
-				RouteType:  netmodel.RouteBest,
-				Peer:       ix.DevName(ix.EdgeDev(pos)),
-				Source:     dn.Name,
+				Device:    src,
+				VRF:       netmodel.DefaultVRF,
+				Prefix:    p,
+				Protocol:  netmodel.ProtoISIS,
+				NextHop:   nh,
+				IGPCost:   row[did],
+				Attrs:     attrs,
+				RouteType: netmodel.RouteBest,
+				Peer:      ix.DevName(ix.EdgeDev(pos)),
+				Source:    dn.Name,
 			})
 		}
 	}

@@ -74,7 +74,9 @@ func (m *RouteMonitor) Collect(truth *netmodel.GlobalRIB) *netmodel.GlobalRIB {
 				continue
 			}
 			seenBest[key] = true
-			r.Weight = 0
+			a := *r.Attr()
+			a.Weight = 0
+			r.SetAttrs(&a)
 			r.IGPCost = 0
 		}
 		rows = append(rows, r)

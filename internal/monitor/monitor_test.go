@@ -12,7 +12,7 @@ func row(dev, prefix string, rt netmodel.RouteType, weight uint32) netmodel.Rout
 		Device: dev, VRF: netmodel.DefaultVRF,
 		Prefix:   netip.MustParsePrefix(prefix),
 		NextHop:  netip.MustParseAddr("1.1.1.1"),
-		Protocol: netmodel.ProtoBGP, RouteType: rt, Weight: weight,
+		Protocol: netmodel.ProtoBGP, RouteType: rt, Attrs: &netmodel.Attrs{Weight: weight},
 	}
 }
 
@@ -37,7 +37,7 @@ func TestRouteMonitorProjection(t *testing.T) {
 		t.Fatalf("rows = %d, want 2: %v", got.Len(), got.Rows())
 	}
 	for _, r := range got.Rows() {
-		if r.Weight != 0 {
+		if r.Attr().Weight != 0 {
 			t.Error("weight must not propagate")
 		}
 		if r.RouteType != netmodel.RouteBest {

@@ -27,15 +27,15 @@ func randRoute(rnd *rand.Rand) Route {
 		NextHop:   netip.MustParseAddr(hops[rnd.Intn(len(hops))]),
 		RouteType: []RouteType{RouteBest, RouteCandidate}[rnd.Intn(2)],
 		Peer:      []string{"", "p1"}[rnd.Intn(2)],
-		MED:       uint32(rnd.Intn(2)),
-		LocalPref: 100,
 	}
+	a := Attrs{MED: uint32(rnd.Intn(2)), LocalPref: 100}
 	for c := 0; c < rnd.Intn(3); c++ {
-		r.Communities = r.Communities.Add(NewCommunity(65000, uint16(rnd.Intn(3))))
+		a.Communities = a.Communities.Add(NewCommunity(65000, uint16(rnd.Intn(3))))
 	}
-	for a := 0; a < rnd.Intn(3); a++ {
-		r.ASPath = r.ASPath.Prepend(ASN(65100 + rnd.Intn(2)))
+	for i := 0; i < rnd.Intn(3); i++ {
+		a.ASPath = a.ASPath.Prepend(ASN(65100 + rnd.Intn(2)))
 	}
+	r.SetAttrs(&a)
 	return r
 }
 

@@ -84,11 +84,11 @@ func (l *Layer[K, V]) Over() Layer[K, V] {
 	return Layer[K, V]{own: maps.Clone(l.own), under: l.under}
 }
 
-// Grow gives a plain layer room for n more entries, rehashing its map once
-// instead of doubling it as they are inserted. It is a no-op on a layer laid
-// over another, whose map holds only its writes.
+// Grow gives the layer's own map room for n more entries, rehashing it once
+// instead of doubling it as they are inserted: a plain layer's entries, or
+// the writes a layer laid over another is about to take.
 func (l *Layer[K, V]) Grow(n int) {
-	if n <= 0 || l.under != nil {
+	if n <= 0 {
 		return
 	}
 	grown := make(map[K]V, len(l.own)+n)

@@ -26,10 +26,10 @@ type overlayPair struct {
 
 // strOf and flagOf draw a layer value from rows, the zero value included.
 func strOf(rows []Route) string {
-	if len(rows) == 0 || rows[0].MED%3 == 0 {
+	if len(rows) == 0 || rows[0].Attr().MED%3 == 0 {
 		return ""
 	}
-	return fmt.Sprint(rows[0].MED)
+	return fmt.Sprint(rows[0].Attr().MED)
 }
 
 func flagOf(rows []Route) bool { return len(rows) > 0 && rows[0].RouteType == RouteBest }

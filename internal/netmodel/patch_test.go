@@ -33,7 +33,7 @@ func randPrefix(rnd *rand.Rand, masked bool) netip.Prefix {
 func randPrefixRows(rnd *rand.Rand, p netip.Prefix) []Route {
 	rows := make([]Route, 1+rnd.Intn(3))
 	for i := range rows {
-		rows[i] = Route{Prefix: p, Protocol: ProtoBGP, RouteType: RouteType(rnd.Intn(2)), MED: uint32(rnd.Intn(1000)),
+		rows[i] = Route{Prefix: p, Protocol: ProtoBGP, RouteType: RouteType(rnd.Intn(2)), Attrs: &Attrs{MED: uint32(rnd.Intn(1000))},
 			NextHop: netip.AddrFrom4([4]byte{192, 0, 2, byte(rnd.Intn(6))})}
 	}
 	return rows

@@ -61,9 +61,9 @@ func NewRIBSized(device, vrf string, hint int) *RIB {
 	return &RIB{Device: device, VRF: vrf, byPrefix: NewLayer[netip.Prefix, []Route](hint)}
 }
 
-// Grow gives a plain table room for n more prefixes, rehashing its prefix map
-// once instead of doubling it as they are inserted. It is a no-op on an
-// overlay, whose own map holds only its writes.
+// Grow gives the table room for n more prefixes, rehashing its prefix map
+// once instead of doubling it as they are inserted: a plain table's, or the
+// own map of an overlay about to take n writes.
 func (t *RIB) Grow(n int) { t.byPrefix.Grow(n) }
 
 // rows is the one read of a single prefix's rows.
@@ -79,9 +79,15 @@ func (t *RIB) each(fn func(p netip.Prefix, rows []Route)) {
 	})
 }
 
-// Replace substitutes all rows for prefix with a copy of rs, its best rows
-// moved first (bestFirst).
+// Replace substitutes all rows for prefix with rs, which may be shared with
+// other tables and their readers: rs is installed as it is when it already
+// has the table's layout (its device and VRF, bestFirst), and as a copy
+// moved into it otherwise. Nobody may modify rs afterwards.
 func (t *RIB) Replace(prefix netip.Prefix, rs []Route) {
+	if !slices.ContainsFunc(rs, func(r Route) bool { return r.Device != t.Device || r.VRF != t.VRF }) && bestFirst(rs) {
+		t.install(prefix, rs)
+		return
+	}
 	rows := make([]Route, len(rs))
 	copy(rows, rs)
 	t.ReplaceOwned(prefix, rows)
@@ -97,6 +103,11 @@ func (t *RIB) ReplaceOwned(prefix netip.Prefix, rs []Route) {
 		rs[i].Device, rs[i].VRF = t.Device, t.VRF
 	}
 	orderBest(rs)
+	t.install(prefix, rs)
+}
+
+// install writes p's rows, which have the table's layout.
+func (t *RIB) install(prefix netip.Prefix, rs []Route) {
 	if t.under == nil {
 		n := t.byPrefix.OwnLen()
 		t.put(prefix, rs)
@@ -913,24 +924,25 @@ func appendAttrDiffSig(dst []byte, r *Route) []byte {
 	dst = sigPrefix(dst, r.Prefix)
 	dst = append(dst, byte(r.Protocol))
 	dst = sigAddr(dst, r.NextHop)
-	cs := r.Communities.All()
+	a := r.Attr()
+	cs := a.Communities.All()
 	dst = binary.AppendUvarint(dst, uint64(len(cs)))
 	for _, c := range cs {
 		dst = binary.AppendUvarint(dst, uint64(c))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(r.ASPath.Seq)))
-	for _, asn := range r.ASPath.Seq {
+	dst = binary.AppendUvarint(dst, uint64(len(a.ASPath.Seq)))
+	for _, asn := range a.ASPath.Seq {
 		dst = binary.AppendUvarint(dst, uint64(asn))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(r.ASPath.Set)))
-	for _, asn := range r.ASPath.Set {
+	dst = binary.AppendUvarint(dst, uint64(len(a.ASPath.Set)))
+	for _, asn := range a.ASPath.Set {
 		dst = binary.AppendUvarint(dst, uint64(asn))
 	}
-	dst = append(dst, byte(r.Origin), byte(r.RouteType))
-	dst = binary.AppendUvarint(dst, uint64(r.LocalPref))
-	dst = binary.AppendUvarint(dst, uint64(r.MED))
-	dst = binary.AppendUvarint(dst, uint64(r.Weight))
-	dst = binary.AppendUvarint(dst, uint64(r.Preference))
+	dst = append(dst, byte(a.Origin), byte(r.RouteType))
+	dst = binary.AppendUvarint(dst, uint64(a.LocalPref))
+	dst = binary.AppendUvarint(dst, uint64(a.MED))
+	dst = binary.AppendUvarint(dst, uint64(a.Weight))
+	dst = binary.AppendUvarint(dst, uint64(a.Preference))
 	return dst
 }
 

@@ -14,24 +14,25 @@ func (r *Route) AppendSignature(dst []byte) []byte {
 	dst = sigPrefix(dst, r.Prefix)
 	dst = append(dst, byte(r.Protocol))
 	dst = sigAddr(dst, r.NextHop)
-	cs := r.Communities.All()
+	a := r.Attr()
+	cs := a.Communities.All()
 	dst = binary.AppendUvarint(dst, uint64(len(cs)))
 	for _, c := range cs {
 		dst = binary.AppendUvarint(dst, uint64(c))
 	}
-	dst = binary.AppendUvarint(dst, uint64(r.LocalPref))
-	dst = binary.AppendUvarint(dst, uint64(r.MED))
-	dst = binary.AppendUvarint(dst, uint64(r.Weight))
-	dst = binary.AppendUvarint(dst, uint64(r.Preference))
-	dst = binary.AppendUvarint(dst, uint64(len(r.ASPath.Seq)))
-	for _, asn := range r.ASPath.Seq {
+	dst = binary.AppendUvarint(dst, uint64(a.LocalPref))
+	dst = binary.AppendUvarint(dst, uint64(a.MED))
+	dst = binary.AppendUvarint(dst, uint64(a.Weight))
+	dst = binary.AppendUvarint(dst, uint64(a.Preference))
+	dst = binary.AppendUvarint(dst, uint64(len(a.ASPath.Seq)))
+	for _, asn := range a.ASPath.Seq {
 		dst = binary.AppendUvarint(dst, uint64(asn))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(r.ASPath.Set)))
-	for _, asn := range r.ASPath.Set {
+	dst = binary.AppendUvarint(dst, uint64(len(a.ASPath.Set)))
+	for _, asn := range a.ASPath.Set {
 		dst = binary.AppendUvarint(dst, uint64(asn))
 	}
-	dst = append(dst, byte(r.Origin))
+	dst = append(dst, byte(a.Origin))
 	dst = binary.AppendUvarint(dst, uint64(r.IGPCost))
 	dst = append(dst, byte(r.RouteType))
 	dst = sigBool(dst, r.ViaSR)

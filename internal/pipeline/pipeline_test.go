@@ -169,7 +169,7 @@ func TestTEMetricHonoredOnEverySurface(t *testing.T) {
 	dst := netip.MustParsePrefix("10.9.0.0/24")
 	inputs := []netmodel.Route{{
 		Device: "D", VRF: netmodel.DefaultVRF, Prefix: dst, Protocol: netmodel.ProtoBGP,
-		NextHop: netip.MustParseAddr("198.51.100.2"), ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65100}}, Source: "D",
+		NextHop: netip.MustParseAddr("198.51.100.2"), Attrs: &netmodel.Attrs{ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65100}}}, Source: "D",
 	}}
 	flows := []netmodel.Flow{{Ingress: "A", Src: netip.MustParseAddr("192.0.2.9"), Dst: netip.MustParseAddr("10.9.0.5"),
 		SrcPort: 1000, DstPort: 443, Proto: netmodel.ProtoTCP, Volume: 1e6}}

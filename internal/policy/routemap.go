@@ -149,7 +149,7 @@ func (d Disposition) String() string {
 
 // matches reports whether the route satisfies one match clause. Undefined
 // filters are resolved per the UndefinedFilterMatchesAll VSB.
-func (e Env) matches(m Match, r netmodel.Route, peer netip.Addr) bool {
+func (e Env) matches(m Match, r *netmodel.Route, peer netip.Addr) bool {
 	switch m.Kind {
 	case MatchPrefixList:
 		l, ok := e.PrefixLists[m.ListName]
@@ -162,13 +162,13 @@ func (e Env) matches(m Match, r netmodel.Route, peer netip.Addr) bool {
 		if !ok {
 			return e.Profile.UndefinedFilterMatchesAll
 		}
-		return l.Match(r.Communities)
+		return l.Match(r.Attr().Communities)
 	case MatchASPathList:
 		l, ok := e.ASPathLists[m.ListName]
 		if !ok {
 			return e.Profile.UndefinedFilterMatchesAll
 		}
-		return l.Match(r.ASPath.String())
+		return l.Match(r.Attr().ASPath.String())
 	case MatchPeerAddr:
 		return m.Addr == peer
 	case MatchProtocol:
@@ -178,42 +178,46 @@ func (e Env) matches(m Match, r netmodel.Route, peer netip.Addr) bool {
 }
 
 // apply executes the node's set clauses on a copy of the route. ownASN is
-// the evaluating device's ASN, needed for the AS-path overwrite VSB.
+// the evaluating device's ASN, needed for the AS-path overwrite VSB. The
+// attribute sets collect on a copy of the route's set, installed at the end:
+// the route gets a new set only when its attributes changed.
 func (e Env) apply(n *Node, r netmodel.Route, ownASN netmodel.ASN) netmodel.Route {
+	a := *r.Attr()
 	for _, s := range n.Sets {
 		switch s.Kind {
 		case SetLocalPref:
-			r.LocalPref = s.Value
+			a.LocalPref = s.Value
 		case SetMED:
-			r.MED = s.Value
+			a.MED = s.Value
 		case SetWeight:
-			r.Weight = s.Value
+			a.Weight = s.Value
 		case SetPreference:
-			r.Preference = s.Value
+			a.Preference = s.Value
 		case SetCommunity:
-			r.Communities = s.Communities
+			a.Communities = s.Communities
 		case AddCommunity:
-			r.Communities = r.Communities.Add(s.Community)
+			a.Communities = a.Communities.Add(s.Community)
 		case DeleteCommunity:
-			r.Communities = r.Communities.Remove(s.Community)
+			a.Communities = a.Communities.Remove(s.Community)
 		case SetNextHop:
 			r.NextHop = s.NextHop
 		case PrependASPath:
 			for i := uint32(0); i < s.Value; i++ {
-				r.ASPath = r.ASPath.Prepend(s.ASN)
+				a.ASPath = a.ASPath.Prepend(s.ASN)
 			}
 		case ReplaceASPath:
-			r.ASPath = netmodel.ASPath{
+			a.ASPath = netmodel.ASPath{
 				Seq: append([]netmodel.ASN(nil), s.ASPath.Seq...),
 				Set: append([]netmodel.ASN(nil), s.ASPath.Set...),
 			}
 			// VSB: some vendors re-add the device's own ASN after a policy
 			// overwrites the AS path.
 			if e.Profile.AddOwnASNAfterPolicyOverwrite && ownASN != 0 {
-				r.ASPath = r.ASPath.Prepend(ownASN)
+				a.ASPath = a.ASPath.Prepend(ownASN)
 			}
 		}
 	}
+	r.SetAttrs(&a)
 	return r
 }
 
@@ -229,7 +233,7 @@ func (e Env) Apply(rm *RouteMap, r netmodel.Route, peer netip.Addr, ownASN netmo
 	for _, n := range rm.Nodes {
 		all := true
 		for _, m := range n.Matches {
-			if !e.matches(m, r, peer) {
+			if !e.matches(m, &r, peer) {
 				all = false
 				break
 			}

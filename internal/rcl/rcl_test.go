@@ -14,12 +14,11 @@ func figure6() (base, updated *netmodel.GlobalRIB) {
 		cs, _ := netmodel.ParseCommunitySet(comms)
 		return netmodel.Route{
 			Device: dev, VRF: vrf,
-			Prefix:      netip.MustParsePrefix(prefix),
-			Protocol:    netmodel.ProtoBGP,
-			NextHop:     netip.MustParseAddr(nh),
-			Communities: cs,
-			LocalPref:   lp,
-			RouteType:   netmodel.RouteBest,
+			Prefix:    netip.MustParsePrefix(prefix),
+			Protocol:  netmodel.ProtoBGP,
+			NextHop:   netip.MustParseAddr(nh),
+			Attrs:     &netmodel.Attrs{Communities: cs, LocalPref: lp},
+			RouteType: netmodel.RouteBest,
 		}
 	}
 	base = netmodel.NewGlobalRIB([]netmodel.Route{
@@ -184,7 +183,7 @@ func TestMatchesPredicate(t *testing.T) {
 		Device: "A", VRF: "global",
 		Prefix:    netip.MustParsePrefix("10.0.0.0/24"),
 		NextHop:   netip.MustParseAddr("2.0.0.1"),
-		ASPath:    netmodel.ASPath{Seq: []netmodel.ASN{65001, 123, 65002}},
+		Attrs:     &netmodel.Attrs{ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65001, 123, 65002}}},
 		RouteType: netmodel.RouteBest,
 	}
 	g := netmodel.NewGlobalRIB([]netmodel.Route{r})

@@ -248,7 +248,7 @@ router bgp
 			NewInputs: []netmodel.Route{{
 				Device: dc, VRF: netmodel.DefaultVRF, Prefix: p,
 				Protocol: netmodel.ProtoBGP, NextHop: g.Net.Devices[dc].Loopback,
-				LocalPref: 100, Source: dc,
+				Attrs: &netmodel.Attrs{LocalPref: 100}, Source: dc,
 			}},
 		}
 		sc.Intents = []intent.Intent{

@@ -103,9 +103,9 @@ route-map RM_FROM_B permit 20
 	nhA := ext("A", "ext", "198.51.101.1")
 	inputs := []netmodel.Route{
 		{Device: "B", VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("1.0.0.0/24"),
-			Protocol: netmodel.ProtoBGP, NextHop: nhB, ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65201}}, Source: "B"},
+			Protocol: netmodel.ProtoBGP, NextHop: nhB, Attrs: &netmodel.Attrs{ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65201}}}, Source: "B"},
 		{Device: "A", VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("1.0.0.0/8"),
-			Protocol: netmodel.ProtoBGP, NextHop: nhA, ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65101}}, Source: "A"},
+			Protocol: netmodel.ProtoBGP, NextHop: nhA, Attrs: &netmodel.Attrs{ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65101}}}, Source: "A"},
 	}
 
 	// Traffic: 80 Mbps from the DC behind M1 toward 1.0.0.0/24.
@@ -198,9 +198,9 @@ func Fig10b() *Scenario {
 	for _, p := range prefixes {
 		inputs = append(inputs,
 			netmodel.Route{Device: "ISP1", VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix(p),
-				Protocol: netmodel.ProtoBGP, NextHop: nh1, ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65301}}, Source: "ISP1"},
+				Protocol: netmodel.ProtoBGP, NextHop: nh1, Attrs: &netmodel.Attrs{ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65301}}}, Source: "ISP1"},
 			netmodel.Route{Device: "ISP2", VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix(p),
-				Protocol: netmodel.ProtoBGP, NextHop: nh2, ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65302, 65303}}, Source: "ISP2"},
+				Protocol: netmodel.ProtoBGP, NextHop: nh2, Attrs: &netmodel.Attrs{ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65302, 65303}}}, Source: "ISP2"},
 		)
 	}
 

@@ -93,7 +93,7 @@ func buildDiamond(t *testing.T) *testEnv {
 		Prefix:   netip.MustParsePrefix("10.0.0.0/24"),
 		Protocol: netmodel.ProtoBGP,
 		NextHop:  netip.MustParseAddr("198.51.100.2"),
-		ASPath:   netmodel.ASPath{Seq: []netmodel.ASN{65100}},
+		Attrs:    &netmodel.Attrs{ASPath: netmodel.ASPath{Seq: []netmodel.ASN{65100}}},
 		Source:   "D",
 	}}
 	res := bgp.Simulate(net, igp, inputs, bgp.Options{})

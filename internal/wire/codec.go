@@ -32,13 +32,14 @@ func (e *encoder) route(r *netmodel.Route) {
 	e.prefix(r.Prefix)
 	e.byte(byte(r.Protocol))
 	e.addr(r.NextHop)
-	e.communities(r.Communities)
-	e.uvarint(uint64(r.LocalPref))
-	e.uvarint(uint64(r.MED))
-	e.uvarint(uint64(r.Weight))
-	e.uvarint(uint64(r.Preference))
-	e.asPath(r.ASPath)
-	e.byte(byte(r.Origin))
+	a := r.Attr()
+	e.communities(a.Communities)
+	e.uvarint(uint64(a.LocalPref))
+	e.uvarint(uint64(a.MED))
+	e.uvarint(uint64(a.Weight))
+	e.uvarint(uint64(a.Preference))
+	e.asPath(a.ASPath)
+	e.byte(byte(a.Origin))
 	e.uvarint(uint64(r.IGPCost))
 	e.byte(byte(r.RouteType))
 	e.bool(r.ViaSR)
@@ -85,17 +86,7 @@ func (d *decoder) route() (netmodel.Route, error) {
 		return e
 	})
 	read(func() (e error) { r.NextHop, e = d.addr(); return })
-	read(func() (e error) { r.Communities, e = d.communities(); return })
-	read(func() (e error) { r.LocalPref, e = d.u32(); return })
-	read(func() (e error) { r.MED, e = d.u32(); return })
-	read(func() (e error) { r.Weight, e = d.u32(); return })
-	read(func() (e error) { r.Preference, e = d.u32(); return })
-	read(func() (e error) { r.ASPath, e = d.asPath(); return })
-	read(func() (e error) {
-		b, e := d.byte()
-		r.Origin = netmodel.Origin(b)
-		return e
-	})
+	read(func() (e error) { r.Attrs, e = d.attrs(); return })
 	read(func() (e error) { r.IGPCost, e = d.u32(); return })
 	read(func() (e error) {
 		b, e := d.byte()
@@ -106,6 +97,46 @@ func (d *decoder) route() (netmodel.Route, error) {
 	read(func() (e error) { r.Peer, e = d.str(); return })
 	read(func() (e error) { r.Source, e = d.str(); return })
 	return r, err
+}
+
+// attrs reads a row's attribute set. Rows whose encoded attributes repeat
+// share the set decoded first, so a frame allocates one set per distinct
+// tuple, not per row; the zero tuple decodes to nil, the zero set.
+func (d *decoder) attrs() (*netmodel.Attrs, error) {
+	var k attrKey
+	var err error
+	read := func(f func() error) {
+		if err == nil {
+			err = f()
+		}
+	}
+	read(func() (e error) { k.comms, e = d.communities(); return })
+	read(func() (e error) { k.localPref, e = d.u32(); return })
+	read(func() (e error) { k.med, e = d.u32(); return })
+	read(func() (e error) { k.weight, e = d.u32(); return })
+	read(func() (e error) { k.preference, e = d.u32(); return })
+	read(func() (e error) { k.path, e = d.asPath(); return })
+	read(func() (e error) {
+		b, e := d.byte()
+		k.origin = netmodel.Origin(b)
+		return e
+	})
+	if err != nil {
+		return nil, err
+	}
+	if a, ok := d.sets[k]; ok {
+		return a, nil
+	}
+	var r netmodel.Route
+	r.SetAttrs(&netmodel.Attrs{
+		Communities: d.comms[k.comms], LocalPref: k.localPref, MED: k.med, Weight: k.weight,
+		Preference: k.preference, ASPath: d.asPaths[k.path], Origin: k.origin,
+	})
+	if d.sets == nil {
+		d.sets = make(map[attrKey]*netmodel.Attrs)
+	}
+	d.sets[k] = r.Attrs
+	return r.Attrs, nil
 }
 
 // ---------------------------------------------------------------- flows

@@ -275,6 +275,17 @@ type decoder struct {
 	strings []string
 	asPaths []netmodel.ASPath
 	comms   []netmodel.CommunitySet
+	// sets holds the attribute sets decoded so far, by their encoding: rows
+	// whose encoded attributes repeat share one set (attrs).
+	sets map[attrKey]*netmodel.Attrs
+}
+
+// attrKey is a row's encoded attribute tuple, its interned community set and
+// AS path by their table indexes.
+type attrKey struct {
+	comms, path                        int
+	localPref, med, weight, preference uint32
+	origin                             netmodel.Origin
 }
 
 // decodeFrame validates the frame header at the front of br and returns a
@@ -439,55 +450,56 @@ func (d *decoder) asnList() ([]netmodel.ASN, error) {
 	return out, nil
 }
 
-func (d *decoder) asPath() (netmodel.ASPath, error) {
+// asPath reads an interned AS path and returns its index in the decoder's
+// table.
+func (d *decoder) asPath() (int, error) {
 	id, err := d.uvarint()
 	if err != nil {
-		return netmodel.ASPath{}, err
+		return 0, err
 	}
 	if id == 0 {
 		seq, err := d.asnList()
 		if err != nil {
-			return netmodel.ASPath{}, err
+			return 0, err
 		}
 		set, err := d.asnList()
 		if err != nil {
-			return netmodel.ASPath{}, err
+			return 0, err
 		}
-		p := netmodel.ASPath{Seq: seq, Set: set}
-		d.asPaths = append(d.asPaths, p)
-		return p, nil
+		d.asPaths = append(d.asPaths, netmodel.ASPath{Seq: seq, Set: set})
+		return len(d.asPaths) - 1, nil
 	}
 	if id > uint64(len(d.asPaths)) {
-		return netmodel.ASPath{}, fmt.Errorf("wire: as-path ref %d out of table (%d entries) (%w)", id, len(d.asPaths), ErrCorrupt)
+		return 0, fmt.Errorf("wire: as-path ref %d out of table (%d entries) (%w)", id, len(d.asPaths), ErrCorrupt)
 	}
-	// Rows sharing an AS path share the decoded backing slices; ASPath is
-	// treated as immutable everywhere (Prepend copies).
-	return d.asPaths[id-1], nil
+	return int(id - 1), nil
 }
 
-func (d *decoder) communities() (netmodel.CommunitySet, error) {
+// communities reads an interned community set and returns its index in the
+// decoder's table.
+func (d *decoder) communities() (int, error) {
 	id, err := d.uvarint()
 	if err != nil {
-		return netmodel.CommunitySet{}, err
+		return 0, err
 	}
 	if id == 0 {
 		n, err := d.uvarint()
 		if err != nil {
-			return netmodel.CommunitySet{}, err
+			return 0, err
 		}
 		var set netmodel.CommunitySet
 		for i := uint64(0); i < n; i++ {
 			v, err := d.u32()
 			if err != nil {
-				return netmodel.CommunitySet{}, err
+				return 0, err
 			}
 			set = set.Add(netmodel.Community(v))
 		}
 		d.comms = append(d.comms, set)
-		return set, nil
+		return len(d.comms) - 1, nil
 	}
 	if id > uint64(len(d.comms)) {
-		return netmodel.CommunitySet{}, fmt.Errorf("wire: community-set ref %d out of table (%d entries) (%w)", id, len(d.comms), ErrCorrupt)
+		return 0, fmt.Errorf("wire: community-set ref %d out of table (%d entries) (%w)", id, len(d.comms), ErrCorrupt)
 	}
-	return d.comms[id-1], nil
+	return int(id - 1), nil
 }

@@ -29,11 +29,11 @@ func sampleRoutes() []netmodel.Route {
 	return []netmodel.Route{
 		{
 			Device: "rr-0-0", VRF: netmodel.DefaultVRF,
-			Prefix:      netip.MustParsePrefix("10.0.0.0/24"),
-			Protocol:    netmodel.ProtoBGP,
-			NextHop:     netip.MustParseAddr("192.0.2.1"),
-			Communities: comms, LocalPref: 200, MED: 50, Weight: 32768,
-			Preference: 170, ASPath: shared, Origin: netmodel.OriginIGP,
+			Prefix:   netip.MustParsePrefix("10.0.0.0/24"),
+			Protocol: netmodel.ProtoBGP,
+			NextHop:  netip.MustParseAddr("192.0.2.1"),
+			Attrs: &netmodel.Attrs{Communities: comms, LocalPref: 200, MED: 50, Weight: 32768,
+				Preference: 170, ASPath: shared, Origin: netmodel.OriginIGP},
 			IGPCost: 10, RouteType: netmodel.RouteBest, ViaSR: true,
 			Peer: "border-0-0", Source: "bgp",
 		},
@@ -42,7 +42,7 @@ func sampleRoutes() []netmodel.Route {
 			Prefix:   netip.MustParsePrefix("2001:db8::/48"),
 			Protocol: netmodel.ProtoISIS,
 			NextHop:  netip.MustParseAddr("2001:db8::1"),
-			ASPath:   shared, // interned structural ref
+			Attrs:    &netmodel.Attrs{ASPath: shared}, // interned structural ref
 			IGPCost:  300000, RouteType: netmodel.RouteCandidate,
 			Peer: "border-0-0", Source: "isis",
 		},
@@ -50,8 +50,7 @@ func sampleRoutes() []netmodel.Route {
 			Device: "border-1-0", VRF: "vpn-a",
 			Prefix:   netip.MustParsePrefix("10.1.0.0/16"),
 			Protocol: netmodel.ProtoStatic,
-			ASPath:   netmodel.ASPath{Set: []netmodel.ASN{65010, 65011}},
-			Origin:   netmodel.OriginIncomplete,
+			Attrs:    &netmodel.Attrs{ASPath: netmodel.ASPath{Set: []netmodel.ASN{65010, 65011}}, Origin: netmodel.OriginIncomplete},
 		},
 		{}, // zero route: zero prefix, zero addr, empty everything
 	}
