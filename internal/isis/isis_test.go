@@ -1,10 +1,12 @@
 package isis
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -221,7 +223,7 @@ func checkSPF(t *testing.T, label string, topo *netmodel.Topology, r *Result) {
 			if !ok {
 				continue
 			}
-			for _, nb := range topo.Neighbors(u) {
+			for _, nb := range neighbors(topo, u) {
 				c := nb.Link.DirCost(u)
 				dv, ok := r.Cost(s, nb.Device)
 				if !ok || du+c < dv {
@@ -287,4 +289,33 @@ func TestSPFStableState(t *testing.T) {
 		}
 		checkSPF(t, fmt.Sprintf("random trial %d", trial), topo, Compute(topo, Options{}))
 	}
+}
+
+// adjacency is one up adjacency seen from a device.
+type adjacency struct {
+	Device string
+	Link   *netmodel.Link
+}
+
+// neighbors returns an up device's adjacencies over its up links to up
+// devices, sorted by neighbor name, then link.
+func neighbors(topo *netmodel.Topology, device string) []adjacency {
+	if n := topo.Node(device); n == nil || !n.Up {
+		return nil
+	}
+	var out []adjacency
+	for _, l := range topo.LinksOf(device) {
+		other := l.A
+		if l.A == device {
+			other = l.B
+		}
+		if on := topo.Node(other); !l.Up || on == nil || !on.Up {
+			continue
+		}
+		out = append(out, adjacency{Device: other, Link: l})
+	}
+	slices.SortFunc(out, func(a, b adjacency) int {
+		return cmp.Or(strings.Compare(a.Device, b.Device), strings.Compare(a.Link.ID().String(), b.Link.ID().String()))
+	})
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -93,20 +94,20 @@ func TestTopoIndexMatchesTopology(t *testing.T) {
 			}
 		}
 
-		// Per-device CSR adjacency vs Topology.Neighbors. Neighbors filters
+		// Per-device CSR adjacency vs Topology.neighbors. neighbors filters
 		// down neighbor nodes and skips dead links only in its callers, so
 		// compare against the up-edge subset of the CSR row.
 		for _, name := range names {
 			id, _ := ix.DevID(name)
-			want := topo.Neighbors(name)
-			var got []Neighbor
+			want := topo.neighbors(name)
+			var got []neighbor
 			lo, hi := ix.EdgeRange(id)
 			for pos := lo; pos < hi; pos++ {
 				nb := ix.Node(ix.EdgeDev(pos))
 				if !nb.Up {
 					continue
 				}
-				got = append(got, Neighbor{
+				got = append(got, neighbor{
 					Device: nb.Name,
 					Link:   ix.EdgeLink(pos),
 					Cost:   ix.EdgeCost(pos),
@@ -151,4 +152,41 @@ func TestTopoIndexMatchesTopology(t *testing.T) {
 		}
 		check(netip.MustParseAddr("192.0.2.254")) // unowned
 	}
+}
+
+// neighbors returns (neighbor device, link) pairs for every up link of an up
+// device, sorted by neighbor name for determinism.
+func (t *Topology) neighbors(device string) []neighbor {
+	n := t.nodes[device]
+	if n == nil || !n.Up {
+		return nil
+	}
+	var out []neighbor
+	for _, l := range t.byDevice[device] {
+		if !l.Up {
+			continue
+		}
+		other := l.A
+		if l.A == device {
+			other = l.B
+		}
+		if on := t.nodes[other]; on == nil || !on.Up {
+			continue
+		}
+		out = append(out, neighbor{Device: other, Link: l, Cost: l.DirCost(device)})
+	}
+	slices.SortFunc(out, func(a, b neighbor) int {
+		if a.Device != b.Device {
+			return strings.Compare(a.Device, b.Device)
+		}
+		return strings.Compare(a.Link.ID().String(), b.Link.ID().String())
+	})
+	return out
+}
+
+// neighbor is one adjacency seen from a device.
+type neighbor struct {
+	Device string
+	Link   *Link
+	Cost   uint32 // cost of the directed edge device → Device
 }

@@ -180,43 +180,6 @@ func (t *Topology) Bandwidths() map[LinkID]float64 {
 // LinksOf returns the links touching device.
 func (t *Topology) LinksOf(device string) []*Link { return t.byDevice[device] }
 
-// Neighbors returns (neighbor device, link) pairs for every up link of an up
-// device, sorted by neighbor name for determinism.
-func (t *Topology) Neighbors(device string) []Neighbor {
-	n := t.nodes[device]
-	if n == nil || !n.Up {
-		return nil
-	}
-	var out []Neighbor
-	for _, l := range t.byDevice[device] {
-		if !l.Up {
-			continue
-		}
-		other := l.A
-		if l.A == device {
-			other = l.B
-		}
-		if on := t.nodes[other]; on == nil || !on.Up {
-			continue
-		}
-		out = append(out, Neighbor{Device: other, Link: l, Cost: l.DirCost(device)})
-	}
-	slices.SortFunc(out, func(a, b Neighbor) int {
-		if a.Device != b.Device {
-			return strings.Compare(a.Device, b.Device)
-		}
-		return strings.Compare(a.Link.ID().String(), b.Link.ID().String())
-	})
-	return out
-}
-
-// Neighbor is one adjacency seen from a device.
-type Neighbor struct {
-	Device string
-	Link   *Link
-	Cost   uint32 // cost of the directed edge device → Device
-}
-
 // Clone returns a deep copy, so change plans can be applied to a copy of the
 // base topology without disturbing it.
 func (t *Topology) Clone() *Topology {
