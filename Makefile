@@ -75,10 +75,12 @@ test-shuffle:
 # (ec's memoized expansion index, traffic's base traces), and the fleet, whose
 # traffic subtasks build RIB tables lazily while the forwarder's goroutines
 # look them up (dsim's fleet-vs-centralized tests) and whose route subtasks
-# split into units of their own (pipeline's fleet-vs-centralized tests) — at
-# 1, 2 and 8 procs: results must not depend on how the units interleave.
+# split into units of their own (pipeline's fleet-vs-centralized tests), and
+# the accuracy campaign, whose forks of one truth base its golden pins
+# (diagnosis) — at 1, 2 and 8 procs: results must not depend on how the units
+# interleave.
 test-procs:
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/netmodel ./internal/intent ./internal/serve ./internal/ec ./internal/traffic ./internal/dsim ./internal/pipeline || exit 1; done
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/bgp ./internal/core ./internal/kfail ./internal/netmodel ./internal/intent ./internal/serve ./internal/ec ./internal/traffic ./internal/dsim ./internal/pipeline ./internal/diagnosis || exit 1; done
 
 # The allocation pins (the Alloc tests and TestRIBGrow) fifty times each at
 # GOMAXPROCS 2 and 8: a pin that counts another goroutine's allocation fails

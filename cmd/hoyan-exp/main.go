@@ -76,7 +76,7 @@ func main() {
 	run("fig5d", func() { experiments.PrintFig5d(out, fig5b) })
 
 	run("fig8", func() { experiments.PrintFig8(out, experiments.Fig8(s)) })
-	run("table4", func() { experiments.PrintTable4(out, experiments.Table4(experiments.QuickScale())) })
+	run("table4", func() { experiments.PrintTable4(out, experiments.Table4(s)) })
 	run("table5", func() { experiments.PrintTable5(out, experiments.Table5()) })
 	run("table6", func() { experiments.PrintTable6(out, experiments.Table6()) })
 	run("fig9", func() {

@@ -16,8 +16,7 @@ import (
 
 func TestAccurateModelProducesCleanReport(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
-	f := &Framework{Net: out.Net, Inputs: out.Inputs, Flows: out.Flows}
-	rep := f.Run()
+	rep := NewFramework(out.Net, out.Inputs, out.Flows).Run()
 	if !rep.Accurate {
 		t.Fatalf("faithful model must be accurate:\n%s", rep.Summary())
 	}
@@ -32,8 +31,10 @@ func TestMonitoringProjectionHidesLocalAttributes(t *testing.T) {
 	flawed["alpha"] = vsb.MutRedistWeight.Apply(flawed["alpha"])
 	flawed["beta"] = vsb.MutRedistWeight.Apply(flawed["beta"])
 
-	noShow := &Framework{Net: p.Net, Inputs: p.Inputs, Flows: p.Flows,
-		ModelOpts: core.Options{Profiles: flawed}}
+	noShow := NewFramework(p.Net, p.Inputs, p.Flows)
+	noShow.ModelOpts = core.Options{Profiles: flawed}
+	withShow := *noShow
+	withShow.HighPriorityPrefixes = []string{"192.0.2.0/24"}
 	rep := noShow.Run()
 	weightDiffSeen := false
 	for _, d := range rep.RouteDiffs {
@@ -45,9 +46,6 @@ func TestMonitoringProjectionHidesLocalAttributes(t *testing.T) {
 		t.Error("monitoring projection must zero weights")
 	}
 
-	withShow := &Framework{Net: p.Net, Inputs: p.Inputs, Flows: p.Flows,
-		ModelOpts:            core.Options{Profiles: flawed},
-		HighPriorityPrefixes: []string{"192.0.2.0/24"}}
 	rep2 := withShow.Run()
 	found := false
 	for _, d := range rep2.RouteDiffs {
@@ -81,11 +79,8 @@ func TestFig9RootCauseWorkflow(t *testing.T) {
 	p := BuildProbe()
 	flawed := vsb.Defaults()
 	flawed["alpha"] = vsb.MutSRIGPCost.Apply(flawed["alpha"])
-	f := &Framework{
-		Net: p.Net, Inputs: p.Inputs, Flows: p.Flows,
-		ModelOpts:     core.Options{Profiles: flawed},
-		LoadTolerance: 0.01,
-	}
+	f := NewFramework(p.Net, p.Inputs, p.Flows)
+	f.ModelOpts, f.LoadTolerance = core.Options{Profiles: flawed}, 0.01
 	rep := f.Run()
 	if len(rep.LoadDiffs) == 0 {
 		t.Fatalf("expected load diffs:\n%s", rep.Summary())
@@ -124,15 +119,14 @@ func TestTable4CampaignAllIssuesDetected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("issue campaign is slow")
 	}
-	out := gen.Generate(gen.WAN(1))
-	probe := BuildProbe()
+	c := NewCampaign(gen.Generate(gen.WAN(1)), BuildProbe())
 	issues := Table4Issues()
 	if len(issues) != 26 {
 		t.Fatalf("issues = %d, want 26", len(issues))
 	}
 	for _, is := range issues {
 		t.Run(string(is.Class)+"/"+is.Name, func(t *testing.T) {
-			if runIssue(is, out, probe).Accurate {
+			if c.Run(is).Accurate {
 				t.Errorf("injected issue not detected")
 			}
 		})
@@ -153,10 +147,8 @@ func TestMonitorFaultsAreVisibleAsDiffs(t *testing.T) {
 	// "extra" simulated routes — the §5.1 "uncovered a list of issues in
 	// our monitoring systems" direction.
 	out := gen.Generate(gen.WAN(1))
-	f := &Framework{
-		Net: out.Net, Inputs: out.Inputs, Flows: out.Flows,
-		RouteMon: &monitor.RouteMonitor{Faults: monitor.Faults{FailedRouteAgents: []string{"rr-0-0"}}},
-	}
+	f := NewFramework(out.Net, out.Inputs, out.Flows)
+	f.RouteMon = &monitor.RouteMonitor{Faults: monitor.Faults{FailedRouteAgents: []string{"rr-0-0"}}}
 	rep := f.Run()
 	if rep.Accurate {
 		t.Fatal("agent failure must surface")
@@ -181,11 +173,8 @@ func TestBMPRestoresECMPVisibility(t *testing.T) {
 	for name := range p.Net.Devices {
 		bmp[name] = true
 	}
-	f := &Framework{
-		Net: p.Net, Inputs: p.Inputs, Flows: p.Flows,
-		ModelOpts: core.Options{Profiles: flawed},
-		RouteMon:  &monitor.RouteMonitor{BMPDevices: bmp},
-	}
+	f := NewFramework(p.Net, p.Inputs, p.Flows)
+	f.ModelOpts, f.RouteMon = core.Options{Profiles: flawed}, &monitor.RouteMonitor{BMPDevices: bmp}
 	rep := f.Run()
 	found := false
 	for _, d := range rep.RouteDiffs {
@@ -202,18 +191,15 @@ func TestFlawedRegexRewritesTheModel(t *testing.T) {
 	// The §5.3 bug as a model edit: the rewritten entry is a substring
 	// search for the regex's literal characters, so it matches AS 1234
 	// where the configured regex only matches AS 123.
-	list := func() *policy.ASPathList {
-		return &policy.ASPathList{Name: "AP", Entries: []policy.ASPathEntry{{Permit: true, Regex: `(^|.* )123( .*|$)`}}}
-	}
 	net := config.NewNetwork()
 	net.Devices["r1"] = config.NewDevice("r1", "alpha")
-	net.Devices["r1"].ASPathLists["AP"] = list()
-	flawASPathRegexes(net)
-	if rewritten := net.Devices["r1"].ASPathLists["AP"]; !rewritten.Match("65001 1234 65002") {
+	net.Devices["r1"].ASPathLists["AP"] = &policy.ASPathList{Name: "AP", Entries: []policy.ASPathEntry{{Permit: true, Regex: `(^|.* )123( .*|$)`}}}
+	d := flawASPathRegexes(net, nil)
+	if rewritten := d.Configs["r1"].ASPathLists["AP"]; !rewritten.Match("65001 1234 65002") {
 		t.Errorf("rewritten list %q must match 65001 1234 65002", rewritten.Entries[0].Regex)
 	}
-	if list().Match("65001 1234 65002") {
-		t.Error("the configured regex must not match 65001 1234 65002")
+	if net.Devices["r1"].ASPathLists["AP"].Match("65001 1234 65002") {
+		t.Error("the configured regex must not match 65001 1234 65002, nor be rewritten")
 	}
 }
 
@@ -228,7 +214,7 @@ func TestRootCauseForwardsOverTheModelNetwork(t *testing.T) {
 			acls = is
 		}
 	}
-	rep := runIssue(acls, &gen.Output{}, probe)
+	rep := (&Campaign{Probe: NewFramework(probe.Net, probe.Inputs, probe.Flows)}).Run(acls)
 	link := probe.Net.Topo.FindLink("M5", "E5").ID()
 	a, err := rep.AnalyzeLink(link)
 	if err != nil {

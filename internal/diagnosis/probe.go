@@ -34,6 +34,9 @@ func BuildProbe() *Probe {
 		}
 		return l.BAddr
 	}
+	static := func(d *config.Device, prefix string, nh netip.Addr) {
+		d.Statics = append(d.Statics, config.StaticRoute{VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix(prefix), NextHop: nh, Preference: 1})
+	}
 
 	// Hub H (alpha, AS 65000) with assorted eBGP peers P1..P7.
 	h := device("H", 65000, "8.0.0.1")
@@ -59,57 +62,48 @@ func BuildProbe() *Probe {
 		d.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.PrefixFrom(ext, 24)}
 	}
 
+	routeMap := func(name string, nodes ...*policy.Node) {
+		h.RouteMaps[name] = &policy.RouteMap{Name: name, Nodes: nodes}
+	}
+
 	// --- policy VSBs on H's imports ---
 	// P1: NO import policy (missing-policy VSB is exercised on H's side
 	//     because we leave H's neighbor to P1 without a policy).
 	// P2: undefined policy name.
 	toPeer["P2"].ImportPolicy = "RM_DOES_NOT_EXIST"
 	// P3: policy whose only node never matches (default-policy VSB).
-	h.RouteMaps["RM_NOMATCH"] = &policy.RouteMap{Name: "RM_NOMATCH", Nodes: []*policy.Node{
-		{Seq: 10, Action: policy.ActionPermit, Matches: []policy.Match{{Kind: policy.MatchPrefixList, ListName: "PL_UNUSED"}}},
-	}}
+	routeMap("RM_NOMATCH", &policy.Node{Seq: 10, Action: policy.ActionPermit, Matches: []policy.Match{{Kind: policy.MatchPrefixList, ListName: "PL_UNUSED"}}})
 	h.PrefixLists["PL_UNUSED"] = &policy.PrefixList{Name: "PL_UNUSED", Family: policy.FamilyIPv4, Entries: []policy.PrefixEntry{
 		{Permit: true, Prefix: netip.MustParsePrefix("192.0.2.0/24")},
 	}}
 	toPeer["P3"].ImportPolicy = "RM_NOMATCH"
 	// P4: policy node referencing an undefined filter (undefined-filter VSB).
-	h.RouteMaps["RM_UNDEF_FILTER"] = &policy.RouteMap{Name: "RM_UNDEF_FILTER", Nodes: []*policy.Node{
-		{Seq: 10, Action: policy.ActionPermit,
-			Matches: []policy.Match{{Kind: policy.MatchPrefixList, ListName: "PL_NEVER_DEFINED"}},
-			Sets:    []policy.Set{{Kind: policy.SetLocalPref, Value: 222}}},
-		{Seq: 20, Action: policy.ActionPermit},
-	}}
+	routeMap("RM_UNDEF_FILTER", &policy.Node{Seq: 10, Action: policy.ActionPermit,
+		Matches: []policy.Match{{Kind: policy.MatchPrefixList, ListName: "PL_NEVER_DEFINED"}},
+		Sets:    []policy.Set{{Kind: policy.SetLocalPref, Value: 222}}},
+		&policy.Node{Seq: 20, Action: policy.ActionPermit})
 	toPeer["P4"].ImportPolicy = "RM_UNDEF_FILTER"
 	// P5: matching node without an explicit action (no-action VSB).
-	h.RouteMaps["RM_NOACTION"] = &policy.RouteMap{Name: "RM_NOACTION", Nodes: []*policy.Node{
-		{Seq: 10, Action: policy.ActionUnset, Sets: []policy.Set{{Kind: policy.SetLocalPref, Value: 333}}},
-	}}
+	routeMap("RM_NOACTION", &policy.Node{Seq: 10, Action: policy.ActionUnset, Sets: []policy.Set{{Kind: policy.SetLocalPref, Value: 333}}})
 	toPeer["P5"].ImportPolicy = "RM_NOACTION"
 	// P6: IPv6 route filtered through an IPv4 prefix list (Figure 10(b) VSB).
-	h.RouteMaps["RM_V6"] = &policy.RouteMap{Name: "RM_V6", Nodes: []*policy.Node{
-		{Seq: 10, Action: policy.ActionDeny, Matches: []policy.Match{{Kind: policy.MatchPrefixList, ListName: "PL_V4ONLY"}}},
-		{Seq: 20, Action: policy.ActionPermit},
-	}}
+	routeMap("RM_V6", &policy.Node{Seq: 10, Action: policy.ActionDeny, Matches: []policy.Match{{Kind: policy.MatchPrefixList, ListName: "PL_V4ONLY"}}},
+		&policy.Node{Seq: 20, Action: policy.ActionPermit})
 	h.PrefixLists["PL_V4ONLY"] = &policy.PrefixList{Name: "PL_V4ONLY", Family: policy.FamilyIPv4, Entries: []policy.PrefixEntry{
 		{Permit: true, Prefix: netip.MustParsePrefix("203.0.113.0/24")},
 	}}
 	toPeer["P6"].ImportPolicy = "RM_V6"
 	// P7: export policy overwriting the AS path (own-ASN VSB) — observable
 	// on P7's RIB.
-	h.RouteMaps["RM_OVERWRITE"] = &policy.RouteMap{Name: "RM_OVERWRITE", Nodes: []*policy.Node{
-		{Seq: 10, Action: policy.ActionPermit, Sets: []policy.Set{
-			{Kind: policy.ReplaceASPath, ASPath: netmodel.ASPath{Seq: []netmodel.ASN{64999}}},
-		}},
-	}}
+	routeMap("RM_OVERWRITE", &policy.Node{Seq: 10, Action: policy.ActionPermit, Sets: []policy.Set{
+		{Kind: policy.ReplaceASPath, ASPath: netmodel.ASPath{Seq: []netmodel.ASN{64999}}},
+	}})
 	toPeer["P7"].ExportPolicy = "RM_OVERWRITE"
 
 	// --- redistribution VSBs ---
 	// Statics + direct redistribution on H: weight-after-redistribution,
 	// /32 direct route production and peer advertisement.
-	h.Statics = append(h.Statics, config.StaticRoute{
-		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("192.0.2.0/24"),
-		NextHop: end(hP1, "P1"), Preference: 1,
-	})
+	static(h, "192.0.2.0/24", end(hP1, "P1"))
 	h.Redistributes = append(h.Redistributes,
 		config.Redistribution{From: netmodel.ProtoStatic},
 		config.Redistribution{From: netmodel.ProtoDirect},
@@ -128,9 +122,7 @@ func BuildProbe() *Probe {
 	// vg imports the global table; its export policy participates in the
 	// VRF-export-policy-on-global-leak VSB.
 	h.VRFs["vg"] = &config.VRF{Name: "vg", ImportRTs: []string{"global"}, ExportPolicy: "RM_VRFEXP"}
-	h.RouteMaps["RM_VRFEXP"] = &policy.RouteMap{Name: "RM_VRFEXP", Nodes: []*policy.Node{
-		{Seq: 10, Action: policy.ActionPermit, Sets: []policy.Set{{Kind: policy.SetLocalPref, Value: 555}}},
-	}}
+	routeMap("RM_VRFEXP", &policy.Node{Seq: 10, Action: policy.ActionPermit, Sets: []policy.Set{{Kind: policy.SetLocalPref, Value: 555}}})
 
 	// --- SR IGP-cost VSB (the Figure 9 shape) ---
 	// H2 learns a prefix via B2 (cost 10) and C2 (cost 30); an SR policy
@@ -155,9 +147,7 @@ func BuildProbe() *Probe {
 	i1.VRFs["v1"] = &config.VRF{Name: "v1"}
 	li := link("H", "I1", 10)
 	toI1, _ := b.IBGP("H", "I1")
-	h.RouteMaps["RM_GLOBAL_IN"] = &policy.RouteMap{Name: "RM_GLOBAL_IN", Nodes: []*policy.Node{
-		{Seq: 10, Action: policy.ActionPermit, Sets: []policy.Set{{Kind: policy.SetLocalPref, Value: 444}}},
-	}}
+	routeMap("RM_GLOBAL_IN", &policy.Node{Seq: 10, Action: policy.ActionPermit, Sets: []policy.Set{{Kind: policy.SetLocalPref, Value: 444}}})
 	toI1.ImportPolicy = "RM_GLOBAL_IN"
 	// VRF session between H and I1 over the link addresses.
 	h.Neighbors = append(h.Neighbors, &config.Neighbor{Addr: end(li, "I1"), RemoteAS: 65000, VRF: "v1"})
@@ -204,12 +194,8 @@ func BuildProbe() *Probe {
 	l5 := link("H5", "M5", 10)
 	l5e := link("M5", "E5", 10)
 	e5.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("10.55.0.1/24")}
-	h5.Statics = append(h5.Statics, config.StaticRoute{
-		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.55.0.0/24"), NextHop: end(l5, "M5"), Preference: 1,
-	})
-	m5.Statics = append(m5.Statics, config.StaticRoute{
-		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.55.0.0/24"), NextHop: end(l5e, "E5"), Preference: 1,
-	})
+	static(h5, "10.55.0.0/24", end(l5, "M5"))
+	static(m5, "10.55.0.0/24", end(l5e, "E5"))
 	m5.ACLs["NO443"] = &policy.ACL{Name: "NO443", Entries: []policy.ACLEntry{
 		{Permit: false, Proto: netmodel.ProtoTCP, DstPortLo: 443, DstPortHi: 443},
 		{Permit: true},
@@ -224,9 +210,7 @@ func BuildProbe() *Probe {
 	lb := link("H6", "M6B", 10)
 	m6a.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("10.56.0.1/24")}
 	m6b.Interfaces["ext"] = &config.Interface{Name: "ext", Addr: netip.MustParsePrefix("10.56.0.2/24")}
-	h6.Statics = append(h6.Statics, config.StaticRoute{
-		VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.56.0.0/24"), NextHop: end(la, "M6A"), Preference: 1,
-	})
+	static(h6, "10.56.0.0/24", end(la, "M6A"))
 	h6.PBRPolicies["VIA_B"] = []config.PBRRule{{
 		Name:    "VIA_B",
 		Match:   policy.ACLEntry{Permit: true, Dst: netip.MustParsePrefix("10.56.0.0/24")},
@@ -278,17 +262,13 @@ func BuildProbe() *Probe {
 	// P6's IPv6 next hop must resolve: give P6 a v6 external subnet.
 	b.Net.Devices["P6"].Interfaces["ext6"] = &config.Interface{Name: "ext6", Addr: netip.MustParsePrefix("2001:db8::2/64")}
 
-	flows := []netmodel.Flow{
-		{Ingress: "H", Src: netip.MustParseAddr("192.0.2.9"), Dst: netip.MustParseAddr("10.1.0.5"),
-			SrcPort: 1000, DstPort: 443, Proto: netmodel.ProtoTCP, Volume: 50e6},
-		{Ingress: "H2", Src: netip.MustParseAddr("192.0.2.9"), Dst: netip.MustParseAddr("10.77.0.5"),
-			SrcPort: 1001, DstPort: 443, Proto: netmodel.ProtoTCP, Volume: 70e6},
-		{Ingress: "H3", Src: netip.MustParseAddr("192.0.2.9"), Dst: netip.MustParseAddr("10.78.0.5"),
-			SrcPort: 1002, DstPort: 443, Proto: netmodel.ProtoTCP, Volume: 60e6},
-		{Ingress: "H5", Src: netip.MustParseAddr("192.0.2.9"), Dst: netip.MustParseAddr("10.55.0.5"),
-			SrcPort: 1003, DstPort: 443, Proto: netmodel.ProtoTCP, Volume: 40e6},
-		{Ingress: "H6", Src: netip.MustParseAddr("192.0.2.9"), Dst: netip.MustParseAddr("10.56.0.5"),
-			SrcPort: 1004, DstPort: 443, Proto: netmodel.ProtoTCP, Volume: 45e6},
+	var flows []netmodel.Flow
+	for i, f := range []struct {
+		ingress, dst string
+		volume       float64
+	}{{"H", "10.1.0.5", 50e6}, {"H2", "10.77.0.5", 70e6}, {"H3", "10.78.0.5", 60e6}, {"H5", "10.55.0.5", 40e6}, {"H6", "10.56.0.5", 45e6}} {
+		flows = append(flows, netmodel.Flow{Ingress: f.ingress, Src: netip.MustParseAddr("192.0.2.9"), Dst: netip.MustParseAddr(f.dst),
+			SrcPort: 1000 + uint16(i), DstPort: 443, Proto: netmodel.ProtoTCP, Volume: f.volume})
 	}
 	return &Probe{Net: b.Network(), Inputs: inputs, Flows: flows}
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"cmp"
-	"hoyan/internal/core"
+	"hoyan/internal/isis"
 	"hoyan/internal/netmodel"
 	"hoyan/internal/traffic"
 	"slices"
@@ -40,23 +40,19 @@ type RootCauseAnalysis struct {
 //	(4) compare per-device forwarding to find the divergence;
 //	(5) emit the diverging device's matching RIB rows for expert analysis.
 func (r *Report) AnalyzeLink(link netmodel.LinkID) (*RootCauseAnalysis, error) {
-	// (2) Largest-volume truth flow traversing the link.
-	var flows []netmodel.Flow
-	if r.truth.Traffic == nil {
+	// (2) Largest-volume truth flow traversing the link; the model may
+	// route flows over the link that the truth does not.
+	if r.truth.res.Traffic == nil {
 		return nil, fmt.Errorf("diagnosis: no traffic simulation available")
 	}
-	for _, fp := range r.truth.Traffic.Traffic.Paths {
-		if fp.Path.Traverses(link) {
-			flows = append(flows, fp.Flow)
+	var flows []netmodel.Flow
+	for _, w := range []*world{r.truth, r.model} {
+		if len(flows) > 0 || w.res.Traffic == nil {
+			break
 		}
-	}
-	if len(flows) == 0 {
-		// The model may route flows over the link that the truth does not.
-		if r.model.Traffic != nil {
-			for _, fp := range r.model.Traffic.Traffic.Paths {
-				if fp.Path.Traverses(link) {
-					flows = append(flows, fp.Flow)
-				}
+		for _, fp := range w.res.Traffic.Traffic.Paths {
+			if fp.Path.Traverses(link) {
+				flows = append(flows, fp.Flow)
 			}
 		}
 	}
@@ -76,8 +72,8 @@ func (r *Report) AnalyzeLink(link netmodel.LinkID) (*RootCauseAnalysis, error) {
 // AnalyzeFlow runs steps (3)-(5) for a specific flow.
 func (r *Report) AnalyzeFlow(link netmodel.LinkID, flow netmodel.Flow) (*RootCauseAnalysis, error) {
 	out := &RootCauseAnalysis{Link: link, Flow: flow}
-	out.TruthPath = forwarder(r.truthEng, r.truth).Path(flow)
-	out.ModelPath = forwarder(r.modelEng, r.model).Path(flow)
+	out.TruthPath = r.truth.forwarder().Path(flow)
+	out.ModelPath = r.model.forwarder().Path(flow)
 
 	// (4) First diverging device along the two paths.
 	tp, mp := out.TruthPath.Hops, out.ModelPath.Hops
@@ -109,19 +105,29 @@ func (r *Report) AnalyzeFlow(link netmodel.LinkID, flow netmodel.Flow) (*RootCau
 
 	// (5) Matching RIB rows at the diverging device in both worlds.
 	if out.DivergedAt != "" {
-		if _, best, ok := r.model.Routes.RIB(out.DivergedAt, netmodel.DefaultVRF).LongestMatch(flow.Dst); ok {
+		if _, best, ok := r.model.res.Routes.RIB(out.DivergedAt, netmodel.DefaultVRF).LongestMatch(flow.Dst); ok {
 			out.ModelRows = best
 		}
-		if _, best, ok := r.truth.Routes.RIB(out.DivergedAt, netmodel.DefaultVRF).LongestMatch(flow.Dst); ok {
+		if _, best, ok := r.truth.res.Routes.RIB(out.DivergedAt, netmodel.DefaultVRF).LongestMatch(flow.Dst); ok {
 			out.TruthRows = best
 		}
 	}
 	return out, nil
 }
 
-// forwarder forwards over one world's own network, IGP and RIBs.
-func forwarder(eng *core.Engine, res *core.Result) *traffic.Forwarder {
-	return traffic.NewForwarder(eng.Network(), eng.IGP(), res.Routes, traffic.Options{Profiles: eng.Profiles()})
+// forwarder forwards over the world's own network, IGP and RIBs. A fork's
+// network and IGP are built here, on demand: the truth's network cloned, with
+// the model edit applied.
+func (w *world) forwarder() *traffic.Forwarder {
+	net, igp := w.eng.Network(), w.eng.IGP()
+	if w.edit != nil {
+		net = net.Clone()
+		if _, err := w.edit.Apply(net); err != nil {
+			panic(err) // the fork applied this very delta to the same network
+		}
+		igp = isis.Compute(net.Topo, isis.Options{})
+	}
+	return traffic.NewForwarder(net, igp, w.res.Routes, traffic.Options{Profiles: w.eng.Profiles()})
 }
 
 // Summary renders the analysis in the Figure 9 case-study style.

@@ -7,7 +7,6 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/diagnosis"
 	"hoyan/internal/gen"
-	"hoyan/internal/monitor"
 	"hoyan/internal/pipeline"
 	"hoyan/internal/scenario"
 	"hoyan/internal/vsb"
@@ -77,8 +76,7 @@ type Table4Row struct {
 
 // Table4 runs the issue-injection campaign and tallies detection per class.
 func Table4(s Scale) []Table4Row {
-	g := genWAN(s)
-	probe := diagnosis.BuildProbe()
+	c := diagnosis.NewCampaign(genWAN(s), diagnosis.BuildProbe())
 	issues := diagnosis.Table4Issues()
 	type agg struct{ injected, detected int }
 	byClass := map[diagnosis.IssueClass]*agg{}
@@ -89,19 +87,7 @@ func Table4(s Scale) []Table4Row {
 			byClass[is.Class] = a
 		}
 		a.injected++
-		f := &diagnosis.Framework{
-			Net: g.Net, Inputs: g.Inputs, Flows: g.Flows,
-			HighPriorityPrefixes: []string{"10.0.0.0/24", "20.0.0.0/24"},
-			LoadTolerance:        0.002,
-			RouteMon:             &monitor.RouteMonitor{},
-			TrafficMon:           &monitor.TrafficMonitor{},
-		}
-		if is.UseProbe {
-			f.Net, f.Inputs, f.Flows = probe.Net, probe.Inputs, probe.Flows
-			f.HighPriorityPrefixes = nil
-		}
-		is.Apply(f)
-		if !f.Run().Accurate {
+		if !c.Run(is).Accurate {
 			a.detected++
 		}
 	}
@@ -231,11 +217,8 @@ func Fig9() (string, error) {
 	p := diagnosis.BuildProbe()
 	flawed := vsb.Defaults()
 	flawed["alpha"] = vsb.MutSRIGPCost.Apply(flawed["alpha"])
-	f := &diagnosis.Framework{
-		Net: p.Net, Inputs: p.Inputs, Flows: p.Flows,
-		ModelOpts:     core.Options{Profiles: flawed},
-		LoadTolerance: 0.01,
-	}
+	f := diagnosis.NewFramework(p.Net, p.Inputs, p.Flows)
+	f.ModelOpts, f.LoadTolerance = core.Options{Profiles: flawed}, 0.01
 	rep := f.Run()
 	if len(rep.LoadDiffs) == 0 {
 		return "", fmt.Errorf("fig9: no load diffs found")

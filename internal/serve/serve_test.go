@@ -772,6 +772,23 @@ func TestServeQueryPanicFails(t *testing.T) {
 	if se, ok := h.reg.Gather().Find("serve_query_panics_total"); !ok || se.Value != 1 {
 		t.Fatalf("serve_query_panics_total: %+v, want 1", se)
 	}
+	// The replayed events keep the stack, down to the frame that panicked:
+	// the what-if on a network without an engine.
+	h.srv.mu.Lock()
+	qu := h.srv.queries[st.ID]
+	h.srv.mu.Unlock()
+	events, _, _ := qu.Subscribe()
+	var failed map[string]string
+	for _, ev := range events {
+		if ev.Type == "query.failed" {
+			if err := json.Unmarshal(ev.Data, &failed); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !strings.Contains(failed["stack"], "core.(*Engine).WhatIf") || failed["error"] != st.Error {
+		t.Fatalf("query.failed event %v, want the panic's error and a stack naming core.(*Engine).WhatIf", failed)
+	}
 	resp, body = h.do("alice", "POST", "/v1/queries?wait=1", QueryRequest{Kind: "whatif", NetworkID: "wan1", FailDevices: []string{"core-0-0"}})
 	if err := json.Unmarshal(body, &st); err != nil || resp.StatusCode != http.StatusOK || st.State != StateDone {
 		t.Fatalf("query after a panic: status %d: %s", resp.StatusCode, body)

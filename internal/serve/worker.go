@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -51,11 +52,13 @@ func (s *Server) execute(qu *Query) {
 
 	start := time.Now()
 	res, err := func() (res *QueryResult, err error) {
-		// A panic fails this query alone, never the daemon.
+		// A panic fails this query alone, never the daemon; its stack goes
+		// on the query's event stream.
 		defer func() {
 			if v := recover(); v != nil {
 				s.reg.Counter("serve_query_panics_total", "queries that panicked").Inc()
 				err = fmt.Errorf("query panicked: %v", v)
+				qu.emit("query.failed", map[string]string{"error": err.Error(), "stack": string(debug.Stack())})
 			}
 		}()
 		return s.run(ctx, qu)
