@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build cli-smoke fmt-check test test-shuffle test-procs test-allocs vet lint-toggles lint-topo race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check loc
+.PHONY: all build cli-smoke fmt-check test test-shuffle test-procs test-allocs vet lint-toggles lint-topo lint-reach race bench-smoke fuzz-smoke benchmark chaos chaos-restart trace check loc
 
 all: check
 
@@ -14,7 +14,11 @@ vet:
 # The hoyan CLI end to end: both Figure 10 case studies, centralized and on a
 # two-worker in-process cluster. Each plan is rejected by design, so every run
 # must exit 1 and print the REJECTED verdict line, and the two deployments
-# must print the same bytes.
+# must print the same bytes. Then hoyan -configs over WAN(1)'s rendered
+# configurations, as generated and with one neighbor bound to an undefined
+# route map (TestConfigsWarnOnFindings): both exit 0 with the same stdout,
+# and only the second prints config.Validate's finding, as one warning line
+# on stderr.
 cli-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/hoyan" ./cmd/hoyan || exit 1; \
@@ -28,6 +32,7 @@ cli-smoke:
 		cmp "$$dir/$$s-0.out" "$$dir/$$s-2.out" || exit 1; \
 		echo "cli-smoke $$s: REJECTED, centralized and -workers 2 alike"; \
 	done
+	$(GO) test -count=1 -run '^TestConfigsWarnOnFindings$$' ./cmd/hoyan
 
 # Formatting: fails, listing them, when gofmt would rewrite any Go file.
 fmt-check:
@@ -50,6 +55,13 @@ lint-toggles:
 lint-topo:
 	@bad=$$(grep -rnE '\.(AddLink|AddNode|RemoveLink|RemoveNode)\(' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -vE '^internal/(config|netmodel)/'); \
 	if [ -n "$$bad" ]; then echo "topology built outside internal/{config,netmodel}; edit the configurations and derive instead:"; echo "$$bad"; exit 1; fi
+
+# Every function declared in a non-test file under internal/ is linked by some
+# main (cmd/*, benchmark, examples/*, built with inlining off), or is named
+# with its reason in tools/lintreach/allowlist.txt: code that only tests reach
+# is deleted or moved into the tests. A stale allowlist entry fails too.
+lint-reach:
+	$(GO) run ./tools/lintreach
 
 test:
 	$(GO) test ./...
@@ -138,7 +150,8 @@ chaos-restart:
 trace:
 	$(GO) run ./cmd/hoyan-exp -scale 1 -trace trace.json report
 
-# Everything CI runs except the trace demo: formatting, the CLI smoke, then tier-1 twice
-# shuffled and at 1, 2 and 8 procs, the allocation pins fifty times at 2 and 8
-# procs, then race, smokes, chaos and the benchmark.
-check: fmt-check vet lint-toggles lint-topo build cli-smoke test-shuffle test-procs test-allocs race bench-smoke fuzz-smoke chaos chaos-restart benchmark
+# Everything CI runs except the trace demo: formatting, vet, the lints, the
+# CLI smoke, then tier-1 twice shuffled and at 1, 2 and 8 procs, the
+# allocation pins fifty times at 2 and 8 procs, then race, smokes, chaos and
+# the benchmark.
+check: fmt-check vet lint-toggles lint-topo lint-reach build cli-smoke test-shuffle test-procs test-allocs race bench-smoke fuzz-smoke chaos chaos-restart benchmark

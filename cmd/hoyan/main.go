@@ -118,6 +118,9 @@ func runConfigs(dir, planFile, rclSpec string, workers int) {
 		fatal(err)
 	}
 	fmt.Printf("base model: %d devices, %d links parsed\n", len(net.Devices), len(net.Topo.Links()))
+	for _, f := range net.Validate() {
+		fmt.Fprintln(os.Stderr, "warning:", f.String())
+	}
 
 	plan := &change.Plan{ID: "cli", Type: change.RouteAttrModify, Commands: map[string]string{}}
 	if planFile != "" {

@@ -808,7 +808,7 @@ func TestStaticBeatsBGPOnPreference(t *testing.T) {
 func TestSimulateRejectsForeignIGP(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	igp := isis.Compute(out.Net.Clone().Topo, isis.Options{})
-	names := out.Net.Topo.NodeNames()
+	names := out.Net.DeviceNames()
 	out.Net.Topo.AddLink(netmodel.Link{A: names[0], B: names[1], AIface: "extra", BIface: "extra", CostAB: 10, CostBA: 10})
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "another topology") {

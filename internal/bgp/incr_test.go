@@ -121,7 +121,7 @@ func TestOwnerIndexDirtiesWhatTheScanDid(t *testing.T) {
 	igp := isis.Compute(out.Net.Topo, isis.Options{})
 	_, st := SimulateWithState(out.Net, igp, out.Inputs, Options{})
 	rnd := rand.New(rand.NewSource(16))
-	links, names := out.Net.Topo.Links(), out.Net.Topo.NodeNames()
+	links, names := out.Net.Topo.Links(), out.Net.DeviceNames()
 	distMarked := 0
 	for trial := 0; trial < 50; trial++ {
 		var down []netmodel.LinkID
@@ -334,7 +334,7 @@ func TestOverlayWorkPinned(t *testing.T) {
 	downNet, downIGP, _ := topoDelta(out.Net, igp, nil, []string{changed})
 	_, downSt := SimulateWithState(downNet, downIGP, out.Inputs, Options{Parallelism: 1})
 	up := Delta{DistChanged: make(map[string]map[string]bool)}
-	for _, src := range out.Net.Topo.NodeNames() {
+	for _, src := range out.Net.DeviceNames() {
 		if dc, _ := isis.Diff(downIGP, igp, src); len(dc) > 0 {
 			up.DistChanged[src] = dc
 		}
@@ -408,7 +408,7 @@ func snapshotState(st *State) map[tableKey]map[*table]recordSnap {
 func TestConcurrentRestartsLeaveStateIntact(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	igp := isis.Compute(out.Net.Topo, isis.Options{})
-	links, names := out.Net.Topo.Links(), out.Net.Topo.NodeNames()
+	links, names := out.Net.Topo.Links(), out.Net.DeviceNames()
 	for _, p := range []int{1, 2} {
 		_, st := SimulateWithState(out.Net, igp, out.Inputs, Options{Parallelism: p})
 		if (st.units != nil) != (p > 1) {
@@ -544,11 +544,11 @@ func TestChangedPrefixesExact(t *testing.T) {
 	for _, scale := range []int{2, 3} {
 		out := gen.Generate(gen.WAN(scale))
 		igp := isis.Compute(out.Net.Topo, isis.Options{})
-		links, names := out.Net.Topo.Links(), out.Net.Topo.NodeNames()
+		links, names := out.Net.Topo.Links(), out.Net.DeviceNames()
 		node := names[len(names)/2]
 		downNet, downIGP, _ := topoDelta(out.Net, igp, nil, []string{node})
 		up := Delta{DistChanged: make(map[string]map[string]bool)}
-		for _, src := range out.Net.Topo.NodeNames() {
+		for _, src := range out.Net.DeviceNames() {
 			if dc, _ := isis.Diff(downIGP, igp, src); len(dc) > 0 {
 				up.DistChanged[src] = dc
 			}

@@ -162,7 +162,7 @@ func TestParallelFixpointEquivalenceWAN(t *testing.T) {
 // correct, so the test isolates the captured state rather than delta
 // computation.
 func allDistChanged(net *config.Network) map[string]map[string]bool {
-	names := net.Topo.NodeNames()
+	names := net.DeviceNames()
 	out := make(map[string]map[string]bool, len(names))
 	for _, d := range names {
 		m := make(map[string]bool, len(names))

@@ -471,14 +471,14 @@ func TestBuildNetwork(t *testing.T) {
 		"R1": alphaConfig,
 		"R2": betaConfig,
 	}
-	net, err := BuildNetwork(configs, nil)
+	net, err := BuildNetworkOpts(configs, nil, BuildOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(net.Devices) != 2 || net.Devices["R1"].Vendor != "alpha" || net.Devices["R2"].Vendor != "beta" {
 		t.Errorf("devices: %v", net.DeviceNames())
 	}
-	if _, err := BuildNetwork(map[string]string{"X": "garbage line\n"}, nil); err == nil {
+	if _, err := BuildNetworkOpts(map[string]string{"X": "garbage line\n"}, nil, BuildOptions{Parallelism: 1}); err == nil {
 		t.Error("want error for bad config")
 	}
 }

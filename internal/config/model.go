@@ -3,7 +3,7 @@
 // parsers and serializers for the two synthetic vendor dialects (alpha and
 // beta) and incremental application of change-plan commands.
 //
-// The paper's network-model-building service corresponds to BuildNetwork:
+// The paper's network-model-building service corresponds to BuildNetworkOpts:
 // parse every device's configuration text once and derive the topology from
 // the interfaces (Network.Topology), so the configurations are the whole
 // model; the monitored state only marks nodes and links down (§2.2).

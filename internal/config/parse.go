@@ -53,23 +53,17 @@ type BuildOptions struct {
 	Parallelism int
 }
 
-// BuildNetwork is the network-model-building service (§2.2): it parses all
-// device configuration texts and derives the topology from them
+// BuildNetworkOpts is the network-model-building service (§2.2): it parses
+// all device configuration texts and derives the topology from them
 // (Network.Topology) into the base network model. Two or more devices that
-// derive no link are no network to verify: ErrNoLinks. Parsing runs
-// sequentially; use BuildNetworkOpts to parse devices concurrently.
+// derive no link are no network to verify: ErrNoLinks. Each device text
+// parses independently on the worker pool into its own slot (devices are
+// sorted by name first, so the reported error is the lexically-first failing
+// device at any parallelism); the Network is then assembled single-threaded.
 //
 // topoOf, when set, runs last and may mark the monitored state on net.Topo
 // (nodes and links down). Only the benchmark passes it: it installs a clone
 // of the generator's topology, which equals the derived one.
-func BuildNetwork(configs map[string]string, topoOf func(net *Network) error) (*Network, error) {
-	return BuildNetworkOpts(configs, topoOf, BuildOptions{Parallelism: 1})
-}
-
-// BuildNetworkOpts is BuildNetwork with tuning: each device text parses
-// independently on the worker pool into its own slot (devices are sorted by
-// name first, so the reported error is the lexically-first failing device at
-// any parallelism); the Network is then assembled single-threaded.
 func BuildNetworkOpts(configs map[string]string, topoOf func(net *Network) error, opts BuildOptions) (*Network, error) {
 	names := make([]string, 0, len(configs))
 	for name := range configs {

@@ -12,7 +12,7 @@ import (
 	"hoyan/internal/netmodel"
 )
 
-// ErrNoLinks is what BuildNetwork returns for two or more devices whose
+// ErrNoLinks is what BuildNetworkOpts returns for two or more devices whose
 // configurations derive no link: simulating them would treat every device
 // as isolated and verify nothing.
 var ErrNoLinks = errors.New("config: the configurations derive no link (no two devices share an IS-IS subnet)")
@@ -137,8 +137,9 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s %q", f.Device, f.Where, f.Kind, f.Name)
 }
 
-// Validate performs structural sanity checks used by tests and the auditing
-// workflow. Every BGP neighbor's referenced policies and every interface ACL
+// Validate performs structural sanity checks; hoyan -configs prints its
+// findings as warnings and hoyand's JSON upload returns them. Every BGP
+// neighbor's referenced policies and every interface ACL
 // must exist (dangling references are legal configs — they trigger VSBs — so
 // Validate reports rather than fails them), and every IS-IS interface's
 // subnet must pair it with exactly one interface of another device (else it

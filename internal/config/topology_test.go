@@ -86,7 +86,7 @@ func TestTopologyFromConfigs(t *testing.T) {
 		for name, d := range f.net.Devices {
 			texts[name] = config.Serialize(d)
 		}
-		parsed, err := config.BuildNetwork(texts, nil)
+		parsed, err := config.BuildNetworkOpts(texts, nil, config.BuildOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
@@ -193,8 +193,8 @@ func TestValidateSubnets(t *testing.T) {
 		for name, d := range net.Devices {
 			texts[name] = config.Serialize(d)
 		}
-		if _, err := config.BuildNetwork(texts, nil); (err != nil) != (tc.links == 0) || (err != nil && !errors.Is(err, config.ErrNoLinks)) {
-			t.Errorf("%s: BuildNetwork: %v with %d links, want ErrNoLinks exactly when there is none", tc.name, err, tc.links)
+		if _, err := config.BuildNetworkOpts(texts, nil, config.BuildOptions{Parallelism: 1}); (err != nil) != (tc.links == 0) || (err != nil && !errors.Is(err, config.ErrNoLinks)) {
+			t.Errorf("%s: BuildNetworkOpts: %v with %d links, want ErrNoLinks exactly when there is none", tc.name, err, tc.links)
 		}
 	}
 }

@@ -72,18 +72,6 @@ func TestForkCtxLiveIdentity(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancelled covers the Run wrapper; the route stage is the first to
-// observe the dead context.
-func TestRunCtxCancelled(t *testing.T) {
-	out := gen.Generate(gen.WAN(1))
-	eng := NewEngine(out.Net, Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if res, err := eng.RunCtx(ctx, out.Inputs, out.Flows); !errors.Is(err, context.Canceled) || res != nil {
-		t.Fatalf("RunCtx on cancelled ctx: res=%v err=%v", res, err)
-	}
-}
-
 // TestBaseRunCtxCancelledLeavesNoBase: a cancelled BaseRun must not capture a
 // partial base, or later forks would warm-start from garbage.
 func TestBaseRunCtxCancelledLeavesNoBase(t *testing.T) {

@@ -222,13 +222,6 @@ func (e *Engine) Run(inputs []netmodel.Route, flows []netmodel.Flow) *Result {
 	return res
 }
 
-// RunCtx is Run with cancellation: it returns ctx's error (with a nil
-// result) as soon as a stage observes the cancelled context, without
-// finishing the remaining stages.
-func (e *Engine) RunCtx(ctx context.Context, inputs []netmodel.Route, flows []netmodel.Flow) (*Result, error) {
-	return e.run(ctx, inputs, flows, nil)
-}
-
 // run is the one pipeline behind Run and BaseRun: route stage, global RIB,
 // traffic stage. bc, when non-nil, is filled by the stages with what forks
 // warm-start from; the result is the same either way.

@@ -108,7 +108,7 @@ func TestEndToEndTrafficSimulation(t *testing.T) {
 	if res.Traffic == nil {
 		t.Fatal("no traffic result")
 	}
-	if res.Traffic.ECStats == nil || res.Traffic.ECStats.Reduction() < 1.0 {
+	if res.Traffic.ECStats == nil || len(res.Traffic.ECStats.Classes) > res.Traffic.ECStats.Inputs {
 		t.Errorf("flow EC stats: %+v", res.Traffic.ECStats)
 	}
 	// Some volume must land on some link.

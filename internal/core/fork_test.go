@@ -205,7 +205,7 @@ func TestForkNodeFailureIdentity(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	eng := NewEngine(out.Net, Options{})
 	eng.BaseRun(out.Inputs, out.Flows)
-	names := out.Net.Topo.NodeNames()
+	names := out.Net.DeviceNames()
 	step := len(names)/8 + 1
 	for i := 0; i < len(names); i += step {
 		checkFork(t, eng, out.Net, out.Inputs, out.Flows,
@@ -218,7 +218,7 @@ func TestForkMultiElementIdentity(t *testing.T) {
 	eng := NewEngine(out.Net, Options{})
 	eng.BaseRun(out.Inputs, out.Flows)
 	links := out.Net.Topo.Links()
-	names := out.Net.Topo.NodeNames()
+	names := out.Net.DeviceNames()
 	d := Delta{
 		LinksDown: []netmodel.LinkID{links[0].ID(), links[len(links)/2].ID()},
 		NodesDown: []string{names[len(names)/3]},
@@ -272,7 +272,7 @@ func TestForkInputDeltaIdentity(t *testing.T) {
 func TestForkNodeUpIdentity(t *testing.T) {
 	for _, scale := range []struct{ k, step int }{{1, 1}, {2, 3}} {
 		out := gen.Generate(gen.WAN(scale.k))
-		names := out.Net.Topo.NodeNames()
+		names := out.Net.DeviceNames()
 		for _, ecsOff := range []bool{false, true} {
 			for i := 0; i < len(names); i += scale.step {
 				opts := Options{Parallelism: 1 + i/scale.step%2, DisableRouteECs: ecsOff, DisableFlowECs: ecsOff}
@@ -289,7 +289,7 @@ func TestForkNodeUpIdentity(t *testing.T) {
 	}
 
 	out := gen.Generate(gen.WAN(1))
-	names, links := out.Net.Topo.NodeNames(), out.Net.Topo.Links()
+	names, links := out.Net.DeviceNames(), out.Net.Topo.Links()
 	base := out.Net.Clone()
 	base.Topo.SetNodeUp(names[len(names)/2], false)
 	eng := NewEngine(base, Options{})
@@ -311,7 +311,7 @@ func TestForkRandomizedDeltas(t *testing.T) {
 		eng := NewEngine(out.Net, Options{Parallelism: p})
 		eng.BaseRun(out.Inputs, out.Flows)
 		links := out.Net.Topo.Links()
-		names := out.Net.Topo.NodeNames()
+		names := out.Net.DeviceNames()
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 15; trial++ {
 			var d Delta
@@ -340,7 +340,7 @@ func TestForkECsDisabledIdentity(t *testing.T) {
 		eng := NewEngine(out.Net, Options{DisableRouteECs: true, DisableFlowECs: true, Parallelism: p})
 		eng.BaseRun(out.Inputs, out.Flows)
 		links := out.Net.Topo.Links()
-		names := out.Net.Topo.NodeNames()
+		names := out.Net.DeviceNames()
 		add := out.Inputs[0]
 		add.Prefix = netip.MustParsePrefix("203.0.113.0/24")
 		for i, d := range []Delta{

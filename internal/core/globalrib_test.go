@@ -47,7 +47,7 @@ func TestGlobalRIBSortedByConstruction(t *testing.T) {
 			rnd.Shuffle(len(tables), func(i, j int) { tables[i], tables[j] = tables[j], tables[i] })
 			var concat []netmodel.Route
 			for _, tbl := range tables {
-				concat = append(concat, res.RIB(tbl.Device, tbl.VRF).All()...)
+				concat = res.RIB(tbl.Device, tbl.VRF).AppendSorted(concat)
 			}
 			if want := netmodel.NewGlobalRIB(concat).Rows(); !sameRows(got, want) {
 				t.Fatalf("WAN(%d) parallelism %d: sorted-by-construction rows differ from concat-and-sort (%d vs %d rows)", k, p, len(got), len(want))
@@ -76,7 +76,7 @@ func TestForkMergedGlobalRIBPositional(t *testing.T) {
 	eng := NewEngine(out.Net, Options{})
 	eng.BaseRun(inputs, out.Flows)
 	links := out.Net.Topo.Links()
-	names := out.Net.Topo.NodeNames()
+	names := out.Net.DeviceNames()
 	deltas := []Delta{
 		{LinksDown: []netmodel.LinkID{links[0].ID()}},
 		{LinksDown: []netmodel.LinkID{links[len(links)/2].ID()}},
@@ -143,7 +143,7 @@ func TestForkViewMatchesFlatRIB(t *testing.T) {
 	for k := 2; k <= 3; k++ {
 		out := gen.Generate(gen.WAN(k))
 		inputs := gen.WithDuplicateInputs(out.Inputs)
-		links, names := out.Net.Topo.Links(), out.Net.Topo.NodeNames()
+		links, names := out.Net.Topo.Links(), out.Net.DeviceNames()
 		for _, p := range []int{1, 0, 8} {
 			eng := NewEngine(out.Net, Options{Parallelism: p})
 			base := eng.BaseRun(inputs, out.Flows).Routes.GlobalRIB()

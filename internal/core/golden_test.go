@@ -66,7 +66,7 @@ func goldenFixtures() []*gen.Output {
 			net.Topo.SetLinkUp(links[rng.Intn(len(links))].ID(), false)
 		}
 		if rng.Intn(2) == 0 {
-			names := net.Topo.NodeNames()
+			names := net.DeviceNames()
 			net.Topo.SetNodeUp(names[rng.Intn(len(names))], false)
 		}
 		degraded := *base

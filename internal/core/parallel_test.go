@@ -55,9 +55,9 @@ func TestTrafficSimulationParallelMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(seq.Traffic.Load, pll.Traffic.Load) {
 		t.Fatal("parallel traffic simulation link loads not deep-equal to sequential")
 	}
-	if seq.ECStats.Reduction() != pll.ECStats.Reduction() {
-		t.Fatalf("flow-EC reduction diverged: sequential %v, parallel %v",
-			seq.ECStats.Reduction(), pll.ECStats.Reduction())
+	if len(seq.ECStats.Classes) != len(pll.ECStats.Classes) || seq.ECStats.Inputs != pll.ECStats.Inputs {
+		t.Fatalf("flow-EC partition diverged: sequential %d of %d, parallel %d of %d",
+			len(seq.ECStats.Classes), seq.ECStats.Inputs, len(pll.ECStats.Classes), pll.ECStats.Inputs)
 	}
 }
 

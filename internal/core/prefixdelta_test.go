@@ -32,7 +32,7 @@ func TestForkPrefixDeltaMatchesScratch(t *testing.T) {
 	rnd := rand.New(rand.NewSource(16))
 	for k := 2; k <= 3; k++ {
 		out := gen.Generate(gen.WAN(k))
-		links, names := out.Net.Topo.Links(), out.Net.Topo.NodeNames()
+		links, names := out.Net.Topo.Links(), out.Net.DeviceNames()
 		var ispLinks []*netmodel.Link
 		for _, l := range links {
 			if strings.HasPrefix(l.A, "isp-") || strings.HasPrefix(l.B, "isp-") {

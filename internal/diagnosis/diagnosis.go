@@ -15,7 +15,6 @@ package diagnosis
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"strings"
 
@@ -197,22 +196,4 @@ func linkUnion(a, b map[netmodel.LinkID]float64) []netmodel.LinkID {
 	}
 	slices.SortFunc(ids, func(x, y netmodel.LinkID) int { return strings.Compare(x.String(), y.String()) })
 	return ids
-}
-
-// Summary renders the accuracy report.
-func (r *Report) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "accuracy report: %d route diffs, %d load diffs\n", len(r.RouteDiffs), len(r.LoadDiffs))
-	for i, d := range r.RouteDiffs {
-		if i >= 10 {
-			fmt.Fprintf(&b, "  ... %d more route diffs\n", len(r.RouteDiffs)-i)
-			break
-		}
-		fmt.Fprintf(&b, "  [%s via %s] %s\n", d.Kind, d.Via, d.Route)
-	}
-	for _, d := range r.LoadDiffs {
-		fmt.Fprintf(&b, "  [load] %s: simulated %.0f vs monitored %.0f (bw %.0f)\n",
-			d.Link, d.Simulated, d.Monitored, d.Bandwidth)
-	}
-	return b.String()
 }

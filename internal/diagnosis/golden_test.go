@@ -55,3 +55,21 @@ func TestAccuracyCampaignGolden(t *testing.T) {
 		t.Errorf("accuracy campaign moved:\n--- got\n%s--- want\n%s", got, want)
 	}
 }
+
+// Summary renders the accuracy report.
+func (r *Report) Summary() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "accuracy report: %d route diffs, %d load diffs\n", len(r.RouteDiffs), len(r.LoadDiffs))
+	for i, d := range r.RouteDiffs {
+		if i >= 10 {
+			fmt.Fprintf(&b, "  ... %d more route diffs\n", len(r.RouteDiffs)-i)
+			break
+		}
+		fmt.Fprintf(&b, "  [%s via %s] %s\n", d.Kind, d.Via, d.Route)
+	}
+	for _, d := range r.LoadDiffs {
+		fmt.Fprintf(&b, "  [load] %s: simulated %.0f vs monitored %.0f (bw %.0f)\n",
+			d.Link, d.Simulated, d.Monitored, d.Bandwidth)
+	}
+	return b.String()
+}

@@ -54,5 +54,3 @@ func (c *lru[V]) put(key string, val V) (evicted []string) {
 	}
 	return evicted
 }
-
-func (c *lru[V]) len() int { return c.ll.Len() }

@@ -408,3 +408,21 @@ func (q *popErrQueue) served() int {
 	defer q.mu.Unlock()
 	return q.pops
 }
+
+// RunN consumes exactly n subtask messages then returns (deterministic
+// tests).
+func (w *Worker) RunN(ctx context.Context, n int) {
+	for i := 0; i < n; {
+		msg, ok, fatal := w.nextMsg(ctx)
+		if fatal {
+			return
+		}
+		if !ok {
+			continue
+		}
+		if crashed := w.execute(ctx, msg); crashed {
+			return
+		}
+		i++
+	}
+}

@@ -18,8 +18,8 @@ import (
 // chaos) except deliberate shutdown (mq.ErrClosed, rpc.ErrShutdown), missing
 // objects (objstore.ErrNotFound — inputs and snapshots are written before any
 // message referencing them is pushed, so absence is a protocol bug, not a
-// flake), a journal closed by orderly shutdown (durable.ErrClosed), context
-// cancellation, and errors marked retry.Permanent.
+// flake), a journal closed by orderly shutdown (durable.ErrClosed) and
+// context cancellation.
 func TransientSubstrateError(err error) bool {
 	if err == nil {
 		return false
@@ -30,8 +30,7 @@ func TransientSubstrateError(err error) bool {
 		errors.Is(err, rpc.ErrShutdown),
 		errors.Is(err, durable.ErrClosed),
 		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded),
-		retry.IsPermanent(err):
+		errors.Is(err, context.DeadlineExceeded):
 		return false
 	}
 	return true

@@ -37,13 +37,13 @@ func TestLRU(t *testing.T) {
 	if v, _ := c.get("a"); v != 10 {
 		t.Errorf("a after update = %d", v)
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if c.ll.Len() != 2 {
+		t.Errorf("len = %d, want 2", c.ll.Len())
 	}
 
 	off := newLRU[int](0) // disabled
 	off.put("x", 1)
-	if _, ok := off.get("x"); ok || off.len() != 0 {
+	if _, ok := off.get("x"); ok || off.ll.Len() != 0 {
 		t.Error("disabled LRU stored an entry")
 	}
 }

@@ -277,24 +277,6 @@ func (w *Worker) Run(ctx context.Context) {
 	}
 }
 
-// RunN consumes exactly n subtask messages then returns (deterministic
-// tests).
-func (w *Worker) RunN(ctx context.Context, n int) {
-	for i := 0; i < n; {
-		msg, ok, fatal := w.nextMsg(ctx)
-		if fatal {
-			return
-		}
-		if !ok {
-			continue
-		}
-		if crashed := w.execute(ctx, msg); crashed {
-			return
-		}
-		i++
-	}
-}
-
 // nextMsg pops and decodes one subtask message. fatal reports that the
 // worker should stop: the context is done or the queue was deliberately
 // closed. Any other pop error is transient — logged, backed off, retried.

@@ -72,9 +72,6 @@ func (a *Atoms) Atom(addr netip.Addr) int {
 	return lo - 1
 }
 
-// Count returns the number of atom intervals (both families).
-func (a *Atoms) Count() int { return len(a.v4) + len(a.v6) }
-
 // FlowClass is one flow equivalence class. Rep is the simulated
 // representative; Volume is the summed volume of all members, so simulating
 // the representative with Volume reproduces the class's total load.
@@ -88,14 +85,6 @@ type FlowClass struct {
 type FlowECs struct {
 	Classes []FlowClass
 	Inputs  int
-}
-
-// Reduction returns the flow-count reduction factor.
-func (e *FlowECs) Reduction() float64 {
-	if len(e.Classes) == 0 {
-		return 1
-	}
-	return float64(e.Inputs) / float64(len(e.Classes))
 }
 
 // Representatives returns one flow per class carrying the class's total

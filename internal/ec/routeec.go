@@ -40,10 +40,6 @@ type RouteECs struct {
 	// Inputs is the total number of input routes partitioned.
 	Inputs int
 
-	// UniquePrefixes counts the distinct input prefixes interned during
-	// classification (0 on a zero-valued RouteECs).
-	UniquePrefixes int
-
 	// Memoized expansion in deterministic (class-order) form: ExpandRIB is
 	// called once per (device, vrf) table, so the rep→members walk is computed
 	// once and reused.
@@ -169,7 +165,7 @@ func ComputeRouteECs(net *config.Network, profiles vsb.Profiles, inputs []netmod
 	})
 
 	bySig := make(map[string]int)
-	out := &RouteECs{Inputs: len(inputs), UniquePrefixes: len(uniq)}
+	out := &RouteECs{Inputs: len(inputs)}
 	for i, r := range inputs {
 		sig := sigs[i]
 		idx, ok := bySig[sig]

@@ -171,9 +171,6 @@ type Fig5aResult struct {
 	Durations []time.Duration // per-subtask, from the WAN run
 	// CentralizedWAN is the single-engine reference time.
 	CentralizedWAN time.Duration
-	// OneWorkerWall is the measured wall time of the full single-worker
-	// distributed WAN run (framework overhead included).
-	OneWorkerWall time.Duration
 }
 
 // Fig5a measures distributed route simulation on WAN and WAN+DCN.
@@ -197,27 +194,16 @@ func Fig5a(s Scale) *Fig5aResult {
 			core.NewEngine(g.Net, core.Options{}).RouteSimulation(g.Inputs)
 			res.CentralizedWAN = time.Since(start)
 		}
-		// Route stages only (no flows); the one-worker wall time is what the
-		// master spends enqueueing the subtasks and waiting for them.
+		// Route stages only (no flows).
 		cluster := startLocal(dsim.LocalOptions{Workers: 1})
 		sim := &dsim.Simulation{TaskID: "fig5a-" + prof.name, Net: g.Net, Inputs: g.Inputs, RouteSubtasks: s.RouteSubtasks}
-		var wall time.Duration
-		err := cluster.Master.Simulate(sim, func(name string, fn func() error) error {
-			start := time.Now()
-			err := fn()
-			if name == "route_enqueue" || name == "route_wait" {
-				wall += time.Since(start)
-			}
-			return err
-		})
-		if err != nil {
+		if err := cluster.Master.Simulate(sim, nil); err != nil {
 			panic(err)
 		}
 		durs, _ := cluster.Master.SubtaskDurations(sim.TaskID, "route")
 		cluster.Stop()
 		if prof.name == "WAN" {
 			res.Durations = durs
-			res.OneWorkerWall = wall
 		}
 		for _, workers := range s.Workers {
 			res.Points = append(res.Points, Fig5Point{

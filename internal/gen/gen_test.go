@@ -69,7 +69,7 @@ func TestGenerateDeterminism(t *testing.T) {
 func TestGeneratedConfigsParse(t *testing.T) {
 	out := Generate(WAN(1))
 	texts := out.ConfigTexts()
-	net2, err := config.BuildNetwork(texts, nil)
+	net2, err := config.BuildNetworkOpts(texts, nil, config.BuildOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("generated configs must parse: %v", err)
 	}

@@ -20,9 +20,8 @@ type Delta struct {
 // ReuseStats reports how much of the base result an incremental recompute
 // could keep.
 type ReuseStats struct {
-	Sources    int // up sources in the new topology
-	Reused     int // sources whose base per-source result was copied
-	Recomputed int // sources re-run from scratch
+	Sources int // up sources in the new topology
+	Reused  int // sources whose base per-source result was copied
 }
 
 // Diff compares one source's view between two results. distChanged holds
@@ -126,7 +125,7 @@ func Recompute(topo *netmodel.Topology, base *Result, d Delta, opts Options) (*R
 		for _, sid := range srcs {
 			touched[ix.DevName(sid)] = true
 		}
-		return solve(ix, srcs, opts), touched, ReuseStats{Sources: len(srcs), Recomputed: len(srcs)}
+		return solve(ix, srcs, opts), touched, ReuseStats{Sources: len(srcs)}
 	}
 
 	touched := make(map[netmodel.DevID]bool)
@@ -199,5 +198,5 @@ func Recompute(topo *netmodel.Topology, base *Result, d Delta, opts Options) (*R
 			touchedNames[ix.DevName(sid)] = true
 		}
 	}
-	return r, touchedNames, ReuseStats{Sources: len(srcs), Reused: len(reuse), Recomputed: len(redo)}
+	return r, touchedNames, ReuseStats{Sources: len(srcs), Reused: len(reuse)}
 }

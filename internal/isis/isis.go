@@ -289,32 +289,6 @@ func (r *Result) Reachable(src, dst string) bool {
 	return ok
 }
 
-// Path returns one concrete shortest path from src to dst as a hop list
-// (device names), choosing the lexically first ECMP branch at each step.
-// Used by SR tunnel materialization and diagnosis graphs.
-func (r *Result) Path(src, dst string) []string {
-	if src == dst {
-		return []string{src}
-	}
-	if !r.Reachable(src, dst) {
-		return nil
-	}
-	path := []string{src}
-	cur := src
-	for cur != dst {
-		fhs := r.FirstHops(cur, dst)
-		if len(fhs) == 0 {
-			return nil
-		}
-		cur = fhs[0].Device
-		path = append(path, cur)
-		if len(path) > r.idx.NumDevices()+1 {
-			return nil // defensive: must not happen on a consistent result
-		}
-	}
-	return path
-}
-
 // Routes materializes IS-IS RIB entries on device src: one route per remote
 // loopback, with one row per ECMP first hop, mirroring how the production
 // system installs IGP routes alongside BGP ones. Destinations come in

@@ -22,6 +22,15 @@ import (
 //	   D
 //
 // with an extra expensive direct A-D link of cost 100.
+// nodeNames lists the topology's devices in name order.
+func nodeNames(topo *netmodel.Topology) []string {
+	var out []string
+	for _, n := range topo.Nodes() {
+		out = append(out, n.Name)
+	}
+	return out
+}
+
 func diamond() *netmodel.Topology {
 	topo := netmodel.NewTopology()
 	lo := map[string]string{"A": "1.1.1.1", "B": "2.2.2.2", "C": "3.3.3.3", "D": "4.4.4.4"}
@@ -109,20 +118,6 @@ func TestTEMetric(t *testing.T) {
 	}
 }
 
-func TestPath(t *testing.T) {
-	r := Compute(diamond(), Options{})
-	p := r.Path("A", "D")
-	if len(p) != 3 || p[0] != "A" || p[2] != "D" {
-		t.Errorf("Path(A,D) = %v", p)
-	}
-	if p[1] != "B" { // lexically first ECMP branch
-		t.Errorf("Path should take lexically first branch, got %v", p)
-	}
-	if p := r.Path("A", "A"); len(p) != 1 {
-		t.Errorf("Path(A,A) = %v", p)
-	}
-}
-
 func TestRoutes(t *testing.T) {
 	topo := diamond()
 	r := Compute(topo, Options{})
@@ -155,7 +150,7 @@ func TestRoutes(t *testing.T) {
 func TestSPFTriangleInequalityProperty(t *testing.T) {
 	topo := diamond()
 	r := Compute(topo, Options{})
-	names := topo.NodeNames()
+	names := nodeNames(topo)
 	f := func(i, j, k uint8) bool {
 		a, b, c := names[int(i)%len(names)], names[int(j)%len(names)], names[int(k)%len(names)]
 		ab, ok1 := r.Cost(a, b)
@@ -175,8 +170,8 @@ func TestSPFSymmetricCosts(t *testing.T) {
 	// With symmetric link costs, distance must be symmetric.
 	topo := diamond()
 	r := Compute(topo, Options{})
-	for _, a := range topo.NodeNames() {
-		for _, b := range topo.NodeNames() {
+	for _, a := range nodeNames(topo) {
+		for _, b := range nodeNames(topo) {
 			ca, _ := r.Cost(a, b)
 			cb, _ := r.Cost(b, a)
 			if ca != cb {
@@ -203,7 +198,7 @@ func TestComputeParallelMatchesSequential(t *testing.T) {
 // Link costs must be positive.
 func checkSPF(t *testing.T, label string, topo *netmodel.Topology, r *Result) {
 	t.Helper()
-	names := topo.NodeNames()
+	names := nodeNames(topo)
 	key := func(h FirstHop) string { return h.Device + "|" + h.Link.String() }
 	for _, s := range names {
 		if n := topo.Node(s); !n.Up {

@@ -13,10 +13,11 @@ package monitor
 
 import (
 	"math/rand"
-
-	"hoyan/internal/netmodel"
+	"net/netip"
 	"slices"
 	"strings"
+
+	"hoyan/internal/netmodel"
 )
 
 // Faults configures monitoring-system defects to inject.
@@ -56,8 +57,12 @@ func (m *RouteMonitor) Collect(truth *netmodel.GlobalRIB) *netmodel.GlobalRIB {
 	for _, d := range m.Faults.FailedRouteAgents {
 		failed[d] = true
 	}
+	type tableKey struct {
+		dev, vrf string
+		p        netip.Prefix
+	}
 	var rows []netmodel.Route
-	seenBest := map[string]bool{}
+	seenBest := map[tableKey]bool{}
 	for _, r := range truth.Rows() {
 		if failed[r.Device] {
 			continue
@@ -69,7 +74,7 @@ func (m *RouteMonitor) Collect(truth *netmodel.GlobalRIB) *netmodel.GlobalRIB {
 			// Session-based collection: the router advertises one best route
 			// per (vrf, prefix); ECMP siblings are invisible, and the
 			// locally-significant weight attribute does not propagate.
-			key := r.Device + "|" + r.VRF + "|" + r.Prefix.String()
+			key := tableKey{r.Device, r.VRF, r.Prefix}
 			if seenBest[key] {
 				continue
 			}
@@ -86,15 +91,18 @@ func (m *RouteMonitor) Collect(truth *netmodel.GlobalRIB) *netmodel.GlobalRIB {
 
 // LiveShow is the guarded "show command" comparison path: it returns the
 // full-fidelity routes of selected prefixes from the live network (showing
-// all routes is prohibited in production, §5.1).
+// all routes is prohibited in production, §5.1). A prefix that does not
+// parse matches nothing.
 func LiveShow(truth *netmodel.GlobalRIB, prefixes []string) []netmodel.Route {
-	want := make(map[string]bool, len(prefixes))
+	want := make(map[netip.Prefix]bool, len(prefixes))
 	for _, p := range prefixes {
-		want[p] = true
+		if pfx, err := netip.ParsePrefix(p); err == nil {
+			want[pfx] = true
+		}
 	}
 	var out []netmodel.Route
 	for _, r := range truth.Rows() {
-		if want[r.Prefix.String()] {
+		if want[r.Prefix] {
 			out = append(out, r)
 		}
 	}

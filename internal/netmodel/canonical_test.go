@@ -137,11 +137,6 @@ func TestAppendSortedMatchesFullSort(t *testing.T) {
 		if !slices.IsSortedFunc(got, CompareRoutes) {
 			t.Fatalf("trial %d: rows not in CompareRoutes order", trial)
 		}
-		for k, tbl := range tables {
-			if !slices.EqualFunc(tbl.All(), tbl.AppendSorted(nil), Route.Identical) {
-				t.Fatalf("trial %d: All and AppendSorted disagree on %v", trial, k)
-			}
-		}
 	}
 }
 

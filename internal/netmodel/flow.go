@@ -160,10 +160,3 @@ func (p Path) String() string {
 // LinkLoad is the simulated traffic volume on each link, in bits per second,
 // summed over both directions per directed edge.
 type LinkLoad map[LinkID]float64
-
-// Add accumulates another load map into l.
-func (l LinkLoad) Add(o LinkLoad) {
-	for id, v := range o {
-		l[id] += v
-	}
-}

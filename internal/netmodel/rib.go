@@ -247,11 +247,6 @@ func (t *RIB) Len() int {
 	return n
 }
 
-// All returns every row in canonical order.
-func (t *RIB) All() []Route {
-	return t.AppendSorted(make([]Route, 0, t.Len()))
-}
-
 // AppendSorted appends every row of the table to dst in canonical
 // (CompareRoutes) order and returns the extended slice: prefixes in order,
 // and within a prefix only that prefix's few rows are sorted, in place in
@@ -764,19 +759,6 @@ func (g *GlobalRIB) Rows() []Route {
 
 // Len returns the number of rows.
 func (g *GlobalRIB) Len() int { return g.n }
-
-// Filter returns a new global RIB with only the rows where keep returns true.
-func (g *GlobalRIB) Filter(keep func(Route) bool) *GlobalRIB {
-	var rows []Route
-	for i := range g.blocks {
-		for _, r := range g.block(i) {
-			if keep(r) {
-				rows = append(rows, r)
-			}
-		}
-	}
-	return NewGlobalRIBFromSorted(rows)
-}
 
 // Equal reports whether two global RIBs contain exactly the same rows with
 // identical attributes. Both are in canonical order and AttrsEqual compares

@@ -166,20 +166,6 @@ func TestGlobalRIBEqualAndDiff(t *testing.T) {
 	}
 }
 
-func TestGlobalRIBFilter(t *testing.T) {
-	g := NewGlobalRIB([]Route{
-		mkRoute("A", DefaultVRF, "10.0.0.0/24", "2.0.0.1", RouteBest),
-		mkRoute("B", DefaultVRF, "10.0.0.0/24", "4.0.0.1", RouteBest),
-	})
-	f := g.Filter(func(r Route) bool { return r.Device == "A" })
-	if f.Len() != 1 || f.Rows()[0].Device != "A" {
-		t.Errorf("Filter: %v", f.Rows())
-	}
-	if g.Len() != 2 {
-		t.Error("Filter must not mutate the source")
-	}
-}
-
 func TestTopologyBasics(t *testing.T) {
 	topo := NewTopology()
 	topo.AddNode(Node{Name: "A", Loopback: netip.MustParseAddr("1.1.1.1")})
@@ -250,14 +236,5 @@ func TestPathHelpers(t *testing.T) {
 	}
 	if p.Traverses(LinkID{A: "X", B: "Y"}) {
 		t.Error("Traverses false positive")
-	}
-}
-
-func TestLinkLoadAdd(t *testing.T) {
-	a := LinkLoad{{A: "A", B: "B"}: 5}
-	b := LinkLoad{{A: "A", B: "B"}: 7, {A: "B", B: "C"}: 1}
-	a.Add(b)
-	if a[LinkID{A: "A", B: "B"}] != 12 || a[LinkID{A: "B", B: "C"}] != 1 {
-		t.Errorf("Add: %v", a)
 	}
 }

@@ -84,15 +84,6 @@ func (ix *TopoIndex) DevName(id DevID) string { return ix.devNames[id] }
 // Node returns the live node for an ID.
 func (ix *TopoIndex) Node(id DevID) *Node { return ix.nodes[id] }
 
-// LinkIdxOf returns the dense index of a canonical link ID.
-func (ix *TopoIndex) LinkIdxOf(id LinkID) (LinkIdx, bool) {
-	i, ok := ix.linkIdx[id]
-	return i, ok
-}
-
-// LinkAt returns the live link at a dense index.
-func (ix *TopoIndex) LinkAt(i LinkIdx) *Link { return ix.links[i] }
-
 // LinkIDAt returns the canonical LinkID at a dense index without
 // re-materializing it.
 func (ix *TopoIndex) LinkIDAt(i LinkIdx) LinkID { return ix.linkIDs[i] }

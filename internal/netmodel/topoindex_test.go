@@ -52,9 +52,12 @@ func TestTopoIndexMatchesTopology(t *testing.T) {
 		topo := internRandomTopo(rng, 4+rng.Intn(20))
 		ix := topo.Index()
 
-		names := topo.NodeNames()
+		var names []string
+		for _, n := range topo.Nodes() {
+			names = append(names, n.Name)
+		}
 		if !slices.IsSorted(names) {
-			t.Fatalf("seed %d: NodeNames not sorted", seed)
+			t.Fatalf("seed %d: Nodes not sorted", seed)
 		}
 		if ix.NumDevices() != len(names) {
 			t.Fatalf("seed %d: NumDevices = %d, want %d", seed, ix.NumDevices(), len(names))
@@ -76,15 +79,13 @@ func TestTopoIndexMatchesTopology(t *testing.T) {
 			t.Fatalf("seed %d: NumLinks = %d, want %d", seed, ix.NumLinks(), len(topo.Links()))
 		}
 		for _, l := range topo.Links() {
-			li, ok := ix.LinkIdxOf(l.ID())
-			if !ok {
-				t.Fatalf("seed %d: link %v not indexed", seed, l.ID())
+			if topo.Link(l.ID()) != l {
+				t.Fatalf("seed %d: Link(%v) is not the live link", seed, l.ID())
 			}
-			if ix.LinkAt(li) != l {
-				t.Fatalf("seed %d: LinkAt(%d) is not the live link for %v", seed, li, l.ID())
-			}
-			if ix.LinkIDAt(li) != l.ID() {
-				t.Fatalf("seed %d: LinkIDAt(%d) = %v, want %v", seed, li, ix.LinkIDAt(li), l.ID())
+		}
+		for i := 0; i < ix.NumLinks(); i++ {
+			if id := ix.LinkIDAt(LinkIdx(i)); topo.Link(id) == nil || topo.Link(id).ID() != id {
+				t.Fatalf("seed %d: LinkIDAt(%d) = %v names no live link", seed, i, id)
 			}
 		}
 		// LinkIdx order is LinkID.String() order.
@@ -103,6 +104,9 @@ func TestTopoIndexMatchesTopology(t *testing.T) {
 			var got []neighbor
 			lo, hi := ix.EdgeRange(id)
 			for pos := lo; pos < hi; pos++ {
+				if li := ix.EdgeLinkIdx(pos); ix.LinkIDAt(li) != ix.EdgeLink(pos).ID() {
+					t.Fatalf("seed %d: LinkIDAt(%d) = %v, want %v", seed, li, ix.LinkIDAt(li), ix.EdgeLink(pos).ID())
+				}
 				nb := ix.Node(ix.EdgeDev(pos))
 				if !nb.Up {
 					continue

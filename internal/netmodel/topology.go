@@ -104,16 +104,6 @@ func (t *Topology) Nodes() []*Node {
 	return out
 }
 
-// NodeNames returns all router names sorted.
-func (t *Topology) NodeNames() []string {
-	out := make([]string, 0, len(t.nodes))
-	for name := range t.nodes {
-		out = append(out, name)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // Canonical returns the link with its endpoints ordered so A < B.
 func (l Link) Canonical() Link {
 	if l.B < l.A {

@@ -35,6 +35,22 @@ func linkFailureSweep(net *config.Network) []*change.Plan {
 	return plans
 }
 
+// forkStats forks plan's delta from sys's base as Verify does and returns the
+// work the fork avoided.
+func forkStats(t *testing.T, sys *System, plan *change.Plan) core.ForkStats {
+	t.Helper()
+	d, err := plan.Delta(sys.Base)
+	if err != nil {
+		t.Fatalf("%s: %v", plan.ID, err)
+	}
+	sys.BaseSnapshot()
+	_, stats, err := sys.baseEng.WhatIf(nil, d, 0)
+	if err != nil {
+		t.Fatalf("%s: the plan did not fork: %v", plan.ID, err)
+	}
+	return stats
+}
+
 // coldOutcome is Verify's reference: a cold engine on Plan.Apply's network
 // and inputs, checked against the verified outcome's base snapshot. It returns
 // the updated snapshot and the intents' reports and verdict over it.
@@ -58,15 +74,13 @@ func verifyMatchesCold(t *testing.T, sc *scenario.Scenario) {
 	t.Helper()
 	sys := New(sc.Net, sc.Inputs, sc.Flows, core.Options{})
 	got, err := sys.Verify(sc.Plan, sc.Intents)
-	if _, forked := sys.LastForkStats(); err == nil && !forked {
-		t.Fatalf("%s: the plan did not fork", sc.Name)
-	}
 	if err != nil {
 		if !sc.WantApplyError {
 			t.Fatalf("%s: unexpected apply error %v", sc.Name, err)
 		}
 		return
 	}
+	forkStats(t, sys, sc.Plan)
 	cold, coldReports, coldOK := coldOutcome(t, sc.Net, sc.Inputs, sc.Flows, sc.Plan, sc.Intents, got)
 	if !got.UpdateSnap.RIB.Equal(cold.RIB) {
 		t.Fatalf("%s: updated RIB differs from a cold run of the applied plan", sc.Name)
@@ -105,7 +119,7 @@ func TestVerifyIncrementalMatchesFullOnCaseStudies(t *testing.T) {
 }
 
 // TestVerifyPureDeltaTakesForkPath asserts the routing decision itself: every
-// plan verifies as an incremental fork (visible through LastForkStats) — a
+// plan verifies as an incremental fork (its delta forks the base) — a
 // toggles-only plan, and every Table 2, Table 6 and Figure 10 plan that
 // applies.
 func TestVerifyPureDeltaTakesForkPath(t *testing.T) {
@@ -116,10 +130,7 @@ func TestVerifyPureDeltaTakesForkPath(t *testing.T) {
 	if _, err := sys.Verify(plan, nil); err != nil {
 		t.Fatal(err)
 	}
-	stats, forked := sys.LastForkStats()
-	if !forked {
-		t.Fatal("pure-delta plan must take the fork path")
-	}
+	stats := forkStats(t, sys, plan)
 	if stats.Full {
 		t.Error("link-down fork fell back to full simulation")
 	}
@@ -143,8 +154,8 @@ func TestVerifyPureDeltaTakesForkPath(t *testing.T) {
 			}
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
-		if stats, forked := sys.LastForkStats(); !forked || stats.Full {
-			t.Fatalf("%s: the plan must fork (forked %v, full fallback %v)", sc.Name, forked, stats.Full)
+		if forkStats(t, sys, sc.Plan).Full {
+			t.Fatalf("%s: the plan must fork, not fall back to full simulation", sc.Name)
 		}
 	}
 }
@@ -166,8 +177,8 @@ func TestVerifyISISCostEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats, forked := sys.LastForkStats(); !forked || stats.SPFReused != 0 {
-		t.Fatalf("an isis cost plan: forked %v, %d SPF sources reused; want a fork with SPF in full", forked, stats.SPFReused)
+	if stats := forkStats(t, sys, plan); stats.SPFReused != 0 {
+		t.Fatalf("an isis cost plan: %d SPF sources reused; want a fork with SPF in full", stats.SPFReused)
 	}
 
 	hand := out.Net.Clone()

@@ -50,8 +50,6 @@ type System struct {
 	baseEng    *core.Engine
 	baseSnap   *intent.Snapshot
 	lastReport RunReport
-	lastFork   core.ForkStats
-	forked     bool
 }
 
 // StageReport is one pipeline stage's wall time and object-store bytes moved
@@ -131,10 +129,6 @@ func (s *System) BaseSnapshot() *intent.Snapshot {
 	}
 	return s.baseSnap
 }
-
-// LastForkStats reports the work avoided by the most recent incremental
-// verification; ok is false when no Verify has taken the fork path yet.
-func (s *System) LastForkStats() (core.ForkStats, bool) { return s.lastFork, s.forked }
 
 // snapshotOf is intent.SnapshotOf with the global RIB built: callers of
 // Simulate, BaseSnapshot and Verify read Snapshot.RIB directly.
@@ -234,11 +228,10 @@ func (s *System) Verify(plan *change.Plan, intents []intent.Intent) (*Outcome, e
 			return nil, fmt.Errorf("pipeline: applying change plan: %w", err)
 		}
 		s.BaseSnapshot() // converges baseEng on first use
-		res, stats, err := s.baseEng.WhatIf(nil, d, 0)
+		res, _, err := s.baseEng.WhatIf(nil, d, 0)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: applying change plan %s: %w", plan.ID, err)
 		}
-		s.lastFork, s.forked = stats, true
 		upSnap = snapshotOf(res)
 	}
 

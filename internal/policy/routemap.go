@@ -140,13 +140,6 @@ const (
 	Reject
 )
 
-func (d Disposition) String() string {
-	if d == Accept {
-		return "accept"
-	}
-	return "reject"
-}
-
 // matches reports whether the route satisfies one match clause. Undefined
 // filters are resolved per the UndefinedFilterMatchesAll VSB.
 func (e Env) matches(m Match, r *netmodel.Route, peer netip.Addr) bool {

@@ -23,15 +23,6 @@ func Parse(src string) (Intent, error) {
 	return g, nil
 }
 
-// MustParse panics on error; for tables and tests.
-func MustParse(src string) Intent {
-	g, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 type parser struct {
 	toks []token
 	pos  int

@@ -433,3 +433,12 @@ func TestRegexCompiledOncePerCheck(t *testing.T) {
 		t.Errorf("bad pattern: err = %v, want one naming the predicate", err)
 	}
 }
+
+// MustParse panics on error; for test tables.
+func MustParse(src string) Intent {
+	g, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}

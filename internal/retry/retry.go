@@ -70,38 +70,9 @@ func Default() Policy {
 	return Policy{MaxTries: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 500 * time.Millisecond, Multiplier: 2, Jitter: 0.5}
 }
 
-// DefaultRetryable retries every error except context cancellation/expiry and
-// errors marked with Permanent.
+// DefaultRetryable retries every error except context cancellation/expiry.
 func DefaultRetryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if IsPermanent(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return true
-}
-
-// permanentError marks an error as not worth retrying.
-type permanentError struct{ err error }
-
-func (p *permanentError) Error() string { return p.err.Error() }
-func (p *permanentError) Unwrap() error { return p.err }
-
-// Permanent marks err so DefaultRetryable (and IsPermanent) classify it as
-// non-retryable. A nil err stays nil.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
-// IsPermanent reports whether err (or anything it wraps) was marked with
-// Permanent.
-func IsPermanent(err error) bool {
-	var p *permanentError
-	return errors.As(err, &p)
+	return err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
 // Do runs op, retrying per the policy until it succeeds, exhausts MaxTries,

@@ -45,25 +45,6 @@ func TestDoExhaustsTriesAndReturnsLastError(t *testing.T) {
 	}
 }
 
-func TestDoStopsOnPermanentError(t *testing.T) {
-	p := Policy{MaxTries: 10, BaseDelay: time.Microsecond}
-	calls := 0
-	inner := errors.New("bad request")
-	err := p.Do(context.Background(), func() error {
-		calls++
-		return Permanent(inner)
-	})
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1", calls)
-	}
-	if !errors.Is(err, inner) {
-		t.Fatalf("err = %v, want wrapped inner error", err)
-	}
-	if !IsPermanent(err) {
-		t.Fatal("IsPermanent = false")
-	}
-}
-
 func TestDoStopsOnContextErrors(t *testing.T) {
 	// A ctx-cancel error from the op itself is non-retryable.
 	p := Policy{MaxTries: 10, BaseDelay: time.Microsecond}
@@ -131,7 +112,6 @@ func TestGiveupsCountOnlyAbandonedOps(t *testing.T) {
 	}{
 		{"success", context.Background(), func() error { return nil }, 0},
 		{"non-retryable", context.Background(), func() error { return closed }, 0},
-		{"permanent", context.Background(), func() error { return Permanent(errors.New("bad request")) }, 0},
 		{"exhausted", context.Background(), func() error { return errors.New("transient") }, 1},
 		{"cancelled before the first attempt", cancelled, func() error { return nil }, 1},
 		{"cancelled during the op", live, func() error { cancelLive(); return context.Canceled }, 1},
@@ -177,14 +157,5 @@ func TestBackoffJitterBoundedAndDeterministic(t *testing.T) {
 		if da < lo || da > hi {
 			t.Fatalf("jittered backoff %v outside [%v, %v]", da, lo, hi)
 		}
-	}
-}
-
-func TestPermanentNil(t *testing.T) {
-	if Permanent(nil) != nil {
-		t.Fatal("Permanent(nil) != nil")
-	}
-	if IsPermanent(nil) {
-		t.Fatal("IsPermanent(nil)")
 	}
 }

@@ -48,10 +48,13 @@ func TestFig10aScenario(t *testing.T) {
 	if !strings.Contains(joined, "M1") {
 		t.Errorf("violation must name M1: %s", joined)
 	}
-	m2Best := out.UpdateSnap.RIB.Filter(func(r netmodel.Route) bool {
-		return r.Device == "M2" && r.Prefix.String() == "1.0.0.0/24" && r.RouteType == netmodel.RouteBest
-	})
-	if m2Best.Len() == 0 {
+	m2Best := 0
+	for _, r := range out.UpdateSnap.RIB.Block("M2") {
+		if r.Prefix.String() == "1.0.0.0/24" && r.RouteType == netmodel.RouteBest {
+			m2Best++
+		}
+	}
+	if m2Best == 0 {
 		t.Error("M2 must install route R")
 	}
 

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"sync"
 	"time"
+
+	"hoyan/internal/core"
 )
 
 // Query states: pending (queued) → running → done | failed | canceled.
@@ -97,6 +99,12 @@ type Query struct {
 	ID     string
 	Tenant *tenant
 	Req    QueryRequest
+
+	// net and delta are what a plan query was resolved against at submit;
+	// the worker that executes it drops them, so a finished query keeps no
+	// network alive after a newer one replaces it.
+	net   *Network
+	delta core.Delta
 
 	mu          sync.Mutex
 	state       string

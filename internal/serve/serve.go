@@ -320,6 +320,8 @@ type networkInfo struct {
 	BaseDigest string    `json:"base_digest"`
 	LoadedAt   time.Time `json:"loaded_at"`
 	LoadMS     float64   `json:"load_ms,omitempty"`
+	// Findings are config.Validate's findings on an uploaded JSON network.
+	Findings []string `json:"findings,omitempty"`
 }
 
 func (s *Server) networkInfo(n *Network) networkInfo {
@@ -351,6 +353,7 @@ func (s *Server) handleLoadNetwork(w http.ResponseWriter, r *http.Request) {
 		flows    []netmodel.Flow
 		activate = true
 		err      error
+		findings []string
 	)
 	if r.Header.Get("Content-Type") == "application/x-hoyan-wire" {
 		id = r.URL.Query().Get("id")
@@ -387,6 +390,9 @@ func (s *Server) handleLoadNetwork(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "building network: %v", err)
 			return
 		}
+		for _, f := range net.Validate() {
+			findings = append(findings, f.String())
+		}
 	}
 	n, err := s.LoadNetwork(id, net, inputs, flows, activate)
 	if err != nil {
@@ -395,6 +401,7 @@ func (s *Server) handleLoadNetwork(w http.ResponseWriter, r *http.Request) {
 	}
 	info := s.networkInfo(n)
 	info.LoadMS = float64(time.Since(start)) / float64(time.Millisecond)
+	info.Findings = findings
 	writeJSON(w, http.StatusCreated, info)
 }
 
@@ -472,16 +479,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	id := fmt.Sprintf("q-%06d", s.nextID.Add(1))
-	// A plan that does not apply is refused here rather than failed in the
-	// queue.
+	qu := newQuery(id, t, req)
+	// A plan is resolved once, here: one that does not apply is refused
+	// rather than failed in the queue, and the query runs on the network it
+	// was resolved against even if a newer one replaces it meanwhile.
 	if kindOf(req) == "plan" {
-		if _, err := buildDelta(n, &Query{ID: id, Req: req}); err != nil {
+		if qu.delta, err = buildDelta(n, qu); err != nil {
 			t.release()
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		qu.net = n
 	}
-	qu := newQuery(id, t, req)
 	qu.persist = func(st Status) { s.record(qu, st) }
 	s.queriesWG.Add(1)
 	if err := s.queue.Push(t, qu); err != nil {

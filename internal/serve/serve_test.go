@@ -721,11 +721,64 @@ func TestServeJSONUpload(t *testing.T) {
 		t.Fatalf("JSON upload: %d base routes, digest %s; wire upload: %d, %s",
 			fromJSON.BaseRoutes, fromJSON.BaseDigest, fromWire.BaseRoutes, fromWire.BaseDigest)
 	}
+	if len(fromJSON.Findings) != 0 {
+		t.Fatalf("clean JSON upload: findings %q, want none", fromJSON.Findings)
+	}
 
 	// rr-0-0 and isp-1-0 share no subnet: two devices, no link.
 	doc, _ = json.Marshal(loadNetworkRequest{ID: "apart", Configs: map[string]string{"rr-0-0": texts["rr-0-0"], "isp-1-0": texts["isp-1-0"]}})
 	if code, _, body := h.upload("/v1/networks", "application/json", doc); code != http.StatusBadRequest || !strings.Contains(body, config.ErrNoLinks.Error()) {
 		t.Fatalf("configurations with no link: status %d: %s, want 400 with %q", code, body, config.ErrNoLinks)
+	}
+}
+
+// TestServeJSONUploadFindings: a JSON upload whose configurations bind a
+// neighbor to an undefined route map still loads (201: a dangling reference
+// is a legal configuration, its behaviour a VSB) and returns
+// config.Validate's finding.
+func TestServeJSONUploadFindings(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1})
+	texts := h.out.ConfigTexts()
+	texts["border-0-0"] = strings.Replace(texts["border-0-0"], "route-policy RM_ISP_OUT export", "route-policy RM_MISSING export", 1)
+	doc, _ := json.Marshal(loadNetworkRequest{ID: "dangling", Configs: texts})
+	code, info, body := h.upload("/v1/networks", "application/json", doc)
+	want := config.Finding{Kind: config.UndefinedPolicy, Device: "border-0-0", Where: "neighbor 172.16.0.57", Name: "RM_MISSING"}.String()
+	if code != http.StatusCreated || !reflect.DeepEqual(info.Findings, []string{want}) {
+		t.Fatalf("status %d, findings %q; want 201 and [%q]: %s", code, info.Findings, want, body)
+	}
+}
+
+// TestServePlanQueryKeepsNoNetwork: a finished plan query holds no reference
+// to the network it was resolved against, so replacing that network lets
+// the old one be collected.
+func TestServePlanQueryKeepsNoNetwork(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1})
+	old, err := h.srv.network("wan1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(old, func(*Network) { close(collected) })
+	old = nil
+	resp, body := h.do("alice", "POST", "/v1/queries?wait=1", QueryRequest{Kind: "plan", NetworkID: "wan1",
+		Commands: map[string]string{"core-0-0": "interface to-core-0-1\n isis cost 50\n"}})
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil || resp.StatusCode != http.StatusOK || st.State != StateDone {
+		t.Fatalf("plan query: status %d: %s", resp.StatusCode, body)
+	}
+	if _, err := h.srv.LoadNetwork("wan1", h.out.Net, h.out.Inputs, h.out.Flows, true); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the replaced network was not collected: a finished plan query still holds it")
+		}
 	}
 }
 

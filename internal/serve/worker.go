@@ -32,6 +32,7 @@ func (s *Server) workerLoop() {
 func (s *Server) execute(qu *Query) {
 	defer s.queriesWG.Done()
 	defer qu.Tenant.release()
+	defer func() { qu.net, qu.delta = nil, core.Delta{} }()
 	s.mQueueDepth.Set(float64(s.queue.Depth()))
 
 	if !qu.setRunning() {
@@ -112,9 +113,14 @@ func kindOf(req QueryRequest) string {
 	return req.Kind
 }
 
-// run dispatches to the per-kind executor.
+// run dispatches to the per-kind executor. A plan query submitted over HTTP
+// runs on the network it was resolved against, not on whatever network
+// holds its ID now.
 func (s *Server) run(ctx context.Context, qu *Query) (*QueryResult, error) {
-	n, err := s.network(qu.Req.NetworkID)
+	n, err := qu.net, error(nil)
+	if n == nil {
+		n, err = s.network(qu.Req.NetworkID)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -153,9 +159,13 @@ func buildDelta(n *Network, qu *Query) (core.Delta, error) {
 }
 
 // runWhatIf forks the warm engine under the requested failures or commands
-// and verifies any attached specs against (base, updated).
+// and verifies any attached specs against (base, updated). A plan query
+// submitted over HTTP carries the delta resolved at its submit.
 func (s *Server) runWhatIf(ctx context.Context, n *Network, qu *Query) (*QueryResult, error) {
-	d, err := buildDelta(n, qu)
+	d, err := qu.delta, error(nil)
+	if qu.net == nil {
+		d, err = buildDelta(n, qu)
+	}
 	if err != nil {
 		return nil, err
 	}

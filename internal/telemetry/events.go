@@ -35,17 +35,6 @@ func NewEventLogger(w io.Writer, base ...Field) *EventLogger {
 	return &EventLogger{mu: &sync.Mutex{}, w: w, base: base, now: time.Now}
 }
 
-// With returns a child logger with extra base fields; it shares the parent's
-// writer and lock, so parent and child lines never interleave.
-func (l *EventLogger) With(fields ...Field) *EventLogger {
-	if l == nil {
-		return nil
-	}
-	child := *l
-	child.base = append(append([]Field(nil), l.base...), fields...)
-	return &child
-}
-
 // Log emits one event line. Marshal failures degrade the field to its
 // fmt-rendered string rather than dropping the event.
 func (l *EventLogger) Log(event string, fields ...Field) {

@@ -402,9 +402,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// WritePrometheus renders the registry's current state.
-func (r *Registry) WritePrometheus(w io.Writer) error { return r.Gather().WritePrometheus(w) }
-
 func renderLabels(labels []Label, extra ...Label) string {
 	all := append(append([]Label(nil), labels...), extra...)
 	if len(all) == 0 {

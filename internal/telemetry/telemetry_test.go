@@ -112,7 +112,6 @@ func TestNilRegistryAndSpansAreSafe(t *testing.T) {
 
 	var ev *EventLogger
 	ev.Log("nothing", F("a", 1))
-	ev.With(F("b", 2)).Log("still nothing")
 }
 
 func TestSnapshotMergeAndPrometheus(t *testing.T) {
@@ -207,7 +206,7 @@ func TestEventLoggerJSONLines(t *testing.T) {
 	log := NewEventLogger(&buf, F("worker", "w1"))
 	log.now = func() time.Time { return time.Unix(1700000000, 0).UTC() }
 	log.Log("subtask.failed", F("task", "t/route/3"), F("attempt", 2), F("error", io.ErrUnexpectedEOF.Error()))
-	log.With(F("kind", "traffic")).Log("cache.evict", F("key", "k1"))
+	log.Log("cache.evict", F("kind", "traffic"), F("key", "k1"))
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
