@@ -98,7 +98,7 @@ test-procs:
 # GOMAXPROCS 2 and 8: a pin that counts another goroutine's allocation fails
 # here rather than now and then in tier-1.
 test-allocs:
-	for p in 2 8; do GOMAXPROCS=$$p $(GO) test -count=50 -run 'Alloc|TestRIBGrow' ./internal/netmodel ./internal/bgp ./internal/core ./internal/wire ./internal/rcl ./internal/intent ./internal/ec ./internal/policy || exit 1; done
+	for p in 2 8; do GOMAXPROCS=$$p $(GO) test -count=50 -run 'Alloc|TestRIBGrow' ./internal/netmodel ./internal/bgp ./internal/core ./internal/wire ./internal/rcl ./internal/intent ./internal/ec ./internal/policy ./internal/traffic || exit 1; done
 
 # Race-detector pass over every package: the parallel engine hot paths (SPF,
 # forwarding, ECs, config parse) and the concurrent-engine tests must stay

@@ -425,9 +425,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 			// With a per-prefix RIB diff, a changed BGP table alone does not
 			// condemn every flow through its device; only the structural delta
 			// (flipped links, downed nodes) does.
-			var reused int
-			trr, _, reused = fw.Resimulate(repFlows, e.base.traffic, e.base.traces, structuralDeviceSet(d), hopsChanged, ribDiff)
-			stats.FlowsReused = reused
+			trr, stats.FlowsReused = fw.Resimulate(repFlows, e.base.traffic, e.base.traces, structuralDeviceSet(d), hopsChanged, ribDiff)
 		} else {
 			trr = fw.Simulate(repFlows)
 		}
@@ -586,7 +584,7 @@ func (e *Engine) forwarder(ctx context.Context, net *config.Network, igp *isis.R
 // reconfigured nodes. Forwarding consults their link state, local delivery,
 // ACLs and PBR directly, outside RIB and IGP lookups;
 // changed IGP first hops are matched per (device, target) against the trace's
-// recorded IGP queries instead — see traffic.Trace.Touches.
+// recorded IGP queries instead — see traffic.Trace.
 func structuralDeviceSet(d Delta) map[string]bool {
 	out := make(map[string]bool, 2*len(d.LinksDown)+2*len(d.LinksUp))
 	for _, id := range d.links() {

@@ -151,13 +151,22 @@ func (f *Framework) Run() *Report {
 	// the monitor can see (best routes, propagating attributes). The
 	// simulated side goes through the same *projection* (best-only,
 	// non-propagating attributes hidden) but not through the monitor's
-	// faults: a failed agent loses real data, not simulated data.
-	projection := &monitor.RouteMonitor{BMPDevices: f.RouteMon.BMPDevices}
-	diffRoutes("monitoring", projection.Collect(model.Routes.GlobalRIB()), f.RouteMon.Collect(truth.Routes.GlobalRIB()))
+	// faults: a failed agent loses real data, not simulated data. When the
+	// model is the truth, the monitor sees the simulated projection less its
+	// failed agents.
+	sim := f.RouteMon.Project(model.Routes.GlobalRIB())
+	var real *netmodel.GlobalRIB
+	if m == f.truth {
+		real = f.RouteMon.Lose(sim)
+	} else {
+		real = f.RouteMon.Collect(truth.Routes.GlobalRIB())
+	}
+	diffRoutes("monitoring", sim, real)
 
 	// 2. Live-network comparison for high-priority prefixes: full fidelity
-	// including ECMP siblings and local attributes.
-	if len(f.HighPriorityPrefixes) > 0 {
+	// including ECMP siblings and local attributes. A model that is the
+	// truth shows the live network exactly.
+	if len(f.HighPriorityPrefixes) > 0 && m != f.truth {
 		diffRoutes("live-show", netmodel.NewGlobalRIB(monitor.LiveShow(model.Routes.GlobalRIB(), f.HighPriorityPrefixes)),
 			netmodel.NewGlobalRIB(monitor.LiveShow(truth.Routes.GlobalRIB(), f.HighPriorityPrefixes)))
 	}

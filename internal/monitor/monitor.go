@@ -51,22 +51,25 @@ type RouteMonitor struct {
 }
 
 // Collect samples the ground-truth global RIB the way the production
-// monitoring system would see it.
+// monitoring system would see it: its projection, less the routes of every
+// device whose agent failed.
 func (m *RouteMonitor) Collect(truth *netmodel.GlobalRIB) *netmodel.GlobalRIB {
-	failed := make(map[string]bool, len(m.Faults.FailedRouteAgents))
-	for _, d := range m.Faults.FailedRouteAgents {
-		failed[d] = true
-	}
+	return m.Lose(m.Project(truth))
+}
+
+// Project restricts a global RIB to what the monitoring system can see,
+// faults aside: best routes only and, from a device without BMP, one best
+// route per (vrf, prefix) with weight and IGP cost zeroed. Rows that held
+// one attribute set share one weight-zeroed set.
+func (m *RouteMonitor) Project(rib *netmodel.GlobalRIB) *netmodel.GlobalRIB {
 	type tableKey struct {
 		dev, vrf string
 		p        netip.Prefix
 	}
 	var rows []netmodel.Route
 	seenBest := map[tableKey]bool{}
-	for _, r := range truth.Rows() {
-		if failed[r.Device] {
-			continue
-		}
+	zeroed := map[*netmodel.Attrs]*netmodel.Attrs{}
+	for _, r := range rib.Rows() {
 		if r.RouteType != netmodel.RouteBest {
 			continue // only selected routes are visible at all
 		}
@@ -79,14 +82,33 @@ func (m *RouteMonitor) Collect(truth *netmodel.GlobalRIB) *netmodel.GlobalRIB {
 				continue
 			}
 			seenBest[key] = true
-			a := *r.Attr()
-			a.Weight = 0
-			r.SetAttrs(&a)
+			z, ok := zeroed[r.Attrs]
+			if !ok {
+				was := r.Attrs
+				a := *r.Attr()
+				a.Weight = 0
+				r.SetAttrs(&a)
+				z = r.Attrs
+				zeroed[was] = z
+			}
+			r.Attrs = z
 			r.IGPCost = 0
 		}
 		rows = append(rows, r)
 	}
-	return netmodel.NewGlobalRIB(rows)
+	// The rows keep rib's order: a row without BMP is the only one of its
+	// (device, vrf, prefix), so its zeroed attributes decide no tie.
+	return netmodel.NewGlobalRIBFromSorted(rows)
+}
+
+// Lose drops from a projected RIB the routes of every device whose agent
+// failed.
+func (m *RouteMonitor) Lose(projected *netmodel.GlobalRIB) *netmodel.GlobalRIB {
+	failed := make(map[string]int, len(m.Faults.FailedRouteAgents))
+	for _, d := range m.Faults.FailedRouteAgents {
+		failed[d] = 0
+	}
+	return projected.ReplaceDevices(failed, nil)
 }
 
 // LiveShow is the guarded "show command" comparison path: it returns the

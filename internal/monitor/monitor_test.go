@@ -46,6 +46,34 @@ func TestRouteMonitorProjection(t *testing.T) {
 	}
 }
 
+// TestProjectionSharesZeroedAttrs: rows that held one attribute set project
+// onto one weight-zeroed set, made once, and the truth's set keeps its
+// weight.
+func TestProjectionSharesZeroedAttrs(t *testing.T) {
+	shared := &netmodel.Attrs{Weight: 32768, LocalPref: 200}
+	var rows []netmodel.Route
+	for _, dev := range []string{"A", "B", "C"} {
+		r := row(dev, "10.0.0.0/24", netmodel.RouteBest, 0)
+		r.Attrs = shared
+		rows = append(rows, r)
+	}
+	got := (&RouteMonitor{}).Project(netmodel.NewGlobalRIB(rows)).Rows()
+	if len(got) != 3 {
+		t.Fatalf("rows = %d, want 3", len(got))
+	}
+	for _, r := range got {
+		if r.Attrs != got[0].Attrs {
+			t.Errorf("%s: its own attribute set, want the one shared zeroed set", r.Device)
+		}
+		if a := r.Attr(); a.Weight != 0 || a.LocalPref != 200 {
+			t.Errorf("%s: projected attributes %+v, want weight 0 and local preference 200", r.Device, a)
+		}
+	}
+	if shared.Weight != 32768 {
+		t.Errorf("the truth's attribute set lost its weight: %d", shared.Weight)
+	}
+}
+
 func TestRouteMonitorBMP(t *testing.T) {
 	truth := netmodel.NewGlobalRIB([]netmodel.Route{
 		ecmpRow("A", "10.0.0.0/24", "1.1.1.1"),

@@ -71,6 +71,10 @@ func (ix *TopoIndex) NumDevices() int { return len(ix.devNames) }
 // NumLinks returns the number of interned links.
 func (ix *TopoIndex) NumLinks() int { return len(ix.links) }
 
+// NumEdges returns the number of CSR edge positions (two per link whose
+// endpoints are both devices).
+func (ix *TopoIndex) NumEdges() int { return len(ix.adjDev) }
+
 // DevID returns the dense ID of a device name.
 func (ix *TopoIndex) DevID(name string) (DevID, bool) {
 	id, ok := ix.devIDs[name]

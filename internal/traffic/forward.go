@@ -13,7 +13,6 @@ import (
 	"context"
 	"net/netip"
 	"slices"
-	"strings"
 
 	"hoyan/internal/config"
 	"hoyan/internal/isis"
@@ -51,6 +50,11 @@ func (o Options) ctxDone() bool {
 // maxHops bounds a path's length before the walk declares a loop.
 const maxHops = 64
 
+// maxVisits caps the states one flow's ECMP fan-out dequeues, against
+// pathological loops; a flow that reaches it with states still queued is
+// counted in Result.Capped.
+const maxVisits = 4 * maxHops
+
 // Forwarder computes flow paths over a network snapshot and its RIBs.
 type Forwarder struct {
 	net  *config.Network
@@ -65,6 +69,9 @@ type Forwarder struct {
 	// owned holds each device's locally terminated addresses (loopbacks and
 	// interface addresses), replacing the per-hop interface scan of ownsAddr.
 	owned map[string]map[netip.Addr]bool
+	// pbr holds each device's PBR policy names bound to any interface,
+	// sorted and unique: the policies that apply at the injection point.
+	pbr map[string][]string
 }
 
 // NewForwarder builds a forwarder over the given snapshot. It panics when igp
@@ -79,17 +86,26 @@ func NewForwarder(net *config.Network, igp *isis.Result, ribs RIBSource, opts Op
 		panic("traffic: the IGP result was computed on another topology than the network's")
 	}
 	f.owned = make(map[string]map[netip.Addr]bool, len(net.Devices))
+	f.pbr = make(map[string][]string)
 	for name, d := range net.Devices {
 		set := make(map[netip.Addr]bool, len(d.Interfaces)+2)
 		if d.Loopback.IsValid() {
 			set[d.Loopback] = true
 		}
+		var pbr []string
 		for _, i := range d.Interfaces {
 			if i.Addr.IsValid() {
 				set[i.Addr.Addr()] = true
 			}
+			if i.PBR != "" {
+				pbr = append(pbr, i.PBR)
+			}
 		}
 		f.owned[name] = set
+		if len(pbr) > 0 {
+			slices.Sort(pbr)
+			f.pbr[name] = slices.Compact(pbr)
+		}
 	}
 	return f
 }
@@ -101,6 +117,10 @@ type Result struct {
 	Paths []FlowPath
 	// Load is the per-link traffic volume with ECMP even-splitting.
 	Load netmodel.LinkLoad
+	// Capped counts the flows whose ECMP fan-out reached its visit cap (256
+	// dequeued states) with states still queued: Load leaves out the volume
+	// those states carried.
+	Capped int
 }
 
 // FlowPath pairs a flow with its simulated forwarding path.
@@ -116,56 +136,73 @@ func (f *Forwarder) Simulate(flows []netmodel.Flow) *Result {
 }
 
 // forward is the one forwarding loop behind Simulate, SimulateTraced and
-// Resimulate. Flow i keeps base.Paths[i] and baseTraces[i] when reuse(i)
-// holds and is walked otherwise (every flow is walked when reuse is nil); a
-// traced walk records the flow's Trace, an untraced one passes a nil recorder
-// and allocates no trace maps. Walked flows fan out over Options.Parallelism
-// workers, each filling only its flow's slots, and the link shares are summed
-// sequentially in flow order afterwards, so the floating-point additions
-// happen in exactly the sequential path's order and the result is
-// byte-identical at any parallelism and whatever subset was walked.
+// Resimulate. Flow i keeps base.Paths[i] and baseTraces[i]'s shares when
+// reuse(i) holds and is walked otherwise (every flow is walked when reuse is
+// nil); a traced walk records the flow's devices and IGP queries, an untraced
+// one records neither and traces is nil. Walked flows fan out over
+// Options.Parallelism workers, each filling only its flow's slots with a
+// walker of its own, and the link shares are summed sequentially in flow
+// order afterwards, so the floating-point additions happen in exactly the
+// sequential path's order and the result is byte-identical at any
+// parallelism and whatever subset was walked.
 func (f *Forwarder) forward(flows []netmodel.Flow, traced bool, reuse func(i int) bool, base *Result, baseTraces []Trace) (res *Result, traces []Trace, reused int) {
 	if len(flows) == 0 {
 		return &Result{Load: make(netmodel.LinkLoad)}, nil, 0
 	}
 	paths := make([]FlowPath, len(flows))
-	traces = make([]Trace, len(flows))
+	outs := make([]Trace, len(flows))
 	var redo []int
 	for i := range flows {
 		if reuse != nil && reuse(i) {
-			paths[i], traces[i] = base.Paths[i], baseTraces[i]
+			paths[i], outs[i] = base.Paths[i], baseTraces[i]
 			reused++
 		} else {
 			redo = append(redo, i)
 		}
 	}
+	// At most Workers walkers are ever out at once: par.ForEach runs no more
+	// goroutines, and each holds one walker per flow.
+	free := make(chan *walker, par.Workers(f.opts.Parallelism))
 	par.ForEach(f.opts.Parallelism, len(redo), func(j int) {
 		if f.opts.ctxDone() {
 			return
 		}
-		i := redo[j]
-		var rec *Trace
-		if traced {
-			rec = &traces[i]
+		var w *walker
+		select {
+		case w = <-free:
+		default:
+			w = f.newWalker()
 		}
-		paths[i] = FlowPath{Flow: flows[i], Path: f.path(flows[i], rec)}
-		traces[i].contribs = f.loadContribs(flows[i], rec)
+		i := redo[j]
+		w.start(flows[i], traced)
+		paths[i] = FlowPath{Flow: flows[i], Path: w.path()}
+		outs[i].contribs, outs[i].capped = w.fanOut()
+		if traced {
+			w.finishTrace(&outs[i])
+		}
+		free <- w
 	})
 	// Accumulate into a flat per-LinkIdx array: each link's additions happen
 	// in flow order, as in a sequential merge.
 	acc := make([]float64, f.idx.NumLinks())
 	touched := make([]bool, f.idx.NumLinks())
-	for i := range traces {
-		for _, c := range traces[i].contribs {
+	res = &Result{Paths: paths, Load: make(netmodel.LinkLoad)}
+	for i := range outs {
+		for _, c := range outs[i].contribs {
 			acc[c.lidx] += c.volume
 			touched[c.lidx] = true
 		}
+		if outs[i].capped {
+			res.Capped++
+		}
 	}
-	res = &Result{Paths: paths, Load: make(netmodel.LinkLoad)}
 	for li, t := range touched {
 		if t {
 			res.Load[f.idx.LinkIDAt(netmodel.LinkIdx(li))] = acc[li]
 		}
+	}
+	if traced {
+		traces = outs
 	}
 	return res, traces, reused
 }
@@ -173,60 +210,9 @@ func (f *Forwarder) forward(flows []netmodel.Flow, traced bool, reuse func(i int
 // Path computes the representative forwarding path of one flow, choosing one
 // ECMP branch per hop by 5-tuple hash.
 func (f *Forwarder) Path(fl netmodel.Flow) netmodel.Path {
-	return f.path(fl, nil)
-}
-
-// path is Path with optional trace recording: rec accumulates every device
-// whose forwarding state the walk consulted.
-func (f *Forwarder) path(fl netmodel.Flow, rec *Trace) netmodel.Path {
-	var path netmodel.Path
-	cur := fl.Ingress
-	inIface := ""
-	// Visited set: a flat per-DevID slice, with a lazy map fallback for names
-	// outside the topology index.
-	visited := make([]bool, f.idx.NumDevices())
-	var visitedM map[string]bool
-	wasVisited := func(dev string) bool {
-		if id, ok := f.idx.DevID(dev); ok {
-			if visited[id] {
-				return true
-			}
-			visited[id] = true
-			return false
-		}
-		if visitedM == nil {
-			visitedM = map[string]bool{}
-		}
-		if visitedM[dev] {
-			return true
-		}
-		visitedM[dev] = true
-		return false
-	}
-	h := flowHash(fl)
-	for hop := 0; hop < maxHops; hop++ {
-		if wasVisited(cur) {
-			path.Hops = append(path.Hops, netmodel.Hop{Device: cur})
-			path.Exit = netmodel.ExitLoop
-			return path
-		}
-
-		rec.see(cur)
-		step := f.step(cur, inIface, fl, rec)
-		if step.exit != exitNone {
-			path.Hops = append(path.Hops, netmodel.Hop{Device: cur})
-			path.Exit = exitReason(step.exit)
-			return path
-		}
-		// Pick one branch by hash.
-		nh := step.branches[int(h)%len(step.branches)]
-		path.Hops = append(path.Hops, netmodel.Hop{Device: cur, Link: nh.link})
-		cur = nh.device
-		inIface = nh.remoteIface
-	}
-	path.Hops = append(path.Hops, netmodel.Hop{Device: cur})
-	path.Exit = netmodel.ExitLoop
-	return path
+	w := f.newWalker()
+	w.start(fl, false)
+	return w.path()
 }
 
 // linkShare is one link's slice of a flow's volume, in the order the BFS
@@ -238,47 +224,11 @@ type linkShare struct {
 	volume float64
 }
 
-// loadContribs walks the flow's ECMP fan-out and returns the volume share it
-// places on every traversed link, splitting evenly at each branch point. rec
-// (optional) accumulates the devices and IGP queries the walk consults.
-func (f *Forwarder) loadContribs(fl netmodel.Flow, rec *Trace) []linkShare {
-	type state struct {
-		device  string
-		inIface string
-		volume  float64
-		depth   int
-	}
-	var out []linkShare
-	queue := []state{{device: fl.Ingress, volume: fl.Volume}}
-	// visits caps work on pathological loops.
-	visits := 0
-	for len(queue) > 0 && visits < 4*maxHops {
-		st := queue[0]
-		queue = queue[1:]
-		visits++
-		if st.depth >= maxHops {
-			continue
-		}
-		rec.see(st.device)
-		step := f.step(st.device, st.inIface, fl, rec)
-		if step.exit != exitNone {
-			continue
-		}
-		share := st.volume / float64(len(step.branches))
-		for _, br := range step.branches {
-			out = append(out, linkShare{lidx: br.lidx, volume: share})
-			queue = append(queue, state{device: br.device, inIface: br.remoteIface, volume: share, depth: st.depth + 1})
-		}
-	}
-	return out
-}
-
-type branch struct {
-	device      string // next device
-	link        netmodel.LinkID
-	lidx        netmodel.LinkIdx // dense link index
-	remoteIface string           // interface name on the next device (for its ACL-in)
-}
+// branch is one way a device forwards a flow: the CSR edge position, in the
+// forwarding device's row of the forwarder's TopoIndex, of the link it sends
+// the flow over. The next device, the link and the interface the flow enters
+// the next device on are all read from the index.
+type branch int32
 
 type stepExit uint8
 
@@ -305,16 +255,178 @@ func exitReason(e stepExit) netmodel.ExitReason {
 	return netmodel.ExitNoRoute
 }
 
+// stepResult is what a device does with the flow: an exit, or forwarding
+// along the branches w.arena[lo:hi] of the walker that computed it.
 type stepResult struct {
-	exit     stepExit
-	branches []branch
+	exit   stepExit
+	lo, hi int32
 }
 
-// step decides what device dev does with the flow: terminate or forward
-// along one or more equal-cost branches. rec (optional) accumulates the IGP
-// first-hop queries the step makes.
-func (f *Forwarder) step(dev, inIface string, fl netmodel.Flow, rec *Trace) stepResult {
-	d := f.net.Devices[dev]
+// walker forwards flows one at a time for one worker of a forward call. A
+// flow's state is the edge it arrived on (-1: injected at the ingress), which
+// names both the device and its ingress interface; the walker computes each
+// state's step once per flow and both the representative path and the ECMP
+// fan-out read the memo. Its buffers carry over from flow to flow; what a
+// flow keeps is copied out at its exact length.
+type walker struct {
+	f      *Forwarder
+	fl     netmodel.Flow
+	traced bool
+	// ingress is the flow's ingress DevID, NoDev outside the index.
+	ingress netmodel.DevID
+
+	// gen stamps the memo and visited slots the current flow wrote, so a new
+	// flow clears neither.
+	gen     uint32
+	memo    []memoSlot // by arrival edge position + 1; slot 0 is the ingress
+	visited []uint32   // by DevID: the gen whose path walk visited it
+	// steps holds the flow's computed steps, one per state reached.
+	steps []stepResult
+	// arena holds the branches of every step the flow computed. A memoized
+	// step's branches are read-only: filtering and sorting happen only on a
+	// fresh step's tail, before it is memoized.
+	arena []branch
+
+	hops   []netmodel.Hop
+	queue  []queued
+	shares []linkShare
+	devs   []netmodel.DevID
+	deps   []igpQuery
+}
+
+type memoSlot struct {
+	gen  uint32
+	step int32
+}
+
+// queued is one state of the ECMP fan-out with the volume it carries.
+type queued struct {
+	in     int32
+	volume float64
+	depth  int
+}
+
+func (f *Forwarder) newWalker() *walker {
+	return &walker{
+		f:       f,
+		memo:    make([]memoSlot, f.idx.NumEdges()+1),
+		visited: make([]uint32, f.idx.NumDevices()),
+	}
+}
+
+// start readies the walker for flow fl.
+func (w *walker) start(fl netmodel.Flow, traced bool) {
+	w.fl, w.traced = fl, traced
+	w.ingress = netmodel.NoDev
+	if id, ok := w.f.idx.DevID(fl.Ingress); ok {
+		w.ingress = id
+	}
+	w.gen++
+	w.steps, w.arena, w.devs, w.deps = w.steps[:0], w.arena[:0], w.devs[:0], w.deps[:0]
+}
+
+// state resolves an arrival edge (-1: the ingress) into the device the flow
+// is at and the interface it entered on ("" at the ingress).
+func (w *walker) state(in int32) (name string, dev netmodel.DevID, inIface string) {
+	if in < 0 {
+		return w.fl.Ingress, w.ingress, ""
+	}
+	ix := w.f.idx
+	dev = ix.EdgeDev(in)
+	l := ix.EdgeLink(in)
+	inIface = l.AIface
+	if ix.EdgeFromA(in) {
+		inIface = l.BIface
+	}
+	return ix.DevName(dev), dev, inIface
+}
+
+// step is the memoized forwarding decision at state in.
+func (w *walker) step(in int32) stepResult {
+	slot := &w.memo[in+1]
+	if slot.gen == w.gen {
+		return w.steps[slot.step]
+	}
+	name, dev, inIface := w.state(in)
+	sr := w.compute(name, dev, inIface)
+	slot.gen, slot.step = w.gen, int32(len(w.steps))
+	w.steps = append(w.steps, sr)
+	return sr
+}
+
+// path walks the flow's representative path, one hash-chosen branch per hop.
+func (w *walker) path() netmodel.Path {
+	ix := w.f.idx
+	hops := w.hops[:0]
+	h := flowHash(w.fl)
+	in, name, dev := int32(-1), w.fl.Ingress, w.ingress
+	exit := netmodel.ExitLoop
+	for hop := 0; hop < maxHops; hop++ {
+		if dev != netmodel.NoDev {
+			if w.visited[dev] == w.gen {
+				break
+			}
+			w.visited[dev] = w.gen
+		}
+		sr := w.step(in)
+		if sr.exit != exitNone {
+			exit = exitReason(sr.exit)
+			break
+		}
+		bs := w.arena[sr.lo:sr.hi]
+		nh := int32(bs[int(h)%len(bs)])
+		hops = append(hops, netmodel.Hop{Device: name, Link: ix.LinkIDAt(ix.EdgeLinkIdx(nh))})
+		in, dev = nh, ix.EdgeDev(nh)
+		name = ix.DevName(dev)
+	}
+	hops = append(hops, netmodel.Hop{Device: name})
+	w.hops = hops
+	out := make([]netmodel.Hop, len(hops))
+	copy(out, hops)
+	return netmodel.Path{Hops: out, Exit: exit}
+}
+
+// fanOut walks the flow's ECMP fan-out breadth first and returns the volume
+// share it places on every traversed link, splitting evenly at each branch
+// point, and whether it stopped at maxVisits with states still queued.
+func (w *walker) fanOut() (shares []linkShare, capped bool) {
+	ix := w.f.idx
+	q := append(w.queue[:0], queued{in: -1, volume: w.fl.Volume})
+	out := w.shares[:0]
+	head := 0
+	for ; head < len(q) && head < maxVisits; head++ {
+		st := q[head]
+		if st.depth >= maxHops {
+			continue
+		}
+		sr := w.step(st.in)
+		if sr.exit != exitNone {
+			continue
+		}
+		share := st.volume / float64(sr.hi-sr.lo)
+		for _, br := range w.arena[sr.lo:sr.hi] {
+			out = append(out, linkShare{lidx: ix.EdgeLinkIdx(int32(br)), volume: share})
+			q = append(q, queued{in: int32(br), volume: share, depth: st.depth + 1})
+		}
+	}
+	w.queue, w.shares = q, out
+	if len(out) > 0 {
+		shares = make([]linkShare, len(out))
+		copy(shares, out)
+	}
+	return shares, head < len(q)
+}
+
+// compute decides what device name (dev in the index) does with the flow
+// entering on inIface: terminate or forward along one or more equal-cost
+// branches, appended to w.arena. A traced walker records the device and the
+// IGP first-hop queries the step makes.
+func (w *walker) compute(name string, dev netmodel.DevID, inIface string) stepResult {
+	if w.traced {
+		w.devs = append(w.devs, dev)
+	}
+	f, fl := w.f, w.fl
+	d := f.net.Devices[name]
 	if d == nil {
 		return stepResult{exit: exitNoRoute}
 	}
@@ -332,78 +444,76 @@ func (f *Forwarder) step(dev, inIface string, fl netmodel.Flow, rec *Trace) step
 	}
 	// PBR bound to the ingress interface (or any interface at injection).
 	if nh, ok := f.pbrNextHop(d, inIface, fl); ok {
-		return f.applyEgressACL(d, fl, f.toward(d, nh, fl, rec))
+		return w.applyEgressACL(d, w.toward(d, dev, nh))
 	}
 	// Longest prefix match over best routes. When the RIB has no match the
 	// flow may still be deliverable through the IGP (router loopbacks and
 	// link subnets are IS-IS routes, not BGP ones).
-	rib := f.ribs.RIB(dev, netmodel.DefaultVRF)
+	rib := f.ribs.RIB(name, netmodel.DefaultVRF)
 	_, best, ok := rib.LongestMatch(fl.Dst)
 	if !ok {
-		return f.toward(d, fl.Dst, fl, rec)
+		return w.toward(d, dev, fl.Dst)
 	}
 	// Direct route: destination is on-subnet but not ours — the flow leaves
 	// the modelled network here (e.g. toward an un-modelled server).
 	if best[0].Protocol == netmodel.ProtoDirect {
 		return stepResult{exit: exitDelivered}
 	}
-	var out stepResult
+	// Each route's branches land contiguously at the arena's tail; a route
+	// that exits adds none.
+	lo := int32(len(w.arena))
 	exitSeen := exitNoRoute
 	for _, r := range best {
-		br := f.toward(d, r.NextHop, fl, rec)
-		if br.exit != exitNone {
-			if exitSeen == exitNoRoute {
-				exitSeen = br.exit
-			}
-			continue
+		if br := w.toward(d, dev, r.NextHop); br.exit != exitNone && exitSeen == exitNoRoute {
+			exitSeen = br.exit
 		}
-		out.branches = append(out.branches, br.branches...)
 	}
-	if len(out.branches) == 0 {
-		out.exit = exitSeen
-		return out
+	if int32(len(w.arena)) == lo {
+		return stepResult{exit: exitSeen}
 	}
-	f.dedupeBranches(&out.branches)
-	return f.applyEgressACL(d, fl, out)
+	return w.applyEgressACL(d, w.dedupe(lo))
 }
 
 // applyEgressACL drops branches whose local egress interface carries a
-// denying ACL; the flow is ACL-denied when every branch is blocked.
-func (f *Forwarder) applyEgressACL(d *config.Device, fl netmodel.Flow, sr stepResult) stepResult {
+// denying ACL; the flow is ACL-denied when every branch is blocked. sr must
+// be fresh: its branches are the arena's tail, filtered in place.
+func (w *walker) applyEgressACL(d *config.Device, sr stepResult) stepResult {
 	if sr.exit != exitNone {
 		return sr
 	}
-	kept := sr.branches[:0]
-	for _, br := range sr.branches {
-		l := f.net.Topo.Link(br.link)
-		if l == nil {
-			continue
-		}
-		iface := l.AIface
-		if l.B == d.Name {
-			iface = l.BIface
+	ix := w.f.idx
+	kept := sr.lo
+	for _, br := range w.arena[sr.lo:sr.hi] {
+		l := ix.EdgeLink(int32(br))
+		iface := l.BIface
+		if ix.EdgeFromA(int32(br)) {
+			iface = l.AIface
 		}
 		if i := d.Interfaces[iface]; i != nil && i.ACLOut != "" {
-			if acl := d.ACLs[i.ACLOut]; acl != nil && !acl.Permits(fl) {
+			if acl := d.ACLs[i.ACLOut]; acl != nil && !acl.Permits(w.fl) {
 				continue
 			}
 		}
-		kept = append(kept, br)
+		w.arena[kept] = br
+		kept++
 	}
-	if len(kept) == 0 {
+	w.arena = w.arena[:kept]
+	if kept == sr.lo {
 		return stepResult{exit: exitACL}
 	}
-	sr.branches = kept
+	sr.hi = kept
 	return sr
 }
 
-// toward resolves a next-hop address into concrete branches (or an exit).
-func (f *Forwarder) toward(d *config.Device, nh netip.Addr, fl netmodel.Flow, rec *Trace) stepResult {
+// toward resolves a next-hop address into concrete branches, appended to
+// w.arena, or an exit, which appends none.
+func (w *walker) toward(d *config.Device, dev netmodel.DevID, nh netip.Addr) stepResult {
 	if !nh.IsValid() {
 		return stepResult{exit: exitNoRoute}
 	}
-	owner := f.net.Topo.AddrOwner(nh)
-	if owner == "" {
+	f, ix := w.f, w.f.idx
+	owner := ix.AddrOwnerID(nh)
+	if owner == netmodel.NoDev {
 		// Off-network next hop: if it is on a directly connected subnet the
 		// flow exits to a peer; otherwise it is unroutable.
 		for _, i := range d.Interfaces {
@@ -413,7 +523,7 @@ func (f *Forwarder) toward(d *config.Device, nh netip.Addr, fl netmodel.Flow, re
 		}
 		return stepResult{exit: exitNoRoute}
 	}
-	if owner == d.Name {
+	if owner == dev {
 		return stepResult{exit: exitDelivered}
 	}
 	// SR policy with explicit segments: first segment decides the next
@@ -422,86 +532,71 @@ func (f *Forwarder) toward(d *config.Device, nh netip.Addr, fl netmodel.Flow, re
 	// by routing toward the first segment device).
 	target := owner
 	if sp := f.srPolicyFor(d, nh, owner); sp != nil && len(sp.Segments) > 0 {
-		if f.net.Topo.Node(sp.Segments[0]) != nil {
-			target = sp.Segments[0]
+		if id, ok := ix.DevID(sp.Segments[0]); ok {
+			target = id
 		}
 	}
+	if dev == netmodel.NoDev {
+		return stepResult{exit: exitNoRoute}
+	}
+	lo := int32(len(w.arena))
 	// Directly connected to the target through the link holding nh? A CSR
 	// scan of the device's links; on a (degenerate) duplicate-address tie the
 	// first link in insertion order wins.
-	if devID, ok := f.idx.DevID(d.Name); ok {
-		bestPos, bestIns := int32(-1), int32(0)
-		lo, hi := f.idx.EdgeRange(devID)
-		for pos := lo; pos < hi; pos++ {
-			l := f.idx.EdgeLink(pos)
-			if !l.Up {
-				continue
-			}
-			nbAddr := l.AAddr
-			if f.idx.EdgeFromA(pos) {
-				nbAddr = l.BAddr
-			}
-			if nbAddr != nh || f.idx.DevName(f.idx.EdgeDev(pos)) != target {
-				continue
-			}
-			ins := f.idx.InsertionOrder(f.idx.EdgeLinkIdx(pos))
-			if bestPos < 0 || ins < bestIns {
-				bestPos, bestIns = pos, ins
-			}
-		}
-		if bestPos >= 0 {
-			l := f.idx.EdgeLink(bestPos)
-			iface := l.AIface
-			if f.idx.EdgeFromA(bestPos) {
-				iface = l.BIface
-			}
-			return stepResult{branches: []branch{{
-				device:      f.idx.DevName(f.idx.EdgeDev(bestPos)),
-				link:        f.idx.LinkIDAt(f.idx.EdgeLinkIdx(bestPos)),
-				lidx:        f.idx.EdgeLinkIdx(bestPos),
-				remoteIface: iface,
-			}}}
-		}
-	}
-	// Recursive resolution through the IGP.
-	rec.dep(d.Name, target)
-	devID, okD := f.idx.DevID(d.Name)
-	tgtID, okT := f.idx.DevID(target)
-	if !okD || !okT {
-		return stepResult{exit: exitNoRoute}
-	}
-	poss := f.igp.FirstHopEdges(devID, tgtID)
-	if len(poss) == 0 {
-		return stepResult{exit: exitNoRoute}
-	}
-	var out stepResult
-	for _, pos := range poss {
-		l := f.idx.EdgeLink(pos)
-		if l == nil || !l.Up {
+	bestPos, bestIns := int32(-1), int32(0)
+	rlo, rhi := ix.EdgeRange(dev)
+	for pos := rlo; pos < rhi; pos++ {
+		l := ix.EdgeLink(pos)
+		if !l.Up {
 			continue
 		}
-		iface := l.AIface
-		if f.idx.EdgeFromA(pos) {
-			iface = l.BIface
+		nbAddr := l.AAddr
+		if ix.EdgeFromA(pos) {
+			nbAddr = l.BAddr
 		}
-		out.branches = append(out.branches, branch{
-			device:      f.idx.DevName(f.idx.EdgeDev(pos)),
-			link:        f.idx.LinkIDAt(f.idx.EdgeLinkIdx(pos)),
-			lidx:        f.idx.EdgeLinkIdx(pos),
-			remoteIface: iface,
-		})
+		if nbAddr != nh || ix.EdgeDev(pos) != target {
+			continue
+		}
+		ins := ix.InsertionOrder(ix.EdgeLinkIdx(pos))
+		if bestPos < 0 || ins < bestIns {
+			bestPos, bestIns = pos, ins
+		}
 	}
-	if len(out.branches) == 0 {
+	if bestPos >= 0 {
+		w.arena = append(w.arena, branch(bestPos))
+		return stepResult{lo: lo, hi: lo + 1}
+	}
+	// Recursive resolution through the IGP.
+	if w.traced {
+		w.deps = append(w.deps, igpQuery{dev, target})
+	}
+	for _, pos := range f.igp.FirstHopEdges(dev, target) {
+		if l := ix.EdgeLink(pos); l != nil && l.Up {
+			w.arena = append(w.arena, branch(pos))
+		}
+	}
+	if int32(len(w.arena)) == lo {
 		return stepResult{exit: exitLinkDown}
 	}
-	f.dedupeBranches(&out.branches)
-	return out
+	return w.dedupe(lo)
 }
 
-func (f *Forwarder) srPolicyFor(d *config.Device, nh netip.Addr, owner string) *config.SRPolicy {
+// dedupe sorts the fresh branches w.arena[lo:] and removes exact duplicates.
+// Every branch is an edge position in one device's CSR row, whose positions
+// ascend in (next device, link) order, so this is (device name, LinkID)
+// order.
+func (w *walker) dedupe(lo int32) stepResult {
+	bs := w.arena[lo:]
+	slices.Sort(bs)
+	bs = slices.Compact(bs)
+	w.arena = w.arena[:lo+int32(len(bs))]
+	return stepResult{lo: lo, hi: int32(len(w.arena))}
+}
+
+func (f *Forwarder) srPolicyFor(d *config.Device, nh netip.Addr, owner netmodel.DevID) *config.SRPolicy {
 	for _, sp := range d.SRPolicies {
-		epOwner := f.net.Topo.AddrOwner(sp.Endpoint)
-		if sp.Endpoint == nh || (epOwner != "" && epOwner == owner) {
+		epOwner := f.idx.AddrOwnerID(sp.Endpoint)
+		if sp.Endpoint == nh || (epOwner != netmodel.NoDev && epOwner == owner) {
 			return sp
 		}
 	}
@@ -509,29 +604,28 @@ func (f *Forwarder) srPolicyFor(d *config.Device, nh netip.Addr, owner string) *
 }
 
 // pbrNextHop finds an applicable PBR rule. At the injection point (no
-// ingress interface) any bound policy applies; mid-path only the ingress
-// interface's policy applies.
+// ingress interface) any bound policy applies, in name order; mid-path only
+// the ingress interface's policy applies.
 func (f *Forwarder) pbrNextHop(d *config.Device, inIface string, fl netmodel.Flow) (netip.Addr, bool) {
-	var names []string
 	if inIface != "" {
 		if i := d.Interfaces[inIface]; i != nil && i.PBR != "" {
-			names = []string{i.PBR}
+			return pbrMatch(d.PBRPolicies[i.PBR], fl)
 		}
-	} else {
-		seen := map[string]bool{}
-		for _, i := range d.Interfaces {
-			if i.PBR != "" && !seen[i.PBR] {
-				names = append(names, i.PBR)
-				seen[i.PBR] = true
-			}
-		}
-		slices.Sort(names)
+		return netip.Addr{}, false
 	}
-	for _, name := range names {
-		for _, rule := range d.PBRPolicies[name] {
-			if rule.Match.Matches(fl) {
-				return rule.NextHop, true
-			}
+	for _, name := range f.pbr[d.Name] {
+		if nh, ok := pbrMatch(d.PBRPolicies[name], fl); ok {
+			return nh, true
+		}
+	}
+	return netip.Addr{}, false
+}
+
+// pbrMatch returns the next hop of the first rule matching fl.
+func pbrMatch(rules []config.PBRRule, fl netmodel.Flow) (netip.Addr, bool) {
+	for _, rule := range rules {
+		if rule.Match.Matches(fl) {
+			return rule.NextHop, true
 		}
 	}
 	return netip.Addr{}, false
@@ -545,27 +639,6 @@ func (f *Forwarder) ownsAddr(d *config.Device, a netip.Addr) bool {
 		return f.owned[d.Name][a]
 	}
 	return !d.Loopback.IsValid()
-}
-
-// dedupeBranches sorts branches into (device, link) order and removes exact
-// duplicates. The link order comes from the dense link index, which is
-// assigned in LinkID-string order.
-func (f *Forwarder) dedupeBranches(bs *[]branch) {
-	slices.SortFunc(*bs, func(a, b branch) int {
-		if c := strings.Compare(a.device, b.device); c != 0 {
-			return c
-		}
-		return int(a.lidx) - int(b.lidx)
-	})
-	out := (*bs)[:0]
-	var last branch
-	for i, b := range *bs {
-		if i == 0 || b != last {
-			out = append(out, b)
-		}
-		last = b
-	}
-	*bs = out
 }
 
 // flowHash is FNV-1a over the 5-tuple, computed inline (byte-identical to

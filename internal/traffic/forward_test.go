@@ -1,7 +1,11 @@
 package traffic
 
 import (
+	"fmt"
+	"math"
 	"net/netip"
+	"reflect"
+	"slices"
 	"testing"
 
 	"hoyan/internal/bgp"
@@ -39,34 +43,43 @@ func addrOfLink(net *config.Network, a, b string, side string) netip.Addr {
 	return bAddr
 }
 
+// testNetBuilder assembles a hand-built network device by device and link by
+// link, numbering the link subnets from 172.20.0.0/16.
+type testNetBuilder struct {
+	net    *config.Network
+	nextIP int
+}
+
+func (b *testNetBuilder) dev(name string, asn netmodel.ASN, lo string) *config.Device {
+	d := config.NewDevice(name, "alpha")
+	d.ASN = asn
+	d.Loopback = netip.MustParseAddr(lo)
+	d.RouterID = d.Loopback
+	d.MaxPaths = 4
+	b.net.Devices[name] = d
+	b.net.Topo.AddNode(netmodel.Node{Name: name, Loopback: d.Loopback})
+	return d
+}
+
+func (b *testNetBuilder) link(a, c string, cost uint32) {
+	b.nextIP++
+	base := netip.AddrFrom4([4]byte{172, 20, byte(b.nextIP >> 6), byte((b.nextIP << 2) & 0xff)})
+	aAddr := base.Next()
+	cAddr := aAddr.Next()
+	aIf, cIf := "to-"+c, "to-"+a
+	b.net.Devices[a].Interfaces[aIf] = &config.Interface{Name: aIf, Addr: netip.PrefixFrom(aAddr, 30), ISISCost: cost}
+	b.net.Devices[c].Interfaces[cIf] = &config.Interface{Name: cIf, Addr: netip.PrefixFrom(cAddr, 30), ISISCost: cost}
+	b.net.Topo.AddLink(netmodel.Link{
+		A: a, B: c, AIface: aIf, BIface: cIf,
+		ANet: netip.PrefixFrom(base, 30), BNet: netip.PrefixFrom(base, 30),
+		AAddr: aAddr, BAddr: cAddr, CostAB: cost, CostBA: cost, Bandwidth: 1e10,
+	})
+}
+
 func buildDiamond(t *testing.T) *testEnv {
 	t.Helper()
-	net := config.NewNetwork()
-	nextIP := 0
-	dev := func(name string, asn netmodel.ASN, lo string) *config.Device {
-		d := config.NewDevice(name, "alpha")
-		d.ASN = asn
-		d.Loopback = netip.MustParseAddr(lo)
-		d.RouterID = d.Loopback
-		d.MaxPaths = 4
-		net.Devices[name] = d
-		net.Topo.AddNode(netmodel.Node{Name: name, Loopback: d.Loopback})
-		return d
-	}
-	link := func(a, b string, cost uint32) {
-		nextIP++
-		base := netip.AddrFrom4([4]byte{172, 20, byte(nextIP >> 6), byte((nextIP << 2) & 0xff)})
-		aAddr := base.Next()
-		bAddr := aAddr.Next()
-		aIf, bIf := "to-"+b, "to-"+a
-		net.Devices[a].Interfaces[aIf] = &config.Interface{Name: aIf, Addr: netip.PrefixFrom(aAddr, 30), ISISCost: cost}
-		net.Devices[b].Interfaces[bIf] = &config.Interface{Name: bIf, Addr: netip.PrefixFrom(bAddr, 30), ISISCost: cost}
-		net.Topo.AddLink(netmodel.Link{
-			A: a, B: b, AIface: aIf, BIface: bIf,
-			ANet: netip.PrefixFrom(base, 30), BNet: netip.PrefixFrom(base, 30),
-			AAddr: aAddr, BAddr: bAddr, CostAB: cost, CostBA: cost, Bandwidth: 1e10,
-		})
-	}
+	b := &testNetBuilder{net: config.NewNetwork()}
+	net, dev, link := b.net, b.dev, b.link
 	ibgp := func(a, b string) {
 		da, db := net.Devices[a], net.Devices[b]
 		da.Neighbors = append(da.Neighbors, &config.Neighbor{Addr: db.Loopback, RemoteAS: db.ASN, VRF: netmodel.DefaultVRF, UpdateSource: true, NextHopSelf: true})
@@ -262,8 +275,9 @@ func TestPathDeterministicHashChoice(t *testing.T) {
 	}
 }
 
-func TestLoopDetection(t *testing.T) {
-	// Static routes pointing at each other create a forwarding loop.
+// buildLoop is two routers whose static routes for 10.0.0.0/24 point at each
+// other across their one link: a forwarding loop.
+func buildLoop() *testEnv {
 	net := config.NewNetwork()
 	for i, name := range []string{"X", "Y"} {
 		d := config.NewDevice(name, "alpha")
@@ -280,11 +294,14 @@ func TestLoopDetection(t *testing.T) {
 		AAddr: xa, BAddr: ya, CostAB: 10, CostBA: 10,
 	})
 	igp := isis.Compute(net.Topo, isis.Options{})
-	// Both statics point across the link for the same prefix.
 	net.Devices["X"].Statics = []config.StaticRoute{{VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.0.0.0/24"), NextHop: ya, Preference: 1}}
 	net.Devices["Y"].Statics = []config.StaticRoute{{VRF: netmodel.DefaultVRF, Prefix: netip.MustParsePrefix("10.0.0.0/24"), NextHop: xa, Preference: 1}}
-	res := bgp.Simulate(net, igp, nil, bgp.Options{})
-	fw := NewForwarder(net, igp, res, Options{})
+	return &testEnv{net: net, igp: igp, res: bgp.Simulate(net, igp, nil, bgp.Options{})}
+}
+
+func TestLoopDetection(t *testing.T) {
+	e := buildLoop()
+	fw := NewForwarder(e.net, e.igp, e.res, Options{})
 	p := fw.Path(flow("X", "192.0.2.1", "10.0.0.5", 10))
 	if p.Exit != netmodel.ExitLoop {
 		t.Errorf("exit = %v, want loop (path %v)", p.Exit, p)
@@ -336,5 +353,293 @@ func TestEgressACLBlocksFlow(t *testing.T) {
 	}
 	if got := res.Load[e.net.Topo.FindLink("A", "B").ID()]; got != 0 {
 		t.Errorf("blocked branch must carry nothing, got %v", got)
+	}
+}
+
+// buildLadder chains stages 2-way ECMP diamonds: A0 forks to B0 and C0, both
+// join at A1, and so on up to A<stages>, whose loopback 1.1.0.<stages> the
+// ladder's flows target. Every link costs 10; no route is configured, so each
+// hop resolves the loopback through the IGP's equal-cost first hops.
+func buildLadder(stages int) *testEnv {
+	b := &testNetBuilder{net: config.NewNetwork()}
+	name := func(p string, i int) string { return fmt.Sprintf("%s%d", p, i) }
+	for i := 0; i <= stages; i++ {
+		b.dev(name("A", i), 65001, fmt.Sprintf("1.1.0.%d", i))
+		if i < stages {
+			b.dev(name("B", i), 65001, fmt.Sprintf("1.1.1.%d", i))
+			b.dev(name("C", i), 65001, fmt.Sprintf("1.1.2.%d", i))
+		}
+	}
+	for i := 0; i < stages; i++ {
+		for _, mid := range []string{name("B", i), name("C", i)} {
+			b.link(name("A", i), mid, 10)
+			b.link(mid, name("A", i+1), 10)
+		}
+	}
+	igp := isis.Compute(b.net.Topo, isis.Options{})
+	return &testEnv{net: b.net, igp: igp, res: bgp.Simulate(b.net, igp, nil, bgp.Options{})}
+}
+
+// TestVisitCapCounted pins the ECMP fan-out's visit cap. On a 2-way ECMP
+// ladder the fan-out queues 2^k copies of stage k's fork, so on 9 stages it
+// dequeues maxVisits states at stage 6 and drops what is still queued: the
+// flow counts in Result.Capped, and the loads are the capped ones — all 64
+// copies of A6 split onto B6 and C6, but only 3 of the 128 that follow go on
+// (B6, C6, B6, each carrying 1/128 of the volume). On 4 stages nothing is
+// capped and the volume arrives whole.
+func TestVisitCapCounted(t *testing.T) {
+	for _, tc := range []struct {
+		stages, capped int
+		load           map[[2]string]float64
+	}{
+		{4, 0, map[[2]string]float64{{"A3", "B3"}: 64, {"B3", "A4"}: 64, {"C3", "A4"}: 64}},
+		{9, 1, map[[2]string]float64{{"A6", "B6"}: 64, {"A6", "C6"}: 64, {"B6", "A7"}: 2, {"C6", "A7"}: 1, {"A7", "B7"}: 0}},
+	} {
+		e := buildLadder(tc.stages)
+		fw := NewForwarder(e.net, e.igp, e.res, Options{})
+		fl := flow("A0", "192.0.2.1", fmt.Sprintf("1.1.0.%d", tc.stages), 128)
+		res := fw.Simulate([]netmodel.Flow{fl})
+		if res.Capped != tc.capped {
+			t.Errorf("%d stages: Capped = %d, want %d", tc.stages, res.Capped, tc.capped)
+		}
+		if p := res.Paths[0].Path; p.Exit != netmodel.ExitDelivered || len(p.Hops) != 2*tc.stages+1 {
+			t.Errorf("%d stages: path %v, want %d hops delivered", tc.stages, p, 2*tc.stages+1)
+		}
+		for ends, want := range tc.load {
+			if got := res.Load[e.net.Topo.FindLink(ends[0], ends[1]).ID()]; got != want {
+				t.Errorf("%d stages: load %s-%s = %v, want %v", tc.stages, ends[0], ends[1], got, want)
+			}
+		}
+	}
+}
+
+// refFlow is one flow as the reference forwarder walked it.
+type refFlow struct {
+	path   netmodel.Path
+	shares []linkShare
+	capped bool
+	devs   map[string]bool    // devices a step was computed at
+	deps   map[[2]string]bool // (device, target) IGP first-hop queries
+	states int                // distinct (device, arrival edge) states stepped
+}
+
+// refWalk is the forwarder as it was before the step memo: the representative
+// path and the ECMP fan-out are two walks, every visit computes its step
+// afresh, and the path's visited set and the trace are keyed by name. It
+// shares with the forwarder under test only compute, the per-device decision.
+func refWalk(f *Forwarder, fl netmodel.Flow) refFlow {
+	ix := f.idx
+	w := f.newWalker()
+	w.start(fl, true)
+	out := refFlow{devs: map[string]bool{}, deps: map[[2]string]bool{}}
+	states := map[int32]bool{}
+	step := func(in int32) (stepResult, []branch) {
+		name, dev, inIface := w.state(in)
+		out.devs[name] = true
+		states[in] = true
+		sr := w.compute(name, dev, inIface)
+		return sr, slices.Clone(w.arena[sr.lo:sr.hi])
+	}
+
+	// The representative path: one hash-chosen branch per hop.
+	visited := map[string]bool{}
+	h := flowHash(fl)
+	in, cur := int32(-1), fl.Ingress
+	out.path.Exit = netmodel.ExitLoop
+	for hop := 0; hop < maxHops; hop++ {
+		if visited[cur] {
+			break
+		}
+		visited[cur] = true
+		sr, bs := step(in)
+		if sr.exit != exitNone {
+			out.path.Exit = exitReason(sr.exit)
+			break
+		}
+		nh := int32(bs[int(h)%len(bs)])
+		out.path.Hops = append(out.path.Hops, netmodel.Hop{Device: cur, Link: ix.LinkIDAt(ix.EdgeLinkIdx(nh))})
+		in, cur = nh, ix.DevName(ix.EdgeDev(nh))
+	}
+	out.path.Hops = append(out.path.Hops, netmodel.Hop{Device: cur})
+
+	// The ECMP fan-out, breadth first, splitting evenly at each branch point.
+	type state struct {
+		in     int32
+		volume float64
+		depth  int
+	}
+	queue := []state{{in: -1, volume: fl.Volume}}
+	visits := 0
+	for len(queue) > 0 && visits < 4*maxHops {
+		st := queue[0]
+		queue = queue[1:]
+		visits++
+		if st.depth >= maxHops {
+			continue
+		}
+		sr, bs := step(st.in)
+		if sr.exit != exitNone {
+			continue
+		}
+		share := st.volume / float64(len(bs))
+		for _, br := range bs {
+			out.shares = append(out.shares, linkShare{lidx: ix.EdgeLinkIdx(int32(br)), volume: share})
+			queue = append(queue, state{in: int32(br), volume: share, depth: st.depth + 1})
+		}
+	}
+	out.capped = len(queue) > 0
+	for _, q := range w.deps {
+		out.deps[[2]string{ix.DevName(q.dev), ix.DevName(q.target)}] = true
+	}
+	out.states = len(states)
+	return out
+}
+
+// Case is one forwarding fixture: a network with its IGP and RIBs, and the
+// flows to forward over it.
+type Case struct {
+	Name  string
+	Net   *config.Network
+	IGP   *isis.Result
+	RIBs  RIBSource
+	Flows []netmodel.Flow
+}
+
+// probeFlows injects, at every device and at one name outside the network,
+// flows toward the diamond's external prefix, an unrouted address and every
+// loopback, on two destination ports and four source ports.
+func probeFlows(net *config.Network) []netmodel.Flow {
+	dsts := []string{"10.0.0.5", "203.0.113.77"}
+	ingresses := append(net.DeviceNames(), "nowhere")
+	for _, name := range net.DeviceNames() {
+		dsts = append(dsts, net.Devices[name].Loopback.String())
+	}
+	var out []netmodel.Flow
+	for _, ing := range ingresses {
+		for _, dst := range dsts {
+			for _, dport := range []uint16{80, 443} {
+				for sport := uint16(1); sport <= 4; sport++ {
+					fl := flow(ing, "192.0.2.1", dst, 96)
+					fl.SrcPort, fl.DstPort = sport, dport
+					out = append(out, fl)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// UnitCases are the hand-built topologies: the ECMP diamond bare and with an
+// ingress ACL, an egress ACL, a PBR binding and an SR policy on one branch
+// each, the static-route loop, and the 9-stage ECMP ladder whose fan-out
+// hits the visit cap.
+func UnitCases(t *testing.T) []Case {
+	deny80 := &policy.ACL{Name: "DENY80", Entries: []policy.ACLEntry{
+		{Permit: false, Proto: netmodel.ProtoTCP, DstPortLo: 80, DstPortHi: 80},
+		{Permit: true},
+	}}
+	diamond := func(name string, edit func(e *testEnv)) Case {
+		e := buildDiamond(t)
+		edit(e)
+		return Case{Name: name, Net: e.net, IGP: e.igp, RIBs: e.res, Flows: probeFlows(e.net)}
+	}
+	loop, ladder := buildLoop(), buildLadder(9)
+	return []Case{
+		diamond("ecmp", func(*testEnv) {}),
+		diamond("acl-in", func(e *testEnv) {
+			d := e.net.Devices["D"]
+			d.ACLs["DENY80"] = deny80
+			d.Interfaces["to-B"].ACLIn = "DENY80"
+		}),
+		diamond("acl-out", func(e *testEnv) {
+			a := e.net.Devices["A"]
+			a.ACLs["DENY80"] = deny80
+			a.Interfaces["to-C"].ACLOut = "DENY80"
+		}),
+		diamond("pbr", func(e *testEnv) {
+			a := e.net.Devices["A"]
+			a.PBRPolicies["VIA_C"] = []config.PBRRule{{
+				Name:    "VIA_C",
+				Match:   policy.ACLEntry{Permit: true, Dst: netip.MustParsePrefix("10.0.0.0/24")},
+				NextHop: addrOfLink(e.net, "C", "A", "a"),
+			}}
+			a.Interfaces["to-B"].PBR = "VIA_C"
+		}),
+		diamond("sr", func(e *testEnv) {
+			a := e.net.Devices["A"]
+			a.SRPolicies = append(a.SRPolicies, &config.SRPolicy{
+				Name: "TO-D-VIA-C", Endpoint: e.net.Devices["D"].Loopback, Color: 100, Segments: []string{"C"},
+			})
+		}),
+		{Name: "loop", Net: loop.net, IGP: loop.igp, RIBs: loop.res, Flows: probeFlows(loop.net)},
+		{Name: "ladder", Net: ladder.net, IGP: ladder.igp, RIBs: ladder.res, Flows: []netmodel.Flow{
+			flow("A0", "192.0.2.1", "1.1.0.9", 128), flow("B3", "192.0.2.1", "1.1.0.9", 128), flow("A0", "192.0.2.1", "1.1.2.8", 128),
+		}},
+	}
+}
+
+// CheckOneWalk fails unless the forwarder agrees with the reference on every
+// flow of c: SimulateTraced at GOMAXPROCS workers gives the reference's path,
+// its shares in the same order bit for bit, its cap flag and its trace's
+// device and IGP-query sets; and one walker, reused over the flows in order,
+// computes each flow's step exactly once per distinct state the reference
+// stepped.
+func CheckOneWalk(t *testing.T, c Case) {
+	t.Helper()
+	f := NewForwarder(c.Net, c.IGP, c.RIBs, Options{})
+	res, traces := f.SimulateTraced(c.Flows)
+	w := f.newWalker()
+	capped := 0
+	for i, fl := range c.Flows {
+		ref := refWalk(f, fl)
+		if !reflect.DeepEqual(res.Paths[i].Path, ref.path) {
+			t.Fatalf("%s: flow %d: path %v, reference %v", c.Name, i, res.Paths[i].Path, ref.path)
+		}
+		got := traces[i].contribs
+		if len(got) != len(ref.shares) {
+			t.Fatalf("%s: flow %d: %d shares, reference %d", c.Name, i, len(got), len(ref.shares))
+		}
+		for k, s := range ref.shares {
+			if got[k].lidx != s.lidx || math.Float64bits(got[k].volume) != math.Float64bits(s.volume) {
+				t.Fatalf("%s: flow %d: share %d is %v, reference %v", c.Name, i, k, got[k], s)
+			}
+		}
+		if traces[i].capped != ref.capped {
+			t.Fatalf("%s: flow %d: capped %v, reference %v", c.Name, i, traces[i].capped, ref.capped)
+		}
+		if ref.capped {
+			capped++
+		}
+		devs := map[string]bool{}
+		for _, d := range traces[i].devs {
+			if d == netmodel.NoDev {
+				devs[fl.Ingress] = true
+			} else {
+				devs[f.idx.DevName(d)] = true
+			}
+		}
+		if !reflect.DeepEqual(devs, ref.devs) || len(devs) != len(traces[i].devs) {
+			t.Fatalf("%s: flow %d: traced devices %v, reference %v", c.Name, i, traces[i].devs, ref.devs)
+		}
+		deps := map[[2]string]bool{}
+		for _, q := range traces[i].deps {
+			deps[[2]string{f.idx.DevName(q.dev), f.idx.DevName(q.target)}] = true
+		}
+		if !reflect.DeepEqual(deps, ref.deps) || len(deps) != len(traces[i].deps) {
+			t.Fatalf("%s: flow %d: traced IGP queries %v, reference %v", c.Name, i, deps, ref.deps)
+		}
+		w.start(fl, false)
+		if p := w.path(); !reflect.DeepEqual(p, ref.path) {
+			t.Fatalf("%s: flow %d: reused walker's path %v, reference %v", c.Name, i, p, ref.path)
+		}
+		if sh, _ := w.fanOut(); !slices.Equal(sh, ref.shares) {
+			t.Fatalf("%s: flow %d: reused walker's shares differ from the reference", c.Name, i)
+		}
+		if len(w.steps) != ref.states {
+			t.Fatalf("%s: flow %d: %d steps computed for %d distinct states", c.Name, i, len(w.steps), ref.states)
+		}
+	}
+	if res.Capped != capped {
+		t.Fatalf("%s: Capped = %d, reference %d", c.Name, res.Capped, capped)
 	}
 }

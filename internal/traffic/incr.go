@@ -11,86 +11,112 @@ import (
 // simulation consulted (RIB lookups, IGP first hops, adjacent link state),
 // plus the flow's per-link volume shares in BFS order. A flow's result can
 // only change if the state of one of its traced devices changed, so traces
-// let a re-simulation skip flows the delta cannot reach.
+// let a re-simulation skip flows the delta cannot reach. Devices are the
+// dense IDs of the index the trace was recorded on; a fork that changes no
+// configuration keeps the base's devices, and with them its IDs.
 type Trace struct {
-	devs map[string]bool
-	// deps records every IGP first-hop query the walk made, as
-	// device → queried targets. A changed first-hop set only matters to
-	// this flow if the exact (device, target) pair was consulted.
-	deps     map[string]map[string]bool
+	// devs is every device a step was computed at, sorted and unique; NoDev
+	// stands for an ingress outside the index, which no delta can be matched
+	// against, so such a flow is always forwarded again.
+	devs []netmodel.DevID
+	// deps records every IGP first-hop query the walk made, sorted and
+	// unique. A changed first-hop set only matters to this flow if the exact
+	// (device, target) pair was consulted.
+	deps     []igpQuery
 	contribs []linkShare
+	capped   bool
 }
 
-func (t *Trace) see(dev string) {
-	if t == nil {
-		return
-	}
-	if t.devs == nil {
-		t.devs = make(map[string]bool, 8)
-	}
-	t.devs[dev] = true
+// igpQuery is a consulted IGP first-hop set: dev's first hops toward target.
+type igpQuery struct {
+	dev, target netmodel.DevID
 }
 
-// dep records that the walk consulted dev's IGP first hops toward target.
-func (t *Trace) dep(dev, target string) {
-	if t == nil {
-		return
+func compareQueries(a, b igpQuery) int {
+	if a.dev != b.dev {
+		return int(a.dev) - int(b.dev)
 	}
-	if t.deps == nil {
-		t.deps = make(map[string]map[string]bool, 4)
-	}
-	m := t.deps[dev]
-	if m == nil {
-		m = make(map[string]bool, 2)
-		t.deps[dev] = m
-	}
-	m[target] = true
+	return int(a.target) - int(b.target)
 }
 
-// Touches reports whether the trace consulted any of the changed devices, or
-// made an IGP first-hop query whose answer changed (hopsChanged maps each
-// device with a changed IGP view to the destinations whose first-hop set
-// differs from base).
-func (t *Trace) Touches(changed map[string]bool, hopsChanged map[string]map[string]bool) bool {
-	if t == nil {
-		return true
+// finishTrace copies the walker's recorded devices and IGP queries into t,
+// sorted, unique, at their exact length.
+func (w *walker) finishTrace(t *Trace) {
+	slices.Sort(w.devs)
+	w.devs = slices.Compact(w.devs)
+	t.devs = make([]netmodel.DevID, len(w.devs))
+	copy(t.devs, w.devs)
+	if len(w.deps) > 0 {
+		slices.SortFunc(w.deps, compareQueries)
+		w.deps = slices.Compact(w.deps)
+		t.deps = make([]igpQuery, len(w.deps))
+		copy(t.deps, w.deps)
 	}
-	for dev := range t.devs {
-		if changed[dev] {
-			return true
+}
+
+// changes is a delta against the base in the index's dense IDs.
+type changes struct {
+	devs []bool            // by DevID: flipped, downed or reconfigured
+	hops map[igpQuery]bool // IGP first-hop sets that differ from the base
+	ribs [][]netip.Prefix  // by DevID: prefixes whose rows forward differently
+}
+
+// changesOf interns a delta's device names; a name outside the index can be
+// in no trace.
+func (f *Forwarder) changesOf(changed map[string]bool, hopsChanged map[string]map[string]bool, ribDiff map[string][]netip.Prefix) *changes {
+	c := &changes{devs: make([]bool, f.idx.NumDevices())}
+	for name, ch := range changed {
+		if id, ok := f.idx.DevID(name); ok && ch {
+			c.devs[id] = true
 		}
 	}
-	for dev, targets := range t.deps {
-		hc := hopsChanged[dev]
-		if hc == nil {
+	for src, targets := range hopsChanged {
+		sid, ok := f.idx.DevID(src)
+		if !ok {
 			continue
 		}
-		for x := range targets {
-			if hc[x] {
-				return true
+		for dst, ch := range targets {
+			if tid, ok := f.idx.DevID(dst); ok && ch {
+				if c.hops == nil {
+					c.hops = make(map[igpQuery]bool)
+				}
+				c.hops[igpQuery{sid, tid}] = true
 			}
 		}
 	}
-	return false
+	if len(ribDiff) > 0 {
+		c.ribs = make([][]netip.Prefix, f.idx.NumDevices())
+		for name, ps := range ribDiff {
+			if id, ok := f.idx.DevID(name); ok {
+				c.ribs[id] = ps
+			}
+		}
+	}
+	return c
 }
 
-// TouchesRIB reports whether any visited device has a changed RIB prefix
-// covering dst. A flow's RIB lookups are longest-prefix matches on its
-// destination, so when no differing prefix at any visited device contains the
-// destination, every lookup the flow made (including misses) answers exactly
-// as it did in the base run.
-func (t *Trace) TouchesRIB(ribDiff map[string][]netip.Prefix, dst netip.Addr) bool {
-	if t == nil {
-		return true
-	}
-	if len(ribDiff) == 0 {
-		return false
-	}
-	for dev := range t.devs {
-		for _, p := range ribDiff[dev] {
-			if p.Contains(dst) {
-				return true
+// touches reports whether the trace consulted a changed device, made an IGP
+// first-hop query whose answer changed, or visited a device with a changed
+// RIB prefix covering dst. A flow's RIB lookups are longest-prefix matches on
+// its destination, so when no differing prefix at any visited device contains
+// the destination, every lookup the flow made (including misses) answers
+// exactly as it did in the base run.
+func (t *Trace) touches(c *changes, dst netip.Addr) bool {
+	for _, d := range t.devs {
+		if d == netmodel.NoDev || c.devs[d] {
+			return true
+		}
+		if c.ribs != nil {
+			for _, p := range c.ribs[d] {
+				if p.Contains(dst) {
+					return true
+				}
 			}
+		}
+	}
+	for _, q := range t.deps {
+		if c.hops[q] {
+			return true
 		}
 	}
 	return false
@@ -120,18 +146,18 @@ func (f *Forwarder) SimulateTraced(flows []netmodel.Flow) (*Result, []Trace) {
 // Resimulate forwards only the flows whose base trace touches a changed
 // device, a changed (device, target) IGP query, or a changed RIB prefix
 // covering the flow's destination, copying the base path and contributions
-// for every other flow. It returns the new result, the new traces, and the
+// for every other flow. It walks untraced and returns the new result and the
 // number of flows reused. The result is byte-identical to a full simulation
 // whatever subset was recomputed.
 //
 // flows must be the same slice contents the base was simulated with; base
 // traces of another length are not reused.
-func (f *Forwarder) Resimulate(flows []netmodel.Flow, base *Result, baseTraces []Trace, changed map[string]bool, hopsChanged map[string]map[string]bool, ribDiff map[string][]netip.Prefix) (*Result, []Trace, int) {
+func (f *Forwarder) Resimulate(flows []netmodel.Flow, base *Result, baseTraces []Trace, changed map[string]bool, hopsChanged map[string]map[string]bool, ribDiff map[string][]netip.Prefix) (*Result, int) {
 	var reuse func(i int) bool
 	if len(baseTraces) == len(flows) && len(base.Paths) == len(flows) {
-		reuse = func(i int) bool {
-			return !baseTraces[i].Touches(changed, hopsChanged) && !baseTraces[i].TouchesRIB(ribDiff, flows[i].Dst)
-		}
+		c := f.changesOf(changed, hopsChanged, ribDiff)
+		reuse = func(i int) bool { return !baseTraces[i].touches(c, flows[i].Dst) }
 	}
-	return f.forward(flows, true, reuse, base, baseTraces)
+	res, _, reused := f.forward(flows, false, reuse, base, baseTraces)
+	return res, reused
 }

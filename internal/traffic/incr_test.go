@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -55,13 +56,13 @@ func TestEntryPointsAgree(t *testing.T) {
 			t.Fatal("no flow split across equal-cost branches")
 		}
 
-		res, _, reused := fw.Resimulate(flows, traced, traces, nil, nil, nil)
+		res, reused := fw.Resimulate(flows, traced, traces, nil, nil, nil)
 		sameResult(t, "Resimulate, nothing changed", res, want)
 		if reused != len(flows) {
 			t.Errorf("nothing changed: %d of %d flows reused", reused, len(flows))
 		}
 		changed := map[string]bool{flows[0].Ingress: true}
-		res, _, reused = fw.Resimulate(flows, traced, traces, changed, nil, nil)
+		res, reused = fw.Resimulate(flows, traced, traces, changed, nil, nil)
 		sameResult(t, "Resimulate, one device changed", res, want)
 		if reused == 0 || reused == len(flows) {
 			t.Errorf("%s changed: %d of %d flows reused, want some but not all", flows[0].Ingress, reused, len(flows))
@@ -83,4 +84,53 @@ func TestNewForwarderRejectsForeignIGP(t *testing.T) {
 		}
 	}()
 	NewForwarder(out.Net, igp, nil, Options{})
+}
+
+// TestResimulateAllocs pins what a fork's re-forwarding allocates, with every
+// flow condemned so every flow is walked. Resimulate walks untraced: past
+// the one forwarding loop Simulate also runs it allocates only its interned
+// delta, no trace, where SimulateTraced copies out two trace slices per
+// flow; and per walked flow it keeps the path and the shares, copied out at
+// their exact length from buffers its walker reuses, under 1 KiB in all
+// (about 680 B on WAN(1)).
+func TestResimulateAllocs(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	igp := isis.Compute(out.Net.Topo, isis.Options{})
+	ribs := bgp.Simulate(out.Net, igp, out.Inputs, bgp.Options{})
+	fw := NewForwarder(out.Net, igp, ribs, Options{Parallelism: 1})
+	flows := out.Flows
+	base, traces := fw.SimulateTraced(flows)
+	changed := map[string]bool{}
+	for _, name := range out.Net.DeviceNames() {
+		changed[name] = true
+	}
+	resim := func() {
+		if _, reused := fw.Resimulate(flows, base, traces, changed, nil, nil); reused != 0 {
+			t.Fatalf("every device changed: %d flows reused", reused)
+		}
+	}
+	re := testing.AllocsPerRun(5, resim)
+	sim := testing.AllocsPerRun(5, func() { fw.Simulate(flows) })
+	traced := testing.AllocsPerRun(5, func() { fw.SimulateTraced(flows) })
+	if re > sim+4 {
+		t.Errorf("Resimulate makes %.0f allocations, Simulate %.0f: a walk allocates more than its path and shares", re, sim)
+	}
+	if traced < sim+float64(len(flows)) {
+		t.Errorf("SimulateTraced makes %.0f allocations, Simulate %.0f: traces no longer show", traced, sim)
+	}
+	if limit := 2*float64(len(flows)) + 64; re > limit {
+		t.Errorf("Resimulate makes %.0f allocations for %d walked flows, want <= %.0f", re, len(flows), limit)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		resim()
+	}
+	runtime.ReadMemStats(&after)
+	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(flows))
+	t.Logf("%.0f allocations, %.0f B per walked flow", re, perFlow)
+	if perFlow > 1024 {
+		t.Errorf("Resimulate allocates %.0f B per walked flow, want <= 1024", perFlow)
+	}
 }
