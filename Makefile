@@ -18,7 +18,10 @@ vet:
 # configurations, as generated and with one neighbor bound to an undefined
 # route map (TestConfigsWarnOnFindings): both exit 0 with the same stdout,
 # and only the second prints config.Validate's finding, as one warning line
-# on stderr.
+# on stderr. Last, hoyan -configs over WAN(1)'s model directory, inputs and
+# flows included (TestConfigsModelDir): a plan whose verdict depends on an
+# ISP input prefix, reported as an in-process Verify reports it, centralized
+# and with -workers 2 alike.
 cli-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/hoyan" ./cmd/hoyan || exit 1; \
@@ -32,7 +35,7 @@ cli-smoke:
 		cmp "$$dir/$$s-0.out" "$$dir/$$s-2.out" || exit 1; \
 		echo "cli-smoke $$s: REJECTED, centralized and -workers 2 alike"; \
 	done
-	$(GO) test -count=1 -run '^TestConfigsWarnOnFindings$$' ./cmd/hoyan
+	$(GO) test -count=1 -run '^(TestConfigsWarnOnFindings|TestConfigsModelDir)$$' ./cmd/hoyan
 
 # Formatting: fails, listing them, when gofmt would rewrite any Go file.
 fmt-check:

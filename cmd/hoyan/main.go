@@ -1,5 +1,6 @@
-// Command hoyan runs one change verification end to end on a generated WAN
-// snapshot or a directory of configuration files, mirroring the production
+// Command hoyan runs one change verification end to end on a built-in case
+// study or a model directory (core.LoadModel: one configuration file per
+// device, plus optional inputs.wire and flows.wire), mirroring the production
 // system's REST-triggered verification path (§6): build the base model,
 // apply the change plan, simulate (optionally on a local worker cluster),
 // check the intents, and print the reports with counterexamples.
@@ -20,11 +21,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"hoyan/internal/change"
-	"hoyan/internal/config"
 	"hoyan/internal/core"
 	"hoyan/internal/intent"
 	"hoyan/internal/localize"
@@ -34,7 +35,7 @@ import (
 
 func main() {
 	scenarioName := flag.String("scenario", "", "built-in case study: fig10a or fig10b")
-	configDir := flag.String("configs", "", "directory of device configuration files")
+	configDir := flag.String("configs", "", "model directory: device configuration files plus optional inputs.wire and flows.wire")
 	planFile := flag.String("plan", "", "change plan file (@device blocks)")
 	rclSpec := flag.String("rcl", "", "route change intent in RCL")
 	workers := flag.Int("workers", 0, "simulate on a local cluster with N workers (0 = centralized)")
@@ -83,7 +84,7 @@ func runScenario(name string, workers int) {
 		fmt.Fprintln(os.Stderr, "verification error:", err)
 		os.Exit(1)
 	}
-	printOutcome(out)
+	printOutcome(os.Stdout, out)
 	if !out.OK {
 		maybeLocalize(sys, sc.Plan, sc.Intents)
 		os.Exit(1)
@@ -113,44 +114,46 @@ func maybeLocalize(sys *pipeline.System, plan *change.Plan, intents []intent.Int
 }
 
 func runConfigs(dir, planFile, rclSpec string, workers int) {
-	net, err := config.LoadDir(dir, config.BuildOptions{Parallelism: parallelismFlag})
+	net, inputs, flows, err := core.LoadModel(dir, parallelismFlag)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("base model: %d devices, %d links parsed\n", len(net.Devices), len(net.Topo.Links()))
+	fmt.Printf("base model: %d devices, %d links parsed, %d input routes, %d flows\n",
+		len(net.Devices), len(net.Topo.Links()), len(inputs), len(flows))
 	for _, f := range net.Validate() {
 		fmt.Fprintln(os.Stderr, "warning:", f.String())
 	}
 
-	plan := &change.Plan{ID: "cli", Type: change.RouteAttrModify, Commands: map[string]string{}}
+	var text []byte
 	if planFile != "" {
-		data, err := os.ReadFile(planFile)
-		if err != nil {
+		if text, err = os.ReadFile(planFile); err != nil {
 			fatal(err)
 		}
-		if err := parsePlan(string(data), plan); err != nil {
-			fatal(err)
-		}
+	}
+	plan, err := parsePlan(string(text))
+	if err != nil {
+		fatal(err)
 	}
 	var intents []intent.Intent
 	if rclSpec != "" {
 		intents = append(intents, intent.RouteIntent{Spec: rclSpec})
 	}
-	sys := pipeline.New(net, nil, nil, engineOptions())
+	sys := pipeline.New(net, inputs, flows, engineOptions())
 	sys.Workers = workers
 	out, err := sys.Verify(plan, intents)
 	if err != nil {
 		fatal(err)
 	}
-	printOutcome(out)
+	printOutcome(os.Stdout, out)
 	if !out.OK {
 		maybeLocalize(sys, plan, intents)
 		os.Exit(1)
 	}
 }
 
-// parsePlan reads @device blocks into the plan's command map.
-func parsePlan(text string, plan *change.Plan) error {
+// parsePlan reads @device blocks into a plan's command map.
+func parsePlan(text string) (*change.Plan, error) {
+	plan := &change.Plan{ID: "cli", Type: change.RouteAttrModify, Commands: map[string]string{}}
 	cur := ""
 	for _, line := range strings.Split(text, "\n") {
 		trimmed := strings.TrimSpace(line)
@@ -162,30 +165,30 @@ func parsePlan(text string, plan *change.Plan) error {
 			if trimmed == "" {
 				continue
 			}
-			return fmt.Errorf("plan line %q outside a @device block", trimmed)
+			return nil, fmt.Errorf("plan line %q outside a @device block", trimmed)
 		}
 		plan.Commands[cur] += line + "\n"
 	}
-	return nil
+	return plan, nil
 }
 
-func printOutcome(out *pipeline.Outcome) {
-	fmt.Printf("plan %s applied: %d devices touched, %d command lines\n",
+func printOutcome(w io.Writer, out *pipeline.Outcome) {
+	fmt.Fprintf(w, "plan %s applied: %d devices touched, %d command lines\n",
 		out.Plan.ID, len(out.Plan.Commands), out.Plan.CommandLines())
 	for _, rep := range out.Reports {
 		status := "SATISFIED"
 		if !rep.Satisfied {
 			status = "VIOLATED"
 		}
-		fmt.Printf("[%s] %s\n", status, rep.Intent)
+		fmt.Fprintf(w, "[%s] %s\n", status, rep.Intent)
 		for _, v := range rep.Violations {
-			fmt.Printf("    %s\n", v)
+			fmt.Fprintf(w, "    %s\n", v)
 		}
 	}
 	if out.OK {
-		fmt.Println("verdict: change plan verified")
+		fmt.Fprintln(w, "verdict: change plan verified")
 	} else {
-		fmt.Println("verdict: change plan REJECTED (see counterexamples)")
+		fmt.Fprintln(w, "verdict: change plan REJECTED (see counterexamples)")
 	}
 }
 

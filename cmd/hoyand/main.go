@@ -6,10 +6,12 @@
 // Usage:
 //
 //	hoyand -gen 1 -http :8080                    # serve a generated WAN
-//	hoyand -snapshot wan.bundle -http :8080      # serve a wire-format bundle
-//	hoyand -configs DIR -http :8080              # serve a config directory
-//	hoyand -gen 1 -write-snapshot wan.bundle     # export a bundle and exit
+//	hoyand -configs DIR -http :8080              # serve a model directory
+//	hoyand -gen 1 -write-configs DIR             # export a model directory and exit
 //	hoyand -gen 1 -data-dir /var/hoyand          # + WAL-backed run history
+//
+// A model directory (core.LoadModel) holds one configuration file per device
+// plus optional inputs.wire and flows.wire.
 //
 // Tenants come from -tenants FILE (a JSON array of tenant objects) or the
 // single built-in tenant -api-key KEY. The daemon drains gracefully on
@@ -39,10 +41,9 @@ import (
 
 func main() {
 	httpAddr := flag.String("http", ":8080", "REST listen address")
-	snapshotFile := flag.String("snapshot", "", "wire-format snapshot bundle to serve (see -write-snapshot)")
-	configDir := flag.String("configs", "", "directory of device configuration files to serve")
-	genScale := flag.Int("gen", 0, "serve a generated WAN at this scale (used when -snapshot and -configs are unset; 0 = scale 1)")
-	writeSnapshot := flag.String("write-snapshot", "", "write the loaded network as a wire bundle to this file and exit")
+	configDir := flag.String("configs", "", "model directory to serve: device configuration files plus optional inputs.wire and flows.wire")
+	genScale := flag.Int("gen", 0, "serve a generated WAN at this scale (used when -configs is unset; 0 = scale 1)")
+	writeConfigs := flag.String("write-configs", "", "write the loaded model as a model directory (which must be empty or absent) and exit")
 	tenantsFile := flag.String("tenants", "", "JSON file with the tenant list (name, api_key, rate_per_sec, burst, max_in_flight, weight)")
 	apiKey := flag.String("api-key", "hoyan-dev", "API key of the built-in default tenant (ignored with -tenants)")
 	workers := flag.Int("workers", 4, "query worker pool size")
@@ -60,25 +61,18 @@ func main() {
 		fatal(err)
 	}
 
-	network, inputs, flows, source, err := loadModel(*snapshotFile, *configDir, *genScale)
+	network, inputs, flows, source, err := loadModel(*configDir, *genScale)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("model from %s: %d devices, %d links, %d input routes, %d flows\n",
 		source, len(network.Devices), len(network.Topo.Links()), len(inputs), len(flows))
 
-	if *writeSnapshot != "" {
-		f, err := os.Create(*writeSnapshot)
-		if err != nil {
+	if *writeConfigs != "" {
+		if err := core.WriteModel(*writeConfigs, network, inputs, flows); err != nil {
 			fatal(err)
 		}
-		if err := serve.EncodeBundle(f, network, inputs, flows); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote snapshot bundle to %s\n", *writeSnapshot)
+		fmt.Printf("wrote model directory %s\n", *writeConfigs)
 		return
 	}
 
@@ -144,31 +138,22 @@ func main() {
 	fmt.Println("drained; bye")
 }
 
-// loadModel resolves the three snapshot sources in precedence order.
-func loadModel(snapshotFile, configDir string, genScale int) (*config.Network, []netmodel.Route, []netmodel.Flow, string, error) {
-	switch {
-	case snapshotFile != "":
-		f, err := os.Open(snapshotFile)
+// loadModel reads the model directory, printing config.Validate's findings
+// as warnings, or else generates a WAN.
+func loadModel(configDir string, genScale int) (*config.Network, []netmodel.Route, []netmodel.Flow, string, error) {
+	if configDir != "" {
+		network, inputs, flows, err := core.LoadModel(configDir, 0)
 		if err != nil {
 			return nil, nil, nil, "", err
 		}
-		defer f.Close()
-		network, inputs, flows, err := serve.DecodeBundle(f)
-		if err != nil {
-			return nil, nil, nil, "", fmt.Errorf("decoding %s: %w", snapshotFile, err)
+		for _, f := range network.Validate() {
+			fmt.Fprintln(os.Stderr, "warning:", f.String())
 		}
-		return network, inputs, flows, snapshotFile, nil
-	case configDir != "":
-		network, err := config.LoadDir(configDir, config.BuildOptions{Parallelism: 0})
-		return network, nil, nil, configDir, err
-	default:
-		scale := genScale
-		if scale <= 0 {
-			scale = 1
-		}
-		out := gen.Generate(gen.WAN(scale))
-		return out.Net, out.Inputs, out.Flows, fmt.Sprintf("gen.WAN(%d)", scale), nil
+		return network, inputs, flows, configDir, nil
 	}
+	scale := max(genScale, 1)
+	out := gen.Generate(gen.WAN(scale))
+	return out.Net, out.Inputs, out.Flows, fmt.Sprintf("gen.WAN(%d)", scale), nil
 }
 
 func loadTenants(file, apiKey string) ([]serve.TenantConfig, error) {

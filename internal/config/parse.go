@@ -2,8 +2,6 @@ package config
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"unicode"
 
@@ -93,27 +91,6 @@ func BuildNetworkOpts(configs map[string]string, topoOf func(net *Network) error
 		}
 	}
 	return net, nil
-}
-
-// LoadDir builds the network from a directory with one configuration file
-// per device, named after the device (any extension).
-func LoadDir(dir string, opts BuildOptions) (*Network, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	configs := make(map[string]string, len(entries))
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		text, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		configs[strings.TrimSuffix(e.Name(), filepath.Ext(e.Name()))] = string(text)
-	}
-	return BuildNetworkOpts(configs, nil, opts)
 }
 
 // ApplyCommands applies a block of change-plan command lines to the device,

@@ -1,8 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 
 	"hoyan/internal/config"
 	"hoyan/internal/netmodel"
@@ -103,4 +109,105 @@ func DecodeFlows(r io.Reader) ([]netmodel.Flow, error) {
 		return nil, fmt.Errorf("core: decoding flows: %w", err)
 	}
 	return out, nil
+}
+
+// A model directory is the on-disk form of a model: one configuration file
+// per device, named after the device (any extension; WriteModel writes
+// .cfg), plus the optional input routes and flows in the fleet's wire
+// frames under these two reserved names. Like a JSON upload it carries no
+// down state: a Snapshot carries the fleet's down sets.
+const (
+	inputsFile = "inputs.wire"
+	flowsFile  = "flows.wire"
+)
+
+// LoadModel reads a model directory: its configurations parsed at
+// parallelism (par conventions) into a network, and its input routes and
+// flows. An absent inputs or flows file gives nil; a file that does not
+// decode is an error naming it that wraps wire.ErrCorrupt.
+func LoadModel(dir string, parallelism int) (*config.Network, []netmodel.Route, []netmodel.Flow, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	configs := make(map[string]string, len(entries))
+	for _, e := range entries {
+		if e.IsDir() || e.Name() == inputsFile || e.Name() == flowsFile {
+			continue
+		}
+		text, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		configs[strings.TrimSuffix(e.Name(), filepath.Ext(e.Name()))] = string(text)
+	}
+	net, err := config.BuildNetworkOpts(configs, nil, config.BuildOptions{Parallelism: parallelism})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	inputs, err := readFrame(filepath.Join(dir, inputsFile), wire.DecodeRoutes)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	flows, err := readFrame(filepath.Join(dir, flowsFile), wire.DecodeFlows)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return net, inputs, flows, nil
+}
+
+// readFrame decodes one wire file of a model directory; absent, it is nil.
+func readFrame[T any](path string, decode func(io.Reader) ([]T, error)) ([]T, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	out, err := decode(bytes.NewReader(data))
+	if err != nil {
+		if !errors.Is(err, wire.ErrCorrupt) {
+			err = fmt.Errorf("%w (%w)", err, wire.ErrCorrupt)
+		}
+		return nil, fmt.Errorf("core: %s: %w", path, err)
+	}
+	return out, nil
+}
+
+// WriteModel writes a model directory that LoadModel reads back as the same
+// model: config.Serialize of every device to <device>.cfg, and the inputs and
+// flows frames when there are any. dir is created if need be and must hold
+// nothing yet, so no file of an older model survives into this one.
+func WriteModel(dir string, net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if entries, err := os.ReadDir(dir); err != nil {
+		return err
+	} else if len(entries) > 0 {
+		return fmt.Errorf("core: model directory %s is not empty", dir)
+	}
+	for name, d := range net.Devices {
+		if err := os.WriteFile(filepath.Join(dir, name+".cfg"), []byte(config.Serialize(d)), 0o644); err != nil {
+			return err
+		}
+	}
+	if err := writeFrame(filepath.Join(dir, inputsFile), inputs, wire.EncodeRoutes); err != nil {
+		return err
+	}
+	return writeFrame(filepath.Join(dir, flowsFile), flows, wire.EncodeFlows)
+}
+
+// writeFrame writes rows as one wire file of a model directory; none, it
+// writes no file.
+func writeFrame[T any](path string, rows []T, encode func(io.Writer, []T) error) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	var buf bytes.Buffer
+	if err := encode(&buf, rows); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }

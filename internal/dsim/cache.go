@@ -3,7 +3,7 @@ package dsim
 import "container/list"
 
 // lru is a tiny bounded LRU keyed by string. Workers use it for decoded
-// route-RIB files, restored networks, and prepared engines; sizes are small
+// route-RIB files and prepared engines; sizes are small
 // (tens of entries), so a list + map is plenty.
 //
 // Not safe for concurrent use — callers hold the worker's cache mutex.

@@ -34,8 +34,6 @@ type Master struct {
 	// MaxAttempts bounds per-subtask retries (the paper's master resends a
 	// failed subtask's message back to the queue).
 	MaxAttempts int
-	// PollInterval is the task-DB monitoring cadence.
-	PollInterval time.Duration
 	// Timeout bounds a whole Wait call.
 	Timeout time.Duration
 	// LeaseTimeout bounds how long a running subtask may go without a worker
@@ -72,6 +70,9 @@ type Master struct {
 	pendingSince map[string]time.Time
 }
 
+// pollInterval is the task-DB monitoring cadence of Wait.
+const pollInterval = 5 * time.Millisecond
+
 // NewMaster creates a master over the given substrate services. The queue,
 // store, and task DB handles are wrapped with DefaultRetryPolicy so transient
 // substrate errors are retried in place. The master's metrics and its
@@ -80,7 +81,7 @@ type Master struct {
 func NewMaster(svc Services, reg *telemetry.Registry) *Master {
 	return &Master{
 		svc:         withRetry(svc, reg),
-		MaxAttempts: 3, PollInterval: 5 * time.Millisecond, Timeout: 10 * time.Minute,
+		MaxAttempts: 3, Timeout: 10 * time.Minute,
 		LeaseTimeout: 30 * time.Second,
 		metrics:      NewMasterMetrics(reg),
 		msgs:         make(map[string]SubtaskMsg),
@@ -290,7 +291,7 @@ func (m *Master) Wait(taskID, kind string, n int) error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("dsim: task %s/%s timed out (%d/%d done)", taskID, kind, done, n)
 		}
-		time.Sleep(m.PollInterval)
+		time.Sleep(pollInterval)
 	}
 }
 

@@ -84,13 +84,11 @@ type Worker struct {
 
 	// Caches: workers process many subtasks of the same task, so
 	// re-fetching and re-parsing shared inputs per message would dominate
-	// run time. nets memoizes restored base snapshots per (snapshot key,
-	// parallelism); engines memoizes prepared engines per (snapshot key,
-	// options); ribs holds decoded route-RIB result files keyed by object
-	// key. Run is single-threaded — the mutex only protects concurrent
-	// Stats() readers.
+	// run time. engines memoizes prepared engines, each over its restored
+	// snapshot, per (snapshot key, options); ribs holds decoded route-RIB
+	// result files keyed by object key. Run is single-threaded — the mutex
+	// only protects concurrent Stats() readers.
 	cacheMu sync.Mutex
-	nets    *lru[*config.Network]
 	engines *lru[*core.Engine]
 	ribs    *lru[ribEntry]
 
@@ -129,9 +127,8 @@ type ribEntry struct {
 // CacheStats is a point-in-time copy of a worker's cache and transfer
 // counters.
 type CacheStats struct {
-	// SnapshotHits / SnapshotMisses count memoized engine and network
-	// restores: a hit skips the snapshot download, config parse, and IGP
-	// computation.
+	// SnapshotHits / SnapshotMisses count engine cache lookups: a hit skips
+	// the snapshot download, config parse, and IGP computation.
 	SnapshotHits   int64 `json:"snapshot_hits"`
 	SnapshotMisses int64 `json:"snapshot_misses"`
 	// RIBFileHits / RIBFileMisses count route-RIB result files served from
@@ -248,7 +245,6 @@ func NewWorker(name string, svc Services, reg *telemetry.Registry) *Worker {
 		Name: name, svc: withRetry(svc, reg),
 		PopWait:           50 * time.Millisecond,
 		HeartbeatInterval: time.Second,
-		nets:              newLRU[*config.Network](2),
 		engines:           newLRU[*core.Engine](4),
 		metrics:           NewWorkerMetrics(reg),
 	}
@@ -492,10 +488,9 @@ func (w *Worker) heartbeat(ctx context.Context, msg SubtaskMsg) {
 }
 
 // engineFor returns a core engine for the message's snapshot, memoized
-// across subtasks per (snapshot, options). Beneath it the restored network
-// itself is memoized per (snapshot, parallelism), so switching options — e.g.
-// a strategy sweep over one snapshot — re-runs the IGP but not the download
-// and config parse.
+// across subtasks per (snapshot, options): every subtask of a task carries
+// one options signature, so a miss restores the snapshot and builds the
+// engine in one step. The restored model is read-only to the engine.
 func (w *Worker) engineFor(ctx context.Context, msg SubtaskMsg) (*core.Engine, error) {
 	opts := msg.Options
 	if w.Parallelism > 0 {
@@ -510,7 +505,21 @@ func (w *Worker) engineFor(ctx context.Context, msg SubtaskMsg) (*core.Engine, e
 		w.metrics.SnapshotHits.Inc()
 		return eng, nil
 	}
-	net, err := w.networkFor(ctx, msg.SnapshotKey, opts.Parallelism)
+	w.metrics.SnapshotMisses.Inc()
+	var net *config.Network
+	err := w.stage(ctx, "snapshot.restore", w.metrics.RestoreSeconds, func(*telemetry.Span) error {
+		data, err := w.svc.Store.Get(msg.SnapshotKey)
+		if err != nil {
+			return fmt.Errorf("loading snapshot: %w", err)
+		}
+		w.metrics.BytesFetched.Add(int64(len(data)))
+		snap, err := core.DecodeSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return err
+		}
+		net, err = snap.RestoreParallel(opts.Parallelism)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -520,41 +529,6 @@ func (w *Worker) engineFor(ctx context.Context, msg SubtaskMsg) (*core.Engine, e
 	w.cacheMu.Unlock()
 	w.noteEvictions("engine", ev)
 	return eng, nil
-}
-
-// networkFor returns the restored network model for a snapshot, memoized per
-// (snapshot key, parallelism). The restored model is read-only to engines.
-func (w *Worker) networkFor(ctx context.Context, snapKey string, parallelism int) (*config.Network, error) {
-	nkey := fmt.Sprintf("%s|p%d", snapKey, parallelism)
-	w.cacheMu.Lock()
-	net, ok := w.nets.get(nkey)
-	w.cacheMu.Unlock()
-	if ok {
-		w.metrics.SnapshotHits.Inc()
-		return net, nil
-	}
-	w.metrics.SnapshotMisses.Inc()
-	err := w.stage(ctx, "snapshot.restore", w.metrics.RestoreSeconds, func(*telemetry.Span) error {
-		data, err := w.svc.Store.Get(snapKey)
-		if err != nil {
-			return fmt.Errorf("loading snapshot: %w", err)
-		}
-		w.metrics.BytesFetched.Add(int64(len(data)))
-		snap, err := core.DecodeSnapshot(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		net, err = snap.RestoreParallel(parallelism)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	w.cacheMu.Lock()
-	ev := w.nets.put(nkey, net)
-	w.cacheMu.Unlock()
-	w.noteEvictions("network", ev)
-	return net, nil
 }
 
 // ribRows returns the decoded rows of one route-subtask result file, served

@@ -30,7 +30,7 @@ type Policy int
 // Fsync policies. The zero value is SyncInterval: bounded loss on machine
 // crash, near-memory throughput.
 const (
-	// SyncInterval fsyncs at most once per Options.Interval of active
+	// SyncInterval fsyncs at most once per DefaultSyncInterval of active
 	// writes: a machine crash loses at most the last interval's appends.
 	SyncInterval Policy = iota
 	// SyncAlways fsyncs after every append: nothing acknowledged is ever
@@ -72,14 +72,12 @@ func ParsePolicy(s string) (Policy, error) {
 type Options struct {
 	// Fsync is the sync policy (zero value: SyncInterval).
 	Fsync Policy
-	// Interval is the SyncInterval cadence; 0 means DefaultSyncInterval.
-	Interval time.Duration
 	// CompactEvery is how many appended records a substrate accumulates
 	// before rewriting its WAL as a snapshot; 0 means DefaultCompactEvery.
 	CompactEvery int
 }
 
-// DefaultSyncInterval is the SyncInterval cadence when Options.Interval is 0.
+// DefaultSyncInterval is the SyncInterval cadence.
 const DefaultSyncInterval = 100 * time.Millisecond
 
 // DefaultCompactEvery is the appends-between-compactions default.

@@ -113,9 +113,6 @@ type WAL struct {
 // file. The log's durability counters land in m (see NewMetrics), recovery
 // replay included.
 func Open(path string, opts Options, m *Metrics, replay func(rec []byte) error) (*WAL, Recovery, error) {
-	if opts.Interval <= 0 {
-		opts.Interval = DefaultSyncInterval
-	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, Recovery{}, fmt.Errorf("durable: creating WAL dir: %w", err)
 	}
@@ -233,7 +230,7 @@ func (w *WAL) maybeSyncLocked() error {
 			return fmt.Errorf("durable: WAL fsync: %w", err)
 		}
 	case SyncInterval:
-		if time.Since(w.lastSync) >= w.opts.Interval {
+		if time.Since(w.lastSync) >= DefaultSyncInterval {
 			if err := w.fsyncLocked(); err != nil {
 				return fmt.Errorf("durable: WAL fsync: %w", err)
 			}

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"time"
 
 	"hoyan/internal/config"
@@ -190,100 +188,4 @@ func (n *Network) ribQuery(device, prefix string, limit int) []RIBRow {
 		}
 	}
 	return out
-}
-
-// ---- wire-format upload bundle ----
-//
-// The wire package's frames are decoded through a bufio reader, so decoding
-// several frames sequentially off one stream is unsafe (the reader buffers
-// past the frame end). The upload bundle therefore length-prefixes each
-// section — snapshot, input routes, flows — with an 8-byte big-endian length,
-// and each section is decoded from its own in-memory reader.
-
-// EncodeBundle writes a network model, its input routes, and its flows as an
-// upload bundle for POST /v1/networks with Content-Type
-// application/x-hoyan-wire.
-func EncodeBundle(w io.Writer, net *config.Network, inputs []netmodel.Route, flows []netmodel.Flow) error {
-	sections := make([][]byte, 3)
-	var buf bytes.Buffer
-	if err := core.TakeSnapshot(net).Encode(&buf); err != nil {
-		return err
-	}
-	sections[0] = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := core.EncodeRoutes(&buf, inputs); err != nil {
-		return err
-	}
-	sections[1] = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := core.EncodeFlows(&buf, flows); err != nil {
-		return err
-	}
-	sections[2] = buf.Bytes()
-
-	var hdr [8]byte
-	for _, sec := range sections {
-		binary.BigEndian.PutUint64(hdr[:], uint64(len(sec)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(sec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// maxBundleSection bounds one bundle section (1 GiB) so a corrupt length
-// prefix cannot drive an allocation of arbitrary size.
-const maxBundleSection = 1 << 30
-
-// DecodeBundle reads an upload bundle back into its parts.
-func DecodeBundle(r io.Reader) (*config.Network, []netmodel.Route, []netmodel.Flow, error) {
-	readSection := func() ([]byte, error) {
-		var hdr [8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, err
-		}
-		n := binary.BigEndian.Uint64(hdr[:])
-		if n > maxBundleSection {
-			return nil, fmt.Errorf("serve: bundle section of %d bytes exceeds limit", n)
-		}
-		sec := make([]byte, n)
-		if _, err := io.ReadFull(r, sec); err != nil {
-			return nil, err
-		}
-		return sec, nil
-	}
-
-	snapBytes, err := readSection()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("serve: bundle snapshot section: %w", err)
-	}
-	routeBytes, err := readSection()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("serve: bundle routes section: %w", err)
-	}
-	flowBytes, err := readSection()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("serve: bundle flows section: %w", err)
-	}
-
-	snap, err := core.DecodeSnapshot(bytes.NewReader(snapBytes))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	net, err := snap.RestoreParallel(0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	inputs, err := core.DecodeRoutes(bytes.NewReader(routeBytes))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	flows, err := core.DecodeFlows(bytes.NewReader(flowBytes))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return net, inputs, flows, nil
 }

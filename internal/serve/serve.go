@@ -269,8 +269,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // Request bodies are read through http.MaxBytesReader, so a client cannot
 // make a decoder buffer an unbounded body. A query carries specs and per-device
-// command blocks; a network upload carries every configuration — a wire
-// bundle of gen.WAN(20)'s 616 devices is 0.4 MB.
+// command blocks; a network upload carries every configuration, input route
+// and flow.
 const (
 	maxQueryBody   = 8 << 20
 	maxNetworkBody = 64 << 20
@@ -304,10 +304,13 @@ func (s *Server) reject(t *tenant, reason string) {
 
 // ---- network handlers ----
 
-// loadNetworkRequest is the JSON body of POST /v1/networks.
+// loadNetworkRequest is the JSON body of POST /v1/networks: a model's
+// configurations, input routes and flows.
 type loadNetworkRequest struct {
 	ID       string            `json:"id"`
 	Configs  map[string]string `json:"configs"`
+	Inputs   []netmodel.Route  `json:"inputs,omitempty"`
+	Flows    []netmodel.Flow   `json:"flows,omitempty"`
 	Activate *bool             `json:"activate,omitempty"`
 }
 
@@ -320,7 +323,7 @@ type networkInfo struct {
 	BaseDigest string    `json:"base_digest"`
 	LoadedAt   time.Time `json:"loaded_at"`
 	LoadMS     float64   `json:"load_ms,omitempty"`
-	// Findings are config.Validate's findings on an uploaded JSON network.
+	// Findings are config.Validate's findings on an uploaded network.
 	Findings []string `json:"findings,omitempty"`
 }
 
@@ -346,55 +349,29 @@ func (s *Server) handleLoadNetwork(w http.ResponseWriter, r *http.Request) {
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxNetworkBody)
 	start := time.Now()
-	var (
-		id       string
-		net      *config.Network
-		inputs   []netmodel.Route
-		flows    []netmodel.Flow
-		activate = true
-		err      error
-		findings []string
-	)
-	if r.Header.Get("Content-Type") == "application/x-hoyan-wire" {
-		id = r.URL.Query().Get("id")
-		if id == "" {
-			id = fmt.Sprintf("net-%d", time.Now().UnixNano())
-		}
-		if r.URL.Query().Get("activate") == "false" {
-			activate = false
-		}
-		net, inputs, flows, err = DecodeBundle(r.Body)
-		if err != nil {
-			writeDecodeError(w, "decoding wire bundle", err)
-			return
-		}
-	} else {
-		var req loadNetworkRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeDecodeError(w, "decoding request", err)
-			return
-		}
-		if len(req.Configs) == 0 {
-			writeError(w, http.StatusBadRequest, "configs is required (or upload application/x-hoyan-wire)")
-			return
-		}
-		id = req.ID
-		if id == "" {
-			id = fmt.Sprintf("net-%d", time.Now().UnixNano())
-		}
-		if req.Activate != nil {
-			activate = *req.Activate
-		}
-		net, err = config.BuildNetworkOpts(req.Configs, nil, config.BuildOptions{Parallelism: 0})
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "building network: %v", err)
-			return
-		}
-		for _, f := range net.Validate() {
-			findings = append(findings, f.String())
-		}
+	var req loadNetworkRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeDecodeError(w, "decoding request", err)
+		return
 	}
-	n, err := s.LoadNetwork(id, net, inputs, flows, activate)
+	if len(req.Configs) == 0 {
+		writeError(w, http.StatusBadRequest, "configs is required")
+		return
+	}
+	id := req.ID
+	if id == "" {
+		id = fmt.Sprintf("net-%d", time.Now().UnixNano())
+	}
+	net, err := config.BuildNetworkOpts(req.Configs, nil, config.BuildOptions{Parallelism: 0})
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "building network: %v", err)
+		return
+	}
+	var findings []string
+	for _, f := range net.Validate() {
+		findings = append(findings, f.String())
+	}
+	n, err := s.LoadNetwork(id, net, req.Inputs, req.Flows, req.Activate == nil || *req.Activate)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "loading network: %v", err)
 		return

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -629,41 +628,32 @@ func TestServeCancelDuringHistoryWrite(t *testing.T) {
 	}
 }
 
-// TestServeWireUpload round-trips a snapshot through the wire bundle upload.
-func TestServeWireUpload(t *testing.T) {
+// TestServeModelUpload uploads WAN(1)'s whole model as one JSON body,
+// configurations, input routes and flows: it converges to the base digest of
+// the harness's in-process LoadNetwork of the same model, stays inactive,
+// and takes queries addressed to it.
+func TestServeModelUpload(t *testing.T) {
 	h := newHarness(t, Config{Workers: 2})
-	var buf bytes.Buffer
-	if err := EncodeBundle(&buf, h.out.Net, h.out.Inputs, h.out.Flows); err != nil {
-		t.Fatalf("EncodeBundle: %v", err)
-	}
-	req, _ := http.NewRequest("POST", h.ts.URL+"/v1/networks?id=uploaded&activate=false", bytes.NewReader(buf.Bytes()))
-	req.Header.Set("X-API-Key", "key-alice")
-	req.Header.Set("Content-Type", "application/x-hoyan-wire")
-	resp, err := http.DefaultClient.Do(req)
+	no := false
+	doc, err := json.Marshal(loadNetworkRequest{ID: "uploaded", Configs: h.out.ConfigTexts(), Inputs: h.out.Inputs, Flows: h.out.Flows, Activate: &no})
 	if err != nil {
-		t.Fatalf("upload: %v", err)
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var info networkInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatalf("decode upload response: %v", err)
-	}
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("upload: status %d", resp.StatusCode)
+	code, info, body := h.upload("/v1/networks", "application/json", doc)
+	if code != http.StatusCreated {
+		t.Fatalf("upload: status %d: %s", code, body)
 	}
 	if info.ID != "uploaded" || info.Active {
 		t.Fatalf("upload info = %+v, want id=uploaded inactive", info)
 	}
-	// The uploaded copy converges to the same base state as the original.
 	orig, _ := h.srv.network("wan1")
-	if info.BaseDigest != orig.baseDig {
-		t.Fatalf("uploaded base digest %s != original %s", info.BaseDigest, orig.baseDig)
+	if info.BaseDigest != orig.baseDig || info.BaseRoutes != orig.base.Routes.GlobalRIB().Len() {
+		t.Fatalf("uploaded base: %d routes, digest %s; in-process load: %d, %s",
+			info.BaseRoutes, info.BaseDigest, orig.base.Routes.GlobalRIB().Len(), orig.baseDig)
 	}
-	// Active network unchanged.
 	if h.srv.Active() != "wan1" {
 		t.Fatalf("active network = %s after inactive upload", h.srv.Active())
 	}
-	// Queries can target the uploaded snapshot explicitly.
 	l := h.out.Net.Topo.Links()[0]
 	id, _ := h.submitRetrying("alice", QueryRequest{
 		Kind:      "whatif",
@@ -675,8 +665,8 @@ func TestServeWireUpload(t *testing.T) {
 	}
 }
 
-// upload posts a network (a wire bundle, or JSON configurations) and returns
-// the status, the network info and the raw body.
+// upload posts a network and returns the status, the network info and the
+// raw body.
 func (h *testHarness) upload(path, contentType string, body []byte) (int, networkInfo, string) {
 	h.t.Helper()
 	req, _ := http.NewRequest("POST", h.ts.URL+path, bytes.NewReader(body))
@@ -693,19 +683,16 @@ func (h *testHarness) upload(path, contentType string, body []byte) (int, networ
 	return resp.StatusCode, info, string(raw)
 }
 
-// TestServeJSONUpload: configurations uploaded as JSON derive the network a
-// wire upload of the generated one carries — links, base routes and base
-// digest alike, with no inputs on either side — and configurations that
-// derive no link are refused with config.ErrNoLinks.
+// TestServeJSONUpload: configurations uploaded as JSON derive the network an
+// in-process LoadNetwork of the generated one holds — links, base routes and
+// base digest alike, with no inputs on either side — configurations that
+// derive no link are refused with config.ErrNoLinks, and a body of the
+// retired wire-bundle content type is a JSON decode error.
 func TestServeJSONUpload(t *testing.T) {
 	h := newHarness(t, Config{Workers: 1})
-	var bundle bytes.Buffer
-	if err := EncodeBundle(&bundle, h.out.Net, nil, nil); err != nil {
+	plain, err := h.srv.LoadNetwork("plain", h.out.Net.Clone(), nil, nil, false)
+	if err != nil {
 		t.Fatal(err)
-	}
-	code, fromWire, body := h.upload("/v1/networks?id=wire&activate=false", "application/x-hoyan-wire", bundle.Bytes())
-	if code != http.StatusCreated {
-		t.Fatalf("wire upload: status %d: %s", code, body)
 	}
 	no := false
 	texts := h.out.ConfigTexts()
@@ -714,12 +701,12 @@ func TestServeJSONUpload(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("JSON upload: status %d: %s", code, body)
 	}
-	if want := len(h.out.Net.Topo.Links()); fromJSON.Links != want || fromWire.Links != want {
-		t.Fatalf("links: JSON upload %d, wire upload %d, generated network %d", fromJSON.Links, fromWire.Links, want)
+	if want := len(h.out.Net.Topo.Links()); fromJSON.Links != want {
+		t.Fatalf("links: JSON upload %d, generated network %d", fromJSON.Links, want)
 	}
-	if fromJSON.BaseRoutes != fromWire.BaseRoutes || fromJSON.BaseDigest != fromWire.BaseDigest {
-		t.Fatalf("JSON upload: %d base routes, digest %s; wire upload: %d, %s",
-			fromJSON.BaseRoutes, fromJSON.BaseDigest, fromWire.BaseRoutes, fromWire.BaseDigest)
+	if want := plain.base.Routes.GlobalRIB().Len(); fromJSON.BaseRoutes != want || fromJSON.BaseDigest != plain.baseDig {
+		t.Fatalf("JSON upload: %d base routes, digest %s; in-process load: %d, %s",
+			fromJSON.BaseRoutes, fromJSON.BaseDigest, want, plain.baseDig)
 	}
 	if len(fromJSON.Findings) != 0 {
 		t.Fatalf("clean JSON upload: findings %q, want none", fromJSON.Findings)
@@ -729,6 +716,14 @@ func TestServeJSONUpload(t *testing.T) {
 	doc, _ = json.Marshal(loadNetworkRequest{ID: "apart", Configs: map[string]string{"rr-0-0": texts["rr-0-0"], "isp-1-0": texts["isp-1-0"]}})
 	if code, _, body := h.upload("/v1/networks", "application/json", doc); code != http.StatusBadRequest || !strings.Contains(body, config.ErrNoLinks.Error()) {
 		t.Fatalf("configurations with no link: status %d: %s, want 400 with %q", code, body, config.ErrNoLinks)
+	}
+
+	var frame bytes.Buffer
+	if err := core.TakeSnapshot(h.out.Net).Encode(&frame); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, body := h.upload("/v1/networks", "application/x-hoyan-wire", frame.Bytes()); code != http.StatusBadRequest || !strings.Contains(body, "decoding request") {
+		t.Fatalf("wire frame upload: status %d: %s, want the JSON decoder's 400", code, body)
 	}
 }
 
@@ -910,30 +905,6 @@ func TestQueueBoundsAndClose(t *testing.T) {
 	}
 	if err := q.Push(tn, newQuery("d", tn, QueryRequest{})); err != ErrQueueClosed {
 		t.Fatalf("Push after close: %v, want ErrQueueClosed", err)
-	}
-}
-
-func TestBundleRoundTrip(t *testing.T) {
-	out := gen.Generate(gen.WAN(1))
-	var buf bytes.Buffer
-	if err := EncodeBundle(&buf, out.Net, out.Inputs, out.Flows); err != nil {
-		t.Fatalf("EncodeBundle: %v", err)
-	}
-	net, inputs, flows, err := DecodeBundle(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("DecodeBundle: %v", err)
-	}
-	if len(net.Devices) != len(out.Net.Devices) {
-		t.Fatalf("devices %d != %d", len(net.Devices), len(out.Net.Devices))
-	}
-	if len(inputs) != len(out.Inputs) || len(flows) != len(out.Flows) {
-		t.Fatalf("inputs/flows %d/%d != %d/%d", len(inputs), len(flows), len(out.Inputs), len(out.Flows))
-	}
-	// The restored model simulates to the same base state.
-	a := core.NewEngine(out.Net.Clone(), core.Options{}).Run(out.Inputs, out.Flows)
-	b := core.NewEngine(net, core.Options{}).Run(inputs, flows)
-	if ribDigest(a.Routes.GlobalRIB()) != ribDigest(b.Routes.GlobalRIB()) {
-		t.Fatalf("bundle round trip changed the simulated base state")
 	}
 }
 
@@ -1181,12 +1152,7 @@ func TestRequestBodyLimits(t *testing.T) {
 		return io.MultiReader(io.LimitReader(spaces{}, size-int64(len(b))), bytes.NewReader(b))
 	}
 	query := QueryRequest{Kind: "verify", Specs: []string{"prefix = 255.255.255.255/32 => PRE = POST"}}
-	upload := loadNetworkRequest{ID: "padded", Configs: out.ConfigTexts()}
-	// A bundle whose first section claims the whole bound: with its 8-byte
-	// length prefix the body is over.
-	var bundle bytes.Buffer
-	binary.Write(&bundle, binary.BigEndian, uint64(maxNetworkBody))
-	overBundle := io.MultiReader(&bundle, io.LimitReader(spaces{}, maxNetworkBody))
+	upload := loadNetworkRequest{ID: "padded", Configs: out.ConfigTexts(), Inputs: out.Inputs, Flows: out.Flows}
 
 	for _, tc := range []struct {
 		name, path, contentType string
@@ -1195,9 +1161,8 @@ func TestRequestBodyLimits(t *testing.T) {
 	}{
 		{"query at the limit", "/v1/queries", "application/json", padded(query, maxQueryBody), http.StatusAccepted},
 		{"query over the limit", "/v1/queries", "application/json", padded(query, maxQueryBody+1), http.StatusRequestEntityTooLarge},
-		{"configs at the limit", "/v1/networks", "application/json", padded(upload, maxNetworkBody), http.StatusCreated},
-		{"configs over the limit", "/v1/networks", "application/json", padded(upload, maxNetworkBody+1), http.StatusRequestEntityTooLarge},
-		{"bundle over the limit", "/v1/networks", "application/x-hoyan-wire", overBundle, http.StatusRequestEntityTooLarge},
+		{"model at the limit", "/v1/networks", "application/json", padded(upload, maxNetworkBody), http.StatusCreated},
+		{"model over the limit", "/v1/networks", "application/json", padded(upload, maxNetworkBody+1), http.StatusRequestEntityTooLarge},
 	} {
 		rec := post(tc.path, tc.contentType, tc.body)
 		if rec.Code != tc.want {

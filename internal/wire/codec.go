@@ -11,14 +11,10 @@ import (
 
 // ---------------------------------------------------------------- routes
 
-// EncodeRoutes writes route rows as an uncompressed binary frame.
+// EncodeRoutes writes route rows as an uncompressed binary frame: rows are
+// dense after interning, so decode speed wins over size.
 func EncodeRoutes(w io.Writer, routes []netmodel.Route) error {
-	return EncodeRoutesOpts(w, routes, Options{})
-}
-
-// EncodeRoutesOpts writes route rows with explicit options.
-func EncodeRoutesOpts(w io.Writer, routes []netmodel.Route, opts Options) error {
-	return encodeFrame(w, KindRoutes, opts, func(e *encoder) {
+	return encodeFrame(w, KindRoutes, false, func(e *encoder) {
 		e.uvarint(uint64(len(routes)))
 		for i := range routes {
 			e.route(&routes[i])
@@ -143,12 +139,7 @@ func (d *decoder) attrs() (*netmodel.Attrs, error) {
 
 // EncodeFlows writes flows as an uncompressed binary frame.
 func EncodeFlows(w io.Writer, flows []netmodel.Flow) error {
-	return EncodeFlowsOpts(w, flows, Options{})
-}
-
-// EncodeFlowsOpts writes flows with explicit options.
-func EncodeFlowsOpts(w io.Writer, flows []netmodel.Flow, opts Options) error {
-	return encodeFrame(w, KindFlows, opts, func(e *encoder) {
+	return encodeFrame(w, KindFlows, false, func(e *encoder) {
 		e.uvarint(uint64(len(flows)))
 		for i := range flows {
 			e.flow(&flows[i])
@@ -231,14 +222,9 @@ type Snapshot struct {
 }
 
 // EncodeSnapshot writes the snapshot as a flate-compressed binary frame
-// (configuration text dominates the payload and compresses well).
+// (configuration text dominates the payload and compresses ~5-10x).
 func EncodeSnapshot(w io.Writer, s *Snapshot) error {
-	return EncodeSnapshotOpts(w, s, Options{Compress: true})
-}
-
-// EncodeSnapshotOpts writes the snapshot with explicit options.
-func EncodeSnapshotOpts(w io.Writer, s *Snapshot, opts Options) error {
-	return encodeFrame(w, KindSnapshot, opts, func(e *encoder) {
+	return encodeFrame(w, KindSnapshot, true, func(e *encoder) {
 		// Deterministic bytes: config map in sorted key order.
 		names := make([]string, 0, len(s.Configs))
 		for name := range s.Configs {
@@ -337,12 +323,7 @@ type TrafficResult struct {
 // EncodeTrafficResult writes a traffic result file as an uncompressed
 // binary frame.
 func EncodeTrafficResult(w io.Writer, t *TrafficResult) error {
-	return EncodeTrafficResultOpts(w, t, Options{})
-}
-
-// EncodeTrafficResultOpts writes a traffic result with explicit options.
-func EncodeTrafficResultOpts(w io.Writer, t *TrafficResult, opts Options) error {
-	return encodeFrame(w, KindTrafficResult, opts, func(e *encoder) {
+	return encodeFrame(w, KindTrafficResult, false, func(e *encoder) {
 		e.uvarint(uint64(len(t.Load)))
 		for i := range t.Load {
 			e.linkID(t.Load[i].Link)

@@ -77,14 +77,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", byte(k))
 }
 
-// Options tunes encoding. The zero value is an uncompressed frame.
-type Options struct {
-	// Compress wraps the payload in a flate stream. Snapshots (configuration
-	// text) compress ~5-10x; route/flow files are already dense after
-	// interning, so their default is uncompressed for decode speed.
-	Compress bool
-}
-
 // maxBlob bounds a single length-prefixed byte string (a device
 // configuration is the largest legitimate payload). Corrupt length prefixes
 // fail here instead of attempting a multi-gigabyte allocation.
@@ -233,13 +225,14 @@ func (e *encoder) communities(s netmodel.CommunitySet) {
 }
 
 // encodeFrame writes the header and runs body over a fresh encoder,
-// finishing the flate stream when compression is on. The encoder writes
+// finishing the flate stream when compress is set (each kind's encoder
+// fixes it: snapshots compress, the rest do not). The encoder writes
 // straight into the frame's bufio.Writer, or into its own one over the flate
 // stream; write errors are sticky in both and surface at the flushes.
-func encodeFrame(w io.Writer, kind Kind, opts Options, body func(*encoder)) error {
+func encodeFrame(w io.Writer, kind Kind, compress bool, body func(*encoder)) error {
 	bw := bufio.NewWriter(w)
 	header := [headerLen]byte{Magic, mark1, mark2, Version, 0, byte(kind)}
-	if opts.Compress {
+	if compress {
 		header[4] |= flagFlate
 	}
 	if _, err := bw.Write(header[:]); err != nil {
@@ -247,7 +240,7 @@ func encodeFrame(w io.Writer, kind Kind, opts Options, body func(*encoder)) erro
 	}
 	var e *encoder
 	var fw *flate.Writer
-	if opts.Compress {
+	if compress {
 		fw, _ = flate.NewWriter(bw, flate.BestSpeed)
 		e = newEncoder(fw)
 	} else {

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"math/rand"
 	"net/netip"
 	"os"
@@ -98,19 +100,39 @@ func sampleTraffic() *TrafficResult {
 
 // ---------------------------------------------------------------- round trips
 
+// reframe re-encodes a frame's payload through encodeFrame with the given
+// compression. Each kind's encoder fixes its own, but decoders honour the
+// flag on any kind.
+func reframe(t testing.TB, frame []byte, compress bool) []byte {
+	t.Helper()
+	d, err := decodeFrame(bufio.NewReader(bytes.NewReader(frame)), Kind(frame[5]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := io.ReadAll(d.r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := encodeFrame(&buf, Kind(frame[5]), compress, func(e *encoder) { e.w.Write(payload) }); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestRoutesRoundTrip(t *testing.T) {
 	want := sampleRoutes()
-	for _, opts := range []Options{{}, {Compress: true}} {
-		var buf bytes.Buffer
-		if err := EncodeRoutesOpts(&buf, want, opts); err != nil {
-			t.Fatalf("encode (%+v): %v", opts, err)
-		}
-		got, err := DecodeRoutes(bytes.NewReader(buf.Bytes()))
+	var plain bytes.Buffer
+	if err := EncodeRoutes(&plain, want); err != nil {
+		t.Fatal(err)
+	}
+	for _, compress := range []bool{false, true} {
+		got, err := DecodeRoutes(bytes.NewReader(reframe(t, plain.Bytes(), compress)))
 		if err != nil {
-			t.Fatalf("decode (%+v): %v", opts, err)
+			t.Fatalf("decode (compress %v): %v", compress, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("round trip (%+v):\n got %+v\nwant %+v", opts, got, want)
+			t.Errorf("round trip (compress %v):\n got %+v\nwant %+v", compress, got, want)
 		}
 	}
 }
@@ -146,17 +168,20 @@ func TestFlowsRoundTrip(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	want := sampleSnapshot()
-	for _, opts := range []Options{{}, {Compress: true}} {
-		var buf bytes.Buffer
-		if err := EncodeSnapshotOpts(&buf, want, opts); err != nil {
-			t.Fatalf("encode (%+v): %v", opts, err)
-		}
-		got, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Bytes()[4] != flagFlate {
+		t.Errorf("snapshot frame flags %#x, want flate", buf.Bytes()[4])
+	}
+	for _, compress := range []bool{false, true} {
+		got, err := DecodeSnapshot(bytes.NewReader(reframe(t, buf.Bytes(), compress)))
 		if err != nil {
-			t.Fatalf("decode (%+v): %v", opts, err)
+			t.Fatalf("decode (compress %v): %v", compress, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("round trip (%+v):\n got %+v\nwant %+v", opts, got, want)
+			t.Errorf("round trip (compress %v):\n got %+v\nwant %+v", compress, got, want)
 		}
 	}
 }
@@ -385,15 +410,12 @@ func TestDecodersRejectForeignBlobs(t *testing.T) {
 // FuzzDecodeRoutes asserts the decoder never panics and that anything it
 // accepts re-encodes and re-decodes to the same rows.
 func FuzzDecodeRoutes(f *testing.F) {
-	var plain, compressed bytes.Buffer
+	var plain bytes.Buffer
 	if err := EncodeRoutes(&plain, sampleRoutes()); err != nil {
 		f.Fatal(err)
 	}
-	if err := EncodeRoutesOpts(&compressed, sampleRoutes(), Options{Compress: true}); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(plain.Bytes())
-	f.Add(compressed.Bytes())
+	f.Add(reframe(f, plain.Bytes(), true))
 	f.Add(plain.Bytes()[:len(plain.Bytes())/2]) // truncated
 	corrupted := append([]byte(nil), plain.Bytes()...)
 	corrupted[len(corrupted)/2] ^= 0xFF
