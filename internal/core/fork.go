@@ -212,7 +212,8 @@ type baseCapture struct {
 
 	// basePrefixCount maps each prefix of the base global RIB to the number
 	// of (device, vrf) tables holding it, so forks can decide whether their
-	// distinct-prefix set matches the base from per-table diffs alone.
+	// distinct-prefix set matches the base, and derive it, from per-table
+	// diffs alone.
 	basePrefixCount map[netip.Prefix]int
 	flowECs         *ec.FlowECs     // nil with flow ECs off
 	repFlows        []netmodel.Flow // what the forwarder actually simulated
@@ -284,9 +285,13 @@ func (e *Engine) WhatIf(ctx context.Context, d Delta, parallelism int) (*Result,
 // network of their own use WhatIf.
 //
 // The fork recomputes SPF only for touched sources, warm-starts the BGP
-// fixpoint from the base converged state, and re-forwards only the flows whose
-// traced devices changed. The result is byte-identical to building a fresh
-// engine on net and running it on the delta-adjusted inputs.
+// fixpoint from the base converged state, and re-forwards only the flows the
+// delta reaches: a representative flow that its base class also had, with the
+// same volume, keeps its base path and loads unless its trace visited a
+// flipped, downed or reconfigured device, made an IGP first-hop query whose
+// answer changed, or read a RIB prefix the fork changed, added or retired
+// that covers its destination. The result is byte-identical to building a
+// fresh engine on net and running it on the delta-adjusted inputs.
 func (e *Engine) Fork(net *config.Network, d Delta) (*Result, ForkStats) {
 	res, stats, err := e.ForkCtxN(nil, net, d, 0)
 	if err != nil {
@@ -315,7 +320,10 @@ func (e *Engine) ForkCtxN(ctx context.Context, net *config.Network, d Delta, par
 	return e.fork(ctx, net, d, parallelism)
 }
 
-// fork runs d on net, which reflects it.
+// fork runs d on net, which reflects it. Base traces name devices and links
+// by the base's topology index, so it reuses them only while net's index is
+// the base's (configurations that derive the base's topology, with every
+// address owned as before); on any other it forwards every flow.
 func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, parallelism int) (*Result, ForkStats, error) {
 	if e.base == nil {
 		panic("core: Engine.Fork requires a prior BaseRun")
@@ -332,12 +340,14 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	// or changed is a changed link to the warm restart.
 	links, spfBase, diff, bandwidth := d.links(), e.igp, isis.Diff, e.base.bandwidth
 	var readdressed map[string]bool
+	sameIndex := true // the fork's index names the base's devices, links and address owners
 	if len(d.Configs) > 0 {
 		changed, moved, same := e.igp.EdgeIndex().Changes(net.Topo.Index())
 		if !same {
 			links, spfBase, diff, bandwidth = slices.Concat(links, changed), nil, isis.DiffByName, net.Topo.Bandwidths()
 		}
 		readdressed = moved
+		sameIndex = same && len(moved) == 0
 	}
 	igp, touched, spfStats := isis.Recompute(net.Topo, spfBase, isis.Delta{
 		Links:     links,
@@ -409,24 +419,31 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	var tr *TrafficResult
 	if len(flows) > 0 {
 		// The flow-EC partition is a function of configurations (ACLs, PBR),
-		// flows, and the distinct-prefix set of the global RIB; reuse it when
-		// those are unchanged (and with it, the traced base forwarding).
-		samePartition := len(d.Configs) == 0 && partitionUnchanged(e.base.basePrefixCount, countDelta)
-		flowECs := e.base.flowECs
-		repFlows := e.base.repFlows
-		if !samePartition && !e.opts.DisableFlowECs {
-			// Block by block: a shared fork's RIB is a view, never flattened here.
-			flowECs = ec.ComputeFlowECs(net, ec.RIBPrefixes(routes.GlobalRIB().Blocks()...), flows, parallelism)
+		// flows, and the distinct-prefix set of the global RIB. When those are
+		// unchanged so are the classes, and each is its base class. Otherwise
+		// each new class is mapped to the base class with its representative
+		// and volume, if any (FlowECs.Kept): that class forwards as it did.
+		flowECs, repFlows := e.base.flowECs, e.base.repFlows
+		var baseOf []int32
+		if !e.opts.DisableFlowECs && (len(d.Configs) > 0 || !partitionUnchanged(e.base.basePrefixCount, countDelta)) {
+			flowECs = ec.ComputeFlowECs(net, forkPrefixes(e.base.basePrefixCount, countDelta), flows, parallelism)
 			repFlows = flowECs.Representatives()
+			baseOf = flowECs.Kept(e.base.flowECs)
 		}
 		fw := e.forwarder(ctx, net, igp, routes, parallelism)
 		var trr *traffic.Result
-		if samePartition {
+		if sameIndex {
 			// With a per-prefix RIB diff, a changed BGP table alone does not
 			// condemn every flow through its device; only the structural delta
-			// (flipped links, downed nodes) does.
-			trr, stats.FlowsReused = fw.Resimulate(repFlows, e.base.traffic, e.base.traces, structuralDeviceSet(d), hopsChanged, ribDiff)
+			// (flipped links, downed and reconfigured nodes) does. A prefix
+			// the fork adds or retires is a changed prefix at every device
+			// that holds it.
+			trr, stats.FlowsReused = fw.Resimulate(repFlows, baseOf, e.base.traffic, e.base.traces, structuralDeviceSet(d), hopsChanged, ribDiff)
 		} else {
+			// On another index the base traces' IDs name other devices and
+			// links; with an address owned anew, a walk can change where no
+			// trace shows it (a next hop or an SR endpoint resolving
+			// elsewhere).
 			trr = fw.Simulate(repFlows)
 		}
 		stats.FlowsTotal = len(repFlows)
@@ -593,6 +610,25 @@ func structuralDeviceSet(d Delta) map[string]bool {
 	}
 	for _, n := range slices.Concat(d.NodesUp, d.purged()) {
 		out[n] = true
+	}
+	return out
+}
+
+// forkPrefixes is a fork's distinct-prefix set from the base's per-prefix
+// table counts and the fork's delta to them: every prefix whose count ends
+// above zero. Its order is the map's; the flow-EC partition does not depend
+// on it.
+func forkPrefixes(baseCount, delta map[netip.Prefix]int) []netip.Prefix {
+	out := make([]netip.Prefix, 0, len(baseCount))
+	for p, n := range baseCount {
+		if n+delta[p] > 0 {
+			out = append(out, p)
+		}
+	}
+	for p, dlt := range delta {
+		if baseCount[p] == 0 && dlt > 0 {
+			out = append(out, p)
+		}
 	}
 	return out
 }

@@ -241,6 +241,66 @@ func TestForkLinkRestoreIdentity(t *testing.T) {
 		Delta{LinksUp: []netmodel.LinkID{downB}, LinksDown: []netmodel.LinkID{links[0].ID()}}, "restore+fail")
 }
 
+// TestForkLinkUpMovesFirstHops: in the base core-0-0--core-1-0 is down; the
+// fork restores it, and devices that are not its endpoints gain IGP first
+// hops toward targets their flows resolve next hops through. Those flows'
+// traces visit neither endpoint, so only the first-hop rule (the trace's
+// recorded IGP queries against the fork's changed first hops) walks them
+// again.
+func TestForkLinkUpMovesFirstHops(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	var link netmodel.LinkID
+	for _, l := range out.Net.Topo.Links() {
+		if l.A == "core-0-0" && l.B == "core-1-0" {
+			link = l.ID()
+		}
+	}
+	if link.A == "" {
+		t.Fatal("fixture: no link core-0-0--core-1-0")
+	}
+	out.Net.Topo.SetLinkUp(link, false)
+	eng := NewEngine(out.Net, Options{})
+	eng.BaseRun(out.Inputs, out.Flows)
+	stats := checkFork(t, eng, out.Net, out.Inputs, out.Flows, Delta{LinksUp: []netmodel.LinkID{link}}, "core-0-0--core-1-0 up")
+	if stats.FlowsReused == 0 || stats.FlowsReused == stats.FlowsTotal {
+		t.Errorf("%d of %d flows reused, want some but not all", stats.FlowsReused, stats.FlowsTotal)
+	}
+}
+
+// TestForkLoopbackMoveForwardsAnew: dc-0-0 holds a static route whose next
+// hop is an interface address of core-1-0, and an SR policy toward
+// core-1-0's loopback that steers it through core-2-1; a flow from dc-0-0
+// takes both. The fork gives core-1-0 another loopback. The static row still
+// resolves, so no RIB row the flow read changes, and its trace visits neither
+// core-1-0 nor a device whose IGP first hops move; but the policy's endpoint
+// now has no owner, so the flow no longer takes it. The topology's index
+// keeps its devices and links, and only the moved owner tells the fork that
+// traces recorded on the base cannot be reused: it forwards every flow anew.
+func TestForkLoopbackMoveForwardsAnew(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	from, owner := out.Net.Devices["dc-0-0"], out.Net.Devices["core-1-0"]
+	var nh netip.Addr
+	for _, l := range out.Net.Topo.Links() {
+		if l.A == owner.Name && !nh.IsValid() {
+			nh = l.AAddr
+		}
+	}
+	static := netip.MustParsePrefix("192.0.2.0/24")
+	from.Statics = append(from.Statics, config.StaticRoute{VRF: netmodel.DefaultVRF, Prefix: static, NextHop: nh, Preference: 1})
+	from.SRPolicies = append(from.SRPolicies, &config.SRPolicy{Name: "SR_TEST", Endpoint: owner.Loopback, Color: 7, Segments: []string{"core-2-1"}})
+	flows := append(slices.Clone(out.Flows), netmodel.Flow{
+		Ingress: from.Name, Src: from.Loopback, Dst: static.Addr().Next(), Proto: netmodel.ProtoTCP, DstPort: 80, Volume: 1e6,
+	})
+	moved := owner.Clone()
+	moved.Loopback = netip.MustParseAddr("198.51.100.1")
+	eng := NewEngine(out.Net, Options{})
+	eng.BaseRun(out.Inputs, flows)
+	stats := checkFork(t, eng, out.Net, out.Inputs, flows, Delta{Configs: map[string]*config.Device{owner.Name: moved}}, "core-1-0 loopback moved")
+	if stats.FlowsReused != 0 {
+		t.Errorf("%d of %d flows reused after a loopback moved, want 0", stats.FlowsReused, stats.FlowsTotal)
+	}
+}
+
 func TestForkInputDeltaIdentity(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	eng := NewEngine(out.Net, Options{})

@@ -82,7 +82,7 @@ func sharedRowsFixture(t *testing.T, out *gen.Output) ([]netmodel.Route, Delta) 
 // changed plus those the new partition moves (ec.RouteECs.Moved), on overlays
 // of the base's expanded tables. Under random input deltas — with and without
 // duplicate input keys, with and without a link flip, from bases converged at
-// parallelism 1, 0 and 8 — the result must be what a from-scratch engine on
+// parallelism 1, 0 and 8, and with flow ECs off — the result must be what a from-scratch engine on
 // the edited inputs computes, and every patched table's carried-forward index
 // must answer every flow destination as the index-free scan does. A last
 // delta moves a prefix that keeps rows of its own (sharedRowsFixture).
@@ -100,8 +100,8 @@ func TestForkInputDeltaMatchesScratch(t *testing.T) {
 		if dup {
 			inputs = gen.WithDuplicateInputs(inputs)
 		}
-		for _, p := range []int{1, 0, 8} {
-			eng := NewEngine(out.Net, Options{Parallelism: p})
+		for _, opts := range []Options{{Parallelism: 1}, {}, {Parallelism: 8}, {DisableFlowECs: true}} {
+			p, eng := opts.Parallelism, NewEngine(out.Net, opts)
 			base := eng.BaseRun(inputs, out.Flows).Routes
 			moved, patched := 0, 0
 			for trial := 0; trial < 6; trial++ {
@@ -109,7 +109,7 @@ func TestForkInputDeltaMatchesScratch(t *testing.T) {
 				if trial%2 == 1 {
 					d.LinksDown = []netmodel.LinkID{links[rnd.Intn(len(links))].ID()}
 				}
-				label := fmt.Sprintf("duplicates %v, parallelism %d, trial %d (drop %d, add %d, %v down)", dup, p, trial, len(d.DropInputs), len(d.AddInputs), d.LinksDown)
+				label := fmt.Sprintf("duplicates %v, parallelism %d, flow ECs off %v, trial %d (drop %d, add %d, %v down)", dup, p, opts.DisableFlowECs, trial, len(d.DropInputs), len(d.AddInputs), d.LinksDown)
 				stats := checkFork(t, eng, out.Net, inputs, out.Flows, d, label)
 				if stats.Full {
 					t.Fatalf("%s: fork fell back to a full simulation", label)
@@ -138,7 +138,7 @@ func TestForkInputDeltaMatchesScratch(t *testing.T) {
 				}
 			}
 			if moved == 0 || patched == 0 {
-				t.Fatalf("duplicates %v, parallelism %d: %d moved prefixes, %d patched tables; the input-delta path went untested", dup, p, moved, patched)
+				t.Fatalf("duplicates %v, parallelism %d, flow ECs off %v: %d moved prefixes, %d patched tables; the input-delta path went untested", dup, p, opts.DisableFlowECs, moved, patched)
 			}
 		}
 	}
@@ -147,6 +147,60 @@ func TestForkInputDeltaMatchesScratch(t *testing.T) {
 	eng := NewEngine(out.Net, Options{})
 	eng.BaseRun(inputs, out.Flows)
 	checkFork(t, eng, out.Net, inputs, out.Flows, d, "moved prefix with rows of its own")
+}
+
+// TestForkRewalksOnlyCoveredFlows pins flow reuse across a change of the
+// flow-EC partition on WAN(2). The delta announces one new input prefix
+// outside every aggregate: the lower half of the input prefix outside every
+// aggregate that most flows head to, from the device announcing it. The new prefix enters
+// the global RIB, so the partition is recomputed, and each class maps to its
+// base class. The fork must re-walk exactly the representatives whose
+// destination the new prefix covers — counted here by a scan of the
+// representatives — and reuse every other one; with flow ECs off, exactly
+// the flows it covers.
+func TestForkRewalksOnlyCoveredFlows(t *testing.T) {
+	out := gen.Generate(gen.WAN(2))
+	var aggregates []netip.Prefix
+	for _, dev := range out.Net.Devices {
+		for _, a := range dev.Aggregates {
+			aggregates = append(aggregates, a.Prefix)
+		}
+	}
+	var add netmodel.Route
+	for most, i := 0, 0; i < len(out.Inputs); i++ {
+		r := out.Inputs[i]
+		n := 0
+		for _, f := range out.Flows {
+			if r.Prefix.Contains(f.Dst) {
+				n++
+			}
+		}
+		if n > most && !slices.ContainsFunc(aggregates, r.Prefix.Overlaps) {
+			add, most = r, n
+		}
+	}
+	if !add.Prefix.IsValid() {
+		t.Fatal("fixture: no flow heads to an input prefix outside every aggregate")
+	}
+	add.Prefix = netip.PrefixFrom(add.Prefix.Addr(), add.Prefix.Bits()+1)
+	d := Delta{AddInputs: []netmodel.Route{add}}
+	for _, off := range []bool{false, true} {
+		eng := NewEngine(out.Net, Options{DisableRouteECs: off, DisableFlowECs: off})
+		eng.BaseRun(out.Inputs, out.Flows)
+		label := fmt.Sprintf("ECs off %v, %s added", off, add.Prefix)
+		stats := checkFork(t, eng, out.Net, out.Inputs, out.Flows, d, label)
+		covered := 0
+		for _, f := range eng.base.repFlows {
+			if add.Prefix.Contains(f.Dst) {
+				covered++
+			}
+		}
+		walked := stats.FlowsTotal - stats.FlowsReused
+		t.Logf("%s: %d of %d representatives walked, %d covered", label, walked, stats.FlowsTotal, covered)
+		if covered == 0 || covered == stats.FlowsTotal || walked != covered {
+			t.Errorf("%s: %d of %d representatives walked, want the %d the new prefix covers", label, walked, stats.FlowsTotal, covered)
+		}
+	}
 }
 
 // TestForkInputRIBWorkPinned pins the RIB work of one input delta at WAN(4) —

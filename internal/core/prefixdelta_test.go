@@ -24,10 +24,11 @@ func copiedBySplice(base, view *netmodel.GlobalRIB, changed int) int {
 // expanded tables, LPM indexes and global-RIB blocks at the (table, prefix)
 // pairs the warm restart changed. Under random link, multi-link, node-down
 // and ISP-link deltas (the last withdraw rows everywhere), with bases
-// converged at parallelism 1, 0 and 8, the result must be what a from-scratch
-// engine on the failed topology computes: global RIB Equal, paths and link
-// loads identical, and on every patched table the carried-forward index must
-// answer every flow destination as the index-free scan does.
+// converged at parallelism 1, 0 and 8 and with both ECs off, the result must
+// be what a from-scratch engine on the failed topology computes: global RIB
+// Equal, paths and link loads identical, and on every patched table the
+// carried-forward index must answer every flow destination as the index-free
+// scan does.
 func TestForkPrefixDeltaMatchesScratch(t *testing.T) {
 	rnd := rand.New(rand.NewSource(16))
 	for k := 2; k <= 3; k++ {
@@ -43,8 +44,8 @@ func TestForkPrefixDeltaMatchesScratch(t *testing.T) {
 		for _, fl := range out.Flows {
 			dsts[fl.Dst] = true
 		}
-		for _, p := range []int{1, 0, 8} {
-			opts := Options{Parallelism: p}
+		for _, opts := range []Options{{Parallelism: 1}, {}, {Parallelism: 8}, {DisableRouteECs: true, DisableFlowECs: true}} {
+			p, off := opts.Parallelism, opts.DisableFlowECs
 			eng := NewEngine(out.Net, opts)
 			base := eng.BaseRun(out.Inputs, out.Flows).Routes
 			patched, changedRows := 0, 0
@@ -53,7 +54,7 @@ func TestForkPrefixDeltaMatchesScratch(t *testing.T) {
 				if trial%3 == 2 {
 					d = Delta{LinksDown: []netmodel.LinkID{ispLinks[rnd.Intn(len(ispLinks))].ID()}}
 				}
-				label := fmt.Sprintf("WAN(%d) parallelism %d trial %d (%v down, %v down)", k, p, trial, d.LinksDown, d.NodesDown)
+				label := fmt.Sprintf("WAN(%d) parallelism %d ECs off %v trial %d (%v down, %v down)", k, p, off, trial, d.LinksDown, d.NodesDown)
 				scratch := out.Net.Clone()
 				applyDelta(scratch, d)
 				inc, stats := eng.Fork(scratch, d)
@@ -83,7 +84,7 @@ func TestForkPrefixDeltaMatchesScratch(t *testing.T) {
 				}
 			}
 			if patched == 0 || changedRows == 0 {
-				t.Fatalf("WAN(%d) parallelism %d: %d patched tables, %d changed rows; the patch path went untested", k, p, patched, changedRows)
+				t.Fatalf("WAN(%d) parallelism %d ECs off %v: %d patched tables, %d changed rows; the patch path went untested", k, p, off, patched, changedRows)
 			}
 		}
 	}

@@ -124,7 +124,8 @@ const (
 // LoadModel reads a model directory: its configurations parsed at
 // parallelism (par conventions) into a network, and its input routes and
 // flows. An absent inputs or flows file gives nil; a file that does not
-// decode is an error naming it that wraps wire.ErrCorrupt.
+// decode is an error naming it that wraps the decoder's (wire.ErrCorrupt for
+// a truncated or damaged file).
 func LoadModel(dir string, parallelism int) (*config.Network, []netmodel.Route, []netmodel.Flow, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -167,9 +168,6 @@ func readFrame[T any](path string, decode func(io.Reader) ([]T, error)) ([]T, er
 	}
 	out, err := decode(bytes.NewReader(data))
 	if err != nil {
-		if !errors.Is(err, wire.ErrCorrupt) {
-			err = fmt.Errorf("%w (%w)", err, wire.ErrCorrupt)
-		}
 		return nil, fmt.Errorf("core: %s: %w", path, err)
 	}
 	return out, nil

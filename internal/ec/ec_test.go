@@ -3,6 +3,7 @@ package ec
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -223,6 +224,53 @@ func TestFlowECs(t *testing.T) {
 	}
 	if total != 36 {
 		t.Errorf("representative volumes must sum to input total, got %v", total)
+	}
+}
+
+// TestFlowECsKept: a partition refined by a new prefix, then coarsened by a
+// retired one, maps each class to the base class with its representative
+// and volume. The split class's part that keeps the first flow has lost
+// volume, and the merged class's representative gained some, so neither is
+// kept; a class the change leaves alone is, wherever it now stands.
+func TestFlowECsKept(t *testing.T) {
+	net := config.NewNetwork()
+	net.Devices["R1"] = config.NewDevice("R1", "alpha")
+	flow := func(ing, dst string, vol float64) netmodel.Flow {
+		return netmodel.Flow{Ingress: ing, Dst: netip.MustParseAddr(dst), Proto: netmodel.ProtoTCP, Volume: vol}
+	}
+	flows := []netmodel.Flow{
+		flow("R1", "10.0.0.1", 10),   // 0: 10.0.0.0/24, split by 10.0.0.128/25
+		flow("R1", "20.0.0.1", 5),    // 1: 20.0.0.0/24, alone
+		flow("R1", "10.0.0.200", 20), // 2: 10.0.0.0/24, lands in the /25
+		flow("R1", "30.0.0.1", 1),    // 3: 30.0.0.0/24, merged with ...
+		flow("R1", "30.0.1.1", 2),    // 4: 30.0.1.0/24 once 30.0.0.0/24 is gone
+	}
+	pfx := func(ss ...string) []netip.Prefix {
+		var out []netip.Prefix
+		for _, s := range ss {
+			out = append(out, netip.MustParsePrefix(s))
+		}
+		return out
+	}
+	base := ComputeFlowECs(net, pfx("10.0.0.0/24", "20.0.0.0/24", "30.0.0.0/24", "30.0.1.0/24", "30.0.0.0/23"), flows, 1)
+	for _, tc := range []struct {
+		name     string
+		prefixes []netip.Prefix
+		want     []int32
+	}{
+		{"unchanged", pfx("10.0.0.0/24", "20.0.0.0/24", "30.0.0.0/24", "30.0.1.0/24", "30.0.0.0/23"), []int32{0, 1, 2, 3}},
+		{"split", pfx("10.0.0.0/24", "10.0.0.128/25", "20.0.0.0/24", "30.0.0.0/24", "30.0.1.0/24", "30.0.0.0/23"), []int32{-1, 1, -1, 2, 3}},
+		{"merged", pfx("10.0.0.0/24", "20.0.0.0/24", "30.0.0.0/23"), []int32{0, 1, -1}},
+	} {
+		ecs := ComputeFlowECs(net, tc.prefixes, flows, 1)
+		for i, c := range ecs.Classes {
+			if c.Rep != flows[c.First] {
+				t.Errorf("%s: class %d represented by %v, not its first flow %d", tc.name, i, c.Rep, c.First)
+			}
+		}
+		if got := ecs.Kept(base); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Kept = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

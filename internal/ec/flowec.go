@@ -1,6 +1,7 @@
 package ec
 
 import (
+	"math"
 	"net/netip"
 	"slices"
 
@@ -73,10 +74,13 @@ func (a *Atoms) Atom(addr netip.Addr) int {
 }
 
 // FlowClass is one flow equivalence class. Rep is the simulated
-// representative; Volume is the summed volume of all members, so simulating
-// the representative with Volume reproduces the class's total load.
+// representative, the class's first flow in input order, and First its
+// position in the input; Volume is the summed volume of all members, so
+// simulating the representative with Volume reproduces the class's total
+// load.
 type FlowClass struct {
 	Rep    netmodel.Flow
+	First  int
 	Flows  []netmodel.Flow
 	Volume float64
 }
@@ -196,10 +200,34 @@ func ComputeFlowECs(net *config.Network, ribPrefixes []netip.Prefix, flows []net
 		if !ok {
 			idx = len(out.Classes)
 			bySig[key] = idx
-			out.Classes = append(out.Classes, FlowClass{Rep: f})
+			out.Classes = append(out.Classes, FlowClass{Rep: f, First: i})
 		}
 		out.Classes[idx].Flows = append(out.Classes[idx].Flows, f)
 		out.Classes[idx].Volume += f.Volume
+	}
+	return out
+}
+
+// Kept maps each class to the class of base, a partition of the same flows,
+// that has the same representative and a bit-identical Volume, or to -1.
+// Representatives are first flows in input order, so a class that survives a
+// change of the partition keeps its representative, the part of a split class
+// that holds the old representative keeps it, and a merged class's
+// representative is one of the old ones. Only a class whose Volume is also
+// unchanged forwards exactly as its base class did: a fan-out's link shares
+// are successive divisions of Volume.
+func (e *FlowECs) Kept(base *FlowECs) []int32 {
+	out := make([]int32, len(e.Classes))
+	k := 0 // classes of both come in order of First
+	for i, c := range e.Classes {
+		for k < len(base.Classes) && base.Classes[k].First < c.First {
+			k++
+		}
+		out[i] = -1
+		if k < len(base.Classes) && base.Classes[k].First == c.First &&
+			math.Float64bits(base.Classes[k].Volume) == math.Float64bits(c.Volume) {
+			out[i] = int32(k)
+		}
 	}
 	return out
 }
@@ -229,17 +257,14 @@ func bucketOf(boundaries []uint16, port uint16) int {
 }
 
 // RIBPrefixes collects the distinct prefixes of a set of routes — the input
-// the flow-EC computation needs — in order of first appearance. The routes
-// come as one slice or as the blocks of a global RIB, read in turn.
-func RIBPrefixes(routes ...[]netmodel.Route) []netip.Prefix {
+// the flow-EC computation needs — in order of first appearance.
+func RIBPrefixes(routes []netmodel.Route) []netip.Prefix {
 	seen := map[netip.Prefix]bool{}
 	var out []netip.Prefix
-	for _, rows := range routes {
-		for i := range rows {
-			if p := rows[i].Prefix; !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
+	for i := range routes {
+		if p := routes[i].Prefix; !seen[p] {
+			seen[p] = true
+			out = append(out, p)
 		}
 	}
 	return out

@@ -843,6 +843,41 @@ func TestServeQueryPanicFails(t *testing.T) {
 	}
 }
 
+// TestServeWaitFreesSlotFirst: the worker frees a query's tenant slot before
+// the query reads as finished, so at MaxInFlight 1 a client that submits each
+// query with ?wait=1 only after the previous answer arrived never finds its
+// one slot still taken. The slot is checked where finish persists the final
+// status, before Done closes; then 50 back-to-back submits must all run.
+func TestServeWaitFreesSlotFirst(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1, Tenants: []TenantConfig{{Name: "alice", APIKey: "key-alice", MaxInFlight: 1}}})
+	req := QueryRequest{Kind: "verify", NetworkID: "wan1", Specs: []string{"prefix = 255.255.255.255/32 => PRE = POST"}}
+
+	tn := h.srv.adm.byName["alice"]
+	if !tn.acquire() {
+		t.Fatal("alice's slot is taken before any query")
+	}
+	qu := newQuery("q-slot", tn, req)
+	held := -1
+	qu.persist = func(Status) {
+		tn.mu.Lock()
+		held = tn.inFlight
+		tn.mu.Unlock()
+	}
+	h.srv.queriesWG.Add(1)
+	h.srv.execute(qu)
+	if held != 0 {
+		t.Fatalf("%d slots held when the query finished, want 0", held)
+	}
+
+	for i := range 50 {
+		resp, body := h.do("alice", "POST", "/v1/queries?wait=1", req)
+		var st Status
+		if err := json.Unmarshal(body, &st); err != nil || resp.StatusCode != http.StatusOK || st.State != StateDone {
+			t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+}
+
 // ---- unit tests ----
 
 func TestTokenBucket(t *testing.T) {

@@ -31,11 +31,11 @@ func (s *Server) workerLoop() {
 // execute runs one query to a terminal state and records it in history.
 func (s *Server) execute(qu *Query) {
 	defer s.queriesWG.Done()
-	defer qu.Tenant.release()
 	defer func() { qu.net, qu.delta = nil, core.Delta{} }()
 	s.mQueueDepth.Set(float64(s.queue.Depth()))
 
 	if !qu.setRunning() {
+		qu.Tenant.release()
 		return // canceled while queued
 	}
 	s.mInflight.Add(1)
@@ -69,6 +69,9 @@ func (s *Server) execute(qu *Query) {
 		"what-if query execution latency by kind",
 		telemetry.DurationBuckets, telemetry.L("kind", kind)).Observe(time.Since(start).Seconds())
 
+	// The slot comes back before finish closes Done: a client waiting on this
+	// query may submit its next one the moment it sees the answer.
+	qu.Tenant.release()
 	switch {
 	case err == nil:
 		qu.finish(StateDone, res, "")

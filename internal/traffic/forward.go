@@ -136,16 +136,16 @@ func (f *Forwarder) Simulate(flows []netmodel.Flow) *Result {
 }
 
 // forward is the one forwarding loop behind Simulate, SimulateTraced and
-// Resimulate. Flow i keeps base.Paths[i] and baseTraces[i]'s shares when
-// reuse(i) holds and is walked otherwise (every flow is walked when reuse is
-// nil); a traced walk records the flow's devices and IGP queries, an untraced
-// one records neither and traces is nil. Walked flows fan out over
-// Options.Parallelism workers, each filling only its flow's slots with a
-// walker of its own, and the link shares are summed sequentially in flow
-// order afterwards, so the floating-point additions happen in exactly the
-// sequential path's order and the result is byte-identical at any
-// parallelism and whatever subset was walked.
-func (f *Forwarder) forward(flows []netmodel.Flow, traced bool, reuse func(i int) bool, base *Result, baseTraces []Trace) (res *Result, traces []Trace, reused int) {
+// Resimulate. Flow i keeps base.Paths[k] and baseTraces[k]'s shares when
+// k = reuse(i) is not negative and is walked otherwise (every flow is walked
+// when reuse is nil); a traced walk records the flow's devices and IGP
+// queries, an untraced one records neither and traces is nil. Walked flows
+// fan out over Options.Parallelism workers, each filling only its flow's
+// slots with a walker of its own, and the link shares are summed
+// sequentially in flow order afterwards, so the floating-point additions
+// happen in exactly the sequential path's order and the result is
+// byte-identical at any parallelism and whatever subset was walked.
+func (f *Forwarder) forward(flows []netmodel.Flow, traced bool, reuse func(i int) int, base *Result, baseTraces []Trace) (res *Result, traces []Trace, reused int) {
 	if len(flows) == 0 {
 		return &Result{Load: make(netmodel.LinkLoad)}, nil, 0
 	}
@@ -153,12 +153,16 @@ func (f *Forwarder) forward(flows []netmodel.Flow, traced bool, reuse func(i int
 	outs := make([]Trace, len(flows))
 	var redo []int
 	for i := range flows {
-		if reuse != nil && reuse(i) {
-			paths[i], outs[i] = base.Paths[i], baseTraces[i]
-			reused++
-		} else {
-			redo = append(redo, i)
+		k := -1
+		if reuse != nil {
+			k = reuse(i)
 		}
+		if k < 0 {
+			redo = append(redo, i)
+			continue
+		}
+		paths[i], outs[i] = base.Paths[k], baseTraces[k]
+		reused++
 	}
 	// At most Workers walkers are ever out at once: par.ForEach runs no more
 	// goroutines, and each holds one walker per flow.
@@ -217,8 +221,9 @@ func (f *Forwarder) Path(fl netmodel.Flow) netmodel.Path {
 
 // linkShare is one link's slice of a flow's volume, in the order the BFS
 // visits it — replaying a flow's shares in order reproduces the sequential
-// accumulation exactly. lidx is the link's dense index: every fork of a
-// network holds the same links, so an index taken on the base stays valid.
+// accumulation exactly. lidx is the link's dense index, valid against the
+// index it was taken on: a share is only reused on an index whose links are
+// the base's (see Trace).
 type linkShare struct {
 	lidx   netmodel.LinkIdx
 	volume float64

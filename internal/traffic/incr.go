@@ -12,8 +12,10 @@ import (
 // plus the flow's per-link volume shares in BFS order. A flow's result can
 // only change if the state of one of its traced devices changed, so traces
 // let a re-simulation skip flows the delta cannot reach. Devices are the
-// dense IDs of the index the trace was recorded on; a fork that changes no
-// configuration keeps the base's devices, and with them its IDs.
+// dense IDs of the index the trace was recorded on, so a trace is only
+// reused on an index with the same devices, links and address owners — a
+// fork's whose configurations derive the base's topology
+// (netmodel.TopoIndex.Changes).
 type Trace struct {
 	// devs is every device a step was computed at, sorted and unique; NoDev
 	// stands for an ingress outside the index, which no delta can be matched
@@ -143,20 +145,32 @@ func (f *Forwarder) SimulateTraced(flows []netmodel.Flow) (*Result, []Trace) {
 	return res, traces
 }
 
-// Resimulate forwards only the flows whose base trace touches a changed
-// device, a changed (device, target) IGP query, or a changed RIB prefix
-// covering the flow's destination, copying the base path and contributions
-// for every other flow. It walks untraced and returns the new result and the
-// number of flows reused. The result is byte-identical to a full simulation
-// whatever subset was recomputed.
+// Resimulate forwards flows against a traced base run, copying a flow's base
+// path and contributions when the flow is one the base forwarded and its
+// base trace touches no changed device, no changed (device, target) IGP
+// query and no changed RIB prefix covering its destination; it walks every
+// other flow, untraced. baseOf maps flow i to the base flow it equals —
+// same fields, Volume bit for bit — or to -1 for one it must walk; nil means
+// flows is the base's own list. The link shares are summed in the order of
+// flows, so the result is byte-identical to a full simulation of flows
+// whatever subset was walked. It returns the result and the number of flows
+// reused.
 //
-// flows must be the same slice contents the base was simulated with; base
-// traces of another length are not reused.
-func (f *Forwarder) Resimulate(flows []netmodel.Flow, base *Result, baseTraces []Trace, changed map[string]bool, hopsChanged map[string]map[string]bool, ribDiff map[string][]netip.Prefix) (*Result, int) {
-	var reuse func(i int) bool
-	if len(baseTraces) == len(flows) && len(base.Paths) == len(flows) {
+// Base traces that do not cover base's paths are not reused.
+func (f *Forwarder) Resimulate(flows []netmodel.Flow, baseOf []int32, base *Result, baseTraces []Trace, changed map[string]bool, hopsChanged map[string]map[string]bool, ribDiff map[string][]netip.Prefix) (*Result, int) {
+	var reuse func(i int) int
+	if len(baseTraces) == len(base.Paths) && (baseOf != nil || len(flows) == len(base.Paths)) {
 		c := f.changesOf(changed, hopsChanged, ribDiff)
-		reuse = func(i int) bool { return !baseTraces[i].touches(c, flows[i].Dst) }
+		reuse = func(i int) int {
+			k := i
+			if baseOf != nil {
+				k = int(baseOf[i])
+			}
+			if k < 0 || baseTraces[k].touches(c, flows[i].Dst) {
+				return -1
+			}
+			return k
+		}
 	}
 	res, _, reused := f.forward(flows, false, reuse, base, baseTraces)
 	return res, reused

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,8 +35,9 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 // TestEntryPointsAgree pins the one forwarding loop behind Simulate,
 // SimulateTraced and Resimulate on a WAN with ECMP: at parallelism 1 and 0,
 // the traced run and a re-simulation — with nothing changed (every flow
-// reused) and with the first flow's ingress changed (its flows walked again)
-// — give Simulate's paths and loads bit for bit.
+// reused), with the first flow's ingress changed (its flows walked again),
+// and of the flows in reverse order with one of them new, mapped to the base
+// flows they equal — give Simulate's paths and loads bit for bit.
 func TestEntryPointsAgree(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	igp := isis.Compute(out.Net.Topo, isis.Options{})
@@ -56,16 +58,32 @@ func TestEntryPointsAgree(t *testing.T) {
 			t.Fatal("no flow split across equal-cost branches")
 		}
 
-		res, reused := fw.Resimulate(flows, traced, traces, nil, nil, nil)
+		res, reused := fw.Resimulate(flows, nil, traced, traces, nil, nil, nil)
 		sameResult(t, "Resimulate, nothing changed", res, want)
 		if reused != len(flows) {
 			t.Errorf("nothing changed: %d of %d flows reused", reused, len(flows))
 		}
 		changed := map[string]bool{flows[0].Ingress: true}
-		res, reused = fw.Resimulate(flows, traced, traces, changed, nil, nil)
+		res, reused = fw.Resimulate(flows, nil, traced, traces, changed, nil, nil)
 		sameResult(t, "Resimulate, one device changed", res, want)
 		if reused == 0 || reused == len(flows) {
 			t.Errorf("%s changed: %d of %d flows reused, want some but not all", flows[0].Ingress, reused, len(flows))
+		}
+
+		// Reversed, the last flow carrying twice its volume: no base flow
+		// equals it, so it is walked; every other one is its base flow's.
+		remapped := slices.Clone(flows)
+		slices.Reverse(remapped)
+		remapped[len(remapped)-1].Volume *= 2
+		baseOf := make([]int32, len(remapped))
+		for i := range baseOf {
+			baseOf[i] = int32(len(flows) - 1 - i)
+		}
+		baseOf[len(baseOf)-1] = -1
+		res, reused = fw.Resimulate(remapped, baseOf, traced, traces, nil, nil, nil)
+		sameResult(t, "Resimulate, remapped", res, fw.Simulate(remapped))
+		if reused != len(flows)-1 {
+			t.Errorf("remapped, nothing changed: %d of %d flows reused, want all but the new one", reused, len(flows))
 		}
 	}
 }
@@ -92,7 +110,8 @@ func TestNewForwarderRejectsForeignIGP(t *testing.T) {
 // delta, no trace, where SimulateTraced copies out two trace slices per
 // flow; and per walked flow it keeps the path and the shares, copied out at
 // their exact length from buffers its walker reuses, under 1 KiB in all
-// (about 680 B on WAN(1)).
+// (about 680 B on WAN(1)). Mapping the flows to the base's (baseOf, here the
+// identity spelled out) allocates nothing beyond the caller's map.
 func TestResimulateAllocs(t *testing.T) {
 	out := gen.Generate(gen.WAN(1))
 	igp := isis.Compute(out.Net.Topo, isis.Options{})
@@ -105,11 +124,23 @@ func TestResimulateAllocs(t *testing.T) {
 		changed[name] = true
 	}
 	resim := func() {
-		if _, reused := fw.Resimulate(flows, base, traces, changed, nil, nil); reused != 0 {
+		if _, reused := fw.Resimulate(flows, nil, base, traces, changed, nil, nil); reused != 0 {
 			t.Fatalf("every device changed: %d flows reused", reused)
 		}
 	}
 	re := testing.AllocsPerRun(5, resim)
+	baseOf := make([]int32, len(flows))
+	for i := range baseOf {
+		baseOf[i] = int32(i)
+	}
+	remapped := testing.AllocsPerRun(5, func() {
+		if _, reused := fw.Resimulate(flows, baseOf, base, traces, changed, nil, nil); reused != 0 {
+			t.Fatalf("every device changed, remapped: %d flows reused", reused)
+		}
+	})
+	if remapped > re {
+		t.Errorf("Resimulate makes %.0f allocations with baseOf, %.0f without: the mapping allocates", remapped, re)
+	}
 	sim := testing.AllocsPerRun(5, func() { fw.Simulate(flows) })
 	traced := testing.AllocsPerRun(5, func() { fw.SimulateTraced(flows) })
 	if re > sim+4 {

@@ -62,6 +62,9 @@ func DecodeRoutes(r io.Reader) ([]netmodel.Route, error) {
 		}
 		out = append(out, rt)
 	}
+	if err := d.end(); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -175,6 +178,9 @@ func DecodeFlows(r io.Reader) ([]netmodel.Flow, error) {
 			return nil, fmt.Errorf("wire: decoding flow %d/%d: %w", i, n, err)
 		}
 		out = append(out, f)
+	}
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -290,6 +296,9 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: decoding snapshot down links: %w", err)
 	}
+	if err := d.end(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -384,6 +393,9 @@ func DecodeTrafficResult(r io.Reader) (*TrafficResult, error) {
 			return nil, fmt.Errorf("wire: decoding traffic path %d: %w", i, err)
 		}
 		t.Paths = append(t.Paths, pe)
+	}
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -18,7 +18,8 @@
 //
 // Framing: a 6-byte header [Magic 'H' 'Y' version flags kind] precedes the
 // payload. It is the only format: a blob that does not start with the header
-// — empty, truncated, or anything else — is ErrCorrupt to every decoder.
+// — empty, truncated, or anything else — is ErrCorrupt to every decoder, and
+// so is a frame cut anywhere after it or followed by more bytes.
 package wire
 
 import (
@@ -307,15 +308,44 @@ func decodeFrame(br *bufio.Reader, want Kind) (*decoder, error) {
 	return d, nil
 }
 
-func (d *decoder) byte() (byte, error) { return d.r.ReadByte() }
+// truncated makes a payload that ends before its last field ErrCorrupt: the
+// encoder ends a frame only after its last field, so running out of bytes
+// (io.EOF, or io.ErrUnexpectedEOF inside a field or a flate stream) means
+// the blob was cut.
+func truncated(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("wire: frame truncated: %w (%w)", io.ErrUnexpectedEOF, ErrCorrupt)
+	}
+	return err
+}
+
+// end checks that the payload ends where its last field did: a byte past it
+// is ErrCorrupt, and a flate stream is read to its end, so one cut after the
+// last field's bytes still shows.
+func (d *decoder) end() error {
+	_, err := d.r.ReadByte()
+	switch err {
+	case io.EOF:
+		return nil
+	case nil:
+		return fmt.Errorf("wire: bytes past the end of the frame (%w)", ErrCorrupt)
+	}
+	return truncated(err)
+}
+
+func (d *decoder) byte() (byte, error) {
+	b, err := d.r.ReadByte()
+	return b, truncated(err)
+}
 
 func (d *decoder) bool() (bool, error) {
-	b, err := d.r.ReadByte()
+	b, err := d.byte()
 	return b != 0, err
 }
 
 func (d *decoder) uvarint() (uint64, error) {
-	return binary.ReadUvarint(d.r)
+	v, err := binary.ReadUvarint(d.r)
+	return v, truncated(err)
 }
 
 func (d *decoder) u32() (uint32, error) {
@@ -347,7 +377,7 @@ func (d *decoder) blob() (string, error) {
 	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(d.r, b); err != nil {
-		return "", err
+		return "", truncated(err)
 	}
 	return string(b), nil
 }
@@ -372,7 +402,7 @@ func (d *decoder) str() (string, error) {
 }
 
 func (d *decoder) addr() (netip.Addr, error) {
-	n, err := d.r.ReadByte()
+	n, err := d.byte()
 	if err != nil {
 		return netip.Addr{}, err
 	}
@@ -397,11 +427,8 @@ func (d *decoder) addr() (netip.Addr, error) {
 // to the heap.
 func (d *decoder) read(b []byte) error {
 	for i := range b {
-		c, err := d.r.ReadByte()
+		c, err := d.byte()
 		if err != nil {
-			if err == io.EOF && i > 0 {
-				err = io.ErrUnexpectedEOF
-			}
 			return err
 		}
 		b[i] = c
@@ -414,7 +441,7 @@ func (d *decoder) prefix() (netip.Prefix, error) {
 	if err != nil || !a.IsValid() {
 		return netip.Prefix{}, err
 	}
-	bits, err := d.r.ReadByte()
+	bits, err := d.byte()
 	if err != nil {
 		return netip.Prefix{}, err
 	}

@@ -304,11 +304,39 @@ func encodedRoutes(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// TestDecodeTruncated cuts a frame of every kind, plain and flate-compressed,
+// at every byte offset: each decoder must fail with ErrCorrupt, past the
+// header as well as inside it.
 func TestDecodeTruncated(t *testing.T) {
-	blob := encodedRoutes(t)
-	for n := 0; n < len(blob); n++ {
-		if _, err := DecodeRoutes(bytes.NewReader(blob[:n])); err == nil {
-			t.Fatalf("truncation at %d/%d bytes decoded without error", n, len(blob))
+	kinds := []struct {
+		kind   Kind
+		encode func(io.Writer) error
+		decode func(io.Reader) error
+	}{
+		{KindRoutes, func(w io.Writer) error { return EncodeRoutes(w, sampleRoutes()) },
+			func(r io.Reader) error { _, err := DecodeRoutes(r); return err }},
+		{KindFlows, func(w io.Writer) error { return EncodeFlows(w, sampleFlows()) },
+			func(r io.Reader) error { _, err := DecodeFlows(r); return err }},
+		{KindSnapshot, func(w io.Writer) error { return EncodeSnapshot(w, sampleSnapshot()) },
+			func(r io.Reader) error { _, err := DecodeSnapshot(r); return err }},
+		{KindTrafficResult, func(w io.Writer) error { return EncodeTrafficResult(w, sampleTraffic()) },
+			func(r io.Reader) error { _, err := DecodeTrafficResult(r); return err }},
+	}
+	for _, k := range kinds {
+		var buf bytes.Buffer
+		if err := k.encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, compress := range []bool{false, true} {
+			blob := reframe(t, buf.Bytes(), compress)
+			if err := k.decode(bytes.NewReader(blob)); err != nil {
+				t.Fatalf("%s frame (flate %v): %v", k.kind, compress, err)
+			}
+			for n := 0; n < len(blob); n++ {
+				if err := k.decode(bytes.NewReader(blob[:n])); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s frame (flate %v) cut at %d/%d bytes: got %v, want ErrCorrupt", k.kind, compress, n, len(blob), err)
+				}
+			}
 		}
 	}
 }
