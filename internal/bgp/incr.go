@@ -107,18 +107,9 @@ func SimulateWithState(net *config.Network, igp *isis.Result, inputs []netmodel.
 	for i, u := range sims {
 		units[i] = u.capture()
 	}
-	// A multi-unit result holds unions of the units' tables, so the units'
-	// own stay pristine.
 	st := &State{opts: units[0].opts, sessions: units[0].sessions, units: units}
 	if len(units) == 1 {
-		// The result hands out this sim's RIBs, which callers expand in
-		// place; the records keep pristine clones.
-		st = units[0]
-		for _, t := range st.tables {
-			if t.rib != nil {
-				t.rib = t.rib.ShallowClone()
-			}
-		}
+		st = units[0] // its records' RIBs are the result's, which nobody writes
 	}
 	st.inputs, st.topo = slices.Clone(inputs), net.Topo
 	st.originated = (&State{}).reached(net, nil, Delta{}) // every up device

@@ -117,28 +117,38 @@ func (r *Result) Tables() []Table {
 }
 
 // SetRIB installs a table, replacing any existing one. The incremental
-// engine uses it to share unchanged, already-expanded tables with the base
-// result instead of re-expanding them per fork.
+// engine uses it to share the base result's unchanged, expanded tables with a
+// fork instead of re-expanding them per fork.
 func (r *Result) SetRIB(device, vrf string, t *netmodel.RIB) {
 	r.ribs[tableKey{device, vrf}] = t
 }
 
-// GlobalRIB flattens every table into the paper's global RIB abstraction,
-// sorted by construction: tables are disjoint (device, VRF) blocks, so each
-// is emitted in canonical order (netmodel.RIB.AppendSorted) at its
-// precomputed offset of one exact-size slice, with no sort over the whole.
-// Tables fill concurrently, bounded by the Parallelism of the run.
-func (r *Result) GlobalRIB() *netmodel.GlobalRIB {
+// GlobalRIB flattens every table into the paper's global RIB abstraction:
+// ExpandedGlobalRIB with no expansion.
+func (r *Result) GlobalRIB() *netmodel.GlobalRIB { return r.ExpandedGlobalRIB(nil) }
+
+// ExpandedGlobalRIB flattens every table, expanded by x, into the global RIB,
+// sorted by construction: the prefixes are sorted once (netmodel.Emission),
+// and each table, a disjoint (device, VRF) block, is emitted in canonical
+// order (netmodel.RIB.AppendSorted) at its precomputed offset of one
+// exact-size slice, with no sort over the whole. The tables themselves are
+// left as they are. Tables count and fill concurrently, bounded by the
+// Parallelism of the run.
+func (r *Result) ExpandedGlobalRIB(x *netmodel.Expansion) *netmodel.GlobalRIB {
 	tables := r.Tables()
 	ribs := make([]*netmodel.RIB, len(tables))
-	offs := make([]int, len(tables)+1)
 	for i, t := range tables {
 		ribs[i] = r.ribs[tableKey{t.Device, t.VRF}]
-		offs[i+1] = offs[i] + ribs[i].Len()
+	}
+	em := netmodel.NewEmission(ribs, x)
+	offs := make([]int, len(tables)+1)
+	par.ForEach(r.parallelism, len(ribs), func(i int) { offs[i+1] = em.Len(ribs[i]) })
+	for i := range ribs {
+		offs[i+1] += offs[i]
 	}
 	rows := make([]netmodel.Route, offs[len(tables)])
 	par.ForEach(r.parallelism, len(ribs), func(i int) {
-		ribs[i].AppendSorted(rows[offs[i]:offs[i]:offs[i+1]])
+		ribs[i].AppendSorted(rows[offs[i]:offs[i]:offs[i+1]], em)
 	})
 	return netmodel.NewGlobalRIBFromSorted(rows)
 }

@@ -268,3 +268,51 @@ func TestConcurrentForksMixedCancellation(t *testing.T) {
 		t.Error(msg)
 	}
 }
+
+// TestConcurrentForksBuildBaseViews: a base run without flows forwards
+// nothing, so none of its tables — views of its global RIB's rows, built on
+// first use — exists until forks read them. Forks running at once then build
+// them concurrently, and each must get the bytes a fork of the same delta on
+// another engine, run one at a time, gets. Run under -race this proves the
+// lazily built views race-free.
+func TestConcurrentForksBuildBaseViews(t *testing.T) {
+	out := gen.Generate(gen.WAN(1))
+	deltas := scenarioDeltas(out, rand.New(rand.NewSource(47)))
+
+	seq := NewEngine(out.Net, Options{})
+	seq.BaseRun(out.Inputs, nil)
+	want := make([]string, len(deltas))
+	for i, d := range deltas {
+		res, _, err := seq.WhatIf(context.Background(), d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = resultDigest(res)
+	}
+
+	eng := NewEngine(out.Net, Options{})
+	eng.BaseRun(out.Inputs, nil)
+	if eng.base.routes.views != nil {
+		t.Fatal("a base run without flows built its table views")
+	}
+	got := make([]string, len(deltas))
+	var wg sync.WaitGroup
+	for i := range deltas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, _, err := eng.WhatIf(context.Background(), deltas[i], 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = resultDigest(res)
+		}()
+	}
+	wg.Wait()
+	for i := range deltas {
+		if got[i] != want[i] {
+			t.Errorf("delta %d (%+v): concurrent fork digest %s != sequential %s", i, deltas[i], got[i], want[i])
+		}
+	}
+}

@@ -93,26 +93,50 @@ type RouteResult struct {
 	// ECStats reports the route-EC reduction applied (nil with ECs off).
 	ECStats *ec.RouteECs
 
+	// cold marks a result of Engine.routeSimulation: BGP holds the tables as
+	// simulated, before route-EC expansion; the global RIB expands them by
+	// ECStats as it emits them, and RIB serves views of its rows. Any other
+	// result's BGP tables are the ones it reads, and its global RIB emits them
+	// as they are.
+	cold bool
+
 	// global memoizes the flattened global RIB. globalFn, when set, builds it
 	// on first use (forks install a view of the base global RIB there, so
 	// scenarios whose intents never read the global RIB build no blocks).
-	global   *netmodel.GlobalRIB
-	globalFn func() *netmodel.GlobalRIB
+	globalOnce sync.Once
+	global     *netmodel.GlobalRIB
+	globalFn   func() *netmodel.GlobalRIB
+
+	// views is a cold result's tables: the global RIB's rows cut per table,
+	// each table's prefix map built on the first lookup of it.
+	viewsOnce sync.Once
+	views     *netmodel.RIBSet
 }
 
-// RIB implements traffic.RIBSource.
-func (r *RouteResult) RIB(device, vrf string) *netmodel.RIB { return r.BGP.RIB(device, vrf) }
+// RIB implements traffic.RIBSource. A cold result's tables are views of its
+// global RIB's rows (netmodel.RIBSet), built on first use; concurrent callers
+// share them.
+func (r *RouteResult) RIB(device, vrf string) *netmodel.RIB {
+	if !r.cold {
+		return r.BGP.RIB(device, vrf)
+	}
+	r.viewsOnce.Do(func() { r.views = netmodel.NewRIBSetFromSorted(r.GlobalRIB().Rows()) })
+	return r.views.RIB(device, vrf)
+}
 
-// GlobalRIB returns the flattened global RIB. The first call materializes it
-// (after any RIB expansion); later calls return the same value.
+// GlobalRIB returns the flattened global RIB. The first call materializes it;
+// later calls, concurrent ones included, return the same value.
 func (r *RouteResult) GlobalRIB() *netmodel.GlobalRIB {
-	if r.global == nil {
-		if r.globalFn != nil {
+	r.globalOnce.Do(func() {
+		switch {
+		case r.globalFn != nil:
 			r.global = r.globalFn()
-		} else {
+		case r.cold:
+			r.global = r.BGP.ExpandedGlobalRIB(r.ECStats.Expansion())
+		default:
 			r.global = r.BGP.GlobalRIB()
 		}
-	}
+	})
 	return r.global
 }
 
@@ -135,7 +159,9 @@ func (e *Engine) bgpOptions(ctx context.Context) bgp.Options {
 
 // routeSimulation is the route stage. With a capture it also saves what a
 // warm restart needs: the EC partition, the representatives, the converged
-// pre-expansion BGP state and the result itself.
+// BGP state and the result itself. No table is expanded: the global RIB
+// expands them as it emits them, and the result's tables are views of its
+// rows.
 func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, bc *baseCapture) (*RouteResult, error) {
 	reps := inputs
 	var ecs *ec.RouteECs
@@ -153,12 +179,7 @@ func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, b
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	if ecs != nil {
-		for _, t := range res.Tables() {
-			ecs.ExpandRIB(res.RIB(t.Device, t.VRF))
-		}
-	}
-	routes := &RouteResult{BGP: res, ECStats: ecs}
+	routes := &RouteResult{BGP: res, ECStats: ecs, cold: true}
 	if bc != nil {
 		bc.routeECs, bc.reps, bc.bgpState, bc.routes = ecs, reps, state, routes
 	}
@@ -239,11 +260,7 @@ func (e *Engine) run(ctx context.Context, inputs []netmodel.Route, flows []netmo
 	if len(flows) > 0 {
 		if bc != nil {
 			bc.basePrefixCount = make(map[netip.Prefix]int)
-			for _, t := range routes.BGP.Tables() {
-				for _, p := range routes.BGP.RIB(t.Device, t.VRF).Prefixes() {
-					bc.basePrefixCount[p]++
-				}
-			}
+			eachTablePrefix(routes.GlobalRIB().Rows(), func(p netip.Prefix) { bc.basePrefixCount[p]++ })
 		}
 		tr, err = e.trafficSimulation(ctx, routes, routes.GlobalRIB().Rows(), flows, bc)
 		if err != nil {
@@ -255,4 +272,14 @@ func (e *Engine) run(ctx context.Context, inputs []netmodel.Route, flows []netmo
 		bc.bandwidth = res.Bandwidth
 	}
 	return res, nil
+}
+
+// eachTablePrefix calls fn once per (device, VRF, prefix) run of rows, which
+// are in canonical order: once per table holding the prefix.
+func eachTablePrefix(rows []netmodel.Route, fn func(p netip.Prefix)) {
+	for i := range rows {
+		if i == 0 || rows[i].Prefix != rows[i-1].Prefix || rows[i].VRF != rows[i-1].VRF || rows[i].Device != rows[i-1].Device {
+			fn(rows[i].Prefix)
+		}
+	}
 }

@@ -26,7 +26,7 @@ func TestEndToEndRouteSimulation(t *testing.T) {
 	dcPrefix := netip.MustParsePrefix("10.0.0.0/24")
 	found := 0
 	for _, tab := range res.BGP.Tables() {
-		if len(res.BGP.RIB(tab.Device, tab.VRF).Best(dcPrefix)) > 0 {
+		if len(res.RIB(tab.Device, tab.VRF).Best(dcPrefix)) > 0 {
 			found++
 		}
 	}

@@ -194,8 +194,9 @@ type ForkStats struct {
 }
 
 // baseCapture is everything BaseRun saves so Fork can warm-start: the inputs
-// and flows, the EC partitions, the converged BGP state (pre-expansion), the
-// base global-RIB prefix set, and the traced traffic result.
+// and flows, the EC partitions, the converged BGP state (its tables as
+// simulated, before route-EC expansion), the base global-RIB prefix set, and
+// the traced traffic result.
 type baseCapture struct {
 	inputs []netmodel.Route
 	flows  []netmodel.Flow
@@ -205,9 +206,9 @@ type baseCapture struct {
 
 	bgpState *bgp.State
 
-	// routes is the base run's result: its expanded tables are shared into
-	// forks verbatim for unchanged devices, and its global RIB lends its
-	// device blocks to fork global RIBs.
+	// routes is the base run's result: its tables, views of its global RIB's
+	// rows built on first use, are shared into forks verbatim where unchanged,
+	// and its global RIB lends its device blocks to fork global RIBs.
 	routes *RouteResult
 
 	// basePrefixCount maps each prefix of the base global RIB to the number
@@ -459,14 +460,15 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 // table's expansion differs from the base's only where the warm restart
 // installed different rows (rstats.ChangedPrefixes), at the prefixes an input
 // delta's new EC partition moves (moved), and at the members those
-// prefixes represent. A table without such prefixes is the base's expanded
-// table itself; any other is an Overlay of it holding only those prefixes,
-// rebuilt (ec.Reexpand). From the rebuilt prefixes alone it derives the
-// per-device prefixes whose rows forward differently, the per-prefix change
-// in the number of tables holding it, and the row count of every changed
-// device's global-RIB block. A reconfigured device's base tables count as empty: its
-// tables and its block are rebuilt from the fork's alone, and its base
-// prefixes retired like a downed device's.
+// prefixes represent. A table without such prefixes is the base's table
+// itself (a view of its global RIB's rows, RouteResult.RIB); any other is an
+// Overlay of it holding only those prefixes, rebuilt (ec.Reexpand). From the
+// rebuilt prefixes alone it derives the per-device prefixes whose rows forward
+// differently, the per-prefix change in the number of tables holding it, and
+// the row count of every changed device's global-RIB block. A reconfigured
+// device's base tables count as empty: its tables and its block are rebuilt
+// from the fork's alone, and its base prefixes retired like a downed
+// device's.
 func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs *ec.RouteECs, moved []netip.Prefix, routes *RouteResult, d Delta, stats *ForkStats) (ribDiff map[string][]netip.Prefix, countDelta map[netip.Prefix]int) {
 	base := e.base.routes
 	ribDiff = make(map[string][]netip.Prefix)
@@ -475,13 +477,15 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs 
 	var rx ec.Reexpansion
 	// blockRows: each changed device's block row count; purged ones start at 0.
 	purged := d.purged()
+	slices.Sort(purged)
+	purged = slices.Compact(purged)
 	blockRows := make(map[string]int, len(purged))
 	for _, dev := range purged {
 		blockRows[dev] = 0
 	}
 	blockOf := "" // the device whose base block blockRows already counts
 	for _, t := range bres.Tables() {
-		baseRIB := base.BGP.RIB(t.Device, t.VRF)
+		baseRIB := base.RIB(t.Device, t.VRF)
 		if d.Configs[t.Device] != nil {
 			baseRIB = netmodel.NewRIB(t.Device, t.VRF)
 		}
@@ -530,15 +534,8 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs 
 	}
 	// The loop above counted a purged device's base tables as empty (a downed
 	// one has none in the fork result); retire their prefixes here.
-	if len(purged) > 0 {
-		for _, t := range base.BGP.Tables() {
-			if !slices.Contains(purged, t.Device) {
-				continue
-			}
-			for _, p := range base.BGP.RIB(t.Device, t.VRF).Prefixes() {
-				countDelta[p]--
-			}
-		}
+	for _, dev := range purged {
+		eachTablePrefix(base.GlobalRIB().Block(dev), func(p netip.Prefix) { countDelta[p]-- })
 	}
 	routes.globalFn = func() *netmodel.GlobalRIB {
 		return e.mergedGlobalRIB(bres, blockRows, rebuilt, d)

@@ -30,7 +30,8 @@ func sameRows(a, b []netmodel.Route) bool {
 
 // TestGlobalRIBSortedByConstruction: the global RIB, which is never sorted
 // as a whole, holds positionally the rows that concatenating the tables in
-// arbitrary order and sorting them all yields; they are in canonical order;
+// arbitrary order, each expanded in place (ExpandRIB on a copy), and sorting
+// them all yields; they are in canonical order;
 // and another simulation of the same inputs yields them again, although rows
 // that tie on the key columns leave the tables in map-iteration order.
 func TestGlobalRIBSortedByConstruction(t *testing.T) {
@@ -47,7 +48,11 @@ func TestGlobalRIBSortedByConstruction(t *testing.T) {
 			rnd.Shuffle(len(tables), func(i, j int) { tables[i], tables[j] = tables[j], tables[i] })
 			var concat []netmodel.Route
 			for _, tbl := range tables {
-				concat = res.RIB(tbl.Device, tbl.VRF).AppendSorted(concat)
+				rib := netmodel.UnionRIBs([]*netmodel.RIB{res.BGP.RIB(tbl.Device, tbl.VRF)})
+				res.ECStats.ExpandRIB(rib)
+				for _, p := range rib.Prefixes() {
+					concat = append(concat, rib.Routes(p)...)
+				}
 			}
 			if want := netmodel.NewGlobalRIB(concat).Rows(); !sameRows(got, want) {
 				t.Fatalf("WAN(%d) parallelism %d: sorted-by-construction rows differ from concat-and-sort (%d vs %d rows)", k, p, len(got), len(want))
@@ -319,4 +324,37 @@ func TestForkLookupAllocBoundedByItsBlock(t *testing.T) {
 		t.Fatalf("fixture: the bound (%d) is not well below writing every changed block (%d)", bound, eager)
 	}
 	t.Logf("allocated %d bytes for %s's %d-row block (bound %d); every changed block: %d rows, %d bytes", allocated, rr, rrRows, bound, changedRows, eager)
+}
+
+// TestColdTablesAliasGlobalRIB: a cold run writes each row once, into the
+// global RIB. Every table it serves — those the forwarder reads, member
+// prefixes included — holds each prefix's rows as a stretch of the global
+// RIB's backing slice, on WAN(1–4) with route ECs on and off. (A table copies
+// a prefix's rows only where a candidate sorts before a best row, which rows
+// tying on the key columns, as duplicate inputs make, can bring about.)
+func TestColdTablesAliasGlobalRIB(t *testing.T) {
+	size := unsafe.Sizeof(netmodel.Route{})
+	for k := 1; k <= 4; k++ {
+		out := gen.Generate(gen.WAN(k))
+		for _, opts := range []Options{{}, {DisableRouteECs: true}} {
+			res := NewEngine(out.Net, opts).RouteSimulation(out.Inputs)
+			rows := res.GlobalRIB().Rows()
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(rows)))
+			hi := lo + uintptr(len(rows))*size
+			n := 0
+			for _, tb := range res.BGP.Tables() {
+				rib := res.RIB(tb.Device, tb.VRF)
+				for _, p := range rib.Prefixes() {
+					rs := rib.Routes(p)
+					if a := uintptr(unsafe.Pointer(unsafe.SliceData(rs))); a < lo || a+uintptr(len(rs))*size > hi {
+						t.Fatalf("WAN(%d) %+v: %s/%s %s: rows are a copy, not a stretch of the global RIB", k, opts, tb.Device, tb.VRF, p)
+					}
+					n += len(rs)
+				}
+			}
+			if n != len(rows) {
+				t.Fatalf("WAN(%d) %+v: the tables hold %d rows, the global RIB %d", k, opts, n, len(rows))
+			}
+		}
+	}
 }

@@ -11,6 +11,9 @@ import (
 	"hoyan/internal/netmodel"
 )
 
+// clone returns a plain table sharing t's rows.
+func clone(t *netmodel.RIB) *netmodel.RIB { return netmodel.UnionRIBs([]*netmodel.RIB{t}) }
+
 // sameTables reports whether two tables hold the same prefixes with Identical
 // rows in the same stored order.
 func sameTables(a, b *netmodel.RIB) bool {
@@ -69,12 +72,12 @@ func TestReexpandMatchesExpandRIB(t *testing.T) {
 		for _, p := range universe {
 			table.Replace(p, randRows(p))
 		}
-		base := table.ShallowClone()
+		base := clone(table)
 		ecs.ExpandRIB(base)
-		baseRef := table.ShallowClone()
+		baseRef := clone(table)
 		ecs.ExpandRIB(baseRef)
 
-		fork := table.ShallowClone()
+		fork := clone(table)
 		changed := make(map[netip.Prefix]bool)
 		for n := 1 + rnd.Intn(3); n > 0; n-- {
 			p := universe[rnd.Intn(len(universe))]
@@ -83,10 +86,10 @@ func TestReexpandMatchesExpandRIB(t *testing.T) {
 				changed[p] = true
 			}
 		}
-		want := fork.ShallowClone()
+		want := clone(fork)
 		ecs.ExpandRIB(want)
 
-		got := base.ShallowClone()
+		got := clone(base)
 		reached := ecs.Reexpand(nil, got, fork, changed, nil)
 		if !sameTables(got, want) {
 			t.Fatalf("trial %d: Reexpand of %v differs from ExpandRIB of the changed table\n classes %v", trial, changed, ecs.Classes)
@@ -192,18 +195,18 @@ func FuzzReexpandAcrossPartitions(f *testing.F) {
 		for _, p := range universe {
 			table.Replace(p, randRows(p))
 		}
-		fork := table.ShallowClone()
+		fork := clone(table)
 		changed := make(map[netip.Prefix]bool)
 		for n := rnd.Intn(3); n > 0; n-- {
 			p := universe[rnd.Intn(len(universe))]
 			fork.Replace(p, randRows(p))
 			changed[p] = true
 		}
-		base := table.ShallowClone()
+		base := clone(table)
 		e0.ExpandRIB(base)
-		baseRef := table.ShallowClone()
+		baseRef := clone(table)
 		e0.ExpandRIB(baseRef)
-		want := fork.ShallowClone()
+		want := clone(fork)
 		e1.ExpandRIB(want)
 
 		got := base.Overlay()
@@ -230,7 +233,7 @@ func TestReexpandAllocs(t *testing.T) {
 		table.ReplaceOwned(p, []netmodel.Route{{Prefix: p, Protocol: netmodel.ProtoBGP, RouteType: netmodel.RouteBest}})
 		changed[p] = true
 	}
-	base := table.ShallowClone()
+	base := clone(table)
 	ecs := &RouteECs{}
 	var x Reexpansion
 	ecs.Reexpand(&x, base.Overlay(), table, changed, nil)

@@ -40,12 +40,15 @@ type RouteECs struct {
 	// Inputs is the total number of input routes partitioned.
 	Inputs int
 
-	// Memoized expansion in deterministic (class-order) form: ExpandRIB is
-	// called once per (device, vrf) table, so the rep→members walk is computed
-	// once and reused.
+	// Memoized expansion in deterministic (class-order) form: the global RIB
+	// expands every table by it, so the rep→members walk is computed once and
+	// reused. exp numbers it for the emitter, on the first Expansion call (a
+	// fork's partition only reexpands, and never pays for it).
 	expOnce    sync.Once
 	expReps    []netip.Prefix
 	expMembers [][]netip.Prefix
+	numOnce    sync.Once
+	exp        *netmodel.Expansion
 	// classesOfRep / classesOfMember list, ascending, the pairs (indexes into
 	// expReps) a prefix represents / is a member of, for Reexpand and Moved. A
 	// member listed twice in one pair is listed twice there: ExpandRIB hands
@@ -202,6 +205,16 @@ func (e *RouteECs) expansion() ([]netip.Prefix, [][]netip.Prefix) {
 	return e.expReps, e.expMembers
 }
 
+// Expansion returns the partition's expansion as the global-RIB emitter
+// applies it (netmodel.Expansion); nil for a nil partition (route ECs off).
+func (e *RouteECs) Expansion() *netmodel.Expansion {
+	if e == nil {
+		return nil
+	}
+	e.numOnce.Do(func() { e.exp = netmodel.NewExpansion(e.expansion()) })
+	return e.exp
+}
+
 // indexClasses builds classesOfRep / classesOfMember on the first Reexpand or
 // Moved call (a one-shot audit never pays for them).
 func (e *RouteECs) indexClasses() {
@@ -253,37 +266,21 @@ func (e *RouteECs) Moved(base *RouteECs) []netip.Prefix {
 }
 
 // ExpandRIB replicates the representative prefixes' rows onto the member
-// prefixes of their classes, realizing the EC speedup: simulate one route
-// per EC, then clone results.
-//
-// The expansion walk is memoized across tables (ExpandRIB runs once per
-// (device, vrf)), the table grows once, to room for every member of a
-// representative it holds rows for, and each member gets exactly one merged
-// slice that the RIB adopts in place of copying (ReplaceOwned).
+// prefixes of their classes in place, realizing the EC speedup: simulate one
+// route per EC, then clone results. Each member gets the rows the global-RIB
+// emitter writes for it (netmodel.Expansion.Receipts), as one slice the RIB
+// adopts in place of copying (ReplaceOwned), so a table expanded here emits
+// what the emitter writes for it unexpanded. The table grows once, to room for
+// every member it gives rows.
 func (e *RouteECs) ExpandRIB(rib *netmodel.RIB) {
-	reps, members := e.expansion()
-	n := 0
-	for ri, rep := range reps {
-		if len(rib.Routes(rep)) > 0 {
-			n += len(members[ri])
-		}
-	}
-	rib.Grow(n)
-	for ri, rep := range reps {
-		rows := rib.Routes(rep)
-		if len(rows) == 0 {
-			continue
-		}
-		for _, m := range members[ri] {
-			existing := rib.Routes(m)
-			merged := make([]netmodel.Route, 0, len(existing)+len(rows))
-			merged = append(merged, existing...)
-			for _, r := range rows {
-				r.Prefix = m
-				merged = append(merged, r)
-			}
-			rib.ReplaceOwned(m, merged)
-		}
+	var ms []netip.Prefix
+	var rows [][]netmodel.Route
+	e.Expansion().Receipts(rib, func(p netip.Prefix, rs []netmodel.Route) {
+		ms, rows = append(ms, p), append(rows, rs)
+	})
+	rib.Grow(len(ms))
+	for i, m := range ms {
+		rib.ReplaceOwned(m, rows[i])
 	}
 }
 

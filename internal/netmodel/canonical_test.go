@@ -117,7 +117,8 @@ func TestCompareRoutesTotalOrder(t *testing.T) {
 
 // TestAppendSortedMatchesFullSort: for randomized table sets (key ties,
 // duplicates, IPv4+IPv6, several VRFs, empty tables), emitting each table
-// through AppendSorted in (device, VRF) order yields positionally the rows a
+// through AppendSorted in (device, VRF) order, under one Emission of them all,
+// yields positionally the rows a
 // full sort of the concatenation yields, in CompareRoutes order.
 func TestAppendSortedMatchesFullSort(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
@@ -128,9 +129,15 @@ func TestAppendSortedMatchesFullSort(t *testing.T) {
 		}
 		tables := refTables(all)
 		tables[[2]string{"d0", DefaultVRF}] = NewRIB("d0", DefaultVRF) // an empty table
+		keys := sortedTableKeys(tables)
+		ribs := make([]*RIB, len(keys))
+		for i, k := range keys {
+			ribs[i] = tables[k]
+		}
+		em := NewEmission(ribs, nil)
 		var got []Route
-		for _, k := range sortedTableKeys(tables) {
-			got = tables[k].AppendSorted(got)
+		for _, t := range ribs {
+			got = t.AppendSorted(got, em)
 		}
 		assertSameRows(t, "AppendSorted over tables", got, refGlobalRows(all))
 		assertSameRows(t, "NewGlobalRIB", NewGlobalRIB(all).Rows(), got)
@@ -180,4 +187,9 @@ func FuzzMergeSortedRoutes(f *testing.F) {
 		}
 		assertSameRows(t, "merge + adjacent dedupe", slices.CompactFunc(got, Route.Identical), deduped)
 	})
+}
+
+// appendSorted emits t alone, unexpanded: its canonical rows.
+func appendSorted(dst []Route, t *RIB) []Route {
+	return t.AppendSorted(dst, NewEmission([]*RIB{t}, nil))
 }

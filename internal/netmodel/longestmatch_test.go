@@ -179,7 +179,7 @@ func covers(t *RIB) error {
 
 // TestLongestMatchLensSuperset: the records LongestMatch probes by hold every
 // key of a table after deletes (which never clear them), through Overlay and
-// its writes, ShallowClone and UnionRIBs, and an overlay's writes leave the
+// its writes, and UnionRIBs of one table or several, and an overlay's writes leave the
 // records of the table under it as they were.
 func TestLongestMatchLensSuperset(t *testing.T) {
 	pool := lpmPool()
@@ -213,7 +213,7 @@ func TestLongestMatchLensSuperset(t *testing.T) {
 	}
 	for name, tb := range map[string]*RIB{
 		"base": base, "overlay": o, "overlay of overlay": o.Overlay(),
-		"clone": base.ShallowClone(), "clone of overlay": o.ShallowClone(),
+		"clone": UnionRIBs([]*RIB{base}), "clone of overlay": UnionRIBs([]*RIB{o}),
 		"union": UnionRIBs([]*RIB{o, half}),
 	} {
 		if err := covers(tb); err != nil {

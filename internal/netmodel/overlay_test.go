@@ -12,7 +12,7 @@ import (
 )
 
 // overlayPair is one table branched two ways: o, an Overlay of under, and
-// ref, a ShallowClone of it. Every operation goes to both; under must not move.
+// ref, a plain copy of it (UnionRIBs). Every operation goes to both; under must not move.
 // The same operations go to two Layers laid over maps drawn from under's
 // rows, each against a plain map (layerPair).
 type overlayPair struct {
@@ -37,13 +37,13 @@ func flagOf(rows []Route) bool { return len(rows) > 0 && rows[0].RouteType == Ro
 func newOverlayPair(under *RIB) *overlayPair {
 	snap := make(map[netip.Prefix][]Route, under.byPrefix.OwnLen())
 	under.each(func(p netip.Prefix, rows []Route) { snap[p] = slices.Clone(rows) })
-	return &overlayPair{under: under, snap: snap, sorted: slices.Clone(under.Prefixes()), o: under.Overlay(), ref: under.ShallowClone(),
+	return &overlayPair{under: under, snap: snap, sorted: slices.Clone(under.Prefixes()), o: under.Overlay(), ref: UnionRIBs([]*RIB{under}),
 		str: newLayerPair(snap, strOf), flag: newLayerPair(snap, flagOf)}
 }
 
 // apply runs one operation on both tables: op%4 is 0 a Replace, 1 a delete,
-// 2 a ReplaceOwned and 3 a re-branch (Overlay of the overlay, ShallowClone of
-// the clone). On the layers they are a Set, a Delete, a Set of the zero
+// 2 a ReplaceOwned and 3 a re-branch (Overlay of the overlay, plain copy of
+// the copy). On the layers they are a Set, a Delete, a Set of the zero
 // value and an Over of the Over.
 func (pr *overlayPair) apply(op byte, p netip.Prefix, rows []Route) {
 	pr.str.apply(op, p, strOf(rows))
@@ -59,7 +59,7 @@ func (pr *overlayPair) apply(op byte, p netip.Prefix, rows []Route) {
 		pr.o.ReplaceOwned(p, slices.Clone(rows))
 		pr.ref.ReplaceOwned(p, slices.Clone(rows))
 	case 3:
-		pr.o, pr.ref = pr.o.Overlay(), pr.ref.ShallowClone()
+		pr.o, pr.ref = pr.o.Overlay(), UnionRIBs([]*RIB{pr.ref})
 		if pr.o.under != pr.under {
 			panic("overlay of an overlay does not read through to the same table")
 		}
@@ -188,7 +188,7 @@ func (pr *overlayPair) check(label string, pool []netip.Prefix, addrs []netip.Ad
 			return fmt.Errorf("%s: Routes/Best(%s) = %v, clone %v", label, p, o.Routes(p), ref.Routes(p))
 		}
 	}
-	if got, want := o.AppendSorted(nil), ref.AppendSorted(nil); !slices.EqualFunc(got, want, Route.Identical) {
+	if got, want := appendSorted(nil, o), appendSorted(nil, ref); !slices.EqualFunc(got, want, Route.Identical) {
 		return fmt.Errorf("%s: AppendSorted emitted %d rows, clone %d, or they differ", label, len(got), len(want))
 	}
 	for _, a := range addrs {
@@ -232,14 +232,14 @@ func randAddrs(rnd *rand.Rand, n int) []netip.Addr {
 	return out
 }
 
-// TestOverlayMatchesShallowClone: 200 random sequences of replaces, deletes,
+// TestOverlayMatchesClone: 200 random sequences of replaces, deletes,
 // new prefixes, deletes of new prefixes and re-branches, applied to an
-// Overlay and to a ShallowClone of one table, leave every reader agreeing —
+// Overlay and to a plain copy (UnionRIBs) of one table, leave every reader agreeing —
 // Routes, Best, Prefixes, Len, AppendSorted, LongestMatch against the scan,
 // on masked tables and on a quarter with unmasked prefixes — and the table
 // under the overlay as it was. The string and bool Layers fed the same
 // operations read as their plain maps.
-func TestOverlayMatchesShallowClone(t *testing.T) {
+func TestOverlayMatchesClone(t *testing.T) {
 	rnd := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
 		masked := trial%4 != 3
@@ -320,7 +320,7 @@ func TestOverlaysShareUnderConcurrently(t *testing.T) {
 // FuzzOverlayRIB decodes an operation sequence from bytes — the first byte
 // sizes the table under, each later pair picks an operation and a prefix of a
 // fixed pool, its odd prefixes unmasked — and checks the overlay against a
-// ShallowClone after every step.
+// plain copy (UnionRIBs) after every step.
 func FuzzOverlayRIB(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 3, 0, 2, 7})
 	f.Add([]byte{12, 1, 0, 1, 0, 0, 0, 3, 3, 1, 5, 2, 11, 0, 20})

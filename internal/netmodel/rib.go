@@ -43,7 +43,8 @@ type RIB struct {
 	aliases Layer[netip.Prefix, []netip.Prefix]
 	// sorted memoizes Prefixes(). Only a mutation that changes the key set
 	// (a new prefix or a delete) clears it, so the aggregate refreshes of a
-	// fixpoint round and every emitter of a converged table share one sort.
+	// fixpoint round and every later reader of a converged table share one
+	// sort.
 	// Atomic because concurrent forks read base tables.
 	// An overlay whose key set is under's uses under's instead.
 	sorted atomic.Pointer[[]netip.Prefix]
@@ -178,21 +179,10 @@ func (t *RIB) Changed() map[netip.Prefix]bool {
 	return out
 }
 
-// ShallowClone returns a plain RIB with a fresh prefix map sharing the row
-// slices. Safe as long as every writer installs fresh slices (Replace does).
-// It copies every prefix; a branch that rewrites only some takes an Overlay.
-func (t *RIB) ShallowClone() *RIB {
-	cp := UnionRIBs([]*RIB{t})
-	if t.under == nil {
-		cp.sorted.Store(t.sorted.Load()) // same key set
-	}
-	return cp
-}
-
 // UnionRIBs returns one table holding every part's prefixes, sharing their
-// row slices like ShallowClone. The parts are tables of the same (device,
-// VRF) over disjoint prefix sets: the per-unit results of the parallel BGP
-// fixpoint.
+// row slices: a fresh prefix map over the same rows. The parts are tables of
+// the same (device, VRF) over disjoint prefix sets: the per-unit results of
+// the parallel BGP fixpoint.
 func UnionRIBs(parts []*RIB) *RIB {
 	n := 0
 	for _, t := range parts {
@@ -247,22 +237,42 @@ func (t *RIB) Len() int {
 	return n
 }
 
-// AppendSorted appends every row of the table to dst in canonical
-// (CompareRoutes) order and returns the extended slice: prefixes in order,
-// and within a prefix only that prefix's few rows are sorted, in place in
-// dst. It is the one emitter behind every global RIB: tables hold disjoint
-// (device, VRF) blocks, so appending them in (device, VRF) order yields a
-// globally sorted RIB with no sort over the whole.
-func (t *RIB) AppendSorted(dst []Route) []Route {
-	for _, p := range t.Prefixes() {
+// AppendSorted appends every row of t's expansion under em to dst in
+// canonical (CompareRoutes) order and returns the extended slice: em's
+// prefixes in their order, each with the rows the expansion hands it in
+// receipt order (Expansion.Receipts; a prefix no pair hands rows, its own),
+// and only those few rows sorted, in place in dst. Its cost follows t's own
+// prefixes and em's members, whatever else em holds: t's own prefixes are
+// put in em's order by their indexes, and the members merged in. It is the
+// one emitter behind every cold global RIB: tables hold disjoint (device,
+// VRF) blocks, so appending them in (device, VRF) order under one Emission
+// yields a globally sorted RIB with no sort over the whole, and each member
+// row is written once, there.
+func (t *RIB) AppendSorted(dst []Route, em *Emission) []Route {
+	own := make([]int32, 0, t.byPrefix.Bound()) // t's prefixes no pair hands rows
+	t.each(func(p netip.Prefix, _ []Route) {
+		if r := em.rank[p]; em.xid[r] < 0 {
+			own = append(own, r)
+		}
+	})
+	slices.Sort(own)
+	members := em.members
+	for len(own) > 0 || len(members) > 0 {
 		start := len(dst)
-		dst = append(dst, t.rows(p)...)
+		if len(members) == 0 || len(own) > 0 && own[0] < members[0] {
+			dst = append(dst, t.rows(em.pfx[own[0]])...)
+			own = own[1:]
+		} else {
+			r := members[0]
+			dst = em.x.appendRows(dst, t, em.xid[r], em.x.all(), em.pfx[r])
+			members = members[1:]
+		}
 		slices.SortFunc(dst[start:], CompareRoutes)
 	}
 	return dst
 }
 
-// AppendSpliced appends what AppendSorted would, given base: the canonical
+// AppendSpliced appends t's rows in canonical order, given base: the canonical
 // rows of a table that differs from t at most at the (distinct) changed
 // prefixes. Every other prefix's rows are copied from base a run at a time;
 // only the changed ones are looked up and sorted.

@@ -122,6 +122,8 @@ type Query struct {
 	// history before the terminal state becomes visible.
 	finishing bool
 	persist   func(Status)
+	// released is set by the one release that returns the query's slot.
+	released bool
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -220,7 +222,13 @@ func (q *Query) finish(state string, res *QueryResult, errMsg string) {
 	q.finishing = true
 	q.result, q.err, q.finishedAt = res, errMsg, time.Now()
 	final := q.statusLocked(state)
+	started := !q.startedAt.IsZero()
 	q.mu.Unlock()
+	if !started {
+		// It will never run (setRunning refuses it now): its slot comes back
+		// here, before Done closes, not when a worker pops it.
+		q.release()
+	}
 
 	if q.persist != nil {
 		q.persist(final)
@@ -303,6 +311,19 @@ func (q *Query) Cancel() {
 		cancel()
 	}
 	q.finish(StateCanceled, nil, "canceled by client")
+}
+
+// release returns the query's in-flight slot to its tenant. Only the first
+// call does: the worker that ran the query, or finish for one that never ran,
+// and the worker that pops a query canceled while queued finds it done.
+func (q *Query) release() {
+	q.mu.Lock()
+	was := q.released
+	q.released = true
+	q.mu.Unlock()
+	if !was {
+		q.Tenant.release()
+	}
 }
 
 // setCancel installs the run context's cancel func so DELETE can reach it.

@@ -427,6 +427,70 @@ func TestServeDeadlineAndCancel(t *testing.T) {
 	h.await("alice", busy)
 }
 
+// TestServeCancelQueuedFreesSlot: cancelling a queued query gives its tenant
+// slot back at once, not when a worker pops it. At MaxInFlight 2, with the one
+// worker held by a long sweep, a canceled queued query's slot takes a resubmit
+// at once; once the worker pops the canceled query and runs the resubmit, the
+// tenant counts exactly that one query in flight, so the slot came back once.
+func TestServeCancelQueuedFreesSlot(t *testing.T) {
+	h := newHarness(t, Config{Workers: 1, Tenants: []TenantConfig{{Name: "alice", APIKey: "key-alice", MaxInFlight: 2}}})
+	tn := h.srv.adm.byName["alice"]
+	inFlight := func() int {
+		tn.mu.Lock()
+		defer tn.mu.Unlock()
+		return tn.inFlight
+	}
+	// A K=2 sweep of 512 scenarios holds the worker for a second or more,
+	// long past the round trips below; it is canceled once they are checked.
+	sweep := QueryRequest{Kind: "kfail", K: 2, MaxScenarios: 512, Specs: []string{"prefix = 255.255.255.255/32 => PRE = POST"}}
+	submit := func(req QueryRequest) (*http.Response, string) {
+		resp, body := h.do("alice", "POST", "/v1/queries", req)
+		var st Status
+		json.Unmarshal(body, &st)
+		return resp, st.ID
+	}
+	resp, busy := submit(sweep)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("busy sweep: status %d", resp.StatusCode)
+	}
+	resp, victim := submit(sweep)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("queued query: status %d", resp.StatusCode)
+	}
+	if resp, _ := h.do("alice", "DELETE", "/v1/queries/"+victim, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel: status %d", resp.StatusCode)
+	}
+	if st := h.await("alice", victim); st.State != StateCanceled || st.StartedAt != nil {
+		t.Fatalf("canceled query: state %s, started %v; want canceled while queued", st.State, st.StartedAt)
+	}
+	resp, again := submit(sweep)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit after cancelling a queued query: status %d, want %d", resp.StatusCode, http.StatusAccepted)
+	}
+	if n := inFlight(); n != 2 {
+		t.Fatalf("%d queries in flight, want 2: the sweep running and the resubmit", n)
+	}
+	h.do("alice", "DELETE", "/v1/queries/"+busy, nil)
+	h.await("alice", busy)
+	for deadline := time.Now().Add(60 * time.Second); ; {
+		_, body := h.do("alice", "GET", "/v1/queries/"+again, nil)
+		var st Status
+		json.Unmarshal(body, &st)
+		if st.State == StateRunning {
+			break
+		}
+		if terminal(st.State) || time.Now().After(deadline) {
+			t.Fatalf("resubmitted sweep: state %s, want it running", st.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := inFlight(); n != 1 {
+		t.Fatalf("%d queries in flight while the resubmit runs, want 1", n)
+	}
+	h.do("alice", "DELETE", "/v1/queries/"+again, nil)
+	h.await("alice", again)
+}
+
 // TestServeTenantIsolation: one tenant cannot see another's queries.
 func TestServeTenantIsolation(t *testing.T) {
 	h := newHarness(t, Config{Workers: 2})

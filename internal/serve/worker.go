@@ -35,8 +35,8 @@ func (s *Server) execute(qu *Query) {
 	s.mQueueDepth.Set(float64(s.queue.Depth()))
 
 	if !qu.setRunning() {
-		qu.Tenant.release()
-		return // canceled while queued
+		qu.release() // done already when the cancel finished it
+		return       // canceled while queued
 	}
 	s.mInflight.Add(1)
 	defer s.mInflight.Add(-1)
@@ -71,7 +71,7 @@ func (s *Server) execute(qu *Query) {
 
 	// The slot comes back before finish closes Done: a client waiting on this
 	// query may submit its next one the moment it sees the answer.
-	qu.Tenant.release()
+	qu.release()
 	switch {
 	case err == nil:
 		qu.finish(StateDone, res, "")
