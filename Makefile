@@ -87,7 +87,8 @@ test-shuffle:
 # fixpoint's work units, concurrent forks, scenario fan-out, the global-RIB
 # blocks concurrent queries share with their base (netmodel, intent, serve),
 # and what concurrent forks read of one base while patching their own tables
-# (ec's memoized expansion index, traffic's base traces, and the cold base
+# (the base partition's netmodel.Expansion, numbered once by ec and never
+# written after, traffic's base traces, and the cold base
 # result's table views, netmodel.RIBSet tables over its global RIB's rows that
 # the first fork or flow to look one up builds), and the fleet, whose
 # traffic subtasks build RIB tables lazily while the forwarder's goroutines

@@ -393,7 +393,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 		} else {
 			routeECs = ec.ComputeRouteECs(net, e.opts.Profiles, inputs, parallelism)
 			reps = routeECs.Representatives()
-			moved = routeECs.Moved(e.base.routeECs)
+			moved = routeECs.Expansion().Moved(e.base.routeECs.Expansion())
 		}
 	}
 
@@ -415,7 +415,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	// countDelta tracks per-prefix table-count changes so the flow-EC
 	// partition check below needs no materialized global RIB — the global RIB
 	// itself is built lazily, only for intents that actually read it.
-	ribDiff, countDelta := e.patchTables(bres, rstats, routeECs, moved, routes, d, &stats)
+	ribDiff, countDelta := e.patchTables(bres, rstats, routeECs.Expansion(), moved, routes, d, &stats)
 
 	var tr *TrafficResult
 	if len(flows) > 0 {
@@ -462,19 +462,20 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 // delta's new EC partition moves (moved), and at the members those
 // prefixes represent. A table without such prefixes is the base's table
 // itself (a view of its global RIB's rows, RouteResult.RIB); any other is an
-// Overlay of it holding only those prefixes, rebuilt (ec.Reexpand). From the
-// rebuilt prefixes alone it derives the per-device prefixes whose rows forward
-// differently, the per-prefix change in the number of tables holding it, and
-// the row count of every changed device's global-RIB block. A reconfigured
-// device's base tables count as empty: its tables and its block are rebuilt
-// from the fork's alone, and its base prefixes retired like a downed
-// device's.
-func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs *ec.RouteECs, moved []netip.Prefix, routes *RouteResult, d Delta, stats *ForkStats) (ribDiff map[string][]netip.Prefix, countDelta map[netip.Prefix]int) {
+// Overlay of it holding only those prefixes, rebuilt by x, the fork's
+// expansion (netmodel.Expansion.Reexpand; nil with route ECs off, which
+// rebuilds the changed prefixes alone). From the rebuilt prefixes alone it
+// derives the per-device prefixes whose rows forward differently, the
+// per-prefix change in the number of tables holding it, and the row count of
+// every changed device's global-RIB block. A reconfigured device's base
+// tables count as empty: its tables and its block are rebuilt from the fork's
+// alone, and its base prefixes retired like a downed device's.
+func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, x *netmodel.Expansion, moved []netip.Prefix, routes *RouteResult, d Delta, stats *ForkStats) (ribDiff map[string][]netip.Prefix, countDelta map[netip.Prefix]int) {
 	base := e.base.routes
 	ribDiff = make(map[string][]netip.Prefix)
 	countDelta = make(map[netip.Prefix]int)
 	rebuilt := make(map[bgp.Table][]netip.Prefix, len(rstats.ChangedPrefixes))
-	var rx ec.Reexpansion
+	var rx netmodel.Reexpansion
 	// blockRows: each changed device's block row count; purged ones start at 0.
 	purged := d.purged()
 	slices.Sort(purged)
@@ -495,15 +496,7 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, routeECs 
 			continue
 		}
 		forked, rt := bres.RIB(t.Device, t.VRF), baseRIB.Overlay()
-		var pfx []netip.Prefix
-		if routeECs != nil {
-			pfx = routeECs.Reexpand(&rx, rt, forked, changed, moved)
-		} else {
-			for p := range changed {
-				rt.ReplaceOwned(p, forked.Routes(p))
-				pfx = append(pfx, p)
-			}
-		}
+		pfx := x.Reexpand(&rx, rt, forked, changed, moved)
 		if len(pfx) == 0 { // moved prefixes, none of them in this table
 			bres.SetRIB(t.Device, t.VRF, baseRIB)
 			continue

@@ -117,10 +117,10 @@ func TestForkInputDeltaMatchesScratch(t *testing.T) {
 				scratch := out.Net.Clone()
 				applyDelta(scratch, d)
 				inc, _ := eng.Fork(scratch, d)
-				moved += len(inc.Routes.ECStats.Moved(eng.base.routeECs))
+				moved += len(inc.Routes.ECStats.Expansion().Moved(eng.base.routeECs.Expansion()))
 				for _, tb := range inc.Routes.BGP.Tables() {
 					rt := inc.Routes.BGP.RIB(tb.Device, tb.VRF)
-					if rt == base.BGP.RIB(tb.Device, tb.VRF) {
+					if rt == base.RIB(tb.Device, tb.VRF) {
 						continue // unchanged: the base's own table
 					}
 					patched++

@@ -65,7 +65,7 @@ func TestForkPrefixDeltaMatchesScratch(t *testing.T) {
 
 				for _, tb := range inc.Routes.BGP.Tables() {
 					rt := inc.Routes.BGP.RIB(tb.Device, tb.VRF)
-					if rt == base.BGP.RIB(tb.Device, tb.VRF) {
+					if rt == base.RIB(tb.Device, tb.VRF) {
 						continue // unchanged: the base's own table
 					}
 					patched++

@@ -72,19 +72,19 @@ func TestRouteECExpansion(t *testing.T) {
 	if len(ecs.Classes) != 1 {
 		t.Fatalf("classes = %d", len(ecs.Classes))
 	}
-	reps, members := ecs.expansion()
-	rep := ecs.Classes[0].Rep().Prefix
-	if len(reps) != 1 || reps[0] != rep || len(members[0]) != 1 {
-		t.Fatalf("expansion = %v → %v", reps, members)
-	}
+	rep, member := ecs.Classes[0].Rep().Prefix, ecs.Classes[0].Routes[1].Prefix
 
 	// Simulating only the representative, then expanding, reproduces rows
-	// for the member prefix.
+	// for the member prefix, and for no other.
 	rib := netmodel.NewRIB("X", netmodel.DefaultVRF)
 	rib.Replace(rep, []netmodel.Route{{Prefix: rep, Protocol: netmodel.ProtoBGP,
 		NextHop: netip.MustParseAddr("1.1.1.1"), RouteType: netmodel.RouteBest}})
+	var handed []netip.Prefix
+	ecs.Expansion().Receipts(rib, func(p netip.Prefix, _ []netmodel.Route) { handed = append(handed, p) })
+	if member == rep || !slices.Equal(handed, []netip.Prefix{member}) {
+		t.Fatalf("expansion of %s hands rows to %v, want [%s]", rep, handed, member)
+	}
 	ecs.ExpandRIB(rib)
-	member := members[0][0]
 	rows := rib.Routes(member)
 	if len(rows) != 1 || rows[0].NextHop != netip.MustParseAddr("1.1.1.1") || rows[0].RouteType != netmodel.RouteBest {
 		t.Errorf("expanded rows = %v", rows)

@@ -62,12 +62,7 @@ func TestReexpandMatchesExpandRIB(t *testing.T) {
 			}
 			ecs.Classes = append(ecs.Classes, class)
 		}
-		ecs.classOnce.Do(ecs.indexClasses)
-		for _, rep := range ecs.expReps {
-			if len(ecs.classesOfMember[rep]) > 0 {
-				chained++
-			}
-		}
+		chained += chains(ecs.Classes)
 		table := netmodel.NewRIB("R1", netmodel.DefaultVRF)
 		for _, p := range universe {
 			table.Replace(p, randRows(p))
@@ -90,7 +85,7 @@ func TestReexpandMatchesExpandRIB(t *testing.T) {
 		ecs.ExpandRIB(want)
 
 		got := clone(base)
-		reached := ecs.Reexpand(nil, got, fork, changed, nil)
+		reached := ecs.Expansion().Reexpand(nil, got, fork, changed, nil)
 		if !sameTables(got, want) {
 			t.Fatalf("trial %d: Reexpand of %v differs from ExpandRIB of the changed table\n classes %v", trial, changed, ecs.Classes)
 		}
@@ -110,10 +105,48 @@ func TestReexpandMatchesExpandRIB(t *testing.T) {
 				t.Fatalf("trial %d: prefix %s is outside the rebuilt set %v but does not share the base's rows", trial, p, reached)
 			}
 		}
+
+		// Route ECs off: a nil expansion rebuilds the changed prefixes alone,
+		// and every other prefix keeps the unexpanded table's row slice.
+		got = clone(table)
+		reached = (*netmodel.Expansion)(nil).Reexpand(nil, got, fork, changed, nil)
+		if !sameTables(got, fork) {
+			t.Fatalf("trial %d: a nil expansion's Reexpand of %v differs from the changed table", trial, changed)
+		}
+		if len(reached) != len(changed) {
+			t.Fatalf("trial %d: a nil expansion rebuilt %v for the changed %v", trial, reached, changed)
+		}
+		for _, p := range universe {
+			if changed[p] {
+				continue
+			}
+			if a, b := got.Routes(p), table.Routes(p); len(a) != len(b) || (len(a) > 0 && &a[0] != &b[0]) {
+				t.Fatalf("trial %d: a nil expansion left %s unchanged but not sharing the table's rows", trial, p)
+			}
+		}
 	}
 	if chained == 0 {
-		t.Fatal("no trial had a representative that is also a member; the ordered replay went untested")
+		t.Fatal("no trial had a representative that is also a member; chained receipts went untested")
 	}
+}
+
+// chains counts the classes whose representative hands rows (the class has a
+// member of another prefix) and is itself such a member of some class: there
+// the order of the classes decides what a member receives.
+func chains(classes []RouteClass) int {
+	n := 0
+	for _, c := range classes {
+		rep := c.Rep().Prefix
+		if !slices.ContainsFunc(c.Routes[1:], func(r netmodel.Route) bool { return r.Prefix != rep }) {
+			continue
+		}
+		if slices.ContainsFunc(classes, func(o RouteClass) bool {
+			return o.Rep().Prefix != rep && slices.ContainsFunc(o.Routes[1:], func(r netmodel.Route) bool { return r.Prefix == rep })
+		}) {
+			n++
+		}
+	}
+	return n
 }
 
 // FuzzReexpandAcrossPartitions: an input delta changes the partition as well
@@ -210,9 +243,10 @@ func FuzzReexpandAcrossPartitions(f *testing.F) {
 		e1.ExpandRIB(want)
 
 		got := base.Overlay()
-		e1.Reexpand(nil, got, fork, changed, e1.Moved(e0))
+		moved := e1.Expansion().Moved(e0.Expansion())
+		e1.Expansion().Reexpand(nil, got, fork, changed, moved)
 		if !sameTables(got, want) {
-			t.Fatalf("Reexpand across partitions differs from ExpandRIB\n P0 %v\n P1 %v\n changed %v, moved %v", p0, p1, changed, e1.Moved(e0))
+			t.Fatalf("Reexpand across partitions differs from ExpandRIB\n P0 %v\n P1 %v\n changed %v, moved %v", p0, p1, changed, moved)
 		}
 		if !sameTables(base, baseRef) {
 			t.Fatal("Reexpand modified the base expansion")
@@ -235,13 +269,13 @@ func TestReexpandAllocs(t *testing.T) {
 	}
 	base := clone(table)
 	ecs := &RouteECs{}
-	var x Reexpansion
-	ecs.Reexpand(&x, base.Overlay(), table, changed, nil)
+	var x netmodel.Reexpansion
+	ecs.Expansion().Reexpand(&x, base.Overlay(), table, changed, nil)
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		ecs.Reexpand(&x, base.Overlay(), table, changed, nil)
+		ecs.Expansion().Reexpand(&x, base.Overlay(), table, changed, nil)
 	}
 	runtime.ReadMemStats(&after)
 	perPrefix := float64(after.TotalAlloc-before.TotalAlloc) / runs / n

@@ -40,22 +40,10 @@ type RouteECs struct {
 	// Inputs is the total number of input routes partitioned.
 	Inputs int
 
-	// Memoized expansion in deterministic (class-order) form: the global RIB
-	// expands every table by it, so the rep→members walk is computed once and
-	// reused. exp numbers it for the emitter, on the first Expansion call (a
-	// fork's partition only reexpands, and never pays for it).
-	expOnce    sync.Once
-	expReps    []netip.Prefix
-	expMembers [][]netip.Prefix
-	numOnce    sync.Once
-	exp        *netmodel.Expansion
-	// classesOfRep / classesOfMember list, ascending, the pairs (indexes into
-	// expReps) a prefix represents / is a member of, for Reexpand and Moved. A
-	// member listed twice in one pair is listed twice there: ExpandRIB hands
-	// it the representative's rows twice.
-	classOnce       sync.Once
-	classesOfRep    map[netip.Prefix][]int32
-	classesOfMember map[netip.Prefix][]int32
+	// The partition's expansion, numbered on the first Expansion call: the
+	// global RIB expands every table by it, and forks read it concurrently.
+	expOnce sync.Once
+	exp     *netmodel.Expansion
 }
 
 // Reduction returns the input-count reduction factor (inputs / classes).
@@ -182,11 +170,18 @@ func ComputeRouteECs(net *config.Network, profiles vsb.Profiles, inputs []netmod
 	return out
 }
 
-// expansion returns the memoized rep→members pairs in class order. Distinct
-// classes can share a representative prefix (same prefix, different
-// attributes), so reps may repeat.
-func (e *RouteECs) expansion() ([]netip.Prefix, [][]netip.Prefix) {
+// Expansion returns the partition's expansion as the global-RIB emitter
+// applies it (netmodel.Expansion): one pair per class with a member prefix
+// other than its representative's, in class order; nil for a nil partition
+// (route ECs off). Distinct classes can share a representative prefix (same
+// prefix, different attributes), so representatives may repeat.
+func (e *RouteECs) Expansion() *netmodel.Expansion {
+	if e == nil {
+		return nil
+	}
 	e.expOnce.Do(func() {
+		var reps []netip.Prefix
+		var members [][]netip.Prefix
 		for i := range e.Classes {
 			c := &e.Classes[i]
 			rep := c.Rep().Prefix
@@ -197,72 +192,12 @@ func (e *RouteECs) expansion() ([]netip.Prefix, [][]netip.Prefix) {
 				}
 			}
 			if len(ms) > 0 {
-				e.expReps = append(e.expReps, rep)
-				e.expMembers = append(e.expMembers, ms)
+				reps, members = append(reps, rep), append(members, ms)
 			}
 		}
+		e.exp = netmodel.NewExpansion(reps, members)
 	})
-	return e.expReps, e.expMembers
-}
-
-// Expansion returns the partition's expansion as the global-RIB emitter
-// applies it (netmodel.Expansion); nil for a nil partition (route ECs off).
-func (e *RouteECs) Expansion() *netmodel.Expansion {
-	if e == nil {
-		return nil
-	}
-	e.numOnce.Do(func() { e.exp = netmodel.NewExpansion(e.expansion()) })
 	return e.exp
-}
-
-// indexClasses builds classesOfRep / classesOfMember on the first Reexpand or
-// Moved call (a one-shot audit never pays for them).
-func (e *RouteECs) indexClasses() {
-	reps, members := e.expansion()
-	e.classesOfRep = make(map[netip.Prefix][]int32)
-	e.classesOfMember = make(map[netip.Prefix][]int32)
-	for i, rep := range reps {
-		e.classesOfRep[rep] = append(e.classesOfRep[rep], int32(i))
-		for _, m := range members[i] {
-			e.classesOfMember[m] = append(e.classesOfMember[m], int32(i))
-		}
-	}
-}
-
-// receipt is what ExpandRIB hands a member in pair ci: the representative's
-// rows as of that turn, i.e. its own plus what its member entries before ci
-// gave it.
-func (e *RouteECs) receipt(ci int32) (rep netip.Prefix, before int) {
-	rep = e.expReps[ci]
-	before, _ = slices.BinarySearch(e.classesOfMember[rep], ci)
-	return rep, before
-}
-
-// Moved lists the prefixes whose expansion under e can differ from their
-// expansion under base for the same table: those whose ordered receipts
-// differ. A prefix whose receipts agree can still receive different rows, but
-// only when a representative it receives from has moved or changed itself, and
-// Reexpand follows every prefix it rebuilds to the members it represents.
-func (e *RouteECs) Moved(base *RouteECs) []netip.Prefix {
-	e.classOnce.Do(e.indexClasses)
-	base.classOnce.Do(base.indexClasses)
-	var moved []netip.Prefix
-	for m, cs := range e.classesOfMember {
-		bs := base.classesOfMember[m]
-		if !slices.EqualFunc(cs, bs, func(c, b int32) bool {
-			cr, cn := e.receipt(c)
-			br, bn := base.receipt(b)
-			return cr == br && cn == bn
-		}) {
-			moved = append(moved, m)
-		}
-	}
-	for m := range base.classesOfMember {
-		if _, ok := e.classesOfMember[m]; !ok {
-			moved = append(moved, m)
-		}
-	}
-	return moved
 }
 
 // ExpandRIB replicates the representative prefixes' rows onto the member
@@ -282,108 +217,6 @@ func (e *RouteECs) ExpandRIB(rib *netmodel.RIB) {
 	for i, m := range ms {
 		rib.ReplaceOwned(m, rows[i])
 	}
-}
-
-// Reexpansion is the working set of Reexpand calls made one after another,
-// such as a fork's over its tables: it is cleared, not reallocated, from one
-// call to the next. The zero value is ready to use.
-type Reexpansion struct {
-	rows    map[netip.Prefix][]netmodel.Route
-	reached []netip.Prefix
-	replay  []int32
-}
-
-// Reexpand brings exp — a clone of the expansion, under some partition base,
-// of a table that differs from table at the changed prefixes only — up to
-// date: afterwards exp holds what e.ExpandRIB(table) would, with only the
-// prefixes the change reaches rebuilt. moved is e.Moved(base), nil when base is
-// e. It returns the rebuilt prefixes (distinct, unordered): the changed ones,
-// the moved ones exp holds rows for at the prefix or at one of its
-// representatives under e (no other moved prefix can hold rows in either
-// expansion, short of reaching it below) and, transitively, the members of
-// every class a reached prefix represents. Rows table holds outside changed
-// are installed with Replace: they may be shared with concurrent readers. x
-// is the working set, which a nil x allocates for this call alone.
-//
-// ExpandRIB walks the classes in order and hands a member whatever rows its
-// representative holds at that point: its own plus what earlier classes gave
-// it, when it is itself a member. So the reached prefixes start over from
-// their rows in table and the walk is replayed, in order, over the classes
-// they are members of. A representative outside the reached set must then
-// hold in exp its rows as of its class's turn: true of one that is never a
-// member under either partition, and made true of any other by reaching it.
-func (e *RouteECs) Reexpand(x *Reexpansion, exp, table *netmodel.RIB, changed map[netip.Prefix]bool, moved []netip.Prefix) []netip.Prefix {
-	reps, members := e.expansion()
-	e.classOnce.Do(e.indexClasses)
-	if x == nil {
-		x = new(Reexpansion)
-	}
-	if x.rows == nil {
-		x.rows = make(map[netip.Prefix][]netmodel.Route, 2*len(changed))
-	}
-	rows, reached, replay := x.rows, x.reached[:0], x.replay[:0]
-	reach := func(p netip.Prefix) {
-		if _, ok := rows[p]; !ok {
-			rows[p] = table.Routes(p)
-			reached = append(reached, p)
-		}
-	}
-	for p := range changed {
-		reach(p)
-	}
-	for _, p := range moved {
-		if len(exp.Routes(p)) > 0 || slices.ContainsFunc(e.classesOfMember[p], func(ci int32) bool { return len(exp.Routes(reps[ci])) > 0 }) {
-			reach(p)
-		}
-	}
-	for i := 0; i < len(reached); i++ {
-		for _, ci := range e.classesOfRep[reached[i]] {
-			for _, m := range members[ci] {
-				reach(m)
-			}
-		}
-		for _, ci := range e.classesOfMember[reached[i]] {
-			replay = append(replay, ci)
-			if len(e.classesOfMember[reps[ci]]) > 0 {
-				reach(reps[ci])
-			}
-		}
-	}
-	slices.Sort(replay)
-	for _, ci := range slices.Compact(replay) {
-		from, ok := rows[reps[ci]]
-		if !ok {
-			from = exp.Routes(reps[ci])
-		}
-		if len(from) == 0 {
-			continue
-		}
-		for _, m := range members[ci] {
-			existing, ok := rows[m]
-			if !ok {
-				continue
-			}
-			merged := make([]netmodel.Route, 0, len(existing)+len(from))
-			merged = append(merged, existing...)
-			for _, r := range from {
-				r.Prefix = m
-				merged = append(merged, r)
-			}
-			rows[m] = merged
-		}
-	}
-	exp.Grow(len(reached))
-	for _, p := range reached {
-		if r, own := rows[p], table.Routes(p); !changed[p] && len(r) > 0 && len(r) == len(own) {
-			exp.Replace(p, r) // never merged (a merge only grows): table's own slice, maybe the base state's
-		} else {
-			exp.ReplaceOwned(p, r) // decided by this fork, or merged above
-		}
-	}
-	out := slices.Clone(reached)
-	clear(rows)
-	x.reached, x.replay = reached[:0], replay[:0]
-	return out
 }
 
 // localPrefixes is every prefix some device can originate itself: its network
