@@ -292,7 +292,7 @@ func TestConcurrentForksBuildBaseViews(t *testing.T) {
 
 	eng := NewEngine(out.Net, Options{})
 	eng.BaseRun(out.Inputs, nil)
-	if eng.base.routes.views != nil {
+	if eng.base.res.Routes.views != nil {
 		t.Fatal("a base run without flows built its table views")
 	}
 	got := make([]string, len(deltas))

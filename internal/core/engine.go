@@ -94,18 +94,17 @@ type RouteResult struct {
 	ECStats *ec.RouteECs
 
 	// cold marks a result of Engine.routeSimulation: BGP holds the tables as
-	// simulated, before route-EC expansion; the global RIB expands them by
-	// ECStats as it emits them, and RIB serves views of its rows. Any other
-	// result's BGP tables are the ones it reads, and its global RIB emits them
-	// as they are.
+	// simulated, before route-EC expansion, the global RIB their expansion by
+	// ECStats, and RIB serves views of its rows. Any other result's BGP
+	// tables are the ones it reads.
 	cold bool
 
-	// global memoizes the flattened global RIB. globalFn, when set, builds it
-	// on first use (forks install a view of the base global RIB there, so
-	// scenarios whose intents never read the global RIB build no blocks).
+	// global is the flattened global RIB, which the engine sets before it
+	// returns the result (a fork's is a view of the base's). A result built
+	// outside the engine emits its BGP tables as they are, on the first call
+	// to GlobalRIB.
 	globalOnce sync.Once
 	global     *netmodel.GlobalRIB
-	globalFn   func() *netmodel.GlobalRIB
 
 	// views is a cold result's tables: the global RIB's rows cut per table,
 	// each table's prefix map built on the first lookup of it.
@@ -120,20 +119,16 @@ func (r *RouteResult) RIB(device, vrf string) *netmodel.RIB {
 	if !r.cold {
 		return r.BGP.RIB(device, vrf)
 	}
-	r.viewsOnce.Do(func() { r.views = netmodel.NewRIBSetFromSorted(r.GlobalRIB().Rows()) })
+	r.viewsOnce.Do(func() { r.views = netmodel.NewRIBSetFromSorted(r.global.Rows()) })
 	return r.views.RIB(device, vrf)
 }
 
-// GlobalRIB returns the flattened global RIB. The first call materializes it;
+// GlobalRIB returns the flattened global RIB. An engine result holds it
+// already; a result built outside the engine emits it on the first call, and
 // later calls, concurrent ones included, return the same value.
 func (r *RouteResult) GlobalRIB() *netmodel.GlobalRIB {
 	r.globalOnce.Do(func() {
-		switch {
-		case r.globalFn != nil:
-			r.global = r.globalFn()
-		case r.cold:
-			r.global = r.BGP.ExpandedGlobalRIB(r.ECStats.Expansion())
-		default:
+		if r.global == nil {
 			r.global = r.BGP.GlobalRIB()
 		}
 	})
@@ -157,11 +152,11 @@ func (e *Engine) bgpOptions(ctx context.Context) bgp.Options {
 	}
 }
 
-// routeSimulation is the route stage. With a capture it also saves what a
-// warm restart needs: the EC partition, the representatives, the converged
-// BGP state and the result itself. No table is expanded: the global RIB
-// expands them as it emits them, and the result's tables are views of its
-// rows.
+// routeSimulation is the route stage: the fixpoint over the representatives,
+// then the global RIB, which expands the tables to the EC members as it emits
+// them (no table is expanded; the result's tables are views of its rows).
+// With a capture it also saves what a warm restart needs: the
+// representatives and the converged BGP state.
 func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, bc *baseCapture) (*RouteResult, error) {
 	reps := inputs
 	var ecs *ec.RouteECs
@@ -179,11 +174,10 @@ func (e *Engine) routeSimulation(ctx context.Context, inputs []netmodel.Route, b
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	routes := &RouteResult{BGP: res, ECStats: ecs, cold: true}
 	if bc != nil {
-		bc.routeECs, bc.reps, bc.bgpState, bc.routes = ecs, reps, state, routes
+		bc.reps, bc.bgpState = reps, state
 	}
-	return routes, nil
+	return &RouteResult{BGP: res, ECStats: ecs, cold: true, global: res.ExpandedGlobalRIB(ecs.Expansion())}, nil
 }
 
 // TrafficResult is the outcome of traffic simulation.
@@ -201,9 +195,9 @@ func (e *Engine) TrafficSimulation(ribs traffic.RIBSource, routeRows []netmodel.
 	return res
 }
 
-// trafficSimulation is the traffic stage. A capture also gets the flow-EC
-// partition, the forwarded representatives and their traces, so forks
-// re-forward only the flows a delta can reach.
+// trafficSimulation is the traffic stage. A capture also gets the forwarded
+// representatives and their traces, so forks re-forward only the flows a
+// delta can reach.
 func (e *Engine) trafficSimulation(ctx context.Context, ribs traffic.RIBSource, routeRows []netmodel.Route, flows []netmodel.Flow, bc *baseCapture) (*TrafficResult, error) {
 	fw := e.forwarder(ctx, e.net, e.igp, ribs, e.opts.Parallelism)
 	reps := flows
@@ -222,7 +216,7 @@ func (e *Engine) trafficSimulation(ctx context.Context, ribs traffic.RIBSource, 
 		return nil, err
 	}
 	if bc != nil {
-		bc.flowECs, bc.repFlows, bc.traffic = ecs, reps, res
+		bc.repFlows = reps
 	}
 	return &TrafficResult{Traffic: res, ECStats: ecs}, nil
 }
@@ -243,18 +237,14 @@ func (e *Engine) Run(inputs []netmodel.Route, flows []netmodel.Flow) *Result {
 	return res
 }
 
-// run is the one pipeline behind Run and BaseRun: route stage, global RIB,
-// traffic stage. bc, when non-nil, is filled by the stages with what forks
-// warm-start from; the result is the same either way.
+// run is the one pipeline behind Run and BaseRun: route stage (global RIB
+// included), traffic stage. bc, when non-nil, is filled by the stages with
+// what forks warm-start from and then holds the result; the result is the
+// same either way.
 func (e *Engine) run(ctx context.Context, inputs []netmodel.Route, flows []netmodel.Flow, bc *baseCapture) (*Result, error) {
 	routes, err := e.routeSimulation(ctx, inputs, bc)
 	if err != nil {
 		return nil, err
-	}
-	if bc != nil {
-		// Materialize the global RIB now: forks (possibly concurrent) reference
-		// its blocks.
-		routes.GlobalRIB()
 	}
 	var tr *TrafficResult
 	if len(flows) > 0 {
@@ -269,7 +259,7 @@ func (e *Engine) run(ctx context.Context, inputs []netmodel.Route, flows []netmo
 	}
 	res := &Result{Routes: routes, Traffic: tr, Bandwidth: e.net.Topo.Bandwidths()}
 	if bc != nil {
-		bc.bandwidth = res.Bandwidth
+		bc.res = res
 	}
 	return res, nil
 }

@@ -194,33 +194,29 @@ type ForkStats struct {
 }
 
 // baseCapture is everything BaseRun saves so Fork can warm-start: the inputs
-// and flows, the EC partitions, the converged BGP state (its tables as
-// simulated, before route-EC expansion), the base global-RIB prefix set, and
-// the traced traffic result.
+// and flows, what BGP and the forwarder simulated, the converged BGP state
+// (its tables as simulated, before route-EC expansion), the base global-RIB
+// prefix counts, the base traces, and the base result.
 type baseCapture struct {
 	inputs []netmodel.Route
 	flows  []netmodel.Flow
 
-	routeECs *ec.RouteECs     // nil with route ECs off
 	reps     []netmodel.Route // what BGP actually simulated
-
 	bgpState *bgp.State
-
-	// routes is the base run's result: its tables, views of its global RIB's
-	// rows built on first use, are shared into forks verbatim where unchanged,
-	// and its global RIB lends its device blocks to fork global RIBs.
-	routes *RouteResult
 
 	// basePrefixCount maps each prefix of the base global RIB to the number
 	// of (device, vrf) tables holding it, so forks can decide whether their
 	// distinct-prefix set matches the base, and derive it, from per-table
 	// diffs alone.
 	basePrefixCount map[netip.Prefix]int
-	flowECs         *ec.FlowECs     // nil with flow ECs off
 	repFlows        []netmodel.Flow // what the forwarder actually simulated
-	traffic         *traffic.Result
 	traces          []traffic.Trace
-	bandwidth       map[netmodel.LinkID]float64
+
+	// res is the base run's result: its tables, views of its global RIB's
+	// rows, are shared into forks verbatim where unchanged, its global RIB
+	// lends its device blocks to fork global RIBs, and its EC partitions and
+	// traffic are what forks re-partition and re-forward against.
+	res *Result
 }
 
 // BaseRun executes the full pipeline like Run and captures the converged
@@ -245,18 +241,14 @@ func (e *Engine) BaseRunCtx(ctx context.Context, inputs []netmodel.Route, flows 
 	return res, nil
 }
 
-// BaseResult reassembles the result of the last completed BaseRun from the
-// capture (nil before any BaseRun). Long-lived services hold the engine and
-// re-read the base through this instead of re-running it.
+// BaseResult is the result of the last completed BaseRun (nil before any
+// BaseRun). Long-lived services hold the engine and re-read the base through
+// this instead of re-running it.
 func (e *Engine) BaseResult() *Result {
 	if e.base == nil {
 		return nil
 	}
-	res := &Result{Routes: e.base.routes, Bandwidth: e.base.bandwidth}
-	if e.base.traffic != nil {
-		res.Traffic = &TrafficResult{Traffic: e.base.traffic, ECStats: e.base.flowECs}
-	}
-	return res
+	return e.base.res
 }
 
 // WhatIf simulates the base run's network under d. The engine applies d to a
@@ -339,7 +331,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	// A configuration may have derived another topology: SPF then runs in
 	// full, the IGP is diffed by device name, and every link added, removed
 	// or changed is a changed link to the warm restart.
-	links, spfBase, diff, bandwidth := d.links(), e.igp, isis.Diff, e.base.bandwidth
+	links, spfBase, diff, bandwidth := d.links(), e.igp, isis.Diff, e.base.res.Bandwidth
 	var readdressed map[string]bool
 	sameIndex := true // the fork's index names the base's devices, links and address owners
 	if len(d.Configs) > 0 {
@@ -385,7 +377,8 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	// or configuration delta re-partitions the inputs, and the prefixes whose
 	// expansion that can change (moved) are rebuilt along with the changed ones.
 	reps := e.base.reps
-	routeECs := e.base.routeECs
+	baseECs := e.base.res.Routes.ECStats
+	routeECs := baseECs
 	var moved []netip.Prefix
 	if d.inputsChanged() || len(d.Configs) > 0 {
 		if e.opts.DisableRouteECs {
@@ -393,7 +386,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 		} else {
 			routeECs = ec.ComputeRouteECs(net, e.opts.Profiles, inputs, parallelism)
 			reps = routeECs.Representatives()
-			moved = routeECs.Expansion().Moved(e.base.routeECs.Expansion())
+			moved = routeECs.Expansion().Moved(baseECs.Expansion())
 		}
 	}
 
@@ -413,8 +406,8 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 	// ribDiff narrows flow invalidation from "visited a changed device" to
 	// "a changed prefix at a visited device covers the flow's destination".
 	// countDelta tracks per-prefix table-count changes so the flow-EC
-	// partition check below needs no materialized global RIB — the global RIB
-	// itself is built lazily, only for intents that actually read it.
+	// partition check below reads no global RIB row: the fork's global RIB
+	// writes a changed device's block only when it is read.
 	ribDiff, countDelta := e.patchTables(bres, rstats, routeECs.Expansion(), moved, routes, d, &stats)
 
 	var tr *TrafficResult
@@ -424,30 +417,30 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 		// unchanged so are the classes, and each is its base class. Otherwise
 		// each new class is mapped to the base class with its representative
 		// and volume, if any (FlowECs.Kept): that class forwards as it did.
-		flowECs, repFlows := e.base.flowECs, e.base.repFlows
+		base := e.base.res.Traffic
+		flowECs, repFlows := base.ECStats, e.base.repFlows
 		var baseOf []int32
 		if !e.opts.DisableFlowECs && (len(d.Configs) > 0 || !partitionUnchanged(e.base.basePrefixCount, countDelta)) {
 			flowECs = ec.ComputeFlowECs(net, forkPrefixes(e.base.basePrefixCount, countDelta), flows, parallelism)
 			repFlows = flowECs.Representatives()
-			baseOf = flowECs.Kept(e.base.flowECs)
+			baseOf = flowECs.Kept(base.ECStats)
 		}
-		fw := e.forwarder(ctx, net, igp, routes, parallelism)
-		var trr *traffic.Result
-		if sameIndex {
-			// With a per-prefix RIB diff, a changed BGP table alone does not
-			// condemn every flow through its device; only the structural delta
-			// (flipped links, downed and reconfigured nodes) does. A prefix
-			// the fork adds or retires is a changed prefix at every device
-			// that holds it.
-			trr, stats.FlowsReused = fw.Resimulate(repFlows, baseOf, e.base.traffic, e.base.traces, structuralDeviceSet(d), hopsChanged, ribDiff)
-		} else {
+		// With a per-prefix RIB diff, a changed BGP table alone does not
+		// condemn every flow through its device; only the structural delta
+		// (flipped links, downed and reconfigured nodes) does. A prefix the
+		// fork adds or retires is a changed prefix at every device that holds
+		// it.
+		traces := e.base.traces
+		if !sameIndex {
 			// On another index the base traces' IDs name other devices and
 			// links; with an address owned anew, a walk can change where no
 			// trace shows it (a next hop or an SR endpoint resolving
-			// elsewhere).
-			trr = fw.Simulate(repFlows)
+			// elsewhere). Without traces, Resimulate walks every flow.
+			traces = nil
 		}
-		stats.FlowsTotal = len(repFlows)
+		fw := e.forwarder(ctx, net, igp, routes, parallelism)
+		trr, reused := fw.Resimulate(repFlows, baseOf, base.Traffic, traces, structuralDeviceSet(d), hopsChanged, ribDiff)
+		stats.FlowsTotal, stats.FlowsReused = len(repFlows), reused
 		tr = &TrafficResult{Traffic: trr, ECStats: flowECs}
 	}
 	if err := ctxErr(ctx); err != nil {
@@ -471,7 +464,7 @@ func (e *Engine) fork(ctx context.Context, net *config.Network, d Delta, paralle
 // tables count as empty: its tables and its block are rebuilt from the fork's
 // alone, and its base prefixes retired like a downed device's.
 func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, x *netmodel.Expansion, moved []netip.Prefix, routes *RouteResult, d Delta, stats *ForkStats) (ribDiff map[string][]netip.Prefix, countDelta map[netip.Prefix]int) {
-	base := e.base.routes
+	base := e.base.res.Routes
 	ribDiff = make(map[string][]netip.Prefix)
 	countDelta = make(map[netip.Prefix]int)
 	rebuilt := make(map[bgp.Table][]netip.Prefix, len(rstats.ChangedPrefixes))
@@ -530,9 +523,7 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, x *netmod
 	for _, dev := range purged {
 		eachTablePrefix(base.GlobalRIB().Block(dev), func(p netip.Prefix) { countDelta[p]-- })
 	}
-	routes.globalFn = func() *netmodel.GlobalRIB {
-		return e.mergedGlobalRIB(bres, blockRows, rebuilt, d)
-	}
+	routes.global = e.mergedGlobalRIB(bres, blockRows, rebuilt, d)
 	return ribDiff, countDelta
 }
 
@@ -547,7 +538,7 @@ func (e *Engine) patchTables(bres *bgp.Result, rstats *bgp.ResimStats, x *netmod
 // finished tables and the base, which stay unchanged.
 func (e *Engine) mergedGlobalRIB(bres *bgp.Result, rows map[string]int, rebuilt map[bgp.Table][]netip.Prefix, d Delta) *netmodel.GlobalRIB {
 	tables := bres.Tables()
-	return e.base.routes.GlobalRIB().ReplaceDevices(rows, func(dev string, dst []netmodel.Route) []netmodel.Route {
+	return e.base.res.Routes.GlobalRIB().ReplaceDevices(rows, func(dev string, dst []netmodel.Route) []netmodel.Route {
 		block := e.baseBlock(dev, d) // what is left of the device's base block
 		// The device's tables come in VRF order, as do the runs of its block.
 		i := sort.Search(len(tables), func(i int) bool { return tables[i].Device >= dev })
@@ -573,7 +564,7 @@ func (e *Engine) baseBlock(dev string, d Delta) []netmodel.Route {
 	if d.Configs[dev] != nil {
 		return nil
 	}
-	return e.base.routes.GlobalRIB().Block(dev)
+	return e.base.res.Routes.GlobalRIB().Block(dev)
 }
 
 // forwarder builds a traffic forwarder over an arbitrary snapshot/IGP pair,

@@ -226,14 +226,14 @@ func TestForkViewRowsConcurrent(t *testing.T) {
 	}
 }
 
-// TestForkGlobalRIBAllocBoundedByChangedRows pins the cost of a shared
-// fork's global RIB to what the failure changed: the rows of the changed
-// devices' blocks (plus their tables' sorted prefix lists, built on first
-// emission) and a fixed budget per block for the block list and the
-// allocator's size-class rounding — not a copy of the whole RIB, which on
-// this fixture is several times the bound. Bytes via
-// runtime.MemStats: one large allocation is what this guards against, and
-// testing.AllocsPerRun would count it as 1.
+// TestForkGlobalRIBAllocBoundedByChangedRows pins the cost of reading a
+// shared fork's whole global RIB (Blocks, which writes every pending block)
+// to what the failure changed: the rows of the changed devices' blocks (plus
+// their tables' sorted prefix lists, built on first emission) and a fixed
+// budget per block for the block list and the allocator's size-class
+// rounding — not a copy of the whole RIB, which on this fixture is several
+// times the bound. Bytes via runtime.MemStats: one large allocation is what
+// this guards against, and testing.AllocsPerRun would count it as 1.
 func TestForkGlobalRIBAllocBoundedByChangedRows(t *testing.T) {
 	out := gen.Generate(gen.WAN(4))
 	eng := NewEngine(out.Net, Options{})
@@ -246,9 +246,10 @@ func TestForkGlobalRIBAllocBoundedByChangedRows(t *testing.T) {
 		t.Fatal("fork fell back to a full simulation")
 	}
 
+	view := inc.Routes.GlobalRIB()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	view := inc.Routes.GlobalRIB()
+	view.Blocks()
 	runtime.ReadMemStats(&after)
 	allocated := after.TotalAlloc - before.TotalAlloc
 
@@ -261,7 +262,7 @@ func TestForkGlobalRIBAllocBoundedByChangedRows(t *testing.T) {
 	bound := uint64(changedRows)*perRow + perBlock*uint64(len(view.Blocks()))
 	whole := uint64(view.Len()) * uint64(unsafe.Sizeof(netmodel.Route{}))
 	if allocated > bound {
-		t.Errorf("GlobalRIB() on a shared fork allocated %d bytes; bound %d (%d changed rows of %d, %d blocks); a flat copy is %d",
+		t.Errorf("reading a shared fork's global RIB allocated %d bytes; bound %d (%d changed rows of %d, %d blocks); a flat copy is %d",
 			allocated, bound, changedRows, view.Len(), len(view.Blocks()), whole)
 	}
 	if bound*2 > whole {

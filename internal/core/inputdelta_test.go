@@ -105,7 +105,7 @@ func TestForkInputDeltaMatchesScratch(t *testing.T) {
 			base := eng.BaseRun(inputs, out.Flows).Routes
 			moved, patched := 0, 0
 			for trial := 0; trial < 6; trial++ {
-				d := randomInputDelta(rnd, inputs, eng.base.routeECs, &serial)
+				d := randomInputDelta(rnd, inputs, eng.base.res.Routes.ECStats, &serial)
 				if trial%2 == 1 {
 					d.LinksDown = []netmodel.LinkID{links[rnd.Intn(len(links))].ID()}
 				}
@@ -117,7 +117,7 @@ func TestForkInputDeltaMatchesScratch(t *testing.T) {
 				scratch := out.Net.Clone()
 				applyDelta(scratch, d)
 				inc, _ := eng.Fork(scratch, d)
-				moved += len(inc.Routes.ECStats.Expansion().Moved(eng.base.routeECs.Expansion()))
+				moved += len(inc.Routes.ECStats.Expansion().Moved(eng.base.res.Routes.ECStats.Expansion()))
 				for _, tb := range inc.Routes.BGP.Tables() {
 					rt := inc.Routes.BGP.RIB(tb.Device, tb.VRF)
 					if rt == base.RIB(tb.Device, tb.VRF) {
@@ -212,7 +212,7 @@ func TestForkInputRIBWorkPinned(t *testing.T) {
 	eng := NewEngine(out.Net, Options{})
 	base := eng.BaseRun(out.Inputs, out.Flows).Routes.GlobalRIB()
 	var d Delta
-	for _, c := range eng.base.routeECs.Classes {
+	for _, c := range eng.base.res.Routes.ECStats.Classes {
 		if len(c.Routes) > 1 {
 			d.DropInputs = []netmodel.Route{c.Routes[0]}
 			break

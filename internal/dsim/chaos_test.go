@@ -19,7 +19,6 @@ import (
 	"hoyan/internal/objstore"
 	"hoyan/internal/retry"
 	"hoyan/internal/taskdb"
-	"hoyan/internal/traffic"
 	"slices"
 )
 
@@ -60,7 +59,7 @@ func runDistributed(t *testing.T, m *Master, taskID string, out *gen.Output, nRo
 
 // pathKeys renders flow paths as sortable strings so path sets can be
 // compared independent of tie-breaking among equal flows.
-func pathKeys(t *testing.T, paths []traffic.FlowPath) []string {
+func pathKeys(t *testing.T, paths []netmodel.FlowPath) []string {
 	t.Helper()
 	out := make([]string, 0, len(paths))
 	for _, p := range paths {

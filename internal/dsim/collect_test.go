@@ -102,7 +102,7 @@ func TestCollectTrafficResultsMissingRecord(t *testing.T) {
 	task := &TrafficTask{ID: "t", Subtasks: 3}
 	for i := range task.Subtasks {
 		var buf bytes.Buffer
-		if err := wire.EncodeTrafficResult(&buf, &wire.TrafficResult{}); err != nil {
+		if err := wire.EncodeTrafficResult(&buf, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := store.Put(resultKey(task.ID, "traffic", i), buf.Bytes()); err != nil {

@@ -25,7 +25,6 @@ import (
 	"hoyan/internal/netmodel"
 	"hoyan/internal/objstore"
 	"hoyan/internal/taskdb"
-	"hoyan/internal/wire"
 	"slices"
 )
 
@@ -219,17 +218,3 @@ func splitFlows(flows []netmodel.Flow, n int, strategy Strategy) []subset[netmod
 	return split(fs, n, func(i int) int { return i },
 		func(f netmodel.Flow) (netip.Addr, netip.Addr) { return f.Dst, f.Dst })
 }
-
-// TrafficResultFile is the wire form of one traffic subtask's result. The
-// struct lives in internal/wire so result files share the framework's compact
-// binary codec.
-type TrafficResultFile = wire.TrafficResult
-
-// LoadEntry is one link's simulated volume.
-type LoadEntry = wire.LoadEntry
-
-// PathEntry is one flow's simulated path.
-type PathEntry = wire.PathEntry
-
-// PathWire is the wire form of netmodel.Path.
-type PathWire = wire.Path

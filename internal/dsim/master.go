@@ -13,7 +13,6 @@ import (
 	"hoyan/internal/par"
 	"hoyan/internal/taskdb"
 	"hoyan/internal/telemetry"
-	"hoyan/internal/traffic"
 	"hoyan/internal/wire"
 	"slices"
 )
@@ -389,7 +388,7 @@ func (m *Master) CollectRouteResults(t *RouteTask) (*netmodel.GlobalRIB, error) 
 // simulation.
 type TrafficSummary struct {
 	Load  netmodel.LinkLoad
-	Paths []traffic.FlowPath
+	Paths []netmodel.FlowPath
 	// LoadedRIBFiles reports, per subtask, how many route-result files were
 	// loaded — the Figure 5(d) metric.
 	LoadedRIBFiles []int
@@ -405,19 +404,14 @@ func (m *Master) CollectTrafficResults(t *TrafficTask) (*TrafficSummary, error) 
 		if err != nil {
 			return nil, err
 		}
-		file, err := wire.DecodeTrafficResult(bytes.NewReader(data))
+		paths, load, err := wire.DecodeTrafficResult(bytes.NewReader(data))
 		if err != nil {
 			return nil, fmt.Errorf("dsim: decoding traffic result %d: %w", i, err)
 		}
-		for _, e := range file.Load {
-			out.Load[e.Link] += e.Volume
+		for id, v := range load {
+			out.Load[id] += v
 		}
-		for _, p := range file.Paths {
-			out.Paths = append(out.Paths, traffic.FlowPath{
-				Flow: p.Flow,
-				Path: netmodel.Path{Hops: p.Path.Hops, Exit: p.Path.Exit},
-			})
-		}
+		out.Paths = append(out.Paths, paths...)
 		rec, ok, err := m.svc.Tasks.Get(t.ID, "traffic", i)
 		if err != nil {
 			return nil, fmt.Errorf("dsim: reading traffic subtask %d's record: %w", i, err)
@@ -427,7 +421,7 @@ func (m *Master) CollectTrafficResults(t *TrafficTask) (*TrafficSummary, error) 
 		}
 		out.LoadedRIBFiles = append(out.LoadedRIBFiles, rec.LoadedRIBFiles)
 	}
-	slices.SortFunc(out.Paths, func(a, b traffic.FlowPath) int {
+	slices.SortFunc(out.Paths, func(a, b netmodel.FlowPath) int {
 		return netmodel.CompareFlows(a.Flow, b.Flow)
 	})
 	return out, nil

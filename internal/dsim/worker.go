@@ -21,8 +21,6 @@ import (
 	"hoyan/internal/taskdb"
 	"hoyan/internal/telemetry"
 	"hoyan/internal/wire"
-	"slices"
-	"strings"
 )
 
 // Worker is one working server: it consumes subtask messages, runs the core
@@ -687,21 +685,9 @@ func (w *Worker) trafficSubtask(ctx context.Context, msg SubtaskMsg) (int, error
 	})
 	w.metrics.RIBTablesLoaded.Add(int64(ribs.Tables()))
 	w.metrics.RIBTablesBuilt.Add(int64(ribs.TablesBuilt()))
-	file := TrafficResultFile{}
-	ids := make([]netmodel.LinkID, 0, len(res.Traffic.Load))
-	for id := range res.Traffic.Load {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, func(a, b netmodel.LinkID) int { return strings.Compare(a.String(), b.String()) })
-	for _, id := range ids {
-		file.Load = append(file.Load, LoadEntry{Link: id, Volume: res.Traffic.Load[id]})
-	}
-	for _, p := range res.Traffic.Paths {
-		file.Paths = append(file.Paths, PathEntry{Flow: p.Flow, Path: PathWire{Hops: p.Path.Hops, Exit: p.Path.Exit}})
-	}
 	var buf bytes.Buffer
 	if err := w.stage(ctx, "result.encode", w.metrics.EncodeSeconds, func(*telemetry.Span) error {
-		return wire.EncodeTrafficResult(&buf, &file)
+		return wire.EncodeTrafficResult(&buf, res.Traffic.Paths, res.Traffic.Load)
 	}); err != nil {
 		return 0, fmt.Errorf("encoding traffic result: %w", err)
 	}

@@ -21,36 +21,21 @@ import (
 	"hoyan/internal/core"
 	"hoyan/internal/netmodel"
 	"hoyan/internal/rcl"
-	"hoyan/internal/traffic"
 )
 
 // Snapshot is one simulated network state an intent is checked against.
 type Snapshot struct {
-	RIB *netmodel.GlobalRIB
-	// RIBFn lazily builds the global RIB when RIB is nil. Callers that check
-	// only path and load intents then never pay for building it.
-	RIBFn func() *netmodel.GlobalRIB
-	Paths []traffic.FlowPath
+	RIB   *netmodel.GlobalRIB
+	Paths []netmodel.FlowPath
 	Load  netmodel.LinkLoad
 	// Bandwidth maps links to capacity (bits/second) for load intents.
 	Bandwidth map[netmodel.LinkID]float64
 }
 
-// GlobalRIB returns the snapshot's global RIB, materializing it on first use
-// when the snapshot was built lazily.
-func (s *Snapshot) GlobalRIB() *netmodel.GlobalRIB {
-	if s.RIB == nil && s.RIBFn != nil {
-		s.RIB = s.RIBFn()
-	}
-	return s.RIB
-}
-
-// SnapshotOf is the state an engine result hands to intents: paths and loads
-// as simulated, the global RIB built on first read (a fork whose intents
-// check only paths and loads never builds its blocks), the bandwidths of the
-// topology simulated.
+// SnapshotOf is the state an engine result hands to intents: its global RIB,
+// paths and loads as simulated, and the bandwidths of the topology simulated.
 func SnapshotOf(res *core.Result) *Snapshot {
-	snap := &Snapshot{RIBFn: res.Routes.GlobalRIB, Bandwidth: res.Bandwidth}
+	snap := &Snapshot{RIB: res.Routes.GlobalRIB(), Bandwidth: res.Bandwidth}
 	if res.Traffic != nil {
 		snap.Paths = res.Traffic.Traffic.Paths
 		snap.Load = res.Traffic.Traffic.Load
@@ -112,7 +97,7 @@ func (i RouteIntent) Check(ctx *Context) Report {
 		rep.Violations = []string{"specification error: " + err.Error()}
 		return rep
 	}
-	res, err := rcl.Check(g, ctx.Base.GlobalRIB(), ctx.Updated.GlobalRIB())
+	res, err := rcl.Check(g, ctx.Base.RIB, ctx.Updated.RIB)
 	if err != nil {
 		rep.Violations = []string{"evaluation error: " + err.Error()}
 		return rep
@@ -155,7 +140,7 @@ func (i ReachIntent) Describe() string {
 // binary search, so checking a what-if fork never flattens its RIB.
 func (i ReachIntent) Check(ctx *Context) Report {
 	rep := Report{Intent: i.Describe(), Satisfied: true}
-	rib := ctx.Updated.GlobalRIB()
+	rib := ctx.Updated.RIB
 	devices := i.Devices
 	if len(devices) == 0 {
 		for _, b := range rib.Blocks() {

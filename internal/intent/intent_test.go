@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"hoyan/internal/netmodel"
-	"hoyan/internal/traffic"
 )
 
 func snapRoutes(rows ...netmodel.Route) Snapshot {
@@ -70,19 +69,19 @@ func TestReachIntent(t *testing.T) {
 	}
 }
 
-func flowPath(ing string, dst string, exit netmodel.ExitReason, devs ...string) traffic.FlowPath {
+func flowPath(ing string, dst string, exit netmodel.ExitReason, devs ...string) netmodel.FlowPath {
 	hops := make([]netmodel.Hop, len(devs))
 	for i, d := range devs {
 		hops[i] = netmodel.Hop{Device: d}
 	}
-	return traffic.FlowPath{
+	return netmodel.FlowPath{
 		Flow: netmodel.Flow{Ingress: ing, Dst: netip.MustParseAddr(dst), Src: netip.MustParseAddr("192.0.2.1")},
 		Path: netmodel.Path{Hops: hops, Exit: exit},
 	}
 }
 
 func TestPathIntent(t *testing.T) {
-	ctx := &Context{Updated: Snapshot{Paths: []traffic.FlowPath{
+	ctx := &Context{Updated: Snapshot{Paths: []netmodel.FlowPath{
 		flowPath("A", "10.0.0.5", netmodel.ExitDelivered, "A", "B", "C"),
 	}}}
 	sel := FlowSelector{Ingress: "A", DstWithin: netip.MustParsePrefix("10.0.0.0/24")}
@@ -172,7 +171,7 @@ func reachByScan(i ReachIntent, ctx *Context) Report {
 	devices := i.Devices
 	if len(devices) == 0 {
 		seen := map[string]bool{}
-		for _, r := range ctx.Updated.GlobalRIB().Rows() {
+		for _, r := range ctx.Updated.RIB.Rows() {
 			if !seen[r.Device] {
 				seen[r.Device] = true
 				devices = append(devices, r.Device)
@@ -180,7 +179,7 @@ func reachByScan(i ReachIntent, ctx *Context) Report {
 		}
 	}
 	has := map[string]bool{}
-	for _, r := range ctx.Updated.GlobalRIB().Rows() {
+	for _, r := range ctx.Updated.RIB.Rows() {
 		if r.Prefix == i.Prefix && r.RouteType == netmodel.RouteBest {
 			has[r.Device] = true
 		}

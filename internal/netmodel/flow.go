@@ -94,6 +94,12 @@ type Path struct {
 	Exit ExitReason
 }
 
+// FlowPath pairs a flow with its simulated forwarding path.
+type FlowPath struct {
+	Flow Flow
+	Path Path
+}
+
 // ExitReason explains how a simulated flow left the network (or why it was
 // dropped).
 type ExitReason uint8

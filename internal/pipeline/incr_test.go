@@ -60,7 +60,7 @@ func coldOutcome(t *testing.T, net *config.Network, inputs []netmodel.Route, flo
 	if err != nil {
 		t.Fatalf("%s: Verify accepted the plan, Apply did not: %v", plan.ID, err)
 	}
-	cold := snapshotOf(core.NewEngine(updated, core.Options{}).Run(plan.ApplyInputs(inputs), flows))
+	cold := intent.SnapshotOf(core.NewEngine(updated, core.Options{}).Run(plan.ApplyInputs(inputs), flows))
 	reports, ok := intent.Verify(&intent.Context{Base: *got.BaseSnap, Updated: *cold}, intents)
 	return cold, reports, ok
 }
@@ -188,7 +188,7 @@ func TestVerifyISISCostEdit(t *testing.T) {
 	if c := hand.Topo.Link(l.ID()); c.CostAB != 500 || c.CostBA != 500 {
 		t.Fatalf("hand-edited link costs %d/%d", c.CostAB, c.CostBA)
 	}
-	cold := snapshotOf(core.NewEngine(hand, core.Options{}).Run(out.Inputs, out.Flows))
+	cold := intent.SnapshotOf(core.NewEngine(hand, core.Options{}).Run(out.Inputs, out.Flows))
 	if !got.UpdateSnap.RIB.Equal(cold.RIB) || !reflect.DeepEqual(got.UpdateSnap.Paths, cold.Paths) || !reflect.DeepEqual(got.UpdateSnap.Load, cold.Load) {
 		t.Fatal("updated state differs from a cold run of the hand-edited network")
 	}

@@ -115,7 +115,7 @@ func (s *System) Simulate(taskID string) (*intent.Snapshot, error) {
 	if s.Workers > 0 {
 		return s.simulateDistributed(s.Base, s.Inputs, s.Flows, taskID)
 	}
-	return snapshotOf(core.NewEngine(s.Base, s.Opts).Run(s.Inputs, s.Flows)), nil
+	return intent.SnapshotOf(core.NewEngine(s.Base, s.Opts).Run(s.Inputs, s.Flows)), nil
 }
 
 // BaseSnapshot returns the cached base simulation state, computing it on
@@ -125,17 +125,9 @@ func (s *System) Simulate(taskID string) (*intent.Snapshot, error) {
 func (s *System) BaseSnapshot() *intent.Snapshot {
 	if s.baseSnap == nil {
 		s.baseEng = core.NewEngine(s.Base, s.Opts)
-		s.baseSnap = snapshotOf(s.baseEng.BaseRun(s.Inputs, s.Flows))
+		s.baseSnap = intent.SnapshotOf(s.baseEng.BaseRun(s.Inputs, s.Flows))
 	}
 	return s.baseSnap
-}
-
-// snapshotOf is intent.SnapshotOf with the global RIB built: callers of
-// Simulate, BaseSnapshot and Verify read Snapshot.RIB directly.
-func snapshotOf(res *core.Result) *intent.Snapshot {
-	snap := intent.SnapshotOf(res)
-	snap.GlobalRIB()
-	return snap
 }
 
 // simulateDistributed runs the same pipeline on a local worker cluster,
@@ -232,7 +224,7 @@ func (s *System) Verify(plan *change.Plan, intents []intent.Intent) (*Outcome, e
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: applying change plan %s: %w", plan.ID, err)
 		}
-		upSnap = snapshotOf(res)
+		upSnap = intent.SnapshotOf(res)
 	}
 
 	ctx := &intent.Context{Base: *s.BaseSnapshot(), Updated: *upSnap}

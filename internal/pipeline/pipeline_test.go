@@ -181,7 +181,7 @@ func TestTEMetricHonoredOnEverySurface(t *testing.T) {
 	if fhs := eng.IGP().FirstHops("A", "D"); len(fhs) != 1 || fhs[0].Device != "C" {
 		t.Errorf("first hops A->D = %v, want only C", fhs)
 	}
-	central := snapshotOf(eng.Run(inputs, flows))
+	central := intent.SnapshotOf(eng.Run(inputs, flows))
 
 	sys := New(net, inputs, flows, core.Options{})
 	sys.Workers = 2
@@ -191,7 +191,7 @@ func TestTEMetricHonoredOnEverySurface(t *testing.T) {
 	}
 	for label, snap := range map[string]*intent.Snapshot{"centralized": central, "fleet": fleet} {
 		var costs []uint32
-		for _, r := range snap.GlobalRIB().Block("A") {
+		for _, r := range snap.RIB.Block("A") {
 			if r.Prefix == dst {
 				costs = append(costs, r.IGPCost)
 			}

@@ -21,8 +21,9 @@ import (
 	"hoyan/internal/vsb"
 )
 
-// RIBSource supplies routing tables per (device, vrf). Both *bgp.Result and
-// RIB file sets loaded by the distributed framework implement it.
+// RIBSource supplies routing tables per (device, vrf). The engine's
+// *core.RouteResult (a run's or a fork's tables) and the *netmodel.RIBSet a
+// fleet's traffic subtask cuts from the RIB files it loads implement it.
 type RIBSource interface {
 	RIB(device, vrf string) *netmodel.RIB
 }
@@ -114,19 +115,13 @@ func NewForwarder(net *config.Network, igp *isis.Result, ribs RIBSource, opts Op
 type Result struct {
 	// Paths holds the representative (hash-chosen) path per flow, in input
 	// order.
-	Paths []FlowPath
+	Paths []netmodel.FlowPath
 	// Load is the per-link traffic volume with ECMP even-splitting.
 	Load netmodel.LinkLoad
 	// Capped counts the flows whose ECMP fan-out reached its visit cap (256
 	// dequeued states) with states still queued: Load leaves out the volume
 	// those states carried.
 	Capped int
-}
-
-// FlowPath pairs a flow with its simulated forwarding path.
-type FlowPath struct {
-	Flow netmodel.Flow
-	Path netmodel.Path
 }
 
 // Simulate forwards every flow and aggregates link loads.
@@ -149,7 +144,7 @@ func (f *Forwarder) forward(flows []netmodel.Flow, traced bool, reuse func(i int
 	if len(flows) == 0 {
 		return &Result{Load: make(netmodel.LinkLoad)}, nil, 0
 	}
-	paths := make([]FlowPath, len(flows))
+	paths := make([]netmodel.FlowPath, len(flows))
 	outs := make([]Trace, len(flows))
 	var redo []int
 	for i := range flows {
@@ -179,7 +174,7 @@ func (f *Forwarder) forward(flows []netmodel.Flow, traced bool, reuse func(i int
 		}
 		i := redo[j]
 		w.start(flows[i], traced)
-		paths[i] = FlowPath{Flow: flows[i], Path: w.path()}
+		paths[i] = netmodel.FlowPath{Flow: flows[i], Path: w.path()}
 		outs[i].contribs, outs[i].capped = w.fanOut()
 		if traced {
 			w.finishTrace(&outs[i])

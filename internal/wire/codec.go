@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"hoyan/internal/netmodel"
-	"slices"
 )
 
 // ---------------------------------------------------------------- routes
@@ -304,43 +306,28 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 
 // ----------------------------------------------------- traffic result file
 
-// Path is the wire form of netmodel.Path (dsim.PathWire aliases it).
-type Path struct {
-	Hops []netmodel.Hop
-	Exit netmodel.ExitReason
-}
-
-// PathEntry is one flow's simulated path (dsim.PathEntry aliases it).
-type PathEntry struct {
-	Flow netmodel.Flow
-	Path Path
-}
-
-// LoadEntry is one link's simulated volume (dsim.LoadEntry aliases it).
-type LoadEntry struct {
-	Link   netmodel.LinkID
-	Volume float64
-}
-
-// TrafficResult is the wire form of one traffic subtask's result file
-// (dsim.TrafficResultFile aliases it).
-type TrafficResult struct {
-	Load  []LoadEntry
-	Paths []PathEntry
-}
-
-// EncodeTrafficResult writes a traffic result file as an uncompressed
-// binary frame.
-func EncodeTrafficResult(w io.Writer, t *TrafficResult) error {
+// EncodeTrafficResult writes one traffic subtask's result — its link loads
+// and flow paths — as an uncompressed binary frame. Loads go in
+// LinkID.String() order, so the bytes do not depend on map order (the ends
+// break the tie between two IDs that print alike, as names holding brackets
+// can).
+func EncodeTrafficResult(w io.Writer, paths []netmodel.FlowPath, load netmodel.LinkLoad) error {
+	ids := make([]netmodel.LinkID, 0, len(load))
+	for id := range load {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b netmodel.LinkID) int {
+		return cmp.Or(strings.Compare(a.String(), b.String()), strings.Compare(a.A, b.A), strings.Compare(a.AIface, b.AIface), strings.Compare(a.B, b.B))
+	})
 	return encodeFrame(w, KindTrafficResult, false, func(e *encoder) {
-		e.uvarint(uint64(len(t.Load)))
-		for i := range t.Load {
-			e.linkID(t.Load[i].Link)
-			e.f64(t.Load[i].Volume)
+		e.uvarint(uint64(len(ids)))
+		for _, id := range ids {
+			e.linkID(id)
+			e.f64(load[id])
 		}
-		e.uvarint(uint64(len(t.Paths)))
-		for i := range t.Paths {
-			p := &t.Paths[i]
+		e.uvarint(uint64(len(paths)))
+		for i := range paths {
+			p := &paths[i]
 			e.flow(&p.Flow)
 			e.uvarint(uint64(len(p.Path.Hops)))
 			for _, h := range p.Path.Hops {
@@ -359,45 +346,49 @@ func (e *encoder) linkID(id netmodel.LinkID) {
 	e.str(id.BIface)
 }
 
-// DecodeTrafficResult reads a traffic result file.
-func DecodeTrafficResult(r io.Reader) (*TrafficResult, error) {
+// DecodeTrafficResult reads a traffic result file. A load section that
+// names a link twice is ErrCorrupt: an encoder writes each link once.
+func DecodeTrafficResult(r io.Reader) ([]netmodel.FlowPath, netmodel.LinkLoad, error) {
 	br := bufio.NewReader(r)
 	d, err := decodeFrame(br, KindTrafficResult)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	t := &TrafficResult{}
 	nl, err := d.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("wire: decoding traffic loads: %w", err)
+		return nil, nil, fmt.Errorf("wire: decoding traffic loads: %w", err)
 	}
-	t.Load = make([]LoadEntry, 0, min(nl, preallocCap))
+	load := make(netmodel.LinkLoad, min(nl, preallocCap))
 	for i := uint64(0); i < nl; i++ {
-		var le LoadEntry
-		if le.Link, err = d.linkID(); err == nil {
-			le.Volume, err = d.f64()
+		id, err := d.linkID()
+		var v float64
+		if err == nil {
+			v, err = d.f64()
+		}
+		if _, dup := load[id]; dup && err == nil {
+			err = fmt.Errorf("link %s loaded twice (%w)", id, ErrCorrupt)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("wire: decoding traffic load %d: %w", i, err)
+			return nil, nil, fmt.Errorf("wire: decoding traffic load %d: %w", i, err)
 		}
-		t.Load = append(t.Load, le)
+		load[id] = v
 	}
 	np, err := d.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("wire: decoding traffic paths: %w", err)
+		return nil, nil, fmt.Errorf("wire: decoding traffic paths: %w", err)
 	}
-	t.Paths = make([]PathEntry, 0, min(np, preallocCap))
+	paths := make([]netmodel.FlowPath, 0, min(np, preallocCap))
 	for i := uint64(0); i < np; i++ {
-		pe, err := d.pathEntry()
+		p, err := d.flowPath()
 		if err != nil {
-			return nil, fmt.Errorf("wire: decoding traffic path %d: %w", i, err)
+			return nil, nil, fmt.Errorf("wire: decoding traffic path %d: %w", i, err)
 		}
-		t.Paths = append(t.Paths, pe)
+		paths = append(paths, p)
 	}
 	if err := d.end(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return t, nil
+	return paths, load, nil
 }
 
 func (d *decoder) linkID() (netmodel.LinkID, error) {
@@ -415,32 +406,32 @@ func (d *decoder) linkID() (netmodel.LinkID, error) {
 	return id, err
 }
 
-func (d *decoder) pathEntry() (PathEntry, error) {
-	var pe PathEntry
+func (d *decoder) flowPath() (netmodel.FlowPath, error) {
+	var fp netmodel.FlowPath
 	f, err := d.flow()
 	if err != nil {
-		return pe, err
+		return fp, err
 	}
-	pe.Flow = f
+	fp.Flow = f
 	nh, err := d.uvarint()
 	if err != nil {
-		return pe, err
+		return fp, err
 	}
-	pe.Path.Hops = make([]netmodel.Hop, 0, min(nh, preallocCap))
+	fp.Path.Hops = make([]netmodel.Hop, 0, min(nh, preallocCap))
 	for i := uint64(0); i < nh; i++ {
 		var h netmodel.Hop
 		if h.Device, err = d.str(); err == nil {
 			h.Link, err = d.linkID()
 		}
 		if err != nil {
-			return pe, err
+			return fp, err
 		}
-		pe.Path.Hops = append(pe.Path.Hops, h)
+		fp.Path.Hops = append(fp.Path.Hops, h)
 	}
 	exit, err := d.byte()
 	if err != nil {
-		return pe, err
+		return fp, err
 	}
-	pe.Path.Exit = netmodel.ExitReason(exit)
-	return pe, nil
+	fp.Path.Exit = netmodel.ExitReason(exit)
+	return fp, nil
 }

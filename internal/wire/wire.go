@@ -311,8 +311,15 @@ func decodeFrame(br *bufio.Reader, want Kind) (*decoder, error) {
 // truncated makes a payload that ends before its last field ErrCorrupt: the
 // encoder ends a frame only after its last field, so running out of bytes
 // (io.EOF, or io.ErrUnexpectedEOF inside a field or a flate stream) means
-// the blob was cut.
+// the blob was cut. A flate stream that does not inflate is ErrCorrupt too;
+// any other error is the source reader's own and passes through.
 func truncated(err error) error {
+	switch err.(type) {
+	case nil:
+		return nil
+	case flate.CorruptInputError:
+		return fmt.Errorf("wire: %w (%w)", err, ErrCorrupt)
+	}
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return fmt.Errorf("wire: frame truncated: %w (%w)", io.ErrUnexpectedEOF, ErrCorrupt)
 	}
@@ -343,9 +350,24 @@ func (d *decoder) bool() (bool, error) {
 	return b != 0, err
 }
 
+// uvarint reads a varint as binary.ReadUvarint does; one that runs past 64
+// bits is ErrCorrupt.
 func (d *decoder) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(d.r)
-	return v, truncated(err)
+	var v uint64
+	for i := range binary.MaxVarintLen64 {
+		b, err := d.byte()
+		if err != nil {
+			return 0, err
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			return v | uint64(b)<<(7*i), nil
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, fmt.Errorf("wire: varint overflows 64 bits (%w)", ErrCorrupt)
 }
 
 func (d *decoder) u32() (uint32, error) {

@@ -84,18 +84,21 @@ func sampleSnapshot() *Snapshot {
 	}
 }
 
-func sampleTraffic() *TrafficResult {
+func sampleTraffic() ([]netmodel.FlowPath, netmodel.LinkLoad) {
 	id := netmodel.LinkID{A: "rr-0-0", B: "border-0-0", AIface: "eth0", BIface: "eth1"}
-	return &TrafficResult{
-		Load: []LoadEntry{{Link: id, Volume: 1.5e9}},
-		Paths: []PathEntry{{
-			Flow: sampleFlows()[0],
-			Path: Path{
-				Hops: []netmodel.Hop{{Device: "border-0-0", Link: id}, {Device: "rr-0-0"}},
-				Exit: netmodel.ExitDelivered,
-			},
-		}},
-	}
+	return []netmodel.FlowPath{{
+		Flow: sampleFlows()[0],
+		Path: netmodel.Path{
+			Hops: []netmodel.Hop{{Device: "border-0-0", Link: id}, {Device: "rr-0-0"}},
+			Exit: netmodel.ExitDelivered,
+		},
+	}}, netmodel.LinkLoad{id: 1.5e9}
+}
+
+// encodeSampleTraffic is EncodeTrafficResult of sampleTraffic.
+func encodeSampleTraffic(w io.Writer) error {
+	paths, load := sampleTraffic()
+	return EncodeTrafficResult(w, paths, load)
 }
 
 // ---------------------------------------------------------------- round trips
@@ -200,17 +203,45 @@ func TestSnapshotEncodeDeterministic(t *testing.T) {
 }
 
 func TestTrafficResultRoundTrip(t *testing.T) {
-	want := sampleTraffic()
+	paths, load := sampleTraffic()
 	var buf bytes.Buffer
-	if err := EncodeTrafficResult(&buf, want); err != nil {
+	if err := EncodeTrafficResult(&buf, paths, load); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTrafficResult(&buf)
+	gotPaths, gotLoad, err := DecodeTrafficResult(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("round trip:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(gotPaths, paths) || !reflect.DeepEqual(gotLoad, load) {
+		t.Errorf("round trip:\n got %+v %v\nwant %+v %v", gotPaths, gotLoad, paths, load)
+	}
+}
+
+// TestTrafficResultDuplicateLink: a load section that names a link twice is
+// ErrCorrupt, not a sum or the last of the two volumes. The same frame with
+// two distinct links decodes.
+func TestTrafficResultDuplicateLink(t *testing.T) {
+	a := netmodel.LinkID{A: "r1", B: "r2", AIface: "eth0", BIface: "eth0"}
+	b := netmodel.LinkID{A: "r1", B: "r3", AIface: "eth1", BIface: "eth0"}
+	frame := func(ids ...netmodel.LinkID) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := encodeFrame(&buf, KindTrafficResult, false, func(e *encoder) {
+			e.uvarint(uint64(len(ids)))
+			for _, id := range ids {
+				e.linkID(id)
+				e.f64(1e9)
+			}
+			e.uvarint(0) // no paths
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	if _, load, err := DecodeTrafficResult(frame(a, b)); err != nil || len(load) != 2 {
+		t.Fatalf("two distinct links: %v, %v", load, err)
+	}
+	if _, load, err := DecodeTrafficResult(frame(a, b, a)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("link %s loaded twice: got %v, %v; want ErrCorrupt", a, load, err)
 	}
 }
 
@@ -252,7 +283,7 @@ func TestGolden(t *testing.T) {
 	if err := EncodeSnapshot(&snap, sampleSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodeTrafficResult(&traffic, sampleTraffic()); err != nil {
+	if err := encodeSampleTraffic(&traffic); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "routes.bin", routes.Bytes())
@@ -319,8 +350,8 @@ func TestDecodeTruncated(t *testing.T) {
 			func(r io.Reader) error { _, err := DecodeFlows(r); return err }},
 		{KindSnapshot, func(w io.Writer) error { return EncodeSnapshot(w, sampleSnapshot()) },
 			func(r io.Reader) error { _, err := DecodeSnapshot(r); return err }},
-		{KindTrafficResult, func(w io.Writer) error { return EncodeTrafficResult(w, sampleTraffic()) },
-			func(r io.Reader) error { _, err := DecodeTrafficResult(r); return err }},
+		{KindTrafficResult, encodeSampleTraffic,
+			func(r io.Reader) error { _, _, err := DecodeTrafficResult(r); return err }},
 	}
 	for _, k := range kinds {
 		var buf bytes.Buffer
@@ -412,7 +443,7 @@ func TestDecodersRejectForeignBlobs(t *testing.T) {
 		{KindRoutes, func(r *bytes.Reader) error { _, err := DecodeRoutes(r); return err }},
 		{KindFlows, func(r *bytes.Reader) error { _, err := DecodeFlows(r); return err }},
 		{KindSnapshot, func(r *bytes.Reader) error { _, err := DecodeSnapshot(r); return err }},
-		{KindTrafficResult, func(r *bytes.Reader) error { _, err := DecodeTrafficResult(r); return err }},
+		{KindTrafficResult, func(r *bytes.Reader) error { _, _, err := DecodeTrafficResult(r); return err }},
 	}
 	for _, d := range decoders {
 		inputs := []struct {
@@ -482,6 +513,86 @@ func FuzzDecodeRoutes(f *testing.F) {
 		slices.SortFunc(shuffled, netmodel.CompareRoutes)
 		if !slices.EqualFunc(sorted, shuffled, netmodel.Route.Identical) {
 			t.Fatal("canonical order depends on input order")
+		}
+	})
+}
+
+// frameKind is one kind's codec for FuzzDecodeFrames: reencode decodes a
+// frame and, when the decoder accepts it, writes the value back out.
+type frameKind struct {
+	kind     Kind
+	encode   func(io.Writer) error // the sample
+	reencode func(t testing.TB, data []byte) ([]byte, error)
+}
+
+var frameKinds = []frameKind{
+	{KindRoutes, func(w io.Writer) error { return EncodeRoutes(w, sampleRoutes()) }, func(t testing.TB, data []byte) ([]byte, error) {
+		v, err := DecodeRoutes(bytes.NewReader(data))
+		return reencoded(t, err, func(w io.Writer) error { return EncodeRoutes(w, v) })
+	}},
+	{KindFlows, func(w io.Writer) error { return EncodeFlows(w, sampleFlows()) }, func(t testing.TB, data []byte) ([]byte, error) {
+		v, err := DecodeFlows(bytes.NewReader(data))
+		return reencoded(t, err, func(w io.Writer) error { return EncodeFlows(w, v) })
+	}},
+	{KindSnapshot, func(w io.Writer) error { return EncodeSnapshot(w, sampleSnapshot()) }, func(t testing.TB, data []byte) ([]byte, error) {
+		v, err := DecodeSnapshot(bytes.NewReader(data))
+		return reencoded(t, err, func(w io.Writer) error { return EncodeSnapshot(w, v) })
+	}},
+	{KindTrafficResult, encodeSampleTraffic, func(t testing.TB, data []byte) ([]byte, error) {
+		paths, load, err := DecodeTrafficResult(bytes.NewReader(data))
+		return reencoded(t, err, func(w io.Writer) error { return EncodeTrafficResult(w, paths, load) })
+	}},
+}
+
+// reencoded is encode's bytes, or decodeErr when the decode before it failed.
+func reencoded(t testing.TB, decodeErr error, encode func(io.Writer) error) ([]byte, error) {
+	if decodeErr != nil {
+		return nil, decodeErr
+	}
+	var buf bytes.Buffer
+	if err := encode(&buf); err != nil {
+		t.Fatalf("re-encoding an accepted frame: %v", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// FuzzDecodeFrames feeds every input to all four decoders. None may panic;
+// every error wraps ErrCorrupt unless the frame's version byte is not
+// Version; and a frame a decoder accepts re-encodes to bytes that decode to
+// the same value, which shows as the same bytes once more (every encoder is
+// deterministic and writes floats bit for bit).
+func FuzzDecodeFrames(f *testing.F) {
+	for _, k := range frameKinds {
+		var buf bytes.Buffer
+		if err := k.encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		plain := buf.Bytes()
+		f.Add(plain)
+		f.Add(reframe(f, plain, plain[4]&flagFlate == 0)) // the other compression
+		f.Add(plain[:len(plain)/2])
+		corrupted := slices.Clone(plain)
+		corrupted[len(corrupted)/2] ^= 0xFF
+		f.Add(corrupted)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, k := range frameKinds {
+			enc, err := k.reencode(t, data)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) && (len(data) < 4 || data[3] == Version) {
+					t.Fatalf("%s decoder: %v does not wrap ErrCorrupt", k.kind, err)
+				}
+				continue
+			}
+			again, err := k.reencode(t, enc)
+			if err != nil {
+				t.Fatalf("%s decoder refused its own encoding: %v", k.kind, err)
+			}
+			if !bytes.Equal(again, enc) {
+				t.Fatalf("%s: an accepted frame decoded to another value on its way back", k.kind)
+			}
 		}
 	})
 }
